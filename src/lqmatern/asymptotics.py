@@ -95,19 +95,19 @@ def _scores_batch(Z, locs, theta, q):
     dS = build_cov_grad(locs, theta)       # (3, n, n)
     d2S = build_cov_hess(locs, theta)      # (3, 3, n, n)
 
-    W = cho_solve(cl, Z)                   # Sigma^-1 z, all replicates
+    W = cho_solve(cl, Z, check_finite=False)  # Sigma^-1 z, all replicates
     lvec = loglik_columns(Z, chol)
     fpow = np.exp(lvec * (1.0 - q)) if q < 1.0 else np.ones(m)
 
     # B_j = Sigma^-1 dS_j and the trace pieces; per-theta cost, not per-replicate
-    B = np.stack([cho_solve(cl, dS[j]) for j in range(3)])
+    B = np.stack([cho_solve(cl, dS[j], check_finite=False) for j in range(3)])
     tr_B = np.trace(B, axis1=1, axis2=2)
     tr_BB = np.einsum("jab,kba->jk", B, B)
-    tr_C = np.array([[np.trace(cho_solve(cl, d2S[j, k])) for k in range(3)]
-                     for j in range(3)])
+    tr_C = np.array([[np.trace(cho_solve(cl, d2S[j, k], check_finite=False))
+                      for k in range(3)] for j in range(3)])
 
     A = np.einsum("jab,bm->jam", dS, W)            # dS_j w per replicate
-    SinvA = np.stack([cho_solve(cl, A[j]) for j in range(3)])
+    SinvA = np.stack([cho_solve(cl, A[j], check_finite=False) for j in range(3)])
     quad1 = np.einsum("am,jam->jm", W, A)          # w' dS_j w
     cross = np.einsum("jam,kam->jkm", A, SinvA)    # (dS_j w)' Sigma^-1 (dS_k w)
     quad2 = np.einsum("am,jkab,bm->jkm", W, d2S, W)
@@ -169,16 +169,19 @@ def std_errs(parts):
     """Standard errors from the printed J^-1/2 K^1/2 J^-1/2 diagonal.
 
     J's spectrum is floored in absolute value at J_EIG_FLOOR times its
-    trace scale to form the PD surrogate S; the reported convention is
-    "negated" when J was entirely nonpositive (the usual case at a
-    maximum), "positive" when entirely nonnegative, else "absolute".
+    largest absolute eigenvalue to form the PD surrogate S.  The floor is
+    relative to J alone, so the answer does not change when K and J are
+    rescaled to K/s^2 and J/s (both forms are invariant under that), and a
+    J that is identically zero raises SingularJError.  The reported
+    convention is "negated" when J was entirely nonpositive (the usual case
+    at a maximum), "positive" when entirely nonnegative, else "absolute".
     """
     J = np.asarray(parts.J, dtype=float)
     K = np.asarray(parts.K, dtype=float)
     if not (np.all(np.isfinite(J)) and np.all(np.isfinite(K))):
         raise SingularJError("K or J contains non-finite entries")
     lam, Q = np.linalg.eigh(J)
-    scale = max(float(np.abs(lam).max()), 1.0)
+    scale = float(np.abs(lam).max())
     if np.all(lam <= 0.0):
         convention = "negated"
     elif np.all(lam >= 0.0):
@@ -186,7 +189,7 @@ def std_errs(parts):
     else:
         convention = "absolute"
     s = np.maximum(np.abs(lam), J_EIG_FLOOR * scale)
-    if not np.all(np.isfinite(s)) or s.max() == 0.0:
+    if not np.all(np.isfinite(s)) or s.min() == 0.0:
         raise SingularJError("J is singular beyond regularization",
                              cond=float("inf"))
     cond = float(s.max() / s.min())

@@ -1,23 +1,29 @@
 """Maximum Lq-likelihood fitting by bounded derivative-free search.
 
-The 3-parameter objective theta -> total_lq(reps, locs, theta, q) is
-maximized inside a box by Nelder-Mead run in bound-scaled coordinates:
-theta is mapped affinely to the unit cube u = (theta - lower) / width, the
-simplex lives in [0, 1]^3, and convergence is declared when the simplex
-diameter falls below ``tol`` in that scaled space.
+Sigma = sigma2 R(beta, nu), and sigma2 only rescales a correlation matrix
+that costs the same to build at every sigma2, so sigma2 is profiled out:
+the search runs over (beta, nu) alone, and at each trial point
+``gauss_lik.profile_lq`` builds and factors R once and solves for sigma2
+exactly inside its bounds (closed form at q = 1, an ascent fixed point
+below; see ``gauss_lik.profile_sigma2``).
+
+Nelder-Mead runs in bound-scaled coordinates: (beta, nu) is mapped affinely
+to the unit square u = (x - lower) / width, and convergence is declared when
+the simplex diameter falls below ``tol`` in that scaled space.
 
 Termination is driven by the simplex diameter alone (the objective-spread
 test is disabled).  This matters beyond taste: Nelder-Mead steps depend only
-on the ordering of objective values, and the underflow-safe scaled objective
-is a strictly increasing transform of the exact one, so with diameter-only
-termination the scale=True and scale=False searches follow identical
-trajectories and return identical maximizers.  Restart decisions likewise
-compare iterates, never objective values.
+on the ordering of objective values, and the search compares the log-domain
+profile value (sum l at q = 1, logsumexp((1-q) l) / (1-q) below), a strictly
+increasing transform of the exact Lq objective sum (f^(1-q) - 1) / (1-q) and
+of the scaled surrogate alike.  So the search and its maximizer do not depend
+on ``scale``, which only picks the form of the reported ``objective``.
+Restart decisions likewise compare iterates, never objective values.
 
 After the first run the search restarts from its own answer with a fresh
 simplex (up to twice); a restart that moves less than ``tol`` confirms the
-point.  Trial points with a non-positive-definite covariance score -inf and
-are simply rejected; only failure at the initial point is an error.
+point.  Trial points with a non-positive-definite correlation matrix score
+-inf and are simply rejected; only failure at the initial point is an error.
 
 ``fit_profile`` runs a descending grid of q values starting at 1, warm-
 starting each fit at the previous estimate.
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .gauss_lik import NotSPDError, total_lq
+from .gauss_lik import NotSPDError, profile_lq, total_lq
 from .matern import MaternParams
 
 _METHODS = ("nelder-mead", "powell")
@@ -66,7 +72,11 @@ class Bounds:
 
 @dataclass(frozen=True)
 class FitResult:
-    """One maximization outcome; objective is total_lq at theta_hat as evaluated."""
+    """One maximization outcome.
+
+    ``objective`` is total_lq(theta_hat, q, scale); ``evaluations`` counts
+    the (beta, nu) points the search scored.
+    """
 
     theta_hat: MaternParams
     objective: float
@@ -118,7 +128,10 @@ def default_init(reps, bounds):
 
 def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         scale=True, method="nelder-mead", max_evals=5000):
-    """Maximize the (scaled) Lq-likelihood inside a box.
+    """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
+
+    The search runs over (beta, nu); sigma2 is solved exactly at each trial
+    point (see the module docstring).
 
     Parameters
     ----------
@@ -132,11 +145,14 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         Defaults to default_bounds().
     init : MaternParams, optional
         Must lie within bounds; defaults to default_init(reps, bounds).
+        Its (beta, nu) starts the search; its sigma2 is not used beyond the
+        check that the initial point can be evaluated.
     tol : float
         Simplex-diameter convergence threshold in bound-scaled coordinates.
     scale : bool
-        Optimize the underflow-safe surrogate exp[(l+n)(1-q)] (default);
-        argmax-equivalent to the exact Lq objective.
+        Report ``objective`` as the underflow-safe surrogate
+        sum exp[(l+n)(1-q)] (default) or, if False, the exact Lq value.
+        It does not change the search or the maximizer.
     method : {"nelder-mead", "powell"}
         Derivative-free search; Powell is the documented swap-in.
     max_evals : int
@@ -145,6 +161,8 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
     Returns
     -------
     FitResult
+        ``evaluations`` counts (beta, nu) points.  ``converged`` also
+        requires the reported objective to be finite.
     """
     if method not in _METHODS:
         raise ValueError("method must be one of %r" % (_METHODS,))
@@ -155,22 +173,29 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
     elif not bounds.contains(init):
         raise ValueError("init %r lies outside the bounds" % (init,))
     lo, hi = bounds.as_arrays()
-    width = hi - lo
-
-    def neg_obj(u):
-        theta = MaternParams.from_array(lo + u * width)
-        try:
-            val = total_lq(reps, locs, theta, q, scale=scale)
-        except NotSPDError:
-            return np.inf
-        if not np.isfinite(val):
-            return np.inf
-        return -val
+    # the search box is (beta, nu); sigma2's bounds go to the inner solve
+    s2_lo, s2_hi = float(lo[0]), float(hi[0])
+    corner, width = lo[1:], hi[1:] - lo[1:]
 
     # a hard failure at the starting point is an error, not a rejection
     total_lq(reps, locs, init, q, scale=scale)
 
-    u0 = (init.as_array() - lo) / width
+    # u.tobytes() -> (negated profile value, sigma2); each restart scores its
+    # start again, and sigma2 at the answer is read back from here
+    scored = {}
+
+    def neg_obj(u):
+        key = u.tobytes()
+        if key not in scored:
+            beta, nu = corner + u * width
+            try:
+                sigma2, val = profile_lq(reps, locs, beta, nu, q, s2_lo, s2_hi)
+            except NotSPDError:
+                sigma2, val = float("nan"), -np.inf
+            scored[key] = (-val if np.isfinite(val) else np.inf, sigma2)
+        return scored[key][0]
+
+    u0 = (init.as_array()[1:] - corner) / width
     options = {"xatol": tol, "fatol": np.inf, "maxfev": max_evals, "maxiter": max_evals}
     if method == "powell":
         options = {"xtol": tol, "ftol": tol, "maxfev": max_evals, "maxiter": max_evals}
@@ -180,7 +205,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
     res = None
     for attempt in range(3):
         res = minimize(neg_obj, u_cur, method=method,
-                       bounds=[(0.0, 1.0)] * 3, options=options)
+                       bounds=[(0.0, 1.0)] * 2, options=options)
         n_it += int(res.nit)
         n_ev += int(res.nfev)
         moved = float(np.max(np.abs(res.x - u_cur)))
@@ -190,9 +215,14 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         if attempt > 0 and moved <= tol:
             break
 
-    theta_hat = MaternParams.from_array(lo + u_cur * width)
-    converged = bool(res.status == 0 and np.isfinite(res.fun))
-    return FitResult(theta_hat=theta_hat, objective=float(-res.fun), q=float(q),
+    neg_obj(u_cur)
+    sigma2 = scored[u_cur.tobytes()][1]
+    if not np.isfinite(sigma2):  # every trial point was rejected
+        sigma2 = init.sigma2
+    theta_hat = MaternParams(sigma2, *(corner + u_cur * width))
+    objective = total_lq(reps, locs, theta_hat, q, scale=scale)
+    converged = bool(res.status == 0 and np.isfinite(res.fun) and np.isfinite(objective))
+    return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=n_it, evaluations=n_ev, converged=converged,
                      init=init, scale=scale, restarts=restarts)
 

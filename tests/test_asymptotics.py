@@ -267,6 +267,25 @@ class TestStdErrs:
         assert np.all(np.isfinite(se.se))
         assert se.cond == pytest.approx(1e10, rel=1e-6)
 
+    @pytest.mark.parametrize("s", [1e-20, 1e-8, 1.0, 1e8])
+    def test_invariant_under_rescaling(self, s):
+        # the printed form and the classical sandwich are both invariant
+        # under (K, J) -> (K/s^2, J/s); an absolute eigenvalue floor is not
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((3, 3))
+        K = A @ A.T + np.eye(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        J = -(Q * [1.0, 0.1, 1e-3]) @ Q.T
+        base = std_errs(SandwichParts(K=K, J=J, m=7))
+        got = std_errs(SandwichParts(K=K / s ** 2, J=J / s, m=7))
+        assert got.se == pytest.approx(base.se, rel=1e-9)
+        assert got.se_sandwich == pytest.approx(base.se_sandwich, rel=1e-9)
+        assert got.cond == pytest.approx(base.cond, rel=1e-9)
+
+    def test_zero_j_raises(self):
+        with pytest.raises(SingularJError):
+            std_errs(SandwichParts(K=np.zeros((3, 3)), J=np.zeros((3, 3)), m=3))
+
     def test_nan_j_raises(self):
         J = np.full((3, 3), np.nan)
         with pytest.raises(SingularJError):

@@ -3,7 +3,8 @@ import pytest
 
 from lqmatern.gauss_lik import (LqValue, NotSPDError, ReplicateSet,
                                 chol_factor, log_likelihood, loglik_columns,
-                                lq_of_loglik, total_lq)
+                                lq_of_loglik, profile_lq, profile_sigma2,
+                                total_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 
 
@@ -55,6 +56,13 @@ class TestCholFactor:
     def test_not_spd_error(self):
         with pytest.raises(NotSPDError):
             chol_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_raise(self, bad):
+        # LAPACK runs without a finiteness scan; an inf diagonal factors
+        # "successfully" and must be caught through the log determinant
+        with pytest.raises(NotSPDError):
+            chol_factor(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestLogLikelihood:
@@ -205,3 +213,95 @@ class TestTotalLq:
         with pytest.raises(NotSPDError) as exc_info:
             total_lq(reps, self.locs, self.theta, 1.0)
         assert exc_info.value.theta == self.theta
+
+
+def dense_profile(quad, n, q, lower, upper, points=20001):
+    """Grid over log sigma2 of the log-domain Lq objective; (s grid, values)."""
+    s = np.linspace(np.log(lower), np.log(upper), points)
+    s2 = np.exp(s)[:, None]
+    ll = -0.5 * (n * np.log(s2) + quad / s2)
+    if q == 1.0:
+        return s, ll.sum(axis=1)
+    h = (1.0 - q) * ll
+    top = h.max(axis=1, keepdims=True)
+    return s, (top[:, 0] + np.log(np.exp(h - top).sum(axis=1))) / (1.0 - q)
+
+
+class TestProfileSigma2:
+    # 40 clean replicates and a separated cluster of 8 with 9x the variance
+    N = 50
+    QUAD = np.concatenate([np.random.default_rng(11).chisquare(50, 40),
+                           9.0 * np.random.default_rng(12).chisquare(50, 8)])
+
+    @pytest.mark.parametrize("q", [1.0, 0.95, 0.8, 0.5])
+    def test_matches_dense_search(self, q):
+        lo, hi = 1e-3, 1e3
+        got = profile_sigma2(self.QUAD, self.N, q, lo, hi)
+        s, vals = dense_profile(self.QUAD, self.N, q, lo, hi)
+        best = int(np.argmax(vals))
+        assert 0 < best < len(s) - 1
+        assert abs(np.log(got) - s[best]) <= 2.0 * (s[1] - s[0])
+        at_got = dense_profile(self.QUAD, self.N, q, got, got, points=1)[1][0]
+        assert at_got >= vals[best] - 1e-12 * abs(vals[best])
+
+    @pytest.mark.parametrize("q", [1.0, 0.95, 0.8, 0.5])
+    def test_clips_at_each_bound(self, q):
+        free = profile_sigma2(self.QUAD, self.N, q, 1e-3, 1e3)
+        for lo, hi, want in ((2.0 * free, 4.0 * free, "lower"),
+                             (0.25 * free, 0.5 * free, "upper")):
+            got = profile_sigma2(self.QUAD, self.N, q, lo, hi)
+            assert got == (lo if want == "lower" else hi)
+            s, vals = dense_profile(self.QUAD, self.N, q, lo, hi)
+            assert np.argmax(vals) == (0 if want == "lower" else len(s) - 1)
+
+    def test_q_one_closed_form(self):
+        got = profile_sigma2(self.QUAD, self.N, 1.0, 1e-3, 1e3)
+        assert got == pytest.approx(np.mean(self.QUAD) / self.N, rel=1e-15)
+
+    @pytest.mark.parametrize("q", [0.95, 0.8])
+    def test_downweights_the_contaminated_cluster(self, q):
+        # the clean replicates alone give about q sigma2 (the fixed-q target)
+        clean = np.mean(self.QUAD[:40]) / self.N
+        assert profile_sigma2(self.QUAD, self.N, q, 1e-3, 1e3) == \
+            pytest.approx(q * clean, rel=0.05)
+
+
+class TestProfileLq:
+    def setup_method(self):
+        rng = np.random.default_rng(13)
+        self.locs = LocationSet(rng.uniform(0, 1, (5, 2)))
+        self.reps = ReplicateSet(rng.standard_normal((5, 6)))
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+    def test_value_is_log_domain_total_lq(self, q):
+        sigma2, val = profile_lq(self.reps, self.locs, 0.3, 0.8, q, 1e-3, 1e3)
+        theta = MaternParams(sigma2, 0.3, 0.8)
+        exact = total_lq(self.reps, self.locs, theta, q)
+        if q == 1.0:
+            assert val == pytest.approx(exact, rel=1e-12)
+        else:
+            # sum (f^(1-q) - 1)/(1-q) = T  =>  log sum f^(1-q) = log((1-q) T + m)
+            want = np.log((1.0 - q) * exact + self.reps.m) / (1.0 - q)
+            assert val == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+    def test_sigma2_maximizes_total_lq(self, q):
+        sigma2, _ = profile_lq(self.reps, self.locs, 0.3, 0.8, q, 1e-3, 1e3)
+        at = total_lq(self.reps, self.locs, MaternParams(sigma2, 0.3, 0.8), q)
+        for f in (0.99, 1.01):
+            off = MaternParams(f * sigma2, 0.3, 0.8)
+            assert total_lq(self.reps, self.locs, off, q) < at
+
+    def test_q_validation(self):
+        with pytest.raises(ValueError):
+            profile_lq(self.reps, self.locs, 0.3, 0.8, 1.5, 1e-3, 1e3)
+
+    def test_not_spd_error_carries_correlation_params(self, monkeypatch):
+        import lqmatern.gauss_lik as gl
+        monkeypatch.setattr(gl, "build_cov",
+                            lambda locs, theta: np.array([[1.0, 2.0],
+                                                          [2.0, 1.0]]))
+        reps = ReplicateSet(np.zeros((2, 2)))
+        with pytest.raises(NotSPDError) as exc_info:
+            profile_lq(reps, self.locs, 0.3, 0.8, 1.0, 1e-3, 1e3)
+        assert exc_info.value.theta == MaternParams(1.0, 0.3, 0.8)
