@@ -20,26 +20,24 @@ from .qselect import (QGridSpec, SelectionResult, default_kappa_spec, kappa,
                       sqv, standardized)
 from .simulate import (ContaminationSpec, SimConfig, contaminate,
                        gen_replicates, make_locations, simulate_dataset)
-from .specfun import (BesselOverflowWarning, bessel_k, bessel_k_dx,
-                      bessel_k_dxx, digamma, dnu_xnu_k, log_gamma, trigamma)
+from .specfun import digamma, log_gamma, trigamma
 from .variogram import (VariogramCurve, center_replicates, empirical_variogram,
                         variogram_by_replicate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselOverflowWarning", "Bounds", "CholFactor", "ContaminationSpec",
-    "FitResult", "LocationSet", "LqValue", "MaternParams", "NotSPDError",
-    "QGridSpec", "QProfile", "ReplicateSet", "SandwichParts",
-    "SelectionResult", "SimConfig", "SingularJError", "StdErrs",
-    "VariogramCurve", "bessel_k", "bessel_k_dx", "bessel_k_dxx", "build_cov",
+    "Bounds", "CholFactor", "ContaminationSpec", "FitResult", "LocationSet",
+    "LqValue", "MaternParams", "NotSPDError", "QGridSpec", "QProfile",
+    "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
+    "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
     "build_cov_grad", "build_cov_hess", "center_replicates", "chol_factor",
     "contaminate", "default_bounds", "default_init", "default_kappa_spec",
-    "digamma", "dnu_xnu_k", "empirical_variogram", "fit", "fit_profile",
-    "gen_replicates", "kappa", "log_gamma", "log_likelihood",
-    "loglik_columns", "lq_of_loglik", "make_fit_fn", "make_locations",
-    "make_se_fn", "matern_cov", "matern_grad", "matern_hess", "sandwich",
-    "select_q_kappa", "select_q_sqv", "simulate_dataset", "sqv",
-    "standardized", "std_errs", "total_lq", "trigamma", "ustar", "ustar_all",
-    "variogram_by_replicate", "vstar",
+    "digamma", "empirical_variogram", "fit", "fit_profile", "gen_replicates",
+    "kappa", "log_gamma", "log_likelihood", "loglik_columns", "lq_of_loglik",
+    "make_fit_fn", "make_locations", "make_se_fn", "matern_cov",
+    "matern_grad", "matern_hess", "sandwich", "select_q_kappa",
+    "select_q_sqv", "simulate_dataset", "sqv", "standardized", "std_errs",
+    "total_lq", "trigamma", "ustar", "ustar_all", "variogram_by_replicate",
+    "vstar",
 ]

@@ -18,8 +18,13 @@ contribution), which makes both checkable against finite differences.  At
 q = 1 they reduce to the classical score and observed-information kernel.
 
 ``sandwich`` averages over replicates: K = (1/m) sum U* U*', J = (1/m) sum V*.
-All quadratic forms route through one Cholesky factorization (triangular
-solves, never explicit inverses), with the replicate loop fully batched.
+Sigma, dS_j and d2S_jk come from one Bessel pass over the unique distances
+(``matern._kernel_pass``), and the (3, 3, n, n) Hessian is never formed.  The
+per-replicate vectors w and Sigma^-1 dS_j w are triangular solves on one
+Cholesky factor, batched over replicates; the per-theta trace terms come
+from one explicit Sigma^-1 formed from the same factor, as
+tr(Sigma^-1 D) = <Sigma^-1, D> for symmetric D and tr(B_j B_k) with
+B_j = Sigma^-1 dS_j.
 
 ``std_errs`` implements the printed standard-error form: the r-th diagonal
 entry of J^-1/2 K^1/2 J^-1/2.  J estimated from data at a maximum is close
@@ -35,10 +40,13 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .gauss_lik import NotSPDError, chol_factor, loglik_columns
-from .matern import build_cov, build_cov_grad, build_cov_hess
+from .matern import _kernel_pass
 
 # Relative eigenvalue floor used when building the PD surrogate of J.
 J_EIG_FLOOR = 1e-10
+
+# the unique (j, k) entries of a symmetric 3x3
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class SingularJError(np.linalg.LinAlgError):
@@ -85,39 +93,40 @@ def _scores_batch(Z, locs, theta, q):
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
 
-    cov = build_cov(locs, theta)
+    uniq, inv = locs._dist_unique
+    val, grad, hess = _kernel_pass(uniq, theta)   # over unique distances
     try:
-        chol = chol_factor(cov, jitter_scale=theta.sigma2)
+        chol = chol_factor(val[inv], jitter_scale=theta.sigma2)
     except NotSPDError as err:
         err.theta = theta
         raise
     cl = (chol.L, True)
-    dS = build_cov_grad(locs, theta)       # (3, n, n)
-    d2S = build_cov_hess(locs, theta)      # (3, 3, n, n)
-
-    W = cho_solve(cl, Z, check_finite=False)  # Sigma^-1 z, all replicates
+    W = cho_solve(cl, Z, check_finite=False)   # Sigma^-1 z, all replicates
     lvec = loglik_columns(Z, chol)
     fpow = np.exp(lvec * (1.0 - q)) if q < 1.0 else np.ones(m)
 
-    # B_j = Sigma^-1 dS_j and the trace pieces; per-theta cost, not per-replicate
-    B = np.stack([cho_solve(cl, dS[j], check_finite=False) for j in range(3)])
+    # one explicit inverse for the per-theta traces
+    Sinv = cho_solve(cl, np.eye(n), check_finite=False)
+    dS = grad[:, inv]                          # (3, n, n)
+    B = Sinv @ dS
     tr_B = np.trace(B, axis1=1, axis2=2)
-    tr_BB = np.einsum("jab,kba->jk", B, B)
-    tr_C = np.array([[np.trace(cho_solve(cl, d2S[j, k], check_finite=False))
-                      for k in range(3)] for j in range(3)])
-
-    A = np.einsum("jab,bm->jam", dS, W)            # dS_j w per replicate
+    A = dS @ W                                 # dS_j w per replicate
     SinvA = np.stack([cho_solve(cl, A[j], check_finite=False) for j in range(3)])
-    quad1 = np.einsum("am,jam->jm", W, A)          # w' dS_j w
-    cross = np.einsum("jam,kam->jkm", A, SinvA)    # (dS_j w)' Sigma^-1 (dS_k w)
-    quad2 = np.einsum("am,jkab,bm->jkm", W, d2S, W)
-
+    quad1 = np.sum(W * A, axis=1)              # w' dS_j w
     g = 0.5 * quad1 - 0.5 * tr_B[:, None]
-    H = (0.5 * tr_BB[:, :, None] - 0.5 * tr_C[:, :, None]
-         + 0.5 * quad2 - cross)
+
+    # H_jk per replicate over the unique (j, k); d2S_00 = 0, and one n x n
+    # Hessian slice is gathered at a time
+    H = np.empty((3, 3, m))
+    for j, k in _PAIRS:
+        h_jk = 0.5 * np.sum(B[j] * B[k].T) - np.sum(A[j] * SinvA[k], axis=0)
+        if (j, k) != (0, 0):
+            d2S = hess[j, k][inv]
+            h_jk += 0.5 * np.sum(W * (d2S @ W), axis=0) - 0.5 * np.vdot(Sinv, d2S)
+        H[j, k] = H[k, j] = h_jk
 
     U = fpow * g
-    V = (1.0 - q) * fpow * np.einsum("jm,km->jkm", g, g) + fpow * H
+    V = (1.0 - q) * fpow * (g[:, None] * g[None]) + fpow * H
     return U, V
 
 

@@ -1,41 +1,22 @@
-"""Special functions backing the Matern kernel and its parameter derivatives.
+"""Gamma-family special functions backing the Matern kernel's order derivatives.
 
-Provides the modified Bessel function of the second kind K_nu, its first and
-second argument derivatives, numerical order-derivatives of x^nu K_nu(x), and
-the digamma / trigamma / log-gamma trio.  Evaluation is delegated to
-scipy.special (AMOS and Cephes routines); this module adds the domain checks,
-the symmetry routing K_{-nu} = K_nu, the overflow saturation policy, and the
-order-derivative stencils that scipy does not supply.
+Provides digamma, trigamma and log-gamma with domain checks; evaluation is
+delegated to scipy.special.  The normalising constant c(nu) = 2^(1-nu) /
+Gamma(nu) of the Matern kernel and its nu-derivatives are built from them.
 
-Argument derivatives use exact identities rather than finite differences:
+The Bessel function K_nu and its derivatives are not here: the kernel
+evaluates them in one pass over the distances in :mod:`.matern`, which calls
+scipy's ``kv`` directly.  Nothing is saturated.  Where K_nu overflows at
+very small argument, the product t^nu K_nu is replaced by its exact limit
+Gamma(nu) 2^(nu-1) (``matern._limit_patched``), so the covariance stays
+finite and exact.
 
-    K'_nu(x)  = -(K_{nu-1}(x) + K_{nu+1}(x)) / 2
-    K''_nu(x) = ((x^2 + nu^2) K_nu(x) - x K'_nu(x)) / x^2
-
-the second being the modified Bessel ODE solved for K''.  Order derivatives
-of g(nu) = x^nu K_nu(x) have no workable closed form and are computed by
-central differences in nu with a relative step (see ``dnu_xnu_k``).
-
-All functions are pure and accept scalars or arrays in ``x``; scalar input
-yields a scalar.  K_nu overflows for x near 0 at large nu; such values are
-saturated to the largest finite double and a ``BesselOverflowWarning`` is
-issued rather than propagating inf.
+All functions are pure and accept scalars or arrays; scalar input yields a
+scalar.
 """
-
-import warnings
 
 import numpy as np
 from scipy import special
-
-# Saturation value for K_nu overflow near x = 0.
-MAX_REAL = np.finfo(float).max
-
-# Relative step for central differences in the order nu.
-DEFAULT_NU_STEP = 1e-4
-
-
-class BesselOverflowWarning(RuntimeWarning):
-    """K_nu exceeded double range and was saturated to MAX_REAL."""
 
 
 def _as_positive_x(x, name):
@@ -49,140 +30,6 @@ def _scalar_or_array(out, x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def _saturate(out, name):
-    # AMOS signals overflow with inf; keep the sign, clamp the magnitude.
-    bad = np.isinf(out)
-    if np.any(bad):
-        warnings.warn(
-            "%s overflowed for small x at large nu; saturated to MAX_REAL" % name,
-            BesselOverflowWarning,
-            stacklevel=3,
-        )
-        out = np.where(bad, np.sign(out) * MAX_REAL, out)
-    return out
-
-
-def bessel_k(nu, x):
-    """Modified Bessel function of the second kind K_nu(x).
-
-    Parameters
-    ----------
-    nu : float
-        Order.  Negative orders route through the symmetry K_{-nu} = K_nu.
-    x : float or ndarray
-        Argument, strictly positive.
-
-    Returns
-    -------
-    float or ndarray
-        K_nu(x) > 0.  Values beyond double range are saturated to MAX_REAL
-        and flagged with BesselOverflowWarning.
-    """
-    if not np.isfinite(nu):
-        raise ValueError("bessel_k requires finite nu")
-    xa = _as_positive_x(x, "bessel_k")
-    out = special.kv(abs(nu), xa)
-    out = _saturate(out, "bessel_k")
-    return _scalar_or_array(out, x)
-
-
-def bessel_k_dx(nu, x):
-    """First argument derivative K'_nu(x) = -(K_{nu-1}(x) + K_{nu+1}(x))/2.
-
-    Exact recurrence identity; always negative for x > 0.
-    """
-    if not np.isfinite(nu):
-        raise ValueError("bessel_k_dx requires finite nu")
-    xa = _as_positive_x(x, "bessel_k_dx")
-    out = -0.5 * (special.kv(nu - 1.0, xa) + special.kv(nu + 1.0, xa))
-    out = _saturate(out, "bessel_k_dx")
-    return _scalar_or_array(out, x)
-
-
-def bessel_k_dxx(nu, x):
-    """Second argument derivative of K_nu from the modified Bessel ODE.
-
-    x^2 K'' + x K' - (x^2 + nu^2) K = 0, solved for K''.
-    """
-    if not np.isfinite(nu):
-        raise ValueError("bessel_k_dxx requires finite nu")
-    xa = _as_positive_x(x, "bessel_k_dxx")
-    k = special.kv(abs(nu), xa)
-    kp = -0.5 * (special.kv(nu - 1.0, xa) + special.kv(nu + 1.0, xa))
-    out = ((xa * xa + nu * nu) * k - xa * kp) / (xa * xa)
-    out = _saturate(out, "bessel_k_dxx")
-    return _scalar_or_array(out, x)
-
-
-def _nu_step(nu, step):
-    # step must keep nu - s > 0 so K evaluates at positive order distance
-    # from the axis; shrink to nu/2 when the default would cross zero.
-    s = DEFAULT_NU_STEP * max(1.0, nu) if step is None else float(step)
-    if nu - s <= 0.0:
-        s = 0.5 * nu
-    return s
-
-
-def xnu_k(nu, x):
-    """g(nu) = x^nu K_nu(x), the order-differentiated building block."""
-    xa = _as_positive_x(x, "xnu_k")
-    out = xa ** nu * special.kv(nu, xa)
-    return _scalar_or_array(out, x)
-
-
-def xnu_kprime(nu, x):
-    """x^nu K'_nu(x) with K' from the recurrence identity."""
-    xa = _as_positive_x(x, "xnu_kprime")
-    kp = -0.5 * (special.kv(nu - 1.0, xa) + special.kv(nu + 1.0, xa))
-    out = xa ** nu * kp
-    return _scalar_or_array(out, x)
-
-
-def dnu_xnu_k(nu, x, order=1, step=None):
-    """Central-difference derivative of g(nu) = x^nu K_nu(x) in the order nu.
-
-    Parameters
-    ----------
-    nu : float
-        Order, strictly positive.
-    x : float or ndarray
-        Argument, strictly positive.
-    order : {1, 2}
-        First or second nu-derivative.
-    step : float, optional
-        Stencil step; default 1e-4 * max(1, nu).  Whatever the source, the
-        step shrinks to nu/2 if nu - step would not be positive.
-
-    Returns
-    -------
-    float or ndarray
-    """
-    if not nu > 0:
-        raise ValueError("dnu_xnu_k requires nu > 0")
-    xa = _as_positive_x(x, "dnu_xnu_k")
-    s = _nu_step(nu, step)
-    if order == 1:
-        out = (xnu_k(nu + s, xa) - xnu_k(nu - s, xa)) / (2.0 * s)
-    elif order == 2:
-        out = (xnu_k(nu + s, xa) - 2.0 * xnu_k(nu, xa) + xnu_k(nu - s, xa)) / (s * s)
-    else:
-        raise ValueError("order must be 1 or 2")
-    return _scalar_or_array(out, x)
-
-
-def dnu_xnu_kprime(nu, x, step=None):
-    """Central-difference nu-derivative of x^nu K'_nu(x).
-
-    Same stencil policy as dnu_xnu_k.
-    """
-    if not nu > 0:
-        raise ValueError("dnu_xnu_kprime requires nu > 0")
-    xa = _as_positive_x(x, "dnu_xnu_kprime")
-    s = _nu_step(nu, step)
-    out = (xnu_kprime(nu + s, xa) - xnu_kprime(nu - s, xa)) / (2.0 * s)
-    return _scalar_or_array(out, x)
 
 
 def digamma(x):

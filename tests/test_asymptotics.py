@@ -6,13 +6,16 @@ from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
                                   sandwich, std_errs, ustar, ustar_all, vstar)
 from lqmatern.gauss_lik import (ReplicateSet, chol_factor, log_likelihood,
                                 lq_of_loglik)
-from lqmatern.matern import MaternParams, build_cov
+from lqmatern import matern
+from lqmatern.matern import (MaternParams, build_cov, build_cov_grad,
+                             build_cov_hess)
 from lqmatern.simulate import gen_replicates, make_locations
 
 # well separated points keep the covariance comfortably conditioned, so
 # finite-difference oracles are trustworthy at tight tolerances
 LOCS7 = make_locations(7, "uniform", seed=1)    # min pair distance 0.17
 LOCS9 = make_locations(9, "uniform", seed=1)    # min pair distance 0.15
+LOCS25 = make_locations(25, "uniform", seed=4)  # all 300 distances distinct
 
 
 def rand_theta(rng):
@@ -149,8 +152,6 @@ class TestVstar:
 class TestDenseRoute:
     def test_score_matches_explicit_inverse(self):
         # independent linear algebra: explicit inverse and trace formulas
-        from lqmatern.matern import build_cov_grad, build_cov_hess
-
         rng = np.random.default_rng(7)
         for _ in range(5):
             theta = rand_theta(rng)
@@ -182,6 +183,44 @@ class TestDenseRoute:
             assert np.abs(got_v - want_v).max() < 1e-9 * max(np.abs(want_v).max(), 1.0)
 
 
+    @pytest.mark.parametrize("nu", [0.73, 1.7])
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+    def test_sandwich_matches_explicit_inverse_loop(self, nu, q):
+        # the whole sandwich against a per-replicate loop over an explicit
+        # inverse; every distance is unique, so the sandwich's gathers from
+        # the unique-distance kernel pass carry all n(n-1)/2 values
+        locs = LOCS25
+        n = locs.n
+        assert len(locs._dist_unique[0]) == n * (n - 1) // 2 + 1
+        theta = MaternParams(1.3, 0.2, nu)
+        reps = gen_replicates(locs, theta, 6, seed=23)
+        cov = build_cov(locs, theta)
+        Sinv = np.linalg.inv(cov)
+        dS = build_cov_grad(locs, theta)
+        d2S = build_cov_hess(locs, theta)
+        logdet = np.linalg.slogdet(cov)[1]
+        Us, Vs = [], []
+        for z in reps.data.T:
+            w = Sinv @ z
+            g = np.array([0.5 * w @ dS[j] @ w - 0.5 * np.trace(Sinv @ dS[j])
+                          for j in range(3)])
+            H = np.array([[0.5 * np.trace(Sinv @ dS[j] @ Sinv @ dS[k])
+                           - 0.5 * np.trace(Sinv @ d2S[j, k])
+                           + 0.5 * w @ d2S[j, k] @ w
+                           - (dS[j] @ w) @ Sinv @ (dS[k] @ w)
+                           for k in range(3)] for j in range(3)])
+            l = -0.5 * (z @ w + logdet + n * np.log(2.0 * np.pi))
+            fpow = np.exp((1.0 - q) * l)
+            Us.append(fpow * g)
+            Vs.append((1.0 - q) * fpow * np.outer(g, g) + fpow * H)
+        K_want = np.mean([np.outer(u, u) for u in Us], axis=0)
+        J_want = np.mean(Vs, axis=0)
+        J_want = 0.5 * (J_want + J_want.T)
+        parts = sandwich(reps, locs, theta, q)
+        np.testing.assert_allclose(parts.K, K_want, rtol=1e-9)
+        np.testing.assert_allclose(parts.J, J_want, rtol=1e-9)
+
+
 class TestSandwich:
     def setup_method(self):
         self.theta = MaternParams(1.0, 0.25, 0.5)
@@ -201,6 +240,20 @@ class TestSandwich:
         assert np.abs(parts.K - K_want).max() < 1e-12 * max(np.abs(K_want).max(), 1.0)
         assert np.abs(parts.J - J_want).max() < 1e-12 * max(np.abs(J_want).max(), 1.0)
         assert parts.m == 8
+
+    def test_at_most_six_bessel_calls(self, monkeypatch):
+        # value, gradient and Hessian come from one pass: kv at orders mu - 1
+        # and mu for mu in {nu - s, nu, nu + s}, and no separate build_cov
+        calls = []
+        real_kv = matern.special_kv
+
+        def counting_kv(order, x):
+            calls.append(order)
+            return real_kv(order, x)
+
+        monkeypatch.setattr(matern, "special_kv", counting_kv)
+        sandwich(self.reps, LOCS9, self.theta, 0.9)
+        assert 0 < len(calls) <= 6
 
     def test_k_psd_and_symmetry(self):
         parts = sandwich(self.reps, LOCS9, self.theta, 0.95)

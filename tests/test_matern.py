@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lqmatern.matern import (NU_CAP, LocationSet, MaternParams, build_cov,
-                             build_cov_grad, build_cov_hess, matern_cov,
-                             matern_grad, matern_hess)
+from lqmatern.matern import (NU_CAP, LocationSet, MaternParams, _kernel_pass,
+                             build_cov, build_cov_grad, build_cov_hess,
+                             matern_cov, matern_grad, matern_hess)
+from lqmatern.simulate import make_locations
 
 
 def rand_theta(rng, nu_hi=3.0):
@@ -254,3 +255,18 @@ class TestBuilders:
             for k in range(3):
                 assert np.array_equal(hh[j, k], hh[k, j])
                 assert np.array_equal(hh[j, k], hh[j, k].T)
+
+    def test_kernel_pass_value_is_build_cov(self):
+        # the sandwich gathers its covariance from the one-pass value, so it
+        # must be the fit's build_cov bit for bit, on lattice and irregular
+        # sites, with the gradient and Hessian the builders return
+        rng = np.random.default_rng(14)
+        for layout in ("grid", "uniform"):
+            locs = make_locations(49, layout, seed=2)
+            uniq, inv = locs._dist_unique
+            for _ in range(5):
+                th = rand_theta(rng, nu_hi=NU_CAP)
+                val, grad, hess = _kernel_pass(uniq, th)
+                assert np.array_equal(val[inv], build_cov(locs, th))
+                assert np.array_equal(grad[:, inv], build_cov_grad(locs, th))
+                assert np.array_equal(hess[:, :, inv], build_cov_hess(locs, th))

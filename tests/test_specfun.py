@@ -1,11 +1,25 @@
+"""Special functions as the Matern kernel evaluates them.
+
+K_nu and its argument and order derivatives are checked on the kernel's own
+path, the helpers of ``matern._kernel_pass`` (``_bessel_k_pair``,
+``_bessel_k_dxx``, ``_order_stencil``, ``_nu_step``) and the pass's value,
+against independent oracles: a quadrature of K_nu's integral representation,
+closed forms at half-integer order, finite differences of scipy's kv and the
+modified Bessel ODE.  The gamma family is checked against its recurrences.
+"""
+
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import kv
 
-from lqmatern.specfun import (MAX_REAL, BesselOverflowWarning, bessel_k,
-                              bessel_k_dx, bessel_k_dxx, digamma, dnu_xnu_k,
-                              dnu_xnu_kprime, log_gamma, trigamma, xnu_k,
-                              xnu_kprime)
+from lqmatern.matern import (NU_CAP, MaternParams, _bessel_k_dxx,
+                             _bessel_k_pair, _coef, _kernel_pass, _nu_step,
+                             _order_stencil, matern_cov, matern_grad,
+                             matern_hess)
+from lqmatern.specfun import digamma, log_gamma, trigamma
 
 # frozen half-integer closed-form values at x = 1:
 # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
@@ -28,34 +42,55 @@ def quad_k(nu, x):
     return val
 
 
+def bessel_k(nu, x):
+    return _bessel_k_pair(nu, x)[0]
+
+
+def bessel_k_dx(nu, x):
+    return _bessel_k_pair(nu, x)[1]
+
+
+def bessel_k_dxx(nu, x):
+    k, kp = _bessel_k_pair(nu, x)
+    return _bessel_k_dxx(nu, x, k, kp)
+
+
 class TestBesselK:
     def test_half_integer_value(self):
         assert bessel_k(0.5, 1.0) == pytest.approx(K_HALF_1, rel=1e-12)
 
     def test_negative_order_symmetry(self):
-        assert bessel_k(-0.5, 1.0) == bessel_k(0.5, 1.0)
+        # for nu < 1 the recurrence evaluates kv at the negative order nu - 1,
+        # which must equal the positive order 1 - nu exactly
+        assert kv(-0.5, 1.0) == kv(0.5, 1.0)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            nu = rng.uniform(0.05, 4.0)
+            nu = rng.uniform(0.05, 1.0)
             x = rng.uniform(0.05, 10.0)
-            assert bessel_k(-nu, x) == bessel_k(nu, x)
+            assert kv(nu - 1.0, x) == kv(1.0 - nu, x)
+            k, kp = _bessel_k_pair(nu, x)
+            assert kp == -kv(1.0 - nu, x) - (nu / x) * k
 
     def test_order_one_quadrature(self):
         assert bessel_k(1.0, 1.0) == pytest.approx(K_ONE_1, rel=1e-12)
         assert bessel_k(1.0, 1.0) == pytest.approx(quad_k(1.0, 1.0), rel=1e-10)
 
     def test_quadrature_oracle_grid(self):
-        for nu in (0.01, 0.3, 0.5, 2.0, 6.5, 10.0):
-            for x in (1e-2, 0.4, 1.0, 7.0, 50.0):
+        # the kernel's value at beta = sigma2 = 1 is c(nu) x^nu K_nu(x)
+        xs = np.array([1e-2, 0.4, 1.0, 7.0, 50.0])
+        for nu in (0.01, 0.3, 0.5, 2.0, 4.5, NU_CAP):
+            val = _kernel_pass(xs, MaternParams(1.0, 1.0, nu))[0]
+            for x, got in zip(xs, val):
                 ref = quad_k(nu, x)
                 if ref == 0.0:
                     continue
                 assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-9)
+                assert got == pytest.approx(_coef(nu) * x ** nu * ref, rel=1e-9)
 
     def test_positive_and_decreasing_in_x(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            nu = rng.uniform(0.05, 8.0)
+            nu = rng.uniform(0.05, NU_CAP)
             x = rng.uniform(1e-4, 30.0)
             k0 = bessel_k(nu, x)
             k1 = bessel_k(nu, x * 1.01)
@@ -63,15 +98,27 @@ class TestBesselK:
             assert k1 < k0
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            bessel_k(0.5, 0.0)
-        with pytest.raises(ValueError):
-            bessel_k(0.5, -1.0)
+        th = MaternParams(1.0, 0.3, 0.5)
+        for fn in (matern_cov, matern_grad, matern_hess):
+            with pytest.raises(ValueError):
+                fn(-1.0, th)
+            with pytest.raises(ValueError):
+                fn(np.array([0.1, np.nan]), th)
 
-    def test_overflow_saturates_and_warns(self):
-        with pytest.warns(BesselOverflowWarning):
-            v = bessel_k(5.0, 1e-300)
-        assert v == MAX_REAL
+    def test_overflow_takes_exact_limit(self):
+        # K_5(1e-300) overflows and t^5 underflows; the kernel substitutes the
+        # product's limit, so the value is sigma2 to rounding, with no warning
+        th = MaternParams(2.0, 1.0, NU_CAP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = matern_cov(1e-300, th)
+        assert want == pytest.approx(2.0, rel=1e-13)
+        # the pass's derivatives have no such patch (nan there); its value
+        # takes the same limit bit for bit
+        with np.errstate(invalid="ignore", over="ignore"):
+            val = _kernel_pass(np.array([0.0, 1e-300]), th)[0]
+        assert val[1] == want
+        assert val[0] == 2.0
 
 
 class TestBesselKDx:
@@ -79,8 +126,13 @@ class TestBesselKDx:
         assert bessel_k_dx(0.5, 1.0) == pytest.approx(K_HALF_1_DX, rel=1e-12)
 
     def test_recurrence_identity(self):
-        want = -0.5 * (bessel_k(0.0, 1.0) + bessel_k(2.0, 1.0))
-        assert bessel_k_dx(1.0, 1.0) == want
+        # K'_nu = -K_{nu-1} - (nu/t) K_nu against the symmetric form
+        # -(K_{nu-1} + K_{nu+1})/2, including nu < 1 (negative order nu - 1)
+        x = np.geomspace(1e-3, 40.0, 60)
+        for nu in np.linspace(0.05, 5.0, 34):
+            want = -0.5 * (kv(nu - 1.0, x) + kv(nu + 1.0, x))
+            got = bessel_k_dx(nu, x)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_always_negative(self):
         rng = np.random.default_rng(5)
@@ -93,7 +145,7 @@ class TestBesselKDx:
             nu = rng.uniform(0.1, 5.0)
             x = rng.uniform(0.1, 10.0)
             s = 1e-6 * x
-            fd = (bessel_k(nu, x + s) - bessel_k(nu, x - s)) / (2 * s)
+            fd = (kv(nu, x + s) - kv(nu, x - s)) / (2 * s)
             assert bessel_k_dx(nu, x) == pytest.approx(fd, rel=1e-6)
 
 
@@ -122,9 +174,23 @@ class TestBesselKDxx:
             nu = rng.uniform(0.1, 4.0)
             x = rng.uniform(0.3, 8.0)
             s = 1e-4 * x
-            fd = (bessel_k(nu, x + s) - 2 * bessel_k(nu, x)
-                  + bessel_k(nu, x - s)) / s ** 2
+            fd = (kv(nu, x + s) - 2 * kv(nu, x) + kv(nu, x - s)) / s ** 2
             assert bessel_k_dxx(nu, x) == pytest.approx(fd, rel=1e-4)
+
+
+def stencil(nu, x, step=None):
+    """(dg/dnu, d2g/dnu2, dp/dnu) of g = x^nu K_nu, p = x^nu K'_nu."""
+    out = _order_stencil(nu, x, _nu_step(nu) if step is None else step)
+    return out[3:]
+
+
+def xnu_k(nu, x):
+    return x ** nu * kv(nu, x)
+
+
+def xnu_kprime(nu, x):
+    # the recurrence form, written out by hand
+    return x ** nu * (-kv(nu - 1.0, x) - (nu / x) * kv(nu, x))
 
 
 class TestNuDerivatives:
@@ -133,33 +199,28 @@ class TestNuDerivatives:
         for _ in range(25):
             nu = rng.uniform(0.2, 4.0)
             x = rng.uniform(0.1, 8.0)
-            full = dnu_xnu_k(nu, x, order=1)
-            half = dnu_xnu_k(nu, x, order=1, step=0.5e-4 * max(1.0, nu))
+            full, _, fullp = stencil(nu, x)
+            half, _, halfp = stencil(nu, x, step=0.5e-4 * max(1.0, nu))
             assert half == pytest.approx(full, rel=1e-5)
-            fullp = dnu_xnu_kprime(nu, x)
-            halfp = dnu_xnu_kprime(nu, x, step=0.5e-4 * max(1.0, nu))
             assert halfp == pytest.approx(fullp, rel=1e-5)
 
     def test_secant_identity(self):
         # the central difference must equal the secant of g at nu +/- step
         nu, x = 0.8, 1.3
         s = 1e-4
-        want = (xnu_k(nu + s, x) - xnu_k(nu - s, x)) / (2 * s)
-        assert dnu_xnu_k(nu, x, order=1, step=s) == want
-        wantp = (xnu_kprime(nu + s, x) - xnu_kprime(nu - s, x)) / (2 * s)
-        assert dnu_xnu_kprime(nu, x, step=s) == wantp
+        dg, _, dp = stencil(nu, x, step=s)
+        assert dg == (xnu_k(nu + s, x) - xnu_k(nu - s, x)) / (2 * s)
+        assert dp == (xnu_kprime(nu + s, x) - xnu_kprime(nu - s, x)) / (2 * s)
 
     def test_second_order_stencil_identity(self):
         nu, x = 1.1, 0.7
         s = 1e-4 * max(1.0, nu)
         want = (xnu_k(nu + s, x) - 2 * xnu_k(nu, x) + xnu_k(nu - s, x)) / s ** 2
-        assert dnu_xnu_k(nu, x, order=2) == pytest.approx(want, rel=1e-12)
+        assert stencil(nu, x)[1] == pytest.approx(want, rel=1e-12)
 
     def test_half_integer_secant_oracle(self):
         # independent route: K' from an x-difference of scipy's kv, then the
         # same nu-secant by hand
-        from scipy.special import kv
-
         nu, x, s = 0.5, 1.0, 1e-4
 
         def kprime(order):
@@ -169,12 +230,17 @@ class TestNuDerivatives:
         g_hi = x ** (nu + s) * kprime(nu + s)
         g_lo = x ** (nu - s) * kprime(nu - s)
         want = (g_hi - g_lo) / (2 * s)
-        assert dnu_xnu_kprime(nu, x, step=s) == pytest.approx(want, rel=1e-5)
+        assert stencil(nu, x, step=s)[2] == pytest.approx(want, rel=1e-5)
 
     def test_step_shrinks_near_zero_order(self):
         # nu smaller than the default step must not push nu - step <= 0
-        v = dnu_xnu_k(5e-5, 1.0, order=1)
-        assert np.isfinite(v)
+        assert _nu_step(0.5) == 1e-4
+        assert _nu_step(2.0) == 2e-4
+        assert _nu_step(5e-5) == 2.5e-5
+        assert np.all(np.isfinite(stencil(5e-5, 1.0)))
+        th = MaternParams(1.0, 0.2, 5e-5)
+        assert np.all(np.isfinite(matern_grad(0.3, th)))
+        assert np.all(np.isfinite(matern_hess(0.3, th)))
 
 
 class TestGammaFamily:
