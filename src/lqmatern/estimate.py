@@ -1,4 +1,4 @@
-"""Maximum Lq-likelihood fitting by bounded derivative-free search.
+"""Maximum Lq-likelihood fitting: a bounded simplex search, confirmed by Newton.
 
 Sigma = sigma2 R(beta, nu), and sigma2 only rescales a correlation matrix
 that costs the same to build at every sigma2, so sigma2 is profiled out:
@@ -18,12 +18,28 @@ profile value (sum l at q = 1, logsumexp((1-q) l) / (1-q) below), a strictly
 increasing transform of the exact Lq objective sum (f^(1-q) - 1) / (1-q) and
 of the scaled surrogate alike.  So the search and its maximizer do not depend
 on ``scale``, which only picks the form of the reported ``objective``.
-Restart decisions likewise compare iterates, never objective values.
 
-After the first run the search restarts from its own answer with a fresh
-simplex (up to twice); a restart that moves less than ``tol`` confirms the
-point.  Trial points with a non-positive-definite correlation matrix score
--inf and are simply rejected; only failure at the initial point is an error.
+The simplex's answer u is then confirmed by one Newton step delta on the
+same profile value in u, from its exact gradient and Hessian
+(``_profile_derivs``).  The point u + delta is the estimate when the run
+ended normally, u scored finite, the Hessian is negative definite,
+|delta| <= ``tol`` componentwise, u + delta lies in the box and scores no
+lower than u.  The step is invariant under the model's symmetries: the
+replicate weights are normalized, so rescaling the data by c shifts every
+log density by the same constant and leaves them unchanged, sigma2's
+derivatives scale as powers of c that cancel in the Schur complement, and
+the weighted sums over replicates and the traces and quadratic forms over
+locations do not depend on their order.
+
+Where the step does not confirm the point (an optimum on a bound,
+non-finite derivatives, a Hessian that is not negative definite, a longer
+step), the search restarts from its own answer with a fresh simplex, up to
+twice, and a restart that moves at most ``tol`` confirms the point.
+Restart decisions compare iterates, and the Newton check's one comparison
+is between two profile values, so both are order-only as well.  A fit that
+neither confirms is reported as not converged.  Trial points with a
+non-positive-definite correlation matrix score -inf and are simply
+rejected; only failure at the initial point is an error.
 
 ``fit_profile`` runs a descending grid of q values starting at 1, warm-
 starting each fit at the previous estimate.
@@ -43,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .asymptotics import _lq_derivs
 from .gauss_lik import NotSPDError, profile_lq, total_lq
 from .matern import MaternParams
 
@@ -75,7 +92,8 @@ class FitResult:
     """One maximization outcome.
 
     ``objective`` is total_lq(theta_hat, q, scale); ``evaluations`` counts
-    the (beta, nu) points the search scored.
+    the (beta, nu) points the search scored; ``restarts`` counts the
+    fallback simplex runs, 0 when the Newton step confirmed the estimate.
     """
 
     theta_hat: MaternParams
@@ -126,12 +144,34 @@ def default_init(reps, bounds):
     return MaternParams.from_array(start)
 
 
+def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
+    """Gradient (2,) and Hessian (2, 2) in (beta, nu) of profile_lq's value.
+
+    ``sigma2`` is the profile's solution at (beta, nu).  Where it is
+    interior, the sigma2-derivative of the objective vanishes, so the
+    gradient is the (beta, nu) part of the full one and sigma2's response
+    enters the Hessian through the Schur complement H_pp - H_ps H_ss^-1 H_sp
+    (nan unless H_ss < 0, where sigma2 is no maximum).  Where it is
+    ``clipped`` at a bound it stays there under small moves, and the
+    Hessian is H_pp.
+    """
+    grad, hess = _lq_derivs(reps.data, locs, MaternParams(sigma2, beta, nu), q)
+    H = hess[1:, 1:]
+    if not clipped:
+        if not hess[0, 0] < 0.0:
+            return grad[1:], np.full((2, 2), np.nan)
+        H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
+    return grad[1:], H
+
+
 def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         scale=True, method="nelder-mead", max_evals=5000):
     """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
 
     The search runs over (beta, nu); sigma2 is solved exactly at each trial
-    point (see the module docstring).
+    point.  The simplex's answer is confirmed by one exact Newton step on
+    the profile value, or, where that step does not confirm it, by up to two
+    restarts (see the module docstring).
 
     Parameters
     ----------
@@ -148,7 +188,8 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         Its (beta, nu) starts the search; its sigma2 is not used beyond the
         check that the initial point can be evaluated.
     tol : float
-        Simplex-diameter convergence threshold in bound-scaled coordinates.
+        Simplex-diameter convergence threshold in bound-scaled coordinates;
+        also the largest Newton step or restart move that confirms a point.
     scale : bool
         Report ``objective`` as the underflow-safe surrogate
         sum exp[(l+n)(1-q)] (default) or, if False, the exact Lq value.
@@ -161,8 +202,10 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
     Returns
     -------
     FitResult
-        ``evaluations`` counts (beta, nu) points.  ``converged`` also
-        requires the reported objective to be finite.
+        ``evaluations`` counts (beta, nu) points, the Newton point
+        included; ``restarts`` is 0 when the Newton step confirmed the
+        estimate.  ``converged`` requires a confirmation, a normal end of
+        the last simplex run and a finite reported objective.
     """
     if method not in _METHODS:
         raise ValueError("method must be one of %r" % (_METHODS,))
@@ -195,25 +238,51 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
             scored[key] = (-val if np.isfinite(val) else np.inf, sigma2)
         return scored[key][0]
 
+    def newton_step(u):
+        # one Newton step in u on the profile value at a scored point, or
+        # None where the profile Hessian is not negative definite
+        sigma2 = scored[u.tobytes()][1]
+        beta, nu = corner + u * width
+        try:
+            g, H = _profile_derivs(reps, locs, sigma2, beta, nu, q,
+                                   clipped=sigma2 in (s2_lo, s2_hi))
+        except NotSPDError:
+            return None
+        g, H = g * width, H * np.outer(width, width)
+        if not (np.all(np.isfinite(g)) and H[0, 0] < 0.0
+                and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0):
+            return None
+        return np.linalg.solve(H, -g)
+
     u0 = (init.as_array()[1:] - corner) / width
     options = {"xatol": tol, "fatol": np.inf, "maxfev": max_evals, "maxiter": max_evals}
     if method == "powell":
         options = {"xtol": tol, "ftol": tol, "maxfev": max_evals, "maxiter": max_evals}
 
-    n_it = n_ev = restarts = 0
-    u_cur = u0
-    res = None
-    for attempt in range(3):
-        res = minimize(neg_obj, u_cur, method=method,
-                       bounds=[(0.0, 1.0)] * 2, options=options)
+    box = [(0.0, 1.0)] * 2
+    res = minimize(neg_obj, u0, method=method, bounds=box, options=options)
+    n_it, n_ev = int(res.nit), int(res.nfev)
+    u_cur = res.x
+    confirmed = False
+    if res.status == 0 and np.isfinite(neg_obj(u_cur)):
+        step = newton_step(u_cur)
+        if step is not None and np.max(np.abs(step)) <= tol:
+            u_new = u_cur + step
+            if np.all((u_new >= 0.0) & (u_new <= 1.0)):
+                n_ev += 1
+                if neg_obj(u_new) <= neg_obj(u_cur):
+                    u_cur, confirmed = u_new, True
+
+    # the fallback: restarts from the search's own answer
+    restarts = 0
+    while not confirmed and restarts < 2:
+        start = u_cur
+        res = minimize(neg_obj, start, method=method, bounds=box, options=options)
         n_it += int(res.nit)
         n_ev += int(res.nfev)
-        moved = float(np.max(np.abs(res.x - u_cur)))
+        restarts += 1
         u_cur = res.x
-        if attempt > 0:
-            restarts += 1
-        if attempt > 0 and moved <= tol:
-            break
+        confirmed = float(np.max(np.abs(u_cur - start))) <= tol
 
     neg_obj(u_cur)
     sigma2 = scored[u_cur.tobytes()][1]
@@ -221,7 +290,8 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         sigma2 = init.sigma2
     theta_hat = MaternParams(sigma2, *(corner + u_cur * width))
     objective = total_lq(reps, locs, theta_hat, q, scale=scale)
-    converged = bool(res.status == 0 and np.isfinite(res.fun) and np.isfinite(objective))
+    converged = bool(confirmed and res.status == 0 and np.isfinite(res.fun)
+                     and np.isfinite(objective))
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=n_it, evaluations=n_ev, converged=converged,
                      init=init, scale=scale, restarts=restarts)

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ class TestDatasetFiles:
         write_locations(lp, locs)
         write_replicates(rp, reps)
         assert lp.read_bytes() == \
-            open(os.path.join(DATA, "locations.csv"), "rb").read()
+            Path(DATA, "locations.csv").read_bytes()
         assert rp.read_bytes() == \
-            open(os.path.join(DATA, "replicates.csv"), "rb").read()
+            Path(DATA, "replicates.csv").read_bytes()
 
     def test_roundtrip_awkward_values(self, tmp_path):
         coords = np.array([[0.1, 1.0 / 3.0], [1e-17, 0.9999999999999999]])
@@ -225,7 +226,7 @@ class TestMain:
         assert meta["sim.seed"] == "42"
         # the golden fixture was produced with these exact settings
         assert (out / "locations.csv").read_bytes() == \
-            open(os.path.join(DATA, "locations.csv"), "rb").read()
+            Path(DATA, "locations.csv").read_bytes()
 
     def test_metadata_record_reruns_identically(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import lqmatern.estimate as est
 from lqmatern.estimate import (Bounds, FitResult, QProfile, default_bounds,
                                default_init, fit, fit_profile)
-from lqmatern.gauss_lik import NotSPDError, ReplicateSet, total_lq
+from lqmatern.gauss_lik import NotSPDError, ReplicateSet, profile_lq, total_lq
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
@@ -250,6 +250,147 @@ class TestFitSymmetries:
                           base[0.5].theta_hat.as_array())
         assert res.objective == np.inf
         assert not res.converged
+
+
+# central-difference oracle for the profile derivatives: relative step
+# 1e-3 in (beta, nu) leaves a truncation error of order 1e-6 of each entry;
+# the kernel's own nu derivatives are stencils with step 1e-4 max(1, nu),
+# good to about 1e-8, and rounding in the oracle's second differences is
+# below 1e-7 of the Hessian here, so 1e-4 of the largest entry leaves a
+# margin of 100 over the worst of these
+PROFILE_FD_STEP = 1e-3
+PROFILE_RTOL = 1e-4
+
+
+def fd_profile(reps, locs, p, q, s2_lo, s2_hi):
+    """Central-difference gradient and Hessian of profile_lq's value."""
+    h = PROFILE_FD_STEP * p
+
+    def f(dp):
+        return profile_lq(reps, locs, *(p + dp), q, s2_lo, s2_hi)[1]
+
+    e = np.diag(h)
+    f0 = f(np.zeros(2))
+    grad = np.array([(f(e[r]) - f(-e[r])) / (2 * h[r]) for r in range(2)])
+    hess = np.empty((2, 2))
+    for r in range(2):
+        hess[r, r] = (f(e[r]) - 2 * f0 + f(-e[r])) / h[r] ** 2
+    hess[0, 1] = hess[1, 0] = (f(e[0] + e[1]) - f(e[0] - e[1]) - f(e[1] - e[0])
+                               + f(-e[0] - e[1])) / (4 * h[0] * h[1])
+    return grad, hess
+
+
+@pytest.fixture(scope="module")
+def bound_data():
+    """Smooth data (nu = 1.5) fitted in a box whose nu bound is 0.8."""
+    cfg = SimConfig(MaternParams(1.0, 0.2, 1.5), n=36, m=30, layout="grid", seed=3)
+    locs, reps, _flags = simulate_dataset(cfg)
+    lo, hi = default_bounds().as_arrays()
+    return locs, reps, Bounds(MaternParams(*lo), MaternParams(hi[0], hi[1], 0.8))
+
+
+@pytest.fixture(scope="module")
+def interior_data():
+    """sym_data's design on seed 1, whose maxima are interior at every q.
+
+    (On sym_data's seed the q = 0.5 maximum lies on the nu bound.)
+    """
+    cfg = SimConfig(MaternParams(1.0, 0.2, 0.5), n=36, m=30, layout="grid",
+                    seed=1, contamination=ContaminationSpec(0.1, 1.0))
+    locs, reps, _flags = simulate_dataset(cfg)
+    return locs, reps, {q: fit(reps, locs, q) for q in SYM_QS}
+
+
+def fit_without_newton(monkeypatch, *args, **kwargs):
+    """``fit`` with the Newton check always rejecting: restarts only."""
+    with monkeypatch.context() as mp:
+        mp.setattr(est, "_profile_derivs",
+                   lambda *a, **k: (np.zeros(2), np.full((2, 2), np.nan)))
+        return fit(*args, **kwargs)
+
+
+class TestConfirmation:
+    """The Newton step that confirms a fit, and the restarts behind it."""
+
+    @pytest.mark.parametrize("q", SYM_QS)
+    @pytest.mark.parametrize("s2_hi", [1e3, 0.3], ids=["interior", "clipped"])
+    def test_profile_derivs_match_central_differences(self, q, s2_hi):
+        locs = make_locations(25, "uniform", seed=4)
+        reps = gen_replicates(locs, THETA0, 40, seed=5)
+        p = np.array([0.15, 0.8])   # away from the maximum: gradient nonzero
+        s2_lo = 1e-3
+        sigma2, _ = profile_lq(reps, locs, *p, q, s2_lo, s2_hi)
+        clipped = sigma2 == s2_hi
+        assert clipped == (s2_hi < 1.0)
+        g, H = est._profile_derivs(reps, locs, sigma2, *p, q, clipped)
+        g_fd, H_fd = fd_profile(reps, locs, p, q, s2_lo, s2_hi)
+        assert np.abs(g - g_fd).max() <= PROFILE_RTOL * np.abs(g_fd).max()
+        assert np.abs(H - H_fd).max() <= PROFILE_RTOL * np.abs(H_fd).max()
+
+    def test_newton_confirms_interior_fits(self, interior_data):
+        locs, reps, base = interior_data
+        for q in SYM_QS:
+            res = base[q]
+            assert res.converged and res.restarts == 0
+
+    def test_bound_optimum_takes_the_restart_path(self, bound_data, monkeypatch):
+        # the Newton step cannot confirm a maximum on the nu bound; the
+        # restarts then give exactly the restart-only answer, at the cost of
+        # at most the one scored Newton point
+        locs, reps, box = bound_data
+        for q in (1.0, 0.9):
+            res = fit(reps, locs, q, box)
+            ref = fit_without_newton(monkeypatch, reps, locs, q, box)
+            assert res.restarts >= 1 and ref.restarts == res.restarts
+            assert res.theta_hat == ref.theta_hat
+            assert res.theta_hat.nu == box.upper.nu
+            assert ref.evaluations <= res.evaluations <= ref.evaluations + 1
+            assert res.converged == ref.converged
+
+    def test_step_that_scores_lower_is_rejected(self, interior_data, monkeypatch):
+        # a negated gradient turns the confirming step into its reverse: as
+        # short and in the box, but a descent, so the restarts must run
+        locs, reps, base = interior_data
+        real = est._profile_derivs
+
+        def reversed_step(*args, **kwargs):
+            g, H = real(*args, **kwargs)
+            return -g, H
+
+        monkeypatch.setattr(est, "_profile_derivs", reversed_step)
+        for q in SYM_QS:
+            res = fit(reps, locs, q)
+            assert res.restarts >= 1 and res.converged
+            assert res.evaluations > base[q].evaluations
+
+    def test_newton_confirms_at_tiny_scale(self, interior_data):
+        # the setup of test_overflowing_surrogate_is_flagged: log densities
+        # near +1650 would overflow unnormalized weights exp((1-q) l)
+        locs, reps, base = interior_data
+        c = 1e-20
+        with np.errstate(over="ignore"):
+            res = fit(ReplicateSet(c * reps.data), locs, 0.5, scaled_bounds(c * c))
+        assert res.restarts == 0
+        assert_same_theta(res.theta_hat.as_array() / [c * c, 1.0, 1.0],
+                          base[0.5].theta_hat.as_array())
+
+    def test_unconfirmed_powell_point_is_not_converged(self):
+        # all three Powell runs move by more than tol (0.376, 0.336,
+        # 0.0077), and the point they end on is not stationary: Nelder-Mead
+        # and its Newton step find a higher profile value elsewhere
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid",
+                        seed=4010006, contamination=ContaminationSpec(0.1, 1.0))
+        locs, reps, _flags = simulate_dataset(cfg)
+        pw = fit(reps, locs, 0.95, method="powell")
+        nm = fit(reps, locs, 0.95)
+        assert pw.restarts == 2 and not pw.converged
+        assert nm.converged
+        s2_box = (default_bounds().lower.sigma2, default_bounds().upper.sigma2)
+
+        def value(th):
+            return profile_lq(reps, locs, th.beta, th.nu, 0.95, *s2_box)[1]
+
+        assert value(nm.theta_hat) > value(pw.theta_hat)
 
 
 class TestQProfile:
