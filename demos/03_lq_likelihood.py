@@ -1,18 +1,21 @@
-"""From the log-likelihood to the Lq-likelihood, and the underflow trick.
+"""From the log-likelihood to the Lq-likelihood, exact and in the log domain.
 
 The Lq transform L_q(u) = (u^(1-q) - 1)/(1-q) applied to the density f
 recovers log f as q -> 1.  For q < 1 each replicate's contribution is
 weighted by f^(1-q), so replicates with very low likelihood (outliers)
 are smoothly downweighted.  Densities of 100-dimensional vectors underflow
-double precision, which is why the implementation works with exp((l+n)(1-q))
-instead; the rescaling is monotone, so the argmax never moves.
+double precision, and with them the terms f^(1-q) of the exact sum.  The
+implementation therefore scores a parameter point by the log-domain value
+V = logsumexp((1-q) l) / (1-q), a strictly increasing function of the exact
+sum, so both have the same argmax.
 """
 
 import numpy as np
 
 from lqmatern import (MaternParams, SimConfig, build_cov, chol_factor,
-                      log_likelihood, loglik_columns, lq_of_loglik,
-                      simulate_dataset, total_lq)
+                      loglik_columns, lq_of_loglik, simulate_dataset,
+                      total_lq)
+from lqmatern.gauss_lik import profile_lq
 
 cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid",
                 seed=0)
@@ -30,30 +33,41 @@ print("the raw densities exp(l) underflow: exp(%.0f) = %g"
 l = float(np.median(ls))
 print("\nL_q value of the median replicate as q -> 1 (log value is %.6f):" % l)
 for q in (0.9, 0.99, 0.999, 1.0 - 1e-8):
-    v = lq_of_loglik(l, q, locs.n).value
+    v = lq_of_loglik(l, q)
     print("  q = %-10s  L_q = %12.6f   gap %.2e" % (q, v, abs(v - l)))
 
 # --- replicate weights ------------------------------------------------------
 
-# at q < 1 the effective weight of replicate i relative to the best one
-# is exp((l_i - l_max)(1 - q)); outlying replicates fade first
+# at q < 1 replicate i carries the weight softmax((1-q) l)_i; outlying
+# replicates fade first
 for q in (0.99, 0.95, 0.9):
-    w = np.exp((ls - ls.max()) * (1.0 - q))
-    print("q = %.2f: weight of the worst replicate vs best = %.3f" %
-          (q, w.min() / w.max()))
+    h = (1.0 - q) * ls
+    w = np.exp(h - h.max())
+    w /= w.sum()
+    print("q = %.2f: weight of the worst replicate vs best = %.3f, "
+          "effective sample size %.1f of %d"
+          % (q, w.min() / w.max(), 1.0 / np.sum(w ** 2), reps.m))
 
-# --- scaled vs exact objective ----------------------------------------------
+
+# --- exact vs log-domain objective ------------------------------------------
+
+def log_value(theta, q):
+    # profile_lq with sigma2's bounds pinned scores exactly this theta
+    return profile_lq(reps, locs, theta.beta, theta.nu, q,
+                      theta.sigma2, theta.sigma2)[1]
+
 
 th_try = MaternParams(1.1, 0.12, 0.55)
-exact = total_lq(reps, locs, th_try, 0.95, scale=False)
-scaled = total_lq(reps, locs, th_try, 0.95, scale=True)
-print("\nobjective at a trial theta, q = 0.95:")
-print("  exact Lq sum:  %.6e (tiny, lives near underflow)" % exact)
-print("  scaled form:   %.6e (safe magnitude, same argmax)" % scaled)
-
-# both objectives rank candidate parameter values identically
 th_other = MaternParams(0.9, 0.09, 0.45)
-d_exact = total_lq(reps, locs, th_other, 0.95, scale=False) - exact
-d_scaled = total_lq(reps, locs, th_other, 0.95, scale=True) - scaled
-print("ordering agrees between the two forms:",
-      bool(np.sign(d_exact) == np.sign(d_scaled)))
+for q in (0.95, 0.5):
+    exact = [total_lq(reps, locs, th, q) for th in (th_try, th_other)]
+    logv = [log_value(th, q) for th in (th_try, th_other)]
+    print("\nq = %.2f, two trial thetas:" % q)
+    print("  exact Lq sum:      %.15g vs %.15g, difference %.3g"
+          % (exact[0], exact[1], exact[0] - exact[1]))
+    print("  log-domain value:  %.15g vs %.15g, difference %.3g"
+          % (logv[0], logv[1], logv[0] - logv[1]))
+
+print("\nat q = 0.5 every f^(1-q) is lost against the -1 of its term, so the "
+      "exact sum reads -m/(1-q) = %g at both points; the log-domain value "
+      "still tells them apart" % (-reps.m / 0.5))

@@ -10,7 +10,7 @@ from .asymptotics import (SandwichParts, SingularJError, StdErrs, sandwich,
                           std_errs, ustar, ustar_all, vstar)
 from .estimate import (Bounds, FitResult, QProfile, default_bounds,
                        default_init, fit, fit_profile)
-from .gauss_lik import (CholFactor, LqValue, NotSPDError, ReplicateSet,
+from .gauss_lik import (CholFactor, NotSPDError, ReplicateSet,
                         chol_factor, log_likelihood, loglik_columns,
                         lq_of_loglik, total_lq)
 from .matern import (LocationSet, MaternParams, build_cov, build_cov_grad,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bounds", "CholFactor", "ContaminationSpec", "FitResult", "LocationSet",
-    "LqValue", "MaternParams", "NotSPDError", "QGridSpec", "QProfile",
+    "MaternParams", "NotSPDError", "QGridSpec", "QProfile",
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
     "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
     "build_cov_grad", "build_cov_hess", "center_replicates", "chol_factor",

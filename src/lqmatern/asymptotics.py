@@ -17,7 +17,16 @@ so V* is the exact Jacobian of U* (and the exact Hessian of the Lq
 contribution), which makes both checkable against finite differences.  At
 q = 1 they reduce to the classical score and observed-information kernel.
 
-``sandwich`` averages over replicates: K = (1/m) sum U* U*', J = (1/m) sum V*.
+The factors f^(1-q) underflow for large n, so they are never formed.  With
+the normalized weights w_i = softmax((1-q) l_i) of ``gauss_lik._lq_weights``
+(w_i = 1 at q = 1), f_i^(1-q) = w_i e^s, where the log scale s is
+logsumexp((1-q) l) (0 at q = 1).  ``sandwich`` averages the weighted terms
+U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i over replicates,
+K = (1/m) sum U U', J = (1/m) sum V, and records s as ``log_scale``: the raw
+plug-in matrices are K e^(2s) and J e^s.  Both standard-error forms are
+invariant under that common rescaling, so they never see the raw scale.
+``ustar``, ``vstar`` and ``ustar_all`` return the raw U* and V*.
+
 Sigma, dS_j and d2S_jk come from one Bessel pass over the unique distances
 (``matern._kernel_pass``), and the (3, 3, n, n) Hessian is never formed.  The
 per-replicate vectors w and Sigma^-1 dS_j w are triangular solves on one
@@ -26,16 +35,17 @@ from one explicit Sigma^-1 formed from the same factor, as
 tr(Sigma^-1 D) = <Sigma^-1, D> for symmetric D and tr(B_j B_k) with
 B_j = Sigma^-1 dS_j.
 
-The fit's Newton confirmation (``estimate``) uses the same per-replicate g
-and H, weighted as derivatives of the log-domain objective instead
-(``_lq_derivs``).
+The fit's Newton confirmation (``estimate``) uses the same weighted sums as
+derivatives of the log-domain objective (``_lq_derivs``).
 
 ``std_errs`` implements the printed standard-error form: the r-th diagonal
 entry of J^-1/2 K^1/2 J^-1/2.  J estimated from data at a maximum is close
 to minus an information matrix, hence negative definite, so the square roots
 act on a positive-definite surrogate S built by flooring the absolute
-eigenvalues of J (convention reported).  The classical sandwich diagonal
-sqrt(diag(S^-1 K S^-1)) is exposed alongside as ``se_sandwich``.
+eigenvalues of J with its diagonal scaled to unit magnitude (convention
+reported).  The classical sandwich diagonal sqrt(diag(S^-1 K S^-1)) is
+exposed alongside as ``se_sandwich``; unlike the printed form it follows a
+change of the parameters' units exactly.
 """
 
 from dataclasses import dataclass
@@ -43,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .gauss_lik import NotSPDError, chol_factor, loglik_columns
+from .gauss_lik import NotSPDError, _lq_weights, chol_factor, loglik_columns
 from .matern import _kernel_pass
 
 # Relative eigenvalue floor used when building the PD surrogate of J.
@@ -63,11 +73,16 @@ class SingularJError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SandwichParts:
-    """Plug-in moment matrices K = mean(U*U*') and J = mean(V*), with m."""
+    """Plug-in moment matrices K and J of the weighted terms, with m.
+
+    The raw K = mean(U* U*') and J = mean(V*) are K e^(2 log_scale) and
+    J e^log_scale; ``log_scale`` is 0 at q = 1 (see the module notes).
+    """
 
     K: np.ndarray
     J: np.ndarray
     m: int
+    log_scale: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -77,7 +92,7 @@ class StdErrs:
     ``se`` follows the printed J^-1/2 K^1/2 J^-1/2 diagonal; ``se_sandwich``
     is the classical sqrt(diag(J^-1 K J^-1)) alternative.  ``convention``
     records how J's sign was handled and ``cond`` the condition number of
-    the PD surrogate.
+    the PD surrogate with J's diagonal scaled to unit magnitude.
     """
 
     se: np.ndarray
@@ -127,77 +142,77 @@ def _loglik_derivs(Z, locs, theta):
 
 
 def _scores_batch(Z, locs, theta, q):
-    """U* (3, m) and V* (3, 3, m) for all columns of Z at one theta."""
+    """Weighted U (3, m), V (3, 3, m) and the log scale for the columns of Z.
+
+    U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i with the weights of
+    ``_lq_weights``; the raw U* and V* are these times e^log_scale.
+    """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
-    n, m = Z.shape
+    n = Z.shape[0]
     if locs.n != n:
         raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
     g, H, lvec = _loglik_derivs(Z, locs, theta)
-    fpow = np.exp(lvec * (1.0 - q)) if q < 1.0 else np.ones(m)
-    U = fpow * g
-    V = (1.0 - q) * fpow * (g[:, None] * g[None]) + fpow * H
-    return U, V
+    value, w = _lq_weights(lvec, q)
+    U = w * g
+    V = (1.0 - q) * w * (g[:, None] * g[None]) + w * H
+    return U, V, ((1.0 - q) * value if q < 1.0 else 0.0)
 
 
 def _lq_derivs(Z, locs, theta, q):
     """Gradient (3,) and Hessian (3, 3) of the log-domain Lq objective.
 
-    The objective of the n x m data matrix Z is sum l_i at q = 1 and
-    logsumexp((1-q) l) / (1-q) below it, the value ``gauss_lik.profile_lq``
-    scores.  With weights w_i = 1 at q = 1 and w_i = softmax((1-q) l_i)
-    below, its gradient is gbar = sum w_i g_i and its Hessian is
+    The objective of the n x m data matrix Z is ``_lq_weights``'s value, the
+    one ``gauss_lik.profile_lq`` scores.  In the weighted terms of
+    ``_scores_batch``, whose weights sum to one below q = 1, its gradient
+    is gbar = sum U_i and its Hessian is
 
-        sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
-
-    The weights are normalized, so nothing overflows or underflows however
-    large or small the log densities are.
+        sum V_i - (1-q) gbar gbar'
+            = sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
     """
-    g, H, lvec = _loglik_derivs(Z, locs, theta)
-    if q == 1.0:
-        return g.sum(axis=1), H.sum(axis=2)
-    h = (1.0 - q) * lvec
-    w = np.exp(h - h.max())
-    w /= w.sum()
-    grad = g @ w
-    dev = g - grad[:, None]
-    hess = H @ w + (1.0 - q) * ((dev * w) @ dev.T)
+    U, V, _ = _scores_batch(Z, locs, theta, q)
+    grad = U.sum(axis=1)
+    hess = V.sum(axis=2) - (1.0 - q) * np.outer(grad, grad)
     return grad, 0.5 * (hess + hess.T)
 
 
 def ustar(z, locs, theta, q):
     """Per-replicate estimating function U* = f^(1-q) grad log f, a 3-vector."""
-    U, _ = _scores_batch(np.asarray(z, dtype=float), locs, theta, q)
-    return U[:, 0]
+    U, _, log_scale = _scores_batch(np.asarray(z, dtype=float), locs, theta, q)
+    return U[:, 0] * np.exp(log_scale)
 
 
 def vstar(z, locs, theta, q):
     """Exact theta-Jacobian of U* at one replicate; symmetric 3x3."""
-    _, V = _scores_batch(np.asarray(z, dtype=float), locs, theta, q)
-    out = V[:, :, 0]
+    _, V, log_scale = _scores_batch(np.asarray(z, dtype=float), locs, theta, q)
+    out = V[:, :, 0] * np.exp(log_scale)
     return 0.5 * (out + out.T)
 
 
 def ustar_all(reps, locs, theta, q):
     """U* for every replicate, shape (3, m); one shared factorization."""
-    U, _ = _scores_batch(reps.data, locs, theta, q)
-    return U
+    U, _, log_scale = _scores_batch(reps.data, locs, theta, q)
+    return U * np.exp(log_scale)
 
 
 def sandwich(reps, locs, theta_hat, q):
-    """Plug-in K and J at theta_hat over the observed replicates."""
+    """Plug-in K and J at theta_hat over the observed replicates.
+
+    K and J are built from the normalized weights and carry the common
+    scale e^log_scale of the raw matrices (see ``SandwichParts``).
+    """
     if reps.m < 2:
         raise ValueError("sandwich needs at least 2 replicates")
-    U, V = _scores_batch(reps.data, locs, theta_hat, q)
+    U, V, log_scale = _scores_batch(reps.data, locs, theta_hat, q)
     m = reps.m
     K = (U @ U.T) / m
     J = np.mean(V, axis=2)
     K = 0.5 * (K + K.T)
     J = 0.5 * (J + J.T)
-    return SandwichParts(K=K, J=J, m=m)
+    return SandwichParts(K=K, J=J, m=m, log_scale=log_scale)
 
 
 def _psd_sqrt(mat, inverse=False):
@@ -215,19 +230,28 @@ def _psd_sqrt(mat, inverse=False):
 def std_errs(parts):
     """Standard errors from the printed J^-1/2 K^1/2 J^-1/2 diagonal.
 
-    J's spectrum is floored in absolute value at J_EIG_FLOOR times its
-    largest absolute eigenvalue to form the PD surrogate S.  The floor is
-    relative to J alone, so the answer does not change when K and J are
-    rescaled to K/s^2 and J/s (both forms are invariant under that), and a
-    J that is identically zero raises SingularJError.  The reported
-    convention is "negated" when J was entirely nonpositive (the usual case
-    at a maximum), "positive" when entirely nonnegative, else "absolute".
+    The PD surrogate S of J is built in coordinates where J's diagonal has
+    unit magnitude: with d = sqrt(|diag J|), the spectrum of J / (d d') is
+    floored in absolute value at J_EIG_FLOOR times its largest absolute
+    eigenvalue, and mapped back as S = D S~ D.  So S, the floor and
+    ``se_sandwich``, computed as sqrt(diag(S~^-1 K~ S~^-1)) / d with
+    K~ = K / (d d'), follow any change of units of a parameter exactly, and
+    a J that is merely badly scaled is not floored.  Both forms are
+    invariant under (K, J) -> (K/s^2, J/s), so the common scale of the
+    sandwich's normalized weights drops out, and a J that is identically
+    zero raises SingularJError.  The reported convention is "negated" when
+    J was entirely nonpositive (the usual case at a maximum), "positive"
+    when entirely nonnegative, else "absolute"; ``cond`` is the condition
+    number of S~, which does not depend on the parameters' units either.
     """
     J = np.asarray(parts.J, dtype=float)
     K = np.asarray(parts.K, dtype=float)
     if not (np.all(np.isfinite(J)) and np.all(np.isfinite(K))):
         raise SingularJError("K or J contains non-finite entries")
-    lam, Q = np.linalg.eigh(J)
+    d = np.sqrt(np.abs(np.diag(J)))
+    d[d == 0.0] = 1.0   # a zero diagonal entry (J = 0 included) stays unscaled
+    dd = np.outer(d, d)
+    lam, Q = np.linalg.eigh(J / dd)
     scale = float(np.abs(lam).max())
     if np.all(lam <= 0.0):
         convention = "negated"
@@ -240,11 +264,10 @@ def std_errs(parts):
         raise SingularJError("J is singular beyond regularization",
                              cond=float("inf"))
     cond = float(s.max() / s.min())
-    inv_root_S = (Q * (1.0 / np.sqrt(s))) @ Q.T
-    root_K = _psd_sqrt(K)
-    se = np.diag(inv_root_S @ root_K @ inv_root_S).copy()
+    inv_root_S = _psd_sqrt(((Q * s) @ Q.T) * dd, inverse=True)
+    se = np.diag(inv_root_S @ _psd_sqrt(K) @ inv_root_S).copy()
     S_inv = (Q * (1.0 / s)) @ Q.T
-    se_cls = np.sqrt(np.clip(np.diag(S_inv @ K @ S_inv), 0.0, None))
+    se_cls = np.sqrt(np.clip(np.diag(S_inv @ (K / dd) @ S_inv), 0.0, None)) / d
     if not np.all(np.isfinite(se)):
         raise SingularJError("standard errors are not finite", cond=cond)
     return StdErrs(se=se, se_sandwich=se_cls, convention=convention, cond=cond)

@@ -199,7 +199,6 @@ _KNOWN_KEYS = frozenset([
     "sim.contam.r", "sim.contam.sd", "sim.contam.kind",
     "grid.q", "grid.eps", "grid.L", "grid.K",
     "fit.q", "fit.tol", "fit.lower", "fit.upper", "fit.init",
-    "fit.scale", "fit.method",
     "repetitions", "selector", "output_dir",
     # metadata keys a simulate record carries; accepted and ignored as config
     "generator", "contam.flags",
@@ -216,8 +215,6 @@ class ExperimentConfig:
     init: object = None
     tol: float = 1e-6
     fit_q: float = 1.0
-    scale: bool = True
-    method: str = "nelder-mead"
     repetitions: int = 1
     selector: str = "kappa"
     output_dir: str = "."
@@ -238,15 +235,6 @@ def _theta_from(text):
     if len(vals) != 3:
         raise DataError("theta needs 3 comma-separated values (sigma2,beta,nu)")
     return MaternParams(*vals)
-
-
-def _bool_from(text):
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise DataError("expected a boolean, got %r" % text)
 
 
 def build_config(mapping):
@@ -289,8 +277,6 @@ def build_config(mapping):
                             init=None if init is None else _theta_from(init),
                             tol=float(get("fit.tol", "1e-6")),
                             fit_q=float(get("fit.q", "1")),
-                            scale=_bool_from(get("fit.scale", "true")),
-                            method=get("fit.method", "nelder-mead"),
                             repetitions=int(get("repetitions", "1")),
                             selector=selector,
                             output_dir=out)
@@ -480,7 +466,7 @@ def _fit_record(res, tol):
             ("objective", _fmt(res.objective)),
             ("iterations", res.iterations), ("evaluations", res.evaluations),
             ("converged", _fmt(res.converged)), ("restarts", res.restarts),
-            ("scale", _fmt(res.scale)), ("tol", _fmt(tol)),
+            ("tol", _fmt(tol)),
             ("init.sigma2", _fmt(res.init.sigma2)),
             ("init.beta", _fmt(res.init.beta)),
             ("init.nu", _fmt(res.init.nu))]
@@ -490,8 +476,7 @@ def cmd_fit(args):
     cfg = config_from_args(args)
     out = _outdir(cfg)
     locs, reps = read_dataset(args.data_dir)
-    res = fit(reps, locs, cfg.fit_q, cfg.bounds, cfg.init, cfg.tol,
-              scale=cfg.scale, method=cfg.method)
+    res = fit(reps, locs, cfg.fit_q, cfg.bounds, cfg.init, cfg.tol)
     write_record(os.path.join(out, "fit.txt"), _fit_record(res, cfg.tol))
     th = res.theta_hat
     print("q=%g theta_hat=(%.6g, %.6g, %.6g) kappa=%.6g converged=%s"
@@ -504,8 +489,7 @@ def cmd_select_q(args):
     locs, reps = read_dataset(args.data_dir)
     if cfg.selector == "none":
         raise DataError("select-q needs selector = kappa or sqv")
-    fit_fn = make_fit_fn(reps, locs, cfg.bounds, cfg.init, cfg.tol,
-                         scale=cfg.scale, method=cfg.method)
+    fit_fn = make_fit_fn(reps, locs, cfg.bounds, cfg.init, cfg.tol)
     if cfg.selector == "kappa":
         sel = select_q_kappa(fit_fn, cfg.q_grid)
     else:
@@ -546,7 +530,8 @@ def cmd_se(args):
              ("se_sandwich.sigma2", _fmt(float(errs.se_sandwich[0]))),
              ("se_sandwich.beta", _fmt(float(errs.se_sandwich[1]))),
              ("se_sandwich.nu", _fmt(float(errs.se_sandwich[2]))),
-             ("convention", errs.convention), ("cond", _fmt(errs.cond))]
+             ("convention", errs.convention), ("cond", _fmt(errs.cond)),
+             ("log_scale", _fmt(parts.log_scale))]
     names = ("sigma2", "beta", "nu")
     for a in range(3):
         for b in range(3):
@@ -589,8 +574,7 @@ def cmd_sweep(args):
         sim_i = replace(cfg.sim, seed=cfg.sim.seed + rep_id)
         locs, reps, _flags = simulate_dataset(sim_i)
         try:
-            prof = fit_profile(reps, locs, grid, cfg.bounds, cfg.init, cfg.tol,
-                               scale=cfg.scale, method=cfg.method)
+            prof = fit_profile(reps, locs, grid, cfg.bounds, cfg.init, cfg.tol)
         except (NotSPDError, np.linalg.LinAlgError, RuntimeError,
                 FloatingPointError) as exc:
             log.warning("repetition %d failed outright: %s", rep_id, exc)
@@ -604,8 +588,7 @@ def cmd_sweep(args):
             continue
         good = {round(q, 12): f.theta_hat
                 for q, f in zip(prof.grid, prof.fits) if np.isfinite(f.objective)}
-        fresh = make_fit_fn(reps, locs, cfg.bounds, cfg.init, cfg.tol,
-                            scale=cfg.scale, method=cfg.method)
+        fresh = make_fit_fn(reps, locs, cfg.bounds, cfg.init, cfg.tol)
 
         def fit_fn(q, good=good, fresh=fresh):
             key = round(float(q), 12)
@@ -639,7 +622,6 @@ def cmd_sweep(args):
     meta += [("grid.q", ",".join(_fmt(v) for v in grid)),
              ("grid.eps", _fmt(cfg.q_grid.eps)), ("grid.L", _fmt(cfg.q_grid.L)),
              ("grid.K", cfg.q_grid.K), ("fit.tol", _fmt(cfg.tol)),
-             ("fit.scale", _fmt(cfg.scale)), ("fit.method", cfg.method),
              ("repetitions", cfg.repetitions), ("selector", cfg.selector),
              ("generator", "philox")]
     write_record(os.path.join(out, "sweep_meta.txt"), meta)

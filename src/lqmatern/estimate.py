@@ -14,10 +14,11 @@ the simplex diameter falls below ``tol`` in that scaled space.
 Termination is driven by the simplex diameter alone (the objective-spread
 test is disabled).  This matters beyond taste: Nelder-Mead steps depend only
 on the ordering of objective values, and the search compares the log-domain
-profile value (sum l at q = 1, logsumexp((1-q) l) / (1-q) below), a strictly
-increasing transform of the exact Lq objective sum (f^(1-q) - 1) / (1-q) and
-of the scaled surrogate alike.  So the search and its maximizer do not depend
-on ``scale``, which only picks the form of the reported ``objective``.
+profile value V (sum l at q = 1, logsumexp((1-q) l) / (1-q) below), a
+strictly increasing transform of the exact Lq objective
+sum (f^(1-q) - 1) / (1-q).  Every number the fit needs, the reported
+``objective`` included, comes from the values and sigma2 solutions the
+search has cached; the fit builds no full covariance of its own.
 
 The simplex's answer u is then confirmed by one Newton step delta on the
 same profile value in u, from its exact gradient and Hessian
@@ -39,7 +40,8 @@ Restart decisions compare iterates, and the Newton check's one comparison
 is between two profile values, so both are order-only as well.  A fit that
 neither confirms is reported as not converged.  Trial points with a
 non-positive-definite correlation matrix score -inf and are simply
-rejected; only failure at the initial point is an error.
+rejected; only failure at the initial point is an error.  A fit in which
+every point but the initial one was rejected is not converged.
 
 ``fit_profile`` runs a descending grid of q values starting at 1, warm-
 starting each fit at the previous estimate.
@@ -60,10 +62,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _lq_derivs
-from .gauss_lik import NotSPDError, profile_lq, total_lq
+from .gauss_lik import NotSPDError, profile_lq
 from .matern import MaternParams
-
-_METHODS = ("nelder-mead", "powell")
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,12 @@ class Bounds:
 class FitResult:
     """One maximization outcome.
 
-    ``objective`` is total_lq(theta_hat, q, scale); ``evaluations`` counts
-    the (beta, nu) points the search scored; ``restarts`` counts the
-    fallback simplex runs, 0 when the Newton step confirmed the estimate.
+    ``objective`` is the profile value V at theta_hat in its surrogate form:
+    V = sum l at q = 1, and exp((1-q) (V + n)) = sum exp((l + n)(1-q))
+    below it, an increasing transform of the exact Lq objective that
+    overflows when the data's scale is small.  ``evaluations`` counts the
+    (beta, nu) points the search scored; ``restarts`` counts the fallback
+    simplex runs, 0 when the Newton step confirmed the estimate.
     """
 
     theta_hat: MaternParams
@@ -103,7 +106,6 @@ class FitResult:
     evaluations: int
     converged: bool
     init: MaternParams
-    scale: bool = True
     restarts: int = 0
 
 
@@ -164,8 +166,7 @@ def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
     return grad[1:], H
 
 
-def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
-        scale=True, method="nelder-mead", max_evals=5000):
+def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000):
     """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
 
     The search runs over (beta, nu); sigma2 is solved exactly at each trial
@@ -185,17 +186,11 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         Defaults to default_bounds().
     init : MaternParams, optional
         Must lie within bounds; defaults to default_init(reps, bounds).
-        Its (beta, nu) starts the search; its sigma2 is not used beyond the
-        check that the initial point can be evaluated.
+        Its (beta, nu) starts the search and is scored first: a
+        NotSPDError there is raised, not rejected.  Its sigma2 is not used.
     tol : float
         Simplex-diameter convergence threshold in bound-scaled coordinates;
         also the largest Newton step or restart move that confirms a point.
-    scale : bool
-        Report ``objective`` as the underflow-safe surrogate
-        sum exp[(l+n)(1-q)] (default) or, if False, the exact Lq value.
-        It does not change the search or the maximizer.
-    method : {"nelder-mead", "powell"}
-        Derivative-free search; Powell is the documented swap-in.
     max_evals : int
         Evaluation and iteration budget per optimizer run.
 
@@ -207,8 +202,6 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         estimate.  ``converged`` requires a confirmation, a normal end of
         the last simplex run and a finite reported objective.
     """
-    if method not in _METHODS:
-        raise ValueError("method must be one of %r" % (_METHODS,))
     if bounds is None:
         bounds = default_bounds()
     if init is None:
@@ -220,28 +213,28 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
     s2_lo, s2_hi = float(lo[0]), float(hi[0])
     corner, width = lo[1:], hi[1:] - lo[1:]
 
-    # a hard failure at the starting point is an error, not a rejection
-    total_lq(reps, locs, init, q, scale=scale)
-
-    # u.tobytes() -> (negated profile value, sigma2); each restart scores its
-    # start again, and sigma2 at the answer is read back from here
+    # u.tobytes() -> (sigma2, profile value); each restart scores its start
+    # again, and the answer's sigma2 and value are read back from here
     scored = {}
+
+    def score(u):
+        beta, nu = corner + u * width
+        scored[u.tobytes()] = profile_lq(reps, locs, beta, nu, q, s2_lo, s2_hi)
 
     def neg_obj(u):
         key = u.tobytes()
         if key not in scored:
-            beta, nu = corner + u * width
             try:
-                sigma2, val = profile_lq(reps, locs, beta, nu, q, s2_lo, s2_hi)
+                score(u)
             except NotSPDError:
-                sigma2, val = float("nan"), -np.inf
-            scored[key] = (-val if np.isfinite(val) else np.inf, sigma2)
-        return scored[key][0]
+                scored[key] = (float("nan"), -np.inf)
+        val = scored[key][1]
+        return -val if np.isfinite(val) else np.inf
 
     def newton_step(u):
         # one Newton step in u on the profile value at a scored point, or
         # None where the profile Hessian is not negative definite
-        sigma2 = scored[u.tobytes()][1]
+        sigma2 = scored[u.tobytes()][0]
         beta, nu = corner + u * width
         try:
             g, H = _profile_derivs(reps, locs, sigma2, beta, nu, q,
@@ -255,12 +248,11 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         return np.linalg.solve(H, -g)
 
     u0 = (init.as_array()[1:] - corner) / width
+    # a hard failure at the starting point is an error, not a rejection
+    score(u0)
     options = {"xatol": tol, "fatol": np.inf, "maxfev": max_evals, "maxiter": max_evals}
-    if method == "powell":
-        options = {"xtol": tol, "ftol": tol, "maxfev": max_evals, "maxiter": max_evals}
-
     box = [(0.0, 1.0)] * 2
-    res = minimize(neg_obj, u0, method=method, bounds=box, options=options)
+    res = minimize(neg_obj, u0, method="nelder-mead", bounds=box, options=options)
     n_it, n_ev = int(res.nit), int(res.nfev)
     u_cur = res.x
     confirmed = False
@@ -277,7 +269,8 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
     restarts = 0
     while not confirmed and restarts < 2:
         start = u_cur
-        res = minimize(neg_obj, start, method=method, bounds=box, options=options)
+        res = minimize(neg_obj, start, method="nelder-mead", bounds=box,
+                       options=options)
         n_it += int(res.nit)
         n_ev += int(res.nfev)
         restarts += 1
@@ -285,20 +278,21 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *,
         confirmed = float(np.max(np.abs(u_cur - start))) <= tol
 
     neg_obj(u_cur)
-    sigma2 = scored[u_cur.tobytes()][1]
-    if not np.isfinite(sigma2):  # every trial point was rejected
-        sigma2 = init.sigma2
+    sigma2, value = scored[u_cur.tobytes()]
     theta_hat = MaternParams(sigma2, *(corner + u_cur * width))
-    objective = total_lq(reps, locs, theta_hat, q, scale=scale)
-    converged = bool(confirmed and res.status == 0 and np.isfinite(res.fun)
-                     and np.isfinite(objective))
+    objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
+    # a restart whose every trial point was rejected does not move, which
+    # confirms nothing: the search must have scored some other point
+    n_finite = sum(np.isfinite(v) for _s2, v in scored.values())
+    converged = bool(confirmed and n_finite > 1 and res.status == 0
+                     and np.isfinite(res.fun) and np.isfinite(objective))
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=n_it, evaluations=n_ev, converged=converged,
-                     init=init, scale=scale, restarts=restarts)
+                     init=init, restarts=restarts)
 
 
 def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6, *,
-                scale=True, method="nelder-mead", max_evals=5000):
+                max_evals=5000):
     """Fit a descending q grid, warm-starting each fit at the previous theta_hat.
 
     A q value whose fit fails outright is recorded as a non-converged
@@ -314,12 +308,11 @@ def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6, *,
     warm = init
     for q in grid:
         try:
-            res = fit(reps, locs, q, bounds, warm, tol,
-                      scale=scale, method=method, max_evals=max_evals)
+            res = fit(reps, locs, q, bounds, warm, tol, max_evals=max_evals)
         except (NotSPDError, np.linalg.LinAlgError):
             fits.append(FitResult(theta_hat=warm, objective=float("nan"), q=float(q),
                                   iterations=0, evaluations=0, converged=False,
-                                  init=warm, scale=scale, restarts=0))
+                                  init=warm, restarts=0))
             continue
         fits.append(res)
         warm = res.theta_hat

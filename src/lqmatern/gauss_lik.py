@@ -14,17 +14,15 @@ The Lq transform of the density f = e^l:
     L_q(f) = (f^(1-q) - 1) / (1 - q)        if q < 1
            = expm1(l (1-q)) / (1-q)
 
-For large n the exact value underflows (f^(1-q) = e^(l(1-q)) with l of order
--n), so ``total_lq`` offers the strictly increasing surrogate
-
-    exp[(l + n) (1-q)]
-
-which drops the affine pieces (the -1, the 1/(1-q), and the constant e^(n(1-q))
-factor); for fixed q these do not move the argmax.  The surrogate is selected
-by ``scale=True`` and reported via the ``scaled`` flag; it is the form in
-which ``estimate.fit`` reports its objective by default.  It can overflow
-when the data's scale is small, which is why the search itself compares the
-log-domain value of ``profile_lq`` below.
+``lq_of_loglik`` and ``total_lq`` compute it exactly.  For large n that
+value underflows (f^(1-q) = e^(l(1-q)) with l of order -n), so everything
+else works in the log domain through one helper, ``_lq_weights``: for the
+replicates' log densities l it returns the value V = sum l at q = 1 and
+V = logsumexp((1-q) l) / (1-q) below it, a strictly increasing transform of
+sum f_i^(1-q) that neither overflows nor underflows, together with the
+replicate weights w = 1 at q = 1 and w = softmax((1-q) l) below it.  The
+fit's objective, the sigma2 solve, the Newton step and the sandwich all
+take their weights from it.
 
 ``total_lq`` shares one factorization across all m replicates and sums the
 per-replicate values in fixed column order, so results are reproducible.
@@ -35,10 +33,8 @@ every replicate's log-likelihood at any sigma2:
 
     l_i(sigma2) = -(1/2) [n log(2 pi) + log|R| + n log sigma2 + quad_i / sigma2]
 
-``profile_lq`` does that work once per (beta, nu) and solves for sigma2 in
-O(m) (``profile_sigma2``).  It scores the point in the log domain: sum l_i at
-q = 1 and logsumexp((1-q) l) / (1-q) below it, a strictly increasing
-transform of sum f_i^(1-q) that neither overflows nor underflows.
+``profile_lq`` does that work once per (beta, nu), solves for sigma2 in
+O(m) (``profile_sigma2``) and scores the point by its log-domain value V.
 """
 
 from dataclasses import dataclass
@@ -106,19 +102,6 @@ class CholFactor:
     jittered: bool = False
 
 
-@dataclass(frozen=True)
-class LqValue:
-    """An Lq-likelihood value tagged with q and the scaling flag."""
-
-    value: float
-    q: float
-    scaled: bool = False
-
-    def __post_init__(self):
-        if self.q == 1.0 and self.scaled:
-            raise ValueError("scaled flag is meaningless at q = 1")
-
-
 def chol_factor(cov, jitter_scale=None):
     """Cholesky-factor an SPD covariance with a one-shot jitter rescue.
 
@@ -177,35 +160,49 @@ def loglik_columns(data, chol):
     return -0.5 * n * _LOG_2PI - 0.5 * _quad_forms(data, chol) - 0.5 * chol.log_det
 
 
+def _lq_weights(lvec, q):
+    """Log-domain Lq value of log densities ``lvec`` and the replicate weights.
+
+    Returns (value, w): (sum l, ones) at q = 1, and below it
+    (logsumexp((1-q) l) / (1-q), softmax((1-q) l)).  The weights are
+    normalized, so nothing overflows or underflows however large or small
+    the log densities are, and a shift of every l_i by the same constant
+    leaves them unchanged.
+    """
+    if q == 1.0:
+        return float(np.sum(lvec)), np.ones(len(lvec))
+    w = (1.0 - q) * lvec
+    top = float(w.max())
+    w -= top
+    np.exp(w, out=w)
+    total = float(w.sum())
+    w /= total
+    return (top + float(np.log(total))) / (1.0 - q), w
+
+
 def profile_sigma2(quad, n, q, lower, upper):
     """The sigma2 in [lower, upper] that maximizes the Lq objective.
 
     ``quad`` holds each replicate's z' R^-1 z for the correlation matrix R;
-    the objective in sigma2 is sum_i exp((1-q) l_i(sigma2)), or sum_i l_i
-    at q = 1 (see the module notes).
+    the objective in sigma2 is the log-domain value of ``_lq_weights``.
 
     At q = 1 the maximizer is mean(quad) / n, clipped.  Below 1 it is found
-    by the fixed point sigma2 <- sum w_i quad_i / (n sum w_i) with weights
-    w_i = softmax((1-q) l_i(sigma2)), started at median(quad) / n and clipped
+    by the fixed point sigma2 <- sum w_i quad_i / n with the weights
+    w = softmax((1-q) l(sigma2)), started at median(quad) / n and clipped
     to the bounds at every step.  Each step maximizes a concave Jensen
     minorant of the log objective in log sigma2 over the bounds, so the
     objective never decreases.  It stops once a step moves sigma2 by at most
     SIGMA2_RTOL relative, or after SIGMA2_MAX_STEPS steps.  The log sigma2
-    and constant terms of l_i are shared by all replicates and cancel in the
-    softmax, so the weights are exp(-(1-q) (quad_i - min quad) / (2 sigma2)),
-    normalized: no overflow.
+    and constant terms of l_i are shared by all replicates and leave the
+    weights unchanged, so only -quad_i / (2 sigma2) is passed on.
     """
     quad = np.asarray(quad, dtype=float)
     if q == 1.0:
         return min(max(float(np.mean(quad)) / n, lower), upper)
-    rate = 0.5 * (1.0 - q)
-    excess = quad - quad.min()
     sigma2 = min(max(float(np.median(quad)) / n, lower), upper)
-    w = np.empty_like(quad)
     for _ in range(SIGMA2_MAX_STEPS):
-        np.multiply(excess, -rate / sigma2, out=w)
-        np.exp(w, out=w)
-        step = min(max(float(w @ quad / (n * w.sum())), lower), upper)
+        _, w = _lq_weights(quad * (-0.5 / sigma2), q)
+        step = min(max(float(w @ quad) / n, lower), upper)
         if abs(step - sigma2) <= SIGMA2_RTOL * step:
             return step
         sigma2 = step
@@ -218,7 +215,7 @@ def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     Builds and factors the correlation matrix R(beta, nu) once, takes the
     quadratic forms from one triangular solve, and finds sigma2 in
     [sigma2_lower, sigma2_upper] with ``profile_sigma2``.  Returns
-    (sigma2, value), where value is sum l_i at q = 1 and
+    (sigma2, value), where value is ``_lq_weights``'s: sum l_i at q = 1 and
     logsumexp((1-q) l) / (1-q) below it.  Raises NotSPDError carrying
     MaternParams(1, beta, nu) if R cannot be factored.
     """
@@ -234,48 +231,30 @@ def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     quad = _quad_forms(reps.data, chol)
     sigma2 = profile_sigma2(quad, n, q, sigma2_lower, sigma2_upper)
     lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
-    if q == 1.0:
-        return sigma2, float(np.sum(lvec))
-    h = (1.0 - q) * lvec
-    top = float(h.max())
-    return sigma2, (top + float(np.log(np.sum(np.exp(h - top))))) / (1.0 - q)
+    return sigma2, _lq_weights(lvec, q)[0]
 
 
-def lq_of_loglik(l, q, n, scale=False):
-    """Lq value of a density given its log l; see the module notes.
+def lq_of_loglik(l, q):
+    """Exact Lq value of a density given its log l; see the module notes.
 
-    Parameters
-    ----------
-    l : float
-        Log density value.
-    q : float
-        Distortion parameter in (0, 1].
-    n : int
-        Dimension; enters only the scale=True surrogate exp[(l+n)(1-q)].
-    scale : bool
-        Use the underflow-safe increasing surrogate (never at q = 1).
-
-    Returns
-    -------
-    LqValue
+    l itself at q = 1, and expm1(l (1-q)) / (1-q) for q in (0, 1).
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
     l = float(l)
     if q == 1.0:
-        return LqValue(value=l, q=1.0, scaled=False)
+        return l
     om = 1.0 - q
-    if scale:
-        return LqValue(value=float(np.exp((l + n) * om)), q=q, scaled=True)
-    return LqValue(value=float(np.expm1(l * om) / om), q=q, scaled=False)
+    return float(np.expm1(l * om) / om)
 
 
-def total_lq(reps, locs, theta, q, scale=False):
-    """Summed Lq-likelihood of all replicates at one parameter point.
+def total_lq(reps, locs, theta, q):
+    """Exact summed Lq-likelihood of all replicates at one parameter point.
 
     One covariance build and one Cholesky factorization are shared across
-    the m replicates; the per-replicate values are summed in column order.
-    Raises NotSPDError carrying theta if the factorization fails.
+    the m replicates; the per-replicate values expm1(l (1-q)) / (1-q) (l
+    at q = 1) are summed in column order.  Raises NotSPDError carrying
+    theta if the factorization fails.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
@@ -289,6 +268,4 @@ def total_lq(reps, locs, theta, q, scale=False):
     if q == 1.0:
         return float(np.sum(lvec))
     om = 1.0 - q
-    if scale:
-        return float(np.sum(np.exp((lvec + reps.n) * om)))
     return float(np.sum(np.expm1(lvec * om) / om))

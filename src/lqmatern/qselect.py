@@ -232,7 +232,7 @@ def select_q_kappa(fit_fn, spec=None):
 
 
 def make_fit_fn(reps, locs, bounds=None, init=None, tol=1e-6, *,
-                scale=True, method="nelder-mead", max_evals=5000):
+                max_evals=5000):
     """fit_fn(q) -> theta_hat, cached per q and warm-started across calls.
 
     Selectors revisit q values across passes (q_min appears in every
@@ -251,7 +251,7 @@ def make_fit_fn(reps, locs, bounds=None, init=None, tol=1e-6, *,
         key = round(float(q), 12)
         if key not in cache:
             res = fit(reps, locs, float(q), bounds, warm[0], tol,
-                      scale=scale, method=method, max_evals=max_evals)
+                      max_evals=max_evals)
             warm[0] = res.theta_hat
             cache[key] = res.theta_hat
         return cache[key]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
 from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
@@ -9,7 +11,9 @@ from lqmatern.gauss_lik import (ReplicateSet, chol_factor, log_likelihood,
 from lqmatern import matern
 from lqmatern.matern import (MaternParams, build_cov, build_cov_grad,
                              build_cov_hess)
-from lqmatern.simulate import gen_replicates, make_locations
+from lqmatern.estimate import fit
+from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
+                               simulate_dataset)
 
 # well separated points keep the covariance comfortably conditioned, so
 # finite-difference oracles are trustworthy at tight tolerances
@@ -25,7 +29,7 @@ def rand_theta(rng):
 
 def lq_contrib(z, locs, theta, q):
     l = log_likelihood(z, chol_factor(build_cov(locs, theta)))
-    return lq_of_loglik(l, q, locs.n).value
+    return lq_of_loglik(l, q)
 
 
 def fd_steps(theta):
@@ -217,8 +221,9 @@ class TestDenseRoute:
         J_want = np.mean(Vs, axis=0)
         J_want = 0.5 * (J_want + J_want.T)
         parts = sandwich(reps, locs, theta, q)
-        np.testing.assert_allclose(parts.K, K_want, rtol=1e-9)
-        np.testing.assert_allclose(parts.J, J_want, rtol=1e-9)
+        scale = np.exp(parts.log_scale)
+        np.testing.assert_allclose(parts.K * scale ** 2, K_want, rtol=1e-9)
+        np.testing.assert_allclose(parts.J * scale, J_want, rtol=1e-9)
 
 
 class TestSandwich:
@@ -237,8 +242,10 @@ class TestSandwich:
         K_want = U @ U.T / self.reps.m
         J_want = np.mean([vstar(self.reps.data[:, i], LOCS9, self.theta, 0.9)
                           for i in range(self.reps.m)], axis=0)
-        assert np.abs(parts.K - K_want).max() < 1e-12 * max(np.abs(K_want).max(), 1.0)
-        assert np.abs(parts.J - J_want).max() < 1e-12 * max(np.abs(J_want).max(), 1.0)
+        K = parts.K * np.exp(2.0 * parts.log_scale)
+        J = parts.J * np.exp(parts.log_scale)
+        assert np.abs(K - K_want).max() < 1e-12 * max(np.abs(K_want).max(), 1.0)
+        assert np.abs(J - J_want).max() < 1e-12 * max(np.abs(J_want).max(), 1.0)
         assert parts.m == 8
 
     def test_at_most_six_bessel_calls(self, monkeypatch):
@@ -287,7 +294,8 @@ class TestStdErrs:
         assert se.se == pytest.approx(want, rel=1e-12)
         assert se.se_sandwich == pytest.approx(want, rel=1e-12)
         assert se.convention == "negated"
-        assert se.cond == pytest.approx(16.0, rel=1e-12)
+        # J is diagonal, so its unit-diagonal form is -I
+        assert se.cond == pytest.approx(1.0, rel=1e-12)
 
     def test_identity(self):
         se = std_errs(SandwichParts(K=np.eye(3), J=-np.eye(3), m=5))
@@ -315,10 +323,21 @@ class TestStdErrs:
         assert se.se_sandwich == pytest.approx(want_cls, rel=1e-9)
 
     def test_eigenvalue_floor_keeps_finite(self):
-        J = np.diag([-1.0, -1e-30, -1.0])
+        # a unit diagonal and a null direction (1, -1, 0): the floor at 1e-10
+        # of the largest eigenvalue, -2, sets cond to 1e10
+        J = -np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         se = std_errs(SandwichParts(K=np.eye(3), J=J, m=3))
         assert np.all(np.isfinite(se.se))
         assert se.cond == pytest.approx(1e10, rel=1e-6)
+
+    def test_badly_scaled_j_is_not_floored(self):
+        # diag(-1, -1e-30, -1) is singular only in its units: the second
+        # parameter is merely very poorly determined
+        J = np.diag([-1.0, -1e-30, -1.0])
+        se = std_errs(SandwichParts(K=np.eye(3), J=J, m=3))
+        assert se.se == pytest.approx([1.0, 1e30, 1.0], rel=1e-12)
+        assert se.se_sandwich == pytest.approx([1.0, 1e30, 1.0], rel=1e-12)
+        assert se.cond == 1.0
 
     @pytest.mark.parametrize("s", [1e-20, 1e-8, 1.0, 1e8])
     def test_invariant_under_rescaling(self, s):
@@ -354,3 +373,50 @@ class TestStdErrs:
         # at the truth (not a maximizer) the flat nu direction can push one
         # eigenvalue of J across zero, so only the sign handling is pinned
         assert se.convention in ("negated", "absolute")
+
+
+SE_RTOL = 1e-9
+
+
+def scaled_se(reps, locs, theta, q, c):
+    """std_errs with the data times c at theta's sigma2 times c^2."""
+    th = MaternParams(c * c * theta.sigma2, theta.beta, theta.nu)
+    return std_errs(sandwich(ReplicateSet(c * reps.data), locs, th, q))
+
+
+@pytest.fixture(scope="module")
+def grid_fit():
+    """n = 100 grid, m = 100, seed 1, and its q = 0.5 fit."""
+    cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid",
+                    seed=1)
+    locs, reps, _ = simulate_dataset(cfg)
+    theta = fit(reps, locs, 0.5).theta_hat
+    return locs, reps, theta, scaled_se(reps, locs, theta, 0.5, 1.0)
+
+
+def assert_scaled_se(got, base, c):
+    # se_sandwich is equivariant: data * c scales sigma2's entry by c^2;
+    # the printed se is not (see ROADMAP), so it is only held finite
+    assert np.all(np.isfinite(got.se)) and np.all(got.se > 0.0)
+    np.testing.assert_allclose(got.se_sandwich / [c * c, 1.0, 1.0],
+                               base.se_sandwich, rtol=SE_RTOL, atol=0.0)
+
+
+class TestStdErrsAtAnyDataScale:
+    """The sandwich weights are normalized, so K and J cannot underflow."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(log10_c=st.floats(-3.0, 3.0))
+    @example(log10_c=3.0)
+    def test_grid_fit_scale_equivariance(self, grid_fit, log10_c):
+        # unnormalized weights exp((1-q) l) made K = 0 here at c = 1e3
+        locs, reps, theta, base = grid_fit
+        c = 10.0 ** log10_c
+        assert_scaled_se(scaled_se(reps, locs, theta, 0.5, c), base, c)
+
+    def test_uniform_n400_data_times_ten(self):
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=400, m=100,
+                        layout="uniform", seed=1)
+        locs, reps, _ = simulate_dataset(cfg)
+        base = scaled_se(reps, locs, cfg.theta, 0.5, 1.0)
+        assert_scaled_se(scaled_se(reps, locs, cfg.theta, 0.5, 10.0), base, 10.0)

@@ -140,7 +140,7 @@ class TestBuildConfig:
         assert cfg.sim.layout == "grid" and cfg.sim.seed == 0
         assert cfg.selector == "kappa"
         assert cfg.q_grid.L == 4.0 and cfg.q_grid.K == 7
-        assert cfg.fit_q == 1.0 and cfg.tol == 1e-6 and cfg.scale
+        assert cfg.fit_q == 1.0 and cfg.tol == 1e-6
         assert cfg.repetitions == 1 and cfg.output_dir == "."
 
     def test_sqv_selector_flips_default_threshold(self):
@@ -162,12 +162,10 @@ class TestBuildConfig:
 
     def test_bounds_and_init(self):
         cfg = build_config({"fit.lower": "0.1,0.01,0.1",
-                            "fit.init": "1,0.2,0.5",
-                            "fit.scale": "false"})
+                            "fit.init": "1,0.2,0.5"})
         assert cfg.bounds.lower == MaternParams(0.1, 0.01, 0.1)
         assert cfg.bounds.upper == MaternParams(1e3, 10.0, 5.0)
         assert cfg.init == MaternParams(1.0, 0.2, 0.5)
-        assert not cfg.scale
 
     def test_contamination_keys(self):
         cfg = build_config({"sim.contam.r": "0.1", "sim.contam.sd": "2"})
@@ -179,8 +177,9 @@ class TestBuildConfig:
             build_config({"repetitions": "0"})
         with pytest.raises(DataError, match="selector"):
             build_config({"selector": "magic"})
-        with pytest.raises(DataError, match="boolean"):
-            build_config({"fit.scale": "maybe"})
+        for key in ("fit.scale", "fit.method"):
+            with pytest.raises(DataError, match="unknown config key.*" + key):
+                build_config({key: "true"})
 
     def test_metadata_keys_tolerated(self):
         cfg = build_config({"generator": "philox", "contam.flags": "0,1"})
@@ -254,6 +253,7 @@ class TestMain:
         rec = read_record(out / "fit.txt")
         assert float(rec["q"]) == 0.95
         assert rec["converged"] in ("true", "false")
+        assert "scale" not in rec
         th = MaternParams(float(rec["sigma2"]), float(rec["beta"]),
                           float(rec["nu"]))
         assert float(rec["kappa"]) == pytest.approx(
@@ -265,6 +265,7 @@ class TestMain:
         assert float(se["se.sigma2"]) > 0
         assert se["convention"] in ("negated", "positive", "absolute")
         assert float(se["K.sigma2.beta"]) == float(se["K.beta.sigma2"])
+        assert np.isfinite(float(se["log_scale"]))
         capsys.readouterr()
 
     def test_fit_reproducible(self, tmp_path, capsys):
@@ -293,6 +294,21 @@ class TestMain:
         assert run(["fit", "--data-dir", str(tmp_path),
                     "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key,value", [("fit.scale", "true"),
+                                           ("fit.method", "powell")])
+    def test_removed_fit_key_exit_2(self, tmp_path, capsys, key, value):
+        # configs written for the removed scale and method options fail
+        # with the key named instead of being silently accepted
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(tmp_path / "cfg.txt", extra=[(key, value)])
+        assert run(["simulate", "--n", "4", "--m", "2",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--config", cfgp, "--data-dir", str(out),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
 
     def test_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "w"
@@ -366,4 +382,5 @@ class TestMain:
         meta = read_record(out / "sweep_meta.txt")
         assert meta["repetitions"] == "2"
         assert meta["grid.q"].startswith("1,")
+        assert "fit.scale" not in meta and "fit.method" not in meta
         capsys.readouterr()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqmatern.gauss_lik import (LqValue, NotSPDError, ReplicateSet,
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
                                 chol_factor, log_likelihood, loglik_columns,
                                 lq_of_loglik, profile_lq, profile_sigma2,
                                 total_lq)
@@ -124,38 +124,56 @@ class TestLogLikelihood:
 
 class TestLqOfLoglik:
     def test_q_one_identity(self):
-        v = lq_of_loglik(-3.2, 1.0, 5)
-        assert v.value == -3.2 and v.q == 1.0 and not v.scaled
+        assert lq_of_loglik(-3.2, 1.0) == -3.2
 
     def test_zero_loglik(self):
-        assert lq_of_loglik(0.0, 0.5, 5).value == 0.0
+        assert lq_of_loglik(0.0, 0.5) == 0.0
 
     def test_direct_value(self):
-        got = lq_of_loglik(-2.0, 0.9, 5).value
+        got = lq_of_loglik(-2.0, 0.9)
         assert got == pytest.approx(-1.8126924692201813, rel=1e-12)
         assert got == pytest.approx(np.expm1(-2.0 * 0.1) / 0.1, rel=1e-14)
-
-    def test_scaled_branch(self):
-        v = lq_of_loglik(-2.0, 0.9, 5, scale=True)
-        assert v.scaled
-        assert v.value == pytest.approx(np.exp((-2.0 + 5) * 0.1), rel=1e-14)
 
     def test_domain_errors(self):
         for q in (0.0, -0.5, 1.1):
             with pytest.raises(ValueError):
-                lq_of_loglik(-1.0, q, 5)
-
-    def test_scaled_flag_forbidden_at_q_one(self):
-        with pytest.raises(ValueError):
-            LqValue(value=-1.0, q=1.0, scaled=True)
+                lq_of_loglik(-1.0, q)
 
     def test_limit_as_q_to_one(self):
         # error term is l^2(1-q)/2, so 1e-6(1+|l|) only holds for |l| < ~200
         rng = np.random.default_rng(5)
         for _ in range(50):
             l = rng.uniform(-180.0, 10.0)
-            got = lq_of_loglik(l, 1.0 - 1e-8, 5).value
+            got = lq_of_loglik(l, 1.0 - 1e-8)
             assert abs(got - l) < 1e-6 * (1.0 + abs(l))
+
+
+class TestLqWeights:
+    LVEC = np.array([-310.0, -295.5, -402.25, -301.0])
+
+    def test_q_one_is_plain_sum(self):
+        value, w = _lq_weights(self.LVEC, 1.0)
+        assert value == np.sum(self.LVEC)
+        assert np.array_equal(w, np.ones(4))
+
+    @pytest.mark.parametrize("q", [0.9, 0.5])
+    def test_log_value_and_softmax(self, q):
+        value, w = _lq_weights(self.LVEC, q)
+        h = (1.0 - q) * self.LVEC
+        # the hand form, shifted so that it does not underflow
+        want = (h[1] + np.log(np.sum(np.exp(h - h[1])))) / (1.0 - q)
+        assert value == pytest.approx(want, rel=1e-14)
+        assert w == pytest.approx(np.exp(h - h[1]) / np.sum(np.exp(h - h[1])),
+                                  rel=1e-13)
+        assert w.sum() == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("shift", [-1e5, 1e5])
+    def test_common_shift_moves_value_only(self, shift):
+        # exp((1-q) l) would underflow or overflow here
+        value, w = _lq_weights(self.LVEC, 0.5)
+        got_value, got_w = _lq_weights(self.LVEC + shift, 0.5)
+        assert got_value == pytest.approx(value + shift, rel=1e-14)
+        assert got_w == pytest.approx(w, rel=1e-9)
 
 
 class TestTotalLq:
@@ -177,7 +195,7 @@ class TestTotalLq:
         cov = build_cov(self.locs, self.theta)
         l = log_likelihood(self.reps.data[:, 0], chol_factor(cov))
         got = total_lq(one, self.locs, self.theta, 0.8)
-        assert got == pytest.approx(lq_of_loglik(l, 0.8, 4).value, rel=1e-12)
+        assert got == pytest.approx(lq_of_loglik(l, 0.8), rel=1e-12)
 
     def test_dense_oracle_hand_sum(self):
         cov = build_cov(self.locs, self.theta)
@@ -189,6 +207,8 @@ class TestTotalLq:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_monotone_transform_sign_agreement(self):
+        # the exact sum and the log-domain value rank parameter points
+        # alike; profile_lq with sigma2's bounds pinned scores one theta
         rng = np.random.default_rng(7)
         locs = LocationSet(rng.uniform(0, 1, (9, 2)))
         reps = ReplicateSet(rng.standard_normal((9, 5)))
@@ -200,9 +220,9 @@ class TestTotalLq:
                               rng.uniform(0.3, 1.5))
             exact = (total_lq(reps, locs, ta, q)
                      - total_lq(reps, locs, tb, q))
-            scaled = (total_lq(reps, locs, ta, q, scale=True)
-                      - total_lq(reps, locs, tb, q, scale=True))
-            assert np.sign(exact) == np.sign(scaled)
+            log_vals = [profile_lq(reps, locs, t.beta, t.nu, q, t.sigma2,
+                                   t.sigma2)[1] for t in (ta, tb)]
+            assert np.sign(exact) == np.sign(log_vals[0] - log_vals[1])
 
     def test_not_spd_error_carries_theta(self, monkeypatch):
         import lqmatern.gauss_lik as gl
