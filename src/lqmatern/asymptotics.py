@@ -105,7 +105,7 @@ def _loglik_derivs(Z, locs, theta):
     """Per-replicate g (3, m), H (3, 3, m) and l (m,) for an n x m matrix Z."""
     n, m = Z.shape
     uniq, inv = locs._dist_unique
-    val, grad, hess = _kernel_pass(uniq, theta)   # over unique distances
+    val, grad, hess = _kernel_pass(uniq, theta, locs._dist_cheb)
     try:
         chol = chol_factor(val[inv], jitter_scale=theta.sigma2)
     except NotSPDError as err:

@@ -23,11 +23,36 @@ the recurrence and the modified Bessel ODE; derivatives in the order nu are
 central differences with step s = 1e-4 * max(1, nu), shrunk to nu/2 near
 zero.  At h = 0 all derivatives vanish except dM/dsigma2 = 1, matching the
 analytic limit for nu > 0 and keeping the diagonal of the covariance matrix
-exactly sigma2.
+exactly sigma2.  Where K overflows at tiny t, the value takes its limit
+sigma2 and the derivatives theirs, 0.
 
 Matrix builders evaluate the kernel once per unique distance and scatter the
 values back, which collapses the cost on lattice layouts where the distance
-matrix has few distinct entries.
+matrix has few distinct entries.  How a unique distance is evaluated depends
+on how many there are:
+
+- Up to the number of Chebyshev nodes a ``LocationSet``'s panels would use
+  (a few hundred: the 127 distances of a 10 x 10 lattice stay below it, the
+  369 of a 20 x 20 lattice do not), ``build_cov`` calls ``matern_cov`` and
+  the builders' pass calls kv at every distance, as above.
+- Above it (irregular sites: 79,800 distances at n = 400), the set caches
+  panels of width 0.1 in s = log d over its distances (``_Panels``), and
+  the kernel is a piecewise Chebyshev interpolant of degree 8 in s.  Per
+  (beta, nu), kve runs at the panels' nodes only (520-580 points at
+  n = 400), the node values become coefficients through one fixed 9 x 9
+  matrix, and Clenshaw's recurrence evaluates them over the sorted
+  distances, times e^-t.  The interpolated functions, t^nu K_nu(t) e^t and
+  its companions, are analytic in s, so the interpolant converges
+  spectrally down to the smallest distance: its value was within 7.5e-14
+  relative of kv's for beta in [1e-3, 10] and nu in [0.05, 5] wherever
+  K_nu > 1e-300 (the tests hold it to 1e-12), and it is exactly 0 past
+  t = 690.  beta only shifts s, so
+  one cache serves every (beta, nu).  The builders' pass interpolates the
+  node values of the same six-call pass (``_cheb_terms``); its value stays
+  build_cov's bit for bit.
+
+``matern_cov``, ``matern_grad`` and ``matern_hess`` always evaluate kv
+directly, and the tests use them as the interpolant's reference.
 """
 
 from dataclasses import dataclass
@@ -35,8 +60,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
-# every Bessel evaluation of the package goes through this one binding
+# every Bessel evaluation of the package goes through these two bindings
 from scipy.special import kv as special_kv
+from scipy.special import kve as special_kve
 
 from .specfun import digamma, log_gamma, trigamma
 
@@ -48,6 +74,25 @@ NU_CAP = 5.0
 _NU_STEP = 1e-4
 
 _LN2 = np.log(2.0)
+
+# Chebyshev panels in s = log d (see ``_Panels``): the panel width and the
+# polynomial degree.  Over t in [1e-7, 760] and nu in [0.05, 5], width 0.1
+# with degree 8 interpolates t^nu K_nu(t) e^t within 2.0e-14 relative
+# (degree 7: 1.5e-12; width 0.05 with degree 7: 2.6e-14 at 1.8 times the
+# nodes).
+_CHEB_WIDTH = 0.1
+_CHEB_DEG = 8
+# Past t = 690, K_nu(t) < 1e-300 at every order in (0, 5], and from
+# t = 697.9 scipy's kv returns 0; the interpolated kernel and its
+# derivatives are exactly 0 past _T_ZERO
+_T_ZERO = 690.0
+
+_CHEB_ANGLES = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
+_CHEB_NODES = np.cos(_CHEB_ANGLES)    # first-kind Chebyshev points on [-1, 1]
+# node values -> Chebyshev coefficients (a discrete cosine transform)
+_CHEB_MAP = 2.0 / (_CHEB_DEG + 1) * np.cos(
+    np.outer(np.arange(_CHEB_DEG + 1), _CHEB_ANGLES))
+_CHEB_MAP[0] *= 0.5
 
 
 @dataclass(frozen=True)
@@ -121,6 +166,79 @@ class LocationSet:
         d = self.dists
         uniq, inv = np.unique(d.ravel(), return_inverse=True)
         return uniq, inv.reshape(d.shape)
+
+    @cached_property
+    def _dist_cheb(self):
+        # Chebyshev panels over the positive unique distances, or None when
+        # the panels would have at least as many nodes as there are distances
+        uniq = self._dist_unique[0]
+        panels = _Panels.over(uniq[np.searchsorted(uniq, 0.0, side="right"):])
+        return panels if panels.d.size > panels.nodes.size else None
+
+
+@dataclass(frozen=True, eq=False)
+class _Panels:
+    """Piecewise-Chebyshev layout of a sorted array of positive distances.
+
+    Panel j covers s = log d in [w j, w (j + 1)) for the width w =
+    ``_CHEB_WIDTH``; only panels that hold a distance are kept, and since
+    the distances are sorted each holds a contiguous slice of them.  With
+    t = d / beta, beta only shifts s, so the layout serves every (beta, nu).
+    Stored: the distances (a view), each one's local coordinate x in
+    [-1, 1), the index of each panel's first distance and each panel's
+    node distances, O(u) floats in all.
+    """
+
+    d: np.ndarray
+    x: np.ndarray
+    starts: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def over(cls, d):
+        s = np.log(d) / _CHEB_WIDTH
+        j = np.floor(s)
+        starts = np.flatnonzero(np.diff(j, prepend=-np.inf))
+        nodes = np.exp(_CHEB_WIDTH * (j[starts, None] + 0.5 * (1.0 + _CHEB_NODES)))
+        return cls(d, 2.0 * (s - j) - 1.0, starts, nodes)
+
+    def span(self, beta):
+        """Distances with t = d / beta <= _T_ZERO, and the panels holding them."""
+        live = int(np.searchsorted(self.d, _T_ZERO * beta, side="right"))
+        return live, int(np.searchsorted(self.starts, live))
+
+    def at(self, beta, vals, live):
+        """Interpolant of node values vals (..., k, deg + 1), times e^-t.
+
+        Clenshaw's recurrence over the first ``live`` distances of the first
+        k panels; entries past ``live`` are exactly 0.  Shape (..., u).
+        """
+        k = vals.shape[-2]
+        counts = np.diff(np.append(self.starts[:k], live))
+        coef = vals @ _CHEB_MAP.T
+        x = self.x[:live]
+        x2 = x + x
+
+        def rep(i):
+            return np.repeat(coef[..., i], counts, axis=-1)
+
+        # three buffers, the first of them the output's live part, rotate
+        # through the recurrence b_i = c_i + 2 x b_(i+1) - b_(i+2)
+        out = np.zeros(vals.shape[:-2] + self.d.shape)
+        b1 = out[..., :live]
+        b1[...] = rep(_CHEB_DEG)
+        b2, b = np.zeros_like(b1), np.empty_like(b1)
+        for i in range(_CHEB_DEG - 1, 0, -1):
+            np.multiply(x2, b1, out=b)
+            b -= b2
+            b += rep(i)
+            b1, b2, b = b, b1, b2
+        np.multiply(x, b1, out=b)
+        b -= b2
+        b += rep(0)
+        b *= np.exp(-self.d[:live] / beta)
+        out[..., :live] = b
+        return out
 
 
 # === kernel evaluation ======================================================
@@ -217,58 +335,136 @@ def _order_stencil(nu, t, s):
     return k, kp, tnu, dgk, d2gk, dpk
 
 
-def _kernel_pass(h, theta):
+def _direct_terms(t, theta):
+    """The pass's per-distance terms at t > 0 from kv at every distance.
+
+    Returns (g, m_b, m_n, h_bb, h_bn, h_nn): g = t^nu K_nu, the beta and nu
+    derivatives of M / sigma2, and the (beta, beta), (beta, nu) and (nu, nu)
+    Hessian entries of M.
+    """
+    s2, beta, nu = theta.sigma2, theta.beta, theta.nu
+    h = t * beta
+    c = _coef(nu)
+    lp = _LN2 + digamma(nu)    # c'(nu)/c(nu) = -(ln 2 + Psi(nu))
+    k, kp, tnu, dgk, d2gk, dpk = _order_stencil(nu, t, _nu_step(nu))
+    gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
+    pk = tnu * kp                        # t^nu K'_nu
+    kpp = _bessel_k_dxx(nu, t, k, kp)
+    m_b = -c * tnu * (nu / beta * k + h / beta ** 2 * kp)
+    m_n = c * (dgk - lp * gk)
+    # d2M/dbeta2: differentiate -s2 c (h/beta^2)(nu t^(nu-1) K + t^nu K')
+    # once more in beta; collecting powers of t gives
+    #   s2 c / beta^2 * t^nu [ nu(nu+1) K + 2(nu+1) t K' + t^2 K'' ]
+    h_bb = s2 * c / beta ** 2 * tnu * (
+        nu * (nu + 1.0) * k + 2.0 * (nu + 1.0) * t * kp + t * t * kpp
+    )
+    # d2M/dbeta dnu: nu-derivative of the beta-derivative; the c(nu)
+    # factor contributes -(ln 2 + Psi), the bracket differentiates
+    # termwise with t^nu K and t^nu K' replaced by their nu-stencils
+    h_bn = -s2 * c * (
+        -lp * (nu / beta * gk + h / beta ** 2 * pk)
+        + gk / beta + nu / beta * dgk + h / beta ** 2 * dpk
+    )
+    # d2M/dnu2: second derivative of c(nu) g(nu) with
+    # c'/c = -(ln 2 + Psi), c''/c = (ln 2 + Psi)^2 - Psi'
+    h_nn = s2 * c * ((lp * lp - trigamma(nu)) * gk - 2.0 * lp * dgk + d2gk)
+    return gk, m_b, m_n, h_bb, h_bn, h_nn
+
+
+def _node_g(mu, t):
+    """t^mu K_mu(t) e^t from kve; where kve overflows, the limit Gamma(mu) 2^(mu-1)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _limit_patched(mu, t ** mu * special_kve(mu, t))
+
+
+def _node_q(mu, t):
+    """t^(mu+1) K_{mu-1}(t) e^t from kve; where kve overflows, the limit 0."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = t ** (mu + 1.0) * special_kve(mu - 1.0, t)
+    return np.where(np.isfinite(q), q, 0.0)
+
+
+def _cheb_g(panels, theta):
+    """t^nu K_nu(t) at the panels' distances, interpolated."""
+    live, k = panels.span(theta.beta)
+    return panels.at(theta.beta, _node_g(theta.nu, panels.nodes[:k] / theta.beta), live)
+
+
+def _cheb_terms(panels, theta):
+    """``_direct_terms`` at the panels' distances, from interpolants.
+
+    kve runs at the nodes only, at the orders mu - 1 and mu for mu in
+    {nu - s, nu, nu + s}.  Five quantities, all smooth in s = log t, are
+    interpolated: g = t^nu K_nu and q = t^(nu+1) K_{nu-1}, and the
+    nu-stencils of ``_order_stencil``, dg, d2g and t dp, where
+    t p = t^(mu+1) K'_mu = -q - mu g by the recurrence.  Each is computed
+    at the nodes and multiplied by e^-t after interpolation.  With t^2 K''
+    from the Bessel ODE the terms are linear in these five, and q carries
+    the beta-derivative without the cancellation of nu K + t K' at small t.
+    g is interpolated as ``_cheb_g`` does it, so the pass's value is
+    build_cov's bit for bit.
+    """
+    s2, beta, nu = theta.sigma2, theta.beta, theta.nu
+    live, k = panels.span(beta)
+    tn = panels.nodes[:k] / beta
+    s = _nu_step(nu)
+    g_lo, g, g_hi = [_node_g(mu, tn) for mu in (nu - s, nu, nu + s)]
+    q_lo, q, q_hi = [_node_q(mu, tn) for mu in (nu - s, nu, nu + s)]
+    tp_hi, tp_lo = -q_hi - (nu + s) * g_hi, -q_lo - (nu - s) * g_lo
+    gk = panels.at(beta, g, live)
+    qk, dgk, d2gk, tdpk = panels.at(beta, np.stack([
+        q, (g_hi - g_lo) / (2.0 * s), (g_hi - 2.0 * g + g_lo) / (s * s),
+        (tp_hi - tp_lo) / (2.0 * s)]), live)
+
+    t = panels.d / beta
+    c = _coef(nu)
+    lp = _LN2 + digamma(nu)
+    m_b = c / beta * qk             # -c/beta t^nu (nu K + t K')
+    m_n = c * (dgk - lp * gk)
+    # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
+    h_bb = s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk)
+    h_bn = -s2 * c / beta * (gk + nu * dgk + tdpk + lp * qk)
+    h_nn = s2 * c * ((lp * lp - trigamma(nu)) * gk - 2.0 * lp * dgk + d2gk)
+    return gk, m_b, m_n, h_bb, h_bn, h_nn
+
+
+def _kernel_pass(h, theta, panels=None):
     """Value, gradient and Hessian of M(h; theta) over a 1-D array h >= 0.
 
-    One Bessel pass serves all three (six kv calls, ``_order_stencil``).  The
-    value is computed with matern_cov's operations, small-t patch included,
-    so it equals matern_cov bit for bit.  Returns val (u,), grad (3, u) and
-    hess (3, 3, u), with the conventions of matern_grad and matern_hess.
+    One Bessel pass serves all three.  Without ``panels`` it evaluates kv at
+    every distance (six calls, ``_direct_terms``), and the value is computed
+    with matern_cov's operations, small-t patch included, so it equals
+    matern_cov bit for bit.  With ``panels``, built over the positive
+    entries of the sorted h (``LocationSet._dist_cheb``), the terms come
+    from Chebyshev interpolants (``_cheb_terms``) and the value equals
+    build_cov's.  Where kv overflows at tiny t the derivatives take their
+    t -> 0 limit, 0.  Returns val (u,), grad (3, u) and hess (3, 3, u),
+    with the conventions of matern_grad and matern_hess.
     """
     s2, beta, nu = theta.sigma2, theta.beta, theta.nu
     t = h / beta
     val = np.ones_like(t)
     grad = np.zeros((3,) + t.shape)
     hess = np.zeros((3, 3) + t.shape)
-    pos = t > 0.0
-    if np.any(pos):
-        tp = t[pos]
-        hp = tp * beta
-        c = _coef(nu)
-        lp = _LN2 + digamma(nu)    # c'(nu)/c(nu) = -(ln 2 + Psi(nu))
-        k, kp, tnu, dgk, d2gk, dpk = _order_stencil(nu, tp, _nu_step(nu))
-        with np.errstate(invalid="ignore", over="ignore"):
-            gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
-        pk = tnu * kp                            # t^nu K'_nu
-        kpp = _bessel_k_dxx(nu, tp, k, kp)
-        val[pos] = c * gk
-
-        # M is linear in sigma2: the beta and nu derivatives over sigma2 are
-        # also the mixed (sigma2, .) Hessian entries
-        m_b = -c * tnu * (nu / beta * k + hp / beta ** 2 * kp)
-        m_n = c * (dgk - lp * gk)
-        grad[1][pos] = s2 * m_b
-        grad[2][pos] = s2 * m_n
-        hess[0, 1][pos] = hess[1, 0][pos] = m_b
-        hess[0, 2][pos] = hess[2, 0][pos] = m_n
-
-        # d2M/dbeta2: differentiate -s2 c (h/beta^2)(nu t^(nu-1) K + t^nu K')
-        # once more in beta; collecting powers of t gives
-        #   s2 c / beta^2 * t^nu [ nu(nu+1) K + 2(nu+1) t K' + t^2 K'' ]
-        hess[1, 1][pos] = s2 * c / beta ** 2 * tnu * (
-            nu * (nu + 1.0) * k + 2.0 * (nu + 1.0) * tp * kp + tp * tp * kpp
-        )
-        # d2M/dbeta dnu: nu-derivative of the beta-derivative; the c(nu)
-        # factor contributes -(ln 2 + Psi), the bracket differentiates
-        # termwise with t^nu K and t^nu K' replaced by their nu-stencils
-        hess[1, 2][pos] = hess[2, 1][pos] = -s2 * c * (
-            -lp * (nu / beta * gk + hp / beta ** 2 * pk)
-            + gk / beta + nu / beta * dgk + hp / beta ** 2 * dpk
-        )
-        # d2M/dnu2: second derivative of c(nu) g(nu) with
-        # c'/c = -(ln 2 + Psi), c''/c = (ln 2 + Psi)^2 - Psi'
-        hess[2, 2][pos] = s2 * c * ((lp * lp - trigamma(nu)) * gk
-                                    - 2.0 * lp * dgk + d2gk)
+    if panels is not None:
+        pos = slice(t.size - panels.d.size, None)
+        terms = _cheb_terms(panels, theta)
+    else:
+        pos = t > 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = _direct_terms(t[pos], theta)
+    gk, m_b, m_n, h_bb, h_bn, h_nn = [np.where(np.isfinite(a), a, 0.0)
+                                      for a in terms]
+    val[pos] = _coef(nu) * gk
+    # M is linear in sigma2: the beta and nu derivatives over sigma2 are
+    # also the mixed (sigma2, .) Hessian entries
+    grad[1][pos] = s2 * m_b
+    grad[2][pos] = s2 * m_n
+    hess[0, 1][pos] = hess[1, 0][pos] = m_b
+    hess[0, 2][pos] = hess[2, 0][pos] = m_n
+    hess[1, 1][pos] = h_bb
+    hess[1, 2][pos] = hess[2, 1][pos] = h_bn
+    hess[2, 2][pos] = h_nn
     grad[0] = val                  # M / sigma2, exactly 1 at h = 0
     return s2 * val, grad, hess
 
@@ -306,16 +502,26 @@ def matern_hess(h, theta):
 
 
 def build_cov(locs, theta):
-    """Covariance matrix over a location set; evaluates once per unique distance."""
+    """Covariance matrix over a location set; evaluates once per unique distance.
+
+    Sets with more unique distances than Chebyshev nodes interpolate the
+    kernel (``LocationSet._dist_cheb``); the others call matern_cov.
+    """
     uniq, inv = locs._dist_unique
-    vals = matern_cov(uniq, theta)
+    panels = locs._dist_cheb
+    if panels is None:
+        vals = matern_cov(uniq, theta)
+    else:
+        vals = np.ones_like(uniq)
+        vals[uniq.size - panels.d.size:] = _coef(theta.nu) * _cheb_g(panels, theta)
+        vals *= theta.sigma2
     return vals[inv]
 
 
 def build_cov_grad(locs, theta):
     """Entrywise kernel gradient over the distance matrix, shape (3, n, n)."""
     uniq, inv = locs._dist_unique
-    _, g, _ = _kernel_pass(uniq, theta)
+    _, g, _ = _kernel_pass(uniq, theta, locs._dist_cheb)
     return g[:, inv]
 
 
@@ -325,5 +531,5 @@ def build_cov_hess(locs, theta):
     Symmetric in the two parameter axes (cross terms mirrored) and in (i, j).
     """
     uniq, inv = locs._dist_unique
-    _, _, hh = _kernel_pass(uniq, theta)
+    _, _, hh = _kernel_pass(uniq, theta, locs._dist_cheb)
     return hh[:, :, inv]

@@ -8,7 +8,7 @@ from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
                                   sandwich, std_errs, ustar, ustar_all, vstar)
 from lqmatern.gauss_lik import (ReplicateSet, chol_factor, log_likelihood,
                                 lq_of_loglik)
-from lqmatern import matern
+from lqmatern import asymptotics, matern
 from lqmatern.matern import (MaternParams, build_cov, build_cov_grad,
                              build_cov_hess)
 from lqmatern.estimate import fit
@@ -248,19 +248,26 @@ class TestSandwich:
         assert np.abs(J - J_want).max() < 1e-12 * max(np.abs(J_want).max(), 1.0)
         assert parts.m == 8
 
+    def bessel_calls(self, monkeypatch, locs):
+        reps = gen_replicates(locs, self.theta, 8, seed=13)
+        calls = []
+        for name in ("special_kv", "special_kve"):
+            def counting(order, x, real=getattr(matern, name)):
+                calls.append(order)
+                return real(order, x)
+            monkeypatch.setattr(matern, name, counting)
+        sandwich(reps, locs, self.theta, 0.9)
+        return calls
+
     def test_at_most_six_bessel_calls(self, monkeypatch):
         # value, gradient and Hessian come from one pass: kv at orders mu - 1
         # and mu for mu in {nu - s, nu, nu + s}, and no separate build_cov
-        calls = []
-        real_kv = matern.special_kv
+        assert 0 < len(self.bessel_calls(monkeypatch, LOCS9)) <= 6
 
-        def counting_kv(order, x):
-            calls.append(order)
-            return real_kv(order, x)
-
-        monkeypatch.setattr(matern, "special_kv", counting_kv)
-        sandwich(self.reps, LOCS9, self.theta, 0.9)
-        assert 0 < len(calls) <= 6
+    def test_at_most_six_bessel_calls_interpolated(self, monkeypatch):
+        # on irregular sites the same six orders go to kve at the nodes only
+        assert LOCS25._dist_cheb is not None
+        assert 0 < len(self.bessel_calls(monkeypatch, LOCS25)) <= 6
 
     def test_k_psd_and_symmetry(self):
         parts = sandwich(self.reps, LOCS9, self.theta, 0.95)
@@ -420,3 +427,47 @@ class TestStdErrsAtAnyDataScale:
         locs, reps, _ = simulate_dataset(cfg)
         base = scaled_se(reps, locs, cfg.theta, 0.5, 1.0)
         assert_scaled_se(scaled_se(reps, locs, cfg.theta, 0.5, 10.0), base, 10.0)
+
+
+# The direct pass's own rounding noise, measured as the largest change of
+# standardised K and J when nu moves by 1, 2 and 3 times 1e-14 relative: the
+# nu-stencils divide rounding by the step (1e-8 for the second difference).
+# The interpolated pass must agree with the direct one within this many
+# times that noise (measured ratios 0.05-0.65 on five layouts).
+NOISE_FACTOR = 4.0
+
+
+def standardised(mat):
+    d = np.sqrt(np.abs(np.diag(mat)))
+    return mat / np.outer(d, d)
+
+
+class TestInterpolatedSandwich:
+    """Irregular sites take the Chebyshev kernel (``matern._Panels``)."""
+
+    @pytest.mark.parametrize("n, seed, theta, q", [
+        (49, 1, MaternParams(1.0, 0.1, 0.5), 0.9),
+        (64, 2, MaternParams(1.2, 0.2, 1.3), 0.95),
+        (64, 3, MaternParams(0.8, 0.05, 0.3), 0.8),
+        (49, 5, MaternParams(1.0, 0.02, 4.0), 1.0),
+    ])
+    def test_k_and_j_within_direct_noise(self, monkeypatch, n, seed, theta, q):
+        locs, reps, _ = simulate_dataset(
+            SimConfig(theta, n=n, m=30, layout="uniform", seed=seed))
+        assert locs._dist_cheb is not None
+        interp = sandwich(reps, locs, theta, q)
+        real_pass = matern._kernel_pass
+        monkeypatch.setattr(asymptotics, "_kernel_pass",
+                            lambda h, th, panels=None: real_pass(h, th))
+        direct = sandwich(reps, locs, theta, q)
+        noise = np.zeros(2)
+        for k in (1, 2, 3):
+            nudged = MaternParams(theta.sigma2, theta.beta, theta.nu * (1.0 + k * 1e-14))
+            other = sandwich(reps, locs, nudged, q)
+            noise = np.maximum(noise, [
+                np.abs(standardised(other.K) - standardised(direct.K)).max(),
+                np.abs(standardised(other.J) - standardised(direct.J)).max()])
+        assert np.all(noise > 0.0)
+        err = [np.abs(standardised(interp.K) - standardised(direct.K)).max(),
+               np.abs(standardised(interp.J) - standardised(direct.J)).max()]
+        assert np.all(np.array(err) <= NOISE_FACTOR * noise), (err, noise)

@@ -17,7 +17,8 @@ def test_all_seven_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # the CLI demo writes into a fresh temporary directory: keep it here
+    # the CLI demo writes into a fresh temporary directory: keep it here, and
+    # check that the demo removed it
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -26,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    assert not list(tmp_path.glob("lqmatern_demo_*"))

@@ -1,10 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import kv
 
-from lqmatern.matern import (NU_CAP, LocationSet, MaternParams, _kernel_pass,
-                             build_cov, build_cov_grad, build_cov_hess,
-                             matern_cov, matern_grad, matern_hess)
+from lqmatern.matern import (NU_CAP, LocationSet, MaternParams, _coef,
+                             _kernel_pass, build_cov, build_cov_grad,
+                             build_cov_hess, matern_cov, matern_grad,
+                             matern_hess)
 from lqmatern.simulate import make_locations
+
+# irregular sites: 2,016 unique positive distances against 378 Chebyshev
+# nodes, so the builders interpolate the kernel
+LOCS_CHEB = make_locations(64, "uniform", seed=0)
 
 
 def rand_theta(rng, nu_hi=3.0):
@@ -258,15 +268,114 @@ class TestBuilders:
 
     def test_kernel_pass_value_is_build_cov(self):
         # the sandwich gathers its covariance from the one-pass value, so it
-        # must be the fit's build_cov bit for bit, on lattice and irregular
-        # sites, with the gradient and Hessian the builders return
+        # must be the fit's build_cov bit for bit, on lattice sites (direct
+        # kv) and on irregular sites (Chebyshev interpolant), with the
+        # gradient and Hessian the builders return
         rng = np.random.default_rng(14)
         for layout in ("grid", "uniform"):
             locs = make_locations(49, layout, seed=2)
             uniq, inv = locs._dist_unique
+            panels = locs._dist_cheb
+            assert (panels is None) == (layout == "grid")
             for _ in range(5):
                 th = rand_theta(rng, nu_hi=NU_CAP)
-                val, grad, hess = _kernel_pass(uniq, th)
+                val, grad, hess = _kernel_pass(uniq, th, panels)
                 assert np.array_equal(val[inv], build_cov(locs, th))
                 assert np.array_equal(grad[:, inv], build_cov_grad(locs, th))
                 assert np.array_equal(hess[:, :, inv], build_cov_hess(locs, th))
+
+
+def kv_oracle(h, th):
+    """K_nu, the value, dM/dbeta and d2M/dbeta2 from scipy's kv directly.
+
+    With t = h / beta, dM/dbeta = sigma2 c / beta * t^(nu+1) K_{nu-1}(t) and
+    d2M/dbeta2 = sigma2 c / beta^2 * t^(nu+1) (t K_nu - (2 nu + 1) K_{nu-1}),
+    both from the recurrence; neither cancels at small t.
+    """
+    t = h / th.beta
+    k, k1 = kv(th.nu, t), kv(th.nu - 1.0, t)
+    c = th.sigma2 * _coef(th.nu)
+    return (k, c * t ** th.nu * k, c / th.beta * t ** (th.nu + 1.0) * k1,
+            c / th.beta ** 2 * t ** (th.nu + 1.0) * (t * k - (2.0 * th.nu + 1.0) * k1))
+
+
+class TestChebyshevKernel:
+    """The interpolated kernel against kv, and where it is not used."""
+
+    def test_path_follows_the_distance_count(self):
+        # lattices have few unique distances and keep the direct path
+        for n in (16, 49, 100):
+            assert make_locations(n, "grid", seed=0)._dist_cheb is None
+        panels = LOCS_CHEB._dist_cheb
+        assert panels.nodes.size < panels.d.size
+        assert np.array_equal(panels.d, LOCS_CHEB._dist_unique[0][1:])
+        assert np.all((panels.x >= -1.0) & (panels.x < 1.0))
+
+    @pytest.mark.parametrize("n", [16, 49, 100])
+    def test_lattice_is_direct_bit_for_bit(self, n):
+        # below the node count the builders are the direct kv path exactly,
+        # so fits, standard errors and the CLI sweep on lattices are unchanged
+        locs = make_locations(n, "grid", seed=0)
+        uniq, _ = locs._dist_unique
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            th = rand_theta(rng, nu_hi=NU_CAP)
+            assert np.array_equal(build_cov(locs, th), matern_cov(locs.dists, th))
+            assert np.array_equal(build_cov_grad(locs, th), matern_grad(locs.dists, th))
+            assert np.array_equal(build_cov_hess(locs, th), matern_hess(locs.dists, th))
+            for a, b in zip(_kernel_pass(uniq, th, locs._dist_cheb),
+                            _kernel_pass(uniq, th)):
+                assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(log10_beta=st.floats(-3.0, 1.0), nu=st.floats(0.05, NU_CAP))
+    @example(log10_beta=-3.0, nu=0.05)
+    @example(log10_beta=-3.0, nu=NU_CAP)
+    @example(log10_beta=1.0, nu=0.05)
+    @example(log10_beta=1.0, nu=NU_CAP)
+    def test_matches_kv(self, log10_beta, nu):
+        # over the bound box, corners included: the value and dM/dbeta (the
+        # interpolants of t^nu K_nu and t^(nu+1) K_{nu-1}) within 1e-12
+        # relative of kv wherever K_nu > 1e-300, d2M/dbeta2 within 1e-12 of
+        # its largest entry, exactly sigma2 at h = 0 and exactly 0 where kv
+        # underflows
+        th = MaternParams(1.7, 10.0 ** log10_beta, nu)
+        uniq, inv = LOCS_CHEB._dist_unique
+        val, grad, hess = _kernel_pass(uniq, th, LOCS_CHEB._dist_cheb)
+        assert np.array_equal(val[inv], build_cov(LOCS_CHEB, th))
+        assert val[0] == th.sigma2
+        assert np.array_equal(grad[:, 0], [1.0, 0.0, 0.0])
+        assert np.all(hess[:, :, 0] == 0.0)
+
+        k, want, want_b, want_bb = kv_oracle(uniq[1:], th)
+        live = k > 1e-300
+        assert np.any(live)
+        for got, ref in ((val[1:], want), (grad[1, 1:], want_b),
+                         (th.sigma2 * hess[0, 1, 1:], want_b)):
+            assert np.all(np.abs(got[live] - ref[live]) <= 1e-12 * ref[live])
+        err_bb = np.abs(hess[1, 1, 1:][live] - want_bb[live])
+        assert err_bb.max() <= 1e-12 * np.abs(want_bb[live]).max()
+        dead = k == 0.0
+        assert np.all(val[1:][dead] == 0.0)
+        assert np.all(grad[:, 1:][:, dead] == 0.0)
+        assert np.all(hess[:, :, 1:][:, :, dead] == 0.0)
+
+    def test_tiny_distances_take_limits(self):
+        # two sites 1e-70 apart: kve overflows at the smallest nodes for
+        # nu = 5, and the node values take their t -> 0 limits
+        c = np.vstack([[[0.0, 0.0], [1e-70, 0.0]],
+                       make_locations(47, "uniform", seed=3).coords])
+        locs = LocationSet(c)
+        uniq, _ = locs._dist_unique
+        assert locs._dist_cheb is not None and uniq[1] == 1e-70
+        assert kv(NU_CAP, uniq[1] / 0.5) == np.inf
+        for nu in (0.05, 0.73, 2.0, NU_CAP):
+            th = MaternParams(1.3, 0.5, nu)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                val, grad, hess = _kernel_pass(uniq, th, locs._dist_cheb)
+            assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+            want = matern_cov(uniq, th)
+            assert np.all(np.abs(val - want) <= 1e-12 * want)
+            _, grad_d, _ = _kernel_pass(uniq, th)
+            assert np.abs(grad[1] - grad_d[1]).max() <= 1e-12 * np.abs(grad_d[1]).max()

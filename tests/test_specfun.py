@@ -113,12 +113,20 @@ class TestBesselK:
             warnings.simplefilter("error")
             want = matern_cov(1e-300, th)
         assert want == pytest.approx(2.0, rel=1e-13)
-        # the pass's derivatives have no such patch (nan there); its value
-        # takes the same limit bit for bit
-        with np.errstate(invalid="ignore", over="ignore"):
-            val = _kernel_pass(np.array([0.0, 1e-300]), th)[0]
-        assert val[1] == want
-        assert val[0] == 2.0
+        # the pass's value takes the same limit bit for bit, and where K_mu or
+        # K'_mu overflow its derivatives take their t -> 0 limit, 0, without
+        # a warning
+        ts = np.array([0.0, 1e-300, 1e-200, 1e-100])
+        for nu in (0.05, 0.73, 2.0, NU_CAP):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                th = MaternParams(2.0, 1.0, nu)
+                val, grad, hess = _kernel_pass(ts, th)
+                assert np.array_equal(val, matern_cov(ts, th))
+            assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+            if nu == NU_CAP:
+                assert val[1] == want
+                assert np.all(grad[1:, 1:] == 0.0) and np.all(hess[:, :, 1:] == 0.0)
 
 
 class TestBesselKDx:
