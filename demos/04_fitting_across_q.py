@@ -28,11 +28,16 @@ t0 = time.time()
 prof = fit_profile(reps, locs, grid)
 print("\nclean data (n = 100, m = 100), %.1fs for %d warm-started fits"
       % (time.time() - t0, len(grid)))
-print("%-6s %-22s %-10s %s" % ("q", "theta-hat", "kappa-hat", "evals"))
+# the first fit starts cold; each later one starts with Newton steps at the
+# previous estimate, so it scores a handful of points and a few derivative
+# passes ("newton")
+print("%-6s %-22s %-10s %-6s %s" % ("q", "theta-hat", "kappa-hat", "evals",
+                                     "newton"))
 for q, f in zip(prof.grid, prof.fits):
     t = f.theta_hat
-    print("%-6g (%.3f, %.4f, %.3f)  %-10.3f %d"
-          % (q, t.sigma2, t.beta, t.nu, kappa(t), f.evaluations))
+    print("%-6g (%.3f, %.4f, %.3f)  %-10.3f %-6d %d"
+          % (q, t.sigma2, t.beta, t.nu, kappa(t), f.evaluations,
+             f.newton_steps))
 
 # --- contaminated data ------------------------------------------------------
 

@@ -35,8 +35,10 @@ from one explicit Sigma^-1 formed from the same factor, as
 tr(Sigma^-1 D) = <Sigma^-1, D> for symmetric D and tr(B_j B_k) with
 B_j = Sigma^-1 dS_j.
 
-The fit's Newton confirmation (``estimate``) uses the same weighted sums as
-derivatives of the log-domain objective (``_lq_derivs``).
+The fit's Newton steps (``estimate``) need only the gradient and Hessian of
+the log-domain objective, the sums over replicates of these terms.
+``_lq_derivs`` forms them from weighted sums over locations, without any
+replicate's Hessian (see there).
 
 ``std_errs`` implements the printed standard-error form: the r-th diagonal
 entry of J^-1/2 K^1/2 J^-1/2.  J estimated from data at a maximum is close
@@ -101,9 +103,14 @@ class StdErrs:
     cond: float = float("nan")
 
 
-def _loglik_derivs(Z, locs, theta):
-    """Per-replicate g (3, m), H (3, 3, m) and l (m,) for an n x m matrix Z."""
-    n, m = Z.shape
+def _factored_pass(Z, locs, theta):
+    """The kernel pass at theta with Sigma's factor, Sigma^-1 Z and Sigma^-1.
+
+    Returns (inv, grad, hess, chol, W, Sinv): the pass over the unique
+    distances and their scatter index, the Cholesky factor, W = Sigma^-1 Z
+    for the n x m matrix Z, and one explicit inverse for the traces.
+    """
+    n = Z.shape[0]
     uniq, inv = locs._dist_unique
     val, grad, hess = _kernel_pass(uniq, theta, locs._dist_cheb)
     try:
@@ -117,10 +124,16 @@ def _loglik_derivs(Z, locs, theta):
     # under two-thread OpenBLAS on a 2-core host (the copy changes the
     # summation order of the column sums, so K and J move by about an ulp)
     W = np.ascontiguousarray(cho_solve(cl, Z, check_finite=False))
-    lvec = loglik_columns(Z, chol)
-
-    # one explicit inverse for the per-theta traces
     Sinv = cho_solve(cl, np.eye(n), check_finite=False)
+    return inv, grad, hess, chol, W, Sinv
+
+
+def _loglik_derivs(Z, locs, theta):
+    """Per-replicate g (3, m), H (3, 3, m) and l (m,) for an n x m matrix Z."""
+    m = Z.shape[1]
+    inv, grad, hess, chol, W, Sinv = _factored_pass(Z, locs, theta)
+    cl = (chol.L, True)
+    lvec = loglik_columns(Z, chol)
     dS = grad[:, inv]                          # (3, n, n)
     B = Sinv @ dS
     tr_B = np.trace(B, axis1=1, axis2=2)
@@ -166,17 +179,52 @@ def _lq_derivs(Z, locs, theta, q):
     """Gradient (3,) and Hessian (3, 3) of the log-domain Lq objective.
 
     The objective of the n x m data matrix Z is ``_lq_weights``'s value, the
-    one ``gauss_lik.profile_lq`` scores.  In the weighted terms of
-    ``_scores_batch``, whose weights sum to one below q = 1, its gradient
-    is gbar = sum U_i and its Hessian is
+    one ``gauss_lik.profile_lq`` scores.  With its weights w (summing to one
+    below q = 1), the gradient is gbar = sum w_i g_i and the Hessian is
 
-        sum V_i - (1-q) gbar gbar'
-            = sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
+        sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
+
+    Only the weighted sum of the H_i is needed, so with M = W diag(w) W'
+    (W = Sigma^-1 Z) its data terms are inner products over locations:
+    sum w_i w_i' d2S w_i = <d2S, M> and
+    sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i) = <dS_j, B_k M>.  The sigma2
+    row is analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2 and
+    d2S_0k = dS_k / sigma2.  Per replicate, only g_i is formed, for the
+    covariance term.  The sandwich, which needs every replicate's U and V,
+    keeps ``_scores_batch``.
     """
-    U, V, _ = _scores_batch(Z, locs, theta, q)
-    grad = U.sum(axis=1)
-    hess = V.sum(axis=2) - (1.0 - q) * np.outer(grad, grad)
-    return grad, 0.5 * (hess + hess.T)
+    n, m = Z.shape
+    s2 = theta.sigma2
+    inv, grad, hess, _chol, W, Sinv = _factored_pass(Z, locs, theta)
+    quad = np.einsum("ij,ij->j", Z, W)         # z' Sigma^-1 z
+    # the weights do not see the log density's terms common to all replicates
+    _, w = _lq_weights(-0.5 * quad, q)
+    w_sum = float(w.sum())
+
+    dS = grad[1:, inv]                         # (2, n, n): beta, nu
+    B = Sinv @ dS
+    tr_B = np.trace(B, axis1=1, axis2=2)
+    M = (W * w) @ W.T
+    BM = B @ M
+    dS_M = np.array([np.vdot(dS[j], M) for j in range(2)])
+
+    g = np.empty((3, m))
+    g[0] = 0.5 * (quad - n) / s2
+    g[1:] = 0.5 * np.einsum("jim,im->jm", dS @ W, W) - 0.5 * tr_B[:, None]
+    gbar = g @ w
+
+    H = np.empty((3, 3))
+    H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
+    H[0, 1:] = H[1:, 0] = -0.5 * dS_M / s2
+    for j, k in ((0, 0), (0, 1), (1, 1)):
+        d2S = hess[j + 1, k + 1][inv]
+        h_jk = (0.5 * w_sum * (np.sum(B[j] * B[k].T) - np.vdot(Sinv, d2S))
+                + 0.5 * np.vdot(d2S, M) - np.vdot(dS[j], BM[k]))
+        H[j + 1, k + 1] = H[k + 1, j + 1] = h_jk
+    if q < 1.0:
+        G = g - gbar[:, None]
+        H += (1.0 - q) * ((G * w) @ G.T)
+    return gbar, 0.5 * (H + H.T)
 
 
 def ustar(z, locs, theta, q):

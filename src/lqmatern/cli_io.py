@@ -465,6 +465,7 @@ def _fit_record(res, tol):
             ("nu", _fmt(th.nu)), ("kappa", _fmt(kappa(th))),
             ("objective", _fmt(res.objective)),
             ("iterations", res.iterations), ("evaluations", res.evaluations),
+            ("newton_steps", res.newton_steps),
             ("converged", _fmt(res.converged)), ("restarts", res.restarts),
             ("tol", _fmt(tol)),
             ("init.sigma2", _fmt(res.init.sigma2)),
@@ -588,7 +589,10 @@ def cmd_sweep(args):
             continue
         good = {round(q, 12): f.theta_hat
                 for q, f in zip(prof.grid, prof.fits) if np.isfinite(f.objective)}
-        fresh = make_fit_fn(reps, locs, cfg.bounds, cfg.init, cfg.tol)
+        # q values off the profile's grid start at its last good estimate;
+        # a failed grid point keeps the one before it as its theta_hat
+        fresh = make_fit_fn(reps, locs, cfg.bounds, prof.fits[-1].theta_hat,
+                            cfg.tol, warm=True)
 
         def fit_fn(q, good=good, fresh=fresh):
             key = round(float(q), 12)

@@ -1,44 +1,55 @@
-"""Maximum Lq-likelihood fitting: a bounded simplex search, confirmed by Newton.
+"""Maximum Lq-likelihood fitting: a loose simplex search, finished by Newton.
 
 Sigma = sigma2 R(beta, nu), and sigma2 only rescales a correlation matrix
 that costs the same to build at every sigma2, so sigma2 is profiled out:
 the search runs over (beta, nu) alone, and at each trial point
 ``gauss_lik.profile_lq`` builds and factors R once and solves for sigma2
-exactly inside its bounds (closed form at q = 1, an ascent fixed point
-below; see ``gauss_lik.profile_sigma2``).
+exactly inside its bounds (closed form at q = 1, safeguarded Newton steps
+in log sigma2 below; see ``gauss_lik.profile_sigma2``).  The search works
+in bound-scaled coordinates: (beta, nu) is mapped affinely to the unit
+square u = (x - lower) / width, where ``tol`` is measured.
 
-Nelder-Mead runs in bound-scaled coordinates: (beta, nu) is mapped affinely
-to the unit square u = (x - lower) / width, and convergence is declared when
-the simplex diameter falls below ``tol`` in that scaled space.
+It compares the log-domain profile value V (sum l at q = 1,
+logsumexp((1-q) l) / (1-q) below), a strictly increasing transform of the
+exact Lq objective sum (f^(1-q) - 1) / (1-q).  Every number the fit needs,
+the reported ``objective`` included, comes from the values and sigma2
+solutions the search has cached; the fit builds no full covariance of its
+own.
 
-Termination is driven by the simplex diameter alone (the objective-spread
-test is disabled).  This matters beyond taste: Nelder-Mead steps depend only
-on the ordering of objective values, and the search compares the log-domain
-profile value V (sum l at q = 1, logsumexp((1-q) l) / (1-q) below), a
-strictly increasing transform of the exact Lq objective
-sum (f^(1-q) - 1) / (1-q).  Every number the fit needs, the reported
-``objective`` included, comes from the values and sigma2 solutions the
-search has cached; the fit builds no full covariance of its own.
+A cold fit has three stages.
 
-The simplex's answer u is then confirmed by one Newton step delta on the
-same profile value in u, from its exact gradient and Hessian
-(``_profile_derivs``).  The point u + delta is the estimate when the run
-ended normally, u scored finite, the Hessian is negative definite,
-|delta| <= ``tol`` componentwise, u + delta lies in the box and scores no
-lower than u.  The step is invariant under the model's symmetries: the
-replicate weights are normalized, so rescaling the data by c shifts every
-log density by the same constant and leaves them unchanged, sigma2's
-derivatives scale as powers of c that cancel in the Schur complement, and
-the weighted sums over replicates and the traces and quadratic forms over
-locations do not depend on their order.
+- Nelder-Mead runs to the loose simplex diameter ``_LOOSE_XATOL`` (the
+  objective-spread test is disabled, so its steps depend only on the order
+  of values).
+- Up to ``_NEWTON_STEPS`` Newton steps delta on V in u follow, from its
+  exact gradient and Hessian (``_profile_derivs``).  A step is taken when
+  the Hessian is negative definite, u + delta lies in the box and scores no
+  lower than u; any other step ends this stage, with no line search.  A
+  step with |delta| <= ``tol`` componentwise confirms the fit.  Newton
+  converges quadratically, so the step after a 1e-5 step is about 1e-11,
+  and its rise is below the rounding of V: where the predicted rise
+  delta' (-H) delta / 2 is at most ``gauss_lik.V_ROUNDING`` |V(u)|, the
+  step is taken whatever it scores (the tie rule).
+- Where the steps do not confirm (an optimum on a bound, non-finite
+  derivatives, a Hessian that is not negative definite, a refused step),
+  the simplex runs again from the best point reached, to ``tol``, and one
+  Newton step of at most ``tol`` may confirm its answer.  Failing that, the
+  search restarts from its own answer with a fresh simplex, up to twice,
+  and a restart that moves at most ``tol`` confirms the point.
 
-Where the step does not confirm the point (an optimum on a bound,
-non-finite derivatives, a Hessian that is not negative definite, a longer
-step), the search restarts from its own answer with a fresh simplex, up to
-twice, and a restart that moves at most ``tol`` confirms the point.
-Restart decisions compare iterates, and the Newton check's one comparison
-is between two profile values, so both are order-only as well.  A fit that
-neither confirms is reported as not converged.  Trial points with a
+A warm fit (``warm=True``: init is the estimate at a neighbouring q) starts
+with the Newton steps at init, and runs the cold stages from the best point
+reached only if they do not confirm.  Along ``qselect.DEFAULT_GRID`` a warm
+fit took 3 to 6 evaluations.
+
+The Newton step is invariant under the model's symmetries: the replicate
+weights are normalized, so rescaling the data by c shifts every log density
+by the same constant and leaves them unchanged, sigma2's derivatives scale
+as powers of c that cancel in the Schur complement, and the weighted sums
+over replicates and the traces and quadratic forms over locations do not
+depend on their order.  Restart decisions compare iterates and the Newton
+checks compare two profile values, so both are order-only as well.  A fit
+that does not confirm is reported as not converged.  Trial points with a
 non-positive-definite correlation matrix score -inf and are simply
 rejected; only failure at the initial point is an error.  A fit in which
 every point but the initial one was rejected is not converged.
@@ -62,8 +73,17 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _lq_derivs
-from .gauss_lik import NotSPDError, profile_lq
+from .gauss_lik import V_ROUNDING, NotSPDError, profile_lq
 from .matern import MaternParams
+
+# Simplex diameter, in bound-scaled coordinates, at which Newton steps take
+# over from Nelder-Mead.  Cold fits on the n = 100 grid and n = 400 uniform
+# sites confirmed with the fewest evaluations here (see CHANGES.md for the
+# measurement of 1e-2, 3e-3 and 1e-3).
+_LOOSE_XATOL = 3e-3
+
+# Newton steps per stage; warm fits along the q grids confirmed in 2 to 5.
+_NEWTON_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -95,8 +115,10 @@ class FitResult:
     V = sum l at q = 1, and exp((1-q) (V + n)) = sum exp((l + n)(1-q))
     below it, an increasing transform of the exact Lq objective that
     overflows when the data's scale is small.  ``evaluations`` counts the
-    (beta, nu) points the search scored; ``restarts`` counts the fallback
-    simplex runs, 0 when the Newton step confirmed the estimate.
+    (beta, nu) points the search scored and ``newton_steps`` the derivative
+    passes of its Newton steps, each costing about as much as a few
+    evaluations; ``restarts`` counts the fallback simplex runs, 0 when
+    Newton steps confirmed the estimate.
     """
 
     theta_hat: MaternParams
@@ -107,6 +129,7 @@ class FitResult:
     converged: bool
     init: MaternParams
     restarts: int = 0
+    newton_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -166,13 +189,116 @@ def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
     return grad[1:], H
 
 
-def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000):
+class _Search:
+    """One fit's scored points and counters, in bound-scaled u = (beta, nu)."""
+
+    def __init__(self, reps, locs, q, bounds, tol, max_evals):
+        lo, hi = bounds.as_arrays()
+        self.reps, self.locs, self.q = reps, locs, q
+        # the search box is (beta, nu); sigma2's bounds go to the inner solve
+        self.s2_box = (float(lo[0]), float(hi[0]))
+        self.corner, self.width = lo[1:], hi[1:] - lo[1:]
+        self.tol, self.max_evals = tol, max_evals
+        # u.tobytes() -> (sigma2, profile value); the answer's sigma2 and
+        # value are read back from here
+        self.scored = {}
+        self.iterations = self.evaluations = self.passes = 0
+        self.simplex_ok = True      # the last simplex run ended normally
+
+    def score(self, u):
+        beta, nu = self.corner + u * self.width
+        self.scored[u.tobytes()] = profile_lq(self.reps, self.locs, beta, nu,
+                                              self.q, *self.s2_box)
+
+    def value(self, u):
+        key = u.tobytes()
+        if key not in self.scored:
+            try:
+                self.score(u)
+            except NotSPDError:
+                self.scored[key] = (float("nan"), -np.inf)
+        return self.scored[key][1]
+
+    def neg_obj(self, u):
+        val = self.value(u)
+        return -val if np.isfinite(val) else np.inf
+
+    def simplex(self, u, xatol):
+        """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer."""
+        options = {"xatol": xatol, "fatol": np.inf, "maxfev": self.max_evals,
+                   "maxiter": self.max_evals}
+        res = minimize(self.neg_obj, u, method="nelder-mead",
+                       bounds=[(0.0, 1.0)] * 2, options=options)
+        self.iterations += int(res.nit)
+        self.evaluations += int(res.nfev)
+        self.simplex_ok = bool(res.status == 0 and np.isfinite(res.fun))
+        return res.x
+
+    def newton_step(self, u):
+        """(delta, predicted rise) of one Newton step in u from a scored u.
+
+        None where the derivatives are not finite or the profile Hessian is
+        not negative definite.
+        """
+        self.passes += 1
+        sigma2 = self.scored[u.tobytes()][0]
+        beta, nu = self.corner + u * self.width
+        try:
+            g, H = _profile_derivs(self.reps, self.locs, sigma2, beta, nu, self.q,
+                                   clipped=sigma2 in self.s2_box)
+        except NotSPDError:
+            return None
+        g, H = g * self.width, H * np.outer(self.width, self.width)
+        if not (np.all(np.isfinite(g)) and H[0, 0] < 0.0
+                and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0):
+            return None
+        delta = np.linalg.solve(H, -g)
+        return delta, -0.5 * float(delta @ H @ delta)
+
+    def newton(self, u, steps):
+        """Up to ``steps`` Newton steps from a scored u: (best u, confirmed).
+
+        A step is taken when it lands in the box and scores no lower; any
+        other step ends the run.  A step of at most ``tol`` confirms.  Such a
+        step whose predicted rise is within the rounding of the value is
+        taken whatever it scores (the tie rule).  The last step allowed must
+        be a confirming one, so a longer step there is not scored.
+        """
+        val = self.value(u)
+        if not np.isfinite(val):
+            return u, False
+        for k in range(steps):
+            step = self.newton_step(u)
+            if step is None:
+                break
+            delta, rise = step
+            u_new = u + delta
+            if not np.all((u_new >= 0.0) & (u_new <= 1.0)):
+                break
+            short = float(np.max(np.abs(delta))) <= self.tol
+            if not short and k == steps - 1:
+                break
+            self.evaluations += 1
+            val_new = self.value(u_new)
+            # a rise below V's rounding cannot be told from a fall by scoring
+            tie = short and rise <= V_ROUNDING * abs(val) and np.isfinite(val_new)
+            if not (val_new >= val or tie):
+                break
+            u, val = u_new, val_new
+            if short:
+                return u, True
+        return u, False
+
+
+def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
+        warm=False):
     """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
 
     The search runs over (beta, nu); sigma2 is solved exactly at each trial
-    point.  The simplex's answer is confirmed by one exact Newton step on
-    the profile value, or, where that step does not confirm it, by up to two
-    restarts (see the module docstring).
+    point.  A loose simplex run brings the estimate within reach of Newton
+    steps on the profile value, which finish it to ``tol``; where they do
+    not confirm it, a tight simplex run, one confirming step and up to two
+    restarts follow (see the module docstring).
 
     Parameters
     ----------
@@ -193,14 +319,19 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000):
         also the largest Newton step or restart move that confirms a point.
     max_evals : int
         Evaluation and iteration budget per optimizer run.
+    warm : bool
+        Whether init is an earlier estimate near the answer, such as the
+        fit at a neighbouring q: Newton steps start from it, and the simplex
+        runs only if they do not confirm.
 
     Returns
     -------
     FitResult
-        ``evaluations`` counts (beta, nu) points, the Newton point
-        included; ``restarts`` is 0 when the Newton step confirmed the
-        estimate.  ``converged`` requires a confirmation, a normal end of
-        the last simplex run and a finite reported objective.
+        ``evaluations`` counts (beta, nu) points, Newton points included,
+        and ``newton_steps`` the derivative passes; ``restarts`` is 0 when
+        Newton steps confirmed the estimate.  ``converged`` requires a
+        confirmation, a normal end of the last simplex run, if any, and a
+        finite reported objective.
     """
     if bounds is None:
         bounds = default_bounds()
@@ -208,94 +339,54 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000):
         init = default_init(reps, bounds)
     elif not bounds.contains(init):
         raise ValueError("init %r lies outside the bounds" % (init,))
-    lo, hi = bounds.as_arrays()
-    # the search box is (beta, nu); sigma2's bounds go to the inner solve
-    s2_lo, s2_hi = float(lo[0]), float(hi[0])
-    corner, width = lo[1:], hi[1:] - lo[1:]
-
-    # u.tobytes() -> (sigma2, profile value); each restart scores its start
-    # again, and the answer's sigma2 and value are read back from here
-    scored = {}
-
-    def score(u):
-        beta, nu = corner + u * width
-        scored[u.tobytes()] = profile_lq(reps, locs, beta, nu, q, s2_lo, s2_hi)
-
-    def neg_obj(u):
-        key = u.tobytes()
-        if key not in scored:
-            try:
-                score(u)
-            except NotSPDError:
-                scored[key] = (float("nan"), -np.inf)
-        val = scored[key][1]
-        return -val if np.isfinite(val) else np.inf
-
-    def newton_step(u):
-        # one Newton step in u on the profile value at a scored point, or
-        # None where the profile Hessian is not negative definite
-        sigma2 = scored[u.tobytes()][0]
-        beta, nu = corner + u * width
-        try:
-            g, H = _profile_derivs(reps, locs, sigma2, beta, nu, q,
-                                   clipped=sigma2 in (s2_lo, s2_hi))
-        except NotSPDError:
-            return None
-        g, H = g * width, H * np.outer(width, width)
-        if not (np.all(np.isfinite(g)) and H[0, 0] < 0.0
-                and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0):
-            return None
-        return np.linalg.solve(H, -g)
-
-    u0 = (init.as_array()[1:] - corner) / width
+    search = _Search(reps, locs, q, bounds, tol, max_evals)
+    u = (init.as_array()[1:] - search.corner) / search.width
     # a hard failure at the starting point is an error, not a rejection
-    score(u0)
-    options = {"xatol": tol, "fatol": np.inf, "maxfev": max_evals, "maxiter": max_evals}
-    box = [(0.0, 1.0)] * 2
-    res = minimize(neg_obj, u0, method="nelder-mead", bounds=box, options=options)
-    n_it, n_ev = int(res.nit), int(res.nfev)
-    u_cur = res.x
+    search.score(u)
     confirmed = False
-    if res.status == 0 and np.isfinite(neg_obj(u_cur)):
-        step = newton_step(u_cur)
-        if step is not None and np.max(np.abs(step)) <= tol:
-            u_new = u_cur + step
-            if np.all((u_new >= 0.0) & (u_new <= 1.0)):
-                n_ev += 1
-                if neg_obj(u_new) <= neg_obj(u_cur):
-                    u_cur, confirmed = u_new, True
+    if warm:
+        search.evaluations += 1
+        u, confirmed = search.newton(u, _NEWTON_STEPS)
+    # the loose simplex and Newton to tol, then the tight simplex and one
+    # confirming step; a simplex run that ends abnormally goes to restarts
+    for xatol, steps in ((max(tol, _LOOSE_XATOL), _NEWTON_STEPS), (tol, 1)):
+        if confirmed:
+            break
+        u = search.simplex(u, xatol)
+        if not search.simplex_ok:
+            break
+        u, confirmed = search.newton(u, steps)
+    by_newton = confirmed
 
     # the fallback: restarts from the search's own answer
     restarts = 0
     while not confirmed and restarts < 2:
-        start = u_cur
-        res = minimize(neg_obj, start, method="nelder-mead", bounds=box,
-                       options=options)
-        n_it += int(res.nit)
-        n_ev += int(res.nfev)
+        start = u
+        u = search.simplex(start, tol)
         restarts += 1
-        u_cur = res.x
-        confirmed = float(np.max(np.abs(u_cur - start))) <= tol
+        confirmed = float(np.max(np.abs(u - start))) <= tol
 
-    neg_obj(u_cur)
-    sigma2, value = scored[u_cur.tobytes()]
-    theta_hat = MaternParams(sigma2, *(corner + u_cur * width))
+    search.value(u)
+    sigma2, value = search.scored[u.tobytes()]
+    theta_hat = MaternParams(sigma2, *(search.corner + u * search.width))
     objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
     # a restart whose every trial point was rejected does not move, which
     # confirms nothing: the search must have scored some other point
-    n_finite = sum(np.isfinite(v) for _s2, v in scored.values())
-    converged = bool(confirmed and n_finite > 1 and res.status == 0
-                     and np.isfinite(res.fun) and np.isfinite(objective))
+    n_finite = sum(np.isfinite(v) for _s2, v in search.scored.values())
+    converged = bool(confirmed and (by_newton or n_finite > 1)
+                     and search.simplex_ok and np.isfinite(objective))
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
-                     iterations=n_it, evaluations=n_ev, converged=converged,
-                     init=init, restarts=restarts)
+                     iterations=search.iterations, evaluations=search.evaluations,
+                     converged=converged, init=init, restarts=restarts,
+                     newton_steps=search.passes)
 
 
 def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6, *,
                 max_evals=5000):
     """Fit a descending q grid, warm-starting each fit at the previous theta_hat.
 
-    A q value whose fit fails outright is recorded as a non-converged
+    The first fit starts cold at ``init``; each later one starts with Newton
+    steps at the last good estimate (``fit``'s ``warm``).  A q value whose fit fails outright is recorded as a non-converged
     placeholder (objective NaN) and the profile continues from the last
     good estimate.
     """
@@ -305,15 +396,16 @@ def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6, *,
     if init is None:
         init = default_init(reps, bounds)
     fits = []
-    warm = init
+    start, warm = init, False
     for q in grid:
         try:
-            res = fit(reps, locs, q, bounds, warm, tol, max_evals=max_evals)
+            res = fit(reps, locs, q, bounds, start, tol, max_evals=max_evals,
+                      warm=warm)
         except (NotSPDError, np.linalg.LinAlgError):
-            fits.append(FitResult(theta_hat=warm, objective=float("nan"), q=float(q),
+            fits.append(FitResult(theta_hat=start, objective=float("nan"), q=float(q),
                                   iterations=0, evaluations=0, converged=False,
-                                  init=warm, restarts=0))
+                                  init=start, restarts=0, newton_steps=0))
             continue
         fits.append(res)
-        warm = res.theta_hat
+        start, warm = res.theta_hat, True
     return QProfile(grid=grid, fits=tuple(fits))

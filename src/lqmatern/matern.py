@@ -14,13 +14,15 @@ derivatives in theta = (sigma2, beta, nu).  Both come from one pass over the
 distances (``_kernel_pass``), which calls scipy's K at the orders mu - 1 and
 mu for mu in {nu - s, nu, nu + s}: six calls give the value, the gradient
 and the Hessian together.  Derivatives in the argument of K_nu use exact
-identities,
+identities, the recurrence and the modified Bessel ODE:
 
-    K'_mu(t)  = -K_{mu-1}(t) - (mu/t) K_mu(t)
-    K''_nu(t) = ((t^2 + nu^2) K_nu(t) - t K'_nu(t)) / t^2,
+    K'_mu(t) = -K_{mu-1}(t) - (mu/t) K_mu(t),
+    dM/dbeta = sigma2 c / beta * t^(nu+1) K_{nu-1}(t),
+    d2M/dbeta2 = sigma2 c / beta^2 * t^(nu+1) (t K_nu(t) - (2 nu + 1) K_{nu-1}(t)),
 
-the recurrence and the modified Bessel ODE; derivatives in the order nu are
-central differences with step s = 1e-4 * max(1, nu), shrunk to nu/2 near
+where the beta-derivatives carry K_{nu-1} directly, without the
+cancellation of nu K_nu + t K'_nu at small t.  Derivatives in the order nu
+are central differences with step s = 1e-4 * max(1, nu), shrunk to nu/2 near
 zero.  At h = 0 all derivatives vanish except dM/dsigma2 = 1, matching the
 analytic limit for nu > 0 and keeping the diagonal of the covariance matrix
 exactly sigma2.  Where K overflows at tiny t, the value takes its limit
@@ -311,20 +313,15 @@ def _bessel_k_pair(mu, t):
     return k, -special_kv(mu - 1.0, t) - (mu / t) * k
 
 
-def _bessel_k_dxx(mu, t, k, kp):
-    """K''_mu(t) from the modified Bessel ODE t^2 K'' + t K' - (t^2 + mu^2) K = 0."""
-    return ((t * t + mu * mu) * k - t * kp) / (t * t)
-
-
 def _order_stencil(nu, t, s):
-    """K_nu, K'_nu and the nu-derivatives of g = t^nu K_nu and p = t^nu K'_nu.
+    """K_nu, K_{nu-1} and the nu-derivatives of g = t^nu K_nu and p = t^nu K'_nu.
 
     Order derivatives have no workable closed form, so they are central
     differences at nu +/- s over ``_bessel_k_pair``: six kv calls in all.
     The second difference reuses the very g(nu +/- s) and g(nu) of the first.
-    Returns (K_nu, K'_nu, t^nu, dg/dnu, d2g/dnu2, dp/dnu).
+    Returns (K_nu, K_{nu-1}, t^nu, dg/dnu, d2g/dnu2, dp/dnu).
     """
-    k, kp = _bessel_k_pair(nu, t)
+    k, k1 = special_kv(nu, t), special_kv(nu - 1.0, t)
     k_hi, kp_hi = _bessel_k_pair(nu + s, t)
     k_lo, kp_lo = _bessel_k_pair(nu - s, t)
     tnu, t_hi, t_lo = t ** nu, t ** (nu + s), t ** (nu - s)
@@ -332,7 +329,7 @@ def _order_stencil(nu, t, s):
     dgk = (g_hi - g_lo) / (2.0 * s)
     d2gk = (g_hi - 2.0 * (tnu * k) + g_lo) / (s * s)
     dpk = (t_hi * kp_hi - t_lo * kp_lo) / (2.0 * s)
-    return k, kp, tnu, dgk, d2gk, dpk
+    return k, k1, tnu, dgk, d2gk, dpk
 
 
 def _direct_terms(t, theta):
@@ -340,31 +337,24 @@ def _direct_terms(t, theta):
 
     Returns (g, m_b, m_n, h_bb, h_bn, h_nn): g = t^nu K_nu, the beta and nu
     derivatives of M / sigma2, and the (beta, beta), (beta, nu) and (nu, nu)
-    Hessian entries of M.
+    Hessian entries of M.  They are ``_cheb_terms``'s formulas, with kv in
+    place of the interpolants: the beta-derivatives come from
+    q = t^(nu+1) K_{nu-1} = -t^nu (nu K_nu + t K'_nu), which does not cancel
+    at small t as the two terms on the right do.
     """
     s2, beta, nu = theta.sigma2, theta.beta, theta.nu
-    h = t * beta
     c = _coef(nu)
     lp = _LN2 + digamma(nu)    # c'(nu)/c(nu) = -(ln 2 + Psi(nu))
-    k, kp, tnu, dgk, d2gk, dpk = _order_stencil(nu, t, _nu_step(nu))
+    k, k1, tnu, dgk, d2gk, dpk = _order_stencil(nu, t, _nu_step(nu))
     gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
-    pk = tnu * kp                        # t^nu K'_nu
-    kpp = _bessel_k_dxx(nu, t, k, kp)
-    m_b = -c * tnu * (nu / beta * k + h / beta ** 2 * kp)
+    qk = tnu * t * k1                    # t^(nu+1) K_{nu-1}
+    m_b = c / beta * qk
     m_n = c * (dgk - lp * gk)
-    # d2M/dbeta2: differentiate -s2 c (h/beta^2)(nu t^(nu-1) K + t^nu K')
-    # once more in beta; collecting powers of t gives
-    #   s2 c / beta^2 * t^nu [ nu(nu+1) K + 2(nu+1) t K' + t^2 K'' ]
-    h_bb = s2 * c / beta ** 2 * tnu * (
-        nu * (nu + 1.0) * k + 2.0 * (nu + 1.0) * t * kp + t * t * kpp
-    )
-    # d2M/dbeta dnu: nu-derivative of the beta-derivative; the c(nu)
-    # factor contributes -(ln 2 + Psi), the bracket differentiates
-    # termwise with t^nu K and t^nu K' replaced by their nu-stencils
-    h_bn = -s2 * c * (
-        -lp * (nu / beta * gk + h / beta ** 2 * pk)
-        + gk / beta + nu / beta * dgk + h / beta ** 2 * dpk
-    )
+    # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
+    h_bb = s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk)
+    # d2M/dbeta dnu: the c(nu) factor contributes -(ln 2 + Psi), and
+    # t^nu K and t^nu K' are replaced by their nu-stencils
+    h_bn = -s2 * c / beta * (gk + nu * dgk + t * dpk + lp * qk)
     # d2M/dnu2: second derivative of c(nu) g(nu) with
     # c'/c = -(ln 2 + Psi), c''/c = (ln 2 + Psi)^2 - Psi'
     h_nn = s2 * c * ((lp * lp - trigamma(nu)) * gk - 2.0 * lp * dgk + d2gk)

@@ -232,27 +232,29 @@ def select_q_kappa(fit_fn, spec=None):
 
 
 def make_fit_fn(reps, locs, bounds=None, init=None, tol=1e-6, *,
-                max_evals=5000):
+                max_evals=5000, warm=False):
     """fit_fn(q) -> theta_hat, cached per q and warm-started across calls.
 
     Selectors revisit q values across passes (q_min appears in every
     refinement), so the cache keeps the advertised per-pass fit count
-    honest.  Warm starts follow the most recent successful fit, which
-    suits the descending walk the selectors perform.
+    honest.  Each fit after the first starts with Newton steps at the most
+    recent successful fit (``fit``'s ``warm``), which suits the descending
+    walk the selectors perform; the first starts cold at ``init`` unless
+    ``warm`` says that init is already an estimate.
     """
     if bounds is None:
         bounds = default_bounds()
     if init is None:
         init = default_init(reps, bounds)
     cache = {}
-    warm = [init]
+    start = [init, warm]
 
     def fit_fn(q):
         key = round(float(q), 12)
         if key not in cache:
-            res = fit(reps, locs, float(q), bounds, warm[0], tol,
-                      max_evals=max_evals)
-            warm[0] = res.theta_hat
+            res = fit(reps, locs, float(q), bounds, start[0], tol,
+                      max_evals=max_evals, warm=start[1])
+            start[:] = [res.theta_hat, True]
             cache[key] = res.theta_hat
         return cache[key]
 

@@ -471,3 +471,23 @@ class TestInterpolatedSandwich:
         err = [np.abs(standardised(interp.K) - standardised(direct.K)).max(),
                np.abs(standardised(interp.J) - standardised(direct.J)).max()]
         assert np.all(np.array(err) <= NOISE_FACTOR * noise), (err, noise)
+
+
+class TestWeightedDerivativePass:
+    """The fit's weighted-sum pass against the sandwich's per-replicate terms."""
+
+    @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
+    @pytest.mark.parametrize("q", [1.0, 0.95, 0.6])
+    def test_matches_per_replicate_sums(self, layout, n, q):
+        # gradient sum U_i and Hessian sum V_i - (1-q) gbar gbar' of the
+        # log-domain objective, from every replicate's g_i and H_i
+        theta = MaternParams(1.0, 0.15, 0.6)
+        locs, reps, _ = simulate_dataset(
+            SimConfig(theta, n=n, m=30, layout=layout, seed=2))
+        at = MaternParams(0.9, 0.17, 0.55)
+        U, V, _ = asymptotics._scores_batch(reps.data, locs, at, q)
+        g_want = U.sum(axis=1)
+        H_want = V.sum(axis=2) - (1.0 - q) * np.outer(g_want, g_want)
+        g, H = asymptotics._lq_derivs(reps.data, locs, at, q)
+        assert np.abs(g - g_want).max() <= 1e-12 * np.abs(g_want).max()
+        assert np.abs(H - H_want).max() <= 1e-12 * np.abs(H_want).max()

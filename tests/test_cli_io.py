@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lqmatern.cli_io as cli
+import lqmatern.qselect as qselect
 from lqmatern.cli_io import (DataError, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, write_locations,
@@ -253,6 +254,7 @@ class TestMain:
         rec = read_record(out / "fit.txt")
         assert float(rec["q"]) == 0.95
         assert rec["converged"] in ("true", "false")
+        assert int(rec["newton_steps"]) >= 0
         assert "scale" not in rec
         th = MaternParams(float(rec["sigma2"]), float(rec["beta"]),
                           float(rec["nu"]))
@@ -383,4 +385,26 @@ class TestMain:
         assert meta["repetitions"] == "2"
         assert meta["grid.q"].startswith("1,")
         assert "fit.scale" not in meta and "fit.method" not in meta
+        capsys.readouterr()
+
+    def test_sweep_selector_fits_start_warm(self, tmp_path, monkeypatch, capsys):
+        # fits the selector asks for off the profile's grid start with Newton
+        # at the profile's last estimate: none of them is a cold start (the
+        # grid's last interval is short, so each pass-0 pivot k* = 2 refines
+        # [0.5, 0.49] with six new q values per repetition)
+        real = qselect.fit
+        warm = []
+
+        def spy(*args, **kwargs):
+            warm.append(kwargs["warm"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qselect, "fit", spy)
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(
+            tmp_path / "cfg.txt",
+            extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.6,0.5,0.49"),
+                   ("repetitions", "2"), ("selector", "kappa")])
+        assert run(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+        assert len(warm) == 12 and warm.count(False) == 0
         capsys.readouterr()

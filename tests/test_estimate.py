@@ -393,6 +393,74 @@ class TestConfirmation:
         assert value(nm.theta_hat) > value(MaternParams(1.222, 0.421, 0.230))
 
 
+def scaled_gap(a, b):
+    """Largest (beta, nu) difference of two estimates in bound-scaled units."""
+    lo, hi = default_bounds().as_arrays()
+    return np.abs((a.as_array() - b.as_array())[1:] / (hi - lo)[1:]).max()
+
+
+class TestNewtonFinish:
+    """Newton steps that finish cold fits, and warm fits that start with them."""
+
+    def test_newton_steps_count_the_passes(self, interior_data, monkeypatch):
+        locs, reps, base = interior_data
+        calls = []
+        real = est._profile_derivs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(est, "_profile_derivs", counted)
+        cold = fit(reps, locs, 0.9)
+        assert cold.newton_steps == len(calls) >= 2
+        calls.clear()
+        warm = fit(reps, locs, 0.9, init=base[1.0].theta_hat, warm=True)
+        assert warm.newton_steps == len(calls) >= 1
+        assert warm.converged and warm.evaluations < cold.evaluations
+
+    def test_warm_chain_confirms_in_few_evaluations(self, interior_data):
+        # every fit after the first starts with Newton at the previous one
+        # and confirms there; the grid holds SYM_QS in steps of 0.1
+        locs, reps, base = interior_data
+        prof = fit_profile(reps, locs, (1.0, 0.9, 0.8, 0.7, 0.6, 0.5))
+        for res in prof.fits[1:]:
+            assert res.converged and res.restarts == 0
+            assert res.evaluations <= 6
+        for res in prof.fits:
+            if res.q in base:
+                assert scaled_gap(res.theta_hat, base[res.q].theta_hat) <= 1e-6
+
+    def test_warm_start_outside_newton_reach_falls_back(self, interior_data):
+        # the q = 0.5 profile is not concave at the q = 0.9 estimate, so the
+        # first Newton step is refused and the cold path runs from there
+        locs, reps, base = interior_data
+        res = fit(reps, locs, 0.5, init=base[0.9].theta_hat, warm=True)
+        assert res.converged and res.restarts == 0 and res.evaluations > 6
+        assert scaled_gap(res.theta_hat, base[0.5].theta_hat) <= 1e-6
+
+    def test_warm_start_at_a_corner_matches_the_cold_fit(self, interior_data):
+        locs, reps, _base = interior_data
+        corner = default_bounds().upper
+        for q in SYM_QS:
+            warm = fit(reps, locs, q, init=corner, warm=True)
+            cold = fit(reps, locs, q, init=corner)
+            assert warm.converged and cold.converged
+            assert warm.evaluations > 6
+            assert scaled_gap(warm.theta_hat, cold.theta_hat) <= 1e-6
+
+    def test_warm_start_at_its_own_estimate_confirms_by_the_tie_rule(
+            self, interior_data):
+        # the step from the estimate is about 1e-11, and its rise is below the
+        # rounding of V: it is taken whichever of the two points scores higher
+        locs, reps, base = interior_data
+        for q in SYM_QS:
+            res = fit(reps, locs, q, init=base[q].theta_hat, warm=True)
+            assert res.converged and res.restarts == 0
+            assert res.newton_steps == 1 and res.evaluations == 2
+            assert_same_theta(res.theta_hat.as_array(), base[q].theta_hat.as_array())
+
+
 class TestQProfile:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -430,6 +498,7 @@ class TestQProfile:
         prof = fit_profile(reps, locs, (1.0, 0.97, 0.94), tol=1e-4)
         mid = prof.fits[1]
         assert not mid.converged and np.isnan(mid.objective)
+        assert mid.newton_steps == 0
         assert mid.theta_hat == prof.fits[0].theta_hat
         # chain resumes from the last good estimate
         assert prof.fits[2].init == prof.fits[0].theta_hat

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lqmatern import gauss_lik
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
                                 chol_factor, log_likelihood, loglik_columns,
                                 lq_of_loglik, profile_lq, profile_sigma2,
@@ -284,6 +285,36 @@ class TestProfileSigma2:
         clean = np.mean(self.QUAD[:40]) / self.N
         assert profile_sigma2(self.QUAD, self.N, q, 1e-3, 1e3) == \
             pytest.approx(q * clean, rel=0.05)
+
+
+def fixed_point_sigma2(quad, n, q, lower, upper):
+    """The sigma2 fixed point sigma2 <- sum w_i quad_i / n, run to 1e-15."""
+    sigma2 = min(max(float(np.median(quad)) / n, lower), upper)
+    for _ in range(10000):
+        _, w = _lq_weights(quad * (-0.5 / sigma2), q)
+        step = min(max(float(w @ quad) / n, lower), upper)
+        if abs(step - sigma2) <= 1e-15 * step:
+            break
+        sigma2 = step
+    return step
+
+
+class TestProfileSigma2Newton:
+    @pytest.mark.parametrize("n", [36, 100, 400])
+    @pytest.mark.parametrize("q", [0.95, 0.9, 0.5])
+    @pytest.mark.parametrize("contaminated", [False, True])
+    def test_five_steps_reach_the_fixed_point(self, monkeypatch, n, q,
+                                              contaminated):
+        # chi-square quadratic forms of m = 100 replicates, a tenth of them
+        # with 4x the variance; capped at five steps, the Newton solve
+        # already gives the fixed point's answer
+        quad = 1.7 * np.random.default_rng(n).chisquare(n, 100)
+        if contaminated:
+            quad[:10] *= 4.0
+        want = fixed_point_sigma2(quad, n, q, 1e-3, 1e3)
+        monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 5)
+        got = profile_sigma2(quad, n, q, 1e-3, 1e3)
+        assert abs(got / want - 1.0) <= 1e-12
 
 
 class TestProfileLq:

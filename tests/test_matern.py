@@ -299,6 +299,22 @@ def kv_oracle(h, th):
             c / th.beta ** 2 * t ** (th.nu + 1.0) * (t * k - (2.0 * th.nu + 1.0) * k1))
 
 
+class TestDirectPass:
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 2.3, NU_CAP])
+    def test_beta_derivatives_match_kv(self, nu):
+        # at beta = 10 on 64 uniform sites t runs down to about 1e-3, where
+        # nu K_nu + t K'_nu cancels (the old form was off by 9.2e-10 at
+        # nu = 5); the pass carries t^(nu+1) K_{nu-1} instead
+        th = MaternParams(1.7, 10.0, nu)
+        uniq, _ = LOCS_CHEB._dist_unique
+        _, grad, hess = _kernel_pass(uniq, th)
+        _, _, want_b, want_bb = kv_oracle(uniq[1:], th)
+        for got in (grad[1, 1:], th.sigma2 * hess[0, 1, 1:]):
+            assert np.all(np.abs(got - want_b) <= 1e-13 * np.abs(want_b))
+        err_bb = np.abs(hess[1, 1, 1:] - want_bb)
+        assert err_bb.max() <= 1e-13 * np.abs(want_bb).max()
+
+
 class TestChebyshevKernel:
     """The interpolated kernel against kv, and where it is not used."""
 

@@ -246,6 +246,26 @@ class TestFactories:
         assert calls[1][1] == a
         assert fit_fn(0.99) == a and len(calls) == 2
 
+    def test_fit_fn_starts_warm_after_the_first_fit(self, monkeypatch):
+        locs = make_locations(4, "grid")
+        reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 3, seed=0)
+        warm = []
+
+        def fake_fit(reps_, locs_, q, bounds, init, tol, **kw):
+            warm.append(kw["warm"])
+            return FitResult(theta_hat=MaternParams(1.0, 0.5, 0.5), objective=0.0,
+                             q=q, iterations=1, evaluations=1, converged=True,
+                             init=init)
+
+        monkeypatch.setattr(qs, "fit", fake_fit)
+        fit_fn = make_fit_fn(reps, locs)
+        fit_fn(0.99)
+        fit_fn(0.95)
+        assert warm == [False, True]
+        warm.clear()
+        make_fit_fn(reps, locs, init=MaternParams(1.0, 0.3, 0.6), warm=True)(0.99)
+        assert warm == [True]
+
     def test_se_fn_returns_stderrs(self):
         locs = make_locations(9, "grid")
         theta = MaternParams(1.0, 0.2, 0.5)

@@ -2,10 +2,12 @@
 
 K_nu and its argument and order derivatives are checked on the kernel's own
 path, the helpers of ``matern._kernel_pass`` (``_bessel_k_pair``,
-``_bessel_k_dxx``, ``_order_stencil``, ``_nu_step``) and the pass's value,
-against independent oracles: a quadrature of K_nu's integral representation,
-closed forms at half-integer order, finite differences of scipy's kv and the
-modified Bessel ODE.  The gamma family is checked against its recurrences.
+``_order_stencil``, ``_nu_step``) and the pass's value, against independent
+oracles: a quadrature of K_nu's integral representation, closed forms at
+half-integer order and finite differences of scipy's kv.  K''_nu, which the
+pass no longer forms, is taken from the modified Bessel ODE over
+``_bessel_k_pair``'s K and K' and checked against closed forms and
+differences of kv.  The gamma family is checked against its recurrences.
 """
 
 import warnings
@@ -15,10 +17,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from lqmatern.matern import (NU_CAP, MaternParams, _bessel_k_dxx,
-                             _bessel_k_pair, _coef, _kernel_pass, _nu_step,
-                             _order_stencil, matern_cov, matern_grad,
-                             matern_hess)
+from lqmatern.matern import (NU_CAP, MaternParams, _bessel_k_pair, _coef,
+                             _kernel_pass, _nu_step, _order_stencil,
+                             matern_cov, matern_grad, matern_hess)
 from lqmatern.specfun import digamma, log_gamma, trigamma
 
 # frozen half-integer closed-form values at x = 1:
@@ -51,8 +52,9 @@ def bessel_k_dx(nu, x):
 
 
 def bessel_k_dxx(nu, x):
+    # the modified Bessel ODE x^2 K'' + x K' - (x^2 + nu^2) K = 0
     k, kp = _bessel_k_pair(nu, x)
-    return _bessel_k_dxx(nu, x, k, kp)
+    return ((x * x + nu * nu) * k - x * kp) / (x * x)
 
 
 class TestBesselK:
