@@ -1,9 +1,10 @@
 """Robust covariance estimation for replicated Gaussian random fields.
 
 Matern kernels and their derivatives, exact Gaussian and Lq likelihoods,
-derivative-free maximum Lq-likelihood fitting, sandwich standard errors,
-data-driven selection of the distortion parameter q, field simulation,
-and empirical variograms, with a small CLI around the lot.
+maximum Lq-likelihood fitting (a simplex search finished by Newton steps),
+sandwich standard errors, data-driven selection of the distortion parameter
+q, field simulation, and empirical variograms, with a small CLI around the
+lot.
 """
 
 from .asymptotics import (SandwichParts, SingularJError, StdErrs, sandwich,

@@ -27,18 +27,21 @@ plug-in matrices are K e^(2s) and J e^s.  Both standard-error forms are
 invariant under that common rescaling, so they never see the raw scale.
 ``ustar``, ``vstar`` and ``ustar_all`` return the raw U* and V*.
 
-Sigma, dS_j and d2S_jk come from one Bessel pass over the unique distances
-(``matern._kernel_pass``), and the (3, 3, n, n) Hessian is never formed.  The
-per-replicate vectors w and Sigma^-1 dS_j w are triangular solves on one
-Cholesky factor, batched over replicates; the per-theta trace terms come
-from one explicit Sigma^-1 formed from the same factor, as
-tr(Sigma^-1 D) = <Sigma^-1, D> for symmetric D and tr(B_j B_k) with
-B_j = Sigma^-1 dS_j.
+One derivative pass, ``_weighted_derivs``, serves the sandwich, U*, V* and
+the fit's Newton steps (``estimate._profile_derivs``).  It returns every
+replicate's g_i, the weights, s and the weighted sum sum w_i H_i; no
+replicate's Hessian is formed.  J needs only that sum and the g_i:
 
-The fit's Newton steps (``estimate``) need only the gradient and Hessian of
-the log-domain objective, the sums over replicates of these terms.
-``_lq_derivs`` forms them from weighted sums over locations, without any
-replicate's Hessian (see there).
+    m J = sum w_i H_i + (1-q) sum w_i g_i g_i',
+
+and the fit's Hessian of the log-domain objective adds the centred
+(1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, with gbar = sum w_i g_i.
+V* is the case m = 1.  Sigma, dS_j and d2S_jk come from one Bessel pass
+over the unique distances (``matern._kernel_pass``), and the (3, 3, n, n)
+Hessian is never formed.  W = Sigma^-1 Z is one solve on one Cholesky
+factor, batched over replicates; the trace terms come from one explicit
+Sigma^-1 formed from the same factor, as tr(Sigma^-1 D) = <Sigma^-1, D>
+for symmetric D and tr(B_j B_k) with B_j = Sigma^-1 dS_j.
 
 ``std_errs`` implements the printed standard-error form: the r-th diagonal
 entry of J^-1/2 K^1/2 J^-1/2.  J estimated from data at a maximum is close
@@ -55,14 +58,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .gauss_lik import NotSPDError, _lq_weights, chol_factor, loglik_columns
+from .gauss_lik import _LOG_2PI, NotSPDError, _lq_weights, chol_factor
 from .matern import _kernel_pass
 
 # Relative eigenvalue floor used when building the PD surrogate of J.
 J_EIG_FLOOR = 1e-10
-
-# the unique (j, k) entries of a symmetric 3x3
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class SingularJError(np.linalg.LinAlgError):
@@ -103,102 +103,46 @@ class StdErrs:
     cond: float = float("nan")
 
 
-def _factored_pass(Z, locs, theta):
-    """The kernel pass at theta with Sigma's factor, Sigma^-1 Z and Sigma^-1.
+def _weighted_derivs(Z, locs, theta, q):
+    """Per-replicate gradients and the weighted Hessian sum of the columns of Z.
 
-    Returns (inv, grad, hess, chol, W, Sinv): the pass over the unique
-    distances and their scatter index, the Cholesky factor, W = Sigma^-1 Z
-    for the n x m matrix Z, and one explicit inverse for the traces.
+    Returns (g, w, H, log_scale): every replicate's g_i as g (3, m), the
+    weights w (m,) of ``_lq_weights``, H = sum w_i H_i (3, 3), and the log
+    scale s of the raw factors, f_i^(1-q) = w_i e^s (0 at q = 1).  The
+    weights come from -(1/2) z' Sigma^-1 z, since the log density's terms
+    common to all replicates do not change them; s adds those terms back.
+
+    Only the weighted sum of the H_i is formed, so with M = W diag(w) W'
+    (W = Sigma^-1 Z) its data terms are inner products over locations:
+    sum w_i w_i' d2S w_i = <d2S, M> and
+    sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i) = <dS_j, B_k M>.  The sigma2
+    row is analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2 and
+    d2S_0k = dS_k / sigma2.  Callers add their own (1-q) term in g.
     """
-    n = Z.shape[0]
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim == 1:
+        Z = Z[:, None]
+    n, m = Z.shape
+    if locs.n != n:
+        raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1], got %r" % (q,))
+    s2 = theta.sigma2
     uniq, inv = locs._dist_unique
     val, grad, hess = _kernel_pass(uniq, theta, locs._dist_cheb)
     try:
-        chol = chol_factor(val[inv], jitter_scale=theta.sigma2)
+        chol = chol_factor(val[inv], jitter_scale=s2)
     except NotSPDError as err:
         err.theta = theta
         raise
     cl = (chol.L, True)
     # Sigma^-1 z for all replicates, copied to C order: with the Fortran-
     # ordered solve, this pass took 17-68 ms instead of 4 ms at n = m = 100
-    # under two-thread OpenBLAS on a 2-core host (the copy changes the
-    # summation order of the column sums, so K and J move by about an ulp)
+    # under two-thread OpenBLAS on a 2-core host
     W = np.ascontiguousarray(cho_solve(cl, Z, check_finite=False))
     Sinv = cho_solve(cl, np.eye(n), check_finite=False)
-    return inv, grad, hess, chol, W, Sinv
-
-
-def _loglik_derivs(Z, locs, theta):
-    """Per-replicate g (3, m), H (3, 3, m) and l (m,) for an n x m matrix Z."""
-    m = Z.shape[1]
-    inv, grad, hess, chol, W, Sinv = _factored_pass(Z, locs, theta)
-    cl = (chol.L, True)
-    lvec = loglik_columns(Z, chol)
-    dS = grad[:, inv]                          # (3, n, n)
-    B = Sinv @ dS
-    tr_B = np.trace(B, axis1=1, axis2=2)
-    A = dS @ W                                 # dS_j w per replicate
-    SinvA = np.stack([cho_solve(cl, A[j], check_finite=False) for j in range(3)])
-    quad1 = np.sum(W * A, axis=1)              # w' dS_j w
-    g = 0.5 * quad1 - 0.5 * tr_B[:, None]
-
-    # H_jk per replicate over the unique (j, k); d2S_00 = 0, and one n x n
-    # Hessian slice is gathered at a time
-    H = np.empty((3, 3, m))
-    for j, k in _PAIRS:
-        h_jk = 0.5 * np.sum(B[j] * B[k].T) - np.sum(A[j] * SinvA[k], axis=0)
-        if (j, k) != (0, 0):
-            d2S = hess[j, k][inv]
-            h_jk += 0.5 * np.sum(W * (d2S @ W), axis=0) - 0.5 * np.vdot(Sinv, d2S)
-        H[j, k] = H[k, j] = h_jk
-    return g, H, lvec
-
-
-def _scores_batch(Z, locs, theta, q):
-    """Weighted U (3, m), V (3, 3, m) and the log scale for the columns of Z.
-
-    U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i with the weights of
-    ``_lq_weights``; the raw U* and V* are these times e^log_scale.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    n = Z.shape[0]
-    if locs.n != n:
-        raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1], got %r" % (q,))
-    g, H, lvec = _loglik_derivs(Z, locs, theta)
-    value, w = _lq_weights(lvec, q)
-    U = w * g
-    V = (1.0 - q) * w * (g[:, None] * g[None]) + w * H
-    return U, V, ((1.0 - q) * value if q < 1.0 else 0.0)
-
-
-def _lq_derivs(Z, locs, theta, q):
-    """Gradient (3,) and Hessian (3, 3) of the log-domain Lq objective.
-
-    The objective of the n x m data matrix Z is ``_lq_weights``'s value, the
-    one ``gauss_lik.profile_lq`` scores.  With its weights w (summing to one
-    below q = 1), the gradient is gbar = sum w_i g_i and the Hessian is
-
-        sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
-
-    Only the weighted sum of the H_i is needed, so with M = W diag(w) W'
-    (W = Sigma^-1 Z) its data terms are inner products over locations:
-    sum w_i w_i' d2S w_i = <d2S, M> and
-    sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i) = <dS_j, B_k M>.  The sigma2
-    row is analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2 and
-    d2S_0k = dS_k / sigma2.  Per replicate, only g_i is formed, for the
-    covariance term.  The sandwich, which needs every replicate's U and V,
-    keeps ``_scores_batch``.
-    """
-    n, m = Z.shape
-    s2 = theta.sigma2
-    inv, grad, hess, _chol, W, Sinv = _factored_pass(Z, locs, theta)
     quad = np.einsum("ij,ij->j", Z, W)         # z' Sigma^-1 z
-    # the weights do not see the log density's terms common to all replicates
-    _, w = _lq_weights(-0.5 * quad, q)
+    value, w = _lq_weights(-0.5 * quad, q)
     w_sum = float(w.sum())
 
     dS = grad[1:, inv]                         # (2, n, n): beta, nu
@@ -211,7 +155,6 @@ def _lq_derivs(Z, locs, theta, q):
     g = np.empty((3, m))
     g[0] = 0.5 * (quad - n) / s2
     g[1:] = 0.5 * np.einsum("jim,im->jm", dS @ W, W) - 0.5 * tr_B[:, None]
-    gbar = g @ w
 
     H = np.empty((3, 3))
     H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
@@ -221,29 +164,30 @@ def _lq_derivs(Z, locs, theta, q):
         h_jk = (0.5 * w_sum * (np.sum(B[j] * B[k].T) - np.vdot(Sinv, d2S))
                 + 0.5 * np.vdot(d2S, M) - np.vdot(dS[j], BM[k]))
         H[j + 1, k + 1] = H[k + 1, j + 1] = h_jk
+    log_scale = 0.0
     if q < 1.0:
-        G = g - gbar[:, None]
-        H += (1.0 - q) * ((G * w) @ G.T)
-    return gbar, 0.5 * (H + H.T)
+        log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + chol.log_det))
+    return g, w, H, log_scale
 
 
 def ustar(z, locs, theta, q):
     """Per-replicate estimating function U* = f^(1-q) grad log f, a 3-vector."""
-    U, _, log_scale = _scores_batch(np.asarray(z, dtype=float), locs, theta, q)
-    return U[:, 0] * np.exp(log_scale)
+    # a single replicate has weight 1, so f^(1-q) = e^log_scale
+    g, _, _, log_scale = _weighted_derivs(z, locs, theta, q)
+    return g[:, 0] * np.exp(log_scale)
 
 
 def vstar(z, locs, theta, q):
     """Exact theta-Jacobian of U* at one replicate; symmetric 3x3."""
-    _, V, log_scale = _scores_batch(np.asarray(z, dtype=float), locs, theta, q)
-    out = V[:, :, 0] * np.exp(log_scale)
+    g, _, H, log_scale = _weighted_derivs(z, locs, theta, q)
+    out = (H + (1.0 - q) * (g @ g.T)) * np.exp(log_scale)
     return 0.5 * (out + out.T)
 
 
 def ustar_all(reps, locs, theta, q):
     """U* for every replicate, shape (3, m); one shared factorization."""
-    U, _, log_scale = _scores_batch(reps.data, locs, theta, q)
-    return U * np.exp(log_scale)
+    g, w, _, log_scale = _weighted_derivs(reps.data, locs, theta, q)
+    return w * g * np.exp(log_scale)
 
 
 def sandwich(reps, locs, theta_hat, q):
@@ -254,10 +198,11 @@ def sandwich(reps, locs, theta_hat, q):
     """
     if reps.m < 2:
         raise ValueError("sandwich needs at least 2 replicates")
-    U, V, log_scale = _scores_batch(reps.data, locs, theta_hat, q)
+    g, w, H, log_scale = _weighted_derivs(reps.data, locs, theta_hat, q)
     m = reps.m
+    U = w * g
     K = (U @ U.T) / m
-    J = np.mean(V, axis=2)
+    J = (H + (1.0 - q) * (U @ g.T)) / m
     K = 0.5 * (K + K.T)
     J = 0.5 * (J + J.T)
     return SandwichParts(K=K, J=J, m=m, log_scale=log_scale)

@@ -587,8 +587,10 @@ def cmd_sweep(args):
             rows.append(_row_from_fit(rep_id, fr))
         if cfg.selector == "none":
             continue
+        # a failed fit's placeholder has objective nan; a good fit's
+        # surrogate objective may overflow to inf
         good = {round(q, 12): f.theta_hat
-                for q, f in zip(prof.grid, prof.fits) if np.isfinite(f.objective)}
+                for q, f in zip(prof.grid, prof.fits) if not np.isnan(f.objective)}
         # q values off the profile's grid start at its last good estimate;
         # a failed grid point keeps the one before it as its theta_hat
         fresh = make_fit_fn(reps, locs, cfg.bounds, prof.fits[-1].theta_hat,

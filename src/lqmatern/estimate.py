@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .asymptotics import _lq_derivs
+from .asymptotics import _weighted_derivs
 from .gauss_lik import V_ROUNDING, NotSPDError, profile_lq
 from .matern import MaternParams
 
@@ -113,8 +113,9 @@ class FitResult:
 
     ``objective`` is the profile value V at theta_hat in its surrogate form:
     V = sum l at q = 1, and exp((1-q) (V + n)) = sum exp((l + n)(1-q))
-    below it, an increasing transform of the exact Lq objective that
-    overflows when the data's scale is small.  ``evaluations`` counts the
+    below it, an increasing transform of the exact Lq objective.  It
+    overflows to inf when the data's scale is small, even at a correct
+    fit; ``converged`` tests V itself.  ``evaluations`` counts the
     (beta, nu) points the search scored and ``newton_steps`` the derivative
     passes of its Newton steps, each costing about as much as a few
     evaluations; ``restarts`` counts the fallback simplex runs, 0 when
@@ -172,6 +173,11 @@ def default_init(reps, bounds):
 def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
     """Gradient (2,) and Hessian (2, 2) in (beta, nu) of profile_lq's value.
 
+    With the replicate weights w (summing to one below q = 1), the full
+    gradient of the log-domain objective is gbar = sum w_i g_i and its
+    Hessian is sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)', from
+    one ``asymptotics._weighted_derivs`` pass.
+
     ``sigma2`` is the profile's solution at (beta, nu).  Where it is
     interior, the sigma2-derivative of the objective vanishes, so the
     gradient is the (beta, nu) part of the full one and sigma2's response
@@ -180,7 +186,13 @@ def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
     ``clipped`` at a bound it stays there under small moves, and the
     Hessian is H_pp.
     """
-    grad, hess = _lq_derivs(reps.data, locs, MaternParams(sigma2, beta, nu), q)
+    theta = MaternParams(sigma2, beta, nu)
+    g, w, hess, _ = _weighted_derivs(reps.data, locs, theta, q)
+    grad = g @ w
+    if q < 1.0:
+        G = g - grad[:, None]
+        hess += (1.0 - q) * ((G * w) @ G.T)
+    hess = 0.5 * (hess + hess.T)
     H = hess[1:, 1:]
     if not clipped:
         if not hess[0, 0] < 0.0:
@@ -331,7 +343,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
         and ``newton_steps`` the derivative passes; ``restarts`` is 0 when
         Newton steps confirmed the estimate.  ``converged`` requires a
         confirmation, a normal end of the last simplex run, if any, and a
-        finite reported objective.
+        finite profile value V at the estimate.
     """
     if bounds is None:
         bounds = default_bounds()
@@ -369,12 +381,13 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
     search.value(u)
     sigma2, value = search.scored[u.tobytes()]
     theta_hat = MaternParams(sigma2, *(search.corner + u * search.width))
-    objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
+    with np.errstate(over="ignore"):
+        objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
     # a restart whose every trial point was rejected does not move, which
     # confirms nothing: the search must have scored some other point
     n_finite = sum(np.isfinite(v) for _s2, v in search.scored.values())
     converged = bool(confirmed and (by_newton or n_finite > 1)
-                     and search.simplex_ok and np.isfinite(objective))
+                     and search.simplex_ok and np.isfinite(value))
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=search.iterations, evaluations=search.evaluations,
                      converged=converged, init=init, restarts=restarts,
@@ -386,9 +399,9 @@ def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6, *,
     """Fit a descending q grid, warm-starting each fit at the previous theta_hat.
 
     The first fit starts cold at ``init``; each later one starts with Newton
-    steps at the last good estimate (``fit``'s ``warm``).  A q value whose fit fails outright is recorded as a non-converged
-    placeholder (objective NaN) and the profile continues from the last
-    good estimate.
+    steps at the last good estimate (``fit``'s ``warm``).  A q value whose
+    fit fails outright is recorded as a non-converged placeholder
+    (objective NaN) and the profile continues from the last good estimate.
     """
     grid = tuple(float(v) for v in grid)
     if bounds is None:

@@ -332,33 +332,39 @@ def _order_stencil(nu, t, s):
     return k, k1, tnu, dgk, d2gk, dpk
 
 
-def _direct_terms(t, theta):
-    """The pass's per-distance terms at t > 0 from kv at every distance.
+def _terms(t, theta, gk, qk, dgk, d2gk, tdpk):
+    """The pass's per-distance terms from g, q and the nu-stencils.
 
     Returns (g, m_b, m_n, h_bb, h_bn, h_nn): g = t^nu K_nu, the beta and nu
     derivatives of M / sigma2, and the (beta, beta), (beta, nu) and (nu, nu)
-    Hessian entries of M.  They are ``_cheb_terms``'s formulas, with kv in
-    place of the interpolants: the beta-derivatives come from
-    q = t^(nu+1) K_{nu-1} = -t^nu (nu K_nu + t K'_nu), which does not cancel
-    at small t as the two terms on the right do.
+    Hessian entries of M, from g, q = t^(nu+1) K_{nu-1}, and the stencils
+    dg, d2g and t dp of ``_order_stencil``.  The beta-derivatives come from
+    q = -t^nu (nu K_nu + t K'_nu), which does not cancel at small t as the
+    two terms on the right do.
     """
     s2, beta, nu = theta.sigma2, theta.beta, theta.nu
     c = _coef(nu)
     lp = _LN2 + digamma(nu)    # c'(nu)/c(nu) = -(ln 2 + Psi(nu))
-    k, k1, tnu, dgk, d2gk, dpk = _order_stencil(nu, t, _nu_step(nu))
-    gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
-    qk = tnu * t * k1                    # t^(nu+1) K_{nu-1}
     m_b = c / beta * qk
     m_n = c * (dgk - lp * gk)
     # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
     h_bb = s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk)
     # d2M/dbeta dnu: the c(nu) factor contributes -(ln 2 + Psi), and
     # t^nu K and t^nu K' are replaced by their nu-stencils
-    h_bn = -s2 * c / beta * (gk + nu * dgk + t * dpk + lp * qk)
+    h_bn = -s2 * c / beta * (gk + nu * dgk + tdpk + lp * qk)
     # d2M/dnu2: second derivative of c(nu) g(nu) with
     # c'/c = -(ln 2 + Psi), c''/c = (ln 2 + Psi)^2 - Psi'
     h_nn = s2 * c * ((lp * lp - trigamma(nu)) * gk - 2.0 * lp * dgk + d2gk)
     return gk, m_b, m_n, h_bb, h_bn, h_nn
+
+
+def _direct_terms(t, theta):
+    """``_terms`` at t > 0 from kv at every distance."""
+    nu = theta.nu
+    k, k1, tnu, dgk, d2gk, dpk = _order_stencil(nu, t, _nu_step(nu))
+    gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
+    qk = tnu * t * k1                    # t^(nu+1) K_{nu-1}
+    return _terms(t, theta, gk, qk, dgk, d2gk, t * dpk)
 
 
 def _node_g(mu, t):
@@ -381,7 +387,7 @@ def _cheb_g(panels, theta):
 
 
 def _cheb_terms(panels, theta):
-    """``_direct_terms`` at the panels' distances, from interpolants.
+    """``_terms`` at the panels' distances, from interpolants.
 
     kve runs at the nodes only, at the orders mu - 1 and mu for mu in
     {nu - s, nu, nu + s}.  Five quantities, all smooth in s = log t, are
@@ -394,7 +400,7 @@ def _cheb_terms(panels, theta):
     g is interpolated as ``_cheb_g`` does it, so the pass's value is
     build_cov's bit for bit.
     """
-    s2, beta, nu = theta.sigma2, theta.beta, theta.nu
+    beta, nu = theta.beta, theta.nu
     live, k = panels.span(beta)
     tn = panels.nodes[:k] / beta
     s = _nu_step(nu)
@@ -405,17 +411,7 @@ def _cheb_terms(panels, theta):
     qk, dgk, d2gk, tdpk = panels.at(beta, np.stack([
         q, (g_hi - g_lo) / (2.0 * s), (g_hi - 2.0 * g + g_lo) / (s * s),
         (tp_hi - tp_lo) / (2.0 * s)]), live)
-
-    t = panels.d / beta
-    c = _coef(nu)
-    lp = _LN2 + digamma(nu)
-    m_b = c / beta * qk             # -c/beta t^nu (nu K + t K')
-    m_n = c * (dgk - lp * gk)
-    # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
-    h_bb = s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk)
-    h_bn = -s2 * c / beta * (gk + nu * dgk + tdpk + lp * qk)
-    h_nn = s2 * c * ((lp * lp - trigamma(nu)) * gk - 2.0 * lp * dgk + d2gk)
-    return gk, m_b, m_n, h_bb, h_bn, h_nn
+    return _terms(panels.d / beta, theta, gk, qk, dgk, d2gk, tdpk)
 
 
 def _kernel_pass(h, theta, panels=None):

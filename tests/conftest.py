@@ -1,0 +1,13 @@
+"""Test-session setup: BLAS runs on one thread unless the caller says otherwise.
+
+The variables are read when numpy loads, which happens after this file runs.
+Unpinned, two-thread OpenBLAS on a 2-core host made the small dense solves
+of one fit intermittently take 16 ms instead of 0.1-0.2 ms, so timing-bound
+tests (acceptance criterion 7) varied fourfold.  ``bench/run.py`` pins the
+same three variables.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

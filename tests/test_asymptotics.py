@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import sqrtm
+from scipy.linalg import cho_solve, sqrtm
 
 from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
                                   sandwich, std_errs, ustar, ustar_all, vstar)
-from lqmatern.gauss_lik import (ReplicateSet, chol_factor, log_likelihood,
-                                lq_of_loglik)
+from lqmatern.gauss_lik import (ReplicateSet, _lq_weights, chol_factor,
+                                log_likelihood, loglik_columns, lq_of_loglik)
 from lqmatern import asymptotics, matern
 from lqmatern.matern import (MaternParams, build_cov, build_cov_grad,
                              build_cov_hess)
-from lqmatern.estimate import fit
+from lqmatern.estimate import _profile_derivs, fit
 from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
 
@@ -473,21 +473,71 @@ class TestInterpolatedSandwich:
         assert np.all(np.array(err) <= NOISE_FACTOR * noise), (err, noise)
 
 
+def per_replicate_derivs(Z, locs, theta):
+    """Every replicate's g (3, m), H (3, 3, m) and log density l (m,).
+
+    The reference for the weighted pass: each replicate's 3 x 3 Hessian is
+    formed in full, from the same kernel pass and Cholesky factor, one
+    n x n Hessian slice at a time.
+    """
+    m = Z.shape[1]
+    uniq, inv = locs._dist_unique
+    val, grad, hess = matern._kernel_pass(uniq, theta, locs._dist_cheb)
+    chol = chol_factor(val[inv], jitter_scale=theta.sigma2)
+    cl = (chol.L, True)
+    W = cho_solve(cl, Z)
+    Sinv = cho_solve(cl, np.eye(Z.shape[0]))
+    dS = grad[:, inv]
+    B = Sinv @ dS
+    A = dS @ W                                 # dS_j w per replicate
+    SinvA = np.stack([cho_solve(cl, A[j]) for j in range(3)])
+    g = 0.5 * np.sum(W * A, axis=1) - 0.5 * np.trace(B, axis1=1, axis2=2)[:, None]
+    H = np.empty((3, 3, m))
+    for j in range(3):
+        for k in range(j, 3):
+            d2S = hess[j, k][inv]
+            H[j, k] = H[k, j] = (0.5 * np.sum(B[j] * B[k].T)
+                                 - np.sum(A[j] * SinvA[k], axis=0)
+                                 + 0.5 * np.sum(W * (d2S @ W), axis=0)
+                                 - 0.5 * np.vdot(Sinv, d2S))
+    return g, H, loglik_columns(Z, chol)
+
+
 class TestWeightedDerivativePass:
-    """The fit's weighted-sum pass against the sandwich's per-replicate terms."""
+    """The one derivative pass against every replicate's g_i and H_i."""
 
     @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
     @pytest.mark.parametrize("q", [1.0, 0.95, 0.6])
     def test_matches_per_replicate_sums(self, layout, n, q):
-        # gradient sum U_i and Hessian sum V_i - (1-q) gbar gbar' of the
-        # log-domain objective, from every replicate's g_i and H_i
+        # the pass's g_i and sum w_i H_i; the fit's gradient gbar = sum w_i g_i
+        # and Hessian sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)';
+        # the sandwich's K = mean U_i U_i' and J = mean V_i, with U_i = w_i g_i
+        # and V_i = (1-q) w_i g_i g_i' + w_i H_i
         theta = MaternParams(1.0, 0.15, 0.6)
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(0.9, 0.17, 0.55)
-        U, V, _ = asymptotics._scores_batch(reps.data, locs, at, q)
-        g_want = U.sum(axis=1)
-        H_want = V.sum(axis=2) - (1.0 - q) * np.outer(g_want, g_want)
-        g, H = asymptotics._lq_derivs(reps.data, locs, at, q)
-        assert np.abs(g - g_want).max() <= 1e-12 * np.abs(g_want).max()
-        assert np.abs(H - H_want).max() <= 1e-12 * np.abs(H_want).max()
+        g_want, H, lvec = per_replicate_derivs(reps.data, locs, at)
+        _, w = _lq_weights(lvec, q)
+
+        def assert_close(got, want):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        g, w_got, H_sum, _ = asymptotics._weighted_derivs(reps.data, locs, at, q)
+        assert_close(g, g_want)
+        assert_close(w_got, w)
+        assert_close(H_sum, (H * w).sum(axis=2))
+
+        gbar = g_want @ w
+        G = g_want - gbar[:, None]
+        hess_want = (H * w).sum(axis=2) + (1.0 - q) * (G * w) @ G.T
+        # at a clipped sigma2 the profile's derivatives are the full ones
+        grad, hess = _profile_derivs(reps, locs, *at.as_array(), q, clipped=True)
+        assert_close(grad, gbar[1:])
+        assert_close(hess, hess_want[1:, 1:])
+
+        U = w * g_want
+        V = (1.0 - q) * U[:, None] * g_want[None] + w * H
+        parts = sandwich(reps, locs, at, q)
+        assert_close(parts.K, U @ U.T / reps.m)
+        assert_close(parts.J, V.mean(axis=2))

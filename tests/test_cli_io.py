@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,35 @@ class TestMain:
         assert meta["repetitions"] == "2"
         assert meta["grid.q"].startswith("1,")
         assert "fit.scale" not in meta and "fit.method" not in meta
+        capsys.readouterr()
+
+    def test_sweep_selector_reuses_fits_whose_objective_overflowed(
+            self, tmp_path, monkeypatch, capsys):
+        # at a small data scale a good profile fit reports objective inf
+        # (FitResult); the selector reads its estimate instead of fitting
+        # that grid q again
+        real_profile = cli.fit_profile
+
+        def overflowed(*args, **kwargs):
+            prof = real_profile(*args, **kwargs)
+            return replace(prof, fits=tuple(replace(f, objective=np.inf)
+                                            for f in prof.fits))
+
+        monkeypatch.setattr(cli, "fit_profile", overflowed)
+        real = qselect.fit
+        fitted = []
+
+        def spy(reps, locs, q, *args, **kwargs):
+            fitted.append(q)
+            return real(reps, locs, q, *args, **kwargs)
+
+        monkeypatch.setattr(qselect, "fit", spy)
+        cfgp = write_tiny_config(
+            tmp_path / "cfg.txt",
+            extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.6,0.5,0.49"),
+                   ("repetitions", "1"), ("selector", "kappa")])
+        assert run(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+        assert fitted and not set(fitted) & {1.0, 0.6, 0.5, 0.49}
         capsys.readouterr()
 
     def test_sweep_selector_fits_start_warm(self, tmp_path, monkeypatch, capsys):

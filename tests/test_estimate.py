@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,18 +242,36 @@ class TestFitSymmetries:
         res = fit(ReplicateSet(reps.data[perm]), LocationSet(locs.coords[perm]), q)
         assert_same_theta(res.theta_hat.as_array(), base[q].theta_hat.as_array())
 
-    def test_overflowing_surrogate_is_flagged(self, sym_data):
+    def test_overflowing_surrogate_still_converges(self, sym_data):
         # at data scale 1e-20 the log densities are about +1650, so the
-        # reported surrogate exp((l + n)(1 - q)) overflows; the search, in the
-        # log domain, still finds the scaled c = 1 answer
+        # reported surrogate exp((l + n)(1 - q)) overflows, silently; the
+        # search, in the log domain, still finds the scaled c = 1 answer
         locs, reps, base = sym_data
         c = 1e-20
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = fit(ReplicateSet(c * reps.data), locs, 0.5, scaled_bounds(c * c))
         assert_same_theta(res.theta_hat.as_array() / [c * c, 1.0, 1.0],
                           base[0.5].theta_hat.as_array())
         assert res.objective == np.inf
-        assert not res.converged
+        assert res.converged
+
+    def test_overflow_at_small_q_does_not_unconverge(self):
+        # n = 144, q = 0.1: at data scale 1e-3 the surrogate overflows
+        # although the fit is the c = 1 fit with sigma2 scaled by c^2
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=144, m=100,
+                        layout="grid", seed=1)
+        locs, reps, _flags = simulate_dataset(cfg)
+        c = 1e-3
+        base = fit(reps, locs, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(ReplicateSet(c * reps.data), locs, 0.1, scaled_bounds(c * c))
+        assert base.converged and np.isfinite(base.objective)
+        assert res.objective == np.inf
+        assert res.converged
+        assert_same_theta(res.theta_hat.as_array() / [c * c, 1.0, 1.0],
+                          base.theta_hat.as_array())
 
 
 # central-difference oracle for the profile derivatives: relative step
@@ -366,7 +386,7 @@ class TestConfirmation:
             assert res.evaluations > base[q].evaluations
 
     def test_newton_confirms_at_tiny_scale(self, interior_data):
-        # the setup of test_overflowing_surrogate_is_flagged: log densities
+        # the setup of test_overflowing_surrogate_still_converges: log densities
         # near +1650 would overflow unnormalized weights exp((1-q) l)
         locs, reps, base = interior_data
         c = 1e-20
