@@ -9,7 +9,7 @@ lot.
 
 from .asymptotics import (SandwichParts, SingularJError, StdErrs, sandwich,
                           std_errs, ustar, ustar_all, vstar)
-from .estimate import (Bounds, FitResult, QProfile, default_bounds,
+from .estimate import (Bounds, FitChain, FitResult, QProfile, default_bounds,
                        default_init, fit, fit_profile)
 from .gauss_lik import (CholFactor, NotSPDError, ReplicateSet,
                         chol_factor, log_likelihood, loglik_columns,
@@ -28,8 +28,8 @@ from .variogram import (VariogramCurve, center_replicates, empirical_variogram,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bounds", "CholFactor", "ContaminationSpec", "FitResult", "LocationSet",
-    "MaternParams", "NotSPDError", "QGridSpec", "QProfile",
+    "Bounds", "CholFactor", "ContaminationSpec", "FitChain", "FitResult",
+    "LocationSet", "MaternParams", "NotSPDError", "QGridSpec", "QProfile",
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
     "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
     "build_cov_grad", "build_cov_hess", "center_replicates", "chol_factor",

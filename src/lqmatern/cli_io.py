@@ -20,11 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import SingularJError, sandwich, std_errs
-from .estimate import Bounds, default_bounds, fit, fit_profile
+from .estimate import Bounds, FitChain, default_bounds, fit
 from .gauss_lik import NotSPDError, ReplicateSet
 from .matern import LocationSet, MaternParams
-from .qselect import (QGridSpec, kappa, make_fit_fn, make_se_fn,
-                      select_q_kappa, select_q_sqv)
+from .qselect import (QGridSpec, kappa, make_se_fn, select_q_kappa,
+                      select_q_sqv)
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
 from .variogram import DEFAULT_N_BINS, center_replicates, variogram_by_replicate
 
@@ -484,17 +484,20 @@ def cmd_fit(args):
           % (res.q, th.sigma2, th.beta, th.nu, kappa(th), res.converged))
 
 
+def _select(cfg, reps, locs, chain):
+    """The configured selector (kappa or sqv) run on one dataset's fit chain."""
+    if cfg.selector == "kappa":
+        return select_q_kappa(chain, cfg.q_grid)
+    return select_q_sqv(chain, make_se_fn(reps, locs), cfg.q_grid, m=reps.m)
+
+
 def cmd_select_q(args):
     cfg = config_from_args(args)
     out = _outdir(cfg)
     locs, reps = read_dataset(args.data_dir)
     if cfg.selector == "none":
         raise DataError("select-q needs selector = kappa or sqv")
-    fit_fn = make_fit_fn(reps, locs, cfg.bounds, cfg.init, cfg.tol)
-    if cfg.selector == "kappa":
-        sel = select_q_kappa(fit_fn, cfg.q_grid)
-    else:
-        sel = select_q_sqv(fit_fn, make_se_fn(reps, locs), cfg.q_grid, m=reps.m)
+    sel = _select(cfg, reps, locs, FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol))
     write_record(os.path.join(out, "selectq.txt"),
                  [("selector", cfg.selector), ("q_star", _fmt(sel.q_star)),
                   ("reason", sel.reason), ("passes", len(sel.trace))])
@@ -574,8 +577,11 @@ def cmd_sweep(args):
     for rep_id in range(cfg.repetitions):
         sim_i = replace(cfg.sim, seed=cfg.sim.seed + rep_id)
         locs, reps, _flags = simulate_dataset(sim_i)
+        # one chain serves the profile and the selector: grid q values are
+        # fitted once, and every fit after the first starts warm
+        chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
         try:
-            prof = fit_profile(reps, locs, grid, cfg.bounds, cfg.init, cfg.tol)
+            prof = chain.profile(grid)
         except (NotSPDError, np.linalg.LinAlgError, RuntimeError,
                 FloatingPointError) as exc:
             log.warning("repetition %d failed outright: %s", rep_id, exc)
@@ -583,37 +589,17 @@ def cmd_sweep(args):
                 rows.append(SweepRow(rep_id, q, np.nan, np.nan, np.nan, np.nan,
                                      np.nan, False, False))
             continue
-        for fr in prof.fits:
-            rows.append(_row_from_fit(rep_id, fr))
+        rows.extend(_row_from_fit(rep_id, fr) for fr in prof.fits)
         if cfg.selector == "none":
             continue
-        # a failed fit's placeholder has objective nan; a good fit's
-        # surrogate objective may overflow to inf
-        good = {round(q, 12): f.theta_hat
-                for q, f in zip(prof.grid, prof.fits) if not np.isnan(f.objective)}
-        # q values off the profile's grid start at its last good estimate;
-        # a failed grid point keeps the one before it as its theta_hat
-        fresh = make_fit_fn(reps, locs, cfg.bounds, prof.fits[-1].theta_hat,
-                            cfg.tol, warm=True)
-
-        def fit_fn(q, good=good, fresh=fresh):
-            key = round(float(q), 12)
-            return good[key] if key in good else fresh(q)
-
         try:
-            if cfg.selector == "kappa":
-                sel = select_q_kappa(fit_fn, cfg.q_grid)
-            else:
-                sel = select_q_sqv(fit_fn, make_se_fn(reps, locs),
-                                   cfg.q_grid, m=reps.m)
+            sel = _select(cfg, reps, locs, chain)
         except (NotSPDError, SingularJError, np.linalg.LinAlgError,
                 RuntimeError, FloatingPointError) as exc:
             log.warning("selector failed on repetition %d: %s", rep_id, exc)
             continue
         selected.append(sel.q_star)
-        th = fit_fn(sel.q_star)
-        rows.append(SweepRow(rep_id, sel.q_star, th.sigma2, th.beta, th.nu,
-                             kappa(th), np.nan, True, True))
+        rows.append(_row_from_fit(rep_id, chain.fit(sel.q_star), selected=True))
     write_sweep_rows(os.path.join(out, "sweep.csv"), rows)
     with open(os.path.join(out, "summary.csv"), "w") as fh:
         fh.write("q,n_used,bias,variance,mse\n")

@@ -40,7 +40,9 @@ A cold fit has three stages.
 A warm fit (``warm=True``: init is the estimate at a neighbouring q) starts
 with the Newton steps at init, and runs the cold stages from the best point
 reached only if they do not confirm.  Along ``qselect.DEFAULT_GRID`` a warm
-fit took 3 to 6 evaluations.
+fit took 3 to 6 evaluations.  ``FitChain`` caches each q's fit and starts
+every fit after the first one that returns warm at the last estimate; it
+serves ``fit_profile``, the q selectors and the CLI sweep.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -51,11 +53,11 @@ depend on their order.  Restart decisions compare iterates and the Newton
 checks compare two profile values, so both are order-only as well.  A fit
 that does not confirm is reported as not converged.  Trial points with a
 non-positive-definite correlation matrix score -inf and are simply
-rejected; only failure at the initial point is an error.  A fit in which
-every point but the initial one was rejected is not converged.
-
-``fit_profile`` runs a descending grid of q values starting at 1, warm-
-starting each fit at the previous estimate.
+rejected; only failure at the initial point is an error.  A restart that
+does not move confirms nothing where no scored point has a finite value
+other than the estimate's: every other point was rejected, or the profile
+is flat there (at the lower corner of the box, where every correlation is
+zero to double precision).
 
 At fixed q < 1 the estimator is not consistent for the model's theta0 =
 (sigma2, beta, nu).  Under the model f_theta^(1-q) f_theta0 is again a
@@ -141,16 +143,22 @@ class QProfile:
     fits: tuple
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.size == 0 or g[0] != 1.0:
-            raise ValueError("q grid must start at 1")
-        if np.any(g <= 0.0) or np.any(g > 1.0) or np.any(np.diff(g) >= 0.0):
-            raise ValueError("q grid must be strictly decreasing within (0, 1]")
+        _checked_q_grid(self.grid)
 
     def kappa_curve(self):
         from .qselect import kappa
 
         return np.array([kappa(f.theta_hat) for f in self.fits])
+
+
+def _checked_q_grid(grid):
+    """grid as a tuple of floats; it must start at 1 and decrease within (0, 1]."""
+    g = np.asarray(grid, dtype=float)
+    if g.size == 0 or g[0] != 1.0:
+        raise ValueError("q grid must start at 1")
+    if np.any(g <= 0.0) or np.any(g > 1.0) or np.any(np.diff(g) >= 0.0):
+        raise ValueError("q grid must be strictly decreasing within (0, 1]")
+    return tuple(float(v) for v in g)
 
 
 def default_bounds():
@@ -383,10 +391,11 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
     theta_hat = MaternParams(sigma2, *(search.corner + u * search.width))
     with np.errstate(over="ignore"):
         objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
-    # a restart whose every trial point was rejected does not move, which
-    # confirms nothing: the search must have scored some other point
-    n_finite = sum(np.isfinite(v) for _s2, v in search.scored.values())
-    converged = bool(confirmed and (by_newton or n_finite > 1)
+    # a restart cannot move where every other point it scores is rejected
+    # or ties the estimate, which confirms nothing: the search must have
+    # scored some finite value other than the estimate's
+    moved = any(np.isfinite(v) and v != value for _s2, v in search.scored.values())
+    converged = bool(confirmed and (by_newton or moved)
                      and search.simplex_ok and np.isfinite(value))
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=search.iterations, evaluations=search.evaluations,
@@ -394,31 +403,59 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
                      newton_steps=search.passes)
 
 
+class FitChain:
+    """Fits of one dataset along q, cached per q and started warm.
+
+    ``chain.fit(q)`` returns the FitResult at q, fitted on the first request
+    only (key round(q, 12)); ``chain(q)`` returns its theta_hat, as the q
+    selectors' ``fit_fn``.  The first fit starts cold at ``init``; every fit
+    after the first one that returns starts with Newton steps at the last
+    returned estimate (``fit``'s ``warm``).  A fit that raises is not cached.
+    """
+
+    def __init__(self, reps, locs, bounds=None, init=None, tol=1e-6, *,
+                 max_evals=5000):
+        if bounds is None:
+            bounds = default_bounds()
+        if init is None:
+            init = default_init(reps, bounds)
+        self._reps, self._locs, self._bounds = reps, locs, bounds
+        self._tol, self._max_evals = tol, max_evals
+        self._start, self._warm = init, False
+        self._fits = {}
+
+    def fit(self, q):
+        key = round(float(q), 12)
+        if key not in self._fits:
+            res = fit(self._reps, self._locs, float(q), self._bounds, self._start,
+                      self._tol, max_evals=self._max_evals, warm=self._warm)
+            self._start, self._warm = res.theta_hat, True
+            self._fits[key] = res
+        return self._fits[key]
+
+    def __call__(self, q):
+        return self.fit(q).theta_hat
+
+    def profile(self, grid):
+        """QProfile of the fits along a descending grid starting at 1.
+
+        A q value whose fit fails outright is recorded as a non-converged
+        placeholder (objective NaN) at the last good estimate, and the
+        chain continues from that estimate.
+        """
+        grid = _checked_q_grid(grid)
+        fits = []
+        for q in grid:
+            try:
+                fits.append(self.fit(q))
+            except (NotSPDError, np.linalg.LinAlgError):
+                fits.append(FitResult(theta_hat=self._start, objective=float("nan"),
+                                      q=q, iterations=0, evaluations=0,
+                                      converged=False, init=self._start))
+        return QProfile(grid=grid, fits=tuple(fits))
+
+
 def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6, *,
                 max_evals=5000):
-    """Fit a descending q grid, warm-starting each fit at the previous theta_hat.
-
-    The first fit starts cold at ``init``; each later one starts with Newton
-    steps at the last good estimate (``fit``'s ``warm``).  A q value whose
-    fit fails outright is recorded as a non-converged placeholder
-    (objective NaN) and the profile continues from the last good estimate.
-    """
-    grid = tuple(float(v) for v in grid)
-    if bounds is None:
-        bounds = default_bounds()
-    if init is None:
-        init = default_init(reps, bounds)
-    fits = []
-    start, warm = init, False
-    for q in grid:
-        try:
-            res = fit(reps, locs, q, bounds, start, tol, max_evals=max_evals,
-                      warm=warm)
-        except (NotSPDError, np.linalg.LinAlgError):
-            fits.append(FitResult(theta_hat=start, objective=float("nan"), q=float(q),
-                                  iterations=0, evaluations=0, converged=False,
-                                  init=start, restarts=0, newton_steps=0))
-            continue
-        fits.append(res)
-        start, warm = res.theta_hat, True
-    return QProfile(grid=grid, fits=tuple(fits))
+    """``FitChain.profile`` of a fresh chain: fits along a descending q grid."""
+    return FitChain(reps, locs, bounds, init, tol, max_evals=max_evals).profile(grid)

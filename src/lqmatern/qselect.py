@@ -7,10 +7,14 @@ relative variation of the identifiable quantity
 
     kappa = sigma2 * beta**(-2 nu).
 
-Each pass either accepts the current leading q, or refines an equally
-spaced grid from the last destabilized point down to q_min and repeats.  If
-the series never stabilizes before the grid span is exhausted the selectors
-fall back to q* = 1.
+Both share one pass loop (``_walk``): it fits each grid q through
+``fit_fn``, drops and logs the points whose fit or statistic fails or is not
+finite, and forms the series over consecutive usable points.  Each pass
+either accepts the current leading q, or refines an equally spaced grid from
+the last destabilized point down to q_min and repeats.  If the series never
+stabilizes before the grid span is exhausted the selectors fall back to
+q* = 1.  ``make_fit_fn`` gives the ``fit_fn`` as an ``estimate.FitChain``,
+so q values the walk revisits are not fitted again.
 
 kappa-hat is not constant across q even on clean data.  The fixed-q fit
 targets (q sigma2, beta, nu) (see ``estimate``), whose kappa is q kappa0, and
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import sandwich, std_errs
-from .estimate import default_bounds, default_init, fit
+from .estimate import FitChain, _checked_q_grid
 
 log = logging.getLogger(__name__)
 
@@ -54,18 +58,13 @@ class QGridSpec:
     K: int = 7
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.size == 0 or g[0] != 1.0:
-            raise ValueError("q grid must start at 1")
-        if np.any(g <= 0.0) or np.any(g > 1.0) or np.any(np.diff(g) >= 0.0):
-            raise ValueError("q grid must be strictly decreasing within (0, 1]")
+        object.__setattr__(self, "grid", _checked_q_grid(self.grid))
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if not self.L > 0.0:
             raise ValueError("L must be positive")
         if int(self.K) != self.K or self.K < 1:
             raise ValueError("K must be a positive integer")
-        object.__setattr__(self, "grid", tuple(float(v) for v in g))
         object.__setattr__(self, "K", int(self.K))
 
 
@@ -134,24 +133,39 @@ def sqv(z_prev, z_cur, p=3):
     return float(np.linalg.norm(a - b) / p)
 
 
-def _walk(spec, run_pass):
-    # shared refinement loop; run_pass(grid) -> (q_used, series, accepted, k*)
+def _walk(spec, fit_fn, point, pair, pivot):
+    """The refinement loop both selectors share.
+
+    ``point(q, theta_hat)`` is the statistic at one grid q, ``pair(a, b)``
+    the series value of two consecutive statistics, and ``pivot(series)``
+    None to accept the pass's leading q, or else the refinement subscript k*.
+    """
     q_min = spec.grid[-1]
     grid_cur = np.asarray(spec.grid, dtype=float)
     trace = []
-    pass_idx = 0
     while grid_cur[0] - q_min > spec.eps:
-        q_used, series, accepted, k_star = run_pass(grid_cur)
-        if len(q_used) < 2:
-            trace.append(PassRecord(pass_idx, tuple(q_used), tuple(series)))
+        q_used, stats = [], []
+        for qv in grid_cur:
+            qv = float(qv)
+            try:
+                stat = point(qv, fit_fn(qv))
+            except _POINT_FAILURES as exc:
+                log.warning("dropping q=%.6g: %s", qv, exc)
+                continue
+            if not np.all(np.isfinite(stat)):
+                log.warning("dropping q=%.6g: the statistic is not finite", qv)
+                continue
+            q_used.append(qv)
+            stats.append(stat)
+        series = tuple(pair(a, b) for a, b in zip(stats, stats[1:]))
+        k_star = pivot(series) if series else None
+        trace.append(PassRecord(len(trace), tuple(q_used), series, k_star))
+        if not series:
             return SelectionResult(1.0, tuple(trace), "fallback-to-one")
-        if accepted:
-            trace.append(PassRecord(pass_idx, tuple(q_used), tuple(series)))
+        if k_star is None:
             return SelectionResult(q_used[0], tuple(trace), "stabilized")
-        trace.append(PassRecord(pass_idx, tuple(q_used), tuple(series), int(k_star)))
         grid_cur = np.linspace(q_used[k_star], q_min, spec.K + 1)
-        pass_idx += 1
-    trace.append(PassRecord(pass_idx, tuple(float(v) for v in grid_cur), ()))
+    trace.append(PassRecord(len(trace), tuple(float(v) for v in grid_cur), ()))
     return SelectionResult(1.0, tuple(trace), "span-exhausted")
 
 
@@ -169,26 +183,11 @@ def select_q_sqv(fit_fn, se_fn, spec=None, m=None):
     if m is None:
         raise TypeError("m (the replicate count) is required")
 
-    def run_pass(grid_vals):
-        q_used, zs = [], []
-        for qv in grid_vals:
-            try:
-                th = fit_fn(float(qv))
-                z = standardized(th, se_fn(th, float(qv)), m)
-            except _POINT_FAILURES as exc:
-                log.warning("dropping q=%.6g: %s", qv, exc)
-                continue
-            q_used.append(float(qv))
-            zs.append(z)
-        series = [sqv(zs[i - 1], zs[i]) for i in range(1, len(zs))]
-        accepted = bool(series) and max(series) < spec.L
-        k_star = None
-        if series and not accepted:
-            k_star = max(k for k in range(1, len(series) + 1)
-                         if series[k - 1] >= spec.L)
-        return q_used, series, accepted, k_star
+    def pivot(series):
+        return max((k for k, v in enumerate(series, 1) if v >= spec.L), default=None)
 
-    return _walk(spec, run_pass)
+    return _walk(spec, fit_fn, lambda q, th: standardized(th, se_fn(th, q), m),
+                 sqv, pivot)
 
 
 def select_q_kappa(fit_fn, spec=None):
@@ -204,61 +203,25 @@ def select_q_kappa(fit_fn, spec=None):
     if not spec.L > 1.0:
         raise ValueError("the kappa selector requires L > 1")
 
-    def run_pass(grid_vals):
-        q_used, kap = [], []
-        for qv in grid_vals:
-            try:
-                kv = kappa(fit_fn(float(qv)))
-            except _POINT_FAILURES as exc:
-                log.warning("dropping q=%.6g: %s", qv, exc)
-                continue
-            if not np.isfinite(kv):
-                log.warning("dropping q=%.6g: kappa is not finite", qv)
-                continue
-            q_used.append(float(qv))
-            kap.append(kv)
-        series = [abs(kap[i - 1] / kap[i] - 1.0) for i in range(1, len(kap))]
-        accepted = False
-        k_star = None
-        if series:
-            thr = spec.L * min(series)
-            accepted = max(series) <= thr
-            if not accepted:
-                k_star = max(k for k in range(1, len(series) + 1)
-                             if series[k - 1] >= thr)
-        return q_used, series, accepted, k_star
+    def pivot(series):
+        thr = spec.L * min(series)
+        if max(series) > thr:
+            return max(k for k, v in enumerate(series, 1) if v >= thr)
+        return None
 
-    return _walk(spec, run_pass)
+    return _walk(spec, fit_fn, lambda q, th: kappa(th),
+                 lambda a, b: abs(a / b - 1.0), pivot)
 
 
 def make_fit_fn(reps, locs, bounds=None, init=None, tol=1e-6, *,
-                max_evals=5000, warm=False):
-    """fit_fn(q) -> theta_hat, cached per q and warm-started across calls.
+                max_evals=5000):
+    """fit_fn(q) -> theta_hat: an ``estimate.FitChain`` over the dataset.
 
     Selectors revisit q values across passes (q_min appears in every
-    refinement), so the cache keeps the advertised per-pass fit count
-    honest.  Each fit after the first starts with Newton steps at the most
-    recent successful fit (``fit``'s ``warm``), which suits the descending
-    walk the selectors perform; the first starts cold at ``init`` unless
-    ``warm`` says that init is already an estimate.
+    refinement), so the chain's cache keeps the advertised per-pass fit
+    count honest, and its warm starts suit their descending walk.
     """
-    if bounds is None:
-        bounds = default_bounds()
-    if init is None:
-        init = default_init(reps, bounds)
-    cache = {}
-    start = [init, warm]
-
-    def fit_fn(q):
-        key = round(float(q), 12)
-        if key not in cache:
-            res = fit(reps, locs, float(q), bounds, start[0], tol,
-                      max_evals=max_evals, warm=start[1])
-            start[:] = [res.theta_hat, True]
-            cache[key] = res.theta_hat
-        return cache[key]
-
-    return fit_fn
+    return FitChain(reps, locs, bounds, init, tol, max_evals=max_evals)
 
 
 def make_se_fn(reps, locs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lqmatern.cli_io as cli
-import lqmatern.qselect as qselect
+import lqmatern.estimate as est
 from lqmatern.cli_io import (DataError, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, write_locations,
@@ -393,28 +393,24 @@ class TestMain:
         # at a small data scale a good profile fit reports objective inf
         # (FitResult); the selector reads its estimate instead of fitting
         # that grid q again
-        real_profile = cli.fit_profile
-
-        def overflowed(*args, **kwargs):
-            prof = real_profile(*args, **kwargs)
-            return replace(prof, fits=tuple(replace(f, objective=np.inf)
-                                            for f in prof.fits))
-
-        monkeypatch.setattr(cli, "fit_profile", overflowed)
-        real = qselect.fit
+        real = est.fit
         fitted = []
 
-        def spy(reps, locs, q, *args, **kwargs):
+        def overflowed(reps, locs, q, *args, **kwargs):
             fitted.append(q)
-            return real(reps, locs, q, *args, **kwargs)
+            return replace(real(reps, locs, q, *args, **kwargs), objective=np.inf)
 
-        monkeypatch.setattr(qselect, "fit", spy)
+        monkeypatch.setattr(est, "fit", overflowed)
+        grid = [1.0, 0.6, 0.5, 0.49]
         cfgp = write_tiny_config(
             tmp_path / "cfg.txt",
             extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.6,0.5,0.49"),
                    ("repetitions", "1"), ("selector", "kappa")])
         assert run(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
-        assert fitted and not set(fitted) & {1.0, 0.6, 0.5, 0.49}
+        # the profile fits each grid q once, then the selector's fits follow
+        assert fitted[:4] == grid
+        selector_fits = fitted[4:]
+        assert selector_fits and not set(selector_fits) & set(grid)
         capsys.readouterr()
 
     def test_sweep_selector_fits_start_warm(self, tmp_path, monkeypatch, capsys):
@@ -422,19 +418,70 @@ class TestMain:
         # at the profile's last estimate: none of them is a cold start (the
         # grid's last interval is short, so each pass-0 pivot k* = 2 refines
         # [0.5, 0.49] with six new q values per repetition)
-        real = qselect.fit
+        real = est.fit
         warm = []
 
         def spy(*args, **kwargs):
             warm.append(kwargs["warm"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(qselect, "fit", spy)
+        monkeypatch.setattr(est, "fit", spy)
         out = tmp_path / "w"
         cfgp = write_tiny_config(
             tmp_path / "cfg.txt",
             extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.6,0.5,0.49"),
                    ("repetitions", "2"), ("selector", "kappa")])
         assert run(["sweep", "--config", cfgp, "--out", str(out)]) == 0
-        assert len(warm) == 12 and warm.count(False) == 0
+        # per repetition: four profile fits, only the first cold, then the
+        # selector's six
+        assert warm == ([False] + [True] * 9) * 2
+        selector_warm = warm[4:10] + warm[14:20]
+        assert len(selector_warm) == 12 and selector_warm.count(False) == 0
+        capsys.readouterr()
+
+    def test_sweep_selected_row_reports_its_fit(self, tmp_path, monkeypatch, capsys):
+        # the selected row carries the objective and converged flag of the
+        # fit at q*, here patched to converged=False
+        real = est.fit
+        objective = {}
+
+        def unconverged(reps, locs, q, *args, **kwargs):
+            res = replace(real(reps, locs, q, *args, **kwargs), converged=False)
+            objective[q] = res.objective
+            return res
+
+        monkeypatch.setattr(est, "fit", unconverged)
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(
+            tmp_path / "cfg.txt",
+            extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.99,0.98"),
+                   ("repetitions", "1"), ("selector", "kappa")])
+        assert run(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in
+                (out / "sweep.csv").read_text().splitlines()[1:]]
+        (sel,) = [r for r in rows if r[8] == "true"]
+        assert sel[7] == "false"
+        assert sel[6] == "%.17g" % objective[float(sel[1])]
+        capsys.readouterr()
+
+    def test_sweep_and_select_q_pick_the_same_q(self, tmp_path, capsys):
+        # on one simulated dataset whose kappa walk refines off the grid,
+        # the sweep's selector (sharing the profile's fits) and select-q
+        # (fitting from scratch) reach the same q*
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(
+            tmp_path / "cfg.txt",
+            extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.6,0.5,0.49"),
+                   ("repetitions", "1"), ("selector", "kappa")])
+        assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        assert run(["select-q", "--config", cfgp, "--data-dir", str(out),
+                    "--out", str(out)]) == 0
+        assert run(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+        trace = (out / "trace.csv").read_text().splitlines()[1:]
+        refined = {float(r.split(",")[2]) for r in trace if r.startswith("1,")}
+        assert refined - {1.0, 0.6, 0.5, 0.49}
+        q_star = read_record(out / "selectq.txt")["q_star"]
+        rows = [r.split(",") for r in
+                (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows if r[8] == "true"] == [q_star]
         capsys.readouterr()

@@ -188,6 +188,18 @@ class TestFit:
         assert not res.converged
         assert (res.theta_hat.beta, res.theta_hat.nu) == (init.beta, init.nu)
 
+    @pytest.mark.parametrize("q", [1.0, 0.9])
+    def test_flat_corner_is_not_converged(self, interior_data, q):
+        # at the lower corner (beta = 1e-3, nu = 0.05) every correlation is
+        # zero to double precision, so every point the search scores ties:
+        # the restarts cannot move, which must not pass for a confirmation
+        locs, reps, base = interior_data
+        corner = default_bounds().lower
+        res = fit(reps, locs, q, init=corner)
+        assert (res.theta_hat.beta, res.theta_hat.nu) == (corner.beta, corner.nu)
+        assert not res.converged
+        assert base[q].converged and base[q].objective > res.objective
+
 
 SYM_QS = (1.0, 0.9, 0.5)
 SYM_RTOL = 1e-9

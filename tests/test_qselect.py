@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import lqmatern.qselect as qs
+import lqmatern.estimate as est
 from lqmatern.asymptotics import StdErrs
 from lqmatern.estimate import FitResult
 from lqmatern.matern import MaternParams
@@ -235,7 +235,7 @@ class TestFactories:
             return FitResult(theta_hat=th, objective=0.0, q=q, iterations=1,
                              evaluations=1, converged=True, init=init)
 
-        monkeypatch.setattr(qs, "fit", fake_fit)
+        monkeypatch.setattr(est, "fit", fake_fit)
         fit_fn = make_fit_fn(reps, locs)
         a = fit_fn(0.99)
         b = fit_fn(0.99)
@@ -257,14 +257,11 @@ class TestFactories:
                              q=q, iterations=1, evaluations=1, converged=True,
                              init=init)
 
-        monkeypatch.setattr(qs, "fit", fake_fit)
+        monkeypatch.setattr(est, "fit", fake_fit)
         fit_fn = make_fit_fn(reps, locs)
         fit_fn(0.99)
         fit_fn(0.95)
         assert warm == [False, True]
-        warm.clear()
-        make_fit_fn(reps, locs, init=MaternParams(1.0, 0.3, 0.6), warm=True)(0.99)
-        assert warm == [True]
 
     def test_se_fn_returns_stderrs(self):
         locs = make_locations(9, "grid")
