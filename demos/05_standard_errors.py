@@ -2,11 +2,12 @@
 
 Each replicate contributes a score-like vector U* (the gradient of its Lq
 term) and a Hessian-like matrix V*.  Averaging gives the plug-in moment
-matrices K and J; the standard error of parameter r is the r-th diagonal
-entry of J^-1/2 K^1/2 J^-1/2, divided by sqrt(m) for the final estimate.
-This script checks the machinery two ways: the standard errors against the
-spread of estimates across many simulated datasets, and the q = 1 score
-against its zero-mean property at the truth.
+matrices K and J; the sandwich J^-1 K J^-1 is the asymptotic covariance of
+the estimator per replicate, so the standard error of parameter r is the
+square root of its r-th diagonal entry, divided by sqrt(m) for the
+estimate from m replicates.  This script checks the machinery two ways:
+the standard errors against the spread of estimates across many simulated
+datasets, and the q = 1 score against its zero-mean property at the truth.
 """
 
 import numpy as np
@@ -27,9 +28,6 @@ errs = std_errs(parts)
 
 se_est = errs.se / np.sqrt(m)
 print("theta-hat:", res.theta_hat.as_array())
-print("se per parameter (printed form):     ", np.round(se_est, 4))
-print("se per parameter (classical sandwich):",
-      np.round(errs.se_sandwich / np.sqrt(m), 4))
 print("J sign convention used: %s, surrogate condition %.1e"
       % (errs.convention, errs.cond))
 
@@ -47,9 +45,9 @@ for s in range(n_rep):
     hats[s] = fit(reps_s, locs_s, q).theta_hat.as_array()
 mc_sd = hats.std(axis=0, ddof=1)
 print("\nacross %d fresh datasets:" % n_rep)
-print("  Monte Carlo sd of theta-hat:", np.round(mc_sd, 4))
-print("  sandwich se at the first fit:", np.round(se_est, 4))
-print("  ratio:", np.round(se_est / mc_sd, 2))
+print("  se / sqrt(m) at the first fit:", np.round(se_est, 4))
+print("  Monte Carlo sd of theta-hat:  ", np.round(mc_sd, 4))
+print("  ratio se / sd:", np.round(se_est / mc_sd, 2))
 
 # --- the q = 1 score is mean zero at the truth ------------------------------
 

@@ -8,22 +8,18 @@ lot.
 """
 
 from .asymptotics import (SandwichParts, SingularJError, StdErrs, sandwich,
-                          std_errs, ustar, ustar_all, vstar)
+                          std_errs, ustar_all)
 from .estimate import (Bounds, FitChain, FitResult, QProfile, default_bounds,
-                       default_init, fit, fit_profile)
-from .gauss_lik import (CholFactor, NotSPDError, ReplicateSet,
-                        chol_factor, log_likelihood, loglik_columns,
-                        lq_of_loglik, total_lq)
+                       fit, fit_profile)
+from .gauss_lik import (CholFactor, NotSPDError, ReplicateSet, chol_factor,
+                        loglik_columns, lq_of_loglik, total_lq)
 from .matern import (LocationSet, MaternParams, build_cov, build_cov_grad,
                      build_cov_hess, matern_cov, matern_grad, matern_hess)
 from .qselect import (QGridSpec, SelectionResult, default_kappa_spec, kappa,
                       make_fit_fn, make_se_fn, select_q_kappa, select_q_sqv,
                       sqv, standardized)
-from .simulate import (ContaminationSpec, SimConfig, contaminate,
-                       gen_replicates, make_locations, simulate_dataset)
-from .specfun import digamma, log_gamma, trigamma
-from .variogram import (VariogramCurve, center_replicates, empirical_variogram,
-                        variogram_by_replicate)
+from .simulate import ContaminationSpec, SimConfig, simulate_dataset
+from .variogram import VariogramCurve, center_replicates, variogram_by_replicate
 
 __version__ = "0.1.0"
 
@@ -33,12 +29,9 @@ __all__ = [
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
     "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
     "build_cov_grad", "build_cov_hess", "center_replicates", "chol_factor",
-    "contaminate", "default_bounds", "default_init", "default_kappa_spec",
-    "digamma", "empirical_variogram", "fit", "fit_profile", "gen_replicates",
-    "kappa", "log_gamma", "log_likelihood", "loglik_columns", "lq_of_loglik",
-    "make_fit_fn", "make_locations", "make_se_fn", "matern_cov",
-    "matern_grad", "matern_hess", "sandwich", "select_q_kappa",
+    "default_bounds", "default_kappa_spec", "fit", "fit_profile", "kappa",
+    "loglik_columns", "lq_of_loglik", "make_fit_fn", "make_se_fn",
+    "matern_cov", "matern_grad", "matern_hess", "sandwich", "select_q_kappa",
     "select_q_sqv", "simulate_dataset", "sqv", "standardized", "std_errs",
-    "total_lq", "trigamma", "ustar", "ustar_all", "variogram_by_replicate",
-    "vstar",
+    "total_lq", "ustar_all", "variogram_by_replicate",
 ]

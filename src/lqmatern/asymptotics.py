@@ -23,9 +23,10 @@ the normalized weights w_i = softmax((1-q) l_i) of ``gauss_lik._lq_weights``
 logsumexp((1-q) l) (0 at q = 1).  ``sandwich`` averages the weighted terms
 U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i over replicates,
 K = (1/m) sum U U', J = (1/m) sum V, and records s as ``log_scale``: the raw
-plug-in matrices are K e^(2s) and J e^s.  Both standard-error forms are
+plug-in matrices are K e^(2s) and J e^s.  The standard errors are
 invariant under that common rescaling, so they never see the raw scale.
-``ustar``, ``vstar`` and ``ustar_all`` return the raw U* and V*.
+``ustar_all`` returns the raw U* of every replicate; ``_ustar`` and
+``_vstar`` return one replicate's raw U* and V*.
 
 One derivative pass, ``_weighted_derivs``, serves the sandwich, U*, V* and
 the fit's Newton steps (``estimate._profile_derivs``).  It returns every
@@ -43,14 +44,15 @@ factor, batched over replicates; the trace terms come from one explicit
 Sigma^-1 formed from the same factor, as tr(Sigma^-1 D) = <Sigma^-1, D>
 for symmetric D and tr(B_j B_k) with B_j = Sigma^-1 dS_j.
 
-``std_errs`` implements the printed standard-error form: the r-th diagonal
-entry of J^-1/2 K^1/2 J^-1/2.  J estimated from data at a maximum is close
-to minus an information matrix, hence negative definite, so the square roots
-act on a positive-definite surrogate S built by flooring the absolute
-eigenvalues of J with its diagonal scaled to unit magnitude (convention
-reported).  The classical sandwich diagonal sqrt(diag(S^-1 K S^-1)) is
-exposed alongside as ``se_sandwich``; unlike the printed form it follows a
-change of the parameters' units exactly.
+``std_errs`` returns the sandwich standard errors sqrt(diag(J^-1 K J^-1)),
+the asymptotic variance of an M-estimator (White 1982) and of the MLqE
+(Ferrari & Yang 2010).  They are per replicate: the standard error of an
+estimate from m replicates is se / sqrt(m).  J estimated from data at a
+maximum is close to minus an information matrix, hence negative definite,
+so J^-1 acts through a positive-definite surrogate S built by flooring the
+absolute eigenvalues of J with its diagonal scaled to unit magnitude
+(convention reported); se follows a change of the parameters' units
+exactly.
 """
 
 from dataclasses import dataclass
@@ -89,16 +91,15 @@ class SandwichParts:
 
 @dataclass(frozen=True)
 class StdErrs:
-    """Per-parameter asymptotic standard deviations.
+    """Per-parameter asymptotic standard deviations, per replicate.
 
-    ``se`` follows the printed J^-1/2 K^1/2 J^-1/2 diagonal; ``se_sandwich``
-    is the classical sqrt(diag(J^-1 K J^-1)) alternative.  ``convention``
+    ``se`` is sqrt(diag(J^-1 K J^-1)); divide it by sqrt(m) for the
+    standard error of an estimate from m replicates.  ``convention``
     records how J's sign was handled and ``cond`` the condition number of
     the PD surrogate with J's diagonal scaled to unit magnitude.
     """
 
     se: np.ndarray
-    se_sandwich: np.ndarray = None
     convention: str = "absolute"
     cond: float = float("nan")
 
@@ -170,14 +171,14 @@ def _weighted_derivs(Z, locs, theta, q):
     return g, w, H, log_scale
 
 
-def ustar(z, locs, theta, q):
+def _ustar(z, locs, theta, q):
     """Per-replicate estimating function U* = f^(1-q) grad log f, a 3-vector."""
     # a single replicate has weight 1, so f^(1-q) = e^log_scale
     g, _, _, log_scale = _weighted_derivs(z, locs, theta, q)
     return g[:, 0] * np.exp(log_scale)
 
 
-def vstar(z, locs, theta, q):
+def _vstar(z, locs, theta, q):
     """Exact theta-Jacobian of U* at one replicate; symmetric 3x3."""
     g, _, H, log_scale = _weighted_derivs(z, locs, theta, q)
     out = (H + (1.0 - q) * (g @ g.T)) * np.exp(log_scale)
@@ -208,34 +209,23 @@ def sandwich(reps, locs, theta_hat, q):
     return SandwichParts(K=K, J=J, m=m, log_scale=log_scale)
 
 
-def _psd_sqrt(mat, inverse=False):
-    # symmetric square root of a PSD matrix, clipping small negatives
-    lam, Q = np.linalg.eigh(mat)
-    lam = np.clip(lam, 0.0, None)
-    root = np.sqrt(lam)
-    if inverse:
-        if np.any(root == 0.0):
-            raise SingularJError("matrix square root is singular")
-        root = 1.0 / root
-    return (Q * root) @ Q.T
-
-
 def std_errs(parts):
-    """Standard errors from the printed J^-1/2 K^1/2 J^-1/2 diagonal.
+    """Sandwich standard errors sqrt(diag(J^-1 K J^-1)), per replicate.
 
-    The PD surrogate S of J is built in coordinates where J's diagonal has
-    unit magnitude: with d = sqrt(|diag J|), the spectrum of J / (d d') is
-    floored in absolute value at J_EIG_FLOOR times its largest absolute
-    eigenvalue, and mapped back as S = D S~ D.  So S, the floor and
-    ``se_sandwich``, computed as sqrt(diag(S~^-1 K~ S~^-1)) / d with
-    K~ = K / (d d'), follow any change of units of a parameter exactly, and
-    a J that is merely badly scaled is not floored.  Both forms are
-    invariant under (K, J) -> (K/s^2, J/s), so the common scale of the
-    sandwich's normalized weights drops out, and a J that is identically
-    zero raises SingularJError.  The reported convention is "negated" when
-    J was entirely nonpositive (the usual case at a maximum), "positive"
-    when entirely nonnegative, else "absolute"; ``cond`` is the condition
-    number of S~, which does not depend on the parameters' units either.
+    J^-1 is taken through a PD surrogate S of J built in coordinates where
+    J's diagonal has unit magnitude: with d = sqrt(|diag J|), the spectrum
+    of J / (d d') is floored in absolute value at J_EIG_FLOOR times its
+    largest absolute eigenvalue, giving S~, and se is
+    sqrt(diag(S~^-1 K~ S~^-1)) / d with K~ = K / (d d').  So S, the floor
+    and se follow any change of units of a parameter exactly, and a J that
+    is merely badly scaled is not floored.  se is invariant under
+    (K, J) -> (K/s^2, J/s), so the common scale of the sandwich's
+    normalized weights drops out, and a J that is identically zero raises
+    SingularJError.  The reported convention is "negated" when J was
+    entirely nonpositive (the usual case at a maximum), "positive" when
+    entirely nonnegative, else "absolute"; ``cond`` is the condition number
+    of S~, which does not depend on the parameters' units either.  Divide
+    se by sqrt(m) for the standard error of an estimate from m replicates.
     """
     J = np.asarray(parts.J, dtype=float)
     K = np.asarray(parts.K, dtype=float)
@@ -257,10 +247,8 @@ def std_errs(parts):
         raise SingularJError("J is singular beyond regularization",
                              cond=float("inf"))
     cond = float(s.max() / s.min())
-    inv_root_S = _psd_sqrt(((Q * s) @ Q.T) * dd, inverse=True)
-    se = np.diag(inv_root_S @ _psd_sqrt(K) @ inv_root_S).copy()
     S_inv = (Q * (1.0 / s)) @ Q.T
-    se_cls = np.sqrt(np.clip(np.diag(S_inv @ (K / dd) @ S_inv), 0.0, None)) / d
+    se = np.sqrt(np.clip(np.diag(S_inv @ (K / dd) @ S_inv), 0.0, None)) / d
     if not np.all(np.isfinite(se)):
         raise SingularJError("standard errors are not finite", cond=cond)
-    return StdErrs(se=se, se_sandwich=se_cls, convention=convention, cond=cond)
+    return StdErrs(se=se, convention=convention, cond=cond)

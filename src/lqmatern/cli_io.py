@@ -531,9 +531,6 @@ def cmd_se(args):
              ("se.sigma2", _fmt(float(errs.se[0]))),
              ("se.beta", _fmt(float(errs.se[1]))),
              ("se.nu", _fmt(float(errs.se[2]))),
-             ("se_sandwich.sigma2", _fmt(float(errs.se_sandwich[0]))),
-             ("se_sandwich.beta", _fmt(float(errs.se_sandwich[1]))),
-             ("se_sandwich.nu", _fmt(float(errs.se_sandwich[2]))),
              ("convention", errs.convention), ("cond", _fmt(errs.cond)),
              ("log_scale", _fmt(parts.log_scale))]
     names = ("sigma2", "beta", "nu")

@@ -136,7 +136,7 @@ def chol_factor(cov, jitter_scale=None):
     return CholFactor(L=L, log_det=log_det, jittered=jittered)
 
 
-def log_likelihood(z, chol):
+def _log_likelihood(z, chol):
     """Exact Gaussian log-likelihood of one replicate from a Cholesky factor.
 
     The quadratic form z' Sigma^-1 z is evaluated as ||y||^2 with L y = z;

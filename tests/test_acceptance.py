@@ -1,4 +1,4 @@
-"""Release acceptance checklist: ten end-to-end criteria with stated budgets.
+"""Release acceptance checklist: eleven end-to-end criteria with stated budgets.
 
 Each test prints one ``[criterion N] PASS/FAIL`` summary line with its
 measured numbers before asserting, so a red criterion still reports how far
@@ -10,10 +10,12 @@ import time
 
 import numpy as np
 
-from lqmatern.asymptotics import sandwich, ustar, ustar_all, vstar
-from lqmatern.estimate import fit, fit_profile
-from lqmatern.gauss_lik import (ReplicateSet, chol_factor, log_likelihood,
-                                loglik_columns, lq_of_loglik, total_lq)
+from lqmatern.asymptotics import (_ustar as ustar, _vstar as vstar,
+                                  sandwich, std_errs, ustar_all)
+from lqmatern.estimate import FitChain, fit, fit_profile
+from lqmatern.gauss_lik import (ReplicateSet, _log_likelihood as log_likelihood,
+                                chol_factor, loglik_columns, lq_of_loglik,
+                                total_lq)
 from lqmatern.matern import (LocationSet, MaternParams, build_cov,
                              build_cov_grad, matern_cov, matern_grad,
                              matern_hess)
@@ -479,4 +481,44 @@ def test_criterion_10_variogram_oracle():
     report(10, ok, "mean |empirical - exponential model| = %.4f over %d "
            "filled bins (allow 0.15)" % (mad, int(filled.sum())), t0)
     assert mad < 0.15 * theta.sigma2
+    assert time.perf_counter() - t0 < 120.0
+
+
+def test_criterion_11_se_calibration():
+    # The sandwich se sqrt(diag(J^-1 K J^-1)) is per replicate, so sqrt(m)
+    # times the spread of theta-hat across datasets is its target.  The
+    # median se over the datasets must lie within 3 Monte Carlo standard
+    # errors of sqrt(m) sd(theta-hat), the standard error of an sd from R
+    # draws being sd / sqrt(2 (R - 1)): a band of about 21% at R = 100.
+    # That band tells the sandwich apart from the diagonal of
+    # J^-1/2 K^1/2 J^-1/2, which reads beta at 0.42 of the target here.
+    t0 = time.perf_counter()
+    n_data, m, qs = 100, 100, (1.0, 0.95)
+    hats = {q: [] for q in qs}
+    ses = {q: [] for q in qs}
+    for seed in range(1000, 1000 + n_data):
+        cfg = SimConfig(THETA0, n=100, m=m, layout="grid", seed=seed)
+        locs, reps, _ = simulate_dataset(cfg)
+        chain = FitChain(reps, locs)
+        for q in qs:
+            theta = chain(q)
+            hats[q].append(theta.as_array())
+            ses[q].append(std_errs(sandwich(reps, locs, theta, q)).se)
+    z, ratio = {}, {}
+    for q in qs:
+        target = np.sqrt(m) * np.std(hats[q], axis=0, ddof=1)
+        med = np.median(ses[q], axis=0)
+        z[q] = (med - target) / (target / np.sqrt(2.0 * (n_data - 1)))
+        ratio[q] = med / target
+    worst = max(float(np.abs(v).max()) for v in z.values())
+    ok = worst <= 3.0
+    report(11, ok, "median se / (sqrt(m) sd of theta-hat) over %d datasets "
+           "by q, (sigma2, beta, nu): %s; off by %s MC se (allow 3)"
+           % (n_data, {q: [round(float(v), 3) for v in r]
+                       for q, r in ratio.items()},
+              {q: [round(float(v), 2) for v in r] for q, r in z.items()}), t0)
+    for q in qs:
+        assert np.abs(z[q]).max() <= 3.0, \
+            "median se at q = %s misses sqrt(m) sd(theta-hat) by %s MC se" \
+            % (q, z[q])
     assert time.perf_counter() - t0 < 120.0

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve, sqrtm
+from scipy.linalg import cho_solve
 
 from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
-                                  sandwich, std_errs, ustar, ustar_all, vstar)
-from lqmatern.gauss_lik import (ReplicateSet, _lq_weights, chol_factor,
-                                log_likelihood, loglik_columns, lq_of_loglik)
+                                  _ustar as ustar, _vstar as vstar, sandwich,
+                                  std_errs, ustar_all)
+from lqmatern.gauss_lik import (ReplicateSet, _log_likelihood as log_likelihood,
+                                _lq_weights, chol_factor, loglik_columns,
+                                lq_of_loglik)
 from lqmatern import asymptotics, matern
 from lqmatern.matern import (MaternParams, build_cov, build_cov_grad,
                              build_cov_hess)
@@ -296,10 +298,9 @@ class TestStdErrs:
         J = -np.diag([4.0, 1.0, 0.25])
         K = np.diag([1.0, 4.0, 1.0])
         se = std_errs(SandwichParts(K=K, J=J, m=10))
-        # diag case: se_r = sqrt(K_rr)/|J_rr| for both forms
+        # diag case: se_r = sqrt(K_rr)/|J_rr|
         want = np.array([0.25, 2.0, 4.0])
         assert se.se == pytest.approx(want, rel=1e-12)
-        assert se.se_sandwich == pytest.approx(want, rel=1e-12)
         assert se.convention == "negated"
         # J is diagonal, so its unit-diagonal form is -I
         assert se.cond == pytest.approx(1.0, rel=1e-12)
@@ -322,12 +323,9 @@ class TestStdErrs:
         B = rng.standard_normal((3, 3))
         J = -(B @ B.T + np.eye(3))
         se = std_errs(SandwichParts(K=K, J=J, m=7))
-        S = -J
-        inv_root = np.linalg.inv(np.real(sqrtm(S)))
-        want = np.diag(inv_root @ np.real(sqrtm(K)) @ inv_root)
+        S_inv = np.linalg.inv(-J)
+        want = np.sqrt(np.diag(S_inv @ K @ S_inv))
         assert se.se == pytest.approx(want, rel=1e-9)
-        want_cls = np.sqrt(np.diag(np.linalg.inv(S) @ K @ np.linalg.inv(S)))
-        assert se.se_sandwich == pytest.approx(want_cls, rel=1e-9)
 
     def test_eigenvalue_floor_keeps_finite(self):
         # a unit diagonal and a null direction (1, -1, 0): the floor at 1e-10
@@ -343,13 +341,12 @@ class TestStdErrs:
         J = np.diag([-1.0, -1e-30, -1.0])
         se = std_errs(SandwichParts(K=np.eye(3), J=J, m=3))
         assert se.se == pytest.approx([1.0, 1e30, 1.0], rel=1e-12)
-        assert se.se_sandwich == pytest.approx([1.0, 1e30, 1.0], rel=1e-12)
         assert se.cond == 1.0
 
     @pytest.mark.parametrize("s", [1e-20, 1e-8, 1.0, 1e8])
     def test_invariant_under_rescaling(self, s):
-        # the printed form and the classical sandwich are both invariant
-        # under (K, J) -> (K/s^2, J/s); an absolute eigenvalue floor is not
+        # sqrt(diag(J^-1 K J^-1)) is invariant under (K, J) -> (K/s^2, J/s);
+        # an absolute eigenvalue floor is not
         rng = np.random.default_rng(9)
         A = rng.standard_normal((3, 3))
         K = A @ A.T + np.eye(3)
@@ -358,7 +355,9 @@ class TestStdErrs:
         base = std_errs(SandwichParts(K=K, J=J, m=7))
         got = std_errs(SandwichParts(K=K / s ** 2, J=J / s, m=7))
         assert got.se == pytest.approx(base.se, rel=1e-9)
-        assert got.se_sandwich == pytest.approx(base.se_sandwich, rel=1e-9)
+        S_inv = np.linalg.inv(-J)
+        want = np.sqrt(np.diag(S_inv @ K @ S_inv))
+        assert base.se == pytest.approx(want, rel=1e-9)
         assert got.cond == pytest.approx(base.cond, rel=1e-9)
 
     def test_zero_j_raises(self):
@@ -376,7 +375,6 @@ class TestStdErrs:
         parts = sandwich(reps, LOCS9, theta, 0.95)
         se = std_errs(parts)
         assert np.all(se.se > 0) and np.all(np.isfinite(se.se))
-        assert np.all(se.se_sandwich > 0)
         # at the truth (not a maximizer) the flat nu direction can push one
         # eigenvalue of J across zero, so only the sign handling is pinned
         assert se.convention in ("negated", "absolute")
@@ -402,11 +400,10 @@ def grid_fit():
 
 
 def assert_scaled_se(got, base, c):
-    # se_sandwich is equivariant: data * c scales sigma2's entry by c^2;
-    # the printed se is not (see ROADMAP), so it is only held finite
+    # se is equivariant: data * c scales sigma2's entry by c^2
     assert np.all(np.isfinite(got.se)) and np.all(got.se > 0.0)
-    np.testing.assert_allclose(got.se_sandwich / [c * c, 1.0, 1.0],
-                               base.se_sandwich, rtol=SE_RTOL, atol=0.0)
+    np.testing.assert_allclose(got.se / [c * c, 1.0, 1.0], base.se,
+                               rtol=SE_RTOL, atol=0.0)
 
 
 class TestStdErrsAtAnyDataScale:

@@ -269,6 +269,15 @@ class TestMain:
         assert se["convention"] in ("negated", "positive", "absolute")
         assert float(se["K.sigma2.beta"]) == float(se["K.beta.sigma2"])
         assert np.isfinite(float(se["log_scale"]))
+        # se.* is sqrt(diag(J^-1 K J^-1)) of the K.* and J.* it writes
+        names = ("sigma2", "beta", "nu")
+        K, J = ([[float(se["%s.%s.%s" % (mat, a, b)]) for b in names]
+                 for a in names] for mat in ("K", "J"))
+        J_inv = np.linalg.inv(J)
+        want = np.sqrt(np.diag(J_inv @ K @ J_inv))
+        got = [float(se["se." + name]) for name in names]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert not [key for key in se if key.startswith("se_sandwich")]
         capsys.readouterr()
 
     def test_fit_reproducible(self, tmp_path, capsys):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from lqmatern import gauss_lik
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
-                                chol_factor, log_likelihood, loglik_columns,
-                                lq_of_loglik, profile_lq, profile_sigma2,
-                                total_lq)
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet,
+                                _log_likelihood as log_likelihood, _lq_weights,
+                                chol_factor, loglik_columns, lq_of_loglik,
+                                profile_lq, profile_sigma2, total_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 
 
