@@ -1,9 +1,10 @@
 """Empirical variograms for replicate screening.
 
 The classical Matheron estimator binned over pairwise distances, plus
-per-replicate centering.  One curve per replicate lets downstream
-tooling (or a plot and an eyeball) flag replicates whose spatial
-structure departs from the rest; no outlier rule is imposed here.
+per-replicate centering.  One curve per replicate lets tooling (or an
+eyeball) flag replicates whose spatial structure departs from the rest;
+no outlier rule is imposed.  The site pairs are binned once per call and
+the binning is shared by every replicate.
 """
 
 from dataclasses import dataclass
@@ -54,39 +55,38 @@ def empirical_variogram(z, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
     (0, max_dist]; max_dist defaults to half the maximum pairwise
     distance.  Empty bins report count 0 and gamma NaN.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    if z.size != locs.n:
-        raise ValueError("z must have one value per location")
-    if z.size < 2:
-        raise ValueError("variogram needs at least 2 locations")
-    if int(n_bins) != n_bins or n_bins < 1:
-        raise ValueError("n_bins must be a positive integer")
-    n_bins = int(n_bins)
-    iu = np.triu_indices(locs.n, 1)
-    d = locs.dists[iu]
-    if max_dist is None:
-        max_dist = 0.5 * d.max()
-    max_dist = float(max_dist)
-    if not max_dist > 0.0:
-        raise ValueError("max_dist must be positive")
-    keep = d <= max_dist
-    d = d[keep]
-    sq = (z[iu[0][keep]] - z[iu[1][keep]]) ** 2
-    width = max_dist / n_bins
-    idx = np.minimum((d / width).astype(int), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=sq, minlength=n_bins)
-    gamma = np.full(n_bins, np.nan)
-    filled = counts > 0
-    gamma[filled] = sums[filled] / (2.0 * counts[filled])
-    centers = (np.arange(n_bins) + 0.5) * width
-    return VariogramCurve(bin_centers=centers, gamma=gamma, counts=counts)
+    return _binned(np.asarray(z, dtype=float).reshape(-1, 1), locs, n_bins, max_dist)[0]
 
 
 def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
     """One VariogramCurve per replicate, in replicate order."""
-    if max_dist is None:
-        iu = np.triu_indices(locs.n, 1)
-        max_dist = 0.5 * locs.dists[iu].max()
-    return [empirical_variogram(reps.data[:, i], locs, n_bins, max_dist)
-            for i in range(reps.m)]
+    return _binned(reps.data, locs, n_bins, max_dist)
+
+
+def _binned(data, locs, n_bins, max_dist):
+    if data.shape[0] != locs.n:
+        raise ValueError("z must have one value per location")
+    if locs.n < 2:
+        raise ValueError("variogram needs at least 2 locations")
+    if int(n_bins) != n_bins or n_bins < 1:
+        raise ValueError("n_bins must be a positive integer")
+    n_bins = int(n_bins)
+    # dists is exactly symmetric with a zero diagonal: its max is the pairs' max
+    max_dist = float(0.5 * locs.dists.max() if max_dist is None else max_dist)
+    if not max_dist > 0.0:
+        raise ValueError("max_dist must be positive")
+    i, j = np.triu_indices(locs.n, 1)
+    d = locs.dists[i, j]
+    keep = d <= max_dist
+    i, j, d = i[keep], j[keep], d[keep]
+    width = max_dist / n_bins
+    idx = np.minimum((d / width).astype(int), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    filled = counts > 0
+    centers = (np.arange(n_bins) + 0.5) * width
+    curves = []
+    for z in data.T:
+        sums = np.bincount(idx, weights=(z[i] - z[j]) ** 2, minlength=n_bins)
+        gamma = np.divide(sums, 2.0 * counts, out=np.full(n_bins, np.nan), where=filled)
+        curves.append(VariogramCurve(centers.copy(), gamma, counts.copy()))
+    return curves

@@ -14,6 +14,7 @@ from lqmatern.cli_io import (DataError, _fmt, build_config, main,
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.simulate import SimConfig, simulate_dataset
+from lqmatern.variogram import center_replicates, variogram_by_replicate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SIM = SimConfig(MaternParams(1.0, 0.2, 0.5), n=4, m=2,
@@ -369,6 +370,14 @@ class TestMain:
         lines = (out / "variogram.csv").read_text().splitlines()
         assert lines[0] == "replicate_id,bin_center,gamma,count"
         assert len(lines) == 1 + 3 * 4
+        rows = [line.split(",") for line in lines[1:]]
+        locs, reps = read_dataset(str(out))
+        curves = variogram_by_replicate(center_replicates(reps), locs, 4)
+        assert np.array_equal([float(r[2]) for r in rows],
+                              np.concatenate([c.gamma for c in curves]),
+                              equal_nan=True)
+        assert [int(r[3]) for r in rows] == \
+            np.concatenate([c.counts for c in curves]).tolist()
         capsys.readouterr()
 
     def test_sweep_structure(self, tmp_path, capsys):

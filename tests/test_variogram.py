@@ -3,7 +3,8 @@ import pytest
 
 from lqmatern.gauss_lik import ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
-from lqmatern.simulate import gen_replicates, make_locations
+from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
+                               make_locations, simulate_dataset)
 from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
                                 center_replicates, empirical_variogram,
                                 variogram_by_replicate)
@@ -133,13 +134,90 @@ class TestByReplicate:
             assert c.gamma.shape == (6,)
 
     def test_matches_columnwise_call(self):
-        locs = make_locations(9, "grid")
-        reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 3, seed=4)
-        curves = variogram_by_replicate(reps, locs, n_bins=5, max_dist=0.5)
-        for i, c in enumerate(curves):
-            solo = empirical_variogram(reps.data[:, i], locs, 5, 0.5)
-            filled = solo.counts > 0
-            assert np.allclose(c.gamma[filled], solo.gamma[filled])
+        grid = make_locations(9, "grid")
+        # the benchmark layout: irregular sites, 10% contaminated replicates
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=400, m=12, layout="uniform",
+                        seed=5, contamination=ContaminationSpec(0.1, 1.0))
+        uniform, uniform_reps, _ = simulate_dataset(cfg)
+        cases = [(grid, gen_replicates(grid, MaternParams(1.0, 0.2, 0.5), 3, seed=4),
+                  (5, 0.5)),
+                 (uniform, uniform_reps, (DEFAULT_N_BINS, None))]
+        for locs, reps, args in cases:
+            curves = variogram_by_replicate(reps, locs, *args)
+            assert len(curves) == reps.m
+            for i, c in enumerate(curves):
+                solo = empirical_variogram(reps.data[:, i], locs, *args)
+                assert np.array_equal(c.gamma, solo.gamma, equal_nan=True)
+                assert np.array_equal(c.counts, solo.counts)
+                assert np.array_equal(c.bin_centers, solo.bin_centers)
+
+    def test_double_loop_oracle(self):
+        # pair (0,0)-(1,0) lies exactly at max_dist, (0,0)-(0.5,0) and
+        # (0,0)-(0,0.25) exactly on bin edges; width 0.25 keeps d / width exact
+        locs = LocationSet(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                                     [0.0, 0.25], [0.2, 0.7], [0.9, 0.35]]))
+        max_dist, n_bins = 1.0, 4
+        width = max_dist / n_bins
+        edges = [k * width for k in range(n_bins + 1)]
+        reps = ReplicateSet(np.random.default_rng(6).standard_normal((6, 3)))
+        curves = variogram_by_replicate(reps, locs, n_bins, max_dist)
+        seen = []
+        for r, curve in enumerate(curves):
+            z = reps.data[:, r]
+            sums, counts = [0.0] * n_bins, [0] * n_bins
+            for a in range(locs.n):
+                for b in range(a + 1, locs.n):
+                    d = locs.dists[a, b]
+                    if d > max_dist:
+                        continue
+                    seen.append(d)
+                    k = n_bins - 1
+                    for e in range(n_bins):
+                        if edges[e] <= d < edges[e + 1]:
+                            k = e
+                    sums[k] += (z[a] - z[b]) ** 2
+                    counts[k] += 1
+            want = [s / (2.0 * c) if c else np.nan for s, c in zip(sums, counts)]
+            assert curve.counts.tolist() == counts
+            assert np.array_equal(curve.gamma, want, equal_nan=True)
+            assert np.array_equal(curve.bin_centers,
+                                  [(k + 0.5) * width for k in range(n_bins)])
+            solo = empirical_variogram(z, locs, n_bins, max_dist)
+            assert np.array_equal(solo.gamma, want, equal_nan=True)
+        assert {max_dist, 0.5, 0.25} <= set(seen)
+
+    def test_pairs_enumerated_once_per_call(self, monkeypatch):
+        locs = make_locations(16, "grid")
+        reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 20, seed=7)
+        locs.dists  # fill the distance cache outside the count
+        real = np.triu_indices
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counting)
+        curves = variogram_by_replicate(reps, locs)
+        assert len(curves) == 20
+        assert len(calls) == 1
+
+    def test_validation_before_pair_work(self):
+        one = LocationSet(np.array([[0.5, 0.5]]))
+        single = ReplicateSet(np.zeros((1, 3)))
+        for n_bins in (DEFAULT_N_BINS, 0):
+            with pytest.raises(ValueError, match="at least 2 locations"):
+                variogram_by_replicate(single, one, n_bins)
+        locs = make_locations(4, "grid")
+        reps = ReplicateSet(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="n_bins must be a positive integer"):
+            variogram_by_replicate(reps, locs, n_bins=0)
+        with pytest.raises(ValueError, match="n_bins must be a positive integer"):
+            variogram_by_replicate(reps, locs, n_bins=2.5)
+        with pytest.raises(ValueError, match="max_dist must be positive"):
+            variogram_by_replicate(reps, locs, max_dist=0.0)
+        with pytest.raises(ValueError, match="one value per location"):
+            variogram_by_replicate(ReplicateSet(np.zeros((3, 2))), locs)
 
     def test_default_bins_constant(self):
         assert DEFAULT_N_BINS == 15
