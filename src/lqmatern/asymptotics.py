@@ -38,11 +38,16 @@ replicate's Hessian is formed.  J needs only that sum and the g_i:
 and the fit's Hessian of the log-domain objective adds the centred
 (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, with gbar = sum w_i g_i.
 V* is the case m = 1.  Sigma, dS_j and d2S_jk come from one Bessel pass
-over the unique distances (``matern._kernel_pass``), and the (3, 3, n, n)
-Hessian is never formed.  W = Sigma^-1 Z is one solve on one Cholesky
-factor, batched over replicates; the trace terms come from one explicit
-Sigma^-1 formed from the same factor, as tr(Sigma^-1 D) = <Sigma^-1, D>
-for symmetric D and tr(B_j B_k) with B_j = Sigma^-1 dS_j.
+over the u unique distances (``matern._kernel_terms``), which returns the
+covariance and the per-distance derivative terms.  W = Sigma^-1 Z is one
+solve on one Cholesky factor, batched over replicates, and one explicit
+Sigma^-1 is formed from the same factor.  The second derivatives enter the
+sum only through <d2S_jk, M - w_sum Sigma^-1>, its data term and its trace
+term tr(Sigma^-1 d2S_jk) together (w_sum = sum w_i), so that n x n matrix
+is summed onto the unique distances with one bincount, and each of the
+three (beta, nu) entries is then a dot product of length u: no Hessian
+slice is formed over the n x n sites.  The other trace terms are
+tr(B_j B_k) with B_j = Sigma^-1 dS_j.
 
 ``std_errs`` returns the sandwich standard errors sqrt(diag(J^-1 K J^-1)),
 the asymptotic variance of an M-estimator (White 1982) and of the MLqE
@@ -61,7 +66,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .gauss_lik import _LOG_2PI, NotSPDError, _lq_weights, chol_factor
-from .matern import _kernel_pass
+from .matern import _kernel_terms
 
 # Relative eigenvalue floor used when building the PD surrogate of J.
 J_EIG_FLOOR = 1e-10
@@ -130,9 +135,9 @@ def _weighted_derivs(Z, locs, theta, q):
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
-    val, grad, hess = _kernel_pass(uniq, theta, locs._dist_cheb)
+    terms = _kernel_terms(uniq, theta, locs._dist_cheb)
     try:
-        chol = chol_factor(val[inv], jitter_scale=s2)
+        chol = chol_factor((s2 * terms[0])[inv], jitter_scale=s2)
     except NotSPDError as err:
         err.theta = theta
         raise
@@ -146,12 +151,16 @@ def _weighted_derivs(Z, locs, theta, q):
     value, w = _lq_weights(-0.5 * quad, q)
     w_sum = float(w.sum())
 
-    dS = grad[1:, inv]                         # (2, n, n): beta, nu
+    dS = (s2 * terms[1:3])[:, inv]             # (2, n, n): beta, nu
     B = Sinv @ dS
     tr_B = np.trace(B, axis1=1, axis2=2)
     M = (W * w) @ W.T
     BM = B @ M
     dS_M = np.array([np.vdot(dS[j], M) for j in range(2)])
+    # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
+    # so that matrix is summed onto the unique distances once
+    R = np.bincount(inv.ravel(), weights=(M - w_sum * Sinv).ravel(),
+                    minlength=uniq.size)
 
     g = np.empty((3, m))
     g[0] = 0.5 * (quad - n) / s2
@@ -160,10 +169,9 @@ def _weighted_derivs(Z, locs, theta, q):
     H = np.empty((3, 3))
     H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
     H[0, 1:] = H[1:, 0] = -0.5 * dS_M / s2
-    for j, k in ((0, 0), (0, 1), (1, 1)):
-        d2S = hess[j + 1, k + 1][inv]
-        h_jk = (0.5 * w_sum * (np.sum(B[j] * B[k].T) - np.vdot(Sinv, d2S))
-                + 0.5 * np.vdot(d2S, M) - np.vdot(dS[j], BM[k]))
+    for (j, k), d2 in zip(((0, 0), (0, 1), (1, 1)), terms[3:]):
+        h_jk = (0.5 * w_sum * np.sum(B[j] * B[k].T) + 0.5 * float(d2 @ R)
+                - np.vdot(dS[j], BM[k]))
         H[j + 1, k + 1] = H[k + 1, j + 1] = h_jk
     log_scale = 0.0
     if q < 1.0:

@@ -29,7 +29,11 @@ A cold fit has three stages.
   converges quadratically, so the step after a 1e-5 step is about 1e-11,
   and its rise is below the rounding of V: where the predicted rise
   delta' (-H) delta / 2 is at most ``gauss_lik.V_ROUNDING`` |V(u)|, the
-  step is taken whatever it scores (the tie rule).
+  step is taken whatever it scores (the tie rule).  A short step whose
+  rise is a little above that can still score lower by rounding; where it
+  falls by less than its predicted rise, u itself is confirmed (the
+  short-step rule).  A step in the wrong direction falls by about three
+  times its predicted rise, and ends the stage.
 - Where the steps do not confirm (an optimum on a bound, non-finite
   derivatives, a Hessian that is not negative definite, a refused step),
   the simplex runs again from the best point reached, to ``tol``, and one
@@ -281,8 +285,10 @@ class _Search:
         A step is taken when it lands in the box and scores no lower; any
         other step ends the run.  A step of at most ``tol`` confirms.  Such a
         step whose predicted rise is within the rounding of the value is
-        taken whatever it scores (the tie rule).  The last step allowed must
-        be a confirming one, so a longer step there is not scored.
+        taken whatever it scores (the tie rule); one that scores lower by
+        less than its predicted rise confirms the point it started from
+        (the short-step rule).  The last step allowed must be a confirming
+        one, so a longer step there is not scored.
         """
         val = self.value(u)
         if not np.isfinite(val):
@@ -302,9 +308,13 @@ class _Search:
             val_new = self.value(u_new)
             # a rise below V's rounding cannot be told from a fall by scoring
             tie = short and rise <= V_ROUNDING * abs(val) and np.isfinite(val_new)
-            if not (val_new >= val or tie):
+            if val_new >= val or tie:
+                u, val = u_new, val_new
+            elif not (short and val - val_new < rise):
+                # a short step that falls by less than its predicted rise lost
+                # the rise to rounding, and its start confirms; a reversed
+                # step falls by about three times that rise
                 break
-            u, val = u_new, val_new
             if short:
                 return u, True
         return u, False
@@ -337,6 +347,9 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
     tol : float
         Simplex-diameter convergence threshold in bound-scaled coordinates;
         also the largest Newton step or restart move that confirms a point.
+        Such a Newton step confirms the point it reaches, or, where it
+        scores lower by less than its predicted rise (a rise lost to
+        rounding), the point it started from.
     max_evals : int
         Evaluation and iteration budget per optimizer run.
     warm : bool

@@ -11,10 +11,16 @@ nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.
 
 ``matern_grad`` and ``matern_hess`` return the closed-form first and second
 derivatives in theta = (sigma2, beta, nu).  Both come from one pass over the
-distances (``_kernel_pass``), which calls scipy's K at the orders mu - 1 and
-mu for mu in {nu - s, nu, nu + s}: six calls give the value, the gradient
-and the Hessian together.  Derivatives in the argument of K_nu use exact
-identities, the recurrence and the modified Bessel ODE:
+distances (``_kernel_terms``), which calls scipy's K at the orders mu - 1
+and mu for mu in {nu - s, nu, nu + s}: six calls give the value and the
+five per-distance terms, the beta and nu derivatives of M / sigma2 and the
+(beta, beta), (beta, nu) and (nu, nu) Hessian entries of M.  M is linear in
+sigma2, so these are every nonzero entry of the gradient and the Hessian.
+The estimating-function pass (``asymptotics._weighted_derivs``) reads the
+terms directly; ``_kernel_pass`` assembles them into the (3, u) gradient
+and (3, 3, u) Hessian for matern_grad, matern_hess and the builders.
+Derivatives in the argument of K_nu use exact identities, the recurrence
+and the modified Bessel ODE:
 
     K'_mu(t) = -K_{mu-1}(t) - (mu/t) K_mu(t),
     dM/dbeta = sigma2 c / beta * t^(nu+1) K_{nu-1}(t),
@@ -41,17 +47,20 @@ on how many there are:
   panels of width 0.1 in s = log d over its distances (``_Panels``), and
   the kernel is a piecewise Chebyshev interpolant of degree 8 in s.  Per
   (beta, nu), kve runs at the panels' nodes only (520-580 points at
-  n = 400), the node values become coefficients through one fixed 9 x 9
-  matrix, and Clenshaw's recurrence evaluates them over the sorted
-  distances, times e^-t.  The interpolated functions, t^nu K_nu(t) e^t and
-  its companions, are analytic in s, so the interpolant converges
-  spectrally down to the smallest distance: its value was within 7.5e-14
-  relative of kv's for beta in [1e-3, 10] and nu in [0.05, 5] wherever
-  K_nu > 1e-300 (the tests hold it to 1e-12), and it is exactly 0 past
-  t = 690.  beta only shifts s, so
-  one cache serves every (beta, nu).  The builders' pass interpolates the
-  node values of the same six-call pass (``_cheb_terms``); its value stays
-  build_cov's bit for bit.
+  n = 400), and the node values become coefficients through one fixed
+  9 x 9 matrix.  The Chebyshev basis T_0 .. T_8 at the sorted distances'
+  local coordinates is built once per evaluation, by the three-term
+  recurrence; each panel's values are then one product of its
+  coefficients with its columns of the basis, times e^-t.  The
+  interpolated functions, t^nu K_nu(t) e^t and its companions, are
+  analytic in s, so the interpolant converges spectrally down to the
+  smallest distance: its value was within 7.5e-14 relative of kv's for
+  beta in [1e-3, 10] and nu in [0.05, 5] wherever K_nu > 1e-300 (the
+  tests hold it to 1e-12), and it is exactly 0 past t = 690.  beta only
+  shifts s, so one cache serves every (beta, nu).  The terms' pass forms
+  its five terms from the node values of the same six calls, at the
+  nodes, and interpolates them (``_cheb_terms``); it interpolates g with
+  build_cov's routine, so its value stays build_cov's bit for bit.
 
 ``matern_cov``, ``matern_grad`` and ``matern_hess`` always evaluate kv
 directly, and the tests use them as the interpolant's reference.
@@ -209,38 +218,35 @@ class _Panels:
         live = int(np.searchsorted(self.d, _T_ZERO * beta, side="right"))
         return live, int(np.searchsorted(self.starts, live))
 
-    def at(self, beta, vals, live):
-        """Interpolant of node values vals (..., k, deg + 1), times e^-t.
+    def at(self, beta, live, vals, out):
+        """Interpolants of node values, times e^-t, written into out.
 
-        Clenshaw's recurrence over the first ``live`` distances of the first
-        k panels; entries past ``live`` are exactly 0.  Shape (..., u).
+        ``vals`` and ``out`` are matching sequences of node values
+        (..., k, deg + 1) and arrays (..., u) that receive their
+        interpolants.  The Chebyshev basis T_0 .. T_deg at the first
+        ``live`` distances' local x is built once, by the three-term
+        recurrence, as one contiguous (deg + 1, live) array.  Each panel of
+        each interpolant is then one product of its coefficients with the
+        basis columns of the panel's distances.  Entries past ``live`` are
+        exactly 0.
         """
-        k = vals.shape[-2]
-        counts = np.diff(np.append(self.starts[:k], live))
-        coef = vals @ _CHEB_MAP.T
         x = self.x[:live]
+        basis = np.empty((_CHEB_DEG + 1, live))
+        basis[0] = 1.0
+        basis[1] = x
         x2 = x + x
-
-        def rep(i):
-            return np.repeat(coef[..., i], counts, axis=-1)
-
-        # three buffers, the first of them the output's live part, rotate
-        # through the recurrence b_i = c_i + 2 x b_(i+1) - b_(i+2)
-        out = np.zeros(vals.shape[:-2] + self.d.shape)
-        b1 = out[..., :live]
-        b1[...] = rep(_CHEB_DEG)
-        b2, b = np.zeros_like(b1), np.empty_like(b1)
-        for i in range(_CHEB_DEG - 1, 0, -1):
-            np.multiply(x2, b1, out=b)
-            b -= b2
-            b += rep(i)
-            b1, b2, b = b, b1, b2
-        np.multiply(x, b1, out=b)
-        b -= b2
-        b += rep(0)
-        b *= np.exp(-self.d[:live] / beta)
-        out[..., :live] = b
-        return out
+        for i in range(2, _CHEB_DEG + 1):
+            np.multiply(x2, basis[i - 1], out=basis[i])
+            basis[i] -= basis[i - 2]
+        bounds = np.append(self.starts[:vals[0].shape[-2]], live).tolist()
+        coefs = [v @ _CHEB_MAP.T for v in vals]
+        for p, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for coef, o in zip(coefs, out):
+                o[..., a:b] = coef[..., p, :] @ basis[:, a:b]
+        decay = np.exp(-self.d[:live] / beta)
+        for o in out:
+            o[..., :live] *= decay
+            o[..., live:] = 0.0
 
 
 # === kernel evaluation ======================================================
@@ -359,12 +365,13 @@ def _terms(t, theta, gk, qk, dgk, d2gk, tdpk):
 
 
 def _direct_terms(t, theta):
-    """``_terms`` at t > 0 from kv at every distance."""
+    """``_terms`` at t > 0 from kv at every distance: g and the other five stacked."""
     nu = theta.nu
     k, k1, tnu, dgk, d2gk, dpk = _order_stencil(nu, t, _nu_step(nu))
     gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
     qk = tnu * t * k1                    # t^(nu+1) K_{nu-1}
-    return _terms(t, theta, gk, qk, dgk, d2gk, t * dpk)
+    gk, *rest = _terms(t, theta, gk, qk, dgk, d2gk, t * dpk)
+    return gk, rest
 
 
 def _node_g(mu, t):
@@ -380,24 +387,25 @@ def _node_q(mu, t):
     return np.where(np.isfinite(q), q, 0.0)
 
 
-def _cheb_g(panels, theta):
-    """t^nu K_nu(t) at the panels' distances, interpolated."""
+def _cheb_g(panels, theta, out):
+    """t^nu K_nu(t) at the panels' distances, interpolated into out."""
     live, k = panels.span(theta.beta)
-    return panels.at(theta.beta, _node_g(theta.nu, panels.nodes[:k] / theta.beta), live)
+    panels.at(theta.beta, live, [_node_g(theta.nu, panels.nodes[:k] / theta.beta)], [out])
 
 
-def _cheb_terms(panels, theta):
-    """``_terms`` at the panels' distances, from interpolants.
+def _cheb_terms(panels, theta, out):
+    """``_terms`` at the panels' distances, interpolated into the rows of out (6, u).
 
     kve runs at the nodes only, at the orders mu - 1 and mu for mu in
-    {nu - s, nu, nu + s}.  Five quantities, all smooth in s = log t, are
-    interpolated: g = t^nu K_nu and q = t^(nu+1) K_{nu-1}, and the
-    nu-stencils of ``_order_stencil``, dg, d2g and t dp, where
-    t p = t^(mu+1) K'_mu = -q - mu g by the recurrence.  Each is computed
-    at the nodes and multiplied by e^-t after interpolation.  With t^2 K''
-    from the Bessel ODE the terms are linear in these five, and q carries
-    the beta-derivative without the cancellation of nu K + t K' at small t.
-    g is interpolated as ``_cheb_g`` does it, so the pass's value is
+    {nu - s, nu, nu + s}.  At the nodes, g = t^nu K_nu, q = t^(nu+1) K_{nu-1}
+    and the nu-stencils of ``_order_stencil``, dg, d2g and t dp (where
+    t p = t^(mu+1) K'_mu = -q - mu g by the recurrence), all carry kve's
+    factor e^t, and ``_terms`` combines them there: the terms are linear in
+    the five, so each carries the same factor and is smooth in s = log t.
+    The six are interpolated and multiplied by e^-t.  With t^2 K'' from the
+    Bessel ODE, q carries the beta-derivative without the cancellation of
+    nu K + t K' at small t.  g is interpolated as ``_cheb_g`` does it, as
+    its own array of the same ``_Panels.at`` call, so the pass's value is
     build_cov's bit for bit.
     """
     beta, nu = theta.beta, theta.nu
@@ -407,52 +415,56 @@ def _cheb_terms(panels, theta):
     g_lo, g, g_hi = [_node_g(mu, tn) for mu in (nu - s, nu, nu + s)]
     q_lo, q, q_hi = [_node_q(mu, tn) for mu in (nu - s, nu, nu + s)]
     tp_hi, tp_lo = -q_hi - (nu + s) * g_hi, -q_lo - (nu - s) * g_lo
-    gk = panels.at(beta, g, live)
-    qk, dgk, d2gk, tdpk = panels.at(beta, np.stack([
-        q, (g_hi - g_lo) / (2.0 * s), (g_hi - 2.0 * g + g_lo) / (s * s),
-        (tp_hi - tp_lo) / (2.0 * s)]), live)
-    return _terms(panels.d / beta, theta, gk, qk, dgk, d2gk, tdpk)
+    g, *rest = _terms(tn, theta, g, q, (g_hi - g_lo) / (2.0 * s),
+                      (g_hi - 2.0 * g + g_lo) / (s * s), (tp_hi - tp_lo) / (2.0 * s))
+    panels.at(beta, live, [g, np.stack(rest)], [out[0], out[1:]])
+
+
+def _kernel_terms(h, theta, panels=None):
+    """M / sigma2 and the five derivative terms of M(h; theta), h >= 0 1-D.
+
+    One Bessel pass serves all six.  Without ``panels`` it evaluates kv at
+    every distance (six calls, ``_direct_terms``), and the value is computed
+    with matern_cov's operations, small-t patch included, so sigma2 times
+    it equals matern_cov bit for bit.  With ``panels``, built over the
+    positive entries of the sorted h (``LocationSet._dist_cheb``), the terms
+    come from Chebyshev interpolants (``_cheb_terms``) and the value equals
+    build_cov's.  Returns one (6, u) array with rows (r, m_b, m_n, h_bb,
+    h_bn, h_nn): r = M / sigma2, exactly 1 at h = 0; m_b and m_n, the beta
+    and nu derivatives of r; and the (beta, beta), (beta, nu) and (nu, nu)
+    Hessian entries of M.  The derivative terms are 0 at h = 0 and, where
+    kv overflows at tiny t, take their t -> 0 limit, 0.
+    """
+    out = np.zeros((6,) + h.shape)
+    out[0] = 1.0
+    if panels is not None:
+        pos = slice(h.size - panels.d.size, None)
+        _cheb_terms(panels, theta, out[:, pos])
+    else:
+        t = h / theta.beta
+        pos = t > 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[0, pos], out[1:, pos] = _direct_terms(t[pos], theta)
+    out[~np.isfinite(out)] = 0.0
+    out[0, pos] *= _coef(theta.nu)
+    return out
 
 
 def _kernel_pass(h, theta, panels=None):
     """Value, gradient and Hessian of M(h; theta) over a 1-D array h >= 0.
 
-    One Bessel pass serves all three.  Without ``panels`` it evaluates kv at
-    every distance (six calls, ``_direct_terms``), and the value is computed
-    with matern_cov's operations, small-t patch included, so it equals
-    matern_cov bit for bit.  With ``panels``, built over the positive
-    entries of the sorted h (``LocationSet._dist_cheb``), the terms come
-    from Chebyshev interpolants (``_cheb_terms``) and the value equals
-    build_cov's.  Where kv overflows at tiny t the derivatives take their
-    t -> 0 limit, 0.  Returns val (u,), grad (3, u) and hess (3, 3, u),
-    with the conventions of matern_grad and matern_hess.
+    The terms of ``_kernel_terms`` assembled as val (u,), grad (3, u) and
+    hess (3, 3, u), with the conventions of matern_grad and matern_hess.
     """
-    s2, beta, nu = theta.sigma2, theta.beta, theta.nu
-    t = h / beta
-    val = np.ones_like(t)
-    grad = np.zeros((3,) + t.shape)
-    hess = np.zeros((3, 3) + t.shape)
-    if panels is not None:
-        pos = slice(t.size - panels.d.size, None)
-        terms = _cheb_terms(panels, theta)
-    else:
-        pos = t > 0.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            terms = _direct_terms(t[pos], theta)
-    gk, m_b, m_n, h_bb, h_bn, h_nn = [np.where(np.isfinite(a), a, 0.0)
-                                      for a in terms]
-    val[pos] = _coef(nu) * gk
-    # M is linear in sigma2: the beta and nu derivatives over sigma2 are
-    # also the mixed (sigma2, .) Hessian entries
-    grad[1][pos] = s2 * m_b
-    grad[2][pos] = s2 * m_n
-    hess[0, 1][pos] = hess[1, 0][pos] = m_b
-    hess[0, 2][pos] = hess[2, 0][pos] = m_n
-    hess[1, 1][pos] = h_bb
-    hess[1, 2][pos] = hess[2, 1][pos] = h_bn
-    hess[2, 2][pos] = h_nn
-    grad[0] = val                  # M / sigma2, exactly 1 at h = 0
-    return s2 * val, grad, hess
+    r, m_b, m_n, h_bb, h_bn, h_nn = _kernel_terms(h, theta, panels)
+    s2 = theta.sigma2
+    # M is linear in sigma2: the beta and nu derivatives of r are also the
+    # mixed (sigma2, .) Hessian entries
+    grad = np.stack([r, s2 * m_b, s2 * m_n])
+    hess = np.stack([np.zeros_like(r), m_b, m_n,
+                     m_b, h_bb, h_bn,
+                     m_n, h_bn, h_nn]).reshape((3, 3) + r.shape)
+    return s2 * r, grad, hess
 
 
 def matern_grad(h, theta):
@@ -499,7 +511,9 @@ def build_cov(locs, theta):
         vals = matern_cov(uniq, theta)
     else:
         vals = np.ones_like(uniq)
-        vals[uniq.size - panels.d.size:] = _coef(theta.nu) * _cheb_g(panels, theta)
+        pos = slice(uniq.size - panels.d.size, None)
+        _cheb_g(panels, theta, vals[pos])
+        vals[pos] *= _coef(theta.nu)
         vals *= theta.sigma2
     return vals[inv]
 

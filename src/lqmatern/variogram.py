@@ -4,7 +4,8 @@ The classical Matheron estimator binned over pairwise distances, plus
 per-replicate centering.  One curve per replicate lets tooling (or an
 eyeball) flag replicates whose spatial structure departs from the rest;
 no outlier rule is imposed.  The site pairs are binned once per call and
-the binning is shared by every replicate.
+the binning is shared by every replicate; so is the check of the bins, and
+the curves built from it are not checked again one by one.
 """
 
 from dataclasses import dataclass
@@ -30,16 +31,33 @@ class VariogramCurve:
         c = np.asarray(self.counts, dtype=int)
         if not (bc.shape == g.shape == c.shape) or bc.ndim != 1:
             raise ValueError("bin_centers, gamma, counts must be equal-length 1-d")
-        if np.any(np.diff(bc) <= 0.0):
-            raise ValueError("bins must be strictly ascending")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
+        _check_bins(bc, c)
         filled = c > 0
         if np.any(g[filled] < 0.0) or np.any(~np.isnan(g[~filled])):
             raise ValueError("gamma must be >= 0 on filled bins, NaN on empty ones")
         object.__setattr__(self, "bin_centers", bc)
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "counts", c)
+
+    @classmethod
+    def _of_bins(cls, bin_centers, gamma, counts):
+        """A curve over bins that passed ``_check_bins``, with gamma binned on them.
+
+        Such a curve meets every check of the constructor by construction,
+        so none is run again.
+        """
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "bin_centers", bin_centers)
+        object.__setattr__(curve, "gamma", gamma)
+        object.__setattr__(curve, "counts", counts)
+        return curve
+
+
+def _check_bins(bin_centers, counts):
+    if np.any(np.diff(bin_centers) <= 0.0):
+        raise ValueError("bins must be strictly ascending")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
 
 
 def center_replicates(reps):
@@ -84,9 +102,11 @@ def _binned(data, locs, n_bins, max_dist):
     counts = np.bincount(idx, minlength=n_bins)
     filled = counts > 0
     centers = (np.arange(n_bins) + 0.5) * width
+    # every curve shares these bins: they are checked once, not per curve
+    _check_bins(centers, counts)
     curves = []
     for z in data.T:
         sums = np.bincount(idx, weights=(z[i] - z[j]) ** 2, minlength=n_bins)
         gamma = np.divide(sums, 2.0 * counts, out=np.full(n_bins, np.nan), where=filled)
-        curves.append(VariogramCurve(centers.copy(), gamma, counts.copy()))
+        curves.append(VariogramCurve._of_bins(centers.copy(), gamma, counts.copy()))
     return curves

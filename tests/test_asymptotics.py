@@ -453,9 +453,9 @@ class TestInterpolatedSandwich:
             SimConfig(theta, n=n, m=30, layout="uniform", seed=seed))
         assert locs._dist_cheb is not None
         interp = sandwich(reps, locs, theta, q)
-        real_pass = matern._kernel_pass
-        monkeypatch.setattr(asymptotics, "_kernel_pass",
-                            lambda h, th, panels=None: real_pass(h, th))
+        real_terms = matern._kernel_terms
+        monkeypatch.setattr(asymptotics, "_kernel_terms",
+                            lambda h, th, panels=None: real_terms(h, th))
         direct = sandwich(reps, locs, theta, q)
         noise = np.zeros(2)
         for k in (1, 2, 3):
@@ -468,6 +468,28 @@ class TestInterpolatedSandwich:
         err = [np.abs(standardised(interp.K) - standardised(direct.K)).max(),
                np.abs(standardised(interp.J) - standardised(direct.J)).max()]
         assert np.all(np.array(err) <= NOISE_FACTOR * noise), (err, noise)
+
+
+@pytest.mark.parametrize("layout", ["grid", "uniform"])
+def test_pass_reads_the_kernel_terms(monkeypatch, layout):
+    # the fit's Newton steps, the sandwich and U* take the kernel's terms
+    # directly; the (3, u) and (3, 3, u) tensors of _kernel_pass serve only
+    # matern_grad, matern_hess and the builders
+    locs, reps, _ = simulate_dataset(SimConfig(MaternParams(1.0, 0.1, 0.5), n=64, m=20,
+                                               layout=layout, seed=1))
+    assert (locs._dist_cheb is None) == (layout == "grid")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_kernel_pass called")
+
+    for module in (matern, asymptotics):
+        if hasattr(module, "_kernel_pass"):
+            monkeypatch.setattr(module, "_kernel_pass", refuse)
+    res = fit(reps, locs, 0.95)
+    assert res.newton_steps >= 1
+    parts = sandwich(reps, locs, res.theta_hat, 0.95)
+    assert np.all(np.isfinite(parts.J))
+    assert np.all(np.isfinite(ustar_all(reps, locs, res.theta_hat, 0.95)))
 
 
 def per_replicate_derivs(Z, locs, theta):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import lqmatern.estimate as est
 from lqmatern.estimate import (Bounds, FitResult, QProfile, default_bounds,
                                default_init, fit, fit_profile)
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, chol_factor,
-                                loglik_columns, profile_lq, total_lq)
+from lqmatern.gauss_lik import (V_ROUNDING, NotSPDError, ReplicateSet,
+                                chol_factor, loglik_columns, profile_lq,
+                                total_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
@@ -423,6 +424,73 @@ class TestConfirmation:
             return profile_lq(reps, locs, th.beta, th.nu, 0.95, *s2_box)[1]
 
         assert value(nm.theta_hat) > value(MaternParams(1.222, 0.421, 0.230))
+
+
+class TestShortStepRule:
+    """A Newton step of at most tol confirms, also where rounding scores it lower."""
+
+    @pytest.mark.parametrize("layout, n, seed, q", [
+        ("grid", 100, 1, 1.0), ("grid", 100, 4, 1.0), ("uniform", 49, 4, 0.9)])
+    def test_rounding_refusal_confirms(self, monkeypatch, layout, n, seed, q):
+        # every value scored after a step of at most tol is lowered by
+        # 16 eps |V|, twice the tie threshold: where such a step rises by
+        # less, it now scores below its start, and the start must confirm
+        # without the tight simplex or a restart
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=n, m=100, layout=layout, seed=seed)
+        locs, reps, _flags = simulate_dataset(cfg)
+        clean = fit(reps, locs, q)
+        real_step, real_score = est._Search.newton_step, est._Search.score
+        starts, refused = {}, []
+
+        def newton_step(search, u):
+            step = real_step(search, u)
+            if step is not None and np.max(np.abs(step[0])) <= search.tol:
+                starts[(u + step[0]).tobytes()] = (search.value(u), step[1])
+            return step
+
+        def score(search, u):
+            real_score(search, u)
+            key = u.tobytes()
+            if key in starts:
+                sigma2, v = search.scored[key]
+                v -= 16.0 * np.finfo(float).eps * abs(v)
+                search.scored[key] = (sigma2, v)
+                start, rise = starts[key]
+                refused.append(v < start and rise > V_ROUNDING * abs(start))
+
+        monkeypatch.setattr(est._Search, "newton_step", newton_step)
+        monkeypatch.setattr(est._Search, "score", score)
+        res = fit(reps, locs, q)
+        assert any(refused)
+        assert res.converged and res.restarts == 0
+        assert scaled_gap(res.theta_hat, clean.theta_hat) <= 1e-6
+
+
+# Cold fits of 8 n = 100 grid and 4 n = 49 uniform datasets (the benchmark's
+# theta0 and contamination, m = 100) at 4 q each.  GUARD_EVALS and
+# GUARD_RESTARTS are what they took when the derivative pass gathered each
+# Hessian slice on its own: a rounding change in the pass must not send
+# Newton-confirmed fits to the fallback.  The fit on uniform seed 3 at
+# q = 0.7 restarts either way: there a Newton step of 1e-5 predicted to
+# rise by 1.2e-11 (|V| = 41) scores lower, and the fallback runs.
+GUARD_QS = (1.0, 0.95, 0.9, 0.7)
+GUARD_EVALS = 1379
+GUARD_RESTARTS = {("uniform", 3, 0.7): 2}
+
+
+def test_evaluations_no_higher_than_recorded():
+    total = 0
+    for layout, n, seeds in (("grid", 100, range(1, 9)), ("uniform", 49, range(1, 5))):
+        for seed in seeds:
+            cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=n, m=100, layout=layout,
+                            seed=seed, contamination=ContaminationSpec(0.1, 1.0))
+            locs, reps, _flags = simulate_dataset(cfg)
+            for q in GUARD_QS:
+                res = fit(reps, locs, q)
+                assert res.converged
+                assert res.restarts <= GUARD_RESTARTS.get((layout, seed, q), 0)
+                total += res.evaluations
+    assert total <= GUARD_EVALS
 
 
 def scaled_gap(a, b):

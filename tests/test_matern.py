@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
-from lqmatern.matern import (NU_CAP, LocationSet, MaternParams, _coef,
-                             _kernel_pass, build_cov, build_cov_grad,
+from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
+                             MaternParams, _coef, _kernel_pass, _kernel_terms,
+                             _Panels, build_cov, build_cov_grad,
                              build_cov_hess, matern_cov, matern_grad,
                              matern_hess)
 from lqmatern.simulate import make_locations
@@ -15,6 +16,12 @@ from lqmatern.simulate import make_locations
 # irregular sites: 2,016 unique positive distances against 378 Chebyshev
 # nodes, so the builders interpolate the kernel
 LOCS_CHEB = make_locations(64, "uniform", seed=0)
+
+
+# two sites 1e-70 apart among irregular ones: kve overflows at the smallest
+# nodes for nu = 5, and the node values take their t -> 0 limits
+LOCS_TINY = LocationSet(np.vstack([[[0.0, 0.0], [1e-70, 0.0]],
+                                   make_locations(47, "uniform", seed=3).coords]))
 
 
 def rand_theta(rng, nu_hi=3.0):
@@ -377,11 +384,7 @@ class TestChebyshevKernel:
         assert np.all(hess[:, :, 1:][:, :, dead] == 0.0)
 
     def test_tiny_distances_take_limits(self):
-        # two sites 1e-70 apart: kve overflows at the smallest nodes for
-        # nu = 5, and the node values take their t -> 0 limits
-        c = np.vstack([[[0.0, 0.0], [1e-70, 0.0]],
-                       make_locations(47, "uniform", seed=3).coords])
-        locs = LocationSet(c)
+        locs = LOCS_TINY
         uniq, _ = locs._dist_unique
         assert locs._dist_cheb is not None and uniq[1] == 1e-70
         assert kv(NU_CAP, uniq[1] / 0.5) == np.inf
@@ -395,3 +398,57 @@ class TestChebyshevKernel:
             assert np.all(np.abs(val - want) <= 1e-12 * want)
             _, grad_d, _ = _kernel_pass(uniq, th)
             assert np.abs(grad[1] - grad_d[1]).max() <= 1e-12 * np.abs(grad_d[1]).max()
+
+    @pytest.mark.parametrize("locs", [LOCS_CHEB, LOCS_TINY], ids=["uniform", "tiny"])
+    def test_basis_product_matches_clenshaw(self, monkeypatch, locs):
+        # every interpolant the pass and build_cov take, at the corners of
+        # the bound box: within 4e-15 of its largest entry of Clenshaw's sum
+        # over the same node values, and exactly 0 past the live distances
+        calls = []
+        real_at = _Panels.at
+
+        def at(panels, beta, live, vals, out):
+            real_at(panels, beta, live, vals, out)
+            calls.append((panels, beta, live, vals, [o.copy() for o in out]))
+
+        monkeypatch.setattr(_Panels, "at", at)
+        uniq, _ = locs._dist_unique
+        panels = locs._dist_cheb
+        cut = False
+        for beta in (1e-3, 10.0):
+            for nu in (0.05, NU_CAP):
+                calls.clear()
+                th = MaternParams(1.7, beta, nu)
+                _kernel_terms(uniq, th, panels)
+                build_cov(locs, th)
+                # the pass's g and five terms, then build_cov's g
+                assert [np.shape(o) for c in calls for o in c[4]] == [
+                    panels.d.shape, (5,) + panels.d.shape, panels.d.shape]
+                for _, _, live, vals, outs in calls:
+                    cut |= 0 < live < panels.d.size and live not in panels.starts
+                    for v, got in zip(vals, outs):
+                        want = clenshaw(panels, beta, live, v)
+                        scale = np.abs(want).max(axis=-1, keepdims=True)
+                        assert np.all(np.abs(got - want) <= 4e-15 * scale)
+                        assert np.all(got[..., live:] == 0.0)
+        # beta = 1e-3 ends the live distances inside a panel
+        assert cut
+
+
+def clenshaw(panels, beta, live, vals):
+    """Interpolant of node values vals (..., k, deg + 1) by Clenshaw's recurrence.
+
+    The reference for ``_Panels.at``: each panel's Chebyshev coefficients
+    are repeated over its distances, and b_i = c_i + 2 x b_(i+1) - b_(i+2)
+    runs down from the top degree; the sum is c_0 + x b_1 - b_2, times
+    e^-t, over the first ``live`` distances, and exactly 0 past them.
+    """
+    counts = np.diff(np.append(panels.starts[:vals.shape[-2]], live))
+    coef = np.repeat(vals @ _CHEB_MAP.T, counts, axis=-2)
+    x = panels.x[:live]
+    b1, b2 = coef[..., _CHEB_DEG], 0.0
+    for i in range(_CHEB_DEG - 1, 0, -1):
+        b1, b2 = coef[..., i] + 2.0 * x * b1 - b2, b1
+    out = np.zeros(vals.shape[:-2] + panels.d.shape)
+    out[..., :live] = (coef[..., 0] + x * b1 - b2) * np.exp(-panels.d[:live] / beta)
+    return out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lqmatern import variogram
 from lqmatern.gauss_lik import ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
@@ -201,6 +202,33 @@ class TestByReplicate:
         curves = variogram_by_replicate(reps, locs)
         assert len(curves) == 20
         assert len(calls) == 1
+
+    def test_bins_checked_once_per_call(self, monkeypatch):
+        # the curves share one binning, so its check runs once per call, and
+        # the curves built from it skip the constructor's checks; each curve
+        # still holds arrays of its own
+        locs = make_locations(16, "grid")
+        reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 20, seed=7)
+        real_check, real_post = variogram._check_bins, VariogramCurve.__post_init__
+        checks, posts = [], []
+
+        def check(*args):
+            checks.append(args)
+            return real_check(*args)
+
+        def post(curve):
+            posts.append(curve)
+            return real_post(curve)
+
+        monkeypatch.setattr(variogram, "_check_bins", check)
+        monkeypatch.setattr(VariogramCurve, "__post_init__", post)
+        curves = variogram_by_replicate(reps, locs)
+        assert len(curves) == 20
+        assert len(checks) == 1 and not posts
+        for a, b in zip(curves, curves[1:]):
+            for name in ("bin_centers", "gamma", "counts"):
+                assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        assert curves[0].counts.dtype == int and curves[0].gamma.dtype == float
 
     def test_validation_before_pair_work(self):
         one = LocationSet(np.array([[0.5, 0.5]]))
