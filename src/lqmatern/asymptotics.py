@@ -40,14 +40,19 @@ and the fit's Hessian of the log-domain objective adds the centred
 V* is the case m = 1.  Sigma, dS_j and d2S_jk come from one Bessel pass
 over the u unique distances (``matern._kernel_terms``), which returns the
 covariance and the per-distance derivative terms.  W = Sigma^-1 Z is one
-solve on one Cholesky factor, batched over replicates, and one explicit
-Sigma^-1 is formed from the same factor.  The second derivatives enter the
-sum only through <d2S_jk, M - w_sum Sigma^-1>, its data term and its trace
-term tr(Sigma^-1 d2S_jk) together (w_sum = sum w_i), so that n x n matrix
-is summed onto the unique distances with one bincount, and each of the
-three (beta, nu) entries is then a dot product of length u: no Hessian
-slice is formed over the n x n sites.  The other trace terms are
-tr(B_j B_k) with B_j = Sigma^-1 dS_j.
+solve on one Cholesky factor, batched over replicates, and the explicit
+Sigma^-1 is LAPACK's potri on the same factor, in its place, with the lower
+triangle mirrored.  The gradient's per-replicate products w_i' dS_j w_i
+also give <dS_j, M> = sum w_i w_i' dS_j w_i, the sigma2 row of the sum.
+The second derivatives enter the sum only through
+<d2S_jk, M - w_sum Sigma^-1>, its data term and its trace term
+tr(Sigma^-1 d2S_jk) together (w_sum = sum w_i), so that n x n matrix is
+summed onto the unique distances with one bincount, and each of the three
+(beta, nu) entries is then a dot product of length u: no Hessian slice is
+formed over the n x n sites.  The other trace terms are tr(B_j B_k) with
+B_j = Sigma^-1 dS_j, and the data terms <dS_j, B_k M> come from the
+n x m products B_k W when there are fewer replicates than sites, else from
+B_k M, one n x n product at a time.
 
 ``std_errs`` returns the sandwich standard errors sqrt(diag(J^-1 K J^-1)),
 the asymptotic variance of an M-estimator (White 1982) and of the MLqE
@@ -64,6 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .gauss_lik import _LOG_2PI, NotSPDError, _lq_weights, chol_factor
 from .matern import _kernel_terms
@@ -109,6 +115,19 @@ class StdErrs:
     cond: float = float("nan")
 
 
+def _mirror_lower(a):
+    """Copy the lower triangle of the square array a onto its upper, in place.
+
+    Block by block, so no n x n temporary is allocated.
+    """
+    n = a.shape[0]
+    for lo in range(0, n, 64):
+        hi = min(lo + 64, n)
+        d = a[lo:hi, lo:hi]
+        d[...] = np.tril(d) + np.tril(d, -1).T
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+
+
 def _weighted_derivs(Z, locs, theta, q):
     """Per-replicate gradients and the weighted Hessian sum of the columns of Z.
 
@@ -121,9 +140,14 @@ def _weighted_derivs(Z, locs, theta, q):
     Only the weighted sum of the H_i is formed, so with M = W diag(w) W'
     (W = Sigma^-1 Z) its data terms are inner products over locations:
     sum w_i w_i' d2S w_i = <d2S, M> and
-    sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i) = <dS_j, B_k M>.  The sigma2
-    row is analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2 and
-    d2S_0k = dS_k / sigma2.  Callers add their own (1-q) term in g.
+    sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i) = <dS_j, B_k M>, the latter
+    summed over replicates from B_k W where m < n.  The sigma2 row is
+    analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2 and
+    d2S_0k = dS_k / sigma2, and its <dS_j, M> is the weighted sum of the
+    gradient's products w_i' dS_j w_i.  Sigma^-1 comes from the Cholesky
+    factor by LAPACK potri; a failure there raises NotSPDError carrying
+    theta, like a failed factorization.  Callers add their own (1-q) term
+    in g.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
@@ -141,38 +165,54 @@ def _weighted_derivs(Z, locs, theta, q):
     except NotSPDError as err:
         err.theta = theta
         raise
-    cl = (chol.L, True)
     # Sigma^-1 z for all replicates, copied to C order: with the Fortran-
     # ordered solve, this pass took 17-68 ms instead of 4 ms at n = m = 100
     # under two-thread OpenBLAS on a 2-core host
-    W = np.ascontiguousarray(cho_solve(cl, Z, check_finite=False))
-    Sinv = cho_solve(cl, np.eye(n), check_finite=False)
+    W = np.ascontiguousarray(cho_solve((chol.L, True), Z, check_finite=False))
+    # Sigma^-1 overwrites the factor, which nothing reads past this point
+    Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
+                          % info, theta=theta)
+    _mirror_lower(Sinv)
     quad = np.einsum("ij,ij->j", Z, W)         # z' Sigma^-1 z
     value, w = _lq_weights(-0.5 * quad, q)
     w_sum = float(w.sum())
 
-    dS = (s2 * terms[1:3])[:, inv]             # (2, n, n): beta, nu
+    dS = np.take(terms[1:3], inv, axis=1, mode="clip")    # (2, n, n): beta, nu
+    dS *= s2
     B = Sinv @ dS
     tr_B = np.trace(B, axis1=1, axis2=2)
-    M = (W * w) @ W.T
-    BM = B @ M
-    dS_M = np.array([np.vdot(dS[j], M) for j in range(2)])
-    # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
-    # so that matrix is summed onto the unique distances once
-    R = np.bincount(inv.ravel(), weights=(M - w_sum * Sinv).ravel(),
-                    minlength=uniq.size)
+    dSW = dS @ W
+    quad_d = np.einsum("jim,im->jm", dSW, W)              # w_i' dS_j w_i
 
     g = np.empty((3, m))
     g[0] = 0.5 * (quad - n) / s2
-    g[1:] = 0.5 * np.einsum("jim,im->jm", dS @ W, W) - 0.5 * tr_B[:, None]
+    g[1:] = 0.5 * quad_d - 0.5 * tr_B[:, None]
 
     H = np.empty((3, 3))
     H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
-    H[0, 1:] = H[1:, 0] = -0.5 * dS_M / s2
-    for (j, k), d2 in zip(((0, 0), (0, 1), (1, 1)), terms[3:]):
-        h_jk = (0.5 * w_sum * np.sum(B[j] * B[k].T) + 0.5 * float(d2 @ R)
-                - np.vdot(dS[j], BM[k]))
-        H[j + 1, k + 1] = H[k + 1, j + 1] = h_jk
+    H[0, 1:] = H[1:, 0] = -0.5 * (quad_d @ w) / s2        # <dS_j, M> / s2
+    pairs = ((0, 0), (0, 1), (1, 1))
+    tr_BB = [np.einsum("ab,ba->", B[j], B[k]) for j, k in pairs]
+    M = (W * w) @ W.T
+    # <dS_j, B_k M> = sum_i w_i (dS_j w_i)' B_k w_i, by the smaller product
+    if m < n:
+        BW = B @ W
+        dS_BM = [np.einsum("im,im->m", dSW[j], BW[k]) @ w for j, k in pairs]
+    else:
+        BM = np.empty((n, n))
+        dS_BM = []
+        for k in range(2):
+            np.matmul(B[k], M, out=BM)
+            dS_BM += [np.vdot(dS[j], BM) for j in range(k + 1)]
+    # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
+    # so that matrix is summed onto the unique distances once
+    Sinv *= w_sum
+    M -= Sinv
+    R = np.bincount(inv.ravel(), weights=M.ravel(), minlength=uniq.size)
+    for (j, k), tr, d2, dv in zip(pairs, tr_BB, terms[3:], dS_BM):
+        H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2 @ R) - dv
     log_scale = 0.0
     if q < 1.0:
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + chol.log_det))

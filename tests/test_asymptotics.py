@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,8 @@ from scipy.linalg import cho_solve
 from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
                                   _ustar as ustar, _vstar as vstar, sandwich,
                                   std_errs, ustar_all)
-from lqmatern.gauss_lik import (ReplicateSet, _log_likelihood as log_likelihood,
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet,
+                                _log_likelihood as log_likelihood,
                                 _lq_weights, chol_factor, loglik_columns,
                                 lq_of_loglik)
 from lqmatern import asymptotics, matern
@@ -525,16 +528,19 @@ def per_replicate_derivs(Z, locs, theta):
 class TestWeightedDerivativePass:
     """The one derivative pass against every replicate's g_i and H_i."""
 
-    @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
+    @pytest.mark.parametrize("layout, n, m", [("grid", 36, 30), ("uniform", 49, 30),
+                                              ("grid", 25, 60)],
+                             ids=["grid-36", "uniform-49", "grid-25-m60"])
     @pytest.mark.parametrize("q", [1.0, 0.95, 0.6])
-    def test_matches_per_replicate_sums(self, layout, n, q):
+    def test_matches_per_replicate_sums(self, layout, n, m, q):
         # the pass's g_i and sum w_i H_i; the fit's gradient gbar = sum w_i g_i
         # and Hessian sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)';
         # the sandwich's K = mean U_i U_i' and J = mean V_i, with U_i = w_i g_i
-        # and V_i = (1-q) w_i g_i g_i' + w_i H_i
+        # and V_i = (1-q) w_i g_i g_i' + w_i H_i.  With m < n the pass takes
+        # <dS_j, B_k M> from per-replicate products, with m >= n from B_k M
         theta = MaternParams(1.0, 0.15, 0.6)
         locs, reps, _ = simulate_dataset(
-            SimConfig(theta, n=n, m=30, layout=layout, seed=2))
+            SimConfig(theta, n=n, m=m, layout=layout, seed=2))
         at = MaternParams(0.9, 0.17, 0.55)
         g_want, H, lvec = per_replicate_derivs(reps.data, locs, at)
         _, w = _lq_weights(lvec, q)
@@ -560,3 +566,50 @@ class TestWeightedDerivativePass:
         parts = sandwich(reps, locs, at, q)
         assert_close(parts.K, U @ U.T / reps.m)
         assert_close(parts.J, V.mean(axis=2))
+
+    def test_peak_memory(self):
+        # tracemalloc sees numpy's buffers: one pass at n = 400 on irregular
+        # sites holds at most 12 n x n arrays of doubles at once, counting
+        # the kernel's terms and its interpolation basis
+        n = 400
+        theta = MaternParams(1.0, 0.1, 0.5)
+        locs, reps, _ = simulate_dataset(
+            SimConfig(theta, n=n, m=100, layout="uniform", seed=1))
+        # the location set's distance caches are built here, outside the
+        # traced call, and the kernel is the interpolated one
+        assert locs._dist_cheb is not None
+        tracemalloc.start()
+        try:
+            asymptotics._weighted_derivs(reps.data, locs, theta, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * n * 8, peak / (8 * n * n)
+
+    def test_inverse_failure_raises(self, monkeypatch):
+        # a nonzero LAPACK info from potri raises NotSPDError carrying theta
+        # through every caller of the pass, never a number
+        theta = MaternParams(1.0, 0.15, 0.6)
+        locs, reps, _ = simulate_dataset(
+            SimConfig(theta, n=25, m=10, layout="grid", seed=2))
+        monkeypatch.setattr(asymptotics, "dpotri", lambda c, **kw: (c, 3))
+        calls = (lambda: asymptotics._weighted_derivs(reps.data, locs, theta, 0.95),
+                 lambda: sandwich(reps, locs, theta, 0.95),
+                 lambda: ustar_all(reps, locs, theta, 0.95),
+                 lambda: ustar(reps.data[:, 0], locs, theta, 1.0))
+        for call in calls:
+            with pytest.raises(NotSPDError, match="potri info 3") as exc_info:
+                call()
+            assert exc_info.value.theta == theta
+
+
+@pytest.mark.parametrize("n", [1, 64, 150])
+def test_mirror_lower_copies_the_lower_triangle(n):
+    # several blocks and a short last one; the upper triangle's old
+    # content is overwritten, in place, in either memory order
+    rng = np.random.default_rng(n)
+    for order in "CF":
+        a = np.asarray(rng.standard_normal((n, n)), order=order)
+        want = np.tril(a) + np.tril(a, -1).T
+        asymptotics._mirror_lower(a)
+        assert np.array_equal(a, want)

@@ -432,10 +432,12 @@ class TestShortStepRule:
     @pytest.mark.parametrize("layout, n, seed, q", [
         ("grid", 100, 1, 1.0), ("grid", 100, 4, 1.0), ("uniform", 49, 4, 0.9)])
     def test_rounding_refusal_confirms(self, monkeypatch, layout, n, seed, q):
-        # every value scored after a step of at most tol is lowered by
-        # 16 eps |V|, twice the tie threshold: where such a step rises by
-        # less, it now scores below its start, and the start must confirm
-        # without the tight simplex or a restart
+        # every point scored after a step of at most tol scores its start
+        # minus half the step's predicted rise: below the start, but by less
+        # than the rise, whatever the pass's last-bit rounding made of the
+        # step.  Where the rise is above the tie threshold, that is a refusal
+        # the rounding could have caused, and the start must confirm without
+        # the tight simplex or a restart
         cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=n, m=100, layout=layout, seed=seed)
         locs, reps, _flags = simulate_dataset(cfg)
         clean = fit(reps, locs, q)
@@ -452,10 +454,9 @@ class TestShortStepRule:
             real_score(search, u)
             key = u.tobytes()
             if key in starts:
-                sigma2, v = search.scored[key]
-                v -= 16.0 * np.finfo(float).eps * abs(v)
-                search.scored[key] = (sigma2, v)
                 start, rise = starts[key]
+                v = start - 0.5 * rise
+                search.scored[key] = (search.scored[key][0], v)
                 refused.append(v < start and rise > V_ROUNDING * abs(start))
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
