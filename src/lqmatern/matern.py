@@ -11,16 +11,16 @@ nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.
 
 ``matern_grad`` and ``matern_hess`` return the closed-form first and second
 derivatives in theta = (sigma2, beta, nu).  Both come from one pass over the
-distances (``_kernel_terms``), which calls scipy's K at the orders mu - 1
-and mu for mu in {nu - s, nu, nu + s}: six calls give the value and the
-five per-distance terms, the beta and nu derivatives of M / sigma2 and the
-(beta, beta), (beta, nu) and (nu, nu) Hessian entries of M.  M is linear in
-sigma2, so these are every nonzero entry of the gradient and the Hessian.
-The estimating-function pass (``asymptotics._weighted_derivs``) reads the
-terms directly; ``_kernel_pass`` assembles them into the (3, u) gradient
-and (3, 3, u) Hessian for matern_grad, matern_hess and the builders.
-Derivatives in the argument of K_nu use exact identities, the recurrence
-and the modified Bessel ODE:
+distances (``_kernel_terms``), which calls scipy's K at the orders nu and
+nu - 1: two calls give the value and the five per-distance terms, the beta
+and nu derivatives of M / sigma2 and the (beta, beta), (beta, nu) and
+(nu, nu) Hessian entries of M.  M is linear in sigma2, so these are every
+nonzero entry of the gradient and the Hessian.  The estimating-function
+pass (``asymptotics._weighted_derivs``) reads the terms directly;
+``_kernel_pass`` assembles them into the (3, u) gradient and (3, 3, u)
+Hessian for matern_grad, matern_hess and the builders.  Derivatives in the
+argument of K_nu use exact identities, the recurrence and the modified
+Bessel ODE:
 
     K'_mu(t) = -K_{mu-1}(t) - (mu/t) K_mu(t),
     dM/dbeta = sigma2 c / beta * t^(nu+1) K_{nu-1}(t),
@@ -28,11 +28,13 @@ and the modified Bessel ODE:
 
 where the beta-derivatives carry K_{nu-1} directly, without the
 cancellation of nu K_nu + t K'_nu at small t.  Derivatives in the order nu
-are central differences with step s = 1e-4 * max(1, nu), shrunk to nu/2 near
-zero.  At h = 0 all derivatives vanish except dM/dsigma2 = 1, matching the
-analytic limit for nu > 0 and keeping the diagonal of the covariance matrix
-exactly sigma2.  Where K overflows at tiny t, the value takes its limit
-sigma2 and the derivatives theirs, 0.
+are exact too: dK_nu/dnu, d2K_nu/dnu2 and dK_{nu-1}/dnu come from the
+trapezoid rule on the integral K_nu(t) e^t = int_0^inf e^(-t (cosh u - 1))
+cosh(nu u) du (``_order_derivs``), within 2e-15 relative of mpmath's.  At
+h = 0 all derivatives vanish except dM/dsigma2 = 1, matching the analytic
+limit for nu > 0 and keeping the diagonal of the covariance matrix exactly
+sigma2.  Where K overflows at tiny t, the value takes its limit sigma2 and
+the derivatives theirs, 0.
 
 Matrix builders evaluate the kernel once per unique distance and scatter the
 values back, which collapses the cost on lattice layouts where the distance
@@ -58,9 +60,10 @@ on how many there are:
   beta in [1e-3, 10] and nu in [0.05, 5] wherever K_nu > 1e-300 (the
   tests hold it to 1e-12), and it is exactly 0 past t = 690.  beta only
   shifts s, so one cache serves every (beta, nu).  The terms' pass forms
-  its five terms from the node values of the same six calls, at the
-  nodes, and interpolates them (``_cheb_terms``); it interpolates g with
-  build_cov's routine, so its value stays build_cov's bit for bit.
+  its five terms at the nodes from the node values of the same two calls
+  and of ``_order_derivs``, and interpolates them (``_cheb_terms``); it
+  interpolates g with build_cov's routine, so its value stays build_cov's
+  bit for bit.
 
 ``matern_cov``, ``matern_grad`` and ``matern_hess`` always evaluate kv
 directly, and the tests use them as the interpolant's reference.
@@ -81,8 +84,15 @@ from .specfun import digamma, log_gamma, trigamma
 # before constructing MaternParams if a smoother model is really wanted.
 NU_CAP = 5.0
 
-# Relative step of the central differences in the order nu.
-_NU_STEP = 1e-4
+# Trapezoid rule of the order derivatives (``_order_derivs``): the step at t
+# is _QUAD_STEP min(1, t^-1/2), and the points run out to where the
+# integrand's exponent t (cosh u - 1) reaches _QUAD_CUT + 2 nu ln(1 + 1/t).
+# Over t in [1e-4, 690] and nu in [0.05, 5] that is 38-74 points, and the
+# three derivatives are within 2e-15 relative of mpmath's.  t goes in blocks
+# of _QUAD_BLOCK, so the (block, points) arrays stay small.
+_QUAD_STEP = 0.2
+_QUAD_CUT = 40.0
+_QUAD_BLOCK = 256
 
 _LN2 = np.log(2.0)
 
@@ -298,80 +308,76 @@ def matern_cov(h, theta):
 # === one Bessel pass for the value and the theta-derivatives ================
 
 
-def _nu_step(nu):
-    # relative step 1e-4 * max(1, nu); it must keep nu - s > 0 so every order
-    # stays clear of the axis, so shrink to nu/2 when it would cross zero
-    s = _NU_STEP * max(1.0, nu)
-    if nu - s <= 0.0:
-        s = 0.5 * nu
-    return s
+def _order_derivs(nu, t):
+    """e^t times dK_nu/dnu, d2K_nu/dnu2 and dK_mu/dmu at mu = nu - 1, shape (3,) + t.shape.
 
-
-def _bessel_k_pair(mu, t):
-    """K_mu(t) and K'_mu(t) from kv at the two orders mu - 1 and mu.
-
-    K'_mu = -K_{mu-1} - (mu/t) K_mu is -(K_{mu-1} + K_{mu+1})/2 with the
-    recurrence K_{mu+1} = K_{mu-1} + (2 mu/t) K_mu substituted; both terms
-    have the same sign, so nothing cancels.  For mu < 1 the order mu - 1 is
-    negative, which kv evaluates through K_{-a} = K_a.
+    The trapezoid rule on K_nu(t) e^t = int_0^inf e^(-t (cosh u - 1))
+    cosh(nu u) du (DLMF 10.32.9), whose nu-derivatives put u sinh(nu u) and
+    u^2 cosh(nu u) in place of cosh(nu u).  The integrands are even and
+    analytic in u, so the rule converges geometrically (Trefethen and
+    Weideman 2014); all three vanish at u = 0.  Each t gets its own step and
+    cutoff (``_QUAD_STEP``, ``_QUAD_CUT``), and a block of t shares the
+    largest point count among them.  cosh u - 1 is taken as 2 sinh^2(u/2),
+    which keeps its relative precision at small u, and sinh((nu - 1) u) is
+    its own sinh: as sinh(nu u) cosh u - cosh(nu u) sinh u it cancels to
+    2.7e-7 relative at t = 1e-4, nu = 3.7.  Where the integrands overflow
+    (t -> 0 at large nu, where K_nu itself overflows) the result is not
+    finite.
     """
-    k = special_kv(mu, t)
-    return k, -special_kv(mu - 1.0, t) - (mu / t) * k
+    ts = t.ravel()
+    out = np.empty((3, ts.size))
+    for a in range(0, ts.size, _QUAD_BLOCK):
+        tb = ts[a:a + _QUAD_BLOCK, None]
+        h = _QUAD_STEP * np.minimum(1.0, tb ** -0.5)
+        cut = np.arccosh(1.0 + (_QUAD_CUT + 2.0 * nu * np.log1p(1.0 / tb)) / tb)
+        u = h * np.arange(1, int(np.ceil(np.max(cut / h))) + 1)
+        half = np.sinh(0.5 * u)
+        w = h * u * np.exp(-2.0 * tb * half * half)
+        out[0, a:a + _QUAD_BLOCK] = np.sum(w * np.sinh(nu * u), axis=1)
+        out[1, a:a + _QUAD_BLOCK] = np.sum(w * u * np.cosh(nu * u), axis=1)
+        out[2, a:a + _QUAD_BLOCK] = np.sum(w * np.sinh((nu - 1.0) * u), axis=1)
+    return out.reshape((3,) + t.shape)
 
 
-def _order_stencil(nu, t, s):
-    """K_nu, K_{nu-1} and the nu-derivatives of g = t^nu K_nu and p = t^nu K'_nu.
+def _terms(t, theta, gk, qk, dk):
+    """The pass's per-distance terms from g, q and the order derivatives of K.
 
-    Order derivatives have no workable closed form, so they are central
-    differences at nu +/- s over ``_bessel_k_pair``: six kv calls in all.
-    The second difference reuses the very g(nu +/- s) and g(nu) of the first.
-    Returns (K_nu, K_{nu-1}, t^nu, dg/dnu, d2g/dnu2, dp/dnu).
-    """
-    k, k1 = special_kv(nu, t), special_kv(nu - 1.0, t)
-    k_hi, kp_hi = _bessel_k_pair(nu + s, t)
-    k_lo, kp_lo = _bessel_k_pair(nu - s, t)
-    tnu, t_hi, t_lo = t ** nu, t ** (nu + s), t ** (nu - s)
-    g_hi, g_lo = t_hi * k_hi, t_lo * k_lo
-    dgk = (g_hi - g_lo) / (2.0 * s)
-    d2gk = (g_hi - 2.0 * (tnu * k) + g_lo) / (s * s)
-    dpk = (t_hi * kp_hi - t_lo * kp_lo) / (2.0 * s)
-    return k, k1, tnu, dgk, d2gk, dpk
-
-
-def _terms(t, theta, gk, qk, dgk, d2gk, tdpk):
-    """The pass's per-distance terms from g, q and the nu-stencils.
-
-    Returns (g, m_b, m_n, h_bb, h_bn, h_nn): g = t^nu K_nu, the beta and nu
-    derivatives of M / sigma2, and the (beta, beta), (beta, nu) and (nu, nu)
-    Hessian entries of M, from g, q = t^(nu+1) K_{nu-1}, and the stencils
-    dg, d2g and t dp of ``_order_stencil``.  The beta-derivatives come from
+    Returns (g, rest): g = t^nu K_nu, and rest (5,) + t.shape stacking the
+    beta and nu derivatives of M / sigma2 and the (beta, beta), (beta, nu)
+    and (nu, nu) Hessian entries of M, from g, q = t^(nu+1) K_{nu-1} and
+    ``_order_derivs``' dK_nu/dnu, d2K_nu/dnu2 and dK_{nu-1}/dnu in dk, all
+    carrying the same factor (1 or e^t).  The beta-derivatives come from
     q = -t^nu (nu K_nu + t K'_nu), which does not cancel at small t as the
-    two terms on the right do.
+    two terms on the right do.  Terms that overflow take their t -> 0
+    limit, 0.
     """
     s2, beta, nu = theta.sigma2, theta.beta, theta.nu
     c = _coef(nu)
-    lp = _LN2 + digamma(nu)    # c'(nu)/c(nu) = -(ln 2 + Psi(nu))
-    m_b = c / beta * qk
-    m_n = c * (dgk - lp * gk)
-    # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
-    h_bb = s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk)
-    # d2M/dbeta dnu: the c(nu) factor contributes -(ln 2 + Psi), and
-    # t^nu K and t^nu K' are replaced by their nu-stencils
-    h_bn = -s2 * c / beta * (gk + nu * dgk + tdpk + lp * qk)
-    # d2M/dnu2: second derivative of c(nu) g(nu) with
-    # c'/c = -(ln 2 + Psi), c''/c = (ln 2 + Psi)^2 - Psi'
-    h_nn = s2 * c * ((lp * lp - trigamma(nu)) * gk - 2.0 * lp * dgk + d2gk)
-    return gk, m_b, m_n, h_bb, h_bn, h_nn
+    tnu = t ** nu
+    # d/dnu log(c(nu) t^nu), with c'(nu)/c(nu) = -(ln 2 + Psi(nu))
+    a = np.log(t) - _LN2 - digamma(nu)
+    dg = tnu * dk[0]       # t^nu dK_nu/dnu
+    rest = np.stack([
+        c / beta * qk,
+        c * (a * gk + dg),
+        # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
+        s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk),
+        # d/dnu of the beta-derivative c q / beta
+        s2 * c / beta * (a * qk + t * tnu * dk[2]),
+        # d2/dnu2 of c t^nu K_nu, with (log c)'' = -Psi'
+        s2 * c * ((a * a - trigamma(nu)) * gk + 2.0 * a * dg + tnu * dk[1])])
+    rest[~np.isfinite(rest)] = 0.0
+    return gk, rest
 
 
 def _direct_terms(t, theta):
-    """``_terms`` at t > 0 from kv at every distance: g and the other five stacked."""
+    """``_terms`` at t > 0 from kv at every distance."""
     nu = theta.nu
-    k, k1, tnu, dgk, d2gk, dpk = _order_stencil(nu, t, _nu_step(nu))
+    k, k1 = special_kv(nu, t), special_kv(nu - 1.0, t)
+    tnu = t ** nu
     gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
     qk = tnu * t * k1                    # t^(nu+1) K_{nu-1}
-    gk, *rest = _terms(t, theta, gk, qk, dgk, d2gk, t * dpk)
-    return gk, rest
+    return _terms(t, theta, gk, qk, _order_derivs(nu, t) * np.exp(-t))
 
 
 def _node_g(mu, t):
@@ -396,35 +402,26 @@ def _cheb_g(panels, theta, out):
 def _cheb_terms(panels, theta, out):
     """``_terms`` at the panels' distances, interpolated into the rows of out (6, u).
 
-    kve runs at the nodes only, at the orders mu - 1 and mu for mu in
-    {nu - s, nu, nu + s}.  At the nodes, g = t^nu K_nu, q = t^(nu+1) K_{nu-1}
-    and the nu-stencils of ``_order_stencil``, dg, d2g and t dp (where
-    t p = t^(mu+1) K'_mu = -q - mu g by the recurrence), all carry kve's
-    factor e^t, and ``_terms`` combines them there: the terms are linear in
-    the five, so each carries the same factor and is smooth in s = log t.
-    The six are interpolated and multiplied by e^-t.  With t^2 K'' from the
-    Bessel ODE, q carries the beta-derivative without the cancellation of
-    nu K + t K' at small t.  g is interpolated as ``_cheb_g`` does it, as
-    its own array of the same ``_Panels.at`` call, so the pass's value is
-    build_cov's bit for bit.
+    kve runs at the nodes only, at the orders nu and nu - 1.  At the nodes,
+    g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and the order derivatives of
+    ``_order_derivs`` all carry the factor e^t, and ``_terms`` combines them
+    there: the terms are linear in them, so each carries the same factor
+    and is smooth in s = log t.  The six are interpolated and multiplied by
+    e^-t.  g is interpolated as ``_cheb_g`` does it, as its own array of the
+    same ``_Panels.at`` call, so the pass's value is build_cov's bit for bit.
     """
     beta, nu = theta.beta, theta.nu
     live, k = panels.span(beta)
     tn = panels.nodes[:k] / beta
-    s = _nu_step(nu)
-    g_lo, g, g_hi = [_node_g(mu, tn) for mu in (nu - s, nu, nu + s)]
-    q_lo, q, q_hi = [_node_q(mu, tn) for mu in (nu - s, nu, nu + s)]
-    tp_hi, tp_lo = -q_hi - (nu + s) * g_hi, -q_lo - (nu - s) * g_lo
-    g, *rest = _terms(tn, theta, g, q, (g_hi - g_lo) / (2.0 * s),
-                      (g_hi - 2.0 * g + g_lo) / (s * s), (tp_hi - tp_lo) / (2.0 * s))
-    panels.at(beta, live, [g, np.stack(rest)], [out[0], out[1:]])
+    g, rest = _terms(tn, theta, _node_g(nu, tn), _node_q(nu, tn), _order_derivs(nu, tn))
+    panels.at(beta, live, [g, rest], [out[0], out[1:]])
 
 
 def _kernel_terms(h, theta, panels=None):
     """M / sigma2 and the five derivative terms of M(h; theta), h >= 0 1-D.
 
     One Bessel pass serves all six.  Without ``panels`` it evaluates kv at
-    every distance (six calls, ``_direct_terms``), and the value is computed
+    every distance (two calls, ``_direct_terms``), and the value is computed
     with matern_cov's operations, small-t patch included, so sigma2 times
     it equals matern_cov bit for bit.  With ``panels``, built over the
     positive entries of the sorted h (``LocationSet._dist_cheb``), the terms
@@ -437,15 +434,14 @@ def _kernel_terms(h, theta, panels=None):
     """
     out = np.zeros((6,) + h.shape)
     out[0] = 1.0
-    if panels is not None:
-        pos = slice(h.size - panels.d.size, None)
-        _cheb_terms(panels, theta, out[:, pos])
-    else:
-        t = h / theta.beta
-        pos = t > 0.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        if panels is not None:
+            pos = slice(h.size - panels.d.size, None)
+            _cheb_terms(panels, theta, out[:, pos])
+        else:
+            t = h / theta.beta
+            pos = t > 0.0
             out[0, pos], out[1:, pos] = _direct_terms(t[pos], theta)
-    out[~np.isfinite(out)] = 0.0
     out[0, pos] *= _coef(theta.nu)
     return out
 

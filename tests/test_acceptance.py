@@ -48,8 +48,8 @@ def rand_theta(rng, nu_hi=2.0):
 
 def test_criterion_01_kernel_derivatives():
     # analytic gradient/Hessian of the kernel against central differences;
-    # any entry touching nu inherits the looser tolerance of the inner
-    # nu stencil
+    # any entry touching nu is held to a looser tolerance, which covers the
+    # truncation error of the Hessian differences' longer nu step
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst_sb, worst_nu = 0.0, 0.0
@@ -335,8 +335,8 @@ def test_criterion_08_sandwich_machinery():
 
     def fd_steps(theta):
         t = theta.as_array()
-        # the nu slot of the analytic gradient is itself a short stencil,
-        # so its outer step stays large
+        # nu takes a longer step; the tolerances below cover its
+        # truncation error
         return np.array([1e-6 * t[0], 1e-6 * t[1], 1e-3 * max(1.0, t[2])])
 
     worst_u = 0.0

@@ -184,16 +184,16 @@ class TestMaternHess:
             hh = matern_hess(h, th)
             t = th.as_array()
             for k in range(3):
-                # the nu column differences an inner-FD gradient, so a tiny
-                # outer step would amplify the inner stencil noise
-                s = 1e-6 * t[k] if k < 2 else 1e-3 * max(1.0, t[k])
+                # the gradient's nu entries are exact to rounding, so every
+                # column takes the same short step (measured worst 3.7e-7)
+                s = 1e-6 * t[k]
                 tp, tm = t.copy(), t.copy()
                 tp[k] += s
                 tm[k] -= s
                 fd = (matern_grad(h, MaternParams.from_array(tp))
                       - matern_grad(h, MaternParams.from_array(tm))) / (2 * s)
                 scale = np.maximum(np.abs(fd), 1e-6 * th.sigma2)
-                assert np.all(np.abs(hh[:, k] - fd) / scale < 1e-4)
+                assert np.all(np.abs(hh[:, k] - fd) / scale < 1e-5)
 
 
 class TestBuilders:

@@ -1,25 +1,27 @@
 """Special functions as the Matern kernel evaluates them.
 
-K_nu and its argument and order derivatives are checked on the kernel's own
-path, the helpers of ``matern._kernel_pass`` (``_bessel_k_pair``,
-``_order_stencil``, ``_nu_step``) and the pass's value, against independent
-oracles: a quadrature of K_nu's integral representation, closed forms at
-half-integer order and finite differences of scipy's kv.  K''_nu, which the
-pass no longer forms, is taken from the modified Bessel ODE over
-``_bessel_k_pair``'s K and K' and checked against closed forms and
-differences of kv.  The gamma family is checked against its recurrences.
+K_nu and its argument and order derivatives are checked as the kernel
+forms them, against independent oracles: the pass's value and the order
+derivatives of ``matern._order_derivs`` against a quadrature of K_nu's
+integral representation and mpmath, and K' in the recurrence form
+-K_{nu-1} - (nu/t) K_nu, which the pass's beta-derivatives rest on, against
+closed forms at half-integer order and finite differences of scipy's kv.
+K''_nu, which the pass does not form, is taken from the modified Bessel ODE
+over that K and K' and checked against closed forms and differences of kv.
+The gamma family is checked against its recurrences.
 """
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from lqmatern.matern import (NU_CAP, MaternParams, _bessel_k_pair, _coef,
-                             _kernel_pass, _nu_step, _order_stencil,
-                             matern_cov, matern_grad, matern_hess)
+from lqmatern.matern import (NU_CAP, MaternParams, _coef, _kernel_pass,
+                             _order_derivs, matern_cov, matern_grad,
+                             matern_hess)
 from lqmatern.specfun import digamma, log_gamma, trigamma
 
 # frozen half-integer closed-form values at x = 1:
@@ -43,17 +45,29 @@ def quad_k(nu, x):
     return val
 
 
+def bessel_k_pair(mu, x):
+    """K_mu(x) and K'_mu(x) = -K_{mu-1}(x) - (mu/x) K_mu(x) from kv.
+
+    The recurrence form is -(K_{mu-1} + K_{mu+1})/2 with K_{mu+1} =
+    K_{mu-1} + (2 mu/x) K_mu substituted; both terms have the same sign, so
+    nothing cancels.  For mu < 1 the order mu - 1 is negative, which kv
+    evaluates through K_{-a} = K_a.
+    """
+    k = kv(mu, x)
+    return k, -kv(mu - 1.0, x) - (mu / x) * k
+
+
 def bessel_k(nu, x):
-    return _bessel_k_pair(nu, x)[0]
+    return bessel_k_pair(nu, x)[0]
 
 
 def bessel_k_dx(nu, x):
-    return _bessel_k_pair(nu, x)[1]
+    return bessel_k_pair(nu, x)[1]
 
 
 def bessel_k_dxx(nu, x):
     # the modified Bessel ODE x^2 K'' + x K' - (x^2 + nu^2) K = 0
-    k, kp = _bessel_k_pair(nu, x)
+    k, kp = bessel_k_pair(nu, x)
     return ((x * x + nu * nu) * k - x * kp) / (x * x)
 
 
@@ -70,7 +84,7 @@ class TestBesselK:
             nu = rng.uniform(0.05, 1.0)
             x = rng.uniform(0.05, 10.0)
             assert kv(nu - 1.0, x) == kv(1.0 - nu, x)
-            k, kp = _bessel_k_pair(nu, x)
+            k, kp = bessel_k_pair(nu, x)
             assert kp == -kv(1.0 - nu, x) - (nu / x) * k
 
     def test_order_one_quadrature(self):
@@ -188,66 +202,64 @@ class TestBesselKDxx:
             assert bessel_k_dxx(nu, x) == pytest.approx(fd, rel=1e-4)
 
 
-def stencil(nu, x, step=None):
-    """(dg/dnu, d2g/dnu2, dp/dnu) of g = x^nu K_nu, p = x^nu K'_nu."""
-    out = _order_stencil(nu, x, _nu_step(nu) if step is None else step)
-    return out[3:]
+def mp_order_derivs(nu, t):
+    """e^t dK_nu/dnu, e^t d2K_nu/dnu2 and e^t dK_mu/dmu at mu = nu - 1, by mpmath."""
+    with mp.workdps(30):
+        def f(v):
+            return mp.besselk(v, t) * mp.exp(t)
+
+        _, d1, d2 = mp.diffs(f, nu, 2)
+        return [float(d1), float(d2), float(mp.diff(f, nu - 1.0))]
 
 
-def xnu_k(nu, x):
-    return x ** nu * kv(nu, x)
+def mp_nu_terms(h, theta):
+    """dM/dnu, d2M/dbeta dnu and d2M/dnu2 of M(h; theta), by mpmath."""
+    with mp.workdps(30):
+        def m(b, v):
+            t = h / b
+            return theta.sigma2 * 2 ** (1 - v) / mp.gamma(v) * t ** v * mp.besselk(v, t)
 
-
-def xnu_kprime(nu, x):
-    # the recurrence form, written out by hand
-    return x ** nu * (-kv(nu - 1.0, x) - (nu / x) * kv(nu, x))
+        at = (theta.beta, theta.nu)
+        return [float(mp.diff(m, at, order)) for order in ((0, 1), (1, 1), (0, 2))]
 
 
 class TestNuDerivatives:
-    def test_step_halving_consistency(self):
-        rng = np.random.default_rng(19)
-        for _ in range(25):
-            nu = rng.uniform(0.2, 4.0)
-            x = rng.uniform(0.1, 8.0)
-            full, _, fullp = stencil(nu, x)
-            half, _, halfp = stencil(nu, x, step=0.5e-4 * max(1.0, nu))
-            assert half == pytest.approx(full, rel=1e-5)
-            assert halfp == pytest.approx(fullp, rel=1e-5)
+    def test_order_derivatives_match_mpmath(self):
+        # the trapezoid rule of _order_derivs against mpmath's derivatives of
+        # K_nu(t) e^t, over t in [1e-4, 690] and nu in [0.05, 5] (measured
+        # worst 2e-15; with cosh u - 1 in place of 2 sinh^2(u/2), 2.9e-14 at
+        # t = 690)
+        ts = np.geomspace(1e-4, 690.0, 7)
+        for nu in (0.05, 0.6, 1.4, 3.7, NU_CAP):
+            got = _order_derivs(nu, ts)
+            want = np.array([mp_order_derivs(nu, t) for t in ts]).T
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (nu, got, want)
 
-    def test_secant_identity(self):
-        # the central difference must equal the secant of g at nu +/- step
-        nu, x = 0.8, 1.3
-        s = 1e-4
-        dg, _, dp = stencil(nu, x, step=s)
-        assert dg == (xnu_k(nu + s, x) - xnu_k(nu - s, x)) / (2 * s)
-        assert dp == (xnu_kprime(nu + s, x) - xnu_kprime(nu - s, x)) / (2 * s)
+    def test_blocks_keep_each_point(self):
+        # a block shares its largest point count, and points past a t's own
+        # cutoff add nothing: a long 2-D batch equals each t taken alone
+        ts = np.geomspace(1e-4, 690.0, 600).reshape(20, 30)
+        got = _order_derivs(2.3, ts)
+        assert got.shape == (3, 20, 30)
+        alone = np.stack([_order_derivs(2.3, t[None]) for t in ts.ravel()], axis=-1)
+        assert np.all(np.abs(got.reshape(3, -1) - alone[:, 0]) <= 1e-15 * np.abs(alone[:, 0]))
 
-    def test_second_order_stencil_identity(self):
-        nu, x = 1.1, 0.7
-        s = 1e-4 * max(1.0, nu)
-        want = (xnu_k(nu + s, x) - 2 * xnu_k(nu, x) + xnu_k(nu - s, x)) / s ** 2
-        assert stencil(nu, x)[1] == pytest.approx(want, rel=1e-12)
+    def test_pass_nu_terms_match_mpmath(self):
+        # the nu entries of the pass's gradient and Hessian, assembled from
+        # the order derivatives, against mpmath's derivatives of M itself;
+        # at short distances they are small differences of terms of size
+        # M ln t, so they are held to the scale sigma2 of M there
+        hs = np.array([1e-3, 0.05, 0.4, 2.0, 30.0])
+        for nu in (0.05, 1.4, NU_CAP):
+            th = MaternParams(1.3, 0.7, nu)
+            _, grad, hess = _kernel_pass(hs, th)
+            got = np.stack([grad[2], hess[1, 2], hess[2, 2]])
+            want = np.array([mp_nu_terms(h, th) for h in hs]).T
+            scale = np.maximum(np.abs(want), th.sigma2)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (nu, got, want)
 
-    def test_half_integer_secant_oracle(self):
-        # independent route: K' from an x-difference of scipy's kv, then the
-        # same nu-secant by hand
-        nu, x, s = 0.5, 1.0, 1e-4
-
-        def kprime(order):
-            hx = 1e-6
-            return (kv(order, x + hx) - kv(order, x - hx)) / (2 * hx)
-
-        g_hi = x ** (nu + s) * kprime(nu + s)
-        g_lo = x ** (nu - s) * kprime(nu - s)
-        want = (g_hi - g_lo) / (2 * s)
-        assert stencil(nu, x, step=s)[2] == pytest.approx(want, rel=1e-5)
-
-    def test_step_shrinks_near_zero_order(self):
-        # nu smaller than the default step must not push nu - step <= 0
-        assert _nu_step(0.5) == 1e-4
-        assert _nu_step(2.0) == 2e-4
-        assert _nu_step(5e-5) == 2.5e-5
-        assert np.all(np.isfinite(stencil(5e-5, 1.0)))
+    def test_near_zero_order_is_finite(self):
+        assert np.all(np.isfinite(_order_derivs(5e-5, np.array([1e-4, 1.0, 50.0]))))
         th = MaternParams(1.0, 0.2, 5e-5)
         assert np.all(np.isfinite(matern_grad(0.3, th)))
         assert np.all(np.isfinite(matern_hess(0.3, th)))
