@@ -11,18 +11,31 @@ sum, so both have the same argmax.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from lqmatern import (MaternParams, SimConfig, build_cov, chol_factor,
-                      loglik_columns, lq_of_loglik, simulate_dataset,
-                      total_lq)
+                      simulate_dataset)
 from lqmatern.gauss_lik import profile_lq
 
 cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid",
                 seed=0)
 locs, reps, _ = simulate_dataset(cfg)
 
-cf = chol_factor(build_cov(locs, cfg.theta))
-ls = loglik_columns(reps.data, cf)
+
+def logliks(theta):
+    # l_i = -(1/2) (n log 2 pi + log|Sigma| + z_i' Sigma^-1 z_i) for every
+    # replicate, from one Cholesky factor Sigma = L L' and L y_i = z_i
+    cf = chol_factor(build_cov(locs, theta))
+    y = solve_triangular(cf.L, reps.data, lower=True)
+    return -0.5 * (reps.n * np.log(2.0 * np.pi) + cf.log_det + np.sum(y * y, axis=0))
+
+
+def lq(l, q):
+    # the exact Lq transform of a density with log l: (f^(1-q) - 1) / (1-q)
+    return np.expm1((1.0 - q) * l) / (1.0 - q)
+
+
+ls = logliks(cfg.theta)
 print("per-replicate log-likelihoods at theta0: min %.1f, median %.1f, "
       "max %.1f" % (ls.min(), np.median(ls), ls.max()))
 print("the raw densities exp(l) underflow: exp(%.0f) = %g"
@@ -33,7 +46,7 @@ print("the raw densities exp(l) underflow: exp(%.0f) = %g"
 l = float(np.median(ls))
 print("\nL_q value of the median replicate as q -> 1 (log value is %.6f):" % l)
 for q in (0.9, 0.99, 0.999, 1.0 - 1e-8):
-    v = lq_of_loglik(l, q)
+    v = lq(l, q)
     print("  q = %-10s  L_q = %12.6f   gap %.2e" % (q, v, abs(v - l)))
 
 # --- replicate weights ------------------------------------------------------
@@ -60,7 +73,7 @@ def log_value(theta, q):
 th_try = MaternParams(1.1, 0.12, 0.55)
 th_other = MaternParams(0.9, 0.09, 0.45)
 for q in (0.95, 0.5):
-    exact = [total_lq(reps, locs, th, q) for th in (th_try, th_other)]
+    exact = [np.sum(lq(logliks(th), q)) for th in (th_try, th_other)]
     logv = [log_value(th, q) for th in (th_try, th_other)]
     print("\nq = %.2f, two trial thetas:" % q)
     print("  exact Lq sum:      %.15g vs %.15g, difference %.3g"

@@ -13,9 +13,8 @@ for the kappa path to flatten inside the grid.
 
 import time
 
-from lqmatern import (ContaminationSpec, MaternParams, SimConfig,
-                      default_kappa_spec, make_fit_fn, select_q_kappa,
-                      simulate_dataset)
+from lqmatern import (ContaminationSpec, FitChain, MaternParams, SimConfig,
+                      default_kappa_spec, select_q_kappa, simulate_dataset)
 
 theta0 = MaternParams(1.0, 0.1, 0.5)
 
@@ -36,7 +35,7 @@ def show(sel):
 cfg = SimConfig(theta0, n=100, m=100, layout="grid", seed=0)
 locs, reps, _ = simulate_dataset(cfg)
 t0 = time.time()
-sel = select_q_kappa(make_fit_fn(reps, locs), default_kappa_spec())
+sel = select_q_kappa(FitChain(reps, locs), default_kappa_spec())
 print("clean data (n = 100, m = 100), %.0fs:" % (time.time() - t0))
 show(sel)
 
@@ -46,7 +45,7 @@ cfgx = SimConfig(theta0, n=400, m=50, layout="grid", seed=0,
                  contamination=ContaminationSpec(r=0.1, noise_sd=1.0))
 locsx, repsx, flagsx = simulate_dataset(cfgx)
 t0 = time.time()
-selx = select_q_kappa(make_fit_fn(repsx, locsx), default_kappa_spec())
+selx = select_q_kappa(FitChain(repsx, locsx), default_kappa_spec())
 print("\ncontaminated data (n = 400, m = 50, %d replicates hit), %.0fs:"
       % (int(flagsx.sum()), time.time() - t0))
 show(selx)

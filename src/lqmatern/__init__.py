@@ -1,6 +1,6 @@
 """Robust covariance estimation for replicated Gaussian random fields.
 
-Matern kernels and their derivatives, exact Gaussian and Lq likelihoods,
+Matern kernels and their derivatives, Gaussian and Lq likelihoods,
 maximum Lq-likelihood fitting (a simplex search finished by Newton steps),
 sandwich standard errors, data-driven selection of the distortion parameter
 q, field simulation, and empirical variograms, with a small CLI around the
@@ -11,13 +11,11 @@ from .asymptotics import (SandwichParts, SingularJError, StdErrs, sandwich,
                           std_errs, ustar_all)
 from .estimate import (Bounds, FitChain, FitResult, QProfile, default_bounds,
                        fit, fit_profile)
-from .gauss_lik import (CholFactor, NotSPDError, ReplicateSet, chol_factor,
-                        loglik_columns, lq_of_loglik, total_lq)
-from .matern import (LocationSet, MaternParams, build_cov, build_cov_grad,
-                     build_cov_hess, matern_cov, matern_grad, matern_hess)
+from .gauss_lik import CholFactor, NotSPDError, ReplicateSet, chol_factor
+from .matern import LocationSet, MaternParams, build_cov, matern_cov
 from .qselect import (QGridSpec, SelectionResult, default_kappa_spec, kappa,
-                      make_fit_fn, make_se_fn, select_q_kappa, select_q_sqv,
-                      sqv, standardized)
+                      make_se_fn, select_q_kappa, select_q_sqv, sqv,
+                      standardized)
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
 from .variogram import VariogramCurve, center_replicates, variogram_by_replicate
 
@@ -28,10 +26,9 @@ __all__ = [
     "LocationSet", "MaternParams", "NotSPDError", "QGridSpec", "QProfile",
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
     "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
-    "build_cov_grad", "build_cov_hess", "center_replicates", "chol_factor",
-    "default_bounds", "default_kappa_spec", "fit", "fit_profile", "kappa",
-    "loglik_columns", "lq_of_loglik", "make_fit_fn", "make_se_fn",
-    "matern_cov", "matern_grad", "matern_hess", "sandwich", "select_q_kappa",
-    "select_q_sqv", "simulate_dataset", "sqv", "standardized", "std_errs",
-    "total_lq", "ustar_all", "variogram_by_replicate",
+    "center_replicates", "chol_factor", "default_bounds",
+    "default_kappa_spec", "fit", "fit_profile", "kappa", "make_se_fn",
+    "matern_cov", "sandwich", "select_q_kappa", "select_q_sqv",
+    "simulate_dataset", "sqv", "standardized", "std_errs", "ustar_all",
+    "variogram_by_replicate",
 ]

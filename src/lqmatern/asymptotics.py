@@ -25,11 +25,10 @@ U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i over replicates,
 K = (1/m) sum U U', J = (1/m) sum V, and records s as ``log_scale``: the raw
 plug-in matrices are K e^(2s) and J e^s.  The standard errors are
 invariant under that common rescaling, so they never see the raw scale.
-``ustar_all`` returns the raw U* of every replicate; ``_ustar`` and
-``_vstar`` return one replicate's raw U* and V*.
+``ustar_all`` returns the raw U* of every replicate.
 
-One derivative pass, ``_weighted_derivs``, serves the sandwich, U*, V* and
-the fit's Newton steps (``estimate._profile_derivs``).  It returns every
+One derivative pass, ``_weighted_derivs``, serves the sandwich, U* and the
+fit's Newton steps (``estimate._profile_derivs``).  It returns every
 replicate's g_i, the weights, s and the weighted sum sum w_i H_i; no
 replicate's Hessian is formed.  J needs only that sum and the g_i:
 
@@ -217,20 +216,6 @@ def _weighted_derivs(Z, locs, theta, q):
     if q < 1.0:
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + chol.log_det))
     return g, w, H, log_scale
-
-
-def _ustar(z, locs, theta, q):
-    """Per-replicate estimating function U* = f^(1-q) grad log f, a 3-vector."""
-    # a single replicate has weight 1, so f^(1-q) = e^log_scale
-    g, _, _, log_scale = _weighted_derivs(z, locs, theta, q)
-    return g[:, 0] * np.exp(log_scale)
-
-
-def _vstar(z, locs, theta, q):
-    """Exact theta-Jacobian of U* at one replicate; symmetric 3x3."""
-    g, _, H, log_scale = _weighted_derivs(z, locs, theta, q)
-    out = (H + (1.0 - q) * (g @ g.T)) * np.exp(log_scale)
-    return 0.5 * (out + out.T)
 
 
 def ustar_all(reps, locs, theta, q):

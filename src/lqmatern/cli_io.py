@@ -128,18 +128,23 @@ def read_replicates(path):
         raise DataError("%s: no replicate values" % path)
     n = max(t[0] for t in triples) + 1
     m = max(t[1] for t in triples) + 1
-    data = np.empty((n, m))
-    seen = np.zeros((n, m), dtype=bool)
+    # the cells are checked before the n x m array is sized from the ids
+    cells = {}
     for i, j, v, lineno in triples:
-        if seen[i, j]:
+        if (i, j) in cells:
             raise DataError("%s line %d: duplicate entry for loc_id=%d rep_id=%d"
                             % (path, lineno, i, j))
-        seen[i, j] = True
-        data[i, j] = v
-    if not seen.all():
-        i, j = np.argwhere(~seen)[0]
+        cells[i, j] = v
+    if len(cells) < n * m:
+        # the first missing cell in row-major order is among the first
+        # len(cells) + 1 cells
+        i, j = next(divmod(k, m) for k in range(len(cells) + 1)
+                    if divmod(k, m) not in cells)
         raise DataError("%s: missing value for loc_id=%d rep_id=%d (n=%d, m=%d)"
                         % (path, i, j, n, m))
+    data = np.empty((n, m))
+    for (i, j), v in cells.items():
+        data[i, j] = v
     return ReplicateSet(data)
 
 
@@ -429,9 +434,6 @@ def config_from_args(args):
         v = getattr(args, attr, None)
         if v is not None:
             mapping[key] = str(v)
-    # metadata-only keys are accepted on input but never configure anything
-    mapping.pop("generator", None)
-    mapping.pop("contam.flags", None)
     return build_config(mapping)
 
 

@@ -14,18 +14,14 @@ The Lq transform of the density f = e^l:
     L_q(f) = (f^(1-q) - 1) / (1 - q)        if q < 1
            = expm1(l (1-q)) / (1-q)
 
-``lq_of_loglik`` and ``total_lq`` compute it exactly.  For large n that
-value underflows (f^(1-q) = e^(l(1-q)) with l of order -n), so everything
-else works in the log domain through one helper, ``_lq_weights``: for the
-replicates' log densities l it returns the value V = sum l at q = 1 and
-V = logsumexp((1-q) l) / (1-q) below it, a strictly increasing transform of
-sum f_i^(1-q) that neither overflows nor underflows, together with the
-replicate weights w = 1 at q = 1 and w = softmax((1-q) l) below it.  The
-fit's objective, the sigma2 solve, the Newton step and the sandwich all
-take their weights from it.
-
-``total_lq`` shares one factorization across all m replicates and sums the
-per-replicate values in fixed column order, so results are reproducible.
+For large n that value underflows (f^(1-q) = e^(l(1-q)) with l of order
+-n), so everything works in the log domain through one helper,
+``_lq_weights``: for the replicates' log densities l it returns the value
+V = sum l at q = 1 and V = logsumexp((1-q) l) / (1-q) below it, a strictly
+increasing transform of sum f_i^(1-q) that neither overflows nor
+underflows, together with the replicate weights w = 1 at q = 1 and
+w = softmax((1-q) l) below it.  The fit's objective, the sigma2 solve, the
+Newton step and the sandwich all take their weights from it.
 
 Profiling sigma2.  Sigma = sigma2 R(beta, nu), so one factorization of the
 correlation matrix R gives quad_i = z_i' R^-1 z_i and log|R|, and with them
@@ -136,33 +132,10 @@ def chol_factor(cov, jitter_scale=None):
     return CholFactor(L=L, log_det=log_det, jittered=jittered)
 
 
-def _log_likelihood(z, chol):
-    """Exact Gaussian log-likelihood of one replicate from a Cholesky factor.
-
-    The quadratic form z' Sigma^-1 z is evaluated as ||y||^2 with L y = z;
-    one forward substitution, no explicit inverse.
-    """
-    z = np.asarray(z, dtype=float)
-    n = chol.L.shape[0]
-    if z.shape != (n,):
-        raise ValueError("z has shape %s, expected (%d,)" % (z.shape, n))
-    y = solve_triangular(chol.L, z, lower=True, check_finite=False)
-    return float(-0.5 * n * _LOG_2PI - 0.5 * (y @ y) - 0.5 * chol.log_det)
-
-
 def _quad_forms(data, chol):
     # z' Sigma^-1 z for every column: one forward substitution, L y = z
     Y = solve_triangular(chol.L, data, lower=True, check_finite=False)
     return np.einsum("ij,ij->j", Y, Y)
-
-
-def loglik_columns(data, chol):
-    """Per-replicate log-likelihoods for an n x m matrix, shared factor."""
-    data = np.asarray(data, dtype=float)
-    n = chol.L.shape[0]
-    if data.ndim != 2 or data.shape[0] != n:
-        raise ValueError("data has shape %s, expected (%d, m)" % (data.shape, n))
-    return -0.5 * n * _LOG_2PI - 0.5 * _quad_forms(data, chol) - 0.5 * chol.log_det
 
 
 def _lq_weights(lvec, q):
@@ -265,40 +238,3 @@ def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     sigma2 = profile_sigma2(quad, n, q, sigma2_lower, sigma2_upper)
     lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
     return sigma2, _lq_weights(lvec, q)[0]
-
-
-def lq_of_loglik(l, q):
-    """Exact Lq value of a density given its log l; see the module notes.
-
-    l itself at q = 1, and expm1(l (1-q)) / (1-q) for q in (0, 1).
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1], got %r" % (q,))
-    l = float(l)
-    if q == 1.0:
-        return l
-    om = 1.0 - q
-    return float(np.expm1(l * om) / om)
-
-
-def total_lq(reps, locs, theta, q):
-    """Exact summed Lq-likelihood of all replicates at one parameter point.
-
-    One covariance build and one Cholesky factorization are shared across
-    the m replicates; the per-replicate values expm1(l (1-q)) / (1-q) (l
-    at q = 1) are summed in column order.  Raises NotSPDError carrying
-    theta if the factorization fails.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1], got %r" % (q,))
-    cov = build_cov(locs, theta)
-    try:
-        chol = chol_factor(cov, jitter_scale=theta.sigma2)
-    except NotSPDError as err:
-        err.theta = theta
-        raise
-    lvec = loglik_columns(reps.data, chol)
-    if q == 1.0:
-        return float(np.sum(lvec))
-    om = 1.0 - q
-    return float(np.sum(np.expm1(lvec * om) / om))

@@ -1,4 +1,4 @@
-"""Matern covariance function, parameter derivatives, and matrix builders.
+"""Matern covariance function, its parameter derivatives, and the covariance builder.
 
 The kernel in the (variance, range, smoothness) parametrisation:
 
@@ -9,18 +9,15 @@ with K_nu the modified Bessel function of the second kind.  M(0) = sigma2
 exactly (the h -> 0 limit), and M reduces to sigma2 * exp(-h/beta) at
 nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.
 
-``matern_grad`` and ``matern_hess`` return the closed-form first and second
-derivatives in theta = (sigma2, beta, nu).  Both come from one pass over the
-distances (``_kernel_terms``), which calls scipy's K at the orders nu and
-nu - 1: two calls give the value and the five per-distance terms, the beta
-and nu derivatives of M / sigma2 and the (beta, beta), (beta, nu) and
-(nu, nu) Hessian entries of M.  M is linear in sigma2, so these are every
-nonzero entry of the gradient and the Hessian.  The estimating-function
-pass (``asymptotics._weighted_derivs``) reads the terms directly;
-``_kernel_pass`` assembles them into the (3, u) gradient and (3, 3, u)
-Hessian for matern_grad, matern_hess and the builders.  Derivatives in the
-argument of K_nu use exact identities, the recurrence and the modified
-Bessel ODE:
+The first and second derivatives in theta = (sigma2, beta, nu) come from one
+pass over the distances (``_kernel_terms``), which calls scipy's K at the
+orders nu and nu - 1: two calls give the value and the five per-distance
+terms, the beta and nu derivatives of M / sigma2 and the (beta, beta),
+(beta, nu) and (nu, nu) Hessian entries of M.  M is linear in sigma2, so
+these are every nonzero entry of the gradient and the Hessian.  The
+estimating-function pass (``asymptotics._weighted_derivs``) reads the terms
+directly.  Derivatives in the argument of K_nu use exact identities, the
+recurrence and the modified Bessel ODE:
 
     K'_mu(t) = -K_{mu-1}(t) - (mu/t) K_mu(t),
     dM/dbeta = sigma2 c / beta * t^(nu+1) K_{nu-1}(t),
@@ -36,15 +33,15 @@ limit for nu > 0 and keeping the diagonal of the covariance matrix exactly
 sigma2.  Where K overflows at tiny t, the value takes its limit sigma2 and
 the derivatives theirs, 0.
 
-Matrix builders evaluate the kernel once per unique distance and scatter the
-values back, which collapses the cost on lattice layouts where the distance
-matrix has few distinct entries.  How a unique distance is evaluated depends
-on how many there are:
+``build_cov`` and the derivative pass evaluate the kernel once per unique
+distance and scatter the values back, which collapses the cost on lattice
+layouts where the distance matrix has few distinct entries.  How a unique
+distance is evaluated depends on how many there are:
 
 - Up to the number of Chebyshev nodes a ``LocationSet``'s panels would use
   (a few hundred: the 127 distances of a 10 x 10 lattice stay below it, the
   369 of a 20 x 20 lattice do not), ``build_cov`` calls ``matern_cov`` and
-  the builders' pass calls kv at every distance, as above.
+  the derivative pass calls kv at every distance, as above.
 - Above it (irregular sites: 79,800 distances at n = 400), the set caches
   panels of width 0.1 in s = log d over its distances (``_Panels``), and
   the kernel is a piecewise Chebyshev interpolant of degree 8 in s.  Per
@@ -65,7 +62,7 @@ on how many there are:
   interpolates g with build_cov's routine, so its value stays build_cov's
   bit for bit.
 
-``matern_cov``, ``matern_grad`` and ``matern_hess`` always evaluate kv
+``matern_cov`` and ``_kernel_terms`` without panels always evaluate kv
 directly, and the tests use them as the interpolant's reference.
 """
 
@@ -446,53 +443,7 @@ def _kernel_terms(h, theta, panels=None):
     return out
 
 
-def _kernel_pass(h, theta, panels=None):
-    """Value, gradient and Hessian of M(h; theta) over a 1-D array h >= 0.
-
-    The terms of ``_kernel_terms`` assembled as val (u,), grad (3, u) and
-    hess (3, 3, u), with the conventions of matern_grad and matern_hess.
-    """
-    r, m_b, m_n, h_bb, h_bn, h_nn = _kernel_terms(h, theta, panels)
-    s2 = theta.sigma2
-    # M is linear in sigma2: the beta and nu derivatives of r are also the
-    # mixed (sigma2, .) Hessian entries
-    grad = np.stack([r, s2 * m_b, s2 * m_n])
-    hess = np.stack([np.zeros_like(r), m_b, m_n,
-                     m_b, h_bb, h_bn,
-                     m_n, h_bn, h_nn]).reshape((3, 3) + r.shape)
-    return s2 * r, grad, hess
-
-
-def matern_grad(h, theta):
-    """Gradient of M(h; theta) in theta = (sigma2, beta, nu).
-
-    Returns shape (3,) for scalar h, (3,) + h.shape for arrays.  At h = 0
-    the gradient is (1, 0, 0): M(0) = sigma2 identically, and the beta and
-    nu derivatives vanish in the h -> 0 limit for nu > 0.
-    """
-    ha = _validate_h(h)
-    _, g, _ = _kernel_pass(np.atleast_1d(ha).ravel(), theta)
-    if np.ndim(h) == 0:
-        return g[:, 0]
-    return g.reshape((3,) + ha.shape)
-
-
-def matern_hess(h, theta):
-    """Hessian of M(h; theta) in theta; symmetric 3x3 per distance.
-
-    Returns shape (3, 3) for scalar h, (3, 3) + h.shape for arrays.  The
-    (sigma2, sigma2) entry is identically zero (M is linear in sigma2);
-    cross terms are computed once and mirrored.  All entries vanish at
-    h = 0 (derivatives of the constant diagonal).
-    """
-    ha = _validate_h(h)
-    _, _, hh = _kernel_pass(np.atleast_1d(ha).ravel(), theta)
-    if np.ndim(h) == 0:
-        return hh[:, :, 0]
-    return hh.reshape((3, 3) + ha.shape)
-
-
-# === matrix builders ========================================================
+# === covariance builder =====================================================
 
 
 def build_cov(locs, theta):
@@ -512,20 +463,3 @@ def build_cov(locs, theta):
         vals[pos] *= _coef(theta.nu)
         vals *= theta.sigma2
     return vals[inv]
-
-
-def build_cov_grad(locs, theta):
-    """Entrywise kernel gradient over the distance matrix, shape (3, n, n)."""
-    uniq, inv = locs._dist_unique
-    _, g, _ = _kernel_pass(uniq, theta, locs._dist_cheb)
-    return g[:, inv]
-
-
-def build_cov_hess(locs, theta):
-    """Entrywise kernel Hessian over the distance matrix, shape (3, 3, n, n).
-
-    Symmetric in the two parameter axes (cross terms mirrored) and in (i, j).
-    """
-    uniq, inv = locs._dist_unique
-    _, _, hh = _kernel_pass(uniq, theta, locs._dist_cheb)
-    return hh[:, :, inv]

@@ -13,8 +13,9 @@ finite, and forms the series over consecutive usable points.  Each pass
 either accepts the current leading q, or refines an equally spaced grid from
 the last destabilized point down to q_min and repeats.  If the series never
 stabilizes before the grid span is exhausted the selectors fall back to
-q* = 1.  ``make_fit_fn`` gives the ``fit_fn`` as an ``estimate.FitChain``,
-so q values the walk revisits are not fitted again.
+q* = 1.  An ``estimate.FitChain`` over the dataset serves as ``fit_fn``:
+selectors revisit q values across passes (q_min appears in every
+refinement), and its cache fits each one once, started warm.
 
 kappa-hat is not constant across q even on clean data.  The fixed-q fit
 targets (q sigma2, beta, nu) (see ``estimate``), whose kappa is q kappa0, and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import sandwich, std_errs
-from .estimate import FitChain, _checked_q_grid
+from .estimate import _checked_q_grid
 
 log = logging.getLogger(__name__)
 
@@ -211,17 +212,6 @@ def select_q_kappa(fit_fn, spec=None):
 
     return _walk(spec, fit_fn, lambda q, th: kappa(th),
                  lambda a, b: abs(a / b - 1.0), pivot)
-
-
-def make_fit_fn(reps, locs, bounds=None, init=None, tol=1e-6, *,
-                max_evals=5000):
-    """fit_fn(q) -> theta_hat: an ``estimate.FitChain`` over the dataset.
-
-    Selectors revisit q values across passes (q_min appears in every
-    refinement), so the chain's cache keeps the advertised per-pass fit
-    count honest, and its warm starts suit their descending walk.
-    """
-    return FitChain(reps, locs, bounds, init, tol, max_evals=max_evals)
 
 
 def make_se_fn(reps, locs):

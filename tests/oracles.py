@@ -1,0 +1,93 @@
+"""Reference quantities the tests compare the package against.
+
+The package evaluates the kernel's derivatives as per-distance terms
+(``matern._kernel_terms``) and scores the Lq objective in the log domain
+(``gauss_lik._lq_weights``).  The oracles of the tests want them in their
+textbook forms: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
+theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
+log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), and one
+replicate's U* and V*.  This module assembles them from the package's own
+pieces, so the oracles check the code the fit and the sandwich run.
+"""
+
+import numpy as np
+
+from lqmatern.asymptotics import _weighted_derivs, ustar_all
+from lqmatern.gauss_lik import _LOG_2PI, ReplicateSet, _quad_forms, chol_factor
+from lqmatern.matern import _kernel_terms, build_cov
+
+
+def kernel_derivs(h, theta, panels=None):
+    """Value, gradient and Hessian of M(h; theta) in theta = (sigma2, beta, nu).
+
+    Scalar or array h >= 0; the results have shapes h.shape, (3,) + h.shape
+    and (3, 3) + h.shape.  ``panels`` is passed on to ``_kernel_terms`` (for
+    a sorted 1-D h whose positive entries it was built over).  At h = 0 the
+    gradient is (1, 0, 0) and the Hessian 0.  M is linear in sigma2, so the
+    beta and nu derivatives of M / sigma2 are also the mixed (sigma2, .)
+    Hessian entries, and the (sigma2, sigma2) entry is 0.
+    """
+    shape = np.shape(h)
+    r, m_b, m_n, h_bb, h_bn, h_nn = _kernel_terms(
+        np.atleast_1d(np.asarray(h, dtype=float)).ravel(), theta, panels)
+    s2 = theta.sigma2
+    grad = np.stack([r, s2 * m_b, s2 * m_n])
+    hess = np.stack([np.zeros_like(r), m_b, m_n,
+                     m_b, h_bb, h_bn,
+                     m_n, h_bn, h_nn])
+    return ((s2 * r).reshape(shape), grad.reshape((3,) + shape),
+            hess.reshape((3, 3) + shape))
+
+
+def matern_grad(h, theta):
+    return kernel_derivs(h, theta)[1]
+
+
+def matern_hess(h, theta):
+    return kernel_derivs(h, theta)[2]
+
+
+def cov_derivs(locs, theta):
+    """``kernel_derivs`` over a location set's distance matrix, as the pass evaluates it."""
+    uniq, inv = locs._dist_unique
+    val, grad, hess = kernel_derivs(uniq, theta, locs._dist_cheb)
+    return val[inv], grad[:, inv], hess[:, :, inv]
+
+
+def build_cov_grad(locs, theta):
+    return cov_derivs(locs, theta)[1]
+
+
+def loglik_columns(data, chol):
+    """Gaussian log-likelihood of each column of data (n, m) from one factor."""
+    n = chol.L.shape[0]
+    return -0.5 * n * _LOG_2PI - 0.5 * _quad_forms(data, chol) - 0.5 * chol.log_det
+
+
+def log_likelihood(z, chol):
+    return float(loglik_columns(np.asarray(z, dtype=float)[:, None], chol)[0])
+
+
+def lq_of_loglik(l, q):
+    """The exact Lq value expm1((1-q) l) / (1-q) of a density with log l; l at q = 1."""
+    if q == 1.0:
+        return l
+    return np.expm1(l * (1.0 - q)) / (1.0 - q)
+
+
+def total_lq(reps, locs, theta, q):
+    """The exact Lq sum over the replicates at one parameter point."""
+    chol = chol_factor(build_cov(locs, theta), jitter_scale=theta.sigma2)
+    return float(np.sum(lq_of_loglik(loglik_columns(reps.data, chol), q)))
+
+
+def ustar(z, locs, theta, q):
+    """One replicate's U* = f^(1-q) grad log f, a 3-vector."""
+    return ustar_all(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, theta, q)[:, 0]
+
+
+def vstar(z, locs, theta, q):
+    """One replicate's V*, the exact theta-Jacobian of U*; symmetric 3 x 3."""
+    g, _, H, log_scale = _weighted_derivs(z, locs, theta, q)
+    out = (H + (1.0 - q) * (g @ g.T)) * np.exp(log_scale)
+    return 0.5 * (out + out.T)

@@ -10,20 +10,18 @@ import time
 
 import numpy as np
 
-from lqmatern.asymptotics import (_ustar as ustar, _vstar as vstar,
-                                  sandwich, std_errs, ustar_all)
+from lqmatern.asymptotics import sandwich, std_errs, ustar_all
 from lqmatern.estimate import FitChain, fit, fit_profile
-from lqmatern.gauss_lik import (ReplicateSet, _log_likelihood as log_likelihood,
-                                chol_factor, loglik_columns, lq_of_loglik,
-                                total_lq)
-from lqmatern.matern import (LocationSet, MaternParams, build_cov,
-                             build_cov_grad, matern_cov, matern_grad,
-                             matern_hess)
+from lqmatern.gauss_lik import ReplicateSet, chol_factor
+from lqmatern.matern import LocationSet, MaternParams, build_cov, matern_cov
 from lqmatern.qselect import (QGridSpec, default_kappa_spec, kappa,
-                              make_fit_fn, select_q_kappa, select_q_sqv)
+                              select_q_kappa, select_q_sqv)
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
 from lqmatern.variogram import variogram_by_replicate
+from oracles import (build_cov_grad, log_likelihood, loglik_columns,
+                     lq_of_loglik, matern_grad, matern_hess, total_lq, ustar,
+                     vstar)
 
 THETA0 = MaternParams(1.0, 0.1, 0.5)    # kappa(THETA0) = 10
 KAPPA0 = 10.0
@@ -286,14 +284,14 @@ def test_criterion_07_q_selection():
     for seed in range(N_SEEDS):
         cfg = SimConfig(THETA0, n=100, m=100, layout="grid", seed=seed)
         locs, reps, _ = simulate_dataset(cfg)
-        sel = select_q_kappa(make_fit_fn(reps, locs), default_kappa_spec())
+        sel = select_q_kappa(FitChain(reps, locs), default_kappa_spec())
         clean_hits += sel.q_star >= 0.99
         clean_walks.append(walk(sel))
 
         cfgx = SimConfig(THETA0, n=100, m=100, layout="grid", seed=seed,
                          contamination=ContaminationSpec(r=0.1, noise_sd=1.0))
         locsx, repsx, _ = simulate_dataset(cfgx)
-        selx = select_q_kappa(make_fit_fn(repsx, locsx), default_kappa_spec())
+        selx = select_q_kappa(FitChain(repsx, locsx), default_kappa_spec())
         contam_hits += selx.q_star <= 0.99
         contam_vals.append(round(selx.q_star, 4))
         contam_walks.append(walk(selx))

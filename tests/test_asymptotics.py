@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
-                                  _ustar as ustar, _vstar as vstar, sandwich,
-                                  std_errs, ustar_all)
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet,
-                                _log_likelihood as log_likelihood,
-                                _lq_weights, chol_factor, loglik_columns,
-                                lq_of_loglik)
+                                  sandwich, std_errs, ustar_all)
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
+                                chol_factor)
 from lqmatern import asymptotics, matern
-from lqmatern.matern import (MaternParams, build_cov, build_cov_grad,
-                             build_cov_hess)
+from lqmatern.matern import MaternParams, build_cov
 from lqmatern.estimate import _profile_derivs, fit
 from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
+from oracles import (cov_derivs, kernel_derivs, log_likelihood,
+                     loglik_columns, lq_of_loglik, ustar, vstar)
 
 # well separated points keep the covariance comfortably conditioned, so
 # finite-difference oracles are trustworthy at tight tolerances
@@ -167,8 +165,7 @@ class TestDenseRoute:
                                seed=int(rng.integers(1e6))).data[:, 0]
             cov = build_cov(LOCS7, theta)
             Sinv = np.linalg.inv(cov)
-            dS = build_cov_grad(LOCS7, theta)
-            d2S = build_cov_hess(LOCS7, theta)
+            _, dS, d2S = cov_derivs(LOCS7, theta)
             w = Sinv @ z
             g = np.array([0.5 * w @ dS[j] @ w - 0.5 * np.trace(Sinv @ dS[j])
                           for j in range(3)])
@@ -204,8 +201,7 @@ class TestDenseRoute:
         reps = gen_replicates(locs, theta, 6, seed=23)
         cov = build_cov(locs, theta)
         Sinv = np.linalg.inv(cov)
-        dS = build_cov_grad(locs, theta)
-        d2S = build_cov_hess(locs, theta)
+        _, dS, d2S = cov_derivs(locs, theta)
         logdet = np.linalg.slogdet(cov)[1]
         Us, Vs = [], []
         for z in reps.data.T:
@@ -492,28 +488,6 @@ class TestInterpolatedSandwich:
         assert np.all(np.array(err) <= NOISE_FACTOR * noise), (err, noise)
 
 
-@pytest.mark.parametrize("layout", ["grid", "uniform"])
-def test_pass_reads_the_kernel_terms(monkeypatch, layout):
-    # the fit's Newton steps, the sandwich and U* take the kernel's terms
-    # directly; the (3, u) and (3, 3, u) tensors of _kernel_pass serve only
-    # matern_grad, matern_hess and the builders
-    locs, reps, _ = simulate_dataset(SimConfig(MaternParams(1.0, 0.1, 0.5), n=64, m=20,
-                                               layout=layout, seed=1))
-    assert (locs._dist_cheb is None) == (layout == "grid")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("_kernel_pass called")
-
-    for module in (matern, asymptotics):
-        if hasattr(module, "_kernel_pass"):
-            monkeypatch.setattr(module, "_kernel_pass", refuse)
-    res = fit(reps, locs, 0.95)
-    assert res.newton_steps >= 1
-    parts = sandwich(reps, locs, res.theta_hat, 0.95)
-    assert np.all(np.isfinite(parts.J))
-    assert np.all(np.isfinite(ustar_all(reps, locs, res.theta_hat, 0.95)))
-
-
 def per_replicate_derivs(Z, locs, theta):
     """Every replicate's g (3, m), H (3, 3, m) and log density l (m,).
 
@@ -523,7 +497,7 @@ def per_replicate_derivs(Z, locs, theta):
     """
     m = Z.shape[1]
     uniq, inv = locs._dist_unique
-    val, grad, hess = matern._kernel_pass(uniq, theta, locs._dist_cheb)
+    val, grad, hess = kernel_derivs(uniq, theta, locs._dist_cheb)
     chol = chol_factor(val[inv], jitter_scale=theta.sigma2)
     cl = (chol.L, True)
     W = cho_solve(cl, Z)
@@ -614,8 +588,7 @@ class TestWeightedDerivativePass:
         monkeypatch.setattr(asymptotics, "dpotri", lambda c, **kw: (c, 3))
         calls = (lambda: asymptotics._weighted_derivs(reps.data, locs, theta, 0.95),
                  lambda: sandwich(reps, locs, theta, 0.95),
-                 lambda: ustar_all(reps, locs, theta, 0.95),
-                 lambda: ustar(reps.data[:, 0], locs, theta, 1.0))
+                 lambda: ustar_all(reps, locs, theta, 0.95))
         for call in calls:
             with pytest.raises(NotSPDError, match="potri info 3") as exc_info:
                 call()

@@ -303,6 +303,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "data error" in err and "line" in err and "column" in err
 
+    def test_huge_id_exit_2(self, tmp_path, capsys):
+        # a loc_id of 1e13 names a 72.8 TiB matrix; the missing cells are
+        # reported without sizing one
+        write_locations(tmp_path / "locations.csv",
+                        LocationSet(np.array([[0.1, 0.1], [0.5, 0.5]])))
+        (tmp_path / "replicates.csv").write_text(
+            "loc_id,rep_id,value\n0,0,1.0\n1,0,2.0\n10000000000000,0,3.0\n")
+        assert run(["fit", "--data-dir", str(tmp_path),
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "missing value for loc_id=2 rep_id=0 (n=10000000000001, m=1)" in err
+
     def test_missing_files_exit_2(self, tmp_path, capsys):
         assert run(["fit", "--data-dir", str(tmp_path),
                     "--out", str(tmp_path)]) == 2

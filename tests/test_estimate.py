@@ -9,11 +9,11 @@ import lqmatern.estimate as est
 from lqmatern.estimate import (Bounds, FitResult, QProfile, default_bounds,
                                default_init, fit, fit_profile)
 from lqmatern.gauss_lik import (V_ROUNDING, NotSPDError, ReplicateSet,
-                                chol_factor, loglik_columns, profile_lq,
-                                total_lq)
+                                chol_factor, profile_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
+from oracles import loglik_columns, total_lq
 
 THETA0 = MaternParams(1.0, 0.2, 0.5)
 

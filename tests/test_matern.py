@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from scipy.special import kv
 
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
-                             MaternParams, _coef, _kernel_pass, _kernel_terms,
-                             _Panels, build_cov, build_cov_grad,
-                             build_cov_hess, matern_cov, matern_grad,
-                             matern_hess)
+                             MaternParams, _coef, _kernel_terms, _Panels,
+                             build_cov, matern_cov)
 from lqmatern.simulate import make_locations
+from oracles import cov_derivs, kernel_derivs, matern_grad, matern_hess
 
 # irregular sites: 2,016 unique positive distances against 378 Chebyshev
 # nodes, so the builders interpolate the kernel
@@ -229,15 +228,14 @@ class TestBuilders:
         th = rand_theta(rng)
         locs = rand_locs(rng, 6, min_dist=0.05)
         cov = build_cov(locs, th)
-        dS = build_cov_grad(locs, th)
+        dS = cov_derivs(locs, th)[1]
         assert np.allclose(dS[0], cov / th.sigma2, rtol=1e-12)
 
     def test_two_point_matches_scalar(self):
         locs = LocationSet(np.array([[0.1, 0.1], [0.4, 0.5]]))
         th = MaternParams(1.4, 0.3, 0.8)
         h = locs.dists[0, 1]
-        dS = build_cov_grad(locs, th)
-        hh = build_cov_hess(locs, th)
+        _, dS, hh = cov_derivs(locs, th)
         g = matern_grad(h, th)
         H = matern_hess(h, th)
         for j in range(3):
@@ -251,7 +249,7 @@ class TestBuilders:
         rng = np.random.default_rng(12)
         th = rand_theta(rng, nu_hi=1.6)
         locs = rand_locs(rng, 5, min_dist=0.08)
-        dS = build_cov_grad(locs, th)
+        dS = cov_derivs(locs, th)[1]
         t = th.as_array()
         for j, rel_tol in enumerate([1e-6, 1e-6, 1e-4]):
             s = (1e-6 if j < 2 else 1e-5) * t[j]
@@ -267,7 +265,7 @@ class TestBuilders:
         rng = np.random.default_rng(13)
         th = rand_theta(rng)
         locs = rand_locs(rng, 5, min_dist=0.05)
-        hh = build_cov_hess(locs, th)
+        hh = cov_derivs(locs, th)[2]
         for j in range(3):
             for k in range(3):
                 assert np.array_equal(hh[j, k], hh[k, j])
@@ -276,8 +274,7 @@ class TestBuilders:
     def test_kernel_pass_value_is_build_cov(self):
         # the sandwich gathers its covariance from the one-pass value, so it
         # must be the fit's build_cov bit for bit, on lattice sites (direct
-        # kv) and on irregular sites (Chebyshev interpolant), with the
-        # gradient and Hessian the builders return
+        # kv) and on irregular sites (Chebyshev interpolant)
         rng = np.random.default_rng(14)
         for layout in ("grid", "uniform"):
             locs = make_locations(49, layout, seed=2)
@@ -286,10 +283,8 @@ class TestBuilders:
             assert (panels is None) == (layout == "grid")
             for _ in range(5):
                 th = rand_theta(rng, nu_hi=NU_CAP)
-                val, grad, hess = _kernel_pass(uniq, th, panels)
+                val = kernel_derivs(uniq, th, panels)[0]
                 assert np.array_equal(val[inv], build_cov(locs, th))
-                assert np.array_equal(grad[:, inv], build_cov_grad(locs, th))
-                assert np.array_equal(hess[:, :, inv], build_cov_hess(locs, th))
 
 
 def kv_oracle(h, th):
@@ -314,7 +309,7 @@ class TestDirectPass:
         # nu = 5); the pass carries t^(nu+1) K_{nu-1} instead
         th = MaternParams(1.7, 10.0, nu)
         uniq, _ = LOCS_CHEB._dist_unique
-        _, grad, hess = _kernel_pass(uniq, th)
+        _, grad, hess = kernel_derivs(uniq, th)
         _, _, want_b, want_bb = kv_oracle(uniq[1:], th)
         for got in (grad[1, 1:], th.sigma2 * hess[0, 1, 1:]):
             assert np.all(np.abs(got - want_b) <= 1e-13 * np.abs(want_b))
@@ -336,19 +331,17 @@ class TestChebyshevKernel:
 
     @pytest.mark.parametrize("n", [16, 49, 100])
     def test_lattice_is_direct_bit_for_bit(self, n):
-        # below the node count the builders are the direct kv path exactly,
-        # so fits, standard errors and the CLI sweep on lattices are unchanged
+        # below the node count build_cov and the derivative pass are the
+        # direct kv path exactly, so fits, standard errors and the CLI sweep
+        # on lattices are unchanged
         locs = make_locations(n, "grid", seed=0)
         uniq, _ = locs._dist_unique
         rng = np.random.default_rng(n)
         for _ in range(3):
             th = rand_theta(rng, nu_hi=NU_CAP)
             assert np.array_equal(build_cov(locs, th), matern_cov(locs.dists, th))
-            assert np.array_equal(build_cov_grad(locs, th), matern_grad(locs.dists, th))
-            assert np.array_equal(build_cov_hess(locs, th), matern_hess(locs.dists, th))
-            for a, b in zip(_kernel_pass(uniq, th, locs._dist_cheb),
-                            _kernel_pass(uniq, th)):
-                assert np.array_equal(a, b)
+            assert np.array_equal(_kernel_terms(uniq, th, locs._dist_cheb),
+                                  _kernel_terms(uniq, th))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log10_beta=st.floats(-3.0, 1.0), nu=st.floats(0.05, NU_CAP))
@@ -364,7 +357,7 @@ class TestChebyshevKernel:
         # underflows
         th = MaternParams(1.7, 10.0 ** log10_beta, nu)
         uniq, inv = LOCS_CHEB._dist_unique
-        val, grad, hess = _kernel_pass(uniq, th, LOCS_CHEB._dist_cheb)
+        val, grad, hess = kernel_derivs(uniq, th, LOCS_CHEB._dist_cheb)
         assert np.array_equal(val[inv], build_cov(LOCS_CHEB, th))
         assert val[0] == th.sigma2
         assert np.array_equal(grad[:, 0], [1.0, 0.0, 0.0])
@@ -392,11 +385,11 @@ class TestChebyshevKernel:
             th = MaternParams(1.3, 0.5, nu)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                val, grad, hess = _kernel_pass(uniq, th, locs._dist_cheb)
+                val, grad, hess = kernel_derivs(uniq, th, locs._dist_cheb)
             assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
             want = matern_cov(uniq, th)
             assert np.all(np.abs(val - want) <= 1e-12 * want)
-            _, grad_d, _ = _kernel_pass(uniq, th)
+            _, grad_d, _ = kernel_derivs(uniq, th)
             assert np.abs(grad[1] - grad_d[1]).max() <= 1e-12 * np.abs(grad_d[1]).max()
 
     @pytest.mark.parametrize("locs", [LOCS_CHEB, LOCS_TINY], ids=["uniform", "tiny"])

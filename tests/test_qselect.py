@@ -3,12 +3,12 @@ import pytest
 
 import lqmatern.estimate as est
 from lqmatern.asymptotics import StdErrs
-from lqmatern.estimate import FitResult
+from lqmatern.estimate import FitChain, FitResult
 from lqmatern.matern import MaternParams
 from lqmatern.qselect import (DEFAULT_GRID, PassRecord, QGridSpec,
                               SelectionResult, default_kappa_spec, kappa,
-                              make_fit_fn, make_se_fn, select_q_kappa,
-                              select_q_sqv, sqv, standardized)
+                              make_se_fn, select_q_kappa, select_q_sqv, sqv,
+                              standardized)
 from lqmatern.simulate import gen_replicates, make_locations
 
 ONES_SE = np.ones(3)
@@ -236,7 +236,7 @@ class TestFactories:
                              evaluations=1, converged=True, init=init)
 
         monkeypatch.setattr(est, "fit", fake_fit)
-        fit_fn = make_fit_fn(reps, locs)
+        fit_fn = FitChain(reps, locs)
         a = fit_fn(0.99)
         b = fit_fn(0.99)
         assert a == b and len(calls) == 1
@@ -258,7 +258,7 @@ class TestFactories:
                              init=init)
 
         monkeypatch.setattr(est, "fit", fake_fit)
-        fit_fn = make_fit_fn(reps, locs)
+        fit_fn = FitChain(reps, locs)
         fit_fn(0.99)
         fit_fn(0.95)
         assert warm == [False, True]
@@ -274,7 +274,7 @@ class TestFactories:
     def test_end_to_end_on_tiny_dataset(self):
         locs = make_locations(9, "grid")
         reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 10, seed=2)
-        fit_fn = make_fit_fn(reps, locs, tol=1e-3, max_evals=400)
+        fit_fn = FitChain(reps, locs, tol=1e-3, max_evals=400)
         res = select_q_kappa(fit_fn, QGridSpec(grid=(1.0, 0.99, 0.98), L=4.0))
         assert isinstance(res, SelectionResult)
         assert 0.0 < res.q_star <= 1.0
