@@ -160,7 +160,7 @@ def _weighted_derivs(Z, locs, theta, q):
     uniq, inv = locs._dist_unique
     terms = _kernel_terms(uniq, theta, locs._dist_cheb)
     try:
-        chol = chol_factor((s2 * terms[0])[inv], jitter_scale=s2)
+        chol = chol_factor((s2 * terms[0])[inv])
     except NotSPDError as err:
         err.theta = theta
         raise

@@ -7,8 +7,10 @@ Results and metadata are line-oriented ``key = value`` records; the
 same syntax (with dotted section prefixes) serves as the config format,
 so a simulation's metadata record can be fed back in as a config.
 
-Subcommands: simulate, fit, select-q, se, variogram, sweep.  Exit
-codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
+Subcommands: simulate, fit, select-q, se, variogram, sweep.  Each
+registers only the flags it reads, so a flag it would ignore is a usage
+error.  Exit codes: 0 success, 1 usage, 2 data error, 3 numerical
+failure.
 """
 
 import argparse
@@ -201,12 +203,13 @@ def _fmt(v):
 
 _KNOWN_KEYS = frozenset([
     "sim.theta", "sim.n", "sim.m", "sim.layout", "sim.seed",
-    "sim.contam.r", "sim.contam.sd", "sim.contam.kind",
+    "sim.contam.r", "sim.contam.sd",
     "grid.q", "grid.eps", "grid.L", "grid.K",
     "fit.q", "fit.tol", "fit.lower", "fit.upper", "fit.init",
     "repetitions", "selector", "output_dir",
-    # metadata keys a simulate record carries; accepted and ignored as config
-    "generator", "contam.flags",
+    # metadata keys a simulate record carries, or once carried; accepted and
+    # ignored as config
+    "generator", "contam.flags", "sim.contam.kind",
 ])
 
 
@@ -253,8 +256,7 @@ def build_config(mapping):
 
     theta = _theta_from(get("sim.theta", "1,0.1,0.5"))
     contam = ContaminationSpec(r=float(get("sim.contam.r", "0")),
-                               noise_sd=float(get("sim.contam.sd", "1")),
-                               noise_kind=get("sim.contam.kind", "gaussian"))
+                               noise_sd=float(get("sim.contam.sd", "1")))
     sim = SimConfig(theta=theta,
                     n=int(get("sim.n", "100")),
                     m=int(get("sim.m", "100")),
@@ -293,8 +295,7 @@ def sim_mapping(sim):
             ("sim.n", sim.n), ("sim.m", sim.m),
             ("sim.layout", sim.layout), ("sim.seed", sim.seed),
             ("sim.contam.r", _fmt(float(sim.contamination.r))),
-            ("sim.contam.sd", _fmt(float(sim.contamination.noise_sd))),
-            ("sim.contam.kind", sim.contamination.noise_kind)]
+            ("sim.contam.sd", _fmt(float(sim.contamination.noise_sd)))]
 
 
 # === sweep rows =============================================================
@@ -359,20 +360,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--out", help="output directory (default $%s or .)" % OUT_ENV)
-    sub.add_argument("--seed", type=int, help="base RNG seed")
-    sub.add_argument("--n", type=int, help="locations per replicate")
-    sub.add_argument("--m", type=int, help="replicates")
-    sub.add_argument("--layout", choices=("grid", "uniform"))
-    sub.add_argument("--theta", help="true sigma2,beta,nu")
-    sub.add_argument("--contam-r", type=float, help="contamination probability")
-    sub.add_argument("--contam-sd", type=float, help="contamination noise sd")
-    sub.add_argument("--q", type=float, help="distortion parameter for fits")
-    sub.add_argument("--q-grid", help="comma-separated descending q grid")
-    sub.add_argument("--repetitions", type=int)
-    sub.add_argument("--selector", choices=("kappa", "sqv", "none"))
+# every flag a subcommand registers; each overrides the config key it
+# mirrors in _FLAG_KEYS, or is read by its subcommand directly
+_FLAGS = {
+    "config": dict(help="key = value config file"),
+    "out": dict(help="output directory (default $%s or .)" % OUT_ENV),
+    "seed": dict(type=int, help="base RNG seed"),
+    "n": dict(type=int, help="locations per replicate"),
+    "m": dict(type=int, help="replicates"),
+    "layout": dict(choices=("grid", "uniform")),
+    "theta": dict(help="true sigma2,beta,nu"),
+    "contam-r": dict(type=float, help="contamination probability"),
+    "contam-sd": dict(type=float, help="contamination noise sd"),
+    "q": dict(type=float, help="distortion parameter for fits"),
+    "q-grid": dict(help="comma-separated descending q grid"),
+    "repetitions": dict(type=int),
+    "selector": dict(choices=("kappa", "sqv", "none")),
+    "data-dir": dict(default=".", help="directory with %s and %s"
+                     % (LOCATIONS_FILE, REPLICATES_FILE)),
+    "fit": dict(help="fit record to read (default OUT/fit.txt)"),
+    "bins": dict(type=int, default=DEFAULT_N_BINS),
+    "max-dist": dict(type=float),
+    "center": dict(action="store_true",
+                   help="subtract each replicate's mean first"),
+}
 
 
 def build_parser():
@@ -380,41 +391,27 @@ def build_parser():
                      description="Matern random-field estimation with the "
                                  "maximum Lq-likelihood estimator")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("simulate", help="generate a dataset on disk")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = subs.add_parser("fit", help="fit one q to a dataset")
-    _add_common(sp)
-    sp.add_argument("--data-dir", default=".", help="directory with %s and %s"
-                    % (LOCATIONS_FILE, REPLICATES_FILE))
-    sp.set_defaults(func=cmd_fit)
-
-    sp = subs.add_parser("select-q", help="run a q selector on a dataset")
-    _add_common(sp)
-    sp.add_argument("--data-dir", default=".")
-    sp.set_defaults(func=cmd_select_q)
-
-    sp = subs.add_parser("se", help="standard errors for a stored fit")
-    _add_common(sp)
-    sp.add_argument("--data-dir", default=".")
-    sp.add_argument("--fit", help="fit record to read (default OUT/fit.txt)")
-    sp.set_defaults(func=cmd_se)
-
-    sp = subs.add_parser("variogram", help="per-replicate empirical variograms")
-    _add_common(sp)
-    sp.add_argument("--data-dir", default=".")
-    sp.add_argument("--bins", type=int, default=DEFAULT_N_BINS)
-    sp.add_argument("--max-dist", type=float)
-    sp.add_argument("--center", action="store_true",
-                    help="subtract each replicate's mean first")
-    sp.set_defaults(func=cmd_variogram)
-
-    sp = subs.add_parser("sweep", help="repetitions x (simulate, fit grid, select)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
-
+    sim = ("seed", "n", "m", "layout", "theta", "contam-r", "contam-sd")
+    # each subcommand registers the flags it reads, and no others
+    for name, help_text, func, flags in (
+            ("simulate", "generate a dataset on disk", cmd_simulate,
+             ("config", "out") + sim),
+            ("fit", "fit one q to a dataset", cmd_fit,
+             ("config", "out", "q", "data-dir")),
+            ("select-q", "run a q selector on a dataset", cmd_select_q,
+             ("config", "out", "q-grid", "selector", "data-dir")),
+            ("se", "standard errors for a stored fit", cmd_se,
+             ("config", "out", "q", "data-dir", "fit")),
+            ("variogram", "per-replicate empirical variograms", cmd_variogram,
+             ("config", "out", "data-dir", "bins", "max-dist", "center")),
+            ("sweep", "repetitions x (simulate, fit grid, select)", cmd_sweep,
+             sim + ("config", "out", "q-grid", "repetitions", "selector"))):
+        # no abbreviations: another subcommand's flag (variogram --m) must
+        # not pass as a prefix of one of this one's (--max-dist)
+        sp = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument("--" + flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 

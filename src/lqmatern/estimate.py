@@ -91,6 +91,9 @@ _LOOSE_XATOL = 3e-3
 # Newton steps per stage; warm fits along the q grids confirmed in 2 to 5.
 _NEWTON_STEPS = 6
 
+# Evaluation and iteration budget of each Nelder-Mead run.
+_MAX_EVALS = 5000
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -216,13 +219,13 @@ def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
 class _Search:
     """One fit's scored points and counters, in bound-scaled u = (beta, nu)."""
 
-    def __init__(self, reps, locs, q, bounds, tol, max_evals):
+    def __init__(self, reps, locs, q, bounds, tol):
         lo, hi = bounds.as_arrays()
         self.reps, self.locs, self.q = reps, locs, q
         # the search box is (beta, nu); sigma2's bounds go to the inner solve
         self.s2_box = (float(lo[0]), float(hi[0]))
         self.corner, self.width = lo[1:], hi[1:] - lo[1:]
-        self.tol, self.max_evals = tol, max_evals
+        self.tol = tol
         # u.tobytes() -> (sigma2, profile value); the answer's sigma2 and
         # value are read back from here
         self.scored = {}
@@ -249,8 +252,8 @@ class _Search:
 
     def simplex(self, u, xatol):
         """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer."""
-        options = {"xatol": xatol, "fatol": np.inf, "maxfev": self.max_evals,
-                   "maxiter": self.max_evals}
+        options = {"xatol": xatol, "fatol": np.inf, "maxfev": _MAX_EVALS,
+                   "maxiter": _MAX_EVALS}
         res = minimize(self.neg_obj, u, method="nelder-mead",
                        bounds=[(0.0, 1.0)] * 2, options=options)
         self.iterations += int(res.nit)
@@ -320,8 +323,7 @@ class _Search:
         return u, False
 
 
-def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
-        warm=False):
+def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False):
     """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
 
     The search runs over (beta, nu); sigma2 is solved exactly at each trial
@@ -350,8 +352,6 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
         Such a Newton step confirms the point it reaches, or, where it
         scores lower by less than its predicted rise (a rise lost to
         rounding), the point it started from.
-    max_evals : int
-        Evaluation and iteration budget per optimizer run.
     warm : bool
         Whether init is an earlier estimate near the answer, such as the
         fit at a neighbouring q: Newton steps start from it, and the simplex
@@ -372,7 +372,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, max_evals=5000,
         init = default_init(reps, bounds)
     elif not bounds.contains(init):
         raise ValueError("init %r lies outside the bounds" % (init,))
-    search = _Search(reps, locs, q, bounds, tol, max_evals)
+    search = _Search(reps, locs, q, bounds, tol)
     u = (init.as_array()[1:] - search.corner) / search.width
     # a hard failure at the starting point is an error, not a rejection
     search.score(u)
@@ -426,14 +426,13 @@ class FitChain:
     returned estimate (``fit``'s ``warm``).  A fit that raises is not cached.
     """
 
-    def __init__(self, reps, locs, bounds=None, init=None, tol=1e-6, *,
-                 max_evals=5000):
+    def __init__(self, reps, locs, bounds=None, init=None, tol=1e-6):
         if bounds is None:
             bounds = default_bounds()
         if init is None:
             init = default_init(reps, bounds)
         self._reps, self._locs, self._bounds = reps, locs, bounds
-        self._tol, self._max_evals = tol, max_evals
+        self._tol = tol
         self._start, self._warm = init, False
         self._fits = {}
 
@@ -441,7 +440,7 @@ class FitChain:
         key = round(float(q), 12)
         if key not in self._fits:
             res = fit(self._reps, self._locs, float(q), self._bounds, self._start,
-                      self._tol, max_evals=self._max_evals, warm=self._warm)
+                      self._tol, warm=self._warm)
             self._start, self._warm = res.theta_hat, True
             self._fits[key] = res
         return self._fits[key]
@@ -468,7 +467,6 @@ class FitChain:
         return QProfile(grid=grid, fits=tuple(fits))
 
 
-def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6, *,
-                max_evals=5000):
+def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6):
     """``FitChain.profile`` of a fresh chain: fits along a descending q grid."""
-    return FitChain(reps, locs, bounds, init, tol, max_evals=max_evals).profile(grid)
+    return FitChain(reps, locs, bounds, init, tol).profile(grid)

@@ -103,13 +103,14 @@ class CholFactor:
     jittered: bool = False
 
 
-def chol_factor(cov, jitter_scale=None):
+def chol_factor(cov):
     """Cholesky-factor an SPD covariance with a one-shot jitter rescue.
 
-    On failure, 1e-10 * jitter_scale is added to the diagonal once (the
-    scale defaults to the mean diagonal, i.e. sigma2 for a Matern matrix)
-    and the event is reported through the ``jittered`` flag.  A second
-    failure, or a non-finite log determinant, raises NotSPDError.
+    On failure, JITTER_REL times the largest diagonal entry is added to the
+    diagonal once (on every covariance the package builds that entry is
+    exactly sigma2, as M(0) = sigma2) and the event is reported through the
+    ``jittered`` flag.  A second failure, or a non-finite log determinant,
+    raises NotSPDError.
 
     LAPACK is called without scipy's finiteness scan; a NaN or inf entry
     either fails the factorization or shows in the log determinant.
@@ -119,8 +120,7 @@ def chol_factor(cov, jitter_scale=None):
         L = cholesky(cov, lower=True, check_finite=False)
         jittered = False
     except np.linalg.LinAlgError:
-        scale = float(np.mean(np.diag(cov))) if jitter_scale is None else float(jitter_scale)
-        bumped = cov + JITTER_REL * scale * np.eye(cov.shape[0])
+        bumped = cov + JITTER_REL * cov.diagonal().max() * np.eye(cov.shape[0])
         try:
             L = cholesky(bumped, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -229,7 +229,7 @@ def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
     corr = MaternParams(1.0, beta, nu)
     try:
-        chol = chol_factor(build_cov(locs, corr), jitter_scale=1.0)
+        chol = chol_factor(build_cov(locs, corr))
     except NotSPDError as err:
         err.theta = corr
         raise

@@ -2,8 +2,9 @@
 
 Two coarse-to-fine grid selectors operate on fits computed along a
 descending q grid that starts at 1.  The first watches the standardized
-quadratic variation (SQV) of the estimate vector; the second watches the
-relative variation of the identifiable quantity
+quadratic variation (SQV) of the estimate vector (``sqv``: the distance
+between consecutive standardized vectors over their length); the second
+watches the relative variation of the identifiable quantity
 
     kappa = sigma2 * beta**(-2 nu).
 
@@ -125,13 +126,13 @@ def standardized(theta_hat, se, m):
     return t / (np.sqrt(float(m)) * se_arr)
 
 
-def sqv(z_prev, z_cur, p=3):
-    """Euclidean distance between consecutive standardized estimates over p."""
+def sqv(z_prev, z_cur):
+    """||z_prev - z_cur|| / p over consecutive standardized estimates of length p."""
     a = np.asarray(z_prev, dtype=float)
     b = np.asarray(z_cur, dtype=float)
     if a.shape != b.shape:
         raise ValueError("z vectors must have equal length")
-    return float(np.linalg.norm(a - b) / p)
+    return float(np.linalg.norm(a - b) / a.size)
 
 
 def _walk(spec, fit_fn, point, pair, pivot):
@@ -170,19 +171,17 @@ def _walk(spec, fit_fn, point, pair, pivot):
     return SelectionResult(1.0, tuple(trace), "span-exhausted")
 
 
-def select_q_sqv(fit_fn, se_fn, spec=None, m=None):
+def select_q_sqv(fit_fn, se_fn, spec=None, *, m):
     """Accept the leading q once all consecutive SQV values drop below L.
 
     On a destabilized pass the refinement pivot is the largest subscript k
-    with SQV_k >= L.  ``m`` is the replicate count behind fit_fn, needed
-    to standardize the estimates.  Grid points whose fit or standard
-    errors fail are dropped from the pass and logged; a pass with fewer
-    than two usable points falls back to q* = 1.
+    with SQV_k >= L.  ``m``, keyword-only, is the replicate count behind
+    fit_fn, needed to standardize the estimates.  Grid points whose fit or
+    standard errors fail are dropped from the pass and logged; a pass with
+    fewer than two usable points falls back to q* = 1.
     """
     if spec is None:
         spec = QGridSpec()
-    if m is None:
-        raise TypeError("m (the replicate count) is required")
 
     def pivot(series):
         return max((k for k, v in enumerate(series, 1) if v >= spec.L), default=None)

@@ -29,19 +29,16 @@ _DOMAIN_CONTAM = 1
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Replicate-level contamination: probability r, noise scale, noise kind."""
+    """Replicate-level contamination: probability r and Gaussian noise sd."""
 
     r: float = 0.0
     noise_sd: float = 1.0
-    noise_kind: str = "gaussian"
 
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError("contamination level r must lie in [0, 1)")
         if self.r > 0.0 and not self.noise_sd > 0.0:
             raise ValueError("noise_sd must be positive when r > 0")
-        if self.noise_kind != "gaussian":
-            raise ValueError("unsupported noise kind %r" % (self.noise_kind,))
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def gen_replicates(locs, theta, m, seed):
     if m < 1:
         raise ValueError("m must be at least 1")
     cov = build_cov(locs, theta)
-    chol = chol_factor(cov, jitter_scale=theta.sigma2)
+    chol = chol_factor(cov)
     n = locs.n
     E = np.empty((n, m))
     for i in range(m):

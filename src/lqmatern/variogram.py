@@ -66,22 +66,15 @@ def center_replicates(reps):
     return ReplicateSet(data - data.mean(axis=0, keepdims=True))
 
 
-def empirical_variogram(z, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
-    """Matheron estimate gamma(bin) = sum (z_i - z_j)^2 / (2 N_bin).
+def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
+    """One VariogramCurve per replicate, in replicate order.
 
+    Each is the Matheron estimate gamma(bin) = sum (z_i - z_j)^2 / (2 N_bin).
     Pairs are binned by Euclidean distance into equal-width bins on
     (0, max_dist]; max_dist defaults to half the maximum pairwise
     distance.  Empty bins report count 0 and gamma NaN.
     """
-    return _binned(np.asarray(z, dtype=float).reshape(-1, 1), locs, n_bins, max_dist)[0]
-
-
-def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
-    """One VariogramCurve per replicate, in replicate order."""
-    return _binned(reps.data, locs, n_bins, max_dist)
-
-
-def _binned(data, locs, n_bins, max_dist):
+    data = reps.data
     if data.shape[0] != locs.n:
         raise ValueError("z must have one value per location")
     if locs.n < 2:

@@ -5,9 +5,10 @@ The package evaluates the kernel's derivatives as per-distance terms
 (``gauss_lik._lq_weights``).  The oracles of the tests want them in their
 textbook forms: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
-log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), and one
-replicate's U* and V*.  This module assembles them from the package's own
-pieces, so the oracles check the code the fit and the sandwich run.
+log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), one
+replicate's U* and V*, and one vector's variogram.  This module assembles
+them from the package's own pieces, so the oracles check the code the fit
+and the sandwich run.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from lqmatern.asymptotics import _weighted_derivs, ustar_all
 from lqmatern.gauss_lik import _LOG_2PI, ReplicateSet, _quad_forms, chol_factor
 from lqmatern.matern import _kernel_terms, build_cov
+from lqmatern.variogram import DEFAULT_N_BINS, variogram_by_replicate
 
 
 def kernel_derivs(h, theta, panels=None):
@@ -77,7 +79,7 @@ def lq_of_loglik(l, q):
 
 def total_lq(reps, locs, theta, q):
     """The exact Lq sum over the replicates at one parameter point."""
-    chol = chol_factor(build_cov(locs, theta), jitter_scale=theta.sigma2)
+    chol = chol_factor(build_cov(locs, theta))
     return float(np.sum(lq_of_loglik(loglik_columns(reps.data, chol), q)))
 
 
@@ -91,3 +93,9 @@ def vstar(z, locs, theta, q):
     g, _, H, log_scale = _weighted_derivs(z, locs, theta, q)
     out = (H + (1.0 - q) * (g @ g.T)) * np.exp(log_scale)
     return 0.5 * (out + out.T)
+
+
+def empirical_variogram(z, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
+    """The VariogramCurve of one vector z of values at ``locs``."""
+    z = ReplicateSet(np.asarray(z, dtype=float).reshape(-1, 1))
+    return variogram_by_replicate(z, locs, n_bins, max_dist)[0]

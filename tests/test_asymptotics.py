@@ -498,7 +498,7 @@ def per_replicate_derivs(Z, locs, theta):
     m = Z.shape[1]
     uniq, inv = locs._dist_unique
     val, grad, hess = kernel_derivs(uniq, theta, locs._dist_cheb)
-    chol = chol_factor(val[inv], jitter_scale=theta.sigma2)
+    chol = chol_factor(val[inv])
     cl = (chol.L, True)
     W = cho_solve(cl, Z)
     Sinv = cho_solve(cl, np.eye(Z.shape[0]))

@@ -1,3 +1,4 @@
+import argparse
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -185,7 +186,9 @@ class TestBuildConfig:
                 build_config({key: "true"})
 
     def test_metadata_keys_tolerated(self):
-        cfg = build_config({"generator": "philox", "contam.flags": "0,1"})
+        # sim.contam.kind: older simulate records carry it
+        cfg = build_config({"generator": "philox", "contam.flags": "0,1",
+                            "sim.contam.kind": "gaussian"})
         assert cfg.sim.n == 100
 
     def test_output_dir_precedence(self, monkeypatch):
@@ -208,11 +211,47 @@ def write_tiny_config(path, extra=()):
     return str(path)
 
 
+SIM_FLAGS = ["--seed", "--n", "--m", "--layout", "--theta", "--contam-r",
+             "--contam-sd"]
+SUBCOMMAND_FLAGS = {
+    "simulate": ["--config", "--out"] + SIM_FLAGS,
+    "fit": ["--config", "--out", "--q", "--data-dir"],
+    "se": ["--config", "--out", "--q", "--data-dir", "--fit"],
+    "select-q": ["--config", "--out", "--q-grid", "--selector", "--data-dir"],
+    "variogram": ["--config", "--out", "--data-dir", "--bins", "--max-dist",
+                  "--center"],
+    "sweep": SIM_FLAGS + ["--config", "--out", "--q-grid", "--repetitions",
+                          "--selector"],
+}
+
+
+class TestFlags:
+    def test_each_subcommand_registers_the_flags_it_reads(self):
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        got = {name: sorted(opt for act in sp._actions for opt in act.option_strings
+                            if opt not in ("-h", "--help"))
+               for name, sp in subs.choices.items()}
+        assert got == {name: sorted(flags) for name, flags in SUBCOMMAND_FLAGS.items()}
+        assert sum(len(flags) for flags in got.values()) == 41
+
+    def test_flag_a_subcommand_does_not_read_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["fit", "--n", "7", "--data-dir", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --n 7" in capsys.readouterr().err
+        assert run(["fit", "--q-grid", "0.9,0.8", "--data-dir", str(tmp_path)]) == 1
+        assert "--q-grid" in capsys.readouterr().err
+        assert run(["variogram", "--q", "0.5", "--data-dir", str(tmp_path)]) == 1
+        assert "--q" in capsys.readouterr().err
+        # no abbreviations: simulate's --m does not pass as --max-dist
+        assert run(["variogram", "--m", "5", "--data-dir", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --m 5" in capsys.readouterr().err
+
+
 class TestMain:
     def test_usage_errors_exit_1(self, capsys):
         assert run(["no-such-command"]) == 1
         assert run([]) == 1
-        assert run(["fit", "--m", "notanint"]) == 1
+        assert run(["simulate", "--m", "notanint"]) == 1
         capsys.readouterr()
 
     def test_simulate_writes_dataset(self, tmp_path, capsys):
@@ -226,6 +265,7 @@ class TestMain:
         meta = read_record(out / "meta.txt")
         assert meta["generator"] == "philox"
         assert meta["sim.seed"] == "42"
+        assert "sim.contam.kind" not in meta
         # the golden fixture was produced with these exact settings
         assert (out / "locations.csv").read_bytes() == \
             Path(DATA, "locations.csv").read_bytes()

@@ -125,9 +125,10 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(reps, locs, 0.0)
 
-    def test_budget_exhaustion_not_converged(self, small_data):
+    def test_budget_exhaustion_not_converged(self, small_data, monkeypatch):
         locs, reps = small_data
-        res = fit(reps, locs, 1.0, max_evals=10)
+        monkeypatch.setattr(est, "_MAX_EVALS", 10)
+        res = fit(reps, locs, 1.0)
         assert not res.converged
         assert res.evaluations <= 3 * 10 + 6  # scipy may finish a step
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from lqmatern import gauss_lik
+from lqmatern.asymptotics import _weighted_derivs
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
                                 chol_factor, profile_lq, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
+from lqmatern.simulate import gen_replicates, make_locations
 from oracles import log_likelihood, loglik_columns, lq_of_loglik, total_lq
 
 
@@ -52,6 +55,57 @@ class TestCholFactor:
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
         cf = chol_factor(cov)
         assert cf.jittered
+
+    def test_rescue_scales_by_the_largest_diagonal_entry(self):
+        # singular, with diagonal (4, 1, 9): the jitter is 1e-10 * 9, not
+        # 1e-10 * mean(diag)
+        cov = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 9.0]])
+        cf = chol_factor(cov)
+        assert cf.jittered
+        want = cholesky(cov + gauss_lik.JITTER_REL * 9.0 * np.eye(3), lower=True)
+        assert np.array_equal(cf.L, want)
+        mean = cholesky(cov + gauss_lik.JITTER_REL * np.mean(np.diag(cov)) * np.eye(3),
+                        lower=True)
+        assert not np.array_equal(cf.L, mean)
+
+    @pytest.mark.parametrize("layout,n", [("grid", 100), ("uniform", 400)])
+    @pytest.mark.parametrize("sigma2", [0.7316, 3.3e-3])
+    @pytest.mark.parametrize("path", ["profile_lq", "weighted_derivs", "gen_replicates"])
+    def test_forced_rescue_matches_the_explicit_scale(self, monkeypatch, path,
+                                                      sigma2, layout, n):
+        # the rescue on each caller's covariance is bit for bit the one taken
+        # with the scale each caller once passed: 1 on R, sigma2 on Sigma
+        locs = make_locations(n, layout, seed=2)
+        theta = MaternParams(sigma2, 0.1, 0.5)
+        real = gauss_lik.cholesky
+        seen = []
+
+        def fail_first(a, **kwargs):
+            if not seen:
+                seen.append((a.copy(), None))
+                raise np.linalg.LinAlgError("forced")
+            L = real(a, **kwargs)
+            # a copy: the derivative pass overwrites the factor with Sigma^-1
+            seen.append((a.copy(), L.copy()))
+            return L
+
+        monkeypatch.setattr(gauss_lik, "cholesky", fail_first)
+        reps = ReplicateSet(np.ones((n, 2)))
+        if path == "profile_lq":
+            profile_lq(reps, locs, theta.beta, theta.nu, 0.9, 1e-3, 1e3)
+            scale = 1.0
+        elif path == "weighted_derivs":
+            _weighted_derivs(reps.data, locs, theta, 0.9)
+            scale = sigma2
+        else:
+            gen_replicates(locs, theta, 2, seed=0)
+            scale = sigma2
+        assert len(seen) == 2
+        (cov, _), (bumped, L) = seen
+        assert cov.diagonal().max() == scale
+        want = cov + gauss_lik.JITTER_REL * scale * np.eye(n)
+        assert np.array_equal(bumped, want)
+        assert np.array_equal(L, real(want, lower=True, check_finite=False))
 
     def test_not_spd_error(self):
         with pytest.raises(NotSPDError):

@@ -274,7 +274,7 @@ class TestFactories:
     def test_end_to_end_on_tiny_dataset(self):
         locs = make_locations(9, "grid")
         reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 10, seed=2)
-        fit_fn = FitChain(reps, locs, tol=1e-3, max_evals=400)
+        fit_fn = FitChain(reps, locs, tol=1e-3)
         res = select_q_kappa(fit_fn, QGridSpec(grid=(1.0, 0.99, 0.98), L=4.0))
         assert isinstance(res, SelectionResult)
         assert 0.0 < res.q_star <= 1.0
