@@ -213,13 +213,23 @@ _KNOWN_KEYS = frozenset([
 ])
 
 
+# the config sections, by the keys they read: "sim" (sim.*), "grid" (grid.*
+# and selector, which sets grid.L's default), "fit" (fit.*) and "sweep"
+# (repetitions); output_dir is read by every subcommand
+SECTIONS = ("sim", "grid", "fit", "sweep")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one study run needs: data recipe, grid, fit knobs, driver."""
+    """Everything one study run needs: data recipe, grid, fit knobs, sweep size.
 
-    sim: SimConfig
-    q_grid: QGridSpec
-    bounds: Bounds
+    A section that was not built keeps its defaults: None for ``sim``,
+    ``q_grid`` and ``bounds``.
+    """
+
+    sim: SimConfig = None
+    q_grid: QGridSpec = None
+    bounds: Bounds = None
     init: object = None
     tol: float = 1e-6
     fit_q: float = 1.0
@@ -245,8 +255,12 @@ def _theta_from(text):
     return MaternParams(*vals)
 
 
-def build_config(mapping):
-    """Typed ExperimentConfig from a flat key -> string mapping."""
+def build_config(mapping, sections=SECTIONS):
+    """Typed ExperimentConfig from a flat key -> string mapping.
+
+    Only the named ``sections`` are parsed and validated; the keys of the
+    others are accepted unread.  An unknown key is an error in any case.
+    """
     unknown = set(mapping) - _KNOWN_KEYS
     if unknown:
         raise DataError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
@@ -254,39 +268,39 @@ def build_config(mapping):
     def get(key, default=None):
         return mapping.get(key, default)
 
-    theta = _theta_from(get("sim.theta", "1,0.1,0.5"))
-    contam = ContaminationSpec(r=float(get("sim.contam.r", "0")),
-                               noise_sd=float(get("sim.contam.sd", "1")))
-    sim = SimConfig(theta=theta,
-                    n=int(get("sim.n", "100")),
-                    m=int(get("sim.m", "100")),
-                    layout=get("sim.layout", "grid"),
-                    seed=int(get("sim.seed", "0")),
-                    contamination=contam)
-    selector = get("selector", "kappa")
-    l_default = "0.05" if selector == "sqv" else "4"
-    grid_q = _floats(get("grid.q", "")) or None
-    grid_kw = dict(eps=float(get("grid.eps", "0.005")),
-                   L=float(get("grid.L", l_default)),
-                   K=int(get("grid.K", "7")))
-    q_grid = QGridSpec(**grid_kw) if grid_q is None else \
-        QGridSpec(grid=tuple(grid_q), **grid_kw)
-    lo = get("fit.lower")
-    hi = get("fit.upper")
-    bounds = default_bounds()
-    if lo is not None or hi is not None:
+    built = {"output_dir": get("output_dir") or os.environ.get(OUT_ENV) or "."}
+    if "sim" in sections:
+        contam = ContaminationSpec(r=float(get("sim.contam.r", "0")),
+                                   noise_sd=float(get("sim.contam.sd", "1")))
+        built["sim"] = SimConfig(theta=_theta_from(get("sim.theta", "1,0.1,0.5")),
+                                 n=int(get("sim.n", "100")),
+                                 m=int(get("sim.m", "100")),
+                                 layout=get("sim.layout", "grid"),
+                                 seed=int(get("sim.seed", "0")),
+                                 contamination=contam)
+    if "grid" in sections:
+        selector = get("selector", "kappa")
+        l_default = "0.05" if selector == "sqv" else "4"
+        grid_q = _floats(get("grid.q", "")) or None
+        grid_kw = dict(eps=float(get("grid.eps", "0.005")),
+                       L=float(get("grid.L", l_default)),
+                       K=int(get("grid.K", "7")))
+        built["q_grid"] = QGridSpec(**grid_kw) if grid_q is None else \
+            QGridSpec(grid=tuple(grid_q), **grid_kw)
+        built["selector"] = selector
+    if "fit" in sections:
+        lo = get("fit.lower")
+        hi = get("fit.upper")
         base = default_bounds()
-        bounds = Bounds(_theta_from(lo) if lo is not None else base.lower,
-                        _theta_from(hi) if hi is not None else base.upper)
-    init = get("fit.init")
-    out = get("output_dir") or os.environ.get(OUT_ENV) or "."
-    return ExperimentConfig(sim=sim, q_grid=q_grid, bounds=bounds,
-                            init=None if init is None else _theta_from(init),
-                            tol=float(get("fit.tol", "1e-6")),
-                            fit_q=float(get("fit.q", "1")),
-                            repetitions=int(get("repetitions", "1")),
-                            selector=selector,
-                            output_dir=out)
+        built["bounds"] = Bounds(_theta_from(lo) if lo is not None else base.lower,
+                                 _theta_from(hi) if hi is not None else base.upper)
+        init = get("fit.init")
+        built.update(init=None if init is None else _theta_from(init),
+                     tol=float(get("fit.tol", "1e-6")),
+                     fit_q=float(get("fit.q", "1")))
+    if "sweep" in sections:
+        built["repetitions"] = int(get("repetitions", "1"))
+    return ExperimentConfig(**built)
 
 
 def sim_mapping(sim):
@@ -423,7 +437,15 @@ _FLAG_KEYS = [("seed", "sim.seed"), ("n", "sim.n"), ("m", "sim.m"),
               ("out", "output_dir")]
 
 
+# the config sections each subcommand reads
+_COMMAND_SECTIONS = {
+    "simulate": ("sim",), "fit": ("fit",), "se": (), "select-q": ("grid", "fit"),
+    "variogram": (), "sweep": SECTIONS,
+}
+
+
 def config_from_args(args):
+    """The config of the file and flags, with only the subcommand's sections built."""
     mapping = {}
     if args.config:
         mapping.update(read_record(args.config))
@@ -431,7 +453,7 @@ def config_from_args(args):
         v = getattr(args, attr, None)
         if v is not None:
             mapping[key] = str(v)
-    return build_config(mapping)
+    return build_config(mapping, _COMMAND_SECTIONS[args.command])
 
 
 def _outdir(cfg):

@@ -28,8 +28,10 @@ A cold fit has three stages.
   step with |delta| <= ``tol`` componentwise confirms the fit.  Newton
   converges quadratically, so the step after a 1e-5 step is about 1e-11,
   and its rise is below the rounding of V: where the predicted rise
-  delta' (-H) delta / 2 is at most ``gauss_lik.V_ROUNDING`` |V(u)|, the
-  step is taken whatever it scores (the tie rule).  A short step whose
+  delta' (-H) delta / 2 is at most ``gauss_lik.V_ROUNDING`` times the size
+  of the terms V is summed from (``_PassSummary.rounding_floor``; at least
+  |V(u)|, which can sit near 0 by cancellation), the step is taken
+  whatever it scores (the tie rule).  A short step whose
   rise is a little above that can still score lower by rounding; where it
   falls by less than its predicted rise, u itself is confirmed (the
   short-step rule).  A step in the wrong direction falls by about three
@@ -41,12 +43,21 @@ A cold fit has three stages.
   search restarts from its own answer with a fresh simplex, up to twice,
   and a restart that moves at most ``tol`` confirms the point.
 
-A warm fit (``warm=True``: init is the estimate at a neighbouring q) starts
-with the Newton steps at init, and runs the cold stages from the best point
-reached only if they do not confirm.  Along ``qselect.DEFAULT_GRID`` a warm
-fit took 3 to 6 evaluations.  ``FitChain`` caches each q's fit and starts
-every fit after the first one that returns warm at the last estimate; it
-serves ``fit_profile``, the q selectors and the CLI sweep.
+A warm fit (``warm=True``: init is near the answer) starts with the Newton
+steps at init, and runs the cold stages from the best point reached only if
+they do not confirm.  ``FitChain`` caches each q's fit and starts every fit
+after the first one that returns warm, from the fitted q nearest to it: the
+last derivative pass of that fit, taken within ``tol`` of its estimate,
+holds every replicate's gradient and log density and the weighted Hessian
+sum, and q enters them only through the replicate weights, so re-weighting
+that pass to the new q gives one Newton step for the new fit without a new
+pass (the corrector of predictor-corrector continuation; Allgower & Georg,
+Numerical Continuation Methods, 1990).  The step's (beta, nu) is the start;
+where it cannot be taken, the nearest estimate is.  Along
+``qselect.DEFAULT_GRID`` and the kappa selector's refinements, on 96 sweep
+datasets, a warm fit so started took 2 to 5 evaluations and 1 to 4
+derivative passes (3 to 27 and 2 to 6 from the nearest estimate).  The chain serves ``fit_profile``, the q
+selectors and the CLI sweep.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -79,7 +90,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _weighted_derivs
-from .gauss_lik import V_ROUNDING, NotSPDError, profile_lq
+from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _lq_weights, profile_lq
 from .matern import MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -88,7 +99,7 @@ from .matern import MaternParams
 # measurement of 1e-2, 3e-3 and 1e-3).
 _LOOSE_XATOL = 3e-3
 
-# Newton steps per stage; warm fits along the q grids confirmed in 2 to 5.
+# Newton steps per stage; warm fits along the q grids confirmed in 1 to 4.
 _NEWTON_STEPS = 6
 
 # Evaluation and iteration budget of each Nelder-Mead run.
@@ -185,7 +196,68 @@ def default_init(reps, bounds):
     return MaternParams.from_array(start)
 
 
-def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
+@dataclass(frozen=True)
+class _PassSummary:
+    """One derivative pass at theta = (sigma2, beta, nu) and q, kept in O(m).
+
+    ``g`` holds every replicate's gradient g_i (3, m) and ``S`` = sum w_i H_i
+    with the pass's weights; n is the number of sites.  q enters the
+    derivatives only through the weights w = softmax((1-q) l) (w = 1 at
+    q = 1), and l_i = -z_i' Sigma^-1 z_i / 2, up to a constant shared by all
+    replicates, is -sigma2 g_i[0].  So the pass serves a Newton step at any
+    q (``newton_step``), and it gives the size of the terms the profile
+    value at theta is summed from (``rounding_floor``).
+    """
+
+    theta: np.ndarray
+    q: float
+    n: int
+    g: np.ndarray
+    S: np.ndarray
+
+    def _total(self, q):
+        # the weights' total: m at q = 1, 1 below
+        return float(self.g.shape[1]) if q == 1.0 else 1.0
+
+    def newton_step(self, q):
+        """-H^-1 gbar with the weights at q; None unless H < 0.
+
+        gbar = sum w_i g_i, and H is S rescaled to the new weights' total
+        plus (1-q) sum w_i (g_i - gbar)(g_i - gbar)': the Hessian of the
+        log-domain objective at q, with the H_i weighted as at the pass.
+        """
+        _, w = _lq_weights(-self.theta[0] * self.g[0], q)
+        gbar = self.g @ w
+        G = self.g - gbar[:, None]
+        H = self.S * (self._total(q) / self._total(self.q))
+        H += (1.0 - q) * ((G * w) @ G.T)
+        H = 0.5 * (H + H.T)
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(gbar))
+                and np.linalg.eigvalsh(H).max() < 0.0):
+            return None
+        return -np.linalg.solve(H, gbar)
+
+    def rounding_floor(self, value):
+        """V_ROUNDING times the size of the terms the value V at theta sums.
+
+        Each l_i is -(1/2)(n log 2 pi + n log sigma2 + log|R| + a_i), with
+        a_i = z_i' Sigma^-1 z_i = n + 2 sigma2 g_i[0].  V can sit near 0 by
+        cancellation while its rounding follows the size of those terms,
+        (1/2)(n (log 2 pi + |log sigma2|) + |log|R|| + max a), times m at
+        q = 1, where V sums the l_i.  log|R| is read back from V: V is k c
+        plus the value of the -a_i / 2 alone, where c is the terms' shared
+        part and k = m at q = 1, 1 below.
+        """
+        n, log_s2 = self.n, float(np.log(self.theta[0]))
+        a = n + 2.0 * self.theta[0] * self.g[0]
+        k = self._total(self.q)
+        c = (value - _lq_weights(-0.5 * a, self.q)[0]) / k
+        log_det_r = -2.0 * c - n * (_LOG_2PI + log_s2)
+        size = 0.5 * (n * (_LOG_2PI + abs(log_s2)) + abs(log_det_r) + float(a.max()))
+        return V_ROUNDING * max(abs(value), k * size)
+
+
+def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped, keep=None):
     """Gradient (2,) and Hessian (2, 2) in (beta, nu) of profile_lq's value.
 
     With the replicate weights w (summing to one below q = 1), the full
@@ -199,10 +271,13 @@ def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped):
     enters the Hessian through the Schur complement H_pp - H_ps H_ss^-1 H_sp
     (nan unless H_ss < 0, where sigma2 is no maximum).  Where it is
     ``clipped`` at a bound it stays there under small moves, and the
-    Hessian is H_pp.
+    Hessian is H_pp.  A list passed as ``keep`` receives the pass's
+    ``_PassSummary``.
     """
     theta = MaternParams(sigma2, beta, nu)
     g, w, hess, _ = _weighted_derivs(reps.data, locs, theta, q)
+    if keep is not None:
+        keep.append(_PassSummary(theta.as_array(), q, reps.n, g, hess.copy()))
     grad = g @ w
     if q < 1.0:
         G = g - grad[:, None]
@@ -231,6 +306,8 @@ class _Search:
         self.scored = {}
         self.iterations = self.evaluations = self.passes = 0
         self.simplex_ok = True      # the last simplex run ended normally
+        # (u, _PassSummary) of the last derivative pass
+        self.last_pass = None
 
     def score(self, u):
         beta, nu = self.corner + u * self.width
@@ -268,13 +345,17 @@ class _Search:
         not negative definite.
         """
         self.passes += 1
+        self.last_pass = None
         sigma2 = self.scored[u.tobytes()][0]
         beta, nu = self.corner + u * self.width
+        kept = []
         try:
             g, H = _profile_derivs(self.reps, self.locs, sigma2, beta, nu, self.q,
-                                   clipped=sigma2 in self.s2_box)
+                                   clipped=sigma2 in self.s2_box, keep=kept)
         except NotSPDError:
             return None
+        if kept:
+            self.last_pass = (u, kept[0])
         g, H = g * self.width, H * np.outer(self.width, self.width)
         if not (np.all(np.isfinite(g)) and H[0, 0] < 0.0
                 and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0):
@@ -310,7 +391,9 @@ class _Search:
             self.evaluations += 1
             val_new = self.value(u_new)
             # a rise below V's rounding cannot be told from a fall by scoring
-            tie = short and rise <= V_ROUNDING * abs(val) and np.isfinite(val_new)
+            floor = (self.last_pass[1].rounding_floor(val) if self.last_pass
+                     else V_ROUNDING * abs(val))
+            tie = short and rise <= floor and np.isfinite(val_new)
             if val_new >= val or tie:
                 u, val = u_new, val_new
             elif not (short and val - val_new < rise):
@@ -323,7 +406,7 @@ class _Search:
         return u, False
 
 
-def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False):
+def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False, _keep=None):
     """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
 
     The search runs over (beta, nu); sigma2 is solved exactly at each trial
@@ -353,9 +436,13 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False):
         scores lower by less than its predicted rise (a rise lost to
         rounding), the point it started from.
     warm : bool
-        Whether init is an earlier estimate near the answer, such as the
-        fit at a neighbouring q: Newton steps start from it, and the simplex
-        runs only if they do not confirm.
+        Whether init is near the answer, such as the fit at a neighbouring q
+        or a Newton step from it: Newton steps start from it, and the
+        simplex runs only if they do not confirm.
+    _keep : list, optional
+        ``FitChain``'s: receives the ``_PassSummary`` of the fit's last
+        derivative pass, where that pass lay within ``tol`` of the estimate
+        with sigma2 inside its bounds.
 
     Returns
     -------
@@ -399,6 +486,12 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False):
         restarts += 1
         confirmed = float(np.max(np.abs(u - start))) <= tol
 
+    if _keep is not None and search.last_pass is not None:
+        u_pass, summary = search.last_pass
+        if (summary.theta[0] not in search.s2_box
+                and float(np.max(np.abs(u_pass - u))) <= tol):
+            _keep.append(summary)
+
     search.value(u)
     sigma2, value = search.scored[u.tobytes()]
     theta_hat = MaternParams(sigma2, *(search.corner + u * search.width))
@@ -421,9 +514,15 @@ class FitChain:
 
     ``chain.fit(q)`` returns the FitResult at q, fitted on the first request
     only (key round(q, 12)); ``chain(q)`` returns its theta_hat, as the q
-    selectors' ``fit_fn``.  The first fit starts cold at ``init``; every fit
-    after the first one that returns starts with Newton steps at the last
-    returned estimate (``fit``'s ``warm``).  A fit that raises is not cached.
+    selectors' ``fit_fn``.  The first fit starts cold at ``init``.  Every
+    later fit starts with Newton steps (``fit``'s ``warm``) one step ahead
+    of the estimate at the fitted q nearest to it: the (beta, nu) part of
+    that fit's last derivative pass re-weighted to the new q
+    (``_PassSummary.newton_step``).  It starts at the nearest estimate
+    itself where that fit kept no pass (its sigma2 on a bound, or no pass
+    within ``tol`` of its estimate), where the re-weighted Hessian is not
+    negative definite, or where the step leaves the box.  The chain keeps
+    O(m) numbers per q.  A fit that raises is not cached.
     """
 
     def __init__(self, reps, locs, bounds=None, init=None, tol=1e-6):
@@ -432,17 +531,40 @@ class FitChain:
         if init is None:
             init = default_init(reps, bounds)
         self._reps, self._locs, self._bounds = reps, locs, bounds
-        self._tol = tol
-        self._start, self._warm = init, False
-        self._fits = {}
+        self._tol, self._init = tol, init
+        self._fits, self._passes = {}, {}
+
+    def _nearest(self, q):
+        """The estimate of the fitted q nearest to q, or init; and its key."""
+        if not self._fits:
+            return self._init, None
+        key = min(self._fits, key=lambda k: abs(k - q))
+        return self._fits[key].theta_hat, key
+
+    def _start(self, q):
+        """(init, warm) of a new fit at q."""
+        theta, key = self._nearest(q)
+        if key is None:
+            return theta, False
+        summary = self._passes[key]
+        step = None if summary is None else summary.newton_step(q)
+        if step is not None:
+            point = theta.as_array()[1:] + step[1:]
+            lo, hi = self._bounds.as_arrays()
+            if np.all((point >= lo[1:]) & (point <= hi[1:])):
+                return MaternParams(theta.sigma2, *point), True
+        return theta, True
 
     def fit(self, q):
-        key = round(float(q), 12)
+        q = float(q)
+        key = round(q, 12)
         if key not in self._fits:
-            res = fit(self._reps, self._locs, float(q), self._bounds, self._start,
-                      self._tol, warm=self._warm)
-            self._start, self._warm = res.theta_hat, True
+            init, warm = self._start(q)
+            kept = []
+            res = fit(self._reps, self._locs, q, self._bounds, init, self._tol,
+                      warm=warm, _keep=kept)
             self._fits[key] = res
+            self._passes[key] = kept[0] if kept else None
         return self._fits[key]
 
     def __call__(self, q):
@@ -452,8 +574,8 @@ class FitChain:
         """QProfile of the fits along a descending grid starting at 1.
 
         A q value whose fit fails outright is recorded as a non-converged
-        placeholder (objective NaN) at the last good estimate, and the
-        chain continues from that estimate.
+        placeholder (objective NaN) at the nearest fitted estimate (init if
+        there is none), and the chain continues without it.
         """
         grid = _checked_q_grid(grid)
         fits = []
@@ -461,9 +583,10 @@ class FitChain:
             try:
                 fits.append(self.fit(q))
             except (NotSPDError, np.linalg.LinAlgError):
-                fits.append(FitResult(theta_hat=self._start, objective=float("nan"),
+                theta = self._nearest(q)[0]
+                fits.append(FitResult(theta_hat=theta, objective=float("nan"),
                                       q=q, iterations=0, evaluations=0,
-                                      converged=False, init=self._start))
+                                      converged=False, init=theta))
         return QProfile(grid=grid, fits=tuple(fits))
 
 

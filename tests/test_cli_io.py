@@ -12,6 +12,7 @@ from lqmatern.cli_io import (DataError, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, write_locations,
                              write_record, write_replicates)
+from lqmatern.estimate import default_bounds
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.simulate import SimConfig, simulate_dataset
@@ -245,6 +246,59 @@ class TestFlags:
         # no abbreviations: simulate's --m does not pass as --max-dist
         assert run(["variogram", "--m", "5", "--data-dir", str(tmp_path)]) == 1
         assert "unrecognized arguments: --m 5" in capsys.readouterr().err
+
+
+class TestConfigSections:
+    """A subcommand builds and validates only the config sections it reads."""
+
+    BAD = {"sim.n": ("sim.n", "7", "perfect square"),
+           "grid.q": ("grid.q", "0.9,0.95", "q grid must start at 1")}
+
+    @pytest.fixture
+    def dataset(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run(["simulate", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_fit_and_se_ignore_sections_they_do_not_read(self, tmp_path, dataset,
+                                                          capsys, bad):
+        key, value, _msg = self.BAD[bad]
+        cfgp = tmp_path / "c.cfg"
+        write_record(cfgp, [(key, value), ("fit.tol", "1e-3")])
+        for cmd in ("fit", "se"):
+            assert run([cmd, "--config", str(cfgp), "--data-dir", str(dataset),
+                        "--out", str(dataset)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_subcommands_that_read_a_section_still_reject_it(self, tmp_path,
+                                                            capsys, bad):
+        key, value, msg = self.BAD[bad]
+        cfgp = tmp_path / "c.cfg"
+        write_record(cfgp, [(key, value), ("sim.m", "3"), ("fit.tol", "1e-3")])
+        # sweep reads every section, simulate the sim section only
+        cmds = ["sweep", "simulate"] if key.startswith("sim.") else ["sweep"]
+        for cmd in cmds:
+            assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+            assert msg in capsys.readouterr().err
+
+    def test_unknown_keys_are_rejected_by_every_subcommand(self, tmp_path, dataset,
+                                                          capsys):
+        cfgp = tmp_path / "c.cfg"
+        write_record(cfgp, [("sim.nn", "4")])
+        for argv in (["simulate"], ["sweep"], ["fit", "--data-dir", str(dataset)],
+                     ["se", "--data-dir", str(dataset)],
+                     ["select-q", "--data-dir", str(dataset)],
+                     ["variogram", "--data-dir", str(dataset)]):
+            assert run(argv + ["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+            assert "unknown config key(s): sim.nn" in capsys.readouterr().err
+
+    def test_unbuilt_sections_are_none(self):
+        cfg = build_config({"sim.n": "7", "grid.q": "0.9"}, sections=("fit",))
+        assert cfg.sim is None and cfg.q_grid is None
+        assert cfg.bounds == default_bounds() and cfg.tol == 1e-6
 
 
 class TestMain:

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqmatern.estimate as est
-from lqmatern.estimate import (Bounds, FitResult, QProfile, default_bounds,
-                               default_init, fit, fit_profile)
-from lqmatern.gauss_lik import (V_ROUNDING, NotSPDError, ReplicateSet,
-                                chol_factor, profile_lq)
+from lqmatern.asymptotics import _weighted_derivs
+from lqmatern.estimate import (Bounds, FitChain, FitResult, QProfile,
+                               default_bounds, default_init, fit, fit_profile)
+from lqmatern.gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, ReplicateSet,
+                                _quad_forms, chol_factor, profile_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
+from lqmatern.qselect import DEFAULT_GRID
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
 from oracles import loglik_columns, total_lq
@@ -255,6 +257,30 @@ class TestFitSymmetries:
         locs, reps, base = sym_data
         res = fit(ReplicateSet(reps.data[perm]), LocationSet(locs.coords[perm]), q)
         assert_same_theta(res.theta_hat.as_array(), base[q].theta_hat.as_array())
+
+    @pytest.mark.parametrize("seed, q", [(4, 0.95), (5, 1.0), (7, 1.0)])
+    def test_scale_equivariance_where_the_value_cancels(self, seed, q):
+        # data scaled so that V(theta_hat) is about 0: V sums terms of size
+        # about n (times m at q = 1) whose rounding stays, so a tie rule
+        # floored at V_ROUNDING |V| refused the confirming step on these
+        # three of 36 fits (n = 100 grid, seeds 1-12, q in {1, 0.95, 0.9}),
+        # which then took about 110 more evaluations and a restart
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid",
+                        seed=seed, contamination=ContaminationSpec(0.1, 1.0))
+        locs, reps, _flags = simulate_dataset(cfg)
+        base = fit(reps, locs, q)
+        lo, hi = default_bounds().as_arrays()
+        th = base.theta_hat
+        value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
+        # every l_i shifts by -n log c, so V by -n log c (times m at q = 1)
+        c = np.exp(value / (reps.n * (reps.m if q == 1.0 else 1)))
+        scaled = ReplicateSet(c * reps.data)
+        res = fit(scaled, locs, q, scaled_bounds(c * c))
+        t = res.theta_hat
+        assert abs(profile_lq(scaled, locs, t.beta, t.nu, q, c * c * lo[0],
+                              c * c * hi[0])[1]) < 1e-11
+        assert res.restarts == 0 and res.evaluations == base.evaluations
+        assert_same_theta(t.as_array() / [c * c, 1.0, 1.0], th.as_array())
 
     def test_overflowing_surrogate_still_converges(self, sym_data):
         # at data scale 1e-20 the log densities are about +1650, so the
@@ -572,6 +598,161 @@ class TestNewtonFinish:
             assert_same_theta(res.theta_hat.as_array(), base[q].theta_hat.as_array())
 
 
+def reweighted_step(reps, locs, at, q_old, q):
+    """-H^-1 gbar at ``at`` for q, from one pass weighted for q_old.
+
+    Built from the pass's gradients and Hessian sum and the oracle's log
+    densities: gbar = sum w_i g_i with w_i = softmax((1-q) l_i) (1 at
+    q = 1), and H = sum w_i(q_old) H_i scaled to the new weights' total,
+    plus (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
+    """
+    g, w_old, S, _ = _weighted_derivs(reps.data, locs, at, q_old)
+    ll = loglik_columns(reps.data, chol_factor(build_cov(locs, at)))
+    w = np.ones(reps.m)
+    if q < 1.0:
+        w = np.exp((1.0 - q) * (ll - ll.max()))
+        w /= w.sum()
+    gbar = g @ w
+    G = g - gbar[:, None]
+    H = S * (w.sum() / w_old.sum()) + (1.0 - q) * (G * w) @ G.T
+    return -np.linalg.solve(H, gbar)
+
+
+def stepped(theta, summary, q):
+    """theta with (beta, nu) moved by the summary's re-weighted step to q."""
+    step = summary.newton_step(q)
+    return MaternParams(theta.sigma2, theta.beta + step[1], theta.nu + step[2])
+
+
+def record_passes(monkeypatch):
+    """The (sigma2, beta, nu) of every derivative pass, in order."""
+    points = []
+    real = est._profile_derivs
+
+    def spy(reps, locs, sigma2, beta, nu, *args, **kwargs):
+        points.append(MaternParams(sigma2, beta, nu))
+        return real(reps, locs, sigma2, beta, nu, *args, **kwargs)
+
+    monkeypatch.setattr(est, "_profile_derivs", spy)
+    return points
+
+
+def keep_altered(monkeypatch, change):
+    """Every pass summary kept for the chain passes through ``change``."""
+    real = est._profile_derivs
+
+    def altered(*args, keep=None, **kwargs):
+        kept = []
+        out = real(*args, keep=kept, **kwargs)
+        if keep is not None:
+            keep.extend(change(k) for k in kept)
+        return out
+
+    monkeypatch.setattr(est, "_profile_derivs", altered)
+
+
+# Passes of FitChain profiles over qselect.DEFAULT_GRID on 8 n = 100 grid and
+# 4 n = 49 uniform datasets (the benchmark's theta0 and contamination,
+# m = 100): every fit after the first starts one re-weighted Newton step
+# ahead.  Starting each at the neighbour's estimate took 328 passes (and 669
+# evaluations, against 580 now).
+GUARD_CHAIN_PASSES = 239
+
+
+class TestChainStart:
+    """Where FitChain starts a fit: a Newton step re-weighted to the new q."""
+
+    @pytest.mark.parametrize("q_old, q", [(1.0, 0.9), (0.9, 0.8), (0.9, 1.0)])
+    def test_start_is_the_reweighted_newton_step(self, interior_data, monkeypatch,
+                                                 q_old, q):
+        locs, reps, _base = interior_data
+        passes = record_passes(monkeypatch)
+        chain = FitChain(reps, locs)
+        near = chain.fit(q_old)
+        at = passes[-1]
+        assert scaled_gap(at, near.theta_hat) <= 1e-6
+        step = reweighted_step(reps, locs, at, q_old, q)
+        got = chain.fit(q).init.as_array() - near.theta_hat.as_array()
+        assert got[0] == 0.0
+        assert np.abs(got[1:] / step[1:] - 1.0).max() <= 1e-12
+        assert np.abs(step[1:] / near.theta_hat.as_array()[1:]).min() > 1e-3
+
+    def test_rounding_floor_follows_the_terms_of_the_value(self, interior_data):
+        # log|R| is read back from V; here it is taken from the factor
+        locs, reps, base = interior_data
+        for q in SYM_QS:
+            th = base[q].theta_hat
+            kept = []
+            est._profile_derivs(reps, locs, *th.as_array(), q, False, keep=kept)
+            lo, hi = default_bounds().as_arrays()
+            value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
+            corr = chol_factor(build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
+            quad = _quad_forms(reps.data, corr) / th.sigma2      # z' Sigma^-1 z
+            size = 0.5 * (reps.n * (_LOG_2PI + abs(np.log(th.sigma2)))
+                          + abs(corr.log_det) + quad.max())
+            want = V_ROUNDING * max(abs(value), size * (reps.m if q == 1.0 else 1))
+            assert kept[0].rounding_floor(value) == pytest.approx(want, rel=1e-9)
+            assert want > V_ROUNDING * abs(value)
+
+    def test_start_from_the_nearest_fitted_q(self, interior_data):
+        # 0.98 lies nearer 1.0 than 0.9, the last fit returned
+        locs, reps, _base = interior_data
+        chain = FitChain(reps, locs)
+        first = chain.fit(1.0)
+        chain.fit(0.9)
+        assert chain.fit(0.98).init == stepped(first.theta_hat, chain._passes[1.0], 0.98)
+
+    def test_sigma2_on_a_bound_starts_at_the_estimate(self, interior_data):
+        locs, reps, _base = interior_data
+        lo, hi = default_bounds().as_arrays()
+        box = Bounds(MaternParams(*lo), MaternParams(0.5, hi[1], hi[2]))
+        chain = FitChain(reps, locs, box)
+        near = chain.fit(1.0)
+        assert near.theta_hat.sigma2 == 0.5 and chain._passes[1.0] is None
+        assert chain.fit(0.9).init == near.theta_hat
+
+    def test_hessian_not_negative_definite_starts_at_the_estimate(
+            self, interior_data, monkeypatch):
+        locs, reps, _base = interior_data
+        keep_altered(monkeypatch, lambda k: est._PassSummary(
+            k.theta, k.q, k.n, k.g, -k.S))
+        chain = FitChain(reps, locs)
+        near = chain.fit(1.0)
+        assert chain._passes[1.0].newton_step(0.9) is None
+        res = chain.fit(0.9)
+        assert res.init == near.theta_hat and res.converged
+
+    def test_step_out_of_the_box_starts_at_the_estimate(self, interior_data):
+        # the step from q = 1 to q = 0.9 lowers beta by about 0.03; a lower
+        # beta bound halfway along it cuts the step
+        locs, reps, _base = interior_data
+        free = FitChain(reps, locs)
+        beta_near = free.fit(1.0).theta_hat.beta
+        beta_step = free.fit(0.9).init.beta
+        assert beta_step < beta_near - 0.01
+        lo, hi = default_bounds().as_arrays()
+        box = Bounds(MaternParams(lo[0], 0.5 * (beta_near + beta_step), lo[2]),
+                     MaternParams(*hi))
+        chain = FitChain(reps, locs, box)
+        near = chain.fit(1.0)
+        assert not box.contains(stepped(near.theta_hat, chain._passes[1.0], 0.9))
+        assert chain.fit(0.9).init == near.theta_hat
+
+    def test_passes_no_higher_than_recorded(self):
+        total = 0
+        for layout, n, seeds in (("grid", 100, range(1, 9)),
+                                 ("uniform", 49, range(1, 5))):
+            for seed in seeds:
+                cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=n, m=100,
+                                layout=layout, seed=seed,
+                                contamination=ContaminationSpec(0.1, 1.0))
+                locs, reps, _flags = simulate_dataset(cfg)
+                for res in fit_profile(reps, locs, DEFAULT_GRID).fits:
+                    assert res.converged and res.restarts == 0
+                    total += res.newton_steps
+        assert total <= GUARD_CHAIN_PASSES
+
+
 class TestQProfile:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -582,13 +763,22 @@ class TestQProfile:
             QProfile(grid=(), fits=())
 
     def test_fit_profile_warm_start_chain(self, small_data):
+        # each fit after the first starts one re-weighted Newton step from
+        # the one before it: sigma2 is the neighbour's, (beta, nu) the
+        # step's, and the step lands nearer the new estimate than the
+        # neighbour's own estimate does
         locs, reps = small_data
         grid = (1.0, 0.97, 0.94)
-        prof = fit_profile(reps, locs, grid, tol=1e-4)
+        chain = FitChain(reps, locs, tol=1e-4)
+        prof = chain.profile(grid)
         assert prof.grid == grid
         assert len(prof.fits) == 3
         for k in (1, 2):
-            assert prof.fits[k].init == prof.fits[k - 1].theta_hat
+            near, res = prof.fits[k - 1], prof.fits[k]
+            assert res.init == stepped(near.theta_hat, chain._passes[grid[k - 1]],
+                                       grid[k])
+            assert scaled_gap(res.init, res.theta_hat) < scaled_gap(
+                near.theta_hat, res.theta_hat)
 
     def test_kappa_curve_shape(self, small_data):
         locs, reps = small_data
@@ -606,11 +796,16 @@ class TestQProfile:
             return real(reps_, locs_, q, *a, **k)
 
         monkeypatch.setattr(est, "fit", flaky)
-        prof = fit_profile(reps, locs, (1.0, 0.97, 0.94), tol=1e-4)
+        chain = FitChain(reps, locs, tol=1e-4)
+        prof = chain.profile((1.0, 0.97, 0.94))
         mid = prof.fits[1]
         assert not mid.converged and np.isnan(mid.objective)
         assert mid.newton_steps == 0
         assert mid.theta_hat == prof.fits[0].theta_hat
-        # chain resumes from the last good estimate
-        assert prof.fits[2].init == prof.fits[0].theta_hat
+        # the placeholder keeps no pass: the chain resumes from the q = 1
+        # fit's, re-weighted to 0.94
+        assert set(chain._passes) == {1.0, 0.94}
+        first = prof.fits[0].theta_hat
+        assert prof.fits[2].init == stepped(first, chain._passes[1.0], 0.94)
+        assert prof.fits[2].init != first
         assert prof.fits[2].converged

@@ -242,9 +242,15 @@ class TestFactories:
         assert a == b and len(calls) == 1
         c = fit_fn(0.95)
         assert len(calls) == 2
-        # second call warm-starts from the first answer
+        # a fake fit keeps no derivative pass, so each new fit starts at the
+        # estimate of the nearest fitted q: first 0.99's, then, for 0.96,
+        # 0.95's, and for 0.98 again 0.99's, not the last one returned
         assert calls[1][1] == a
         assert fit_fn(0.99) == a and len(calls) == 2
+        fit_fn(0.96)
+        assert calls[2][1] == c
+        fit_fn(0.98)
+        assert calls[3][1] == a
 
     def test_fit_fn_starts_warm_after_the_first_fit(self, monkeypatch):
         locs = make_locations(4, "grid")
