@@ -38,11 +38,13 @@ and the fit's Hessian of the log-domain objective adds the centred
 (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, with gbar = sum w_i g_i.
 V* is the case m = 1.  Sigma, dS_j and d2S_jk come from one Bessel pass
 over the u unique distances (``matern._kernel_terms``), which returns the
-covariance and the per-distance derivative terms.  W = Sigma^-1 Z is one
-solve on one Cholesky factor, batched over replicates, and the explicit
-Sigma^-1 is LAPACK's potri on the same factor, in its place, with the lower
-triangle mirrored.  The gradient's per-replicate products w_i' dS_j w_i
-also give <dS_j, M> = sum w_i w_i' dS_j w_i, the sigma2 row of the sum.
+covariance's and the gradient's per-distance terms apart from the
+Hessian's, so the first are dropped once Sigma and dS_j are gathered.
+W = Sigma^-1 Z is one solve on one Cholesky factor, batched over
+replicates, and the explicit Sigma^-1 is LAPACK's potri on the same
+factor, in its place, with the lower triangle mirrored.  The gradient's
+per-replicate products w_i' dS_j w_i also give
+<dS_j, M> = sum w_i w_i' dS_j w_i, the sigma2 row of the sum.
 The second derivatives enter the sum only through
 <d2S_jk, M - w_sum Sigma^-1>, its data term and its trace term
 tr(Sigma^-1 d2S_jk) together (w_sum = sum w_i), so that n x n matrix is
@@ -51,7 +53,8 @@ summed onto the unique distances with one bincount, and each of the three
 formed over the n x n sites.  The other trace terms are tr(B_j B_k) with
 B_j = Sigma^-1 dS_j, and the data terms <dS_j, B_k M> come from the
 n x m products B_k W when there are fewer replicates than sites, else from
-B_k M, one n x n product at a time.
+B_k M, one k at a time.  Every n x n array is dropped after its last use,
+so at n = 400, m = 100 the pass peaks at 6.25 n^2 doubles.
 
 ``std_errs`` returns the sandwich standard errors sqrt(diag(J^-1 K J^-1)),
 the asymptotic variance of an M-estimator (White 1982) and of the MLqE
@@ -158,9 +161,9 @@ def _weighted_derivs(Z, locs, theta, q):
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
-    terms = _kernel_terms(uniq, theta, locs._dist_cheb)
+    vg, d2 = _kernel_terms(uniq, theta, locs._dist_cheb)
     try:
-        chol = chol_factor((s2 * terms[0])[inv])
+        chol = chol_factor((s2 * vg[0])[inv])
     except NotSPDError as err:
         err.theta = theta
         raise
@@ -178,12 +181,22 @@ def _weighted_derivs(Z, locs, theta, q):
     value, w = _lq_weights(-0.5 * quad, q)
     w_sum = float(w.sum())
 
-    dS = np.take(terms[1:3], inv, axis=1, mode="clip")    # (2, n, n): beta, nu
-    dS *= s2
-    B = Sinv @ dS
-    tr_B = np.trace(B, axis1=1, axis2=2)
-    dSW = dS @ W
-    quad_d = np.einsum("jim,im->jm", dSW, W)              # w_i' dS_j w_i
+    # every n x n array below is dropped after its last use
+    dS = [np.take(row, inv, mode="clip") for row in vg[1:]]    # beta, nu
+    del vg
+    quad_d = np.empty((2, m))                                  # w_i' dS_j w_i
+    dSW, B = [], []
+    for k in range(2):
+        dS[k] *= s2
+        dSW.append(dS[k] @ W)
+        quad_d[k] = np.einsum("im,im->m", dSW[k], W)
+        B.append(Sinv @ dS[k])
+        # <dS_j, B_k M> below reads dS_j W where m < n, else dS_j
+        if m < n:
+            dS[k] = None
+        else:
+            dSW[k] = None
+    tr_B = np.array([np.trace(b) for b in B])
 
     g = np.empty((3, m))
     g[0] = 0.5 * (quad - n) / s2
@@ -194,24 +207,30 @@ def _weighted_derivs(Z, locs, theta, q):
     H[0, 1:] = H[1:, 0] = -0.5 * (quad_d @ w) / s2        # <dS_j, M> / s2
     pairs = ((0, 0), (0, 1), (1, 1))
     tr_BB = [np.einsum("ab,ba->", B[j], B[k]) for j, k in pairs]
-    M = (W * w) @ W.T
-    # <dS_j, B_k M> = sum_i w_i (dS_j w_i)' B_k w_i, by the smaller product
+    # <dS_j, B_k M> = sum_i w_i (dS_j w_i)' B_k w_i, by the smaller product,
+    # one k at a time
+    dS_BM = []
     if m < n:
-        BW = B @ W
-        dS_BM = [np.einsum("im,im->m", dSW[j], BW[k]) @ w for j, k in pairs]
+        for k in range(2):
+            BW = B[k] @ W
+            dS_BM += [np.einsum("im,im->m", dSW[j], BW) @ w for j in range(k + 1)]
+        del B, BW
+        M = (W * w) @ W.T
     else:
+        M = (W * w) @ W.T
         BM = np.empty((n, n))
-        dS_BM = []
         for k in range(2):
             np.matmul(B[k], M, out=BM)
+            B[k] = None
             dS_BM += [np.vdot(dS[j], BM) for j in range(k + 1)]
+        del B, BM, dS
     # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
     # so that matrix is summed onto the unique distances once
     Sinv *= w_sum
     M -= Sinv
     R = np.bincount(inv.ravel(), weights=M.ravel(), minlength=uniq.size)
-    for (j, k), tr, d2, dv in zip(pairs, tr_BB, terms[3:], dS_BM):
-        H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2 @ R) - dv
+    for (j, k), tr, d2_jk, dv in zip(pairs, tr_BB, d2, dS_BM):
+        H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2_jk @ R) - dv
     log_scale = 0.0
     if q < 1.0:
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + chol.log_det))

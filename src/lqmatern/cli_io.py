@@ -444,8 +444,8 @@ _COMMAND_SECTIONS = {
 }
 
 
-def config_from_args(args):
-    """The config of the file and flags, with only the subcommand's sections built."""
+def _config_mapping(args):
+    """The flat config of the file and flags; a flag overrides its key."""
     mapping = {}
     if args.config:
         mapping.update(read_record(args.config))
@@ -453,7 +453,12 @@ def config_from_args(args):
         v = getattr(args, attr, None)
         if v is not None:
             mapping[key] = str(v)
-    return build_config(mapping, _COMMAND_SECTIONS[args.command])
+    return mapping
+
+
+def config_from_args(args):
+    """The config of the file and flags, with only the subcommand's sections built."""
+    return build_config(_config_mapping(args), _COMMAND_SECTIONS[args.command])
 
 
 def _outdir(cfg):
@@ -535,15 +540,16 @@ def cmd_select_q(args):
 
 
 def cmd_se(args):
-    cfg = config_from_args(args)
-    out = _outdir(cfg)
+    mapping = _config_mapping(args)
+    out = _outdir(build_config(mapping, _COMMAND_SECTIONS["se"]))
     locs, reps = read_dataset(args.data_dir)
     fit_path = args.fit or os.path.join(out, "fit.txt")
     rec = read_record(fit_path)
     try:
         theta = MaternParams(float(rec["sigma2"]), float(rec["beta"]),
                              float(rec["nu"]))
-        q = float(rec["q"]) if args.q is None else args.q
+        # --q, mapped onto fit.q, then the config's fit.q, then the record's q
+        q = float(mapping["fit.q"] if "fit.q" in mapping else rec["q"])
     except KeyError as exc:
         raise DataError("%s: missing key %s" % (fit_path, exc)) from None
     parts = sandwich(reps, locs, theta, q)

@@ -35,8 +35,11 @@ the derivatives theirs, 0.
 
 ``build_cov`` and the derivative pass evaluate the kernel once per unique
 distance and scatter the values back, which collapses the cost on lattice
-layouts where the distance matrix has few distinct entries.  How a unique
-distance is evaluated depends on how many there are:
+layouts where the distance matrix has few distinct entries.  A
+``LocationSet`` caches the sorted unique distances and each site pair's
+index into them, built from the condensed n (n - 1) / 2 distances; it holds
+no n x n float array, and ``dists`` gathers one on each access.  How a
+unique distance is evaluated depends on how many there are:
 
 - Up to the number of Chebyshev nodes a ``LocationSet``'s panels would use
   (a few hundred: the 127 distances of a 10 x 10 lattice stay below it, the
@@ -48,19 +51,19 @@ distance is evaluated depends on how many there are:
   (beta, nu), kve runs at the panels' nodes only (520-580 points at
   n = 400), and the node values become coefficients through one fixed
   9 x 9 matrix.  The Chebyshev basis T_0 .. T_8 at the sorted distances'
-  local coordinates is built once per evaluation, by the three-term
-  recurrence; each panel's values are then one product of its
-  coefficients with its columns of the basis, times e^-t.  The
-  interpolated functions, t^nu K_nu(t) e^t and its companions, are
-  analytic in s, so the interpolant converges spectrally down to the
-  smallest distance: its value was within 7.5e-14 relative of kv's for
-  beta in [1e-3, 10] and nu in [0.05, 5] wherever K_nu > 1e-300 (the
-  tests hold it to 1e-12), and it is exactly 0 past t = 690.  beta only
-  shifts s, so one cache serves every (beta, nu).  The terms' pass forms
-  its five terms at the nodes from the node values of the same two calls
-  and of ``_order_derivs``, and interpolates them (``_cheb_terms``); it
-  interpolates g with build_cov's routine, so its value stays build_cov's
-  bit for bit.
+  local coordinates is built by the three-term recurrence for a block of
+  whole panels at a time (about 8k distances, a 576 kB basis); each
+  panel's values are then one product of its coefficients with its
+  columns of the block's basis, times e^-t.  The interpolated functions,
+  t^nu K_nu(t) e^t and its companions, are analytic in s, so the
+  interpolant converges spectrally down to the smallest distance: its
+  value was within 7.5e-14 relative of kv's for beta in [1e-3, 10] and nu
+  in [0.05, 5] wherever K_nu > 1e-300 (the tests hold it to 1e-12), and it
+  is exactly 0 past t = 690.  beta only shifts s, so one cache serves
+  every (beta, nu).  The terms' pass forms its five terms at the nodes
+  from the node values of the same two calls and of ``_order_derivs``,
+  and interpolates them (``_cheb_terms``); it interpolates g with
+  build_cov's routine, so its value stays build_cov's bit for bit.
 
 ``matern_cov`` and ``_kernel_terms`` without panels always evaluate kv
 directly, and the tests use them as the interpolant's reference.
@@ -104,6 +107,10 @@ _CHEB_DEG = 8
 # t = 697.9 scipy's kv returns 0; the interpolated kernel and its
 # derivatives are exactly 0 past _T_ZERO
 _T_ZERO = 690.0
+# Distances per block of whole panels in ``_Panels.at``: a block's basis is
+# 9 x 8192 doubles (576 kB), where one over all u distances would be 5.7 MB
+# at n = 400
+_CHEB_BLOCK = 8192
 
 _CHEB_ANGLES = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
 _CHEB_NODES = np.cos(_CHEB_ANGLES)    # first-kind Chebyshev points on [-1, 1]
@@ -167,23 +174,27 @@ class LocationSet:
     def n(self):
         return self.coords.shape[0]
 
-    @cached_property
+    @property
     def dists(self):
-        """Full Euclidean distance matrix; errors on coincident points."""
-        if self.n == 1:
-            return np.zeros((1, 1))
-        d = squareform(pdist(self.coords))
-        off = d[~np.eye(self.n, dtype=bool)]
-        if off.min() <= 0.0:
-            raise ValueError("duplicate locations: zero pairwise distance found")
-        return d
+        """Full Euclidean distance matrix, equal to squareform(pdist(coords)).
+
+        Gathered from the unique-distance cache on each access, so the set
+        holds no n x n float array; raises on coincident points.
+        """
+        uniq, inv = self._dist_unique
+        return uniq[inv]
 
     @cached_property
     def _dist_unique(self):
-        # unique distances + inverse map; lattice layouts have O(n) uniques
-        d = self.dists
-        uniq, inv = np.unique(d.ravel(), return_inverse=True)
-        return uniq, inv.reshape(d.shape)
+        # the sorted unique distances, 0 first, and each site pair's index
+        # into them (n, n), from the condensed pairwise distances; lattice
+        # layouts have O(n) uniques
+        cond = pdist(self.coords)
+        if cond.size and cond.min() <= 0.0:
+            raise ValueError("duplicate locations: zero pairwise distance found")
+        uniq, inv = np.unique(cond, return_inverse=True)
+        inv += 1
+        return np.concatenate(([0.0], uniq)), squareform(inv)
 
     @cached_property
     def _dist_cheb(self):
@@ -228,32 +239,46 @@ class _Panels:
     def at(self, beta, live, vals, out):
         """Interpolants of node values, times e^-t, written into out.
 
-        ``vals`` and ``out`` are matching sequences of node values
-        (..., k, deg + 1) and arrays (..., u) that receive their
-        interpolants.  The Chebyshev basis T_0 .. T_deg at the first
-        ``live`` distances' local x is built once, by the three-term
-        recurrence, as one contiguous (deg + 1, live) array.  Each panel of
-        each interpolant is then one product of its coefficients with the
-        basis columns of the panel's distances.  Entries past ``live`` are
-        exactly 0.
+        ``vals`` holds arrays of node values (..., k, deg + 1), and ``out``
+        for each of them the arrays (u,) that receive its interpolants, one
+        per row of its leading dimensions.  The panels are taken in blocks
+        of whole panels holding up to ``_CHEB_BLOCK`` distances (a larger
+        panel is a block of its own).  For each block the Chebyshev basis
+        T_0 .. T_deg at its distances' local x is built by the three-term
+        recurrence into one (deg + 1, block) buffer shared by the blocks,
+        and each panel of each interpolant is one product of its
+        coefficients with the basis columns of the panel's distances.
+        Entries past ``live`` are exactly 0.
         """
-        x = self.x[:live]
-        basis = np.empty((_CHEB_DEG + 1, live))
-        basis[0] = 1.0
-        basis[1] = x
-        x2 = x + x
-        for i in range(2, _CHEB_DEG + 1):
-            np.multiply(x2, basis[i - 1], out=basis[i])
-            basis[i] -= basis[i - 2]
         bounds = np.append(self.starts[:vals[0].shape[-2]], live).tolist()
+        firsts = [0]
+        for p in range(1, len(bounds) - 1):
+            if bounds[p + 1] - bounds[firsts[-1]] > _CHEB_BLOCK:
+                firsts.append(p)
+        blocks = list(zip(firsts, firsts[1:] + [len(bounds) - 1]))
+        basis = np.empty((_CHEB_DEG + 1, max(bounds[b] - bounds[a] for a, b in blocks)))
         coefs = [v @ _CHEB_MAP.T for v in vals]
-        for p, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            for coef, o in zip(coefs, out):
-                o[..., a:b] = coef[..., p, :] @ basis[:, a:b]
-        decay = np.exp(-self.d[:live] / beta)
-        for o in out:
-            o[..., :live] *= decay
-            o[..., live:] = 0.0
+        for first, stop in blocks:
+            lo, hi = bounds[first], bounds[stop]
+            x = self.x[lo:hi]
+            T = basis[:, :hi - lo]
+            T[0] = 1.0
+            T[1] = x
+            x2 = x + x
+            for i in range(2, _CHEB_DEG + 1):
+                np.multiply(x2, T[i - 1], out=T[i])
+                T[i] -= T[i - 2]
+            decay = np.exp(-self.d[lo:hi] / beta)
+            for p in range(first, stop):
+                a, b = bounds[p], bounds[p + 1]
+                for coef, rows in zip(coefs, out):
+                    y = coef[..., p, :] @ T[:, a - lo:b - lo]
+                    y *= decay[a - lo:b - lo]
+                    for o, r in zip(rows, y.reshape(-1, b - a)):
+                        o[a:b] = r
+        for rows in out:
+            for o in rows:
+                o[live:] = 0.0
 
 
 # === kernel evaluation ======================================================
@@ -393,11 +418,11 @@ def _node_q(mu, t):
 def _cheb_g(panels, theta, out):
     """t^nu K_nu(t) at the panels' distances, interpolated into out."""
     live, k = panels.span(theta.beta)
-    panels.at(theta.beta, live, [_node_g(theta.nu, panels.nodes[:k] / theta.beta)], [out])
+    panels.at(theta.beta, live, [_node_g(theta.nu, panels.nodes[:k] / theta.beta)], [[out]])
 
 
-def _cheb_terms(panels, theta, out):
-    """``_terms`` at the panels' distances, interpolated into the rows of out (6, u).
+def _cheb_terms(panels, theta, vg, hess):
+    """``_terms`` at the panels' distances, interpolated into vg (3, u) and hess (3, u).
 
     kve runs at the nodes only, at the orders nu and nu - 1.  At the nodes,
     g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and the order derivatives of
@@ -411,7 +436,7 @@ def _cheb_terms(panels, theta, out):
     live, k = panels.span(beta)
     tn = panels.nodes[:k] / beta
     g, rest = _terms(tn, theta, _node_g(nu, tn), _node_q(nu, tn), _order_derivs(nu, tn))
-    panels.at(beta, live, [g, rest], [out[0], out[1:]])
+    panels.at(beta, live, [g, rest], [vg[:1], [*vg[1:], *hess]])
 
 
 def _kernel_terms(h, theta, panels=None):
@@ -423,24 +448,28 @@ def _kernel_terms(h, theta, panels=None):
     it equals matern_cov bit for bit.  With ``panels``, built over the
     positive entries of the sorted h (``LocationSet._dist_cheb``), the terms
     come from Chebyshev interpolants (``_cheb_terms``) and the value equals
-    build_cov's.  Returns one (6, u) array with rows (r, m_b, m_n, h_bb,
-    h_bn, h_nn): r = M / sigma2, exactly 1 at h = 0; m_b and m_n, the beta
-    and nu derivatives of r; and the (beta, beta), (beta, nu) and (nu, nu)
+    build_cov's.  Returns two (3, u) arrays, so a caller can drop the first
+    once it has gathered Sigma and dSigma: (r, m_b, m_n), with r = M /
+    sigma2, exactly 1 at h = 0, and m_b and m_n the beta and nu derivatives
+    of r; and (h_bb, h_bn, h_nn), the (beta, beta), (beta, nu) and (nu, nu)
     Hessian entries of M.  The derivative terms are 0 at h = 0 and, where
     kv overflows at tiny t, take their t -> 0 limit, 0.
     """
-    out = np.zeros((6,) + h.shape)
-    out[0] = 1.0
+    vg = np.zeros((3,) + h.shape)
+    hess = np.zeros((3,) + h.shape)
+    vg[0] = 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         if panels is not None:
             pos = slice(h.size - panels.d.size, None)
-            _cheb_terms(panels, theta, out[:, pos])
+            _cheb_terms(panels, theta, vg[:, pos], hess[:, pos])
         else:
             t = h / theta.beta
             pos = t > 0.0
-            out[0, pos], out[1:, pos] = _direct_terms(t[pos], theta)
-    out[0, pos] *= _coef(theta.nu)
-    return out
+            vg[0, pos], rest = _direct_terms(t[pos], theta)
+            vg[1:, pos] = rest[:2]
+            hess[:, pos] = rest[2:]
+    vg[0, pos] *= _coef(theta.nu)
+    return vg, hess
 
 
 # === covariance builder =====================================================

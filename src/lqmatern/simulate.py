@@ -87,10 +87,8 @@ def make_locations(n, layout="grid", seed=None):
         while True:
             coords = g.uniform(size=(n, 2))
             locs = LocationSet(coords)
-            if n == 1:
-                return locs
             try:
-                locs.dists  # raises on coincident points
+                locs._dist_unique  # raises on coincident points
             except ValueError:
                 continue
             return locs

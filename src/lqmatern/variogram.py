@@ -82,12 +82,13 @@ def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
     if int(n_bins) != n_bins or n_bins < 1:
         raise ValueError("n_bins must be a positive integer")
     n_bins = int(n_bins)
-    # dists is exactly symmetric with a zero diagonal: its max is the pairs' max
-    max_dist = float(0.5 * locs.dists.max() if max_dist is None else max_dist)
+    # the sorted unique distances end with the pairs' max
+    uniq, inv = locs._dist_unique
+    max_dist = float(0.5 * uniq[-1] if max_dist is None else max_dist)
     if not max_dist > 0.0:
         raise ValueError("max_dist must be positive")
     i, j = np.triu_indices(locs.n, 1)
-    d = locs.dists[i, j]
+    d = uniq[inv[i, j]]
     keep = d <= max_dist
     i, j, d = i[keep], j[keep], d[keep]
     width = max_dist / n_bins

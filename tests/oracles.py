@@ -30,7 +30,7 @@ def kernel_derivs(h, theta, panels=None):
     Hessian entries, and the (sigma2, sigma2) entry is 0.
     """
     shape = np.shape(h)
-    r, m_b, m_n, h_bb, h_bn, h_nn = _kernel_terms(
+    (r, m_b, m_n), (h_bb, h_bn, h_nn) = _kernel_terms(
         np.atleast_1d(np.asarray(h, dtype=float)).ravel(), theta, panels)
     s2 = theta.sigma2
     grad = np.stack([r, s2 * m_b, s2 * m_n])

@@ -387,6 +387,20 @@ class TestMain:
         assert (out / "fit.txt").read_bytes() == first
         capsys.readouterr()
 
+    def test_se_q_precedence(self, tmp_path, capsys):
+        # se takes q from --q, then the config's fit.q, then the fit record
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(tmp_path / "cfg.txt")
+        qcfg = write_tiny_config(tmp_path / "q.cfg", [("fit.q", "0.5")])
+        assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        assert run(["fit", "--config", cfgp, "--data-dir", str(out),
+                    "--out", str(out), "--q", "0.95"]) == 0
+        for argv, want in (([], 0.95), (["--config", qcfg], 0.5),
+                           (["--config", qcfg, "--q", "0.9"], 0.9)):
+            assert run(["se", "--data-dir", str(out), "--out", str(out)] + argv) == 0
+            assert float(read_record(out / "se.txt")["q"]) == want
+        capsys.readouterr()
+
     def test_corrupt_data_exit_2(self, tmp_path, capsys):
         out = tmp_path / "w"
         assert run(["simulate", "--n", "4", "--m", "2",

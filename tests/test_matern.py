@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 from scipy.special import kv
 
+from lqmatern import matern
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _kernel_terms, _Panels,
                              build_cov, matern_cov)
@@ -62,8 +64,26 @@ class TestLocationSet:
 
     def test_duplicate_locations_error(self):
         locs = LocationSet(np.array([[0.2, 0.2], [0.2, 0.2], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            locs.dists
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate locations"):
+                locs.dists
+            with pytest.raises(ValueError, match="duplicate locations"):
+                locs._dist_unique
+
+    @pytest.mark.parametrize("n, layout", [(1, "grid"), (1, "uniform"), (2, "uniform"),
+                                           (49, "grid"), (100, "grid"), (64, "uniform"),
+                                           (196, "uniform")])
+    def test_dists_is_squareform_pdist(self, n, layout):
+        # gathered from the unique-distance cache on each access, bit for bit
+        locs = make_locations(n, layout, seed=1)
+        want = squareform(pdist(locs.coords)) if n > 1 else np.zeros((1, 1))
+        for _ in range(2):
+            got = locs.dists
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        uniq, inv = locs._dist_unique
+        assert uniq[0] == 0.0 and np.all(np.diff(uniq) > 0.0)
+        assert np.array_equal(uniq, np.unique(want))
+        assert inv.shape == (n, n) and np.array_equal(uniq[inv], want)
 
 
 class TestMaternCov:
@@ -340,8 +360,9 @@ class TestChebyshevKernel:
         for _ in range(3):
             th = rand_theta(rng, nu_hi=NU_CAP)
             assert np.array_equal(build_cov(locs, th), matern_cov(locs.dists, th))
-            assert np.array_equal(_kernel_terms(uniq, th, locs._dist_cheb),
-                                  _kernel_terms(uniq, th))
+            for got, want in zip(_kernel_terms(uniq, th, locs._dist_cheb),
+                                 _kernel_terms(uniq, th)):
+                assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log10_beta=st.floats(-3.0, 1.0), nu=st.floats(0.05, NU_CAP))
@@ -396,36 +417,63 @@ class TestChebyshevKernel:
     def test_basis_product_matches_clenshaw(self, monkeypatch, locs):
         # every interpolant the pass and build_cov take, at the corners of
         # the bound box: within 4e-15 of its largest entry of Clenshaw's sum
-        # over the same node values, and exactly 0 past the live distances
+        # over the same node values, and exactly 0 past the live distances;
+        # with the default block and with blocks of 100 distances, which mix
+        # blocks of several panels with panels larger than a block
         calls = []
         real_at = _Panels.at
 
         def at(panels, beta, live, vals, out):
             real_at(panels, beta, live, vals, out)
-            calls.append((panels, beta, live, vals, [o.copy() for o in out]))
+            calls.append((panels, beta, live, vals, [np.array(rows) for rows in out]))
 
         monkeypatch.setattr(_Panels, "at", at)
         uniq, _ = locs._dist_unique
         panels = locs._dist_cheb
         cut = False
-        for beta in (1e-3, 10.0):
-            for nu in (0.05, NU_CAP):
-                calls.clear()
-                th = MaternParams(1.7, beta, nu)
-                _kernel_terms(uniq, th, panels)
-                build_cov(locs, th)
-                # the pass's g and five terms, then build_cov's g
-                assert [np.shape(o) for c in calls for o in c[4]] == [
-                    panels.d.shape, (5,) + panels.d.shape, panels.d.shape]
-                for _, _, live, vals, outs in calls:
-                    cut |= 0 < live < panels.d.size and live not in panels.starts
-                    for v, got in zip(vals, outs):
-                        want = clenshaw(panels, beta, live, v)
-                        scale = np.abs(want).max(axis=-1, keepdims=True)
-                        assert np.all(np.abs(got - want) <= 4e-15 * scale)
-                        assert np.all(got[..., live:] == 0.0)
+        for block in (matern._CHEB_BLOCK, 100):
+            monkeypatch.setattr(matern, "_CHEB_BLOCK", block)
+            for beta in (1e-3, 10.0):
+                for nu in (0.05, NU_CAP):
+                    calls.clear()
+                    th = MaternParams(1.7, beta, nu)
+                    _kernel_terms(uniq, th, panels)
+                    build_cov(locs, th)
+                    # the pass's g and five terms, then build_cov's g
+                    assert [np.shape(o) for c in calls for o in c[4]] == [
+                        (1,) + panels.d.shape, (5,) + panels.d.shape,
+                        (1,) + panels.d.shape]
+                    for _, _, live, vals, outs in calls:
+                        cut |= 0 < live < panels.d.size and live not in panels.starts
+                        for v, got in zip(vals, outs):
+                            want = clenshaw(panels, beta, live, v)
+                            scale = np.abs(want).max(axis=-1, keepdims=True)
+                            assert np.all(np.abs(got - want) <= 4e-15 * scale)
+                            assert np.all(got[..., live:] == 0.0)
         # beta = 1e-3 ends the live distances inside a panel
         assert cut
+
+    def test_blocks_do_not_move_a_bit(self, monkeypatch):
+        # a block holds whole panels, so each panel's product is the same
+        # whatever the block size: one block, the default and a block per
+        # panel give build_cov and the pass bit for bit
+        locs = make_locations(196, "uniform", seed=4)
+        uniq, _ = locs._dist_unique
+        panels = locs._dist_cheb
+        sizes = np.diff(np.append(panels.starts, panels.d.size))
+        assert panels.d.size > matern._CHEB_BLOCK > sizes.max()
+        rng = np.random.default_rng(9)
+        thetas = [rand_theta(rng, nu_hi=NU_CAP) for _ in range(3)] + [
+            MaternParams(1.0, 1e-3, 0.5)]
+        got = {}
+        for block in (panels.d.size, matern._CHEB_BLOCK, 1):
+            monkeypatch.setattr(matern, "_CHEB_BLOCK", block)
+            got[block] = [(build_cov(locs, th), *_kernel_terms(uniq, th, panels))
+                          for th in thetas]
+        first, *rest = got.values()
+        for other in rest:
+            for a, b in zip(first, other):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def clenshaw(panels, beta, live, vals):

@@ -1,0 +1,64 @@
+"""Memory of the fit path, measured with tracemalloc at n = 400 uniform sites.
+
+Irregular sites take the Chebyshev kernel, and their 79,800 unique
+distances make every per-distance array half an n x n one.  Each bound is
+in n^2 doubles, the size of one covariance matrix, and counts what a call
+allocates beyond what is live when it starts.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lqmatern.asymptotics import _weighted_derivs
+from lqmatern.matern import MaternParams, build_cov
+from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
+
+N = 400
+THETA = MaternParams(1.1, 0.12, 0.6)
+
+
+@pytest.fixture(scope="module")
+def data():
+    locs, reps, _ = simulate_dataset(SimConfig(
+        MaternParams(1.0, 0.1, 0.5), n=N, m=100, layout="uniform", seed=3,
+        contamination=ContaminationSpec(0.1, 1.0)))
+    assert locs._dist_cheb is not None
+    # a first call outside the measurement loads what scipy loads lazily
+    _weighted_derivs(reps.data, locs, THETA, 0.9)
+    return locs, reps
+
+
+def peak_doubles(fn):
+    """Peak memory fn() allocates beyond what is live at its start, in n^2 doubles."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8.0 * N * N)
+
+
+def test_build_cov_peak(data):
+    # the n x n result and the unique distances' values, with the
+    # Chebyshev basis built a block of panels at a time (1.50 measured)
+    locs, _ = data
+    assert peak_doubles(lambda: build_cov(locs, THETA)) <= 2.0
+
+
+def test_derivative_pass_peak(data):
+    # each n x n array is dropped after its last use (6.25 measured)
+    locs, reps = data
+    assert peak_doubles(lambda: _weighted_derivs(reps.data, locs, THETA, 0.9)) <= 7.0
+
+
+def test_location_set_holds_no_dense_distances(data):
+    # the unique distances and their inverse map, the panels over them,
+    # and no n x n float array
+    locs, _ = data
+    assert set(vars(locs)) == {"coords", "_dist_unique", "_dist_cheb"}
+    arrays = [locs.coords, *locs._dist_unique, *vars(locs._dist_cheb).values()]
+    assert not [a.shape for a in arrays if a.dtype.kind == "f" and a.size >= N * N]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lqmatern import simulate
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, contaminate,
                                gen_replicates, make_locations,
@@ -61,6 +62,25 @@ class TestMakeLocations:
         assert np.array_equal(a, b)
         c = make_locations(20, "uniform", seed=4).coords
         assert not np.array_equal(a, c)
+
+    def test_uniform_redraws_coincident_sites(self, monkeypatch):
+        # a draw with two coincident sites is discarded for the next one
+        real = simulate._stream(5, simulate._DOMAIN_FIELD, 0).uniform(size=(6, 2))
+
+        class Draws:
+            def __init__(self):
+                self.draws = [np.vstack([real[:5], real[:1]]), real]
+
+            def uniform(self, size):
+                assert size == (6, 2)
+                return self.draws.pop(0)
+
+        draws = Draws()
+        monkeypatch.setattr(simulate, "_stream", lambda *args: draws)
+        locs = make_locations(6, "uniform", seed=5)
+        assert draws.draws == [] and np.array_equal(locs.coords, real)
+        monkeypatch.undo()
+        assert np.array_equal(make_locations(6, "uniform", seed=5).coords, real)
 
     def test_bad_layout(self):
         with pytest.raises(ValueError):

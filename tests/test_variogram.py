@@ -190,7 +190,7 @@ class TestByReplicate:
     def test_pairs_enumerated_once_per_call(self, monkeypatch):
         locs = make_locations(16, "grid")
         reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 20, seed=7)
-        locs.dists  # fill the distance cache outside the count
+        locs._dist_unique  # the unique-distance cache is built outside the count
         real = np.triu_indices
         calls = []
 
