@@ -27,23 +27,33 @@ plug-in matrices are K e^(2s) and J e^s.  The standard errors are
 invariant under that common rescaling, so they never see the raw scale.
 ``ustar_all`` returns the raw U* of every replicate.
 
-One derivative pass, ``_weighted_derivs``, serves the sandwich, U* and the
-fit's Newton steps (``estimate._profile_derivs``).  It returns every
-replicate's g_i, the weights, s and the weighted sum sum w_i H_i; no
-replicate's Hessian is formed.  J needs only that sum and the g_i:
+One derivative pass serves the sandwich, U* and the fit's Newton steps
+(``estimate._profile_derivs``).  It returns every replicate's g_i, the
+weights, s and the weighted sum sum w_i H_i; no replicate's Hessian is
+formed.  J needs only that sum and the g_i:
 
     m J = sum w_i H_i + (1-q) sum w_i g_i g_i',
 
 and the fit's Hessian of the log-domain objective adds the centred
 (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, with gbar = sum w_i g_i.
-V* is the case m = 1.  Sigma, dS_j and d2S_jk come from one Bessel pass
-over the u unique distances (``matern._kernel_terms``), which returns the
+V* is the case m = 1.
+
+The pass has two parts, so that one factorization serves a fit's Newton
+point twice.  ``_factor_point`` takes the kernel's per-distance terms at
+(1, beta, nu) from one Bessel pass over the u unique distances
+(``matern._kernel_terms``), gathers the correlation matrix R from them and
+factors it; R equals ``build_cov``'s bit for bit, so the fit scores the
+point on that factor (``gauss_lik._profile_factor``) exactly as
+``gauss_lik.profile_lq`` would.  ``_finish`` then completes the pass at
+any sigma2, where Sigma = sigma2 R: Sigma^-1 is LAPACK's potri on R's
+factor, in its place, with the lower triangle mirrored, divided by sigma2;
+W = Sigma^-1 Z is one product with it, batched over replicates, with no
+solve; dS_j and d2S_jk are R's terms times sigma2, and
+log|Sigma| = log|R| + n log sigma2.  The sandwich and U* finish a fresh
+point at theta-hat's sigma2 (``_weighted_derivs``).  The terms come as the
 covariance's and the gradient's per-distance terms apart from the
-Hessian's, so the first are dropped once Sigma and dS_j are gathered.
-W = Sigma^-1 Z is one solve on one Cholesky factor, batched over
-replicates, and the explicit Sigma^-1 is LAPACK's potri on the same
-factor, in its place, with the lower triangle mirrored.  The gradient's
-per-replicate products w_i' dS_j w_i also give
+Hessian's, so the first are dropped once dS_j are gathered.  The
+gradient's per-replicate products w_i' dS_j w_i also give
 <dS_j, M> = sum w_i w_i' dS_j w_i, the sigma2 row of the sum.
 The second derivatives enter the sum only through
 <d2S_jk, M - w_sum Sigma^-1>, its data term and its trace term
@@ -54,7 +64,8 @@ formed over the n x n sites.  The other trace terms are tr(B_j B_k) with
 B_j = Sigma^-1 dS_j, and the data terms <dS_j, B_k M> come from the
 n x m products B_k W when there are fewer replicates than sites, else from
 B_k M, one k at a time.  Every n x n array is dropped after its last use,
-so at n = 400, m = 100 the pass peaks at 6.25 n^2 doubles.
+so at n = 400, m = 100 the pass peaks at 6.25 n^2 doubles, with the
+point's score before it or without.
 
 ``std_errs`` returns the sandwich standard errors sqrt(diag(J^-1 K J^-1)),
 the asymptotic variance of an M-estimator (White 1982) and of the MLqE
@@ -70,11 +81,10 @@ exactly.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotri
 
 from .gauss_lik import _LOG_2PI, NotSPDError, _lq_weights, chol_factor
-from .matern import _kernel_terms
+from .matern import MaternParams, _kernel_terms
 
 # Relative eigenvalue floor used when building the PD surrogate of J.
 J_EIG_FLOOR = 1e-10
@@ -130,26 +140,68 @@ def _mirror_lower(a):
         a[lo:hi, hi:] = a[hi:, lo:hi].T
 
 
-def _weighted_derivs(Z, locs, theta, q):
+class _Point:
+    """R(beta, nu)'s kernel terms and Cholesky factor, held for one pass.
+
+    ``_factor_point`` makes one; the fit scores it on the factor
+    (``gauss_lik._profile_factor``) and ``_finish`` then takes its arrays:
+    the pass drops each after its last use and overwrites the factor with
+    Sigma^-1, so a point serves one pass.
+    """
+
+    __slots__ = ("corr", "terms", "chol")
+
+    def __init__(self, corr, terms, chol):
+        self.corr, self.terms, self.chol = corr, terms, chol
+
+    def take(self):
+        terms, chol = self.terms, self.chol
+        self.terms = self.chol = None
+        return terms, chol
+
+
+def _factor_point(locs, beta, nu):
+    """The kernel terms at (1, beta, nu) and the Cholesky factor of R, as a _Point.
+
+    R is gathered from the terms' value, which is build_cov's bit for bit,
+    so the factor is the one ``gauss_lik.profile_lq`` takes at (beta, nu).
+    Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
+    factored.
+    """
+    corr = MaternParams(1.0, beta, nu)
+    uniq, inv = locs._dist_unique
+    terms = _kernel_terms(uniq, corr, locs._dist_cheb)
+    try:
+        chol = chol_factor(terms[0][0][inv])
+    except NotSPDError as err:
+        err.theta = corr
+        raise
+    return _Point(corr, terms, chol)
+
+
+def _finish(Z, locs, point, s2, q):
     """Per-replicate gradients and the weighted Hessian sum of the columns of Z.
 
-    Returns (g, w, H, log_scale): every replicate's g_i as g (3, m), the
-    weights w (m,) of ``_lq_weights``, H = sum w_i H_i (3, 3), and the log
-    scale s of the raw factors, f_i^(1-q) = w_i e^s (0 at q = 1).  The
-    weights come from -(1/2) z' Sigma^-1 z, since the log density's terms
-    common to all replicates do not change them; s adds those terms back.
+    The pass at theta = (s2, beta, nu), from the point's terms and factor of
+    R(beta, nu) (``_factor_point``).  Returns (g, w, H, log_scale): every
+    replicate's g_i as g (3, m), the weights w (m,) of ``_lq_weights``,
+    H = sum w_i H_i (3, 3), and the log scale s of the raw factors,
+    f_i^(1-q) = w_i e^s (0 at q = 1).  The weights come from
+    -(1/2) z' Sigma^-1 z, since the log density's terms common to all
+    replicates do not change them; s adds those terms back, with
+    log|Sigma| = log|R| + n log s2.
 
+    Sigma^-1 is LAPACK potri on R's factor, in its place, divided by s2; a
+    failure there raises NotSPDError carrying theta.  W = Sigma^-1 Z is one
+    product with it, and dS_j and the Hessian terms of M are R's times s2.
     Only the weighted sum of the H_i is formed, so with M = W diag(w) W'
-    (W = Sigma^-1 Z) its data terms are inner products over locations:
+    its data terms are inner products over locations:
     sum w_i w_i' d2S w_i = <d2S, M> and
     sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i) = <dS_j, B_k M>, the latter
     summed over replicates from B_k W where m < n.  The sigma2 row is
-    analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2 and
-    d2S_0k = dS_k / sigma2, and its <dS_j, M> is the weighted sum of the
-    gradient's products w_i' dS_j w_i.  Sigma^-1 comes from the Cholesky
-    factor by LAPACK potri; a failure there raises NotSPDError carrying
-    theta, like a failed factorization.  Callers add their own (1-q) term
-    in g.
+    analytic, since dS_0 = Sigma / s2, B_0 = I / s2 and d2S_0k = dS_k / s2,
+    and its <dS_j, M> is the weighted sum of the gradient's products
+    w_i' dS_j w_i.  Callers add their own (1-q) term in g.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
@@ -159,24 +211,17 @@ def _weighted_derivs(Z, locs, theta, q):
         raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
-    s2 = theta.sigma2
+    theta = MaternParams(s2, point.corr.beta, point.corr.nu)
     uniq, inv = locs._dist_unique
-    vg, d2 = _kernel_terms(uniq, theta, locs._dist_cheb)
-    try:
-        chol = chol_factor((s2 * vg[0])[inv])
-    except NotSPDError as err:
-        err.theta = theta
-        raise
-    # Sigma^-1 z for all replicates, copied to C order: with the Fortran-
-    # ordered solve, this pass took 17-68 ms instead of 4 ms at n = m = 100
-    # under two-thread OpenBLAS on a 2-core host
-    W = np.ascontiguousarray(cho_solve((chol.L, True), Z, check_finite=False))
+    (vg, d2), chol = point.take()
     # Sigma^-1 overwrites the factor, which nothing reads past this point
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
                           % info, theta=theta)
     _mirror_lower(Sinv)
+    Sinv /= s2
+    W = Sinv @ Z                               # Sigma^-1 z for all replicates
     quad = np.einsum("ij,ij->j", Z, W)         # z' Sigma^-1 z
     value, w = _lq_weights(-0.5 * quad, q)
     w_sum = float(w.sum())
@@ -225,16 +270,24 @@ def _weighted_derivs(Z, locs, theta, q):
             dS_BM += [np.vdot(dS[j], BM) for j in range(k + 1)]
         del B, BM, dS
     # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
-    # so that matrix is summed onto the unique distances once
+    # so that matrix is summed onto the unique distances once; R's Hessian
+    # terms times s2 are M's
     Sinv *= w_sum
     M -= Sinv
     R = np.bincount(inv.ravel(), weights=M.ravel(), minlength=uniq.size)
     for (j, k), tr, d2_jk, dv in zip(pairs, tr_BB, d2, dS_BM):
-        H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2_jk @ R) - dv
+        H[j + 1, k + 1] = H[k + 1, j + 1] = (0.5 * w_sum * tr
+                                             + 0.5 * s2 * float(d2_jk @ R) - dv)
     log_scale = 0.0
     if q < 1.0:
-        log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + chol.log_det))
+        log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
+        log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
     return g, w, H, log_scale
+
+
+def _weighted_derivs(Z, locs, theta, q):
+    """``_finish`` at theta on a fresh point: the pass of the sandwich and U*."""
+    return _finish(Z, locs, _factor_point(locs, theta.beta, theta.nu), theta.sigma2, q)
 
 
 def ustar_all(reps, locs, theta, q):

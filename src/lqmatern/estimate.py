@@ -25,6 +25,10 @@ A cold fit has three stages.
   exact gradient and Hessian (``_profile_derivs``).  A step is taken when
   the Hessian is negative definite, u + delta lies in the box and scores no
   lower than u; any other step ends this stage, with no line search.  A
+  step longer than ``tol`` is scored for the derivative pass that follows
+  it: one kernel pass and one Cholesky factor of R serve the score, which
+  equals ``profile_lq``'s bit for bit, and the pass
+  (``asymptotics._factor_point``); a warm fit scores its init so.  A
   step with |delta| <= ``tol`` componentwise confirms the fit.  Newton
   converges quadratically, so the step after a 1e-5 step is about 1e-11,
   and its rise is below the rounding of V: where the predicted rise
@@ -89,8 +93,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .asymptotics import _weighted_derivs
-from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _lq_weights, profile_lq
+from .asymptotics import _factor_point, _finish
+from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _lq_weights, _profile_factor,
+                        profile_lq)
 from .matern import MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -104,6 +109,10 @@ _NEWTON_STEPS = 6
 
 # Evaluation and iteration budget of each Nelder-Mead run.
 _MAX_EVALS = 5000
+
+# Share of a bound interval's width by which ``default_init`` moves a
+# beta or nu that lies outside the box inside it.
+_INIT_INSET = 0.1
 
 
 @dataclass(frozen=True)
@@ -137,9 +146,12 @@ class FitResult:
     overflows to inf when the data's scale is small, even at a correct
     fit; ``converged`` tests V itself.  ``evaluations`` counts the
     (beta, nu) points the search scored and ``newton_steps`` the derivative
-    passes of its Newton steps, each costing about as much as a few
-    evaluations; ``restarts`` counts the fallback simplex runs, 0 when
-    Newton steps confirmed the estimate.
+    passes of its Newton steps, each costing about as much as two to five
+    evaluations.  A pass at a point scored for it (a Newton step longer
+    than ``tol``, or a warm fit's init) shares that point's kernel pass and
+    Cholesky factor, so it builds and factors nothing of its own; a pass
+    elsewhere does both.  ``restarts`` counts the fallback simplex runs, 0
+    when Newton steps confirmed the estimate.
     """
 
     theta_hat: MaternParams
@@ -188,11 +200,18 @@ def default_init(reps, bounds):
     """Pooled-variance sigma2 with the conventional (beta, nu) = (0.1, 0.5).
 
     The pooled variance is clipped into the open interior of the bounds.
+    A beta or nu outside the open interval between its bounds is moved
+    ``_INIT_INSET`` of the interval's width inside the face it crossed:
+    a start on or near a face gives the simplex a first simplex flat in
+    that face.
     """
     lo, hi = bounds.as_arrays()
     start = np.array([np.var(reps.data), 0.1, 0.5])
     margin = 1e-6 * (hi - lo)
-    start = np.clip(start, lo + margin, hi - margin)
+    start[0] = min(max(start[0], lo[0] + margin[0]), hi[0] - margin[0])
+    inset = _INIT_INSET * (hi - lo)
+    start[1:] = np.where(start[1:] <= lo[1:], lo[1:] + inset[1:], start[1:])
+    start[1:] = np.where(start[1:] >= hi[1:], hi[1:] - inset[1:], start[1:])
     return MaternParams.from_array(start)
 
 
@@ -257,13 +276,14 @@ class _PassSummary:
         return V_ROUNDING * max(abs(value), k * size)
 
 
-def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped, keep=None):
+def _profile_derivs(reps, locs, point, sigma2, q, clipped, keep=None):
     """Gradient (2,) and Hessian (2, 2) in (beta, nu) of profile_lq's value.
 
-    With the replicate weights w (summing to one below q = 1), the full
-    gradient of the log-domain objective is gbar = sum w_i g_i and its
-    Hessian is sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)', from
-    one ``asymptotics._weighted_derivs`` pass.
+    ``point`` is ``asymptotics._factor_point``'s at (beta, nu), which the
+    pass takes.  With the replicate weights w (summing to one below q = 1),
+    the full gradient of the log-domain objective is gbar = sum w_i g_i and
+    its Hessian is sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)',
+    from one ``asymptotics._finish`` pass.
 
     ``sigma2`` is the profile's solution at (beta, nu).  Where it is
     interior, the sigma2-derivative of the objective vanishes, so the
@@ -274,10 +294,10 @@ def _profile_derivs(reps, locs, sigma2, beta, nu, q, clipped, keep=None):
     Hessian is H_pp.  A list passed as ``keep`` receives the pass's
     ``_PassSummary``.
     """
-    theta = MaternParams(sigma2, beta, nu)
-    g, w, hess, _ = _weighted_derivs(reps.data, locs, theta, q)
+    theta = np.array([sigma2, point.corr.beta, point.corr.nu])
+    g, w, hess, _ = _finish(reps.data, locs, point, sigma2, q)
     if keep is not None:
-        keep.append(_PassSummary(theta.as_array(), q, reps.n, g, hess.copy()))
+        keep.append(_PassSummary(theta, q, reps.n, g, hess.copy()))
     grad = g @ w
     if q < 1.0:
         G = g - grad[:, None]
@@ -308,17 +328,32 @@ class _Search:
         self.simplex_ok = True      # the last simplex run ended normally
         # (u, _PassSummary) of the last derivative pass
         self.last_pass = None
+        # (u.tobytes(), asymptotics._Point) of a point scored for a pass
+        self.point = None
 
-    def score(self, u):
+    def score(self, u, for_pass=False):
+        """Score u into ``scored``: profile_lq's (sigma2, value).
+
+        ``for_pass`` scores it on ``asymptotics._factor_point``'s factor of
+        R, the one profile_lq takes, and holds the point for the derivative
+        pass at u (``newton_step``).
+        """
         beta, nu = self.corner + u * self.width
-        self.scored[u.tobytes()] = profile_lq(self.reps, self.locs, beta, nu,
-                                              self.q, *self.s2_box)
+        if not for_pass:
+            self.scored[u.tobytes()] = profile_lq(self.reps, self.locs, beta, nu,
+                                                  self.q, *self.s2_box)
+            return
+        self.point = None       # a held point's arrays go before new ones come
+        point = _factor_point(self.locs, beta, nu)
+        self.scored[u.tobytes()] = _profile_factor(self.reps, point.chol, self.q,
+                                                   *self.s2_box)
+        self.point = (u.tobytes(), point)
 
-    def value(self, u):
+    def value(self, u, for_pass=False):
         key = u.tobytes()
         if key not in self.scored:
             try:
-                self.score(u)
+                self.score(u, for_pass)
             except NotSPDError:
                 self.scored[key] = (float("nan"), -np.inf)
         return self.scored[key][1]
@@ -342,15 +377,21 @@ class _Search:
         """(delta, predicted rise) of one Newton step in u from a scored u.
 
         None where the derivatives are not finite or the profile Hessian is
-        not negative definite.
+        not negative definite.  The pass takes the point held for u, if
+        any, and factors R at u otherwise.
         """
         self.passes += 1
         self.last_pass = None
-        sigma2 = self.scored[u.tobytes()][0]
-        beta, nu = self.corner + u * self.width
+        key = u.tobytes()
+        sigma2 = self.scored[key][0]
+        held, self.point = self.point, None
         kept = []
         try:
-            g, H = _profile_derivs(self.reps, self.locs, sigma2, beta, nu, self.q,
+            if held is not None and held[0] == key:
+                point = held[1]
+            else:
+                point = _factor_point(self.locs, *(self.corner + u * self.width))
+            g, H = _profile_derivs(self.reps, self.locs, point, sigma2, self.q,
                                    clipped=sigma2 in self.s2_box, keep=kept)
         except NotSPDError:
             return None
@@ -372,11 +413,13 @@ class _Search:
         taken whatever it scores (the tie rule); one that scores lower by
         less than its predicted rise confirms the point it started from
         (the short-step rule).  The last step allowed must be a confirming
-        one, so a longer step there is not scored.
+        one, so a longer step there is not scored.  A longer step's point is
+        scored for the pass from it.
         """
         val = self.value(u)
         if not np.isfinite(val):
             return u, False
+        confirmed = False
         for k in range(steps):
             step = self.newton_step(u)
             if step is None:
@@ -389,7 +432,7 @@ class _Search:
             if not short and k == steps - 1:
                 break
             self.evaluations += 1
-            val_new = self.value(u_new)
+            val_new = self.value(u_new, for_pass=not short)
             # a rise below V's rounding cannot be told from a fall by scoring
             floor = (self.last_pass[1].rounding_floor(val) if self.last_pass
                      else V_ROUNDING * abs(val))
@@ -402,8 +445,10 @@ class _Search:
                 # step falls by about three times that rise
                 break
             if short:
-                return u, True
-        return u, False
+                confirmed = True
+                break
+        self.point = None       # a point scored for a pass that did not run
+        return u, confirmed
 
 
 def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False, _keep=None):
@@ -461,8 +506,9 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False, _keep=No
         raise ValueError("init %r lies outside the bounds" % (init,))
     search = _Search(reps, locs, q, bounds, tol)
     u = (init.as_array()[1:] - search.corner) / search.width
-    # a hard failure at the starting point is an error, not a rejection
-    search.score(u)
+    # a hard failure at the starting point is an error, not a rejection; a
+    # warm start's first pass is at init
+    search.score(u, for_pass=warm)
     confirmed = False
     if warm:
         search.evaluations += 1

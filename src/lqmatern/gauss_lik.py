@@ -31,6 +31,10 @@ every replicate's log-likelihood at any sigma2:
 
 ``profile_lq`` does that work once per (beta, nu), solves for sigma2 in
 O(m) (``profile_sigma2``) and scores the point by its log-domain value V.
+The profiling itself, from R's factor on, is ``_profile_factor``; the fit's
+Newton points call it on the factor their derivative pass goes on to use
+(``asymptotics._factor_point``), which is the one profile_lq takes, so both
+routes give the same (sigma2, V) bit for bit.
 """
 
 from dataclasses import dataclass
@@ -215,15 +219,29 @@ def profile_sigma2(quad, n, q, lower, upper):
     return sigma2
 
 
+def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
+    """(sigma2, value) at a correlation matrix R from its Cholesky factor.
+
+    The quadratic forms z_i' R^-1 z_i come from one triangular solve;
+    sigma2 in [sigma2_lower, sigma2_upper] from ``profile_sigma2``, and the
+    value is ``_lq_weights``'s: sum l_i at q = 1 and logsumexp((1-q) l) /
+    (1-q) below it.  ``profile_lq`` and the fit's Newton points
+    (``asymptotics._factor_point``) score a point through it.
+    """
+    n = reps.n
+    quad = _quad_forms(reps.data, chol)
+    sigma2 = profile_sigma2(quad, n, q, sigma2_lower, sigma2_upper)
+    lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
+    return sigma2, _lq_weights(lvec, q)[0]
+
+
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     """Log-domain Lq objective at (beta, nu) with sigma2 solved exactly.
 
-    Builds and factors the correlation matrix R(beta, nu) once, takes the
-    quadratic forms from one triangular solve, and finds sigma2 in
-    [sigma2_lower, sigma2_upper] with ``profile_sigma2``.  Returns
-    (sigma2, value), where value is ``_lq_weights``'s: sum l_i at q = 1 and
-    logsumexp((1-q) l) / (1-q) below it.  Raises NotSPDError carrying
-    MaternParams(1, beta, nu) if R cannot be factored.
+    Builds and factors the correlation matrix R(beta, nu) once and profiles
+    sigma2 on the factor (``_profile_factor``).  Returns (sigma2, value).
+    Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
+    factored.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
@@ -233,8 +251,4 @@ def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     except NotSPDError as err:
         err.theta = corr
         raise
-    n = reps.n
-    quad = _quad_forms(reps.data, chol)
-    sigma2 = profile_sigma2(quad, n, q, sigma2_lower, sigma2_upper)
-    lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
-    return sigma2, _lq_weights(lvec, q)[0]
+    return _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper)

@@ -15,7 +15,7 @@ orders nu and nu - 1: two calls give the value and the five per-distance
 terms, the beta and nu derivatives of M / sigma2 and the (beta, beta),
 (beta, nu) and (nu, nu) Hessian entries of M.  M is linear in sigma2, so
 these are every nonzero entry of the gradient and the Hessian.  The
-estimating-function pass (``asymptotics._weighted_derivs``) reads the terms
+estimating-function pass (``asymptotics._factor_point``) reads the terms
 directly.  Derivatives in the argument of K_nu use exact identities, the
 recurrence and the modified Bessel ODE:
 

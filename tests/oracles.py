@@ -6,15 +6,19 @@ The package evaluates the kernel's derivatives as per-distance terms
 textbook forms: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
 log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), one
-replicate's U* and V*, and one vector's variogram.  This module assembles
+replicate's U* and V*, every replicate's gradient and Hessian from Sigma's
+own factor (the reference of the derivative pass), and one vector's
+variogram.  This module assembles
 them from the package's own pieces, so the oracles check the code the fit
 and the sandwich run.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from lqmatern.asymptotics import _weighted_derivs, ustar_all
-from lqmatern.gauss_lik import _LOG_2PI, ReplicateSet, _quad_forms, chol_factor
+from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _quad_forms,
+                                chol_factor)
 from lqmatern.matern import _kernel_terms, build_cov
 from lqmatern.variogram import DEFAULT_N_BINS, variogram_by_replicate
 
@@ -93,6 +97,49 @@ def vstar(z, locs, theta, q):
     g, _, H, log_scale = _weighted_derivs(z, locs, theta, q)
     out = (H + (1.0 - q) * (g @ g.T)) * np.exp(log_scale)
     return 0.5 * (out + out.T)
+
+
+def per_replicate_derivs(Z, locs, theta):
+    """Every replicate's g (3, m), H (3, 3, m) and log density l (m,).
+
+    The reference for the weighted pass: each replicate's 3 x 3 Hessian is
+    formed in full, from the same kernel pass, one n x n Hessian slice at a
+    time, with Sigma = sigma2 R factored as it stands and every product
+    with Sigma^-1 taken by solves on that factor.
+    """
+    m = Z.shape[1]
+    uniq, inv = locs._dist_unique
+    val, grad, hess = kernel_derivs(uniq, theta, locs._dist_cheb)
+    chol = chol_factor(val[inv])
+    cl = (chol.L, True)
+    W = cho_solve(cl, Z)
+    Sinv = cho_solve(cl, np.eye(Z.shape[0]))
+    dS = grad[:, inv]
+    B = Sinv @ dS
+    A = dS @ W                                 # dS_j w per replicate
+    SinvA = np.stack([cho_solve(cl, A[j]) for j in range(3)])
+    g = 0.5 * np.sum(W * A, axis=1) - 0.5 * np.trace(B, axis1=1, axis2=2)[:, None]
+    H = np.empty((3, 3, m))
+    for j in range(3):
+        for k in range(j, 3):
+            d2S = hess[j, k][inv]
+            H[j, k] = H[k, j] = (0.5 * np.sum(B[j] * B[k].T)
+                                 - np.sum(A[j] * SinvA[k], axis=0)
+                                 + 0.5 * np.sum(W * (d2S @ W), axis=0)
+                                 - 0.5 * np.vdot(Sinv, d2S))
+    return g, H, loglik_columns(Z, chol)
+
+
+def sigma_route_pass(Z, locs, theta, q):
+    """The derivative pass's (g, w, H, log_scale) from ``per_replicate_derivs``.
+
+    H = sum w_i H_i with the weights of the log densities, and the log
+    scale (1-q) logsumexp((1-q) l) / (1-q) (0 at q = 1): the package's pass
+    factors R instead of Sigma and multiplies by Sigma^-1 = R^-1 / sigma2.
+    """
+    g, H, lvec = per_replicate_derivs(Z, locs, theta)
+    value, w = _lq_weights(lvec, q)
+    return g, w, (H * w).sum(axis=2), (1.0 - q) * value if q < 1.0 else 0.0
 
 
 def empirical_variogram(z, locs, n_bins=DEFAULT_N_BINS, max_dist=None):

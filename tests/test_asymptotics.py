@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
 
 from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
                                   sandwich, std_errs, ustar_all)
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
-                                chol_factor)
+                                _profile_factor, chol_factor)
 from lqmatern import asymptotics, matern
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.estimate import _profile_derivs, fit
 from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
-from oracles import (cov_derivs, kernel_derivs, log_likelihood,
-                     loglik_columns, lq_of_loglik, ustar, vstar)
+from oracles import (cov_derivs, kernel_derivs, log_likelihood, lq_of_loglik,
+                     per_replicate_derivs, sigma_route_pass, ustar, vstar)
 
 # well separated points keep the covariance comfortably conditioned, so
 # finite-difference oracles are trustworthy at tight tolerances
@@ -488,36 +487,6 @@ class TestInterpolatedSandwich:
         assert np.all(np.array(err) <= NOISE_FACTOR * noise), (err, noise)
 
 
-def per_replicate_derivs(Z, locs, theta):
-    """Every replicate's g (3, m), H (3, 3, m) and log density l (m,).
-
-    The reference for the weighted pass: each replicate's 3 x 3 Hessian is
-    formed in full, from the same kernel pass and Cholesky factor, one
-    n x n Hessian slice at a time.
-    """
-    m = Z.shape[1]
-    uniq, inv = locs._dist_unique
-    val, grad, hess = kernel_derivs(uniq, theta, locs._dist_cheb)
-    chol = chol_factor(val[inv])
-    cl = (chol.L, True)
-    W = cho_solve(cl, Z)
-    Sinv = cho_solve(cl, np.eye(Z.shape[0]))
-    dS = grad[:, inv]
-    B = Sinv @ dS
-    A = dS @ W                                 # dS_j w per replicate
-    SinvA = np.stack([cho_solve(cl, A[j]) for j in range(3)])
-    g = 0.5 * np.sum(W * A, axis=1) - 0.5 * np.trace(B, axis1=1, axis2=2)[:, None]
-    H = np.empty((3, 3, m))
-    for j in range(3):
-        for k in range(j, 3):
-            d2S = hess[j, k][inv]
-            H[j, k] = H[k, j] = (0.5 * np.sum(B[j] * B[k].T)
-                                 - np.sum(A[j] * SinvA[k], axis=0)
-                                 + 0.5 * np.sum(W * (d2S @ W), axis=0)
-                                 - 0.5 * np.vdot(Sinv, d2S))
-    return g, H, loglik_columns(Z, chol)
-
-
 class TestWeightedDerivativePass:
     """The one derivative pass against every replicate's g_i and H_i."""
 
@@ -550,7 +519,8 @@ class TestWeightedDerivativePass:
         G = g_want - gbar[:, None]
         hess_want = (H * w).sum(axis=2) + (1.0 - q) * (G * w) @ G.T
         # at a clipped sigma2 the profile's derivatives are the full ones
-        grad, hess = _profile_derivs(reps, locs, *at.as_array(), q, clipped=True)
+        point = asymptotics._factor_point(locs, at.beta, at.nu)
+        grad, hess = _profile_derivs(reps, locs, point, at.sigma2, q, clipped=True)
         assert_close(grad, gbar[1:])
         assert_close(hess, hess_want[1:, 1:])
 
@@ -559,6 +529,24 @@ class TestWeightedDerivativePass:
         parts = sandwich(reps, locs, at, q)
         assert_close(parts.K, U @ U.T / reps.m)
         assert_close(parts.J, V.mean(axis=2))
+
+    @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
+    @pytest.mark.parametrize("q", [1.0, 0.9])
+    @pytest.mark.parametrize("sigma2", [0.9, 3.3e-3])
+    def test_r_route_matches_the_sigma_route(self, layout, n, q, sigma2):
+        # the pass factors R, is scored on that factor first where the fit
+        # scores a Newton point, and finishes at sigma2; the oracle factors
+        # Sigma and solves on it
+        theta = MaternParams(1.0, 0.15, 0.6)
+        locs, reps, _ = simulate_dataset(
+            SimConfig(theta, n=n, m=30, layout=layout, seed=2))
+        at = MaternParams(sigma2, 0.17, 0.55)
+        want = sigma_route_pass(reps.data, locs, at, q)
+        point = asymptotics._factor_point(locs, at.beta, at.nu)
+        _profile_factor(reps, point.chol, q, 1e-3, 1e3)
+        got = asymptotics._finish(reps.data, locs, point, at.sigma2, q)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_peak_memory(self):
         # tracemalloc sees numpy's buffers: one pass at n = 400 on irregular

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqmatern.estimate as est
-from lqmatern.asymptotics import _weighted_derivs
+from lqmatern import asymptotics, gauss_lik
+from lqmatern.asymptotics import _factor_point, _weighted_derivs
 from lqmatern.estimate import (Bounds, FitChain, FitResult, QProfile,
                                default_bounds, default_init, fit, fit_profile)
 from lqmatern.gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, ReplicateSet,
@@ -70,6 +71,36 @@ class TestDefaultInit:
         th = default_init(reps, b)
         assert b.contains(th)
         assert th.sigma2 > b.lower.sigma2
+
+    def test_start_inside_the_box_is_kept_exactly(self):
+        # fits in the default box keep their start bit for bit
+        reps = ReplicateSet(np.ones((4, 3)))
+        th = default_init(reps, default_bounds())
+        assert (th.beta, th.nu) == (0.1, 0.5)
+
+    def test_start_outside_the_box_moves_a_tenth_inside(self):
+        reps = ReplicateSet(np.ones((4, 3)))
+        lo, hi = default_bounds().as_arrays()
+        for box, want in (
+                (Bounds(MaternParams(*lo), MaternParams(hi[0], hi[1], 0.38)),
+                 (0.1, 0.38 - 0.1 * (0.38 - 0.05))),
+                (Bounds(MaternParams(lo[0], 0.2, 0.6), MaternParams(*hi)),
+                 (0.2 + 0.1 * (10.0 - 0.2), 0.6 + 0.1 * (5.0 - 0.6))),
+                (Bounds(MaternParams(lo[0], 0.1, lo[2]), MaternParams(*hi)),
+                 (0.1 + 0.1 * (10.0 - 0.1), 0.5))):
+            th = default_init(reps, box)
+            assert (th.beta, th.nu) == pytest.approx(want, rel=1e-15)
+
+    def test_start_off_a_face_spares_the_restarts(self, interior_data):
+        # started 1e-6 of the width below nu = 0.38, this fit took 209
+        # evaluations and 2 restarts to reach the interior maximum; the
+        # default box's fit took 40
+        locs, reps, base = interior_data
+        lo, hi = default_bounds().as_arrays()
+        box = Bounds(MaternParams(*lo), MaternParams(hi[0], hi[1], 0.38))
+        res = fit(reps, locs, 1.0, box)
+        assert res.converged and res.restarts == 0 and res.evaluations <= 60
+        assert abs(res.theta_hat.nu - base[1.0].theta_hat.nu) <= 1e-6 * (0.38 - lo[2])
 
 
 class TestFit:
@@ -180,14 +211,15 @@ class TestFit:
         # cannot move, which must not pass for a confirmation
         locs, reps = small_data
         init = default_init(reps, default_bounds())
-        real = est.profile_lq
+        real = est._Search.score
 
-        def reject(reps, locs, beta, nu, *a, **k):
+        def reject(search, u, *a, **k):
+            beta, nu = search.corner + u * search.width
             if (beta, nu) != (init.beta, init.nu):
                 raise NotSPDError("forced", theta=None)
-            return real(reps, locs, beta, nu, *a, **k)
+            return real(search, u, *a, **k)
 
-        monkeypatch.setattr(est, "profile_lq", reject)
+        monkeypatch.setattr(est._Search, "score", reject)
         res = fit(reps, locs, 1.0, tol=1e-3)
         assert not res.converged
         assert (res.theta_hat.beta, res.theta_hat.nu) == (init.beta, init.nu)
@@ -384,7 +416,7 @@ class TestConfirmation:
         sigma2, _ = profile_lq(reps, locs, *p, q, s2_lo, s2_hi)
         clipped = sigma2 == s2_hi
         assert clipped == (s2_hi < 1.0)
-        g, H = est._profile_derivs(reps, locs, sigma2, *p, q, clipped)
+        g, H = est._profile_derivs(reps, locs, _factor_point(locs, *p), sigma2, q, clipped)
         g_fd, H_fd = fd_profile(reps, locs, p, q, s2_lo, s2_hi)
         assert np.abs(g - g_fd).max() <= PROFILE_RTOL * np.abs(g_fd).max()
         assert np.abs(H - H_fd).max() <= PROFILE_RTOL * np.abs(H_fd).max()
@@ -489,8 +521,8 @@ class TestShortStepRule:
                 starts[(u + step[0]).tobytes()] = (search.value(u), step[1])
             return step
 
-        def score(search, u):
-            real_score(search, u)
+        def score(search, u, *args, **kwargs):
+            real_score(search, u, *args, **kwargs)
             key = u.tobytes()
             if key in starts:
                 start, rise = starts[key]
@@ -598,6 +630,136 @@ class TestNewtonFinish:
             assert_same_theta(res.theta_hat.as_array(), base[q].theta_hat.as_array())
 
 
+@pytest.fixture(scope="module")
+def fused_sets():
+    """An n = 36 grid (kv at every distance) and n = 49 uniform sites (Chebyshev)."""
+    sets = []
+    for layout, n in (("grid", 36), ("uniform", 49)):
+        cfg = SimConfig(MaternParams(1.0, 0.2, 0.5), n=n, m=30, layout=layout,
+                        seed=1, contamination=ContaminationSpec(0.1, 1.0))
+        locs, reps, _flags = simulate_dataset(cfg)
+        sets.append((locs, reps, fit(reps, locs, 1.0).theta_hat))
+    assert sets[0][0]._dist_cheb is None and sets[1][0]._dist_cheb is not None
+    return sets
+
+
+def cold_and_warm_fits(locs, reps, near):
+    """A cold fit and a warm one from ``near`` at q in {1, 0.9}."""
+    for q in (1.0, 0.9):
+        yield fit(reps, locs, q)
+        yield fit(reps, locs, q, init=near, warm=True)
+
+
+class TestFusedNewtonPoint:
+    """One kernel pass and one factor of R score a Newton point and finish its pass."""
+
+    def test_every_scored_point_is_profile_lqs(self, fused_sets, monkeypatch):
+        # (sigma2, V) at every point a fit scores, on R's factor or not,
+        # is profile_lq's bit for bit
+        real = est._Search.score
+        routes = []
+
+        def score(search, u, for_pass=False):
+            real(search, u, for_pass)
+            beta, nu = search.corner + u * search.width
+            want = profile_lq(search.reps, search.locs, beta, nu, search.q, *search.s2_box)
+            assert search.scored[u.tobytes()] == want
+            routes.append(for_pass)
+
+        monkeypatch.setattr(est._Search, "score", score)
+        for locs, reps, near in fused_sets:
+            for res in cold_and_warm_fits(locs, reps, near):
+                assert res.converged
+        assert any(routes) and not all(routes)
+
+    def test_one_factorization_per_point(self, fused_sets, monkeypatch):
+        # chol_factor runs once per scored point, and once more for a pass
+        # only at a point that was not scored for it
+        calls = []
+
+        def counted(real):
+            def chol(cov):
+                calls.append(1)
+                return real(cov)
+            return chol
+
+        monkeypatch.setattr(gauss_lik, "chol_factor", counted(gauss_lik.chol_factor))
+        monkeypatch.setattr(asymptotics, "chol_factor", counted(asymptotics.chol_factor))
+        real_score, real_step = est._Search.score, est._Search.newton_step
+        held, per_pass = [None], []
+
+        def score(search, u, for_pass=False):
+            before = len(calls)
+            real_score(search, u, for_pass)
+            assert len(calls) == before + 1
+            held[0] = u.tobytes() if for_pass else None
+
+        def newton_step(search, u):
+            before = len(calls)
+            out = real_step(search, u)
+            fused = held[0] == u.tobytes()
+            assert len(calls) == before + (0 if fused else 1)
+            per_pass.append(fused)
+            held[0] = None
+            return out
+
+        monkeypatch.setattr(est._Search, "score", score)
+        monkeypatch.setattr(est._Search, "newton_step", newton_step)
+        kinds = []
+        for locs, reps, near in fused_sets:
+            for res in cold_and_warm_fits(locs, reps, near):
+                assert res.newton_steps == len(per_pass)
+                kinds.append(list(per_pass))
+                per_pass.clear()
+        # a cold fit's first pass follows the simplex, a warm one's is at
+        # its scored start; Newton points scored for a pass follow in both
+        assert not any(k[0] for k in kinds[::2]) and all(k[0] for k in kinds[1::2])
+        assert any(any(k[1:]) for k in kinds[::2])
+
+    def test_forced_rescue_is_shared_by_the_score_and_the_pass(self, fused_sets,
+                                                               monkeypatch):
+        # the warm start's point is scored for its pass: a jitter rescue
+        # there is taken once, and the pass inverts that jittered factor
+        locs, reps, near = fused_sets[1]
+        real_chol, real_potri = gauss_lik.cholesky, asymptotics.dpotri
+        real_score = est._Search.score
+        armed, seen = [False], {}
+
+        def cholesky(a, **kwargs):
+            seen.setdefault("cholesky", 0)
+            seen["cholesky"] += 1
+            if armed[0]:
+                armed[0] = False
+                raise np.linalg.LinAlgError("forced")
+            return real_chol(a, **kwargs)
+
+        def score(search, u, for_pass=False):
+            armed[0] = for_pass and "factor" not in seen
+            real_score(search, u, for_pass)
+            if for_pass and "factor" not in seen:
+                chol = search.point[1].chol
+                seen["factor"] = (chol.jittered, chol.L.copy(), seen["cholesky"])
+                seen["scored"] = search.scored[u.tobytes()]
+                seen["point"] = tuple(search.corner + u * search.width)
+
+        def dpotri(c, **kwargs):
+            seen.setdefault("potri", []).append((c.copy(), seen["cholesky"]))
+            return real_potri(c, **kwargs)
+
+        monkeypatch.setattr(gauss_lik, "cholesky", cholesky)
+        monkeypatch.setattr(asymptotics, "dpotri", dpotri)
+        monkeypatch.setattr(est._Search, "score", score)
+        fit(reps, locs, 0.9, init=near, warm=True)
+        jittered, L, count = seen["factor"]
+        assert jittered
+        # the first pass is at init, with no factorization of its own
+        first, count_at_pass = seen["potri"][0]
+        assert count_at_pass == count and np.array_equal(first, L)
+        armed[0] = True
+        want = profile_lq(reps, locs, *seen["point"], 0.9, 1e-3, 1e3)
+        assert seen["scored"] == want
+
+
 def reweighted_step(reps, locs, at, q_old, q):
     """-H^-1 gbar at ``at`` for q, from one pass weighted for q_old.
 
@@ -629,9 +791,9 @@ def record_passes(monkeypatch):
     points = []
     real = est._profile_derivs
 
-    def spy(reps, locs, sigma2, beta, nu, *args, **kwargs):
-        points.append(MaternParams(sigma2, beta, nu))
-        return real(reps, locs, sigma2, beta, nu, *args, **kwargs)
+    def spy(reps, locs, point, sigma2, *args, **kwargs):
+        points.append(MaternParams(sigma2, point.corr.beta, point.corr.nu))
+        return real(reps, locs, point, sigma2, *args, **kwargs)
 
     monkeypatch.setattr(est, "_profile_derivs", spy)
     return points
@@ -683,7 +845,8 @@ class TestChainStart:
         for q in SYM_QS:
             th = base[q].theta_hat
             kept = []
-            est._profile_derivs(reps, locs, *th.as_array(), q, False, keep=kept)
+            est._profile_derivs(reps, locs, _factor_point(locs, th.beta, th.nu),
+                                th.sigma2, q, False, keep=kept)
             lo, hi = default_bounds().as_arrays()
             value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
             corr = chol_factor(build_cov(locs, MaternParams(1.0, th.beta, th.nu)))

@@ -74,7 +74,8 @@ class TestCholFactor:
     def test_forced_rescue_matches_the_explicit_scale(self, monkeypatch, path,
                                                       sigma2, layout, n):
         # the rescue on each caller's covariance is bit for bit the one taken
-        # with the scale each caller once passed: 1 on R, sigma2 on Sigma
+        # with the scale each caller once passed: 1 on R (the profile and the
+        # derivative pass), sigma2 on Sigma (simulation)
         locs = make_locations(n, layout, seed=2)
         theta = MaternParams(sigma2, 0.1, 0.5)
         real = gauss_lik.cholesky
@@ -96,7 +97,7 @@ class TestCholFactor:
             scale = 1.0
         elif path == "weighted_derivs":
             _weighted_derivs(reps.data, locs, theta, 0.9)
-            scale = sigma2
+            scale = 1.0
         else:
             gen_replicates(locs, theta, 2, seed=0)
             scale = sigma2

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lqmatern.asymptotics import _weighted_derivs
+from lqmatern.estimate import _Search, default_bounds
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
 
@@ -53,6 +54,22 @@ def test_derivative_pass_peak(data):
     # each n x n array is dropped after its last use (6.25 measured)
     locs, reps = data
     assert peak_doubles(lambda: _weighted_derivs(reps.data, locs, THETA, 0.9)) <= 7.0
+
+
+def test_fused_newton_point_peak(data):
+    # a Newton point scored on R's factor and its pass on the same factor,
+    # as the fit takes them: the score's solve adds less than the pass's
+    # own peak (6.25 measured)
+    locs, reps = data
+    search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
+    u = (np.array([THETA.beta, THETA.nu]) - search.corner) / search.width
+
+    def point():
+        search.score(u, for_pass=True)
+        search.newton_step(u)
+
+    assert peak_doubles(point) <= 7.0
+    assert search.passes == 1 and search.last_pass is not None and search.point is None
 
 
 def test_location_set_holds_no_dense_distances(data):
