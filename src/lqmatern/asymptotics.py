@@ -38,23 +38,20 @@ and the fit's Hessian of the log-domain objective adds the centred
 (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, with gbar = sum w_i g_i.
 V* is the case m = 1.
 
-The pass has two parts, so that one factorization serves a fit's Newton
-point twice.  ``_factor_point`` takes the kernel's per-distance terms at
-(1, beta, nu) from one Bessel pass over the u unique distances
-(``matern._kernel_terms``), gathers the correlation matrix R from them and
-factors it; R equals ``build_cov``'s bit for bit, so the fit scores the
-point on that factor (``gauss_lik._profile_factor``) exactly as
-``gauss_lik.profile_lq`` would.  ``_finish`` then completes the pass at
-any sigma2, where Sigma = sigma2 R: Sigma^-1 is LAPACK's potri on R's
-factor, in its place, with the lower triangle mirrored, divided by sigma2;
+The pass (``_finish``) starts from the Cholesky factor of the correlation
+matrix R(beta, nu) that scored the point (``gauss_lik._corr_factor``), so
+a fit's Newton point is built and factored once, and completes it at any
+sigma2, where Sigma = sigma2 R: Sigma^-1 is LAPACK's potri on R's factor,
+in its place, with the lower triangle mirrored, divided by sigma2;
 W = Sigma^-1 Z is one product with it, batched over replicates, with no
-solve; dS_j and d2S_jk are R's terms times sigma2, and
-log|Sigma| = log|R| + n log sigma2.  The sandwich and U* finish a fresh
-point at theta-hat's sigma2 (``_weighted_derivs``).  The terms come as the
-covariance's and the gradient's per-distance terms apart from the
-Hessian's, so the first are dropped once dS_j are gathered.  The
-gradient's per-replicate products w_i' dS_j w_i also give
-<dS_j, M> = sum w_i w_i' dS_j w_i, the sigma2 row of the sum.
+solve; and log|Sigma| = log|R| + n log sigma2.  The kernel's five
+derivative terms at (1, beta, nu) come from one Bessel pass over the u
+unique distances (``matern._kernel_terms``), computed when the pass runs;
+dS_j and d2S_jk are those terms times sigma2.  The sandwich and U* factor
+R at theta-hat and finish there (``_weighted_derivs``).  The terms come
+as the gradient's apart from the Hessian's, so the first are dropped once
+dS_j are gathered.  The gradient's per-replicate products w_i' dS_j w_i
+also give <dS_j, M> = sum w_i w_i' dS_j w_i, the sigma2 row of the sum.
 The second derivatives enter the sum only through
 <d2S_jk, M - w_sum Sigma^-1>, its data term and its trace term
 tr(Sigma^-1 d2S_jk) together (w_sum = sum w_i), so that n x n matrix is
@@ -63,9 +60,8 @@ summed onto the unique distances with one bincount, and each of the three
 formed over the n x n sites.  The other trace terms are tr(B_j B_k) with
 B_j = Sigma^-1 dS_j, and the data terms <dS_j, B_k M> come from the
 n x m products B_k W when there are fewer replicates than sites, else from
-B_k M, one k at a time.  Every n x n array is dropped after its last use,
-so at n = 400, m = 100 the pass peaks at 6.25 n^2 doubles, with the
-point's score before it or without.
+B_k M, one k at a time.  Every n x n array is dropped after its last use
+(the README's "Performance notes" give the pass's measured peak).
 
 ``std_errs`` returns the sandwich standard errors sqrt(diag(J^-1 K J^-1)),
 the asymptotic variance of an M-estimator (White 1982) and of the MLqE
@@ -83,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .gauss_lik import _LOG_2PI, NotSPDError, _lq_weights, chol_factor
+from .gauss_lik import _LOG_2PI, NotSPDError, _corr_factor, _lq_weights
 from .matern import MaternParams, _kernel_terms
 
 # Relative eigenvalue floor used when building the PD surrogate of J.
@@ -127,6 +123,10 @@ class StdErrs:
     cond: float = float("nan")
 
 
+# The strict upper triangle of a diagonal block of ``_mirror_lower``.
+_UPPER = np.triu(np.ones((64, 64), dtype=bool), 1)
+
+
 def _mirror_lower(a):
     """Copy the lower triangle of the square array a onto its upper, in place.
 
@@ -136,57 +136,19 @@ def _mirror_lower(a):
     for lo in range(0, n, 64):
         hi = min(lo + 64, n)
         d = a[lo:hi, lo:hi]
-        d[...] = np.tril(d) + np.tril(d, -1).T
+        np.copyto(d, d.T, where=_UPPER[:hi - lo, :hi - lo])
         a[lo:hi, hi:] = a[hi:, lo:hi].T
 
 
-class _Point:
-    """R(beta, nu)'s kernel terms and Cholesky factor, held for one pass.
-
-    ``_factor_point`` makes one; the fit scores it on the factor
-    (``gauss_lik._profile_factor``) and ``_finish`` then takes its arrays:
-    the pass drops each after its last use and overwrites the factor with
-    Sigma^-1, so a point serves one pass.
-    """
-
-    __slots__ = ("corr", "terms", "chol")
-
-    def __init__(self, corr, terms, chol):
-        self.corr, self.terms, self.chol = corr, terms, chol
-
-    def take(self):
-        terms, chol = self.terms, self.chol
-        self.terms = self.chol = None
-        return terms, chol
-
-
-def _factor_point(locs, beta, nu):
-    """The kernel terms at (1, beta, nu) and the Cholesky factor of R, as a _Point.
-
-    R is gathered from the terms' value, which is build_cov's bit for bit,
-    so the factor is the one ``gauss_lik.profile_lq`` takes at (beta, nu).
-    Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
-    factored.
-    """
-    corr = MaternParams(1.0, beta, nu)
-    uniq, inv = locs._dist_unique
-    terms = _kernel_terms(uniq, corr, locs._dist_cheb)
-    try:
-        chol = chol_factor(terms[0][0][inv])
-    except NotSPDError as err:
-        err.theta = corr
-        raise
-    return _Point(corr, terms, chol)
-
-
-def _finish(Z, locs, point, s2, q):
+def _finish(Z, locs, chol, theta, q):
     """Per-replicate gradients and the weighted Hessian sum of the columns of Z.
 
-    The pass at theta = (s2, beta, nu), from the point's terms and factor of
-    R(beta, nu) (``_factor_point``).  Returns (g, w, H, log_scale): every
-    replicate's g_i as g (3, m), the weights w (m,) of ``_lq_weights``,
-    H = sum w_i H_i (3, 3), and the log scale s of the raw factors,
-    f_i^(1-q) = w_i e^s (0 at q = 1).  The weights come from
+    The pass at theta = (s2, beta, nu), from ``chol``, the Cholesky factor
+    of R(beta, nu) (``gauss_lik._corr_factor``), which it overwrites with
+    Sigma^-1.  Returns (g, w, H, log_scale): every replicate's g_i as
+    g (3, m), the weights w (m,) of ``_lq_weights``, H = sum w_i H_i
+    (3, 3), and the log scale s of the raw factors, f_i^(1-q) = w_i e^s
+    (0 at q = 1).  The weights come from
     -(1/2) z' Sigma^-1 z, since the log density's terms common to all
     replicates do not change them; s adds those terms back, with
     log|Sigma| = log|R| + n log s2.
@@ -211,9 +173,8 @@ def _finish(Z, locs, point, s2, q):
         raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
-    theta = MaternParams(s2, point.corr.beta, point.corr.nu)
+    s2 = theta.sigma2
     uniq, inv = locs._dist_unique
-    (vg, d2), chol = point.take()
     # Sigma^-1 overwrites the factor, which nothing reads past this point
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
@@ -227,8 +188,10 @@ def _finish(Z, locs, point, s2, q):
     w_sum = float(w.sum())
 
     # every n x n array below is dropped after its last use
-    dS = [np.take(row, inv, mode="clip") for row in vg[1:]]    # beta, nu
-    del vg
+    grad, d2 = _kernel_terms(uniq, MaternParams(1.0, theta.beta, theta.nu),
+                             locs._dist_cheb)
+    dS = [np.take(row, inv, mode="clip") for row in grad]      # beta, nu
+    del grad
     quad_d = np.empty((2, m))                                  # w_i' dS_j w_i
     dSW, B = [], []
     for k in range(2):
@@ -286,8 +249,8 @@ def _finish(Z, locs, point, s2, q):
 
 
 def _weighted_derivs(Z, locs, theta, q):
-    """``_finish`` at theta on a fresh point: the pass of the sandwich and U*."""
-    return _finish(Z, locs, _factor_point(locs, theta.beta, theta.nu), theta.sigma2, q)
+    """``_finish`` at theta on a fresh factor of R: the pass of the sandwich and U*."""
+    return _finish(Z, locs, _corr_factor(locs, theta.beta, theta.nu), theta, q)
 
 
 def ustar_all(reps, locs, theta, q):

@@ -2,12 +2,15 @@
 
 Sigma = sigma2 R(beta, nu), and sigma2 only rescales a correlation matrix
 that costs the same to build at every sigma2, so sigma2 is profiled out:
-the search runs over (beta, nu) alone, and at each trial point
-``gauss_lik.profile_lq`` builds and factors R once and solves for sigma2
-exactly inside its bounds (closed form at q = 1, safeguarded Newton steps
-in log sigma2 below; see ``gauss_lik.profile_sigma2``).  The search works
-in bound-scaled coordinates: (beta, nu) is mapped affinely to the unit
-square u = (x - lower) / width, where ``tol`` is measured.
+the search runs over (beta, nu) alone, and at each trial point it builds
+and factors R once (``gauss_lik._corr_factor``) and solves for sigma2
+exactly inside its bounds (``gauss_lik._profile_factor``: closed form at
+q = 1, safeguarded Newton steps in log sigma2 below), as
+``gauss_lik.profile_lq`` does.  It keeps the factor of the point it scored
+last, and a derivative pass at that point starts from it; a pass anywhere
+else factors R itself.  The search works in bound-scaled coordinates:
+(beta, nu) is mapped affinely to the unit square u = (x - lower) / width,
+where ``tol`` is measured.
 
 It compares the log-domain profile value V (sum l at q = 1,
 logsumexp((1-q) l) / (1-q) below), a strictly increasing transform of the
@@ -24,12 +27,10 @@ A cold fit has three stages.
 - Up to ``_NEWTON_STEPS`` Newton steps delta on V in u follow, from its
   exact gradient and Hessian (``_profile_derivs``).  A step is taken when
   the Hessian is negative definite, u + delta lies in the box and scores no
-  lower than u; any other step ends this stage, with no line search.  A
-  step longer than ``tol`` is scored for the derivative pass that follows
-  it: one kernel pass and one Cholesky factor of R serve the score, which
-  equals ``profile_lq``'s bit for bit, and the pass
-  (``asymptotics._factor_point``); a warm fit scores its init so.  A
-  step with |delta| <= ``tol`` componentwise confirms the fit.  Newton
+  lower than u; any other step ends this stage, with no line search.  The
+  pass after a step longer than ``tol``, and a warm fit's first pass at
+  init, are at the point scored last and share its factor of R.  A step
+  with |delta| <= ``tol`` componentwise confirms the fit.  Newton
   converges quadratically, so the step after a 1e-5 step is about 1e-11,
   and its rise is below the rounding of V: where the predicted rise
   delta' (-H) delta / 2 is at most ``gauss_lik.V_ROUNDING`` times the size
@@ -57,11 +58,10 @@ sum, and q enters them only through the replicate weights, so re-weighting
 that pass to the new q gives one Newton step for the new fit without a new
 pass (the corrector of predictor-corrector continuation; Allgower & Georg,
 Numerical Continuation Methods, 1990).  The step's (beta, nu) is the start;
-where it cannot be taken, the nearest estimate is.  Along
-``qselect.DEFAULT_GRID`` and the kappa selector's refinements, on 96 sweep
-datasets, a warm fit so started took 2 to 5 evaluations and 1 to 4
-derivative passes (3 to 27 and 2 to 6 from the nearest estimate).  The chain serves ``fit_profile``, the q
-selectors and the CLI sweep.
+where it cannot be taken, the nearest estimate is.  The README's
+"Performance notes" give the evaluations and passes of warm fits so
+started.  The chain serves ``fit_profile``, the q selectors and the CLI
+sweep.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -93,9 +93,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .asymptotics import _factor_point, _finish
-from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _lq_weights, _profile_factor,
-                        profile_lq)
+from .asymptotics import _finish
+from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _corr_factor, _lq_weights,
+                        _profile_factor)
 from .matern import MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -147,11 +147,11 @@ class FitResult:
     fit; ``converged`` tests V itself.  ``evaluations`` counts the
     (beta, nu) points the search scored and ``newton_steps`` the derivative
     passes of its Newton steps, each costing about as much as two to five
-    evaluations.  A pass at a point scored for it (a Newton step longer
-    than ``tol``, or a warm fit's init) shares that point's kernel pass and
-    Cholesky factor, so it builds and factors nothing of its own; a pass
-    elsewhere does both.  ``restarts`` counts the fallback simplex runs, 0
-    when Newton steps confirmed the estimate.
+    evaluations.  A pass at the point scored last (after a Newton step
+    longer than ``tol``, or at a warm fit's init) starts from that point's
+    Cholesky factor of R; a pass elsewhere factors R itself.  ``restarts``
+    counts the fallback simplex runs, 0 when Newton steps confirmed the
+    estimate.
     """
 
     theta_hat: MaternParams
@@ -276,28 +276,27 @@ class _PassSummary:
         return V_ROUNDING * max(abs(value), k * size)
 
 
-def _profile_derivs(reps, locs, point, sigma2, q, clipped, keep=None):
+def _profile_derivs(reps, locs, chol, theta, q, clipped):
     """Gradient (2,) and Hessian (2, 2) in (beta, nu) of profile_lq's value.
 
-    ``point`` is ``asymptotics._factor_point``'s at (beta, nu), which the
-    pass takes.  With the replicate weights w (summing to one below q = 1),
-    the full gradient of the log-domain objective is gbar = sum w_i g_i and
-    its Hessian is sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)',
-    from one ``asymptotics._finish`` pass.
+    ``chol`` is the Cholesky factor of R(beta, nu), theta = (sigma2, beta,
+    nu), which the pass takes.  With the replicate weights w (summing to one
+    below q = 1), the full gradient of the log-domain objective is
+    gbar = sum w_i g_i and its Hessian is
+    sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)', from one
+    ``asymptotics._finish`` pass.
 
-    ``sigma2`` is the profile's solution at (beta, nu).  Where it is
+    ``theta.sigma2`` is the profile's solution at (beta, nu).  Where it is
     interior, the sigma2-derivative of the objective vanishes, so the
     gradient is the (beta, nu) part of the full one and sigma2's response
     enters the Hessian through the Schur complement H_pp - H_ps H_ss^-1 H_sp
     (nan unless H_ss < 0, where sigma2 is no maximum).  Where it is
     ``clipped`` at a bound it stays there under small moves, and the
-    Hessian is H_pp.  A list passed as ``keep`` receives the pass's
-    ``_PassSummary``.
+    Hessian is H_pp.  Returns (gradient, Hessian, the pass's
+    ``_PassSummary``).
     """
-    theta = np.array([sigma2, point.corr.beta, point.corr.nu])
-    g, w, hess, _ = _finish(reps.data, locs, point, sigma2, q)
-    if keep is not None:
-        keep.append(_PassSummary(theta, q, reps.n, g, hess.copy()))
+    g, w, hess, _ = _finish(reps.data, locs, chol, theta, q)
+    summary = _PassSummary(theta.as_array(), q, reps.n, g, hess.copy())
     grad = g @ w
     if q < 1.0:
         G = g - grad[:, None]
@@ -306,9 +305,9 @@ def _profile_derivs(reps, locs, point, sigma2, q, clipped, keep=None):
     H = hess[1:, 1:]
     if not clipped:
         if not hess[0, 0] < 0.0:
-            return grad[1:], np.full((2, 2), np.nan)
+            return grad[1:], np.full((2, 2), np.nan), summary
         H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
-    return grad[1:], H
+    return grad[1:], H, summary
 
 
 class _Search:
@@ -328,32 +327,21 @@ class _Search:
         self.simplex_ok = True      # the last simplex run ended normally
         # (u, _PassSummary) of the last derivative pass
         self.last_pass = None
-        # (u.tobytes(), asymptotics._Point) of a point scored for a pass
-        self.point = None
+        # (u.tobytes(), CholFactor of R) of the point scored last
+        self.held = None
 
-    def score(self, u, for_pass=False):
-        """Score u into ``scored``: profile_lq's (sigma2, value).
+    def score(self, u):
+        """Score u into ``scored`` as profile_lq does, and hold R's factor at u."""
+        self.held = None        # the last point's factor goes before a new one comes
+        chol = _corr_factor(self.locs, *(self.corner + u * self.width))
+        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
+        self.held = (u.tobytes(), chol)
 
-        ``for_pass`` scores it on ``asymptotics._factor_point``'s factor of
-        R, the one profile_lq takes, and holds the point for the derivative
-        pass at u (``newton_step``).
-        """
-        beta, nu = self.corner + u * self.width
-        if not for_pass:
-            self.scored[u.tobytes()] = profile_lq(self.reps, self.locs, beta, nu,
-                                                  self.q, *self.s2_box)
-            return
-        self.point = None       # a held point's arrays go before new ones come
-        point = _factor_point(self.locs, beta, nu)
-        self.scored[u.tobytes()] = _profile_factor(self.reps, point.chol, self.q,
-                                                   *self.s2_box)
-        self.point = (u.tobytes(), point)
-
-    def value(self, u, for_pass=False):
+    def value(self, u):
         key = u.tobytes()
         if key not in self.scored:
             try:
-                self.score(u, for_pass)
+                self.score(u)
             except NotSPDError:
                 self.scored[key] = (float("nan"), -np.inf)
         return self.scored[key][1]
@@ -377,26 +365,25 @@ class _Search:
         """(delta, predicted rise) of one Newton step in u from a scored u.
 
         None where the derivatives are not finite or the profile Hessian is
-        not negative definite.  The pass takes the point held for u, if
-        any, and factors R at u otherwise.
+        not negative definite.  The pass takes the held factor where u is
+        the point scored last, and factors R at u otherwise.
         """
         self.passes += 1
         self.last_pass = None
         key = u.tobytes()
         sigma2 = self.scored[key][0]
-        held, self.point = self.point, None
-        kept = []
+        beta, nu = self.corner + u * self.width
+        chol = self.held[1] if self.held is not None and self.held[0] == key else None
+        self.held = None        # the pass overwrites it, or another factor is made
         try:
-            if held is not None and held[0] == key:
-                point = held[1]
-            else:
-                point = _factor_point(self.locs, *(self.corner + u * self.width))
-            g, H = _profile_derivs(self.reps, self.locs, point, sigma2, self.q,
-                                   clipped=sigma2 in self.s2_box, keep=kept)
+            if chol is None:
+                chol = _corr_factor(self.locs, beta, nu)
+            g, H, summary = _profile_derivs(self.reps, self.locs, chol,
+                                            MaternParams(sigma2, beta, nu), self.q,
+                                            clipped=sigma2 in self.s2_box)
         except NotSPDError:
             return None
-        if kept:
-            self.last_pass = (u, kept[0])
+        self.last_pass = (u, summary)
         g, H = g * self.width, H * np.outer(self.width, self.width)
         if not (np.all(np.isfinite(g)) and H[0, 0] < 0.0
                 and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0):
@@ -413,8 +400,7 @@ class _Search:
         taken whatever it scores (the tie rule); one that scores lower by
         less than its predicted rise confirms the point it started from
         (the short-step rule).  The last step allowed must be a confirming
-        one, so a longer step there is not scored.  A longer step's point is
-        scored for the pass from it.
+        one, so a longer step there is not scored.
         """
         val = self.value(u)
         if not np.isfinite(val):
@@ -432,11 +418,10 @@ class _Search:
             if not short and k == steps - 1:
                 break
             self.evaluations += 1
-            val_new = self.value(u_new, for_pass=not short)
+            val_new = self.value(u_new)
             # a rise below V's rounding cannot be told from a fall by scoring
-            floor = (self.last_pass[1].rounding_floor(val) if self.last_pass
-                     else V_ROUNDING * abs(val))
-            tie = short and rise <= floor and np.isfinite(val_new)
+            tie = (short and rise <= self.last_pass[1].rounding_floor(val)
+                   and np.isfinite(val_new))
             if val_new >= val or tie:
                 u, val = u_new, val_new
             elif not (short and val - val_new < rise):
@@ -447,7 +432,6 @@ class _Search:
             if short:
                 confirmed = True
                 break
-        self.point = None       # a point scored for a pass that did not run
         return u, confirmed
 
 
@@ -498,6 +482,8 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False, _keep=No
         confirmation, a normal end of the last simplex run, if any, and a
         finite profile value V at the estimate.
     """
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1], got %r" % (q,))
     if bounds is None:
         bounds = default_bounds()
     if init is None:
@@ -506,9 +492,8 @@ def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False, _keep=No
         raise ValueError("init %r lies outside the bounds" % (init,))
     search = _Search(reps, locs, q, bounds, tol)
     u = (init.as_array()[1:] - search.corner) / search.width
-    # a hard failure at the starting point is an error, not a rejection; a
-    # warm start's first pass is at init
-    search.score(u, for_pass=warm)
+    # a hard failure at the starting point is an error, not a rejection
+    search.score(u)
     confirmed = False
     if warm:
         search.evaluations += 1

@@ -29,12 +29,13 @@ every replicate's log-likelihood at any sigma2:
 
     l_i(sigma2) = -(1/2) [n log(2 pi) + log|R| + n log sigma2 + quad_i / sigma2]
 
-``profile_lq`` does that work once per (beta, nu), solves for sigma2 in
-O(m) (``profile_sigma2``) and scores the point by its log-domain value V.
-The profiling itself, from R's factor on, is ``_profile_factor``; the fit's
-Newton points call it on the factor their derivative pass goes on to use
-(``asymptotics._factor_point``), which is the one profile_lq takes, so both
-routes give the same (sigma2, V) bit for bit.
+Every (beta, nu) is scored one way: ``_corr_factor`` builds R with
+``build_cov`` and factors it, and ``_profile_factor`` solves for sigma2 on
+that factor in O(m) (``profile_sigma2``) and scores the point by its
+log-domain value V.  ``profile_lq`` is the two in turn.  The fit calls
+them itself and keeps the factor of the point it scored last for a
+derivative pass there (``estimate._Search``); the sandwich takes its
+factor from ``_corr_factor`` too.
 """
 
 from dataclasses import dataclass
@@ -55,9 +56,12 @@ JITTER_REL = 1e-10
 SIGMA2_RTOL = 1e-13
 SIGMA2_MAX_STEPS = 1000
 
-# Relative rounding of the log-domain value V: a Newton step whose
-# predicted rise is at most V_ROUNDING |V| cannot be told from its start by
-# scoring it, and is taken on the prediction alone.
+# Relative rounding of a log-domain value V: a step whose predicted rise is
+# at most V_ROUNDING times the size of the terms V is summed from cannot be
+# told from its start by scoring it, and is taken on the prediction alone.
+# profile_sigma2 takes that size as |V|; the fit's Newton steps take it
+# from the terms of the l_i, which can be far larger where V cancels to
+# near 0 (``estimate._PassSummary.rounding_floor``).
 V_ROUNDING = 8.0 * np.finfo(float).eps
 
 
@@ -225,8 +229,8 @@ def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
     The quadratic forms z_i' R^-1 z_i come from one triangular solve;
     sigma2 in [sigma2_lower, sigma2_upper] from ``profile_sigma2``, and the
     value is ``_lq_weights``'s: sum l_i at q = 1 and logsumexp((1-q) l) /
-    (1-q) below it.  ``profile_lq`` and the fit's Newton points
-    (``asymptotics._factor_point``) score a point through it.
+    (1-q) below it.  The factor is left unchanged, so a derivative pass
+    can start from it.
     """
     n = reps.n
     quad = _quad_forms(reps.data, chol)
@@ -235,20 +239,29 @@ def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
     return sigma2, _lq_weights(lvec, q)[0]
 
 
-def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
-    """Log-domain Lq objective at (beta, nu) with sigma2 solved exactly.
+def _corr_factor(locs, beta, nu):
+    """Cholesky factor of the correlation matrix R(beta, nu), from ``build_cov``.
 
-    Builds and factors the correlation matrix R(beta, nu) once and profiles
-    sigma2 on the factor (``_profile_factor``).  Returns (sigma2, value).
     Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
     factored.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1], got %r" % (q,))
     corr = MaternParams(1.0, beta, nu)
     try:
-        chol = chol_factor(build_cov(locs, corr))
+        return chol_factor(build_cov(locs, corr))
     except NotSPDError as err:
         err.theta = corr
         raise
-    return _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper)
+
+
+def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
+    """Log-domain Lq objective at (beta, nu) with sigma2 solved exactly.
+
+    Builds and factors the correlation matrix R(beta, nu) once
+    (``_corr_factor``) and profiles sigma2 on the factor
+    (``_profile_factor``).  Returns (sigma2, value).  Raises NotSPDError
+    carrying MaternParams(1, beta, nu) if R cannot be factored.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1], got %r" % (q,))
+    return _profile_factor(reps, _corr_factor(locs, beta, nu), q,
+                           sigma2_lower, sigma2_upper)

@@ -11,12 +11,12 @@ nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.
 
 The first and second derivatives in theta = (sigma2, beta, nu) come from one
 pass over the distances (``_kernel_terms``), which calls scipy's K at the
-orders nu and nu - 1: two calls give the value and the five per-distance
-terms, the beta and nu derivatives of M / sigma2 and the (beta, beta),
-(beta, nu) and (nu, nu) Hessian entries of M.  M is linear in sigma2, so
-these are every nonzero entry of the gradient and the Hessian.  The
-estimating-function pass (``asymptotics._factor_point``) reads the terms
-directly.  Derivatives in the argument of K_nu use exact identities, the
+orders nu and nu - 1: two calls give the five per-distance terms, the beta
+and nu derivatives of M / sigma2 and the (beta, beta), (beta, nu) and
+(nu, nu) Hessian entries of M.  M is linear in sigma2, so these and M
+itself (``build_cov``) are every nonzero entry of the gradient and the
+Hessian.  The estimating-function pass (``asymptotics._finish``) reads the
+terms directly.  Derivatives in the argument of K_nu use exact identities, the
 recurrence and the modified Bessel ODE:
 
     K'_mu(t) = -K_{mu-1}(t) - (mu/t) K_mu(t),
@@ -48,22 +48,22 @@ unique distance is evaluated depends on how many there are:
 - Above it (irregular sites: 79,800 distances at n = 400), the set caches
   panels of width 0.1 in s = log d over its distances (``_Panels``), and
   the kernel is a piecewise Chebyshev interpolant of degree 8 in s.  Per
-  (beta, nu), kve runs at the panels' nodes only (520-580 points at
-  n = 400), and the node values become coefficients through one fixed
-  9 x 9 matrix.  The Chebyshev basis T_0 .. T_8 at the sorted distances'
-  local coordinates is built by the three-term recurrence for a block of
-  whole panels at a time (about 8k distances, a 576 kB basis); each
-  panel's values are then one product of its coefficients with its
-  columns of the block's basis, times e^-t.  The interpolated functions,
-  t^nu K_nu(t) e^t and its companions, are analytic in s, so the
-  interpolant converges spectrally down to the smallest distance: its
-  value was within 7.5e-14 relative of kv's for beta in [1e-3, 10] and nu
-  in [0.05, 5] wherever K_nu > 1e-300 (the tests hold it to 1e-12), and it
-  is exactly 0 past t = 690.  beta only shifts s, so one cache serves
-  every (beta, nu).  The terms' pass forms its five terms at the nodes
-  from the node values of the same two calls and of ``_order_derivs``,
-  and interpolates them (``_cheb_terms``); it interpolates g with
-  build_cov's routine, so its value stays build_cov's bit for bit.
+  (beta, nu), kve runs at the panels' nodes only, and the node values
+  become coefficients through one fixed 9 x 9 matrix.  The Chebyshev basis
+  T_0 .. T_8 at the sorted distances' local coordinates is built by the
+  three-term recurrence for a block of whole panels at a time
+  (``_CHEB_BLOCK``); each panel's values are then one product of its
+  coefficients with its columns of the block's basis, times e^-t.  The
+  interpolated functions, t^nu K_nu(t) e^t and its companions, are
+  analytic in s, so the interpolant converges spectrally down to the
+  smallest distance: its value is within 1e-12 relative of kv's for beta
+  in [1e-3, 10] and nu in [0.05, 5] wherever K_nu > 1e-300 (the README's
+  "Performance notes" give the measured error), and it is exactly 0 past
+  t = 690.  beta only shifts s, so one cache serves every (beta, nu).
+  ``build_cov`` interpolates the value alone (``_cheb_g``); the
+  derivative pass forms its five terms at the nodes from the node values
+  of the same two calls and of ``_order_derivs``, and interpolates only
+  them (``_cheb_terms``).
 
 ``matern_cov`` and ``_kernel_terms`` without panels always evaluate kv
 directly, and the tests use them as the interpolant's reference.
@@ -239,46 +239,45 @@ class _Panels:
     def at(self, beta, live, vals, out):
         """Interpolants of node values, times e^-t, written into out.
 
-        ``vals`` holds arrays of node values (..., k, deg + 1), and ``out``
-        for each of them the arrays (u,) that receive its interpolants, one
-        per row of its leading dimensions.  The panels are taken in blocks
-        of whole panels holding up to ``_CHEB_BLOCK`` distances (a larger
-        panel is a block of its own).  For each block the Chebyshev basis
-        T_0 .. T_deg at its distances' local x is built by the three-term
-        recurrence into one (deg + 1, block) buffer shared by the blocks,
-        and each panel of each interpolant is one product of its
-        coefficients with the basis columns of the panel's distances.
-        Entries past ``live`` are exactly 0.
+        ``vals`` holds node values (..., k, deg + 1), and ``out`` the arrays
+        (u,) that receive the interpolants, one per row of its leading
+        dimensions.  The panels are taken in blocks of whole panels holding
+        up to ``_CHEB_BLOCK`` distances (a larger panel is a block of its
+        own).  For each block the Chebyshev basis T_0 .. T_deg at its
+        distances' local x is built by the three-term recurrence into one
+        (deg + 1, block) buffer shared by the blocks, and e^-t into another,
+        and each panel's interpolants are one product of its coefficients
+        with the basis columns of the panel's distances.  Entries past
+        ``live`` are exactly 0.
         """
-        bounds = np.append(self.starts[:vals[0].shape[-2]], live).tolist()
+        bounds = np.append(self.starts[:vals.shape[-2]], live).tolist()
         firsts = [0]
         for p in range(1, len(bounds) - 1):
             if bounds[p + 1] - bounds[firsts[-1]] > _CHEB_BLOCK:
                 firsts.append(p)
         blocks = list(zip(firsts, firsts[1:] + [len(bounds) - 1]))
-        basis = np.empty((_CHEB_DEG + 1, max(bounds[b] - bounds[a] for a, b in blocks)))
-        coefs = [v @ _CHEB_MAP.T for v in vals]
+        width = max(bounds[b] - bounds[a] for a, b in blocks)
+        basis, decay = np.empty((_CHEB_DEG + 1, width)), np.empty(width)
+        basis[0] = 1.0
+        coef = vals @ _CHEB_MAP.T
         for first, stop in blocks:
             lo, hi = bounds[first], bounds[stop]
             x = self.x[lo:hi]
-            T = basis[:, :hi - lo]
-            T[0] = 1.0
+            T, e = basis[:, :hi - lo], decay[:hi - lo]
             T[1] = x
             x2 = x + x
             for i in range(2, _CHEB_DEG + 1):
                 np.multiply(x2, T[i - 1], out=T[i])
                 T[i] -= T[i - 2]
-            decay = np.exp(-self.d[lo:hi] / beta)
+            np.exp(np.divide(self.d[lo:hi], -beta, out=e), out=e)
             for p in range(first, stop):
-                a, b = bounds[p], bounds[p + 1]
-                for coef, rows in zip(coefs, out):
-                    y = coef[..., p, :] @ T[:, a - lo:b - lo]
-                    y *= decay[a - lo:b - lo]
-                    for o, r in zip(rows, y.reshape(-1, b - a)):
-                        o[a:b] = r
-        for rows in out:
-            for o in rows:
-                o[live:] = 0.0
+                a, b = bounds[p] - lo, bounds[p + 1] - lo
+                y = coef[..., p, :] @ T[:, a:b]
+                y *= e[a:b]
+                for o, row in zip(out, y.reshape(-1, b - a)):
+                    o[lo + a:lo + b] = row
+        for o in out:
+            o[live:] = 0.0
 
 
 # === kernel evaluation ======================================================
@@ -362,11 +361,11 @@ def _order_derivs(nu, t):
 
 
 def _terms(t, theta, gk, qk, dk):
-    """The pass's per-distance terms from g, q and the order derivatives of K.
+    """The pass's five per-distance terms from g, q and the order derivatives of K.
 
-    Returns (g, rest): g = t^nu K_nu, and rest (5,) + t.shape stacking the
-    beta and nu derivatives of M / sigma2 and the (beta, beta), (beta, nu)
-    and (nu, nu) Hessian entries of M, from g, q = t^(nu+1) K_{nu-1} and
+    Returns (5,) + t.shape stacking the beta and nu derivatives of
+    M / sigma2 and the (beta, beta), (beta, nu) and (nu, nu) Hessian
+    entries of M, from g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and
     ``_order_derivs``' dK_nu/dnu, d2K_nu/dnu2 and dK_{nu-1}/dnu in dk, all
     carrying the same factor (1 or e^t).  The beta-derivatives come from
     q = -t^nu (nu K_nu + t K'_nu), which does not cancel at small t as the
@@ -379,7 +378,7 @@ def _terms(t, theta, gk, qk, dk):
     # d/dnu log(c(nu) t^nu), with c'(nu)/c(nu) = -(ln 2 + Psi(nu))
     a = np.log(t) - _LN2 - digamma(nu)
     dg = tnu * dk[0]       # t^nu dK_nu/dnu
-    rest = np.stack([
+    terms = np.stack([
         c / beta * qk,
         c * (a * gk + dg),
         # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
@@ -388,8 +387,8 @@ def _terms(t, theta, gk, qk, dk):
         s2 * c / beta * (a * qk + t * tnu * dk[2]),
         # d2/dnu2 of c t^nu K_nu, with (log c)'' = -Psi'
         s2 * c * ((a * a - trigamma(nu)) * gk + 2.0 * a * dg + tnu * dk[1])])
-    rest[~np.isfinite(rest)] = 0.0
-    return gk, rest
+    terms[~np.isfinite(terms)] = 0.0
+    return terms
 
 
 def _direct_terms(t, theta):
@@ -418,58 +417,53 @@ def _node_q(mu, t):
 def _cheb_g(panels, theta, out):
     """t^nu K_nu(t) at the panels' distances, interpolated into out."""
     live, k = panels.span(theta.beta)
-    panels.at(theta.beta, live, [_node_g(theta.nu, panels.nodes[:k] / theta.beta)], [[out]])
+    panels.at(theta.beta, live, _node_g(theta.nu, panels.nodes[:k] / theta.beta), [out])
 
 
-def _cheb_terms(panels, theta, vg, hess):
-    """``_terms`` at the panels' distances, interpolated into vg (3, u) and hess (3, u).
+def _cheb_terms(panels, theta, out):
+    """``_terms`` at the panels' distances, interpolated into the five rows of out.
 
     kve runs at the nodes only, at the orders nu and nu - 1.  At the nodes,
     g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and the order derivatives of
     ``_order_derivs`` all carry the factor e^t, and ``_terms`` combines them
     there: the terms are linear in them, so each carries the same factor
-    and is smooth in s = log t.  The six are interpolated and multiplied by
-    e^-t.  g is interpolated as ``_cheb_g`` does it, as its own array of the
-    same ``_Panels.at`` call, so the pass's value is build_cov's bit for bit.
+    and is smooth in s = log t.  The five are interpolated and multiplied
+    by e^-t.
     """
     beta, nu = theta.beta, theta.nu
     live, k = panels.span(beta)
     tn = panels.nodes[:k] / beta
-    g, rest = _terms(tn, theta, _node_g(nu, tn), _node_q(nu, tn), _order_derivs(nu, tn))
-    panels.at(beta, live, [g, rest], [vg[:1], [*vg[1:], *hess]])
+    terms = _terms(tn, theta, _node_g(nu, tn), _node_q(nu, tn), _order_derivs(nu, tn))
+    panels.at(beta, live, terms, out)
 
 
 def _kernel_terms(h, theta, panels=None):
-    """M / sigma2 and the five derivative terms of M(h; theta), h >= 0 1-D.
+    """The five derivative terms of M(h; theta), h >= 0 1-D.
 
-    One Bessel pass serves all six.  Without ``panels`` it evaluates kv at
-    every distance (two calls, ``_direct_terms``), and the value is computed
-    with matern_cov's operations, small-t patch included, so sigma2 times
-    it equals matern_cov bit for bit.  With ``panels``, built over the
-    positive entries of the sorted h (``LocationSet._dist_cheb``), the terms
-    come from Chebyshev interpolants (``_cheb_terms``) and the value equals
-    build_cov's.  Returns two (3, u) arrays, so a caller can drop the first
-    once it has gathered Sigma and dSigma: (r, m_b, m_n), with r = M /
-    sigma2, exactly 1 at h = 0, and m_b and m_n the beta and nu derivatives
-    of r; and (h_bb, h_bn, h_nn), the (beta, beta), (beta, nu) and (nu, nu)
-    Hessian entries of M.  The derivative terms are 0 at h = 0 and, where
-    kv overflows at tiny t, take their t -> 0 limit, 0.
+    One Bessel pass serves all five: without ``panels`` kv at every
+    distance (two calls, ``_direct_terms``); with ``panels``, built over
+    the positive entries of the sorted h (``LocationSet._dist_cheb``),
+    Chebyshev interpolants (``_cheb_terms``).  The value M itself is
+    ``build_cov``'s.  Returns two arrays, so a caller can drop the first
+    once it has gathered dSigma: (m_b, m_n) (2, u), the beta and nu
+    derivatives of M / sigma2; and (h_bb, h_bn, h_nn) (3, u), the
+    (beta, beta), (beta, nu) and (nu, nu) Hessian entries of M.  The terms
+    are 0 at h = 0 and, where kv overflows at tiny t, take their t -> 0
+    limit, 0.
     """
-    vg = np.zeros((3,) + h.shape)
+    grad = np.zeros((2,) + h.shape)
     hess = np.zeros((3,) + h.shape)
-    vg[0] = 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         if panels is not None:
             pos = slice(h.size - panels.d.size, None)
-            _cheb_terms(panels, theta, vg[:, pos], hess[:, pos])
+            _cheb_terms(panels, theta, [*grad[:, pos], *hess[:, pos]])
         else:
             t = h / theta.beta
             pos = t > 0.0
-            vg[0, pos], rest = _direct_terms(t[pos], theta)
-            vg[1:, pos] = rest[:2]
-            hess[:, pos] = rest[2:]
-    vg[0, pos] *= _coef(theta.nu)
-    return vg, hess
+            terms = _direct_terms(t[pos], theta)
+            grad[:, pos] = terms[:2]
+            hess[:, pos] = terms[2:]
+    return grad, hess
 
 
 # === covariance builder =====================================================
@@ -479,7 +473,10 @@ def build_cov(locs, theta):
     """Covariance matrix over a location set; evaluates once per unique distance.
 
     Sets with more unique distances than Chebyshev nodes interpolate the
-    kernel (``LocationSet._dist_cheb``); the others call matern_cov.
+    kernel (``LocationSet._dist_cheb``); the others call matern_cov.  The
+    matrix comes in Fortran order: the site pairs' index map is symmetric,
+    so its transpose gathers the same matrix in the order LAPACK factors
+    without a transposing copy.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
@@ -491,4 +488,4 @@ def build_cov(locs, theta):
         _cheb_g(panels, theta, vals[pos])
         vals[pos] *= _coef(theta.nu)
         vals *= theta.sigma2
-    return vals[inv]
+    return vals[inv.T]

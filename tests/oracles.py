@@ -1,7 +1,8 @@
 """Reference quantities the tests compare the package against.
 
 The package evaluates the kernel's derivatives as per-distance terms
-(``matern._kernel_terms``) and scores the Lq objective in the log domain
+(``matern._kernel_terms``) apart from its value (``matern.build_cov``) and
+scores the Lq objective in the log domain
 (``gauss_lik._lq_weights``).  The oracles of the tests want them in their
 textbook forms: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
@@ -19,23 +20,32 @@ from scipy.linalg import cho_solve
 from lqmatern.asymptotics import _weighted_derivs, ustar_all
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _quad_forms,
                                 chol_factor)
-from lqmatern.matern import _kernel_terms, build_cov
+from lqmatern.matern import MaternParams, _kernel_terms, build_cov, matern_cov
 from lqmatern.variogram import DEFAULT_N_BINS, variogram_by_replicate
 
 
-def kernel_derivs(h, theta, panels=None):
+def kernel_derivs(h, theta, locs=None):
     """Value, gradient and Hessian of M(h; theta) in theta = (sigma2, beta, nu).
 
     Scalar or array h >= 0; the results have shapes h.shape, (3,) + h.shape
-    and (3, 3) + h.shape.  ``panels`` is passed on to ``_kernel_terms`` (for
-    a sorted 1-D h whose positive entries it was built over).  At h = 0 the
-    gradient is (1, 0, 0) and the Hessian 0.  M is linear in sigma2, so the
-    beta and nu derivatives of M / sigma2 are also the mixed (sigma2, .)
-    Hessian entries, and the (sigma2, sigma2) entry is 0.
+    and (3, 3) + h.shape.  Without ``locs`` the value is ``matern_cov``'s
+    and the derivative terms are ``_kernel_terms``' from kv at every
+    distance.  With ``locs``, h is its sorted unique distances, and both
+    are evaluated as the fit and the pass take them: the value is
+    ``build_cov``'s, and the terms come from the set's panels, if any.  At
+    h = 0 the gradient is (1, 0, 0) and the Hessian 0.  M is linear in
+    sigma2, so the beta and nu derivatives of M / sigma2 are also the mixed
+    (sigma2, .) Hessian entries, and the (sigma2, sigma2) entry is 0.
     """
     shape = np.shape(h)
-    (r, m_b, m_n), (h_bb, h_bn, h_nn) = _kernel_terms(
-        np.atleast_1d(np.asarray(h, dtype=float)).ravel(), theta, panels)
+    h = np.atleast_1d(np.asarray(h, dtype=float)).ravel()
+    corr = MaternParams(1.0, theta.beta, theta.nu)
+    if locs is None:
+        r, panels = matern_cov(h, corr), None
+    else:
+        r, panels = np.empty_like(h), locs._dist_cheb
+        r[locs._dist_unique[1]] = build_cov(locs, corr)
+    (m_b, m_n), (h_bb, h_bn, h_nn) = _kernel_terms(h, theta, panels)
     s2 = theta.sigma2
     grad = np.stack([r, s2 * m_b, s2 * m_n])
     hess = np.stack([np.zeros_like(r), m_b, m_n,
@@ -56,7 +66,7 @@ def matern_hess(h, theta):
 def cov_derivs(locs, theta):
     """``kernel_derivs`` over a location set's distance matrix, as the pass evaluates it."""
     uniq, inv = locs._dist_unique
-    val, grad, hess = kernel_derivs(uniq, theta, locs._dist_cheb)
+    val, grad, hess = kernel_derivs(uniq, theta, locs)
     return val[inv], grad[:, inv], hess[:, :, inv]
 
 
@@ -109,7 +119,7 @@ def per_replicate_derivs(Z, locs, theta):
     """
     m = Z.shape[1]
     uniq, inv = locs._dist_unique
-    val, grad, hess = kernel_derivs(uniq, theta, locs._dist_cheb)
+    val, grad, hess = kernel_derivs(uniq, theta, locs)
     chol = chol_factor(val[inv])
     cl = (chol.L, True)
     W = cho_solve(cl, Z)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
                                   sandwich, std_errs, ustar_all)
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _corr_factor, _lq_weights,
                                 _profile_factor, chol_factor)
 from lqmatern import asymptotics, matern
 from lqmatern.matern import MaternParams, build_cov
@@ -248,20 +248,22 @@ class TestSandwich:
         assert parts.m == 8
 
     def bessel_calls(self, monkeypatch, locs):
+        # the Bessel calls of the derivative pass from R's factor, which
+        # build_cov's value gave before it
         reps = gen_replicates(locs, self.theta, 8, seed=13)
+        chol = _corr_factor(locs, self.theta.beta, self.theta.nu)
         calls = []
         for name in ("special_kv", "special_kve"):
             def counting(order, x, real=getattr(matern, name)):
                 calls.append(order)
                 return real(order, x)
             monkeypatch.setattr(matern, name, counting)
-        sandwich(reps, locs, self.theta, 0.9)
+        asymptotics._finish(reps.data, locs, chol, self.theta, 0.9)
         return calls
 
     def test_at_most_two_bessel_calls(self, monkeypatch):
-        # value, gradient and Hessian come from one pass: kv at the orders
-        # nu and nu - 1, the order derivatives by quadrature, and no
-        # separate build_cov
+        # gradient and Hessian come from one pass: kv at the orders nu and
+        # nu - 1, the order derivatives by quadrature, and no value
         assert 0 < len(self.bessel_calls(monkeypatch, LOCS9)) <= 2
 
     def test_at_most_two_bessel_calls_interpolated(self, monkeypatch):
@@ -519,8 +521,8 @@ class TestWeightedDerivativePass:
         G = g_want - gbar[:, None]
         hess_want = (H * w).sum(axis=2) + (1.0 - q) * (G * w) @ G.T
         # at a clipped sigma2 the profile's derivatives are the full ones
-        point = asymptotics._factor_point(locs, at.beta, at.nu)
-        grad, hess = _profile_derivs(reps, locs, point, at.sigma2, q, clipped=True)
+        grad, hess, _ = _profile_derivs(reps, locs, _corr_factor(locs, at.beta, at.nu),
+                                        at, q, clipped=True)
         assert_close(grad, gbar[1:])
         assert_close(hess, hess_want[1:, 1:])
 
@@ -534,17 +536,17 @@ class TestWeightedDerivativePass:
     @pytest.mark.parametrize("q", [1.0, 0.9])
     @pytest.mark.parametrize("sigma2", [0.9, 3.3e-3])
     def test_r_route_matches_the_sigma_route(self, layout, n, q, sigma2):
-        # the pass factors R, is scored on that factor first where the fit
-        # scores a Newton point, and finishes at sigma2; the oracle factors
-        # Sigma and solves on it
+        # the pass starts from R's factor, which the fit scores the point
+        # on first, and finishes at sigma2; the oracle factors Sigma and
+        # solves on it
         theta = MaternParams(1.0, 0.15, 0.6)
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(sigma2, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, q)
-        point = asymptotics._factor_point(locs, at.beta, at.nu)
-        _profile_factor(reps, point.chol, q, 1e-3, 1e3)
-        got = asymptotics._finish(reps.data, locs, point, at.sigma2, q)
+        chol = _corr_factor(locs, at.beta, at.nu)
+        _profile_factor(reps, chol, q, 1e-3, 1e3)
+        got = asymptotics._finish(reps.data, locs, chol, at, q)
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 

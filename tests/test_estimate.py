@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import lqmatern.estimate as est
 from lqmatern import asymptotics, gauss_lik
-from lqmatern.asymptotics import _factor_point, _weighted_derivs
+from lqmatern.asymptotics import _weighted_derivs
 from lqmatern.estimate import (Bounds, FitChain, FitResult, QProfile,
                                default_bounds, default_init, fit, fit_profile)
 from lqmatern.gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, ReplicateSet,
-                                _quad_forms, chol_factor, profile_lq)
+                                _corr_factor, _quad_forms, chol_factor, profile_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import DEFAULT_GRID
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
@@ -152,11 +152,15 @@ class TestFit:
             fit(reps, locs, 1.0, init=bad)
 
     def test_q_validation_propagates(self, small_data):
+        # q is checked when fit is called, cold or warm, before any point
+        # is scored
         locs, reps = small_data
-        with pytest.raises(ValueError):
-            fit(reps, locs, 1.5)
-        with pytest.raises(ValueError):
-            fit(reps, locs, 0.0)
+        near = default_init(reps, default_bounds())
+        for q in (1.5, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                fit(reps, locs, q)
+            with pytest.raises(ValueError):
+                fit(reps, locs, q, init=near, warm=True)
 
     def test_budget_exhaustion_not_converged(self, small_data, monkeypatch):
         locs, reps = small_data
@@ -171,14 +175,13 @@ class TestFit:
         b = Bounds(MaternParams(0.5, 0.05, 0.2), MaternParams(2.0, 1.0, 1.5))
         lo, hi = b.as_arrays()
         seen = []
-        real = est.profile_lq
+        real = est._Search.score
 
-        def spy(reps_, locs_, beta, nu, q_, s2_lo, s2_hi):
-            sigma2, val = real(reps_, locs_, beta, nu, q_, s2_lo, s2_hi)
-            seen.append((sigma2, beta, nu))
-            return sigma2, val
+        def spy(search, u):
+            real(search, u)
+            seen.append((search.scored[u.tobytes()][0], *(search.corner + u * search.width)))
 
-        monkeypatch.setattr(est, "profile_lq", spy)
+        monkeypatch.setattr(est._Search, "score", spy)
         for q in (1.0, 0.8):
             seen.clear()
             res = fit(reps, locs, q, bounds=b, tol=1e-3)
@@ -193,11 +196,11 @@ class TestFit:
         locs, reps = small_data
         calls = []
 
-        def boom(*a, **k):
-            calls.append(a[2:4])
+        def boom(locs_, beta, nu):
+            calls.append((beta, nu))
             raise NotSPDError("forced", theta=None)
 
-        monkeypatch.setattr(est, "profile_lq", boom)
+        monkeypatch.setattr(est, "_corr_factor", boom)
         with pytest.raises(NotSPDError):
             fit(reps, locs, 1.0)
         init = default_init(reps, default_bounds())
@@ -213,11 +216,11 @@ class TestFit:
         init = default_init(reps, default_bounds())
         real = est._Search.score
 
-        def reject(search, u, *a, **k):
+        def reject(search, u):
             beta, nu = search.corner + u * search.width
             if (beta, nu) != (init.beta, init.nu):
                 raise NotSPDError("forced", theta=None)
-            return real(search, u, *a, **k)
+            return real(search, u)
 
         monkeypatch.setattr(est._Search, "score", reject)
         res = fit(reps, locs, 1.0, tol=1e-3)
@@ -397,9 +400,13 @@ def interior_data():
 
 def fit_without_newton(monkeypatch, *args, **kwargs):
     """``fit`` with the Newton check always rejecting: restarts only."""
+    real = est._profile_derivs
+
+    def refused(*a, **k):
+        return np.zeros(2), np.full((2, 2), np.nan), real(*a, **k)[2]
+
     with monkeypatch.context() as mp:
-        mp.setattr(est, "_profile_derivs",
-                   lambda *a, **k: (np.zeros(2), np.full((2, 2), np.nan)))
+        mp.setattr(est, "_profile_derivs", refused)
         return fit(*args, **kwargs)
 
 
@@ -416,7 +423,8 @@ class TestConfirmation:
         sigma2, _ = profile_lq(reps, locs, *p, q, s2_lo, s2_hi)
         clipped = sigma2 == s2_hi
         assert clipped == (s2_hi < 1.0)
-        g, H = est._profile_derivs(reps, locs, _factor_point(locs, *p), sigma2, q, clipped)
+        g, H, _ = est._profile_derivs(reps, locs, _corr_factor(locs, *p),
+                                      MaternParams(sigma2, *p), q, clipped)
         g_fd, H_fd = fd_profile(reps, locs, p, q, s2_lo, s2_hi)
         assert np.abs(g - g_fd).max() <= PROFILE_RTOL * np.abs(g_fd).max()
         assert np.abs(H - H_fd).max() <= PROFILE_RTOL * np.abs(H_fd).max()
@@ -460,8 +468,8 @@ class TestConfirmation:
         real = est._profile_derivs
 
         def reversed_step(*args, **kwargs):
-            g, H = real(*args, **kwargs)
-            return -g, H
+            g, H, summary = real(*args, **kwargs)
+            return -g, H, summary
 
         monkeypatch.setattr(est, "_profile_derivs", reversed_step)
         for q in SYM_QS:
@@ -521,8 +529,8 @@ class TestShortStepRule:
                 starts[(u + step[0]).tobytes()] = (search.value(u), step[1])
             return step
 
-        def score(search, u, *args, **kwargs):
-            real_score(search, u, *args, **kwargs)
+        def score(search, u):
+            real_score(search, u)
             key = u.tobytes()
             if key in starts:
                 start, rise = starts[key]
@@ -651,54 +659,54 @@ def cold_and_warm_fits(locs, reps, near):
 
 
 class TestFusedNewtonPoint:
-    """One kernel pass and one factor of R score a Newton point and finish its pass."""
+    """A Newton point is scored on one factor of R, and its pass starts from it."""
 
     def test_every_scored_point_is_profile_lqs(self, fused_sets, monkeypatch):
-        # (sigma2, V) at every point a fit scores, on R's factor or not,
-        # is profile_lq's bit for bit
+        # (sigma2, V) at every point a fit scores, simplex and Newton points
+        # alike, is profile_lq's bit for bit
         real = est._Search.score
-        routes = []
+        scored = []
 
-        def score(search, u, for_pass=False):
-            real(search, u, for_pass)
+        def score(search, u):
+            real(search, u)
             beta, nu = search.corner + u * search.width
             want = profile_lq(search.reps, search.locs, beta, nu, search.q, *search.s2_box)
             assert search.scored[u.tobytes()] == want
-            routes.append(for_pass)
+            scored.append(u.tobytes())
 
         monkeypatch.setattr(est._Search, "score", score)
         for locs, reps, near in fused_sets:
             for res in cold_and_warm_fits(locs, reps, near):
                 assert res.converged
-        assert any(routes) and not all(routes)
+                assert 0 < len(scored) <= res.evaluations
+                scored.clear()
 
     def test_one_factorization_per_point(self, fused_sets, monkeypatch):
         # chol_factor runs once per scored point, and once more for a pass
-        # only at a point that was not scored for it
+        # only where the pass is not at the point scored last
         calls = []
+        real_chol = gauss_lik.chol_factor
 
-        def counted(real):
-            def chol(cov):
-                calls.append(1)
-                return real(cov)
-            return chol
+        def chol(cov):
+            calls.append(1)
+            return real_chol(cov)
 
-        monkeypatch.setattr(gauss_lik, "chol_factor", counted(gauss_lik.chol_factor))
-        monkeypatch.setattr(asymptotics, "chol_factor", counted(asymptotics.chol_factor))
+        monkeypatch.setattr(gauss_lik, "chol_factor", chol)
         real_score, real_step = est._Search.score, est._Search.newton_step
         held, per_pass = [None], []
 
-        def score(search, u, for_pass=False):
+        def score(search, u):
             before = len(calls)
-            real_score(search, u, for_pass)
+            real_score(search, u)
             assert len(calls) == before + 1
-            held[0] = u.tobytes() if for_pass else None
+            held[0] = u.tobytes()
 
         def newton_step(search, u):
             before = len(calls)
             out = real_step(search, u)
             fused = held[0] == u.tobytes()
             assert len(calls) == before + (0 if fused else 1)
+            assert search.held is None
             per_pass.append(fused)
             held[0] = None
             return out
@@ -711,15 +719,18 @@ class TestFusedNewtonPoint:
                 assert res.newton_steps == len(per_pass)
                 kinds.append(list(per_pass))
                 per_pass.clear()
-        # a cold fit's first pass follows the simplex, a warm one's is at
-        # its scored start; Newton points scored for a pass follow in both
-        assert not any(k[0] for k in kinds[::2]) and all(k[0] for k in kinds[1::2])
+        # a warm fit's first pass is at its scored start; a cold fit's
+        # follows the simplex, whose last scored point is its answer on all
+        # but one of these fits; the passes after a Newton step are at the
+        # step's point
+        assert all(k[0] for k in kinds[1::2]) and not all(k[0] for k in kinds[::2])
         assert any(any(k[1:]) for k in kinds[::2])
 
     def test_forced_rescue_is_shared_by_the_score_and_the_pass(self, fused_sets,
                                                                monkeypatch):
-        # the warm start's point is scored for its pass: a jitter rescue
-        # there is taken once, and the pass inverts that jittered factor
+        # the warm start's point is scored first and its pass starts from
+        # that factor: a jitter rescue there is taken once, and the pass
+        # inverts that jittered factor
         locs, reps, near = fused_sets[1]
         real_chol, real_potri = gauss_lik.cholesky, asymptotics.dpotri
         real_score = est._Search.score
@@ -733,11 +744,12 @@ class TestFusedNewtonPoint:
                 raise np.linalg.LinAlgError("forced")
             return real_chol(a, **kwargs)
 
-        def score(search, u, for_pass=False):
-            armed[0] = for_pass and "factor" not in seen
-            real_score(search, u, for_pass)
-            if for_pass and "factor" not in seen:
-                chol = search.point[1].chol
+        def score(search, u):
+            first = "factor" not in seen
+            armed[0] = first
+            real_score(search, u)
+            if first:
+                chol = search.held[1]
                 seen["factor"] = (chol.jittered, chol.L.copy(), seen["cholesky"])
                 seen["scored"] = search.scored[u.tobytes()]
                 seen["point"] = tuple(search.corner + u * search.width)
@@ -791,9 +803,9 @@ def record_passes(monkeypatch):
     points = []
     real = est._profile_derivs
 
-    def spy(reps, locs, point, sigma2, *args, **kwargs):
-        points.append(MaternParams(sigma2, point.corr.beta, point.corr.nu))
-        return real(reps, locs, point, sigma2, *args, **kwargs)
+    def spy(reps, locs, chol, theta, *args, **kwargs):
+        points.append(theta)
+        return real(reps, locs, chol, theta, *args, **kwargs)
 
     monkeypatch.setattr(est, "_profile_derivs", spy)
     return points
@@ -803,12 +815,9 @@ def keep_altered(monkeypatch, change):
     """Every pass summary kept for the chain passes through ``change``."""
     real = est._profile_derivs
 
-    def altered(*args, keep=None, **kwargs):
-        kept = []
-        out = real(*args, keep=kept, **kwargs)
-        if keep is not None:
-            keep.extend(change(k) for k in kept)
-        return out
+    def altered(*args, **kwargs):
+        g, H, summary = real(*args, **kwargs)
+        return g, H, change(summary)
 
     monkeypatch.setattr(est, "_profile_derivs", altered)
 
@@ -844,9 +853,8 @@ class TestChainStart:
         locs, reps, base = interior_data
         for q in SYM_QS:
             th = base[q].theta_hat
-            kept = []
-            est._profile_derivs(reps, locs, _factor_point(locs, th.beta, th.nu),
-                                th.sigma2, q, False, keep=kept)
+            _, _, summary = est._profile_derivs(
+                reps, locs, _corr_factor(locs, th.beta, th.nu), th, q, False)
             lo, hi = default_bounds().as_arrays()
             value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
             corr = chol_factor(build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
@@ -854,7 +862,7 @@ class TestChainStart:
             size = 0.5 * (reps.n * (_LOG_2PI + abs(np.log(th.sigma2)))
                           + abs(corr.log_det) + quad.max())
             want = V_ROUNDING * max(abs(value), size * (reps.m if q == 1.0 else 1))
-            assert kept[0].rounding_floor(value) == pytest.approx(want, rel=1e-9)
+            assert summary.rounding_floor(value) == pytest.approx(want, rel=1e-9)
             assert want > V_ROUNDING * abs(value)
 
     def test_start_from_the_nearest_fitted_q(self, interior_data):

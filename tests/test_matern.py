@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 from scipy.special import kv
 
-from lqmatern import matern
+from lqmatern import gauss_lik, matern
+from lqmatern.asymptotics import _weighted_derivs
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _kernel_terms, _Panels,
                              build_cov, matern_cov)
@@ -291,20 +292,30 @@ class TestBuilders:
                 assert np.array_equal(hh[j, k], hh[k, j])
                 assert np.array_equal(hh[j, k], hh[j, k].T)
 
-    def test_kernel_pass_value_is_build_cov(self):
-        # the sandwich gathers its covariance from the one-pass value, so it
-        # must be the fit's build_cov bit for bit, on lattice sites (direct
-        # kv) and on irregular sites (Chebyshev interpolant)
+    def test_kernel_pass_value_is_build_cov(self, monkeypatch):
+        # the derivative pass takes no value of its own: it starts from the
+        # factor of build_cov's R, the fit's, bit for bit, on lattice sites
+        # (direct kv) and on irregular sites (Chebyshev interpolant)
+        factored = []
+        real = gauss_lik.chol_factor
+
+        def spy(cov):
+            factored.append(cov.copy())
+            return real(cov)
+
+        monkeypatch.setattr(gauss_lik, "chol_factor", spy)
         rng = np.random.default_rng(14)
         for layout in ("grid", "uniform"):
             locs = make_locations(49, layout, seed=2)
-            uniq, inv = locs._dist_unique
-            panels = locs._dist_cheb
-            assert (panels is None) == (layout == "grid")
+            assert (locs._dist_cheb is None) == (layout == "grid")
+            z = rng.standard_normal((49, 3))
             for _ in range(5):
                 th = rand_theta(rng, nu_hi=NU_CAP)
-                val = kernel_derivs(uniq, th, panels)[0]
-                assert np.array_equal(val[inv], build_cov(locs, th))
+                factored.clear()
+                _weighted_derivs(z, locs, th, 0.9)
+                assert len(factored) == 1
+                assert np.array_equal(factored[0],
+                                      build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
 
 
 def kv_oracle(h, th):
@@ -377,9 +388,8 @@ class TestChebyshevKernel:
         # its largest entry, exactly sigma2 at h = 0 and exactly 0 where kv
         # underflows
         th = MaternParams(1.7, 10.0 ** log10_beta, nu)
-        uniq, inv = LOCS_CHEB._dist_unique
-        val, grad, hess = kernel_derivs(uniq, th, LOCS_CHEB._dist_cheb)
-        assert np.array_equal(val[inv], build_cov(LOCS_CHEB, th))
+        uniq, _ = LOCS_CHEB._dist_unique
+        val, grad, hess = kernel_derivs(uniq, th, LOCS_CHEB)
         assert val[0] == th.sigma2
         assert np.array_equal(grad[:, 0], [1.0, 0.0, 0.0])
         assert np.all(hess[:, :, 0] == 0.0)
@@ -406,7 +416,7 @@ class TestChebyshevKernel:
             th = MaternParams(1.3, 0.5, nu)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                val, grad, hess = kernel_derivs(uniq, th, locs._dist_cheb)
+                val, grad, hess = kernel_derivs(uniq, th, locs)
             assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
             want = matern_cov(uniq, th)
             assert np.all(np.abs(val - want) <= 1e-12 * want)
@@ -425,7 +435,7 @@ class TestChebyshevKernel:
 
         def at(panels, beta, live, vals, out):
             real_at(panels, beta, live, vals, out)
-            calls.append((panels, beta, live, vals, [np.array(rows) for rows in out]))
+            calls.append((panels, beta, live, vals, np.array(out)))
 
         monkeypatch.setattr(_Panels, "at", at)
         uniq, _ = locs._dist_unique
@@ -439,17 +449,15 @@ class TestChebyshevKernel:
                     th = MaternParams(1.7, beta, nu)
                     _kernel_terms(uniq, th, panels)
                     build_cov(locs, th)
-                    # the pass's g and five terms, then build_cov's g
-                    assert [np.shape(o) for c in calls for o in c[4]] == [
-                        (1,) + panels.d.shape, (5,) + panels.d.shape,
-                        (1,) + panels.d.shape]
-                    for _, _, live, vals, outs in calls:
+                    # the pass's five terms, then build_cov's g
+                    assert [c[4].shape for c in calls] == [
+                        (5,) + panels.d.shape, (1,) + panels.d.shape]
+                    for _, _, live, vals, got in calls:
                         cut |= 0 < live < panels.d.size and live not in panels.starts
-                        for v, got in zip(vals, outs):
-                            want = clenshaw(panels, beta, live, v)
-                            scale = np.abs(want).max(axis=-1, keepdims=True)
-                            assert np.all(np.abs(got - want) <= 4e-15 * scale)
-                            assert np.all(got[..., live:] == 0.0)
+                        want = clenshaw(panels, beta, live, vals).reshape(got.shape)
+                        scale = np.abs(want).max(axis=-1, keepdims=True)
+                        assert np.all(np.abs(got - want) <= 4e-15 * scale)
+                        assert np.all(got[..., live:] == 0.0)
         # beta = 1e-3 ends the live distances inside a panel
         assert cut
 

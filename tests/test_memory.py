@@ -51,25 +51,24 @@ def test_build_cov_peak(data):
 
 
 def test_derivative_pass_peak(data):
-    # each n x n array is dropped after its last use (6.25 measured)
+    # R's factor and the pass; each n x n array is dropped after its last use
     locs, reps = data
     assert peak_doubles(lambda: _weighted_derivs(reps.data, locs, THETA, 0.9)) <= 7.0
 
 
 def test_fused_newton_point_peak(data):
-    # a Newton point scored on R's factor and its pass on the same factor,
-    # as the fit takes them: the score's solve adds less than the pass's
-    # own peak (6.25 measured)
+    # a point scored and its pass from the held factor of R, as the fit
+    # takes them: the score adds less than the pass's own peak
     locs, reps = data
     search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
     u = (np.array([THETA.beta, THETA.nu]) - search.corner) / search.width
 
     def point():
-        search.score(u, for_pass=True)
+        search.score(u)
         search.newton_step(u)
 
     assert peak_doubles(point) <= 7.0
-    assert search.passes == 1 and search.last_pass is not None and search.point is None
+    assert search.passes == 1 and search.last_pass is not None and search.held is None
 
 
 def test_location_set_holds_no_dense_distances(data):
