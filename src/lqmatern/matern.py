@@ -43,8 +43,9 @@ unique distance is evaluated depends on how many there are:
 
 - Up to the number of Chebyshev nodes a ``LocationSet``'s panels would use
   (a few hundred: the 127 distances of a 10 x 10 lattice stay below it, the
-  369 of a 20 x 20 lattice do not), ``build_cov`` calls ``matern_cov`` and
-  the derivative pass calls kv at every distance, as above.
+  369 of a 20 x 20 lattice do not), ``build_cov`` and the derivative pass
+  call kv at every distance, as above, and build_cov's value is
+  ``matern_cov``'s bit for bit.
 - Above it (irregular sites: 79,800 distances at n = 400), the set caches
   panels of width 0.1 in s = log d over its distances (``_Panels``), and
   the kernel is a piecewise Chebyshev interpolant of degree 8 in s.  Per
@@ -60,10 +61,14 @@ unique distance is evaluated depends on how many there are:
   in [1e-3, 10] and nu in [0.05, 5] wherever K_nu > 1e-300 (the README's
   "Performance notes" give the measured error), and it is exactly 0 past
   t = 690.  beta only shifts s, so one cache serves every (beta, nu).
-  ``build_cov`` interpolates the value alone (``_cheb_g``); the
-  derivative pass forms its five terms at the nodes from the node values
-  of the same two calls and of ``_order_derivs``, and interpolates only
-  them (``_cheb_terms``).
+  ``build_cov`` interpolates the value alone; the derivative pass forms
+  its five terms at the nodes from the node values of the same two orders
+  and of ``_order_derivs``, and interpolates only them (``_cheb_terms``).
+
+A derivative pass usually follows build_cov at the same (beta, nu), as at
+the fit's Newton points and in the sandwich.  build_cov leaves its order-nu
+values in a one-entry memo (``_order_nu``), and the pass reads them there,
+so such a point makes one Bessel call at each order.
 
 ``matern_cov`` and ``_kernel_terms`` without panels always evaluate kv
 directly, and the tests use them as the interpolant's reference.
@@ -391,13 +396,34 @@ def _terms(t, theta, gk, qk, dk):
     return terms
 
 
-def _direct_terms(t, theta):
-    """``_terms`` at t > 0 from kv at every distance."""
+# (points, beta, nu, g) of the last order-nu values evaluated: g is
+# t^nu K_nu(t) (times e^t at Chebyshev nodes) at t = points / beta, where
+# points, compared by identity, is an array a location set holds: its
+# unique distances or its panels' nodes.
+_last_g = None
+
+
+def _order_nu(points, beta, nu, evaluate):
+    """``evaluate()``, the order-nu values at points, or the last ones if taken at the same point."""
+    global _last_g
+    if _last_g is None or _last_g[0] is not points or _last_g[1:3] != (beta, nu):
+        g = evaluate()
+        g.setflags(write=False)
+        _last_g = (points, beta, nu, g)
+    return _last_g[3]
+
+
+def _direct_g(h, theta):
+    """t^nu K_nu(t) at the positive t = h / beta, from kv."""
     nu = theta.nu
-    k, k1 = special_kv(nu, t), special_kv(nu - 1.0, t)
-    tnu = t ** nu
-    gk = _limit_patched(nu, tnu * k)     # t^nu K_nu
-    qk = tnu * t * k1                    # t^(nu+1) K_{nu-1}
+    t = h / theta.beta
+    return _order_nu(h, theta.beta, nu, lambda: _xnu_k_safe(nu, t[t > 0.0]))
+
+
+def _direct_terms(t, theta, gk):
+    """``_terms`` at t > 0 from g = t^nu K_nu and kv at every distance."""
+    nu = theta.nu
+    qk = t ** nu * t * special_kv(nu - 1.0, t)     # t^(nu+1) K_{nu-1}
     return _terms(t, theta, gk, qk, _order_derivs(nu, t) * np.exp(-t))
 
 
@@ -414,38 +440,41 @@ def _node_q(mu, t):
     return np.where(np.isfinite(q), q, 0.0)
 
 
-def _cheb_g(panels, theta, out):
-    """t^nu K_nu(t) at the panels' distances, interpolated into out."""
-    live, k = panels.span(theta.beta)
-    panels.at(theta.beta, live, _node_g(theta.nu, panels.nodes[:k] / theta.beta), [out])
+def _cheb_g(panels, theta):
+    """t^nu K_nu(t) e^t at the nodes of the panels that hold a t <= _T_ZERO."""
+    beta, nu = theta.beta, theta.nu
+    k = panels.span(beta)[1]
+    return _order_nu(panels.nodes, beta, nu, lambda: _node_g(nu, panels.nodes[:k] / beta))
 
 
 def _cheb_terms(panels, theta, out):
     """``_terms`` at the panels' distances, interpolated into the five rows of out.
 
-    kve runs at the nodes only, at the orders nu and nu - 1.  At the nodes,
-    g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and the order derivatives of
-    ``_order_derivs`` all carry the factor e^t, and ``_terms`` combines them
-    there: the terms are linear in them, so each carries the same factor
-    and is smooth in s = log t.  The five are interpolated and multiplied
-    by e^-t.
+    kve runs at the nodes only, at the order nu - 1; the order-nu values are
+    build_cov's (``_cheb_g``).  At the nodes, g = t^nu K_nu,
+    q = t^(nu+1) K_{nu-1} and the order derivatives of ``_order_derivs``
+    all carry the factor e^t, and ``_terms`` combines them there: the terms
+    are linear in them, so each carries the same factor and is smooth in
+    s = log t.  The five are interpolated and multiplied by e^-t.
     """
     beta, nu = theta.beta, theta.nu
     live, k = panels.span(beta)
     tn = panels.nodes[:k] / beta
-    terms = _terms(tn, theta, _node_g(nu, tn), _node_q(nu, tn), _order_derivs(nu, tn))
+    terms = _terms(tn, theta, _cheb_g(panels, theta), _node_q(nu, tn), _order_derivs(nu, tn))
     panels.at(beta, live, terms, out)
 
 
 def _kernel_terms(h, theta, panels=None):
     """The five derivative terms of M(h; theta), h >= 0 1-D.
 
-    One Bessel pass serves all five: without ``panels`` kv at every
-    distance (two calls, ``_direct_terms``); with ``panels``, built over
-    the positive entries of the sorted h (``LocationSet._dist_cheb``),
-    Chebyshev interpolants (``_cheb_terms``).  The value M itself is
-    ``build_cov``'s.  Returns two arrays, so a caller can drop the first
-    once it has gathered dSigma: (m_b, m_n) (2, u), the beta and nu
+    One Bessel pass serves all five, at the orders nu and nu - 1: without
+    ``panels`` kv at every distance (``_direct_terms``); with ``panels``,
+    built over the positive entries of the sorted h
+    (``LocationSet._dist_cheb``), Chebyshev interpolants (``_cheb_terms``).
+    The value M itself is ``build_cov``'s, and after build_cov at the
+    same (beta, nu) so are the order-nu values (``_order_nu``).  Returns
+    two arrays, so a caller can drop the
+    first once it has gathered dSigma: (m_b, m_n) (2, u), the beta and nu
     derivatives of M / sigma2; and (h_bb, h_bn, h_nn) (3, u), the
     (beta, beta), (beta, nu) and (nu, nu) Hessian entries of M.  The terms
     are 0 at h = 0 and, where kv overflows at tiny t, take their t -> 0
@@ -460,7 +489,7 @@ def _kernel_terms(h, theta, panels=None):
         else:
             t = h / theta.beta
             pos = t > 0.0
-            terms = _direct_terms(t[pos], theta)
+            terms = _direct_terms(t[pos], theta, _direct_g(h, theta))
             grad[:, pos] = terms[:2]
             hess[:, pos] = terms[2:]
     return grad, hess
@@ -473,19 +502,21 @@ def build_cov(locs, theta):
     """Covariance matrix over a location set; evaluates once per unique distance.
 
     Sets with more unique distances than Chebyshev nodes interpolate the
-    kernel (``LocationSet._dist_cheb``); the others call matern_cov.  The
+    kernel (``LocationSet._dist_cheb``); the others evaluate kv at each
+    unique distance, as matern_cov does.  The
     matrix comes in Fortran order: the site pairs' index map is symmetric,
     so its transpose gathers the same matrix in the order LAPACK factors
     without a transposing copy.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
+    vals = np.ones_like(uniq)
     if panels is None:
-        vals = matern_cov(uniq, theta)
+        vals[uniq / theta.beta > 0.0] = _coef(theta.nu) * _direct_g(uniq, theta)
     else:
-        vals = np.ones_like(uniq)
+        live = panels.span(theta.beta)[0]
         pos = slice(uniq.size - panels.d.size, None)
-        _cheb_g(panels, theta, vals[pos])
+        panels.at(theta.beta, live, _cheb_g(panels, theta), [vals[pos]])
         vals[pos] *= _coef(theta.nu)
-        vals *= theta.sigma2
+    vals *= theta.sigma2
     return vals[inv.T]

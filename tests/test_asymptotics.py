@@ -248,22 +248,20 @@ class TestSandwich:
         assert parts.m == 8
 
     def bessel_calls(self, monkeypatch, locs):
-        # the Bessel calls of the derivative pass from R's factor, which
-        # build_cov's value gave before it
         reps = gen_replicates(locs, self.theta, 8, seed=13)
-        chol = _corr_factor(locs, self.theta.beta, self.theta.nu)
         calls = []
         for name in ("special_kv", "special_kve"):
             def counting(order, x, real=getattr(matern, name)):
                 calls.append(order)
                 return real(order, x)
             monkeypatch.setattr(matern, name, counting)
-        asymptotics._finish(reps.data, locs, chol, self.theta, 0.9)
+        sandwich(reps, locs, self.theta, 0.9)
         return calls
 
     def test_at_most_two_bessel_calls(self, monkeypatch):
-        # gradient and Hessian come from one pass: kv at the orders nu and
-        # nu - 1, the order derivatives by quadrature, and no value
+        # value, gradient and Hessian come from one pass: kv at the orders
+        # nu and nu - 1, the order derivatives by quadrature, and build_cov's
+        # order-nu values shared with the pass
         assert 0 < len(self.bessel_calls(monkeypatch, LOCS9)) <= 2
 
     def test_at_most_two_bessel_calls_interpolated(self, monkeypatch):

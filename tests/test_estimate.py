@@ -516,7 +516,10 @@ class TestShortStepRule:
         # than the rise, whatever the pass's last-bit rounding made of the
         # step.  Where the rise is above the tie threshold, that is a refusal
         # the rounding could have caused, and the start must confirm without
-        # the tight simplex or a restart
+        # the tight simplex or a restart.  The tie threshold is set to 0, so
+        # that every such step is refused: on the uniform sites the one short
+        # step's rise, 3.1e-14, is below the fit's floor, 1.7e-13, and the
+        # tie rule would take it before the short-step rule is reached
         cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=n, m=100, layout=layout, seed=seed)
         locs, reps, _flags = simulate_dataset(cfg)
         clean = fit(reps, locs, q)
@@ -536,10 +539,11 @@ class TestShortStepRule:
                 start, rise = starts[key]
                 v = start - 0.5 * rise
                 search.scored[key] = (search.scored[key][0], v)
-                refused.append(v < start and rise > V_ROUNDING * abs(start))
+                refused.append(v < start and rise > search.last_pass[1].rounding_floor(start))
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         monkeypatch.setattr(est._Search, "score", score)
+        monkeypatch.setattr(est._PassSummary, "rounding_floor", lambda summary, value: 0.0)
         res = fit(reps, locs, q)
         assert any(refused)
         assert res.converged and res.restarts == 0

@@ -317,6 +317,26 @@ class TestBuilders:
                 assert np.array_equal(factored[0],
                                       build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
 
+    def test_terms_after_build_cov_are_the_terms_alone(self):
+        # a pass after build_cov at its (beta, nu) reads build_cov's order-nu
+        # values; they are the bits it would compute itself, and a build at
+        # another point leaves none for it
+        rng = np.random.default_rng(15)
+        for layout in ("grid", "uniform"):
+            locs = make_locations(49, layout, seed=3)
+            uniq, panels = locs._dist_unique[0], locs._dist_cheb
+            for _ in range(4):
+                th = rand_theta(rng, nu_hi=NU_CAP)
+                other = MaternParams(1.0, 1.5 * th.beta, th.nu)
+                build_cov(locs, other)
+                alone = _kernel_terms(uniq, th, panels)
+                build_cov(locs, other)
+                build_cov(locs, th)
+                assert matern._last_g[1:3] == (th.beta, th.nu)
+                shared = _kernel_terms(uniq, th, panels)
+                for a, b in zip(shared, alone):
+                    assert np.array_equal(a, b)
+
 
 def kv_oracle(h, th):
     """K_nu, the value, dM/dbeta and d2M/dbeta2 from scipy's kv directly.
