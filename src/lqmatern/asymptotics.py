@@ -46,8 +46,9 @@ in its place, with the lower triangle mirrored, divided by sigma2;
 W = Sigma^-1 Z is one product with it, batched over replicates, with no
 solve; and log|Sigma| = log|R| + n log sigma2.  The kernel's five
 derivative terms at (1, beta, nu) come from one Bessel pass over the u
-unique distances (``matern._kernel_terms``), computed when the pass runs;
-dS_j and d2S_jk are those terms times sigma2.  The sandwich and U* factor
+unique distances (``matern._kernel_terms``), computed when the pass runs
+from build_cov's order-nu values at that point and K at nu - 1; dS_j and
+d2S_jk are those terms times sigma2.  The sandwich and U* factor
 R at theta-hat and finish there (``_weighted_derivs``).  The terms come
 as the gradient's apart from the Hessian's, so the first are dropped once
 dS_j are gathered.  The gradient's per-replicate products w_i' dS_j w_i

@@ -404,13 +404,18 @@ _last_g = None
 
 
 def _order_nu(points, beta, nu, evaluate):
-    """``evaluate()``, the order-nu values at points, or the last ones if taken at the same point."""
+    """``evaluate()``, the order-nu values at points, or the last ones if taken at the same point.
+
+    The memo holds one entry, read-only, and the values are the same bits
+    either way: which call evaluates K is all its state decides.
+    """
     global _last_g
-    if _last_g is None or _last_g[0] is not points or _last_g[1:3] != (beta, nu):
+    last = _last_g
+    if last is None or last[0] is not points or last[1:3] != (beta, nu):
         g = evaluate()
         g.setflags(write=False)
-        _last_g = (points, beta, nu, g)
-    return _last_g[3]
+        last = _last_g = (points, beta, nu, g)
+    return last[3]
 
 
 def _direct_g(h, theta):
