@@ -21,12 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import SingularJError, sandwich, std_errs
-from .estimate import Bounds, FitChain, default_bounds, fit
-from .gauss_lik import NotSPDError, ReplicateSet
+from .asymptotics import sandwich, std_errs
+from .estimate import DEFAULT_TOL, Bounds, FitChain, default_bounds, fit
+from .gauss_lik import ReplicateSet
 from .matern import LocationSet, MaternParams
-from .qselect import (QGridSpec, kappa, make_se_fn, select_q_kappa,
-                      select_q_sqv)
+from .qselect import (QGridSpec, default_kappa_spec, kappa, make_se_fn,
+                      select_q_kappa, select_q_sqv)
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
 from .variogram import DEFAULT_N_BINS, center_replicates, variogram_by_replicate
 
@@ -42,17 +42,48 @@ class DataError(ValueError):
     """Malformed file or configuration; maps to exit code 2."""
 
 
+# numerical failures of a fit, a selector or a sandwich; map to exit code 3
+# (NotSPDError and SingularJError are LinAlgErrors)
+_NUMERICAL = (np.linalg.LinAlgError, FloatingPointError, RuntimeError)
+
+
 # === dataset files ==========================================================
 
 
-def write_locations(path, locs):
+def _write_csv(path, header, fmt, rows):
+    """A header line, then ``fmt % row`` for each row."""
     with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in locs.coords:
-            fh.write("%.17g,%.17g\n" % (x, y))
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(fmt % row + "\n")
 
 
-def _parse_float(token, path, lineno, col):
+def _read_csv(path, header):
+    """(line number, [(field, 1-based column)]) of each non-blank data line.
+
+    A first line other than ``header``, or a data line with another number
+    of fields, is a DataError.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise DataError("%s line 1: expected header %r" % (path, header))
+    nfields = header.count(",") + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != nfields:
+            raise DataError("%s line %d: expected %d comma-separated fields, got %d"
+                            % (path, lineno, nfields, len(parts)))
+        fields, col = [], 1
+        for p in parts:
+            fields.append((p.strip(), col))
+            col += len(p) + 1
+        yield lineno, fields
+
+
+def _parse_float(path, lineno, token, col):
     try:
         v = float(token)
     except ValueError:
@@ -64,31 +95,24 @@ def _parse_float(token, path, lineno, col):
     return v
 
 
-def _split_line(line, path, lineno, nfields):
-    parts = line.split(",")
-    if len(parts) != nfields:
-        raise DataError("%s line %d: expected %d comma-separated fields, got %d"
-                        % (path, lineno, nfields, len(parts)))
-    # 1-based character column where each field starts
-    cols, pos = [], 1
-    for p in parts:
-        cols.append(pos)
-        pos += len(p) + 1
-    return parts, cols
+def _parse_id(path, lineno, token, col):
+    try:
+        v = int(token)
+    except ValueError:
+        raise DataError("%s line %d, column %d: %r is not an integer id"
+                        % (path, lineno, col, token)) from None
+    if v < 0:
+        raise DataError("%s line %d, column %d: negative id" % (path, lineno, col))
+    return v
+
+
+def write_locations(path, locs):
+    _write_csv(path, "x,y", "%.17g,%.17g", map(tuple, locs.coords))
 
 
 def read_locations(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "x,y":
-        raise DataError("%s line 1: expected header 'x,y'" % path)
-    pts = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts, cols = _split_line(line, path, lineno, 2)
-        pts.append([_parse_float(parts[k].strip(), path, lineno, cols[k])
-                    for k in range(2)])
+    pts = [[_parse_float(path, lineno, *f) for f in fields]
+           for lineno, fields in _read_csv(path, "x,y")]
     if not pts:
         raise DataError("%s: no locations" % path)
     return LocationSet(np.array(pts))
@@ -96,36 +120,15 @@ def read_locations(path):
 
 def write_replicates(path, reps):
     data = reps.data
-    with open(path, "w") as fh:
-        fh.write("loc_id,rep_id,value\n")
-        for j in range(reps.m):
-            for i in range(reps.n):
-                fh.write("%d,%d,%.17g\n" % (i, j, data[i, j]))
+    _write_csv(path, "loc_id,rep_id,value", "%d,%d,%.17g",
+               ((i, j, data[i, j]) for j in range(reps.m) for i in range(reps.n)))
 
 
 def read_replicates(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "loc_id,rep_id,value":
-        raise DataError("%s line 1: expected header 'loc_id,rep_id,value'" % path)
     triples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts, cols = _split_line(line, path, lineno, 3)
-        ids = []
-        for k in range(2):
-            tok = parts[k].strip()
-            try:
-                ids.append(int(tok))
-            except ValueError:
-                raise DataError("%s line %d, column %d: %r is not an integer id"
-                                % (path, lineno, cols[k], tok)) from None
-            if ids[k] < 0:
-                raise DataError("%s line %d, column %d: negative id"
-                                % (path, lineno, cols[k]))
-        v = _parse_float(parts[2].strip(), path, lineno, cols[2])
-        triples.append((ids[0], ids[1], v, lineno))
+    for lineno, fields in _read_csv(path, "loc_id,rep_id,value"):
+        i, j = (_parse_id(path, lineno, *f) for f in fields[:2])
+        triples.append((i, j, _parse_float(path, lineno, *fields[2]), lineno))
     if not triples:
         raise DataError("%s: no replicate values" % path)
     n = max(t[0] for t in triples) + 1
@@ -201,21 +204,8 @@ def _fmt(v):
 
 # === experiment configuration ===============================================
 
-_KNOWN_KEYS = frozenset([
-    "sim.theta", "sim.n", "sim.m", "sim.layout", "sim.seed",
-    "sim.contam.r", "sim.contam.sd",
-    "grid.q", "grid.eps", "grid.L", "grid.K",
-    "fit.q", "fit.tol", "fit.lower", "fit.upper", "fit.init",
-    "repetitions", "selector", "output_dir",
-    # metadata keys a simulate record carries, or once carried; accepted and
-    # ignored as config
-    "generator", "contam.flags", "sim.contam.kind",
-])
-
-
-# the config sections, by the keys they read: "sim" (sim.*), "grid" (grid.*
-# and selector, which sets grid.L's default), "fit" (fit.*) and "sweep"
-# (repetitions); output_dir is read by every subcommand
+# the config sections, by the keys they read (see _KEYS); output_dir is read
+# by every subcommand
 SECTIONS = ("sim", "grid", "fit", "sweep")
 
 
@@ -231,7 +221,7 @@ class ExperimentConfig:
     q_grid: QGridSpec = None
     bounds: Bounds = None
     init: object = None
-    tol: float = 1e-6
+    tol: float = DEFAULT_TOL
     fit_q: float = 1.0
     repetitions: int = 1
     selector: str = "kappa"
@@ -245,7 +235,7 @@ class ExperimentConfig:
 
 
 def _floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [float(tok) for tok in text.split(",")]
 
 
 def _theta_from(text):
@@ -255,51 +245,75 @@ def _theta_from(text):
     return MaternParams(*vals)
 
 
+# config key -> (the section that reads it, the argparse attribute of the
+# flag that overrides it, its parser).  Section None is read by every
+# subcommand; "meta" marks the keys a simulate record carries, or once
+# carried, which are accepted and ignored as config.
+_KEYS = {
+    "sim.theta": ("sim", "theta", _theta_from), "sim.n": ("sim", "n", int),
+    "sim.m": ("sim", "m", int), "sim.layout": ("sim", "layout", str),
+    "sim.seed": ("sim", "seed", int), "sim.contam.r": ("sim", "contam_r", float),
+    "sim.contam.sd": ("sim", "contam_sd", float),
+    "grid.q": ("grid", "q_grid", _floats), "grid.eps": ("grid", None, float),
+    "grid.L": ("grid", None, float), "grid.K": ("grid", None, int),
+    # the selector sets grid.L's default
+    "selector": ("grid", "selector", str),
+    "fit.q": ("fit", "q", float), "fit.tol": ("fit", None, float),
+    "fit.lower": ("fit", None, _theta_from), "fit.upper": ("fit", None, _theta_from),
+    "fit.init": ("fit", None, _theta_from),
+    "repetitions": ("sweep", "repetitions", int),
+    "output_dir": (None, "out", str),
+    "generator": ("meta", None, str), "contam.flags": ("meta", None, str),
+    "sim.contam.kind": ("meta", None, str),
+}
+
+# the CLI's own defaults for what SimConfig requires
+_SIM_DEFAULTS = dict(theta=MaternParams(1.0, 0.1, 0.5), n=100, m=100)
+
+
+def _parse(key, text):
+    """The value of config key ``key``; a value that does not parse is a DataError."""
+    try:
+        return _KEYS[key][2](text)
+    except ValueError as exc:
+        raise DataError("%s = %r: %s" % (key, text, exc)) from None
+
+
 def build_config(mapping, sections=SECTIONS):
     """Typed ExperimentConfig from a flat key -> string mapping.
 
     Only the named ``sections`` are parsed and validated; the keys of the
     others are accepted unread.  An unknown key is an error in any case.
+    An absent key takes the default of the object it configures.
     """
-    unknown = set(mapping) - _KNOWN_KEYS
+    unknown = set(mapping) - set(_KEYS)
     if unknown:
         raise DataError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
+    got = {key: _parse(key, text) for key, text in mapping.items()
+           if _KEYS[key][0] in (None,) + tuple(sections)}
 
-    def get(key, default=None):
-        return mapping.get(key, default)
+    def given(**fields):
+        return {field: got[key] for field, key in fields.items() if key in got}
 
-    built = {"output_dir": get("output_dir") or os.environ.get(OUT_ENV) or "."}
+    out = got.get("output_dir") or os.environ.get(OUT_ENV)
+    built = {"output_dir": out} if out else {}
     if "sim" in sections:
-        contam = ContaminationSpec(r=float(get("sim.contam.r", "0")),
-                                   noise_sd=float(get("sim.contam.sd", "1")))
-        built["sim"] = SimConfig(theta=_theta_from(get("sim.theta", "1,0.1,0.5")),
-                                 n=int(get("sim.n", "100")),
-                                 m=int(get("sim.m", "100")),
-                                 layout=get("sim.layout", "grid"),
-                                 seed=int(get("sim.seed", "0")),
-                                 contamination=contam)
+        contam = ContaminationSpec(**given(r="sim.contam.r", noise_sd="sim.contam.sd"))
+        sim = dict(_SIM_DEFAULTS, **given(theta="sim.theta", n="sim.n", m="sim.m",
+                                          layout="sim.layout", seed="sim.seed"))
+        built["sim"] = SimConfig(contamination=contam, **sim)
     if "grid" in sections:
-        selector = get("selector", "kappa")
-        l_default = "0.05" if selector == "sqv" else "4"
-        grid_q = _floats(get("grid.q", "")) or None
-        grid_kw = dict(eps=float(get("grid.eps", "0.005")),
-                       L=float(get("grid.L", l_default)),
-                       K=int(get("grid.K", "7")))
-        built["q_grid"] = QGridSpec(**grid_kw) if grid_q is None else \
-            QGridSpec(grid=tuple(grid_q), **grid_kw)
-        built["selector"] = selector
+        built.update(given(selector="selector"))
+        sqv = built.get("selector", ExperimentConfig.selector) == "sqv"
+        built["q_grid"] = replace(QGridSpec() if sqv else default_kappa_spec(),
+                                  **given(grid="grid.q", eps="grid.eps", L="grid.L",
+                                          K="grid.K"))
     if "fit" in sections:
-        lo = get("fit.lower")
-        hi = get("fit.upper")
-        base = default_bounds()
-        built["bounds"] = Bounds(_theta_from(lo) if lo is not None else base.lower,
-                                 _theta_from(hi) if hi is not None else base.upper)
-        init = get("fit.init")
-        built.update(init=None if init is None else _theta_from(init),
-                     tol=float(get("fit.tol", "1e-6")),
-                     fit_q=float(get("fit.q", "1")))
+        built["bounds"] = replace(default_bounds(),
+                                  **given(lower="fit.lower", upper="fit.upper"))
+        built.update(given(init="fit.init", tol="fit.tol", fit_q="fit.q"))
     if "sweep" in sections:
-        built["repetitions"] = int(get("repetitions", "1"))
+        built.update(given(repetitions="repetitions"))
     return ExperimentConfig(**built)
 
 
@@ -339,12 +353,10 @@ def _row_from_fit(rep_id, fr, selected=False):
 
 
 def write_sweep_rows(path, rows):
-    with open(path, "w") as fh:
-        fh.write("repetition,q,sigma2,beta,nu,kappa,objective,converged,selected\n")
-        for r in rows:
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
-                     % (r.repetition, r.q, r.sigma2, r.beta, r.nu, r.kappa,
-                        r.objective, _fmt(r.converged), _fmt(r.selected)))
+    _write_csv(path, "repetition,q,sigma2,beta,nu,kappa,objective,converged,selected",
+               "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s",
+               ((r.repetition, r.q, r.sigma2, r.beta, r.nu, r.kappa, r.objective,
+                 _fmt(r.converged), _fmt(r.selected)) for r in rows))
 
 
 def summarize_sweep(rows, grid, kappa0):
@@ -374,8 +386,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# every flag a subcommand registers; each overrides the config key it
-# mirrors in _FLAG_KEYS, or is read by its subcommand directly
+# every flag a subcommand registers; each overrides the config key that
+# names it in _KEYS, or is read by its subcommand directly
 _FLAGS = {
     "config": dict(help="key = value config file"),
     "out": dict(help="output directory (default $%s or .)" % OUT_ENV),
@@ -406,42 +418,28 @@ def build_parser():
                                  "maximum Lq-likelihood estimator")
     subs = parser.add_subparsers(dest="command", required=True)
     sim = ("seed", "n", "m", "layout", "theta", "contam-r", "contam-sd")
-    # each subcommand registers the flags it reads, and no others
-    for name, help_text, func, flags in (
-            ("simulate", "generate a dataset on disk", cmd_simulate,
+    # each subcommand registers the flags it reads, and no others, and
+    # builds the config sections it reads
+    for name, help_text, func, sections, flags in (
+            ("simulate", "generate a dataset on disk", cmd_simulate, ("sim",),
              ("config", "out") + sim),
-            ("fit", "fit one q to a dataset", cmd_fit,
+            ("fit", "fit one q to a dataset", cmd_fit, ("fit",),
              ("config", "out", "q", "data-dir")),
             ("select-q", "run a q selector on a dataset", cmd_select_q,
-             ("config", "out", "q-grid", "selector", "data-dir")),
-            ("se", "standard errors for a stored fit", cmd_se,
+             ("grid", "fit"), ("config", "out", "q-grid", "selector", "data-dir")),
+            ("se", "standard errors for a stored fit", cmd_se, (),
              ("config", "out", "q", "data-dir", "fit")),
-            ("variogram", "per-replicate empirical variograms", cmd_variogram,
+            ("variogram", "per-replicate empirical variograms", cmd_variogram, (),
              ("config", "out", "data-dir", "bins", "max-dist", "center")),
             ("sweep", "repetitions x (simulate, fit grid, select)", cmd_sweep,
-             sim + ("config", "out", "q-grid", "repetitions", "selector"))):
+             SECTIONS, sim + ("config", "out", "q-grid", "repetitions", "selector"))):
         # no abbreviations: another subcommand's flag (variogram --m) must
         # not pass as a prefix of one of this one's (--max-dist)
         sp = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             sp.add_argument("--" + flag, **_FLAGS[flag])
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, sections=sections)
     return parser
-
-
-_FLAG_KEYS = [("seed", "sim.seed"), ("n", "sim.n"), ("m", "sim.m"),
-              ("layout", "sim.layout"), ("theta", "sim.theta"),
-              ("contam_r", "sim.contam.r"), ("contam_sd", "sim.contam.sd"),
-              ("q", "fit.q"), ("q_grid", "grid.q"),
-              ("repetitions", "repetitions"), ("selector", "selector"),
-              ("out", "output_dir")]
-
-
-# the config sections each subcommand reads
-_COMMAND_SECTIONS = {
-    "simulate": ("sim",), "fit": ("fit",), "se": (), "select-q": ("grid", "fit"),
-    "variogram": (), "sweep": SECTIONS,
-}
 
 
 def _config_mapping(args):
@@ -449,8 +447,8 @@ def _config_mapping(args):
     mapping = {}
     if args.config:
         mapping.update(read_record(args.config))
-    for attr, key in _FLAG_KEYS:
-        v = getattr(args, attr, None)
+    for key, (_section, attr, _parser) in _KEYS.items():
+        v = getattr(args, attr, None) if attr else None
         if v is not None:
             mapping[key] = str(v)
     return mapping
@@ -458,7 +456,7 @@ def _config_mapping(args):
 
 def config_from_args(args):
     """The config of the file and flags, with only the subcommand's sections built."""
-    return build_config(_config_mapping(args), _COMMAND_SECTIONS[args.command])
+    return build_config(_config_mapping(args), args.sections)
 
 
 def _outdir(cfg):
@@ -527,21 +525,19 @@ def cmd_select_q(args):
     write_record(os.path.join(out, "selectq.txt"),
                  [("selector", cfg.selector), ("q_star", _fmt(sel.q_star)),
                   ("reason", sel.reason), ("passes", len(sel.trace))])
-    with open(os.path.join(out, "trace.csv"), "w") as fh:
-        fh.write("pass,idx,q,series,k_star\n")
-        for rec in sel.trace:
-            ks = "" if rec.k_star is None else "%d" % rec.k_star
-            for i, qv in enumerate(rec.grid):
-                sv = "" if i == 0 or i > len(rec.series) \
-                    else "%.17g" % rec.series[i - 1]
-                fh.write("%d,%d,%.17g,%s,%s\n" % (rec.pass_index, i, qv, sv, ks))
+    _write_csv(os.path.join(out, "trace.csv"), "pass,idx,q,series,k_star",
+               "%d,%d,%.17g,%s,%s",
+               ((rec.pass_index, i, qv,
+                 "" if i == 0 or i > len(rec.series) else "%.17g" % rec.series[i - 1],
+                 "" if rec.k_star is None else "%d" % rec.k_star)
+                for rec in sel.trace for i, qv in enumerate(rec.grid)))
     print("selected q*=%g (%s) after %d pass(es)"
           % (sel.q_star, sel.reason, len(sel.trace)))
 
 
 def cmd_se(args):
     mapping = _config_mapping(args)
-    out = _outdir(build_config(mapping, _COMMAND_SECTIONS["se"]))
+    out = _outdir(build_config(mapping, args.sections))
     locs, reps = read_dataset(args.data_dir)
     fit_path = args.fit or os.path.join(out, "fit.txt")
     rec = read_record(fit_path)
@@ -549,26 +545,19 @@ def cmd_se(args):
         theta = MaternParams(float(rec["sigma2"]), float(rec["beta"]),
                              float(rec["nu"]))
         # --q, mapped onto fit.q, then the config's fit.q, then the record's q
-        q = float(mapping["fit.q"] if "fit.q" in mapping else rec["q"])
+        q = _parse("fit.q", mapping["fit.q"]) if "fit.q" in mapping else float(rec["q"])
     except KeyError as exc:
         raise DataError("%s: missing key %s" % (fit_path, exc)) from None
     parts = sandwich(reps, locs, theta, q)
     errs = std_errs(parts)
-    pairs = [("q", _fmt(q)), ("m", parts.m),
-             ("se.sigma2", _fmt(float(errs.se[0]))),
-             ("se.beta", _fmt(float(errs.se[1]))),
-             ("se.nu", _fmt(float(errs.se[2]))),
-             ("convention", errs.convention), ("cond", _fmt(errs.cond)),
-             ("log_scale", _fmt(parts.log_scale))]
     names = ("sigma2", "beta", "nu")
-    for a in range(3):
-        for b in range(3):
-            pairs.append(("K.%s.%s" % (names[a], names[b]),
-                          _fmt(float(parts.K[a, b]))))
-    for a in range(3):
-        for b in range(3):
-            pairs.append(("J.%s.%s" % (names[a], names[b]),
-                          _fmt(float(parts.J[a, b]))))
+    pairs = [("q", _fmt(q)), ("m", parts.m)]
+    pairs += [("se." + a, _fmt(float(v))) for a, v in zip(names, errs.se)]
+    pairs += [("convention", errs.convention), ("cond", _fmt(errs.cond)),
+              ("log_scale", _fmt(parts.log_scale))]
+    for mat, M in (("K", parts.K), ("J", parts.J)):
+        pairs += [("%s.%s.%s" % (mat, names[a], names[b]), _fmt(float(M[a, b])))
+                  for a in range(3) for b in range(3)]
     write_record(os.path.join(out, "se.txt"), pairs)
     print("se=(%.6g, %.6g, %.6g) convention=%s cond=%.3g"
           % (errs.se[0], errs.se[1], errs.se[2], errs.convention, errs.cond))
@@ -582,11 +571,9 @@ def cmd_variogram(args):
         reps = center_replicates(reps)
     curves = variogram_by_replicate(reps, locs, args.bins, args.max_dist)
     path = os.path.join(out, "variogram.csv")
-    with open(path, "w") as fh:
-        fh.write("replicate_id,bin_center,gamma,count\n")
-        for rid, cv in enumerate(curves):
-            for bc, g, c in zip(cv.bin_centers, cv.gamma, cv.counts):
-                fh.write("%d,%.17g,%.17g,%d\n" % (rid, bc, g, c))
+    _write_csv(path, "replicate_id,bin_center,gamma,count", "%d,%.17g,%.17g,%d",
+               ((rid, *row) for rid, cv in enumerate(curves)
+                for row in zip(cv.bin_centers, cv.gamma, cv.counts)))
     print("wrote %s (%d replicates x %d bins)"
           % (path, len(curves), len(curves[0].bin_centers)))
 
@@ -606,8 +593,7 @@ def cmd_sweep(args):
         chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
         try:
             prof = chain.profile(grid)
-        except (NotSPDError, np.linalg.LinAlgError, RuntimeError,
-                FloatingPointError) as exc:
+        except _NUMERICAL as exc:
             log.warning("repetition %d failed outright: %s", rep_id, exc)
             for q in grid:
                 rows.append(SweepRow(rep_id, q, np.nan, np.nan, np.nan, np.nan,
@@ -618,22 +604,16 @@ def cmd_sweep(args):
             continue
         try:
             sel = _select(cfg, reps, locs, chain)
-        except (NotSPDError, SingularJError, np.linalg.LinAlgError,
-                RuntimeError, FloatingPointError) as exc:
+        except _NUMERICAL as exc:
             log.warning("selector failed on repetition %d: %s", rep_id, exc)
             continue
         selected.append(sel.q_star)
         rows.append(_row_from_fit(rep_id, chain.fit(sel.q_star), selected=True))
     write_sweep_rows(os.path.join(out, "sweep.csv"), rows)
-    with open(os.path.join(out, "summary.csv"), "w") as fh:
-        fh.write("q,n_used,bias,variance,mse\n")
-        for q, n_used, bias, var, mse in summarize_sweep(rows, grid, kappa0):
-            fh.write("%.17g,%d,%.17g,%.17g,%.17g\n" % (q, n_used, bias, var, mse))
-    with open(os.path.join(out, "selected_hist.csv"), "w") as fh:
-        fh.write("q_star,count\n")
-        uniq, counts = np.unique(np.round(selected, 6), return_counts=True)
-        for qv, c in zip(uniq, counts):
-            fh.write("%.6g,%d\n" % (qv, c))
+    _write_csv(os.path.join(out, "summary.csv"), "q,n_used,bias,variance,mse",
+               "%.17g,%d,%.17g,%.17g,%.17g", summarize_sweep(rows, grid, kappa0))
+    _write_csv(os.path.join(out, "selected_hist.csv"), "q_star,count", "%.6g,%d",
+               zip(*np.unique(np.round(selected, 6), return_counts=True)))
     meta = sim_mapping(cfg.sim)
     meta += [("grid.q", ",".join(_fmt(v) for v in grid)),
              ("grid.eps", _fmt(cfg.q_grid.eps)), ("grid.L", _fmt(cfg.q_grid.L)),
@@ -663,8 +643,7 @@ def main(argv=None):
     except OSError as exc:
         print("file error: %s" % exc, file=sys.stderr)
         return 2
-    except (NotSPDError, SingularJError, np.linalg.LinAlgError,
-            FloatingPointError, RuntimeError) as exc:
+    except _NUMERICAL as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -110,6 +110,9 @@ _NEWTON_STEPS = 6
 # Evaluation and iteration budget of each Nelder-Mead run.
 _MAX_EVALS = 5000
 
+# ``tol`` of fit, FitChain and fit_profile when none is given.
+DEFAULT_TOL = 1e-6
+
 # Share of a bound interval's width by which ``default_init`` moves a
 # beta or nu that lies outside the box inside it.
 _INIT_INSET = 0.1
@@ -224,8 +227,9 @@ class _PassSummary:
     derivatives only through the weights w = softmax((1-q) l) (w = 1 at
     q = 1), and l_i = -z_i' Sigma^-1 z_i / 2, up to a constant shared by all
     replicates, is -sigma2 g_i[0].  So the pass serves a Newton step at any
-    q (``newton_step``), and it gives the size of the terms the profile
-    value at theta is summed from (``rounding_floor``).
+    q (``newton_step``), and with ``log_det_r`` = log|R| of the pass's
+    factor it gives the size of the terms the profile value at theta is
+    summed from (``rounding_floor``).
     """
 
     theta: np.ndarray
@@ -233,6 +237,7 @@ class _PassSummary:
     n: int
     g: np.ndarray
     S: np.ndarray
+    log_det_r: float
 
     def _total(self, q):
         # the weights' total: m at q = 1, 1 below
@@ -263,17 +268,12 @@ class _PassSummary:
         a_i = z_i' Sigma^-1 z_i = n + 2 sigma2 g_i[0].  V can sit near 0 by
         cancellation while its rounding follows the size of those terms,
         (1/2)(n (log 2 pi + |log sigma2|) + |log|R|| + max a), times m at
-        q = 1, where V sums the l_i.  log|R| is read back from V: V is k c
-        plus the value of the -a_i / 2 alone, where c is the terms' shared
-        part and k = m at q = 1, 1 below.
+        q = 1, where V sums the l_i.
         """
         n, log_s2 = self.n, float(np.log(self.theta[0]))
         a = n + 2.0 * self.theta[0] * self.g[0]
-        k = self._total(self.q)
-        c = (value - _lq_weights(-0.5 * a, self.q)[0]) / k
-        log_det_r = -2.0 * c - n * (_LOG_2PI + log_s2)
-        size = 0.5 * (n * (_LOG_2PI + abs(log_s2)) + abs(log_det_r) + float(a.max()))
-        return V_ROUNDING * max(abs(value), k * size)
+        size = 0.5 * (n * (_LOG_2PI + abs(log_s2)) + abs(self.log_det_r) + float(a.max()))
+        return V_ROUNDING * max(abs(value), self._total(self.q) * size)
 
 
 def _profile_derivs(reps, locs, chol, theta, q, clipped):
@@ -296,7 +296,7 @@ def _profile_derivs(reps, locs, chol, theta, q, clipped):
     ``_PassSummary``).
     """
     g, w, hess, _ = _finish(reps.data, locs, chol, theta, q)
-    summary = _PassSummary(theta.as_array(), q, reps.n, g, hess.copy())
+    summary = _PassSummary(theta.as_array(), q, reps.n, g, hess.copy(), chol.log_det)
     grad = g @ w
     if q < 1.0:
         G = g - grad[:, None]
@@ -435,7 +435,7 @@ class _Search:
         return u, confirmed
 
 
-def fit(reps, locs, q, bounds=None, init=None, tol=1e-6, *, warm=False, _keep=None):
+def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _keep=None):
     """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
 
     The search runs over (beta, nu); sigma2 is solved exactly at each trial
@@ -556,7 +556,7 @@ class FitChain:
     O(m) numbers per q.  A fit that raises is not cached.
     """
 
-    def __init__(self, reps, locs, bounds=None, init=None, tol=1e-6):
+    def __init__(self, reps, locs, bounds=None, init=None, tol=DEFAULT_TOL):
         if bounds is None:
             bounds = default_bounds()
         if init is None:
@@ -613,7 +613,7 @@ class FitChain:
         for q in grid:
             try:
                 fits.append(self.fit(q))
-            except (NotSPDError, np.linalg.LinAlgError):
+            except np.linalg.LinAlgError:      # NotSPDError among them
                 theta = self._nearest(q)[0]
                 fits.append(FitResult(theta_hat=theta, objective=float("nan"),
                                       q=q, iterations=0, evaluations=0,
@@ -621,6 +621,6 @@ class FitChain:
         return QProfile(grid=grid, fits=tuple(fits))
 
 
-def fit_profile(reps, locs, grid, bounds=None, init=None, tol=1e-6):
+def fit_profile(reps, locs, grid, bounds=None, init=None, tol=DEFAULT_TOL):
     """``FitChain.profile`` of a fresh chain: fits along a descending q grid."""
     return FitChain(reps, locs, bounds, init, tol).profile(grid)

@@ -1,6 +1,8 @@
 import argparse
+import inspect
 import os
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,11 @@ from lqmatern.cli_io import (DataError, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, write_locations,
                              write_record, write_replicates)
-from lqmatern.estimate import default_bounds
+from lqmatern.estimate import FitChain, default_bounds, fit, fit_profile
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
-from lqmatern.simulate import SimConfig, simulate_dataset
+from lqmatern.qselect import QGridSpec, default_kappa_spec
+from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
 from lqmatern.variogram import center_replicates, variogram_by_replicate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -147,6 +150,17 @@ class TestBuildConfig:
         assert cfg.q_grid.L == 4.0 and cfg.q_grid.K == 7
         assert cfg.fit_q == 1.0 and cfg.tol == 1e-6
         assert cfg.repetitions == 1 and cfg.output_dir == "."
+        # every default but the CLI's own (theta, n, m) is that of the
+        # library object the key configures
+        sim_defaults = {f.name: f.default for f in fields(SimConfig)}
+        assert cfg.sim.layout == sim_defaults["layout"]
+        assert cfg.sim.seed == sim_defaults["seed"]
+        assert cfg.sim.contamination == ContaminationSpec()
+        assert cfg.q_grid == default_kappa_spec()
+        assert build_config({"selector": "sqv"}).q_grid == QGridSpec()
+        assert cfg.bounds == default_bounds() and cfg.init is None
+        for owner in (fit, FitChain, fit_profile):
+            assert inspect.signature(owner).parameters["tol"].default == cfg.tol
 
     def test_sqv_selector_flips_default_threshold(self):
         assert build_config({"selector": "sqv"}).q_grid.L == 0.05
@@ -164,6 +178,13 @@ class TestBuildConfig:
         assert cfg.q_grid.grid == (1.0, 0.98, 0.96)
         with pytest.raises(DataError, match="3 comma-separated"):
             build_config({"sim.theta": "1,2"})
+        # a value that does not parse names its key; an empty list item or
+        # an empty list is no value
+        for key, text in (("sim.theta", "1,0.1,abc"), ("sim.theta", "1,,0.1,0.5"),
+                          ("grid.q", "1,,0.9"), ("grid.q", ""),
+                          ("fit.lower", "0.1,0.01,")):
+            with pytest.raises(DataError, match=re.escape("%s = %r: " % (key, text))):
+                build_config({key: text})
 
     def test_bounds_and_init(self):
         cfg = build_config({"fit.lower": "0.1,0.01,0.1",
@@ -177,9 +198,20 @@ class TestBuildConfig:
         assert cfg.sim.contamination.r == 0.1
         assert cfg.sim.contamination.noise_sd == 2.0
 
-    def test_validation(self):
+    def test_validation(self, tmp_path, capsys):
         with pytest.raises(DataError, match="repetitions"):
             build_config({"repetitions": "0"})
+        for key, text in (("sim.n", "ten"), ("sim.seed", "1.5"), ("grid.K", "x"),
+                          ("fit.tol", "tight"), ("repetitions", "two")):
+            with pytest.raises(DataError, match=re.escape("%s = %r: " % (key, text))):
+                build_config({key: text})
+        # exit code 2, with the key named, for a config value and a flag
+        cfgp = tmp_path / "c.cfg"
+        write_record(cfgp, [("sim.n", "ten")])
+        assert run(["simulate", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert "data error: sim.n = 'ten': " in capsys.readouterr().err
+        assert run(["sweep", "--q-grid", "", "--out", str(tmp_path)]) == 2
+        assert "data error: grid.q = '': " in capsys.readouterr().err
         with pytest.raises(DataError, match="selector"):
             build_config({"selector": "magic"})
         for key in ("fit.scale", "fit.method"):
@@ -320,6 +352,17 @@ class TestMain:
         assert meta["generator"] == "philox"
         assert meta["sim.seed"] == "42"
         assert "sim.contam.kind" not in meta
+        # the config echo, key order and formatting included
+        assert (out / "meta.txt").read_text() == (
+            "sim.theta = 1,0.20000000000000001,0.5\n"
+            "sim.n = 4\n"
+            "sim.m = 2\n"
+            "sim.layout = grid\n"
+            "sim.seed = 42\n"
+            "sim.contam.r = 0\n"
+            "sim.contam.sd = 1\n"
+            "generator = philox\n"
+            "contam.flags = 0,0\n")
         # the golden fixture was produced with these exact settings
         assert (out / "locations.csv").read_bytes() == \
             Path(DATA, "locations.csv").read_bytes()
@@ -525,6 +568,23 @@ class TestMain:
         assert meta["repetitions"] == "2"
         assert meta["grid.q"].startswith("1,")
         assert "fit.scale" not in meta and "fit.method" not in meta
+        # the config echo, key order and formatting included
+        assert (out / "sweep_meta.txt").read_text() == (
+            "sim.theta = 1,0.20000000000000001,0.5\n"
+            "sim.n = 9\n"
+            "sim.m = 6\n"
+            "sim.layout = grid\n"
+            "sim.seed = 7\n"
+            "sim.contam.r = 0\n"
+            "sim.contam.sd = 1\n"
+            "grid.q = 1,0.98999999999999999\n"
+            "grid.eps = 0.0050000000000000001\n"
+            "grid.L = 4\n"
+            "grid.K = 7\n"
+            "fit.tol = 0.001\n"
+            "repetitions = 2\n"
+            "selector = kappa\n"
+            "generator = philox\n")
         capsys.readouterr()
 
     def test_sweep_selector_reuses_fits_whose_objective_overflowed(

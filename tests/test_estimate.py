@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -853,7 +854,8 @@ class TestChainStart:
         assert np.abs(step[1:] / near.theta_hat.as_array()[1:]).min() > 1e-3
 
     def test_rounding_floor_follows_the_terms_of_the_value(self, interior_data):
-        # log|R| is read back from V; here it is taken from the factor
+        # the summary keeps log|R| of the pass's factor; here it is taken
+        # from a factor of its own
         locs, reps, base = interior_data
         for q in SYM_QS:
             th = base[q].theta_hat
@@ -889,8 +891,7 @@ class TestChainStart:
     def test_hessian_not_negative_definite_starts_at_the_estimate(
             self, interior_data, monkeypatch):
         locs, reps, _base = interior_data
-        keep_altered(monkeypatch, lambda k: est._PassSummary(
-            k.theta, k.q, k.n, k.g, -k.S))
+        keep_altered(monkeypatch, lambda k: replace(k, S=-k.S))
         chain = FitChain(reps, locs)
         near = chain.fit(1.0)
         assert chain._passes[1.0].newton_step(0.9) is None
