@@ -27,16 +27,18 @@ plug-in matrices are K e^(2s) and J e^s.  The standard errors are
 invariant under that common rescaling, so they never see the raw scale.
 ``ustar_all`` returns the raw U* of every replicate.
 
-One derivative pass serves the sandwich, U* and the fit's Newton steps
-(``estimate._profile_derivs``).  It returns every replicate's g_i, the
-weights, s and the weighted sum sum w_i H_i; no replicate's Hessian is
-formed.  J needs only that sum and the g_i:
+One derivative pass serves the sandwich, U*, the fit's Newton steps and
+``FitChain``'s warm starts.  ``_finish`` returns it as one ``_Pass`` of
+O(m) numbers: every replicate's g_i, the weights, s, log|R| and the
+weighted sum S = sum w_i H_i; no replicate's Hessian is formed.  J needs
+only that sum and the g_i:
 
-    m J = sum w_i H_i + (1-q) sum w_i g_i g_i',
+    m J = S + (1-q) sum w_i g_i g_i',
 
-and the fit's Hessian of the log-domain objective adds the centred
-(1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, with gbar = sum w_i g_i.
-V* is the case m = 1.
+and the Hessian of the log-domain objective (``_Pass.hessian``, the one
+place it is assembled) adds the centred (1-q) sum w_i (g_i - gbar)
+(g_i - gbar)' instead, with gbar = sum w_i g_i; below q = 1 the two differ
+by (1-q) gbar gbar'.  V* is the case m = 1.
 
 The pass (``_finish``) starts from the Cholesky factor of the correlation
 matrix R(beta, nu) that scored the point (``gauss_lik._corr_factor``), so
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .gauss_lik import _LOG_2PI, NotSPDError, _corr_factor, _lq_weights
+from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _corr_factor, _lq_weights
 from .matern import MaternParams, _kernel_terms
 
 # Relative eigenvalue floor used when building the PD surrogate of J.
@@ -141,18 +143,80 @@ def _mirror_lower(a):
         a[lo:hi, hi:] = a[hi:, lo:hi].T
 
 
+@dataclass(frozen=True)
+class _Pass:
+    """One derivative pass at theta = (sigma2, beta, nu) and q, in O(m).
+
+    ``g`` holds every replicate's gradient g_i (3, m), ``w`` the weights
+    (m,) of ``_lq_weights``, ``S`` = sum w_i H_i (3, 3), ``log_det_r``
+    log|R| of the pass's factor and ``log_scale`` the log scale s of the
+    raw factors, f_i^(1-q) = w_i e^s (0 at q = 1); n is the number of
+    sites.  The sandwich and U* read g, w, S and s.  The fit's Newton steps
+    and ``FitChain``'s warm starts read ``hessian``, and the fit's tie rule
+    ``rounding_floor``.
+    """
+
+    theta: MaternParams
+    q: float
+    n: int
+    g: np.ndarray
+    w: np.ndarray
+    S: np.ndarray
+    log_det_r: float
+    log_scale: float
+
+    def _total(self, q):
+        # the weights' total: m at q = 1, 1 below
+        return float(self.g.shape[1]) if q == 1.0 else 1.0
+
+    def hessian(self, q):
+        """(gbar, H): gradient and Hessian of the log-domain objective at q.
+
+        gbar = sum w_i g_i, and H is S rescaled to the weights' total plus
+        (1-q) sum w_i (g_i - gbar)(g_i - gbar)', with the H_i weighted as at
+        the pass.  The weights are the pass's own at its q.  At any other q
+        they are re-weighted from l_i = -sigma2 g_i[0], which is
+        -z_i' Sigma^-1 z_i / 2 up to a constant shared by all replicates, so
+        the pass serves a Newton step at any q.
+        """
+        w = self.w if q == self.q else _lq_weights(-self.theta.sigma2 * self.g[0], q)[1]
+        gbar = self.g @ w
+        H = self.S * (self._total(q) / self._total(self.q))
+        if q < 1.0:
+            G = self.g - gbar[:, None]
+            H += (1.0 - q) * ((G * w) @ G.T)
+        return gbar, 0.5 * (H + H.T)
+
+    def newton_step(self, q):
+        """-H^-1 gbar in (sigma2, beta, nu) from ``hessian(q)``; None unless H < 0."""
+        gbar, H = self.hessian(q)
+        if np.isfinite(H).all() and np.isfinite(gbar).all() and np.linalg.eigvalsh(H).max() < 0:
+            return -np.linalg.solve(H, gbar)
+        return None
+
+    def rounding_floor(self, value):
+        """V_ROUNDING times the size of the terms the value V at theta sums.
+
+        Each l_i is -(1/2)(n log 2 pi + n log sigma2 + log|R| + a_i), with
+        a_i = z_i' Sigma^-1 z_i = n + 2 sigma2 g_i[0].  V can sit near 0 by
+        cancellation while its rounding follows the size of those terms,
+        (1/2)(n (log 2 pi + |log sigma2|) + |log|R|| + max a), times m at
+        q = 1, where V sums the l_i.
+        """
+        n, s2 = self.n, self.theta.sigma2
+        a = n + 2.0 * s2 * self.g[0]
+        size = 0.5 * (n * (_LOG_2PI + abs(np.log(s2))) + abs(self.log_det_r) + a.max())
+        return V_ROUNDING * max(abs(value), self._total(self.q) * size)
+
+
 def _finish(Z, locs, chol, theta, q):
-    """Per-replicate gradients and the weighted Hessian sum of the columns of Z.
+    """The derivative pass (``_Pass``) of the columns of Z (n x m) at theta and q.
 
     The pass at theta = (s2, beta, nu), from ``chol``, the Cholesky factor
     of R(beta, nu) (``gauss_lik._corr_factor``), which it overwrites with
-    Sigma^-1.  Returns (g, w, H, log_scale): every replicate's g_i as
-    g (3, m), the weights w (m,) of ``_lq_weights``, H = sum w_i H_i
-    (3, 3), and the log scale s of the raw factors, f_i^(1-q) = w_i e^s
-    (0 at q = 1).  The weights come from
-    -(1/2) z' Sigma^-1 z, since the log density's terms common to all
-    replicates do not change them; s adds those terms back, with
-    log|Sigma| = log|R| + n log s2.
+    Sigma^-1.  The weights come from -(1/2) z' Sigma^-1 z, since the log
+    density's terms common to all replicates do not change them; the log
+    scale s adds those terms back, with log|Sigma| = log|R| + n log s2.
 
     Sigma^-1 is LAPACK potri on R's factor, in its place, divided by s2; a
     failure there raises NotSPDError carrying theta.  W = Sigma^-1 Z is one
@@ -164,11 +228,10 @@ def _finish(Z, locs, chol, theta, q):
     summed over replicates from B_k W where m < n.  The sigma2 row is
     analytic, since dS_0 = Sigma / s2, B_0 = I / s2 and d2S_0k = dS_k / s2,
     and its <dS_j, M> is the weighted sum of the gradient's products
-    w_i' dS_j w_i.  Callers add their own (1-q) term in g.
+    w_i' dS_j w_i.  The (1-q) terms in g are the readers': ``_Pass.hessian``
+    and ``sandwich``.
     """
     Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
     n, m = Z.shape
     if locs.n != n:
         raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
@@ -246,7 +309,7 @@ def _finish(Z, locs, chol, theta, q):
     if q < 1.0:
         log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
-    return g, w, H, log_scale
+    return _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)
 
 
 def _weighted_derivs(Z, locs, theta, q):
@@ -256,8 +319,8 @@ def _weighted_derivs(Z, locs, theta, q):
 
 def ustar_all(reps, locs, theta, q):
     """U* for every replicate, shape (3, m); one shared factorization."""
-    g, w, _, log_scale = _weighted_derivs(reps.data, locs, theta, q)
-    return w * g * np.exp(log_scale)
+    p = _weighted_derivs(reps.data, locs, theta, q)
+    return p.w * p.g * np.exp(p.log_scale)
 
 
 def sandwich(reps, locs, theta_hat, q):
@@ -268,14 +331,14 @@ def sandwich(reps, locs, theta_hat, q):
     """
     if reps.m < 2:
         raise ValueError("sandwich needs at least 2 replicates")
-    g, w, H, log_scale = _weighted_derivs(reps.data, locs, theta_hat, q)
+    p = _weighted_derivs(reps.data, locs, theta_hat, q)
     m = reps.m
-    U = w * g
+    U = p.w * p.g
     K = (U @ U.T) / m
-    J = (H + (1.0 - q) * (U @ g.T)) / m
+    J = (p.S + (1.0 - q) * (U @ p.g.T)) / m
     K = 0.5 * (K + K.T)
     J = 0.5 * (J + J.T)
-    return SandwichParts(K=K, J=J, m=m, log_scale=log_scale)
+    return SandwichParts(K=K, J=J, m=m, log_scale=p.log_scale)
 
 
 def std_errs(parts):

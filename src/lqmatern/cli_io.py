@@ -541,13 +541,18 @@ def cmd_se(args):
     locs, reps = read_dataset(args.data_dir)
     fit_path = args.fit or os.path.join(out, "fit.txt")
     rec = read_record(fit_path)
-    try:
-        theta = MaternParams(float(rec["sigma2"]), float(rec["beta"]),
-                             float(rec["nu"]))
-        # --q, mapped onto fit.q, then the config's fit.q, then the record's q
-        q = _parse("fit.q", mapping["fit.q"]) if "fit.q" in mapping else float(rec["q"])
-    except KeyError as exc:
-        raise DataError("%s: missing key %s" % (fit_path, exc)) from None
+
+    def number(key):
+        if key not in rec:
+            raise DataError("%s: missing key '%s'" % (fit_path, key))
+        try:
+            return float(rec[key])
+        except ValueError as exc:
+            raise DataError("%s: %s = %r: %s" % (fit_path, key, rec[key], exc)) from None
+
+    theta = MaternParams(*(number(key) for key in ("sigma2", "beta", "nu")))
+    # --q, mapped onto fit.q, then the config's fit.q, then the record's q
+    q = _parse("fit.q", mapping["fit.q"]) if "fit.q" in mapping else number("q")
     parts = sandwich(reps, locs, theta, q)
     errs = std_errs(parts)
     names = ("sigma2", "beta", "nu")

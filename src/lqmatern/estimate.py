@@ -25,7 +25,10 @@ A cold fit has three stages.
   objective-spread test is disabled, so its steps depend only on the order
   of values).
 - Up to ``_NEWTON_STEPS`` Newton steps delta on V in u follow, from its
-  exact gradient and Hessian (``_profile_derivs``).  A step is taken when
+  exact gradient and Hessian: one derivative pass (``asymptotics._finish``)
+  gives the full ones in (sigma2, beta, nu) (``_Pass.hessian``), and
+  sigma2's response enters through their Schur complement, unless sigma2
+  sits on a bound, where it stays under small moves.  A step is taken when
   the Hessian is negative definite, u + delta lies in the box and scores no
   lower than u; any other step ends this stage, with no line search.  The
   pass after a step longer than ``tol``, and a warm fit's first pass at
@@ -34,7 +37,7 @@ A cold fit has three stages.
   converges quadratically, so the step after a 1e-5 step is about 1e-11,
   and its rise is below the rounding of V: where the predicted rise
   delta' (-H) delta / 2 is at most ``gauss_lik.V_ROUNDING`` times the size
-  of the terms V is summed from (``_PassSummary.rounding_floor``; at least
+  of the terms V is summed from (``_Pass.rounding_floor``; at least
   |V(u)|, which can sit near 0 by cancellation), the step is taken
   whatever it scores (the tie rule).  A short step whose
   rise is a little above that can still score lower by rounding; where it
@@ -52,13 +55,14 @@ A warm fit (``warm=True``: init is near the answer) starts with the Newton
 steps at init, and runs the cold stages from the best point reached only if
 they do not confirm.  ``FitChain`` caches each q's fit and starts every fit
 after the first one that returns warm, from the fitted q nearest to it: the
-last derivative pass of that fit, taken within ``tol`` of its estimate,
-holds every replicate's gradient and log density and the weighted Hessian
-sum, and q enters them only through the replicate weights, so re-weighting
-that pass to the new q gives one Newton step for the new fit without a new
-pass (the corrector of predictor-corrector continuation; Allgower & Georg,
-Numerical Continuation Methods, 1990).  The step's (beta, nu) is the start;
-where it cannot be taken, the nearest estimate is.  The README's
+last derivative pass of that fit (its ``_Pass``), taken within ``tol`` of
+its estimate, holds every replicate's gradient and log density and the
+weighted Hessian sum, and q enters them only through the replicate weights,
+so re-weighting that pass to the new q (``_Pass.newton_step``, a full
+solve in (sigma2, beta, nu)) gives one Newton step for the new fit without
+a new pass (the corrector of predictor-corrector continuation; Allgower &
+Georg, Numerical Continuation Methods, 1990).  The step's (beta, nu) is the
+start; where it cannot be taken, the nearest estimate is.  The README's
 "Performance notes" give the evaluations and passes of warm fits so
 started.  The chain serves ``fit_profile``, the q selectors and the CLI
 sweep.
@@ -94,8 +98,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _finish
-from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _corr_factor, _lq_weights,
-                        _profile_factor)
+from .gauss_lik import NotSPDError, _corr_factor, _profile_factor
 from .matern import MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -189,9 +192,17 @@ def _checked_q_grid(grid):
     g = np.asarray(grid, dtype=float)
     if g.size == 0 or g[0] != 1.0:
         raise ValueError("q grid must start at 1")
-    if np.any(g <= 0.0) or np.any(g > 1.0) or np.any(np.diff(g) >= 0.0):
+    # written so that a NaN entry, which fails every comparison, fails too
+    if not (np.all((g > 0.0) & (g <= 1.0)) and np.all(np.diff(g) < 0.0)):
         raise ValueError("q grid must be strictly decreasing within (0, 1]")
     return tuple(float(v) for v in g)
+
+
+def _checked_tol(tol):
+    """tol itself; a NaN, infinite or negative tol raises ValueError."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and non-negative, got %r" % (tol,))
+    return tol
 
 
 def default_bounds():
@@ -218,98 +229,6 @@ def default_init(reps, bounds):
     return MaternParams.from_array(start)
 
 
-@dataclass(frozen=True)
-class _PassSummary:
-    """One derivative pass at theta = (sigma2, beta, nu) and q, kept in O(m).
-
-    ``g`` holds every replicate's gradient g_i (3, m) and ``S`` = sum w_i H_i
-    with the pass's weights; n is the number of sites.  q enters the
-    derivatives only through the weights w = softmax((1-q) l) (w = 1 at
-    q = 1), and l_i = -z_i' Sigma^-1 z_i / 2, up to a constant shared by all
-    replicates, is -sigma2 g_i[0].  So the pass serves a Newton step at any
-    q (``newton_step``), and with ``log_det_r`` = log|R| of the pass's
-    factor it gives the size of the terms the profile value at theta is
-    summed from (``rounding_floor``).
-    """
-
-    theta: np.ndarray
-    q: float
-    n: int
-    g: np.ndarray
-    S: np.ndarray
-    log_det_r: float
-
-    def _total(self, q):
-        # the weights' total: m at q = 1, 1 below
-        return float(self.g.shape[1]) if q == 1.0 else 1.0
-
-    def newton_step(self, q):
-        """-H^-1 gbar with the weights at q; None unless H < 0.
-
-        gbar = sum w_i g_i, and H is S rescaled to the new weights' total
-        plus (1-q) sum w_i (g_i - gbar)(g_i - gbar)': the Hessian of the
-        log-domain objective at q, with the H_i weighted as at the pass.
-        """
-        _, w = _lq_weights(-self.theta[0] * self.g[0], q)
-        gbar = self.g @ w
-        G = self.g - gbar[:, None]
-        H = self.S * (self._total(q) / self._total(self.q))
-        H += (1.0 - q) * ((G * w) @ G.T)
-        H = 0.5 * (H + H.T)
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(gbar))
-                and np.linalg.eigvalsh(H).max() < 0.0):
-            return None
-        return -np.linalg.solve(H, gbar)
-
-    def rounding_floor(self, value):
-        """V_ROUNDING times the size of the terms the value V at theta sums.
-
-        Each l_i is -(1/2)(n log 2 pi + n log sigma2 + log|R| + a_i), with
-        a_i = z_i' Sigma^-1 z_i = n + 2 sigma2 g_i[0].  V can sit near 0 by
-        cancellation while its rounding follows the size of those terms,
-        (1/2)(n (log 2 pi + |log sigma2|) + |log|R|| + max a), times m at
-        q = 1, where V sums the l_i.
-        """
-        n, log_s2 = self.n, float(np.log(self.theta[0]))
-        a = n + 2.0 * self.theta[0] * self.g[0]
-        size = 0.5 * (n * (_LOG_2PI + abs(log_s2)) + abs(self.log_det_r) + float(a.max()))
-        return V_ROUNDING * max(abs(value), self._total(self.q) * size)
-
-
-def _profile_derivs(reps, locs, chol, theta, q, clipped):
-    """Gradient (2,) and Hessian (2, 2) in (beta, nu) of profile_lq's value.
-
-    ``chol`` is the Cholesky factor of R(beta, nu), theta = (sigma2, beta,
-    nu), which the pass takes.  With the replicate weights w (summing to one
-    below q = 1), the full gradient of the log-domain objective is
-    gbar = sum w_i g_i and its Hessian is
-    sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)', from one
-    ``asymptotics._finish`` pass.
-
-    ``theta.sigma2`` is the profile's solution at (beta, nu).  Where it is
-    interior, the sigma2-derivative of the objective vanishes, so the
-    gradient is the (beta, nu) part of the full one and sigma2's response
-    enters the Hessian through the Schur complement H_pp - H_ps H_ss^-1 H_sp
-    (nan unless H_ss < 0, where sigma2 is no maximum).  Where it is
-    ``clipped`` at a bound it stays there under small moves, and the
-    Hessian is H_pp.  Returns (gradient, Hessian, the pass's
-    ``_PassSummary``).
-    """
-    g, w, hess, _ = _finish(reps.data, locs, chol, theta, q)
-    summary = _PassSummary(theta.as_array(), q, reps.n, g, hess.copy(), chol.log_det)
-    grad = g @ w
-    if q < 1.0:
-        G = g - grad[:, None]
-        hess += (1.0 - q) * ((G * w) @ G.T)
-    hess = 0.5 * (hess + hess.T)
-    H = hess[1:, 1:]
-    if not clipped:
-        if not hess[0, 0] < 0.0:
-            return grad[1:], np.full((2, 2), np.nan), summary
-        H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
-    return grad[1:], H, summary
-
-
 class _Search:
     """One fit's scored points and counters, in bound-scaled u = (beta, nu)."""
 
@@ -325,7 +244,7 @@ class _Search:
         self.scored = {}
         self.iterations = self.evaluations = self.passes = 0
         self.simplex_ok = True      # the last simplex run ended normally
-        # (u, _PassSummary) of the last derivative pass
+        # (u, asymptotics._Pass) of the last derivative pass
         self.last_pass = None
         # (u.tobytes(), CholFactor of R) of the point scored last
         self.held = None
@@ -378,13 +297,22 @@ class _Search:
         try:
             if chol is None:
                 chol = _corr_factor(self.locs, beta, nu)
-            g, H, summary = _profile_derivs(self.reps, self.locs, chol,
-                                            MaternParams(sigma2, beta, nu), self.q,
-                                            clipped=sigma2 in self.s2_box)
+            p = _finish(self.reps.data, self.locs, chol, MaternParams(sigma2, beta, nu),
+                        self.q)
         except NotSPDError:
             return None
-        self.last_pass = (u, summary)
-        g, H = g * self.width, H * np.outer(self.width, self.width)
+        self.last_pass = (u, p)
+        gbar, hess = p.hessian(self.q)
+        H = hess[1:, 1:]
+        if sigma2 not in self.s2_box:
+            # the profile's sigma2 is interior, where V's sigma2-derivative
+            # vanishes, and its response enters through the Schur complement
+            # (no maximum in sigma2 unless hess[0, 0] < 0); a clipped sigma2
+            # stays on its bound under small moves
+            if not hess[0, 0] < 0.0:
+                return None
+            H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
+        g, H = gbar[1:] * self.width, H * np.outer(self.width, self.width)
         if not (np.all(np.isfinite(g)) and H[0, 0] < 0.0
                 and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0):
             return None
@@ -463,13 +391,14 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
         also the largest Newton step or restart move that confirms a point.
         Such a Newton step confirms the point it reaches, or, where it
         scores lower by less than its predicted rise (a rise lost to
-        rounding), the point it started from.
+        rounding), the point it started from.  A NaN, infinite or negative
+        tol raises ValueError, as in ``FitChain``.
     warm : bool
         Whether init is near the answer, such as the fit at a neighbouring q
         or a Newton step from it: Newton steps start from it, and the
         simplex runs only if they do not confirm.
     _keep : list, optional
-        ``FitChain``'s: receives the ``_PassSummary`` of the fit's last
+        ``FitChain``'s: receives the ``asymptotics._Pass`` of the fit's last
         derivative pass, where that pass lay within ``tol`` of the estimate
         with sigma2 inside its bounds.
 
@@ -484,6 +413,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
+    _checked_tol(tol)
     if bounds is None:
         bounds = default_bounds()
     if init is None:
@@ -518,10 +448,9 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
         confirmed = float(np.max(np.abs(u - start))) <= tol
 
     if _keep is not None and search.last_pass is not None:
-        u_pass, summary = search.last_pass
-        if (summary.theta[0] not in search.s2_box
-                and float(np.max(np.abs(u_pass - u))) <= tol):
-            _keep.append(summary)
+        u_pass, p = search.last_pass
+        if p.theta.sigma2 not in search.s2_box and float(np.max(np.abs(u_pass - u))) <= tol:
+            _keep.append(p)
 
     search.value(u)
     sigma2, value = search.scored[u.tobytes()]
@@ -549,7 +478,7 @@ class FitChain:
     later fit starts with Newton steps (``fit``'s ``warm``) one step ahead
     of the estimate at the fitted q nearest to it: the (beta, nu) part of
     that fit's last derivative pass re-weighted to the new q
-    (``_PassSummary.newton_step``).  It starts at the nearest estimate
+    (``_Pass.newton_step``).  It starts at the nearest estimate
     itself where that fit kept no pass (its sigma2 on a bound, or no pass
     within ``tol`` of its estimate), where the re-weighted Hessian is not
     negative definite, or where the step leaves the box.  The chain keeps
@@ -562,7 +491,7 @@ class FitChain:
         if init is None:
             init = default_init(reps, bounds)
         self._reps, self._locs, self._bounds = reps, locs, bounds
-        self._tol, self._init = tol, init
+        self._tol, self._init = _checked_tol(tol), init
         self._fits, self._passes = {}, {}
 
     def _nearest(self, q):
@@ -577,8 +506,8 @@ class FitChain:
         theta, key = self._nearest(q)
         if key is None:
             return theta, False
-        summary = self._passes[key]
-        step = None if summary is None else summary.newton_step(q)
+        p = self._passes[key]
+        step = None if p is None else p.newton_step(q)
         if step is not None:
             point = theta.as_array()[1:] + step[1:]
             lo, hi = self._bounds.as_arrays()

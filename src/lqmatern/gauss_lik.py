@@ -61,7 +61,7 @@ SIGMA2_MAX_STEPS = 1000
 # told from its start by scoring it, and is taken on the prediction alone.
 # profile_sigma2 takes that size as |V|; the fit's Newton steps take it
 # from the terms of the l_i, which can be far larger where V cancels to
-# near 0 (``estimate._PassSummary.rounding_floor``).
+# near 0 (``asymptotics._Pass.rounding_floor``).
 V_ROUNDING = 8.0 * np.finfo(float).eps
 
 

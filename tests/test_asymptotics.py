@@ -11,7 +11,7 @@ from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _corr_factor, _lq_wei
                                 _profile_factor, chol_factor)
 from lqmatern import asymptotics, matern
 from lqmatern.matern import MaternParams, build_cov
-from lqmatern.estimate import _profile_derivs, fit
+from lqmatern.estimate import fit
 from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
 from oracles import (cov_derivs, kernel_derivs, log_likelihood, lq_of_loglik,
@@ -510,19 +510,20 @@ class TestWeightedDerivativePass:
         def assert_close(got, want):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-        g, w_got, H_sum, _ = asymptotics._weighted_derivs(reps.data, locs, at, q)
-        assert_close(g, g_want)
-        assert_close(w_got, w)
-        assert_close(H_sum, (H * w).sum(axis=2))
+        p = asymptotics._weighted_derivs(reps.data, locs, at, q)
+        assert_close(p.g, g_want)
+        assert_close(p.w, w)
+        assert_close(p.S, (H * w).sum(axis=2))
 
         gbar = g_want @ w
         G = g_want - gbar[:, None]
         hess_want = (H * w).sum(axis=2) + (1.0 - q) * (G * w) @ G.T
-        # at a clipped sigma2 the profile's derivatives are the full ones
-        grad, hess, _ = _profile_derivs(reps, locs, _corr_factor(locs, at.beta, at.nu),
-                                        at, q, clipped=True)
-        assert_close(grad, gbar[1:])
-        assert_close(hess, hess_want[1:, 1:])
+        # the full derivatives, which the fit's Newton step reads
+        grad, hess = asymptotics._finish(reps.data, locs,
+                                         _corr_factor(locs, at.beta, at.nu),
+                                         at, q).hessian(q)
+        assert_close(grad, gbar)
+        assert_close(hess, hess_want)
 
         U = w * g_want
         V = (1.0 - q) * U[:, None] * g_want[None] + w * H
@@ -544,9 +545,26 @@ class TestWeightedDerivativePass:
         want = sigma_route_pass(reps.data, locs, at, q)
         chol = _corr_factor(locs, at.beta, at.nu)
         _profile_factor(reps, chol, q, 1e-3, 1e3)
-        got = asymptotics._finish(reps.data, locs, chol, at, q)
-        for a, b in zip(got, want):
+        p = asymptotics._finish(reps.data, locs, chol, at, q)
+        for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.6])
+    def test_fit_curvature_is_the_sandwich_bread(self, layout, n, q):
+        # the fit's Hessian and the sandwich's J come from one pass: with
+        # weights summing to one below q = 1, the centred sum differs from
+        # J's uncentred one by (1-q) gbar gbar', and at q = 1 H = m J
+        theta = MaternParams(1.0, 0.15, 0.6)
+        locs, reps, _ = simulate_dataset(
+            SimConfig(theta, n=n, m=30, layout=layout, seed=2))
+        at = MaternParams(0.9, 0.17, 0.55)
+        gbar, H = asymptotics._weighted_derivs(reps.data, locs, at, q).hessian(q)
+        J = sandwich(reps, locs, at, q).J
+        want = reps.m * J
+        if q < 1.0:
+            want -= (1.0 - q) * np.outer(gbar, gbar)
+        assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_peak_memory(self):
         # tracemalloc sees numpy's buffers: one pass at n = 400 on irregular

@@ -467,6 +467,48 @@ class TestMain:
         assert "data error" in err
         assert "missing value for loc_id=2 rep_id=0 (n=10000000000001, m=1)" in err
 
+    def test_non_finite_q_grid_exit_2(self, tmp_path, capsys):
+        # a grid ending in NaN once gave q_star = 1 after no fit at all
+        out = tmp_path / "w"
+        assert run(["simulate", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["select-q", "--data-dir", str(out), "--out", str(out),
+                    "--q-grid", "1,0.95,nan"]) == 2
+        assert "q grid must be strictly decreasing" in capsys.readouterr().err
+        assert not (out / "selectq.txt").exists()
+        cfgp = write_tiny_config(tmp_path / "cfg.txt", [("grid.q", "1,nan")])
+        assert run(["sweep", "--config", cfgp, "--out", str(tmp_path / "s")]) == 2
+        assert "q grid must be strictly decreasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tol_exit_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "w"
+        assert run(["simulate", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        cfgp = write_tiny_config(tmp_path / "cfg.txt", [("fit.tol", tol)])
+        for cmd in ("fit", "select-q"):
+            assert run([cmd, "--config", cfgp, "--data-dir", str(out),
+                        "--out", str(out)]) == 2
+            assert "tol must be finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["sigma2", "beta", "nu", "q"])
+    def test_se_names_the_file_and_key_of_a_bad_record(self, tmp_path, capsys, key):
+        out = tmp_path / "w"
+        assert run(["simulate", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        assert run(["fit", "--data-dir", str(out), "--out", str(out)]) == 0
+        path = out / "fit.txt"
+        rec = read_record(path)
+        rec[key] = "abc"
+        write_record(path, list(rec.items()))
+        capsys.readouterr()
+        assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: %s: %s = 'abc': " % (path, key) in err
+        del rec[key]
+        write_record(path, list(rec.items()))
+        assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
+        assert "data error: %s: missing key '%s'" % (path, key) in capsys.readouterr().err
+
     def test_missing_files_exit_2(self, tmp_path, capsys):
         assert run(["fit", "--data-dir", str(tmp_path),
                     "--out", str(tmp_path)]) == 2

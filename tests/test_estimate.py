@@ -163,6 +163,19 @@ class TestFit:
             with pytest.raises(ValueError):
                 fit(reps, locs, q, init=near, warm=True)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_validation(self, small_data, tol):
+        # a NaN or negative tol ran the simplex to its budget, and an
+        # infinite one confirmed the start; each is refused before any
+        # point is scored, by fit, FitChain and fit_profile alike
+        locs, reps = small_data
+        with pytest.raises(ValueError, match="tol"):
+            fit(reps, locs, 0.9, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            FitChain(reps, locs, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            fit_profile(reps, locs, (1.0, 0.9), tol=tol)
+
     def test_budget_exhaustion_not_converged(self, small_data, monkeypatch):
         locs, reps = small_data
         monkeypatch.setattr(est, "_MAX_EVALS", 10)
@@ -401,13 +414,9 @@ def interior_data():
 
 def fit_without_newton(monkeypatch, *args, **kwargs):
     """``fit`` with the Newton check always rejecting: restarts only."""
-    real = est._profile_derivs
-
-    def refused(*a, **k):
-        return np.zeros(2), np.full((2, 2), np.nan), real(*a, **k)[2]
-
     with monkeypatch.context() as mp:
-        mp.setattr(est, "_profile_derivs", refused)
+        mp.setattr(asymptotics._Pass, "hessian",
+                   lambda p, q: (np.zeros(3), np.full((3, 3), np.nan)))
         return fit(*args, **kwargs)
 
 
@@ -424,11 +433,31 @@ class TestConfirmation:
         sigma2, _ = profile_lq(reps, locs, *p, q, s2_lo, s2_hi)
         clipped = sigma2 == s2_hi
         assert clipped == (s2_hi < 1.0)
-        g, H, _ = est._profile_derivs(reps, locs, _corr_factor(locs, *p),
-                                      MaternParams(sigma2, *p), q, clipped)
+        # the pass's full derivatives, and sigma2's response through their
+        # Schur complement where sigma2 is interior
+        gbar, hess = asymptotics._finish(reps.data, locs, _corr_factor(locs, *p),
+                                         MaternParams(sigma2, *p), q).hessian(q)
+        g, H = gbar[1:], hess[1:, 1:]
+        if not clipped:
+            H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
         g_fd, H_fd = fd_profile(reps, locs, p, q, s2_lo, s2_hi)
         assert np.abs(g - g_fd).max() <= PROFILE_RTOL * np.abs(g_fd).max()
         assert np.abs(H - H_fd).max() <= PROFILE_RTOL * np.abs(H_fd).max()
+        # the fit's Newton step at p is the step of these derivatives
+        box = default_bounds()
+        box = Bounds(replace(box.lower, sigma2=s2_lo), replace(box.upper, sigma2=s2_hi))
+        search = est._Search(reps, locs, q, box, 1e-6)
+        u = (p - search.corner) / search.width
+        search.score(u)
+        assert search.scored[u.tobytes()][0] == sigma2
+        g, H = g * search.width, H * np.outer(search.width, search.width)
+        step = search.newton_step(u)
+        if np.all(np.linalg.eigvalsh(H) < 0.0):
+            delta = np.linalg.solve(H, -g)
+            assert np.abs(step[0] - delta).max() <= 1e-12 * np.abs(delta).max()
+            assert step[1] == pytest.approx(-0.5 * delta @ H @ delta, rel=1e-12)
+        else:
+            assert step is None
 
     def test_newton_confirms_interior_fits(self, interior_data):
         locs, reps, base = interior_data
@@ -466,13 +495,13 @@ class TestConfirmation:
         # a negated gradient turns the confirming step into its reverse: as
         # short and in the box, but a descent, so the restarts must run
         locs, reps, base = interior_data
-        real = est._profile_derivs
+        real = asymptotics._Pass.hessian
 
-        def reversed_step(*args, **kwargs):
-            g, H, summary = real(*args, **kwargs)
-            return -g, H, summary
+        def reversed_step(p, q):
+            gbar, H = real(p, q)
+            return -gbar, H
 
-        monkeypatch.setattr(est, "_profile_derivs", reversed_step)
+        monkeypatch.setattr(asymptotics._Pass, "hessian", reversed_step)
         for q in SYM_QS:
             res = fit(reps, locs, q)
             assert res.restarts >= 1 and res.converged
@@ -544,7 +573,7 @@ class TestShortStepRule:
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         monkeypatch.setattr(est._Search, "score", score)
-        monkeypatch.setattr(est._PassSummary, "rounding_floor", lambda summary, value: 0.0)
+        monkeypatch.setattr(asymptotics._Pass, "rounding_floor", lambda p, value: 0.0)
         res = fit(reps, locs, q)
         assert any(refused)
         assert res.converged and res.restarts == 0
@@ -587,13 +616,13 @@ class TestNewtonFinish:
     def test_newton_steps_count_the_passes(self, interior_data, monkeypatch):
         locs, reps, base = interior_data
         calls = []
-        real = est._profile_derivs
+        real = est._finish
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(est, "_profile_derivs", counted)
+        monkeypatch.setattr(est, "_finish", counted)
         cold = fit(reps, locs, 0.9)
         assert cold.newton_steps == len(calls) >= 2
         calls.clear()
@@ -785,7 +814,8 @@ def reweighted_step(reps, locs, at, q_old, q):
     q = 1), and H = sum w_i(q_old) H_i scaled to the new weights' total,
     plus (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
     """
-    g, w_old, S, _ = _weighted_derivs(reps.data, locs, at, q_old)
+    p = _weighted_derivs(reps.data, locs, at, q_old)
+    g, w_old, S = p.g, p.w, p.S
     ll = loglik_columns(reps.data, chol_factor(build_cov(locs, at)))
     w = np.ones(reps.m)
     if q < 1.0:
@@ -797,34 +827,36 @@ def reweighted_step(reps, locs, at, q_old, q):
     return -np.linalg.solve(H, gbar)
 
 
-def stepped(theta, summary, q):
-    """theta with (beta, nu) moved by the summary's re-weighted step to q."""
-    step = summary.newton_step(q)
+def stepped(theta, p, q):
+    """theta with (beta, nu) moved by the pass's re-weighted step to q."""
+    step = p.newton_step(q)
     return MaternParams(theta.sigma2, theta.beta + step[1], theta.nu + step[2])
 
 
 def record_passes(monkeypatch):
     """The (sigma2, beta, nu) of every derivative pass, in order."""
     points = []
-    real = est._profile_derivs
+    real = est._finish
 
-    def spy(reps, locs, chol, theta, *args, **kwargs):
+    def spy(Z, locs, chol, theta, q):
         points.append(theta)
-        return real(reps, locs, chol, theta, *args, **kwargs)
+        return real(Z, locs, chol, theta, q)
 
-    monkeypatch.setattr(est, "_profile_derivs", spy)
+    monkeypatch.setattr(est, "_finish", spy)
     return points
 
 
 def keep_altered(monkeypatch, change):
-    """Every pass summary kept for the chain passes through ``change``."""
-    real = est._profile_derivs
+    """Every pass kept for the chain passes through ``change``."""
+    real = est.fit
 
-    def altered(*args, **kwargs):
-        g, H, summary = real(*args, **kwargs)
-        return g, H, change(summary)
+    def altered(*args, _keep=None, **kwargs):
+        res = real(*args, _keep=_keep, **kwargs)
+        if _keep:
+            _keep[:] = [change(p) for p in _keep]
+        return res
 
-    monkeypatch.setattr(est, "_profile_derivs", altered)
+    monkeypatch.setattr(est, "fit", altered)
 
 
 # Passes of FitChain profiles over qselect.DEFAULT_GRID on 8 n = 100 grid and
@@ -854,13 +886,13 @@ class TestChainStart:
         assert np.abs(step[1:] / near.theta_hat.as_array()[1:]).min() > 1e-3
 
     def test_rounding_floor_follows_the_terms_of_the_value(self, interior_data):
-        # the summary keeps log|R| of the pass's factor; here it is taken
-        # from a factor of its own
+        # the pass keeps log|R| of its factor; here it is taken from a
+        # factor of its own
         locs, reps, base = interior_data
         for q in SYM_QS:
             th = base[q].theta_hat
-            _, _, summary = est._profile_derivs(
-                reps, locs, _corr_factor(locs, th.beta, th.nu), th, q, False)
+            p = asymptotics._finish(reps.data, locs, _corr_factor(locs, th.beta, th.nu),
+                                    th, q)
             lo, hi = default_bounds().as_arrays()
             value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
             corr = chol_factor(build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
@@ -868,7 +900,7 @@ class TestChainStart:
             size = 0.5 * (reps.n * (_LOG_2PI + abs(np.log(th.sigma2)))
                           + abs(corr.log_det) + quad.max())
             want = V_ROUNDING * max(abs(value), size * (reps.m if q == 1.0 else 1))
-            assert summary.rounding_floor(value) == pytest.approx(want, rel=1e-9)
+            assert p.rounding_floor(value) == pytest.approx(want, rel=1e-9)
             assert want > V_ROUNDING * abs(value)
 
     def test_start_from_the_nearest_fitted_q(self, interior_data):
@@ -937,6 +969,17 @@ class TestQProfile:
             QProfile(grid=(1.0, 0.98, 0.98), fits=())
         with pytest.raises(ValueError):
             QProfile(grid=(), fits=())
+        # NaN fails every comparison, so a grid ending in NaN once passed
+        for grid in ((1.0, float("nan")), (1.0, 0.9, float("nan")), (1.0, -np.inf)):
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                QProfile(grid=grid, fits=())
+
+    def test_fit_profile_rejects_a_non_finite_grid(self, small_data, monkeypatch):
+        # refused before any fit runs
+        locs, reps = small_data
+        monkeypatch.setattr(est, "fit", None)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            fit_profile(reps, locs, (1.0, 0.95, float("nan")))
 
     def test_fit_profile_warm_start_chain(self, small_data):
         # each fit after the first starts one re-weighted Newton step from

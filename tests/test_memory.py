@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lqmatern.asymptotics import _weighted_derivs
-from lqmatern.estimate import _Search, default_bounds
+from lqmatern.estimate import FitChain, _Search, default_bounds
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
 
@@ -78,3 +78,18 @@ def test_location_set_holds_no_dense_distances(data):
     assert set(vars(locs)) == {"coords", "_dist_unique", "_dist_cheb"}
     arrays = [locs.coords, *locs._dist_unique, *vars(locs._dist_cheb).values()]
     assert not [a.shape for a in arrays if a.dtype.kind == "f" and a.size >= N * N]
+
+
+def test_chain_keeps_no_per_site_array():
+    # FitChain keeps a fit and a pass per q, each O(m): on a dataset whose
+    # n and m differ, no array it keeps has an axis of length n
+    locs, reps, _ = simulate_dataset(SimConfig(
+        MaternParams(1.0, 0.1, 0.5), n=49, m=30, layout="grid", seed=1,
+        contamination=ContaminationSpec(0.1, 1.0)))
+    chain = FitChain(reps, locs)
+    chain.profile((1.0, 0.95, 0.9))
+    kept = [p for p in chain._passes.values() if p is not None]
+    assert len(kept) == 3
+    fields = [v for obj in kept + list(chain._fits.values()) for v in vars(obj).values()]
+    arrays = [v for v in fields if isinstance(v, np.ndarray)]
+    assert arrays and not [a.shape for a in arrays if reps.n in a.shape]

@@ -27,6 +27,12 @@ class TestSpecsAndHelpers:
             QGridSpec(grid=(1.0, 0.98, 0.98))
         with pytest.raises(ValueError):
             QGridSpec(grid=(1.0, 0.98, 0.99))
+        # a NaN fails every comparison: a grid ending in NaN once passed,
+        # and its NaN q_min ended the selector's walk before any fit
+        for grid in ((1.0, float("nan")), (1.0, 0.95, float("nan")),
+                     (1.0, float("-inf"))):
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                QGridSpec(grid=grid)
         with pytest.raises(ValueError):
             QGridSpec(eps=0.0)
         with pytest.raises(ValueError):
