@@ -24,7 +24,7 @@ import numpy as np
 from .asymptotics import sandwich, std_errs
 from .estimate import DEFAULT_TOL, Bounds, FitChain, default_bounds, fit
 from .gauss_lik import ReplicateSet
-from .matern import LocationSet, MaternParams
+from .matern import NU_CAP, LocationSet, MaternParams
 from .qselect import (QGridSpec, default_kappa_spec, kappa, make_se_fn,
                       select_q_kappa, select_q_sqv)
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
@@ -542,17 +542,23 @@ def cmd_se(args):
     fit_path = args.fit or os.path.join(out, "fit.txt")
     rec = read_record(fit_path)
 
-    def number(key):
+    def number(key, top=np.inf):
+        # a finite value in (0, top], as the library requires of each key
         if key not in rec:
             raise DataError("%s: missing key '%s'" % (fit_path, key))
         try:
-            return float(rec[key])
+            value = float(rec[key])
         except ValueError as exc:
             raise DataError("%s: %s = %r: %s" % (fit_path, key, rec[key], exc)) from None
+        if not (0.0 < value <= top and np.isfinite(value)):
+            raise DataError("%s: %s = %r: must be positive and finite%s"
+                            % (fit_path, key, rec[key],
+                               "" if top == np.inf else ", at most %g" % top))
+        return value
 
-    theta = MaternParams(*(number(key) for key in ("sigma2", "beta", "nu")))
+    theta = MaternParams(number("sigma2"), number("beta"), number("nu", NU_CAP))
     # --q, mapped onto fit.q, then the config's fit.q, then the record's q
-    q = _parse("fit.q", mapping["fit.q"]) if "fit.q" in mapping else number("q")
+    q = _parse("fit.q", mapping["fit.q"]) if "fit.q" in mapping else number("q", 1.0)
     parts = sandwich(reps, locs, theta, q)
     errs = std_errs(parts)
     names = ("sigma2", "beta", "nu")

@@ -6,6 +6,12 @@ eyeball) flag replicates whose spatial structure departs from the rest;
 no outlier rule is imposed.  The site pairs are binned once per call and
 the binning is shared by every replicate; so is the check of the bins, and
 the curves built from it are not checked again one by one.
+
+One walk over the kept pairs, sorted by bin, sums every replicate at once.
+Each (bin, replicate) sum adds that bin's pairs in pair order, one after
+another, so each curve has the bits of its replicate binned on its own.
+The walk's buffers are bounded by an element budget, not by the number of
+replicates.
 """
 
 from dataclasses import dataclass
@@ -15,6 +21,8 @@ import numpy as np
 from .gauss_lik import ReplicateSet
 
 DEFAULT_N_BINS = 15
+# doubles in each buffer of the pair walk, whatever the number of replicates
+_CHUNK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,8 +79,15 @@ def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
 
     Each is the Matheron estimate gamma(bin) = sum (z_i - z_j)^2 / (2 N_bin).
     Pairs are binned by Euclidean distance into equal-width bins on
-    (0, max_dist]; max_dist defaults to half the maximum pairwise
-    distance.  Empty bins report count 0 and gamma NaN.
+    (0, max_dist]; max_dist, finite and positive, defaults to half the
+    maximum pairwise distance.  Empty bins report count 0 and gamma NaN.
+
+    Each (bin, replicate) sum adds that bin's pairs in pair order
+    (``np.triu_indices`` order), so every curve has the bits of one
+    replicate binned on its own.  One walk over the pairs, sorted by bin,
+    serves every replicate; its two buffers hold ``_CHUNK_DOUBLES``
+    doubles each, give or take a row of m (one row, when m is larger), so
+    they do not grow with m.
     """
     data = reps.data
     if data.shape[0] != locs.n:
@@ -85,22 +100,67 @@ def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
     # the sorted unique distances end with the pairs' max
     uniq, inv = locs._dist_unique
     max_dist = float(0.5 * uniq[-1] if max_dist is None else max_dist)
-    if not max_dist > 0.0:
-        raise ValueError("max_dist must be positive")
-    i, j = np.triu_indices(locs.n, 1)
-    d = uniq[inv[i, j]]
-    keep = d <= max_dist
-    i, j, d = i[keep], j[keep], d[keep]
+    if not 0.0 < max_dist < np.inf:
+        raise ValueError("max_dist must be positive and finite")
     width = max_dist / n_bins
-    idx = np.minimum((d / width).astype(int), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    filled = counts > 0
     centers = (np.arange(n_bins) + 0.5) * width
+    # a distance's bin, and n_bins for those beyond max_dist, taken per
+    # unique distance; the small key sorts by radix
+    key = np.full(uniq.size, n_bins, dtype=np.min_scalar_type(n_bins))
+    near = uniq <= max_dist
+    key[near] = np.minimum((uniq[near] / width).astype(int), n_bins - 1)
+    i, j = np.triu_indices(locs.n, 1)
+    key = key[inv[i, j]]
+    counts = np.bincount(key, minlength=n_bins + 1)[:n_bins]
     # every curve shares these bins: they are checked once, not per curve
     _check_bins(centers, counts)
-    curves = []
-    for z in data.T:
-        sums = np.bincount(idx, weights=(z[i] - z[j]) ** 2, minlength=n_bins)
-        gamma = np.divide(sums, 2.0 * counts, out=np.full(n_bins, np.nan), where=filled)
-        curves.append(VariogramCurve._of_bins(centers.copy(), gamma, counts.copy()))
-    return curves
+    # stable, so each bin keeps its pairs in pair order; the far pairs sort last
+    order = np.argsort(key, kind="stable")[:counts.sum()]
+    # one at a time, each unsorted array freed as its sorted one is bound
+    i = i[order]
+    j = j[order]
+    del key, order
+    sums = _bin_sums(data, i, j, counts)
+    filled = counts > 0
+    np.divide(sums, 2.0 * counts[:, None], out=sums, where=filled[:, None])
+    sums[~filled] = np.nan
+    return [VariogramCurve._of_bins(centers.copy(), gamma.copy(), counts.copy())
+            for gamma in sums.T[:data.shape[1]]]
+
+
+def _bin_sums(data, i, j, counts):
+    """Per bin and replicate, sum (z_i - z_j)^2 over pairs sorted by bin.
+
+    Returns (bins, m') with m' = max(m, 2).  Chunks of ``_CHUNK_DOUBLES``
+    squared differences are summed down axis 0, each bin's running sum
+    standing in the row before its pairs.  numpy sums two or more columns
+    down axis 0 one row after another, so each total adds its pairs in
+    order; it sums a lone column pairwise, so one replicate is summed
+    beside a copy of itself.
+    """
+    data = np.ascontiguousarray(data if data.shape[1] > 1 else np.repeat(data, 2, axis=1))
+    m = data.shape[1]
+    rows = max(1, min(i.size, _CHUNK_DOUBLES // m))
+    sq_buf, other_buf = np.empty((rows + 1, m)), np.empty((rows, m))
+    sums = np.zeros((counts.size, m))
+    ends = np.cumsum(counts).tolist()
+    k = 0
+    for a in range(0, ends[-1], rows):
+        b = min(a + rows, ends[-1])
+        block = sq_buf[:b - a + 1]
+        sq, other = block[1:], other_buf[:b - a]
+        # the indices are in range; "clip" spares take a copy of out
+        np.take(data, i[a:b], axis=0, out=sq, mode="clip")
+        np.take(data, j[a:b], axis=0, out=other, mode="clip")
+        np.subtract(sq, other, out=sq)
+        np.square(sq, out=sq)
+        s = a
+        while s < b:
+            while ends[k] <= s:
+                k += 1
+            e = min(ends[k], b)
+            # row s - a is free: its pair was summed with the bin before
+            block[s - a] = sums[k]
+            np.sum(block[s - a:e - a + 1], axis=0, out=sums[k])
+            s = e
+    return sums

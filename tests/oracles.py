@@ -8,10 +8,10 @@ textbook forms: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
 log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), one
 replicate's U* and V*, every replicate's gradient and Hessian from Sigma's
-own factor (the reference of the derivative pass), and one vector's
-variogram.  This module assembles
-them from the package's own pieces, so the oracles check the code the fit
-and the sandwich run.
+own factor (the reference of the derivative pass), one vector's
+variogram, and every replicate's variogram binned one at a time.  This
+module assembles them from the package's own pieces, so the oracles check
+the code the fit and the sandwich run.
 """
 
 import numpy as np
@@ -21,7 +21,8 @@ from lqmatern.asymptotics import _weighted_derivs, ustar_all
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _quad_forms,
                                 chol_factor)
 from lqmatern.matern import MaternParams, _kernel_terms, build_cov, matern_cov
-from lqmatern.variogram import DEFAULT_N_BINS, variogram_by_replicate
+from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
+                                variogram_by_replicate)
 
 
 def kernel_derivs(h, theta, locs=None):
@@ -156,3 +157,29 @@ def empirical_variogram(z, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
     """The VariogramCurve of one vector z of values at ``locs``."""
     z = ReplicateSet(np.asarray(z, dtype=float).reshape(-1, 1))
     return variogram_by_replicate(z, locs, n_bins, max_dist)[0]
+
+
+def variogram_one_at_a_time(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
+    """Every replicate's VariogramCurve, one replicate at a time.
+
+    The pairs in ``np.triu_indices`` order, two gathers and one weighted
+    ``np.bincount`` per replicate, which adds each bin's squared
+    differences in pair order: the bits ``variogram_by_replicate`` keeps.
+    """
+    uniq, inv = locs._dist_unique
+    max_dist = float(0.5 * uniq[-1] if max_dist is None else max_dist)
+    i, j = np.triu_indices(locs.n, 1)
+    d = uniq[inv[i, j]]
+    keep = d <= max_dist
+    i, j, d = i[keep], j[keep], d[keep]
+    width = max_dist / n_bins
+    idx = np.minimum((d / width).astype(int), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    centers = (np.arange(n_bins) + 0.5) * width
+    curves = []
+    for z in reps.data.T:
+        sums = np.bincount(idx, weights=(z[i] - z[j]) ** 2, minlength=n_bins)
+        gamma = np.divide(sums, 2.0 * counts, out=np.full(n_bins, np.nan),
+                          where=counts > 0)
+        curves.append(VariogramCurve(centers, gamma, counts))
+    return curves

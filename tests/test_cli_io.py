@@ -504,6 +504,12 @@ class TestMain:
         assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "data error: %s: %s = 'abc': " % (path, key) in err
+        # a value that parses but lies outside the key's range
+        rec[key] = {"sigma2": "nan", "beta": "0", "nu": "inf", "q": "1.5"}[key]
+        write_record(path, list(rec.items()))
+        assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
+        assert ("data error: %s: %s = %r: must be positive and finite"
+                % (path, key, rec[key])) in capsys.readouterr().err
         del rec[key]
         write_record(path, list(rec.items()))
         assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
@@ -585,6 +591,16 @@ class TestMain:
         assert [int(r[3]) for r in rows] == \
             np.concatenate([c.counts for c in curves]).tolist()
         capsys.readouterr()
+
+    def test_variogram_non_finite_max_dist_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        assert run(["simulate", "--n", "9", "--m", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        for bad in ("inf", "nan"):
+            assert run(["variogram", "--data-dir", str(out), "--out", str(out),
+                        "--bins", "4", "--max-dist", bad]) == 2
+            assert "max_dist must be positive and finite" in capsys.readouterr().err
+        assert not (out / "variogram.csv").exists()
 
     def test_sweep_structure(self, tmp_path, capsys):
         out = tmp_path / "w"

@@ -14,7 +14,9 @@ import pytest
 from lqmatern.asymptotics import _weighted_derivs
 from lqmatern.estimate import FitChain, _Search, default_bounds
 from lqmatern.matern import MaternParams, build_cov
-from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
+from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
+                               make_locations, simulate_dataset)
+from lqmatern.variogram import DEFAULT_N_BINS, variogram_by_replicate
 
 N = 400
 THETA = MaternParams(1.1, 0.12, 0.6)
@@ -93,3 +95,28 @@ def test_chain_keeps_no_per_site_array():
     fields = [v for obj in kept + list(chain._fits.values()) for v in vars(obj).values()]
     arrays = [v for v in fields if isinstance(v, np.ndarray)]
     assert arrays and not [a.shape for a in arrays if reps.n in a.shape]
+
+
+def test_variogram_peak(data):
+    # the site pairs, their bin keys and their bin order; the walk's buffers
+    # are bounded by the element budget (1.98 measured; a per-replicate
+    # bincount over pairs and distances held in pair order peaked at 2.63)
+    locs, reps = data
+    assert peak_doubles(lambda: variogram_by_replicate(reps, locs)) <= 2.2
+    # from m = 100 to m = 2000 on the n = 100 grid, what the call allocates
+    # beyond the curves it returns grows by at most a few bins x m arrays
+    grid = make_locations(100, "grid")
+    grid._dist_unique
+    transient = {}
+    for m in (100, 2000):
+        reps = gen_replicates(grid, MaternParams(1.0, 0.2, 0.5), m, seed=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            curves = variogram_by_replicate(reps, grid)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curves) == m and kept > base
+        transient[m] = peak - kept
+    assert transient[2000] - transient[100] <= 3 * DEFAULT_N_BINS * 1900 * 8

@@ -8,7 +8,7 @@ from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
 from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
                                 center_replicates, variogram_by_replicate)
-from oracles import empirical_variogram
+from oracles import empirical_variogram, variogram_one_at_a_time
 
 
 class TestVariogramCurve:
@@ -106,6 +106,11 @@ class TestEmpiricalVariogram:
             empirical_variogram(np.zeros(4), locs, n_bins=0)
         with pytest.raises(ValueError):
             empirical_variogram(np.zeros(4), locs, max_dist=0.0)
+        # an infinite max_dist would put every pair in bin 0 at centre inf
+        grid = make_locations(9, "grid")
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="max_dist must be positive and finite"):
+                empirical_variogram(np.zeros(9), grid, n_bins=4, max_dist=bad)
         one = LocationSet(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
             empirical_variogram(np.zeros(1), one)
@@ -122,6 +127,44 @@ class TestEmpiricalVariogram:
         h = curves[0].bin_centers[filled]
         want = theta.sigma2 * (1.0 - np.exp(-h / theta.beta))
         assert np.abs(gbar - want).mean() < 0.15 * theta.sigma2
+
+
+@pytest.fixture(scope="module")
+def fold_layouts():
+    # the n = 100 grid and the benchmark's layout: 400 irregular sites, 10%
+    # contaminated replicates
+    grid = make_locations(100, "grid")
+    uniform, reps, _ = simulate_dataset(SimConfig(
+        MaternParams(1.0, 0.1, 0.5), n=400, m=100, layout="uniform", seed=9,
+        contamination=ContaminationSpec(0.1, 1.0)))
+    return {"grid": (grid, gen_replicates(grid, MaternParams(1.0, 0.2, 0.5), 100, seed=8),
+                     0.15),
+            "uniform": (uniform, reps, 0.05)}
+
+
+class TestFoldOrder:
+    @pytest.mark.parametrize("rows", [None, 24])
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 100])
+    def test_bits_of_one_replicate_at_a_time(self, fold_layouts, monkeypatch,
+                                              layout, m, rows):
+        # each (bin, replicate) sum adds the bin's pairs in pair order, as
+        # one weighted bincount per replicate does; a budget of 24 rows
+        # makes bins span several chunks of the pair walk
+        locs, reps, small = fold_layouts[layout]
+        reps = ReplicateSet(reps.data[:, :m])
+        if rows is not None:
+            monkeypatch.setattr(variogram, "_CHUNK_DOUBLES", rows * max(m, 2))
+        for max_dist in (None, small):
+            curves = variogram_by_replicate(reps, locs, DEFAULT_N_BINS, max_dist)
+            want = variogram_one_at_a_time(reps, locs, DEFAULT_N_BINS, max_dist)
+            assert len(curves) == m
+            if rows is not None:
+                assert want[0].counts.max() > 2 * rows
+            for c, w in zip(curves, want):
+                assert np.array_equal(c.gamma, w.gamma, equal_nan=True)
+                assert np.array_equal(c.counts, w.counts)
+                assert np.array_equal(c.bin_centers, w.bin_centers)
 
 
 class TestByReplicate:
