@@ -17,64 +17,45 @@ so V* is the exact Jacobian of U* (and the exact Hessian of the Lq
 contribution), which makes both checkable against finite differences.  At
 q = 1 they reduce to the classical score and observed-information kernel.
 
-The factors f^(1-q) underflow for large n, so they are never formed.  With
-the normalized weights w_i = softmax((1-q) l_i) of ``gauss_lik._lq_weights``
-(w_i = 1 at q = 1), f_i^(1-q) = w_i e^s, where the log scale s is
-logsumexp((1-q) l) (0 at q = 1).  ``sandwich`` averages the weighted terms
-U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i over replicates,
-K = (1/m) sum U U', J = (1/m) sum V, and records s as ``log_scale``: the raw
-plug-in matrices are K e^(2s) and J e^s.  The standard errors are
-invariant under that common rescaling, so they never see the raw scale.
-``ustar_all`` returns the raw U* of every replicate.
+The factors f^(1-q) underflow for large n, so they are never formed: with
+the weights w_i of ``gauss_lik._lq_weights``, f_i^(1-q) = w_i e^s, where
+the log scale s is logsumexp((1-q) l) (0 at q = 1).  ``sandwich`` averages
+the weighted terms U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i
+into K = (1/m) sum U U' and J = (1/m) sum V (``SandwichParts``).
 
-One derivative pass serves the sandwich, U*, the fit's Newton steps and
-``FitChain``'s warm starts.  ``_finish`` returns it as one ``_Pass`` of
-O(m) numbers: every replicate's g_i, the weights, s, log|R| and the
-weighted sum S = sum w_i H_i; no replicate's Hessian is formed.  J needs
-only that sum and the g_i:
+The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
+steps and ``FitChain``'s warm starts: ``_finish`` returns it as a ``_Pass``
+of O(m) numbers, every g_i, the weights, s, log|R| and S = sum w_i H_i, and
+forms no replicate's Hessian.  J needs only S and the g_i,
 
     m J = S + (1-q) sum w_i g_i g_i',
 
-and the Hessian of the log-domain objective (``_Pass.hessian``, the one
-place it is assembled) adds the centred (1-q) sum w_i (g_i - gbar)
-(g_i - gbar)' instead, with gbar = sum w_i g_i; below q = 1 the two differ
-by (1-q) gbar gbar'.  V* is the case m = 1.
+and the Hessian of the log-domain objective (``_Pass.hessian``) adds the
+centred (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, gbar = sum w_i g_i.
+The pass starts from the Cholesky factor of R(beta, nu) that scored the
+point (``gauss_lik._corr_factor``) and completes it at any sigma2, where
+Sigma = sigma2 R:
 
-The pass (``_finish``) starts from the Cholesky factor of the correlation
-matrix R(beta, nu) that scored the point (``gauss_lik._corr_factor``), so
-a fit's Newton point is built and factored once, and completes it at any
-sigma2, where Sigma = sigma2 R: Sigma^-1 is LAPACK's potri on R's factor,
-in its place, with the lower triangle mirrored, divided by sigma2;
-W = Sigma^-1 Z is one product with it, batched over replicates, with no
-solve; and log|Sigma| = log|R| + n log sigma2.  The kernel's five
-derivative terms at (1, beta, nu) come from one Bessel pass over the u
-unique distances (``matern._kernel_terms``), computed when the pass runs
-from build_cov's order-nu values at that point and K at nu - 1; dS_j and
-d2S_jk are those terms times sigma2.  The sandwich and U* factor
-R at theta-hat and finish there (``_weighted_derivs``).  The terms come
-as the gradient's apart from the Hessian's, so the first are dropped once
-dS_j are gathered.  The gradient's per-replicate products w_i' dS_j w_i
-also give <dS_j, M> = sum w_i w_i' dS_j w_i, the sigma2 row of the sum.
-The second derivatives enter the sum only through
-<d2S_jk, M - w_sum Sigma^-1>, its data term and its trace term
-tr(Sigma^-1 d2S_jk) together (w_sum = sum w_i), so that n x n matrix is
-summed onto the unique distances with one bincount, and each of the three
-(beta, nu) entries is then a dot product of length u: no Hessian slice is
-formed over the n x n sites.  The other trace terms are tr(B_j B_k) with
-B_j = Sigma^-1 dS_j, and the data terms <dS_j, B_k M> come from the
-n x m products B_k W when there are fewer replicates than sites, else from
-B_k M, one k at a time.  Every n x n array is dropped after its last use
-(the README's "Performance notes" give the pass's measured peak).
+- Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
+  triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
+  it, and log|Sigma| = log|R| + n log sigma2.
+- The kernel's five derivative terms at (1, beta, nu) come from one Bessel
+  pass over the unique distances (``matern._kernel_terms``); dS_j and
+  d2S_jk are those terms times sigma2.  Only the two dS_j are gathered over
+  the sites.
+- With M = W diag(w) W' the data terms are inner products over sites:
+  sum w_i w_i' d2S w_i = <d2S, M>, and sum w_i (dS_j w_i)' Sigma^-1
+  (dS_k w_i) = <dS_j, B_k M> with B_k = Sigma^-1 dS_k, from the n x m
+  products B_k W when m < n, else from B_k M, one k at a time.  The other
+  trace terms are tr(B_j B_k).
+- The second derivatives enter only through <d2S_jk, M - w_sum Sigma^-1>
+  (w_sum = sum w_i), so that matrix is summed onto the unique distances
+  once, and each (beta, nu) entry is then a dot product over them.
+- The sigma2 row is analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2
+  and d2S_0k = dS_k / sigma2; its <dS_j, M> is the weighted sum of the
+  gradient's products w_i' dS_j w_i.
 
-``std_errs`` returns the sandwich standard errors sqrt(diag(J^-1 K J^-1)),
-the asymptotic variance of an M-estimator (White 1982) and of the MLqE
-(Ferrari & Yang 2010).  They are per replicate: the standard error of an
-estimate from m replicates is se / sqrt(m).  J estimated from data at a
-maximum is close to minus an information matrix, hence negative definite,
-so J^-1 acts through a positive-definite surrogate S built by flooring the
-absolute eigenvalues of J with its diagonal scaled to unit magnitude
-(convention reported); se follows a change of the parameters' units
-exactly.
+Every n x n array is dropped after its last use.
 """
 
 from dataclasses import dataclass
@@ -82,10 +63,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _corr_factor, _lq_weights
+from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _corr_factor, _lq_weights
 from .matern import MaternParams, _kernel_terms
 
-# Relative eigenvalue floor used when building the PD surrogate of J.
+# Eigenvalue floor of std_errs' PD surrogate of J, relative to the largest.
 J_EIG_FLOOR = 1e-10
 
 
@@ -99,10 +80,10 @@ class SingularJError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SandwichParts:
-    """Plug-in moment matrices K and J of the weighted terms, with m.
+    """Plug-in K and J of the weighted terms over m replicates.
 
     The raw K = mean(U* U*') and J = mean(V*) are K e^(2 log_scale) and
-    J e^log_scale; ``log_scale`` is 0 at q = 1 (see the module notes).
+    J e^log_scale; ``log_scale`` is 0 at q = 1.
     """
 
     K: np.ndarray
@@ -113,12 +94,9 @@ class SandwichParts:
 
 @dataclass(frozen=True)
 class StdErrs:
-    """Per-parameter asymptotic standard deviations, per replicate.
+    """Sandwich standard deviations per replicate, with how J was inverted.
 
-    ``se`` is sqrt(diag(J^-1 K J^-1)); divide it by sqrt(m) for the
-    standard error of an estimate from m replicates.  ``convention``
-    records how J's sign was handled and ``cond`` the condition number of
-    the PD surrogate with J's diagonal scaled to unit magnitude.
+    ``std_errs`` defines ``se``, ``convention`` and ``cond``.
     """
 
     se: np.ndarray
@@ -148,12 +126,8 @@ class _Pass:
     """One derivative pass at theta = (sigma2, beta, nu) and q, in O(m).
 
     ``g`` holds every replicate's gradient g_i (3, m), ``w`` the weights
-    (m,) of ``_lq_weights``, ``S`` = sum w_i H_i (3, 3), ``log_det_r``
-    log|R| of the pass's factor and ``log_scale`` the log scale s of the
-    raw factors, f_i^(1-q) = w_i e^s (0 at q = 1); n is the number of
-    sites.  The sandwich and U* read g, w, S and s.  The fit's Newton steps
-    and ``FitChain``'s warm starts read ``hessian``, and the fit's tie rule
-    ``rounding_floor``.
+    (m,), ``S`` = sum w_i H_i (3, 3), ``log_det_r`` log|R| of the pass's
+    factor and ``log_scale`` the log scale s; n is the number of sites.
     """
 
     theta: MaternParams
@@ -170,14 +144,12 @@ class _Pass:
         return float(self.g.shape[1]) if q == 1.0 else 1.0
 
     def hessian(self, q):
-        """(gbar, H): gradient and Hessian of the log-domain objective at q.
+        """(gbar, H): gradient and Hessian of the log-domain value V at q, in theta.
 
-        gbar = sum w_i g_i, and H is S rescaled to the weights' total plus
-        (1-q) sum w_i (g_i - gbar)(g_i - gbar)', with the H_i weighted as at
-        the pass.  The weights are the pass's own at its q.  At any other q
-        they are re-weighted from l_i = -sigma2 g_i[0], which is
-        -z_i' Sigma^-1 z_i / 2 up to a constant shared by all replicates, so
-        the pass serves a Newton step at any q.
+        The weights are the pass's own at its q, and at any other q they are
+        re-weighted from l_i = -sigma2 g_i[0], which is -z_i' Sigma^-1 z_i / 2
+        up to a constant shared by all replicates; S is rescaled to their
+        total, with the H_i weighted as at the pass.
         """
         w = self.w if q == self.q else _lq_weights(-self.theta.sigma2 * self.g[0], q)[1]
         gbar = self.g @ w
@@ -195,13 +167,13 @@ class _Pass:
         return None
 
     def rounding_floor(self, value):
-        """V_ROUNDING times the size of the terms the value V at theta sums.
+        """V_ROUNDING times the size of the terms that V, the value at theta, sums.
 
         Each l_i is -(1/2)(n log 2 pi + n log sigma2 + log|R| + a_i), with
         a_i = z_i' Sigma^-1 z_i = n + 2 sigma2 g_i[0].  V can sit near 0 by
         cancellation while its rounding follows the size of those terms,
         (1/2)(n (log 2 pi + |log sigma2|) + |log|R|| + max a), times m at
-        q = 1, where V sums the l_i.
+        q = 1, where V sums the l_i; the floor is at least V_ROUNDING |V|.
         """
         n, s2 = self.n, self.theta.sigma2
         a = n + 2.0 * s2 * self.g[0]
@@ -210,33 +182,18 @@ class _Pass:
 
 
 def _finish(Z, locs, chol, theta, q):
-    """The derivative pass (``_Pass``) of the columns of Z (n x m) at theta and q.
+    """The ``_Pass`` of the columns of Z (n x m) at theta and q (see the module docstring).
 
-    The pass at theta = (s2, beta, nu), from ``chol``, the Cholesky factor
-    of R(beta, nu) (``gauss_lik._corr_factor``), which it overwrites with
-    Sigma^-1.  The weights come from -(1/2) z' Sigma^-1 z, since the log
-    density's terms common to all replicates do not change them; the log
-    scale s adds those terms back, with log|Sigma| = log|R| + n log s2.
-
-    Sigma^-1 is LAPACK potri on R's factor, in its place, divided by s2; a
-    failure there raises NotSPDError carrying theta.  W = Sigma^-1 Z is one
-    product with it, and dS_j and the Hessian terms of M are R's times s2.
-    Only the weighted sum of the H_i is formed, so with M = W diag(w) W'
-    its data terms are inner products over locations:
-    sum w_i w_i' d2S w_i = <d2S, M> and
-    sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i) = <dS_j, B_k M>, the latter
-    summed over replicates from B_k W where m < n.  The sigma2 row is
-    analytic, since dS_0 = Sigma / s2, B_0 = I / s2 and d2S_0k = dS_k / s2,
-    and its <dS_j, M> is the weighted sum of the gradient's products
-    w_i' dS_j w_i.  The (1-q) terms in g are the readers': ``_Pass.hessian``
-    and ``sandwich``.
+    ``chol`` is the Cholesky factor of R(beta, nu); the pass overwrites it
+    with Sigma^-1.  Raises ValueError where Z's rows do not match ``locs``
+    or q lies outside (0, 1], and NotSPDError carrying theta where potri
+    fails.
     """
     Z = np.asarray(Z, dtype=float)
     n, m = Z.shape
     if locs.n != n:
         raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1], got %r" % (q,))
+    _checked_q(q)
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
     # Sigma^-1 overwrites the factor, which nothing reads past this point
@@ -313,21 +270,20 @@ def _finish(Z, locs, chol, theta, q):
 
 
 def _weighted_derivs(Z, locs, theta, q):
-    """``_finish`` at theta on a fresh factor of R: the pass of the sandwich and U*."""
+    """``_finish`` at theta on a fresh factor of R(beta, nu)."""
     return _finish(Z, locs, _corr_factor(locs, theta.beta, theta.nu), theta, q)
 
 
 def ustar_all(reps, locs, theta, q):
-    """U* for every replicate, shape (3, m); one shared factorization."""
+    """The raw U* of every replicate, shape (3, m), from one factorization."""
     p = _weighted_derivs(reps.data, locs, theta, q)
     return p.w * p.g * np.exp(p.log_scale)
 
 
 def sandwich(reps, locs, theta_hat, q):
-    """Plug-in K and J at theta_hat over the observed replicates.
+    """SandwichParts at theta_hat over the observed replicates.
 
-    K and J are built from the normalized weights and carry the common
-    scale e^log_scale of the raw matrices (see ``SandwichParts``).
+    Raises ValueError with fewer than 2 replicates.
     """
     if reps.m < 2:
         raise ValueError("sandwich needs at least 2 replicates")
@@ -342,22 +298,22 @@ def sandwich(reps, locs, theta_hat, q):
 
 
 def std_errs(parts):
-    """Sandwich standard errors sqrt(diag(J^-1 K J^-1)), per replicate.
+    """StdErrs with se = sqrt(diag(J^-1 K J^-1)), per replicate.
 
-    J^-1 is taken through a PD surrogate S of J built in coordinates where
-    J's diagonal has unit magnitude: with d = sqrt(|diag J|), the spectrum
-    of J / (d d') is floored in absolute value at J_EIG_FLOOR times its
-    largest absolute eigenvalue, giving S~, and se is
-    sqrt(diag(S~^-1 K~ S~^-1)) / d with K~ = K / (d d').  So S, the floor
-    and se follow any change of units of a parameter exactly, and a J that
-    is merely badly scaled is not floored.  se is invariant under
-    (K, J) -> (K/s^2, J/s), so the common scale of the sandwich's
-    normalized weights drops out, and a J that is identically zero raises
-    SingularJError.  The reported convention is "negated" when J was
-    entirely nonpositive (the usual case at a maximum), "positive" when
-    entirely nonnegative, else "absolute"; ``cond`` is the condition number
-    of S~, which does not depend on the parameters' units either.  Divide
-    se by sqrt(m) for the standard error of an estimate from m replicates.
+    The asymptotic variance of an M-estimator (White 1982) and of the MLqE
+    (Ferrari & Yang 2010); divide se by sqrt(m) for the standard error of an
+    estimate from m replicates.  J at a maximum is close to minus an
+    information matrix, so J^-1 acts through a positive-definite surrogate:
+    with d = sqrt(|diag J|), the spectrum of J / (d d') is floored in
+    absolute value at J_EIG_FLOOR times its largest, giving S~, and
+    se = sqrt(diag(S~^-1 K~ S~^-1)) / d with K~ = K / (d d').  So se and
+    ``cond``, the condition number of S~, follow any change of a parameter's
+    units exactly, a J that is merely badly scaled is not floored, and se is
+    invariant under (K, J) -> (K/s^2, J/s), so the sandwich's common scale
+    drops out.  ``convention`` is "negated" when J is entirely nonpositive
+    (the usual case at a maximum), "positive" when entirely nonnegative,
+    else "absolute".  Raises SingularJError for a non-finite K or J, a J
+    that is zero, or standard errors that are not finite.
     """
     J = np.asarray(parts.J, dtype=float)
     K = np.asarray(parts.K, dtype=float)

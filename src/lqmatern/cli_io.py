@@ -360,11 +360,14 @@ def write_sweep_rows(path, rows):
 
 
 def summarize_sweep(rows, grid, kappa0):
-    """Per-q (bias, variance, MSE) of kappa-hat over converged grid rows."""
+    """Per-q (q, rows used, bias, variance, MSE) of kappa-hat over converged grid rows.
+
+    A row whose kappa-hat is not finite is left out, as a non-converged one is.
+    """
     out = []
     for q in grid:
-        vals = np.array([r.kappa for r in rows
-                         if not r.selected and r.converged and r.q == q])
+        vals = np.array([r.kappa for r in rows if not r.selected and r.converged
+                         and r.q == q and np.isfinite(r.kappa)])
         if vals.size == 0:
             out.append((q, 0, np.nan, np.nan, np.nan))
             continue

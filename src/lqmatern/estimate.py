@@ -1,23 +1,13 @@
 """Maximum Lq-likelihood fitting: a loose simplex search, finished by Newton.
 
-Sigma = sigma2 R(beta, nu), and sigma2 only rescales a correlation matrix
-that costs the same to build at every sigma2, so sigma2 is profiled out:
-the search runs over (beta, nu) alone, and at each trial point it builds
-and factors R once (``gauss_lik._corr_factor``) and solves for sigma2
-exactly inside its bounds (``gauss_lik._profile_factor``: closed form at
-q = 1, safeguarded Newton steps in log sigma2 below), as
-``gauss_lik.profile_lq`` does.  It keeps the factor of the point it scored
-last, and a derivative pass at that point starts from it; a pass anywhere
-else factors R itself.  The search works in bound-scaled coordinates:
-(beta, nu) is mapped affinely to the unit square u = (x - lower) / width,
-where ``tol`` is measured.
-
-It compares the log-domain profile value V (sum l at q = 1,
-logsumexp((1-q) l) / (1-q) below), a strictly increasing transform of the
-exact Lq objective sum (f^(1-q) - 1) / (1-q).  Every number the fit needs,
-the reported ``objective`` included, comes from the values and sigma2
-solutions the search has cached; the fit builds no full covariance of its
-own.
+The search runs over (beta, nu), in bound-scaled coordinates u = (x -
+lower) / width on the unit square, where ``tol`` is measured.  It scores
+each point as ``gauss_lik`` scores every (beta, nu): sigma2 is solved
+exactly on one factor of R, and points compare by the log-domain value V.
+The fit reads its answer and ``objective`` from the scored (sigma2, V) it
+caches.  It keeps the factor of R of the point it scored last; a derivative
+pass at that point starts from it, and a pass anywhere else factors R
+itself.
 
 A cold fit has three stages.
 
@@ -25,47 +15,50 @@ A cold fit has three stages.
   objective-spread test is disabled, so its steps depend only on the order
   of values).
 - Up to ``_NEWTON_STEPS`` Newton steps delta on V in u follow, from its
-  exact gradient and Hessian: one derivative pass (``asymptotics._finish``)
-  gives the full ones in (sigma2, beta, nu) (``_Pass.hessian``), and
-  sigma2's response enters through their Schur complement, unless sigma2
-  sits on a bound, where it stays under small moves.  A step is taken when
-  the Hessian is negative definite, u + delta lies in the box and scores no
-  lower than u; any other step ends this stage, with no line search.  The
-  pass after a step longer than ``tol``, and a warm fit's first pass at
-  init, are at the point scored last and share its factor of R.  A step
-  with |delta| <= ``tol`` componentwise confirms the fit.  Newton
-  converges quadratically, so the step after a 1e-5 step is about 1e-11,
-  and its rise is below the rounding of V: where the predicted rise
-  delta' (-H) delta / 2 is at most ``gauss_lik.V_ROUNDING`` times the size
-  of the terms V is summed from (``_Pass.rounding_floor``; at least
-  |V(u)|, which can sit near 0 by cancellation), the step is taken
-  whatever it scores (the tie rule).  A short step whose
-  rise is a little above that can still score lower by rounding; where it
-  falls by less than its predicted rise, u itself is confirmed (the
-  short-step rule).  A step in the wrong direction falls by about three
-  times its predicted rise, and ends the stage.
+  exact gradient and Hessian: one derivative pass (``asymptotics._Pass``)
+  gives them in (sigma2, beta, nu), and sigma2's response enters through
+  their Schur complement, unless sigma2 sits on a bound, where it stays
+  under small moves.  A step is taken when the Hessian is negative definite,
+  u + delta lies in the box and scores no lower than u; any other step ends
+  this stage, with no line search.  A step with |delta| <= ``tol``
+  componentwise confirms the fit, and the last step allowed must be such a
+  step.  Newton converges quadratically, so the step after a 1e-5 step is
+  about 1e-11, and its rise is below the rounding of V: where the predicted
+  rise delta' (-H) delta / 2 is at most ``_Pass.rounding_floor``, a short
+  step is taken whatever it scores (the tie rule).  A short step whose rise
+  is a little above that can still score lower by rounding; where it falls
+  by less than its predicted rise, u itself is confirmed (the short-step
+  rule).  A step in the wrong direction falls by about three times its
+  predicted rise, and ends the stage.
 - Where the steps do not confirm (an optimum on a bound, non-finite
   derivatives, a Hessian that is not negative definite, a refused step),
   the simplex runs again from the best point reached, to ``tol``, and one
   Newton step of at most ``tol`` may confirm its answer.  Failing that, the
   search restarts from its own answer with a fresh simplex, up to twice,
-  and a restart that moves at most ``tol`` confirms the point.
+  and a restart that moves at most ``tol`` confirms the point.  Such a
+  restart confirms nothing where no scored point has a finite value other
+  than the estimate's: every other point was rejected, or the profile is
+  flat there (at the lower corner of the box, where every correlation is
+  zero to double precision).
+
+A fit that does not confirm is reported as not converged.  Trial points
+whose R is not positive definite score -inf and are rejected; only failure
+at the initial point is an error.
 
 A warm fit (``warm=True``: init is near the answer) starts with the Newton
 steps at init, and runs the cold stages from the best point reached only if
-they do not confirm.  ``FitChain`` caches each q's fit and starts every fit
-after the first one that returns warm, from the fitted q nearest to it: the
-last derivative pass of that fit (its ``_Pass``), taken within ``tol`` of
-its estimate, holds every replicate's gradient and log density and the
-weighted Hessian sum, and q enters them only through the replicate weights,
-so re-weighting that pass to the new q (``_Pass.newton_step``, a full
-solve in (sigma2, beta, nu)) gives one Newton step for the new fit without
-a new pass (the corrector of predictor-corrector continuation; Allgower &
-Georg, Numerical Continuation Methods, 1990).  The step's (beta, nu) is the
-start; where it cannot be taken, the nearest estimate is.  The README's
-"Performance notes" give the evaluations and passes of warm fits so
-started.  The chain serves ``fit_profile``, the q selectors and the CLI
-sweep.
+they do not confirm.  ``FitChain`` starts every fit after its first one
+warm, from the fitted q nearest to it.  That fit's last derivative pass,
+taken within ``tol`` of its estimate, holds every replicate's gradient and
+log density and the weighted Hessian sum, and q enters them only through
+the replicate weights.  Re-weighted to the new q (``_Pass.newton_step``, a
+full solve in (sigma2, beta, nu)), it gives one Newton step for the new fit
+without a new pass: the corrector of predictor-corrector continuation
+(Allgower & Georg, Numerical Continuation Methods, 1990).  The step's
+(beta, nu) is the start.  The nearest estimate itself is the start where
+that fit kept no pass (its sigma2 on a bound, or no pass within ``tol`` of
+its estimate), the re-weighted Hessian is not negative definite, or the
+step leaves the box.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -73,14 +66,7 @@ by the same constant and leaves them unchanged, sigma2's derivatives scale
 as powers of c that cancel in the Schur complement, and the weighted sums
 over replicates and the traces and quadratic forms over locations do not
 depend on their order.  Restart decisions compare iterates and the Newton
-checks compare two profile values, so both are order-only as well.  A fit
-that does not confirm is reported as not converged.  Trial points with a
-non-positive-definite correlation matrix score -inf and are simply
-rejected; only failure at the initial point is an error.  A restart that
-does not move confirms nothing where no scored point has a finite value
-other than the estimate's: every other point was rejected, or the profile
-is flat there (at the lower corner of the box, where every correlation is
-zero to double precision).
+checks compare two profile values, so both are order-only as well.
 
 At fixed q < 1 the estimator is not consistent for the model's theta0 =
 (sigma2, beta, nu).  Under the model f_theta^(1-q) f_theta0 is again a
@@ -98,13 +84,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _finish
-from .gauss_lik import NotSPDError, _corr_factor, _profile_factor
-from .matern import MaternParams
+from .gauss_lik import NotSPDError, _checked_q, _corr_factor, _profile_factor
+from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
-# over from Nelder-Mead.  Cold fits on the n = 100 grid and n = 400 uniform
-# sites confirmed with the fewest evaluations here (see CHANGES.md for the
-# measurement of 1e-2, 3e-3 and 1e-3).
+# over: of 1e-2, 3e-3 and 1e-3, cold fits took the fewest evaluations here
+# (CHANGES.md).
 _LOOSE_XATOL = 3e-3
 
 # Newton steps per stage; warm fits along the q grids confirmed in 1 to 4.
@@ -123,7 +108,7 @@ _INIT_INSET = 0.1
 
 @dataclass(frozen=True)
 class Bounds:
-    """Box constraints on (sigma2, beta, nu); strict lower < upper."""
+    """Box constraints on (sigma2, beta, nu); lower < upper componentwise, else ValueError."""
 
     lower: MaternParams
     upper: MaternParams
@@ -146,18 +131,15 @@ class Bounds:
 class FitResult:
     """One maximization outcome.
 
-    ``objective`` is the profile value V at theta_hat in its surrogate form:
-    V = sum l at q = 1, and exp((1-q) (V + n)) = sum exp((l + n)(1-q))
-    below it, an increasing transform of the exact Lq objective.  It
-    overflows to inf when the data's scale is small, even at a correct
-    fit; ``converged`` tests V itself.  ``evaluations`` counts the
-    (beta, nu) points the search scored and ``newton_steps`` the derivative
-    passes of its Newton steps, each costing about as much as two to five
-    evaluations.  A pass at the point scored last (after a Newton step
-    longer than ``tol``, or at a warm fit's init) starts from that point's
-    Cholesky factor of R; a pass elsewhere factors R itself.  ``restarts``
-    counts the fallback simplex runs, 0 when Newton steps confirmed the
-    estimate.
+    ``objective`` is V at theta_hat in a surrogate form: V itself at q = 1,
+    and exp((1-q) (V + n)) = sum exp((l + n)(1-q)) below it, an increasing
+    transform of the exact Lq objective that overflows to inf when the
+    data's scale is small, even at a correct fit.  ``evaluations`` counts
+    the (beta, nu) points scored, Newton points included; ``newton_steps``
+    the derivative passes, each costing about two to five evaluations; and
+    ``restarts`` the fallback simplex runs, 0 when Newton steps confirmed
+    the estimate.  ``converged`` requires a confirmation, a normal end of
+    the last simplex run, if any, and a finite V at the estimate.
     """
 
     theta_hat: MaternParams
@@ -173,7 +155,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class QProfile:
-    """Fits along a descending q grid starting at 1."""
+    """Fits along a descending q grid starting at 1, which is checked (ValueError)."""
 
     grid: tuple
     fits: tuple
@@ -206,8 +188,8 @@ def _checked_tol(tol):
 
 
 def default_bounds():
-    """sigma2 in [1e-3, 1e3], beta in [1e-3, 10], nu in [0.05, 5]."""
-    return Bounds(MaternParams(1e-3, 1e-3, 0.05), MaternParams(1e3, 10.0, 5.0))
+    """sigma2 in [1e-3, 1e3], beta in [1e-3, 10], nu in [0.05, NU_CAP]."""
+    return Bounds(MaternParams(1e-3, 1e-3, 0.05), MaternParams(1e3, 10.0, NU_CAP))
 
 
 def default_init(reps, bounds):
@@ -284,8 +266,7 @@ class _Search:
         """(delta, predicted rise) of one Newton step in u from a scored u.
 
         None where the derivatives are not finite or the profile Hessian is
-        not negative definite.  The pass takes the held factor where u is
-        the point scored last, and factors R at u otherwise.
+        not negative definite.
         """
         self.passes += 1
         self.last_pass = None
@@ -305,10 +286,7 @@ class _Search:
         gbar, hess = p.hessian(self.q)
         H = hess[1:, 1:]
         if sigma2 not in self.s2_box:
-            # the profile's sigma2 is interior, where V's sigma2-derivative
-            # vanishes, and its response enters through the Schur complement
-            # (no maximum in sigma2 unless hess[0, 0] < 0); a clipped sigma2
-            # stays on its bound under small moves
+            # an interior sigma2 maximizes V, which needs hess[0, 0] < 0
             if not hess[0, 0] < 0.0:
                 return None
             H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
@@ -320,15 +298,10 @@ class _Search:
         return delta, -0.5 * float(delta @ H @ delta)
 
     def newton(self, u, steps):
-        """Up to ``steps`` Newton steps from a scored u: (best u, confirmed).
+        """(best u, confirmed) of up to ``steps`` Newton steps from a scored u.
 
-        A step is taken when it lands in the box and scores no lower; any
-        other step ends the run.  A step of at most ``tol`` confirms.  Such a
-        step whose predicted rise is within the rounding of the value is
-        taken whatever it scores (the tie rule); one that scores lower by
-        less than its predicted rise confirms the point it started from
-        (the short-step rule).  The last step allowed must be a confirming
-        one, so a longer step there is not scored.
+        The module docstring gives the rules: which step is taken, and which
+        confirms.
         """
         val = self.value(u)
         if not np.isfinite(val):
@@ -347,15 +320,11 @@ class _Search:
                 break
             self.evaluations += 1
             val_new = self.value(u_new)
-            # a rise below V's rounding cannot be told from a fall by scoring
             tie = (short and rise <= self.last_pass[1].rounding_floor(val)
                    and np.isfinite(val_new))
             if val_new >= val or tie:
                 u, val = u_new, val_new
-            elif not (short and val - val_new < rise):
-                # a short step that falls by less than its predicted rise lost
-                # the rise to rounding, and its start confirms; a reversed
-                # step falls by about three times that rise
+            elif not (short and val - val_new < rise):     # the short-step rule
                 break
             if short:
                 confirmed = True
@@ -364,55 +333,35 @@ class _Search:
 
 
 def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _keep=None):
-    """Maximize the Lq-likelihood inside a box, with sigma2 profiled out.
-
-    The search runs over (beta, nu); sigma2 is solved exactly at each trial
-    point.  A loose simplex run brings the estimate within reach of Newton
-    steps on the profile value, which finish it to ``tol``; where they do
-    not confirm it, a tight simplex run, one confirming step and up to two
-    restarts follow (see the module docstring).
+    """FitResult of the Lq-likelihood's maximum at q in a box (see the module docstring).
 
     Parameters
     ----------
     reps, locs : ReplicateSet, LocationSet
         Data.
     q : float
-        Distortion parameter in (0, 1]; q = 1 is the MLE.  For q < 1 the
-        target under the model is theta_q = (q sigma2, beta, nu), not the
-        data-generating theta (see the module docstring).
+        Distortion parameter in (0, 1]; q = 1 is the MLE.  Below 1 the
+        target under the model is theta_q = (q sigma2, beta, nu).
     bounds : Bounds, optional
         Defaults to default_bounds().
     init : MaternParams, optional
-        Must lie within bounds; defaults to default_init(reps, bounds).
-        Its (beta, nu) starts the search and is scored first: a
-        NotSPDError there is raised, not rejected.  Its sigma2 is not used.
+        Must lie within bounds; defaults to default_init(reps, bounds).  Its
+        (beta, nu) is scored first, and its sigma2 is not used.
     tol : float
-        Simplex-diameter convergence threshold in bound-scaled coordinates;
-        also the largest Newton step or restart move that confirms a point.
-        Such a Newton step confirms the point it reaches, or, where it
-        scores lower by less than its predicted rise (a rise lost to
-        rounding), the point it started from.  A NaN, infinite or negative
-        tol raises ValueError, as in ``FitChain``.
+        Simplex-diameter threshold in bound-scaled coordinates, and the
+        largest Newton step or restart move that confirms a point.
     warm : bool
-        Whether init is near the answer, such as the fit at a neighbouring q
-        or a Newton step from it: Newton steps start from it, and the
-        simplex runs only if they do not confirm.
+        Whether init is near the answer, so that Newton steps start there.
     _keep : list, optional
         ``FitChain``'s: receives the ``asymptotics._Pass`` of the fit's last
         derivative pass, where that pass lay within ``tol`` of the estimate
         with sigma2 inside its bounds.
 
-    Returns
-    -------
-    FitResult
-        ``evaluations`` counts (beta, nu) points, Newton points included,
-        and ``newton_steps`` the derivative passes; ``restarts`` is 0 when
-        Newton steps confirmed the estimate.  ``converged`` requires a
-        confirmation, a normal end of the last simplex run, if any, and a
-        finite profile value V at the estimate.
+    Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
+    tol, or an init outside the bounds, and NotSPDError where R at init
+    cannot be factored.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1], got %r" % (q,))
+    _checked_q(q)
     _checked_tol(tol)
     if bounds is None:
         bounds = default_bounds()
@@ -457,9 +406,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
     theta_hat = MaternParams(sigma2, *(search.corner + u * search.width))
     with np.errstate(over="ignore"):
         objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
-    # a restart cannot move where every other point it scores is rejected
-    # or ties the estimate, which confirms nothing: the search must have
-    # scored some finite value other than the estimate's
+    # a restart that cannot move confirms nothing
     moved = any(np.isfinite(v) and v != value for _s2, v in search.scored.values())
     converged = bool(confirmed and (by_newton or moved)
                      and search.simplex_ok and np.isfinite(value))
@@ -474,15 +421,10 @@ class FitChain:
 
     ``chain.fit(q)`` returns the FitResult at q, fitted on the first request
     only (key round(q, 12)); ``chain(q)`` returns its theta_hat, as the q
-    selectors' ``fit_fn``.  The first fit starts cold at ``init``.  Every
-    later fit starts with Newton steps (``fit``'s ``warm``) one step ahead
-    of the estimate at the fitted q nearest to it: the (beta, nu) part of
-    that fit's last derivative pass re-weighted to the new q
-    (``_Pass.newton_step``).  It starts at the nearest estimate
-    itself where that fit kept no pass (its sigma2 on a bound, or no pass
-    within ``tol`` of its estimate), where the re-weighted Hessian is not
-    negative definite, or where the step leaves the box.  The chain keeps
-    O(m) numbers per q.  A fit that raises is not cached.
+    selectors' ``fit_fn``.  The first fit starts cold at ``init`` and every
+    later one warm (see the module docstring).  The chain keeps O(m)
+    numbers per q, and does not cache a fit that raises.  A NaN, infinite
+    or negative tol raises ValueError.
     """
 
     def __init__(self, reps, locs, bounds=None, init=None, tol=DEFAULT_TOL):

@@ -1,41 +1,33 @@
-"""Gaussian log-likelihood and Lq-likelihood via Cholesky factorization.
+"""Gaussian log-likelihoods and the Lq objective, from Cholesky factors.
 
-The zero-mean Gaussian log density at one replicate z is
+The zero-mean Gaussian log density of one replicate z is
 
-    l(z; theta) = -(n/2) log(2 pi) - (1/2) z' Sigma^-1 z - (1/2) log|Sigma|
+    l(z; theta) = -(1/2) [n log(2 pi) + z' Sigma^-1 z + log|Sigma|],
 
-computed from a single Cholesky factorization Sigma = L L': the quadratic
-form is ||y||^2 with L y = z (one triangular solve), and log|Sigma| is twice
-the log-sum of the diagonal of L.
+with the quadratic form ||y||^2 from one triangular solve L y = z on
+Sigma = L L', and log|Sigma| twice the log-sum of diag(L).
 
-The Lq transform of the density f = e^l:
+The Lq objective is sum_i L_q(f_i), with L_q(f) = log f at q = 1 and
+(f^(1-q) - 1) / (1-q) below it.  f^(1-q) = e^((1-q) l) underflows at large
+n, where l is of order -n, so the package works with the log-domain value
 
-    L_q(f) = log f = l                      if q = 1
-    L_q(f) = (f^(1-q) - 1) / (1 - q)        if q < 1
-           = expm1(l (1-q)) / (1-q)
+    V = sum l_i  (q = 1),    V = logsumexp((1-q) l) / (1-q)  (q < 1),
 
-For large n that value underflows (f^(1-q) = e^(l(1-q)) with l of order
--n), so everything works in the log domain through one helper,
-``_lq_weights``: for the replicates' log densities l it returns the value
-V = sum l at q = 1 and V = logsumexp((1-q) l) / (1-q) below it, a strictly
-increasing transform of sum f_i^(1-q) that neither overflows nor
-underflows, together with the replicate weights w = 1 at q = 1 and
-w = softmax((1-q) l) below it.  The fit's objective, the sigma2 solve, the
-Newton step and the sandwich all take their weights from it.
+a strictly increasing transform of the objective, and with the replicate
+weights w = softmax((1-q) l) (w = 1 at q = 1).  Both come from one helper,
+``_lq_weights``, for the fit, the sigma2 solve and the sandwich.
 
-Profiling sigma2.  Sigma = sigma2 R(beta, nu), so one factorization of the
+Profiling sigma2.  Sigma = sigma2 R(beta, nu), so one factor of the
 correlation matrix R gives quad_i = z_i' R^-1 z_i and log|R|, and with them
-every replicate's log-likelihood at any sigma2:
+every log density at any sigma2:
 
-    l_i(sigma2) = -(1/2) [n log(2 pi) + log|R| + n log sigma2 + quad_i / sigma2]
+    l_i(sigma2) = -(1/2) [n log(2 pi) + log|R| + n log sigma2 + quad_i / sigma2].
 
 Every (beta, nu) is scored one way: ``_corr_factor`` builds R with
-``build_cov`` and factors it, and ``_profile_factor`` solves for sigma2 on
-that factor in O(m) (``profile_sigma2``) and scores the point by its
-log-domain value V.  ``profile_lq`` is the two in turn.  The fit calls
-them itself and keeps the factor of the point it scored last for a
-derivative pass there (``estimate._Search``); the sandwich takes its
-factor from ``_corr_factor`` too.
+``build_cov`` and factors it, then ``_profile_factor`` solves for sigma2 on
+that factor in O(m) (``profile_sigma2``) and returns V there.
+``profile_lq`` runs the two in turn; the fit runs them itself, so that it
+can keep the factor for a derivative pass at the same point.
 """
 
 from dataclasses import dataclass
@@ -47,29 +39,24 @@ from .matern import MaternParams, build_cov
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-# Relative jitter magnitude for the one-shot Cholesky rescue.
+# Jitter of the one-shot Cholesky rescue, relative to the largest diagonal entry.
 JITTER_REL = 1e-10
 
-# Stopping rule of the sigma2 solve in profile_sigma2: relative step size,
-# and a step cap.  On chi-square quadratic forms (n = 36 to 400, m = 100,
-# q in {0.95, 0.9, 0.5}) the solve stops after 3 to 5 steps.
+# Stopping rule of profile_sigma2: the relative step that ends the solve, and
+# a step cap far above the 3 to 5 steps it takes on chi-square forms.
 SIGMA2_RTOL = 1e-13
 SIGMA2_MAX_STEPS = 1000
 
-# Relative rounding of a log-domain value V: a step whose predicted rise is
-# at most V_ROUNDING times the size of the terms V is summed from cannot be
-# told from its start by scoring it, and is taken on the prediction alone.
-# profile_sigma2 takes that size as |V|; the fit's Newton steps take it
-# from the terms of the l_i, which can be far larger where V cancels to
-# near 0 (``asymptotics._Pass.rounding_floor``).
+# Relative rounding of a log-domain value V: a step whose predicted rise is at
+# most V_ROUNDING times the size of V's terms cannot be told from its start by
+# scoring, and is taken on the prediction alone.
 V_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 class NotSPDError(np.linalg.LinAlgError):
-    """Covariance failed Cholesky factorization even after jitter.
+    """A covariance failed Cholesky factorization even after jitter.
 
-    Carries the offending parameter point in ``theta`` when raised from
-    parameterized entry points.
+    ``theta`` holds the offending parameter point where the raiser knows it.
     """
 
     def __init__(self, msg, theta=None):
@@ -112,16 +99,13 @@ class CholFactor:
 
 
 def chol_factor(cov):
-    """Cholesky-factor an SPD covariance with a one-shot jitter rescue.
+    """CholFactor of an SPD covariance, with a one-shot jitter rescue.
 
-    On failure, JITTER_REL times the largest diagonal entry is added to the
-    diagonal once (on every covariance the package builds that entry is
-    exactly sigma2, as M(0) = sigma2) and the event is reported through the
-    ``jittered`` flag.  A second failure, or a non-finite log determinant,
-    raises NotSPDError.
-
-    LAPACK is called without scipy's finiteness scan; a NaN or inf entry
-    either fails the factorization or shows in the log determinant.
+    On failure JITTER_REL times the largest diagonal entry (sigma2 on every
+    covariance the package builds) is added to the diagonal once, and
+    ``jittered`` is set.  A second failure, or a non-finite log determinant,
+    raises NotSPDError; a NaN or inf entry ends in one of the two, since
+    LAPACK is called without scipy's finiteness scan.
     """
     cov = np.asarray(cov, dtype=float)
     try:
@@ -147,13 +131,11 @@ def _quad_forms(data, chol):
 
 
 def _lq_weights(lvec, q):
-    """Log-domain Lq value of log densities ``lvec`` and the replicate weights.
+    """(V, w): the log-domain value and the weights of log densities ``lvec`` at q.
 
-    Returns (value, w): (sum l, ones) at q = 1, and below it
-    (logsumexp((1-q) l) / (1-q), softmax((1-q) l)).  The weights are
-    normalized, so nothing overflows or underflows however large or small
-    the log densities are, and a shift of every l_i by the same constant
-    leaves them unchanged.
+    See the module docstring for both.  Nothing overflows or underflows at
+    any scale of the l_i, and shifting every l_i by one constant leaves w
+    unchanged.
     """
     if q == 1.0:
         return float(np.sum(lvec)), np.ones(len(lvec))
@@ -166,28 +148,28 @@ def _lq_weights(lvec, q):
     return (top + float(np.log(total))) / (1.0 - q), w
 
 
+def _checked_q(q):
+    """Raise ValueError for a q outside (0, 1]."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1], got %r" % (q,))
+
+
 def profile_sigma2(quad, n, q, lower, upper):
-    """The sigma2 in [lower, upper] that maximizes the Lq objective.
+    """The sigma2 in [lower, upper] that maximizes V, from the forms quad_i = z_i' R^-1 z_i.
 
-    ``quad`` holds each replicate's z' R^-1 z for the correlation matrix R;
-    the objective in sigma2 is the log-domain value V of ``_lq_weights``.
-
-    At q = 1 the maximizer is mean(quad) / n, clipped.  Below 1 it is found
-    by Newton steps in x = log sigma2, started at median(quad) / n.  With
-    a_i = quad_i / sigma2 and the weights w = softmax((1-q) l(sigma2)),
+    At q = 1 it is mean(quad) / n, clipped.  Below 1, Newton steps in
+    x = log sigma2 start at median(quad) / n; with a_i = quad_i / sigma2,
 
         dV/dx   = (sum w_i a_i - n) / 2
         d2V/dx2 = -sum w_i a_i / 2 + (1-q) Var_w(a) / 4.
 
-    A step is safeguarded by the fixed point sigma2 <- sum w_i quad_i / n,
-    clipped to the bounds, which maximizes a concave Jensen minorant of V
-    in x, so it never lowers V: the fixed point is taken instead wherever
-    V is not concave there, the Newton point leaves the bounds, or it
-    scores lower, unless its predicted rise -V'^2 / (2 V'') is within V's
-    rounding (V_ROUNDING).  The solve is thus monotone up to rounding.  It
-    stops once a step moves sigma2 by at most SIGMA2_RTOL relative, or
-    after SIGMA2_MAX_STEPS steps.  The constant terms of l_i are shared by
-    all replicates; only the sigma2 terms enter the value compared here.
+    The fixed point sigma2 <- sum w_i quad_i / n, clipped, maximizes a
+    concave Jensen minorant of V in x, so it never lowers V.  It replaces
+    the Newton step wherever V is not concave, the Newton point leaves the
+    bounds, or it scores lower by more than V's rounding (V_ROUNDING of
+    |V|).  So V does not decrease along the steps, up to rounding.  The
+    solve stops once a step moves sigma2 by at most SIGMA2_RTOL relative, or
+    after SIGMA2_MAX_STEPS steps.
     """
     quad = np.asarray(quad, dtype=float)
     if q == 1.0:
@@ -224,13 +206,9 @@ def profile_sigma2(quad, n, q, lower, upper):
 
 
 def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
-    """(sigma2, value) at a correlation matrix R from its Cholesky factor.
+    """(sigma2, V) on the Cholesky factor ``chol`` of R, sigma2 within its bounds.
 
-    The quadratic forms z_i' R^-1 z_i come from one triangular solve;
-    sigma2 in [sigma2_lower, sigma2_upper] from ``profile_sigma2``, and the
-    value is ``_lq_weights``'s: sum l_i at q = 1 and logsumexp((1-q) l) /
-    (1-q) below it.  The factor is left unchanged, so a derivative pass
-    can start from it.
+    ``chol`` is left unchanged.
     """
     n = reps.n
     quad = _quad_forms(reps.data, chol)
@@ -240,7 +218,7 @@ def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
 
 
 def _corr_factor(locs, beta, nu):
-    """Cholesky factor of the correlation matrix R(beta, nu), from ``build_cov``.
+    """CholFactor of the correlation matrix R(beta, nu).
 
     Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
     factored.
@@ -254,14 +232,11 @@ def _corr_factor(locs, beta, nu):
 
 
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
-    """Log-domain Lq objective at (beta, nu) with sigma2 solved exactly.
+    """(sigma2, V) at (beta, nu), with sigma2 in [sigma2_lower, sigma2_upper].
 
-    Builds and factors the correlation matrix R(beta, nu) once
-    (``_corr_factor``) and profiles sigma2 on the factor
-    (``_profile_factor``).  Returns (sigma2, value).  Raises NotSPDError
-    carrying MaternParams(1, beta, nu) if R cannot be factored.
+    Raises ValueError for a q outside (0, 1], and NotSPDError carrying
+    MaternParams(1, beta, nu) if R cannot be factored.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1], got %r" % (q,))
+    _checked_q(q)
     return _profile_factor(reps, _corr_factor(locs, beta, nu), q,
                            sigma2_lower, sigma2_upper)

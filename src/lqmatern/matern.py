@@ -9,14 +9,11 @@ with K_nu the modified Bessel function of the second kind.  M(0) = sigma2
 exactly (the h -> 0 limit), and M reduces to sigma2 * exp(-h/beta) at
 nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.
 
-The first and second derivatives in theta = (sigma2, beta, nu) come from one
-pass over the distances (``_kernel_terms``), which calls scipy's K at the
-orders nu and nu - 1: two calls give the five per-distance terms, the beta
-and nu derivatives of M / sigma2 and the (beta, beta), (beta, nu) and
-(nu, nu) Hessian entries of M.  M is linear in sigma2, so these and M
-itself (``build_cov``) are every nonzero entry of the gradient and the
-Hessian.  The estimating-function pass (``asymptotics._finish``) reads the
-terms directly.  Derivatives in the argument of K_nu use exact identities, the
+Derivatives.  M is linear in sigma2, so M and five per-distance terms are
+every nonzero entry of its gradient and Hessian in theta = (sigma2, beta,
+nu): the beta and nu derivatives of M / sigma2, and the (beta, beta),
+(beta, nu) and (nu, nu) Hessian entries of M.  Two Bessel calls, at the
+orders nu and nu - 1, give all five through exact identities, the
 recurrence and the modified Bessel ODE:
 
     K'_mu(t) = -K_{mu-1}(t) - (mu/t) K_mu(t),
@@ -24,54 +21,36 @@ recurrence and the modified Bessel ODE:
     d2M/dbeta2 = sigma2 c / beta^2 * t^(nu+1) (t K_nu(t) - (2 nu + 1) K_{nu-1}(t)),
 
 where the beta-derivatives carry K_{nu-1} directly, without the
-cancellation of nu K_nu + t K'_nu at small t.  Derivatives in the order nu
-are exact too: dK_nu/dnu, d2K_nu/dnu2 and dK_{nu-1}/dnu come from the
-trapezoid rule on the integral K_nu(t) e^t = int_0^inf e^(-t (cosh u - 1))
-cosh(nu u) du (``_order_derivs``), within 2e-15 relative of mpmath's.  At
-h = 0 all derivatives vanish except dM/dsigma2 = 1, matching the analytic
-limit for nu > 0 and keeping the diagonal of the covariance matrix exactly
-sigma2.  Where K overflows at tiny t, the value takes its limit sigma2 and
-the derivatives theirs, 0.
+cancellation of nu K_nu + t K'_nu at small t.  The derivatives in the order
+come from a trapezoid rule on K's integral representation
+(``_order_derivs``).  Every term is 0 at h = 0.  Where K_nu overflows at
+tiny t, t^nu K_nu takes its exact limit Gamma(nu) 2^(nu-1), so M takes its
+limit sigma2 and the terms theirs, 0.
 
-``build_cov`` and the derivative pass evaluate the kernel once per unique
-distance and scatter the values back, which collapses the cost on lattice
-layouts where the distance matrix has few distinct entries.  A
-``LocationSet`` caches the sorted unique distances and each site pair's
-index into them, built from the condensed n (n - 1) / 2 distances; it holds
-no n x n float array, and ``dists`` gathers one on each access.  How a
-unique distance is evaluated depends on how many there are:
+Evaluation.  A ``LocationSet`` caches its sorted unique distances and each
+site pair's index into them.  The kernel is evaluated once per unique
+distance and scattered back, by one of two routes:
 
-- Up to the number of Chebyshev nodes a ``LocationSet``'s panels would use
-  (a few hundred: the 127 distances of a 10 x 10 lattice stay below it, the
-  369 of a 20 x 20 lattice do not), ``build_cov`` and the derivative pass
-  call kv at every distance, as above, and build_cov's value is
-  ``matern_cov``'s bit for bit.
-- Above it (irregular sites: 79,800 distances at n = 400), the set caches
-  panels of width 0.1 in s = log d over its distances (``_Panels``), and
-  the kernel is a piecewise Chebyshev interpolant of degree 8 in s.  Per
-  (beta, nu), kve runs at the panels' nodes only, and the node values
-  become coefficients through one fixed 9 x 9 matrix.  The Chebyshev basis
-  T_0 .. T_8 at the sorted distances' local coordinates is built by the
-  three-term recurrence for a block of whole panels at a time
-  (``_CHEB_BLOCK``); each panel's values are then one product of its
-  coefficients with its columns of the block's basis, times e^-t.  The
-  interpolated functions, t^nu K_nu(t) e^t and its companions, are
-  analytic in s, so the interpolant converges spectrally down to the
-  smallest distance: its value is within 1e-12 relative of kv's for beta
-  in [1e-3, 10] and nu in [0.05, 5] wherever K_nu > 1e-300 (the README's
-  "Performance notes" give the measured error), and it is exactly 0 past
-  t = 690.  beta only shifts s, so one cache serves every (beta, nu).
-  ``build_cov`` interpolates the value alone; the derivative pass forms
-  its five terms at the nodes from the node values of the same two orders
-  and of ``_order_derivs``, and interpolates only them (``_cheb_terms``).
+- Direct, where a set has no more unique distances than its Chebyshev
+  panels would have nodes (the 127 distances of a 10 x 10 lattice, not the
+  369 of a 20 x 20 one): kv at every distance.  ``matern_cov`` and
+  ``_kernel_terms`` without panels always take this route, and the tests
+  use them as the reference.
+- Chebyshev, otherwise (irregular sites).  Panels of width 0.1 in s = log d
+  (``_Panels``) carry a degree-8 interpolant in s of t^nu K_nu(t) e^t and of
+  the five terms times e^t, which are analytic in s, so it converges
+  spectrally down to the smallest distance; past t = _T_ZERO it is exactly
+  0.  Per (beta, nu), kve runs at the panels' nodes only, and the node
+  values become coefficients through one fixed 9 x 9 matrix.  The Chebyshev
+  basis at the distances is built by the three-term recurrence for a block
+  of whole panels at a time, and each panel's values are one product of its
+  coefficients with its columns of the basis, times e^-t.  beta only shifts
+  s, so one layout serves every (beta, nu).
 
-A derivative pass usually follows build_cov at the same (beta, nu), as at
-the fit's Newton points and in the sandwich.  build_cov leaves its order-nu
-values in a one-entry memo (``_order_nu``), and the pass reads them there,
-so such a point makes one Bessel call at each order.
-
-``matern_cov`` and ``_kernel_terms`` without panels always evaluate kv
-directly, and the tests use them as the interpolant's reference.
+A derivative pass usually follows ``build_cov`` at the same (beta, nu), as at
+the fit's Newton points and in the sandwich.  ``build_cov`` leaves its
+order-nu values in a memo (``_order_nu``) that the pass reads, so such a
+point makes one Bessel call at each order.
 """
 
 from dataclasses import dataclass
@@ -85,36 +64,29 @@ from scipy.special import kve as special_kve
 
 from .specfun import digamma, log_gamma, trigamma
 
-# Smoothness cap guarding against K_nu overflow at short distances; raise it
-# before constructing MaternParams if a smoother model is really wanted.
+# The model's range of smoothness: MaternParams rejects a larger nu, the
+# default bounds stop here, and the kernel's accuracy is checked up to it.
 NU_CAP = 5.0
 
-# Trapezoid rule of the order derivatives (``_order_derivs``): the step at t
-# is _QUAD_STEP min(1, t^-1/2), and the points run out to where the
-# integrand's exponent t (cosh u - 1) reaches _QUAD_CUT + 2 nu ln(1 + 1/t).
-# Over t in [1e-4, 690] and nu in [0.05, 5] that is 38-74 points, and the
-# three derivatives are within 2e-15 relative of mpmath's.  t goes in blocks
-# of _QUAD_BLOCK, so the (block, points) arrays stay small.
+# Trapezoid rule of ``_order_derivs``: its step and the cutoff of the
+# integrand's exponent hold the three derivatives within 2e-15 relative of
+# mpmath's, and t goes in blocks, so the (block, points) arrays stay small.
 _QUAD_STEP = 0.2
 _QUAD_CUT = 40.0
 _QUAD_BLOCK = 256
 
 _LN2 = np.log(2.0)
 
-# Chebyshev panels in s = log d (see ``_Panels``): the panel width and the
-# polynomial degree.  Over t in [1e-7, 760] and nu in [0.05, 5], width 0.1
-# with degree 8 interpolates t^nu K_nu(t) e^t within 2.0e-14 relative
-# (degree 7: 1.5e-12; width 0.05 with degree 7: 2.6e-14 at 1.8 times the
-# nodes).
+# Chebyshev panels in s = log d: width and degree.  They interpolate
+# t^nu K_nu(t) e^t within 2e-14 relative over t in [1e-7, 760] and nu up to
+# NU_CAP (CHANGES.md has the alternatives measured).
 _CHEB_WIDTH = 0.1
 _CHEB_DEG = 8
-# Past t = 690, K_nu(t) < 1e-300 at every order in (0, 5], and from
-# t = 697.9 scipy's kv returns 0; the interpolated kernel and its
-# derivatives are exactly 0 past _T_ZERO
+# Past t = 690, K_nu(t) < 1e-300 at every order up to NU_CAP; the
+# interpolated kernel and its terms are exactly 0 there
 _T_ZERO = 690.0
 # Distances per block of whole panels in ``_Panels.at``: a block's basis is
-# 9 x 8192 doubles (576 kB), where one over all u distances would be 5.7 MB
-# at n = 400
+# 9 x 8192 doubles (576 kB), where one over all distances is 5.7 MB at n = 400
 _CHEB_BLOCK = 8192
 
 _CHEB_ANGLES = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
@@ -129,8 +101,8 @@ _CHEB_MAP[0] *= 0.5
 class MaternParams:
     """Matern parameter triple (variance, range, smoothness).
 
-    All three must be strictly positive and finite; nu must not exceed the
-    module-level NU_CAP.
+    All three must be positive and finite, and nu at most NU_CAP; otherwise
+    ValueError.
     """
 
     sigma2: float
@@ -214,13 +186,11 @@ class LocationSet:
 class _Panels:
     """Piecewise-Chebyshev layout of a sorted array of positive distances.
 
-    Panel j covers s = log d in [w j, w (j + 1)) for the width w =
-    ``_CHEB_WIDTH``; only panels that hold a distance are kept, and since
-    the distances are sorted each holds a contiguous slice of them.  With
-    t = d / beta, beta only shifts s, so the layout serves every (beta, nu).
-    Stored: the distances (a view), each one's local coordinate x in
-    [-1, 1), the index of each panel's first distance and each panel's
-    node distances, O(u) floats in all.
+    Panel j covers s = log d in [w j, w (j + 1)), w = ``_CHEB_WIDTH``; only
+    panels that hold a distance are kept, each a contiguous slice of them.
+    Stored: the distances ``d`` (a view), each one's local coordinate ``x``
+    in [-1, 1), the index of each panel's first distance (``starts``) and
+    each panel's node distances (``nodes``), O(u) floats in all.
     """
 
     d: np.ndarray
@@ -242,18 +212,13 @@ class _Panels:
         return live, int(np.searchsorted(self.starts, live))
 
     def at(self, beta, live, vals, out):
-        """Interpolants of node values, times e^-t, written into out.
+        """Interpolants of node values, times e^-t, written into ``out``.
 
-        ``vals`` holds node values (..., k, deg + 1), and ``out`` the arrays
-        (u,) that receive the interpolants, one per row of its leading
-        dimensions.  The panels are taken in blocks of whole panels holding
-        up to ``_CHEB_BLOCK`` distances (a larger panel is a block of its
-        own).  For each block the Chebyshev basis T_0 .. T_deg at its
-        distances' local x is built by the three-term recurrence into one
-        (deg + 1, block) buffer shared by the blocks, and e^-t into another,
-        and each panel's interpolants are one product of its coefficients
-        with the basis columns of the panel's distances.  Entries past
-        ``live`` are exactly 0.
+        ``vals`` holds the first k panels' node values (..., k, deg + 1), and
+        ``out`` one array (u,) per row of its leading dimensions.  Entries
+        past ``live`` are exactly 0.  The buffers hold one block of whole
+        panels, up to ``_CHEB_BLOCK`` distances (a larger panel is a block of
+        its own).
         """
         bounds = np.append(self.starts[:vals.shape[-2]], live).tolist()
         firsts = [0]
@@ -293,21 +258,19 @@ def _coef(nu):
     return np.exp((1.0 - nu) * _LN2 - log_gamma(nu))
 
 
-def _limit_patched(nu, gk):
-    # K_nu overflows to inf as t -> 0 for moderate nu while t^nu underflows,
-    # producing inf or nan; there the product's limit Gamma(nu) 2^(nu-1) is
-    # exact to double precision, so substitute it
-    bad = ~np.isfinite(gk)
-    if np.any(bad):
-        gk = np.where(bad, np.exp(log_gamma(nu) + (nu - 1.0) * _LN2), gk)
-    return gk
+def _tnu_k(nu, t, bessel):
+    """t^nu bessel(nu, t) at t > 0, for ``bessel`` kv or its scaled kve.
 
-
-def _xnu_k_safe(nu, t):
-    """t^nu K_nu(t) on t > 0 with the t -> 0 overflow limit patched in."""
+    Where K_nu overflows (t -> 0, where t^nu underflows), the product is
+    not finite, and its limit Gamma(nu) 2^(nu-1), exact to double precision
+    there, takes its place.
+    """
     with np.errstate(invalid="ignore", over="ignore"):
-        out = t ** nu * special_kv(nu, t)
-    return _limit_patched(nu, out)
+        g = t ** nu * bessel(nu, t)
+    bad = ~np.isfinite(g)
+    if np.any(bad):
+        g = np.where(bad, np.exp(log_gamma(nu) + (nu - 1.0) * _LN2), g)
+    return g
 
 
 def _validate_h(h):
@@ -324,7 +287,7 @@ def matern_cov(h, theta):
     out = np.ones_like(t)
     pos = t > 0.0
     if np.any(pos):
-        out[pos] = _coef(theta.nu) * _xnu_k_safe(theta.nu, t[pos])
+        out[pos] = _coef(theta.nu) * _tnu_k(theta.nu, t[pos], special_kv)
     out *= theta.sigma2
     if np.ndim(h) == 0:
         return float(out[0])
@@ -341,14 +304,13 @@ def _order_derivs(nu, t):
     cosh(nu u) du (DLMF 10.32.9), whose nu-derivatives put u sinh(nu u) and
     u^2 cosh(nu u) in place of cosh(nu u).  The integrands are even and
     analytic in u, so the rule converges geometrically (Trefethen and
-    Weideman 2014); all three vanish at u = 0.  Each t gets its own step and
-    cutoff (``_QUAD_STEP``, ``_QUAD_CUT``), and a block of t shares the
-    largest point count among them.  cosh u - 1 is taken as 2 sinh^2(u/2),
-    which keeps its relative precision at small u, and sinh((nu - 1) u) is
-    its own sinh: as sinh(nu u) cosh u - cosh(nu u) sinh u it cancels to
-    2.7e-7 relative at t = 1e-4, nu = 3.7.  Where the integrands overflow
-    (t -> 0 at large nu, where K_nu itself overflows) the result is not
-    finite.
+    Weideman 2014).  The step at t is _QUAD_STEP min(1, t^-1/2), and the
+    points run out to where t (cosh u - 1) reaches
+    _QUAD_CUT + 2 nu ln(1 + 1/t); a block of t shares its largest point
+    count.  cosh u - 1 is taken as 2 sinh^2(u/2), and sinh((nu - 1) u) is
+    its own sinh, so neither cancels at small u.  Where the integrands
+    overflow (t -> 0 at large nu, where K_nu itself overflows) the result
+    is not finite.
     """
     ts = t.ravel()
     out = np.empty((3, ts.size))
@@ -366,16 +328,11 @@ def _order_derivs(nu, t):
 
 
 def _terms(t, theta, gk, qk, dk):
-    """The pass's five per-distance terms from g, q and the order derivatives of K.
+    """The five per-distance terms, shape (5,) + t.shape, in the module docstring's order.
 
-    Returns (5,) + t.shape stacking the beta and nu derivatives of
-    M / sigma2 and the (beta, beta), (beta, nu) and (nu, nu) Hessian
-    entries of M, from g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and
-    ``_order_derivs``' dK_nu/dnu, d2K_nu/dnu2 and dK_{nu-1}/dnu in dk, all
-    carrying the same factor (1 or e^t).  The beta-derivatives come from
-    q = -t^nu (nu K_nu + t K'_nu), which does not cancel at small t as the
-    two terms on the right do.  Terms that overflow take their t -> 0
-    limit, 0.
+    From g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and ``_order_derivs``' dk, all
+    carrying the same factor (1 or e^t), which the terms then carry too.
+    Terms that are not finite take their t -> 0 limit, 0.
     """
     s2, beta, nu = theta.sigma2, theta.beta, theta.nu
     c = _coef(nu)
@@ -422,7 +379,7 @@ def _direct_g(h, theta):
     """t^nu K_nu(t) at the positive t = h / beta, from kv."""
     nu = theta.nu
     t = h / theta.beta
-    return _order_nu(h, theta.beta, nu, lambda: _xnu_k_safe(nu, t[t > 0.0]))
+    return _order_nu(h, theta.beta, nu, lambda: _tnu_k(nu, t[t > 0.0], special_kv))
 
 
 def _direct_terms(t, theta, gk):
@@ -430,12 +387,6 @@ def _direct_terms(t, theta, gk):
     nu = theta.nu
     qk = t ** nu * t * special_kv(nu - 1.0, t)     # t^(nu+1) K_{nu-1}
     return _terms(t, theta, gk, qk, _order_derivs(nu, t) * np.exp(-t))
-
-
-def _node_g(mu, t):
-    """t^mu K_mu(t) e^t from kve; where kve overflows, the limit Gamma(mu) 2^(mu-1)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _limit_patched(mu, t ** mu * special_kve(mu, t))
 
 
 def _node_q(mu, t):
@@ -449,19 +400,12 @@ def _cheb_g(panels, theta):
     """t^nu K_nu(t) e^t at the nodes of the panels that hold a t <= _T_ZERO."""
     beta, nu = theta.beta, theta.nu
     k = panels.span(beta)[1]
-    return _order_nu(panels.nodes, beta, nu, lambda: _node_g(nu, panels.nodes[:k] / beta))
+    return _order_nu(panels.nodes, beta, nu,
+                     lambda: _tnu_k(nu, panels.nodes[:k] / beta, special_kve))
 
 
 def _cheb_terms(panels, theta, out):
-    """``_terms`` at the panels' distances, interpolated into the five rows of out.
-
-    kve runs at the nodes only, at the order nu - 1; the order-nu values are
-    build_cov's (``_cheb_g``).  At the nodes, g = t^nu K_nu,
-    q = t^(nu+1) K_{nu-1} and the order derivatives of ``_order_derivs``
-    all carry the factor e^t, and ``_terms`` combines them there: the terms
-    are linear in them, so each carries the same factor and is smooth in
-    s = log t.  The five are interpolated and multiplied by e^-t.
-    """
+    """``_terms`` at the panels' distances, interpolated into the five arrays of ``out``."""
     beta, nu = theta.beta, theta.nu
     live, k = panels.span(beta)
     tn = panels.nodes[:k] / beta
@@ -470,20 +414,13 @@ def _cheb_terms(panels, theta, out):
 
 
 def _kernel_terms(h, theta, panels=None):
-    """The five derivative terms of M(h; theta), h >= 0 1-D.
+    """The five derivative terms of M(h; theta) at the 1-D distances h >= 0.
 
-    One Bessel pass serves all five, at the orders nu and nu - 1: without
-    ``panels`` kv at every distance (``_direct_terms``); with ``panels``,
-    built over the positive entries of the sorted h
-    (``LocationSet._dist_cheb``), Chebyshev interpolants (``_cheb_terms``).
-    The value M itself is ``build_cov``'s, and after build_cov at the
-    same (beta, nu) so are the order-nu values (``_order_nu``).  Returns
-    two arrays, so a caller can drop the
-    first once it has gathered dSigma: (m_b, m_n) (2, u), the beta and nu
-    derivatives of M / sigma2; and (h_bb, h_bn, h_nn) (3, u), the
-    (beta, beta), (beta, nu) and (nu, nu) Hessian entries of M.  The terms
-    are 0 at h = 0 and, where kv overflows at tiny t, take their t -> 0
-    limit, 0.
+    Returns (grad, hess): the beta and nu derivatives of M / sigma2 (2, u),
+    and the (beta, beta), (beta, nu) and (nu, nu) Hessian entries of M
+    (3, u), apart so a caller can drop the first once it has gathered them.
+    With ``panels`` built over the positive entries of the sorted h
+    (``LocationSet._dist_cheb``) they are Chebyshev interpolants, else kv's.
     """
     grad = np.zeros((2,) + h.shape)
     hess = np.zeros((3,) + h.shape)
@@ -504,14 +441,11 @@ def _kernel_terms(h, theta, panels=None):
 
 
 def build_cov(locs, theta):
-    """Covariance matrix over a location set; evaluates once per unique distance.
+    """The n x n covariance matrix of theta over ``locs``, with diagonal sigma2.
 
-    Sets with more unique distances than Chebyshev nodes interpolate the
-    kernel (``LocationSet._dist_cheb``); the others evaluate kv at each
-    unique distance, as matern_cov does.  The
-    matrix comes in Fortran order: the site pairs' index map is symmetric,
-    so its transpose gathers the same matrix in the order LAPACK factors
-    without a transposing copy.
+    Fortran-ordered: the site pairs' index map is symmetric, so its
+    transpose gathers the same matrix in the order LAPACK factors, with no
+    transposing copy.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb

@@ -1,22 +1,15 @@
 """Data-driven selection of the distortion parameter q.
 
-Two coarse-to-fine grid selectors operate on fits computed along a
-descending q grid that starts at 1.  The first watches the standardized
-quadratic variation (SQV) of the estimate vector (``sqv``: the distance
-between consecutive standardized vectors over their length); the second
-watches the relative variation of the identifiable quantity
+Two coarse-to-fine grid selectors walk a descending q grid that starts at 1
+(``_walk``).  The first watches the standardized quadratic variation (SQV)
+of the estimate vector (``sqv``); the second watches the relative variation
+of the identifiable quantity
 
     kappa = sigma2 * beta**(-2 nu).
 
-Both share one pass loop (``_walk``): it fits each grid q through
-``fit_fn``, drops and logs the points whose fit or statistic fails or is not
-finite, and forms the series over consecutive usable points.  Each pass
-either accepts the current leading q, or refines an equally spaced grid from
-the last destabilized point down to q_min and repeats.  If the series never
-stabilizes before the grid span is exhausted the selectors fall back to
-q* = 1.  An ``estimate.FitChain`` over the dataset serves as ``fit_fn``:
-selectors revisit q values across passes (q_min appears in every
-refinement), and its cache fits each one once, started warm.
+An ``estimate.FitChain`` over the dataset serves as ``fit_fn``: selectors
+revisit q values across passes (q_min appears in every refinement), and its
+cache fits each one once, started warm.
 
 kappa-hat is not constant across q even on clean data.  The fixed-q fit
 targets (q sigma2, beta, nu) (see ``estimate``), whose kappa is q kappa0, and
@@ -49,9 +42,11 @@ _POINT_FAILURES = (np.linalg.LinAlgError, RuntimeError, ValueError,
 class QGridSpec:
     """Grid and thresholds for the q selectors.
 
-    ``L`` is the SQV threshold for the SQV selector and the ratio
-    coefficient (> 1) for the kappa selector; ``K`` sets the number of
-    intervals per refinement pass, so each refined grid has K + 1 points.
+    ``eps`` is the smallest grid span a pass walks.  ``L`` is the SQV
+    threshold for the SQV selector and the ratio coefficient (> 1) for the
+    kappa selector.  ``K`` is the number of intervals per refinement pass,
+    so each refined grid has K + 1 points.  eps and L must be positive and
+    finite, and K a positive integer, else ValueError.
     """
 
     grid: tuple = DEFAULT_GRID
@@ -61,11 +56,12 @@ class QGridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", _checked_q_grid(self.grid))
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if not self.L > 0.0:
-            raise ValueError("L must be positive")
-        if int(self.K) != self.K or self.K < 1:
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
+        if not 0.0 < self.L < np.inf:
+            raise ValueError("L must be positive and finite")
+        # int() of an infinite K raises OverflowError, so finiteness comes first
+        if not (np.isfinite(self.K) and int(self.K) == self.K >= 1):
             raise ValueError("K must be a positive integer")
         object.__setattr__(self, "K", int(self.K))
 
@@ -109,8 +105,11 @@ class SelectionResult:
 
 
 def kappa(theta):
-    """sigma2 * beta**(-2 nu), the quantity the data can actually pin down."""
-    return float(theta.sigma2 * theta.beta ** (-2.0 * theta.nu))
+    """sigma2 * beta**(-2 nu), the quantity the data can pin down; inf where it overflows."""
+    try:
+        return float(theta.sigma2 * theta.beta ** (-2.0 * theta.nu))
+    except OverflowError:       # a float power raises where a product gives inf
+        return float("inf")
 
 
 def standardized(theta_hat, se, m):
@@ -136,11 +135,17 @@ def sqv(z_prev, z_cur):
 
 
 def _walk(spec, fit_fn, point, pair, pivot):
-    """The refinement loop both selectors share.
+    """The SelectionResult of the refinement loop both selectors share.
 
-    ``point(q, theta_hat)`` is the statistic at one grid q, ``pair(a, b)``
-    the series value of two consecutive statistics, and ``pivot(series)``
-    None to accept the pass's leading q, or else the refinement subscript k*.
+    Each pass fits every grid q through ``fit_fn`` and takes the statistic
+    ``point(q, theta_hat)``; a q whose fit or statistic raises one of
+    ``_POINT_FAILURES``, or whose statistic is not finite, is dropped and
+    logged.  ``pair(a, b)`` gives the series over consecutive usable
+    points, and ``pivot(series)`` None to accept the pass's leading q
+    ("stabilized"), or else the subscript k* from which K + 1 equally
+    spaced points down to q_min make the next pass.  A pass with fewer than
+    two usable points falls back to q* = 1 ("fallback-to-one"), and so does
+    a grid whose span is at most eps before its pass ("span-exhausted").
     """
     q_min = spec.grid[-1]
     grid_cur = np.asarray(spec.grid, dtype=float)
@@ -172,13 +177,12 @@ def _walk(spec, fit_fn, point, pair, pivot):
 
 
 def select_q_sqv(fit_fn, se_fn, spec=None, *, m):
-    """Accept the leading q once all consecutive SQV values drop below L.
+    """SelectionResult accepting the leading q once every consecutive SQV is below L.
 
-    On a destabilized pass the refinement pivot is the largest subscript k
-    with SQV_k >= L.  ``m``, keyword-only, is the replicate count behind
-    fit_fn, needed to standardize the estimates.  Grid points whose fit or
-    standard errors fail are dropped from the pass and logged; a pass with
-    fewer than two usable points falls back to q* = 1.
+    On a destabilized pass the pivot is the largest subscript k with
+    SQV_k >= L.  ``se_fn(theta_hat, q)`` gives the standard errors
+    (``make_se_fn``), and ``m``, keyword-only, the replicate count behind
+    fit_fn; they standardize the estimates.
     """
     if spec is None:
         spec = QGridSpec()
@@ -191,12 +195,13 @@ def select_q_sqv(fit_fn, se_fn, spec=None, *, m):
 
 
 def select_q_kappa(fit_fn, spec=None):
-    """Accept the leading q once max dkappa <= L * min dkappa.
+    """SelectionResult accepting the leading q once max dkappa <= L * min dkappa.
 
     The series is dkappa_k = |kappa_{k-1}/kappa_k - 1| over consecutive
-    usable fits; the non-strict comparison makes an exactly constant
-    kappa (all-zero series) accept immediately.  Never touches the
-    standard-error machinery, so each pass costs K + 1 fits.
+    usable fits; the non-strict comparison makes an exactly constant kappa
+    (all-zero series) accept at once.  On a destabilized pass the pivot is
+    the largest k with dkappa_k >= L min dkappa.  Each pass costs at most
+    K + 1 fits and no standard errors.  Raises ValueError unless L > 1.
     """
     if spec is None:
         spec = default_kappa_spec()

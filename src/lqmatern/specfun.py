@@ -4,17 +4,6 @@ Provides digamma, trigamma and log-gamma with domain checks; evaluation is
 delegated to scipy.special.  The normalising constant c(nu) = 2^(1-nu) /
 Gamma(nu) of the Matern kernel and its nu-derivatives are built from them.
 
-The Bessel function K_nu and its derivatives are not here: the kernel
-evaluates them in one pass over the distances in :mod:`.matern`, which calls
-scipy's ``kv`` directly at the orders nu and nu - 1, or its scaled ``kve``
-at Chebyshev nodes when a location set has more unique distances than
-nodes, and takes the order derivatives of K_nu from a trapezoid rule on its
-integral representation (``matern._order_derivs``).  Nothing is saturated.
-Where K_nu overflows at very small argument, the product t^nu K_nu is
-replaced by its exact limit Gamma(nu) 2^(nu-1) (``matern._limit_patched``),
-so the covariance stays finite and exact, and its derivatives take their
-limit, 0.
-
 All functions are pure and accept scalars or arrays; scalar input yields a
 scalar.
 """

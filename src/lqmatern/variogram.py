@@ -2,16 +2,16 @@
 
 The classical Matheron estimator binned over pairwise distances, plus
 per-replicate centering.  One curve per replicate lets tooling (or an
-eyeball) flag replicates whose spatial structure departs from the rest;
-no outlier rule is imposed.  The site pairs are binned once per call and
-the binning is shared by every replicate; so is the check of the bins, and
-the curves built from it are not checked again one by one.
+eyeball) flag replicates whose spatial structure departs from the rest; no
+outlier rule is imposed.
 
-One walk over the kept pairs, sorted by bin, sums every replicate at once.
-Each (bin, replicate) sum adds that bin's pairs in pair order, one after
-another, so each curve has the bits of its replicate binned on its own.
-The walk's buffers are bounded by an element budget, not by the number of
-replicates.
+The site pairs, each pair's bin and the bin counts are worked out once per
+call, and shared by every replicate; so is the check of the bins.  One walk
+over the kept pairs, sorted by bin, then sums every replicate at once:
+chunks of squared differences, all replicates side by side, are summed down
+axis 0 onto each bin's running row.  numpy sums two or more columns down
+axis 0 one row after another, and a lone column pairwise, so a lone
+replicate is summed beside a copy of itself.
 """
 
 from dataclasses import dataclass
@@ -81,13 +81,10 @@ def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
     Pairs are binned by Euclidean distance into equal-width bins on
     (0, max_dist]; max_dist, finite and positive, defaults to half the
     maximum pairwise distance.  Empty bins report count 0 and gamma NaN.
-
-    Each (bin, replicate) sum adds that bin's pairs in pair order
-    (``np.triu_indices`` order), so every curve has the bits of one
-    replicate binned on its own.  One walk over the pairs, sorted by bin,
-    serves every replicate; its two buffers hold ``_CHUNK_DOUBLES``
-    doubles each, give or take a row of m (one row, when m is larger), so
-    they do not grow with m.
+    Each (bin, replicate) sum adds that bin's pairs in ``np.triu_indices``
+    order, so every curve has the bits of its replicate binned on its own.
+    Raises ValueError for data that do not match ``locs``, fewer than 2
+    locations, or an n_bins or max_dist out of range.
     """
     data = reps.data
     if data.shape[0] != locs.n:
@@ -131,12 +128,8 @@ def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
 def _bin_sums(data, i, j, counts):
     """Per bin and replicate, sum (z_i - z_j)^2 over pairs sorted by bin.
 
-    Returns (bins, m') with m' = max(m, 2).  Chunks of ``_CHUNK_DOUBLES``
-    squared differences are summed down axis 0, each bin's running sum
-    standing in the row before its pairs.  numpy sums two or more columns
-    down axis 0 one row after another, so each total adds its pairs in
-    order; it sums a lone column pairwise, so one replicate is summed
-    beside a copy of itself.
+    Returns (bins, max(m, 2)): a lone replicate is summed beside a copy of
+    itself (see the module docstring).
     """
     data = np.ascontiguousarray(data if data.shape[1] > 1 else np.repeat(data, 2, axis=1))
     m = data.shape[1]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lqmatern.asymptotics import (SandwichParts, SingularJError, StdErrs,
-                                  sandwich, std_errs, ustar_all)
+from lqmatern.asymptotics import (SandwichParts, SingularJError, sandwich,
+                                  std_errs, ustar_all)
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _corr_factor, _lq_weights,
                                 _profile_factor, chol_factor)
 from lqmatern import asymptotics, matern
@@ -14,8 +14,8 @@ from lqmatern.matern import MaternParams, build_cov
 from lqmatern.estimate import fit
 from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
-from oracles import (cov_derivs, kernel_derivs, log_likelihood, lq_of_loglik,
-                     per_replicate_derivs, sigma_route_pass, ustar, vstar)
+from oracles import (cov_derivs, log_likelihood, lq_of_loglik, per_replicate_derivs,
+                     sigma_route_pass, ustar, vstar)
 
 # well separated points keep the covariance comfortably conditioned, so
 # finite-difference oracles are trustworthy at tight tolerances

@@ -10,14 +10,15 @@ import pytest
 
 import lqmatern.cli_io as cli
 import lqmatern.estimate as est
-from lqmatern.cli_io import (DataError, _fmt, build_config, main,
+from lqmatern.cli_io import (DataError, SweepRow, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
-                             read_record, read_replicates, write_locations,
-                             write_record, write_replicates)
+                             read_record, read_replicates, summarize_sweep,
+                             write_locations, write_record, write_replicates)
 from lqmatern.estimate import FitChain, default_bounds, fit, fit_profile
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
-from lqmatern.qselect import QGridSpec, default_kappa_spec
+from lqmatern.qselect import (QGridSpec, default_kappa_spec, kappa, make_se_fn,
+                              select_q_sqv)
 from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
 from lqmatern.variogram import center_replicates, variogram_by_replicate
 
@@ -741,4 +742,124 @@ class TestMain:
         rows = [r.split(",") for r in
                 (out / "sweep.csv").read_text().splitlines()[1:]]
         assert [r[1] for r in rows if r[8] == "true"] == [q_star]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("key, msg", [("grid.eps", "eps must be positive and finite"),
+                                          ("grid.L", "L must be positive and finite"),
+                                          ("grid.K", "grid.K = 'inf'")])
+    def test_non_finite_selector_threshold_exit_2(self, tmp_path, capsys, key, msg):
+        # grid.eps = inf once skipped every pass and grid.L = inf accepted
+        # q = 1 at once, both exiting 0 with q_star = 1 and no fit
+        out = tmp_path / "w"
+        assert run(["simulate", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        cfgp = write_tiny_config(tmp_path / "cfg.txt", [(key, "inf")])
+        assert run(["select-q", "--config", cfgp, "--data-dir", str(out),
+                    "--out", str(out)]) == 2
+        assert msg in capsys.readouterr().err
+        assert not (out / "selectq.txt").exists()
+        assert run(["sweep", "--config", cfgp, "--out", str(tmp_path / "s")]) == 2
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_fit_whose_kappa_overflows(self, tmp_path, monkeypatch, capsys):
+        # kappa = sigma2 beta^(-2 nu) overflowed in Python floats and ended
+        # the fit subcommand in a traceback; it is written as inf
+        out = tmp_path / "w"
+        assert run(["simulate", "--n", "4", "--m", "3", "--out", str(out)]) == 0
+        real = cli.fit
+
+        def tiny_beta(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return replace(res, theta_hat=MaternParams(res.theta_hat.sigma2, 1e-40, 5.0))
+
+        monkeypatch.setattr(cli, "fit", tiny_beta)
+        assert run(["fit", "--data-dir", str(out), "--out", str(out)]) == 0
+        assert read_record(out / "fit.txt")["kappa"] == "inf"
+        capsys.readouterr()
+
+    def test_summary_leaves_out_a_non_finite_kappa(self):
+        # as a non-converged row is, and without a RuntimeWarning from inf - inf
+        rows = [SweepRow(0, 1.0, 1.0, 1e-40, 5.0, kappa(MaternParams(1.0, 1e-40, 5.0)),
+                         0.0, True, False),
+                SweepRow(1, 1.0, 4.0, 1.0, 1.0, 4.0, 0.0, True, False),
+                SweepRow(2, 1.0, 9.0, 1.0, 1.0, 9.0, 0.0, False, False)]
+        assert summarize_sweep(rows, (1.0,), 2.0) == [(1.0, 1, 2.0, 0.0, 4.0)]
+
+    def test_select_q_sqv(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(tmp_path / "cfg.txt",
+                                 extra=[("sim.n", "16"), ("sim.m", "12"),
+                                        ("grid.q", "1,0.99,0.98")])
+        assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        assert run(["select-q", "--config", cfgp, "--data-dir", str(out),
+                    "--out", str(out), "--selector", "sqv"]) == 0
+        rec = read_record(out / "selectq.txt")
+        assert rec["selector"] == "sqv"
+        assert 0.98 <= float(rec["q_star"]) <= 1.0
+        trace = [r.split(",") for r in (out / "trace.csv").read_text().splitlines()]
+        assert trace[0] == ["pass", "idx", "q", "series", "k_star"]
+        # the first pass scored every grid q, with the library's SQV series
+        locs, reps = read_dataset(str(out))
+        want = select_q_sqv(FitChain(reps, locs, tol=1e-3), make_se_fn(reps, locs),
+                            QGridSpec(grid=(1.0, 0.99, 0.98)), m=reps.m)
+        first = [r for r in trace[1:] if r[0] == "0"]
+        assert [float(r[2]) for r in first] == [1.0, 0.99, 0.98]
+        assert [r[3] for r in first[1:]] == ["%.17g" % v for v in want.trace[0].series]
+        assert float(rec["q_star"]) == want.q_star and rec["reason"] == want.reason
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("selector, selected", [("sqv", 1), ("none", 0)])
+    def test_sweep_selectors(self, tmp_path, capsys, selector, selected):
+        out = tmp_path / "w"
+        assert run(["sweep", "--n", "16", "--m", "12", "--seed", "7",
+                    "--q-grid", "1,0.99,0.98", "--repetitions", "1",
+                    "--selector", selector, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows if r[8] == "false"] == ["1", "0.98999999999999999",
+                                                           "0.97999999999999998"]
+        sel = [r for r in rows if r[8] == "true"]
+        assert len(sel) == selected
+        hist = (out / "selected_hist.csv").read_text().splitlines()
+        assert hist[0] == "q_star,count" and len(hist) == 1 + selected
+        if selected:
+            assert 0.98 <= float(sel[0][1]) <= 1.0
+            assert hist[1] == "%.6g,1" % float(sel[0][1])
+        assert read_record(out / "sweep_meta.txt")["selector"] == selector
+        capsys.readouterr()
+
+    def test_sweep_repetition_whose_profile_fails(self, tmp_path, monkeypatch, capsys,
+                                                  caplog):
+        # the repetition writes NaN rows for its grid, and the sweep goes on
+        def boom(self, grid):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(est.FitChain, "profile", boom)
+        out = tmp_path / "w"
+        assert run(["sweep", "--n", "9", "--m", "6", "--q-grid", "1,0.99",
+                    "--repetitions", "2", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["0", "1"], ["0", "0.98999999999999999"],
+                                         ["1", "1"], ["1", "0.98999999999999999"]]
+        assert all(r[2:7] == ["nan"] * 5 and r[7:] == ["false", "false"] for r in rows)
+        assert [r.split(",")[1] for r in
+                (out / "summary.csv").read_text().splitlines()[1:]] == ["0", "0"]
+        assert (out / "selected_hist.csv").read_text() == "q_star,count\n"
+        assert "repetition 1 failed outright: not positive definite" in caplog.text
+        capsys.readouterr()
+
+    def test_sweep_repetition_whose_selector_fails(self, tmp_path, monkeypatch, capsys,
+                                                   caplog):
+        # the repetition keeps its grid rows and writes no selected row
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular J")
+
+        monkeypatch.setattr(cli, "select_q_kappa", boom)
+        out = tmp_path / "w"
+        assert run(["sweep", "--n", "9", "--m", "6", "--q-grid", "1,0.99",
+                    "--repetitions", "1", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(r[8] == "false" for r in rows)
+        assert (out / "selected_hist.csv").read_text() == "q_star,count\n"
+        assert "selector failed on repetition 0: singular J" in caplog.text
         capsys.readouterr()

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import lqmatern.estimate as est
 from lqmatern import asymptotics, gauss_lik
 from lqmatern.asymptotics import _weighted_derivs
-from lqmatern.estimate import (Bounds, FitChain, FitResult, QProfile,
-                               default_bounds, default_init, fit, fit_profile)
+from lqmatern.estimate import (Bounds, FitChain, QProfile, default_bounds,
+                               default_init, fit, fit_profile)
 from lqmatern.gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, ReplicateSet,
                                 _corr_factor, _quad_forms, chol_factor, profile_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov

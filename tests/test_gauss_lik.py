@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
@@ -354,6 +357,50 @@ class TestProfileSigma2Newton:
         monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 5)
         got = profile_sigma2(quad, n, q, 1e-3, 1e3)
         assert abs(got / want - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_safeguard_step_keeps_the_solve_monotone(self, seed):
+        # heavy-tailed forms (chi-square times e^N(0, 3^2), n = 42, m = 19,
+        # q = 0.5) make the solve take a fixed-point step that does not end
+        # it, on seeds 10 and 14 after a Newton point that scored lower; V
+        # does not fall along the steps beyond its rounding, and the answer
+        # is the dense search's
+        rng = np.random.default_rng(seed)
+        quad = rng.chisquare(42, 19) * np.exp(rng.normal(0.0, 3.0, 19))
+        got, values, safeguarded = traced_sigma2_solve(quad, 42, 0.5, 1e-3, 1e3)
+        assert safeguarded
+        assert all(b >= a - gauss_lik.V_ROUNDING * abs(a)
+                   for a, b in zip(values, values[1:]))
+        s, vals = dense_profile(quad, 42, 0.5, 1e-3, 1e3)
+        assert abs(np.log(got) - s[int(np.argmax(vals))]) <= 2.0 * (s[1] - s[0])
+
+
+def traced_sigma2_solve(quad, n, q, lower, upper):
+    """profile_sigma2's answer, the V of each iterate, and whether a fixed-point step continued it.
+
+    A tracer on the solve's frame reads its local ``value`` after every line
+    and notes the line that scores a fixed-point step it goes on from.
+    """
+    code = profile_sigma2.__code__
+    lines, first = inspect.getsourcelines(profile_sigma2)
+    fixed = first + next(i for i, line in enumerate(lines) if "trial = weights(step)" in line)
+    values, safeguarded = [], []
+
+    def local(frame, event, arg):
+        if event == "line":
+            safeguarded.append(frame.f_lineno == fixed)
+            v = frame.f_locals.get("value")
+            if v is not None and (not values or values[-1] is not v):
+                values.append(v)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        got = profile_sigma2(quad, n, q, lower, upper)
+    finally:
+        sys.settrace(previous)
+    return got, values, any(safeguarded)
 
 
 class TestProfileLq:

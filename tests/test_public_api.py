@@ -44,8 +44,9 @@ def test_demo_imports_no_private_name(demo):
     assert not private, private
 
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lqmatern"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = (sorted(p for p in (ROOT / "src" / "lqmatern").glob("*.py") if p.stem != "__init__")
+           + sorted((ROOT / "tests").glob("*.py")) + DEMOS)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ class TestSpecsAndHelpers:
             QGridSpec(K=0)
         with pytest.raises(ValueError):
             QGridSpec(K=2.5)
+        # an infinite eps once skipped every pass and an infinite L accepted
+        # q = 1 at once, both without a fit; an infinite K raised OverflowError
+        for bad in (dict(eps=np.inf), dict(L=np.inf), dict(eps=np.nan),
+                    dict(L=np.nan), dict(K=np.inf), dict(K=np.nan)):
+            with pytest.raises(ValueError):
+                QGridSpec(**bad)
         spec = QGridSpec(K=7.0)
         assert spec.K == 7 and isinstance(spec.K, int)
 
@@ -52,6 +60,10 @@ class TestSpecsAndHelpers:
     def test_kappa_value(self):
         assert kappa(MaternParams(2.0, 0.5, 1.0)) == pytest.approx(8.0)
         assert kappa(MaternParams(3.0, 1.0, 0.7)) == pytest.approx(3.0)
+        # past the float range: 1e-40 ** -10 raises OverflowError in Python floats
+        assert kappa(MaternParams(1.0, 1e-40, 5.0)) == np.inf
+        assert kappa(MaternParams(1e300, 1e-5, 5.0)) == np.inf
+        assert kappa(MaternParams(1.0, 1e40, 5.0)) == 0.0
 
     def test_standardized(self):
         th = MaternParams(2.0, 1.0, 0.5)
@@ -227,6 +239,19 @@ class TestSelectKappa:
         res = select_q_kappa(fit_fn, QGridSpec(grid=(1.0, 0.98, 0.97), L=4.0))
         assert res.trace[0].grid == (1.0, 0.97)
         assert res.reason == "stabilized"
+
+    def test_overflowing_kappa_dropped_and_logged(self, caplog):
+        # a fit with beta below about 1e-31 has a kappa past the float range
+        def fit_fn(q):
+            if round(q, 6) == 0.98:
+                return MaternParams(1.0, 1e-40, 5.0)
+            return theta_of_kappa(7.0)
+
+        with caplog.at_level(logging.WARNING, logger="lqmatern.qselect"):
+            res = select_q_kappa(fit_fn, QGridSpec(grid=(1.0, 0.98, 0.97), L=4.0))
+        assert res.trace[0].grid == (1.0, 0.97)
+        assert res.q_star == 1.0 and res.reason == "stabilized"
+        assert "dropping q=0.98: the statistic is not finite" in caplog.text
 
 
 class TestFactories:
