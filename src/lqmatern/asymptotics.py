@@ -33,7 +33,8 @@ forms no replicate's Hessian.  J needs only S and the g_i,
 and the Hessian of the log-domain objective (``_Pass.hessian``) adds the
 centred (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, gbar = sum w_i g_i.
 The pass starts from the Cholesky factor of R(beta, nu) that scored the
-point (``gauss_lik._corr_factor``) and completes it at any sigma2, where
+point, taken from ``gauss_lik``'s memo of the last factor where it is there
+(``gauss_lik._take_factor``), and completes it at any sigma2, where
 Sigma = sigma2 R:
 
 - Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _corr_factor, _lq_weights
+from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _lq_weights, _take_factor
 from .matern import MaternParams, _kernel_terms
 
 # Eigenvalue floor of std_errs' PD surrogate of J, relative to the largest.
@@ -184,8 +185,9 @@ class _Pass:
 def _finish(Z, locs, chol, theta, q):
     """The ``_Pass`` of the columns of Z (n x m) at theta and q (see the module docstring).
 
-    ``chol`` is the Cholesky factor of R(beta, nu); the pass overwrites it
-    with Sigma^-1.  Raises ValueError where Z's rows do not match ``locs``
+    ``chol`` is the Cholesky factor of R(beta, nu), one the memo does not
+    hold (``gauss_lik._take_factor``'s); the pass overwrites it with
+    Sigma^-1.  Raises ValueError where Z's rows do not match ``locs``
     or q lies outside (0, 1], and NotSPDError carrying theta where potri
     fails.
     """
@@ -270,12 +272,12 @@ def _finish(Z, locs, chol, theta, q):
 
 
 def _weighted_derivs(Z, locs, theta, q):
-    """``_finish`` at theta on a fresh factor of R(beta, nu)."""
-    return _finish(Z, locs, _corr_factor(locs, theta.beta, theta.nu), theta, q)
+    """``_finish`` at theta on the factor of R(beta, nu) that ``_take_factor`` gives."""
+    return _finish(Z, locs, _take_factor(locs, theta.beta, theta.nu), theta, q)
 
 
 def ustar_all(reps, locs, theta, q):
-    """The raw U* of every replicate, shape (3, m), from one factorization."""
+    """The raw U* of every replicate, shape (3, m), from one factor of R."""
     p = _weighted_derivs(reps.data, locs, theta, q)
     return p.w * p.g * np.exp(p.log_scale)
 

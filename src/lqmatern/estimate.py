@@ -5,9 +5,7 @@ lower) / width on the unit square, where ``tol`` is measured.  It scores
 each point as ``gauss_lik`` scores every (beta, nu): sigma2 is solved
 exactly on one factor of R, and points compare by the log-domain value V.
 The fit reads its answer and ``objective`` from the scored (sigma2, V) it
-caches.  It keeps the factor of R of the point it scored last; a derivative
-pass at that point starts from it, and a pass anywhere else factors R
-itself.
+caches.
 
 A cold fit has three stages.
 
@@ -83,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .asymptotics import _finish
+from .asymptotics import _weighted_derivs
 from .gauss_lik import NotSPDError, _checked_q, _corr_factor, _profile_factor
 from .matern import NU_CAP, MaternParams
 
@@ -228,15 +226,11 @@ class _Search:
         self.simplex_ok = True      # the last simplex run ended normally
         # (u, asymptotics._Pass) of the last derivative pass
         self.last_pass = None
-        # (u.tobytes(), CholFactor of R) of the point scored last
-        self.held = None
 
     def score(self, u):
-        """Score u into ``scored`` as profile_lq does, and hold R's factor at u."""
-        self.held = None        # the last point's factor goes before a new one comes
+        """Score u into ``scored`` as profile_lq does."""
         chol = _corr_factor(self.locs, *(self.corner + u * self.width))
         self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
-        self.held = (u.tobytes(), chol)
 
     def value(self, u):
         key = u.tobytes()
@@ -270,16 +264,10 @@ class _Search:
         """
         self.passes += 1
         self.last_pass = None
-        key = u.tobytes()
-        sigma2 = self.scored[key][0]
-        beta, nu = self.corner + u * self.width
-        chol = self.held[1] if self.held is not None and self.held[0] == key else None
-        self.held = None        # the pass overwrites it, or another factor is made
+        sigma2 = self.scored[u.tobytes()][0]
         try:
-            if chol is None:
-                chol = _corr_factor(self.locs, beta, nu)
-            p = _finish(self.reps.data, self.locs, chol, MaternParams(sigma2, beta, nu),
-                        self.q)
+            p = _weighted_derivs(self.reps.data, self.locs,
+                                 MaternParams(sigma2, *(self.corner + u * self.width)), self.q)
         except NotSPDError:
             return None
         self.last_pass = (u, p)

@@ -26,10 +26,24 @@ every log density at any sigma2:
 Every (beta, nu) is scored one way: ``_corr_factor`` builds R with
 ``build_cov`` and factors it, then ``_profile_factor`` solves for sigma2 on
 that factor in O(m) (``profile_sigma2``) and returns V there.
-``profile_lq`` runs the two in turn; the fit runs them itself, so that it
-can keep the factor for a derivative pass at the same point.
+``profile_lq`` runs the two in turn; the fit runs them itself.
+
+The last factor.  A derivative pass (``asymptotics._finish``) usually
+follows a score at the same (beta, nu): at the fit's Newton points, and in
+the sandwich right after a fit at its estimate.  So ``_corr_factor`` leaves
+each factor it makes in a one-entry memo, keyed by the location set itself
+(compared by identity) and (beta, nu), and ``_take_factor``, which every
+pass starts from, takes it from there where the key matches, else factors
+R afresh.  Taking removes the entry, because the pass overwrites the factor
+with Sigma^-1; nothing else writes to a factor the memo holds.  A new
+factor, or a miss, drops the entry before R is built, so the memo adds
+nothing to any call's peak.  The memo is per thread (``threading.local``):
+a factor made in one thread is never taken in another, and each thread
+keeps at most one n x n factor, and its location set, alive.  Taken or
+made afresh, the factor is the same bits.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,18 +231,43 @@ def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
     return sigma2, _lq_weights(lvec, q)[0]
 
 
-def _corr_factor(locs, beta, nu):
-    """CholFactor of the correlation matrix R(beta, nu).
+# The last factor of R made in this thread, as (locs, beta, nu, CholFactor)
+# in ``entry``, or None (see the module docstring).
+_last_factor = threading.local()
 
-    Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
-    factored.
+
+def _corr_factor(locs, beta, nu):
+    """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
+
+    The caller reads the factor and does not write to it.  Raises
+    NotSPDError carrying MaternParams(1, beta, nu) if R cannot be factored,
+    and leaves the memo empty then.
     """
+    _last_factor.entry = None       # the last factor goes before a new one comes
     corr = MaternParams(1.0, beta, nu)
     try:
-        return chol_factor(build_cov(locs, corr))
+        chol = chol_factor(build_cov(locs, corr))
     except NotSPDError as err:
         err.theta = corr
         raise
+    _last_factor.entry = (locs, beta, nu, chol)
+    return chol
+
+
+def _take_factor(locs, beta, nu):
+    """CholFactor of R(beta, nu), for the caller to overwrite; the memo is left empty.
+
+    The memo's factor where it was made over ``locs`` at (beta, nu) in this
+    thread, else ``_corr_factor``'s, with its NotSPDError.
+    """
+    entry = getattr(_last_factor, "entry", None)
+    _last_factor.entry = None
+    if entry is not None and entry[0] is locs and entry[1:3] == (beta, nu):
+        return entry[3]
+    del entry                       # a stale factor goes before R is built
+    chol = _corr_factor(locs, beta, nu)
+    _last_factor.entry = None
+    return chol
 
 
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):

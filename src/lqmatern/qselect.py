@@ -198,10 +198,12 @@ def select_q_kappa(fit_fn, spec=None):
     """SelectionResult accepting the leading q once max dkappa <= L * min dkappa.
 
     The series is dkappa_k = |kappa_{k-1}/kappa_k - 1| over consecutive
-    usable fits; the non-strict comparison makes an exactly constant kappa
-    (all-zero series) accept at once.  On a destabilized pass the pivot is
-    the largest k with dkappa_k >= L min dkappa.  Each pass costs at most
-    K + 1 fits and no standard errors.  Raises ValueError unless L > 1.
+    usable fits; a kappa-hat that underflows to 0 is a non-finite statistic
+    there, and its q is dropped.  The non-strict comparison makes an exactly
+    constant kappa (all-zero series) accept at once.  On a destabilized pass
+    the pivot is the largest k with dkappa_k >= L min dkappa.  Each pass
+    costs at most K + 1 fits and no standard errors.  Raises ValueError
+    unless L > 1.
     """
     if spec is None:
         spec = default_kappa_spec()
@@ -214,8 +216,11 @@ def select_q_kappa(fit_fn, spec=None):
             return max(k for k, v in enumerate(series, 1) if v >= thr)
         return None
 
-    return _walk(spec, fit_fn, lambda q, th: kappa(th),
-                 lambda a, b: abs(a / b - 1.0), pivot)
+    def point(q, theta):
+        k = kappa(theta)
+        return k if k != 0.0 else float("nan")   # no ratio's denominator
+
+    return _walk(spec, fit_fn, point, lambda a, b: abs(a / b - 1.0), pivot)
 
 
 def make_se_fn(reps, locs):

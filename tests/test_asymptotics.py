@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,38 @@ class TestUstar:
             got = ustar(z, LOCS7, theta, q)
             want = np.exp(l * (1.0 - q)) * score
             assert np.abs(got - want).max() < 1e-12 * max(np.abs(want).max(), 1.0)
+
+    def test_nu_entry_against_mpmath_on_criterion_8_draws(self):
+        # acceptance criterion 8 holds U* to central differences with a nu
+        # step of 1e-3, whose truncation error reads about 9e-6 of its 1e-5
+        # bound; on the same sites and draws (rng 108, 8 per q), the nu
+        # entry against a dense g_nu whose dSigma/dnu is mpmath's derivative
+        # of the kernel in nu shows that error is the differences', not U*'s
+        uniq, inv = LOCS9._dist_unique
+        rng = np.random.default_rng(108)
+        worst = 0.0
+        for q in (1.0, 0.95, 0.8):
+            for _ in range(8):
+                theta = rand_theta(rng)
+                z = gen_replicates(LOCS9, theta, 1, seed=int(rng.integers(1e6))).data[:, 0]
+                with mp.workdps(30):
+                    def kernel(nu, h):
+                        t = h / theta.beta
+                        return (theta.sigma2 * 2 ** (1 - nu) / mp.gamma(nu)
+                                * t ** nu * mp.besselk(nu, t))
+
+                    d_nu = [0.0] + [float(mp.diff(lambda v: kernel(v, h), theta.nu))
+                                    for h in uniq[1:]]
+                dS = np.array(d_nu)[inv]
+                Sigma = build_cov(LOCS9, theta)
+                w = np.linalg.solve(Sigma, z)
+                g_nu = 0.5 * w @ dS @ w - 0.5 * np.trace(np.linalg.solve(Sigma, dS))
+                l = log_likelihood(z, chol_factor(Sigma))
+                want = np.exp((1.0 - q) * l) * g_nu
+                worst = max(worst, abs(ustar(z, LOCS9, theta, q)[2] - want) / abs(want))
+        print("\nU*_nu against mpmath's dSigma/dnu on criterion 8's draws: "
+              "worst relative error %.2e (allow 1e-10)" % worst)
+        assert worst <= 1e-10
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -519,9 +552,7 @@ class TestWeightedDerivativePass:
         G = g_want - gbar[:, None]
         hess_want = (H * w).sum(axis=2) + (1.0 - q) * (G * w) @ G.T
         # the full derivatives, which the fit's Newton step reads
-        grad, hess = asymptotics._finish(reps.data, locs,
-                                         _corr_factor(locs, at.beta, at.nu),
-                                         at, q).hessian(q)
+        grad, hess = p.hessian(q)
         assert_close(grad, gbar)
         assert_close(hess, hess_want)
 
@@ -543,9 +574,8 @@ class TestWeightedDerivativePass:
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(sigma2, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, q)
-        chol = _corr_factor(locs, at.beta, at.nu)
-        _profile_factor(reps, chol, q, 1e-3, 1e3)
-        p = asymptotics._finish(reps.data, locs, chol, at, q)
+        _profile_factor(reps, _corr_factor(locs, at.beta, at.nu), q, 1e-3, 1e3)
+        p = asymptotics._weighted_derivs(reps.data, locs, at, q)
         for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 

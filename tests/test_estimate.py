@@ -12,7 +12,7 @@ from lqmatern.asymptotics import _weighted_derivs
 from lqmatern.estimate import (Bounds, FitChain, QProfile, default_bounds,
                                default_init, fit, fit_profile)
 from lqmatern.gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, ReplicateSet,
-                                _corr_factor, _quad_forms, chol_factor, profile_lq)
+                                _quad_forms, chol_factor, profile_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import DEFAULT_GRID
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
@@ -435,8 +435,7 @@ class TestConfirmation:
         assert clipped == (s2_hi < 1.0)
         # the pass's full derivatives, and sigma2's response through their
         # Schur complement where sigma2 is interior
-        gbar, hess = asymptotics._finish(reps.data, locs, _corr_factor(locs, *p),
-                                         MaternParams(sigma2, *p), q).hessian(q)
+        gbar, hess = _weighted_derivs(reps.data, locs, MaternParams(sigma2, *p), q).hessian(q)
         g, H = gbar[1:], hess[1:, 1:]
         if not clipped:
             H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
@@ -616,13 +615,13 @@ class TestNewtonFinish:
     def test_newton_steps_count_the_passes(self, interior_data, monkeypatch):
         locs, reps, base = interior_data
         calls = []
-        real = est._finish
+        real = est._weighted_derivs
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(est, "_finish", counted)
+        monkeypatch.setattr(est, "_weighted_derivs", counted)
         cold = fit(reps, locs, 0.9)
         assert cold.newton_steps == len(calls) >= 2
         calls.clear()
@@ -740,7 +739,7 @@ class TestFusedNewtonPoint:
             out = real_step(search, u)
             fused = held[0] == u.tobytes()
             assert len(calls) == before + (0 if fused else 1)
-            assert search.held is None
+            assert gauss_lik._last_factor.entry is None
             per_pass.append(fused)
             held[0] = None
             return out
@@ -783,7 +782,7 @@ class TestFusedNewtonPoint:
             armed[0] = first
             real_score(search, u)
             if first:
-                chol = search.held[1]
+                chol = gauss_lik._last_factor.entry[3]
                 seen["factor"] = (chol.jittered, chol.L.copy(), seen["cholesky"])
                 seen["scored"] = search.scored[u.tobytes()]
                 seen["point"] = tuple(search.corner + u * search.width)
@@ -836,13 +835,13 @@ def stepped(theta, p, q):
 def record_passes(monkeypatch):
     """The (sigma2, beta, nu) of every derivative pass, in order."""
     points = []
-    real = est._finish
+    real = est._weighted_derivs
 
-    def spy(Z, locs, chol, theta, q):
+    def spy(Z, locs, theta, q):
         points.append(theta)
-        return real(Z, locs, chol, theta, q)
+        return real(Z, locs, theta, q)
 
-    monkeypatch.setattr(est, "_finish", spy)
+    monkeypatch.setattr(est, "_weighted_derivs", spy)
     return points
 
 
@@ -886,13 +885,11 @@ class TestChainStart:
         assert np.abs(step[1:] / near.theta_hat.as_array()[1:]).min() > 1e-3
 
     def test_rounding_floor_follows_the_terms_of_the_value(self, interior_data):
-        # the pass keeps log|R| of its factor; here it is taken from a
-        # factor of its own
+        # the pass keeps log|R| of its factor
         locs, reps, base = interior_data
         for q in SYM_QS:
             th = base[q].theta_hat
-            p = asymptotics._finish(reps.data, locs, _corr_factor(locs, th.beta, th.nu),
-                                    th, q)
+            p = _weighted_derivs(reps.data, locs, th, q)
             lo, hi = default_bounds().as_arrays()
             value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
             corr = chol_factor(build_cov(locs, MaternParams(1.0, th.beta, th.nu)))

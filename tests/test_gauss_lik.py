@@ -1,16 +1,19 @@
 import inspect
 import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
 from lqmatern import gauss_lik
-from lqmatern.asymptotics import _weighted_derivs
+from lqmatern.asymptotics import _weighted_derivs, sandwich
+from lqmatern.estimate import fit
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
                                 chol_factor, profile_lq, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
-from lqmatern.simulate import gen_replicates, make_locations
+from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates, make_locations,
+                               simulate_dataset)
 from oracles import log_likelihood, loglik_columns, lq_of_loglik, total_lq
 
 
@@ -442,3 +445,89 @@ class TestProfileLq:
         with pytest.raises(NotSPDError) as exc_info:
             profile_lq(reps, self.locs, 0.3, 0.8, 1.0, 1e-3, 1e3)
         assert exc_info.value.theta == MaternParams(1.0, 0.3, 0.8)
+
+
+class TestLastFactor:
+    """The one-entry, per-thread memo of the last factor of R that a pass takes."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        # every factorization, counted; the memo starts empty
+        calls = []
+        real = gauss_lik.chol_factor
+
+        def spy(cov):
+            calls.append(1)
+            return real(cov)
+
+        monkeypatch.setattr(gauss_lik, "chol_factor", spy)
+        gauss_lik._last_factor.entry = None
+        yield calls
+        gauss_lik._last_factor.entry = None
+
+    @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
+    def test_sandwich_after_fit_takes_the_fits_factor(self, factored, layout, n):
+        # the fit scores its estimate last, so the sandwich there factors
+        # nothing; a second one factors R afresh, to the same bits
+        locs, reps, _ = simulate_dataset(SimConfig(
+            MaternParams(1.0, 0.15, 0.6), n=n, m=30, layout=layout, seed=2,
+            contamination=ContaminationSpec(0.1, 1.0)))
+        res = fit(reps, locs, 0.9)
+        factored.clear()
+        first = sandwich(reps, locs, res.theta_hat, 0.9)
+        assert len(factored) == 0
+        second = sandwich(reps, locs, res.theta_hat, 0.9)
+        assert len(factored) == 1
+        assert np.array_equal(first.K, second.K) and np.array_equal(first.J, second.J)
+
+    def test_a_factor_stays_in_its_thread(self, factored):
+        locs = make_locations(16, "grid")
+        made = []
+
+        def other():
+            made.append(gauss_lik._corr_factor(locs, 0.2, 0.5))
+
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(made) == 1 and len(factored) == 1
+        assert getattr(gauss_lik._last_factor, "entry", None) is None
+        taken = gauss_lik._take_factor(locs, 0.2, 0.5)
+        assert len(factored) == 2 and taken is not made[0]
+
+    def test_not_spd_leaves_no_entry(self, factored, monkeypatch):
+        locs = make_locations(16, "grid")
+        gauss_lik._corr_factor(locs, 0.2, 0.5)
+        assert gauss_lik._last_factor.entry is not None
+        monkeypatch.setattr(gauss_lik, "build_cov",
+                            lambda locs_, theta: np.array([[1.0, 2.0], [2.0, 1.0]]))
+        for make in (gauss_lik._corr_factor, gauss_lik._take_factor):
+            with pytest.raises(NotSPDError):
+                make(locs, 0.3, 0.5)
+            assert gauss_lik._last_factor.entry is None
+
+    def test_equal_sites_in_another_set_miss(self, factored):
+        locs = make_locations(16, "grid")
+        twin = LocationSet(locs.coords.copy())
+        assert np.array_equal(twin.coords, locs.coords) and twin is not locs
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
+        assert gauss_lik._take_factor(twin, 0.2, 0.5) is not chol
+        assert len(factored) == 2 and gauss_lik._last_factor.entry is None
+
+    def test_jittered_factor_is_handed_over(self, factored, monkeypatch):
+        # one forced Cholesky failure: the rescued factor, with its flag, is
+        # the one the pass takes, with no factorization of its own
+        real, armed = gauss_lik.cholesky, [True]
+
+        def cholesky(a, **kwargs):
+            if armed[0]:
+                armed[0] = False
+                raise np.linalg.LinAlgError("forced")
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(gauss_lik, "cholesky", cholesky)
+        locs = make_locations(16, "grid")
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
+        assert chol.jittered
+        taken = gauss_lik._take_factor(locs, 0.2, 0.5)
+        assert taken is chol and taken.jittered and len(factored) == 1

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lqmatern import gauss_lik
 from lqmatern.asymptotics import _weighted_derivs
 from lqmatern.estimate import FitChain, _Search, default_bounds
 from lqmatern.matern import MaternParams, build_cov
@@ -59,7 +60,7 @@ def test_derivative_pass_peak(data):
 
 
 def test_fused_newton_point_peak(data):
-    # a point scored and its pass from the held factor of R, as the fit
+    # a point scored and its pass from the memo's factor of R, as the fit
     # takes them: the score adds less than the pass's own peak
     locs, reps = data
     search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
@@ -70,7 +71,8 @@ def test_fused_newton_point_peak(data):
         search.newton_step(u)
 
     assert peak_doubles(point) <= 7.0
-    assert search.passes == 1 and search.last_pass is not None and search.held is None
+    assert search.passes == 1 and search.last_pass is not None
+    assert gauss_lik._last_factor.entry is None
 
 
 def test_location_set_holds_no_dense_distances(data):

@@ -240,11 +240,12 @@ class TestSelectKappa:
         assert res.trace[0].grid == (1.0, 0.97)
         assert res.reason == "stabilized"
 
-    def test_overflowing_kappa_dropped_and_logged(self, caplog):
-        # a fit with beta below about 1e-31 has a kappa past the float range
+    @staticmethod
+    def assert_dropped_at_098(theta, caplog):
+        # the fit at q = 0.98 returns theta, every other fit a finite kappa
         def fit_fn(q):
             if round(q, 6) == 0.98:
-                return MaternParams(1.0, 1e-40, 5.0)
+                return theta
             return theta_of_kappa(7.0)
 
         with caplog.at_level(logging.WARNING, logger="lqmatern.qselect"):
@@ -252,6 +253,17 @@ class TestSelectKappa:
         assert res.trace[0].grid == (1.0, 0.97)
         assert res.q_star == 1.0 and res.reason == "stabilized"
         assert "dropping q=0.98: the statistic is not finite" in caplog.text
+
+    def test_overflowing_kappa_dropped_and_logged(self, caplog):
+        # a fit with beta below about 1e-31 has a kappa past the float range
+        self.assert_dropped_at_098(MaternParams(1.0, 1e-40, 5.0), caplog)
+
+    def test_underflowing_kappa_dropped_and_logged(self, caplog):
+        # a fit with beta above about 1e31 at nu = 5 has a kappa of 0, which
+        # cannot divide the series' ratio
+        theta = MaternParams(1.0, 1e40, 5.0)
+        assert kappa(theta) == 0.0
+        self.assert_dropped_at_098(theta, caplog)
 
 
 class TestFactories:
