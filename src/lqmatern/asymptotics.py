@@ -24,18 +24,19 @@ the weighted terms U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i
 into K = (1/m) sum U U' and J = (1/m) sum V (``SandwichParts``).
 
 The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
-steps and ``FitChain``'s warm starts: ``_finish`` returns it as a ``_Pass``
-of O(m) numbers, every g_i, the weights, s, log|R| and S = sum w_i H_i, and
-forms no replicate's Hessian.  J needs only S and the g_i,
+steps and ``FitChain``'s warm starts: ``_weighted_derivs`` returns it as a
+``_Pass`` of O(m) numbers, every g_i, the weights, s, log|R| and
+S = sum w_i H_i, and forms no replicate's Hessian.  J needs only S and
+the g_i,
 
     m J = S + (1-q) sum w_i g_i g_i',
 
 and the Hessian of the log-domain objective (``_Pass.hessian``) adds the
 centred (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, gbar = sum w_i g_i.
-The pass starts from the Cholesky factor of R(beta, nu) that scored the
-point, taken from ``gauss_lik``'s memo of the last factor where it is there
-(``gauss_lik._take_factor``), and completes it at any sigma2, where
-Sigma = sigma2 R:
+The pass takes its Cholesky factor of R(beta, nu) from
+``gauss_lik._take_factor`` (the factor that scored the point, where the
+memo of the last factor holds it), so no one else holds the factor it
+overwrites, and completes it at any sigma2, where Sigma = sigma2 R:
 
 - Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
   triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
@@ -182,14 +183,12 @@ class _Pass:
         return V_ROUNDING * max(abs(value), self._total(self.q) * size)
 
 
-def _finish(Z, locs, chol, theta, q):
+def _weighted_derivs(Z, locs, theta, q):
     """The ``_Pass`` of the columns of Z (n x m) at theta and q (see the module docstring).
 
-    ``chol`` is the Cholesky factor of R(beta, nu), one the memo does not
-    hold (``gauss_lik._take_factor``'s); the pass overwrites it with
-    Sigma^-1.  Raises ValueError where Z's rows do not match ``locs``
-    or q lies outside (0, 1], and NotSPDError carrying theta where potri
-    fails.
+    Raises ValueError where Z's rows do not match ``locs`` or q lies
+    outside (0, 1], NotSPDError carrying MaternParams(1, beta, nu) where R
+    cannot be factored, and NotSPDError carrying theta where potri fails.
     """
     Z = np.asarray(Z, dtype=float)
     n, m = Z.shape
@@ -198,7 +197,8 @@ def _finish(Z, locs, chol, theta, q):
     _checked_q(q)
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
-    # Sigma^-1 overwrites the factor, which nothing reads past this point
+    # Sigma^-1 overwrites R's factor, which this pass alone holds
+    chol = _take_factor(locs, theta.beta, theta.nu)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
@@ -269,11 +269,6 @@ def _finish(Z, locs, chol, theta, q):
         log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
     return _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)
-
-
-def _weighted_derivs(Z, locs, theta, q):
-    """``_finish`` at theta on the factor of R(beta, nu) that ``_take_factor`` gives."""
-    return _finish(Z, locs, _take_factor(locs, theta.beta, theta.nu), theta, q)
 
 
 def ustar_all(reps, locs, theta, q):

@@ -592,6 +592,37 @@ def cmd_variogram(args):
           % (path, len(curves), len(curves[0].bin_centers)))
 
 
+def _sweep_repetition(cfg, rep_id, rows):
+    """Append one simulated dataset's sweep rows to rows; its q*, or None.
+
+    The dataset, its fits and the last factor of R over its sites die on
+    return, so the next repetition simulates with none of them alive.
+    """
+    grid = cfg.q_grid.grid
+    locs, reps, _flags = simulate_dataset(replace(cfg.sim, seed=cfg.sim.seed + rep_id))
+    # one chain serves the profile and the selector: grid q values are
+    # fitted once, and every fit after the first starts warm
+    chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
+    try:
+        prof = chain.profile(grid)
+    except _NUMERICAL as exc:
+        log.warning("repetition %d failed outright: %s", rep_id, exc)
+        for q in grid:
+            rows.append(SweepRow(rep_id, q, np.nan, np.nan, np.nan, np.nan,
+                                 np.nan, False, False))
+        return None
+    rows.extend(_row_from_fit(rep_id, fr) for fr in prof.fits)
+    if cfg.selector == "none":
+        return None
+    try:
+        sel = _select(cfg, reps, locs, chain)
+    except _NUMERICAL as exc:
+        log.warning("selector failed on repetition %d: %s", rep_id, exc)
+        return None
+    rows.append(_row_from_fit(rep_id, chain.fit(sel.q_star), selected=True))
+    return sel.q_star
+
+
 def cmd_sweep(args):
     cfg = config_from_args(args)
     out = _outdir(cfg)
@@ -600,29 +631,9 @@ def cmd_sweep(args):
     rows = []
     selected = []
     for rep_id in range(cfg.repetitions):
-        sim_i = replace(cfg.sim, seed=cfg.sim.seed + rep_id)
-        locs, reps, _flags = simulate_dataset(sim_i)
-        # one chain serves the profile and the selector: grid q values are
-        # fitted once, and every fit after the first starts warm
-        chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
-        try:
-            prof = chain.profile(grid)
-        except _NUMERICAL as exc:
-            log.warning("repetition %d failed outright: %s", rep_id, exc)
-            for q in grid:
-                rows.append(SweepRow(rep_id, q, np.nan, np.nan, np.nan, np.nan,
-                                     np.nan, False, False))
-            continue
-        rows.extend(_row_from_fit(rep_id, fr) for fr in prof.fits)
-        if cfg.selector == "none":
-            continue
-        try:
-            sel = _select(cfg, reps, locs, chain)
-        except _NUMERICAL as exc:
-            log.warning("selector failed on repetition %d: %s", rep_id, exc)
-            continue
-        selected.append(sel.q_star)
-        rows.append(_row_from_fit(rep_id, chain.fit(sel.q_star), selected=True))
+        q_star = _sweep_repetition(cfg, rep_id, rows)
+        if q_star is not None:
+            selected.append(q_star)
     write_sweep_rows(os.path.join(out, "sweep.csv"), rows)
     _write_csv(os.path.join(out, "summary.csv"), "q,n_used,bias,variance,mse",
                "%.17g,%d,%.17g,%.17g,%.17g", summarize_sweep(rows, grid, kappa0))

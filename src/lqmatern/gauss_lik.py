@@ -28,22 +28,25 @@ Every (beta, nu) is scored one way: ``_corr_factor`` builds R with
 that factor in O(m) (``profile_sigma2``) and returns V there.
 ``profile_lq`` runs the two in turn; the fit runs them itself.
 
-The last factor.  A derivative pass (``asymptotics._finish``) usually
-follows a score at the same (beta, nu): at the fit's Newton points, and in
-the sandwich right after a fit at its estimate.  So ``_corr_factor`` leaves
-each factor it makes in a one-entry memo, keyed by the location set itself
-(compared by identity) and (beta, nu), and ``_take_factor``, which every
-pass starts from, takes it from there where the key matches, else factors
-R afresh.  Taking removes the entry, because the pass overwrites the factor
-with Sigma^-1; nothing else writes to a factor the memo holds.  A new
-factor, or a miss, drops the entry before R is built, so the memo adds
+The last factor.  A derivative pass (``asymptotics._weighted_derivs``)
+often follows a score at the same (beta, nu): at the fit's Newton points,
+and in a sandwich called in the same thread, on the same location set,
+right after a fit that scored its estimate last.  So ``_corr_factor``
+leaves each factor it makes in a one-entry memo, keyed by the location set
+itself (compared by identity) and (beta, nu), and ``_take_factor``, the
+pass's only source of a factor, takes it from there where the key matches,
+else factors R afresh.  Taking removes the entry, because the pass
+overwrites the factor with Sigma^-1; every other caller only reads it.  A
+new factor, or a miss, drops the entry before R is built, so the memo adds
 nothing to any call's peak.  The memo is per thread (``threading.local``):
-a factor made in one thread is never taken in another, and each thread
-keeps at most one n x n factor, and its location set, alive.  Taken or
-made afresh, the factor is the same bits.
+a factor made in one thread is never taken in another.  It holds its
+location set by a weak reference, and the factor dies with the set, so
+each thread keeps at most one n x n factor alive, and only while its sites
+are in use elsewhere.  Taken or made afresh, the factor is the same bits.
 """
 
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,15 +234,17 @@ def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
     return sigma2, _lq_weights(lvec, q)[0]
 
 
-# The last factor of R made in this thread, as (locs, beta, nu, CholFactor)
-# in ``entry``, or None (see the module docstring).
+# The last factor of R made in this thread, as (weak reference to locs, beta,
+# nu, [CholFactor]) in ``entry``, or None; the list empties when locs dies
+# (see the module docstring).
 _last_factor = threading.local()
 
 
 def _corr_factor(locs, beta, nu):
     """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
 
-    The caller reads the factor and does not write to it.  Raises
+    The caller reads the factor before the next pass in this thread, which
+    may take it, and does not write to it.  Raises
     NotSPDError carrying MaternParams(1, beta, nu) if R cannot be factored,
     and leaves the memo empty then.
     """
@@ -250,7 +255,9 @@ def _corr_factor(locs, beta, nu):
     except NotSPDError as err:
         err.theta = corr
         raise
-    _last_factor.entry = (locs, beta, nu, chol)
+    held = [chol]       # the callback holds the list, not the entry: no cycle
+    _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
+                          beta, nu, held)
     return chol
 
 
@@ -262,8 +269,8 @@ def _take_factor(locs, beta, nu):
     """
     entry = getattr(_last_factor, "entry", None)
     _last_factor.entry = None
-    if entry is not None and entry[0] is locs and entry[1:3] == (beta, nu):
-        return entry[3]
+    if entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu):
+        return entry[3][0]
     del entry                       # a stale factor goes before R is built
     chol = _corr_factor(locs, beta, nu)
     _last_factor.entry = None

@@ -782,7 +782,7 @@ class TestFusedNewtonPoint:
             armed[0] = first
             real_score(search, u)
             if first:
-                chol = gauss_lik._last_factor.entry[3]
+                chol = gauss_lik._last_factor.entry[3][0]
                 seen["factor"] = (chol.jittered, chol.L.copy(), seen["cholesky"])
                 seen["scored"] = search.scored[u.tobytes()]
                 seen["point"] = tuple(search.corner + u * search.width)

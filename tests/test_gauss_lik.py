@@ -1,6 +1,7 @@
 import inspect
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -495,6 +496,40 @@ class TestLastFactor:
         taken = gauss_lik._take_factor(locs, 0.2, 0.5)
         assert len(factored) == 2 and taken is not made[0]
 
+    def test_threads_take_back_their_own_factors(self, factored):
+        # more threads than cores, switching often, each making and taking
+        # factors over sites it then drops; all make before any takes, so a
+        # memo shared between threads would hand five of six a miss.  Every
+        # take is the taker's own factor, and no take factors R again
+        wrong = []
+        made_all = threading.Barrier(6, timeout=60)
+
+        def work(seed):
+            try:
+                for i in range(20):
+                    locs = make_locations(9, "uniform", seed + i)
+                    made = gauss_lik._corr_factor(locs, 0.2, 0.5)
+                    made_all.wait()
+                    if gauss_lik._take_factor(locs, 0.2, 0.5) is not made:
+                        wrong.append((seed, i))
+                    if i % 2:
+                        gauss_lik._corr_factor(locs, 0.3, 0.5)   # left as locs dies
+            except threading.BrokenBarrierError as exc:
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(100 * k,)) for k in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [w for w in workers if w.is_alive()]
+        assert not wrong and len(factored) == 6 * 30
+
     def test_not_spd_leaves_no_entry(self, factored, monkeypatch):
         locs = make_locations(16, "grid")
         gauss_lik._corr_factor(locs, 0.2, 0.5)
@@ -505,6 +540,14 @@ class TestLastFactor:
             with pytest.raises(NotSPDError):
                 make(locs, 0.3, 0.5)
             assert gauss_lik._last_factor.entry is None
+
+    def test_factor_dies_with_its_sites(self, factored):
+        # the memo holds the sites weakly: dropping them frees the factor
+        locs = make_locations(16, "grid")
+        factor = weakref.ref(gauss_lik._corr_factor(locs, 0.2, 0.5).L)
+        assert factor() is not None
+        del locs
+        assert factor() is None and gauss_lik._last_factor.entry[3] == []
 
     def test_equal_sites_in_another_set_miss(self, factored):
         locs = make_locations(16, "grid")

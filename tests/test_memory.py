@@ -7,13 +7,14 @@ allocates beyond what is live when it starts.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import _weighted_derivs
-from lqmatern.estimate import FitChain, _Search, default_bounds
+from lqmatern.estimate import FitChain, _Search, default_bounds, fit
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
@@ -73,6 +74,33 @@ def test_fused_newton_point_peak(data):
     assert peak_doubles(point) <= 7.0
     assert search.passes == 1 and search.last_pass is not None
     assert gauss_lik._last_factor.entry is None
+
+
+def test_fit_leaves_no_factor_past_its_sites():
+    # simulate, fit, simulate again, as a sweep's repetitions run: the memo
+    # keeps the fit's last factor of R only while its sites live, so once
+    # the first dataset is dropped the second simulation peaks as the first
+    # did (a memo holding its sites strongly left 3.03 n^2 doubles alive
+    # there, and the second simulation peaked 3.02 higher)
+    cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=N, m=100, layout="uniform", seed=5,
+                    contamination=ContaminationSpec(0.1, 1.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        locs, reps, _ = simulate_dataset(cfg)
+        first = tracemalloc.get_traced_memory()[1] - base
+        fit(reps, locs, 0.9)
+        assert gauss_lik._last_factor.entry[3]
+        del locs, reps
+        left = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        simulate_dataset(replace(cfg, seed=6))
+        second = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not gauss_lik._last_factor.entry[3]
+    assert left / (8.0 * N * N) <= 0.25
+    assert (second - first) / (8.0 * N * N) <= 0.25
 
 
 def test_location_set_holds_no_dense_distances(data):

@@ -66,23 +66,91 @@ def test_module_uses_every_name_it_imports(module):
 # The module-level state src may keep, each reviewed: the order-nu memo of
 # the kernel and the per-thread memo of the last factor of R.
 REVIEWED_STATE = {("global", "matern", "_last_g"),
-                  ("threading.local", "gauss_lik", "_last_factor")}
+                  ("threading.local", "gauss_lik", "_last_factor"),
+                  ("mutated", "gauss_lik", "_last_factor")}
+
+CACHES = ("functools.lru_cache", "functools.cache")
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+            "clear", "add", "discard", "remove", "appendleft", "__setitem__"}
+
+
+def module_state(tree, stem):
+    """The module-level state one module keeps, as (kind, module, name) triples.
+
+    Kinds: a ``global`` statement; a module-level ``threading.local()``; a
+    ``functools`` cache decorator; a module-level name that a function
+    changes in place (item, attribute or mutating method), unless the
+    function binds that name itself.  Import aliases are resolved.
+    """
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            alias.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            alias.update({a.asname or a.name: node.module + "." + a.name for a in node.names})
+
+    def dotted(expr):
+        head, _, rest = ast.unparse(expr).partition(".")
+        return alias.get(head, head) + ("." + rest if rest else "")
+
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if isinstance(node.value, ast.Call) and dotted(node.value.func) == "threading.local":
+                yield from (("threading.local", stem, t.id) for t in targets
+                            if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ClassDef):
+            names.add(node.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield from (("global", stem, name) for name in node.names)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            if dotted(deco.func if isinstance(deco, ast.Call) else deco) in CACHES:
+                yield "cache", stem, node.name
+        own = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        own |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)}
+        for sub in ast.walk(node):
+            base = None
+            if isinstance(sub, (ast.Subscript, ast.Attribute)) and isinstance(
+                    sub.ctx, (ast.Store, ast.Del)):
+                base = sub.value
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                  and sub.func.attr in MUTATORS):
+                base = sub.func.value
+            if isinstance(base, ast.Name) and base.id in names - own:
+                yield "mutated", stem, base.id
 
 
 def test_module_level_state_is_reviewed():
     # state at module level is shared by every caller in the process (or
     # the thread), so one call can change what the next one computes; a
-    # new cache of that kind fails here until it is reviewed and listed
+    # new cache of the kinds module_state finds fails here until it is
+    # reviewed and listed
     found = set()
     for path in sorted((ROOT / "src" / "lqmatern").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Global):
-                found |= {("global", path.stem, name) for name in node.names}
-        for node in tree.body:
-            value = getattr(node, "value", None)
-            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(value, ast.Call)
-                    and ast.unparse(value.func) in ("threading.local", "local")):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                found |= {("threading.local", path.stem, ast.unparse(t)) for t in targets}
+        found |= set(module_state(ast.parse(path.read_text()), path.stem))
     assert found <= REVIEWED_STATE, sorted(found - REVIEWED_STATE)
+
+
+@pytest.mark.parametrize("source, kind", [
+    ("from threading import local as L\n_memo = L()\n", "threading.local"),
+    ("import functools\n@functools.lru_cache(maxsize=None)\ndef _memo(x):\n    return x\n",
+     "cache"),
+    ("from functools import cache\n@cache\ndef _memo(x):\n    return x\n", "cache"),
+    ("_memo = {}\ndef f(k, v):\n    _memo[k] = v\n", "mutated"),
+    ("_memo = set()\ndef f(k):\n    _memo.add(k)\n", "mutated"),
+    ("_memo = None\ndef f():\n    global _memo\n    _memo = 1\n", "global"),
+])
+def test_module_state_finds_each_kind(source, kind):
+    assert (kind, "m", "_memo") in set(module_state(ast.parse(source), "m"))
+
+
+def test_module_state_passes_locals_and_constants():
+    source = ("TABLE = {1: 2}\n_memo = []\ndef f(_memo):\n    _memo.append(TABLE[1])\n"
+              "def g():\n    out = []\n    out.append(TABLE.get(1))\n    return out\n")
+    assert not set(module_state(ast.parse(source), "m"))
