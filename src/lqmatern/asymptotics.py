@@ -33,10 +33,11 @@ the g_i,
 
 and the Hessian of the log-domain objective (``_Pass.hessian``) adds the
 centred (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, gbar = sum w_i g_i.
-The pass takes its Cholesky factor of R(beta, nu) from
-``gauss_lik._take_factor`` (the factor that scored the point, where the
-memo of the last factor holds it), so no one else holds the factor it
-overwrites, and completes it at any sigma2, where Sigma = sigma2 R:
+The pass takes its Cholesky factor of R(beta, nu) and the workspace it
+lives in from ``gauss_lik._take_factor`` (the factor that scored the
+point, where the memo of the last factor holds it), so no one else holds
+the factor it overwrites, and completes it at any sigma2, where Sigma =
+sigma2 R:
 
 - Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
   triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
@@ -57,7 +58,23 @@ overwrites, and completes it at any sigma2, where Sigma = sigma2 R:
   and d2S_0k = dS_k / sigma2; its <dS_j, M> is the weighted sum of the
   gradient's products w_i' dS_j w_i.
 
-Every n x n array is dropped after its last use.
+Memory.  Sigma^-1 stays in the factor's buffer, and the other large
+arrays live in the workspace's "pass" buffer, in slots of max(n^2, 2u)
+doubles (u unique distances, so n^2 for n > 1) that hold one array after
+another:
+
+- slot 0: the two gradient terms (2, u), then B_0, then the sums of
+  M - w_sum Sigma^-1 onto the unique distances (u);
+- slots 1 and 2: the interpolation's work while the terms are made, then
+  dS_0 and dS_1; where m < n, B_1 then takes slot 1, and B_k W, then M,
+  slot 2;
+- slots 3 to 5, only where m >= n, where dS_j is read to the end: B_1, M
+  and B_k M;
+- after the slots, the three Hessian terms (3, u).
+
+So with m < n the factor and the pass's buffer hold 4 n^2 + 3u doubles,
+5.5 n^2 on irregular sites, no more than a pass that allocated its own
+arrays held at once; only the n x m products are allocated per pass.
 """
 
 from dataclasses import dataclass
@@ -198,7 +215,7 @@ def _weighted_derivs(Z, locs, theta, q):
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
     # Sigma^-1 overwrites R's factor, which this pass alone holds
-    chol = _take_factor(locs, theta.beta, theta.nu)
+    chol, ws = _take_factor(locs, theta.beta, theta.nu)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
@@ -210,22 +227,27 @@ def _weighted_derivs(Z, locs, theta, q):
     value, w = _lq_weights(-0.5 * quad, q)
     w_sum = float(w.sum())
 
-    # every n x n array below is dropped after its last use
-    grad, d2 = _kernel_terms(uniq, MaternParams(1.0, theta.beta, theta.nu),
-                             locs._dist_cheb)
-    dS = [np.take(row, inv, mode="clip") for row in grad]      # beta, nu
-    del grad
+    # the slots of the module docstring, each at least 2u long
+    u = uniq.size
+    k_slots, size = (6 if m >= n else 3), max(n * n, 2 * u)
+    buf = ws.take("pass", k_slots * size + 3 * u)
+    slot = [buf[i * size:i * size + n * n].reshape(n, n) for i in range(k_slots)]
+    grad = buf[:2 * u].reshape(2, u)
+    d2 = buf[k_slots * size:k_slots * size + 3 * u].reshape(3, u)
+    _kernel_terms(uniq, MaternParams(1.0, theta.beta, theta.nu), locs._dist_cheb,
+                  out=(grad, d2), work=buf[size:3 * size])
+    dS = [np.take(grad[k], inv, mode="clip", out=slot[1 + k]) for k in range(2)]
+    B = [slot[0], slot[3 if m >= n else 1]]
+    M = slot[4 if m >= n else 2]
     quad_d = np.empty((2, m))                                  # w_i' dS_j w_i
-    dSW, B = [], []
+    dSW = []
     for k in range(2):
         dS[k] *= s2
         dSW.append(dS[k] @ W)
         quad_d[k] = np.einsum("im,im->m", dSW[k], W)
-        B.append(Sinv @ dS[k])
+        np.matmul(Sinv, dS[k], out=B[k])
         # <dS_j, B_k M> below reads dS_j W where m < n, else dS_j
-        if m < n:
-            dS[k] = None
-        else:
+        if m >= n:
             dSW[k] = None
     tr_B = np.array([np.trace(b) for b in B])
 
@@ -242,25 +264,27 @@ def _weighted_derivs(Z, locs, theta, q):
     # one k at a time
     dS_BM = []
     if m < n:
+        BW = buf[2 * size:2 * size + n * m].reshape(n, m)      # in M's slot
         for k in range(2):
-            BW = B[k] @ W
+            np.matmul(B[k], W, out=BW)
             dS_BM += [np.einsum("im,im->m", dSW[j], BW) @ w for j in range(k + 1)]
-        del B, BW
-        M = (W * w) @ W.T
+        del dSW
+        np.matmul(W * w, W.T, out=M)
     else:
-        M = (W * w) @ W.T
-        BM = np.empty((n, n))
+        np.matmul(W * w, W.T, out=M)
         for k in range(2):
-            np.matmul(B[k], M, out=BM)
-            B[k] = None
+            BM = np.matmul(B[k], M, out=slot[5])
             dS_BM += [np.vdot(dS[j], BM) for j in range(k + 1)]
-        del B, BM, dS
     # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
     # so that matrix is summed onto the unique distances once; R's Hessian
     # terms times s2 are M's
     Sinv *= w_sum
     M -= Sinv
-    R = np.bincount(inv.ravel(), weights=M.ravel(), minlength=uniq.size)
+    # into B_0's slot, read no more: add.at sums in bincount's order, to the
+    # same bits, but into a given array
+    R = buf[:u]
+    R.fill(0.0)
+    np.add.at(R, inv.ravel(), M.ravel())
     for (j, k), tr, d2_jk, dv in zip(pairs, tr_BB, d2, dS_BM):
         H[j + 1, k + 1] = H[k + 1, j + 1] = (0.5 * w_sum * tr
                                              + 0.5 * s2 * float(d2_jk @ R) - dv)

@@ -82,7 +82,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _weighted_derivs
-from .gauss_lik import NotSPDError, _checked_q, _corr_factor, _profile_factor
+from .gauss_lik import NotSPDError, _checked_q, _corr_factor, _profile_factor, _workspace
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -226,10 +226,13 @@ class _Search:
         self.simplex_ok = True      # the last simplex run ended normally
         # (u, asymptotics._Pass) of the last derivative pass
         self.last_pass = None
+        # the buffers of the fit's scores and passes, from the last fit on
+        # these sites where the memo still holds them
+        self.ws = _workspace(locs)
 
     def score(self, u):
         """Score u into ``scored`` as profile_lq does."""
-        chol = _corr_factor(self.locs, *(self.corner + u * self.width))
+        chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws)
         self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
 
     def value(self, u):

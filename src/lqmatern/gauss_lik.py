@@ -23,28 +23,45 @@ every log density at any sigma2:
 
     l_i(sigma2) = -(1/2) [n log(2 pi) + log|R| + n log sigma2 + quad_i / sigma2].
 
-Every (beta, nu) is scored one way: ``_corr_factor`` builds R with
-``build_cov`` and factors it, then ``_profile_factor`` solves for sigma2 on
-that factor in O(m) (``profile_sigma2``) and returns V there.
-``profile_lq`` runs the two in turn; the fit runs them itself.
+Every (beta, nu) is scored one way: ``_corr_factor`` builds R as
+``build_cov`` does, into a buffer it reuses, and factors it there; then
+``_profile_factor`` solves for sigma2 on that factor in O(m)
+(``profile_sigma2``) and returns V there.  ``profile_lq`` runs the two in
+turn; the fit runs them itself.
 
 The last factor.  A derivative pass (``asymptotics._weighted_derivs``)
 often follows a score at the same (beta, nu): at the fit's Newton points,
 and in a sandwich called in the same thread, on the same location set,
 right after a fit that scored its estimate last.  So ``_corr_factor``
 leaves each factor it makes in a one-entry memo, keyed by the location set
-itself (compared by identity) and (beta, nu), and ``_take_factor``, the
-pass's only source of a factor, takes it from there where the key matches,
-else factors R afresh.  Taking removes the entry, because the pass
-overwrites the factor with Sigma^-1; every other caller only reads it.  A
-new factor, or a miss, drops the entry before R is built, so the memo adds
-nothing to any call's peak.  The memo is per thread (``threading.local``):
-a factor made in one thread is never taken in another.  It holds its
-location set by a weak reference, and the factor dies with the set, so
-each thread keeps at most one n x n factor alive, and only while its sites
-are in use elsewhere.  Taken or made afresh, the factor is the same bits.
+itself (compared by identity) and (beta, nu), with the workspace the
+factor lives in, and ``_take_factor``, the pass's only source of a factor,
+takes both from there where the key matches, else factors R afresh.
+Taking removes the entry, because the pass overwrites the factor with
+Sigma^-1; every other caller only reads it.  A new factor, or a miss,
+drops the entry's factor before R is built, so the memo adds nothing to
+any call's peak.  Taken or made afresh, the factor is the same bits.
+
+The workspace (``_Workspace``) holds the n x n buffer R is built and
+factored in ("R") and the derivative pass's buffer ("pass", laid out in
+``asymptotics``), in which a score also puts the kernel's values at the
+unique distances.  A fit's search owns one for its whole run
+(``estimate._Search``), so its scores and passes reuse the same memory
+instead of allocating it and faulting it in again each time.  The entry
+carries the workspace on: a later fit on the same sites in the thread
+inherits it (a ``FitChain``'s next fit), and a pass that takes the entry
+takes it too (a sandwich right after the fit).  It is freed when that
+pass returns, when the thread factors other sites, or when the sites die.
+A buffer is reused only while nothing outside the workspace references
+it, so a factor a caller keeps is never overwritten.  The memo is per
+thread (``threading.local``): a factor or a workspace made in one thread
+is never used in another.  It holds its location set by a weak reference,
+and the entry's factor and workspace die with the set, so each thread
+keeps at most one of each alive (5.5 n^2 doubles at most on irregular
+sites with m < n), and only while its sites are in use elsewhere.
 """
 
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -52,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .matern import MaternParams, build_cov
+from .matern import MaternParams, _cov_into
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -125,13 +142,25 @@ def chol_factor(cov):
     LAPACK is called without scipy's finiteness scan.
     """
     cov = np.asarray(cov, dtype=float)
+    a = np.array(cov, order="F")
+    return _factor_in_place(a, lambda: np.copyto(a, cov))
+
+
+def _factor_in_place(a, refill):
+    """``chol_factor`` of the matrix in ``a`` (n x n, Fortran-ordered), factored in a's memory.
+
+    A failed attempt leaves a overwritten, so the rescue calls ``refill()``
+    to write the matrix into a again, then adds the jitter to its diagonal:
+    the same bits as adding JITTER_REL max(diag) I to the matrix.
+    """
     try:
-        L = cholesky(cov, lower=True, check_finite=False)
+        L = cholesky(a, lower=True, overwrite_a=True, check_finite=False)
         jittered = False
     except np.linalg.LinAlgError:
-        bumped = cov + JITTER_REL * cov.diagonal().max() * np.eye(cov.shape[0])
+        refill()
+        a[np.diag_indices_from(a)] += JITTER_REL * a.diagonal().max()
         try:
-            L = cholesky(bumped, lower=True, check_finite=False)
+            L = cholesky(a, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             raise NotSPDError("covariance is not positive definite (jitter rescue failed)")
         jittered = True
@@ -185,8 +214,9 @@ def profile_sigma2(quad, n, q, lower, upper):
     the Newton step wherever V is not concave, the Newton point leaves the
     bounds, or it scores lower by more than V's rounding (V_ROUNDING of
     |V|).  So V does not decrease along the steps, up to rounding.  The
-    solve stops once a step moves sigma2 by at most SIGMA2_RTOL relative, or
-    after SIGMA2_MAX_STEPS steps.
+    solve stops at the first step that moves sigma2 by at most SIGMA2_RTOL
+    relative; where SIGMA2_MAX_STEPS larger steps do not lead to one, it
+    raises RuntimeError.
     """
     quad = np.asarray(quad, dtype=float)
     if q == 1.0:
@@ -197,7 +227,8 @@ def profile_sigma2(quad, n, q, lower, upper):
 
     sigma2 = min(max(float(np.median(quad)) / n, lower), upper)
     value, w = weights(sigma2)
-    for _ in range(SIGMA2_MAX_STEPS):
+    # SIGMA2_MAX_STEPS steps, and a last look for the step that ends the solve
+    for _ in range(SIGMA2_MAX_STEPS + 1):
         a = quad / sigma2
         wa = float(w @ a)
         curv = -0.5 * wa + 0.25 * (1.0 - q) * (float(w @ (a * a)) - wa * wa)
@@ -219,7 +250,8 @@ def profile_sigma2(quad, n, q, lower, upper):
                 return step
             trial = weights(step)
         sigma2, (value, w) = step, trial
-    return sigma2
+    raise RuntimeError("the sigma2 solve did not converge in %d steps at q = %r"
+                       % (SIGMA2_MAX_STEPS, q))
 
 
 def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
@@ -234,47 +266,97 @@ def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
     return sigma2, _lq_weights(lvec, q)[0]
 
 
+def _refs(bufs, name):
+    # the reference count of bufs[name], as _Workspace.take reads it
+    buf = bufs[name]
+    return sys.getrefcount(buf)
+
+
+# ``_refs`` of a buffer that nothing but its dict references
+_ALONE = _refs({"probe": np.empty(1)}, "probe")
+
+
+class _Workspace:
+    """Flat float buffers, kept by name and handed out again (see the module docstring).
+
+    A buffer is handed out again only where nothing outside the workspace
+    references it, itself or through a view, by its reference count, as
+    ``ndarray.resize(refcheck=True)`` checks; otherwise a new one takes its
+    place.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+
+    def take(self, name, size):
+        """The flat buffer kept under ``name``, at least ``size`` doubles long, uninitialised."""
+        bufs = self._bufs
+        if name not in bufs or bufs[name].size < size or _refs(bufs, name) > _ALONE:
+            bufs[name] = None               # the old buffer goes before a new one comes
+            bufs[name] = np.empty(size)
+        return bufs[name]
+
+
 # The last factor of R made in this thread, as (weak reference to locs, beta,
-# nu, [CholFactor]) in ``entry``, or None; the list empties when locs dies
-# (see the module docstring).
+# nu, [CholFactor, _Workspace]) in ``entry``, or None; the list empties when
+# locs dies (see the module docstring).
 _last_factor = threading.local()
 
 
-def _corr_factor(locs, beta, nu):
+def _workspace(locs):
+    """The workspace of this thread's memo entry where it was made over ``locs``, else a new one."""
+    entry = getattr(_last_factor, "entry", None)
+    if entry is not None and entry[0]() is locs:
+        return entry[3][1]
+    return _Workspace()
+
+
+def _corr_factor(locs, beta, nu, ws=None):
     """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
 
-    The caller reads the factor before the next pass in this thread, which
-    may take it, and does not write to it.  Raises
+    R is built and factored in the buffer "R" of ``ws``, by default
+    ``_workspace(locs)``.  The caller reads the factor before the next pass
+    in this thread, which may take it, and does not write to it.  Raises
     NotSPDError carrying MaternParams(1, beta, nu) if R cannot be factored,
     and leaves the memo empty then.
     """
+    if ws is None:
+        ws = _workspace(locs)
     _last_factor.entry = None       # the last factor goes before a new one comes
     corr = MaternParams(1.0, beta, nu)
+    n = locs.n
+    a = ws.take("R", n * n)[:n * n].reshape((n, n), order="F")
+    # the kernel's values at the unique distances and the interpolation's
+    # work go into the pass's buffer, which no pass uses while a score runs
+    work = ws.take("pass", locs._dist_unique[0].size)
     try:
-        chol = chol_factor(build_cov(locs, corr))
+        chol = _factor_in_place(_cov_into(locs, corr, a, work),
+                                lambda: _cov_into(locs, corr, a, work))
     except NotSPDError as err:
         err.theta = corr
         raise
-    held = [chol]       # the callback holds the list, not the entry: no cycle
+    held = [chol, ws]   # the callback holds the list, not the entry: no cycle
     _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
                           beta, nu, held)
     return chol
 
 
 def _take_factor(locs, beta, nu):
-    """CholFactor of R(beta, nu), for the caller to overwrite; the memo is left empty.
+    """(CholFactor of R(beta, nu), its workspace), the factor for the caller to overwrite.
 
-    The memo's factor where it was made over ``locs`` at (beta, nu) in this
-    thread, else ``_corr_factor``'s, with its NotSPDError.
+    The memo's where it was made over ``locs`` at (beta, nu) in this
+    thread, else ``_corr_factor``'s, with its NotSPDError; the memo is left
+    empty.
     """
     entry = getattr(_last_factor, "entry", None)
-    _last_factor.entry = None
     if entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu):
-        return entry[3][0]
+        _last_factor.entry = None
+        return tuple(entry[3])
     del entry                       # a stale factor goes before R is built
-    chol = _corr_factor(locs, beta, nu)
+    _corr_factor(locs, beta, nu)
+    chol, ws = _last_factor.entry[3]
     _last_factor.entry = None
-    return chol
+    return chol, ws
 
 
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):

@@ -211,14 +211,15 @@ class _Panels:
         live = int(np.searchsorted(self.d, _T_ZERO * beta, side="right"))
         return live, int(np.searchsorted(self.starts, live))
 
-    def at(self, beta, live, vals, out):
+    def at(self, beta, live, vals, out, work):
         """Interpolants of node values, times e^-t, written into ``out``.
 
         ``vals`` holds the first k panels' node values (..., k, deg + 1), and
         ``out`` one array (u,) per row of its leading dimensions.  Entries
         past ``live`` are exactly 0.  The buffers hold one block of whole
         panels, up to ``_CHEB_BLOCK`` distances (a larger panel is a block of
-        its own).
+        its own): the basis, e^-t, 2x and the products, carved from ``work``,
+        a flat float array, where it is long enough, else from a new one.
         """
         bounds = np.append(self.starts[:vals.shape[-2]], live).tolist()
         firsts = [0]
@@ -227,7 +228,12 @@ class _Panels:
                 firsts.append(p)
         blocks = list(zip(firsts, firsts[1:] + [len(bounds) - 1]))
         width = max(bounds[b] - bounds[a] for a, b in blocks)
-        basis, decay = np.empty((_CHEB_DEG + 1, width)), np.empty(width)
+        size = (_CHEB_DEG + 3 + len(out)) * width
+        if work is None or work.size < size:
+            work = np.empty(size)
+        basis = work[:(_CHEB_DEG + 1) * width].reshape(_CHEB_DEG + 1, width)
+        decay, x2 = work[(_CHEB_DEG + 1) * width:(_CHEB_DEG + 3) * width].reshape(2, width)
+        products = work[(_CHEB_DEG + 3) * width:size]
         basis[0] = 1.0
         coef = vals @ _CHEB_MAP.T
         for first, stop in blocks:
@@ -235,14 +241,15 @@ class _Panels:
             x = self.x[lo:hi]
             T, e = basis[:, :hi - lo], decay[:hi - lo]
             T[1] = x
-            x2 = x + x
+            np.add(x, x, out=x2[:hi - lo])
             for i in range(2, _CHEB_DEG + 1):
-                np.multiply(x2, T[i - 1], out=T[i])
+                np.multiply(x2[:hi - lo], T[i - 1], out=T[i])
                 T[i] -= T[i - 2]
             np.exp(np.divide(self.d[lo:hi], -beta, out=e), out=e)
             for p in range(first, stop):
                 a, b = bounds[p] - lo, bounds[p + 1] - lo
-                y = coef[..., p, :] @ T[:, a:b]
+                y = products[:len(out) * (b - a)].reshape(vals.shape[:-2] + (b - a,))
+                np.matmul(coef[..., p, :], T[:, a:b], out=y)
                 y *= e[a:b]
                 for o, row in zip(out, y.reshape(-1, b - a)):
                     o[lo + a:lo + b] = row
@@ -404,34 +411,44 @@ def _cheb_g(panels, theta):
                      lambda: _tnu_k(nu, panels.nodes[:k] / beta, special_kve))
 
 
-def _cheb_terms(panels, theta, out):
-    """``_terms`` at the panels' distances, interpolated into the five arrays of ``out``."""
+def _cheb_terms(panels, theta, out, work):
+    """``_terms`` at the panels' distances, interpolated into the five arrays of ``out``.
+
+    ``work`` is ``_Panels.at``'s.
+    """
     beta, nu = theta.beta, theta.nu
     live, k = panels.span(beta)
     tn = panels.nodes[:k] / beta
     terms = _terms(tn, theta, _cheb_g(panels, theta), _node_q(nu, tn), _order_derivs(nu, tn))
-    panels.at(beta, live, terms, out)
+    panels.at(beta, live, terms, out, work)
 
 
-def _kernel_terms(h, theta, panels=None):
+def _kernel_terms(h, theta, panels=None, out=None, work=None):
     """The five derivative terms of M(h; theta) at the 1-D distances h >= 0.
 
     Returns (grad, hess): the beta and nu derivatives of M / sigma2 (2, u),
     and the (beta, beta), (beta, nu) and (nu, nu) Hessian entries of M
-    (3, u), apart so a caller can drop the first once it has gathered them.
-    With ``panels`` built over the positive entries of the sorted h
-    (``LocationSet._dist_cheb``) they are Chebyshev interpolants, else kv's.
+    (3, u), apart so a caller can reuse the first's memory once it has
+    gathered them.  They are written into ``out``, a (grad, hess) pair of
+    those shapes, where one is given, else into new arrays.  With
+    ``panels`` built over the positive entries of the sorted h
+    (``LocationSet._dist_cheb``) they are Chebyshev interpolants, with
+    ``work`` for ``_Panels.at``, else kv's.
     """
-    grad = np.zeros((2,) + h.shape)
-    hess = np.zeros((3,) + h.shape)
+    if out is None:
+        out = np.empty((2,) + h.shape), np.empty((3,) + h.shape)
+    grad, hess = out
     with np.errstate(invalid="ignore", over="ignore"):
         if panels is not None:
             pos = slice(h.size - panels.d.size, None)
-            _cheb_terms(panels, theta, [*grad[:, pos], *hess[:, pos]])
+            grad[:, :pos.start] = hess[:, :pos.start] = 0.0
+            _cheb_terms(panels, theta, [*grad[:, pos], *hess[:, pos]], work)
         else:
             t = h / theta.beta
             pos = t > 0.0
             terms = _direct_terms(t[pos], theta, _direct_g(h, theta))
+            grad.fill(0.0)
+            hess.fill(0.0)
             grad[:, pos] = terms[:2]
             hess[:, pos] = terms[2:]
     return grad, hess
@@ -443,19 +460,38 @@ def _kernel_terms(h, theta, panels=None):
 def build_cov(locs, theta):
     """The n x n covariance matrix of theta over ``locs``, with diagonal sigma2.
 
-    Fortran-ordered: the site pairs' index map is symmetric, so its
-    transpose gathers the same matrix in the order LAPACK factors, with no
-    transposing copy.
+    Fortran-ordered, the order LAPACK factors, so it needs no transposing
+    copy there.
+    """
+    return _cov_into(locs, theta)
+
+
+def _cov_into(locs, theta, out=None, work=None):
+    """``build_cov``'s matrix, written into ``out`` (n x n, Fortran-ordered) and returned.
+
+    The kernel's values at the u unique distances go into the first u
+    doubles of ``work``, a flat float buffer, and ``_Panels.at`` takes the
+    rest as its work; each is a new array where ``work`` is None or
+    shorter, and ``out`` one made once the values are in.  The site pairs'
+    index map is symmetric, so gathering through it into out's transpose, a
+    C-ordered view, fills out with no temporary.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
-    vals = np.ones_like(uniq)
+    if work is None or work.size < uniq.size:
+        vals, work = np.empty_like(uniq), None
+    else:
+        vals, work = work[:uniq.size], work[uniq.size:]
+    vals.fill(1.0)
     if panels is None:
         vals[uniq / theta.beta > 0.0] = _coef(theta.nu) * _direct_g(uniq, theta)
     else:
         live = panels.span(theta.beta)[0]
         pos = slice(uniq.size - panels.d.size, None)
-        panels.at(theta.beta, live, _cheb_g(panels, theta), [vals[pos]])
+        panels.at(theta.beta, live, _cheb_g(panels, theta), [vals[pos]], work)
         vals[pos] *= _coef(theta.nu)
     vals *= theta.sigma2
-    return vals[inv.T]
+    if out is None:
+        out = np.empty((locs.n, locs.n), order="F")
+    np.take(vals, inv, mode="clip", out=out.T)
+    return out

@@ -5,9 +5,23 @@ Unpinned, two-thread OpenBLAS on a 2-core host made the small dense solves
 of one fit intermittently take 16 ms instead of 0.1-0.2 ms, so timing-bound
 tests (acceptance criterion 7) varied fourfold.  ``bench/run.py`` pins the
 same three variables.
+
+Every test starts with this thread's memo of the last factor of R empty
+(``gauss_lik._last_factor``): a factor and workspace left by an earlier test
+would otherwise lower a later memory baseline or spare a factorization a
+spy counts.
 """
 
 import os
 
+import pytest
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture(autouse=True)
+def _empty_factor_memo():
+    from lqmatern import gauss_lik     # after the variables above are set
+
+    gauss_lik._last_factor.entry = None

@@ -505,7 +505,7 @@ class TestInterpolatedSandwich:
         interp = sandwich(reps, locs, theta, q)
         real_terms = matern._kernel_terms
         monkeypatch.setattr(asymptotics, "_kernel_terms",
-                            lambda h, th, panels=None: real_terms(h, th))
+                            lambda h, th, panels=None, **buffers: real_terms(h, th, **buffers))
         direct = sandwich(reps, locs, theta, q)
         noise = np.zeros(2)
         for k in (1, 2, 3):

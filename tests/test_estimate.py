@@ -210,7 +210,7 @@ class TestFit:
         locs, reps = small_data
         calls = []
 
-        def boom(locs_, beta, nu):
+        def boom(locs_, beta, nu, ws=None):
             calls.append((beta, nu))
             raise NotSPDError("forced", theta=None)
 
@@ -715,16 +715,16 @@ class TestFusedNewtonPoint:
                 scored.clear()
 
     def test_one_factorization_per_point(self, fused_sets, monkeypatch):
-        # chol_factor runs once per scored point, and once more for a pass
+        # R is factored once per scored point, and once more for a pass
         # only where the pass is not at the point scored last
         calls = []
-        real_chol = gauss_lik.chol_factor
+        real_chol = gauss_lik._factor_in_place
 
-        def chol(cov):
+        def chol(a, refill):
             calls.append(1)
-            return real_chol(cov)
+            return real_chol(a, refill)
 
-        monkeypatch.setattr(gauss_lik, "chol_factor", chol)
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", chol)
         real_score, real_step = est._Search.score, est._Search.newton_step
         held, per_pass = [None], []
 

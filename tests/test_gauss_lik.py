@@ -92,9 +92,11 @@ class TestCholFactor:
             if not seen:
                 seen.append((a.copy(), None))
                 raise np.linalg.LinAlgError("forced")
+            # copies: the factor overwrites the matrix in its memory, and the
+            # derivative pass overwrites the factor with Sigma^-1
+            bumped = a.copy()
             L = real(a, **kwargs)
-            # a copy: the derivative pass overwrites the factor with Sigma^-1
-            seen.append((a.copy(), L.copy()))
+            seen.append((bumped, L.copy()))
             return L
 
         monkeypatch.setattr(gauss_lik, "cholesky", fail_first)
@@ -345,6 +347,14 @@ def fixed_point_sigma2(quad, n, q, lower, upper):
     return step
 
 
+def chisquare_forms(n, contaminated):
+    """Chi-square quadratic forms of m = 100 replicates at n sites; a tenth with 4x the variance."""
+    quad = 1.7 * np.random.default_rng(n).chisquare(n, 100)
+    if contaminated:
+        quad[:10] *= 4.0
+    return quad
+
+
 class TestProfileSigma2Newton:
     @pytest.mark.parametrize("n", [36, 100, 400])
     @pytest.mark.parametrize("q", [0.95, 0.9, 0.5])
@@ -354,13 +364,22 @@ class TestProfileSigma2Newton:
         # chi-square quadratic forms of m = 100 replicates, a tenth of them
         # with 4x the variance; capped at five steps, the Newton solve
         # already gives the fixed point's answer
-        quad = 1.7 * np.random.default_rng(n).chisquare(n, 100)
-        if contaminated:
-            quad[:10] *= 4.0
+        quad = chisquare_forms(n, contaminated)
         want = fixed_point_sigma2(quad, n, q, 1e-3, 1e3)
         monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 5)
         got = profile_sigma2(quad, n, q, 1e-3, 1e3)
         assert abs(got / want - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [36, 100, 400])
+    @pytest.mark.parametrize("q", [0.95, 0.9, 0.5])
+    @pytest.mark.parametrize("contaminated", [False, True])
+    def test_unconverged_solve_raises(self, monkeypatch, n, q, contaminated):
+        # the same forms need more than one step: capped at one, the solve
+        # raises, naming the cap and q, instead of returning that step's
+        # sigma2
+        monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"in 1 steps at q = %r" % q):
+            profile_sigma2(chisquare_forms(n, contaminated), n, q, 1e-3, 1e3)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_safeguard_step_keeps_the_solve_monotone(self, seed):
@@ -438,10 +457,9 @@ class TestProfileLq:
             profile_lq(self.reps, self.locs, 0.3, 0.8, 1.5, 1e-3, 1e3)
 
     def test_not_spd_error_carries_correlation_params(self, monkeypatch):
-        import lqmatern.gauss_lik as gl
-        monkeypatch.setattr(gl, "build_cov",
-                            lambda locs, theta: np.array([[1.0, 2.0],
-                                                          [2.0, 1.0]]))
+        # R with unit diagonal and 2 off it, which no jitter makes SPD
+        monkeypatch.setattr(gauss_lik, "_cov_into",
+                            lambda locs, theta, out, work: np.copyto(out, 2.0 - np.eye(len(out))))
         reps = ReplicateSet(np.zeros((2, 2)))
         with pytest.raises(NotSPDError) as exc_info:
             profile_lq(reps, self.locs, 0.3, 0.8, 1.0, 1e-3, 1e3)
@@ -455,14 +473,13 @@ class TestLastFactor:
     def factored(self, monkeypatch):
         # every factorization, counted; the memo starts empty
         calls = []
-        real = gauss_lik.chol_factor
+        real = gauss_lik._factor_in_place
 
-        def spy(cov):
+        def spy(a, refill):
             calls.append(1)
-            return real(cov)
+            return real(a, refill)
 
-        monkeypatch.setattr(gauss_lik, "chol_factor", spy)
-        gauss_lik._last_factor.entry = None
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", spy)
         yield calls
         gauss_lik._last_factor.entry = None
 
@@ -493,7 +510,7 @@ class TestLastFactor:
         worker.join(timeout=60)
         assert not worker.is_alive() and len(made) == 1 and len(factored) == 1
         assert getattr(gauss_lik._last_factor, "entry", None) is None
-        taken = gauss_lik._take_factor(locs, 0.2, 0.5)
+        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5)
         assert len(factored) == 2 and taken is not made[0]
 
     def test_threads_take_back_their_own_factors(self, factored):
@@ -510,7 +527,7 @@ class TestLastFactor:
                     locs = make_locations(9, "uniform", seed + i)
                     made = gauss_lik._corr_factor(locs, 0.2, 0.5)
                     made_all.wait()
-                    if gauss_lik._take_factor(locs, 0.2, 0.5) is not made:
+                    if gauss_lik._take_factor(locs, 0.2, 0.5)[0] is not made:
                         wrong.append((seed, i))
                     if i % 2:
                         gauss_lik._corr_factor(locs, 0.3, 0.5)   # left as locs dies
@@ -530,12 +547,70 @@ class TestLastFactor:
         assert not [w for w in workers if w.is_alive()]
         assert not wrong and len(factored) == 6 * 30
 
+    def test_threads_fit_one_location_set_at_once(self):
+        # six threads fit and take the sandwich on the same sites and data
+        # at once, switching every microsecond, four times each: every
+        # thread scores and takes passes in a workspace of its own, so each
+        # answer is the serial run's, bit for bit
+        locs, reps, _ = simulate_dataset(SimConfig(
+            MaternParams(1.0, 0.15, 0.6), n=49, m=30, layout="uniform", seed=4,
+            contamination=ContaminationSpec(0.1, 1.0)))
+
+        def run():
+            res = fit(reps, locs, 0.9)
+            parts = sandwich(reps, locs, res.theta_hat, 0.9)
+            return res.theta_hat, parts.K, parts.J
+
+        want = run()
+        got, errors = [], []
+        start = threading.Barrier(6, timeout=60)
+
+        def work():
+            try:
+                start.wait()
+                for _ in range(4):
+                    got.append(run())
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [w for w in workers if w.is_alive()]
+        assert not errors and len(got) == 24
+        for theta, K, J in got:
+            assert theta == want[0]
+            assert np.array_equal(K, want[1]) and np.array_equal(J, want[2])
+
+    def test_workspace_reuses_only_free_buffers(self, factored):
+        # scores on the same sites build R in one buffer of one workspace;
+        # a factor a caller keeps is never written to again, and its buffer
+        # is replaced instead
+        locs = make_locations(16, "grid")
+        gauss_lik._corr_factor(locs, 0.2, 0.5)
+        ws = gauss_lik._last_factor.entry[3][1]
+        buf = weakref.ref(ws._bufs["R"])       # a reference would block reuse
+        gauss_lik._corr_factor(locs, 0.3, 0.5)
+        assert gauss_lik._last_factor.entry[3][1] is ws and ws._bufs["R"] is buf()
+        kept = gauss_lik._corr_factor(locs, 0.4, 0.5)
+        want = kept.L.copy()
+        gauss_lik._corr_factor(locs, 0.5, 0.5)
+        assert np.array_equal(kept.L, want) and ws._bufs["R"] is not buf()
+        assert len(factored) == 4
+
     def test_not_spd_leaves_no_entry(self, factored, monkeypatch):
         locs = make_locations(16, "grid")
         gauss_lik._corr_factor(locs, 0.2, 0.5)
         assert gauss_lik._last_factor.entry is not None
-        monkeypatch.setattr(gauss_lik, "build_cov",
-                            lambda locs_, theta: np.array([[1.0, 2.0], [2.0, 1.0]]))
+        monkeypatch.setattr(gauss_lik, "_cov_into",
+                            lambda locs_, theta, out, work: np.copyto(out, 2.0 - np.eye(len(out))))
         for make in (gauss_lik._corr_factor, gauss_lik._take_factor):
             with pytest.raises(NotSPDError):
                 make(locs, 0.3, 0.5)
@@ -554,7 +629,7 @@ class TestLastFactor:
         twin = LocationSet(locs.coords.copy())
         assert np.array_equal(twin.coords, locs.coords) and twin is not locs
         chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
-        assert gauss_lik._take_factor(twin, 0.2, 0.5) is not chol
+        assert gauss_lik._take_factor(twin, 0.2, 0.5)[0] is not chol
         assert len(factored) == 2 and gauss_lik._last_factor.entry is None
 
     def test_jittered_factor_is_handed_over(self, factored, monkeypatch):
@@ -572,5 +647,5 @@ class TestLastFactor:
         locs = make_locations(16, "grid")
         chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
         assert chol.jittered
-        taken = gauss_lik._take_factor(locs, 0.2, 0.5)
+        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5)
         assert taken is chol and taken.jittered and len(factored) == 1

@@ -297,13 +297,13 @@ class TestBuilders:
         # factor of build_cov's R, the fit's, bit for bit, on lattice sites
         # (direct kv) and on irregular sites (Chebyshev interpolant)
         factored = []
-        real = gauss_lik.chol_factor
+        real = gauss_lik._factor_in_place
 
-        def spy(cov):
-            factored.append(cov.copy())
-            return real(cov)
+        def spy(a, refill):
+            factored.append(a.copy())
+            return real(a, refill)
 
-        monkeypatch.setattr(gauss_lik, "chol_factor", spy)
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", spy)
         rng = np.random.default_rng(14)
         for layout in ("grid", "uniform"):
             locs = make_locations(49, layout, seed=2)
@@ -453,8 +453,8 @@ class TestChebyshevKernel:
         calls = []
         real_at = _Panels.at
 
-        def at(panels, beta, live, vals, out):
-            real_at(panels, beta, live, vals, out)
+        def at(panels, beta, live, vals, out, work):
+            real_at(panels, beta, live, vals, out, work)
             calls.append((panels, beta, live, vals, np.array(out)))
 
         monkeypatch.setattr(_Panels, "at", at)

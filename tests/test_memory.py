@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from lqmatern import gauss_lik
-from lqmatern.asymptotics import _weighted_derivs
+from lqmatern.asymptotics import _weighted_derivs, sandwich
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
+from lqmatern.gauss_lik import profile_lq
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
@@ -73,6 +74,31 @@ def test_fused_newton_point_peak(data):
 
     assert peak_doubles(point) <= 7.0
     assert search.passes == 1 and search.last_pass is not None
+    assert gauss_lik._last_factor.entry is None
+
+
+def test_score_peak(data):
+    # a score after a score on the same sites, as a fit scores: R and the
+    # unique distances' values go into the workspace's buffers, so the score
+    # adds the interpolation's work and the forward solve's n x m array
+    # (2.00 where R, its factor and the values were new arrays)
+    locs, reps = data
+    profile_lq(reps, locs, 0.1, 0.5, 0.9, 1e-3, 1e3)
+    peak = peak_doubles(lambda: profile_lq(reps, locs, THETA.beta, THETA.nu, 0.9, 1e-3, 1e3))
+    print("score peak %.2f n^2 doubles" % peak)
+    assert peak <= 1.2
+
+
+def test_sandwich_after_fit_peak(data):
+    # the sandwich takes the fit's factor of R and its workspace from the
+    # memo, so its pass adds little more than its n x m arrays (5.25 where
+    # the pass allocated its own buffers)
+    locs, reps = data
+    res = fit(reps, locs, 0.9)
+    assert gauss_lik._last_factor.entry[1:3] == (res.theta_hat.beta, res.theta_hat.nu)
+    peak = peak_doubles(lambda: sandwich(reps, locs, res.theta_hat, 0.9))
+    print("sandwich after fit peak %.2f n^2 doubles" % peak)
+    assert peak <= 2.0
     assert gauss_lik._last_factor.entry is None
 
 
