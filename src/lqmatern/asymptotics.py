@@ -42,10 +42,13 @@ sigma2 R:
 - Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
   triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
   it, and log|Sigma| = log|R| + n log sigma2.
-- The kernel's five derivative terms at (1, beta, nu) come from one Bessel
-  pass over the unique distances (``matern._kernel_terms``); dS_j and
-  d2S_jk are those terms times sigma2.  Only the two dS_j are gathered over
-  the sites.
+- The kernel's five derivative terms at (1, beta, nu) at the unique
+  distances are the workspace's where the score of the point made them
+  (``gauss_lik._corr_factor``'s ``terms``: the fit's warm start and Newton
+  trial points, and so the sandwich right after a fit), else they come
+  from one Bessel pass over the distances (``matern._kernel_terms``); dS_j
+  and d2S_jk are those terms times sigma2.  Only the two dS_j are gathered
+  over the sites.
 - With M = W diag(w) W' the data terms are inner products over sites:
   sum w_i w_i' d2S w_i = <d2S, M>, and sum w_i (dS_j w_i)' Sigma^-1
   (dS_k w_i) = <dS_j, B_k M> with B_k = Sigma^-1 dS_k, from the n x m
@@ -59,20 +62,24 @@ sigma2 R:
   gradient's products w_i' dS_j w_i.
 
 Memory.  Sigma^-1 stays in the factor's buffer, and the other large
-arrays live in the workspace's "pass" buffer, in slots of max(n^2, 2u)
-doubles (u unique distances, so n^2 for n > 1) that hold one array after
-another:
+arrays live in slots of max(n^2, 2u) doubles (u unique distances, so n^2
+for n > 1) that hold one array after another: slots 0 and 1 and, after
+them, the three Hessian terms (3, u) in the workspace's "pass" buffer
+(``gauss_lik._pass_buffer``), and slot 2, n^2 doubles, in its "spare"
+buffer, where a fit's simplex keeps its best factor of R:
 
-- slot 0: the two gradient terms (2, u), then B_0, then the sums of
+- slot 0: the two gradient terms (2, u) (a score that makes them puts
+  R's values right after them), then B_0, then the sums of
   M - w_sum Sigma^-1 onto the unique distances (u);
-- slots 1 and 2: the interpolation's work while the terms are made, then
-  dS_0 and dS_1; where m < n, B_1 then takes slot 1, and B_k W, then M,
-  slot 2;
-- slots 3 to 5, only where m >= n, where dS_j is read to the end: B_1, M
-  and B_k M;
-- after the slots, the three Hessian terms (3, u).
+- slot 1: the interpolation's work where the pass makes the terms, then
+  dS_0; where m < n, B_1 then takes it;
+- slot 2: dS_1, then, where m < n, B_k W, then M;
+- only where m >= n, where dS_j is read to the end, three n^2 slots
+  after the Hessian terms: B_1, M and B_k M (a score leaves "pass" too
+  short for them, so the first such pass on a workspace grows it and
+  makes its own terms).
 
-So with m < n the factor and the pass's buffer hold 4 n^2 + 3u doubles,
+So with m < n the factor and the pass's buffers hold 4 n^2 + 3u doubles,
 5.5 n^2 on irregular sites, no more than a pass that allocated its own
 arrays held at once; only the n x m products are allocated per pass.
 """
@@ -82,7 +89,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .gauss_lik import _LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _lq_weights, _take_factor
+from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _lq_weights,
+                        _pass_buffer, _take_factor)
 from .matern import MaternParams, _kernel_terms
 
 # Eigenvalue floor of std_errs' PD surrogate of J, relative to the largest.
@@ -229,13 +237,17 @@ def _weighted_derivs(Z, locs, theta, q):
 
     # the slots of the module docstring, each at least 2u long
     u = uniq.size
-    k_slots, size = (6 if m >= n else 3), max(n * n, 2 * u)
-    buf = ws.take("pass", k_slots * size + 3 * u)
-    slot = [buf[i * size:i * size + n * n].reshape(n, n) for i in range(k_slots)]
-    grad = buf[:2 * u].reshape(2, u)
-    d2 = buf[k_slots * size:k_slots * size + 3 * u].reshape(3, u)
-    _kernel_terms(uniq, MaternParams(1.0, theta.beta, theta.nu), locs._dist_cheb,
-                  out=(grad, d2), work=buf[size:3 * size])
+    buf, size, grad, d2 = _pass_buffer(ws, n, u, wide=m >= n)
+    spare = ws.take("spare", n * n)
+    slot = [buf[:n * n], buf[size:size + n * n], spare]
+    if m >= n:
+        wide = 2 * size + 3 * u
+        slot += [buf[wide + i * n * n:wide + (i + 1) * n * n] for i in range(3)]
+    slot = [s.reshape(n, n) for s in slot]
+    if ws.terms != (theta.beta, theta.nu):
+        _kernel_terms(uniq, MaternParams(1.0, theta.beta, theta.nu), locs._dist_cheb,
+                      out=(grad, d2), work=buf[size:2 * size])
+    ws.terms = None                 # B_0 goes over the gradient terms below
     dS = [np.take(grad[k], inv, mode="clip", out=slot[1 + k]) for k in range(2)]
     B = [slot[0], slot[3 if m >= n else 1]]
     M = slot[4 if m >= n else 2]
@@ -264,7 +276,7 @@ def _weighted_derivs(Z, locs, theta, q):
     # one k at a time
     dS_BM = []
     if m < n:
-        BW = buf[2 * size:2 * size + n * m].reshape(n, m)      # in M's slot
+        BW = spare[:n * m].reshape(n, m)                        # in M's slot
         for k in range(2):
             np.matmul(B[k], W, out=BW)
             dS_BM += [np.einsum("im,im->m", dSW[j], BW) @ w for j in range(k + 1)]

@@ -595,6 +595,9 @@ def cmd_variogram(args):
 def _sweep_repetition(cfg, rep_id, rows):
     """Append one simulated dataset's sweep rows to rows; its q*, or None.
 
+    A repetition whose selector, or whose fit at q*, fails keeps its grid
+    rows and gets no selected row, and None is returned.
+
     The dataset, its fits and the last factor of R over its sites die on
     return, so the next repetition simulates with none of them alive.
     """
@@ -619,7 +622,14 @@ def _sweep_repetition(cfg, rep_id, rows):
     except _NUMERICAL as exc:
         log.warning("selector failed on repetition %d: %s", rep_id, exc)
         return None
-    rows.append(_row_from_fit(rep_id, chain.fit(sel.q_star), selected=True))
+    try:
+        # q* = 1 can be a fallback whose own fit the profile dropped
+        selected = chain.fit(sel.q_star)
+    except _NUMERICAL as exc:
+        log.warning("the fit at q* = %.6g failed on repetition %d: %s",
+                    sel.q_star, rep_id, exc)
+        return None
+    rows.append(_row_from_fit(rep_id, selected, selected=True))
     return sel.q_star
 
 

@@ -82,7 +82,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _weighted_derivs
-from .gauss_lik import NotSPDError, _checked_q, _corr_factor, _profile_factor, _workspace
+from .gauss_lik import (NotSPDError, _checked_q, _corr_factor, _held_factor, _hold,
+                        _profile_factor, _workspace)
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -229,17 +230,34 @@ class _Search:
         # the buffers of the fit's scores and passes, from the last fit on
         # these sites where the memo still holds them
         self.ws = _workspace(locs)
+        # while a simplex runs: (V, key, beta, nu, CholFactor) of the best
+        # point it has scored, whose factor lies in the buffer "spare"
+        self.best = None
 
-    def score(self, u):
-        """Score u into ``scored`` as profile_lq does."""
-        chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws)
-        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
+    def score(self, u, terms=False):
+        """Score u into ``scored`` as profile_lq does; with ``terms``, a pass at u comes next.
 
-    def value(self, u):
+        ``terms`` has the score make the pass's kernel terms in the same
+        walk (``gauss_lik._corr_factor``).
+        """
+        beta_nu = self.corner + u * self.width
+        chol = _corr_factor(self.locs, *beta_nu, self.ws, terms)
+        _sigma2, val = self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q,
+                                                                 *self.s2_box)
+        if self.best is not None and val > self.best[0]:
+            self._keep(val, u.tobytes(), beta_nu, chol)
+
+    def _keep(self, value, key, beta_nu, chol):
+        # the simplex's best point so far: its factor moves to the buffer
+        # "spare", out of the way of the next score's
+        self.ws.swap("R", "spare")
+        self.best = (value, key, *beta_nu, chol)
+
+    def value(self, u, terms=False):
         key = u.tobytes()
         if key not in self.scored:
             try:
-                self.score(u)
+                self.score(u, terms)
             except NotSPDError:
                 self.scored[key] = (float("nan"), -np.inf)
         return self.scored[key][1]
@@ -249,11 +267,30 @@ class _Search:
         return -val if np.isfinite(val) else np.inf
 
     def simplex(self, u, xatol):
-        """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer."""
+        """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer.
+
+        The run keeps the factor of R at the best point it scores, in the
+        workspace's buffer "spare" (a slot of the pass's), and where that
+        point is its answer the memo holds the factor as the run ends, so
+        the pass that follows does not factor R again.
+        """
         options = {"xatol": xatol, "fatol": np.inf, "maxfev": _MAX_EVALS,
                    "maxiter": _MAX_EVALS}
+        self.best = (-np.inf, None)
+        # the start is the first best where the memo holds its factor
+        key, beta_nu = u.tobytes(), tuple(self.corner + u * self.width)
+        chol = _held_factor(self.locs, *beta_nu)
+        if chol is not None and key in self.scored:
+            self._keep(self.scored[key][1], key, beta_nu, chol)
+        # a factor referenced here would have the next score allocate a new "R"
+        del chol
         res = minimize(self.neg_obj, u, method="nelder-mead",
                        bounds=[(0.0, 1.0)] * 2, options=options)
+        if self.best[1] == res.x.tobytes():
+            # the answer's factor goes back to "R" and into the memo
+            self.ws.swap("R", "spare")
+            _hold(self.locs, *self.best[2:], self.ws)
+        self.best = None
         self.iterations += int(res.nit)
         self.evaluations += int(res.nfev)
         self.simplex_ok = bool(res.status == 0 and np.isfinite(res.fun))
@@ -310,7 +347,7 @@ class _Search:
             if not short and k == steps - 1:
                 break
             self.evaluations += 1
-            val_new = self.value(u_new)
+            val_new = self.value(u_new, terms=True)
             tie = (short and rise <= self.last_pass[1].rounding_floor(val)
                    and np.isfinite(val_new))
             if val_new >= val or tie:
@@ -349,8 +386,9 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
         with sigma2 inside its bounds.
 
     Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
-    tol, or an init outside the bounds, and NotSPDError where R at init
-    cannot be factored.
+    tol, or an init outside the bounds, NotSPDError where R at init
+    cannot be factored, and RuntimeError where a scored point's sigma2
+    solve does not converge (``gauss_lik.profile_sigma2``).
     """
     _checked_q(q)
     _checked_tol(tol)
@@ -363,7 +401,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
     search = _Search(reps, locs, q, bounds, tol)
     u = (init.as_array()[1:] - search.corner) / search.width
     # a hard failure at the starting point is an error, not a rejection
-    search.score(u)
+    search.score(u, terms=warm)
     confirmed = False
     if warm:
         search.evaluations += 1
@@ -466,16 +504,17 @@ class FitChain:
     def profile(self, grid):
         """QProfile of the fits along a descending grid starting at 1.
 
-        A q value whose fit fails outright is recorded as a non-converged
-        placeholder (objective NaN) at the nearest fitted estimate (init if
-        there is none), and the chain continues without it.
+        A q value whose fit fails outright (``fit``'s NotSPDError or
+        RuntimeError) is recorded as a non-converged placeholder (objective
+        NaN) at the nearest fitted estimate (init if there is none), and the
+        chain continues without it.
         """
         grid = _checked_q_grid(grid)
         fits = []
         for q in grid:
             try:
                 fits.append(self.fit(q))
-            except np.linalg.LinAlgError:      # NotSPDError among them
+            except (np.linalg.LinAlgError, RuntimeError):
                 theta = self._nearest(q)[0]
                 fits.append(FitResult(theta_hat=theta, objective=float("nan"),
                                       q=q, iterations=0, evaluations=0,

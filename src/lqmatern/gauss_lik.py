@@ -40,18 +40,29 @@ takes both from there where the key matches, else factors R afresh.
 Taking removes the entry, because the pass overwrites the factor with
 Sigma^-1; every other caller only reads it.  A new factor, or a miss,
 drops the entry's factor before R is built, so the memo adds nothing to
-any call's peak.  Taken or made afresh, the factor is the same bits.
+any call's peak.  Taken or made afresh, the factor is the same bits.  A
+fit's simplex keeps the factor of the best point it scores, and puts it
+back in the memo (``_hold``) where that point is its answer, so the pass
+there does not factor R again.
 
 The workspace (``_Workspace``) holds the n x n buffer R is built and
-factored in ("R") and the derivative pass's buffer ("pass", laid out in
-``asymptotics``), in which a score also puts the kernel's values at the
-unique distances.  A fit's search owns one for its whole run
-(``estimate._Search``), so its scores and passes reuse the same memory
-instead of allocating it and faulting it in again each time.  The entry
-carries the workspace on: a later fit on the same sites in the thread
-inherits it (a ``FitChain``'s next fit), and a pass that takes the entry
-takes it too (a sandwich right after the fit).  It is freed when that
-pass returns, when the thread factors other sites, or when the sites die.
+factored in ("R"; the interpolation's work while a score walks the
+Chebyshev panels, before R is gathered there) and the derivative pass's
+buffers, laid out in ``asymptotics``: "pass" and "spare", its third
+slot.  A score puts the kernel's values at the unique distances in
+"pass".  A score where a pass comes next (``_corr_factor``'s
+``terms``) makes the pass's five kernel terms in the walk that makes R's
+values, into their place in "pass" (``_pass_buffer``), and the workspace
+records their (beta, nu) until anything writes over them; the pass then
+reads them and walks no panels.  A fit's search owns one workspace for
+its whole run (``estimate._Search``), so its scores and passes reuse the
+same memory instead of allocating it and faulting it in again each time;
+while a simplex runs, "spare" holds the factor of its best point.  The
+entry carries the workspace, and with it the terms, on: a later fit on
+the same sites in the thread inherits it (a ``FitChain``'s next fit), and
+a pass that takes the entry takes it too (a sandwich right after the
+fit, which so makes no walk).  It is freed when that pass returns, when
+the thread factors other sites, or when the sites die.
 A buffer is reused only while nothing outside the workspace references
 it, so a factor a caller keeps is never overwritten.  The memo is per
 thread (``threading.local``): a factor or a workspace made in one thread
@@ -282,11 +293,14 @@ class _Workspace:
     A buffer is handed out again only where nothing outside the workspace
     references it, itself or through a view, by its reference count, as
     ``ndarray.resize(refcheck=True)`` checks; otherwise a new one takes its
-    place.
+    place.  ``terms`` is the (beta, nu) of the kernel's derivative terms in
+    the "pass" buffer where a score made them and nothing has written over
+    them since, else None.
     """
 
     def __init__(self):
         self._bufs = {}
+        self.terms = None
 
     def take(self, name, size):
         """The flat buffer kept under ``name``, at least ``size`` doubles long, uninitialised."""
@@ -294,7 +308,30 @@ class _Workspace:
         if name not in bufs or bufs[name].size < size or _refs(bufs, name) > _ALONE:
             bufs[name] = None               # the old buffer goes before a new one comes
             bufs[name] = np.empty(size)
+            if name == "pass":
+                self.terms = None
         return bufs[name]
+
+    def swap(self, a, b):
+        """Exchange the buffers kept under the names ``a`` and ``b``; either may be absent."""
+        bufs = self._bufs
+        pair = bufs.pop(a, None), bufs.pop(b, None)
+        for name, buf in zip((b, a), pair):
+            if buf is not None:
+                bufs[name] = buf
+
+
+def _pass_buffer(ws, n, u, wide=False):
+    """(buf, size, grad, hess): the workspace's "pass" buffer and the kernel terms' place in it.
+
+    ``asymptotics`` lays the buffer out: two slots of ``size`` = max(n^2,
+    2u) doubles, then the Hessian terms ``hess`` (3, u), then, with
+    ``wide``, three n^2 slots more; the gradient terms ``grad`` (2, u) open
+    slot 0.
+    """
+    size = max(n * n, 2 * u)
+    buf = ws.take("pass", 2 * size + 3 * u + (3 * n * n if wide else 0))
+    return buf, size, buf[:2 * u].reshape(2, u), buf[2 * size:2 * size + 3 * u].reshape(3, u)
 
 
 # The last factor of R made in this thread, as (weak reference to locs, beta,
@@ -311,34 +348,61 @@ def _workspace(locs):
     return _Workspace()
 
 
-def _corr_factor(locs, beta, nu, ws=None):
+def _hold(locs, beta, nu, chol, ws):
+    """Make (chol, ws), the factor of R(beta, nu) over ``locs`` and its workspace, the memo entry."""
+    held = [chol, ws]   # the callback holds the list, not the entry: no cycle
+    _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
+                          beta, nu, held)
+
+
+def _corr_factor(locs, beta, nu, ws=None, terms=False):
     """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
 
     R is built and factored in the buffer "R" of ``ws``, by default
-    ``_workspace(locs)``.  The caller reads the factor before the next pass
-    in this thread, which may take it, and does not write to it.  Raises
-    NotSPDError carrying MaternParams(1, beta, nu) if R cannot be factored,
-    and leaves the memo empty then.
+    ``_workspace(locs)``.  With ``terms`` true, on sites with Chebyshev
+    panels, the walk that makes R's values also makes the pass's five
+    derivative terms at (1, beta, nu), into their place in the "pass"
+    buffer, and ``ws.terms`` records them.  The caller reads the factor
+    before the next pass in this thread, which may take it, and does not
+    write to it.  Raises NotSPDError carrying MaternParams(1, beta, nu) if
+    R cannot be factored, and leaves the memo empty then.
     """
     if ws is None:
         ws = _workspace(locs)
     _last_factor.entry = None       # the last factor goes before a new one comes
+    ws.terms = None                 # the values below go where terms may lie
     corr = MaternParams(1.0, beta, nu)
     n = locs.n
+    u = locs._dist_unique[0].size
     a = ws.take("R", n * n)[:n * n].reshape((n, n), order="F")
-    # the kernel's values at the unique distances and the interpolation's
-    # work go into the pass's buffer, which no pass uses while a score runs
-    work = ws.take("pass", locs._dist_unique[0].size)
+    # the kernel's values go into the pass's buffer, which no pass uses
+    # while a score runs, past the gradient terms where they are made
+    if terms and locs._dist_cheb is not None:
+        buf, _size, *made = _pass_buffer(ws, n, u)
+        vals = buf[2 * u:3 * u]
+    else:
+        vals, made = ws.take("pass", u)[:u], None
     try:
-        chol = _factor_in_place(_cov_into(locs, corr, a, work),
-                                lambda: _cov_into(locs, corr, a, work))
+        chol = _factor_in_place(_cov_into(locs, corr, a, vals, made),
+                                lambda: _cov_into(locs, corr, a, vals))
     except NotSPDError as err:
         err.theta = corr
         raise
-    held = [chol, ws]   # the callback holds the list, not the entry: no cycle
-    _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
-                          beta, nu, held)
+    if made is not None:
+        ws.terms = (beta, nu)
+    _hold(locs, beta, nu, chol, ws)
     return chol
+
+
+def _held_factor(locs, beta, nu):
+    """The memo's CholFactor where it was made over ``locs`` at (beta, nu) in this thread, else None.
+
+    The memo is left as it is.
+    """
+    entry = getattr(_last_factor, "entry", None)
+    if entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu):
+        return entry[3][0]
+    return None
 
 
 def _take_factor(locs, beta, nu):
@@ -348,15 +412,11 @@ def _take_factor(locs, beta, nu):
     thread, else ``_corr_factor``'s, with its NotSPDError; the memo is left
     empty.
     """
-    entry = getattr(_last_factor, "entry", None)
-    if entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu):
-        _last_factor.entry = None
-        return tuple(entry[3])
-    del entry                       # a stale factor goes before R is built
-    _corr_factor(locs, beta, nu)
-    chol, ws = _last_factor.entry[3]
+    if _held_factor(locs, beta, nu) is None:
+        _corr_factor(locs, beta, nu)
+    held = _last_factor.entry[3]
     _last_factor.entry = None
-    return chol, ws
+    return tuple(held)
 
 
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):

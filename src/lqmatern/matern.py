@@ -47,10 +47,15 @@ distance and scattered back, by one of two routes:
   coefficients with its columns of the basis, times e^-t.  beta only shifts
   s, so one layout serves every (beta, nu).
 
-A derivative pass usually follows ``build_cov`` at the same (beta, nu), as at
-the fit's Newton points and in the sandwich.  ``build_cov`` leaves its
-order-nu values in a memo (``_order_nu``) that the pass reads, so such a
-point makes one Bessel call at each order.
+A derivative pass usually follows a score at the same (beta, nu), as at the
+fit's Newton points and in the sandwich.  Such a score has ``_cov_into``
+make the five terms too (its ``terms``): on the Chebyshev route one walk of
+``_Panels.at`` builds the basis and e^-t once for R's values and the terms,
+whose node values ``_cheb_terms`` makes, and the pass reads them.  A pass
+after any other score makes its terms itself (``_kernel_terms``), and
+``_cov_into`` leaves its order-nu values in a memo (``_order_nu``) that
+such a pass reads, so a point makes one Bessel call at each order either
+way.
 """
 
 from dataclasses import dataclass
@@ -211,31 +216,35 @@ class _Panels:
         live = int(np.searchsorted(self.d, _T_ZERO * beta, side="right"))
         return live, int(np.searchsorted(self.starts, live))
 
-    def at(self, beta, live, vals, out, work):
-        """Interpolants of node values, times e^-t, written into ``out``.
+    def at(self, beta, live, rows, work):
+        """Interpolants of node values, times e^-t, written into their outputs.
 
-        ``vals`` holds the first k panels' node values (..., k, deg + 1), and
-        ``out`` one array (u,) per row of its leading dimensions.  Entries
-        past ``live`` are exactly 0.  The buffers hold one block of whole
-        panels, up to ``_CHEB_BLOCK`` distances (a larger panel is a block of
-        its own): the basis, e^-t, 2x and the products, carved from ``work``,
-        a flat float array, where it is long enough, else from a new one.
+        ``rows`` is a list of (vals, out) pairs: ``vals`` holds the first k
+        panels' node values (..., k, deg + 1), the same k for every pair, and
+        ``out`` one array (u,) per row of its leading dimensions.  One walk
+        builds the basis and e^-t once for every pair, and each pair's
+        products are the ones a walk for it alone makes, bit for bit.
+        Entries past ``live`` are exactly 0.  The buffers hold one block of
+        whole panels, up to ``_CHEB_BLOCK`` distances (a larger panel is a
+        block of its own): the basis, e^-t, 2x and the products, carved from
+        ``work``, a flat float array, where it is long enough, else from a
+        new one.
         """
-        bounds = np.append(self.starts[:vals.shape[-2]], live).tolist()
+        bounds = np.append(self.starts[:rows[0][0].shape[-2]], live).tolist()
         firsts = [0]
         for p in range(1, len(bounds) - 1):
             if bounds[p + 1] - bounds[firsts[-1]] > _CHEB_BLOCK:
                 firsts.append(p)
         blocks = list(zip(firsts, firsts[1:] + [len(bounds) - 1]))
         width = max(bounds[b] - bounds[a] for a, b in blocks)
-        size = (_CHEB_DEG + 3 + len(out)) * width
+        size = (_CHEB_DEG + 3 + max(len(out) for _, out in rows)) * width
         if work is None or work.size < size:
             work = np.empty(size)
         basis = work[:(_CHEB_DEG + 1) * width].reshape(_CHEB_DEG + 1, width)
         decay, x2 = work[(_CHEB_DEG + 1) * width:(_CHEB_DEG + 3) * width].reshape(2, width)
         products = work[(_CHEB_DEG + 3) * width:size]
         basis[0] = 1.0
-        coef = vals @ _CHEB_MAP.T
+        coefs = [vals @ _CHEB_MAP.T for vals, _ in rows]
         for first, stop in blocks:
             lo, hi = bounds[first], bounds[stop]
             x = self.x[lo:hi]
@@ -248,13 +257,15 @@ class _Panels:
             np.exp(np.divide(self.d[lo:hi], -beta, out=e), out=e)
             for p in range(first, stop):
                 a, b = bounds[p] - lo, bounds[p + 1] - lo
-                y = products[:len(out) * (b - a)].reshape(vals.shape[:-2] + (b - a,))
-                np.matmul(coef[..., p, :], T[:, a:b], out=y)
-                y *= e[a:b]
-                for o, row in zip(out, y.reshape(-1, b - a)):
-                    o[lo + a:lo + b] = row
-        for o in out:
-            o[live:] = 0.0
+                for coef, (_, out) in zip(coefs, rows):
+                    y = products[:len(out) * (b - a)].reshape(coef.shape[:-2] + (b - a,))
+                    np.matmul(coef[..., p, :], T[:, a:b], out=y)
+                    y *= e[a:b]
+                    for o, row in zip(out, y.reshape(-1, b - a)):
+                        o[lo + a:lo + b] = row
+        for _, out in rows:
+            for o in out:
+                o[live:] = 0.0
 
 
 # === kernel evaluation ======================================================
@@ -411,16 +422,11 @@ def _cheb_g(panels, theta):
                      lambda: _tnu_k(nu, panels.nodes[:k] / beta, special_kve))
 
 
-def _cheb_terms(panels, theta, out, work):
-    """``_terms`` at the panels' distances, interpolated into the five arrays of ``out``.
-
-    ``work`` is ``_Panels.at``'s.
-    """
-    beta, nu = theta.beta, theta.nu
-    live, k = panels.span(beta)
-    tn = panels.nodes[:k] / beta
-    terms = _terms(tn, theta, _cheb_g(panels, theta), _node_q(nu, tn), _order_derivs(nu, tn))
-    panels.at(beta, live, terms, out, work)
+def _cheb_terms(panels, theta):
+    """``_terms`` times e^t at the nodes of the panels that hold a t <= _T_ZERO, (5, k, deg + 1)."""
+    nu = theta.nu
+    tn = panels.nodes[:panels.span(theta.beta)[1]] / theta.beta
+    return _terms(tn, theta, _cheb_g(panels, theta), _node_q(nu, tn), _order_derivs(nu, tn))
 
 
 def _kernel_terms(h, theta, panels=None, out=None, work=None):
@@ -440,9 +446,9 @@ def _kernel_terms(h, theta, panels=None, out=None, work=None):
     grad, hess = out
     with np.errstate(invalid="ignore", over="ignore"):
         if panels is not None:
-            pos = slice(h.size - panels.d.size, None)
-            grad[:, :pos.start] = hess[:, :pos.start] = 0.0
-            _cheb_terms(panels, theta, [*grad[:, pos], *hess[:, pos]], work)
+            live = panels.span(theta.beta)[0]
+            panels.at(theta.beta, live, [(_cheb_terms(panels, theta),
+                                          _term_rows(h.size, panels, out))], work)
         else:
             t = h / theta.beta
             pos = t > 0.0
@@ -452,6 +458,17 @@ def _kernel_terms(h, theta, panels=None, out=None, work=None):
             grad[:, pos] = terms[:2]
             hess[:, pos] = terms[2:]
     return grad, hess
+
+
+def _term_rows(u, panels, out):
+    """The five rows of a (grad, hess) pair over u distances that the panels' walk writes.
+
+    The entries before the panels' distances (h = 0) are set to 0.
+    """
+    grad, hess = out
+    pos = slice(u - panels.d.size, None)
+    grad[:, :pos.start] = hess[:, :pos.start] = 0.0
+    return [*grad[:, pos], *hess[:, pos]]
 
 
 # === covariance builder =====================================================
@@ -466,32 +483,43 @@ def build_cov(locs, theta):
     return _cov_into(locs, theta)
 
 
-def _cov_into(locs, theta, out=None, work=None):
+def _cov_into(locs, theta, out=None, vals=None, terms=None):
     """``build_cov``'s matrix, written into ``out`` (n x n, Fortran-ordered) and returned.
 
-    The kernel's values at the u unique distances go into the first u
-    doubles of ``work``, a flat float buffer, and ``_Panels.at`` takes the
-    rest as its work; each is a new array where ``work`` is None or
-    shorter, and ``out`` one made once the values are in.  The site pairs'
-    index map is symmetric, so gathering through it into out's transpose, a
-    C-ordered view, fills out with no temporary.
+    The kernel's values at the u unique distances go into ``vals`` (u,);
+    each is a new array where None.  While the Chebyshev panels are walked,
+    out's memory, which holds nothing until the values are gathered into
+    it, is ``_Panels.at``'s work.  The site pairs' index map is symmetric,
+    so gathering through it into out's transpose, a C-ordered view, fills
+    out with no temporary.
+
+    ``terms``, a (grad, hess) pair as ``_kernel_terms`` writes, is filled
+    with the terms at (1, beta, nu) in the same walk over the panels, bit
+    for bit as ``_kernel_terms`` makes them; it must be None where the
+    sites have no panels.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
-    if work is None or work.size < uniq.size:
-        vals, work = np.empty_like(uniq), None
-    else:
-        vals, work = work[:uniq.size], work[uniq.size:]
+    if out is None:
+        out = np.empty((locs.n, locs.n), order="F")
+    if vals is None:
+        vals = np.empty_like(uniq)
     vals.fill(1.0)
     if panels is None:
         vals[uniq / theta.beta > 0.0] = _coef(theta.nu) * _direct_g(uniq, theta)
     else:
         live = panels.span(theta.beta)[0]
         pos = slice(uniq.size - panels.d.size, None)
-        panels.at(theta.beta, live, _cheb_g(panels, theta), [vals[pos]], work)
+        rows = [(_cheb_g(panels, theta), [vals[pos]])]
+        work = out.ravel(order="F")
+        if terms is None:
+            panels.at(theta.beta, live, rows, work)
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):     # as in _kernel_terms
+                rows.append((_cheb_terms(panels, MaternParams(1.0, theta.beta, theta.nu)),
+                             _term_rows(uniq.size, panels, terms)))
+                panels.at(theta.beta, live, rows, work)
         vals[pos] *= _coef(theta.nu)
     vals *= theta.sigma2
-    if out is None:
-        out = np.empty((locs.n, locs.n), order="F")
     np.take(vals, inv, mode="clip", out=out.T)
     return out

@@ -848,6 +848,34 @@ class TestMain:
         assert "repetition 1 failed outright: not positive definite" in caplog.text
         capsys.readouterr()
 
+    def test_sweep_repetition_whose_selected_fit_fails(self, tmp_path, monkeypatch, capsys,
+                                                       caplog):
+        # q = 1's fit fails, so the selector falls back to q* = 1, whose fit
+        # fails again: the repetition keeps its grid rows and writes no
+        # selected row, and the sweep goes on
+        real = est.fit
+
+        def flaky(reps, locs, q, *args, **kwargs):
+            if q == 1.0:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(reps, locs, q, *args, **kwargs)
+
+        monkeypatch.setattr(est, "fit", flaky)
+        out = tmp_path / "w"
+        assert run(["sweep", "--n", "9", "--m", "6", "--q-grid", "1,0.99",
+                    "--repetitions", "2", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["0", "1"], ["0", "0.98999999999999999"],
+                                         ["1", "1"], ["1", "0.98999999999999999"]]
+        assert all(r[8] == "false" for r in rows)
+        # q = 1's placeholder: objective NaN, not converged
+        assert [r[6:8] for r in rows[::2]] == [["nan", "false"]] * 2
+        assert (out / "selected_hist.csv").read_text() == "q_star,count\n"
+        for rep in (0, 1):
+            assert ("the fit at q* = 1 failed on repetition %d: not positive definite"
+                    % rep) in caplog.text
+        capsys.readouterr()
+
     def test_sweep_repetition_whose_selector_fails(self, tmp_path, monkeypatch, capsys,
                                                    caplog):
         # the repetition keeps its grid rows and writes no selected row

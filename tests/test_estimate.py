@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqmatern.estimate as est
-from lqmatern import asymptotics, gauss_lik
-from lqmatern.asymptotics import _weighted_derivs
+from lqmatern import asymptotics, gauss_lik, matern
+from lqmatern.asymptotics import _weighted_derivs, sandwich
 from lqmatern.estimate import (Bounds, FitChain, QProfile, default_bounds,
                                default_init, fit, fit_profile)
 from lqmatern.gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, ReplicateSet,
@@ -191,8 +191,8 @@ class TestFit:
         seen = []
         real = est._Search.score
 
-        def spy(search, u):
-            real(search, u)
+        def spy(search, u, terms=False):
+            real(search, u, terms)
             seen.append((search.scored[u.tobytes()][0], *(search.corner + u * search.width)))
 
         monkeypatch.setattr(est._Search, "score", spy)
@@ -210,7 +210,7 @@ class TestFit:
         locs, reps = small_data
         calls = []
 
-        def boom(locs_, beta, nu, ws=None):
+        def boom(locs_, beta, nu, ws=None, terms=False):
             calls.append((beta, nu))
             raise NotSPDError("forced", theta=None)
 
@@ -230,11 +230,11 @@ class TestFit:
         init = default_init(reps, default_bounds())
         real = est._Search.score
 
-        def reject(search, u):
+        def reject(search, u, terms=False):
             beta, nu = search.corner + u * search.width
             if (beta, nu) != (init.beta, init.nu):
                 raise NotSPDError("forced", theta=None)
-            return real(search, u)
+            return real(search, u, terms)
 
         monkeypatch.setattr(est._Search, "score", reject)
         res = fit(reps, locs, 1.0, tol=1e-3)
@@ -561,8 +561,8 @@ class TestShortStepRule:
                 starts[(u + step[0]).tobytes()] = (search.value(u), step[1])
             return step
 
-        def score(search, u):
-            real_score(search, u)
+        def score(search, u, terms=False):
+            real_score(search, u, terms)
             key = u.tobytes()
             if key in starts:
                 start, rise = starts[key]
@@ -700,8 +700,8 @@ class TestFusedNewtonPoint:
         real = est._Search.score
         scored = []
 
-        def score(search, u):
-            real(search, u)
+        def score(search, u, terms=False):
+            real(search, u, terms)
             beta, nu = search.corner + u * search.width
             want = profile_lq(search.reps, search.locs, beta, nu, search.q, *search.s2_box)
             assert search.scored[u.tobytes()] == want
@@ -715,8 +715,9 @@ class TestFusedNewtonPoint:
                 scored.clear()
 
     def test_one_factorization_per_point(self, fused_sets, monkeypatch):
-        # R is factored once per scored point, and once more for a pass
-        # only where the pass is not at the point scored last
+        # R is factored once per scored point and never for a pass: a pass
+        # is at the point scored last, or at a simplex's answer, whose
+        # factor the simplex kept
         calls = []
         real_chol = gauss_lik._factor_in_place
 
@@ -728,19 +729,18 @@ class TestFusedNewtonPoint:
         real_score, real_step = est._Search.score, est._Search.newton_step
         held, per_pass = [None], []
 
-        def score(search, u):
+        def score(search, u, terms=False):
             before = len(calls)
-            real_score(search, u)
+            real_score(search, u, terms)
             assert len(calls) == before + 1
             held[0] = u.tobytes()
 
         def newton_step(search, u):
             before = len(calls)
             out = real_step(search, u)
-            fused = held[0] == u.tobytes()
-            assert len(calls) == before + (0 if fused else 1)
+            assert len(calls) == before
             assert gauss_lik._last_factor.entry is None
-            per_pass.append(fused)
+            per_pass.append(held[0] == u.tobytes())
             held[0] = None
             return out
 
@@ -754,8 +754,8 @@ class TestFusedNewtonPoint:
                 per_pass.clear()
         # a warm fit's first pass is at its scored start; a cold fit's
         # follows the simplex, whose last scored point is its answer on all
-        # but one of these fits; the passes after a Newton step are at the
-        # step's point
+        # but one of these fits (that pass takes the simplex's kept factor);
+        # the passes after a Newton step are at the step's point
         assert all(k[0] for k in kinds[1::2]) and not all(k[0] for k in kinds[::2])
         assert any(any(k[1:]) for k in kinds[::2])
 
@@ -777,10 +777,10 @@ class TestFusedNewtonPoint:
                 raise np.linalg.LinAlgError("forced")
             return real_chol(a, **kwargs)
 
-        def score(search, u):
+        def score(search, u, terms=False):
             first = "factor" not in seen
             armed[0] = first
-            real_score(search, u)
+            real_score(search, u, terms)
             if first:
                 chol = gauss_lik._last_factor.entry[3][0]
                 seen["factor"] = (chol.jittered, chol.L.copy(), seen["cholesky"])
@@ -803,6 +803,113 @@ class TestFusedNewtonPoint:
         armed[0] = True
         want = profile_lq(reps, locs, *seen["point"], 0.9, 1e-3, 1e3)
         assert seen["scored"] == want
+
+
+@pytest.fixture(scope="module")
+def shared_sets():
+    """The analysis benchmark's design, n = 400 uniform (Chebyshev), and an n = 100 grid (kv)."""
+    sets = []
+    for layout, n in (("uniform", 400), ("grid", 100)):
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=n, m=100, layout=layout,
+                        seed=9110000, contamination=ContaminationSpec(0.1, 1.0))
+        sets.append(simulate_dataset(cfg)[:2])
+    assert sets[0][0]._dist_cheb is not None and sets[1][0]._dist_cheb is None
+    return sets
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that gets one entry per call of owner.name: the call's third argument, in a tuple.
+
+    Only that one: an argument that views a workspace buffer, kept alive
+    here, would have the workspace replace the buffer.
+    """
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[2:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestSharedWalk:
+    """A score where a pass follows makes R's values and the pass's terms in one walk."""
+
+    def point(self, locs, reps, q=0.95):
+        search = est._Search(reps, locs, q, default_bounds(), 1e-6)
+        return search, (np.array([0.11, 0.52]) - search.corner) / search.width
+
+    def test_newton_point_walks_once(self, shared_sets, monkeypatch):
+        # the score walks the panels once for R's values and the five terms,
+        # and the pass reads the terms: the same pass, bit for bit, as one
+        # that factors R and makes its terms itself (two walks)
+        locs, reps = shared_sets[0]
+        walks = count_calls(monkeypatch, matern._Panels, "at")
+        search, u = self.point(locs, reps)
+        search.score(u, terms=True)
+        assert search.ws.terms == tuple(search.corner + u * search.width)
+        search.newton_step(u)
+        assert len(walks) == 1 and search.ws.terms is None
+        p = search.last_pass[1]
+        again = _weighted_derivs(reps.data, locs, p.theta, p.q)
+        assert len(walks) == 3
+        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+            assert np.array_equal(getattr(p, name), getattr(again, name))
+
+    def test_sandwich_after_fit_walks_none(self, shared_sets, monkeypatch):
+        # the fit's last score, at its estimate, made the terms, so the
+        # sandwich neither factors R nor walks the panels; K and J are a
+        # sandwich's with the memo emptied, bit for bit
+        locs, reps = shared_sets[0]
+        res = fit(reps, locs, 0.95)
+        theta = res.theta_hat
+        assert gauss_lik._last_factor.entry[1:3] == (theta.beta, theta.nu)
+        walks = count_calls(monkeypatch, matern._Panels, "at")
+        factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
+        hit = sandwich(reps, locs, theta, 0.95)
+        assert walks == [] and factors == []
+        miss = sandwich(reps, locs, theta, 0.95)
+        assert len(walks) == 2 and len(factors) == 1
+        for name in ("K", "J", "log_scale"):
+            assert np.array_equal(getattr(hit, name), getattr(miss, name))
+
+    def test_lattice_pass_makes_its_own_terms(self, shared_sets, monkeypatch):
+        # kv's route makes no walk to share: the score leaves no terms and
+        # the pass makes them directly
+        locs, reps = shared_sets[1]
+        walks = count_calls(monkeypatch, matern._Panels, "at")
+        terms = count_calls(monkeypatch, asymptotics, "_kernel_terms")
+        search, u = self.point(locs, reps)
+        search.score(u, terms=True)
+        assert search.ws.terms is None
+        search.newton_step(u)
+        assert walks == [] and terms == [(None,)]
+
+    def test_cold_fit_factors_each_point_once(self, shared_sets, monkeypatch):
+        # every pass takes a held factor: the point scored last, or the
+        # simplex's answer, whose factor the simplex kept
+        factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
+        scores = count_calls(monkeypatch, est, "_profile_factor")
+        real_step = est._Search.newton_step
+        last = []
+
+        def newton_step(search, u):
+            last.append(list(search.scored)[-1] == u.tobytes())
+            return real_step(search, u)
+
+        monkeypatch.setattr(est._Search, "newton_step", newton_step)
+        passes = 0
+        for locs, reps in shared_sets:
+            for q in (1.0, 0.95, 0.9):
+                scores.clear()
+                factors.clear()
+                res = fit(reps, locs, q)
+                assert res.converged and res.newton_steps > 0
+                assert len(factors) == len(scores)
+                passes += res.newton_steps
+        # the first pass of a fit is not always at the point scored last
+        assert len(last) == passes and not all(last)
 
 
 def reweighted_step(reps, locs, at, q_old, q):
@@ -1001,6 +1108,26 @@ class TestQProfile:
         prof = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3)
         kc = prof.kappa_curve()
         assert kc.shape == (2,) and np.all(kc > 0)
+
+    def test_unconverged_sigma2_solve_becomes_placeholder(self, small_data, monkeypatch):
+        # the sigma2 solve at q = 0.97 gets no step that ends it, so that
+        # q's fit raises RuntimeError; the profile records a placeholder
+        # there and goes on, as for a factorization that fails
+        locs, reps = small_data
+        real, cap = est._profile_factor, gauss_lik.SIGMA2_MAX_STEPS
+
+        def capped(reps_, chol, q, *box):
+            monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 0 if q == 0.97 else cap)
+            return real(reps_, chol, q, *box)
+
+        monkeypatch.setattr(est, "_profile_factor", capped)
+        with pytest.raises(RuntimeError):
+            fit(reps, locs, 0.97, tol=1e-4)
+        prof = FitChain(reps, locs, tol=1e-4).profile((1.0, 0.97, 0.94))
+        mid = prof.fits[1]
+        assert not mid.converged and np.isnan(mid.objective)
+        assert mid.theta_hat == prof.fits[0].theta_hat
+        assert prof.fits[0].converged and prof.fits[2].converged
 
     def test_failed_point_becomes_placeholder(self, small_data, monkeypatch):
         locs, reps = small_data

@@ -459,7 +459,7 @@ class TestProfileLq:
     def test_not_spd_error_carries_correlation_params(self, monkeypatch):
         # R with unit diagonal and 2 off it, which no jitter makes SPD
         monkeypatch.setattr(gauss_lik, "_cov_into",
-                            lambda locs, theta, out, work: np.copyto(out, 2.0 - np.eye(len(out))))
+                            lambda locs, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
         reps = ReplicateSet(np.zeros((2, 2)))
         with pytest.raises(NotSPDError) as exc_info:
             profile_lq(reps, self.locs, 0.3, 0.8, 1.0, 1e-3, 1e3)
@@ -610,7 +610,7 @@ class TestLastFactor:
         gauss_lik._corr_factor(locs, 0.2, 0.5)
         assert gauss_lik._last_factor.entry is not None
         monkeypatch.setattr(gauss_lik, "_cov_into",
-                            lambda locs_, theta, out, work: np.copyto(out, 2.0 - np.eye(len(out))))
+                            lambda locs_, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
         for make in (gauss_lik._corr_factor, gauss_lik._take_factor):
             with pytest.raises(NotSPDError):
                 make(locs, 0.3, 0.5)

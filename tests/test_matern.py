@@ -453,9 +453,9 @@ class TestChebyshevKernel:
         calls = []
         real_at = _Panels.at
 
-        def at(panels, beta, live, vals, out, work):
-            real_at(panels, beta, live, vals, out, work)
-            calls.append((panels, beta, live, vals, np.array(out)))
+        def at(panels, beta, live, rows, work):
+            real_at(panels, beta, live, rows, work)
+            calls.extend((panels, beta, live, vals, np.array(out)) for vals, out in rows)
 
         monkeypatch.setattr(_Panels, "at", at)
         uniq, _ = locs._dist_unique

@@ -7,6 +7,7 @@ allocates beyond what is live when it starts.
 """
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -79,14 +80,80 @@ def test_fused_newton_point_peak(data):
 
 def test_score_peak(data):
     # a score after a score on the same sites, as a fit scores: R and the
-    # unique distances' values go into the workspace's buffers, so the score
-    # adds the interpolation's work and the forward solve's n x m array
-    # (2.00 where R, its factor and the values were new arrays)
+    # unique distances' values go into the workspace's buffers, and the
+    # interpolation works in R's before R is gathered there, so the score
+    # adds little more than the forward solve's n x m array (2.00 where R,
+    # its factor and the values were new arrays)
     locs, reps = data
     profile_lq(reps, locs, 0.1, 0.5, 0.9, 1e-3, 1e3)
     peak = peak_doubles(lambda: profile_lq(reps, locs, THETA.beta, THETA.nu, 0.9, 1e-3, 1e3))
     print("score peak %.2f n^2 doubles" % peak)
     assert peak <= 1.2
+
+
+def test_score_with_terms_peak(data):
+    # a Newton point's score makes the pass's five kernel terms in the walk
+    # that makes R's values, into the workspace's pass buffer, so it adds
+    # no more than a plain score does (test_score_peak)
+    locs, reps = data
+    search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
+    at = [(np.array(p) - search.corner) / search.width for p in ((0.1, 0.5), (THETA.beta, THETA.nu))]
+    search.score(at[0], terms=True)
+    peak = peak_doubles(lambda: search.score(at[1], terms=True))
+    print("score with terms peak %.2f n^2 doubles" % peak)
+    assert peak <= 1.2
+    assert search.ws.terms == tuple(search.corner + at[1] * search.width)
+
+
+def test_fit_and_sandwich_peak(data, monkeypatch):
+    # a cold fit and the sandwich after it peak where a pass runs on the
+    # held workspace: a simplex keeps its best factor of R in a slot of the
+    # pass's, and no factor but the pass's is kept when a pass runs (6.275
+    # measured; 6.280 before a simplex kept its best factor)
+    locs, reps = data
+    kept = []
+    real_step = _Search.newton_step
+
+    def newton_step(search, u):
+        kept.append(search.best is not None
+                    or not set(search.ws._bufs) <= {"R", "spare", "pass"})
+        return real_step(search, u)
+
+    monkeypatch.setattr(_Search, "newton_step", newton_step)
+
+    def fit_and_sandwich():
+        res = fit(reps, locs, 0.9)
+        sandwich(reps, locs, res.theta_hat, 0.9)
+
+    peak = peak_doubles(fit_and_sandwich)
+    print("fit + sandwich peak %.3f n^2 doubles" % peak)
+    assert peak <= 6.28
+    assert kept and not any(kept)
+
+
+def test_fit_allocates_two_factor_buffers(data, monkeypatch):
+    # a simplex's kept factor moves between the buffers "R" and "spare",
+    # so no score finds its buffer still in use and allocates another: a
+    # fit and the sandwich after it make two n x n buffers for factors of
+    # R, and "pass" at most twice (a score's, then the pass's)
+    locs, reps = data
+    made = []
+    real = gauss_lik._Workspace.take
+
+    def take(ws, name, size):
+        old = ws._bufs.get(name)
+        was = None if old is None else weakref.ref(old)
+        del old
+        buf = real(ws, name, size)
+        if was is None or was() is not buf:
+            made.append(name)
+        return buf
+
+    monkeypatch.setattr(gauss_lik._Workspace, "take", take)
+    res = fit(reps, locs, 0.9)
+    sandwich(reps, locs, res.theta_hat, 0.9)
+    assert res.restarts == 0 and res.newton_steps > 0
+    assert made.count("R") + made.count("spare") == 2 and made.count("pass") <= 2
 
 
 def test_sandwich_after_fit_peak(data):
