@@ -45,8 +45,9 @@ sigma2 R:
 - The kernel's five derivative terms at (1, beta, nu) at the unique
   distances are the workspace's where the score of the point made them
   (``gauss_lik._corr_factor``'s ``terms``: the fit's warm start and Newton
-  trial points, and so the sandwich right after a fit), else they come
-  from one Bessel pass over the distances (``matern._kernel_terms``); dS_j
+  trial points, and so the sandwich right after a fit, and with m < n a
+  pass that factors R itself, such as a sandwich anywhere else), else they
+  come from one Bessel pass over the distances (``matern._kernel_terms``); dS_j
   and d2S_jk are those terms times sigma2.  Only the two dS_j are gathered
   over the sites.
 - With M = W diag(w) W' the data terms are inner products over sites:
@@ -89,8 +90,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _lq_weights,
-                        _pass_buffer, _take_factor)
+from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _checked_rows,
+                        _lq_weights, _pass_buffer, _take_factor)
 from .matern import MaternParams, _kernel_terms
 
 # Eigenvalue floor of std_errs' PD surrogate of J, relative to the largest.
@@ -217,13 +218,13 @@ def _weighted_derivs(Z, locs, theta, q):
     """
     Z = np.asarray(Z, dtype=float)
     n, m = Z.shape
-    if locs.n != n:
-        raise ValueError("data dimension %d does not match %d locations" % (n, locs.n))
+    _checked_rows(n, locs.n)
     _checked_q(q)
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
-    # Sigma^-1 overwrites R's factor, which this pass alone holds
-    chol, ws = _take_factor(locs, theta.beta, theta.nu)
+    # Sigma^-1 overwrites R's factor, which this pass alone holds; a factor
+    # made here makes the terms too, where they fit the buffer (m < n)
+    chol, ws = _take_factor(locs, theta.beta, theta.nu, terms=m < n)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"

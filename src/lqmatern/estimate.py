@@ -82,8 +82,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _weighted_derivs
-from .gauss_lik import (NotSPDError, _checked_q, _corr_factor, _held_factor, _hold,
-                        _profile_factor, _workspace)
+from .gauss_lik import (NotSPDError, _checked_q, _checked_rows, _corr_factor, _held_factor,
+                        _hold, _profile_factor, _workspace)
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -386,12 +386,14 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
         with sigma2 inside its bounds.
 
     Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
-    tol, or an init outside the bounds, NotSPDError where R at init
+    tol, data whose rows do not match ``locs``, or an init outside the
+    bounds, all before anything is scored, NotSPDError where R at init
     cannot be factored, and RuntimeError where a scored point's sigma2
     solve does not converge (``gauss_lik.profile_sigma2``).
     """
     _checked_q(q)
     _checked_tol(tol)
+    _checked_rows(reps.n, locs.n)
     if bounds is None:
         bounds = default_bounds()
     if init is None:

@@ -7,6 +7,13 @@ The zero-mean Gaussian log density of one replicate z is
 with the quadratic form ||y||^2 from one triangular solve L y = z on
 Sigma = L L', and log|Sigma| twice the log-sum of diag(L).
 
+The factor is LAPACK's potrf and the solve its trtrs, called directly as
+``scipy.linalg.cholesky`` and ``solve_triangular`` call them, so they give
+the same bits.  At n = 100 the wrappers' generic checks and dispatch were
+about a sixth of a fit's time; the checks that matter stay here: potrf's
+info (a failed factor goes to the jitter rescue, an illegal argument
+raises) and the data's row count, which trtrs does not check.
+
 The Lq objective is sum_i L_q(f_i), with L_q(f) = log f at q = 1 and
 (f^(1-q) - 1) / (1-q) below it.  f^(1-q) = e^((1-q) l) underflows at large
 n, where l is of order -n, so the package works with the log-domain value
@@ -36,8 +43,9 @@ right after a fit that scored its estimate last.  So ``_corr_factor``
 leaves each factor it makes in a one-entry memo, keyed by the location set
 itself (compared by identity) and (beta, nu), with the workspace the
 factor lives in, and ``_take_factor``, the pass's only source of a factor,
-takes both from there where the key matches, else factors R afresh.
-Taking removes the entry, because the pass overwrites the factor with
+takes both from there where the key matches, else factors R afresh, in
+a score that makes the pass's kernel terms too where they fit its buffer
+(m < n).  Taking removes the entry, because the pass overwrites the factor with
 Sigma^-1; every other caller only reads it.  A new factor, or a miss,
 drops the entry's factor before R is built, so the memo adds nothing to
 any call's peak.  Taken or made afresh, the factor is the same bits.  A
@@ -78,7 +86,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .matern import MaternParams, _cov_into
 
@@ -150,9 +158,12 @@ def chol_factor(cov):
     covariance the package builds) is added to the diagonal once, and
     ``jittered`` is set.  A second failure, or a non-finite log determinant,
     raises NotSPDError; a NaN or inf entry ends in one of the two, since
-    LAPACK is called without scipy's finiteness scan.
+    LAPACK is called without a finiteness scan.  A covariance that is not
+    a square matrix raises ValueError.
     """
     cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError("covariance must be a square matrix, got shape %r" % (cov.shape,))
     a = np.array(cov, order="F")
     return _factor_in_place(a, lambda: np.copyto(a, cov))
 
@@ -160,30 +171,47 @@ def chol_factor(cov):
 def _factor_in_place(a, refill):
     """``chol_factor`` of the matrix in ``a`` (n x n, Fortran-ordered), factored in a's memory.
 
-    A failed attempt leaves a overwritten, so the rescue calls ``refill()``
-    to write the matrix into a again, then adds the jitter to its diagonal:
-    the same bits as adding JITTER_REL max(diag) I to the matrix.
+    LAPACK's potrf, as ``scipy.linalg.cholesky(a, lower=True)`` calls it:
+    the same bits, the upper triangle zeroed.  A failed attempt (info > 0)
+    leaves a overwritten, so the rescue calls ``refill()`` to write the
+    matrix into a again, then adds the jitter to its diagonal: the same
+    bits as adding JITTER_REL max(diag) I to the matrix.  An illegal
+    argument (info < 0) raises ValueError.
     """
-    try:
-        L = cholesky(a, lower=True, overwrite_a=True, check_finite=False)
-        jittered = False
-    except np.linalg.LinAlgError:
+    L, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    jittered = info > 0
+    if jittered:
         refill()
         a[np.diag_indices_from(a)] += JITTER_REL * a.diagonal().max()
-        try:
-            L = cholesky(a, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        L, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
+        if info > 0:
             raise NotSPDError("covariance is not positive definite (jitter rescue failed)")
-        jittered = True
+    if info < 0:
+        raise ValueError("illegal value in argument %d of LAPACK potrf" % -info)
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     if not np.isfinite(log_det):
         raise NotSPDError("covariance has a non-finite log determinant (%r)" % log_det)
     return CholFactor(L=L, log_det=log_det, jittered=jittered)
 
 
+def _checked_rows(rows, n):
+    """Raise ValueError where data with ``rows`` rows do not match n locations."""
+    if rows != n:
+        raise ValueError("data dimension %d does not match %d locations" % (rows, n))
+
+
 def _quad_forms(data, chol):
-    # z' Sigma^-1 z for every column: one forward substitution, L y = z
-    Y = solve_triangular(chol.L, data, lower=True, check_finite=False)
+    """z' Sigma^-1 z for every column z of data (n x m), from Sigma's factor ``chol``.
+
+    One forward substitution L y = z, by LAPACK's trtrs, which checks no
+    shape (it reads the first n rows of longer data, and prints an error
+    and solves nothing on shorter): data with other than n rows, the
+    factor's size, raise ValueError here.
+    """
+    _checked_rows(data.shape[0], chol.L.shape[0])
+    Y, info = dtrtrs(chol.L, data, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("triangular solve failed (LAPACK trtrs info %d)" % info)
     return np.einsum("ij,ij->j", Y, Y)
 
 
@@ -215,7 +243,10 @@ def profile_sigma2(quad, n, q, lower, upper):
     """The sigma2 in [lower, upper] that maximizes V, from the forms quad_i = z_i' R^-1 z_i.
 
     At q = 1 it is mean(quad) / n, clipped.  Below 1, Newton steps in
-    x = log sigma2 start at median(quad) / n; with a_i = quad_i / sigma2,
+    x = log sigma2 start at median(quad) / n, clipped; the median is read
+    from one ``np.partition`` of the forms, the same bits as ``np.median``
+    (the middle form, or the mean of the two middle ones).  With a_i =
+    quad_i / sigma2,
 
         dV/dx   = (sum w_i a_i - n) / 2
         d2V/dx2 = -sum w_i a_i / 2 + (1-q) Var_w(a) / 4.
@@ -236,7 +267,10 @@ def profile_sigma2(quad, n, q, lower, upper):
     def weights(s2):
         return _lq_weights(-0.5 * (n * np.log(s2) + quad / s2), q)
 
-    sigma2 = min(max(float(np.median(quad)) / n, lower), upper)
+    m = quad.size
+    mid = np.partition(quad, ((m - 1) // 2, m // 2))
+    median = mid[m // 2] if m % 2 else (mid[m // 2 - 1] + mid[m // 2]) / 2
+    sigma2 = min(max(float(median) / n, lower), upper)
     value, w = weights(sigma2)
     # SIGMA2_MAX_STEPS steps, and a last look for the step that ends the solve
     for _ in range(SIGMA2_MAX_STEPS + 1):
@@ -382,9 +416,9 @@ def _corr_factor(locs, beta, nu, ws=None, terms=False):
         vals = buf[2 * u:3 * u]
     else:
         vals, made = ws.take("pass", u)[:u], None
+    _cov_into(locs, corr, a, vals, made)
     try:
-        chol = _factor_in_place(_cov_into(locs, corr, a, vals, made),
-                                lambda: _cov_into(locs, corr, a, vals))
+        chol = _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
     except NotSPDError as err:
         err.theta = corr
         raise
@@ -405,15 +439,15 @@ def _held_factor(locs, beta, nu):
     return None
 
 
-def _take_factor(locs, beta, nu):
+def _take_factor(locs, beta, nu, terms=False):
     """(CholFactor of R(beta, nu), its workspace), the factor for the caller to overwrite.
 
     The memo's where it was made over ``locs`` at (beta, nu) in this
-    thread, else ``_corr_factor``'s, with its NotSPDError; the memo is left
-    empty.
+    thread, else ``_corr_factor``'s with ``terms``, with its NotSPDError;
+    the memo is left empty.
     """
     if _held_factor(locs, beta, nu) is None:
-        _corr_factor(locs, beta, nu)
+        _corr_factor(locs, beta, nu, terms=terms)
     held = _last_factor.entry[3]
     _last_factor.entry = None
     return tuple(held)
@@ -422,8 +456,9 @@ def _take_factor(locs, beta, nu):
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     """(sigma2, V) at (beta, nu), with sigma2 in [sigma2_lower, sigma2_upper].
 
-    Raises ValueError for a q outside (0, 1], and NotSPDError carrying
-    MaternParams(1, beta, nu) if R cannot be factored.
+    Raises ValueError for a q outside (0, 1], NotSPDError carrying
+    MaternParams(1, beta, nu) if R cannot be factored, and then ValueError
+    for data whose rows do not match ``locs`` (``_quad_forms``).
     """
     _checked_q(q)
     return _profile_factor(reps, _corr_factor(locs, beta, nu), q,

@@ -7,7 +7,11 @@ The kernel in the (variance, range, smoothness) parametrisation:
 
 with K_nu the modified Bessel function of the second kind.  M(0) = sigma2
 exactly (the h -> 0 limit), and M reduces to sigma2 * exp(-h/beta) at
-nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.
+nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.  c(nu) and its
+nu-derivatives come from scipy.special's gammaln, psi and zeta(2, nu), the
+trigamma (bit for bit polygamma(1, nu), which computes it so), called with
+no checking wrapper: MaternParams already holds 0 < nu <= NU_CAP, which is
+all such a wrapper would check, at a cost paid at every score.
 
 Derivatives.  M is linear in sigma2, so M and five per-distance terms are
 every nonzero entry of its gradient and Hessian in theta = (sigma2, beta,
@@ -48,7 +52,8 @@ distance and scattered back, by one of two routes:
   s, so one layout serves every (beta, nu).
 
 A derivative pass usually follows a score at the same (beta, nu), as at the
-fit's Newton points and in the sandwich.  Such a score has ``_cov_into``
+fit's Newton points and in the sandwich, or makes its own score of the
+point.  Such a score has ``_cov_into``
 make the five terms too (its ``terms``): on the Chebyshev route one walk of
 ``_Panels.at`` builds the basis and e^-t once for R's values and the terms,
 whose node values ``_cheb_terms`` makes, and the pass reads them.  A pass
@@ -63,11 +68,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
+from scipy.special import gammaln, psi, zeta
 # every Bessel evaluation of the package goes through these two bindings
 from scipy.special import kv as special_kv
 from scipy.special import kve as special_kve
-
-from .specfun import digamma, log_gamma, trigamma
 
 # The model's range of smoothness: MaternParams rejects a larger nu, the
 # default bounds stop here, and the kernel's accuracy is checked up to it.
@@ -273,7 +277,7 @@ class _Panels:
 
 def _coef(nu):
     # c(nu) = 2^(1-nu) / Gamma(nu), evaluated in log space
-    return np.exp((1.0 - nu) * _LN2 - log_gamma(nu))
+    return np.exp((1.0 - nu) * _LN2 - gammaln(nu))
 
 
 def _tnu_k(nu, t, bessel):
@@ -287,7 +291,7 @@ def _tnu_k(nu, t, bessel):
         g = t ** nu * bessel(nu, t)
     bad = ~np.isfinite(g)
     if np.any(bad):
-        g = np.where(bad, np.exp(log_gamma(nu) + (nu - 1.0) * _LN2), g)
+        g = np.where(bad, np.exp(gammaln(nu) + (nu - 1.0) * _LN2), g)
     return g
 
 
@@ -356,7 +360,7 @@ def _terms(t, theta, gk, qk, dk):
     c = _coef(nu)
     tnu = t ** nu
     # d/dnu log(c(nu) t^nu), with c'(nu)/c(nu) = -(ln 2 + Psi(nu))
-    a = np.log(t) - _LN2 - digamma(nu)
+    a = np.log(t) - _LN2 - psi(nu)
     dg = tnu * dk[0]       # t^nu dK_nu/dnu
     terms = np.stack([
         c / beta * qk,
@@ -365,8 +369,8 @@ def _terms(t, theta, gk, qk, dk):
         s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk),
         # d/dnu of the beta-derivative c q / beta
         s2 * c / beta * (a * qk + t * tnu * dk[2]),
-        # d2/dnu2 of c t^nu K_nu, with (log c)'' = -Psi'
-        s2 * c * ((a * a - trigamma(nu)) * gk + 2.0 * a * dg + tnu * dk[1])])
+        # d2/dnu2 of c t^nu K_nu, with (log c)'' = -Psi', zeta(2, nu)
+        s2 * c * ((a * a - zeta(2.0, nu)) * gk + 2.0 * a * dg + tnu * dk[1])])
     terms[~np.isfinite(terms)] = 0.0
     return terms
 

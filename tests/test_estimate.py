@@ -221,6 +221,25 @@ class TestFit:
         assert len(calls) == 1
         assert calls[0] == pytest.approx((init.beta, init.nu), rel=1e-15)
 
+    @pytest.mark.parametrize("rows", [15, 17])
+    @pytest.mark.parametrize("entry", ["fit", "FitChain.fit", "sandwich"])
+    def test_rows_that_do_not_match_the_sites(self, monkeypatch, entry, rows):
+        # checked before anything is scored: LAPACK's triangular solve would
+        # read 16 of 17 rows, or solve nothing on 15, at every score
+        locs = make_locations(16, "grid")
+        reps = ReplicateSet(np.random.default_rng(rows).standard_normal((rows, 30)))
+        factors = []
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", lambda *args: factors.append(1))
+        with pytest.raises(ValueError, match="data dimension %d does not match 16 locations"
+                           % rows):
+            if entry == "fit":
+                fit(reps, locs, 0.95)
+            elif entry == "FitChain.fit":
+                FitChain(reps, locs).fit(0.95)
+            else:
+                sandwich(reps, locs, THETA0, 0.95)
+        assert factors == []
+
     # scipy's simplex subtracts inf from inf when every trial scores -inf
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_every_point_rejected_is_not_converged(self, small_data, monkeypatch):
@@ -765,16 +784,16 @@ class TestFusedNewtonPoint:
         # that factor: a jitter rescue there is taken once, and the pass
         # inverts that jittered factor
         locs, reps, near = fused_sets[1]
-        real_chol, real_potri = gauss_lik.cholesky, asymptotics.dpotri
+        real_chol, real_potri = gauss_lik.dpotrf, asymptotics.dpotri
         real_score = est._Search.score
         armed, seen = [False], {}
 
-        def cholesky(a, **kwargs):
+        def dpotrf(a, **kwargs):
             seen.setdefault("cholesky", 0)
             seen["cholesky"] += 1
             if armed[0]:
                 armed[0] = False
-                raise np.linalg.LinAlgError("forced")
+                return a, 1                 # a forced failure
             return real_chol(a, **kwargs)
 
         def score(search, u, terms=False):
@@ -791,7 +810,7 @@ class TestFusedNewtonPoint:
             seen.setdefault("potri", []).append((c.copy(), seen["cholesky"]))
             return real_potri(c, **kwargs)
 
-        monkeypatch.setattr(gauss_lik, "cholesky", cholesky)
+        monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
         monkeypatch.setattr(asymptotics, "dpotri", dpotri)
         monkeypatch.setattr(est._Search, "score", score)
         fit(reps, locs, 0.9, init=near, warm=True)
@@ -852,6 +871,8 @@ class TestSharedWalk:
         search.newton_step(u)
         assert len(walks) == 1 and search.ws.terms is None
         p = search.last_pass[1]
+        # a score without the terms leaves them to the pass
+        gauss_lik._corr_factor(locs, p.theta.beta, p.theta.nu)
         again = _weighted_derivs(reps.data, locs, p.theta, p.q)
         assert len(walks) == 3
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
@@ -860,7 +881,8 @@ class TestSharedWalk:
     def test_sandwich_after_fit_walks_none(self, shared_sets, monkeypatch):
         # the fit's last score, at its estimate, made the terms, so the
         # sandwich neither factors R nor walks the panels; K and J are a
-        # sandwich's with the memo emptied, bit for bit
+        # sandwich's with the memo emptied, bit for bit, whose score makes
+        # the terms in the walk that makes R
         locs, reps = shared_sets[0]
         res = fit(reps, locs, 0.95)
         theta = res.theta_hat
@@ -870,7 +892,7 @@ class TestSharedWalk:
         hit = sandwich(reps, locs, theta, 0.95)
         assert walks == [] and factors == []
         miss = sandwich(reps, locs, theta, 0.95)
-        assert len(walks) == 2 and len(factors) == 1
+        assert len(walks) == 1 and len(factors) == 1
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(hit, name), getattr(miss, name))
 

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, solve_triangular
 
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import _weighted_derivs, sandwich
@@ -85,21 +85,21 @@ class TestCholFactor:
         # derivative pass), sigma2 on Sigma (simulation)
         locs = make_locations(n, layout, seed=2)
         theta = MaternParams(sigma2, 0.1, 0.5)
-        real = gauss_lik.cholesky
+        real = gauss_lik.dpotrf
         seen = []
 
         def fail_first(a, **kwargs):
             if not seen:
                 seen.append((a.copy(), None))
-                raise np.linalg.LinAlgError("forced")
+                return a, 1                 # "the leading minor of order 1 is not PD"
             # copies: the factor overwrites the matrix in its memory, and the
             # derivative pass overwrites the factor with Sigma^-1
             bumped = a.copy()
-            L = real(a, **kwargs)
+            L, info = real(a, **kwargs)
             seen.append((bumped, L.copy()))
-            return L
+            return L, info
 
-        monkeypatch.setattr(gauss_lik, "cholesky", fail_first)
+        monkeypatch.setattr(gauss_lik, "dpotrf", fail_first)
         reps = ReplicateSet(np.ones((n, 2)))
         if path == "profile_lq":
             profile_lq(reps, locs, theta.beta, theta.nu, 0.9, 1e-3, 1e3)
@@ -115,7 +115,7 @@ class TestCholFactor:
         assert cov.diagonal().max() == scale
         want = cov + gauss_lik.JITTER_REL * scale * np.eye(n)
         assert np.array_equal(bumped, want)
-        assert np.array_equal(L, real(want, lower=True, check_finite=False))
+        assert np.array_equal(L, cholesky(want, lower=True, check_finite=False))
 
     def test_not_spd_error(self):
         with pytest.raises(NotSPDError):
@@ -127,6 +127,38 @@ class TestCholFactor:
         # "successfully" and must be caught through the log determinant
         with pytest.raises(NotSPDError):
             chol_factor(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_not_square_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            chol_factor(np.ones((2, 3)))
+
+
+# R on the lattice (kv), on irregular sites (Chebyshev), and one R that
+# potrf rejects until the jitter rescue
+LAPACK_CASES = [("grid", 100, 0.1, 0.5), ("uniform", 150, 0.2, 1.3), ("grid", 100, 3.0, 5.0)]
+
+
+class TestLapackCalls:
+    """The scoring path calls LAPACK directly, to the bits of scipy.linalg's wrappers."""
+
+    @pytest.mark.parametrize("layout, n, beta, nu", LAPACK_CASES)
+    def test_factor_is_scipy_cholesky(self, layout, n, beta, nu):
+        R = build_cov(make_locations(n, layout, seed=2), MaternParams(1.0, beta, nu))
+        a = np.array(R, order="F")
+        got = gauss_lik._factor_in_place(a, lambda: np.copyto(a, R))
+        assert got.jittered == (beta == 3.0)
+        want = R + gauss_lik.JITTER_REL * np.eye(n) if got.jittered else R
+        L = cholesky(want, lower=True, check_finite=False)
+        assert np.array_equal(got.L, L)
+        assert got.log_det == 2.0 * float(np.sum(np.log(np.diag(L))))
+
+    @pytest.mark.parametrize("layout, n, beta, nu", LAPACK_CASES)
+    def test_quad_forms_are_solve_triangular(self, layout, n, beta, nu):
+        locs = make_locations(n, layout, seed=2)
+        chol = chol_factor(build_cov(locs, MaternParams(1.0, beta, nu)))
+        data = np.random.default_rng(5).standard_normal((n, 30))
+        Y = solve_triangular(chol.L, data, lower=True, check_finite=False)
+        assert np.array_equal(gauss_lik._quad_forms(data, chol), np.einsum("ij,ij->j", Y, Y))
 
 
 class TestLogLikelihood:
@@ -155,7 +187,6 @@ class TestLogLikelihood:
             cov = rand_spd(rng, n)
             z = rng.standard_normal(n)
             cf = chol_factor(cov)
-            from scipy.linalg import solve_triangular
             y = solve_triangular(cf.L, z, lower=True)
             assert abs(y @ y - z @ np.linalg.inv(cov) @ z) < 1e-10 * max(1, y @ y)
 
@@ -398,6 +429,26 @@ class TestProfileSigma2Newton:
         assert abs(np.log(got) - s[int(np.argmax(vals))]) <= 2.0 * (s[1] - s[0])
 
 
+class TestProfileSigma2Start:
+    @pytest.mark.parametrize("m", [1, 2, 3, 100, 101])
+    @pytest.mark.parametrize("lower, upper", [(1e-3, 1e3), (1.2, 1e3), (1e-3, 0.8)])
+    def test_start_is_the_clipped_median(self, monkeypatch, m, lower, upper):
+        # the solve's first weights are taken at the start, which is
+        # np.median's, clipped, bit for bit
+        n = 36
+        quad = np.random.default_rng(m).chisquare(n, m)
+        seen, real = [], gauss_lik._lq_weights
+
+        def spy(lvec, q):
+            seen.append(lvec.copy())
+            return real(lvec, q)
+
+        monkeypatch.setattr(gauss_lik, "_lq_weights", spy)
+        profile_sigma2(quad, n, 0.9, lower, upper)
+        start = min(max(float(np.median(quad)) / n, lower), upper)
+        assert np.array_equal(seen[0], -0.5 * (n * np.log(start) + quad / start))
+
+
 def traced_sigma2_solve(quad, n, q, lower, upper):
     """profile_sigma2's answer, the V of each iterate, and whether a fixed-point step continued it.
 
@@ -455,6 +506,18 @@ class TestProfileLq:
     def test_q_validation(self):
         with pytest.raises(ValueError):
             profile_lq(self.reps, self.locs, 0.3, 0.8, 1.5, 1e-3, 1e3)
+
+    @pytest.mark.parametrize("rows", [15, 17])
+    def test_rows_that_do_not_match_the_sites(self, monkeypatch, rows):
+        # checked before the triangular solve, which would read 16 of 17
+        # rows, or solve nothing on 15
+        solves = []
+        monkeypatch.setattr(gauss_lik, "dtrtrs", lambda *a, **k: solves.append(1))
+        reps = ReplicateSet(np.ones((rows, 3)))
+        with pytest.raises(ValueError, match="data dimension %d does not match 16 locations"
+                           % rows):
+            profile_lq(reps, make_locations(16, "grid"), 0.3, 0.8, 0.9, 1e-3, 1e3)
+        assert solves == []
 
     def test_not_spd_error_carries_correlation_params(self, monkeypatch):
         # R with unit diagonal and 2 off it, which no jitter makes SPD
@@ -635,15 +698,15 @@ class TestLastFactor:
     def test_jittered_factor_is_handed_over(self, factored, monkeypatch):
         # one forced Cholesky failure: the rescued factor, with its flag, is
         # the one the pass takes, with no factorization of its own
-        real, armed = gauss_lik.cholesky, [True]
+        real, armed = gauss_lik.dpotrf, [True]
 
-        def cholesky(a, **kwargs):
+        def dpotrf(a, **kwargs):
             if armed[0]:
                 armed[0] = False
-                raise np.linalg.LinAlgError("forced")
+                return a, 1                 # a forced failure
             return real(a, **kwargs)
 
-        monkeypatch.setattr(gauss_lik, "cholesky", cholesky)
+        monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
         locs = make_locations(16, "grid")
         chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
         assert chol.jittered

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
-from scipy.special import kv
+from scipy.special import kv, polygamma
 
 from lqmatern import gauss_lik, matern
 from lqmatern.asymptotics import _weighted_derivs
@@ -13,6 +13,7 @@ from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _kernel_terms, _Panels,
                              build_cov, matern_cov)
 from lqmatern.simulate import make_locations
+from lqmatern.specfun import digamma, log_gamma, trigamma
 from oracles import cov_derivs, kernel_derivs, matern_grad, matern_hess
 
 # irregular sites: 2,016 unique positive distances against 378 Chebyshev
@@ -38,6 +39,42 @@ def rand_locs(rng, n, min_dist=0.0):
         off = d[~np.eye(n, dtype=bool)]
         if n == 1 or off.min() > min_dist:
             return LocationSet(c)
+
+
+# nu over (0, NU_CAP]: a fine grid, and points down to the smallest double
+NU_GRID = np.concatenate([np.linspace(1e-3, NU_CAP, 20001),
+                          [5e-324, 1e-300, 1e-8, 5e-5, 0.05, 0.5, 1.5, 2.5]])
+
+
+class TestGammaFamilyCalls:
+    """The kernel calls scipy.special directly, to the bits of the checked wrappers."""
+
+    def test_calls_are_the_wrappers_bits(self):
+        # trigamma is zeta(2, nu): polygamma(1, nu) computes it so, times 1
+        assert np.array_equal(matern.zeta(2.0, NU_GRID), polygamma(1, NU_GRID))
+        assert np.array_equal(matern.zeta(2.0, NU_GRID), trigamma(NU_GRID))
+        assert np.array_equal(matern.psi(NU_GRID), digamma(NU_GRID))
+        assert np.array_equal(matern.gammaln(NU_GRID), log_gamma(NU_GRID))
+
+    @pytest.mark.parametrize("nu", [5e-5, 0.05, 0.5, 0.73, 1.5, 2.0, 3.3, NU_CAP])
+    def test_kernel_is_the_wrappers_bits(self, monkeypatch, nu):
+        # the value, its overflow limit at tiny t, and the five terms, with
+        # the wrappers put back in place of the direct calls
+        h = np.array([0.0, 1e-300, 1e-100, 1e-3, 0.1, 1.0, 5.0])
+        th = MaternParams(1.3, 0.2, nu)
+
+        def kernel():
+            monkeypatch.setattr(matern, "_last_g", None)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return [matern_cov(h, th), *_kernel_terms(h, th)]
+
+        direct = kernel()
+        monkeypatch.setattr(matern, "zeta", lambda s, x: trigamma(x))
+        monkeypatch.setattr(matern, "psi", digamma)
+        monkeypatch.setattr(matern, "gammaln", log_gamma)
+        for got, want in zip(direct, kernel()):
+            assert np.array_equal(got, want)
 
 
 class TestMaternParams:
