@@ -44,10 +44,10 @@ sigma2 R:
   it, and log|Sigma| = log|R| + n log sigma2.
 - The kernel's five derivative terms at (1, beta, nu) at the unique
   distances are the workspace's where the score of the point made them
-  (``gauss_lik._corr_factor``'s ``terms``: the fit's warm start and Newton
-  trial points, and so the sandwich right after a fit, and with m < n a
-  pass that factors R itself, such as a sandwich anywhere else), else they
-  come from one Bessel pass over the distances (``matern._kernel_terms``); dS_j
+  (``gauss_lik._corr_factor``'s ``pass_m``: the fit's warm start and
+  Newton trial points, and so the sandwich right after a fit, and a pass
+  that factors R itself, such as a sandwich anywhere else), else they come
+  from one Bessel pass over the distances (``matern._kernel_terms``); dS_j
   and d2S_jk are those terms times sigma2.  Only the two dS_j are gathered
   over the sites.
 - With M = W diag(w) W' the data terms are inner products over sites:
@@ -63,24 +63,21 @@ sigma2 R:
   gradient's products w_i' dS_j w_i.
 
 Memory.  Sigma^-1 stays in the factor's buffer, and the other large
-arrays live in slots of max(n^2, 2u) doubles (u unique distances, so n^2
-for n > 1) that hold one array after another: slots 0 and 1 and, after
-them, the three Hessian terms (3, u) in the workspace's "pass" buffer
-(``gauss_lik._pass_buffer``), and slot 2, n^2 doubles, in its "spare"
-buffer, where a fit's simplex keeps its best factor of R:
+arrays live in the workspace's "pass" buffer, laid out by
+``gauss_lik._pass_buffer``: slots of max(n^2, 2u) doubles (u unique
+distances, so n^2 for n > 1) that hold one array after another, and the
+three Hessian terms (3, u) after slot 2:
 
-- slot 0: the two gradient terms (2, u) (a score that makes them puts
-  R's values right after them), then B_0, then the sums of
+- slot 0: the two gradient terms (2, u), then B_0, then the sums of
   M - w_sum Sigma^-1 onto the unique distances (u);
 - slot 1: the interpolation's work where the pass makes the terms, then
   dS_0; where m < n, B_1 then takes it;
-- slot 2: dS_1, then, where m < n, B_k W, then M;
+- slot 2: R's values where a score makes the terms, then dS_1, then,
+  where m < n, B_k W, then M;
 - only where m >= n, where dS_j is read to the end, three n^2 slots
-  after the Hessian terms: B_1, M and B_k M (a score leaves "pass" too
-  short for them, so the first such pass on a workspace grows it and
-  makes its own terms).
+  after the Hessian terms: B_1, M and B_k M.
 
-So with m < n the factor and the pass's buffers hold 4 n^2 + 3u doubles,
+So with m < n the factor and the pass's buffer hold 4 n^2 + 3u doubles,
 5.5 n^2 on irregular sites, no more than a pass that allocated its own
 arrays held at once; only the n x m products are allocated per pass.
 """
@@ -223,8 +220,8 @@ def _weighted_derivs(Z, locs, theta, q):
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
     # Sigma^-1 overwrites R's factor, which this pass alone holds; a factor
-    # made here makes the terms too, where they fit the buffer (m < n)
-    chol, ws = _take_factor(locs, theta.beta, theta.nu, terms=m < n)
+    # made here makes the terms too
+    chol, ws = _take_factor(locs, theta.beta, theta.nu, m)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
@@ -238,16 +235,11 @@ def _weighted_derivs(Z, locs, theta, q):
 
     # the slots of the module docstring, each at least 2u long
     u = uniq.size
-    buf, size, grad, d2 = _pass_buffer(ws, n, u, wide=m >= n)
-    spare = ws.take("spare", n * n)
-    slot = [buf[:n * n], buf[size:size + n * n], spare]
-    if m >= n:
-        wide = 2 * size + 3 * u
-        slot += [buf[wide + i * n * n:wide + (i + 1) * n * n] for i in range(3)]
-    slot = [s.reshape(n, n) for s in slot]
+    flat, grad, d2 = _pass_buffer(ws, n, u, m)
+    slot = [s[:n * n].reshape(n, n) for s in flat]
     if ws.terms != (theta.beta, theta.nu):
         _kernel_terms(uniq, MaternParams(1.0, theta.beta, theta.nu), locs._dist_cheb,
-                      out=(grad, d2), work=buf[size:2 * size])
+                      out=(grad, d2), work=flat[1])
     ws.terms = None                 # B_0 goes over the gradient terms below
     dS = [np.take(grad[k], inv, mode="clip", out=slot[1 + k]) for k in range(2)]
     B = [slot[0], slot[3 if m >= n else 1]]
@@ -277,7 +269,7 @@ def _weighted_derivs(Z, locs, theta, q):
     # one k at a time
     dS_BM = []
     if m < n:
-        BW = spare[:n * m].reshape(n, m)                        # in M's slot
+        BW = flat[2][:n * m].reshape(n, m)                      # in M's slot
         for k in range(2):
             np.matmul(B[k], W, out=BW)
             dS_BM += [np.einsum("im,im->m", dSW[j], BW) @ w for j in range(k + 1)]
@@ -295,7 +287,7 @@ def _weighted_derivs(Z, locs, theta, q):
     M -= Sinv
     # into B_0's slot, read no more: add.at sums in bincount's order, to the
     # same bits, but into a given array
-    R = buf[:u]
+    R = flat[0][:u]
     R.fill(0.0)
     np.add.at(R, inv.ravel(), M.ravel())
     for (j, k), tr, d2_jk, dv in zip(pairs, tr_BB, d2, dS_BM):

@@ -82,8 +82,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .asymptotics import _weighted_derivs
-from .gauss_lik import (NotSPDError, _checked_q, _checked_rows, _corr_factor, _held_factor,
-                        _hold, _profile_factor, _workspace)
+from .gauss_lik import (NotSPDError, _checked_q, _checked_rows, _corr_factor, _profile_factor,
+                        _workspace)
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -230,9 +230,6 @@ class _Search:
         # the buffers of the fit's scores and passes, from the last fit on
         # these sites where the memo still holds them
         self.ws = _workspace(locs)
-        # while a simplex runs: (V, key, beta, nu, CholFactor) of the best
-        # point it has scored, whose factor lies in the buffer "spare"
-        self.best = None
 
     def score(self, u, terms=False):
         """Score u into ``scored`` as profile_lq does; with ``terms``, a pass at u comes next.
@@ -240,18 +237,9 @@ class _Search:
         ``terms`` has the score make the pass's kernel terms in the same
         walk (``gauss_lik._corr_factor``).
         """
-        beta_nu = self.corner + u * self.width
-        chol = _corr_factor(self.locs, *beta_nu, self.ws, terms)
-        _sigma2, val = self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q,
-                                                                 *self.s2_box)
-        if self.best is not None and val > self.best[0]:
-            self._keep(val, u.tobytes(), beta_nu, chol)
-
-    def _keep(self, value, key, beta_nu, chol):
-        # the simplex's best point so far: its factor moves to the buffer
-        # "spare", out of the way of the next score's
-        self.ws.swap("R", "spare")
-        self.best = (value, key, *beta_nu, chol)
+        chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws,
+                            self.reps.m if terms else 0)
+        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
 
     def value(self, u, terms=False):
         key = u.tobytes()
@@ -269,28 +257,14 @@ class _Search:
     def simplex(self, u, xatol):
         """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer.
 
-        The run keeps the factor of R at the best point it scores, in the
-        workspace's buffer "spare" (a slot of the pass's), and where that
-        point is its answer the memo holds the factor as the run ends, so
-        the pass that follows does not factor R again.
+        The run keeps no factor of R: a pass at its answer takes the memo's
+        where the answer is the last point the run scored, else factors R
+        again (``gauss_lik._take_factor``).
         """
         options = {"xatol": xatol, "fatol": np.inf, "maxfev": _MAX_EVALS,
                    "maxiter": _MAX_EVALS}
-        self.best = (-np.inf, None)
-        # the start is the first best where the memo holds its factor
-        key, beta_nu = u.tobytes(), tuple(self.corner + u * self.width)
-        chol = _held_factor(self.locs, *beta_nu)
-        if chol is not None and key in self.scored:
-            self._keep(self.scored[key][1], key, beta_nu, chol)
-        # a factor referenced here would have the next score allocate a new "R"
-        del chol
         res = minimize(self.neg_obj, u, method="nelder-mead",
                        bounds=[(0.0, 1.0)] * 2, options=options)
-        if self.best[1] == res.x.tobytes():
-            # the answer's factor goes back to "R" and into the memo
-            self.ws.swap("R", "spare")
-            _hold(self.locs, *self.best[2:], self.ws)
-        self.best = None
         self.iterations += int(res.nit)
         self.evaluations += int(res.nfev)
         self.simplex_ok = bool(res.status == 0 and np.isfinite(res.fun))

@@ -43,41 +43,38 @@ right after a fit that scored its estimate last.  So ``_corr_factor``
 leaves each factor it makes in a one-entry memo, keyed by the location set
 itself (compared by identity) and (beta, nu), with the workspace the
 factor lives in, and ``_take_factor``, the pass's only source of a factor,
-takes both from there where the key matches, else factors R afresh, in
-a score that makes the pass's kernel terms too where they fit its buffer
-(m < n).  Taking removes the entry, because the pass overwrites the factor with
-Sigma^-1; every other caller only reads it.  A new factor, or a miss,
-drops the entry's factor before R is built, so the memo adds nothing to
-any call's peak.  Taken or made afresh, the factor is the same bits.  A
-fit's simplex keeps the factor of the best point it scores, and puts it
-back in the memo (``_hold``) where that point is its answer, so the pass
-there does not factor R again.
+takes both from there where the key matches, else factors R afresh, in a
+score that makes the pass's kernel terms too.  Taking removes the entry,
+because the pass overwrites the factor with Sigma^-1; every other caller
+only reads it.  A new factor, or a miss, drops the entry's factor before
+R is built, so the memo adds nothing to any call's peak.  Taken or made
+afresh, the factor is the same bits.
 
-The workspace (``_Workspace``) holds the n x n buffer R is built and
-factored in ("R"; the interpolation's work while a score walks the
-Chebyshev panels, before R is gathered there) and the derivative pass's
-buffers, laid out in ``asymptotics``: "pass" and "spare", its third
-slot.  A score puts the kernel's values at the unique distances in
-"pass".  A score where a pass comes next (``_corr_factor``'s
-``terms``) makes the pass's five kernel terms in the walk that makes R's
-values, into their place in "pass" (``_pass_buffer``), and the workspace
-records their (beta, nu) until anything writes over them; the pass then
-reads them and walks no panels.  A fit's search owns one workspace for
-its whole run (``estimate._Search``), so its scores and passes reuse the
-same memory instead of allocating it and faulting it in again each time;
-while a simplex runs, "spare" holds the factor of its best point.  The
-entry carries the workspace, and with it the terms, on: a later fit on
-the same sites in the thread inherits it (a ``FitChain``'s next fit), and
-a pass that takes the entry takes it too (a sandwich right after the
-fit, which so makes no walk).  It is freed when that pass returns, when
-the thread factors other sites, or when the sites die.
-A buffer is reused only while nothing outside the workspace references
-it, so a factor a caller keeps is never overwritten.  The memo is per
-thread (``threading.local``): a factor or a workspace made in one thread
-is never used in another.  It holds its location set by a weak reference,
-and the entry's factor and workspace die with the set, so each thread
-keeps at most one of each alive (5.5 n^2 doubles at most on irregular
-sites with m < n), and only while its sites are in use elsewhere.
+The workspace (``_Workspace``) holds two buffers: "R", the n x n buffer R
+is built and factored in (the interpolation's work while a score walks
+the Chebyshev panels, before R is gathered there), and "pass", the
+derivative pass's, laid out by ``_pass_buffer`` for the pass's m.  A
+score puts the kernel's values at the unique distances in "pass".  A
+score where a pass over m replicates comes next (``_corr_factor``'s
+``pass_m``) lays "pass" out for that pass and makes its five kernel terms
+in the walk that makes R's values, into their place there, and the
+workspace records their (beta, nu) until anything writes over them; the
+pass then reads them and walks no panels.  A fit's search owns one
+workspace for its whole run (``estimate._Search``), so its scores and
+passes reuse the same memory instead of allocating it and faulting it in
+again each time.  The entry carries the workspace, and with it the terms,
+on: a later fit on the same sites in the thread inherits it (a
+``FitChain``'s next fit), and a pass that takes the entry takes it too (a
+sandwich right after the fit, which so makes no walk).  It is freed when
+that pass returns, when the thread factors other sites, or when the sites
+die.  A buffer is reused only while nothing outside the workspace
+references it, so a factor a caller keeps is never overwritten.  The memo
+is per thread (``threading.local``): a factor or a workspace made in one
+thread is never used in another.  It holds its location set by a weak
+reference, and the entry's factor and workspace die with the set, so each
+thread keeps at most one of each alive (5.5 n^2 doubles at most on
+irregular sites with m < n), and only while its sites are in use
+elsewhere.
 """
 
 import sys
@@ -346,26 +343,21 @@ class _Workspace:
                 self.terms = None
         return bufs[name]
 
-    def swap(self, a, b):
-        """Exchange the buffers kept under the names ``a`` and ``b``; either may be absent."""
-        bufs = self._bufs
-        pair = bufs.pop(a, None), bufs.pop(b, None)
-        for name, buf in zip((b, a), pair):
-            if buf is not None:
-                bufs[name] = buf
 
+def _pass_buffer(ws, n, u, m):
+    """(slots, grad, hess): the workspace's "pass" buffer laid out for a pass over m replicates.
 
-def _pass_buffer(ws, n, u, wide=False):
-    """(buf, size, grad, hess): the workspace's "pass" buffer and the kernel terms' place in it.
-
-    ``asymptotics`` lays the buffer out: two slots of ``size`` = max(n^2,
-    2u) doubles, then the Hessian terms ``hess`` (3, u), then, with
-    ``wide``, three n^2 slots more; the gradient terms ``grad`` (2, u) open
-    slot 0.
+    ``slots`` are flat views: three slots of max(n^2, 2u) doubles, then,
+    where m >= n, three n^2 slots more, which ``asymptotics`` fills; the
+    Hessian terms ``hess`` (3, u) lie past the first three, and the
+    gradient terms ``grad`` (2, u) open slot 0.
     """
-    size = max(n * n, 2 * u)
-    buf = ws.take("pass", 2 * size + 3 * u + (3 * n * n if wide else 0))
-    return buf, size, buf[:2 * u].reshape(2, u), buf[2 * size:2 * size + 3 * u].reshape(3, u)
+    size, wide = max(n * n, 2 * u), 3 if m >= n else 0
+    at = 3 * size + 3 * u
+    buf = ws.take("pass", at + wide * n * n)
+    slots = [buf[i * size:(i + 1) * size] for i in range(3)]
+    slots += [buf[at + i * n * n:at + (i + 1) * n * n] for i in range(wide)]
+    return slots, buf[:2 * u].reshape(2, u), buf[3 * size:at].reshape(3, u)
 
 
 # The last factor of R made in this thread, as (weak reference to locs, beta,
@@ -382,24 +374,18 @@ def _workspace(locs):
     return _Workspace()
 
 
-def _hold(locs, beta, nu, chol, ws):
-    """Make (chol, ws), the factor of R(beta, nu) over ``locs`` and its workspace, the memo entry."""
-    held = [chol, ws]   # the callback holds the list, not the entry: no cycle
-    _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
-                          beta, nu, held)
-
-
-def _corr_factor(locs, beta, nu, ws=None, terms=False):
+def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
 
     R is built and factored in the buffer "R" of ``ws``, by default
-    ``_workspace(locs)``.  With ``terms`` true, on sites with Chebyshev
-    panels, the walk that makes R's values also makes the pass's five
-    derivative terms at (1, beta, nu), into their place in the "pass"
-    buffer, and ``ws.terms`` records them.  The caller reads the factor
-    before the next pass in this thread, which may take it, and does not
-    write to it.  Raises NotSPDError carrying MaternParams(1, beta, nu) if
-    R cannot be factored, and leaves the memo empty then.
+    ``_workspace(locs)``.  Where ``pass_m`` is a derivative pass's m, on
+    sites with Chebyshev panels, the walk that makes R's values also makes
+    that pass's five derivative terms at (1, beta, nu), into their place in
+    the "pass" buffer laid out for it, and ``ws.terms`` records them.  The
+    caller reads the factor before the next pass in this thread, which may
+    take it, and does not write to it.  Raises NotSPDError carrying
+    MaternParams(1, beta, nu) if R cannot be factored, and leaves the memo
+    empty then.
     """
     if ws is None:
         ws = _workspace(locs)
@@ -410,10 +396,10 @@ def _corr_factor(locs, beta, nu, ws=None, terms=False):
     u = locs._dist_unique[0].size
     a = ws.take("R", n * n)[:n * n].reshape((n, n), order="F")
     # the kernel's values go into the pass's buffer, which no pass uses
-    # while a score runs, past the gradient terms where they are made
-    if terms and locs._dist_cheb is not None:
-        buf, _size, *made = _pass_buffer(ws, n, u)
-        vals = buf[2 * u:3 * u]
+    # while a score runs, in slot 2 where the terms are made
+    if pass_m and locs._dist_cheb is not None:
+        slots, *made = _pass_buffer(ws, n, u, pass_m)
+        vals = slots[2][:u]
     else:
         vals, made = ws.take("pass", u)[:u], None
     _cov_into(locs, corr, a, vals, made)
@@ -424,30 +410,24 @@ def _corr_factor(locs, beta, nu, ws=None, terms=False):
         raise
     if made is not None:
         ws.terms = (beta, nu)
-    _hold(locs, beta, nu, chol, ws)
+    held = [chol, ws]   # the callback holds the list, not the entry: no cycle
+    _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
+                          beta, nu, held)
     return chol
 
 
-def _held_factor(locs, beta, nu):
-    """The memo's CholFactor where it was made over ``locs`` at (beta, nu) in this thread, else None.
-
-    The memo is left as it is.
-    """
-    entry = getattr(_last_factor, "entry", None)
-    if entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu):
-        return entry[3][0]
-    return None
-
-
-def _take_factor(locs, beta, nu, terms=False):
+def _take_factor(locs, beta, nu, pass_m=0):
     """(CholFactor of R(beta, nu), its workspace), the factor for the caller to overwrite.
 
     The memo's where it was made over ``locs`` at (beta, nu) in this
-    thread, else ``_corr_factor``'s with ``terms``, with its NotSPDError;
+    thread, else ``_corr_factor``'s with ``pass_m``, with its NotSPDError;
     the memo is left empty.
     """
-    if _held_factor(locs, beta, nu) is None:
-        _corr_factor(locs, beta, nu, terms=terms)
+    entry = getattr(_last_factor, "entry", None)
+    hit = entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu)
+    del entry       # a factor referenced here would have R built in a new buffer
+    if not hit:
+        _corr_factor(locs, beta, nu, pass_m=pass_m)
     held = _last_factor.entry[3]
     _last_factor.entry = None
     return tuple(held)
@@ -456,10 +436,11 @@ def _take_factor(locs, beta, nu, terms=False):
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     """(sigma2, V) at (beta, nu), with sigma2 in [sigma2_lower, sigma2_upper].
 
-    Raises ValueError for a q outside (0, 1], NotSPDError carrying
-    MaternParams(1, beta, nu) if R cannot be factored, and then ValueError
-    for data whose rows do not match ``locs`` (``_quad_forms``).
+    Raises ValueError for a q outside (0, 1] or data whose rows do not
+    match ``locs``, before R is built, and NotSPDError carrying
+    MaternParams(1, beta, nu) if R cannot be factored.
     """
     _checked_q(q)
+    _checked_rows(reps.n, locs.n)
     return _profile_factor(reps, _corr_factor(locs, beta, nu), q,
                            sigma2_lower, sigma2_upper)

@@ -160,16 +160,6 @@ class LocationSet:
     def n(self):
         return self.coords.shape[0]
 
-    @property
-    def dists(self):
-        """Full Euclidean distance matrix, equal to squareform(pdist(coords)).
-
-        Gathered from the unique-distance cache on each access, so the set
-        holds no n x n float array; raises on coincident points.
-        """
-        uniq, inv = self._dist_unique
-        return uniq[inv]
-
     @cached_property
     def _dist_unique(self):
         # the sorted unique distances, 0 first, and each site pair's index

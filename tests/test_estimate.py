@@ -734,9 +734,10 @@ class TestFusedNewtonPoint:
                 scored.clear()
 
     def test_one_factorization_per_point(self, fused_sets, monkeypatch):
-        # R is factored once per scored point and never for a pass: a pass
-        # is at the point scored last, or at a simplex's answer, whose
-        # factor the simplex kept
+        # R is factored once per scored point, and for a pass only where
+        # its point is not the one scored last (a simplex's answer that it
+        # scored earlier): per fit, factorizations = scored points + those
+        # passes
         calls = []
         real_chol = gauss_lik._factor_in_place
 
@@ -746,20 +747,23 @@ class TestFusedNewtonPoint:
 
         monkeypatch.setattr(gauss_lik, "_factor_in_place", chol)
         real_score, real_step = est._Search.score, est._Search.newton_step
-        held, per_pass = [None], []
+        held, per_pass, scores = [None], [], []
 
         def score(search, u, terms=False):
             before = len(calls)
+            held[0] = None
             real_score(search, u, terms)
             assert len(calls) == before + 1
             held[0] = u.tobytes()
+            scores.append(1)
 
         def newton_step(search, u):
             before = len(calls)
+            last = held[0] == u.tobytes()
             out = real_step(search, u)
-            assert len(calls) == before
+            assert len(calls) == before + (not last)
             assert gauss_lik._last_factor.entry is None
-            per_pass.append(held[0] == u.tobytes())
+            per_pass.append(last)
             held[0] = None
             return out
 
@@ -769,12 +773,15 @@ class TestFusedNewtonPoint:
         for locs, reps, near in fused_sets:
             for res in cold_and_warm_fits(locs, reps, near):
                 assert res.newton_steps == len(per_pass)
+                assert len(calls) == len(scores) + per_pass.count(False)
                 kinds.append(list(per_pass))
                 per_pass.clear()
+                calls.clear()
+                scores.clear()
         # a warm fit's first pass is at its scored start; a cold fit's
         # follows the simplex, whose last scored point is its answer on all
-        # but one of these fits (that pass takes the simplex's kept factor);
-        # the passes after a Newton step are at the step's point
+        # but one of these fits (that pass factors R again); the passes
+        # after a Newton step are at the step's point
         assert all(k[0] for k in kinds[1::2]) and not all(k[0] for k in kinds[::2])
         assert any(any(k[1:]) for k in kinds[::2])
 
@@ -896,6 +903,26 @@ class TestSharedWalk:
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(hit, name), getattr(miss, name))
 
+    @pytest.mark.parametrize("m", [60, 120])
+    def test_sandwich_that_misses_the_memo_walks_once(self, monkeypatch, m):
+        # a pass that factors R itself makes its terms in the walk that
+        # makes R, with m < n and m >= n alike: the score lays "pass" out
+        # for the pass's m, so the pass finds the terms where it reads them;
+        # K and J are those of a pass that makes its own terms, bit for bit
+        locs = make_locations(81, "uniform", seed=9110000)
+        reps = gen_replicates(locs, MaternParams(1.0, 0.1, 0.5), m, seed=9110000)
+        assert locs._dist_cheb is not None
+        theta = MaternParams(0.9, 0.11, 0.52)
+        walks = count_calls(monkeypatch, matern._Panels, "at")
+        terms = count_calls(monkeypatch, asymptotics, "_kernel_terms")
+        miss = sandwich(reps, locs, theta, 0.95)
+        assert len(walks) == 1 and terms == []
+        gauss_lik._corr_factor(locs, theta.beta, theta.nu)
+        own = sandwich(reps, locs, theta, 0.95)
+        assert len(walks) == 3 and len(terms) == 1
+        for name in ("K", "J", "log_scale"):
+            assert np.array_equal(getattr(miss, name), getattr(own, name))
+
     def test_lattice_pass_makes_its_own_terms(self, shared_sets, monkeypatch):
         # kv's route makes no walk to share: the score leaves no terms and
         # the pass makes them directly
@@ -909,8 +936,9 @@ class TestSharedWalk:
         assert walks == [] and terms == [(None,)]
 
     def test_cold_fit_factors_each_point_once(self, shared_sets, monkeypatch):
-        # every pass takes a held factor: the point scored last, or the
-        # simplex's answer, whose factor the simplex kept
+        # a pass at the point scored last takes its factor, and any other
+        # pass (at a simplex's answer scored earlier) factors R once more:
+        # per fit, factorizations = scored points + those passes
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         scores = count_calls(monkeypatch, est, "_profile_factor")
         real_step = est._Search.newton_step
@@ -928,7 +956,7 @@ class TestSharedWalk:
                 factors.clear()
                 res = fit(reps, locs, q)
                 assert res.converged and res.newton_steps > 0
-                assert len(factors) == len(scores)
+                assert len(factors) == len(scores) + last[passes:].count(False)
                 passes += res.newton_steps
         # the first pass of a fit is not always at the point scored last
         assert len(last) == passes and not all(last)

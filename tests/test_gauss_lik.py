@@ -509,23 +509,24 @@ class TestProfileLq:
 
     @pytest.mark.parametrize("rows", [15, 17])
     def test_rows_that_do_not_match_the_sites(self, monkeypatch, rows):
-        # checked before the triangular solve, which would read 16 of 17
-        # rows, or solve nothing on 15
-        solves = []
+        # checked at entry, before R is built and factored, and so before
+        # the triangular solve, which would read 16 of 17 rows, or solve
+        # nothing on 15
+        solves, factors = [], []
         monkeypatch.setattr(gauss_lik, "dtrtrs", lambda *a, **k: solves.append(1))
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", lambda *a: factors.append(1))
         reps = ReplicateSet(np.ones((rows, 3)))
         with pytest.raises(ValueError, match="data dimension %d does not match 16 locations"
                            % rows):
             profile_lq(reps, make_locations(16, "grid"), 0.3, 0.8, 0.9, 1e-3, 1e3)
-        assert solves == []
+        assert solves == [] and factors == []
 
     def test_not_spd_error_carries_correlation_params(self, monkeypatch):
         # R with unit diagonal and 2 off it, which no jitter makes SPD
         monkeypatch.setattr(gauss_lik, "_cov_into",
                             lambda locs, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
-        reps = ReplicateSet(np.zeros((2, 2)))
         with pytest.raises(NotSPDError) as exc_info:
-            profile_lq(reps, self.locs, 0.3, 0.8, 1.0, 1e-3, 1e3)
+            profile_lq(self.reps, self.locs, 0.3, 0.8, 1.0, 1e-3, 1e3)
         assert exc_info.value.theta == MaternParams(1.0, 0.3, 0.8)
 
 

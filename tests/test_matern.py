@@ -104,20 +104,15 @@ class TestLocationSet:
         locs = LocationSet(np.array([[0.2, 0.2], [0.2, 0.2], [0.5, 0.5]]))
         for _ in range(2):
             with pytest.raises(ValueError, match="duplicate locations"):
-                locs.dists
-            with pytest.raises(ValueError, match="duplicate locations"):
                 locs._dist_unique
 
     @pytest.mark.parametrize("n, layout", [(1, "grid"), (1, "uniform"), (2, "uniform"),
                                            (49, "grid"), (100, "grid"), (64, "uniform"),
                                            (196, "uniform")])
     def test_dists_is_squareform_pdist(self, n, layout):
-        # gathered from the unique-distance cache on each access, bit for bit
+        # the unique-distance cache gathers to the distance matrix, bit for bit
         locs = make_locations(n, layout, seed=1)
         want = squareform(pdist(locs.coords)) if n > 1 else np.zeros((1, 1))
-        for _ in range(2):
-            got = locs.dists
-            assert got.dtype == want.dtype and np.array_equal(got, want)
         uniq, inv = locs._dist_unique
         assert uniq[0] == 0.0 and np.all(np.diff(uniq) > 0.0)
         assert np.array_equal(uniq, np.unique(want))
@@ -292,7 +287,7 @@ class TestBuilders:
     def test_two_point_matches_scalar(self):
         locs = LocationSet(np.array([[0.1, 0.1], [0.4, 0.5]]))
         th = MaternParams(1.4, 0.3, 0.8)
-        h = locs.dists[0, 1]
+        h = squareform(pdist(locs.coords))[0, 1]
         _, dS, hh = cov_derivs(locs, th)
         g = matern_grad(h, th)
         H = matern_hess(h, th)
@@ -427,7 +422,7 @@ class TestChebyshevKernel:
         rng = np.random.default_rng(n)
         for _ in range(3):
             th = rand_theta(rng, nu_hi=NU_CAP)
-            assert np.array_equal(build_cov(locs, th), matern_cov(locs.dists, th))
+            assert np.array_equal(build_cov(locs, th), matern_cov(squareform(pdist(locs.coords)), th))
             for got, want in zip(_kernel_terms(uniq, th, locs._dist_cheb),
                                  _kernel_terms(uniq, th)):
                 assert np.array_equal(got, want)

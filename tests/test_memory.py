@@ -107,16 +107,15 @@ def test_score_with_terms_peak(data):
 
 def test_fit_and_sandwich_peak(data, monkeypatch):
     # a cold fit and the sandwich after it peak where a pass runs on the
-    # held workspace: a simplex keeps its best factor of R in a slot of the
-    # pass's, and no factor but the pass's is kept when a pass runs (6.275
-    # measured; 6.280 before a simplex kept its best factor)
+    # held workspace, which holds R's buffer and the pass's and no factor
+    # but the pass's (6.267 measured; 6.275 where a simplex kept its best
+    # factor in a third buffer); a chain's fits hold the same two buffers
     locs, reps = data
     kept = []
     real_step = _Search.newton_step
 
     def newton_step(search, u):
-        kept.append(search.best is not None
-                    or not set(search.ws._bufs) <= {"R", "spare", "pass"})
+        kept.append(set(search.ws._bufs))
         return real_step(search, u)
 
     monkeypatch.setattr(_Search, "newton_step", newton_step)
@@ -128,14 +127,17 @@ def test_fit_and_sandwich_peak(data, monkeypatch):
     peak = peak_doubles(fit_and_sandwich)
     print("fit + sandwich peak %.3f n^2 doubles" % peak)
     assert peak <= 6.28
-    assert kept and not any(kept)
+    assert kept and all(bufs <= {"R", "pass"} for bufs in kept)
+    kept.clear()
+    FitChain(reps, locs).profile((1.0, 0.95))
+    assert kept and all(bufs <= {"R", "pass"} for bufs in kept)
+    assert set(gauss_lik._last_factor.entry[3][1]._bufs) <= {"R", "pass"}
 
 
 def test_fit_allocates_two_factor_buffers(data, monkeypatch):
-    # a simplex's kept factor moves between the buffers "R" and "spare",
-    # so no score finds its buffer still in use and allocates another: a
-    # fit and the sandwich after it make two n x n buffers for factors of
-    # R, and "pass" at most twice (a score's, then the pass's)
+    # every factor of R lives in the buffer "R", and no score finds it
+    # still in use and allocates another: a fit and the sandwich after it
+    # make "R" once, and "pass" at most twice (a score's, then the pass's)
     locs, reps = data
     made = []
     real = gauss_lik._Workspace.take
@@ -153,7 +155,8 @@ def test_fit_allocates_two_factor_buffers(data, monkeypatch):
     res = fit(reps, locs, 0.9)
     sandwich(reps, locs, res.theta_hat, 0.9)
     assert res.restarts == 0 and res.newton_steps > 0
-    assert made.count("R") + made.count("spare") == 2 and made.count("pass") <= 2
+    assert made.count("R") == 1 and made.count("pass") <= 2
+    assert set(made) <= {"R", "pass"}
 
 
 def test_sandwich_after_fit_peak(data):
