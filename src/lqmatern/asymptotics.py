@@ -43,13 +43,14 @@ sigma2 R:
   triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
   it, and log|Sigma| = log|R| + n log sigma2.
 - The kernel's five derivative terms at (1, beta, nu) at the unique
-  distances are the workspace's where the score of the point made them
-  (``gauss_lik._corr_factor``'s ``pass_m``: the fit's warm start and
-  Newton trial points, and so the sandwich right after a fit, and a pass
-  that factors R itself, such as a sandwich anywhere else), else they come
-  from one Bessel pass over the distances (``matern._kernel_terms``); dS_j
-  and d2S_jk are those terms times sigma2.  Only the two dS_j are gathered
-  over the sites.
+  distances are the workspace's where the score of the point made them,
+  on either kernel route (``gauss_lik._corr_factor``'s ``pass_m``: the
+  fit's warm start and Newton trial points, and so the sandwich right
+  after a fit, and a pass that factors R itself, such as a sandwich
+  anywhere else), else, after a score that made none (a simplex's
+  answer), they come from one Bessel pass over the distances
+  (``matern._kernel_terms``); dS_j and d2S_jk are those terms times
+  sigma2.  Only the two dS_j are gathered over the sites.
 - With M = W diag(w) W' the data terms are inner products over sites:
   sum w_i w_i' d2S w_i = <d2S, M>, and sum w_i (dS_j w_i)' Sigma^-1
   (dS_k w_i) = <dS_j, B_k M> with B_k = Sigma^-1 dS_k, from the n x m
@@ -206,8 +207,11 @@ class _Pass:
         return V_ROUNDING * max(abs(value), self._total(self.q) * size)
 
 
-def _weighted_derivs(Z, locs, theta, q):
+def _weighted_derivs(Z, locs, theta, q, ws=None):
     """The ``_Pass`` of the columns of Z (n x m) at theta and q (see the module docstring).
+
+    A factor of R made here is made in the workspace ``ws`` where one is
+    given (``gauss_lik._take_factor``).
 
     Raises ValueError where Z's rows do not match ``locs`` or q lies
     outside (0, 1], NotSPDError carrying MaternParams(1, beta, nu) where R
@@ -221,7 +225,7 @@ def _weighted_derivs(Z, locs, theta, q):
     uniq, inv = locs._dist_unique
     # Sigma^-1 overwrites R's factor, which this pass alone holds; a factor
     # made here makes the terms too
-    chol, ws = _take_factor(locs, theta.beta, theta.nu, m)
+    chol, ws = _take_factor(locs, theta.beta, theta.nu, m, ws)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"

@@ -46,16 +46,17 @@ at the initial point is an error.
 A warm fit (``warm=True``: init is near the answer) starts with the Newton
 steps at init, and runs the cold stages from the best point reached only if
 they do not confirm.  ``FitChain`` starts every fit after its first one
-warm, from the fitted q nearest to it.  That fit's last derivative pass,
-taken within ``tol`` of its estimate, holds every replicate's gradient and
-log density and the weighted Hessian sum, and q enters them only through
-the replicate weights.  Re-weighted to the new q (``_Pass.newton_step``, a
-full solve in (sigma2, beta, nu)), it gives one Newton step for the new fit
-without a new pass: the corrector of predictor-corrector continuation
-(Allgower & Georg, Numerical Continuation Methods, 1990).  The step's
+warm, from the fitted q nearest to it.  That fit's result carries its
+last derivative pass (``FitResult._pass``), taken within ``tol`` of its
+estimate, which holds every replicate's gradient and log density and the
+weighted Hessian sum, and q enters them only through the replicate
+weights.  Re-weighted to the new q (``_Pass.newton_step``, a full solve in
+(sigma2, beta, nu)), it gives one Newton step for the new fit without a
+new pass: the corrector of predictor-corrector continuation (Allgower &
+Georg, Numerical Continuation Methods, 1990).  The step's
 (beta, nu) is the start.  The nearest estimate itself is the start where
-that fit kept no pass (its sigma2 on a bound, or no pass within ``tol`` of
-its estimate), the re-weighted Hessian is not negative definite, or the
+that fit carries no pass (its sigma2 on a bound, or no pass within ``tol``
+of its estimate), the re-weighted Hessian is not negative definite, or the
 step leaves the box.
 
 The Newton step is invariant under the model's symmetries: the replicate
@@ -76,7 +77,7 @@ beat the MLE in mean squared error (Ferrari & Yang 2010, Ann. Statist.
 38(2)).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -139,6 +140,9 @@ class FitResult:
     ``restarts`` the fallback simplex runs, 0 when Newton steps confirmed
     the estimate.  ``converged`` requires a confirmation, a normal end of
     the last simplex run, if any, and a finite V at the estimate.
+    ``_pass`` is the ``asymptotics._Pass`` of the fit's last derivative
+    pass where that pass lay within ``tol`` of the estimate with sigma2
+    inside its bounds, else None; it is left out of equality and repr.
     """
 
     theta_hat: MaternParams
@@ -150,6 +154,7 @@ class FitResult:
     init: MaternParams
     restarts: int = 0
     newton_steps: int = 0
+    _pass: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,8 @@ class _Search:
         sigma2 = self.scored[u.tobytes()][0]
         try:
             p = _weighted_derivs(self.reps.data, self.locs,
-                                 MaternParams(sigma2, *(self.corner + u * self.width)), self.q)
+                                 MaternParams(sigma2, *(self.corner + u * self.width)), self.q,
+                                 self.ws)
         except NotSPDError:
             return None
         self.last_pass = (u, p)
@@ -334,7 +340,7 @@ class _Search:
         return u, confirmed
 
 
-def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _keep=None):
+def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False):
     """FitResult of the Lq-likelihood's maximum at q in a box (see the module docstring).
 
     Parameters
@@ -354,10 +360,6 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
         largest Newton step or restart move that confirms a point.
     warm : bool
         Whether init is near the answer, so that Newton steps start there.
-    _keep : list, optional
-        ``FitChain``'s: receives the ``asymptotics._Pass`` of the fit's last
-        derivative pass, where that pass lay within ``tol`` of the estimate
-        with sigma2 inside its bounds.
 
     Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
     tol, data whose rows do not match ``locs``, or an init outside the
@@ -401,10 +403,11 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
         restarts += 1
         confirmed = float(np.max(np.abs(u - start))) <= tol
 
-    if _keep is not None and search.last_pass is not None:
+    kept = None
+    if search.last_pass is not None:
         u_pass, p = search.last_pass
         if p.theta.sigma2 not in search.s2_box and float(np.max(np.abs(u_pass - u))) <= tol:
-            _keep.append(p)
+            kept = p
 
     search.value(u)
     sigma2, value = search.scored[u.tobytes()]
@@ -418,7 +421,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False, _
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=search.iterations, evaluations=search.evaluations,
                      converged=converged, init=init, restarts=restarts,
-                     newton_steps=search.passes)
+                     newton_steps=search.passes, _pass=kept)
 
 
 class FitChain:
@@ -439,7 +442,7 @@ class FitChain:
             init = default_init(reps, bounds)
         self._reps, self._locs, self._bounds = reps, locs, bounds
         self._tol, self._init = _checked_tol(tol), init
-        self._fits, self._passes = {}, {}
+        self._fits = {}
 
     def _nearest(self, q):
         """The estimate of the fitted q nearest to q, or init; and its key."""
@@ -453,7 +456,7 @@ class FitChain:
         theta, key = self._nearest(q)
         if key is None:
             return theta, False
-        p = self._passes[key]
+        p = self._fits[key]._pass
         step = None if p is None else p.newton_step(q)
         if step is not None:
             point = theta.as_array()[1:] + step[1:]
@@ -467,11 +470,8 @@ class FitChain:
         key = round(q, 12)
         if key not in self._fits:
             init, warm = self._start(q)
-            kept = []
-            res = fit(self._reps, self._locs, q, self._bounds, init, self._tol,
-                      warm=warm, _keep=kept)
-            self._fits[key] = res
-            self._passes[key] = kept[0] if kept else None
+            self._fits[key] = fit(self._reps, self._locs, q, self._bounds, init, self._tol,
+                                  warm=warm)
         return self._fits[key]
 
     def __call__(self, q):

@@ -44,11 +44,12 @@ leaves each factor it makes in a one-entry memo, keyed by the location set
 itself (compared by identity) and (beta, nu), with the workspace the
 factor lives in, and ``_take_factor``, the pass's only source of a factor,
 takes both from there where the key matches, else factors R afresh, in a
-score that makes the pass's kernel terms too.  Taking removes the entry,
-because the pass overwrites the factor with Sigma^-1; every other caller
-only reads it.  A new factor, or a miss, drops the entry's factor before
-R is built, so the memo adds nothing to any call's peak.  Taken or made
-afresh, the factor is the same bits.
+score that makes the pass's kernel terms too (in the fit's own workspace
+where a fit's pass misses).  Taking removes the entry, because the pass
+overwrites the factor with Sigma^-1; every other caller only reads it.  A
+new factor, or a miss, drops the entry's factor before R is built, so the
+memo adds nothing to any call's peak.  Taken or made afresh, the factor is
+the same bits.
 
 The workspace (``_Workspace``) holds two buffers: "R", the n x n buffer R
 is built and factored in (the interpolation's work while a score walks
@@ -57,17 +58,17 @@ derivative pass's, laid out by ``_pass_buffer`` for the pass's m.  A
 score puts the kernel's values at the unique distances in "pass".  A
 score where a pass over m replicates comes next (``_corr_factor``'s
 ``pass_m``) lays "pass" out for that pass and makes its five kernel terms
-in the walk that makes R's values, into their place there, and the
-workspace records their (beta, nu) until anything writes over them; the
-pass then reads them and walks no panels.  A fit's search owns one
-workspace for its whole run (``estimate._Search``), so its scores and
-passes reuse the same memory instead of allocating it and faulting it in
-again each time.  The entry carries the workspace, and with it the terms,
-on: a later fit on the same sites in the thread inherits it (a
-``FitChain``'s next fit), and a pass that takes the entry takes it too (a
-sandwich right after the fit, which so makes no walk).  It is freed when
-that pass returns, when the thread factors other sites, or when the sites
-die.  A buffer is reused only while nothing outside the workspace
+from the Bessel values that make R's (in the same walk over the Chebyshev
+panels), into their place there, and the workspace records their (beta,
+nu) until anything writes over them; the pass then reads them and makes no
+Bessel call.  A fit's search owns one workspace for its whole run
+(``estimate._Search``), so its scores and passes reuse the same memory
+instead of allocating it and faulting it in again each time.  The entry
+carries the workspace, and with it the terms, on: a later fit on the same
+sites in the thread inherits it (a ``FitChain``'s next fit), and a pass
+that takes the entry takes it too (a sandwich right after the fit, which
+so makes no Bessel call).  It is freed when that pass returns, when the
+thread factors other sites, or when the sites die.  A buffer is reused only while nothing outside the workspace
 references it, so a factor a caller keeps is never overwritten.  The memo
 is per thread (``threading.local``): a factor or a workspace made in one
 thread is never used in another.  It holds its location set by a weak
@@ -378,14 +379,13 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
 
     R is built and factored in the buffer "R" of ``ws``, by default
-    ``_workspace(locs)``.  Where ``pass_m`` is a derivative pass's m, on
-    sites with Chebyshev panels, the walk that makes R's values also makes
-    that pass's five derivative terms at (1, beta, nu), into their place in
-    the "pass" buffer laid out for it, and ``ws.terms`` records them.  The
-    caller reads the factor before the next pass in this thread, which may
-    take it, and does not write to it.  Raises NotSPDError carrying
-    MaternParams(1, beta, nu) if R cannot be factored, and leaves the memo
-    empty then.
+    ``_workspace(locs)``.  Where ``pass_m`` is a derivative pass's m, the
+    Bessel values that make R's also make that pass's five derivative terms
+    at (1, beta, nu), into their place in the "pass" buffer laid out for
+    it, and ``ws.terms`` records them.  The caller reads the factor before
+    the next pass in this thread, which may take it, and does not write to
+    it.  Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot
+    be factored, and leaves the memo empty then.
     """
     if ws is None:
         ws = _workspace(locs)
@@ -397,7 +397,7 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     a = ws.take("R", n * n)[:n * n].reshape((n, n), order="F")
     # the kernel's values go into the pass's buffer, which no pass uses
     # while a score runs, in slot 2 where the terms are made
-    if pass_m and locs._dist_cheb is not None:
+    if pass_m:
         slots, *made = _pass_buffer(ws, n, u, pass_m)
         vals = slots[2][:u]
     else:
@@ -416,18 +416,18 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     return chol
 
 
-def _take_factor(locs, beta, nu, pass_m=0):
+def _take_factor(locs, beta, nu, pass_m=0, ws=None):
     """(CholFactor of R(beta, nu), its workspace), the factor for the caller to overwrite.
 
     The memo's where it was made over ``locs`` at (beta, nu) in this
-    thread, else ``_corr_factor``'s with ``pass_m``, with its NotSPDError;
-    the memo is left empty.
+    thread, else ``_corr_factor``'s in ``ws`` with ``pass_m``, with its
+    NotSPDError; the memo is left empty.
     """
     entry = getattr(_last_factor, "entry", None)
     hit = entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu)
     del entry       # a factor referenced here would have R built in a new buffer
     if not hit:
-        _corr_factor(locs, beta, nu, pass_m=pass_m)
+        _corr_factor(locs, beta, nu, ws, pass_m)
     held = _last_factor.entry[3]
     _last_factor.entry = None
     return tuple(held)

@@ -44,23 +44,22 @@ distance and scattered back, by one of two routes:
   (``_Panels``) carry a degree-8 interpolant in s of t^nu K_nu(t) e^t and of
   the five terms times e^t, which are analytic in s, so it converges
   spectrally down to the smallest distance; past t = _T_ZERO it is exactly
-  0.  Per (beta, nu), kve runs at the panels' nodes only, and the node
-  values become coefficients through one fixed 9 x 9 matrix.  The Chebyshev
-  basis at the distances is built by the three-term recurrence for a block
-  of whole panels at a time, and each panel's values are one product of its
+  0.  kve runs at the panels' nodes only, and the node values become
+  coefficients through one fixed 9 x 9 matrix.  The Chebyshev basis at the
+  distances is built by the three-term recurrence for a block of whole
+  panels at a time, and each panel's values are one product of its
   coefficients with its columns of the basis, times e^-t.  beta only shifts
   s, so one layout serves every (beta, nu).
 
-A derivative pass usually follows a score at the same (beta, nu), as at the
-fit's Newton points and in the sandwich, or makes its own score of the
-point.  Such a score has ``_cov_into``
-make the five terms too (its ``terms``): on the Chebyshev route one walk of
-``_Panels.at`` builds the basis and e^-t once for R's values and the terms,
-whose node values ``_cheb_terms`` makes, and the pass reads them.  A pass
-after any other score makes its terms itself (``_kernel_terms``), and
-``_cov_into`` leaves its order-nu values in a memo (``_order_nu``) that
-such a pass reads, so a point makes one Bessel call at each order either
-way.
+A derivative pass usually follows a score at the same (beta, nu), as at
+the fit's Newton points and in the sandwich, or makes its own score of the
+point.  Such a score has ``_cov_into`` make the five terms too (its
+``terms``), from the order-nu values it makes R's from: kv's at the
+distances, or kve's at the nodes, where one walk of ``_Panels.at`` builds
+the basis and e^-t once for R's values and the terms.  The pass reads them,
+so the point makes one Bessel call at each order.  A pass after any other
+score makes its terms itself (``_kernel_terms``), with its own call at
+each order.
 """
 
 from dataclasses import dataclass
@@ -365,40 +364,28 @@ def _terms(t, theta, gk, qk, dk):
     return terms
 
 
-# (points, beta, nu, g) of the last order-nu values evaluated: g is
-# t^nu K_nu(t) (times e^t at Chebyshev nodes) at t = points / beta, where
-# points, compared by identity, is an array a location set holds: its
-# unique distances or its panels' nodes.
-_last_g = None
-
-
-def _order_nu(points, beta, nu, evaluate):
-    """``evaluate()``, the order-nu values at points, or the last ones if taken at the same point.
-
-    The memo holds one entry, read-only, and the values are the same bits
-    either way: which call evaluates K is all its state decides.
-    """
-    global _last_g
-    last = _last_g
-    if last is None or last[0] is not points or last[1:3] != (beta, nu):
-        g = evaluate()
-        g.setflags(write=False)
-        last = _last_g = (points, beta, nu, g)
-    return last[3]
-
-
 def _direct_g(h, theta):
     """t^nu K_nu(t) at the positive t = h / beta, from kv."""
+    t = h / theta.beta
+    return _tnu_k(theta.nu, t[t > 0.0], special_kv)
+
+
+def _direct_terms(h, theta, g, out):
+    """``_terms`` at the distances h from kv, written into ``out``, a (grad, hess) pair.
+
+    g is ``_direct_g(h, theta)``; the entries at h = 0 are set to 0.
+    """
     nu = theta.nu
     t = h / theta.beta
-    return _order_nu(h, theta.beta, nu, lambda: _tnu_k(nu, t[t > 0.0], special_kv))
-
-
-def _direct_terms(t, theta, gk):
-    """``_terms`` at t > 0 from g = t^nu K_nu and kv at every distance."""
-    nu = theta.nu
-    qk = t ** nu * t * special_kv(nu - 1.0, t)     # t^(nu+1) K_{nu-1}
-    return _terms(t, theta, gk, qk, _order_derivs(nu, t) * np.exp(-t))
+    pos = t > 0.0
+    tp = t[pos]
+    qk = tp ** nu * tp * special_kv(nu - 1.0, tp)     # t^(nu+1) K_{nu-1}
+    terms = _terms(tp, theta, g, qk, _order_derivs(nu, tp) * np.exp(-tp))
+    grad, hess = out
+    grad.fill(0.0)
+    hess.fill(0.0)
+    grad[:, pos] = terms[:2]
+    hess[:, pos] = terms[2:]
 
 
 def _node_q(mu, t):
@@ -409,18 +396,16 @@ def _node_q(mu, t):
 
 
 def _cheb_g(panels, theta):
-    """t^nu K_nu(t) e^t at the nodes of the panels that hold a t <= _T_ZERO."""
-    beta, nu = theta.beta, theta.nu
-    k = panels.span(beta)[1]
-    return _order_nu(panels.nodes, beta, nu,
-                     lambda: _tnu_k(nu, panels.nodes[:k] / beta, special_kve))
+    """t^nu K_nu(t) e^t at the nodes of the panels that hold a t <= _T_ZERO, (k, deg + 1)."""
+    k = panels.span(theta.beta)[1]
+    return _tnu_k(theta.nu, panels.nodes[:k] / theta.beta, special_kve)
 
 
-def _cheb_terms(panels, theta):
-    """``_terms`` times e^t at the nodes of the panels that hold a t <= _T_ZERO, (5, k, deg + 1)."""
+def _cheb_terms(panels, theta, g):
+    """``_terms`` times e^t at the nodes where ``_cheb_g`` gave g, (5, k, deg + 1)."""
     nu = theta.nu
-    tn = panels.nodes[:panels.span(theta.beta)[1]] / theta.beta
-    return _terms(tn, theta, _cheb_g(panels, theta), _node_q(nu, tn), _order_derivs(nu, tn))
+    tn = panels.nodes[:len(g)] / theta.beta
+    return _terms(tn, theta, g, _node_q(nu, tn), _order_derivs(nu, tn))
 
 
 def _kernel_terms(h, theta, panels=None, out=None, work=None):
@@ -437,21 +422,14 @@ def _kernel_terms(h, theta, panels=None, out=None, work=None):
     """
     if out is None:
         out = np.empty((2,) + h.shape), np.empty((3,) + h.shape)
-    grad, hess = out
     with np.errstate(invalid="ignore", over="ignore"):
         if panels is not None:
             live = panels.span(theta.beta)[0]
-            panels.at(theta.beta, live, [(_cheb_terms(panels, theta),
+            panels.at(theta.beta, live, [(_cheb_terms(panels, theta, _cheb_g(panels, theta)),
                                           _term_rows(h.size, panels, out))], work)
         else:
-            t = h / theta.beta
-            pos = t > 0.0
-            terms = _direct_terms(t[pos], theta, _direct_g(h, theta))
-            grad.fill(0.0)
-            hess.fill(0.0)
-            grad[:, pos] = terms[:2]
-            hess[:, pos] = terms[2:]
-    return grad, hess
+            _direct_terms(h, theta, _direct_g(h, theta), out)
+    return out
 
 
 def _term_rows(u, panels, out):
@@ -488,9 +466,9 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     out with no temporary.
 
     ``terms``, a (grad, hess) pair as ``_kernel_terms`` writes, is filled
-    with the terms at (1, beta, nu) in the same walk over the panels, bit
-    for bit as ``_kernel_terms`` makes them; it must be None where the
-    sites have no panels.
+    with the terms at (1, beta, nu) from the order-nu values that make the
+    kernel's (in the same walk over the panels, where the sites have them),
+    bit for bit as ``_kernel_terms`` makes them.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
@@ -499,21 +477,21 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     if vals is None:
         vals = np.empty_like(uniq)
     vals.fill(1.0)
-    if panels is None:
-        vals[uniq / theta.beta > 0.0] = _coef(theta.nu) * _direct_g(uniq, theta)
-    else:
-        live = panels.span(theta.beta)[0]
-        pos = slice(uniq.size - panels.d.size, None)
-        rows = [(_cheb_g(panels, theta), [vals[pos]])]
-        work = out.ravel(order="F")
-        if terms is None:
-            panels.at(theta.beta, live, rows, work)
+    with np.errstate(invalid="ignore", over="ignore"):     # as in _kernel_terms
+        if panels is None:
+            g = _direct_g(uniq, theta)
+            vals[uniq / theta.beta > 0.0] = _coef(theta.nu) * g
+            if terms is not None:
+                _direct_terms(uniq, MaternParams(1.0, theta.beta, theta.nu), g, terms)
         else:
-            with np.errstate(invalid="ignore", over="ignore"):     # as in _kernel_terms
-                rows.append((_cheb_terms(panels, MaternParams(1.0, theta.beta, theta.nu)),
+            g = _cheb_g(panels, theta)
+            pos = slice(uniq.size - panels.d.size, None)
+            rows = [(g, [vals[pos]])]
+            if terms is not None:
+                rows.append((_cheb_terms(panels, MaternParams(1.0, theta.beta, theta.nu), g),
                              _term_rows(uniq.size, panels, terms)))
-                panels.at(theta.beta, live, rows, work)
-        vals[pos] *= _coef(theta.nu)
+            panels.at(theta.beta, panels.span(theta.beta)[0], rows, out.ravel(order="F"))
+            vals[pos] *= _coef(theta.nu)
     vals *= theta.sigma2
     np.take(vals, inv, mode="clip", out=out.T)
     return out

@@ -866,22 +866,28 @@ class TestSharedWalk:
         search = est._Search(reps, locs, q, default_bounds(), 1e-6)
         return search, (np.array([0.11, 0.52]) - search.corner) / search.width
 
-    def test_newton_point_walks_once(self, shared_sets, monkeypatch):
-        # the score walks the panels once for R's values and the five terms,
-        # and the pass reads the terms: the same pass, bit for bit, as one
-        # that factors R and makes its terms itself (two walks)
-        locs, reps = shared_sets[0]
+    @pytest.mark.parametrize("route", [0, 1], ids=["chebyshev", "direct"])
+    def test_newton_point_makes_the_terms_once(self, shared_sets, monkeypatch, route):
+        # on either kernel route the score makes R's values and the five
+        # terms from one Bessel call at each order (on the Chebyshev route
+        # in one walk of the panels), and the pass reads the terms: the
+        # same pass, bit for bit, as one that factors R and makes its terms
+        # itself (one call at the order nu and two more)
+        locs, reps = shared_sets[route]
         walks = count_calls(monkeypatch, matern._Panels, "at")
+        bessel = [count_calls(monkeypatch, matern, name) for name in ("special_kv", "special_kve")]
+        per_walk = int(locs._dist_cheb is not None)
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
         assert search.ws.terms == tuple(search.corner + u * search.width)
         search.newton_step(u)
-        assert len(walks) == 1 and search.ws.terms is None
+        assert len(walks) == per_walk and search.ws.terms is None
+        assert sum(map(len, bessel)) == 2
         p = search.last_pass[1]
         # a score without the terms leaves them to the pass
         gauss_lik._corr_factor(locs, p.theta.beta, p.theta.nu)
         again = _weighted_derivs(reps.data, locs, p.theta, p.q)
-        assert len(walks) == 3
+        assert len(walks) == 3 * per_walk and sum(map(len, bessel)) == 5
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
             assert np.array_equal(getattr(p, name), getattr(again, name))
 
@@ -923,17 +929,38 @@ class TestSharedWalk:
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(miss, name), getattr(own, name))
 
-    def test_lattice_pass_makes_its_own_terms(self, shared_sets, monkeypatch):
-        # kv's route makes no walk to share: the score leaves no terms and
-        # the pass makes them directly
+    def test_lattice_score_makes_the_pass_terms(self, shared_sets, monkeypatch):
+        # kv's route has no walk to share, but its score makes the pass's
+        # terms from the order-nu values that make R's: the pass calls
+        # neither _kernel_terms nor kv
         locs, reps = shared_sets[1]
-        walks = count_calls(monkeypatch, matern._Panels, "at")
         terms = count_calls(monkeypatch, asymptotics, "_kernel_terms")
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        assert search.ws.terms is None
+        assert search.ws.terms == tuple(search.corner + u * search.width)
+        kv = count_calls(monkeypatch, matern, "special_kv")
         search.newton_step(u)
-        assert walks == [] and terms == [(None,)]
+        assert search.last_pass is not None and terms == [] and kv == []
+
+    def test_pass_after_a_rejected_score_keeps_the_workspace(self, shared_sets, monkeypatch):
+        # a score that raises leaves the memo empty; the pass after it, at
+        # a point scored earlier, factors R again in the search's own
+        # workspace, so the fit makes one
+        locs, reps = shared_sets[1]
+        made = count_calls(monkeypatch, gauss_lik._Workspace, "__init__")
+        search, u = self.point(locs, reps)
+        search.score(u)
+        real = gauss_lik._factor_in_place
+
+        def reject(a, refill):
+            raise NotSPDError("forced")
+
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", reject)
+        assert search.value(u + 0.01) == -np.inf
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", real)
+        assert gauss_lik._last_factor.entry is None
+        search.newton_step(u)
+        assert search.last_pass is not None and len(made) == 1
 
     def test_cold_fit_factors_each_point_once(self, shared_sets, monkeypatch):
         # a pass at the point scored last takes its factor, and any other
@@ -994,23 +1021,21 @@ def record_passes(monkeypatch):
     points = []
     real = est._weighted_derivs
 
-    def spy(Z, locs, theta, q):
+    def spy(Z, locs, theta, q, ws=None):
         points.append(theta)
-        return real(Z, locs, theta, q)
+        return real(Z, locs, theta, q, ws)
 
     monkeypatch.setattr(est, "_weighted_derivs", spy)
     return points
 
 
-def keep_altered(monkeypatch, change):
-    """Every pass kept for the chain passes through ``change``."""
+def pass_altered(monkeypatch, change):
+    """Every pass a fit's result carries passes through ``change``."""
     real = est.fit
 
-    def altered(*args, _keep=None, **kwargs):
-        res = real(*args, _keep=_keep, **kwargs)
-        if _keep:
-            _keep[:] = [change(p) for p in _keep]
-        return res
+    def altered(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return res if res._pass is None else replace(res, _pass=change(res._pass))
 
     monkeypatch.setattr(est, "fit", altered)
 
@@ -1041,6 +1066,19 @@ class TestChainStart:
         assert np.abs(got[1:] / step[1:] - 1.0).max() <= 1e-12
         assert np.abs(step[1:] / near.theta_hat.as_array()[1:]).min() > 1e-3
 
+    def test_result_carries_its_last_pass(self, interior_data, monkeypatch):
+        # the pass the chain's warm start reads rides on the fit's result;
+        # equality, hashing and repr leave it out
+        locs, reps, _base = interior_data
+        passes = record_passes(monkeypatch)
+        res = fit(reps, locs, 0.9)
+        assert res._pass.theta == passes[-1]
+        assert scaled_gap(passes[-1], res.theta_hat) <= 1e-6
+        again = fit(reps, locs, 0.9)
+        assert again._pass is not res._pass
+        assert again == res and hash(again) == hash(res)
+        assert "_pass" not in repr(res) and "array" not in repr(res)
+
     def test_rounding_floor_follows_the_terms_of_the_value(self, interior_data):
         # the pass keeps log|R| of its factor
         locs, reps, base = interior_data
@@ -1063,7 +1101,7 @@ class TestChainStart:
         chain = FitChain(reps, locs)
         first = chain.fit(1.0)
         chain.fit(0.9)
-        assert chain.fit(0.98).init == stepped(first.theta_hat, chain._passes[1.0], 0.98)
+        assert chain.fit(0.98).init == stepped(first.theta_hat, first._pass, 0.98)
 
     def test_sigma2_on_a_bound_starts_at_the_estimate(self, interior_data):
         locs, reps, _base = interior_data
@@ -1071,16 +1109,16 @@ class TestChainStart:
         box = Bounds(MaternParams(*lo), MaternParams(0.5, hi[1], hi[2]))
         chain = FitChain(reps, locs, box)
         near = chain.fit(1.0)
-        assert near.theta_hat.sigma2 == 0.5 and chain._passes[1.0] is None
+        assert near.theta_hat.sigma2 == 0.5 and near._pass is None
         assert chain.fit(0.9).init == near.theta_hat
 
     def test_hessian_not_negative_definite_starts_at_the_estimate(
             self, interior_data, monkeypatch):
         locs, reps, _base = interior_data
-        keep_altered(monkeypatch, lambda k: replace(k, S=-k.S))
+        pass_altered(monkeypatch, lambda k: replace(k, S=-k.S))
         chain = FitChain(reps, locs)
         near = chain.fit(1.0)
-        assert chain._passes[1.0].newton_step(0.9) is None
+        assert near._pass.newton_step(0.9) is None
         res = chain.fit(0.9)
         assert res.init == near.theta_hat and res.converged
 
@@ -1097,7 +1135,7 @@ class TestChainStart:
                      MaternParams(*hi))
         chain = FitChain(reps, locs, box)
         near = chain.fit(1.0)
-        assert not box.contains(stepped(near.theta_hat, chain._passes[1.0], 0.9))
+        assert not box.contains(stepped(near.theta_hat, near._pass, 0.9))
         assert chain.fit(0.9).init == near.theta_hat
 
     def test_passes_no_higher_than_recorded(self):
@@ -1148,8 +1186,7 @@ class TestQProfile:
         assert len(prof.fits) == 3
         for k in (1, 2):
             near, res = prof.fits[k - 1], prof.fits[k]
-            assert res.init == stepped(near.theta_hat, chain._passes[grid[k - 1]],
-                                       grid[k])
+            assert res.init == stepped(near.theta_hat, near._pass, grid[k])
             assert scaled_gap(res.init, res.theta_hat) < scaled_gap(
                 near.theta_hat, res.theta_hat)
 
@@ -1195,10 +1232,10 @@ class TestQProfile:
         assert not mid.converged and np.isnan(mid.objective)
         assert mid.newton_steps == 0
         assert mid.theta_hat == prof.fits[0].theta_hat
-        # the placeholder keeps no pass: the chain resumes from the q = 1
-        # fit's, re-weighted to 0.94
-        assert set(chain._passes) == {1.0, 0.94}
+        # the placeholder carries no pass and is not cached: the chain
+        # resumes from the q = 1 fit's, re-weighted to 0.94
+        assert mid._pass is None and set(chain._fits) == {1.0, 0.94}
         first = prof.fits[0].theta_hat
-        assert prof.fits[2].init == stepped(first, chain._passes[1.0], 0.94)
+        assert prof.fits[2].init == stepped(first, prof.fits[0]._pass, 0.94)
         assert prof.fits[2].init != first
         assert prof.fits[2].converged

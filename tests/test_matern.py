@@ -64,7 +64,6 @@ class TestGammaFamilyCalls:
         th = MaternParams(1.3, 0.2, nu)
 
         def kernel():
-            monkeypatch.setattr(matern, "_last_g", None)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 return [matern_cov(h, th), *_kernel_terms(h, th)]
@@ -350,9 +349,9 @@ class TestBuilders:
                                       build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
 
     def test_terms_after_build_cov_are_the_terms_alone(self):
-        # a pass after build_cov at its (beta, nu) reads build_cov's order-nu
-        # values; they are the bits it would compute itself, and a build at
-        # another point leaves none for it
+        # the terms do not depend on what was built before them: after a
+        # build at another point and after one at their own, they are the
+        # same bits
         rng = np.random.default_rng(15)
         for layout in ("grid", "uniform"):
             locs = make_locations(49, layout, seed=3)
@@ -364,7 +363,6 @@ class TestBuilders:
                 alone = _kernel_terms(uniq, th, panels)
                 build_cov(locs, other)
                 build_cov(locs, th)
-                assert matern._last_g[1:3] == (th.beta, th.nu)
                 shared = _kernel_terms(uniq, th, panels)
                 for a, b in zip(shared, alone):
                     assert np.array_equal(a, b)

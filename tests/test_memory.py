@@ -209,14 +209,15 @@ def test_location_set_holds_no_dense_distances(data):
 
 
 def test_chain_keeps_no_per_site_array():
-    # FitChain keeps a fit and a pass per q, each O(m): on a dataset whose
-    # n and m differ, no array it keeps has an axis of length n
+    # FitChain keeps a fit per q, and the fit its last pass, each O(m): on
+    # a dataset whose n and m differ, no array it keeps has an axis of
+    # length n
     locs, reps, _ = simulate_dataset(SimConfig(
         MaternParams(1.0, 0.1, 0.5), n=49, m=30, layout="grid", seed=1,
         contamination=ContaminationSpec(0.1, 1.0)))
     chain = FitChain(reps, locs)
     chain.profile((1.0, 0.95, 0.9))
-    kept = [p for p in chain._passes.values() if p is not None]
+    kept = [f._pass for f in chain._fits.values() if f._pass is not None]
     assert len(kept) == 3
     fields = [v for obj in kept + list(chain._fits.values()) for v in vars(obj).values()]
     arrays = [v for v in fields if isinstance(v, np.ndarray)]

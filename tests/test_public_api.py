@@ -63,10 +63,9 @@ def test_module_uses_every_name_it_imports(module):
     assert not unused, unused
 
 
-# The module-level state src may keep, each reviewed: the order-nu memo of
-# the kernel and the per-thread memo of the last factor of R.
-REVIEWED_STATE = {("global", "matern", "_last_g"),
-                  ("threading.local", "gauss_lik", "_last_factor"),
+# The module-level state src may keep, each reviewed: the per-thread memo
+# of the last factor of R.
+REVIEWED_STATE = {("threading.local", "gauss_lik", "_last_factor"),
                   ("mutated", "gauss_lik", "_last_factor")}
 
 CACHES = ("functools.lru_cache", "functools.cache")
