@@ -42,15 +42,16 @@ sigma2 R:
 - Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
   triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
   it, and log|Sigma| = log|R| + n log sigma2.
-- The kernel's five derivative terms at (1, beta, nu) at the unique
-  distances are the workspace's where the score of the point made them,
-  on either kernel route (``gauss_lik._corr_factor``'s ``pass_m``: the
-  fit's warm start and Newton trial points, and so the sandwich right
-  after a fit, and a pass that factors R itself, such as a sandwich
-  anywhere else), else, after a score that made none (a simplex's
-  answer), they come from one Bessel pass over the distances
+- The kernel's five derivative terms at (beta, nu), per unit variance,
+  at the unique distances are the workspace's where the score of the
+  point made them, on either kernel route (``gauss_lik._corr_factor``'s
+  ``pass_m``: the fit's warm start and Newton trial points, and so the
+  sandwich right after a fit, and a pass that factors R itself, such as
+  a sandwich anywhere else), else, after a score that made none (a
+  simplex's answer), they come from one Bessel pass over the distances
   (``matern._kernel_terms``); dS_j and d2S_jk are those terms times
-  sigma2.  Only the two dS_j are gathered over the sites.
+  sigma2, the one place sigma2 enters them.  Only the two dS_j are
+  gathered over the sites.
 - With M = W diag(w) W' the data terms are inner products over sites:
   sum w_i w_i' d2S w_i = <d2S, M>, and sum w_i (dS_j w_i)' Sigma^-1
   (dS_k w_i) = <dS_j, B_k M> with B_k = Sigma^-1 dS_k, from the n x m
@@ -242,8 +243,8 @@ def _weighted_derivs(Z, locs, theta, q, ws=None):
     flat, grad, d2 = _pass_buffer(ws, n, u, m)
     slot = [s[:n * n].reshape(n, n) for s in flat]
     if ws.terms != (theta.beta, theta.nu):
-        _kernel_terms(uniq, MaternParams(1.0, theta.beta, theta.nu), locs._dist_cheb,
-                      out=(grad, d2), work=flat[1])
+        _kernel_terms(uniq, theta.beta, theta.nu, locs._dist_cheb, out=(grad, d2),
+                      work=flat[1])
     ws.terms = None                 # B_0 goes over the gradient terms below
     dS = [np.take(grad[k], inv, mode="clip", out=slot[1 + k]) for k in range(2)]
     B = [slot[0], slot[3 if m >= n else 1]]

@@ -68,10 +68,11 @@ carries the workspace, and with it the terms, on: a later fit on the same
 sites in the thread inherits it (a ``FitChain``'s next fit), and a pass
 that takes the entry takes it too (a sandwich right after the fit, which
 so makes no Bessel call).  It is freed when that pass returns, when the
-thread factors other sites, or when the sites die.  A buffer is reused only while nothing outside the workspace
-references it, so a factor a caller keeps is never overwritten.  The memo
-is per thread (``threading.local``): a factor or a workspace made in one
-thread is never used in another.  It holds its location set by a weak
+thread factors other sites, or when the sites die.  A buffer is reused
+only while nothing outside the workspace references it, so a factor a
+caller keeps is never overwritten.  The memo is per thread
+(``threading.local``): a factor or a workspace made in one thread is
+never used in another.  It holds its location set by a weak
 reference, and the entry's factor and workspace die with the set, so each
 thread keeps at most one of each alive (5.5 n^2 doubles at most on
 irregular sites with m < n), and only while its sites are in use
@@ -381,7 +382,7 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     R is built and factored in the buffer "R" of ``ws``, by default
     ``_workspace(locs)``.  Where ``pass_m`` is a derivative pass's m, the
     Bessel values that make R's also make that pass's five derivative terms
-    at (1, beta, nu), into their place in the "pass" buffer laid out for
+    at (beta, nu), into their place in the "pass" buffer laid out for
     it, and ``ws.terms`` records them.  The caller reads the factor before
     the next pass in this thread, which may take it, and does not write to
     it.  Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot

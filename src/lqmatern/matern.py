@@ -9,27 +9,30 @@ with K_nu the modified Bessel function of the second kind.  M(0) = sigma2
 exactly (the h -> 0 limit), and M reduces to sigma2 * exp(-h/beta) at
 nu = 1/2 and sigma2 * (1 + t) exp(-t) at nu = 3/2.  c(nu) and its
 nu-derivatives come from scipy.special's gammaln, psi and zeta(2, nu), the
-trigamma (bit for bit polygamma(1, nu), which computes it so), called with
-no checking wrapper: MaternParams already holds 0 < nu <= NU_CAP, which is
-all such a wrapper would check, at a cost paid at every score.
+trigamma (bit for bit polygamma(1, nu), which computes it so), called as
+they are: MaternParams holds nu in (0, NU_CAP], inside their domain.
 
-Derivatives.  M is linear in sigma2, so M and five per-distance terms are
-every nonzero entry of its gradient and Hessian in theta = (sigma2, beta,
-nu): the beta and nu derivatives of M / sigma2, and the (beta, beta),
-(beta, nu) and (nu, nu) Hessian entries of M.  Two Bessel calls, at the
-orders nu and nu - 1, give all five through exact identities, the
-recurrence and the modified Bessel ODE:
+Derivatives.  M is linear in sigma2, so every nonzero entry of its
+gradient and Hessian in theta = (sigma2, beta, nu) is, up to a factor
+sigma2, M / sigma2 or one of five per-distance terms: the beta and nu
+derivatives of M / sigma2 and its (beta, beta), (beta, nu) and (nu, nu)
+second derivatives.  The terms are made per unit variance, from (beta, nu)
+alone; sigma2 enters the values in ``matern_cov`` and ``_cov_into`` and the
+derivatives in the pass (``asymptotics._weighted_derivs``).  Two Bessel
+calls, at the orders nu and nu - 1, give all five through exact
+identities, the recurrence and the modified Bessel ODE:
 
     K'_mu(t) = -K_{mu-1}(t) - (mu/t) K_mu(t),
-    dM/dbeta = sigma2 c / beta * t^(nu+1) K_{nu-1}(t),
-    d2M/dbeta2 = sigma2 c / beta^2 * t^(nu+1) (t K_nu(t) - (2 nu + 1) K_{nu-1}(t)),
+    d(M / sigma2)/dbeta = c / beta * t^(nu+1) K_{nu-1}(t),
+    d2(M / sigma2)/dbeta2 = c / beta^2 * t^(nu+1) (t K_nu(t) - (2 nu + 1) K_{nu-1}(t)),
 
 where the beta-derivatives carry K_{nu-1} directly, without the
 cancellation of nu K_nu + t K'_nu at small t.  The derivatives in the order
 come from a trapezoid rule on K's integral representation
 (``_order_derivs``).  Every term is 0 at h = 0.  Where K_nu overflows at
 tiny t, t^nu K_nu takes its exact limit Gamma(nu) 2^(nu-1), so M takes its
-limit sigma2 and the terms theirs, 0.
+limit sigma2 and the terms theirs, 0; where t^nu overflows at huge t
+against a K_nu that underflowed to 0, M and the terms are 0.
 
 Evaluation.  A ``LocationSet`` caches its sorted unique distances and each
 site pair's index into them.  The kernel is evaluated once per unique
@@ -272,37 +275,30 @@ def _coef(nu):
 def _tnu_k(nu, t, bessel):
     """t^nu bessel(nu, t) at t > 0, for ``bessel`` kv or its scaled kve.
 
-    Where K_nu overflows (t -> 0, where t^nu underflows), the product is
-    not finite, and its limit Gamma(nu) 2^(nu-1), exact to double precision
-    there, takes its place.
+    Where the product is not finite, it takes its limit: Gamma(nu)
+    2^(nu-1), exact to double precision there, at t < 1, where K_nu
+    overflows (t -> 0, where t^nu underflows), and 0 at larger t, where
+    t^nu overflows against a K_nu that underflowed to 0.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         g = t ** nu * bessel(nu, t)
     bad = ~np.isfinite(g)
     if np.any(bad):
-        g = np.where(bad, np.exp(gammaln(nu) + (nu - 1.0) * _LN2), g)
+        g = np.where(bad, np.where(t < 1.0, np.exp(gammaln(nu) + (nu - 1.0) * _LN2), 0.0), g)
     return g
-
-
-def _validate_h(h):
-    ha = np.asarray(h, dtype=float)
-    if np.any(~(ha >= 0.0)):
-        raise ValueError("distance h must be nonnegative")
-    return ha
 
 
 def matern_cov(h, theta):
     """Matern covariance M(h; theta); accepts scalar or array h >= 0."""
-    ha = _validate_h(h)
-    t = np.atleast_1d(ha / theta.beta)
-    out = np.ones_like(t)
-    pos = t > 0.0
-    if np.any(pos):
-        out[pos] = _coef(theta.nu) * _tnu_k(theta.nu, t[pos], special_kv)
+    ha = np.atleast_1d(np.asarray(h, dtype=float))
+    if np.any(~(ha >= 0.0)):
+        raise ValueError("distance h must be nonnegative")
+    out = np.ones_like(ha)
+    out[ha / theta.beta > 0.0] = _coef(theta.nu) * _direct_g(ha, theta.beta, theta.nu)
     out *= theta.sigma2
     if np.ndim(h) == 0:
         return float(out[0])
-    return out.reshape(ha.shape)
+    return out
 
 
 # === one Bessel pass for the value and the theta-derivatives ================
@@ -338,14 +334,13 @@ def _order_derivs(nu, t):
     return out.reshape((3,) + t.shape)
 
 
-def _terms(t, theta, gk, qk, dk):
+def _terms(t, beta, nu, gk, qk, dk):
     """The five per-distance terms, shape (5,) + t.shape, in the module docstring's order.
 
     From g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and ``_order_derivs``' dk, all
     carrying the same factor (1 or e^t), which the terms then carry too.
-    Terms that are not finite take their t -> 0 limit, 0.
+    Terms that are not finite take their limit, 0.
     """
-    s2, beta, nu = theta.sigma2, theta.beta, theta.nu
     c = _coef(nu)
     tnu = t ** nu
     # d/dnu log(c(nu) t^nu), with c'(nu)/c(nu) = -(ln 2 + Psi(nu))
@@ -355,32 +350,31 @@ def _terms(t, theta, gk, qk, dk):
         c / beta * qk,
         c * (a * gk + dg),
         # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
-        s2 * c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk),
+        c / beta ** 2 * (t * t * gk - (2.0 * nu + 1.0) * qk),
         # d/dnu of the beta-derivative c q / beta
-        s2 * c / beta * (a * qk + t * tnu * dk[2]),
+        c / beta * (a * qk + t * tnu * dk[2]),
         # d2/dnu2 of c t^nu K_nu, with (log c)'' = -Psi', zeta(2, nu)
-        s2 * c * ((a * a - zeta(2.0, nu)) * gk + 2.0 * a * dg + tnu * dk[1])])
+        c * ((a * a - zeta(2.0, nu)) * gk + 2.0 * a * dg + tnu * dk[1])])
     terms[~np.isfinite(terms)] = 0.0
     return terms
 
 
-def _direct_g(h, theta):
+def _direct_g(h, beta, nu):
     """t^nu K_nu(t) at the positive t = h / beta, from kv."""
-    t = h / theta.beta
-    return _tnu_k(theta.nu, t[t > 0.0], special_kv)
+    t = h / beta
+    return _tnu_k(nu, t[t > 0.0], special_kv)
 
 
-def _direct_terms(h, theta, g, out):
+def _direct_terms(h, beta, nu, g, out):
     """``_terms`` at the distances h from kv, written into ``out``, a (grad, hess) pair.
 
-    g is ``_direct_g(h, theta)``; the entries at h = 0 are set to 0.
+    g is ``_direct_g(h, beta, nu)``; the entries at h = 0 are set to 0.
     """
-    nu = theta.nu
-    t = h / theta.beta
+    t = h / beta
     pos = t > 0.0
     tp = t[pos]
     qk = tp ** nu * tp * special_kv(nu - 1.0, tp)     # t^(nu+1) K_{nu-1}
-    terms = _terms(tp, theta, g, qk, _order_derivs(nu, tp) * np.exp(-tp))
+    terms = _terms(tp, beta, nu, g, qk, _order_derivs(nu, tp) * np.exp(-tp))
     grad, hess = out
     grad.fill(0.0)
     hess.fill(0.0)
@@ -395,40 +389,39 @@ def _node_q(mu, t):
     return np.where(np.isfinite(q), q, 0.0)
 
 
-def _cheb_g(panels, theta):
+def _cheb_g(panels, beta, nu):
     """t^nu K_nu(t) e^t at the nodes of the panels that hold a t <= _T_ZERO, (k, deg + 1)."""
-    k = panels.span(theta.beta)[1]
-    return _tnu_k(theta.nu, panels.nodes[:k] / theta.beta, special_kve)
+    k = panels.span(beta)[1]
+    return _tnu_k(nu, panels.nodes[:k] / beta, special_kve)
 
 
-def _cheb_terms(panels, theta, g):
+def _cheb_terms(panels, beta, nu, g):
     """``_terms`` times e^t at the nodes where ``_cheb_g`` gave g, (5, k, deg + 1)."""
-    nu = theta.nu
-    tn = panels.nodes[:len(g)] / theta.beta
-    return _terms(tn, theta, g, _node_q(nu, tn), _order_derivs(nu, tn))
+    tn = panels.nodes[:len(g)] / beta
+    return _terms(tn, beta, nu, g, _node_q(nu, tn), _order_derivs(nu, tn))
 
 
-def _kernel_terms(h, theta, panels=None, out=None, work=None):
-    """The five derivative terms of M(h; theta) at the 1-D distances h >= 0.
+def _kernel_terms(h, beta, nu, panels=None, out=None, work=None):
+    """The five derivative terms of M / sigma2 at (beta, nu) at the 1-D distances h >= 0.
 
-    Returns (grad, hess): the beta and nu derivatives of M / sigma2 (2, u),
-    and the (beta, beta), (beta, nu) and (nu, nu) Hessian entries of M
-    (3, u), apart so a caller can reuse the first's memory once it has
-    gathered them.  They are written into ``out``, a (grad, hess) pair of
-    those shapes, where one is given, else into new arrays.  With
-    ``panels`` built over the positive entries of the sorted h
-    (``LocationSet._dist_cheb``) they are Chebyshev interpolants, with
-    ``work`` for ``_Panels.at``, else kv's.
+    Returns (grad, hess): the beta and nu derivatives (2, u), and the
+    (beta, beta), (beta, nu) and (nu, nu) second derivatives (3, u), per
+    unit variance, so the caller multiplies them by its sigma2; apart, so a
+    caller can reuse the first's memory once it has gathered them.  They
+    are written into ``out``, a (grad, hess) pair of those shapes, where
+    one is given, else into new arrays.  With ``panels`` built over the
+    positive entries of the sorted h (``LocationSet._dist_cheb``) they are
+    Chebyshev interpolants, with ``work`` for ``_Panels.at``, else kv's.
     """
     if out is None:
         out = np.empty((2,) + h.shape), np.empty((3,) + h.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         if panels is not None:
-            live = panels.span(theta.beta)[0]
-            panels.at(theta.beta, live, [(_cheb_terms(panels, theta, _cheb_g(panels, theta)),
-                                          _term_rows(h.size, panels, out))], work)
+            panels.at(beta, panels.span(beta)[0],
+                      [(_cheb_terms(panels, beta, nu, _cheb_g(panels, beta, nu)),
+                        _term_rows(h.size, panels, out))], work)
         else:
-            _direct_terms(h, theta, _direct_g(h, theta), out)
+            _direct_terms(h, beta, nu, _direct_g(h, beta, nu), out)
     return out
 
 
@@ -466,12 +459,13 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     out with no temporary.
 
     ``terms``, a (grad, hess) pair as ``_kernel_terms`` writes, is filled
-    with the terms at (1, beta, nu) from the order-nu values that make the
+    with the terms at (beta, nu) from the order-nu values that make the
     kernel's (in the same walk over the panels, where the sites have them),
     bit for bit as ``_kernel_terms`` makes them.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
+    beta, nu = theta.beta, theta.nu
     if out is None:
         out = np.empty((locs.n, locs.n), order="F")
     if vals is None:
@@ -479,19 +473,19 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     vals.fill(1.0)
     with np.errstate(invalid="ignore", over="ignore"):     # as in _kernel_terms
         if panels is None:
-            g = _direct_g(uniq, theta)
-            vals[uniq / theta.beta > 0.0] = _coef(theta.nu) * g
+            g = _direct_g(uniq, beta, nu)
+            vals[uniq / beta > 0.0] = _coef(nu) * g
             if terms is not None:
-                _direct_terms(uniq, MaternParams(1.0, theta.beta, theta.nu), g, terms)
+                _direct_terms(uniq, beta, nu, g, terms)
         else:
-            g = _cheb_g(panels, theta)
+            g = _cheb_g(panels, beta, nu)
             pos = slice(uniq.size - panels.d.size, None)
             rows = [(g, [vals[pos]])]
             if terms is not None:
-                rows.append((_cheb_terms(panels, MaternParams(1.0, theta.beta, theta.nu), g),
+                rows.append((_cheb_terms(panels, beta, nu, g),
                              _term_rows(uniq.size, panels, terms)))
-            panels.at(theta.beta, panels.span(theta.beta)[0], rows, out.ravel(order="F"))
-            vals[pos] *= _coef(theta.nu)
+            panels.at(beta, panels.span(beta)[0], rows, out.ravel(order="F"))
+            vals[pos] *= _coef(nu)
     vals *= theta.sigma2
     np.take(vals, inv, mode="clip", out=out.T)
     return out

@@ -114,7 +114,7 @@ def kappa(theta):
 
 def standardized(theta_hat, se, m):
     """Componentwise theta_hat / (sqrt(m) * se)."""
-    if int(m) != m or m < 1:
+    if not (np.isfinite(m) and int(m) == m >= 1):
         raise ValueError("m must be a positive integer")
     se_arr = np.asarray(getattr(se, "se", se), dtype=float)
     t = theta_hat.as_array()

@@ -91,7 +91,7 @@ def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):
         raise ValueError("z must have one value per location")
     if locs.n < 2:
         raise ValueError("variogram needs at least 2 locations")
-    if int(n_bins) != n_bins or n_bins < 1:
+    if not (np.isfinite(n_bins) and int(n_bins) == n_bins >= 1):
         raise ValueError("n_bins must be a positive integer")
     n_bins = int(n_bins)
     # the sorted unique distances end with the pairs' max

@@ -34,9 +34,11 @@ def kernel_derivs(h, theta, locs=None):
     distance.  With ``locs``, h is its sorted unique distances, and both
     are evaluated as the fit and the pass take them: the value is
     ``build_cov``'s, and the terms come from the set's panels, if any.  At
-    h = 0 the gradient is (1, 0, 0) and the Hessian 0.  M is linear in
-    sigma2, so the beta and nu derivatives of M / sigma2 are also the mixed
-    (sigma2, .) Hessian entries, and the (sigma2, sigma2) entry is 0.
+    h = 0 the gradient is (1, 0, 0) and the Hessian 0.  The terms are made
+    per unit variance, and M is linear in sigma2: the beta and nu
+    derivatives of M / sigma2 are also the mixed (sigma2, .) Hessian
+    entries, the other entries are sigma2 times their terms, and the
+    (sigma2, sigma2) entry is 0.
     """
     shape = np.shape(h)
     h = np.atleast_1d(np.asarray(h, dtype=float)).ravel()
@@ -46,12 +48,12 @@ def kernel_derivs(h, theta, locs=None):
     else:
         r, panels = np.empty_like(h), locs._dist_cheb
         r[locs._dist_unique[1]] = build_cov(locs, corr)
-    (m_b, m_n), (h_bb, h_bn, h_nn) = _kernel_terms(h, theta, panels)
+    (m_b, m_n), (h_bb, h_bn, h_nn) = _kernel_terms(h, theta.beta, theta.nu, panels)
     s2 = theta.sigma2
     grad = np.stack([r, s2 * m_b, s2 * m_n])
     hess = np.stack([np.zeros_like(r), m_b, m_n,
-                     m_b, h_bb, h_bn,
-                     m_n, h_bn, h_nn])
+                     m_b, s2 * h_bb, s2 * h_bn,
+                     m_n, s2 * h_bn, s2 * h_nn])
     return ((s2 * r).reshape(shape), grad.reshape((3,) + shape),
             hess.reshape((3, 3) + shape))
 

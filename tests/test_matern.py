@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
-from scipy.special import kv, polygamma
+from scipy import special
+from scipy.special import kv
 
 from lqmatern import gauss_lik, matern
 from lqmatern.asymptotics import _weighted_derivs
@@ -13,7 +14,6 @@ from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _kernel_terms, _Panels,
                              build_cov, matern_cov)
 from lqmatern.simulate import make_locations
-from lqmatern.specfun import digamma, log_gamma, trigamma
 from oracles import cov_derivs, kernel_derivs, matern_grad, matern_hess
 
 # irregular sites: 2,016 unique positive distances against 378 Chebyshev
@@ -47,31 +47,32 @@ NU_GRID = np.concatenate([np.linspace(1e-3, NU_CAP, 20001),
 
 
 class TestGammaFamilyCalls:
-    """The kernel calls scipy.special directly, to the bits of the checked wrappers."""
+    """The kernel calls scipy.special's gammaln, psi and zeta(2, nu) themselves.
+
+    zeta(2, nu) is the trigamma: scipy's own wrapper polygamma(1, nu)
+    computes it so, and gives the same bits, in the kernel too.
+    """
 
     def test_calls_are_the_wrappers_bits(self):
-        # trigamma is zeta(2, nu): polygamma(1, nu) computes it so, times 1
-        assert np.array_equal(matern.zeta(2.0, NU_GRID), polygamma(1, NU_GRID))
-        assert np.array_equal(matern.zeta(2.0, NU_GRID), trigamma(NU_GRID))
-        assert np.array_equal(matern.psi(NU_GRID), digamma(NU_GRID))
-        assert np.array_equal(matern.gammaln(NU_GRID), log_gamma(NU_GRID))
+        assert (matern.gammaln, matern.psi, matern.zeta) == (special.gammaln, special.psi,
+                                                             special.zeta)
+        # polygamma(1, nu) is zeta(2, nu) times 1
+        assert np.array_equal(matern.zeta(2.0, NU_GRID), special.polygamma(1, NU_GRID))
 
     @pytest.mark.parametrize("nu", [5e-5, 0.05, 0.5, 0.73, 1.5, 2.0, 3.3, NU_CAP])
     def test_kernel_is_the_wrappers_bits(self, monkeypatch, nu):
         # the value, its overflow limit at tiny t, and the five terms, with
-        # the wrappers put back in place of the direct calls
+        # polygamma(1, nu) put in place of zeta(2, nu)
         h = np.array([0.0, 1e-300, 1e-100, 1e-3, 0.1, 1.0, 5.0])
         th = MaternParams(1.3, 0.2, nu)
 
         def kernel():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return [matern_cov(h, th), *_kernel_terms(h, th)]
+                return [matern_cov(h, th), *_kernel_terms(h, th.beta, th.nu)]
 
         direct = kernel()
-        monkeypatch.setattr(matern, "zeta", lambda s, x: trigamma(x))
-        monkeypatch.setattr(matern, "psi", digamma)
-        monkeypatch.setattr(matern, "gammaln", log_gamma)
+        monkeypatch.setattr(matern, "zeta", lambda s, x: special.polygamma(1, x))
         for got, want in zip(direct, kernel()):
             assert np.array_equal(got, want)
 
@@ -160,6 +161,14 @@ class TestMaternCov:
             h = rng.uniform(0.01, 2.0)
             assert matern_cov(h, scaled) == pytest.approx(
                 c * matern_cov(h, th), rel=1e-12)
+
+
+    @pytest.mark.parametrize("beta", [1e-3, 1e-70, 1e-200])
+    def test_far_distances_are_zero(self, beta):
+        # K_nu underflows to 0 at t = h / beta >= 1e3, and from about t = 1e62
+        # t^5 overflows against it: M is 0 there, not its t -> 0 limit sigma2
+        th = MaternParams(1.3, beta, NU_CAP)
+        assert np.array_equal(matern_cov(np.array([1.0, 1.4]), th), [0.0, 0.0])
 
 
 class TestMaternGrad:
@@ -267,6 +276,14 @@ class TestBuilders:
         assert np.array_equal(np.diag(cov), np.full(12, th.sigma2))
         assert np.array_equal(cov, cov.T)
 
+    def test_far_lattice_is_diagonal(self):
+        # every pair at t >= 3e69: R is sigma2 I and every term is 0
+        locs = make_locations(16, "grid", seed=0)
+        th = MaternParams(1.3, 1e-70, NU_CAP)
+        assert np.array_equal(build_cov(locs, th), 1.3 * np.eye(16))
+        for terms in _kernel_terms(locs._dist_unique[0], th.beta, th.nu):
+            assert np.all(terms == 0.0)
+
     def test_spd_on_random_sets(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -360,10 +377,10 @@ class TestBuilders:
                 th = rand_theta(rng, nu_hi=NU_CAP)
                 other = MaternParams(1.0, 1.5 * th.beta, th.nu)
                 build_cov(locs, other)
-                alone = _kernel_terms(uniq, th, panels)
+                alone = _kernel_terms(uniq, th.beta, th.nu, panels)
                 build_cov(locs, other)
                 build_cov(locs, th)
-                shared = _kernel_terms(uniq, th, panels)
+                shared = _kernel_terms(uniq, th.beta, th.nu, panels)
                 for a, b in zip(shared, alone):
                     assert np.array_equal(a, b)
 
@@ -421,8 +438,8 @@ class TestChebyshevKernel:
         for _ in range(3):
             th = rand_theta(rng, nu_hi=NU_CAP)
             assert np.array_equal(build_cov(locs, th), matern_cov(squareform(pdist(locs.coords)), th))
-            for got, want in zip(_kernel_terms(uniq, th, locs._dist_cheb),
-                                 _kernel_terms(uniq, th)):
+            for got, want in zip(_kernel_terms(uniq, th.beta, th.nu, locs._dist_cheb),
+                                 _kernel_terms(uniq, th.beta, th.nu)):
                 assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -497,7 +514,7 @@ class TestChebyshevKernel:
                 for nu in (0.05, NU_CAP):
                     calls.clear()
                     th = MaternParams(1.7, beta, nu)
-                    _kernel_terms(uniq, th, panels)
+                    _kernel_terms(uniq, th.beta, th.nu, panels)
                     build_cov(locs, th)
                     # the pass's five terms, then build_cov's g
                     assert [c[4].shape for c in calls] == [
@@ -526,7 +543,7 @@ class TestChebyshevKernel:
         got = {}
         for block in (panels.d.size, matern._CHEB_BLOCK, 1):
             monkeypatch.setattr(matern, "_CHEB_BLOCK", block)
-            got[block] = [(build_cov(locs, th), *_kernel_terms(uniq, th, panels))
+            got[block] = [(build_cov(locs, th), *_kernel_terms(uniq, th.beta, th.nu, panels))
                           for th in thetas]
         first, *rest = got.values()
         for other in rest:

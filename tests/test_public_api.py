@@ -63,6 +63,30 @@ def test_module_uses_every_name_it_imports(module):
     assert not unused, unused
 
 
+def used_names(paths):
+    """Every name a module's code reads, as a bare name or an attribute, over ``paths``."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_definition_has_a_user():
+    # a public function or class that is not exported, that no src code
+    # calls and that no demo shows is surface nobody uses
+    src = sorted((ROOT / "src" / "lqmatern").glob("*.py"))
+    users = set(lqmatern.__all__) | used_names(src) | used_names(DEMOS)
+    unused = [(path.stem, node.name) for path in src
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in users]
+    assert not unused, unused
+
+
 # The module-level state src may keep, each reviewed: the per-thread memo
 # of the last factor of R.
 REVIEWED_STATE = {("threading.local", "gauss_lik", "_last_factor"),

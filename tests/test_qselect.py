@@ -79,6 +79,10 @@ class TestSpecsAndHelpers:
             standardized(th, ONES_SE, 0)
         with pytest.raises(ValueError):
             standardized(th, ONES_SE, 2.5)
+        # finiteness first: int(inf) raises OverflowError, int(nan) another message
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="m must be a positive integer"):
+                standardized(th, ONES_SE, bad)
         with pytest.raises(ValueError):
             standardized(th, np.array([1.0, -1.0, 1.0]), 4)
         with pytest.raises(ValueError):

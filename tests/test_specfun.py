@@ -8,7 +8,6 @@ integral representation and mpmath, and K' in the recurrence form
 closed forms at half-integer order and finite differences of scipy's kv.
 K''_nu, which the pass does not form, is taken from the modified Bessel ODE
 over that K and K' and checked against closed forms and differences of kv.
-The gamma family is checked against its recurrences.
 """
 
 import warnings
@@ -21,7 +20,6 @@ from scipy.special import kv
 
 from lqmatern.matern import (NU_CAP, MaternParams, _coef, _order_derivs,
                              matern_cov)
-from lqmatern.specfun import digamma, log_gamma, trigamma
 from oracles import kernel_derivs, matern_grad, matern_hess
 
 # frozen half-integer closed-form values at x = 1:
@@ -262,41 +260,3 @@ class TestNuDerivatives:
         th = MaternParams(1.0, 0.2, 5e-5)
         assert np.all(np.isfinite(matern_grad(0.3, th)))
         assert np.all(np.isfinite(matern_hess(0.3, th)))
-
-
-class TestGammaFamily:
-    def test_values(self):
-        assert digamma(1.0) == pytest.approx(-0.5772156649015329, rel=1e-12)
-        assert trigamma(1.0) == pytest.approx(1.6449340668482266, rel=1e-12)
-        assert log_gamma(0.5) == pytest.approx(0.5 * np.log(np.pi), rel=1e-12)
-
-    def test_digamma_recurrence(self):
-        assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, rel=1e-12)
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            x = rng.uniform(0.01, 50.0)
-            assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x,
-                                                     rel=1e-10, abs=1e-10)
-
-    def test_trigamma_positive(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            assert trigamma(rng.uniform(0.01, 50.0)) > 0.0
-
-    def test_cross_derivative_consistency(self):
-        # digamma is d/dx log_gamma; trigamma is d/dx digamma
-        rng = np.random.default_rng(31)
-        for _ in range(30):
-            x = rng.uniform(0.5, 20.0)
-            s = 1e-6 * x
-            fd1 = (log_gamma(x + s) - log_gamma(x - s)) / (2 * s)
-            fd2 = (digamma(x + s) - digamma(x - s)) / (2 * s)
-            assert digamma(x) == pytest.approx(fd1, rel=1e-7)
-            assert trigamma(x) == pytest.approx(fd2, rel=1e-7)
-
-    def test_domain_errors(self):
-        for fn in (digamma, trigamma, log_gamma):
-            with pytest.raises(ValueError):
-                fn(0.0)
-            with pytest.raises(ValueError):
-                fn(-2.0)

@@ -105,6 +105,9 @@ class TestEmpiricalVariogram:
             empirical_variogram(np.zeros(3), locs)
         with pytest.raises(ValueError):
             empirical_variogram(np.zeros(4), locs, n_bins=0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="n_bins must be a positive integer"):
+                empirical_variogram(np.zeros(4), locs, n_bins=bad)
         with pytest.raises(ValueError):
             empirical_variogram(np.zeros(4), locs, max_dist=0.0)
         # an infinite max_dist would put every pair in bin 0 at centre inf
