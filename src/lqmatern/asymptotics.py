@@ -34,23 +34,23 @@ the g_i,
 and the Hessian of the log-domain objective (``_Pass.hessian``) adds the
 centred (1-q) sum w_i (g_i - gbar)(g_i - gbar)' instead, gbar = sum w_i g_i.
 The pass takes its Cholesky factor of R(beta, nu) and the workspace it
-lives in from ``gauss_lik._take_factor`` (the factor that scored the
-point, where the memo of the last factor holds it), so no one else holds
-the factor it overwrites, and completes it at any sigma2, where Sigma =
-sigma2 R:
+lives in from ``gauss_lik._take_factor``: the factor that scored the
+point, where the memo of the last factor holds it and that score made the
+pass's kernel terms, else the factor of a new score of the point that
+makes them.  So no one else holds the factor it overwrites, and the pass
+evaluates no kernel itself.  It completes the factor at any sigma2, where
+Sigma = sigma2 R:
 
 - Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
   triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
   it, and log|Sigma| = log|R| + n log sigma2.
 - The kernel's five derivative terms at (beta, nu), per unit variance,
-  at the unique distances are the workspace's where the score of the
-  point made them, on either kernel route (``gauss_lik._corr_factor``'s
-  ``pass_m``: the fit's warm start and Newton trial points, and so the
-  sandwich right after a fit, and a pass that factors R itself, such as
-  a sandwich anywhere else), else, after a score that made none (a
-  simplex's answer), they come from one Bessel pass over the distances
-  (``matern._kernel_terms``); dS_j and d2S_jk are those terms times
-  sigma2, the one place sigma2 enters them.  Only the two dS_j are
+  at the unique distances are the workspace's, made by the score of the
+  point on either kernel route (``gauss_lik._corr_factor``'s ``pass_m``):
+  the fit's warm start and Newton trial points, and so the sandwich right
+  after a fit, or the pass's own score of the point, as at a simplex's
+  answer or in a sandwich anywhere else; dS_j and d2S_jk are those terms
+  times sigma2, the one place sigma2 enters them.  Only the two dS_j are
   gathered over the sites.
 - With M = W diag(w) W' the data terms are inner products over sites:
   sum w_i w_i' d2S w_i = <d2S, M>, and sum w_i (dS_j w_i)' Sigma^-1
@@ -72,8 +72,7 @@ three Hessian terms (3, u) after slot 2:
 
 - slot 0: the two gradient terms (2, u), then B_0, then the sums of
   M - w_sum Sigma^-1 onto the unique distances (u);
-- slot 1: the interpolation's work where the pass makes the terms, then
-  dS_0; where m < n, B_1 then takes it;
+- slot 1: dS_0; where m < n, B_1 then takes it;
 - slot 2: R's values where a score makes the terms, then dS_1, then,
   where m < n, B_k W, then M;
 - only where m >= n, where dS_j is read to the end, three n^2 slots
@@ -91,7 +90,7 @@ from scipy.linalg.lapack import dpotri
 
 from .gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, _checked_q, _checked_rows,
                         _lq_weights, _pass_buffer, _take_factor)
-from .matern import MaternParams, _kernel_terms
+from .matern import MaternParams
 
 # Eigenvalue floor of std_errs' PD surrogate of J, relative to the largest.
 J_EIG_FLOOR = 1e-10
@@ -226,7 +225,7 @@ def _weighted_derivs(Z, locs, theta, q, ws=None):
     uniq, inv = locs._dist_unique
     # Sigma^-1 overwrites R's factor, which this pass alone holds; a factor
     # made here makes the terms too
-    chol, ws = _take_factor(locs, theta.beta, theta.nu, m, ws)
+    chol, ws = _take_factor(locs, theta.beta, theta.nu, ws, m)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
@@ -242,10 +241,6 @@ def _weighted_derivs(Z, locs, theta, q, ws=None):
     u = uniq.size
     flat, grad, d2 = _pass_buffer(ws, n, u, m)
     slot = [s[:n * n].reshape(n, n) for s in flat]
-    if ws.terms != (theta.beta, theta.nu):
-        _kernel_terms(uniq, theta.beta, theta.nu, locs._dist_cheb, out=(grad, d2),
-                      work=flat[1])
-    ws.terms = None                 # B_0 goes over the gradient terms below
     dS = [np.take(grad[k], inv, mode="clip", out=slot[1 + k]) for k in range(2)]
     B = [slot[0], slot[3 if m >= n else 1]]
     M = slot[4 if m >= n else 2]

@@ -262,9 +262,9 @@ class _Search:
     def simplex(self, u, xatol):
         """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer.
 
-        The run keeps no factor of R: a pass at its answer takes the memo's
-        where the answer is the last point the run scored, else factors R
-        again (``gauss_lik._take_factor``).
+        The run keeps no factor of R and makes no kernel terms, so a pass at
+        its answer scores it again, with the terms
+        (``gauss_lik._take_factor``).
         """
         options = {"xatol": xatol, "fatol": np.inf, "maxfev": _MAX_EVALS,
                    "maxiter": _MAX_EVALS}

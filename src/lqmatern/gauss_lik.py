@@ -41,15 +41,18 @@ often follows a score at the same (beta, nu): at the fit's Newton points,
 and in a sandwich called in the same thread, on the same location set,
 right after a fit that scored its estimate last.  So ``_corr_factor``
 leaves each factor it makes in a one-entry memo, keyed by the location set
-itself (compared by identity) and (beta, nu), with the workspace the
-factor lives in, and ``_take_factor``, the pass's only source of a factor,
-takes both from there where the key matches, else factors R afresh, in a
-score that makes the pass's kernel terms too (in the fit's own workspace
-where a fit's pass misses).  Taking removes the entry, because the pass
-overwrites the factor with Sigma^-1; every other caller only reads it.  A
-new factor, or a miss, drops the entry's factor before R is built, so the
-memo adds nothing to any call's peak.  Taken or made afresh, the factor is
-the same bits.
+itself (compared by identity), (beta, nu) and the m of the pass whose
+kernel terms its score made (0 where it made none), with the workspace the
+factor lives in.  ``_take_factor``, the pass's only source of a factor,
+takes both from there where the key matches, and with them the pass's
+terms; else it scores the point again, making the terms (in the fit's own
+workspace where a fit's pass misses).  So a pass at a point scored
+without terms (a simplex's answer) factors R once more, and a score is
+the only place the kernel is evaluated.  Taking removes the entry,
+because the pass overwrites the factor with Sigma^-1; every other caller
+only reads it.  A new factor, or a miss, drops the entry's factor before
+R is built, so the memo adds nothing to any call's peak.  Taken or made
+afresh, the factor is the same bits, and so are the terms.
 
 The workspace (``_Workspace``) holds two buffers: "R", the n x n buffer R
 is built and factored in (the interpolation's work while a score walks
@@ -59,11 +62,12 @@ score puts the kernel's values at the unique distances in "pass".  A
 score where a pass over m replicates comes next (``_corr_factor``'s
 ``pass_m``) lays "pass" out for that pass and makes its five kernel terms
 from the Bessel values that make R's (in the same walk over the Chebyshev
-panels), into their place there, and the workspace records their (beta,
-nu) until anything writes over them; the pass then reads them and makes no
-Bessel call.  A fit's search owns one workspace for its whole run
-(``estimate._Search``), so its scores and passes reuse the same memory
-instead of allocating it and faulting it in again each time.  The entry
+panels), into their place there; the pass then reads them and makes no
+Bessel call.  The memo entry is the only record of them: every writer of
+"pass", a score or a pass, drops the entry before it writes.  A fit's
+search owns one workspace for its whole run (``estimate._Search``), so
+its scores and passes reuse the same memory instead of allocating it and
+faulting it in again each time.  The entry
 carries the workspace, and with it the terms, on: a later fit on the same
 sites in the thread inherits it (a ``FitChain``'s next fit), and a pass
 that takes the entry takes it too (a sandwich right after the fit, which
@@ -326,14 +330,11 @@ class _Workspace:
     A buffer is handed out again only where nothing outside the workspace
     references it, itself or through a view, by its reference count, as
     ``ndarray.resize(refcheck=True)`` checks; otherwise a new one takes its
-    place.  ``terms`` is the (beta, nu) of the kernel's derivative terms in
-    the "pass" buffer where a score made them and nothing has written over
-    them since, else None.
+    place.
     """
 
     def __init__(self):
         self._bufs = {}
-        self.terms = None
 
     def take(self, name, size):
         """The flat buffer kept under ``name``, at least ``size`` doubles long, uninitialised."""
@@ -341,8 +342,6 @@ class _Workspace:
         if name not in bufs or bufs[name].size < size or _refs(bufs, name) > _ALONE:
             bufs[name] = None               # the old buffer goes before a new one comes
             bufs[name] = np.empty(size)
-            if name == "pass":
-                self.terms = None
         return bufs[name]
 
 
@@ -363,8 +362,9 @@ def _pass_buffer(ws, n, u, m):
 
 
 # The last factor of R made in this thread, as (weak reference to locs, beta,
-# nu, [CholFactor, _Workspace]) in ``entry``, or None; the list empties when
-# locs dies (see the module docstring).
+# nu, [CholFactor, _Workspace], the m of the pass whose terms its score made
+# or 0) in ``entry``, or None; the list empties when locs dies (see the
+# module docstring).
 _last_factor = threading.local()
 
 
@@ -383,15 +383,14 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     ``_workspace(locs)``.  Where ``pass_m`` is a derivative pass's m, the
     Bessel values that make R's also make that pass's five derivative terms
     at (beta, nu), into their place in the "pass" buffer laid out for
-    it, and ``ws.terms`` records them.  The caller reads the factor before
-    the next pass in this thread, which may take it, and does not write to
-    it.  Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot
-    be factored, and leaves the memo empty then.
+    it, and the memo entry records pass_m.  The caller reads the factor
+    before the next pass in this thread, which may take it, and does not
+    write to it.  Raises NotSPDError carrying MaternParams(1, beta, nu) if
+    R cannot be factored, and leaves the memo empty then.
     """
     if ws is None:
         ws = _workspace(locs)
     _last_factor.entry = None       # the last factor goes before a new one comes
-    ws.terms = None                 # the values below go where terms may lie
     corr = MaternParams(1.0, beta, nu)
     n = locs.n
     u = locs._dist_unique[0].size
@@ -409,23 +408,23 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     except NotSPDError as err:
         err.theta = corr
         raise
-    if made is not None:
-        ws.terms = (beta, nu)
     held = [chol, ws]   # the callback holds the list, not the entry: no cycle
     _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
-                          beta, nu, held)
+                          beta, nu, held, pass_m)
     return chol
 
 
-def _take_factor(locs, beta, nu, pass_m=0, ws=None):
-    """(CholFactor of R(beta, nu), its workspace), the factor for the caller to overwrite.
+def _take_factor(locs, beta, nu, ws, pass_m):
+    """(CholFactor of R(beta, nu), its workspace), the factor for a pass over pass_m replicates.
 
-    The memo's where it was made over ``locs`` at (beta, nu) in this
-    thread, else ``_corr_factor``'s in ``ws`` with ``pass_m``, with its
-    NotSPDError; the memo is left empty.
+    The memo's where its score was made over ``locs`` at (beta, nu) with
+    ``pass_m`` in this thread, so the pass's terms lie in the workspace,
+    else ``_corr_factor``'s in ``ws`` with ``pass_m``, with its
+    NotSPDError.  The caller overwrites the factor; the memo is left empty.
     """
     entry = getattr(_last_factor, "entry", None)
-    hit = entry is not None and entry[0]() is locs and entry[1:3] == (beta, nu)
+    hit = (entry is not None and entry[0]() is locs
+           and (entry[1], entry[2], entry[4]) == (beta, nu, pass_m))
     del entry       # a factor referenced here would have R built in a new buffer
     if not hit:
         _corr_factor(locs, beta, nu, ws, pass_m)
@@ -437,11 +436,16 @@ def _take_factor(locs, beta, nu, pass_m=0, ws=None):
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     """(sigma2, V) at (beta, nu), with sigma2 in [sigma2_lower, sigma2_upper].
 
-    Raises ValueError for a q outside (0, 1] or data whose rows do not
-    match ``locs``, before R is built, and NotSPDError carrying
-    MaternParams(1, beta, nu) if R cannot be factored.
+    Raises ValueError for a q outside (0, 1], sigma2 bounds other than
+    0 < sigma2_lower <= sigma2_upper < inf, or data whose rows do not match
+    ``locs``, before R is built, and NotSPDError carrying MaternParams(1,
+    beta, nu) if R cannot be factored.
     """
     _checked_q(q)
+    # written so that a NaN bound, which fails every comparison, fails too
+    if not 0.0 < sigma2_lower <= sigma2_upper < np.inf:
+        raise ValueError("sigma2 bounds must satisfy 0 < lower <= upper < inf, got (%r, %r)"
+                         % (sigma2_lower, sigma2_upper))
     _checked_rows(reps.n, locs.n)
     return _profile_factor(reps, _corr_factor(locs, beta, nu), q,
                            sigma2_lower, sigma2_upper)

@@ -40,9 +40,9 @@ distance and scattered back, by one of two routes:
 
 - Direct, where a set has no more unique distances than its Chebyshev
   panels would have nodes (the 127 distances of a 10 x 10 lattice, not the
-  369 of a 20 x 20 one): kv at every distance.  ``matern_cov`` and
-  ``_kernel_terms`` without panels always take this route, and the tests
-  use them as the reference.
+  369 of a 20 x 20 one): kv at every distance.  ``matern_cov`` always
+  takes this route, and the tests use it, with the terms made the same
+  way, as the reference.
 - Chebyshev, otherwise (irregular sites).  Panels of width 0.1 in s = log d
   (``_Panels``) carry a degree-8 interpolant in s of t^nu K_nu(t) e^t and of
   the five terms times e^t, which are analytic in s, so it converges
@@ -54,15 +54,14 @@ distance and scattered back, by one of two routes:
   coefficients with its columns of the basis, times e^-t.  beta only shifts
   s, so one layout serves every (beta, nu).
 
-A derivative pass usually follows a score at the same (beta, nu), as at
-the fit's Newton points and in the sandwich, or makes its own score of the
-point.  Such a score has ``_cov_into`` make the five terms too (its
-``terms``), from the order-nu values it makes R's from: kv's at the
-distances, or kve's at the nodes, where one walk of ``_Panels.at`` builds
-the basis and e^-t once for R's values and the terms.  The pass reads them,
-so the point makes one Bessel call at each order.  A pass after any other
-score makes its terms itself (``_kernel_terms``), with its own call at
-each order.
+A derivative pass reads its five terms from the score of its point, as
+at the fit's Newton points and in the sandwich right after a fit, or
+scores the point again to make them.  Such a score has ``_cov_into`` make
+the terms too (its ``terms``), from the order-nu values it makes R's from:
+kv's at the distances, or kve's at the nodes, where one walk of
+``_Panels.at`` builds the basis and e^-t once for R's values and the
+terms.  So in a fit and a sandwich the score is the only place the kernel
+is evaluated, and a point makes one Bessel call at each order.
 """
 
 from dataclasses import dataclass
@@ -401,30 +400,6 @@ def _cheb_terms(panels, beta, nu, g):
     return _terms(tn, beta, nu, g, _node_q(nu, tn), _order_derivs(nu, tn))
 
 
-def _kernel_terms(h, beta, nu, panels=None, out=None, work=None):
-    """The five derivative terms of M / sigma2 at (beta, nu) at the 1-D distances h >= 0.
-
-    Returns (grad, hess): the beta and nu derivatives (2, u), and the
-    (beta, beta), (beta, nu) and (nu, nu) second derivatives (3, u), per
-    unit variance, so the caller multiplies them by its sigma2; apart, so a
-    caller can reuse the first's memory once it has gathered them.  They
-    are written into ``out``, a (grad, hess) pair of those shapes, where
-    one is given, else into new arrays.  With ``panels`` built over the
-    positive entries of the sorted h (``LocationSet._dist_cheb``) they are
-    Chebyshev interpolants, with ``work`` for ``_Panels.at``, else kv's.
-    """
-    if out is None:
-        out = np.empty((2,) + h.shape), np.empty((3,) + h.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if panels is not None:
-            panels.at(beta, panels.span(beta)[0],
-                      [(_cheb_terms(panels, beta, nu, _cheb_g(panels, beta, nu)),
-                        _term_rows(h.size, panels, out))], work)
-        else:
-            _direct_terms(h, beta, nu, _direct_g(h, beta, nu), out)
-    return out
-
-
 def _term_rows(u, panels, out):
     """The five rows of a (grad, hess) pair over u distances that the panels' walk writes.
 
@@ -458,10 +433,11 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     so gathering through it into out's transpose, a C-ordered view, fills
     out with no temporary.
 
-    ``terms``, a (grad, hess) pair as ``_kernel_terms`` writes, is filled
-    with the terms at (beta, nu) from the order-nu values that make the
-    kernel's (in the same walk over the panels, where the sites have them),
-    bit for bit as ``_kernel_terms`` makes them.
+    ``terms``, a (grad, hess) pair of the beta and nu derivatives (2, u)
+    and the (beta, beta), (beta, nu) and (nu, nu) second derivatives (3, u)
+    of M / sigma2, is filled with the terms at (beta, nu) from the order-nu
+    values that make the kernel's (in the same walk over the panels, where
+    the sites have them).
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
@@ -471,7 +447,8 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     if vals is None:
         vals = np.empty_like(uniq)
     vals.fill(1.0)
-    with np.errstate(invalid="ignore", over="ignore"):     # as in _kernel_terms
+    # a beta below about 1e-154 makes beta^2 0 in _terms' 1 / beta^2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if panels is None:
             g = _direct_g(uniq, beta, nu)
             vals[uniq / beta > 0.0] = _coef(nu) * g

@@ -1,10 +1,12 @@
 """Reference quantities the tests compare the package against.
 
-The package evaluates the kernel's derivatives as per-distance terms
-(``matern._kernel_terms``) apart from its value (``matern.build_cov``) and
-scores the Lq objective in the log domain
-(``gauss_lik._lq_weights``).  The oracles of the tests want them in their
-textbook forms: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
+The package evaluates the kernel's derivatives as per-distance terms, made
+only by a score, in the walk that makes R's values
+(``matern._cov_into``'s ``terms``), and scores the Lq objective in the log
+domain (``gauss_lik._lq_weights``).  The oracles of the tests want the
+terms on their own, made by the package's term makers with a Bessel call
+of their own at each order (``kernel_terms``), and everything in its
+textbook form: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
 log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), one
 replicate's U* and V*, every replicate's gradient and Hessian from Sigma's
@@ -20,9 +22,32 @@ from scipy.linalg import cho_solve
 from lqmatern.asymptotics import _weighted_derivs, ustar_all
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _quad_forms,
                                 chol_factor)
-from lqmatern.matern import MaternParams, _kernel_terms, build_cov, matern_cov
+from lqmatern.matern import (MaternParams, _cheb_g, _cheb_terms, _direct_g, _direct_terms,
+                             _term_rows, build_cov, matern_cov)
 from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
                                 variogram_by_replicate)
+
+
+def kernel_terms(h, beta, nu, panels=None):
+    """The five derivative terms of M / sigma2 at (beta, nu) at the 1-D distances h >= 0.
+
+    (grad, hess), as ``matern._cov_into`` writes its ``terms``: the beta
+    and nu derivatives (2, u), and the (beta, beta), (beta, nu) and
+    (nu, nu) second derivatives (3, u), per unit variance.  With ``panels``
+    built over the positive entries of the sorted h
+    (``LocationSet._dist_cheb``) they are Chebyshev interpolants, else
+    kv's at every distance; either way from the package's term makers,
+    with no value of R made alongside.
+    """
+    out = np.empty((2,) + h.shape), np.empty((3,) + h.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if panels is not None:
+            panels.at(beta, panels.span(beta)[0],
+                      [(_cheb_terms(panels, beta, nu, _cheb_g(panels, beta, nu)),
+                        _term_rows(h.size, panels, out))], None)
+        else:
+            _direct_terms(h, beta, nu, _direct_g(h, beta, nu), out)
+    return out
 
 
 def kernel_derivs(h, theta, locs=None):
@@ -30,7 +55,7 @@ def kernel_derivs(h, theta, locs=None):
 
     Scalar or array h >= 0; the results have shapes h.shape, (3,) + h.shape
     and (3, 3) + h.shape.  Without ``locs`` the value is ``matern_cov``'s
-    and the derivative terms are ``_kernel_terms``' from kv at every
+    and the derivative terms are ``kernel_terms``' from kv at every
     distance.  With ``locs``, h is its sorted unique distances, and both
     are evaluated as the fit and the pass take them: the value is
     ``build_cov``'s, and the terms come from the set's panels, if any.  At
@@ -48,7 +73,7 @@ def kernel_derivs(h, theta, locs=None):
     else:
         r, panels = np.empty_like(h), locs._dist_cheb
         r[locs._dist_unique[1]] = build_cov(locs, corr)
-    (m_b, m_n), (h_bb, h_bn, h_nn) = _kernel_terms(h, theta.beta, theta.nu, panels)
+    (m_b, m_n), (h_bb, h_bn, h_nn) = kernel_terms(h, theta.beta, theta.nu, panels)
     s2 = theta.sigma2
     grad = np.stack([r, s2 * m_b, s2 * m_n])
     hess = np.stack([np.zeros_like(r), m_b, m_n,

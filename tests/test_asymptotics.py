@@ -302,6 +302,25 @@ class TestSandwich:
         assert LOCS25._dist_cheb is not None
         assert 0 < len(self.bessel_calls(monkeypatch, LOCS25)) <= 2
 
+    @pytest.mark.parametrize("locs", [make_locations(16, "grid", seed=0), LOCS25],
+                             ids=["grid", "uniform"])
+    def test_vanishing_range_is_white_noise(self, locs):
+        # at beta = 1e-200, beta^2 underflows to 0 in the terms' 1 / beta^2
+        # on both kernel routes; the suite makes the RuntimeWarning an error.
+        # R is I there, so only sigma2's entries of K and J are nonzero
+        # (the beta and nu terms are 0), and they are Gaussian white noise's
+        theta = MaternParams(1.3, 1e-200, 0.5)
+        reps = gen_replicates(locs, self.theta, 8, seed=13)
+        parts = sandwich(reps, locs, theta, 1.0)
+        a = np.sum(reps.data ** 2, axis=0) / theta.sigma2 - locs.n
+        g = 0.5 * a / theta.sigma2
+        assert parts.K[0, 0] == pytest.approx(np.mean(g * g), rel=1e-12)
+        assert parts.J[0, 0] == pytest.approx(
+            np.mean(0.5 * locs.n - np.sum(reps.data ** 2, axis=0) / theta.sigma2)
+            / theta.sigma2 ** 2, rel=1e-12)
+        for M in (parts.K, parts.J):
+            assert np.all(M[1:] == 0.0) and np.all(M[:, 1:] == 0.0)
+
     def test_k_psd_and_symmetry(self):
         parts = sandwich(self.reps, LOCS9, self.theta, 0.95)
         assert np.array_equal(parts.K, parts.K.T)

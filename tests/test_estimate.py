@@ -735,9 +735,9 @@ class TestFusedNewtonPoint:
 
     def test_one_factorization_per_point(self, fused_sets, monkeypatch):
         # R is factored once per scored point, and for a pass only where
-        # its point is not the one scored last (a simplex's answer that it
-        # scored earlier): per fit, factorizations = scored points + those
-        # passes
+        # its point is not the one scored last with the pass's terms (a
+        # simplex's answer, which it scored without them): per fit,
+        # factorizations = scored points + those passes
         calls = []
         real_chol = gauss_lik._factor_in_place
 
@@ -754,7 +754,7 @@ class TestFusedNewtonPoint:
             held[0] = None
             real_score(search, u, terms)
             assert len(calls) == before + 1
-            held[0] = u.tobytes()
+            held[0] = u.tobytes() if terms else None
             scores.append(1)
 
         def newton_step(search, u):
@@ -778,11 +778,11 @@ class TestFusedNewtonPoint:
                 per_pass.clear()
                 calls.clear()
                 scores.clear()
-        # a warm fit's first pass is at its scored start; a cold fit's
-        # follows the simplex, whose last scored point is its answer on all
-        # but one of these fits (that pass factors R again); the passes
-        # after a Newton step are at the step's point
-        assert all(k[0] for k in kinds[1::2]) and not all(k[0] for k in kinds[::2])
+        # a warm fit's first pass is at its start, scored with the terms; a
+        # cold fit's follows the simplex, whose answer was scored without
+        # them, so that pass factors R again; the passes after a Newton
+        # step are at the step's point
+        assert all(k[0] for k in kinds[1::2]) and not any(k[0] for k in kinds[::2])
         assert any(any(k[1:]) for k in kinds[::2])
 
     def test_forced_rescue_is_shared_by_the_score_and_the_pass(self, fused_sets,
@@ -871,20 +871,23 @@ class TestSharedWalk:
         # on either kernel route the score makes R's values and the five
         # terms from one Bessel call at each order (on the Chebyshev route
         # in one walk of the panels), and the pass reads the terms: the
-        # same pass, bit for bit, as one that factors R and makes its terms
-        # itself (one call at the order nu and two more)
+        # same pass, bit for bit, as one after a score that made no terms
+        # (one call at the order nu), which scores the point again (two more)
         locs, reps = shared_sets[route]
         walks = count_calls(monkeypatch, matern._Panels, "at")
         bessel = [count_calls(monkeypatch, matern, name) for name in ("special_kv", "special_kve")]
         per_walk = int(locs._dist_cheb is not None)
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        assert search.ws.terms == tuple(search.corner + u * search.width)
+        entry = gauss_lik._last_factor.entry
+        assert entry[1:3] == tuple(search.corner + u * search.width) and entry[4] == reps.m
+        del entry
         search.newton_step(u)
-        assert len(walks) == per_walk and search.ws.terms is None
+        assert len(walks) == per_walk and gauss_lik._last_factor.entry is None
         assert sum(map(len, bessel)) == 2
         p = search.last_pass[1]
-        # a score without the terms leaves them to the pass
+        # after a score without the terms the pass scores the point again,
+        # making them
         gauss_lik._corr_factor(locs, p.theta.beta, p.theta.nu)
         again = _weighted_derivs(reps.data, locs, p.theta, p.q)
         assert len(walks) == 3 * per_walk and sum(map(len, bessel)) == 5
@@ -914,33 +917,95 @@ class TestSharedWalk:
         # a pass that factors R itself makes its terms in the walk that
         # makes R, with m < n and m >= n alike: the score lays "pass" out
         # for the pass's m, so the pass finds the terms where it reads them;
-        # K and J are those of a pass that makes its own terms, bit for bit
+        # K and J are those of a pass after a score that made no terms, bit
+        # for bit, which scores the point again
         locs = make_locations(81, "uniform", seed=9110000)
         reps = gen_replicates(locs, MaternParams(1.0, 0.1, 0.5), m, seed=9110000)
         assert locs._dist_cheb is not None
         theta = MaternParams(0.9, 0.11, 0.52)
         walks = count_calls(monkeypatch, matern._Panels, "at")
-        terms = count_calls(monkeypatch, asymptotics, "_kernel_terms")
+        factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         miss = sandwich(reps, locs, theta, 0.95)
-        assert len(walks) == 1 and terms == []
+        assert len(walks) == 1 and len(factors) == 1
         gauss_lik._corr_factor(locs, theta.beta, theta.nu)
         own = sandwich(reps, locs, theta, 0.95)
-        assert len(walks) == 3 and len(terms) == 1
+        assert len(walks) == 3 and len(factors) == 3
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(miss, name), getattr(own, name))
 
     def test_lattice_score_makes_the_pass_terms(self, shared_sets, monkeypatch):
         # kv's route has no walk to share, but its score makes the pass's
-        # terms from the order-nu values that make R's: the pass calls
-        # neither _kernel_terms nor kv
+        # terms from the order-nu values that make R's: the pass factors
+        # nothing and calls no kv
         locs, reps = shared_sets[1]
-        terms = count_calls(monkeypatch, asymptotics, "_kernel_terms")
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        assert search.ws.terms == tuple(search.corner + u * search.width)
+        assert gauss_lik._last_factor.entry[4] == reps.m
+        factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         kv = count_calls(monkeypatch, matern, "special_kv")
         search.newton_step(u)
-        assert search.last_pass is not None and terms == [] and kv == []
+        assert search.last_pass is not None and factors == [] and kv == []
+
+    def test_walks_are_factorizations(self, monkeypatch):
+        # a score is the only place a fit or a sandwich evaluates the
+        # kernel, so on irregular sites each walk of the panels comes with
+        # one factorization of R: a cold fit makes as many of each, and the
+        # sandwich right after it makes none.  The analysis benchmark's
+        # design, where this seed's first pass at q = 0.95 is at the
+        # simplex's answer, which it scored last, without the terms
+        locs, reps = simulate_dataset(SimConfig(
+            MaternParams(1.0, 0.1, 0.5), n=400, m=100, layout="uniform", seed=9110001,
+            contamination=ContaminationSpec(0.1, 1.0)))[:2]
+        walks = count_calls(monkeypatch, matern._Panels, "at")
+        factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
+        for q in (0.95, 0.9):
+            walks.clear()
+            factors.clear()
+            res = fit(reps, locs, q)
+            made = len(factors)
+            assert len(walks) == made > 0
+            sandwich(reps, locs, res.theta_hat, q)
+            assert len(walks) == len(factors) == made
+
+    @pytest.mark.parametrize("route", [0, 1], ids=["chebyshev", "direct"])
+    def test_pass_after_a_score_without_terms_scores_again(self, shared_sets, monkeypatch,
+                                                          route):
+        # the pass takes no factor whose score made no terms: it factors R
+        # once more, every Bessel call it makes is inside that score, and
+        # its pass is the one that took the factor of a score with the
+        # terms, bit for bit
+        locs, reps = shared_sets[route]
+        search, u = self.point(locs, reps)
+        search.score(u, terms=True)
+        search.newton_step(u)
+        hit = search.last_pass[1]
+        factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
+        inside, bessel = [False], []
+        real_score = gauss_lik._corr_factor
+
+        def score(*args):
+            inside[0] = True
+            try:
+                return real_score(*args)
+            finally:
+                inside[0] = False
+
+        def spy(real):
+            def call(*args):
+                bessel.append(inside[0])
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(gauss_lik, "_corr_factor", score)
+        for name in ("special_kv", "special_kve"):
+            monkeypatch.setattr(matern, name, spy(getattr(matern, name)))
+        gauss_lik._corr_factor(locs, hit.theta.beta, hit.theta.nu)
+        factors.clear()
+        bessel.clear()
+        again = _weighted_derivs(reps.data, locs, hit.theta, hit.q)
+        assert len(factors) == 1 and len(bessel) == 2 and all(bessel)
+        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+            assert np.array_equal(getattr(hit, name), getattr(again, name))
 
     def test_pass_after_a_rejected_score_keeps_the_workspace(self, shared_sets, monkeypatch):
         # a score that raises leaves the memo empty; the pass after it, at
@@ -963,18 +1028,26 @@ class TestSharedWalk:
         assert search.last_pass is not None and len(made) == 1
 
     def test_cold_fit_factors_each_point_once(self, shared_sets, monkeypatch):
-        # a pass at the point scored last takes its factor, and any other
-        # pass (at a simplex's answer scored earlier) factors R once more:
-        # per fit, factorizations = scored points + those passes
+        # a pass at the point scored last with its terms takes its factor,
+        # and any other pass (at a simplex's answer, scored without them)
+        # factors R once more: per fit, factorizations = scored points +
+        # those passes
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         scores = count_calls(monkeypatch, est, "_profile_factor")
-        real_step = est._Search.newton_step
-        last = []
+        real_score, real_step = est._Search.score, est._Search.newton_step
+        held, last = [None], []
+
+        def score(search, u, terms=False):
+            held[0] = None
+            real_score(search, u, terms)
+            held[0] = u.tobytes() if terms else None
 
         def newton_step(search, u):
-            last.append(list(search.scored)[-1] == u.tobytes())
+            last.append(held[0] == u.tobytes())
+            held[0] = None
             return real_step(search, u)
 
+        monkeypatch.setattr(est._Search, "score", score)
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         passes = 0
         for locs, reps in shared_sets:
@@ -985,7 +1058,7 @@ class TestSharedWalk:
                 assert res.converged and res.newton_steps > 0
                 assert len(factors) == len(scores) + last[passes:].count(False)
                 passes += res.newton_steps
-        # the first pass of a fit is not always at the point scored last
+        # the first pass of a cold fit is at the simplex's answer
         assert len(last) == passes and not all(last)
 
 

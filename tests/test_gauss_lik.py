@@ -507,6 +507,17 @@ class TestProfileLq:
         with pytest.raises(ValueError):
             profile_lq(self.reps, self.locs, 0.3, 0.8, 1.5, 1e-3, 1e3)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (5.0, 1e-3), (0.0, 1.0), (-1.0, 1.0), (1e-3, np.inf), (np.nan, 1.0), (1e-3, np.nan)])
+    def test_sigma2_bounds_validation(self, monkeypatch, lower, upper):
+        # checked at entry, before R is built: bounds the wrong way round
+        # returned the lower bound as sigma2, and a NaN one was ignored
+        factors = []
+        monkeypatch.setattr(gauss_lik, "_factor_in_place", lambda *a: factors.append(1))
+        with pytest.raises(ValueError, match="sigma2 bounds"):
+            profile_lq(self.reps, self.locs, 0.3, 0.8, 0.9, lower, upper)
+        assert factors == []
+
     @pytest.mark.parametrize("rows", [15, 17])
     def test_rows_that_do_not_match_the_sites(self, monkeypatch, rows):
         # checked at entry, before R is built and factored, and so before
@@ -567,14 +578,14 @@ class TestLastFactor:
         made = []
 
         def other():
-            made.append(gauss_lik._corr_factor(locs, 0.2, 0.5))
+            made.append(gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1))
 
         worker = threading.Thread(target=other)
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive() and len(made) == 1 and len(factored) == 1
         assert getattr(gauss_lik._last_factor, "entry", None) is None
-        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5)
+        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)
         assert len(factored) == 2 and taken is not made[0]
 
     def test_threads_take_back_their_own_factors(self, factored):
@@ -589,9 +600,9 @@ class TestLastFactor:
             try:
                 for i in range(20):
                     locs = make_locations(9, "uniform", seed + i)
-                    made = gauss_lik._corr_factor(locs, 0.2, 0.5)
+                    made = gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1)
                     made_all.wait()
-                    if gauss_lik._take_factor(locs, 0.2, 0.5)[0] is not made:
+                    if gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)[0] is not made:
                         wrong.append((seed, i))
                     if i % 2:
                         gauss_lik._corr_factor(locs, 0.3, 0.5)   # left as locs dies
@@ -677,7 +688,7 @@ class TestLastFactor:
                             lambda locs_, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
         for make in (gauss_lik._corr_factor, gauss_lik._take_factor):
             with pytest.raises(NotSPDError):
-                make(locs, 0.3, 0.5)
+                make(locs, 0.3, 0.5, None, 1)
             assert gauss_lik._last_factor.entry is None
 
     def test_factor_dies_with_its_sites(self, factored):
@@ -692,8 +703,8 @@ class TestLastFactor:
         locs = make_locations(16, "grid")
         twin = LocationSet(locs.coords.copy())
         assert np.array_equal(twin.coords, locs.coords) and twin is not locs
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
-        assert gauss_lik._take_factor(twin, 0.2, 0.5)[0] is not chol
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1)
+        assert gauss_lik._take_factor(twin, 0.2, 0.5, None, 1)[0] is not chol
         assert len(factored) == 2 and gauss_lik._last_factor.entry is None
 
     def test_jittered_factor_is_handed_over(self, factored, monkeypatch):
@@ -709,7 +720,20 @@ class TestLastFactor:
 
         monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
         locs = make_locations(16, "grid")
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1)
         assert chol.jittered
-        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5)
+        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)
         assert taken is chol and taken.jittered and len(factored) == 1
+
+    @pytest.mark.parametrize("made_m", [0, 2])
+    def test_a_factor_without_the_pass_terms_is_not_handed_over(self, factored, made_m):
+        # a score that made no terms, or made them for a pass over another
+        # m, leaves a factor no pass over m = 1 takes: the pass scores the
+        # point again, making its terms, to the same bits
+        locs = make_locations(16, "grid")
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, made_m)
+        assert gauss_lik._last_factor.entry[4] == made_m
+        want = chol.L.copy()
+        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)
+        assert taken is not chol and len(factored) == 2
+        assert np.array_equal(taken.L, want) and gauss_lik._last_factor.entry is None

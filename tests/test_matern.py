@@ -11,10 +11,10 @@ from scipy.special import kv
 from lqmatern import gauss_lik, matern
 from lqmatern.asymptotics import _weighted_derivs
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
-                             MaternParams, _coef, _kernel_terms, _Panels,
+                             MaternParams, _coef, _Panels,
                              build_cov, matern_cov)
 from lqmatern.simulate import make_locations
-from oracles import cov_derivs, kernel_derivs, matern_grad, matern_hess
+from oracles import cov_derivs, kernel_derivs, kernel_terms, matern_grad, matern_hess
 
 # irregular sites: 2,016 unique positive distances against 378 Chebyshev
 # nodes, so the builders interpolate the kernel
@@ -69,7 +69,7 @@ class TestGammaFamilyCalls:
         def kernel():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return [matern_cov(h, th), *_kernel_terms(h, th.beta, th.nu)]
+                return [matern_cov(h, th), *kernel_terms(h, th.beta, th.nu)]
 
         direct = kernel()
         monkeypatch.setattr(matern, "zeta", lambda s, x: special.polygamma(1, x))
@@ -281,7 +281,7 @@ class TestBuilders:
         locs = make_locations(16, "grid", seed=0)
         th = MaternParams(1.3, 1e-70, NU_CAP)
         assert np.array_equal(build_cov(locs, th), 1.3 * np.eye(16))
-        for terms in _kernel_terms(locs._dist_unique[0], th.beta, th.nu):
+        for terms in kernel_terms(locs._dist_unique[0], th.beta, th.nu):
             assert np.all(terms == 0.0)
 
     def test_spd_on_random_sets(self):
@@ -365,6 +365,23 @@ class TestBuilders:
                 assert np.array_equal(factored[0],
                                       build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
 
+    def test_score_terms_are_the_reference_terms(self):
+        # the terms a score makes from the values that make R's, in the
+        # same walk on irregular sites, are the reference's, made alone,
+        # bit for bit, on both kernel routes
+        rng = np.random.default_rng(16)
+        for layout in ("grid", "uniform"):
+            locs = make_locations(64, layout, seed=3)
+            uniq = locs._dist_unique[0]
+            for _ in range(4):
+                th = rand_theta(rng, nu_hi=NU_CAP)
+                terms = np.empty((2, uniq.size)), np.empty((3, uniq.size))
+                matern._cov_into(locs, th, terms=terms)
+                for got, want in zip(terms, kernel_terms(uniq, th.beta, th.nu,
+                                                         locs._dist_cheb)):
+                    assert np.array_equal(got, want)
+        assert locs._dist_cheb is not None
+
     def test_terms_after_build_cov_are_the_terms_alone(self):
         # the terms do not depend on what was built before them: after a
         # build at another point and after one at their own, they are the
@@ -377,10 +394,10 @@ class TestBuilders:
                 th = rand_theta(rng, nu_hi=NU_CAP)
                 other = MaternParams(1.0, 1.5 * th.beta, th.nu)
                 build_cov(locs, other)
-                alone = _kernel_terms(uniq, th.beta, th.nu, panels)
+                alone = kernel_terms(uniq, th.beta, th.nu, panels)
                 build_cov(locs, other)
                 build_cov(locs, th)
-                shared = _kernel_terms(uniq, th.beta, th.nu, panels)
+                shared = kernel_terms(uniq, th.beta, th.nu, panels)
                 for a, b in zip(shared, alone):
                     assert np.array_equal(a, b)
 
@@ -438,8 +455,8 @@ class TestChebyshevKernel:
         for _ in range(3):
             th = rand_theta(rng, nu_hi=NU_CAP)
             assert np.array_equal(build_cov(locs, th), matern_cov(squareform(pdist(locs.coords)), th))
-            for got, want in zip(_kernel_terms(uniq, th.beta, th.nu, locs._dist_cheb),
-                                 _kernel_terms(uniq, th.beta, th.nu)):
+            for got, want in zip(kernel_terms(uniq, th.beta, th.nu, locs._dist_cheb),
+                                 kernel_terms(uniq, th.beta, th.nu)):
                 assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -514,7 +531,7 @@ class TestChebyshevKernel:
                 for nu in (0.05, NU_CAP):
                     calls.clear()
                     th = MaternParams(1.7, beta, nu)
-                    _kernel_terms(uniq, th.beta, th.nu, panels)
+                    kernel_terms(uniq, th.beta, th.nu, panels)
                     build_cov(locs, th)
                     # the pass's five terms, then build_cov's g
                     assert [c[4].shape for c in calls] == [
@@ -543,7 +560,7 @@ class TestChebyshevKernel:
         got = {}
         for block in (panels.d.size, matern._CHEB_BLOCK, 1):
             monkeypatch.setattr(matern, "_CHEB_BLOCK", block)
-            got[block] = [(build_cov(locs, th), *_kernel_terms(uniq, th.beta, th.nu, panels))
+            got[block] = [(build_cov(locs, th), *kernel_terms(uniq, th.beta, th.nu, panels))
                           for th in thetas]
         first, *rest = got.values()
         for other in rest:

@@ -102,7 +102,8 @@ def test_score_with_terms_peak(data):
     peak = peak_doubles(lambda: search.score(at[1], terms=True))
     print("score with terms peak %.2f n^2 doubles" % peak)
     assert peak <= 1.2
-    assert search.ws.terms == tuple(search.corner + at[1] * search.width)
+    entry = gauss_lik._last_factor.entry
+    assert entry[1:3] == tuple(search.corner + at[1] * search.width) and entry[4] == reps.m
 
 
 def test_fit_and_sandwich_peak(data, monkeypatch):
