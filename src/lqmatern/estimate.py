@@ -13,7 +13,7 @@ A cold fit has three stages.
   objective-spread test is disabled, so its steps depend only on the order
   of values).
 - Up to ``_NEWTON_STEPS`` Newton steps delta on V in u follow, from its
-  exact gradient and Hessian: one derivative pass (``asymptotics._Pass``)
+  exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
   gives them in (sigma2, beta, nu), and sigma2's response enters through
   their Schur complement, unless sigma2 sits on a bound, where it stays
   under small moves.  A step is taken when the Hessian is negative definite,
@@ -82,9 +82,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .asymptotics import _weighted_derivs
 from .gauss_lik import (NotSPDError, _checked_q, _checked_rows, _corr_factor, _profile_factor,
-                        _workspace)
+                        _weighted_derivs, _workspace)
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -140,7 +139,7 @@ class FitResult:
     ``restarts`` the fallback simplex runs, 0 when Newton steps confirmed
     the estimate.  ``converged`` requires a confirmation, a normal end of
     the last simplex run, if any, and a finite V at the estimate.
-    ``_pass`` is the ``asymptotics._Pass`` of the fit's last derivative
+    ``_pass`` is the ``gauss_lik._Pass`` of the fit's last derivative
     pass where that pass lay within ``tol`` of the estimate with sigma2
     inside its bounds, else None; it is left out of equality and repr.
     """
@@ -159,13 +158,19 @@ class FitResult:
 
 @dataclass(frozen=True)
 class QProfile:
-    """Fits along a descending q grid starting at 1, which is checked (ValueError)."""
+    """Fits along a descending q grid starting at 1, one per grid q; ValueError otherwise.
+
+    A fit's q matches its grid point as ``FitChain`` keys them, to 12
+    decimals.
+    """
 
     grid: tuple
     fits: tuple
 
     def __post_init__(self):
-        _checked_q_grid(self.grid)
+        grid = _checked_q_grid(self.grid)
+        if [round(f.q, 12) for f in self.fits] != [round(q, 12) for q in grid]:
+            raise ValueError("fits must hold one fit per grid q, in grid order")
 
     def kappa_curve(self):
         from .qselect import kappa
@@ -230,7 +235,7 @@ class _Search:
         self.scored = {}
         self.iterations = self.evaluations = self.passes = 0
         self.simplex_ok = True      # the last simplex run ended normally
-        # (u, asymptotics._Pass) of the last derivative pass
+        # (u, gauss_lik._Pass) of the last derivative pass
         self.last_pass = None
         # the buffers of the fit's scores and passes, from the last fit on
         # these sites where the memo still holds them
@@ -242,8 +247,7 @@ class _Search:
         ``terms`` has the score make the pass's kernel terms in the same
         walk (``gauss_lik._corr_factor``).
         """
-        chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws,
-                            self.reps.m if terms else 0)
+        chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws, terms)
         self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
 
     def value(self, u, terms=False):
@@ -264,7 +268,7 @@ class _Search:
 
         The run keeps no factor of R and makes no kernel terms, so a pass at
         its answer scores it again, with the terms
-        (``gauss_lik._take_factor``).
+        (``gauss_lik._weighted_derivs``).
         """
         options = {"xatol": xatol, "fatol": np.inf, "maxfev": _MAX_EVALS,
                    "maxiter": _MAX_EVALS}
@@ -432,7 +436,8 @@ class FitChain:
     selectors' ``fit_fn``.  The first fit starts cold at ``init`` and every
     later one warm (see the module docstring).  The chain keeps O(m)
     numbers per q, and does not cache a fit that raises.  A NaN, infinite
-    or negative tol raises ValueError.
+    or negative tol raises ValueError, and so does a q outside (0, 1],
+    before a kept pass is re-weighted at it.
     """
 
     def __init__(self, reps, locs, bounds=None, init=None, tol=DEFAULT_TOL):
@@ -467,6 +472,7 @@ class FitChain:
 
     def fit(self, q):
         q = float(q)
+        _checked_q(q)       # before the kept pass is re-weighted at q
         key = round(q, 12)
         if key not in self._fits:
             init, warm = self._start(q)

@@ -36,51 +36,86 @@ Every (beta, nu) is scored one way: ``_corr_factor`` builds R as
 (``profile_sigma2``) and returns V there.  ``profile_lq`` runs the two in
 turn; the fit runs them itself.
 
-The last factor.  A derivative pass (``asymptotics._weighted_derivs``)
-often follows a score at the same (beta, nu): at the fit's Newton points,
-and in a sandwich called in the same thread, on the same location set,
-right after a fit that scored its estimate last.  So ``_corr_factor``
-leaves each factor it makes in a one-entry memo, keyed by the location set
-itself (compared by identity), (beta, nu) and the m of the pass whose
-kernel terms its score made (0 where it made none), with the workspace the
-factor lives in.  ``_take_factor``, the pass's only source of a factor,
-takes both from there where the key matches, and with them the pass's
-terms; else it scores the point again, making the terms (in the fit's own
-workspace where a fit's pass misses).  So a pass at a point scored
-without terms (a simplex's answer) factors R once more, and a score is
-the only place the kernel is evaluated.  Taking removes the entry,
-because the pass overwrites the factor with Sigma^-1; every other caller
-only reads it.  A new factor, or a miss, drops the entry's factor before
-R is built, so the memo adds nothing to any call's peak.  Taken or made
-afresh, the factor is the same bits, and so are the terms.
+The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
+steps and ``FitChain``'s warm starts: ``_weighted_derivs`` returns it as a
+``_Pass`` of O(m) numbers, every replicate's gradient g_i (g and H as the
+``asymptotics`` docstring writes them), the weights, the log scale s,
+log|R| and S = sum w_i H_i, and forms no replicate's Hessian.  The Hessian
+of V (``_Pass.hessian``) is S plus the centred (1-q) sum w_i (g_i -
+gbar)(g_i - gbar)', gbar = sum w_i g_i.  The pass completes R's factor at
+any sigma2, where Sigma = sigma2 R:
 
-The workspace (``_Workspace``) holds two buffers: "R", the n x n buffer R
-is built and factored in (the interpolation's work while a score walks
-the Chebyshev panels, before R is gathered there), and "pass", the
-derivative pass's, laid out by ``_pass_buffer`` for the pass's m.  A
-score puts the kernel's values at the unique distances in "pass".  A
-score where a pass over m replicates comes next (``_corr_factor``'s
-``pass_m``) lays "pass" out for that pass and makes its five kernel terms
-from the Bessel values that make R's (in the same walk over the Chebyshev
-panels), into their place there; the pass then reads them and makes no
-Bessel call.  The memo entry is the only record of them: every writer of
-"pass", a score or a pass, drops the entry before it writes.  A fit's
-search owns one workspace for its whole run (``estimate._Search``), so
-its scores and passes reuse the same memory instead of allocating it and
-faulting it in again each time.  The entry
-carries the workspace, and with it the terms, on: a later fit on the same
-sites in the thread inherits it (a ``FitChain``'s next fit), and a pass
-that takes the entry takes it too (a sandwich right after the fit, which
-so makes no Bessel call).  It is freed when that pass returns, when the
-thread factors other sites, or when the sites die.  A buffer is reused
-only while nothing outside the workspace references it, so a factor a
-caller keeps is never overwritten.  The memo is per thread
-(``threading.local``): a factor or a workspace made in one thread is
-never used in another.  It holds its location set by a weak
-reference, and the entry's factor and workspace die with the set, so each
-thread keeps at most one of each alive (5.5 n^2 doubles at most on
-irregular sites with m < n), and only while its sites are in use
-elsewhere.
+- Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
+  triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
+  it, and log|Sigma| = log|R| + n log sigma2.
+- The kernel's five derivative terms at (beta, nu), per unit variance, at
+  the unique distances are made by the score of the point (below); dS_j
+  and d2S_jk are those terms times sigma2, the one place sigma2 enters
+  them.  Only the two dS_j are gathered over the sites.
+- With M = W diag(w) W' the data terms are inner products over sites:
+  sum w_i w_i' d2S w_i = <d2S, M>, and sum w_i (dS_j w_i)' Sigma^-1
+  (dS_k w_i) = <dS_j, B_k M> with B_k = Sigma^-1 dS_k, from the n x m
+  products B_k W when m < n, else from B_k M, one k at a time.  The other
+  trace terms are tr(B_j B_k).
+- The second derivatives enter only through <d2S_jk, M - w_sum Sigma^-1>
+  (w_sum = sum w_i), so that matrix is summed onto the unique distances
+  once, and each (beta, nu) entry is then a dot product over them.
+- The sigma2 row is analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2
+  and d2S_0k = dS_k / sigma2; its <dS_j, M> is the weighted sum of the
+  gradient's products w_i' dS_j w_i.
+
+The hand-off.  A pass follows a score at the same (beta, nu): at the fit's
+warm start and Newton trial points, and in a sandwich called in the same
+thread, on the same location set, right after a fit, which scores its
+estimate last.  So ``_corr_factor`` leaves each factor it makes in a
+one-entry memo, keyed by the location set itself (compared by identity) and
+(beta, nu), with the workspace the factor lives in and whether the score
+made the pass's kernel terms (``terms``): from the Bessel values that make
+R's, in the same walk over the Chebyshev panels, into their place in the
+workspace.  R's factor and the terms depend on the sites and (beta, nu)
+alone, so a pass over any m takes both where the key matches and the terms
+were made; else it scores the point again with the terms (in the fit's own
+workspace where a fit's pass misses).  So a pass at a point scored without
+terms (a simplex's answer) factors R once more, and a score is the only
+place the kernel is evaluated.  Taken or made afresh, the factor and the
+terms are the same bits.  Taking removes the entry, because the pass
+overwrites the factor with Sigma^-1; every other caller only reads it.  A
+new factor, or a miss, drops the entry before R is built, and every writer
+of the workspace drops it before it writes, so the entry is the only record
+of the terms, and the memo adds nothing to any call's peak.  The entry
+carries the workspace on: a later fit on the same sites in the thread
+inherits it (a ``FitChain``'s next fit), and so does the pass that takes
+the entry (a sandwich right after the fit, which so makes no Bessel call).
+It is freed when that pass returns, when the thread factors other sites, or
+when the sites die.  The memo is per thread (``threading.local``): a factor
+or a workspace made in one thread is never used in another.  It holds its
+location set by a weak reference, and the entry's factor and workspace die
+with the set, so each thread keeps at most one of each alive, and only
+while its sites are in use elsewhere.
+
+The workspace (``_Workspace``) keeps flat buffers by name, and hands one out
+again only while nothing outside the workspace references it, so a factor
+a caller keeps is never overwritten.  A fit's search owns one workspace for
+its whole run (``estimate._Search``), so its scores and passes reuse the
+same memory instead of allocating it and faulting it in again each time.
+With u unique distances (so max(n^2, 2u) = n^2 for n > 1):
+
+- "R" (n^2): R is built and factored there (the interpolation works there
+  while a score walks the Chebyshev panels, before R is gathered), and the
+  pass overwrites the factor with Sigma^-1.
+- "pass" (``_pass_buffer``): three slots of max(n^2, 2u) doubles that hold
+  one array after another, then the three Hessian terms (3, u).  A score
+  puts the kernel's values at the unique distances at the buffer's start,
+  or, where it makes the terms, in slot 2, with the gradient terms (2, u)
+  opening slot 0.  In the pass slot 0 then holds B_0, then the sums of M -
+  w_sum Sigma^-1 onto the unique distances (u); slot 1 dS_0, which B_1
+  takes where m < n; and slot 2 dS_1, then, where m < n, B_k W, then M.
+- "wide" (3 n^2), only for a pass with m >= n, where dS_j is read to the
+  end: B_1, M and B_k M.
+
+So with m < n a fit's workspace and factor hold 4 n^2 + 3u doubles, 5.5
+n^2 on irregular sites, no more than a pass that allocated its own arrays
+held at once; only the n x m products are allocated per pass.
 """
 
 import sys
@@ -89,7 +124,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
 
 from .matern import MaternParams, _cov_into
 
@@ -345,26 +380,23 @@ class _Workspace:
         return bufs[name]
 
 
-def _pass_buffer(ws, n, u, m):
-    """(slots, grad, hess): the workspace's "pass" buffer laid out for a pass over m replicates.
+def _pass_buffer(ws, n, u):
+    """(slots, grad, hess): the workspace's "pass" buffer, laid out as the module docstring says.
 
-    ``slots`` are flat views: three slots of max(n^2, 2u) doubles, then,
-    where m >= n, three n^2 slots more, which ``asymptotics`` fills; the
-    Hessian terms ``hess`` (3, u) lie past the first three, and the
-    gradient terms ``grad`` (2, u) open slot 0.
+    ``slots`` are three flat views of max(n^2, 2u) doubles; the Hessian
+    terms ``hess`` (3, u) lie past them, and the gradient terms ``grad``
+    (2, u) open slot 0.
     """
-    size, wide = max(n * n, 2 * u), 3 if m >= n else 0
-    at = 3 * size + 3 * u
-    buf = ws.take("pass", at + wide * n * n)
-    slots = [buf[i * size:(i + 1) * size] for i in range(3)]
-    slots += [buf[at + i * n * n:at + (i + 1) * n * n] for i in range(wide)]
-    return slots, buf[:2 * u].reshape(2, u), buf[3 * size:at].reshape(3, u)
+    size = max(n * n, 2 * u)
+    buf = ws.take("pass", 3 * size + 3 * u)
+    return ([buf[i * size:(i + 1) * size] for i in range(3)], buf[:2 * u].reshape(2, u),
+            buf[3 * size:3 * size + 3 * u].reshape(3, u))
 
 
 # The last factor of R made in this thread, as (weak reference to locs, beta,
-# nu, [CholFactor, _Workspace], the m of the pass whose terms its score made
-# or 0) in ``entry``, or None; the list empties when locs dies (see the
-# module docstring).
+# nu, [CholFactor, _Workspace], whether its score made the pass's terms) in
+# ``entry``, or None; the list empties when locs dies (see the module
+# docstring).
 _last_factor = threading.local()
 
 
@@ -376,17 +408,17 @@ def _workspace(locs):
     return _Workspace()
 
 
-def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
+def _corr_factor(locs, beta, nu, ws=None, terms=False):
     """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
 
     R is built and factored in the buffer "R" of ``ws``, by default
-    ``_workspace(locs)``.  Where ``pass_m`` is a derivative pass's m, the
-    Bessel values that make R's also make that pass's five derivative terms
-    at (beta, nu), into their place in the "pass" buffer laid out for
-    it, and the memo entry records pass_m.  The caller reads the factor
-    before the next pass in this thread, which may take it, and does not
-    write to it.  Raises NotSPDError carrying MaternParams(1, beta, nu) if
-    R cannot be factored, and leaves the memo empty then.
+    ``_workspace(locs)``.  With ``terms``, the Bessel values that make R's
+    also make a derivative pass's five kernel terms at (beta, nu), into
+    their place in the "pass" buffer, and the memo entry records that they
+    were made.  The caller reads the factor before the next pass in this
+    thread, which may take it, and does not write to it.  Raises
+    NotSPDError carrying MaternParams(1, beta, nu) if R cannot be factored,
+    and leaves the memo empty then.
     """
     if ws is None:
         ws = _workspace(locs)
@@ -397,8 +429,8 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
     a = ws.take("R", n * n)[:n * n].reshape((n, n), order="F")
     # the kernel's values go into the pass's buffer, which no pass uses
     # while a score runs, in slot 2 where the terms are made
-    if pass_m:
-        slots, *made = _pass_buffer(ws, n, u, pass_m)
+    if terms:
+        slots, *made = _pass_buffer(ws, n, u)
         vals = slots[2][:u]
     else:
         vals, made = ws.take("pass", u)[:u], None
@@ -410,27 +442,8 @@ def _corr_factor(locs, beta, nu, ws=None, pass_m=0):
         raise
     held = [chol, ws]   # the callback holds the list, not the entry: no cycle
     _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
-                          beta, nu, held, pass_m)
+                          beta, nu, held, terms)
     return chol
-
-
-def _take_factor(locs, beta, nu, ws, pass_m):
-    """(CholFactor of R(beta, nu), its workspace), the factor for a pass over pass_m replicates.
-
-    The memo's where its score was made over ``locs`` at (beta, nu) with
-    ``pass_m`` in this thread, so the pass's terms lie in the workspace,
-    else ``_corr_factor``'s in ``ws`` with ``pass_m``, with its
-    NotSPDError.  The caller overwrites the factor; the memo is left empty.
-    """
-    entry = getattr(_last_factor, "entry", None)
-    hit = (entry is not None and entry[0]() is locs
-           and (entry[1], entry[2], entry[4]) == (beta, nu, pass_m))
-    del entry       # a factor referenced here would have R built in a new buffer
-    if not hit:
-        _corr_factor(locs, beta, nu, ws, pass_m)
-    held = _last_factor.entry[3]
-    _last_factor.entry = None
-    return tuple(held)
 
 
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
@@ -449,3 +462,182 @@ def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
     _checked_rows(reps.n, locs.n)
     return _profile_factor(reps, _corr_factor(locs, beta, nu), q,
                            sigma2_lower, sigma2_upper)
+
+
+# The strict upper triangle of a diagonal block of ``_mirror_lower``.
+_UPPER = np.triu(np.ones((64, 64), dtype=bool), 1)
+
+
+def _mirror_lower(a):
+    """Copy the lower triangle of the square array a onto its upper, in place.
+
+    Block by block, so no n x n temporary is allocated.
+    """
+    n = a.shape[0]
+    for lo in range(0, n, 64):
+        hi = min(lo + 64, n)
+        d = a[lo:hi, lo:hi]
+        np.copyto(d, d.T, where=_UPPER[:hi - lo, :hi - lo])
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """One derivative pass at theta = (sigma2, beta, nu) and q, in O(m).
+
+    ``g`` holds every replicate's gradient g_i (3, m), ``w`` the weights
+    (m,), ``S`` = sum w_i H_i (3, 3), ``log_det_r`` log|R| of the pass's
+    factor and ``log_scale`` the log scale s; n is the number of sites.
+    """
+
+    theta: MaternParams
+    q: float
+    n: int
+    g: np.ndarray
+    w: np.ndarray
+    S: np.ndarray
+    log_det_r: float
+    log_scale: float
+
+    def _total(self, q):
+        # the weights' total: m at q = 1, 1 below
+        return float(self.g.shape[1]) if q == 1.0 else 1.0
+
+    def hessian(self, q):
+        """(gbar, H): gradient and Hessian of the log-domain value V at q, in theta.
+
+        The weights are the pass's own at its q, and at any other q they are
+        re-weighted from l_i = -sigma2 g_i[0], which is -z_i' Sigma^-1 z_i / 2
+        up to a constant shared by all replicates; S is rescaled to their
+        total, with the H_i weighted as at the pass.
+        """
+        w = self.w if q == self.q else _lq_weights(-self.theta.sigma2 * self.g[0], q)[1]
+        gbar = self.g @ w
+        H = self.S * (self._total(q) / self._total(self.q))
+        if q < 1.0:
+            G = self.g - gbar[:, None]
+            H += (1.0 - q) * ((G * w) @ G.T)
+        return gbar, 0.5 * (H + H.T)
+
+    def newton_step(self, q):
+        """-H^-1 gbar in (sigma2, beta, nu) from ``hessian(q)``; None unless H < 0."""
+        gbar, H = self.hessian(q)
+        if np.isfinite(H).all() and np.isfinite(gbar).all() and np.linalg.eigvalsh(H).max() < 0:
+            return -np.linalg.solve(H, gbar)
+        return None
+
+    def rounding_floor(self, value):
+        """V_ROUNDING times the size of the terms that V, the value at theta, sums.
+
+        Each l_i is -(1/2)(n log 2 pi + n log sigma2 + log|R| + a_i), with
+        a_i = z_i' Sigma^-1 z_i = n + 2 sigma2 g_i[0].  V can sit near 0 by
+        cancellation while its rounding follows the size of those terms,
+        (1/2)(n (log 2 pi + |log sigma2|) + |log|R|| + max a), times m at
+        q = 1, where V sums the l_i; the floor is at least V_ROUNDING |V|.
+        """
+        n, s2 = self.n, self.theta.sigma2
+        a = n + 2.0 * s2 * self.g[0]
+        size = 0.5 * (n * (_LOG_2PI + abs(np.log(s2))) + abs(self.log_det_r) + a.max())
+        return V_ROUNDING * max(abs(value), self._total(self.q) * size)
+
+
+def _weighted_derivs(Z, locs, theta, q, ws=None):
+    """The ``_Pass`` of the columns of Z (n x m) at theta and q (see the module docstring).
+
+    A factor of R made here is made in the workspace ``ws`` where one is
+    given.
+
+    Raises ValueError where Z's rows do not match ``locs`` or q lies
+    outside (0, 1], NotSPDError carrying MaternParams(1, beta, nu) where R
+    cannot be factored, and NotSPDError carrying theta where potri fails.
+    """
+    Z = np.asarray(Z, dtype=float)
+    n, m = Z.shape
+    _checked_rows(n, locs.n)
+    _checked_q(q)
+    s2 = theta.sigma2
+    uniq, inv = locs._dist_unique
+    # the memo's factor where its score made the terms, else a new one
+    # that makes them; Sigma^-1 overwrites it, so the memo is left empty
+    entry = getattr(_last_factor, "entry", None)
+    hit = (entry is not None and entry[0]() is locs
+           and (entry[1], entry[2], entry[4]) == (theta.beta, theta.nu, True))
+    del entry       # a factor referenced here would have R built in a new buffer
+    if not hit:
+        _corr_factor(locs, theta.beta, theta.nu, ws, True)
+    chol, ws = _last_factor.entry[3]
+    _last_factor.entry = None
+    Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
+                          % info, theta=theta)
+    _mirror_lower(Sinv)
+    Sinv /= s2
+    W = Sinv @ Z                               # Sigma^-1 z for all replicates
+    quad = np.einsum("ij,ij->j", Z, W)         # z' Sigma^-1 z
+    value, w = _lq_weights(-0.5 * quad, q)
+    w_sum = float(w.sum())
+
+    # the buffers of the module docstring, each slot at least 2u long
+    u = uniq.size
+    flat, grad, d2 = _pass_buffer(ws, n, u)
+    slot = [s[:n * n].reshape(n, n) for s in flat]
+    if m >= n:
+        slot += list(ws.take("wide", 3 * n * n)[:3 * n * n].reshape(3, n, n))
+    dS = [np.take(grad[k], inv, mode="clip", out=slot[1 + k]) for k in range(2)]
+    B = [slot[0], slot[3 if m >= n else 1]]
+    M = slot[4 if m >= n else 2]
+    quad_d = np.empty((2, m))                                  # w_i' dS_j w_i
+    dSW = []
+    for k in range(2):
+        dS[k] *= s2
+        dSW.append(dS[k] @ W)
+        quad_d[k] = np.einsum("im,im->m", dSW[k], W)
+        np.matmul(Sinv, dS[k], out=B[k])
+        # <dS_j, B_k M> below reads dS_j W where m < n, else dS_j
+        if m >= n:
+            dSW[k] = None
+    tr_B = np.array([np.trace(b) for b in B])
+
+    g = np.empty((3, m))
+    g[0] = 0.5 * (quad - n) / s2
+    g[1:] = 0.5 * quad_d - 0.5 * tr_B[:, None]
+
+    H = np.empty((3, 3))
+    H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
+    H[0, 1:] = H[1:, 0] = -0.5 * (quad_d @ w) / s2        # <dS_j, M> / s2
+    pairs = ((0, 0), (0, 1), (1, 1))
+    tr_BB = [np.einsum("ab,ba->", B[j], B[k]) for j, k in pairs]
+    # <dS_j, B_k M> = sum_i w_i (dS_j w_i)' B_k w_i, by the smaller product,
+    # one k at a time
+    dS_BM = []
+    if m < n:
+        BW = flat[2][:n * m].reshape(n, m)                      # in M's slot
+        for k in range(2):
+            np.matmul(B[k], W, out=BW)
+            dS_BM += [np.einsum("im,im->m", dSW[j], BW) @ w for j in range(k + 1)]
+        del dSW
+        np.matmul(W * w, W.T, out=M)
+    else:
+        np.matmul(W * w, W.T, out=M)
+        for k in range(2):
+            BM = np.matmul(B[k], M, out=slot[5])
+            dS_BM += [np.vdot(dS[j], BM) for j in range(k + 1)]
+    # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
+    # so that matrix is summed onto the unique distances once; R's Hessian
+    # terms times s2 are M's
+    Sinv *= w_sum
+    M -= Sinv
+    # into B_0's slot, read no more: add.at sums in bincount's order, to the
+    # same bits, but into a given array
+    R = flat[0][:u]
+    R.fill(0.0)
+    np.add.at(R, inv.ravel(), M.ravel())
+    for (j, k), tr, d2_jk, dv in zip(pairs, tr_BB, d2, dS_BM):
+        H[j + 1, k + 1] = H[k + 1, j + 1] = (0.5 * w_sum * tr
+                                             + 0.5 * s2 * float(d2_jk @ R) - dv)
+    log_scale = 0.0
+    if q < 1.0:
+        log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
+        log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
+    return _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)

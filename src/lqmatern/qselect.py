@@ -112,10 +112,15 @@ def kappa(theta):
         return float("inf")
 
 
-def standardized(theta_hat, se, m):
-    """Componentwise theta_hat / (sqrt(m) * se)."""
+def _checked_m(m):
+    """Raise ValueError unless m is a positive integer."""
     if not (np.isfinite(m) and int(m) == m >= 1):
         raise ValueError("m must be a positive integer")
+
+
+def standardized(theta_hat, se, m):
+    """Componentwise theta_hat / (sqrt(m) * se)."""
+    _checked_m(m)
     se_arr = np.asarray(getattr(se, "se", se), dtype=float)
     t = theta_hat.as_array()
     if se_arr.shape != t.shape:
@@ -182,8 +187,10 @@ def select_q_sqv(fit_fn, se_fn, spec=None, *, m):
     On a destabilized pass the pivot is the largest subscript k with
     SQV_k >= L.  ``se_fn(theta_hat, q)`` gives the standard errors
     (``make_se_fn``), and ``m``, keyword-only, the replicate count behind
-    fit_fn; they standardize the estimates.
+    fit_fn; they standardize the estimates.  An m that is not a positive
+    integer raises ValueError before any fit.
     """
+    _checked_m(m)
     if spec is None:
         spec = QGridSpec()
 

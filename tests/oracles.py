@@ -19,9 +19,9 @@ the code the fit and the sandwich run.
 import numpy as np
 from scipy.linalg import cho_solve
 
-from lqmatern.asymptotics import _weighted_derivs, ustar_all
+from lqmatern.asymptotics import ustar_all
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _quad_forms,
-                                chol_factor)
+                                _weighted_derivs, chol_factor)
 from lqmatern.matern import (MaternParams, _cheb_g, _cheb_terms, _direct_g, _direct_terms,
                              _term_rows, build_cov, matern_cov)
 from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,

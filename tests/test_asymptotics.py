@@ -10,7 +10,7 @@ from lqmatern.asymptotics import (SandwichParts, SingularJError, sandwich,
                                   std_errs, ustar_all)
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _corr_factor, _lq_weights,
                                 _profile_factor, chol_factor)
-from lqmatern import asymptotics, matern
+from lqmatern import gauss_lik, matern
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.estimate import fit
 from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
@@ -573,7 +573,7 @@ class TestWeightedDerivativePass:
         def assert_close(got, want):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-        p = asymptotics._weighted_derivs(reps.data, locs, at, q)
+        p = gauss_lik._weighted_derivs(reps.data, locs, at, q)
         assert_close(p.g, g_want)
         assert_close(p.w, w)
         assert_close(p.S, (H * w).sum(axis=2))
@@ -605,7 +605,7 @@ class TestWeightedDerivativePass:
         at = MaternParams(sigma2, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, q)
         _profile_factor(reps, _corr_factor(locs, at.beta, at.nu), q, 1e-3, 1e3)
-        p = asymptotics._weighted_derivs(reps.data, locs, at, q)
+        p = gauss_lik._weighted_derivs(reps.data, locs, at, q)
         for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -619,7 +619,7 @@ class TestWeightedDerivativePass:
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(0.9, 0.17, 0.55)
-        gbar, H = asymptotics._weighted_derivs(reps.data, locs, at, q).hessian(q)
+        gbar, H = gauss_lik._weighted_derivs(reps.data, locs, at, q).hessian(q)
         J = sandwich(reps, locs, at, q).J
         want = reps.m * J
         if q < 1.0:
@@ -639,7 +639,7 @@ class TestWeightedDerivativePass:
         assert locs._dist_cheb is not None
         tracemalloc.start()
         try:
-            asymptotics._weighted_derivs(reps.data, locs, theta, 0.95)
+            gauss_lik._weighted_derivs(reps.data, locs, theta, 0.95)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,8 +651,8 @@ class TestWeightedDerivativePass:
         theta = MaternParams(1.0, 0.15, 0.6)
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=25, m=10, layout="grid", seed=2))
-        monkeypatch.setattr(asymptotics, "dpotri", lambda c, **kw: (c, 3))
-        calls = (lambda: asymptotics._weighted_derivs(reps.data, locs, theta, 0.95),
+        monkeypatch.setattr(gauss_lik, "dpotri", lambda c, **kw: (c, 3))
+        calls = (lambda: gauss_lik._weighted_derivs(reps.data, locs, theta, 0.95),
                  lambda: sandwich(reps, locs, theta, 0.95),
                  lambda: ustar_all(reps, locs, theta, 0.95))
         for call in calls:
@@ -669,5 +669,5 @@ def test_mirror_lower_copies_the_lower_triangle(n):
     for order in "CF":
         a = np.asarray(rng.standard_normal((n, n)), order=order)
         want = np.tril(a) + np.tril(a, -1).T
-        asymptotics._mirror_lower(a)
+        gauss_lik._mirror_lower(a)
         assert np.array_equal(a, want)

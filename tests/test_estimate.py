@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqmatern.estimate as est
-from lqmatern import asymptotics, gauss_lik, matern
-from lqmatern.asymptotics import _weighted_derivs, sandwich
+from lqmatern import gauss_lik, matern
+from lqmatern.asymptotics import sandwich
 from lqmatern.estimate import (Bounds, FitChain, QProfile, default_bounds,
                                default_init, fit, fit_profile)
 from lqmatern.gauss_lik import (_LOG_2PI, V_ROUNDING, NotSPDError, ReplicateSet,
-                                _quad_forms, chol_factor, profile_lq)
+                                _quad_forms, _weighted_derivs, chol_factor, profile_lq)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import DEFAULT_GRID
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
@@ -434,7 +434,7 @@ def interior_data():
 def fit_without_newton(monkeypatch, *args, **kwargs):
     """``fit`` with the Newton check always rejecting: restarts only."""
     with monkeypatch.context() as mp:
-        mp.setattr(asymptotics._Pass, "hessian",
+        mp.setattr(gauss_lik._Pass, "hessian",
                    lambda p, q: (np.zeros(3), np.full((3, 3), np.nan)))
         return fit(*args, **kwargs)
 
@@ -513,13 +513,13 @@ class TestConfirmation:
         # a negated gradient turns the confirming step into its reverse: as
         # short and in the box, but a descent, so the restarts must run
         locs, reps, base = interior_data
-        real = asymptotics._Pass.hessian
+        real = gauss_lik._Pass.hessian
 
         def reversed_step(p, q):
             gbar, H = real(p, q)
             return -gbar, H
 
-        monkeypatch.setattr(asymptotics._Pass, "hessian", reversed_step)
+        monkeypatch.setattr(gauss_lik._Pass, "hessian", reversed_step)
         for q in SYM_QS:
             res = fit(reps, locs, q)
             assert res.restarts >= 1 and res.converged
@@ -591,7 +591,7 @@ class TestShortStepRule:
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         monkeypatch.setattr(est._Search, "score", score)
-        monkeypatch.setattr(asymptotics._Pass, "rounding_floor", lambda p, value: 0.0)
+        monkeypatch.setattr(gauss_lik._Pass, "rounding_floor", lambda p, value: 0.0)
         res = fit(reps, locs, q)
         assert any(refused)
         assert res.converged and res.restarts == 0
@@ -791,7 +791,7 @@ class TestFusedNewtonPoint:
         # that factor: a jitter rescue there is taken once, and the pass
         # inverts that jittered factor
         locs, reps, near = fused_sets[1]
-        real_chol, real_potri = gauss_lik.dpotrf, asymptotics.dpotri
+        real_chol, real_potri = gauss_lik.dpotrf, gauss_lik.dpotri
         real_score = est._Search.score
         armed, seen = [False], {}
 
@@ -818,7 +818,7 @@ class TestFusedNewtonPoint:
             return real_potri(c, **kwargs)
 
         monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
-        monkeypatch.setattr(asymptotics, "dpotri", dpotri)
+        monkeypatch.setattr(gauss_lik, "dpotri", dpotri)
         monkeypatch.setattr(est._Search, "score", score)
         fit(reps, locs, 0.9, init=near, warm=True)
         jittered, L, count = seen["factor"]
@@ -880,7 +880,7 @@ class TestSharedWalk:
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
         entry = gauss_lik._last_factor.entry
-        assert entry[1:3] == tuple(search.corner + u * search.width) and entry[4] == reps.m
+        assert entry[1:3] == tuple(search.corner + u * search.width) and entry[4] is True
         del entry
         search.newton_step(u)
         assert len(walks) == per_walk and gauss_lik._last_factor.entry is None
@@ -915,9 +915,9 @@ class TestSharedWalk:
     @pytest.mark.parametrize("m", [60, 120])
     def test_sandwich_that_misses_the_memo_walks_once(self, monkeypatch, m):
         # a pass that factors R itself makes its terms in the walk that
-        # makes R, with m < n and m >= n alike: the score lays "pass" out
-        # for the pass's m, so the pass finds the terms where it reads them;
-        # K and J are those of a pass after a score that made no terms, bit
+        # makes R, with m < n and m >= n alike: "pass" is laid out the same
+        # for every m, so the pass finds the terms where it reads them; K
+        # and J are those of a pass after a score that made no terms, bit
         # for bit, which scores the point again
         locs = make_locations(81, "uniform", seed=9110000)
         reps = gen_replicates(locs, MaternParams(1.0, 0.1, 0.5), m, seed=9110000)
@@ -940,7 +940,7 @@ class TestSharedWalk:
         locs, reps = shared_sets[1]
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        assert gauss_lik._last_factor.entry[4] == reps.m
+        assert gauss_lik._last_factor.entry[4] is True
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         kv = count_calls(monkeypatch, matern, "special_kv")
         search.newton_step(u)
@@ -1176,6 +1176,17 @@ class TestChainStart:
         chain.fit(0.9)
         assert chain.fit(0.98).init == stepped(first.theta_hat, first._pass, 0.98)
 
+    def test_q_is_checked_before_the_kept_pass_is_reweighted(self, small_data):
+        # re-weighting the first fit's pass at q = inf once warned before
+        # fit checked q; the chain caches nothing for a refused q
+        locs, reps = small_data
+        chain = FitChain(reps, locs, tol=1e-3)
+        assert chain.fit(1.0)._pass is not None
+        for q in (np.inf, 1.5, 0.0, np.nan):
+            with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
+                chain.fit(q)
+        assert list(chain._fits) == [1.0]
+
     def test_sigma2_on_a_bound_starts_at_the_estimate(self, interior_data):
         locs, reps, _base = interior_data
         lo, hi = default_bounds().as_arrays()
@@ -1238,6 +1249,16 @@ class TestQProfile:
         for grid in ((1.0, float("nan")), (1.0, 0.9, float("nan")), (1.0, -np.inf)):
             with pytest.raises(ValueError, match="strictly decreasing"):
                 QProfile(grid=grid, fits=())
+
+    def test_fits_must_match_the_grid(self, small_data):
+        # a fit per grid q, each at its grid point: two fits on a grid of
+        # three once gave a kappa curve of two values
+        locs, reps = small_data
+        fits = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3).fits
+        for grid in ((1.0, 0.95, 0.9), (1.0, 0.9), (1.0,)):
+            with pytest.raises(ValueError, match="one fit per grid q"):
+                QProfile(grid=grid, fits=fits)
+        assert QProfile(grid=(1.0, 0.95), fits=fits).kappa_curve().shape == (2,)
 
     def test_fit_profile_rejects_a_non_finite_grid(self, small_data, monkeypatch):
         # refused before any fit runs

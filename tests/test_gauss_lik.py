@@ -8,9 +8,9 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 
 from lqmatern import gauss_lik
-from lqmatern.asymptotics import _weighted_derivs, sandwich
+from lqmatern.asymptotics import sandwich
 from lqmatern.estimate import fit
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights,
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _weighted_derivs,
                                 chol_factor, profile_lq, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates, make_locations,
@@ -558,6 +558,27 @@ class TestLastFactor:
         yield calls
         gauss_lik._last_factor.entry = None
 
+    @pytest.fixture
+    def inverted(self, monkeypatch):
+        # a derivative pass over m replicates at (1, beta, nu) and q = 1
+        # that returns the array its potri inverted, the factor of R it took
+        # from the memo or made, and a copy of that factor
+        last = threading.local()
+        real = gauss_lik.dpotri
+
+        def spy(c, **kwargs):
+            last.c = c, c.copy()
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(gauss_lik, "dpotri", spy)
+
+        def run(locs, beta, nu, m=1):
+            z = np.linspace(-1.0, 1.0, locs.n * m).reshape(locs.n, m)
+            _weighted_derivs(z, locs, MaternParams(1.0, beta, nu), 1.0)
+            return last.c
+
+        return run
+
     @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
     def test_sandwich_after_fit_takes_the_fits_factor(self, factored, layout, n):
         # the fit scores its estimate last, so the sandwich there factors
@@ -573,22 +594,21 @@ class TestLastFactor:
         assert len(factored) == 1
         assert np.array_equal(first.K, second.K) and np.array_equal(first.J, second.J)
 
-    def test_a_factor_stays_in_its_thread(self, factored):
+    def test_a_factor_stays_in_its_thread(self, factored, inverted):
         locs = make_locations(16, "grid")
         made = []
 
         def other():
-            made.append(gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1))
+            made.append(gauss_lik._corr_factor(locs, 0.2, 0.5, None, True))
 
         worker = threading.Thread(target=other)
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive() and len(made) == 1 and len(factored) == 1
         assert getattr(gauss_lik._last_factor, "entry", None) is None
-        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)
-        assert len(factored) == 2 and taken is not made[0]
+        assert inverted(locs, 0.2, 0.5)[0] is not made[0].L and len(factored) == 2
 
-    def test_threads_take_back_their_own_factors(self, factored):
+    def test_threads_take_back_their_own_factors(self, factored, inverted):
         # more threads than cores, switching often, each making and taking
         # factors over sites it then drops; all make before any takes, so a
         # memo shared between threads would hand five of six a miss.  Every
@@ -600,9 +620,9 @@ class TestLastFactor:
             try:
                 for i in range(20):
                     locs = make_locations(9, "uniform", seed + i)
-                    made = gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1)
+                    made = gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
                     made_all.wait()
-                    if gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)[0] is not made:
+                    if inverted(locs, 0.2, 0.5)[0] is not made.L:
                         wrong.append((seed, i))
                     if i % 2:
                         gauss_lik._corr_factor(locs, 0.3, 0.5)   # left as locs dies
@@ -686,9 +706,11 @@ class TestLastFactor:
         assert gauss_lik._last_factor.entry is not None
         monkeypatch.setattr(gauss_lik, "_cov_into",
                             lambda locs_, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
-        for make in (gauss_lik._corr_factor, gauss_lik._take_factor):
+        for make in (lambda: gauss_lik._corr_factor(locs, 0.3, 0.5, None, True),
+                     lambda: _weighted_derivs(np.ones((16, 1)), locs,
+                                              MaternParams(1.0, 0.3, 0.5), 1.0)):
             with pytest.raises(NotSPDError):
-                make(locs, 0.3, 0.5, None, 1)
+                make()
             assert gauss_lik._last_factor.entry is None
 
     def test_factor_dies_with_its_sites(self, factored):
@@ -699,15 +721,15 @@ class TestLastFactor:
         del locs
         assert factor() is None and gauss_lik._last_factor.entry[3] == []
 
-    def test_equal_sites_in_another_set_miss(self, factored):
+    def test_equal_sites_in_another_set_miss(self, factored, inverted):
         locs = make_locations(16, "grid")
         twin = LocationSet(locs.coords.copy())
         assert np.array_equal(twin.coords, locs.coords) and twin is not locs
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1)
-        assert gauss_lik._take_factor(twin, 0.2, 0.5, None, 1)[0] is not chol
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
+        assert inverted(twin, 0.2, 0.5)[0] is not chol.L
         assert len(factored) == 2 and gauss_lik._last_factor.entry is None
 
-    def test_jittered_factor_is_handed_over(self, factored, monkeypatch):
+    def test_jittered_factor_is_handed_over(self, factored, inverted, monkeypatch):
         # one forced Cholesky failure: the rescued factor, with its flag, is
         # the one the pass takes, with no factorization of its own
         real, armed = gauss_lik.dpotrf, [True]
@@ -720,20 +742,41 @@ class TestLastFactor:
 
         monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
         locs = make_locations(16, "grid")
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, 1)
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
         assert chol.jittered
-        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)
-        assert taken is chol and taken.jittered and len(factored) == 1
+        assert inverted(locs, 0.2, 0.5)[0] is chol.L and len(factored) == 1
 
-    @pytest.mark.parametrize("made_m", [0, 2])
-    def test_a_factor_without_the_pass_terms_is_not_handed_over(self, factored, made_m):
-        # a score that made no terms, or made them for a pass over another
-        # m, leaves a factor no pass over m = 1 takes: the pass scores the
-        # point again, making its terms, to the same bits
+    def test_a_factor_without_the_pass_terms_is_not_handed_over(self, factored, inverted):
+        # a score that made no terms leaves a factor no pass takes: the pass
+        # scores the point again, making its terms, to the same bits
         locs = make_locations(16, "grid")
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, made_m)
-        assert gauss_lik._last_factor.entry[4] == made_m
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
+        assert gauss_lik._last_factor.entry[4] is False
         want = chol.L.copy()
-        taken, _ = gauss_lik._take_factor(locs, 0.2, 0.5, None, 1)
-        assert taken is not chol and len(factored) == 2
-        assert np.array_equal(taken.L, want) and gauss_lik._last_factor.entry is None
+        taken, factor = inverted(locs, 0.2, 0.5)
+        assert taken is not chol.L and len(factored) == 2
+        assert np.array_equal(factor, want) and gauss_lik._last_factor.entry is None
+
+    def test_a_score_with_the_terms_serves_a_pass_over_any_m(self, factored):
+        # R's factor and the kernel terms depend on the sites and (beta, nu)
+        # alone: a pass over m < n and one over m >= n each take the factor
+        # of a score that made the terms and the "pass" buffer that holds
+        # them, factor nothing, and give the bits of a pass that scores the
+        # point itself
+        locs = make_locations(16, "grid")
+        theta = MaternParams(0.7, 0.2, 0.5)
+        for m in (3, 20):
+            z = np.linspace(-1.0, 1.0, 16 * m).reshape(16, m)
+            gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
+            assert gauss_lik._last_factor.entry[4] is True
+            ws = gauss_lik._last_factor.entry[3][1]
+            terms = weakref.ref(ws._bufs["pass"])
+            factored.clear()
+            hit = _weighted_derivs(z, locs, theta, 0.9)
+            assert factored == [] and ws._bufs["pass"] is terms()
+            assert gauss_lik._last_factor.entry is None
+            fresh = _weighted_derivs(z, locs, theta, 0.9)
+            assert len(factored) == 1
+            for name in ("g", "w", "S", "log_det_r", "log_scale"):
+                assert np.array_equal(getattr(hit, name), getattr(fresh, name))
+

@@ -9,7 +9,7 @@ from scipy import special
 from scipy.special import kv
 
 from lqmatern import gauss_lik, matern
-from lqmatern.asymptotics import _weighted_derivs
+from lqmatern.gauss_lik import _weighted_derivs
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _Panels,
                              build_cov, matern_cov)

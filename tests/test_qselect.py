@@ -110,6 +110,20 @@ class TestSelectSqv:
             select_q_sqv(lambda q: theta_of_kappa(1.0),
                          lambda th, q: ONES_SE)
 
+    @pytest.mark.parametrize("m", [0, 2.5, -3])
+    def test_m_is_checked_before_any_fit(self, m):
+        # such an m once dropped every grid q as a per-point failure, after
+        # fitting it, and fell back to q* = 1
+        fitted = []
+
+        def fit_fn(q):
+            fitted.append(q)
+            return theta_of_kappa(1.0)
+
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            select_q_sqv(fit_fn, lambda th, q: ONES_SE, m=m)
+        assert fitted == []
+
     def test_worked_destabilized_walk(self):
         # grid (1, .97, .94, .91) with jumps sized to give SQV
         # (0.045, 0.045, 0.1): never below L = 0.05 at the tail, pivot
