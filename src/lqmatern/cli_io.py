@@ -42,9 +42,9 @@ class DataError(ValueError):
     """Malformed file or configuration; maps to exit code 2."""
 
 
-# numerical failures of a fit, a selector or a sandwich; map to exit code 3
-# (NotSPDError and SingularJError are LinAlgErrors)
-_NUMERICAL = (np.linalg.LinAlgError, FloatingPointError, RuntimeError)
+# numerical failures of a fit or a sandwich; map to exit code 3 (NotSPDError
+# and SingularJError are LinAlgErrors)
+_NUMERICAL = (np.linalg.LinAlgError, RuntimeError)
 
 
 # === dataset files ==========================================================
@@ -595,33 +595,22 @@ def cmd_variogram(args):
 def _sweep_repetition(cfg, rep_id, rows):
     """Append one simulated dataset's sweep rows to rows; its q*, or None.
 
-    A repetition whose selector, or whose fit at q*, fails keeps its grid
-    rows and gets no selected row, and None is returned.
+    Every grid q gets a row: a grid fit that fails is the chain's
+    non-converged placeholder (``FitChain.profile``), and the selector
+    drops its q.  Only a failed fit at q* leaves the repetition without a
+    selected row, and then None is returned.
 
     The dataset, its fits and the last factor of R over its sites die on
     return, so the next repetition simulates with none of them alive.
     """
-    grid = cfg.q_grid.grid
     locs, reps, _flags = simulate_dataset(replace(cfg.sim, seed=cfg.sim.seed + rep_id))
     # one chain serves the profile and the selector: grid q values are
     # fitted once, and every fit after the first starts warm
     chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
-    try:
-        prof = chain.profile(grid)
-    except _NUMERICAL as exc:
-        log.warning("repetition %d failed outright: %s", rep_id, exc)
-        for q in grid:
-            rows.append(SweepRow(rep_id, q, np.nan, np.nan, np.nan, np.nan,
-                                 np.nan, False, False))
-        return None
-    rows.extend(_row_from_fit(rep_id, fr) for fr in prof.fits)
+    rows.extend(_row_from_fit(rep_id, fr) for fr in chain.profile(cfg.q_grid.grid).fits)
     if cfg.selector == "none":
         return None
-    try:
-        sel = _select(cfg, reps, locs, chain)
-    except _NUMERICAL as exc:
-        log.warning("selector failed on repetition %d: %s", rep_id, exc)
-        return None
+    sel = _select(cfg, reps, locs, chain)
     try:
         # q* = 1 can be a fallback whose own fit the profile dropped
         selected = chain.fit(sel.q_star)

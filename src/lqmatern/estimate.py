@@ -41,7 +41,9 @@ A cold fit has three stages.
 
 A fit that does not confirm is reported as not converged.  Trial points
 whose R is not positive definite score -inf and are rejected; only failure
-at the initial point is an error.
+at the initial point is an error.  One check (``_checked_inputs``) raises
+every input error and defaults the box and start: ``fit`` runs it before
+anything is scored, and ``FitChain`` when it is built.
 
 A warm fit (``warm=True``: init is near the answer) starts with the Newton
 steps at init, and runs the cold stages from the best point reached only if
@@ -168,8 +170,8 @@ class QProfile:
     fits: tuple
 
     def __post_init__(self):
-        grid = _checked_q_grid(self.grid)
-        if [round(f.q, 12) for f in self.fits] != [round(q, 12) for q in grid]:
+        object.__setattr__(self, "grid", _checked_q_grid(self.grid))
+        if [round(f.q, 12) for f in self.fits] != [round(q, 12) for q in self.grid]:
             raise ValueError("fits must hold one fit per grid q, in grid order")
 
     def kappa_curve(self):
@@ -187,13 +189,6 @@ def _checked_q_grid(grid):
     if not (np.all((g > 0.0) & (g <= 1.0)) and np.all(np.diff(g) < 0.0)):
         raise ValueError("q grid must be strictly decreasing within (0, 1]")
     return tuple(float(v) for v in g)
-
-
-def _checked_tol(tol):
-    """tol itself; a NaN, infinite or negative tol raises ValueError."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError("tol must be finite and non-negative, got %r" % (tol,))
-    return tol
 
 
 def default_bounds():
@@ -218,6 +213,21 @@ def default_init(reps, bounds):
     start[1:] = np.where(start[1:] <= lo[1:], lo[1:] + inset[1:], start[1:])
     start[1:] = np.where(start[1:] >= hi[1:], hi[1:] - inset[1:], start[1:])
     return MaternParams.from_array(start)
+
+
+def _checked_inputs(reps, locs, bounds, init, tol):
+    """(bounds, init), each defaulted where None; ``fit``'s ValueErrors but q's."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and non-negative, got %r" % (tol,))
+    _checked_rows(reps.n, locs.n)
+    locs._dist_unique       # raises on a duplicate site
+    if bounds is None:
+        bounds = default_bounds()
+    if init is None:
+        return bounds, default_init(reps, bounds)
+    if not bounds.contains(init):
+        raise ValueError("init %r lies outside the bounds" % (init,))
+    return bounds, init
 
 
 class _Search:
@@ -366,20 +376,13 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False):
         Whether init is near the answer, so that Newton steps start there.
 
     Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
-    tol, data whose rows do not match ``locs``, or an init outside the
-    bounds, all before anything is scored, NotSPDError where R at init
-    cannot be factored, and RuntimeError where a scored point's sigma2
-    solve does not converge (``gauss_lik.profile_sigma2``).
+    tol, data whose rows do not match ``locs``, sites with a duplicate, or
+    an init outside the bounds, all before anything is scored, NotSPDError
+    where R at init cannot be factored, and RuntimeError where a scored
+    point's sigma2 solve does not converge (``gauss_lik.profile_sigma2``).
     """
     _checked_q(q)
-    _checked_tol(tol)
-    _checked_rows(reps.n, locs.n)
-    if bounds is None:
-        bounds = default_bounds()
-    if init is None:
-        init = default_init(reps, bounds)
-    elif not bounds.contains(init):
-        raise ValueError("init %r lies outside the bounds" % (init,))
+    bounds, init = _checked_inputs(reps, locs, bounds, init, tol)
     search = _Search(reps, locs, q, bounds, tol)
     u = (init.as_array()[1:] - search.corner) / search.width
     # a hard failure at the starting point is an error, not a rejection
@@ -435,18 +438,15 @@ class FitChain:
     only (key round(q, 12)); ``chain(q)`` returns its theta_hat, as the q
     selectors' ``fit_fn``.  The first fit starts cold at ``init`` and every
     later one warm (see the module docstring).  The chain keeps O(m)
-    numbers per q, and does not cache a fit that raises.  A NaN, infinite
-    or negative tol raises ValueError, and so does a q outside (0, 1],
-    before a kept pass is re-weighted at it.
+    numbers per q, and does not cache a fit that raises.  Building a chain
+    raises ``fit``'s ValueErrors for tol, rows, sites and init.  Per q, a q
+    outside (0, 1] raises ValueError before a kept pass is re-weighted at
+    it; else a fit raises only its NotSPDError or RuntimeError.
     """
 
     def __init__(self, reps, locs, bounds=None, init=None, tol=DEFAULT_TOL):
-        if bounds is None:
-            bounds = default_bounds()
-        if init is None:
-            init = default_init(reps, bounds)
-        self._reps, self._locs, self._bounds = reps, locs, bounds
-        self._tol, self._init = _checked_tol(tol), init
+        self._bounds, self._init = _checked_inputs(reps, locs, bounds, init, tol)
+        self._reps, self._locs, self._tol = reps, locs, tol
         self._fits = {}
 
     def _nearest(self, q):

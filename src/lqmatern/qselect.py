@@ -33,9 +33,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_GRID = (1.0, 0.999, 0.99, 0.98, 0.97, 0.95, 0.925, 0.9)
 
-# exceptions that drop a grid point instead of aborting the selector
-_POINT_FAILURES = (np.linalg.LinAlgError, RuntimeError, ValueError,
-                   FloatingPointError)
+# failures that drop a grid point instead of aborting the selector: a fit's
+# numerical ones (a FitChain raises its input errors when built), and an se_fn's
+_POINT_FAILURES = (np.linalg.LinAlgError, RuntimeError, ValueError)
 
 
 @dataclass(frozen=True)

@@ -25,3 +25,24 @@ def _empty_factor_memo():
     from lqmatern import gauss_lik     # after the variables above are set
 
     gauss_lik._last_factor.entry = None
+
+
+@pytest.fixture(params=["rows", "init", "sites"])
+def refused_inputs(request):
+    """(locs, reps, init) that ``fit`` refuses, one case each.
+
+    Data rows that do not match the sites, an init outside the default
+    bounds, and sites with a duplicate.
+    """
+    import numpy as np
+    from lqmatern.gauss_lik import ReplicateSet
+    from lqmatern.matern import LocationSet, MaternParams
+    from lqmatern.simulate import make_locations
+
+    coords = make_locations(16, "grid").coords
+    if request.param == "sites":
+        coords = np.vstack([coords[:15], coords[:1]])
+    rows = 15 if request.param == "rows" else 16
+    reps = ReplicateSet(np.random.default_rng(0).standard_normal((rows, 5)))
+    init = MaternParams(1.0, 20.0, 0.5) if request.param == "init" else None
+    return LocationSet(coords), reps, init

@@ -828,24 +828,27 @@ class TestMain:
         assert read_record(out / "sweep_meta.txt")["selector"] == selector
         capsys.readouterr()
 
-    def test_sweep_repetition_whose_profile_fails(self, tmp_path, monkeypatch, capsys,
-                                                  caplog):
-        # the repetition writes NaN rows for its grid, and the sweep goes on
-        def boom(self, grid):
-            raise np.linalg.LinAlgError("not positive definite")
+    @pytest.mark.parametrize("selector", ["kappa", "sqv"])
+    def test_sweep_repetition_whose_every_fit_fails(self, tmp_path, monkeypatch, capsys,
+                                                    caplog, selector):
+        # no R can be factored: each grid fit is the chain's placeholder, the
+        # selector drops every q and falls back to q* = 1, whose fit fails
+        # again; the repetition writes no selected row, and the sweep goes on
+        def boom(*args, **kwargs):
+            raise NotSPDError("not positive definite")
 
-        monkeypatch.setattr(est.FitChain, "profile", boom)
+        monkeypatch.setattr(est, "_corr_factor", boom)
         out = tmp_path / "w"
         assert run(["sweep", "--n", "9", "--m", "6", "--q-grid", "1,0.99",
-                    "--repetitions", "2", "--out", str(out)]) == 0
+                    "--repetitions", "2", "--selector", selector, "--out", str(out)]) == 0
         rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert [r[:2] for r in rows] == [["0", "1"], ["0", "0.98999999999999999"],
                                          ["1", "1"], ["1", "0.98999999999999999"]]
-        assert all(r[2:7] == ["nan"] * 5 and r[7:] == ["false", "false"] for r in rows)
-        assert [r.split(",")[1] for r in
-                (out / "summary.csv").read_text().splitlines()[1:]] == ["0", "0"]
+        assert all(r[6:] == ["nan", "false", "false"] for r in rows)
         assert (out / "selected_hist.csv").read_text() == "q_star,count\n"
-        assert "repetition 1 failed outright: not positive definite" in caplog.text
+        for rep in (0, 1):
+            assert ("the fit at q* = 1 failed on repetition %d: not positive definite"
+                    % rep) in caplog.text
         capsys.readouterr()
 
     def test_sweep_repetition_whose_selected_fit_fails(self, tmp_path, monkeypatch, capsys,
@@ -876,18 +879,24 @@ class TestMain:
                     % rep) in caplog.text
         capsys.readouterr()
 
-    def test_sweep_repetition_whose_selector_fails(self, tmp_path, monkeypatch, capsys,
-                                                   caplog):
-        # the repetition keeps its grid rows and writes no selected row
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular J")
-
-        monkeypatch.setattr(cli, "select_q_kappa", boom)
+    @pytest.mark.parametrize("case", ["init", "sites"])
+    def test_select_q_refuses_what_fit_refuses(self, tmp_path, capsys, case):
+        # an init outside the box, or a repeated site, fails every grid fit:
+        # the chain raises fit's error when it is built, where a selector
+        # once dropped every q and wrote q* = 1 ("fallback-to-one")
         out = tmp_path / "w"
-        assert run(["sweep", "--n", "9", "--m", "6", "--q-grid", "1,0.99",
-                    "--repetitions", "1", "--out", str(out)]) == 0
-        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
-        assert len(rows) == 2 and all(r[8] == "false" for r in rows)
-        assert (out / "selected_hist.csv").read_text() == "q_star,count\n"
-        assert "selector failed on repetition 0: singular J" in caplog.text
+        extra = [("grid.q", "1,0.99")] + ([("fit.init", "1,20,0.5")] if case == "init" else [])
+        cfgp = write_tiny_config(tmp_path / "cfg.txt", extra=extra)
+        assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        if case == "sites":
+            path = out / "locations.csv"
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:2] + lines[1:2] + lines[3:]) + "\n")
         capsys.readouterr()
+        assert run(["fit", "--config", cfgp, "--data-dir", str(out), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("outside the bounds" if case == "init" else "duplicate locations") in err
+        assert run(["select-q", "--config", cfgp, "--data-dir", str(out),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert not (out / "selectq.txt").exists()

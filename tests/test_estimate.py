@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -1121,6 +1122,17 @@ def pass_altered(monkeypatch, change):
 GUARD_CHAIN_PASSES = 239
 
 
+class TestChainInputs:
+    def test_a_chain_raises_what_fit_raises_when_built(self, refused_inputs):
+        # such a chain once raised the same ValueError at every q, and a
+        # selector dropped each one as a point failure
+        locs, reps, init = refused_inputs
+        with pytest.raises(ValueError) as refused:
+            fit(reps, locs, 0.95, init=init)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            FitChain(reps, locs, init=init)
+
+
 class TestChainStart:
     """Where FitChain starts a fit: a Newton step re-weighted to the new q."""
 
@@ -1259,6 +1271,15 @@ class TestQProfile:
             with pytest.raises(ValueError, match="one fit per grid q"):
                 QProfile(grid=grid, fits=fits)
         assert QProfile(grid=(1.0, 0.95), fits=fits).kappa_curve().shape == (2,)
+
+    def test_grid_is_kept_as_a_tuple(self, small_data):
+        # an ndarray grid made the profile unhashable and its == ambiguous
+        locs, reps = small_data
+        prof = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3)
+        for grid in (np.array([1.0, 0.95]), [1.0, 0.95]):
+            same = QProfile(grid=grid, fits=prof.fits)
+            assert same.grid == (1.0, 0.95)
+            assert same == prof and hash(same) == hash(prof)
 
     def test_fit_profile_rejects_a_non_finite_grid(self, small_data, monkeypatch):
         # refused before any fit runs

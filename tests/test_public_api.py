@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lqmatern
+from code_lines import SRC, code_lines, count
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -247,3 +248,29 @@ def test_module_state_passes_locals_and_constants():
     source = ("TABLE = {1: 2}\n_memo = []\ndef f(_memo):\n    _memo.append(TABLE[1])\n"
               "def g():\n    out = []\n    out.append(TABLE.get(1))\n    return out\n")
     assert not set(module_state(ast.parse(source), "m"))
+
+
+# The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
+# that raises it says why in CHANGES.md.
+CODE_LINES = 1630
+
+
+def test_src_code_lines_stay_under_the_ceiling():
+    total = sum(count(sorted(SRC.glob("*.py"))).values())
+    assert total <= CODE_LINES, total
+
+
+def test_code_lines_counts_code_only():
+    # docstrings and comments are left out; a call over three lines counts
+    # three, and a string over two that is not a docstring counts two
+    source = ('"""Module docstring,\n\nover three lines."""\n'
+              "# a comment\n"
+              "import os  # a trailing comment\n"
+              "\n"
+              "def f(a, b):\n"
+              '    """Function docstring."""\n'
+              "    return os.path.join(\n"
+              "        a,\n"
+              "        b)\n"
+              'TEXT = """not a\ndocstring"""\n')
+    assert code_lines(source) == 7

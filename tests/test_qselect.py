@@ -284,6 +284,21 @@ class TestSelectKappa:
         self.assert_dropped_at_098(theta, caplog)
 
 
+@pytest.mark.parametrize("selector", ["kappa", "sqv"])
+def test_a_selector_on_inputs_fit_refuses_raises(refused_inputs, selector):
+    # every grid fit raised the same ValueError, and the selector dropped
+    # each q and returned q* = 1 ("fallback-to-one"); the chain now raises
+    # it when it is built
+    locs, reps, init = refused_inputs
+    spec = QGridSpec(grid=(1.0, 0.99, 0.98), L=4.0)
+    with pytest.raises(ValueError):
+        chain = FitChain(reps, locs, init=init)
+        if selector == "kappa":
+            select_q_kappa(chain, spec)
+        else:
+            select_q_sqv(chain, make_se_fn(reps, locs), spec, m=reps.m)
+
+
 class TestFactories:
     def test_fit_fn_caches_and_warm_starts(self, monkeypatch):
         locs = make_locations(4, "grid")
