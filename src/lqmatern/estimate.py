@@ -18,16 +18,19 @@ A cold fit has three stages.
   their Schur complement, unless sigma2 sits on a bound, where it stays
   under small moves.  A step is taken when the Hessian is negative definite,
   u + delta lies in the box and scores no lower than u; any other step ends
-  this stage, with no line search.  A step with |delta| <= ``tol``
-  componentwise confirms the fit, and the last step allowed must be such a
-  step.  Newton converges quadratically, so the step after a 1e-5 step is
-  about 1e-11, and its rise is below the rounding of V: where the predicted
-  rise delta' (-H) delta / 2 is at most ``_Pass.rounding_floor``, a short
-  step is taken whatever it scores (the tie rule).  A short step whose rise
-  is a little above that can still score lower by rounding; where it falls
-  by less than its predicted rise, u itself is confirmed (the short-step
-  rule).  A step in the wrong direction falls by about three times its
-  predicted rise, and ends the stage.
+  this stage, with no line search.  A short step, |delta| <= ``tol``
+  componentwise, is not taken: it confirms its start u, where the fit's
+  last pass lies, as the estimate, and the last step allowed must be short.
+  Its trial point u + delta is scored to test it, without the pass's kernel
+  terms, since no pass follows it.  Newton converges quadratically, so the
+  step after a 1e-5 step is about 1e-11, and its rise is below the rounding
+  of V: where the predicted rise delta' (-H) delta / 2 is at most
+  ``_Pass.rounding_floor``, a short step confirms whatever its trial point
+  scores (the tie rule).  A short step whose rise is a little above that
+  can still score lower by rounding; where it falls by less than its
+  predicted rise, it confirms too (the short-step rule).  A step in the
+  wrong direction falls by about three times its predicted rise, and ends
+  the stage.
 - Where the steps do not confirm (an optimum on a bound, non-finite
   derivatives, a Hessian that is not negative definite, a refused step),
   the simplex runs again from the best point reached, to ``tol``, and one
@@ -49,17 +52,17 @@ A warm fit (``warm=True``: init is near the answer) starts with the Newton
 steps at init, and runs the cold stages from the best point reached only if
 they do not confirm.  ``FitChain`` starts every fit after its first one
 warm, from the fitted q nearest to it.  That fit's result carries its
-last derivative pass (``FitResult._pass``), taken within ``tol`` of its
-estimate, which holds every replicate's gradient and log density and the
-weighted Hessian sum, and q enters them only through the replicate
-weights.  Re-weighted to the new q (``_Pass.newton_step``, a full solve in
-(sigma2, beta, nu)), it gives one Newton step for the new fit without a
-new pass: the corrector of predictor-corrector continuation (Allgower &
-Georg, Numerical Continuation Methods, 1990).  The step's
-(beta, nu) is the start.  The nearest estimate itself is the start where
-that fit carries no pass (its sigma2 on a bound, or no pass within ``tol``
-of its estimate), the re-weighted Hessian is not negative definite, or the
-step leaves the box.
+last derivative pass (``FitResult._pass``), taken at its estimate where
+Newton confirmed it, which holds every replicate's gradient and log
+density and the weighted Hessian sum, and q enters them only through the
+replicate weights.  Re-weighted to the new q (``_Pass.newton_step``, a
+full solve in (sigma2, beta, nu)), it gives one Newton step for the new
+fit without a new pass: the corrector of predictor-corrector continuation
+(Allgower & Georg, Numerical Continuation Methods, 1990).  The step's
+(beta, nu), from the pass's own point, is the start.  The nearest estimate
+itself is the start where that fit carries no pass (its sigma2 on a bound,
+or no pass within ``tol`` of its estimate), the re-weighted Hessian is not
+negative definite, or the step leaves the box.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -84,8 +87,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .gauss_lik import (NotSPDError, _checked_q, _checked_rows, _corr_factor, _profile_factor,
-                        _weighted_derivs, _workspace)
+from .gauss_lik import (NotSPDError, _Workspace, _checked_q, _checked_rows, _corr_factor,
+                        _profile_factor, _weighted_derivs)
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -143,7 +146,9 @@ class FitResult:
     the last simplex run, if any, and a finite V at the estimate.
     ``_pass`` is the ``gauss_lik._Pass`` of the fit's last derivative
     pass where that pass lay within ``tol`` of the estimate with sigma2
-    inside its bounds, else None; it is left out of equality and repr.
+    inside its bounds, else None: taken at the estimate itself where
+    Newton confirmed it, since a short step confirms its start.  It is
+    left out of equality and repr.
     """
 
     theta_hat: MaternParams
@@ -171,6 +176,7 @@ class QProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", _checked_q_grid(self.grid))
+        object.__setattr__(self, "fits", tuple(self.fits))
         if [round(f.q, 12) for f in self.fits] != [round(q, 12) for q in self.grid]:
             raise ValueError("fits must hold one fit per grid q, in grid order")
 
@@ -247,18 +253,24 @@ class _Search:
         self.simplex_ok = True      # the last simplex run ended normally
         # (u, gauss_lik._Pass) of the last derivative pass
         self.last_pass = None
-        # the buffers of the fit's scores and passes, from the last fit on
-        # these sites where the memo still holds them
-        self.ws = _workspace(locs)
+        # the buffers of the fit's scores and passes, freed when the fit returns
+        self.ws = _Workspace()
+        # (u.tobytes(), R's factor) of the last score, where it made the
+        # pass's terms; dropped before the workspace is written again
+        self.held = None
 
     def score(self, u, terms=False):
         """Score u into ``scored`` as profile_lq does; with ``terms``, a pass at u comes next.
 
         ``terms`` has the score make the pass's kernel terms in the same
-        walk (``gauss_lik._corr_factor``).
+        walk (``gauss_lik._corr_factor``), and keeps R's factor for that
+        pass.
         """
+        self.held = None        # a factor held would have R built in a new buffer
         chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws, terms)
         self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
+        if terms:
+            self.held = (u.tobytes(), chol)
 
     def value(self, u, terms=False):
         key = u.tobytes()
@@ -298,10 +310,13 @@ class _Search:
         self.passes += 1
         self.last_pass = None
         sigma2 = self.scored[u.tobytes()][0]
+        # the factor of u's score where it made the terms, else the pass scores u again
+        chol = self.held[1] if self.held is not None and self.held[0] == u.tobytes() else None
+        self.held = None
         try:
             p = _weighted_derivs(self.reps.data, self.locs,
                                  MaternParams(sigma2, *(self.corner + u * self.width)), self.q,
-                                 self.ws)
+                                 self.ws, chol)
         except NotSPDError:
             return None
         self.last_pass = (u, p)
@@ -341,16 +356,16 @@ class _Search:
             if not short and k == steps - 1:
                 break
             self.evaluations += 1
-            val_new = self.value(u_new, terms=True)
-            tie = (short and rise <= self.last_pass[1].rounding_floor(val)
-                   and np.isfinite(val_new))
-            if val_new >= val or tie:
-                u, val = u_new, val_new
-            elif not (short and val - val_new < rise):     # the short-step rule
-                break
+            # a pass follows the trial point only where the step is not short
+            val_new = self.value(u_new, terms=not short)
             if short:
-                confirmed = True
+                tie = rise <= self.last_pass[1].rounding_floor(val) and np.isfinite(val_new)
+                # the tie and short-step rules; u, where the pass lies, is the answer
+                confirmed = val_new >= val or tie or val - val_new < rise
                 break
+            if val_new < val:
+                break
+            u, val = u_new, val_new
         return u, confirmed
 
 
@@ -464,7 +479,7 @@ class FitChain:
         p = self._fits[key]._pass
         step = None if p is None else p.newton_step(q)
         if step is not None:
-            point = theta.as_array()[1:] + step[1:]
+            point = p.theta.as_array()[1:] + step[1:]
             lo, hi = self._bounds.as_arrays()
             if np.all((point >= lo[1:]) & (point <= hi[1:])):
                 return MaternParams(theta.sigma2, *point), True

@@ -64,40 +64,31 @@ any sigma2, where Sigma = sigma2 R:
   and d2S_0k = dS_k / sigma2; its <dS_j, M> is the weighted sum of the
   gradient's products w_i' dS_j w_i.
 
-The hand-off.  A pass follows a score at the same (beta, nu): at the fit's
-warm start and Newton trial points, and in a sandwich called in the same
-thread, on the same location set, right after a fit, which scores its
-estimate last.  So ``_corr_factor`` leaves each factor it makes in a
-one-entry memo, keyed by the location set itself (compared by identity) and
-(beta, nu), with the workspace the factor lives in and whether the score
-made the pass's kernel terms (``terms``): from the Bessel values that make
-R's, in the same walk over the Chebyshev panels, into their place in the
-workspace.  R's factor and the terms depend on the sites and (beta, nu)
-alone, so a pass over any m takes both where the key matches and the terms
-were made; else it scores the point again with the terms (in the fit's own
-workspace where a fit's pass misses).  So a pass at a point scored without
-terms (a simplex's answer) factors R once more, and a score is the only
-place the kernel is evaluated.  Taken or made afresh, the factor and the
-terms are the same bits.  Taking removes the entry, because the pass
-overwrites the factor with Sigma^-1; every other caller only reads it.  A
-new factor, or a miss, drops the entry before R is built, and every writer
-of the workspace drops it before it writes, so the entry is the only record
-of the terms, and the memo adds nothing to any call's peak.  The entry
-carries the workspace on: a later fit on the same sites in the thread
-inherits it (a ``FitChain``'s next fit), and so does the pass that takes
-the entry (a sandwich right after the fit, which so makes no Bessel call).
-It is freed when that pass returns, when the thread factors other sites, or
-when the sites die.  The memo is per thread (``threading.local``): a factor
-or a workspace made in one thread is never used in another.  It holds its
-location set by a weak reference, and the entry's factor and workspace die
-with the set, so each thread keeps at most one of each alive, and only
-while its sites are in use elsewhere.
+The hand-off.  A pass follows a score at the same (beta, nu) at the fit's
+warm start and Newton points, and such a score makes the pass's kernel
+terms (``terms``): from the Bessel values that make R's, in the same walk
+over the Chebyshev panels, into their place in the workspace.  The fit's
+search (``estimate._Search``) keeps R's factor from that score and hands
+it to the pass (``chol``); any other pass scores its point again with the
+terms, so a score is the only place the kernel is evaluated.  Handed or
+made afresh, the factor and the terms are the same bits.
+
+The memo.  A fit that Newton confirmed reports its estimate at the point of
+its last pass, so a sandwich right after it asks for that pass again.
+``_weighted_derivs`` keeps the last pass it made in this thread
+(``threading.local``), O(m) numbers, with weak references to its sites
+and its data array, and returns it where the sites and the data are the
+same objects and theta and q are equal.  A ``ReplicateSet`` keeps its data
+read-only, so the same array holds the same data; a pass over data that
+can be written is not kept.  The entry holds no array with an axis of
+length n, and keeps neither the sites nor the data alive.
 
 The workspace (``_Workspace``) keeps flat buffers by name, and hands one out
 again only while nothing outside the workspace references it, so a factor
 a caller keeps is never overwritten.  A fit's search owns one workspace for
-its whole run (``estimate._Search``), so its scores and passes reuse the
-same memory instead of allocating it and faulting it in again each time.
+its whole run, so its scores and passes reuse the same memory instead of
+allocating it and faulting it in again each time; it dies when the fit
+returns.  A score or a pass outside a fit makes a workspace of its own.
 With u unique distances (so max(n^2, 2u) = n^2 for n > 1):
 
 - "R" (n^2): R is built and factored there (the interpolation works there
@@ -157,18 +148,22 @@ class NotSPDError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class ReplicateSet:
-    """n x m data matrix; column i is replicate Z_i observed at n locations."""
+    """n x m data matrix; column i is replicate Z_i observed at n locations.
+
+    The set keeps a read-only copy of the data it is given.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
+        d = np.array(self.data, dtype=float)
         if d.ndim != 2:
             raise ValueError("data must be a 2-d array (n locations x m replicates)")
         if d.shape[1] < 1:
             raise ValueError("need at least one replicate")
         if not np.all(np.isfinite(d)):
             raise ValueError("data must be finite")
+        d.flags.writeable = False
         object.__setattr__(self, "data", d)
 
     @property
@@ -318,7 +313,9 @@ def profile_sigma2(quad, n, q, lower, upper):
         step = None
         if curv < 0.0:
             slope = 0.5 * (wa - n)
-            newton = sigma2 * np.exp(-slope / curv)
+            x = -slope / curv
+            # past log(upper / sigma2) the step leaves the bounds, and exp may overflow
+            newton = sigma2 * np.exp(x) if x <= np.log(upper / sigma2) else np.inf
             if lower <= newton <= upper:
                 if abs(newton - sigma2) <= SIGMA2_RTOL * newton:
                     return newton
@@ -393,36 +390,17 @@ def _pass_buffer(ws, n, u):
             buf[3 * size:3 * size + 3 * u].reshape(3, u))
 
 
-# The last factor of R made in this thread, as (weak reference to locs, beta,
-# nu, [CholFactor, _Workspace], whether its score made the pass's terms) in
-# ``entry``, or None; the list empties when locs dies (see the module
-# docstring).
-_last_factor = threading.local()
-
-
-def _workspace(locs):
-    """The workspace of this thread's memo entry where it was made over ``locs``, else a new one."""
-    entry = getattr(_last_factor, "entry", None)
-    if entry is not None and entry[0]() is locs:
-        return entry[3][1]
-    return _Workspace()
-
-
 def _corr_factor(locs, beta, nu, ws=None, terms=False):
-    """CholFactor of the correlation matrix R(beta, nu), left in the memo for a pass.
+    """CholFactor of the correlation matrix R(beta, nu), built and factored in the workspace ``ws``.
 
-    R is built and factored in the buffer "R" of ``ws``, by default
-    ``_workspace(locs)``.  With ``terms``, the Bessel values that make R's
-    also make a derivative pass's five kernel terms at (beta, nu), into
-    their place in the "pass" buffer, and the memo entry records that they
-    were made.  The caller reads the factor before the next pass in this
-    thread, which may take it, and does not write to it.  Raises
-    NotSPDError carrying MaternParams(1, beta, nu) if R cannot be factored,
-    and leaves the memo empty then.
+    R goes into the buffer "R" of ``ws``, a new workspace where none is
+    given.  With ``terms``, the Bessel values that make R's also make a
+    derivative pass's five kernel terms at (beta, nu), into their place in
+    the "pass" buffer.  Raises NotSPDError carrying MaternParams(1, beta,
+    nu) if R cannot be factored.
     """
     if ws is None:
-        ws = _workspace(locs)
-    _last_factor.entry = None       # the last factor goes before a new one comes
+        ws = _Workspace()
     corr = MaternParams(1.0, beta, nu)
     n = locs.n
     u = locs._dist_unique[0].size
@@ -436,14 +414,10 @@ def _corr_factor(locs, beta, nu, ws=None, terms=False):
         vals, made = ws.take("pass", u)[:u], None
     _cov_into(locs, corr, a, vals, made)
     try:
-        chol = _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
+        return _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
     except NotSPDError as err:
         err.theta = corr
         raise
-    held = [chol, ws]   # the callback holds the list, not the entry: no cycle
-    _last_factor.entry = (weakref.ref(locs, lambda _, held=held: held.clear()),
-                          beta, nu, held, terms)
-    return chol
 
 
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
@@ -541,11 +515,20 @@ class _Pass:
         return V_ROUNDING * max(abs(value), self._total(self.q) * size)
 
 
-def _weighted_derivs(Z, locs, theta, q, ws=None):
+# The last derivative pass made in this thread over read-only data, as (weak
+# reference to locs, weak reference to the data array, _Pass) in ``entry``
+# (see the module docstring).
+_last_pass = threading.local()
+
+
+def _weighted_derivs(Z, locs, theta, q, ws=None, chol=None):
     """The ``_Pass`` of the columns of Z (n x m) at theta and q (see the module docstring).
 
-    A factor of R made here is made in the workspace ``ws`` where one is
-    given.
+    ``chol`` is R's factor at (beta, nu) from a score that made the pass's
+    terms in the workspace ``ws``; the pass overwrites it with Sigma^-1.
+    Without it the pass scores the point again, with the terms, in ``ws``
+    where one is given.  The last pass made in this thread is returned
+    again where locs and Z are the same objects and theta and q are equal.
 
     Raises ValueError where Z's rows do not match ``locs`` or q lies
     outside (0, 1], NotSPDError carrying MaternParams(1, beta, nu) where R
@@ -555,18 +538,15 @@ def _weighted_derivs(Z, locs, theta, q, ws=None):
     n, m = Z.shape
     _checked_rows(n, locs.n)
     _checked_q(q)
+    entry = getattr(_last_pass, "entry", None)
+    if (entry is not None and entry[0]() is locs and entry[1]() is Z
+            and (entry[2].theta, entry[2].q) == (theta, q)):
+        return entry[2]
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
-    # the memo's factor where its score made the terms, else a new one
-    # that makes them; Sigma^-1 overwrites it, so the memo is left empty
-    entry = getattr(_last_factor, "entry", None)
-    hit = (entry is not None and entry[0]() is locs
-           and (entry[1], entry[2], entry[4]) == (theta.beta, theta.nu, True))
-    del entry       # a factor referenced here would have R built in a new buffer
-    if not hit:
-        _corr_factor(locs, theta.beta, theta.nu, ws, True)
-    chol, ws = _last_factor.entry[3]
-    _last_factor.entry = None
+    if chol is None:
+        ws = _Workspace() if ws is None else ws
+        chol = _corr_factor(locs, theta.beta, theta.nu, ws, True)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
@@ -640,4 +620,8 @@ def _weighted_derivs(Z, locs, theta, q, ws=None):
     if q < 1.0:
         log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
-    return _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)
+    p = _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)
+    # data that can change in place are not keyed by identity
+    if not Z.flags.writeable:
+        _last_pass.entry = (weakref.ref(locs), weakref.ref(Z), p)
+    return p

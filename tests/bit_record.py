@@ -20,8 +20,9 @@ it records:
   an n = 100 grid at the rough and the smooth theta0, n = 150 uniform
   sites, n = 49 grid and uniform sites with m = 80 (m >= n), and n = 400
   uniform sites (left out with ``--quick``);
-- after the fit at q = 0.95, a sandwich that takes the fit's factor of R
-  and one that factors R afresh: K, J, the log scale and se, hashed;
+- after the fit at q = 0.95, a sandwich that reads the fit's last pass
+  and one on a fresh copy of the sites, which factors R afresh: K, J, the
+  log scale and se, hashed;
 - ``FitChain`` profiles on (1, 0.99, 0.97, 0.95, 0.9) for n <= 150;
 - CLI sweeps of 2 repetitions, kappa and SQV on a 64-site grid and kappa
   on 64 uniform sites: the hashes of sweep.csv, summary.csv and
@@ -45,8 +46,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from lqmatern import (ContaminationSpec, FitChain, MaternParams, SimConfig, cli_io,  # noqa: E402
-                      fit, sandwich, simulate_dataset, std_errs)
+from lqmatern import (ContaminationSpec, FitChain, LocationSet, MaternParams,  # noqa: E402
+                      SimConfig, cli_io, fit, sandwich, simulate_dataset, std_errs)
 
 SEED_SETS = (7700, 9110000, 3301)
 ROUGH, SMOOTH = MaternParams(1.0, 0.1, 0.5), MaternParams(1.0, 0.3, 1.5)
@@ -95,9 +96,10 @@ def design_record(theta0, n, m, layout, seed):
         res = fit(reps, locs, q)
         out["fits"][repr(q)] = fit_record(res)
         if q == SANDWICH_Q:
-            # the first takes the fit's factor of R; the second factors R afresh
+            # the first reads the fit's last pass; the second factors R afresh
             out["sandwich_hit"] = sandwich_record(reps, locs, res.theta_hat, q)
-            out["sandwich_miss"] = sandwich_record(reps, locs, res.theta_hat, q)
+            out["sandwich_miss"] = sandwich_record(reps, LocationSet(locs.coords), res.theta_hat,
+                                                   q)
     if n <= 150:
         profile = FitChain(reps, locs).profile(PROFILE_GRID)
         out["profile"] = [fit_record(f) for f in profile.fits]

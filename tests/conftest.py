@@ -6,10 +6,9 @@ of one fit intermittently take 16 ms instead of 0.1-0.2 ms, so timing-bound
 tests (acceptance criterion 7) varied fourfold.  ``bench/run.py`` pins the
 same three variables.
 
-Every test starts with this thread's memo of the last factor of R empty
-(``gauss_lik._last_factor``): a factor and workspace left by an earlier test
-would otherwise lower a later memory baseline or spare a factorization a
-spy counts.
+Every test starts with this thread's memo of the last derivative pass
+empty (``gauss_lik._last_pass``): a pass left by an earlier test would
+otherwise spare a pass, and the factorization in it, that a spy counts.
 """
 
 import os
@@ -21,10 +20,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 
 @pytest.fixture(autouse=True)
-def _empty_factor_memo():
+def _empty_pass_memo():
     from lqmatern import gauss_lik     # after the variables above are set
 
-    gauss_lik._last_factor.entry = None
+    gauss_lik._last_pass.entry = None
 
 
 @pytest.fixture(params=["rows", "init", "sites"])

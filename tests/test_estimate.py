@@ -96,13 +96,16 @@ class TestDefaultInit:
     def test_start_off_a_face_spares_the_restarts(self, interior_data):
         # started 1e-6 of the width below nu = 0.38, this fit took 209
         # evaluations and 2 restarts to reach the interior maximum; the
-        # default box's fit took 40
-        locs, reps, base = interior_data
+        # default box's fit took 40.  The reference is the default box's fit
+        # to tol = 1e-10: at the default tol each fit is only tol-accurate
+        locs, reps, _base = interior_data
         lo, hi = default_bounds().as_arrays()
         box = Bounds(MaternParams(*lo), MaternParams(hi[0], hi[1], 0.38))
         res = fit(reps, locs, 1.0, box)
+        ref = fit(reps, locs, 1.0, tol=1e-10)
         assert res.converged and res.restarts == 0 and res.evaluations <= 60
-        assert abs(res.theta_hat.nu - base[1.0].theta_hat.nu) <= 1e-6 * (0.38 - lo[2])
+        assert ref.converged
+        assert abs(res.theta_hat.nu - ref.theta_hat.nu) <= 1e-6 * (0.38 - lo[2])
 
 
 class TestFit:
@@ -738,7 +741,8 @@ class TestFusedNewtonPoint:
         # R is factored once per scored point, and for a pass only where
         # its point is not the one scored last with the pass's terms (a
         # simplex's answer, which it scored without them): per fit,
-        # factorizations = scored points + those passes
+        # factorizations = scored points + those passes.  The search holds
+        # the factor for its pass, and drops it when the pass takes it
         calls = []
         real_chol = gauss_lik._factor_in_place
 
@@ -763,7 +767,7 @@ class TestFusedNewtonPoint:
             last = held[0] == u.tobytes()
             out = real_step(search, u)
             assert len(calls) == before + (not last)
-            assert gauss_lik._last_factor.entry is None
+            assert search.held is None
             per_pass.append(last)
             held[0] = None
             return out
@@ -809,7 +813,7 @@ class TestFusedNewtonPoint:
             armed[0] = first
             real_score(search, u, terms)
             if first:
-                chol = gauss_lik._last_factor.entry[3][0]
+                chol = search.held[1]
                 seen["factor"] = (chol.jittered, chol.L.copy(), seen["cholesky"])
                 seen["scored"] = search.scored[u.tobytes()]
                 seen["point"] = tuple(search.corner + u * search.width)
@@ -830,6 +834,28 @@ class TestFusedNewtonPoint:
         armed[0] = True
         want = profile_lq(reps, locs, *seen["point"], 0.9, 1e-3, 1e3)
         assert seen["scored"] == want
+
+    def test_short_step_confirms_its_start(self, fused_sets, monkeypatch):
+        # the short step's trial point is a Newton fit's last score, made
+        # without the pass's terms since no pass follows it; the estimate
+        # is the step's start, where the fit's last pass and its result's
+        # pass lie
+        real = est._Search.score
+        scored = []
+
+        def score(search, u, terms=False):
+            scored.append((tuple(search.corner + u * search.width), terms))
+            real(search, u, terms)
+
+        monkeypatch.setattr(est._Search, "score", score)
+        passes = record_passes(monkeypatch)
+        for locs, reps, near in fused_sets:
+            for res in cold_and_warm_fits(locs, reps, near):
+                assert res.converged and res.restarts == 0
+                point, terms = scored[-1]
+                assert not terms and point != (res.theta_hat.beta, res.theta_hat.nu)
+                assert passes[-1] == res.theta_hat == res._pass.theta
+                scored.clear()
 
 
 @pytest.fixture(scope="module")
@@ -880,35 +906,37 @@ class TestSharedWalk:
         per_walk = int(locs._dist_cheb is not None)
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        entry = gauss_lik._last_factor.entry
-        assert entry[1:3] == tuple(search.corner + u * search.width) and entry[4] is True
-        del entry
+        assert search.held[0] == u.tobytes()
         search.newton_step(u)
-        assert len(walks) == per_walk and gauss_lik._last_factor.entry is None
+        assert len(walks) == per_walk and search.held is None
         assert sum(map(len, bessel)) == 2
         p = search.last_pass[1]
         # after a score without the terms the pass scores the point again,
-        # making them
-        gauss_lik._corr_factor(locs, p.theta.beta, p.theta.nu)
-        again = _weighted_derivs(reps.data, locs, p.theta, p.q)
+        # making them (the memo of the last pass emptied)
+        search.score(u)
+        gauss_lik._last_pass.entry = None
+        search.newton_step(u)
+        again = search.last_pass[1]
         assert len(walks) == 3 * per_walk and sum(map(len, bessel)) == 5
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
             assert np.array_equal(getattr(p, name), getattr(again, name))
 
     def test_sandwich_after_fit_walks_none(self, shared_sets, monkeypatch):
-        # the fit's last score, at its estimate, made the terms, so the
-        # sandwich neither factors R nor walks the panels; K and J are a
-        # sandwich's with the memo emptied, bit for bit, whose score makes
-        # the terms in the walk that makes R
+        # the fit's last pass lies at its estimate, so the sandwich there
+        # neither factors R nor walks the panels; K and J are those of a
+        # sandwich on a fresh copy of the sites, bit for bit, whose score
+        # makes the terms in the walk that makes R
         locs, reps = shared_sets[0]
         res = fit(reps, locs, 0.95)
         theta = res.theta_hat
-        assert gauss_lik._last_factor.entry[1:3] == (theta.beta, theta.nu)
+        assert res._pass.theta == theta
+        twin = LocationSet(locs.coords)
+        twin._dist_cheb
         walks = count_calls(monkeypatch, matern._Panels, "at")
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         hit = sandwich(reps, locs, theta, 0.95)
         assert walks == [] and factors == []
-        miss = sandwich(reps, locs, theta, 0.95)
+        miss = sandwich(reps, twin, theta, 0.95)
         assert len(walks) == 1 and len(factors) == 1
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(hit, name), getattr(miss, name))
@@ -917,9 +945,9 @@ class TestSharedWalk:
     def test_sandwich_that_misses_the_memo_walks_once(self, monkeypatch, m):
         # a pass that factors R itself makes its terms in the walk that
         # makes R, with m < n and m >= n alike: "pass" is laid out the same
-        # for every m, so the pass finds the terms where it reads them; K
-        # and J are those of a pass after a score that made no terms, bit
-        # for bit, which scores the point again
+        # for every m, so the pass finds the terms where it reads them.  Its
+        # pass is that of a pass handed the factor of a score that made the
+        # terms, bit for bit, and a second sandwich reads it from the memo
         locs = make_locations(81, "uniform", seed=9110000)
         reps = gen_replicates(locs, MaternParams(1.0, 0.1, 0.5), m, seed=9110000)
         assert locs._dist_cheb is not None
@@ -928,11 +956,18 @@ class TestSharedWalk:
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         miss = sandwich(reps, locs, theta, 0.95)
         assert len(walks) == 1 and len(factors) == 1
-        gauss_lik._corr_factor(locs, theta.beta, theta.nu)
-        own = sandwich(reps, locs, theta, 0.95)
-        assert len(walks) == 3 and len(factors) == 3
+        again = sandwich(reps, locs, theta, 0.95)
+        assert len(walks) == 1 and len(factors) == 1
+        own = gauss_lik._last_pass.entry[2]
+        gauss_lik._last_pass.entry = None
+        ws = gauss_lik._Workspace()
+        handed = _weighted_derivs(reps.data, locs, theta, 0.95, ws,
+                                  gauss_lik._corr_factor(locs, theta.beta, theta.nu, ws, True))
+        assert len(walks) == 2 and len(factors) == 2
         for name in ("K", "J", "log_scale"):
-            assert np.array_equal(getattr(miss, name), getattr(own, name))
+            assert np.array_equal(getattr(miss, name), getattr(again, name))
+        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+            assert np.array_equal(getattr(own, name), getattr(handed, name))
 
     def test_lattice_score_makes_the_pass_terms(self, shared_sets, monkeypatch):
         # kv's route has no walk to share, but its score makes the pass's
@@ -941,7 +976,7 @@ class TestSharedWalk:
         locs, reps = shared_sets[1]
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        assert gauss_lik._last_factor.entry[4] is True
+        assert search.held[0] == u.tobytes()
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         kv = count_calls(monkeypatch, matern, "special_kv")
         search.newton_step(u)
@@ -1000,18 +1035,20 @@ class TestSharedWalk:
         monkeypatch.setattr(gauss_lik, "_corr_factor", score)
         for name in ("special_kv", "special_kve"):
             monkeypatch.setattr(matern, name, spy(getattr(matern, name)))
-        gauss_lik._corr_factor(locs, hit.theta.beta, hit.theta.nu)
+        search.score(u)
+        gauss_lik._last_pass.entry = None
         factors.clear()
         bessel.clear()
-        again = _weighted_derivs(reps.data, locs, hit.theta, hit.q)
+        search.newton_step(u)
+        again = search.last_pass[1]
         assert len(factors) == 1 and len(bessel) == 2 and all(bessel)
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
             assert np.array_equal(getattr(hit, name), getattr(again, name))
 
     def test_pass_after_a_rejected_score_keeps_the_workspace(self, shared_sets, monkeypatch):
-        # a score that raises leaves the memo empty; the pass after it, at
-        # a point scored earlier, factors R again in the search's own
-        # workspace, so the fit makes one
+        # a score that raises leaves the search holding no factor; the pass
+        # after it, at a point scored earlier, factors R again in the
+        # search's own workspace, so the fit makes one
         locs, reps = shared_sets[1]
         made = count_calls(monkeypatch, gauss_lik._Workspace, "__init__")
         search, u = self.point(locs, reps)
@@ -1024,7 +1061,7 @@ class TestSharedWalk:
         monkeypatch.setattr(gauss_lik, "_factor_in_place", reject)
         assert search.value(u + 0.01) == -np.inf
         monkeypatch.setattr(gauss_lik, "_factor_in_place", real)
-        assert gauss_lik._last_factor.entry is None
+        assert search.held is None
         search.newton_step(u)
         assert search.last_pass is not None and len(made) == 1
 
@@ -1095,9 +1132,9 @@ def record_passes(monkeypatch):
     points = []
     real = est._weighted_derivs
 
-    def spy(Z, locs, theta, q, ws=None):
+    def spy(Z, locs, theta, q, *args):
         points.append(theta)
-        return real(Z, locs, theta, q, ws)
+        return real(Z, locs, theta, q, *args)
 
     monkeypatch.setattr(est, "_weighted_derivs", spy)
     return points
@@ -1157,8 +1194,8 @@ class TestChainStart:
         locs, reps, _base = interior_data
         passes = record_passes(monkeypatch)
         res = fit(reps, locs, 0.9)
-        assert res._pass.theta == passes[-1]
-        assert scaled_gap(passes[-1], res.theta_hat) <= 1e-6
+        assert res.converged and res.restarts == 0
+        assert res._pass.theta == passes[-1] == res.theta_hat
         again = fit(reps, locs, 0.9)
         assert again._pass is not res._pass
         assert again == res and hash(again) == hash(res)
@@ -1280,6 +1317,13 @@ class TestQProfile:
             same = QProfile(grid=grid, fits=prof.fits)
             assert same.grid == (1.0, 0.95)
             assert same == prof and hash(same) == hash(prof)
+
+    def test_fits_are_kept_as_a_tuple(self, small_data):
+        # a list of fits made the profile unhashable and unequal to its twin
+        locs, reps = small_data
+        prof = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3)
+        same = QProfile(grid=prof.grid, fits=list(prof.fits))
+        assert same.fits == prof.fits and same == prof and hash(same) == hash(prof)
 
     def test_fit_profile_rejects_a_non_finite_grid(self, small_data, monkeypatch):
         # refused before any fit runs

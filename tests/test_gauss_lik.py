@@ -1,6 +1,7 @@
 import inspect
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich
-from lqmatern.estimate import fit
+from lqmatern.estimate import _Search, default_bounds, fit
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _weighted_derivs,
                                 chol_factor, profile_lq, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
@@ -43,6 +44,15 @@ class TestReplicateSet:
     def test_shape_properties(self):
         r = ReplicateSet(np.zeros((4, 7)))
         assert r.n == 4 and r.m == 7
+
+    def test_replicate_data_are_a_read_only_copy(self):
+        # so the memo of the last pass can match the data by identity
+        given = np.ones((4, 3))
+        reps = ReplicateSet(given)
+        given[0, 0] = 5.0
+        assert reps.data[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            reps.data[0, 0] = 2.0
 
 
 class TestCholFactor:
@@ -483,6 +493,18 @@ class TestProfileLq:
         self.locs = LocationSet(rng.uniform(0, 1, (5, 2)))
         self.reps = ReplicateSet(rng.standard_normal((5, 6)))
 
+    def test_newton_step_past_the_upper_bound_does_not_overflow(self):
+        # on this design the solve's Newton step in log sigma2 is far past
+        # log(upper / sigma2): exp of it once overflowed with a warning (an
+        # error here) on the way to the right answer, the upper bound
+        locs, reps, _ = simulate_dataset(SimConfig(
+            MaternParams(1.0, 0.2936, 1.2316), n=16, m=30, layout="grid", seed=1140464))
+        beta, nu = np.logspace(-3, 1, 70)[66], np.linspace(0.05, 5, 50)[14]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sigma2, _value = profile_lq(reps, locs, beta, nu, 0.9, 1e-3, 1e3)
+        assert sigma2 == 1e3
+
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
     def test_value_is_log_domain_total_lq(self, q):
         sigma2, val = profile_lq(self.reps, self.locs, 0.3, 0.8, q, 1e-3, 1e3)
@@ -542,7 +564,11 @@ class TestProfileLq:
 
 
 class TestLastFactor:
-    """The one-entry, per-thread memo of the last factor of R that a pass takes."""
+    """R's last factor, handed from its score to a pass, and the memo of the last pass.
+
+    The memo is per thread and holds one entry: the last derivative pass,
+    keyed by its sites, its data, theta and q.
+    """
 
     @pytest.fixture
     def factored(self, monkeypatch):
@@ -555,77 +581,127 @@ class TestLastFactor:
             return real(a, refill)
 
         monkeypatch.setattr(gauss_lik, "_factor_in_place", spy)
-        yield calls
-        gauss_lik._last_factor.entry = None
+        return calls
 
     @pytest.fixture
     def inverted(self, monkeypatch):
-        # a derivative pass over m replicates at (1, beta, nu) and q = 1
-        # that returns the array its potri inverted, the factor of R it took
-        # from the memo or made, and a copy of that factor
-        last = threading.local()
+        # the array each potri inverts, and a copy of it
+        seen = []
         real = gauss_lik.dpotri
 
         def spy(c, **kwargs):
-            last.c = c, c.copy()
+            seen.append((c, c.copy()))
             return real(c, **kwargs)
 
         monkeypatch.setattr(gauss_lik, "dpotri", spy)
+        return seen
 
-        def run(locs, beta, nu, m=1):
-            z = np.linspace(-1.0, 1.0, locs.n * m).reshape(locs.n, m)
-            _weighted_derivs(z, locs, MaternParams(1.0, beta, nu), 1.0)
-            return last.c
-
-        return run
+    @staticmethod
+    def data(n, m, seed=0):
+        return ReplicateSet(np.random.default_rng(seed).standard_normal((n, m)))
 
     @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
-    def test_sandwich_after_fit_takes_the_fits_factor(self, factored, layout, n):
-        # the fit scores its estimate last, so the sandwich there factors
-        # nothing; a second one factors R afresh, to the same bits
+    def test_sandwich_after_fit_takes_the_fits_factor(self, factored, monkeypatch, layout, n):
+        # a fit that Newton confirmed made its last pass at its estimate, so
+        # the sandwich there builds and factors nothing; one on a fresh copy
+        # of the sites builds and factors R once, to the same bits
         locs, reps, _ = simulate_dataset(SimConfig(
             MaternParams(1.0, 0.15, 0.6), n=n, m=30, layout=layout, seed=2,
             contamination=ContaminationSpec(0.1, 1.0)))
         res = fit(reps, locs, 0.9)
+        assert res.converged and res.restarts == 0 and res._pass.theta == res.theta_hat
+        built, real = [], gauss_lik._cov_into
+        monkeypatch.setattr(gauss_lik, "_cov_into", lambda *a: built.append(1) or real(*a))
         factored.clear()
         first = sandwich(reps, locs, res.theta_hat, 0.9)
-        assert len(factored) == 0
-        second = sandwich(reps, locs, res.theta_hat, 0.9)
-        assert len(factored) == 1
+        assert factored == [] and built == []
+        assert gauss_lik._last_pass.entry[2] is res._pass
+        second = sandwich(reps, LocationSet(locs.coords.copy()), res.theta_hat, 0.9)
+        assert len(factored) == 1 and len(built) == 1
         assert np.array_equal(first.K, second.K) and np.array_equal(first.J, second.J)
 
-    def test_a_factor_stays_in_its_thread(self, factored, inverted):
+    def test_other_data_at_the_same_sites_miss(self, factored):
+        # the data are keyed by identity: an equal copy misses and gives the
+        # same bits, other data miss and give their own pass
         locs = make_locations(16, "grid")
+        reps = self.data(16, 5)
+        theta = MaternParams(0.8, 0.2, 0.5)
+        p = _weighted_derivs(reps.data, locs, theta, 0.9)
+        assert _weighted_derivs(reps.data, locs, theta, 0.9) is p and len(factored) == 1
+        copy = _weighted_derivs(ReplicateSet(reps.data).data, locs, theta, 0.9)
+        assert copy is not p and len(factored) == 2
+        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+            assert np.array_equal(getattr(copy, name), getattr(p, name))
+        other = _weighted_derivs(self.data(16, 5, seed=1).data, locs, theta, 0.9)
+        assert len(factored) == 3 and not np.array_equal(other.g, p.g)
+
+    def test_another_point_or_q_misses(self, factored):
+        locs = make_locations(16, "grid")
+        reps = self.data(16, 5)
+        theta = MaternParams(0.8, 0.2, 0.5)
+        p = _weighted_derivs(reps.data, locs, theta, 0.9)
+        for th, q in ((theta, 0.95), (MaternParams(0.8, 0.2, 0.6), 0.95),
+                      (MaternParams(0.9, 0.2, 0.6), 0.95)):
+            assert _weighted_derivs(reps.data, locs, th, q) is not p
+        assert len(factored) == 4
+
+    def test_writable_data_are_not_kept(self, factored):
+        # data that can change in place are never matched by identity
+        locs = make_locations(16, "grid")
+        z = np.linspace(-1.0, 1.0, 16 * 3).reshape(16, 3)
+        theta = MaternParams(0.8, 0.2, 0.5)
+        _weighted_derivs(z, locs, theta, 0.9)
+        z *= 2.0
+        again = _weighted_derivs(z, locs, theta, 0.9)
+        assert len(factored) == 2 and getattr(gauss_lik._last_pass, "entry", None) is None
+        assert np.array_equal(again.g, _weighted_derivs(ReplicateSet(z).data, locs, theta,
+                                                        0.9).g)
+
+    def test_memo_holds_nothing_of_its_sites(self):
+        # weak references to the sites and the data, and a pass of O(m)
+        # numbers: nothing with an axis of length n
+        locs = make_locations(16, "grid")
+        reps = self.data(16, 5)
+        _weighted_derivs(reps.data, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
+        entry = gauss_lik._last_pass.entry
+        assert entry[0]() is locs and entry[1]() is reps.data
+        arrays = [v for v in vars(entry[2]).values() if isinstance(v, np.ndarray)]
+        assert arrays and not [a.shape for a in arrays if 16 in a.shape]
+        del locs, reps
+        assert entry[0]() is None and entry[1]() is None
+
+    def test_a_pass_stays_in_its_thread(self, factored):
+        locs = make_locations(16, "grid")
+        reps = self.data(16, 5)
+        theta = MaternParams(0.8, 0.2, 0.5)
         made = []
-
-        def other():
-            made.append(gauss_lik._corr_factor(locs, 0.2, 0.5, None, True))
-
-        worker = threading.Thread(target=other)
+        worker = threading.Thread(
+            target=lambda: made.append(_weighted_derivs(reps.data, locs, theta, 0.9)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive() and len(made) == 1 and len(factored) == 1
-        assert getattr(gauss_lik._last_factor, "entry", None) is None
-        assert inverted(locs, 0.2, 0.5)[0] is not made[0].L and len(factored) == 2
+        assert getattr(gauss_lik._last_pass, "entry", None) is None
+        mine = _weighted_derivs(reps.data, locs, theta, 0.9)
+        assert mine is not made[0] and len(factored) == 2
 
-    def test_threads_take_back_their_own_factors(self, factored, inverted):
-        # more threads than cores, switching often, each making and taking
-        # factors over sites it then drops; all make before any takes, so a
+    def test_threads_take_back_their_own_passes(self, factored):
+        # more threads than cores, switching often, each making a pass over
+        # sites and data it then drops; all make before any asks again, so a
         # memo shared between threads would hand five of six a miss.  Every
-        # take is the taker's own factor, and no take factors R again
+        # answer is the thread's own pass, and none factors R again
         wrong = []
         made_all = threading.Barrier(6, timeout=60)
+        theta = MaternParams(0.8, 0.2, 0.5)
 
         def work(seed):
             try:
                 for i in range(20):
                     locs = make_locations(9, "uniform", seed + i)
-                    made = gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
+                    reps = self.data(9, 3, seed + i)
+                    made = _weighted_derivs(reps.data, locs, theta, 0.9)
                     made_all.wait()
-                    if inverted(locs, 0.2, 0.5)[0] is not made.L:
+                    if _weighted_derivs(reps.data, locs, theta, 0.9) is not made:
                         wrong.append((seed, i))
-                    if i % 2:
-                        gauss_lik._corr_factor(locs, 0.3, 0.5)   # left as locs dies
             except threading.BrokenBarrierError as exc:
                 wrong.append(exc)
 
@@ -640,7 +716,7 @@ class TestLastFactor:
         finally:
             sys.setswitchinterval(interval)
         assert not [w for w in workers if w.is_alive()]
-        assert not wrong and len(factored) == 6 * 30
+        assert not wrong and len(factored) == 6 * 20
 
     def test_threads_fit_one_location_set_at_once(self):
         # six threads fit and take the sandwich on the same sites and data
@@ -685,53 +761,42 @@ class TestLastFactor:
             assert np.array_equal(K, want[1]) and np.array_equal(J, want[2])
 
     def test_workspace_reuses_only_free_buffers(self, factored):
-        # scores on the same sites build R in one buffer of one workspace;
-        # a factor a caller keeps is never written to again, and its buffer
-        # is replaced instead
+        # scores in one workspace build R in one buffer; a factor a caller
+        # keeps is never written to again, and its buffer is replaced instead
         locs = make_locations(16, "grid")
-        gauss_lik._corr_factor(locs, 0.2, 0.5)
-        ws = gauss_lik._last_factor.entry[3][1]
+        ws = gauss_lik._Workspace()
+        gauss_lik._corr_factor(locs, 0.2, 0.5, ws)
         buf = weakref.ref(ws._bufs["R"])       # a reference would block reuse
-        gauss_lik._corr_factor(locs, 0.3, 0.5)
-        assert gauss_lik._last_factor.entry[3][1] is ws and ws._bufs["R"] is buf()
-        kept = gauss_lik._corr_factor(locs, 0.4, 0.5)
+        gauss_lik._corr_factor(locs, 0.3, 0.5, ws)
+        assert ws._bufs["R"] is buf()
+        kept = gauss_lik._corr_factor(locs, 0.4, 0.5, ws)
         want = kept.L.copy()
-        gauss_lik._corr_factor(locs, 0.5, 0.5)
+        gauss_lik._corr_factor(locs, 0.5, 0.5, ws)
         assert np.array_equal(kept.L, want) and ws._bufs["R"] is not buf()
         assert len(factored) == 4
 
-    def test_not_spd_leaves_no_entry(self, factored, monkeypatch):
+    def test_not_spd_leaves_no_entry(self, monkeypatch):
         locs = make_locations(16, "grid")
-        gauss_lik._corr_factor(locs, 0.2, 0.5)
-        assert gauss_lik._last_factor.entry is not None
         monkeypatch.setattr(gauss_lik, "_cov_into",
                             lambda locs_, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
-        for make in (lambda: gauss_lik._corr_factor(locs, 0.3, 0.5, None, True),
-                     lambda: _weighted_derivs(np.ones((16, 1)), locs,
-                                              MaternParams(1.0, 0.3, 0.5), 1.0)):
-            with pytest.raises(NotSPDError):
-                make()
-            assert gauss_lik._last_factor.entry is None
+        with pytest.raises(NotSPDError):
+            _weighted_derivs(self.data(16, 1).data, locs, MaternParams(1.0, 0.3, 0.5), 1.0)
+        assert getattr(gauss_lik._last_pass, "entry", None) is None
 
-    def test_factor_dies_with_its_sites(self, factored):
-        # the memo holds the sites weakly: dropping them frees the factor
-        locs = make_locations(16, "grid")
-        factor = weakref.ref(gauss_lik._corr_factor(locs, 0.2, 0.5).L)
-        assert factor() is not None
-        del locs
-        assert factor() is None and gauss_lik._last_factor.entry[3] == []
-
-    def test_equal_sites_in_another_set_miss(self, factored, inverted):
+    def test_equal_sites_in_another_set_miss(self, factored):
         locs = make_locations(16, "grid")
         twin = LocationSet(locs.coords.copy())
         assert np.array_equal(twin.coords, locs.coords) and twin is not locs
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
-        assert inverted(twin, 0.2, 0.5)[0] is not chol.L
-        assert len(factored) == 2 and gauss_lik._last_factor.entry is None
+        reps = self.data(16, 5)
+        theta = MaternParams(0.8, 0.2, 0.5)
+        p = _weighted_derivs(reps.data, locs, theta, 0.9)
+        assert _weighted_derivs(reps.data, twin, theta, 0.9) is not p
+        assert len(factored) == 2 and gauss_lik._last_pass.entry[0]() is twin
 
     def test_jittered_factor_is_handed_over(self, factored, inverted, monkeypatch):
         # one forced Cholesky failure: the rescued factor, with its flag, is
-        # the one the pass takes, with no factorization of its own
+        # the one the pass is handed and inverts, with no factorization of
+        # its own
         real, armed = gauss_lik.dpotrf, [True]
 
         def dpotrf(a, **kwargs):
@@ -742,41 +807,52 @@ class TestLastFactor:
 
         monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
         locs = make_locations(16, "grid")
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
+        ws = gauss_lik._Workspace()
+        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
         assert chol.jittered
-        assert inverted(locs, 0.2, 0.5)[0] is chol.L and len(factored) == 1
-
-    def test_a_factor_without_the_pass_terms_is_not_handed_over(self, factored, inverted):
-        # a score that made no terms leaves a factor no pass takes: the pass
-        # scores the point again, making its terms, to the same bits
-        locs = make_locations(16, "grid")
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5)
-        assert gauss_lik._last_factor.entry[4] is False
         want = chol.L.copy()
-        taken, factor = inverted(locs, 0.2, 0.5)
-        assert taken is not chol.L and len(factored) == 2
-        assert np.array_equal(factor, want) and gauss_lik._last_factor.entry is None
+        _weighted_derivs(self.data(16, 1).data, locs, MaternParams(1.0, 0.2, 0.5), 1.0, ws, chol)
+        assert inverted[0][0] is chol.L and np.array_equal(inverted[0][1], want)
+        assert len(factored) == 1
+
+    def test_a_factor_without_the_pass_terms_is_not_handed_over(self, factored):
+        # a search holds only the factor of a score that made the terms, so
+        # the pass after a score without them scores the point again,
+        # making them, to the bits of a pass handed its score's factor
+        locs = make_locations(16, "grid")
+        reps = self.data(16, 5)
+        search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
+        u = np.array([0.3, 0.2])
+        search.score(u)
+        assert search.held is None
+        search.newton_step(u)
+        assert len(factored) == 2
+        again = search.last_pass[1]
+        search.score(u, terms=True)
+        gauss_lik._last_pass.entry = None
+        search.newton_step(u)
+        assert len(factored) == 3
+        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+            assert np.array_equal(getattr(again, name), getattr(search.last_pass[1], name))
 
     def test_a_score_with_the_terms_serves_a_pass_over_any_m(self, factored):
         # R's factor and the kernel terms depend on the sites and (beta, nu)
-        # alone: a pass over m < n and one over m >= n each take the factor
-        # of a score that made the terms and the "pass" buffer that holds
-        # them, factor nothing, and give the bits of a pass that scores the
-        # point itself
+        # alone: a pass over m < n and one over m >= n, each handed the
+        # factor of a score that made the terms and the "pass" buffer that
+        # holds them, factor nothing, and give the bits of a pass that
+        # scores the point itself
         locs = make_locations(16, "grid")
         theta = MaternParams(0.7, 0.2, 0.5)
         for m in (3, 20):
             z = np.linspace(-1.0, 1.0, 16 * m).reshape(16, m)
-            gauss_lik._corr_factor(locs, 0.2, 0.5, None, True)
-            assert gauss_lik._last_factor.entry[4] is True
-            ws = gauss_lik._last_factor.entry[3][1]
+            ws = gauss_lik._Workspace()
+            chol = gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
             terms = weakref.ref(ws._bufs["pass"])
             factored.clear()
-            hit = _weighted_derivs(z, locs, theta, 0.9)
+            handed = _weighted_derivs(z, locs, theta, 0.9, ws, chol)
+            del chol
             assert factored == [] and ws._bufs["pass"] is terms()
-            assert gauss_lik._last_factor.entry is None
             fresh = _weighted_derivs(z, locs, theta, 0.9)
             assert len(factored) == 1
             for name in ("g", "w", "S", "log_det_r", "log_scale"):
-                assert np.array_equal(getattr(hit, name), getattr(fresh, name))
-
+                assert np.array_equal(getattr(handed, name), getattr(fresh, name))

@@ -16,7 +16,7 @@ import pytest
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
-from lqmatern.gauss_lik import _weighted_derivs, profile_lq
+from lqmatern.gauss_lik import _weighted_derivs
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
@@ -63,30 +63,34 @@ def test_derivative_pass_peak(data):
 
 
 def test_fused_newton_point_peak(data):
-    # a point scored and its pass from the memo's factor of R, as the fit
-    # takes them: the score adds less than the pass's own peak
+    # a point scored with the pass's terms and its pass handed the score's
+    # factor of R, as the fit takes them: the score adds less than the
+    # pass's own peak
     locs, reps = data
     search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
     u = (np.array([THETA.beta, THETA.nu]) - search.corner) / search.width
 
     def point():
-        search.score(u)
+        search.score(u, terms=True)
         search.newton_step(u)
 
     assert peak_doubles(point) <= 7.0
     assert search.passes == 1 and search.last_pass is not None
-    assert gauss_lik._last_factor.entry is None
+    assert search.held is None
 
 
 def test_score_peak(data):
-    # a score after a score on the same sites, as a fit scores: R and the
-    # unique distances' values go into the workspace's buffers, and the
+    # a score after a score in one search, as a fit scores: R and the
+    # unique distances' values go into the search's workspace, and the
     # interpolation works in R's before R is gathered there, so the score
     # adds little more than the forward solve's n x m array (2.00 where R,
-    # its factor and the values were new arrays)
+    # its factor and the values were new arrays, 1.51 for profile_lq, which
+    # makes a workspace of its own)
     locs, reps = data
-    profile_lq(reps, locs, 0.1, 0.5, 0.9, 1e-3, 1e3)
-    peak = peak_doubles(lambda: profile_lq(reps, locs, THETA.beta, THETA.nu, 0.9, 1e-3, 1e3))
+    search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
+    at = [(np.array(p) - search.corner) / search.width for p in ((0.1, 0.5), (THETA.beta, THETA.nu))]
+    search.score(at[0])
+    peak = peak_doubles(lambda: search.score(at[1]))
     print("score peak %.2f n^2 doubles" % peak)
     assert peak <= 1.2
 
@@ -102,21 +106,22 @@ def test_score_with_terms_peak(data):
     peak = peak_doubles(lambda: search.score(at[1], terms=True))
     print("score with terms peak %.2f n^2 doubles" % peak)
     assert peak <= 1.2
-    entry = gauss_lik._last_factor.entry
-    assert entry[1:3] == tuple(search.corner + at[1] * search.width) and entry[4] is True
+    assert search.held[0] == at[1].tobytes()
 
 
 def test_fit_and_sandwich_peak(data, monkeypatch):
     # a cold fit and the sandwich after it peak where a pass runs on the
-    # held workspace, which holds R's buffer and the pass's and no factor
+    # fit's workspace, which holds R's buffer and the pass's and no factor
     # but the pass's (6.267 measured; 6.275 where a simplex kept its best
-    # factor in a third buffer); a chain's fits hold the same two buffers
+    # factor in a third buffer); a chain's fits hold the same two buffers,
+    # and each fit's workspace dies with its search
     locs, reps = data
-    kept = []
+    kept, spaces = [], []
     real_step = _Search.newton_step
 
     def newton_step(search, u):
         kept.append(set(search.ws._bufs))
+        spaces.append(weakref.ref(search.ws))
         return real_step(search, u)
 
     monkeypatch.setattr(_Search, "newton_step", newton_step)
@@ -132,7 +137,7 @@ def test_fit_and_sandwich_peak(data, monkeypatch):
     kept.clear()
     FitChain(reps, locs).profile((1.0, 0.95))
     assert kept and all(bufs <= {"R", "pass"} for bufs in kept)
-    assert set(gauss_lik._last_factor.entry[3][1]._bufs) <= {"R", "pass"}
+    assert spaces and not [ws for ws in spaces if ws() is not None]
 
 
 def test_fit_allocates_two_factor_buffers(data, monkeypatch):
@@ -161,24 +166,25 @@ def test_fit_allocates_two_factor_buffers(data, monkeypatch):
 
 
 def test_sandwich_after_fit_peak(data):
-    # the sandwich takes the fit's factor of R and its workspace from the
-    # memo, so its pass adds little more than its n x m arrays (5.25 where
-    # the pass allocated its own buffers)
+    # the sandwich reads the fit's last pass, at its estimate, from the
+    # memo, so it allocates only O(m) numbers (5.25 where the pass
+    # allocated its own buffers, 1.6 where it took the fit's factor of R)
     locs, reps = data
     res = fit(reps, locs, 0.9)
-    assert gauss_lik._last_factor.entry[1:3] == (res.theta_hat.beta, res.theta_hat.nu)
+    assert res._pass.theta == res.theta_hat
     peak = peak_doubles(lambda: sandwich(reps, locs, res.theta_hat, 0.9))
     print("sandwich after fit peak %.2f n^2 doubles" % peak)
     assert peak <= 2.0
-    assert gauss_lik._last_factor.entry is None
+    assert gauss_lik._last_pass.entry[2] is res._pass
 
 
 def test_fit_leaves_no_factor_past_its_sites():
     # simulate, fit, simulate again, as a sweep's repetitions run: the memo
-    # keeps the fit's last factor of R only while its sites live, so once
-    # the first dataset is dropped the second simulation peaks as the first
-    # did (a memo holding its sites strongly left 3.03 n^2 doubles alive
-    # there, and the second simulation peaked 3.02 higher)
+    # keeps the fit's last pass, O(m) numbers, and its sites and data only
+    # weakly, so once the first dataset is dropped nothing of size n^2 is
+    # left and the second simulation peaks as the first did (a memo
+    # holding its sites strongly left 3.03 n^2 doubles alive there, and the
+    # second simulation peaked 3.02 higher)
     cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=N, m=100, layout="uniform", seed=5,
                     contamination=ContaminationSpec(0.1, 1.0))
     tracemalloc.start()
@@ -187,7 +193,8 @@ def test_fit_leaves_no_factor_past_its_sites():
         locs, reps, _ = simulate_dataset(cfg)
         first = tracemalloc.get_traced_memory()[1] - base
         fit(reps, locs, 0.9)
-        assert gauss_lik._last_factor.entry[3]
+        entry = gauss_lik._last_pass.entry
+        assert entry[0]() is locs and entry[1]() is reps.data
         del locs, reps
         left = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
@@ -195,7 +202,7 @@ def test_fit_leaves_no_factor_past_its_sites():
         second = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert not gauss_lik._last_factor.entry[3]
+    assert entry[0]() is None and entry[1]() is None
     assert left / (8.0 * N * N) <= 0.25
     assert (second - first) / (8.0 * N * N) <= 0.25
 

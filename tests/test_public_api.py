@@ -94,12 +94,12 @@ def test_every_public_definition_has_a_user():
 # (importer, module, name).
 REVIEWED_PRIVATE_IMPORTS = {
     ("asymptotics", "gauss_lik", "_weighted_derivs"),
+    ("estimate", "gauss_lik", "_Workspace"),
     ("estimate", "gauss_lik", "_checked_q"),
     ("estimate", "gauss_lik", "_checked_rows"),
     ("estimate", "gauss_lik", "_corr_factor"),
     ("estimate", "gauss_lik", "_profile_factor"),
     ("estimate", "gauss_lik", "_weighted_derivs"),
-    ("estimate", "gauss_lik", "_workspace"),
     ("gauss_lik", "matern", "_cov_into"),
     ("qselect", "estimate", "_checked_q_grid"),
 }
@@ -159,9 +159,9 @@ def test_private_imports_passes_public_and_foreign_names():
 
 
 # The module-level state src may keep, each reviewed: the per-thread memo
-# of the last factor of R.
-REVIEWED_STATE = {("threading.local", "gauss_lik", "_last_factor"),
-                  ("mutated", "gauss_lik", "_last_factor")}
+# of the last derivative pass, one entry of O(m) numbers.
+REVIEWED_STATE = {("threading.local", "gauss_lik", "_last_pass"),
+                  ("mutated", "gauss_lik", "_last_pass")}
 
 CACHES = ("functools.lru_cache", "functools.cache")
 MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
