@@ -76,7 +76,7 @@ class StdErrs:
 
 def ustar_all(reps, locs, theta, q):
     """The raw U* of every replicate, shape (3, m), from one factor of R."""
-    p = _weighted_derivs(reps.data, locs, theta, q)
+    p = _weighted_derivs(reps, locs, theta, q)
     return p.w * p.g * np.exp(p.log_scale)
 
 
@@ -87,7 +87,7 @@ def sandwich(reps, locs, theta_hat, q):
     """
     if reps.m < 2:
         raise ValueError("sandwich needs at least 2 replicates")
-    p = _weighted_derivs(reps.data, locs, theta_hat, q)
+    p = _weighted_derivs(reps, locs, theta_hat, q)
     m = reps.m
     U = p.w * p.g
     K = (U @ U.T) / m

@@ -52,17 +52,17 @@ A warm fit (``warm=True``: init is near the answer) starts with the Newton
 steps at init, and runs the cold stages from the best point reached only if
 they do not confirm.  ``FitChain`` starts every fit after its first one
 warm, from the fitted q nearest to it.  That fit's result carries its
-last derivative pass (``FitResult._pass``), taken at its estimate where
-Newton confirmed it, which holds every replicate's gradient and log
-density and the weighted Hessian sum, and q enters them only through the
-replicate weights.  Re-weighted to the new q (``_Pass.newton_step``, a
-full solve in (sigma2, beta, nu)), it gives one Newton step for the new
-fit without a new pass: the corrector of predictor-corrector continuation
-(Allgower & Georg, Numerical Continuation Methods, 1990).  The step's
-(beta, nu), from the pass's own point, is the start.  The nearest estimate
-itself is the start where that fit carries no pass (its sigma2 on a bound,
-or no pass within ``tol`` of its estimate), the re-weighted Hessian is not
-negative definite, or the step leaves the box.
+last derivative pass (``FitResult._pass``) where the pass was taken at its
+estimate, as it is where Newton confirmed it.  The pass holds every
+replicate's gradient and log density and the weighted Hessian sum, and q
+enters them only through the replicate weights.  Re-weighted to the new q
+(``_Pass.newton_step``, a full solve in (sigma2, beta, nu)), it gives one
+Newton step for the new fit without a new pass: the corrector of
+predictor-corrector continuation (Allgower & Georg, Numerical Continuation
+Methods, 1990).  The step's (beta, nu), from the estimate, is the start.
+The nearest estimate itself is the start where that fit carries no pass
+(its sigma2 on a bound, or no pass at its estimate), the re-weighted
+Hessian is not negative definite, or the step leaves the box.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -145,10 +145,10 @@ class FitResult:
     the estimate.  ``converged`` requires a confirmation, a normal end of
     the last simplex run, if any, and a finite V at the estimate.
     ``_pass`` is the ``gauss_lik._Pass`` of the fit's last derivative
-    pass where that pass lay within ``tol`` of the estimate with sigma2
-    inside its bounds, else None: taken at the estimate itself where
-    Newton confirmed it, since a short step confirms its start.  It is
-    left out of equality and repr.
+    pass where that pass was taken at the estimate with sigma2 inside its
+    bounds, else None; a fit that Newton confirmed reports its estimate at
+    that point, since a short step confirms its start.  It is left out of
+    equality and repr.
     """
 
     theta_hat: MaternParams
@@ -251,26 +251,20 @@ class _Search:
         self.scored = {}
         self.iterations = self.evaluations = self.passes = 0
         self.simplex_ok = True      # the last simplex run ended normally
-        # (u, gauss_lik._Pass) of the last derivative pass
+        # the gauss_lik._Pass of the last derivative pass
         self.last_pass = None
         # the buffers of the fit's scores and passes, freed when the fit returns
         self.ws = _Workspace()
-        # (u.tobytes(), R's factor) of the last score, where it made the
-        # pass's terms; dropped before the workspace is written again
-        self.held = None
 
     def score(self, u, terms=False):
         """Score u into ``scored`` as profile_lq does; with ``terms``, a pass at u comes next.
 
         ``terms`` has the score make the pass's kernel terms in the same
-        walk (``gauss_lik._corr_factor``), and keeps R's factor for that
-        pass.
+        walk, and the workspace keep R's factor for that pass
+        (``gauss_lik._corr_factor``).
         """
-        self.held = None        # a factor held would have R built in a new buffer
         chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws, terms)
         self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
-        if terms:
-            self.held = (u.tobytes(), chol)
 
     def value(self, u, terms=False):
         key = u.tobytes()
@@ -310,16 +304,13 @@ class _Search:
         self.passes += 1
         self.last_pass = None
         sigma2 = self.scored[u.tobytes()][0]
-        # the factor of u's score where it made the terms, else the pass scores u again
-        chol = self.held[1] if self.held is not None and self.held[0] == u.tobytes() else None
-        self.held = None
         try:
-            p = _weighted_derivs(self.reps.data, self.locs,
+            p = _weighted_derivs(self.reps, self.locs,
                                  MaternParams(sigma2, *(self.corner + u * self.width)), self.q,
-                                 self.ws, chol)
+                                 self.ws)
         except NotSPDError:
             return None
-        self.last_pass = (u, p)
+        self.last_pass = p
         gbar, hess = p.hessian(self.q)
         H = hess[1:, 1:]
         if sigma2 not in self.s2_box:
@@ -359,9 +350,9 @@ class _Search:
             # a pass follows the trial point only where the step is not short
             val_new = self.value(u_new, terms=not short)
             if short:
-                tie = rise <= self.last_pass[1].rounding_floor(val) and np.isfinite(val_new)
+                tie = rise <= self.last_pass.rounding_floor(val) and np.isfinite(val_new)
                 # the tie and short-step rules; u, where the pass lies, is the answer
-                confirmed = val_new >= val or tie or val - val_new < rise
+                confirmed = tie or val - val_new < rise
                 break
             if val_new < val:
                 break
@@ -425,15 +416,11 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False):
         restarts += 1
         confirmed = float(np.max(np.abs(u - start))) <= tol
 
-    kept = None
-    if search.last_pass is not None:
-        u_pass, p = search.last_pass
-        if p.theta.sigma2 not in search.s2_box and float(np.max(np.abs(u_pass - u))) <= tol:
-            kept = p
-
     search.value(u)
     sigma2, value = search.scored[u.tobytes()]
     theta_hat = MaternParams(sigma2, *(search.corner + u * search.width))
+    p = search.last_pass
+    kept = p if p is not None and p.theta == theta_hat and sigma2 not in search.s2_box else None
     with np.errstate(over="ignore"):
         objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
     # a restart that cannot move confirms nothing

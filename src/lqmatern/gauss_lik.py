@@ -67,28 +67,30 @@ any sigma2, where Sigma = sigma2 R:
 The hand-off.  A pass follows a score at the same (beta, nu) at the fit's
 warm start and Newton points, and such a score makes the pass's kernel
 terms (``terms``): from the Bessel values that make R's, in the same walk
-over the Chebyshev panels, into their place in the workspace.  The fit's
-search (``estimate._Search``) keeps R's factor from that score and hands
-it to the pass (``chol``); any other pass scores its point again with the
-terms, so a score is the only place the kernel is evaluated.  Handed or
-made afresh, the factor and the terms are the same bits.
+over the Chebyshev panels, into their place in the workspace.  The
+workspace records that score's factor of R (``_Workspace.held``) until R
+is written again, and a pass at the same (beta, nu) takes it from there;
+any other pass scores its point again with the terms, so a score is the
+only place the kernel is evaluated.  Taken or made afresh, the factor and
+the terms are the same bits.
 
 The memo.  A fit that Newton confirmed reports its estimate at the point of
 its last pass, so a sandwich right after it asks for that pass again.
 ``_weighted_derivs`` keeps the last pass it made in this thread
 (``threading.local``), O(m) numbers, with weak references to its sites
-and its data array, and returns it where the sites and the data are the
-same objects and theta and q are equal.  A ``ReplicateSet`` keeps its data
-read-only, so the same array holds the same data; a pass over data that
-can be written is not kept.  The entry holds no array with an axis of
-length n, and keeps neither the sites nor the data alive.
+and its ``ReplicateSet``, and returns it where the sites and the replicate
+set are the same objects and theta and q are equal.  A ``ReplicateSet``
+keeps a read-only copy of its data, so the same set holds the same data.
+The entry holds no array with an axis of length n, and keeps neither the
+sites nor the data alive.
 
 The workspace (``_Workspace``) keeps flat buffers by name, and hands one out
-again only while nothing outside the workspace references it, so a factor
-a caller keeps is never overwritten.  A fit's search owns one workspace for
-its whole run, so its scores and passes reuse the same memory instead of
-allocating it and faulting it in again each time; it dies when the fit
-returns.  A score or a pass outside a fit makes a workspace of its own.
+again at each request, so the factor a score returns lives only until the
+next score or pass in the same workspace.  A fit's search owns one
+workspace for its whole run, so its scores and passes reuse the same
+memory instead of allocating it and faulting it in again each time; it
+dies when the fit returns.  A score or a pass outside a fit makes a
+workspace of its own.
 With u unique distances (so max(n^2, 2u) = n^2 for n > 1):
 
 - "R" (n^2): R is built and factored there (the interpolation works there
@@ -109,7 +111,6 @@ n^2 on irregular sites, no more than a pass that allocated its own arrays
 held at once; only the n x m products are allocated per pass.
 """
 
-import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -346,32 +347,21 @@ def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
     return sigma2, _lq_weights(lvec, q)[0]
 
 
-def _refs(bufs, name):
-    # the reference count of bufs[name], as _Workspace.take reads it
-    buf = bufs[name]
-    return sys.getrefcount(buf)
-
-
-# ``_refs`` of a buffer that nothing but its dict references
-_ALONE = _refs({"probe": np.empty(1)}, "probe")
-
-
 class _Workspace:
     """Flat float buffers, kept by name and handed out again (see the module docstring).
 
-    A buffer is handed out again only where nothing outside the workspace
-    references it, itself or through a view, by its reference count, as
-    ``ndarray.resize(refcheck=True)`` checks; otherwise a new one takes its
-    place.
+    ``held`` is (beta, nu, CholFactor) where the factor in the buffer "R"
+    came from a score that also made a pass's kernel terms, else None.
     """
 
     def __init__(self):
         self._bufs = {}
+        self.held = None
 
     def take(self, name, size):
         """The flat buffer kept under ``name``, at least ``size`` doubles long, uninitialised."""
         bufs = self._bufs
-        if name not in bufs or bufs[name].size < size or _refs(bufs, name) > _ALONE:
+        if name not in bufs or bufs[name].size < size:
             bufs[name] = None               # the old buffer goes before a new one comes
             bufs[name] = np.empty(size)
         return bufs[name]
@@ -394,13 +384,16 @@ def _corr_factor(locs, beta, nu, ws=None, terms=False):
     """CholFactor of the correlation matrix R(beta, nu), built and factored in the workspace ``ws``.
 
     R goes into the buffer "R" of ``ws``, a new workspace where none is
-    given.  With ``terms``, the Bessel values that make R's also make a
+    given, and the factor returned lives there until the next score in
+    ``ws``.  With ``terms``, the Bessel values that make R's also make a
     derivative pass's five kernel terms at (beta, nu), into their place in
-    the "pass" buffer.  Raises NotSPDError carrying MaternParams(1, beta,
-    nu) if R cannot be factored.
+    the "pass" buffer, and ``ws.held`` records the factor for that pass.
+    Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
+    factored.
     """
     if ws is None:
         ws = _Workspace()
+    ws.held = None                          # R is written below
     corr = MaternParams(1.0, beta, nu)
     n = locs.n
     u = locs._dist_unique[0].size
@@ -414,10 +407,13 @@ def _corr_factor(locs, beta, nu, ws=None, terms=False):
         vals, made = ws.take("pass", u)[:u], None
     _cov_into(locs, corr, a, vals, made)
     try:
-        return _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
+        chol = _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
     except NotSPDError as err:
         err.theta = corr
         raise
+    if terms:
+        ws.held = (corr.beta, corr.nu, chol)
+    return chol
 
 
 def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
@@ -515,38 +511,39 @@ class _Pass:
         return V_ROUNDING * max(abs(value), self._total(self.q) * size)
 
 
-# The last derivative pass made in this thread over read-only data, as (weak
-# reference to locs, weak reference to the data array, _Pass) in ``entry``
-# (see the module docstring).
+# The last derivative pass made in this thread, as (weak reference to locs,
+# weak reference to the ReplicateSet, _Pass) in ``entry`` (see the module
+# docstring).
 _last_pass = threading.local()
 
 
-def _weighted_derivs(Z, locs, theta, q, ws=None, chol=None):
-    """The ``_Pass`` of the columns of Z (n x m) at theta and q (see the module docstring).
+def _weighted_derivs(reps, locs, theta, q, ws=None):
+    """The ``_Pass`` of the replicates ``reps`` at theta and q (see the module docstring).
 
-    ``chol`` is R's factor at (beta, nu) from a score that made the pass's
-    terms in the workspace ``ws``; the pass overwrites it with Sigma^-1.
-    Without it the pass scores the point again, with the terms, in ``ws``
-    where one is given.  The last pass made in this thread is returned
-    again where locs and Z are the same objects and theta and q are equal.
+    The pass takes R's factor at (beta, nu) from the workspace ``ws`` where
+    ``ws.held`` records it, and overwrites it with Sigma^-1; otherwise it
+    scores the point again, with the terms, in ``ws`` where one is given.
+    The last pass made in this thread is returned again where locs and reps
+    are the same objects and theta and q are equal.
 
-    Raises ValueError where Z's rows do not match ``locs`` or q lies
+    Raises ValueError where the data's rows do not match ``locs`` or q lies
     outside (0, 1], NotSPDError carrying MaternParams(1, beta, nu) where R
     cannot be factored, and NotSPDError carrying theta where potri fails.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = reps.data
     n, m = Z.shape
     _checked_rows(n, locs.n)
     _checked_q(q)
     entry = getattr(_last_pass, "entry", None)
-    if (entry is not None and entry[0]() is locs and entry[1]() is Z
+    if (entry is not None and entry[0]() is locs and entry[1]() is reps
             and (entry[2].theta, entry[2].q) == (theta, q)):
         return entry[2]
+    ws = _Workspace() if ws is None else ws
+    if ws.held is None or ws.held[:2] != (theta.beta, theta.nu):
+        _corr_factor(locs, theta.beta, theta.nu, ws, True)
+    chol, ws.held = ws.held[2], None        # the pass overwrites R with Sigma^-1
     s2 = theta.sigma2
     uniq, inv = locs._dist_unique
-    if chol is None:
-        ws = _Workspace() if ws is None else ws
-        chol = _corr_factor(locs, theta.beta, theta.nu, ws, True)
     Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
@@ -621,7 +618,5 @@ def _weighted_derivs(Z, locs, theta, q, ws=None, chol=None):
         log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
     p = _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)
-    # data that can change in place are not keyed by identity
-    if not Z.flags.writeable:
-        _last_pass.entry = (weakref.ref(locs), weakref.ref(Z), p)
+    _last_pass.entry = (weakref.ref(locs), weakref.ref(reps), p)
     return p

@@ -132,7 +132,7 @@ def ustar(z, locs, theta, q):
 
 def vstar(z, locs, theta, q):
     """One replicate's V*, the exact theta-Jacobian of U*; symmetric 3 x 3."""
-    p = _weighted_derivs(np.asarray(z, dtype=float)[:, None], locs, theta, q)
+    p = _weighted_derivs(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, theta, q)
     out = (p.S + (1.0 - q) * (p.g @ p.g.T)) * np.exp(p.log_scale)
     return 0.5 * (out + out.T)
 

@@ -573,7 +573,7 @@ class TestWeightedDerivativePass:
         def assert_close(got, want):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-        p = gauss_lik._weighted_derivs(reps.data, locs, at, q)
+        p = gauss_lik._weighted_derivs(reps, locs, at, q)
         assert_close(p.g, g_want)
         assert_close(p.w, w)
         assert_close(p.S, (H * w).sum(axis=2))
@@ -605,7 +605,7 @@ class TestWeightedDerivativePass:
         at = MaternParams(sigma2, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, q)
         _profile_factor(reps, _corr_factor(locs, at.beta, at.nu), q, 1e-3, 1e3)
-        p = gauss_lik._weighted_derivs(reps.data, locs, at, q)
+        p = gauss_lik._weighted_derivs(reps, locs, at, q)
         for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -619,7 +619,7 @@ class TestWeightedDerivativePass:
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(0.9, 0.17, 0.55)
-        gbar, H = gauss_lik._weighted_derivs(reps.data, locs, at, q).hessian(q)
+        gbar, H = gauss_lik._weighted_derivs(reps, locs, at, q).hessian(q)
         J = sandwich(reps, locs, at, q).J
         want = reps.m * J
         if q < 1.0:
@@ -639,7 +639,7 @@ class TestWeightedDerivativePass:
         assert locs._dist_cheb is not None
         tracemalloc.start()
         try:
-            gauss_lik._weighted_derivs(reps.data, locs, theta, 0.95)
+            gauss_lik._weighted_derivs(reps, locs, theta, 0.95)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -652,7 +652,7 @@ class TestWeightedDerivativePass:
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=25, m=10, layout="grid", seed=2))
         monkeypatch.setattr(gauss_lik, "dpotri", lambda c, **kw: (c, 3))
-        calls = (lambda: gauss_lik._weighted_derivs(reps.data, locs, theta, 0.95),
+        calls = (lambda: gauss_lik._weighted_derivs(reps, locs, theta, 0.95),
                  lambda: sandwich(reps, locs, theta, 0.95),
                  lambda: ustar_all(reps, locs, theta, 0.95))
         for call in calls:
@@ -671,3 +671,53 @@ def test_mirror_lower_copies_the_lower_triangle(n):
         want = np.tril(a) + np.tril(a, -1).T
         gauss_lik._mirror_lower(a)
         assert np.array_equal(a, want)
+
+
+@pytest.fixture(scope="module")
+def population_data():
+    """A population-scale sample, m = 5000, from the model on an n = 25 grid (smooth theta0)."""
+    theta0 = MaternParams(1.0, 0.3, 1.5)
+    locs, reps, _ = simulate_dataset(SimConfig(theta0, n=25, m=5000, seed=2710))
+    return locs, reps, theta0
+
+
+def theta_q(theta0, q):
+    """The MLqE's target under the model, (q sigma2, beta, nu) (see ``estimate``)."""
+    return MaternParams(q * theta0.sigma2, theta0.beta, theta0.nu)
+
+
+class TestPopulationClosedForms:
+    """The MLqE's population quantities under the model, in closed form.
+
+    Under the model f_theta_q(z)^(1-q) times the N(0, Sigma0) density is
+    proportional to the N(0, q Sigma0) density, so the weights' moments and
+    the target are Gaussian ones.  Each bound is a few of the statistic's
+    own standard deviations, at m far above F = ((2-q)^2 / (q(4-3q)))^(n/2)
+    (at most 20 here), where the sampled weights' moments are well sampled.
+    """
+
+    @pytest.mark.parametrize("q", [0.95, 0.9, 0.8, 0.7])
+    def test_ess_fraction_is_the_closed_form(self, population_data, q):
+        # ESS/m = (sum v)^2 / (m sum v^2) of the pass's weights at theta_q
+        # tends to (q(2-q))^(n/2); its sd is the delta method's, from the
+        # sample covariance of (v, v^2)
+        locs, reps, theta0 = population_data
+        v = gauss_lik._weighted_derivs(reps, locs, theta_q(theta0, q), q).w
+        a, b = v.mean(), (v * v).mean()
+        grad = np.array([2.0 * a / b, -a * a / (b * b)])
+        sd = np.sqrt(grad @ np.cov(np.vstack([v, v * v])) @ grad / reps.m)
+        closed = (q * (2.0 - q)) ** (reps.n / 2)
+        assert abs(a * a / b - closed) <= 4.0 * sd
+        assert sd <= 0.05 * closed
+
+    @pytest.mark.parametrize("q", [0.9, 0.8])
+    def test_fit_recovers_theta_q(self, population_data, q):
+        # the scale shrinks by q and (beta, nu) are unbiased: the estimate
+        # lies within a few of its own standard errors of theta_q
+        locs, reps, theta0 = population_data
+        res = fit(reps, locs, q)
+        assert res.converged
+        se = std_errs(sandwich(reps, locs, res.theta_hat, q)).se / np.sqrt(reps.m)
+        gap = res.theta_hat.as_array() - theta_q(theta0, q).as_array()
+        assert np.all(np.abs(gap) <= 4.0 * se)
+        assert np.all(se <= 0.02 * theta_q(theta0, q).as_array())

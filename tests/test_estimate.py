@@ -458,7 +458,7 @@ class TestConfirmation:
         assert clipped == (s2_hi < 1.0)
         # the pass's full derivatives, and sigma2's response through their
         # Schur complement where sigma2 is interior
-        gbar, hess = _weighted_derivs(reps.data, locs, MaternParams(sigma2, *p), q).hessian(q)
+        gbar, hess = _weighted_derivs(reps, locs, MaternParams(sigma2, *p), q).hessian(q)
         g, H = gbar[1:], hess[1:, 1:]
         if not clipped:
             H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
@@ -591,7 +591,7 @@ class TestShortStepRule:
                 start, rise = starts[key]
                 v = start - 0.5 * rise
                 search.scored[key] = (search.scored[key][0], v)
-                refused.append(v < start and rise > search.last_pass[1].rounding_floor(start))
+                refused.append(v < start and rise > search.last_pass.rounding_floor(start))
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         monkeypatch.setattr(est._Search, "score", score)
@@ -651,6 +651,35 @@ class TestNewtonFinish:
         warm = fit(reps, locs, 0.9, init=base[1.0].theta_hat, warm=True)
         assert warm.newton_steps == len(calls) >= 1
         assert warm.converged and warm.evaluations < cold.evaluations
+
+    def test_failed_inverse_in_a_pass_falls_back(self, interior_data, monkeypatch):
+        # potri fails once, at the cold fit's first pass, after that pass
+        # scored its point with the terms: the Newton stage ends, the
+        # workspace's record of R's factor went with the write of R, and the
+        # tight simplex and its confirming step still confirm the estimate
+        locs, reps, base = interior_data
+        real_potri, real_step = gauss_lik.dpotri, est._Search.newton_step
+        armed, steps = [True], []
+
+        def dpotri(c, **kwargs):
+            if armed[0]:
+                armed[0] = False
+                return c, 1                 # a forced failure
+            return real_potri(c, **kwargs)
+
+        def newton_step(search, u):
+            step = real_step(search, u)
+            steps.append((step is None, search.last_pass is None, search.ws.held is None))
+            return step
+
+        monkeypatch.setattr(gauss_lik, "dpotri", dpotri)
+        monkeypatch.setattr(est._Search, "newton_step", newton_step)
+        res = fit(reps, locs, 0.9)
+        assert not armed[0] and steps[0] == (True, True, True)
+        assert len(steps) >= 2 and not any(s[0] for s in steps[1:])
+        assert res.converged and res.restarts == 0 and res.newton_steps == len(steps)
+        assert res._pass.theta == res.theta_hat
+        assert scaled_gap(res.theta_hat, base[0.9].theta_hat) <= 1e-6
 
     def test_warm_chain_confirms_in_few_evaluations(self, interior_data):
         # every fit after the first starts with Newton at the previous one
@@ -741,8 +770,10 @@ class TestFusedNewtonPoint:
         # R is factored once per scored point, and for a pass only where
         # its point is not the one scored last with the pass's terms (a
         # simplex's answer, which it scored without them): per fit,
-        # factorizations = scored points + those passes.  The search holds
-        # the factor for its pass, and drops it when the pass takes it
+        # factorizations = scored points + those passes.  The workspace
+        # records the factor for its pass, and drops it when the pass takes
+        # it; a pass the memo returns (the warm fit's first, at the cold
+        # fit's estimate) writes nothing and leaves the record
         calls = []
         real_chol = gauss_lik._factor_in_place
 
@@ -765,9 +796,10 @@ class TestFusedNewtonPoint:
         def newton_step(search, u):
             before = len(calls)
             last = held[0] == u.tobytes()
+            memo = getattr(gauss_lik._last_pass, "entry", None)
             out = real_step(search, u)
             assert len(calls) == before + (not last)
-            assert search.held is None
+            assert search.ws.held is None or search.last_pass is memo[2]
             per_pass.append(last)
             held[0] = None
             return out
@@ -813,7 +845,7 @@ class TestFusedNewtonPoint:
             armed[0] = first
             real_score(search, u, terms)
             if first:
-                chol = search.held[1]
+                chol = search.ws.held[2]
                 seen["factor"] = (chol.jittered, chol.L.copy(), seen["cholesky"])
                 seen["scored"] = search.scored[u.tobytes()]
                 seen["point"] = tuple(search.corner + u * search.width)
@@ -906,17 +938,17 @@ class TestSharedWalk:
         per_walk = int(locs._dist_cheb is not None)
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        assert search.held[0] == u.tobytes()
+        assert search.ws.held[:2] == tuple(search.corner + u * search.width)
         search.newton_step(u)
-        assert len(walks) == per_walk and search.held is None
+        assert len(walks) == per_walk and search.ws.held is None
         assert sum(map(len, bessel)) == 2
-        p = search.last_pass[1]
+        p = search.last_pass
         # after a score without the terms the pass scores the point again,
         # making them (the memo of the last pass emptied)
         search.score(u)
         gauss_lik._last_pass.entry = None
         search.newton_step(u)
-        again = search.last_pass[1]
+        again = search.last_pass
         assert len(walks) == 3 * per_walk and sum(map(len, bessel)) == 5
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
             assert np.array_equal(getattr(p, name), getattr(again, name))
@@ -946,8 +978,8 @@ class TestSharedWalk:
         # a pass that factors R itself makes its terms in the walk that
         # makes R, with m < n and m >= n alike: "pass" is laid out the same
         # for every m, so the pass finds the terms where it reads them.  Its
-        # pass is that of a pass handed the factor of a score that made the
-        # terms, bit for bit, and a second sandwich reads it from the memo
+        # pass is that of a pass that took the factor of a score that made
+        # the terms, bit for bit, and a second sandwich reads it from the memo
         locs = make_locations(81, "uniform", seed=9110000)
         reps = gen_replicates(locs, MaternParams(1.0, 0.1, 0.5), m, seed=9110000)
         assert locs._dist_cheb is not None
@@ -961,8 +993,8 @@ class TestSharedWalk:
         own = gauss_lik._last_pass.entry[2]
         gauss_lik._last_pass.entry = None
         ws = gauss_lik._Workspace()
-        handed = _weighted_derivs(reps.data, locs, theta, 0.95, ws,
-                                  gauss_lik._corr_factor(locs, theta.beta, theta.nu, ws, True))
+        gauss_lik._corr_factor(locs, theta.beta, theta.nu, ws, True)
+        handed = _weighted_derivs(reps, locs, theta, 0.95, ws)
         assert len(walks) == 2 and len(factors) == 2
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(miss, name), getattr(again, name))
@@ -976,7 +1008,7 @@ class TestSharedWalk:
         locs, reps = shared_sets[1]
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
-        assert search.held[0] == u.tobytes()
+        assert search.ws.held[:2] == tuple(search.corner + u * search.width)
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         kv = count_calls(monkeypatch, matern, "special_kv")
         search.newton_step(u)
@@ -1014,7 +1046,7 @@ class TestSharedWalk:
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
         search.newton_step(u)
-        hit = search.last_pass[1]
+        hit = search.last_pass
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         inside, bessel = [False], []
         real_score = gauss_lik._corr_factor
@@ -1040,19 +1072,19 @@ class TestSharedWalk:
         factors.clear()
         bessel.clear()
         search.newton_step(u)
-        again = search.last_pass[1]
+        again = search.last_pass
         assert len(factors) == 1 and len(bessel) == 2 and all(bessel)
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
             assert np.array_equal(getattr(hit, name), getattr(again, name))
 
     def test_pass_after_a_rejected_score_keeps_the_workspace(self, shared_sets, monkeypatch):
-        # a score that raises leaves the search holding no factor; the pass
-        # after it, at a point scored earlier, factors R again in the
-        # search's own workspace, so the fit makes one
+        # a score that raises leaves the workspace recording no factor; the
+        # pass after it, at a point scored earlier with the terms, factors R
+        # again in the search's own workspace, so the fit makes one
         locs, reps = shared_sets[1]
         made = count_calls(monkeypatch, gauss_lik._Workspace, "__init__")
         search, u = self.point(locs, reps)
-        search.score(u)
+        search.score(u, terms=True)
         real = gauss_lik._factor_in_place
 
         def reject(a, refill):
@@ -1061,9 +1093,10 @@ class TestSharedWalk:
         monkeypatch.setattr(gauss_lik, "_factor_in_place", reject)
         assert search.value(u + 0.01) == -np.inf
         monkeypatch.setattr(gauss_lik, "_factor_in_place", real)
-        assert search.held is None
+        assert search.ws.held is None
+        factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         search.newton_step(u)
-        assert search.last_pass is not None and len(made) == 1
+        assert search.last_pass is not None and len(made) == 1 and len(factors) == 1
 
     def test_cold_fit_factors_each_point_once(self, shared_sets, monkeypatch):
         # a pass at the point scored last with its terms takes its factor,
@@ -1108,7 +1141,7 @@ def reweighted_step(reps, locs, at, q_old, q):
     q = 1), and H = sum w_i(q_old) H_i scaled to the new weights' total,
     plus (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
     """
-    p = _weighted_derivs(reps.data, locs, at, q_old)
+    p = _weighted_derivs(reps, locs, at, q_old)
     g, w_old, S = p.g, p.w, p.S
     ll = loglik_columns(reps.data, chol_factor(build_cov(locs, at)))
     w = np.ones(reps.m)
@@ -1132,9 +1165,9 @@ def record_passes(monkeypatch):
     points = []
     real = est._weighted_derivs
 
-    def spy(Z, locs, theta, q, *args):
+    def spy(reps, locs, theta, q, *args):
         points.append(theta)
-        return real(Z, locs, theta, q, *args)
+        return real(reps, locs, theta, q, *args)
 
     monkeypatch.setattr(est, "_weighted_derivs", spy)
     return points
@@ -1206,7 +1239,7 @@ class TestChainStart:
         locs, reps, base = interior_data
         for q in SYM_QS:
             th = base[q].theta_hat
-            p = _weighted_derivs(reps.data, locs, th, q)
+            p = _weighted_derivs(reps, locs, th, q)
             lo, hi = default_bounds().as_arrays()
             value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
             corr = chol_factor(build_cov(locs, MaternParams(1.0, th.beta, th.nu)))

@@ -2,18 +2,19 @@ import inspect
 import sys
 import threading
 import warnings
-import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
 from lqmatern import gauss_lik
-from lqmatern.asymptotics import sandwich
-from lqmatern.estimate import _Search, default_bounds, fit
+from lqmatern.asymptotics import sandwich, ustar_all
+from lqmatern.estimate import FitChain, _Search, default_bounds, fit
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _weighted_derivs,
                                 chol_factor, profile_lq, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
+from lqmatern.qselect import QGridSpec, make_se_fn, select_q_kappa, select_q_sqv
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
 from oracles import log_likelihood, loglik_columns, lq_of_loglik, total_lq
@@ -115,7 +116,7 @@ class TestCholFactor:
             profile_lq(reps, locs, theta.beta, theta.nu, 0.9, 1e-3, 1e3)
             scale = 1.0
         elif path == "weighted_derivs":
-            _weighted_derivs(reps.data, locs, theta, 0.9)
+            _weighted_derivs(reps, locs, theta, 0.9)
             scale = 1.0
         else:
             gen_replicates(locs, theta, 2, seed=0)
@@ -438,6 +439,18 @@ class TestProfileSigma2Newton:
         s, vals = dense_profile(quad, 42, 0.5, 1e-3, 1e3)
         assert abs(np.log(got) - s[int(np.argmax(vals))]) <= 2.0 * (s[1] - s[0])
 
+    def test_fixed_point_step_that_goes_on(self):
+        # two clusters of forms three decades apart (n = 10, q = 0.5): the
+        # solve takes fixed-point steps that do not end it, V does not fall
+        # along the steps, and the answer is V's maximum, no lower than the
+        # best of a log grid of the bounds
+        quad = np.r_[np.full(4, 10.0), np.full(6, 1e4)] * (1 + 0.01 * np.arange(10) / 10)
+        got, values, safeguarded = traced_sigma2_solve(quad, 10, 0.5, 1e-3, 1e3)
+        assert safeguarded and got == pytest.approx(1.0015, rel=1e-4)
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        s, vals = dense_profile(quad, 10, 0.5, 1e-3, 1e3)
+        assert dense_profile(quad, 10, 0.5, got, got, points=1)[1][0] >= vals.max()
+
 
 class TestProfileSigma2Start:
     @pytest.mark.parametrize("m", [1, 2, 3, 100, 101])
@@ -567,7 +580,7 @@ class TestLastFactor:
     """R's last factor, handed from its score to a pass, and the memo of the last pass.
 
     The memo is per thread and holds one entry: the last derivative pass,
-    keyed by its sites, its data, theta and q.
+    keyed by its sites, its replicate set, theta and q.
     """
 
     @pytest.fixture
@@ -621,50 +634,48 @@ class TestLastFactor:
         assert np.array_equal(first.K, second.K) and np.array_equal(first.J, second.J)
 
     def test_other_data_at_the_same_sites_miss(self, factored):
-        # the data are keyed by identity: an equal copy misses and gives the
-        # same bits, other data miss and give their own pass
+        # the same set hits; other data miss and give their own pass
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
         theta = MaternParams(0.8, 0.2, 0.5)
-        p = _weighted_derivs(reps.data, locs, theta, 0.9)
-        assert _weighted_derivs(reps.data, locs, theta, 0.9) is p and len(factored) == 1
-        copy = _weighted_derivs(ReplicateSet(reps.data).data, locs, theta, 0.9)
-        assert copy is not p and len(factored) == 2
-        for name in ("g", "w", "S", "log_det_r", "log_scale"):
-            assert np.array_equal(getattr(copy, name), getattr(p, name))
-        other = _weighted_derivs(self.data(16, 5, seed=1).data, locs, theta, 0.9)
-        assert len(factored) == 3 and not np.array_equal(other.g, p.g)
+        p = _weighted_derivs(reps, locs, theta, 0.9)
+        assert _weighted_derivs(reps, locs, theta, 0.9) is p and len(factored) == 1
+        other = _weighted_derivs(self.data(16, 5, seed=1), locs, theta, 0.9)
+        assert len(factored) == 2 and not np.array_equal(other.g, p.g)
 
     def test_another_point_or_q_misses(self, factored):
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
         theta = MaternParams(0.8, 0.2, 0.5)
-        p = _weighted_derivs(reps.data, locs, theta, 0.9)
+        p = _weighted_derivs(reps, locs, theta, 0.9)
         for th, q in ((theta, 0.95), (MaternParams(0.8, 0.2, 0.6), 0.95),
                       (MaternParams(0.9, 0.2, 0.6), 0.95)):
-            assert _weighted_derivs(reps.data, locs, th, q) is not p
+            assert _weighted_derivs(reps, locs, th, q) is not p
         assert len(factored) == 4
 
-    def test_writable_data_are_not_kept(self, factored):
-        # data that can change in place are never matched by identity
+    def test_equal_data_in_another_set_miss(self, factored):
+        # the replicate set is keyed by identity: another set over equal
+        # data misses, gives the same bits, and takes the entry
         locs = make_locations(16, "grid")
-        z = np.linspace(-1.0, 1.0, 16 * 3).reshape(16, 3)
+        reps = self.data(16, 3)
+        twin = ReplicateSet(reps.data)
+        assert np.array_equal(twin.data, reps.data) and twin is not reps
         theta = MaternParams(0.8, 0.2, 0.5)
-        _weighted_derivs(z, locs, theta, 0.9)
-        z *= 2.0
-        again = _weighted_derivs(z, locs, theta, 0.9)
-        assert len(factored) == 2 and getattr(gauss_lik._last_pass, "entry", None) is None
-        assert np.array_equal(again.g, _weighted_derivs(ReplicateSet(z).data, locs, theta,
-                                                        0.9).g)
+        p = _weighted_derivs(reps, locs, theta, 0.9)
+        copy = _weighted_derivs(twin, locs, theta, 0.9)
+        assert copy is not p and len(factored) == 2
+        assert gauss_lik._last_pass.entry[1]() is twin
+        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+            assert np.array_equal(getattr(copy, name), getattr(p, name))
 
     def test_memo_holds_nothing_of_its_sites(self):
-        # weak references to the sites and the data, and a pass of O(m)
+        # weak references to the sites and the replicate set, and a pass of O(m)
         # numbers: nothing with an axis of length n
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
-        _weighted_derivs(reps.data, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
+        _weighted_derivs(reps, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
         entry = gauss_lik._last_pass.entry
-        assert entry[0]() is locs and entry[1]() is reps.data
+        assert entry[0]() is locs and entry[1]() is reps
         arrays = [v for v in vars(entry[2]).values() if isinstance(v, np.ndarray)]
         assert arrays and not [a.shape for a in arrays if 16 in a.shape]
         del locs, reps
@@ -676,12 +687,12 @@ class TestLastFactor:
         theta = MaternParams(0.8, 0.2, 0.5)
         made = []
         worker = threading.Thread(
-            target=lambda: made.append(_weighted_derivs(reps.data, locs, theta, 0.9)))
+            target=lambda: made.append(_weighted_derivs(reps, locs, theta, 0.9)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive() and len(made) == 1 and len(factored) == 1
         assert getattr(gauss_lik._last_pass, "entry", None) is None
-        mine = _weighted_derivs(reps.data, locs, theta, 0.9)
+        mine = _weighted_derivs(reps, locs, theta, 0.9)
         assert mine is not made[0] and len(factored) == 2
 
     def test_threads_take_back_their_own_passes(self, factored):
@@ -698,9 +709,9 @@ class TestLastFactor:
                 for i in range(20):
                     locs = make_locations(9, "uniform", seed + i)
                     reps = self.data(9, 3, seed + i)
-                    made = _weighted_derivs(reps.data, locs, theta, 0.9)
+                    made = _weighted_derivs(reps, locs, theta, 0.9)
                     made_all.wait()
-                    if _weighted_derivs(reps.data, locs, theta, 0.9) is not made:
+                    if _weighted_derivs(reps, locs, theta, 0.9) is not made:
                         wrong.append((seed, i))
             except threading.BrokenBarrierError as exc:
                 wrong.append(exc)
@@ -760,27 +771,48 @@ class TestLastFactor:
             assert theta == want[0]
             assert np.array_equal(K, want[1]) and np.array_equal(J, want[2])
 
-    def test_workspace_reuses_only_free_buffers(self, factored):
-        # scores in one workspace build R in one buffer; a factor a caller
-        # keeps is never written to again, and its buffer is replaced instead
+    def test_workspace_reuses_its_buffer(self, factored):
+        # scores in one workspace build R in one buffer
         locs = make_locations(16, "grid")
         ws = gauss_lik._Workspace()
         gauss_lik._corr_factor(locs, 0.2, 0.5, ws)
-        buf = weakref.ref(ws._bufs["R"])       # a reference would block reuse
+        buf = ws._bufs["R"]
         gauss_lik._corr_factor(locs, 0.3, 0.5, ws)
-        assert ws._bufs["R"] is buf()
-        kept = gauss_lik._corr_factor(locs, 0.4, 0.5, ws)
-        want = kept.L.copy()
-        gauss_lik._corr_factor(locs, 0.5, 0.5, ws)
-        assert np.array_equal(kept.L, want) and ws._bufs["R"] is not buf()
-        assert len(factored) == 4
+        assert ws._bufs["R"] is buf and len(factored) == 2
+
+    def test_a_record_never_survives_a_write_of_r(self, monkeypatch):
+        # the workspace records a factor only while R holds it: a later
+        # score, a failed factorization and a pass that raises each drop it
+        locs = make_locations(16, "grid")
+        reps = self.data(16, 3)
+        ws = gauss_lik._Workspace()
+
+        def recorded():
+            chol = gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
+            assert ws.held[:2] == (0.2, 0.5) and ws.held[2] is chol
+
+        recorded()
+        gauss_lik._corr_factor(locs, 0.3, 0.5, ws)
+        assert ws.held is None
+        recorded()
+        with monkeypatch.context() as patched:
+            patched.setattr(gauss_lik, "dpotrf", lambda a, **kw: (a, 1))
+            with pytest.raises(NotSPDError):
+                gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
+        assert ws.held is None
+        recorded()
+        with monkeypatch.context() as patched:
+            patched.setattr(gauss_lik, "dpotri", lambda c, **kw: (c, 1))
+            with pytest.raises(NotSPDError, match="potri"):
+                _weighted_derivs(reps, locs, MaternParams(1.0, 0.2, 0.5), 0.9, ws)
+        assert ws.held is None
 
     def test_not_spd_leaves_no_entry(self, monkeypatch):
         locs = make_locations(16, "grid")
         monkeypatch.setattr(gauss_lik, "_cov_into",
                             lambda locs_, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
         with pytest.raises(NotSPDError):
-            _weighted_derivs(self.data(16, 1).data, locs, MaternParams(1.0, 0.3, 0.5), 1.0)
+            _weighted_derivs(self.data(16, 1), locs, MaternParams(1.0, 0.3, 0.5), 1.0)
         assert getattr(gauss_lik._last_pass, "entry", None) is None
 
     def test_equal_sites_in_another_set_miss(self, factored):
@@ -789,14 +821,14 @@ class TestLastFactor:
         assert np.array_equal(twin.coords, locs.coords) and twin is not locs
         reps = self.data(16, 5)
         theta = MaternParams(0.8, 0.2, 0.5)
-        p = _weighted_derivs(reps.data, locs, theta, 0.9)
-        assert _weighted_derivs(reps.data, twin, theta, 0.9) is not p
+        p = _weighted_derivs(reps, locs, theta, 0.9)
+        assert _weighted_derivs(reps, twin, theta, 0.9) is not p
         assert len(factored) == 2 and gauss_lik._last_pass.entry[0]() is twin
 
     def test_jittered_factor_is_handed_over(self, factored, inverted, monkeypatch):
         # one forced Cholesky failure: the rescued factor, with its flag, is
-        # the one the pass is handed and inverts, with no factorization of
-        # its own
+        # the one the workspace records and the pass inverts, with no
+        # factorization of its own
         real, armed = gauss_lik.dpotrf, [True]
 
         def dpotrf(a, **kwargs):
@@ -809,50 +841,98 @@ class TestLastFactor:
         locs = make_locations(16, "grid")
         ws = gauss_lik._Workspace()
         chol = gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
-        assert chol.jittered
+        assert chol.jittered and ws.held[2] is chol
         want = chol.L.copy()
-        _weighted_derivs(self.data(16, 1).data, locs, MaternParams(1.0, 0.2, 0.5), 1.0, ws, chol)
+        _weighted_derivs(self.data(16, 1), locs, MaternParams(1.0, 0.2, 0.5), 1.0, ws)
         assert inverted[0][0] is chol.L and np.array_equal(inverted[0][1], want)
-        assert len(factored) == 1
+        assert len(factored) == 1 and ws.held is None
 
     def test_a_factor_without_the_pass_terms_is_not_handed_over(self, factored):
-        # a search holds only the factor of a score that made the terms, so
-        # the pass after a score without them scores the point again,
-        # making them, to the bits of a pass handed its score's factor
+        # a workspace records only the factor of a score that made the
+        # terms, so the pass after a score without them scores the point
+        # again, making them, to the bits of a pass that took its score's
+        # factor
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
         search = _Search(reps, locs, 0.9, default_bounds(), 1e-6)
         u = np.array([0.3, 0.2])
         search.score(u)
-        assert search.held is None
+        assert search.ws.held is None
         search.newton_step(u)
         assert len(factored) == 2
-        again = search.last_pass[1]
+        again = search.last_pass
         search.score(u, terms=True)
         gauss_lik._last_pass.entry = None
         search.newton_step(u)
         assert len(factored) == 3
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
-            assert np.array_equal(getattr(again, name), getattr(search.last_pass[1], name))
+            assert np.array_equal(getattr(again, name), getattr(search.last_pass, name))
 
     def test_a_score_with_the_terms_serves_a_pass_over_any_m(self, factored):
         # R's factor and the kernel terms depend on the sites and (beta, nu)
-        # alone: a pass over m < n and one over m >= n, each handed the
-        # factor of a score that made the terms and the "pass" buffer that
-        # holds them, factor nothing, and give the bits of a pass that
-        # scores the point itself
+        # alone: a pass over m < n and one over m >= n, each in the
+        # workspace of a score that made the terms, takes its factor and the
+        # "pass" buffer that holds the terms, factors nothing, and gives the
+        # bits of a pass that scores the point itself
         locs = make_locations(16, "grid")
         theta = MaternParams(0.7, 0.2, 0.5)
         for m in (3, 20):
-            z = np.linspace(-1.0, 1.0, 16 * m).reshape(16, m)
+            reps = ReplicateSet(np.linspace(-1.0, 1.0, 16 * m).reshape(16, m))
             ws = gauss_lik._Workspace()
-            chol = gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
-            terms = weakref.ref(ws._bufs["pass"])
+            gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
+            terms = ws._bufs["pass"]
             factored.clear()
-            handed = _weighted_derivs(z, locs, theta, 0.9, ws, chol)
-            del chol
-            assert factored == [] and ws._bufs["pass"] is terms()
-            fresh = _weighted_derivs(z, locs, theta, 0.9)
+            handed = _weighted_derivs(reps, locs, theta, 0.9, ws)
+            assert factored == [] and ws._bufs["pass"] is terms
+            gauss_lik._last_pass.entry = None
+            fresh = _weighted_derivs(reps, locs, theta, 0.9)
             assert len(factored) == 1
             for name in ("g", "w", "S", "log_det_r", "log_scale"):
                 assert np.array_equal(getattr(handed, name), getattr(fresh, name))
+
+
+class TestWorkspaceBuffers:
+    """No buffer a workspace hands out again is referenced from outside it.
+
+    The workspace hands its buffers out again unchecked, so a factor or an
+    array a caller kept past the next score or pass would be overwritten.
+    """
+
+    @pytest.fixture
+    def shared(self, monkeypatch):
+        # the number of references from outside the workspace to each buffer
+        # it hands out again, by name; a buffer only its dict holds has the
+        # reference count of the probe's
+        seen = []
+        probe = {"probe": np.empty(1)}
+        alone = sys.getrefcount(probe["probe"])
+        real = gauss_lik._Workspace.take
+
+        def take(ws, name, size):
+            if name in ws._bufs and ws._bufs[name].size >= size:
+                seen.append((name, sys.getrefcount(ws._bufs[name]) - alone))
+            return real(ws, name, size)
+
+        monkeypatch.setattr(gauss_lik._Workspace, "take", take)
+        return seen
+
+    @pytest.mark.parametrize("layout, n, m", [("grid", 25, 10), ("grid", 25, 40),
+                                              ("uniform", 36, 10), ("uniform", 36, 50)])
+    def test_no_buffer_is_shared(self, shared, layout, n, m):
+        locs, reps, _ = simulate_dataset(SimConfig(
+            MaternParams(1.0, 0.2, 0.5), n=n, m=m, layout=layout, seed=4,
+            contamination=ContaminationSpec(0.1, 1.0)))
+        assert (locs._dist_cheb is None) == (layout == "grid")
+        res = fit(reps, locs, 0.9)
+        fit(reps, locs, 0.95, init=res.theta_hat, warm=True)
+        for call in (sandwich, ustar_all):
+            call(reps, locs, res.theta_hat, 0.9)
+            call(reps, LocationSet(locs.coords), res.theta_hat, 0.9)
+        spec = QGridSpec(grid=(1.0, 0.95, 0.9), eps=0.05, K=2)
+        FitChain(reps, locs, tol=1e-4).profile(spec.grid)
+        select_q_kappa(FitChain(reps, locs, tol=1e-4), replace(spec, L=4.0))
+        select_q_sqv(FitChain(reps, locs, tol=1e-4), make_se_fn(reps, locs), spec, m=m)
+        profile_lq(reps, locs, 0.2, 0.5, 0.9, 1e-3, 1e3)
+        names = {name for name, _ in shared}
+        assert {"R", "pass"} <= names and ("wide" in names) == (m >= n)
+        assert [s for s in shared if s[1] != 0] == []

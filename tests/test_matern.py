@@ -9,7 +9,7 @@ from scipy import special
 from scipy.special import kv
 
 from lqmatern import gauss_lik, matern
-from lqmatern.gauss_lik import _weighted_derivs
+from lqmatern.gauss_lik import ReplicateSet, _weighted_derivs
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _Panels,
                              build_cov, matern_cov)
@@ -356,11 +356,11 @@ class TestBuilders:
         for layout in ("grid", "uniform"):
             locs = make_locations(49, layout, seed=2)
             assert (locs._dist_cheb is None) == (layout == "grid")
-            z = rng.standard_normal((49, 3))
+            reps = ReplicateSet(rng.standard_normal((49, 3)))
             for _ in range(5):
                 th = rand_theta(rng, nu_hi=NU_CAP)
                 factored.clear()
-                _weighted_derivs(z, locs, th, 0.9)
+                _weighted_derivs(reps, locs, th, 0.9)
                 assert len(factored) == 1
                 assert np.array_equal(factored[0],
                                       build_cov(locs, MaternParams(1.0, th.beta, th.nu)))

@@ -33,7 +33,7 @@ def data():
         contamination=ContaminationSpec(0.1, 1.0)))
     assert locs._dist_cheb is not None
     # a first call outside the measurement loads what scipy loads lazily
-    _weighted_derivs(reps.data, locs, THETA, 0.9)
+    _weighted_derivs(reps, locs, THETA, 0.9)
     return locs, reps
 
 
@@ -59,11 +59,11 @@ def test_build_cov_peak(data):
 def test_derivative_pass_peak(data):
     # R's factor and the pass; each n x n array is dropped after its last use
     locs, reps = data
-    assert peak_doubles(lambda: _weighted_derivs(reps.data, locs, THETA, 0.9)) <= 7.0
+    assert peak_doubles(lambda: _weighted_derivs(reps, locs, THETA, 0.9)) <= 7.0
 
 
 def test_fused_newton_point_peak(data):
-    # a point scored with the pass's terms and its pass handed the score's
+    # a point scored with the pass's terms and its pass taking the score's
     # factor of R, as the fit takes them: the score adds less than the
     # pass's own peak
     locs, reps = data
@@ -76,7 +76,7 @@ def test_fused_newton_point_peak(data):
 
     assert peak_doubles(point) <= 7.0
     assert search.passes == 1 and search.last_pass is not None
-    assert search.held is None
+    assert search.ws.held is None
 
 
 def test_score_peak(data):
@@ -106,7 +106,7 @@ def test_score_with_terms_peak(data):
     peak = peak_doubles(lambda: search.score(at[1], terms=True))
     print("score with terms peak %.2f n^2 doubles" % peak)
     assert peak <= 1.2
-    assert search.held[0] == at[1].tobytes()
+    assert search.ws.held[:2] == tuple(search.corner + at[1] * search.width)
 
 
 def test_fit_and_sandwich_peak(data, monkeypatch):
@@ -141,8 +141,8 @@ def test_fit_and_sandwich_peak(data, monkeypatch):
 
 
 def test_fit_allocates_two_factor_buffers(data, monkeypatch):
-    # every factor of R lives in the buffer "R", and no score finds it
-    # still in use and allocates another: a fit and the sandwich after it
+    # every factor of R lives in the buffer "R", and no score allocates
+    # another: a fit and the sandwich after it
     # make "R" once, and "pass" at most twice (a score's, then the pass's)
     locs, reps = data
     made = []
@@ -180,8 +180,8 @@ def test_sandwich_after_fit_peak(data):
 
 def test_fit_leaves_no_factor_past_its_sites():
     # simulate, fit, simulate again, as a sweep's repetitions run: the memo
-    # keeps the fit's last pass, O(m) numbers, and its sites and data only
-    # weakly, so once the first dataset is dropped nothing of size n^2 is
+    # keeps the fit's last pass, O(m) numbers, and its sites and replicate
+    # set only weakly, so once the first dataset is dropped nothing of size n^2 is
     # left and the second simulation peaks as the first did (a memo
     # holding its sites strongly left 3.03 n^2 doubles alive there, and the
     # second simulation peaked 3.02 higher)
@@ -194,7 +194,7 @@ def test_fit_leaves_no_factor_past_its_sites():
         first = tracemalloc.get_traced_memory()[1] - base
         fit(reps, locs, 0.9)
         entry = gauss_lik._last_pass.entry
-        assert entry[0]() is locs and entry[1]() is reps.data
+        assert entry[0]() is locs and entry[1]() is reps
         del locs, reps
         left = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
