@@ -11,7 +11,9 @@ A cold fit has three stages.
 
 - Nelder-Mead runs to the loose simplex diameter ``_LOOSE_XATOL`` (the
   objective-spread test is disabled, so its steps depend only on the order
-  of values).
+  of values).  The simplex is the package's own (``_nelder_mead``), scipy's
+  bounded Nelder-Mead step for step: no process loads scipy.optimize for
+  it, and a scipy release that revises its simplex moves no fit.
 - Up to ``_NEWTON_STEPS`` Newton steps delta on V in u follow, from its
   exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
   gives them in (sigma2, beta, nu), and sigma2's response enters through
@@ -21,16 +23,16 @@ A cold fit has three stages.
   this stage, with no line search.  A short step, |delta| <= ``tol``
   componentwise, is not taken: it confirms its start u, where the fit's
   last pass lies, as the estimate, and the last step allowed must be short.
-  Its trial point u + delta is scored to test it, without the pass's kernel
-  terms, since no pass follows it.  Newton converges quadratically, so the
-  step after a 1e-5 step is about 1e-11, and its rise is below the rounding
-  of V: where the predicted rise delta' (-H) delta / 2 is at most
-  ``_Pass.rounding_floor``, a short step confirms whatever its trial point
-  scores (the tie rule).  A short step whose rise is a little above that
-  can still score lower by rounding; where it falls by less than its
-  predicted rise, it confirms too (the short-step rule).  A step in the
-  wrong direction falls by about three times its predicted rise, and ends
-  the stage.
+  Newton converges quadratically, so the step after a 1e-5 step is about
+  1e-11, and its rise is below the rounding of V: where the predicted rise
+  delta' (-H) delta / 2 is at most ``_Pass.rounding_floor``, no score of
+  the trial point u + delta could refuse u, and the short step confirms
+  without scoring it (the tie rule; u's own V was checked finite).  A short
+  step whose rise is above that is tested: its trial point is scored,
+  without the pass's kernel terms since no pass follows it, and can still
+  score lower by rounding; where it falls by less than its predicted rise,
+  it confirms (the short-step rule).  A step in the wrong direction falls
+  by about three times its predicted rise, and ends the stage.
 - Where the steps do not confirm (an optimum on a bound, non-finite
   derivatives, a Hessian that is not negative definite, a refused step),
   the simplex runs again from the best point reached, to ``tol``, and one
@@ -82,10 +84,10 @@ beat the MLE in mean squared error (Ferrari & Yang 2010, Ann. Statist.
 38(2)).
 """
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gauss_lik import (NotSPDError, _Workspace, _checked_q, _checked_rows, _corr_factor,
                         _profile_factor, _weighted_derivs)
@@ -236,6 +238,81 @@ def _checked_inputs(reps, locs, bounds, init, tol):
     return bounds, init
 
 
+class _Spent(Exception):
+    """A Nelder-Mead run's evaluation budget is spent."""
+
+
+def _nelder_mead(fun, x0, xatol, maxfev, maxiter):
+    """(x, g(x), iterations, evaluations, status) of Nelder-Mead maximizing fun on [0, 1]^2.
+
+    With g = -fun, and inf where fun is not finite, this is scipy 1.17's
+    ``minimize(g, x0, method="nelder-mead", bounds=[(0, 1)] * 2,
+    options={"xatol": xatol, "fatol": inf, "maxfev": maxfev, "maxiter":
+    maxiter})`` step for step (Nelder & Mead 1965, with scipy's clipping of
+    every trial point into the box).  The first simplex moves each
+    coordinate of x0, a point of the box, by 5% (to 0.00025 from 0),
+    reflected off the upper bound.  A trial point is ``t`` of the way from
+    the centroid of the better two vertices away from the worst: t = 1
+    reflects, 2 expands, 1/2 and -1/2 contract outside and inside, to the
+    bits of scipy's coefficients.  A spent budget ends the run where it
+    stands, even mid-iteration.  Status 0 is a normal end, 1 a spent
+    ``maxfev``, 2 a spent ``maxiter``.
+    """
+    nfev = 0
+
+    def g(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        val = fun(x)
+        return -val if np.isfinite(val) else np.inf
+
+    def trial(t):
+        x = np.clip((1 + t) * xbar - t * sim[-1], 0.0, 1.0)
+        return x, g(x)
+
+    sim = np.array([x0, x0, x0], dtype=float)
+    for k in range(2):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
+    fsim = np.full(3, np.inf)
+    with suppress(_Spent):
+        for k in range(3):
+            fsim[k] = g(sim[k])
+    for _ in range(2):      # as scipy sorts here: an argsort need not keep ties in order
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        # scipy's value-spread test, at fatol = inf, fails only where every
+        # value is inf (inf - inf is NaN)
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and fsim[0] < np.inf:
+            break
+        with suppress(_Spent):
+            xbar = (sim[0] + sim[1]) / 2
+            xr, fxr = trial(1)
+            if fxr < fsim[0]:
+                xe, fxe = trial(2)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc, fxc = trial(0.5 if outside else -0.5)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:       # shrink toward the best vertex
+                    for j in (1, 2):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), 0.0, 1.0)
+                        fsim[j] = g(sim[j])
+            nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
+    return sim[0], float(fsim.min()), nit, nfev, status
+
+
 class _Search:
     """One fit's scored points and counters, in bound-scaled u = (beta, nu)."""
 
@@ -275,25 +352,21 @@ class _Search:
                 self.scored[key] = (float("nan"), -np.inf)
         return self.scored[key][1]
 
-    def neg_obj(self, u):
-        val = self.value(u)
-        return -val if np.isfinite(val) else np.inf
-
     def simplex(self, u, xatol):
         """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer.
 
-        The run keeps no factor of R and makes no kernel terms, so a pass at
-        its answer scores it again, with the terms
+        The run is the package's own ``_nelder_mead``, scipy's bounded
+        Nelder-Mead step for step, on a budget of ``_MAX_EVALS`` evaluations
+        and iterations; ``simplex_ok`` records whether it ended normally at a
+        finite V.  The run keeps no factor of R and makes no kernel terms, so
+        a pass at its answer scores it again, with the terms
         (``gauss_lik._weighted_derivs``).
         """
-        options = {"xatol": xatol, "fatol": np.inf, "maxfev": _MAX_EVALS,
-                   "maxiter": _MAX_EVALS}
-        res = minimize(self.neg_obj, u, method="nelder-mead",
-                       bounds=[(0.0, 1.0)] * 2, options=options)
-        self.iterations += int(res.nit)
-        self.evaluations += int(res.nfev)
-        self.simplex_ok = bool(res.status == 0 and np.isfinite(res.fun))
-        return res.x
+        x, fun, nit, nfev, status = _nelder_mead(self.value, u, xatol, _MAX_EVALS, _MAX_EVALS)
+        self.iterations += nit
+        self.evaluations += nfev
+        self.simplex_ok = status == 0 and fun < np.inf
+        return x
 
     def newton_step(self, u):
         """(delta, predicted rise) of one Newton step in u from a scored u.
@@ -346,13 +419,16 @@ class _Search:
             short = float(np.max(np.abs(delta))) <= self.tol
             if not short and k == steps - 1:
                 break
+            if short and rise <= self.last_pass.rounding_floor(val):
+                # the tie rule: no score of u + delta could refuse u
+                confirmed = True
+                break
             self.evaluations += 1
             # a pass follows the trial point only where the step is not short
             val_new = self.value(u_new, terms=not short)
             if short:
-                tie = rise <= self.last_pass.rounding_floor(val) and np.isfinite(val_new)
-                # the tie and short-step rules; u, where the pass lies, is the answer
-                confirmed = tie or val - val_new < rise
+                # the short-step rule; u, where the pass lies, is the answer
+                confirmed = val - val_new < rise
                 break
             if val_new < val:
                 break

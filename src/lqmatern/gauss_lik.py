@@ -526,10 +526,14 @@ def _weighted_derivs(reps, locs, theta, q, ws=None):
     The last pass made in this thread is returned again where locs and reps
     are the same objects and theta and q are equal.
 
-    Raises ValueError where the data's rows do not match ``locs`` or q lies
-    outside (0, 1], NotSPDError carrying MaternParams(1, beta, nu) where R
-    cannot be factored, and NotSPDError carrying theta where potri fails.
+    Raises TypeError where reps is not a ``ReplicateSet`` (the memo keys on
+    the set, whose data are read-only), ValueError where the data's rows do
+    not match ``locs`` or q lies outside (0, 1], NotSPDError carrying
+    MaternParams(1, beta, nu) where R cannot be factored, and NotSPDError
+    carrying theta where potri fails.
     """
+    if not isinstance(reps, ReplicateSet):
+        raise TypeError("the pass reads a ReplicateSet, not %s" % type(reps).__name__)
     Z = reps.data
     n, m = Z.shape
     _checked_rows(n, locs.n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import lqmatern.estimate as est
 from lqmatern import gauss_lik, matern
@@ -443,6 +444,99 @@ def fit_without_newton(monkeypatch, *args, **kwargs):
         return fit(*args, **kwargs)
 
 
+def bowl(cx, cy):
+    """A concave quadratic with its maximum at (cx, cy), inside the box or beyond it."""
+    return lambda x: -((x[0] - cx) ** 2 + 2.0 * (x[1] - cy) ** 2
+                       + 0.5 * (x[0] - cx) * (x[1] - cy))
+
+
+def cut(f, limit):
+    """f where x + y <= limit; beyond it -inf, and NaN past limit + 0.2, as rejected points."""
+    def g(x):
+        s = x[0] + x[1]
+        return f(x) if s <= limit else -np.inf if s <= limit + 0.2 else np.nan
+    return g
+
+
+def terraced(x):
+    """Plateaus of a bowl: many tied values, so contractions fail and the simplex shrinks."""
+    return -np.floor(8.0 * ((x[0] - 0.3) ** 2 + (x[1] - 0.6) ** 2))
+
+
+# (objective, start, xatol): an interior maximum; maxima on a face and at
+# a corner, from starts whose first simplex crosses the upper bound and is
+# reflected; starts with a zero coordinate; an objective rejected on part of
+# the box, from a finite start and from one whose first simplex is all
+# rejected; and plateaus
+NM_CASES = {
+    "interior": (bowl(0.31, 0.62), (0.8, 0.15), 1e-6),
+    "face": (bowl(1.3, 0.4), (0.97, 0.5), 1e-6),
+    "corner": (bowl(-0.2, 1.4), (0.2, 0.99), 3e-3),
+    "zero": (bowl(0.31, 0.62), (0.0, 0.4), 1e-6),
+    "zeros": (bowl(0.05, 0.1), (0.0, 0.0), 1e-4),
+    "rejected": (cut(bowl(0.6, 0.6), 1.1), (0.3, 0.3), 1e-6),
+    "all-rejected": (cut(bowl(0.6, 0.6), 1.1), (0.7, 0.6), 1e-6),
+    "terraced": (terraced, (0.9, 0.1), 1e-6),
+}
+
+
+class TestNelderMead:
+    """The fit's Nelder-Mead is scipy's bounded one, step for step."""
+
+    @staticmethod
+    def both(f, x0, xatol, maxfev=est._MAX_EVALS, maxiter=est._MAX_EVALS):
+        """``_nelder_mead``'s answer, checked against scipy's on -f (inf where f is not finite).
+
+        Both must evaluate the same points, in order and to the bit, and
+        return the same x, value, iterations, evaluations and status.
+        """
+        ours, theirs = [], []
+
+        def v(x):
+            ours.append(x.tobytes())
+            return f(x)
+
+        def g(x):
+            theirs.append(x.tobytes())
+            val = f(x)
+            return -val if np.isfinite(val) else np.inf
+
+        got = est._nelder_mead(v, np.array(x0), xatol, maxfev, maxiter)
+        # scipy's value-spread test subtracts inf from inf on an all-inf simplex
+        with np.errstate(invalid="ignore"):
+            res = minimize(g, np.array(x0), method="nelder-mead", bounds=[(0.0, 1.0)] * 2,
+                           options={"xatol": xatol, "fatol": np.inf, "maxfev": maxfev,
+                                    "maxiter": maxiter})
+        x, fun, nit, nfev, status = got
+        assert ours == theirs
+        assert x.tobytes() == res.x.tobytes() and fun == res.fun
+        assert (nit, nfev, status) == (res.nit, res.nfev, res.status)
+        return got
+
+    @pytest.mark.parametrize("case", NM_CASES)
+    def test_same_steps_as_scipy(self, case):
+        f, x0, xatol = NM_CASES[case]
+        x, fun, _nit, nfev, status = self.both(f, x0, xatol, maxfev=400)
+        if case == "all-rejected":
+            # every point stays in the rejected part: the budget ends the run
+            assert status == 1 and nfev == 400 and fun == np.inf
+        else:
+            assert status == 0 and np.isfinite(fun)
+        if case in ("face", "corner"):
+            assert x[0] == 1.0 if case == "face" else (x[0], x[1]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("case", ["interior", "rejected", "terraced"])
+    def test_same_end_on_every_small_budget(self, case):
+        # a budget of evaluations ends a run anywhere, within an iteration
+        # too (status 1), and one of iterations between them (status 2)
+        f, x0, xatol = NM_CASES[case]
+        seen = set()
+        for budget in range(40):
+            seen.add(self.both(f, x0, xatol, maxfev=budget)[4])
+            seen.add(self.both(f, x0, xatol, maxiter=budget)[4])
+        assert {1, 2} <= seen
+
+
 class TestConfirmation:
     """The Newton step that confirms a fit, and the restarts behind it."""
 
@@ -605,10 +699,11 @@ class TestShortStepRule:
 # Cold fits of 8 n = 100 grid and 4 n = 49 uniform datasets (the benchmark's
 # theta0 and contamination, m = 100) at 4 q each.  GUARD_EVALS is what they
 # took with exact order derivatives in the kernel, every fit confirmed by
-# Newton: a rounding change in the pass must not send Newton-confirmed fits
+# Newton, once the tie rule confirmed without scoring its trial point (1138
+# before): a rounding change in the pass must not send Newton-confirmed fits
 # to the fallback.
 GUARD_QS = (1.0, 0.95, 0.9, 0.7)
-GUARD_EVALS = 1138
+GUARD_EVALS = 1112
 
 
 def test_evaluations_no_higher_than_recorded():
@@ -712,15 +807,28 @@ class TestNewtonFinish:
             assert scaled_gap(warm.theta_hat, cold.theta_hat) <= 1e-6
 
     def test_warm_start_at_its_own_estimate_confirms_by_the_tie_rule(
-            self, interior_data):
-        # the step from the estimate is about 1e-11, and its rise is below the
-        # rounding of V: it is taken whichever of the two points scores higher
+            self, interior_data, monkeypatch):
+        # the one step from the estimate is the cold fit's last, of at most
+        # tol.  At q = 0.9 it is 6e-10, and its rise is below the rounding of
+        # V: no score of its trial point could refuse the start, so the
+        # start's own score is the fit's one evaluation.  At q = 1 and 0.5
+        # it is 3e-7, its rise above that floor, and the short-step rule
+        # scores the trial point too
         locs, reps, base = interior_data
+        real, ties = est._Search.newton_step, []
+
+        def newton_step(search, u):
+            step = real(search, u)
+            ties.append(step[1] <= search.last_pass.rounding_floor(search.value(u)))
+            return step
+
+        monkeypatch.setattr(est._Search, "newton_step", newton_step)
         for q in SYM_QS:
             res = fit(reps, locs, q, init=base[q].theta_hat, warm=True)
             assert res.converged and res.restarts == 0
-            assert res.newton_steps == 1 and res.evaluations == 2
+            assert res.newton_steps == 1 and res.evaluations == 2 - ties[-1]
             assert_same_theta(res.theta_hat.as_array(), base[q].theta_hat.as_array())
+        assert ties == [False, True, False]
 
 
 @pytest.fixture(scope="module")
@@ -868,12 +976,13 @@ class TestFusedNewtonPoint:
         assert seen["scored"] == want
 
     def test_short_step_confirms_its_start(self, fused_sets, monkeypatch):
-        # the short step's trial point is a Newton fit's last score, made
-        # without the pass's terms since no pass follows it; the estimate
-        # is the step's start, where the fit's last pass and its result's
-        # pass lie
+        # the estimate is the short step's start, where the fit's last pass
+        # and its result's pass lie.  The short-step rule scores the trial
+        # point, without the pass's terms since no pass follows it; the tie
+        # rule scores nothing, so the fit's last score is the estimate's
+        # own, made with the terms for its pass
         real = est._Search.score
-        scored = []
+        scored, kinds = [], set()
 
         def score(search, u, terms=False):
             scored.append((tuple(search.corner + u * search.width), terms))
@@ -885,9 +994,11 @@ class TestFusedNewtonPoint:
             for res in cold_and_warm_fits(locs, reps, near):
                 assert res.converged and res.restarts == 0
                 point, terms = scored[-1]
-                assert not terms and point != (res.theta_hat.beta, res.theta_hat.nu)
+                assert terms == (point == (res.theta_hat.beta, res.theta_hat.nu))
                 assert passes[-1] == res.theta_hat == res._pass.theta
+                kinds.add(terms)
                 scored.clear()
+        assert kinds == {False, True}
 
 
 @pytest.fixture(scope="module")

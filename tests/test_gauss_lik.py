@@ -424,7 +424,7 @@ class TestProfileSigma2Newton:
             profile_sigma2(chisquare_forms(n, contaminated), n, q, 1e-3, 1e3)
 
     @pytest.mark.parametrize("seed", range(16))
-    def test_safeguard_step_keeps_the_solve_monotone(self, seed):
+    def test_safeguard_step_keeps_the_solve_monotone(self, monkeypatch, seed):
         # heavy-tailed forms (chi-square times e^N(0, 3^2), n = 42, m = 19,
         # q = 0.5) make the solve take a fixed-point step that does not end
         # it, on seeds 10 and 14 after a Newton point that scored lower; V
@@ -432,20 +432,20 @@ class TestProfileSigma2Newton:
         # is the dense search's
         rng = np.random.default_rng(seed)
         quad = rng.chisquare(42, 19) * np.exp(rng.normal(0.0, 3.0, 19))
-        got, values, safeguarded = traced_sigma2_solve(quad, 42, 0.5, 1e-3, 1e3)
+        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 42, 0.5, 1e-3, 1e3)
         assert safeguarded
         assert all(b >= a - gauss_lik.V_ROUNDING * abs(a)
                    for a, b in zip(values, values[1:]))
         s, vals = dense_profile(quad, 42, 0.5, 1e-3, 1e3)
         assert abs(np.log(got) - s[int(np.argmax(vals))]) <= 2.0 * (s[1] - s[0])
 
-    def test_fixed_point_step_that_goes_on(self):
+    def test_fixed_point_step_that_goes_on(self, monkeypatch):
         # two clusters of forms three decades apart (n = 10, q = 0.5): the
         # solve takes fixed-point steps that do not end it, V does not fall
         # along the steps, and the answer is V's maximum, no lower than the
         # best of a log grid of the bounds
         quad = np.r_[np.full(4, 10.0), np.full(6, 1e4)] * (1 + 0.01 * np.arange(10) / 10)
-        got, values, safeguarded = traced_sigma2_solve(quad, 10, 0.5, 1e-3, 1e3)
+        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 10, 0.5, 1e-3, 1e3)
         assert safeguarded and got == pytest.approx(1.0015, rel=1e-4)
         assert all(b >= a for a, b in zip(values, values[1:]))
         s, vals = dense_profile(quad, 10, 0.5, 1e-3, 1e3)
@@ -472,31 +472,38 @@ class TestProfileSigma2Start:
         assert np.array_equal(seen[0], -0.5 * (n * np.log(start) + quad / start))
 
 
-def traced_sigma2_solve(quad, n, q, lower, upper):
+def traced_sigma2_solve(monkeypatch, quad, n, q, lower, upper):
     """profile_sigma2's answer, the V of each iterate, and whether a fixed-point step continued it.
 
-    A tracer on the solve's frame reads its local ``value`` after every line
-    and notes the line that scores a fixed-point step it goes on from.
+    A wrapper around ``gauss_lik._lq_weights`` reads the solve's frame at
+    each weight evaluation: its local ``value``, the current iterate's V,
+    and the line that asks for the weights, which is the fixed-point
+    step's where the solve goes on from one.  The frame, kept, gives the
+    last iterate's V after the solve returns.  No tracer is installed, so
+    a coverage tool's own tracer sees the solve's lines.
     """
     code = profile_sigma2.__code__
     lines, first = inspect.getsourcelines(profile_sigma2)
     fixed = first + next(i for i, line in enumerate(lines) if "trial = weights(step)" in line)
-    values, safeguarded = [], []
+    solve, values, safeguarded = [], [], []
+    real = gauss_lik._lq_weights
 
-    def local(frame, event, arg):
-        if event == "line":
-            safeguarded.append(frame.f_lineno == fixed)
-            v = frame.f_locals.get("value")
-            if v is not None and (not values or values[-1] is not v):
-                values.append(v)
-        return local
+    def note(frame):
+        v = frame.f_locals.get("value")
+        if v is not None and (not values or values[-1] is not v):
+            values.append(v)
 
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        got = profile_sigma2(quad, n, q, lower, upper)
-    finally:
-        sys.settrace(previous)
+    def counted(*args):
+        frame = sys._getframe(2)        # the solve's, through its weights()
+        assert frame.f_code is code
+        solve[:] = [frame]
+        safeguarded.append(frame.f_lineno == fixed)
+        note(frame)
+        return real(*args)
+
+    monkeypatch.setattr(gauss_lik, "_lq_weights", counted)
+    got = profile_sigma2(quad, n, q, lower, upper)
+    note(solve[0])
     return got, values, any(safeguarded)
 
 
@@ -667,6 +674,18 @@ class TestLastFactor:
         assert gauss_lik._last_pass.entry[1]() is twin
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
             assert np.array_equal(getattr(copy, name), getattr(p, name))
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_only_a_replicate_set_is_read(self, factored, writeable):
+        # an array's .data is its raw buffer, which numpy would take as the
+        # data: the pass refuses an array, writable or not, before anything
+        # is factored or kept
+        locs = make_locations(16, "grid")
+        Z = self.data(16, 5).data.copy()
+        Z.flags.writeable = writeable
+        with pytest.raises(TypeError, match="ReplicateSet"):
+            _weighted_derivs(Z, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
+        assert factored == [] and gauss_lik._last_pass.entry is None
 
     def test_memo_holds_nothing_of_its_sites(self):
         # weak references to the sites and the replicate set, and a pass of O(m)
