@@ -242,13 +242,13 @@ class _Spent(Exception):
     """A Nelder-Mead run's evaluation budget is spent."""
 
 
-def _nelder_mead(fun, x0, xatol, maxfev, maxiter):
+def _nelder_mead(fun, x0, xatol, maxfev):
     """(x, g(x), iterations, evaluations, status) of Nelder-Mead maximizing fun on [0, 1]^2.
 
     With g = -fun, and inf where fun is not finite, this is scipy 1.17's
     ``minimize(g, x0, method="nelder-mead", bounds=[(0, 1)] * 2,
     options={"xatol": xatol, "fatol": inf, "maxfev": maxfev, "maxiter":
-    maxiter})`` step for step (Nelder & Mead 1965, with scipy's clipping of
+    maxfev})`` step for step (Nelder & Mead 1965, with scipy's clipping of
     every trial point into the box).  The first simplex moves each
     coordinate of x0, a point of the box, by 5% (to 0.00025 from 0),
     reflected off the upper bound.  A trial point is ``t`` of the way from
@@ -256,7 +256,8 @@ def _nelder_mead(fun, x0, xatol, maxfev, maxiter):
     reflects, 2 expands, 1/2 and -1/2 contract outside and inside, to the
     bits of scipy's coefficients.  A spent budget ends the run where it
     stands, even mid-iteration.  Status 0 is a normal end, 1 a spent
-    ``maxfev``, 2 a spent ``maxiter``.
+    budget.  An iteration costs at least one evaluation, so an equal
+    budget of iterations is never the one spent.
     """
     nfev = 0
 
@@ -284,7 +285,7 @@ def _nelder_mead(fun, x0, xatol, maxfev, maxiter):
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     nit = 1
-    while nfev < maxfev and nit < maxiter:
+    while nfev < maxfev:
         # scipy's value-spread test, at fatol = inf, fails only where every
         # value is inf (inf - inf is NaN)
         if np.max(np.abs(sim[1:] - sim[0])) <= xatol and fsim[0] < np.inf:
@@ -309,7 +310,7 @@ def _nelder_mead(fun, x0, xatol, maxfev, maxiter):
             nit += 1
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
+    status = 1 if nfev >= maxfev else 0
     return sim[0], float(fsim.min()), nit, nfev, status
 
 
@@ -356,13 +357,13 @@ class _Search:
         """A Nelder-Mead run from u to simplex diameter ``xatol``; its answer.
 
         The run is the package's own ``_nelder_mead``, scipy's bounded
-        Nelder-Mead step for step, on a budget of ``_MAX_EVALS`` evaluations
-        and iterations; ``simplex_ok`` records whether it ended normally at a
+        Nelder-Mead step for step, on a budget of ``_MAX_EVALS`` evaluations;
+        ``simplex_ok`` records whether it ended normally at a
         finite V.  The run keeps no factor of R and makes no kernel terms, so
         a pass at its answer scores it again, with the terms
         (``gauss_lik._weighted_derivs``).
         """
-        x, fun, nit, nfev, status = _nelder_mead(self.value, u, xatol, _MAX_EVALS, _MAX_EVALS)
+        x, fun, nit, nfev, status = _nelder_mead(self.value, u, xatol, _MAX_EVALS)
         self.iterations += nit
         self.evaluations += nfev
         self.simplex_ok = status == 0 and fun < np.inf
