@@ -166,8 +166,11 @@ def read_dataset(data_dir):
 
 
 def parse_config_text(text, origin="<config>"):
-    """Flat ``key = value`` lines with # comments; returns an ordered dict."""
-    out = {}
+    """Flat ``key = value`` lines with # comments; returns an ordered dict.
+
+    A key given twice is a DataError naming it and both lines.
+    """
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -179,6 +182,8 @@ def parse_config_text(text, origin="<config>"):
         key = key.strip()
         if not key:
             raise DataError("%s line %d, column 1: empty key" % (origin, lineno))
+        if seen.setdefault(key, lineno) != lineno:
+            raise DataError("%s line %d: key %r repeats line %d" % (origin, lineno, key, seen[key]))
         out[key] = value.strip()
     return out
 
@@ -600,8 +605,9 @@ def _sweep_repetition(cfg, rep_id, rows):
     drops its q.  Only a failed fit at q* leaves the repetition without a
     selected row, and then None is returned.
 
-    The dataset, its fits and the last factor of R over its sites die on
-    return, so the next repetition simulates with none of them alive.
+    The dataset, its fits and the last derivative pass over its replicate
+    set (kept on the set) die on return, so the next repetition simulates
+    with none of them alive.
     """
     locs, reps, _flags = simulate_dataset(replace(cfg.sim, seed=cfg.sim.seed + rep_id))
     # one chain serves the profile and the selector: grid q values are

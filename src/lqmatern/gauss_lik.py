@@ -76,13 +76,15 @@ the terms are the same bits.
 
 The memo.  A fit that Newton confirmed reports its estimate at the point of
 its last pass, so a sandwich right after it asks for that pass again.
-``_weighted_derivs`` keeps the last pass it made in this thread
-(``threading.local``), O(m) numbers, with weak references to its sites
-and its ``ReplicateSet``, and returns it where the sites and the replicate
-set are the same objects and theta and q are equal.  A ``ReplicateSet``
+``_weighted_derivs`` keeps the last pass over a ``ReplicateSet`` on the
+set itself, as (sites, ``_Pass``), O(m) numbers, and returns it where the
+sites are the same object and theta and q are equal.  A ``ReplicateSet``
 keeps a read-only copy of its data, so the same set holds the same data.
-The entry holds no array with an axis of length n, and keeps neither the
-sites nor the data alive.
+The entry holds no array with an axis of length n, and nothing in it
+refers back to the set, so it dies with the set.  An entry is an immutable
+tuple, replaced in one store, and a hit needs the same sites and data, so
+a hit returns the pass of those inputs whichever thread made it; two
+threads on one set can cost each other a pass, never a wrong number.
 
 The workspace (``_Workspace``) keeps flat buffers by name, and hands one out
 again at each request, so the factor a score returns lives only until the
@@ -111,9 +113,7 @@ n^2 on irregular sites, no more than a pass that allocated its own arrays
 held at once; only the n x m products are allocated per pass.
 """
 
-import threading
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
@@ -151,10 +151,14 @@ class NotSPDError(np.linalg.LinAlgError):
 class ReplicateSet:
     """n x m data matrix; column i is replicate Z_i observed at n locations.
 
-    The set keeps a read-only copy of the data it is given.
+    The set keeps a read-only copy of the data it is given, and the last
+    derivative pass over those data (see the module docstring's memo), which
+    takes no part in its repr or its comparisons.
     """
 
     data: np.ndarray
+    # (LocationSet, _Pass): the last derivative pass over these data
+    _last_pass: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.array(self.data, dtype=float)
@@ -380,19 +384,16 @@ def _pass_buffer(ws, n, u):
             buf[3 * size:3 * size + 3 * u].reshape(3, u))
 
 
-def _corr_factor(locs, beta, nu, ws=None, terms=False):
+def _corr_factor(locs, beta, nu, ws, terms=False):
     """CholFactor of the correlation matrix R(beta, nu), built and factored in the workspace ``ws``.
 
-    R goes into the buffer "R" of ``ws``, a new workspace where none is
-    given, and the factor returned lives there until the next score in
-    ``ws``.  With ``terms``, the Bessel values that make R's also make a
-    derivative pass's five kernel terms at (beta, nu), into their place in
-    the "pass" buffer, and ``ws.held`` records the factor for that pass.
-    Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot be
-    factored.
+    R goes into the buffer "R" of ``ws``, and the factor returned lives
+    there until the next score in ``ws``.  With ``terms``, the Bessel
+    values that make R's also make a derivative pass's five kernel terms
+    at (beta, nu), into their place in the "pass" buffer, and ``ws.held``
+    records the factor for that pass.  Raises NotSPDError carrying
+    MaternParams(1, beta, nu) if R cannot be factored.
     """
-    if ws is None:
-        ws = _Workspace()
     ws.held = None                          # R is written below
     corr = MaternParams(1.0, beta, nu)
     n = locs.n
@@ -430,7 +431,7 @@ def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
         raise ValueError("sigma2 bounds must satisfy 0 < lower <= upper < inf, got (%r, %r)"
                          % (sigma2_lower, sigma2_upper))
     _checked_rows(reps.n, locs.n)
-    return _profile_factor(reps, _corr_factor(locs, beta, nu), q,
+    return _profile_factor(reps, _corr_factor(locs, beta, nu, _Workspace()), q,
                            sigma2_lower, sigma2_upper)
 
 
@@ -511,22 +512,17 @@ class _Pass:
         return V_ROUNDING * max(abs(value), self._total(self.q) * size)
 
 
-# The last derivative pass made in this thread, as (weak reference to locs,
-# weak reference to the ReplicateSet, _Pass) in ``entry`` (see the module
-# docstring).
-_last_pass = threading.local()
-
-
 def _weighted_derivs(reps, locs, theta, q, ws=None):
     """The ``_Pass`` of the replicates ``reps`` at theta and q (see the module docstring).
 
     The pass takes R's factor at (beta, nu) from the workspace ``ws`` where
     ``ws.held`` records it, and overwrites it with Sigma^-1; otherwise it
     scores the point again, with the terms, in ``ws`` where one is given.
-    The last pass made in this thread is returned again where locs and reps
-    are the same objects and theta and q are equal.
+    The pass is stored on reps, with locs, replacing the one before, and
+    returned again where locs is the same object and theta and q are equal,
+    in any thread.
 
-    Raises TypeError where reps is not a ``ReplicateSet`` (the memo keys on
+    Raises TypeError where reps is not a ``ReplicateSet`` (the memo lives on
     the set, whose data are read-only), ValueError where the data's rows do
     not match ``locs`` or q lies outside (0, 1], NotSPDError carrying
     MaternParams(1, beta, nu) where R cannot be factored, and NotSPDError
@@ -538,10 +534,9 @@ def _weighted_derivs(reps, locs, theta, q, ws=None):
     n, m = Z.shape
     _checked_rows(n, locs.n)
     _checked_q(q)
-    entry = getattr(_last_pass, "entry", None)
-    if (entry is not None and entry[0]() is locs and entry[1]() is reps
-            and (entry[2].theta, entry[2].q) == (theta, q)):
-        return entry[2]
+    entry = reps._last_pass
+    if entry is not None and entry[0] is locs and (entry[1].theta, entry[1].q) == (theta, q):
+        return entry[1]
     ws = _Workspace() if ws is None else ws
     if ws.held is None or ws.held[:2] != (theta.beta, theta.nu):
         _corr_factor(locs, theta.beta, theta.nu, ws, True)
@@ -622,5 +617,5 @@ def _weighted_derivs(reps, locs, theta, q, ws=None):
         log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
     p = _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)
-    _last_pass.entry = (weakref.ref(locs), weakref.ref(reps), p)
+    object.__setattr__(reps, "_last_pass", (locs, p))
     return p

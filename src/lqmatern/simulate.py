@@ -37,8 +37,8 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError("contamination level r must lie in [0, 1)")
-        if self.r > 0.0 and not self.noise_sd > 0.0:
-            raise ValueError("noise_sd must be positive when r > 0")
+        if self.r > 0.0 and not 0.0 < self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be positive and finite when r > 0")
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ class SimConfig:
             raise ValueError("layout must be 'grid' or 'uniform'")
         if self.layout == "grid" and math.isqrt(self.n) ** 2 != self.n:
             raise ValueError("grid layout requires n to be a perfect square")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
 
 
 def _stream(seed, domain, i):

@@ -5,10 +5,6 @@ Unpinned, two-thread OpenBLAS on a 2-core host made the small dense solves
 of one fit intermittently take 16 ms instead of 0.1-0.2 ms, so timing-bound
 tests (acceptance criterion 7) varied fourfold.  ``bench/run.py`` pins the
 same three variables.
-
-Every test starts with this thread's memo of the last derivative pass
-empty (``gauss_lik._last_pass``): a pass left by an earlier test would
-otherwise spare a pass, and the factorization in it, that a spy counts.
 """
 
 import os
@@ -17,13 +13,6 @@ import pytest
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-
-@pytest.fixture(autouse=True)
-def _empty_pass_memo():
-    from lqmatern import gauss_lik     # after the variables above are set
-
-    gauss_lik._last_pass.entry = None
 
 
 @pytest.fixture(params=["rows", "init", "sites"])

@@ -604,7 +604,8 @@ class TestWeightedDerivativePass:
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(sigma2, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, q)
-        _profile_factor(reps, _corr_factor(locs, at.beta, at.nu), q, 1e-3, 1e3)
+        _profile_factor(reps, _corr_factor(locs, at.beta, at.nu, gauss_lik._Workspace()), q,
+                        1e-3, 1e3)
         p = gauss_lik._weighted_derivs(reps, locs, at, q)
         for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

@@ -126,6 +126,18 @@ class TestConfigText:
         with pytest.raises(DataError, match="empty key"):
             parse_config_text("= 3\n")
 
+    def test_a_repeated_key_is_an_error(self, tmp_path, capsys):
+        # the last value would otherwise win silently; the error names the
+        # key and both lines, and simulate writes nothing
+        with pytest.raises(DataError, match="line 3: key 'sim.n' repeats line 1"):
+            parse_config_text("sim.n = 16\nsim.m = 4\nsim.n = 25\n")
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text("sim.n = 16\nsim.n = 25\n")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "line 2: key 'sim.n' repeats line 1" in capsys.readouterr().err
+        assert not (out / "meta.txt").exists()
+
     def test_record_roundtrip(self, tmp_path):
         p = tmp_path / "rec.txt"
         pairs = [("q", "0.95"), ("converged", "true"), ("note", "a = b")]
@@ -238,10 +250,11 @@ def run(argv):
 
 
 def write_tiny_config(path, extra=()):
-    pairs = [("sim.theta", "1,0.2,0.5"), ("sim.n", "4"), ("sim.m", "3"),
-             ("sim.seed", "7"), ("fit.tol", "1e-3")]
-    pairs += list(extra)
-    write_record(path, pairs)
+    # a key in extra replaces its default, since a config names a key once
+    pairs = dict([("sim.theta", "1,0.2,0.5"), ("sim.n", "4"), ("sim.m", "3"),
+                  ("sim.seed", "7"), ("fit.tol", "1e-3")])
+    pairs.update(extra)
+    write_record(path, list(pairs.items()))
     return str(path)
 
 

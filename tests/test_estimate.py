@@ -748,7 +748,9 @@ class TestNewtonFinish:
         # scored its point with the terms: the Newton stage ends, the
         # workspace's record of R's factor went with the write of R, and the
         # tight simplex and its confirming step still confirm the estimate
+        # (on a fresh set, which carries no pass from an earlier fit)
         locs, reps, base = interior_data
+        reps = ReplicateSet(reps.data)
         real_potri, real_step = gauss_lik.dpotri, est._Search.newton_step
         armed, steps = [True], []
 
@@ -828,7 +830,7 @@ class TestNewtonFinish:
 
 
 @pytest.fixture(scope="module")
-def fused_sets():
+def fused_data():
     """An n = 36 grid (kv at every distance) and n = 49 uniform sites (Chebyshev)."""
     sets = []
     for layout, n in (("grid", 36), ("uniform", 49)):
@@ -838,6 +840,12 @@ def fused_sets():
         sets.append((locs, reps, fit(reps, locs, 1.0).theta_hat))
     assert sets[0][0]._dist_cheb is None and sets[1][0]._dist_cheb is not None
     return sets
+
+
+@pytest.fixture
+def fused_sets(fused_data):
+    """``fused_data`` over fresh replicate sets, which carry no pass an earlier test made."""
+    return [(locs, ReplicateSet(reps.data), near) for locs, reps, near in fused_data]
 
 
 def cold_and_warm_fits(locs, reps, near):
@@ -900,10 +908,10 @@ class TestFusedNewtonPoint:
         def newton_step(search, u):
             before = len(calls)
             last = held[0] == u.tobytes()
-            memo = getattr(gauss_lik._last_pass, "entry", None)
+            memo = search.reps._last_pass
             out = real_step(search, u)
             assert len(calls) == before + (not last)
-            assert search.ws.held is None or search.last_pass is memo[2]
+            assert search.ws.held is None or search.last_pass is memo[1]
             per_pass.append(last)
             held[0] = None
             return out
@@ -998,7 +1006,7 @@ class TestFusedNewtonPoint:
 
 
 @pytest.fixture(scope="module")
-def shared_sets():
+def shared_data():
     """The analysis benchmark's design, n = 400 uniform (Chebyshev), and an n = 100 grid (kv)."""
     sets = []
     for layout, n in (("uniform", 400), ("grid", 100)):
@@ -1007,6 +1015,12 @@ def shared_sets():
         sets.append(simulate_dataset(cfg)[:2])
     assert sets[0][0]._dist_cheb is not None and sets[1][0]._dist_cheb is None
     return sets
+
+
+@pytest.fixture
+def shared_sets(shared_data):
+    """``shared_data`` over fresh replicate sets, which carry no pass an earlier test made."""
+    return [(locs, ReplicateSet(reps.data)) for locs, reps in shared_data]
 
 
 def count_calls(monkeypatch, owner, name):
@@ -1051,9 +1065,9 @@ class TestSharedWalk:
         assert sum(map(len, bessel)) == 2
         p = search.last_pass
         # after a score without the terms the pass scores the point again,
-        # making them (the memo of the last pass emptied)
+        # making them (in a search over a fresh set, which carries no pass)
+        search = self.point(locs, ReplicateSet(reps.data))[0]
         search.score(u)
-        gauss_lik._last_pass.entry = None
         search.newton_step(u)
         again = search.last_pass
         assert len(walks) == 3 * per_walk and sum(map(len, bessel)) == 5
@@ -1097,11 +1111,10 @@ class TestSharedWalk:
         assert len(walks) == 1 and len(factors) == 1
         again = sandwich(reps, locs, theta, 0.95)
         assert len(walks) == 1 and len(factors) == 1
-        own = gauss_lik._last_pass.entry[2]
-        gauss_lik._last_pass.entry = None
+        own = reps._last_pass[1]
         ws = gauss_lik._Workspace()
         gauss_lik._corr_factor(locs, theta.beta, theta.nu, ws, True)
-        handed = _weighted_derivs(reps, locs, theta, 0.95, ws)
+        handed = _weighted_derivs(ReplicateSet(reps.data), locs, theta, 0.95, ws)
         assert len(walks) == 2 and len(factors) == 2
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(miss, name), getattr(again, name))
@@ -1174,8 +1187,9 @@ class TestSharedWalk:
         monkeypatch.setattr(gauss_lik, "_corr_factor", score)
         for name in ("special_kv", "special_kve"):
             monkeypatch.setattr(matern, name, spy(getattr(matern, name)))
+        # a search over a fresh set, which carries no pass
+        search = self.point(locs, ReplicateSet(reps.data))[0]
         search.score(u)
-        gauss_lik._last_pass.entry = None
         factors.clear()
         bessel.clear()
         search.newton_step(u)

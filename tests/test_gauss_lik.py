@@ -2,6 +2,7 @@ import inspect
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -586,13 +587,13 @@ class TestProfileLq:
 class TestLastFactor:
     """R's last factor, handed from its score to a pass, and the memo of the last pass.
 
-    The memo is per thread and holds one entry: the last derivative pass,
-    keyed by its sites, its replicate set, theta and q.
+    The memo lives on the replicate set and holds one entry: the last
+    derivative pass over it, keyed by its sites, theta and q.
     """
 
     @pytest.fixture
     def factored(self, monkeypatch):
-        # every factorization, counted; the memo starts empty
+        # every factorization, counted
         calls = []
         real = gauss_lik._factor_in_place
 
@@ -635,7 +636,7 @@ class TestLastFactor:
         factored.clear()
         first = sandwich(reps, locs, res.theta_hat, 0.9)
         assert factored == [] and built == []
-        assert gauss_lik._last_pass.entry[2] is res._pass
+        assert reps._last_pass[1] is res._pass
         second = sandwich(reps, LocationSet(locs.coords.copy()), res.theta_hat, 0.9)
         assert len(factored) == 1 and len(built) == 1
         assert np.array_equal(first.K, second.K) and np.array_equal(first.J, second.J)
@@ -661,8 +662,8 @@ class TestLastFactor:
         assert len(factored) == 4
 
     def test_equal_data_in_another_set_miss(self, factored):
-        # the replicate set is keyed by identity: another set over equal
-        # data misses, gives the same bits, and takes the entry
+        # the entry lives on the replicate set: another set over equal data
+        # misses, gives the same bits, and keeps its own entry
         locs = make_locations(16, "grid")
         reps = self.data(16, 3)
         twin = ReplicateSet(reps.data)
@@ -671,7 +672,8 @@ class TestLastFactor:
         p = _weighted_derivs(reps, locs, theta, 0.9)
         copy = _weighted_derivs(twin, locs, theta, 0.9)
         assert copy is not p and len(factored) == 2
-        assert gauss_lik._last_pass.entry[1]() is twin
+        assert twin._last_pass[0] is locs and twin._last_pass[1] is copy
+        assert reps._last_pass[0] is locs and reps._last_pass[1] is p
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
             assert np.array_equal(getattr(copy, name), getattr(p, name))
 
@@ -679,40 +681,48 @@ class TestLastFactor:
     def test_only_a_replicate_set_is_read(self, factored, writeable):
         # an array's .data is its raw buffer, which numpy would take as the
         # data: the pass refuses an array, writable or not, before anything
-        # is factored or kept
+        # is factored
         locs = make_locations(16, "grid")
         Z = self.data(16, 5).data.copy()
         Z.flags.writeable = writeable
         with pytest.raises(TypeError, match="ReplicateSet"):
             _weighted_derivs(Z, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
-        assert factored == [] and gauss_lik._last_pass.entry is None
+        assert factored == []
 
     def test_memo_holds_nothing_of_its_sites(self):
-        # weak references to the sites and the replicate set, and a pass of O(m)
-        # numbers: nothing with an axis of length n
+        # a pass of O(m) numbers, nothing with an axis of length n, that
+        # dies with its sites and its replicate set
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
-        _weighted_derivs(reps, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
-        entry = gauss_lik._last_pass.entry
-        assert entry[0]() is locs and entry[1]() is reps
-        arrays = [v for v in vars(entry[2]).values() if isinstance(v, np.ndarray)]
+        p = _weighted_derivs(reps, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
+        assert reps._last_pass[0] is locs and reps._last_pass[1] is p
+        arrays = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
         assert arrays and not [a.shape for a in arrays if 16 in a.shape]
-        del locs, reps
-        assert entry[0]() is None and entry[1]() is None
+        gone = weakref.ref(p)
+        del locs, reps, p
+        assert gone() is None
 
-    def test_a_pass_stays_in_its_thread(self, factored):
-        locs = make_locations(16, "grid")
-        reps = self.data(16, 5)
-        theta = MaternParams(0.8, 0.2, 0.5)
+    def test_a_pass_serves_any_thread(self, factored):
+        # the entry lives on the replicate set, not in a thread: after a fit
+        # in a worker thread, the sandwich in this one on the same sites and
+        # data factors nothing, and gives the bits of one on a fresh copy of
+        # the sites
+        locs, reps, _ = simulate_dataset(SimConfig(
+            MaternParams(1.0, 0.15, 0.6), n=36, m=30, seed=2,
+            contamination=ContaminationSpec(0.1, 1.0)))
         made = []
-        worker = threading.Thread(
-            target=lambda: made.append(_weighted_derivs(reps, locs, theta, 0.9)))
+        worker = threading.Thread(target=lambda: made.append(fit(reps, locs, 0.9)))
         worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive() and len(made) == 1 and len(factored) == 1
-        assert getattr(gauss_lik._last_pass, "entry", None) is None
-        mine = _weighted_derivs(reps, locs, theta, 0.9)
-        assert mine is not made[0] and len(factored) == 2
+        worker.join(timeout=120)
+        assert not worker.is_alive() and len(made) == 1
+        res = made[0]
+        assert res.converged and res._pass.theta == res.theta_hat
+        factored.clear()
+        mine = sandwich(reps, locs, res.theta_hat, 0.9)
+        assert factored == [] and reps._last_pass[1] is res._pass
+        fresh = sandwich(reps, LocationSet(locs.coords.copy()), res.theta_hat, 0.9)
+        assert len(factored) == 1
+        assert np.array_equal(mine.K, fresh.K) and np.array_equal(mine.J, fresh.J)
 
     def test_threads_take_back_their_own_passes(self, factored):
         # more threads than cores, switching often, each making a pass over
@@ -830,9 +840,10 @@ class TestLastFactor:
         locs = make_locations(16, "grid")
         monkeypatch.setattr(gauss_lik, "_cov_into",
                             lambda locs_, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
+        reps = self.data(16, 1)
         with pytest.raises(NotSPDError):
-            _weighted_derivs(self.data(16, 1), locs, MaternParams(1.0, 0.3, 0.5), 1.0)
-        assert getattr(gauss_lik._last_pass, "entry", None) is None
+            _weighted_derivs(reps, locs, MaternParams(1.0, 0.3, 0.5), 1.0)
+        assert reps._last_pass is None
 
     def test_equal_sites_in_another_set_miss(self, factored):
         locs = make_locations(16, "grid")
@@ -842,7 +853,7 @@ class TestLastFactor:
         theta = MaternParams(0.8, 0.2, 0.5)
         p = _weighted_derivs(reps, locs, theta, 0.9)
         assert _weighted_derivs(reps, twin, theta, 0.9) is not p
-        assert len(factored) == 2 and gauss_lik._last_pass.entry[0]() is twin
+        assert len(factored) == 2 and reps._last_pass[0] is twin
 
     def test_jittered_factor_is_handed_over(self, factored, inverted, monkeypatch):
         # one forced Cholesky failure: the rescued factor, with its flag, is
@@ -880,8 +891,9 @@ class TestLastFactor:
         search.newton_step(u)
         assert len(factored) == 2
         again = search.last_pass
+        # a fresh set over the same data carries no entry
+        search = _Search(ReplicateSet(reps.data), locs, 0.9, default_bounds(), 1e-6)
         search.score(u, terms=True)
-        gauss_lik._last_pass.entry = None
         search.newton_step(u)
         assert len(factored) == 3
         for name in ("g", "w", "S", "log_det_r", "log_scale"):
@@ -903,8 +915,7 @@ class TestLastFactor:
             factored.clear()
             handed = _weighted_derivs(reps, locs, theta, 0.9, ws)
             assert factored == [] and ws._bufs["pass"] is terms
-            gauss_lik._last_pass.entry = None
-            fresh = _weighted_derivs(reps, locs, theta, 0.9)
+            fresh = _weighted_derivs(ReplicateSet(reps.data), locs, theta, 0.9)
             assert len(factored) == 1
             for name in ("g", "w", "S", "log_det_r", "log_scale"):
                 assert np.array_equal(getattr(handed, name), getattr(fresh, name))

@@ -16,7 +16,7 @@ import pytest
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
-from lqmatern.gauss_lik import _weighted_derivs
+from lqmatern.gauss_lik import ReplicateSet, _weighted_derivs
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
@@ -27,7 +27,7 @@ THETA = MaternParams(1.1, 0.12, 0.6)
 
 
 @pytest.fixture(scope="module")
-def data():
+def dataset():
     locs, reps, _ = simulate_dataset(SimConfig(
         MaternParams(1.0, 0.1, 0.5), n=N, m=100, layout="uniform", seed=3,
         contamination=ContaminationSpec(0.1, 1.0)))
@@ -35,6 +35,13 @@ def data():
     # a first call outside the measurement loads what scipy loads lazily
     _weighted_derivs(reps, locs, THETA, 0.9)
     return locs, reps
+
+
+@pytest.fixture
+def data(dataset):
+    """``dataset`` over a fresh replicate set, which carries no pass an earlier call made."""
+    locs, reps = dataset
+    return locs, ReplicateSet(reps.data)
 
 
 def peak_doubles(fn):
@@ -175,16 +182,17 @@ def test_sandwich_after_fit_peak(data):
     peak = peak_doubles(lambda: sandwich(reps, locs, res.theta_hat, 0.9))
     print("sandwich after fit peak %.2f n^2 doubles" % peak)
     assert peak <= 2.0
-    assert gauss_lik._last_pass.entry[2] is res._pass
+    assert reps._last_pass[1] is res._pass
 
 
 def test_fit_leaves_no_factor_past_its_sites():
-    # simulate, fit, simulate again, as a sweep's repetitions run: the memo
-    # keeps the fit's last pass, O(m) numbers, and its sites and replicate
-    # set only weakly, so once the first dataset is dropped nothing of size n^2 is
-    # left and the second simulation peaks as the first did (a memo
-    # holding its sites strongly left 3.03 n^2 doubles alive there, and the
-    # second simulation peaked 3.02 higher)
+    # simulate, fit, simulate again, as a sweep's repetitions run: the
+    # replicate set keeps the fit's last pass, O(m) numbers with no axis of
+    # length n, and its sites, so once the first dataset is dropped the
+    # pass is gone, nothing of size n^2 is left and the second simulation
+    # peaks as the first did (a module memo holding its sites strongly left
+    # 3.03 n^2 doubles alive there, and the second simulation peaked 3.02
+    # higher)
     cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=N, m=100, layout="uniform", seed=5,
                     contamination=ContaminationSpec(0.1, 1.0))
     tracemalloc.start()
@@ -193,16 +201,18 @@ def test_fit_leaves_no_factor_past_its_sites():
         locs, reps, _ = simulate_dataset(cfg)
         first = tracemalloc.get_traced_memory()[1] - base
         fit(reps, locs, 0.9)
-        entry = gauss_lik._last_pass.entry
-        assert entry[0]() is locs and entry[1]() is reps
-        del locs, reps
+        assert reps._last_pass[0] is locs
+        arrays = [v for v in vars(reps._last_pass[1]).values() if isinstance(v, np.ndarray)]
+        assert arrays and not [a.shape for a in arrays if N in a.shape]
+        gone = weakref.ref(reps._last_pass[1])
+        del locs, reps, arrays
         left = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         simulate_dataset(replace(cfg, seed=6))
         second = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert entry[0]() is None and entry[1]() is None
+    assert gone() is None
     assert left / (8.0 * N * N) <= 0.25
     assert (second - first) / (8.0 * N * N) <= 0.25
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lqmatern import simulate
+from lqmatern.cli_io import main
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, contaminate,
                                gen_replicates, make_locations,
@@ -31,6 +32,29 @@ class TestSpecs:
         with pytest.raises(ValueError):
             SimConfig(THETA, n=10, m=5, layout="grid")
         SimConfig(THETA, n=10, m=5, layout="uniform")
+
+    def test_contamination_noise_must_be_finite(self):
+        for sd in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="noise_sd must be positive and finite"):
+                ContaminationSpec(r=0.1, noise_sd=sd)
+        # the noise is not drawn when contamination is off
+        ContaminationSpec(r=0.0, noise_sd=np.inf)
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        for seed in (-1, 1.5, "3", None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                SimConfig(THETA, n=9, m=5, seed=seed)
+        assert SimConfig(THETA, n=9, m=5, seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("flags, msg", [
+        (["--contam-r", "0.5", "--contam-sd", "inf"], "noise_sd must be positive and finite"),
+        (["--seed", "-1"], "seed must be a non-negative integer")])
+    def test_cli_names_the_setting(self, tmp_path, capsys, flags, msg):
+        # refused when the config is built, before any field is simulated
+        out = tmp_path / "o"
+        assert main(["simulate", "--n", "9", "--m", "3", "--out", str(out)] + flags) == 2
+        assert "data error: " + msg in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMakeLocations:
