@@ -26,11 +26,11 @@ cfg = SimConfig(theta0, n=100, m=100, layout="grid", seed=3)
 locs, reps, _ = simulate_dataset(cfg)
 t0 = time.time()
 prof = fit_profile(reps, locs, grid)
-print("\nclean data (n = 100, m = 100), %.1fs for %d warm-started fits"
+print("\nclean data (n = 100, m = 100), %.1fs for %d chained fits"
       % (time.time() - t0, len(grid)))
-# the first fit starts cold; each later one starts with Newton steps at the
-# previous estimate, so it scores a handful of points and a few derivative
-# passes ("newton")
+# every fit starts with Newton steps at its start: the first at the default
+# start, each later one re-weighted from the estimates before it, so it
+# scores a handful of points and a few derivative passes ("newton")
 print("%-6s %-22s %-10s %-6s %s" % ("q", "theta-hat", "kappa-hat", "evals",
                                      "newton"))
 for q, f in zip(prof.grid, prof.fits):

@@ -611,7 +611,8 @@ def _sweep_repetition(cfg, rep_id, rows):
     """
     locs, reps, _flags = simulate_dataset(replace(cfg.sim, seed=cfg.sim.seed + rep_id))
     # one chain serves the profile and the selector: grid q values are
-    # fitted once, and every fit after the first starts warm
+    # fitted once, and every fit after the first starts from the
+    # re-weighted Newton steps of the fitted q nearest to it
     chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
     rows.extend(_row_from_fit(rep_id, fr) for fr in chain.profile(cfg.q_grid.grid).fits)
     if cfg.selector == "none":

@@ -1,4 +1,4 @@
-"""Maximum Lq-likelihood fitting: a loose simplex search, finished by Newton.
+"""Maximum Lq-likelihood fitting: Newton steps from the start, and a simplex search behind them.
 
 The search runs over (beta, nu), in bound-scaled coordinates u = (x -
 lower) / width on the unit square, where ``tol`` is measured.  It scores
@@ -7,15 +7,11 @@ exactly on one factor of R, and points compare by the log-domain value V.
 The fit reads its answer and ``objective`` from the scored (sigma2, V) it
 caches.
 
-A cold fit has three stages.
+A fit has three stages.
 
-- Nelder-Mead runs to the loose simplex diameter ``_LOOSE_XATOL`` (the
-  objective-spread test is disabled, so its steps depend only on the order
-  of values).  The simplex is the package's own (``_nelder_mead``), scipy's
-  bounded Nelder-Mead step for step: no process loads scipy.optimize for
-  it, and a scipy release that revises its simplex moves no fit.
-- Up to ``_NEWTON_STEPS`` Newton steps delta on V in u follow, from its
-  exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
+- The start is scored, with the kernel terms of a derivative pass, and up
+  to ``_NEWTON_STEPS`` Newton steps delta on V in u follow from there, from
+  V's exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
   gives them in (sigma2, beta, nu), and sigma2's response enters through
   their Schur complement, unless sigma2 sits on a bound, where it stays
   under small moves.  A step is taken when the Hessian is negative definite,
@@ -33,16 +29,23 @@ A cold fit has three stages.
   score lower by rounding; where it falls by less than its predicted rise,
   it confirms (the short-step rule).  A step in the wrong direction falls
   by about three times its predicted rise, and ends the stage.
-- Where the steps do not confirm (an optimum on a bound, non-finite
-  derivatives, a Hessian that is not negative definite, a refused step),
-  the simplex runs again from the best point reached, to ``tol``, and one
-  Newton step of at most ``tol`` may confirm its answer.  Failing that, the
-  search restarts from its own answer with a fresh simplex, up to twice,
-  and a restart that moves at most ``tol`` confirms the point.  Such a
-  restart confirms nothing where no scored point has a finite value other
-  than the estimate's: every other point was rejected, or the profile is
-  flat there (at the lower corner of the box, where every correlation is
-  zero to double precision).
+- Where the steps do not confirm (a start beyond Newton's reach, an optimum
+  on a bound, non-finite derivatives, a Hessian that is not negative
+  definite, a refused step), Nelder-Mead runs from the best point reached
+  to the loose simplex diameter ``_LOOSE_XATOL`` (the objective-spread test
+  is disabled, so its steps depend only on the order of values), and the
+  Newton steps follow again from its answer.  The simplex is the package's
+  own (``_nelder_mead``), scipy's bounded Nelder-Mead step for step: no
+  process loads scipy.optimize for it, and a scipy release that revises
+  its simplex moves no fit.
+- Where those do not confirm either, the simplex runs again from the best
+  point reached, to ``tol``, and one Newton step of at most ``tol`` may
+  confirm its answer.  Failing that, the search restarts from its own
+  answer with a fresh simplex, up to twice, and a restart that moves at
+  most ``tol`` confirms the point.  Such a restart confirms nothing where
+  no scored point has a finite value other than the estimate's: every
+  other point was rejected, or the profile is flat there (at the lower
+  corner of the box, where every correlation is zero to double precision).
 
 A fit that does not confirm is reported as not converged.  Trial points
 whose R is not positive definite score -inf and are rejected; only failure
@@ -50,21 +53,26 @@ at the initial point is an error.  One check (``_checked_inputs``) raises
 every input error and defaults the box and start: ``fit`` runs it before
 anything is scored, and ``FitChain`` when it is built.
 
-A warm fit (``warm=True``: init is near the answer) starts with the Newton
-steps at init, and runs the cold stages from the best point reached only if
-they do not confirm.  ``FitChain`` starts every fit after its first one
-warm, from the fitted q nearest to it.  That fit's result carries its
-last derivative pass (``FitResult._pass``) where the pass was taken at its
-estimate, as it is where Newton confirmed it.  The pass holds every
-replicate's gradient and log density and the weighted Hessian sum, and q
-enters them only through the replicate weights.  Re-weighted to the new q
+``FitChain`` starts every fit after its first one near its answer, from
+the fitted q nearest to it.  That fit's result carries its last derivative
+pass (``FitResult._pass``) where the pass was taken at its estimate, as it
+is where Newton confirmed it.  The pass holds every replicate's gradient
+and log density and the weighted Hessian sum, and q enters them only
+through the replicate weights.  Re-weighted to the new q
 (``_Pass.newton_step``, a full solve in (sigma2, beta, nu)), it gives one
 Newton step for the new fit without a new pass: the corrector of
 predictor-corrector continuation (Allgower & Georg, Numerical Continuation
-Methods, 1990).  The step's (beta, nu), from the estimate, is the start.
-The nearest estimate itself is the start where that fit carries no pass
-(its sigma2 on a bound, or no pass at its estimate), the re-weighted
-Hessian is not negative definite, or the step leaves the box.
+Methods, 1990).  The step's (beta, nu), from the estimate, lands O(dq^2)
+from the new estimate, dq the distance between the two q.  Where the
+second nearest fitted q lies on the same side of the new q and its step
+exists too, the two steps P_a (nearest, at distance da) and P_b (at db)
+combine to (db^2 P_a - da^2 P_b) / (db^2 - da^2), which cancels that
+leading term, and the combination is the start.  The nearest fit's step is
+the start where the two straddle the new q, the second gives no step, or
+the combination leaves the box.  The nearest estimate itself is the start
+where that fit carries no pass (its sigma2 on a bound, or no pass at its
+estimate), the re-weighted Hessian is not negative definite, or the step
+leaves the box.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -94,11 +102,11 @@ from .gauss_lik import (NotSPDError, _Workspace, _checked_q, _checked_rows, _cor
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
-# over: of 1e-2, 3e-3 and 1e-3, cold fits took the fewest evaluations here
-# (CHANGES.md).
+# over: of 1e-2, 3e-3 and 1e-3, fits that ran the simplex first took the
+# fewest evaluations here (CHANGES.md).
 _LOOSE_XATOL = 3e-3
 
-# Newton steps per stage; warm fits along the q grids confirmed in 1 to 4.
+# Newton steps per stage; chain fits along the q grids confirmed in 1 to 4.
 _NEWTON_STEPS = 6
 
 # Evaluation and iteration budget of each Nelder-Mead run.
@@ -141,8 +149,9 @@ class FitResult:
     and exp((1-q) (V + n)) = sum exp((l + n)(1-q)) below it, an increasing
     transform of the exact Lq objective that overflows to inf when the
     data's scale is small, even at a correct fit.  ``evaluations`` counts
-    the (beta, nu) points scored, Newton points included; ``newton_steps``
-    the derivative passes, each costing about two to five evaluations; and
+    the distinct (beta, nu) points scored, the start and Newton points
+    included; ``newton_steps`` the derivative passes, each costing about two
+    to five evaluations; and
     ``restarts`` the fallback simplex runs, 0 when Newton steps confirmed
     the estimate.  ``converged`` requires a confirmation, a normal end of
     the last simplex run, if any, and a finite V at the estimate.
@@ -327,7 +336,7 @@ class _Search:
         # u.tobytes() -> (sigma2, profile value); the answer's sigma2 and
         # value are read back from here
         self.scored = {}
-        self.iterations = self.evaluations = self.passes = 0
+        self.iterations = self.passes = 0
         self.simplex_ok = True      # the last simplex run ended normally
         # the gauss_lik._Pass of the last derivative pass
         self.last_pass = None
@@ -363,9 +372,8 @@ class _Search:
         a pass at its answer scores it again, with the terms
         (``gauss_lik._weighted_derivs``).
         """
-        x, fun, nit, nfev, status = _nelder_mead(self.value, u, xatol, _MAX_EVALS)
+        x, fun, nit, _nfev, status = _nelder_mead(self.value, u, xatol, _MAX_EVALS)
         self.iterations += nit
-        self.evaluations += nfev
         self.simplex_ok = status == 0 and fun < np.inf
         return x
 
@@ -424,7 +432,6 @@ class _Search:
                 # the tie rule: no score of u + delta could refuse u
                 confirmed = True
                 break
-            self.evaluations += 1
             # a pass follows the trial point only where the step is not short
             val_new = self.value(u_new, terms=not short)
             if short:
@@ -437,7 +444,7 @@ class _Search:
         return u, confirmed
 
 
-def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False):
+def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     """FitResult of the Lq-likelihood's maximum at q in a box (see the module docstring).
 
     Parameters
@@ -451,12 +458,11 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False):
         Defaults to default_bounds().
     init : MaternParams, optional
         Must lie within bounds; defaults to default_init(reps, bounds).  Its
-        (beta, nu) is scored first, and its sigma2 is not used.
+        (beta, nu) is scored first and Newton steps start there; its sigma2
+        is not used.
     tol : float
         Simplex-diameter threshold in bound-scaled coordinates, and the
         largest Newton step or restart move that confirms a point.
-    warm : bool
-        Whether init is near the answer, so that Newton steps start there.
 
     Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
     tol, data whose rows do not match ``locs``, sites with a duplicate, or
@@ -469,13 +475,11 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False):
     search = _Search(reps, locs, q, bounds, tol)
     u = (init.as_array()[1:] - search.corner) / search.width
     # a hard failure at the starting point is an error, not a rejection
-    search.score(u, terms=warm)
-    confirmed = False
-    if warm:
-        search.evaluations += 1
-        u, confirmed = search.newton(u, _NEWTON_STEPS)
-    # the loose simplex and Newton to tol, then the tight simplex and one
-    # confirming step; a simplex run that ends abnormally goes to restarts
+    search.score(u, terms=True)
+    u, confirmed = search.newton(u, _NEWTON_STEPS)
+    # where Newton at the start does not confirm: the loose simplex and
+    # Newton to tol, then the tight simplex and one confirming step; a
+    # simplex run that ends abnormally goes to restarts
     for xatol, steps in ((max(tol, _LOOSE_XATOL), _NEWTON_STEPS), (tol, 1)):
         if confirmed:
             break
@@ -505,18 +509,19 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL, *, warm=False):
     converged = bool(confirmed and (by_newton or moved)
                      and search.simplex_ok and np.isfinite(value))
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
-                     iterations=search.iterations, evaluations=search.evaluations,
+                     iterations=search.iterations, evaluations=len(search.scored),
                      converged=converged, init=init, restarts=restarts,
                      newton_steps=search.passes, _pass=kept)
 
 
 class FitChain:
-    """Fits of one dataset along q, cached per q and started warm.
+    """Fits of one dataset along q, cached per q, each started from the fits before it.
 
     ``chain.fit(q)`` returns the FitResult at q, fitted on the first request
     only (key round(q, 12)); ``chain(q)`` returns its theta_hat, as the q
-    selectors' ``fit_fn``.  The first fit starts cold at ``init`` and every
-    later one warm (see the module docstring).  The chain keeps O(m)
+    selectors' ``fit_fn``.  The first fit starts at ``init`` and every later
+    one from the re-weighted Newton steps of the nearest fitted q (see the
+    module docstring).  The chain keeps O(m)
     numbers per q, and does not cache a fit that raises.  Building a chain
     raises ``fit``'s ValueErrors for tol, rows, sites and init.  Per q, a q
     outside (0, 1] raises ValueError before a kept pass is re-weighted at
@@ -529,34 +534,41 @@ class FitChain:
         self._fits = {}
 
     def _nearest(self, q):
-        """The estimate of the fitted q nearest to q, or init; and its key."""
-        if not self._fits:
-            return self._init, None
-        key = min(self._fits, key=lambda k: abs(k - q))
-        return self._fits[key].theta_hat, key
+        """The fitted keys, nearest to q first, and the nearest one's estimate, or init."""
+        keys = sorted(self._fits, key=lambda k: abs(k - q))
+        return keys, self._fits[keys[0]].theta_hat if keys else self._init
 
-    def _start(self, q):
-        """(init, warm) of a new fit at q."""
-        theta, key = self._nearest(q)
-        if key is None:
-            return theta, False
+    def _stepped(self, key, q):
+        """(beta, nu) of the fit at key moved by its pass's Newton step re-weighted to q; or None."""
         p = self._fits[key]._pass
         step = None if p is None else p.newton_step(q)
-        if step is not None:
-            point = p.theta.as_array()[1:] + step[1:]
-            lo, hi = self._bounds.as_arrays()
-            if np.all((point >= lo[1:]) & (point <= hi[1:])):
-                return MaternParams(theta.sigma2, *point), True
-        return theta, True
+        return None if step is None else p.theta.as_array()[1:] + step[1:]
+
+    def _start(self, q):
+        """The init of a new fit at q (see the module docstring)."""
+        keys, theta = self._nearest(q)
+        if not keys:
+            return theta
+        points = [self._stepped(keys[0], q)]
+        if len(keys) > 1 and (keys[0] - q) * (keys[1] - q) > 0 and points[0] is not None:
+            far = self._stepped(keys[1], q)
+            if far is not None:
+                # each step's error is O(dq^2): this combination cancels its leading term
+                da2, db2 = (keys[0] - q) ** 2, (keys[1] - q) ** 2
+                points.insert(0, (db2 * points[0] - da2 * far) / (db2 - da2))
+        lo, hi = self._bounds.as_arrays()
+        for point in points:
+            if point is not None and np.all((point >= lo[1:]) & (point <= hi[1:])):
+                return MaternParams(theta.sigma2, *point)
+        return theta
 
     def fit(self, q):
         q = float(q)
-        _checked_q(q)       # before the kept pass is re-weighted at q
+        _checked_q(q)       # before the kept passes are re-weighted at q
         key = round(q, 12)
         if key not in self._fits:
-            init, warm = self._start(q)
-            self._fits[key] = fit(self._reps, self._locs, q, self._bounds, init, self._tol,
-                                  warm=warm)
+            self._fits[key] = fit(self._reps, self._locs, q, self._bounds, self._start(q),
+                                  self._tol)
         return self._fits[key]
 
     def __call__(self, q):
@@ -576,7 +588,7 @@ class FitChain:
             try:
                 fits.append(self.fit(q))
             except (np.linalg.LinAlgError, RuntimeError):
-                theta = self._nearest(q)[0]
+                theta = self._nearest(q)[1]
                 fits.append(FitResult(theta_hat=theta, objective=float("nan"),
                                       q=q, iterations=0, evaluations=0,
                                       converged=False, init=theta))

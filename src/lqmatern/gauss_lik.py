@@ -37,7 +37,7 @@ Every (beta, nu) is scored one way: ``_corr_factor`` builds R as
 turn; the fit runs them itself.
 
 The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
-steps and ``FitChain``'s warm starts: ``_weighted_derivs`` returns it as a
+steps and ``FitChain``'s starts: ``_weighted_derivs`` returns it as a
 ``_Pass`` of O(m) numbers, every replicate's gradient g_i (g and H as the
 ``asymptotics`` docstring writes them), the weights, the log scale s,
 log|R| and S = sum w_i H_i, and forms no replicate's Hessian.  The Hessian
@@ -65,7 +65,7 @@ any sigma2, where Sigma = sigma2 R:
   gradient's products w_i' dS_j w_i.
 
 The hand-off.  A pass follows a score at the same (beta, nu) at the fit's
-warm start and Newton points, and such a score makes the pass's kernel
+start and Newton points, and such a score makes the pass's kernel
 terms (``terms``): from the Bessel values that make R's, in the same walk
 over the Chebyshev panels, into their place in the workspace.  The
 workspace records that score's factor of R (``_Workspace.held``) until R

@@ -55,7 +55,7 @@ distance and scattered back, by one of two routes:
   s, so one layout serves every (beta, nu).
 
 A derivative pass reads its five terms from the score of its point, as
-at the fit's warm start and Newton points, or scores the point again to
+at the fit's start and Newton points, or scores the point again to
 make them.  Such a score has ``_cov_into`` make
 the terms too (its ``terms``), from the order-nu values it makes R's from:
 kv's at the distances, or kve's at the nodes, where one walk of

@@ -9,7 +9,7 @@ of the identifiable quantity
 
 An ``estimate.FitChain`` over the dataset serves as ``fit_fn``: selectors
 revisit q values across passes (q_min appears in every refinement), and its
-cache fits each one once, started warm.
+cache fits each one once, started from the fits before it.
 
 kappa-hat is not constant across q even on clean data.  The fixed-q fit
 targets (q sigma2, beta, nu) (see ``estimate``), whose kappa is q kappa0, and

@@ -685,15 +685,15 @@ class TestMain:
         capsys.readouterr()
 
     def test_sweep_selector_fits_start_warm(self, tmp_path, monkeypatch, capsys):
-        # fits the selector asks for off the profile's grid start with Newton
-        # at the profile's last estimate: none of them is a cold start (the
+        # fits the selector asks for off the profile's grid start from the
+        # chain's fits: none of them starts at the chain's own start (the
         # grid's last interval is short, so each pass-0 pivot k* = 2 refines
         # [0.5, 0.49] with six new q values per repetition)
         real = est.fit
-        warm = []
+        starts = []
 
         def spy(*args, **kwargs):
-            warm.append(kwargs["warm"])
+            starts.append(args[4])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(est, "fit", spy)
@@ -703,11 +703,11 @@ class TestMain:
             extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.6,0.5,0.49"),
                    ("repetitions", "2"), ("selector", "kappa")])
         assert run(["sweep", "--config", cfgp, "--out", str(out)]) == 0
-        # per repetition: four profile fits, only the first cold, then the
-        # selector's six
+        # per repetition: four profile fits, only the first at the chain's
+        # start, then the selector's six
+        assert len(starts) == 20
+        warm = [init != starts[rep] for rep in (0, 10) for init in starts[rep:rep + 10]]
         assert warm == ([False] + [True] * 9) * 2
-        selector_warm = warm[4:10] + warm[14:20]
-        assert len(selector_warm) == 12 and selector_warm.count(False) == 0
         capsys.readouterr()
 
     def test_sweep_selected_row_reports_its_fit(self, tmp_path, monkeypatch, capsys):

@@ -158,7 +158,7 @@ class TestFit:
             fit(reps, locs, 1.0, init=bad)
 
     def test_q_validation_propagates(self, small_data):
-        # q is checked when fit is called, cold or warm, before any point
+        # q is checked when fit is called, from any start, before any point
         # is scored
         locs, reps = small_data
         near = default_init(reps, default_bounds())
@@ -166,7 +166,7 @@ class TestFit:
             with pytest.raises(ValueError):
                 fit(reps, locs, q)
             with pytest.raises(ValueError):
-                fit(reps, locs, q, init=near, warm=True)
+                fit(reps, locs, q, init=near)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_validation(self, small_data, tol):
@@ -650,9 +650,10 @@ class TestConfirmation:
 class TestShortStepRule:
     """A Newton step of at most tol confirms, also where rounding scores it lower."""
 
-    @pytest.mark.parametrize("layout, n, seed, q", [
-        ("grid", 100, 1, 1.0), ("grid", 100, 4, 1.0), ("uniform", 49, 4, 0.9)])
-    def test_rounding_refusal_confirms(self, monkeypatch, layout, n, seed, q):
+    @pytest.mark.parametrize("layout, n, seed, q, tol", [
+        ("grid", 100, 1, 1.0, 1e-6), ("grid", 100, 4, 1.0, 1e-5), ("uniform", 49, 4, 0.9, 1e-6)],
+        ids=["grid-100-1-1.0", "grid-100-4-1.0", "uniform-49-4-0.9"])
+    def test_rounding_refusal_confirms(self, monkeypatch, layout, n, seed, q, tol):
         # every point scored after a step of at most tol scores its start
         # minus half the step's predicted rise: below the start, but by less
         # than the rise, whatever the pass's last-bit rounding made of the
@@ -661,10 +662,15 @@ class TestShortStepRule:
         # the tight simplex or a restart.  The tie threshold is set to 0, so
         # that every such step is refused: on the uniform sites the one short
         # step's rise, 3.1e-14, is below the fit's floor, 1.7e-13, and the
-        # tie rule would take it before the short-step rule is reached
+        # tie rule would take it before the short-step rule is reached.  On
+        # grid seed 4 Newton confirms at the start with a short step of
+        # 3.1e-9 whose rise, 8.9e-14, is below one rounding of V (1.8e-12):
+        # no score falls below the start by less than that rise.  At tol =
+        # 1e-5 the step before it, 7.2e-6 with a rise of 8.6e-7, is the
+        # short one, and the forcing takes that step
         cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=n, m=100, layout=layout, seed=seed)
         locs, reps, _flags = simulate_dataset(cfg)
-        clean = fit(reps, locs, q)
+        clean = fit(reps, locs, q, tol=tol)
         real_step, real_score = est._Search.newton_step, est._Search.score
         starts, refused = {}, []
 
@@ -686,20 +692,21 @@ class TestShortStepRule:
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         monkeypatch.setattr(est._Search, "score", score)
         monkeypatch.setattr(gauss_lik._Pass, "rounding_floor", lambda p, value: 0.0)
-        res = fit(reps, locs, q)
+        res = fit(reps, locs, q, tol=tol)
         assert any(refused)
         assert res.converged and res.restarts == 0
-        assert scaled_gap(res.theta_hat, clean.theta_hat) <= 1e-6
+        assert scaled_gap(res.theta_hat, clean.theta_hat) <= tol
 
 
-# Cold fits of 8 n = 100 grid and 4 n = 49 uniform datasets (the benchmark's
-# theta0 and contamination, m = 100) at 4 q each.  GUARD_EVALS is what they
-# took with exact order derivatives in the kernel, every fit confirmed by
-# Newton, once the tie rule confirmed without scoring its trial point (1138
-# before): a rounding change in the pass must not send Newton-confirmed fits
-# to the fallback.
+# Fits from the default start of 8 n = 100 grid and 4 n = 49 uniform datasets
+# (the benchmark's theta0 and contamination, m = 100) at 4 q each.
+# GUARD_EVALS is the distinct points they scored, every fit confirmed by
+# Newton, once every fit started with Newton at its start and the simplex
+# ran only where that did not confirm (1112 before, when the simplex ran
+# first and counted again the points it read from the cache): a rounding
+# change in the pass must not send Newton-confirmed fits to the fallback.
 GUARD_QS = (1.0, 0.95, 0.9, 0.7)
-GUARD_EVALS = 1112
+GUARD_EVALS = 771
 
 
 def test_evaluations_no_higher_than_recorded():
@@ -724,7 +731,7 @@ def scaled_gap(a, b):
 
 
 class TestNewtonFinish:
-    """Newton steps that finish cold fits, and warm fits that start with them."""
+    """Newton steps that start every fit, and finish the simplex where they do not confirm."""
 
     def test_newton_steps_count_the_passes(self, interior_data, monkeypatch):
         locs, reps, base = interior_data
@@ -736,19 +743,19 @@ class TestNewtonFinish:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(est, "_weighted_derivs", counted)
-        cold = fit(reps, locs, 0.9)
-        assert cold.newton_steps == len(calls) >= 2
+        default = fit(reps, locs, 0.9)
+        assert default.newton_steps == len(calls) >= 2
         calls.clear()
-        warm = fit(reps, locs, 0.9, init=base[1.0].theta_hat, warm=True)
-        assert warm.newton_steps == len(calls) >= 1
-        assert warm.converged and warm.evaluations < cold.evaluations
+        near = fit(reps, locs, 0.9, init=base[1.0].theta_hat)
+        assert near.newton_steps == len(calls) >= 1
+        assert near.converged and near.evaluations < default.evaluations
 
     def test_failed_inverse_in_a_pass_falls_back(self, interior_data, monkeypatch):
-        # potri fails once, at the cold fit's first pass, after that pass
-        # scored its point with the terms: the Newton stage ends, the
-        # workspace's record of R's factor went with the write of R, and the
-        # tight simplex and its confirming step still confirm the estimate
-        # (on a fresh set, which carries no pass from an earlier fit)
+        # potri fails once, at the fit's first pass, at its start, whose
+        # score made the terms: the Newton stage ends, the workspace's
+        # record of R's factor went with the write of R, and the simplex
+        # and the Newton steps after it still confirm the estimate (on a
+        # fresh set, which carries no pass from an earlier fit)
         locs, reps, base = interior_data
         reps = ReplicateSet(reps.data)
         real_potri, real_step = gauss_lik.dpotri, est._Search.newton_step
@@ -788,30 +795,30 @@ class TestNewtonFinish:
 
     def test_warm_start_outside_newton_reach_falls_back(self, interior_data):
         # the q = 0.5 profile is not concave at the q = 0.9 estimate, so the
-        # first Newton step is refused and the cold path runs from there
+        # first Newton step is refused and the simplex runs from there
         locs, reps, base = interior_data
-        res = fit(reps, locs, 0.5, init=base[0.9].theta_hat, warm=True)
+        res = fit(reps, locs, 0.5, init=base[0.9].theta_hat)
         assert res.converged and res.restarts == 0 and res.evaluations > 6
         assert scaled_gap(res.theta_hat, base[0.5].theta_hat) <= 1e-6
 
     def test_warm_start_at_a_corner_matches_the_cold_fit(self, interior_data):
-        locs, reps, _base = interior_data
+        locs, reps, base = interior_data
         corner = default_bounds().upper
+        # Newton at the upper corner does not confirm, so the fit falls back
+        # to the simplex and lands where the fit from the default start does
         for q in SYM_QS:
-            warm = fit(reps, locs, q, init=corner, warm=True)
-            cold = fit(reps, locs, q, init=corner)
-            assert warm.converged and cold.converged
-            assert warm.evaluations > 6
-            assert scaled_gap(warm.theta_hat, cold.theta_hat) <= 1e-6
+            res = fit(reps, locs, q, init=corner)
+            assert res.converged and res.evaluations > 6
+            assert scaled_gap(res.theta_hat, base[q].theta_hat) <= 1e-6
 
     def test_warm_start_at_its_own_estimate_confirms_by_the_tie_rule(
             self, interior_data, monkeypatch):
-        # the one step from the estimate is the cold fit's last, of at most
-        # tol.  At q = 0.9 it is 6e-10, and its rise is below the rounding of
-        # V: no score of its trial point could refuse the start, so the
-        # start's own score is the fit's one evaluation.  At q = 1 and 0.5
-        # it is 3e-7, its rise above that floor, and the short-step rule
-        # scores the trial point too
+        # the one step from the estimate is the estimate's own fit's last,
+        # of at most tol.  At q = 1 and 0.5 it is 2e-8 and 8e-10, and its
+        # rise is below the rounding of V: no score of its trial point could
+        # refuse the start, so the start's own score is the fit's one
+        # evaluation.  At q = 0.9 it is 1.5e-7, its rise above that floor,
+        # and the short-step rule scores the trial point too
         locs, reps, base = interior_data
         real, ties = est._Search.newton_step, []
 
@@ -822,11 +829,67 @@ class TestNewtonFinish:
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         for q in SYM_QS:
-            res = fit(reps, locs, q, init=base[q].theta_hat, warm=True)
+            res = fit(reps, locs, q, init=base[q].theta_hat)
             assert res.converged and res.restarts == 0
             assert res.newton_steps == 1 and res.evaluations == 2 - ties[-1]
             assert_same_theta(res.theta_hat.as_array(), base[q].theta_hat.as_array())
-        assert ties == [False, True, False]
+        assert ties == [True, False, True]
+
+
+def sweep_data(seed):
+    """The sweep benchmark's design: n = 100 grid, m = 100, contaminated."""
+    cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid", seed=seed,
+                    contamination=ContaminationSpec(0.1, 1.0))
+    return simulate_dataset(cfg)[:2]
+
+
+class TestNewtonFirst:
+    """Every fit starts with Newton at its start; the simplex is the fallback."""
+
+    def test_newton_at_the_start_confirms_without_a_simplex(self, monkeypatch):
+        # the default start lies within Newton's reach of the q = 0.95
+        # maximum: the fit's first pass is at the start, and no simplex runs
+        locs, reps = sweep_data(1)
+        ref = fit(reps, locs, 0.95, tol=1e-10)
+        passes = record_passes(monkeypatch)
+        res = fit(reps, locs, 0.95)
+        assert res.converged and res.iterations == 0 and res.restarts == 0
+        assert (passes[0].beta, passes[0].nu) == (res.init.beta, res.init.nu)
+        assert res.evaluations == len(passes) + 1 == 5
+        assert scaled_gap(res.theta_hat, ref.theta_hat) <= 1e-6
+
+    @pytest.mark.parametrize("seed, q", [(4, 0.95), (1, 1.0)])
+    def test_newton_refused_at_the_start_falls_back(self, monkeypatch, seed, q):
+        # contaminated data at q = 1, or grid seed 4 at 0.95: the steps
+        # from the start do not confirm, so the simplex runs from the best
+        # point they reached, and the fit still lands on the maximum
+        locs, reps = sweep_data(seed)
+        ref = fit(reps, locs, q, tol=1e-10)
+        passes = record_passes(monkeypatch)
+        res = fit(reps, locs, q)
+        assert res.converged and res.iterations > 0 and res.restarts == 0
+        assert (passes[0].beta, passes[0].nu) == (res.init.beta, res.init.nu)
+        assert scaled_gap(res.theta_hat, ref.theta_hat) <= 1e-6
+
+    def test_each_scored_point_counts_once(self, bound_data, monkeypatch):
+        # evaluations are the distinct points scored: a simplex once counted
+        # again each point it read from the cache, such as its own starting
+        # point, at every restart too.  The optimum on the nu bound takes
+        # the simplex and the restarts
+        locs, reps, box = bound_data
+        scored = []
+        real = est._Search.score
+
+        def score(search, u, terms=False):
+            scored.append(u.tobytes())
+            real(search, u, terms)
+
+        monkeypatch.setattr(est._Search, "score", score)
+        for q in (1.0, 0.9):
+            scored.clear()
+            res = fit(reps, locs, q, box)
+            assert res.iterations > 0 and res.restarts >= 1
+            assert res.evaluations == len(scored) == len(set(scored))
 
 
 @pytest.fixture(scope="module")
@@ -848,11 +911,11 @@ def fused_sets(fused_data):
     return [(locs, ReplicateSet(reps.data), near) for locs, reps, near in fused_data]
 
 
-def cold_and_warm_fits(locs, reps, near):
-    """A cold fit and a warm one from ``near`` at q in {1, 0.9}."""
+def default_and_near_fits(locs, reps, near):
+    """A fit from the default start and one from ``near``, at q in {1, 0.9}."""
     for q in (1.0, 0.9):
         yield fit(reps, locs, q)
-        yield fit(reps, locs, q, init=near, warm=True)
+        yield fit(reps, locs, q, init=near)
 
 
 class TestFusedNewtonPoint:
@@ -873,7 +936,7 @@ class TestFusedNewtonPoint:
 
         monkeypatch.setattr(est._Search, "score", score)
         for locs, reps, near in fused_sets:
-            for res in cold_and_warm_fits(locs, reps, near):
+            for res in default_and_near_fits(locs, reps, near):
                 assert res.converged
                 assert 0 < len(scored) <= res.evaluations
                 scored.clear()
@@ -881,11 +944,13 @@ class TestFusedNewtonPoint:
     def test_one_factorization_per_point(self, fused_sets, monkeypatch):
         # R is factored once per scored point, and for a pass only where
         # its point is not the one scored last with the pass's terms (a
-        # simplex's answer, which it scored without them): per fit,
-        # factorizations = scored points + those passes.  The workspace
-        # records the factor for its pass, and drops it when the pass takes
-        # it; a pass the memo returns (the warm fit's first, at the cold
-        # fit's estimate) writes nothing and leaves the record
+        # simplex's answer, which it scored without them) and the memo
+        # holds no pass there: per fit, factorizations = scored points +
+        # those passes.  The workspace records the factor for its pass, and
+        # drops it when the pass takes it; a pass the memo returns (the
+        # first from ``near``, at the default start's estimate, or a second
+        # pass at a point the simplex did not move) writes nothing and
+        # leaves the record
         calls = []
         real_chol = gauss_lik._factor_in_place
 
@@ -910,9 +975,10 @@ class TestFusedNewtonPoint:
             last = held[0] == u.tobytes()
             memo = search.reps._last_pass
             out = real_step(search, u)
-            assert len(calls) == before + (not last)
-            assert search.ws.held is None or search.last_pass is memo[1]
-            per_pass.append(last)
+            hit = memo is not None and search.last_pass is memo[1]
+            assert len(calls) == before + (not (last or hit))
+            assert search.ws.held is None or hit
+            per_pass.append(last or hit)
             held[0] = None
             return out
 
@@ -920,23 +986,23 @@ class TestFusedNewtonPoint:
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         kinds = []
         for locs, reps, near in fused_sets:
-            for res in cold_and_warm_fits(locs, reps, near):
+            for res in default_and_near_fits(locs, reps, near):
                 assert res.newton_steps == len(per_pass)
                 assert len(calls) == len(scores) + per_pass.count(False)
                 kinds.append(list(per_pass))
                 per_pass.clear()
                 calls.clear()
                 scores.clear()
-        # a warm fit's first pass is at its start, scored with the terms; a
-        # cold fit's follows the simplex, whose answer was scored without
-        # them, so that pass factors R again; the passes after a Newton
-        # step are at the step's point
-        assert all(k[0] for k in kinds[1::2]) and not any(k[0] for k in kinds[::2])
-        assert any(any(k[1:]) for k in kinds[::2])
+        # every fit's first pass is at its start, scored with the terms; a
+        # pass that follows the simplex, whose answer was scored without
+        # them, factors R again; the passes after a Newton step are at the
+        # step's point
+        assert all(k[0] for k in kinds)
+        assert any(not all(k) for k in kinds) and any(any(k[1:]) for k in kinds)
 
     def test_forced_rescue_is_shared_by_the_score_and_the_pass(self, fused_sets,
                                                                monkeypatch):
-        # the warm start's point is scored first and its pass starts from
+        # the start's point is scored first and its pass starts from
         # that factor: a jitter rescue there is taken once, and the pass
         # inverts that jittered factor
         locs, reps, near = fused_sets[1]
@@ -969,7 +1035,7 @@ class TestFusedNewtonPoint:
         monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
         monkeypatch.setattr(gauss_lik, "dpotri", dpotri)
         monkeypatch.setattr(est._Search, "score", score)
-        fit(reps, locs, 0.9, init=near, warm=True)
+        fit(reps, locs, 0.9, init=near)
         jittered, L, count = seen["factor"]
         assert jittered
         # the first pass is at init, with no factorization of its own
@@ -995,7 +1061,7 @@ class TestFusedNewtonPoint:
         monkeypatch.setattr(est._Search, "score", score)
         passes = record_passes(monkeypatch)
         for locs, reps, near in fused_sets:
-            for res in cold_and_warm_fits(locs, reps, near):
+            for res in default_and_near_fits(locs, reps, near):
                 assert res.converged and res.restarts == 0
                 point, terms = scored[-1]
                 assert terms == (point == (res.theta_hat.beta, res.theta_hat.nu))
@@ -1137,16 +1203,18 @@ class TestSharedWalk:
     def test_walks_are_factorizations(self, monkeypatch):
         # a score is the only place a fit or a sandwich evaluates the
         # kernel, so on irregular sites each walk of the panels comes with
-        # one factorization of R: a cold fit makes as many of each, and the
+        # one factorization of R: a fit makes as many of each, and the
         # sandwich right after it makes none.  The analysis benchmark's
-        # design, where this seed's first pass at q = 0.95 is at the
-        # simplex's answer, which it scored last, without the terms
+        # design, where on this seed Newton confirms at the start at q =
+        # 0.95 and 0.9, and at q = 1 the first pass is refused and the next
+        # is at the simplex's answer, which it scored last, without the
+        # terms
         locs, reps = simulate_dataset(SimConfig(
             MaternParams(1.0, 0.1, 0.5), n=400, m=100, layout="uniform", seed=9110001,
             contamination=ContaminationSpec(0.1, 1.0)))[:2]
         walks = count_calls(monkeypatch, matern._Panels, "at")
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
-        for q in (0.95, 0.9):
+        for q in (1.0, 0.95, 0.9):
             walks.clear()
             factors.clear()
             res = fit(reps, locs, q)
@@ -1249,8 +1317,11 @@ class TestSharedWalk:
                 res = fit(reps, locs, q)
                 assert res.converged and res.newton_steps > 0
                 assert len(factors) == len(scores) + last[passes:].count(False)
+                # the first pass is at the start, scored with the terms
+                assert last[passes]
                 passes += res.newton_steps
-        # the first pass of a cold fit is at the simplex's answer
+        # where Newton at the start does not confirm (q = 1 here), a pass
+        # follows the simplex, at its answer
         assert len(last) == passes and not all(last)
 
 
@@ -1281,6 +1352,17 @@ def stepped(theta, p, q):
     return MaternParams(theta.sigma2, theta.beta + step[1], theta.nu + step[2])
 
 
+def extrapolated(near, far, q):
+    """The start at q from the fits near and far, on one side of q: their steps, combined.
+
+    Each fit's step re-weighted to q errs by O(dq^2); weighting the two
+    steps by the other's squared distance to q cancels that term.
+    """
+    a, b = (stepped(f.theta_hat, f._pass, q).as_array() for f in (near, far))
+    da2, db2 = (near.q - q) ** 2, (far.q - q) ** 2
+    return MaternParams(near.theta_hat.sigma2, *((db2 * a - da2 * b) / (db2 - da2))[1:])
+
+
 def record_passes(monkeypatch):
     """The (sigma2, beta, nu) of every derivative pass, in order."""
     points = []
@@ -1307,10 +1389,13 @@ def pass_altered(monkeypatch, change):
 
 # Passes of FitChain profiles over qselect.DEFAULT_GRID on 8 n = 100 grid and
 # 4 n = 49 uniform datasets (the benchmark's theta0 and contamination,
-# m = 100): every fit after the first starts one re-weighted Newton step
-# ahead.  Starting each at the neighbour's estimate took 328 passes (and 669
-# evaluations, against 580 now).
-GUARD_CHAIN_PASSES = 239
+# m = 100): every fit starts with Newton at its start, and every fit after
+# the first starts one re-weighted Newton step ahead, combined with the
+# second nearest fit's step where both lie on one side of its q.  With the
+# nearest fit's step alone the profiles took 251 passes, and 239 where the
+# first fit ran the simplex before Newton; starting each fit at the
+# neighbour's estimate took 328.
+GUARD_CHAIN_PASSES = 231
 
 
 class TestChainInputs:
@@ -1343,7 +1428,7 @@ class TestChainStart:
         assert np.abs(step[1:] / near.theta_hat.as_array()[1:]).min() > 1e-3
 
     def test_result_carries_its_last_pass(self, interior_data, monkeypatch):
-        # the pass the chain's warm start reads rides on the fit's result;
+        # the pass the chain's start reads rides on the fit's result;
         # equality, hashing and repr leave it out
         locs, reps, _base = interior_data
         passes = record_passes(monkeypatch)
@@ -1372,12 +1457,47 @@ class TestChainStart:
             assert want > V_ROUNDING * abs(value)
 
     def test_start_from_the_nearest_fitted_q(self, interior_data):
-        # 0.98 lies nearer 1.0 than 0.9, the last fit returned
+        # 0.98 lies nearer 1.0 than 0.9, the last fit returned; the two
+        # straddle 0.98, so the nearest fit's step is the start
         locs, reps, _base = interior_data
         chain = FitChain(reps, locs)
         first = chain.fit(1.0)
         chain.fit(0.9)
         assert chain.fit(0.98).init == stepped(first.theta_hat, first._pass, 0.98)
+
+    def test_two_fits_on_one_side_combine_their_steps(self, interior_data):
+        # 1 and 0.9 lie on one side of 0.8, and each carries a pass
+        locs, reps, _base = interior_data
+        chain = FitChain(reps, locs)
+        far, near = chain.fit(1.0), chain.fit(0.9)
+        res = chain.fit(0.8)
+        assert res.init == extrapolated(near, far, 0.8)
+        assert res.init != stepped(near.theta_hat, near._pass, 0.8)
+        assert res.converged and res.restarts == 0
+
+    def test_a_neighbour_without_a_pass_takes_the_nearest_step(self, interior_data):
+        locs, reps, _base = interior_data
+        chain = FitChain(reps, locs)
+        far, near = chain.fit(1.0), chain.fit(0.9)
+        chain._fits[1.0] = replace(far, _pass=None)
+        assert chain.fit(0.8).init == stepped(near.theta_hat, near._pass, 0.8)
+
+    def test_combination_out_of_the_box_takes_the_nearest_step(self, interior_data):
+        # from the fits at 0.9 and 0.8 the combined start at 0.7 lies at a
+        # lower nu than the 0.8 fit's step; a lower nu bound halfway
+        # between them cuts the combination and keeps the step
+        locs, reps, _base = interior_data
+        free = FitChain(reps, locs)
+        free.fit(0.9)
+        near = free.fit(0.8)
+        nu_comb, nu_step = free.fit(0.7).init.nu, stepped(near.theta_hat, near._pass, 0.7).nu
+        assert nu_comb < nu_step
+        lo, hi = default_bounds().as_arrays()
+        box = Bounds(MaternParams(lo[0], lo[1], 0.5 * (nu_comb + nu_step)), MaternParams(*hi))
+        chain = FitChain(reps, locs, box)
+        far, near = chain.fit(0.9), chain.fit(0.8)
+        assert not box.contains(extrapolated(near, far, 0.7))
+        assert chain.fit(0.7).init == stepped(near.theta_hat, near._pass, 0.7)
 
     def test_q_is_checked_before_the_kept_pass_is_reweighted(self, small_data):
         # re-weighting the first fit's pass at q = inf once warned before
@@ -1487,19 +1607,20 @@ class TestQProfile:
             fit_profile(reps, locs, (1.0, 0.95, float("nan")))
 
     def test_fit_profile_warm_start_chain(self, small_data):
-        # each fit after the first starts one re-weighted Newton step from
-        # the one before it: sigma2 is the neighbour's, (beta, nu) the
-        # step's, and the step lands nearer the new estimate than the
+        # the second fit starts one re-weighted Newton step from the first:
+        # sigma2 is the neighbour's, (beta, nu) the step's.  The third, with
+        # both fitted q on one side of it, starts at the combination of
+        # their two steps.  Each start lands nearer its estimate than the
         # neighbour's own estimate does
         locs, reps = small_data
         grid = (1.0, 0.97, 0.94)
         chain = FitChain(reps, locs, tol=1e-4)
         prof = chain.profile(grid)
         assert prof.grid == grid
-        assert len(prof.fits) == 3
-        for k in (1, 2):
-            near, res = prof.fits[k - 1], prof.fits[k]
-            assert res.init == stepped(near.theta_hat, near._pass, grid[k])
+        first, second, third = prof.fits
+        assert second.init == stepped(first.theta_hat, first._pass, 0.97)
+        assert third.init == extrapolated(second, first, 0.94)
+        for near, res in ((first, second), (second, third)):
             assert scaled_gap(res.init, res.theta_hat) < scaled_gap(
                 near.theta_hat, res.theta_hat)
 

@@ -954,7 +954,7 @@ class TestWorkspaceBuffers:
             contamination=ContaminationSpec(0.1, 1.0)))
         assert (locs._dist_cheb is None) == (layout == "grid")
         res = fit(reps, locs, 0.9)
-        fit(reps, locs, 0.95, init=res.theta_hat, warm=True)
+        fit(reps, locs, 0.95, init=res.theta_hat)
         for call in (sandwich, ustar_all):
             call(reps, locs, res.theta_hat, 0.9)
             call(reps, LocationSet(locs.coords), res.theta_hat, 0.9)

@@ -5,7 +5,7 @@ import pytest
 
 import lqmatern.estimate as est
 from lqmatern.asymptotics import StdErrs
-from lqmatern.estimate import FitChain, FitResult
+from lqmatern.estimate import FitChain, FitResult, default_bounds, default_init
 from lqmatern.matern import MaternParams
 from lqmatern.qselect import (DEFAULT_GRID, PassRecord, QGridSpec,
                               SelectionResult, default_kappa_spec, kappa,
@@ -329,12 +329,14 @@ class TestFactories:
         assert calls[3][1] == a
 
     def test_fit_fn_starts_warm_after_the_first_fit(self, monkeypatch):
+        # the first fit starts at the chain's start, the next at the first
+        # one's estimate; fit takes no keyword from the chain
         locs = make_locations(4, "grid")
         reps = gen_replicates(locs, MaternParams(1.0, 0.2, 0.5), 3, seed=0)
-        warm = []
+        starts = []
 
         def fake_fit(reps_, locs_, q, bounds, init, tol, **kw):
-            warm.append(kw["warm"])
+            starts.append((init, kw))
             return FitResult(theta_hat=MaternParams(1.0, 0.5, 0.5), objective=0.0,
                              q=q, iterations=1, evaluations=1, converged=True,
                              init=init)
@@ -343,7 +345,8 @@ class TestFactories:
         fit_fn = FitChain(reps, locs)
         fit_fn(0.99)
         fit_fn(0.95)
-        assert warm == [False, True]
+        assert starts == [(default_init(reps, default_bounds()), {}),
+                          (MaternParams(1.0, 0.5, 0.5), {})]
 
     def test_se_fn_returns_stderrs(self):
         locs = make_locations(9, "grid")
