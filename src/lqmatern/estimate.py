@@ -10,18 +10,24 @@ caches.
 A fit has three stages.
 
 - The start is scored, with the kernel terms of a derivative pass, and up
-  to ``_NEWTON_STEPS`` Newton steps delta on V in u follow from there, from
-  V's exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
+  to ``_NEWTON_STEPS`` Newton steps delta in u follow from there, from V's
+  exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
   gives them in (sigma2, beta, nu), and sigma2's response enters through
   their Schur complement, unless sigma2 sits on a bound, where it stays
-  under small moves.  A step is taken when the Hessian is negative definite,
-  u + delta lies in the box and scores no lower than u; any other step ends
-  this stage, with no line search.  A short step, |delta| <= ``tol``
-  componentwise, is not taken: it confirms its start u, where the fit's
-  last pass lies, as the estimate, and the last step allowed must be short.
-  Newton converges quadratically, so the step after a 1e-5 step is about
-  1e-11, and its rise is below the rounding of V: where the predicted rise
-  delta' (-H) delta / 2 is at most ``_Pass.rounding_floor``, no score of
+  under small moves.  Range and smoothness are positive scales, and
+  Newton's method is not invariant under a change of coordinates that is
+  not linear: where V is concave in y = log(beta, nu), the step is taken
+  there (x = (beta, nu) moves to x exp(dy), and delta is that move in u),
+  and only where it is not, in u.  So a rough fit's default start at q = 1,
+  where V is not concave in u, is within reach too.  A step is taken when
+  its Hessian is negative definite, u + delta lies in the box and scores no
+  lower than u; any other step ends this stage, with no line search.  A
+  short step, |delta| <= ``tol`` componentwise, is not taken: it confirms
+  its start u, where the fit's last pass lies, as the estimate, and the
+  last step allowed must be short.  Newton converges quadratically, so the
+  step after a 1e-5 step is about 1e-11, and its rise is below the
+  rounding of V: where the predicted rise d' (-H) d / 2, d and H in the
+  coordinates of the step, is at most ``_Pass.rounding_floor``, no score of
   the trial point u + delta could refuse u, and the short step confirms
   without scoring it (the tie rule; u's own V was checked finite).  A short
   step whose rise is above that is tested: its trial point is scored,
@@ -30,14 +36,14 @@ A fit has three stages.
   it confirms (the short-step rule).  A step in the wrong direction falls
   by about three times its predicted rise, and ends the stage.
 - Where the steps do not confirm (a start beyond Newton's reach, an optimum
-  on a bound, non-finite derivatives, a Hessian that is not negative
-  definite, a refused step), Nelder-Mead runs from the best point reached
-  to the loose simplex diameter ``_LOOSE_XATOL`` (the objective-spread test
-  is disabled, so its steps depend only on the order of values), and the
-  Newton steps follow again from its answer.  The simplex is the package's
-  own (``_nelder_mead``), scipy's bounded Nelder-Mead step for step: no
-  process loads scipy.optimize for it, and a scipy release that revises
-  its simplex moves no fit.
+  on a bound, non-finite derivatives, a Hessian negative definite in
+  neither coordinates, a refused step), Nelder-Mead runs from the best
+  point reached to the loose simplex diameter ``_LOOSE_XATOL`` (the
+  objective-spread test is disabled, so its steps depend only on the order
+  of values), and the Newton steps follow again from its answer.  The
+  simplex is the package's own (``_nelder_mead``), scipy's bounded
+  Nelder-Mead step for step: no process loads scipy.optimize for it, and a
+  scipy release that revises its simplex moves no fit.
 - Where those do not confirm either, the simplex runs again from the best
   point reached, to ``tol``, and one Newton step of at most ``tol`` may
   confirm its answer.  Failing that, the search restarts from its own
@@ -150,11 +156,12 @@ class FitResult:
     transform of the exact Lq objective that overflows to inf when the
     data's scale is small, even at a correct fit.  ``evaluations`` counts
     the distinct (beta, nu) points scored, the start and Newton points
-    included; ``newton_steps`` the derivative passes, each costing about two
-    to five evaluations; and
-    ``restarts`` the fallback simplex runs, 0 when Newton steps confirmed
-    the estimate.  ``converged`` requires a confirmation, a normal end of
-    the last simplex run, if any, and a finite V at the estimate.
+    included; ``newton_steps`` the derivative passes made, each costing
+    about two to five evaluations (a pass the ``ReplicateSet`` already held
+    costs nothing and is not counted); and ``restarts`` the fallback simplex
+    runs, 0 when Newton steps confirmed the estimate.  ``converged``
+    requires a confirmation, a normal end of the last simplex run, if any,
+    and a finite V at the estimate.
     ``_pass`` is the ``gauss_lik._Pass`` of the fit's last derivative
     pass where that pass was taken at the estimate with sigma2 inside its
     bounds, else None; a fit that Newton confirmed reports its estimate at
@@ -378,21 +385,28 @@ class _Search:
         return x
 
     def newton_step(self, u):
-        """(delta, predicted rise) of one Newton step in u from a scored u.
+        """(delta, predicted rise) of one Newton step from a scored u; delta is in u.
 
-        None where the derivatives are not finite or the profile Hessian is
-        not negative definite.
+        With x = (beta, nu) at u and the profile's gradient g and Hessian H
+        in x, the step is dy = -H_y^-1 g_y in y = log x, where g_y = x g and
+        H_y = diag(x) H diag(x) + diag(g_y) is negative definite: x moves to
+        x exp(dy), and the rise is -dy' H_y dy / 2.  Elsewhere it is the
+        step in u, from g and H scaled by the box's widths.  None where the
+        derivatives are not finite or neither Hessian is negative definite.
         """
-        self.passes += 1
-        self.last_pass = None
         sigma2 = self.scored[u.tobytes()][0]
+        x = self.corner + u * self.width
+        memo = self.reps._last_pass
         try:
-            p = _weighted_derivs(self.reps, self.locs,
-                                 MaternParams(sigma2, *(self.corner + u * self.width)), self.q,
-                                 self.ws)
+            p = _weighted_derivs(self.reps, self.locs, MaternParams(sigma2, *x), self.q, self.ws)
         except NotSPDError:
-            return None
+            p = None
         self.last_pass = p
+        # a failed pass counts; the pass the ReplicateSet held (at a point a
+        # simplex returned unmoved, or where an earlier fit ended) made nothing
+        self.passes += p is None or self.reps._last_pass is not memo
+        if p is None:
+            return None
         gbar, hess = p.hessian(self.q)
         H = hess[1:, 1:]
         if sigma2 not in self.s2_box:
@@ -400,12 +414,18 @@ class _Search:
             if not hess[0, 0] < 0.0:
                 return None
             H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
-        g, H = gbar[1:] * self.width, H * np.outer(self.width, self.width)
-        if not (np.all(np.isfinite(g)) and H[0, 0] < 0.0
-                and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0):
-            return None
-        delta = np.linalg.solve(H, -g)
-        return delta, -0.5 * float(delta @ H @ delta)
+        g = gbar[1:]
+        # the step in y = log x where V is concave in y, else the step in u
+        for log_y, s in ((True, x), (False, self.width)):
+            gs = g * s
+            Hs = H * np.outer(s, s) + (np.diag(gs) if log_y else 0.0)
+            if (np.all(np.isfinite(gs)) and Hs[0, 0] < 0.0
+                    and Hs[0, 0] * Hs[1, 1] - Hs[0, 1] * Hs[1, 0] > 0.0):
+                d = np.linalg.solve(Hs, -gs)
+                with np.errstate(over="ignore"):    # a step past exp's range leaves the box
+                    delta = x * np.expm1(d) / self.width if log_y else d
+                return delta, -0.5 * float(d @ Hs @ d)
+        return None
 
     def newton(self, u, steps):
         """(best u, confirmed) of up to ``steps`` Newton steps from a scored u.

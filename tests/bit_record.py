@@ -1,6 +1,7 @@
 """Byte-identity record of the package's answers: fits, sandwiches, q profiles and CLI sweeps.
 
     python tests/bit_record.py [--quick]
+    python tests/bit_record.py --compare PARENT.json CHANGE.json
 
 Prints one JSON object.  Two source trees whose records are equal gave the
 same bits on every output recorded, so a change meant to keep the answers
@@ -8,6 +9,15 @@ same bits on every output recorded, so a change meant to keep the answers
 the parent's tree and in the change's, and comparing the two outputs.  The
 package is imported from the ``src`` directory next to this file's
 directory, so a copy placed in another tree's ``tests`` records that tree.
+
+``--compare`` reads two saved records of the same mode and prints how the
+second differs from the first: the largest theta-hat gap over the fits, in
+bound-scaled (beta, nu) units of the default bounds, with its key and the
+relative change of the objective there; how many fits lie farther apart
+than the default ``tol``, and the largest relative change of the objective
+among them; the totals of evaluations, Newton passes, simplex
+iterations, restarts and converged fits on each side; and the key of every
+other output (a hash, a float's hex or an exit code) that differs.
 
 BLAS is pinned to one thread before numpy loads: across thread counts no
 fit is bit-identical, so the record is a one-thread record.
@@ -48,6 +58,7 @@ import numpy as np  # noqa: E402
 
 from lqmatern import (ContaminationSpec, FitChain, LocationSet, MaternParams,  # noqa: E402
                       SimConfig, cli_io, fit, sandwich, simulate_dataset, std_errs)
+from lqmatern.estimate import DEFAULT_TOL, default_bounds  # noqa: E402
 
 SEED_SETS = (7700, 9110000, 3301)
 ROUGH, SMOOTH = MaternParams(1.0, 0.1, 0.5), MaternParams(1.0, 0.3, 1.5)
@@ -133,8 +144,59 @@ def record(quick):
     return out
 
 
+def _leaves(rec, path=()):
+    """(key, value) of every fit record (a dict holding theta_hat) and every other leaf."""
+    if isinstance(rec, dict) and "theta_hat" not in rec:
+        for k in sorted(rec):
+            yield from _leaves(rec[k], path + (k,))
+    elif isinstance(rec, list):
+        for i, v in enumerate(rec):
+            yield from _leaves(v, path + (str(i),))
+    else:
+        yield "/".join(path), rec
+
+
+FIT_TOTALS = ("evaluations", "newton_steps", "iterations", "restarts", "converged")
+
+
+def compare(parent, change):
+    """Report lines on how the record ``change`` differs from ``parent`` (see the docstring)."""
+    a, b = dict(_leaves(parent)), dict(_leaves(change))
+    if a.keys() != b.keys():
+        raise ValueError("the records hold different keys: %s"
+                         % sorted(a.keys() ^ b.keys())[:5])
+    lo, hi = default_bounds().as_arrays()
+    width = (hi - lo)[1:]
+    fits = [k for k in a if isinstance(a[k], dict)]
+    gaps = {}
+    for k in fits:
+        ta, tb = (np.array([float.fromhex(v) for v in r[k]["theta_hat"]]) for r in (a, b))
+        gaps[k] = float(np.max(np.abs(tb - ta)[1:] / width))
+
+    def objectives(k):
+        oa, ob = (float.fromhex(r[k]["objective"]) for r in (a, b))
+        return oa, ob, (ob - oa) / abs(oa) if oa else ob - oa
+
+    key = max(gaps, key=gaps.get)
+    far = [abs(objectives(k)[2]) for k in fits if gaps[k] > DEFAULT_TOL]
+    lines = ["fits: %d; largest theta-hat gap %.3g (bound-scaled beta, nu) at %s, "
+             "objective %r -> %r (relative %.3g)"
+             % ((len(fits), gaps[key], key) + objectives(key)),
+             "fits farther apart than tol = %g: %d, objectives within %.3g relative"
+             % (DEFAULT_TOL, len(far), max(far, default=0.0))]
+    for name in FIT_TOTALS:
+        lines.append("%s: %d -> %d" % (name, sum(a[k][name] for k in fits),
+                                       sum(b[k][name] for k in fits)))
+    differ = [k for k in a if k not in gaps and a[k] != b[k]]
+    lines.append("other outputs that differ: %d of %d" % (len(differ), len(a) - len(fits)))
+    return lines + ["  " + k for k in differ]
+
+
 if __name__ == "__main__":
-    quick = sys.argv[1:] == ["--quick"]
-    if sys.argv[1:] not in ([], ["--quick"]):
-        sys.exit("usage: python tests/bit_record.py [--quick]")
-    print(json.dumps(record(quick), indent=1, sort_keys=True))
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare":
+        print("\n".join(compare(*(json.loads(Path(p).read_text()) for p in args[1:]))))
+    elif args in ([], ["--quick"]):
+        print(json.dumps(record(args == ["--quick"]), indent=1, sort_keys=True))
+    else:
+        sys.exit("usage: python tests/bit_record.py [--quick | --compare PARENT.json CHANGE.json]")

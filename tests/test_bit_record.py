@@ -1,4 +1,4 @@
-"""``bit_record.py --quick`` runs, and two runs print the same record.
+"""``bit_record.py --quick`` runs, and two runs print the same record; ``--compare`` reports.
 
 The two runs go side by side, about 5 s on a 2-core box.
 """
@@ -34,3 +34,36 @@ def test_quick_record_is_deterministic(tmp_path):
             assert designs[name]["rc"] == 0 and designs[name]["sweep.csv"]
     # the scratch directories of the CLI sweeps are removed
     assert not list(tmp_path.glob("bit_record_*"))
+
+
+def small_record(beta, evaluations, se):
+    """A record of one design's two fits, one sandwich hash and one sweep."""
+    def one(b, evals):
+        return {"theta_hat": [(1.0).hex(), b.hex(), (0.5).hex()], "objective": (-10.0 * b).hex(),
+                "evaluations": evals, "iterations": 0, "newton_steps": 3, "restarts": 0,
+                "converged": True}
+
+    fits = {"1.0": one(0.1, 4), "0.95": one(beta, evaluations)}
+    return {"quick": True, "blas_threads": "1",
+            "7700": {"grid100-rough": {"fits": fits, "sandwich_hit": {"se": se}},
+                     "sweep-kappa-grid": {"rc": 0, "sweep.csv": "ab"}}}
+
+
+def test_compare_reports_the_gap_the_totals_and_the_outputs_that_differ(tmp_path):
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    for path, rec in zip(paths, (small_record(0.1, 9, "aa"), small_record(0.101, 5, "cc"))):
+        path.write_text(json.dumps(rec))
+    out = subprocess.run([sys.executable, str(SCRIPT), "--compare", *map(str, paths)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    lines = out.stdout.splitlines()
+    # beta moved by 0.001 over the default box's width 9.999, and the
+    # objective, -10 beta, fell by 1%
+    assert lines[0].startswith("fits: 2; largest theta-hat gap 0.0001 (bound-scaled beta, nu) "
+                               "at 7700/grid100-rough/fits/0.95,")
+    assert lines[0].endswith("objective -1.0 -> -1.01 (relative -0.01)")
+    assert lines[1:] == ["fits farther apart than tol = 1e-06: 1, objectives within 0.01 relative",
+                         "evaluations: 13 -> 9", "newton_steps: 6 -> 6", "iterations: 0 -> 0",
+                         "restarts: 0 -> 0", "converged: 2 -> 2",
+                         "other outputs that differ: 1 of 5",
+                         "  7700/grid100-rough/sandwich_hit/se"]

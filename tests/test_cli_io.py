@@ -688,12 +688,14 @@ class TestMain:
         # fits the selector asks for off the profile's grid start from the
         # chain's fits: none of them starts at the chain's own start (the
         # grid's last interval is short, so each pass-0 pivot k* = 2 refines
-        # [0.5, 0.49] with six new q values per repetition)
+        # [0.5, 0.49] with six new q values; on the first repetition, whose
+        # fits at tol = 1e-3 put the next pivot in that span too, a second
+        # pass refines it with six more)
         real = est.fit
         starts = []
 
         def spy(*args, **kwargs):
-            starts.append(args[4])
+            starts.append((args[2], args[4]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(est, "fit", spy)
@@ -703,11 +705,13 @@ class TestMain:
             extra=[("sim.n", "9"), ("sim.m", "6"), ("grid.q", "1,0.6,0.5,0.49"),
                    ("repetitions", "2"), ("selector", "kappa")])
         assert run(["sweep", "--config", cfgp, "--out", str(out)]) == 0
-        # per repetition: four profile fits, only the first at the chain's
-        # start, then the selector's six
-        assert len(starts) == 20
-        warm = [init != starts[rep] for rep in (0, 10) for init in starts[rep:rep + 10]]
-        assert warm == ([False] + [True] * 9) * 2
+        # per repetition: four profile fits from q = 1, only the first at the
+        # chain's start, then the selector's
+        firsts = [k for k, (q, _init) in enumerate(starts) if q == 1.0]
+        assert firsts == [0, 16] and len(starts) == 26
+        for a, b in ((0, 16), (16, 26)):
+            warm = [init != starts[a][1] for _q, init in starts[a:b]]
+            assert warm == [False] + [True] * (b - a - 1)
         capsys.readouterr()
 
     def test_sweep_selected_row_reports_its_fit(self, tmp_path, monkeypatch, capsys):
