@@ -65,9 +65,13 @@ for q in (0.99, 0.95, 0.9):
 # --- exact vs log-domain objective ------------------------------------------
 
 def log_value(theta, q):
-    # profile_lq with sigma2's bounds pinned scores exactly this theta
-    return profile_lq(reps, locs, theta.beta, theta.nu, q,
-                      theta.sigma2, theta.sigma2)[1]
+    # V = sum l at q = 1, else logsumexp((1-q) l) / (1-q), its largest term
+    # factored out
+    if q == 1.0:
+        return float(np.sum(logliks(theta)))
+    h = (1.0 - q) * logliks(theta)
+    top = h.max()
+    return (top + np.log(np.sum(np.exp(h - top)))) / (1.0 - q)
 
 
 th_try = MaternParams(1.1, 0.12, 0.55)
@@ -84,3 +88,9 @@ for q in (0.95, 0.5):
 print("\nat q = 0.5 every f^(1-q) is lost against the -1 of its term, so the "
       "exact sum reads -m/(1-q) = %g at both points; the log-domain value "
       "still tells them apart" % (-reps.m / 0.5))
+
+# the library's profile_lq solves sigma2 at (beta, nu), and its V there is
+# log_value's
+s2, v = profile_lq(reps, locs, th_try.beta, th_try.nu, 0.5)
+print("profile_lq at q = 0.5: sigma2 = %.6g, V = %.12g; log_value there: %.12g"
+      % (s2, v, log_value(MaternParams(s2, th_try.beta, th_try.nu), 0.5)))

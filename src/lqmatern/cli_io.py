@@ -243,11 +243,19 @@ def _floats(text):
     return [float(tok) for tok in text.split(",")]
 
 
-def _theta_from(text):
+def _named_floats(text, names):
     vals = _floats(text)
-    if len(vals) != 3:
-        raise DataError("theta needs 3 comma-separated values (sigma2,beta,nu)")
-    return MaternParams(*vals)
+    if len(vals) != len(names):
+        raise DataError("needs %d comma-separated values (%s)" % (len(names), ",".join(names)))
+    return vals
+
+
+def _theta_from(text):
+    return MaternParams(*_named_floats(text, ("sigma2", "beta", "nu")))
+
+
+def _pair_from(text):
+    return tuple(_named_floats(text, ("beta", "nu")))
 
 
 # config key -> (the section that reads it, the argparse attribute of the
@@ -264,7 +272,7 @@ _KEYS = {
     # the selector sets grid.L's default
     "selector": ("grid", "selector", str),
     "fit.q": ("fit", "q", float), "fit.tol": ("fit", None, float),
-    "fit.lower": ("fit", None, _theta_from), "fit.upper": ("fit", None, _theta_from),
+    "fit.lower": ("fit", None, _pair_from), "fit.upper": ("fit", None, _pair_from),
     "fit.init": ("fit", None, _theta_from),
     "repetitions": ("sweep", "repetitions", int),
     "output_dir": (None, "out", str),
@@ -436,7 +444,7 @@ def build_parser():
             ("select-q", "run a q selector on a dataset", cmd_select_q,
              ("grid", "fit"), ("config", "out", "q-grid", "selector", "data-dir")),
             ("se", "standard errors for a stored fit", cmd_se, (),
-             ("config", "out", "q", "data-dir", "fit")),
+             ("config", "out", "data-dir", "fit")),
             ("variogram", "per-replicate empirical variograms", cmd_variogram, (),
              ("config", "out", "data-dir", "bins", "max-dist", "center")),
             ("sweep", "repetitions x (simulate, fit grid, select)", cmd_sweep,
@@ -544,8 +552,7 @@ def cmd_select_q(args):
 
 
 def cmd_se(args):
-    mapping = _config_mapping(args)
-    out = _outdir(build_config(mapping, args.sections))
+    out = _outdir(config_from_args(args))
     locs, reps = read_dataset(args.data_dir)
     fit_path = args.fit or os.path.join(out, "fit.txt")
     rec = read_record(fit_path)
@@ -565,8 +572,9 @@ def cmd_se(args):
         return value
 
     theta = MaternParams(number("sigma2"), number("beta"), number("nu", NU_CAP))
-    # --q, mapped onto fit.q, then the config's fit.q, then the record's q
-    q = _parse("fit.q", mapping["fit.q"]) if "fit.q" in mapping else number("q", 1.0)
+    # the fit's own q: the sandwich at theta-hat(q) under another q is the
+    # standard error of no estimator
+    q = number("q", 1.0)
     parts = sandwich(reps, locs, theta, q)
     errs = std_errs(parts)
     names = ("sigma2", "beta", "nu")

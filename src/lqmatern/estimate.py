@@ -3,22 +3,24 @@
 The search runs over (beta, nu), in bound-scaled coordinates u = (x -
 lower) / width on the unit square, where ``tol`` is measured.  It scores
 each point as ``gauss_lik`` scores every (beta, nu): sigma2 is solved
-exactly on one factor of R, and points compare by the log-domain value V.
+exactly on (0, inf) on one factor of R, and points compare by the
+log-domain value V.  sigma2 has no bounds, so data times c give sigma2
+times c^2 and the same (beta, nu), up to rounding, at every c.
 The fit reads its answer and ``objective`` from the scored (sigma2, V) it
 caches.
 
-A fit has three stages.
+A fit has three stages, and one check of their answer.
 
 - The start is scored, with the kernel terms of a derivative pass, and up
   to ``_NEWTON_STEPS`` Newton steps delta in u follow from there, from V's
   exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
   gives them in (sigma2, beta, nu), and sigma2's response enters through
-  their Schur complement, unless sigma2 sits on a bound, where it stays
-  under small moves.  Range and smoothness are positive scales, and
-  Newton's method is not invariant under a change of coordinates that is
-  not linear: where V is concave in y = log(beta, nu), the step is taken
-  there (x = (beta, nu) moves to x exp(dy), and delta is that move in u),
-  and only where it is not, in u.  So a rough fit's default start at q = 1,
+  their Schur complement, since sigma2 maximizes V at every (beta, nu).
+  Range and smoothness are positive scales, and Newton's method is not
+  invariant under a change of coordinates that is not linear: where V is
+  concave in y = log(beta, nu), the step is taken there (x = (beta, nu)
+  moves to x exp(dy), and delta is that move in u), and only where it is
+  not, in u.  So a rough fit's default start at q = 1,
   where V is not concave in u, is within reach too.  A step is taken when
   its Hessian is negative definite, u + delta lies in the box and scores no
   lower than u; any other step ends this stage, with no line search.  A
@@ -52,6 +54,13 @@ A fit has three stages.
   no scored point has a finite value other than the estimate's: every
   other point was rejected, or the profile is flat there (at the lower
   corner of the box, where every correlation is zero to double precision).
+- An answer that Newton did not confirm may be a local maximum that the
+  box holds: with sigma2 free, a corner of the box can be one, far below
+  the optimum inside.  Where ``default_init``'s (beta, nu) scores higher
+  than that answer, the three stages run again from there, with the
+  restarts left of the fit's two, and their answer replaces it.  A fit from
+  the default start never does this, since every stage keeps the best point
+  it reached.
 
 A fit that does not confirm is reported as not converged.  Trial points
 whose R is not positive definite score -inf and are rejected; only failure
@@ -76,9 +85,8 @@ combine to (db^2 P_a - da^2 P_b) / (db^2 - da^2), which cancels that
 leading term, and the combination is the start.  The nearest fit's step is
 the start where the two straddle the new q, the second gives no step, or
 the combination leaves the box.  The nearest estimate itself is the start
-where that fit carries no pass (its sigma2 on a bound, or no pass at its
-estimate), the re-weighted Hessian is not negative definite, or the step
-leaves the box.
+where that fit carries no pass at its estimate, the re-weighted Hessian is
+not negative definite, or the step leaves the box.
 
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
@@ -128,22 +136,29 @@ _INIT_INSET = 0.1
 
 @dataclass(frozen=True)
 class Bounds:
-    """Box constraints on (sigma2, beta, nu); lower < upper componentwise, else ValueError."""
+    """Box constraints on (beta, nu): ``lower`` and ``upper`` are (beta, nu) pairs.
 
-    lower: MaternParams
-    upper: MaternParams
+    Each bound is a (beta, nu) that MaternParams accepts, and lower < upper
+    componentwise; else ValueError.  sigma2 has no bounds: it is solved on
+    (0, inf) at each (beta, nu).
+    """
+
+    lower: tuple
+    upper: tuple
 
     def __post_init__(self):
-        lo, hi = self.lower.as_array(), self.upper.as_array()
-        if not np.all(lo < hi):
+        for name in ("lower", "upper"):
+            theta = MaternParams(1.0, *getattr(self, name))     # checks each entry
+            object.__setattr__(self, name, (theta.beta, theta.nu))
+        if not np.all(np.less(self.lower, self.upper)):
             raise ValueError("bounds require lower < upper componentwise")
 
     def as_arrays(self):
-        return self.lower.as_array(), self.upper.as_array()
+        return np.array(self.lower), np.array(self.upper)
 
     def contains(self, theta):
         lo, hi = self.as_arrays()
-        t = theta.as_array()
+        t = theta.as_array()[1:]
         return bool(np.all(t >= lo) and np.all(t <= hi))
 
 
@@ -163,10 +178,9 @@ class FitResult:
     requires a confirmation, a normal end of the last simplex run, if any,
     and a finite V at the estimate.
     ``_pass`` is the ``gauss_lik._Pass`` of the fit's last derivative
-    pass where that pass was taken at the estimate with sigma2 inside its
-    bounds, else None; a fit that Newton confirmed reports its estimate at
-    that point, since a short step confirms its start.  It is left out of
-    equality and repr.
+    pass where that pass was taken at the estimate, else None; a fit that
+    Newton confirmed reports its estimate at that point, since a short step
+    confirms its start.  It is left out of equality and repr.
     """
 
     theta_hat: MaternParams
@@ -216,27 +230,27 @@ def _checked_q_grid(grid):
 
 
 def default_bounds():
-    """sigma2 in [1e-3, 1e3], beta in [1e-3, 10], nu in [0.05, NU_CAP]."""
-    return Bounds(MaternParams(1e-3, 1e-3, 0.05), MaternParams(1e3, 10.0, NU_CAP))
+    """beta in [1e-3, 10], nu in [0.05, NU_CAP]."""
+    return Bounds((1e-3, 0.05), (10.0, NU_CAP))
 
 
 def default_init(reps, bounds):
-    """Pooled-variance sigma2 with the conventional (beta, nu) = (0.1, 0.5).
+    """The replicates' mean square as sigma2, with the conventional (beta, nu) = (0.1, 0.5).
 
-    The pooled variance is clipped into the open interior of the bounds.
-    A beta or nu outside the open interval between its bounds is moved
-    ``_INIT_INSET`` of the interval's width inside the face it crossed:
-    a start on or near a face gives the simplex a first simplex flat in
-    that face.
+    The mean square is the zero-mean model's pooled variance; the fit does
+    not use it, and it is positive unless every value is 0, where V has no
+    maximum at any (beta, nu) and MaternParams raises ValueError.  A beta
+    or nu outside the open interval between its bounds is moved
+    ``_INIT_INSET`` of the interval's width inside the face it crossed: a
+    start on or near a face gives the simplex a first simplex flat in that
+    face.
     """
     lo, hi = bounds.as_arrays()
-    start = np.array([np.var(reps.data), 0.1, 0.5])
-    margin = 1e-6 * (hi - lo)
-    start[0] = min(max(start[0], lo[0] + margin[0]), hi[0] - margin[0])
+    x = np.array([0.1, 0.5])
     inset = _INIT_INSET * (hi - lo)
-    start[1:] = np.where(start[1:] <= lo[1:], lo[1:] + inset[1:], start[1:])
-    start[1:] = np.where(start[1:] >= hi[1:], hi[1:] - inset[1:], start[1:])
-    return MaternParams.from_array(start)
+    x = np.where(x <= lo, lo + inset, x)
+    x = np.where(x >= hi, hi - inset, x)
+    return MaternParams(float(np.mean(np.square(reps.data))), *x)
 
 
 def _checked_inputs(reps, locs, bounds, init, tol):
@@ -336,9 +350,7 @@ class _Search:
     def __init__(self, reps, locs, q, bounds, tol):
         lo, hi = bounds.as_arrays()
         self.reps, self.locs, self.q = reps, locs, q
-        # the search box is (beta, nu); sigma2's bounds go to the inner solve
-        self.s2_box = (float(lo[0]), float(hi[0]))
-        self.corner, self.width = lo[1:], hi[1:] - lo[1:]
+        self.corner, self.width = lo, hi - lo
         self.tol = tol
         # u.tobytes() -> (sigma2, profile value); the answer's sigma2 and
         # value are read back from here
@@ -358,7 +370,7 @@ class _Search:
         (``gauss_lik._corr_factor``).
         """
         chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws, terms)
-        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, *self.s2_box)
+        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q)
 
     def value(self, u, terms=False):
         key = u.tobytes()
@@ -408,12 +420,10 @@ class _Search:
         if p is None:
             return None
         gbar, hess = p.hessian(self.q)
-        H = hess[1:, 1:]
-        if sigma2 not in self.s2_box:
-            # an interior sigma2 maximizes V, which needs hess[0, 0] < 0
-            if not hess[0, 0] < 0.0:
-                return None
-            H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
+        # sigma2, solved on (0, inf), maximizes V, which needs hess[0, 0] < 0
+        if not hess[0, 0] < 0.0:
+            return None
+        H = hess[1:, 1:] - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
         g = gbar[1:]
         # the step in y = log x where V is concave in y, else the step in u
         for log_y, s in ((True, x), (False, self.width)):
@@ -475,11 +485,14 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
         Distortion parameter in (0, 1]; q = 1 is the MLE.  Below 1 the
         target under the model is theta_q = (q sigma2, beta, nu).
     bounds : Bounds, optional
-        Defaults to default_bounds().
+        The (beta, nu) box; defaults to default_bounds().  sigma2 is solved
+        on (0, inf).
     init : MaternParams, optional
-        Must lie within bounds; defaults to default_init(reps, bounds).  Its
-        (beta, nu) is scored first and Newton steps start there; its sigma2
-        is not used.
+        Its (beta, nu) must lie within bounds; defaults to
+        default_init(reps, bounds).  Its (beta, nu) is scored first and
+        Newton steps start there; its sigma2 is recorded and not used.  An
+        answer from it that Newton did not confirm is checked against the
+        default start's (see the module docstring).
     tol : float
         Simplex-diameter threshold in bound-scaled coordinates, and the
         largest Newton step or restart move that confirms a point.
@@ -487,8 +500,10 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
     tol, data whose rows do not match ``locs``, sites with a duplicate, or
     an init outside the bounds, all before anything is scored, NotSPDError
-    where R at init cannot be factored, and RuntimeError where a scored
-    point's sigma2 solve does not converge (``gauss_lik.profile_sigma2``).
+    where R at init cannot be factored, ValueError where V has no maximum
+    in sigma2 (at q < 1, a replicate that is 0 at every site), and
+    RuntimeError where a scored point's sigma2 solve does not converge
+    (``gauss_lik.profile_sigma2``).
     """
     _checked_q(q)
     bounds, init = _checked_inputs(reps, locs, bounds, init, tol)
@@ -496,32 +511,39 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     u = (init.as_array()[1:] - search.corner) / search.width
     # a hard failure at the starting point is an error, not a rejection
     search.score(u, terms=True)
-    u, confirmed = search.newton(u, _NEWTON_STEPS)
-    # where Newton at the start does not confirm: the loose simplex and
-    # Newton to tol, then the tight simplex and one confirming step; a
-    # simplex run that ends abnormally goes to restarts
-    for xatol, steps in ((max(tol, _LOOSE_XATOL), _NEWTON_STEPS), (tol, 1)):
-        if confirmed:
-            break
-        u = search.simplex(u, xatol)
-        if not search.simplex_ok:
-            break
-        u, confirmed = search.newton(u, steps)
-    by_newton = confirmed
-
-    # the fallback: restarts from the search's own answer
+    home = (default_init(reps, bounds).as_array()[1:] - search.corner) / search.width
     restarts = 0
-    while not confirmed and restarts < 2:
-        start = u
-        u = search.simplex(start, tol)
-        restarts += 1
-        confirmed = float(np.max(np.abs(u - start))) <= tol
+    for _climb in range(2):
+        u, confirmed = search.newton(u, _NEWTON_STEPS)
+        # where Newton at the start does not confirm: the loose simplex and
+        # Newton to tol, then the tight simplex and one confirming step; a
+        # simplex run that ends abnormally goes to restarts
+        for xatol, steps in ((max(tol, _LOOSE_XATOL), _NEWTON_STEPS), (tol, 1)):
+            if confirmed:
+                break
+            u = search.simplex(u, xatol)
+            if not search.simplex_ok:
+                break
+            u, confirmed = search.newton(u, steps)
+        by_newton = confirmed
+
+        # the fallback: restarts from the search's own answer, two in a fit
+        while not confirmed and restarts < 2:
+            start = u
+            u = search.simplex(start, tol)
+            restarts += 1
+            confirmed = float(np.max(np.abs(u - start))) <= tol
+        # an answer Newton did not confirm may be a local maximum that the
+        # box holds: where the default start scores higher, climb from there
+        if by_newton or not search.value(home) > search.value(u):
+            break
+        u, search.simplex_ok = home, True
 
     search.value(u)
     sigma2, value = search.scored[u.tobytes()]
     theta_hat = MaternParams(sigma2, *(search.corner + u * search.width))
     p = search.last_pass
-    kept = p if p is not None and p.theta == theta_hat and sigma2 not in search.s2_box else None
+    kept = p if p is not None and p.theta == theta_hat else None
     with np.errstate(over="ignore"):
         objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
     # a restart that cannot move confirms nothing
@@ -545,7 +567,8 @@ class FitChain:
     numbers per q, and does not cache a fit that raises.  Building a chain
     raises ``fit``'s ValueErrors for tol, rows, sites and init.  Per q, a q
     outside (0, 1] raises ValueError before a kept pass is re-weighted at
-    it; else a fit raises only its NotSPDError or RuntimeError.
+    it; else a fit raises only its NotSPDError or RuntimeError, or its
+    ValueError where V has no maximum in sigma2.
     """
 
     def __init__(self, reps, locs, bounds=None, init=None, tol=DEFAULT_TOL):
@@ -578,7 +601,7 @@ class FitChain:
                 points.insert(0, (db2 * points[0] - da2 * far) / (db2 - da2))
         lo, hi = self._bounds.as_arrays()
         for point in points:
-            if point is not None and np.all((point >= lo[1:]) & (point <= hi[1:])):
+            if point is not None and np.all((point >= lo) & (point <= hi)):
                 return MaternParams(theta.sigma2, *point)
         return theta
 

@@ -34,7 +34,9 @@ Every (beta, nu) is scored one way: ``_corr_factor`` builds R as
 ``build_cov`` does, into a buffer it reuses, and factors it there; then
 ``_profile_factor`` solves for sigma2 on that factor in O(m)
 (``profile_sigma2``) and returns V there.  ``profile_lq`` runs the two in
-turn; the fit runs them itself.
+turn; the fit runs them itself.  sigma2 is solved on (0, inf), with no
+bounds, so the data times c give sigma2 times c^2 and V shifted by a
+constant at every (beta, nu).
 
 The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
 steps and ``FitChain``'s starts: ``_weighted_derivs`` returns it as a
@@ -277,30 +279,43 @@ def _checked_q(q):
         raise ValueError("q must lie in (0, 1], got %r" % (q,))
 
 
-def profile_sigma2(quad, n, q, lower, upper):
-    """The sigma2 in [lower, upper] that maximizes V, from the forms quad_i = z_i' R^-1 z_i.
+def profile_sigma2(quad, n, q):
+    """The sigma2 > 0 that maximizes V, from the forms quad_i = z_i' R^-1 z_i.
 
-    At q = 1 it is mean(quad) / n, clipped.  Below 1, Newton steps in
-    x = log sigma2 start at median(quad) / n, clipped; the median is read
-    from one ``np.partition`` of the forms, the same bits as ``np.median``
-    (the middle form, or the mean of the two middle ones).  With a_i =
-    quad_i / sigma2,
+    At q = 1 it is mean(quad) / n.  Below 1, Newton steps in x = log sigma2
+    start at median(quad) / n; the median is read from one ``np.partition``
+    of the forms, the same bits as ``np.median`` (the middle form, or the
+    mean of the two middle ones).  With a_i = quad_i / sigma2,
 
         dV/dx   = (sum w_i a_i - n) / 2
         d2V/dx2 = -sum w_i a_i / 2 + (1-q) Var_w(a) / 4.
 
-    The fixed point sigma2 <- sum w_i quad_i / n, clipped, maximizes a
-    concave Jensen minorant of V in x, so it never lowers V.  It replaces
-    the Newton step wherever V is not concave, the Newton point leaves the
-    bounds, or it scores lower by more than V's rounding (V_ROUNDING of
-    |V|).  So V does not decrease along the steps, up to rounding.  The
-    solve stops at the first step that moves sigma2 by at most SIGMA2_RTOL
-    relative; where SIGMA2_MAX_STEPS larger steps do not lead to one, it
-    raises RuntimeError.
+    The fixed point sigma2 <- sum w_i quad_i / n maximizes a concave Jensen
+    minorant of V in x, so it never lowers V.  It replaces the Newton step
+    wherever V is not concave, the Newton point overflows, or it scores
+    lower by more than V's rounding (V_ROUNDING of |V|).  So V does not
+    decrease along the steps, up to rounding.  The solve stops at the first
+    step that moves sigma2 by at most SIGMA2_RTOL relative; where
+    SIGMA2_MAX_STEPS larger steps do not lead to one, it raises
+    RuntimeError.
+
+    Forms times c^2 give sigma2 times c^2, up to rounding, at any c that
+    keeps them finite and positive.  A replicate that is 0 at every site
+    has the form 0, and V then grows without bound as sigma2 -> 0 at q < 1
+    (at q = 1 only where every replicate is 0): that, or a form that is not
+    finite, raises ValueError.  It is the limit of a replicate that is
+    nearly 0: at q < 1 a form eps far below the others gives V of about
+    -n (log(eps / n) + 1) / 2 near sigma2 = eps / n, so the global maximum
+    there is that degenerate one, and the solve, which starts at the median
+    form, returns a local maximum or that one, without a flag.
     """
     quad = np.asarray(quad, dtype=float)
+    # a form of 0 is a replicate that is 0 at every site
+    if not (0.0 < (quad.min() if q < 1.0 else quad.max()) and quad.max() < np.inf):
+        raise ValueError("V has no maximum in sigma2 at q = %r: a replicate is 0 at every "
+                         "site, or a form is not finite" % (q,))
     if q == 1.0:
-        return min(max(float(np.mean(quad)) / n, lower), upper)
+        return float(np.mean(quad)) / n
 
     def weights(s2):
         return _lq_weights(-0.5 * (n * np.log(s2) + quad / s2), q)
@@ -308,7 +323,7 @@ def profile_sigma2(quad, n, q, lower, upper):
     m = quad.size
     mid = np.partition(quad, ((m - 1) // 2, m // 2))
     median = mid[m // 2] if m % 2 else (mid[m // 2 - 1] + mid[m // 2]) / 2
-    sigma2 = min(max(float(median) / n, lower), upper)
+    sigma2 = float(median) / n
     value, w = weights(sigma2)
     # SIGMA2_MAX_STEPS steps, and a last look for the step that ends the solve
     for _ in range(SIGMA2_MAX_STEPS + 1):
@@ -318,10 +333,9 @@ def profile_sigma2(quad, n, q, lower, upper):
         step = None
         if curv < 0.0:
             slope = 0.5 * (wa - n)
-            x = -slope / curv
-            # past log(upper / sigma2) the step leaves the bounds, and exp may overflow
-            newton = sigma2 * np.exp(x) if x <= np.log(upper / sigma2) else np.inf
-            if lower <= newton <= upper:
+            with np.errstate(over="ignore"):    # a step past exp's range is refused
+                newton = sigma2 * np.exp(-slope / curv)
+            if 0.0 < newton < np.inf:
                 if abs(newton - sigma2) <= SIGMA2_RTOL * newton:
                     return newton
                 trial = weights(newton)
@@ -330,7 +344,7 @@ def profile_sigma2(quad, n, q, lower, upper):
                 if trial[0] >= value or tie:
                     step = newton
         if step is None:
-            step = min(max(sigma2 * wa / n, lower), upper)
+            step = sigma2 * wa / n
             if abs(step - sigma2) <= SIGMA2_RTOL * step:
                 return step
             trial = weights(step)
@@ -339,14 +353,11 @@ def profile_sigma2(quad, n, q, lower, upper):
                        % (SIGMA2_MAX_STEPS, q))
 
 
-def _profile_factor(reps, chol, q, sigma2_lower, sigma2_upper):
-    """(sigma2, V) on the Cholesky factor ``chol`` of R, sigma2 within its bounds.
-
-    ``chol`` is left unchanged.
-    """
+def _profile_factor(reps, chol, q):
+    """(sigma2, V) on the Cholesky factor ``chol`` of R; ``chol`` is left unchanged."""
     n = reps.n
     quad = _quad_forms(reps.data, chol)
-    sigma2 = profile_sigma2(quad, n, q, sigma2_lower, sigma2_upper)
+    sigma2 = profile_sigma2(quad, n, q)
     lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
     return sigma2, _lq_weights(lvec, q)[0]
 
@@ -417,22 +428,17 @@ def _corr_factor(locs, beta, nu, ws, terms=False):
     return chol
 
 
-def profile_lq(reps, locs, beta, nu, q, sigma2_lower, sigma2_upper):
-    """(sigma2, V) at (beta, nu), with sigma2 in [sigma2_lower, sigma2_upper].
+def profile_lq(reps, locs, beta, nu, q):
+    """(sigma2, V) at (beta, nu), with sigma2 solved on (0, inf) (``profile_sigma2``).
 
-    Raises ValueError for a q outside (0, 1], sigma2 bounds other than
-    0 < sigma2_lower <= sigma2_upper < inf, or data whose rows do not match
-    ``locs``, before R is built, and NotSPDError carrying MaternParams(1,
-    beta, nu) if R cannot be factored.
+    Raises ValueError for a q outside (0, 1] or data whose rows do not
+    match ``locs``, before R is built, NotSPDError carrying MaternParams(1,
+    beta, nu) if R cannot be factored, and ValueError where V has no
+    maximum in sigma2 (a replicate that is 0 at every site, at q < 1).
     """
     _checked_q(q)
-    # written so that a NaN bound, which fails every comparison, fails too
-    if not 0.0 < sigma2_lower <= sigma2_upper < np.inf:
-        raise ValueError("sigma2 bounds must satisfy 0 < lower <= upper < inf, got (%r, %r)"
-                         % (sigma2_lower, sigma2_upper))
     _checked_rows(reps.n, locs.n)
-    return _profile_factor(reps, _corr_factor(locs, beta, nu, _Workspace()), q,
-                           sigma2_lower, sigma2_upper)
+    return _profile_factor(reps, _corr_factor(locs, beta, nu, _Workspace()), q)
 
 
 # The strict upper triangle of a diagonal block of ``_mirror_lower``.

@@ -11,13 +11,16 @@ package is imported from the ``src`` directory next to this file's
 directory, so a copy placed in another tree's ``tests`` records that tree.
 
 ``--compare`` reads two saved records of the same mode and prints how the
-second differs from the first: the largest theta-hat gap over the fits, in
-bound-scaled (beta, nu) units of the default bounds, with its key and the
-relative change of the objective there; how many fits lie farther apart
-than the default ``tol``, and the largest relative change of the objective
-among them; the totals of evaluations, Newton passes, simplex
-iterations, restarts and converged fits on each side; and the key of every
-other output (a hash, a float's hex or an exit code) that differs.
+second differs from the first, over the outputs both record: the largest
+theta-hat gap over the fits, in bound-scaled (beta, nu) units of the
+default bounds, with its key and the relative change of the objective
+there; how many fits lie farther apart than the default ``tol``, and the
+largest relative change of the objective among them; the totals of
+evaluations, Newton passes, simplex iterations, restarts and converged
+fits on each side; the key of every other output (a hash, a float's hex or
+an exit code) that differs; how many outputs only one side records; and,
+on each side, the largest relative gap of a scaled fit's theta-hat / (c^2,
+1, 1) from the fit of the unscaled data.
 
 BLAS is pinned to one thread before numpy loads: across thread counts no
 fit is bit-identical, so the record is a one-thread record.
@@ -30,6 +33,9 @@ it records:
   an n = 100 grid at the rough and the smooth theta0, n = 150 uniform
   sites, n = 49 grid and uniform sites with m = 80 (m >= n), and n = 400
   uniform sites (left out with ``--quick``);
+- on the first seed set's rough n = 100 grid, the same fits of the data
+  times 1e-3 and times 1e3, which scale equivariance maps onto the
+  unscaled fits;
 - after the fit at q = 0.95, a sandwich that reads the fit's last pass
   and one on a fresh copy of the sites, which factors R afresh: K, J, the
   log scale and se, hashed;
@@ -57,7 +63,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from lqmatern import (ContaminationSpec, FitChain, LocationSet, MaternParams,  # noqa: E402
-                      SimConfig, cli_io, fit, sandwich, simulate_dataset, std_errs)
+                      ReplicateSet, SimConfig, cli_io, fit, sandwich, simulate_dataset,
+                      std_errs)
 from lqmatern.estimate import DEFAULT_TOL, default_bounds  # noqa: E402
 
 SEED_SETS = (7700, 9110000, 3301)
@@ -73,6 +80,8 @@ DESIGNS = (
 )
 FIT_QS = (1.0, 0.95, 0.7)
 SANDWICH_Q = 0.95
+# data scales of the scaled fits, on the first seed set's first design
+SCALES = (1e-3, 1e3)
 PROFILE_GRID = (1.0, 0.99, 0.97, 0.95, 0.9)
 # (selector, layout) of each CLI sweep, on 64 sites
 SWEEPS = (("kappa", "grid"), ("sqv", "grid"), ("kappa", "uniform"))
@@ -99,10 +108,13 @@ def sandwich_record(reps, locs, theta, q):
             "se": digest(std_errs(parts).se)}
 
 
-def design_record(theta0, n, m, layout, seed):
+def design_record(theta0, n, m, layout, seed, scaled=False):
     locs, reps, _ = simulate_dataset(SimConfig(theta0, n=n, m=m, layout=layout, seed=seed,
                                                contamination=CONTAMINATION))
     out = {"fits": {}}
+    if scaled:
+        out["scaled"] = {repr(c): {repr(q): fit_record(fit(ReplicateSet(c * reps.data), locs, q))
+                                   for q in FIT_QS} for c in SCALES}
     for q in FIT_QS:
         res = fit(reps, locs, q)
         out["fits"][repr(q)] = fit_record(res)
@@ -138,7 +150,8 @@ def record(quick):
         rec = out[str(base)] = {}
         for i, (name, theta0, n, m, layout, full_only) in enumerate(DESIGNS):
             if not (quick and full_only):
-                rec[name] = design_record(theta0, n, m, layout, base + i)
+                rec[name] = design_record(theta0, n, m, layout, base + i,
+                                          scaled=base == SEED_SETS[0] and i == 0)
         for selector, layout in SWEEPS:
             rec["sweep-%s-%s" % (selector, layout)] = sweep_record(selector, layout, base)
     return out
@@ -159,18 +172,33 @@ def _leaves(rec, path=()):
 FIT_TOTALS = ("evaluations", "newton_steps", "iterations", "restarts", "converged")
 
 
+def _theta(fit_rec):
+    return np.array([float.fromhex(v) for v in fit_rec["theta_hat"]])
+
+
+def scale_gap(leaves):
+    """(count, largest relative gap of theta-hat / (c^2, 1, 1)) of the scaled fits in ``leaves``."""
+    gaps = []
+    for k, v in leaves.items():
+        head, sep, tail = k.partition("/scaled/")
+        if sep:
+            c, q = tail.split("/")
+            base = _theta(leaves["%s/fits/%s" % (head, q)])
+            gaps.append(np.abs(_theta(v) / [float(c) ** 2, 1.0, 1.0] / base - 1.0).max())
+    return len(gaps), max(gaps, default=0.0)
+
+
 def compare(parent, change):
     """Report lines on how the record ``change`` differs from ``parent`` (see the docstring)."""
-    a, b = dict(_leaves(parent)), dict(_leaves(change))
-    if a.keys() != b.keys():
-        raise ValueError("the records hold different keys: %s"
-                         % sorted(a.keys() ^ b.keys())[:5])
+    full_a, full_b = dict(_leaves(parent)), dict(_leaves(change))
+    a = {k: v for k, v in full_a.items() if k in full_b}
+    b = {k: v for k, v in full_b.items() if k in full_a}
     lo, hi = default_bounds().as_arrays()
-    width = (hi - lo)[1:]
+    width = hi - lo
     fits = [k for k in a if isinstance(a[k], dict)]
     gaps = {}
     for k in fits:
-        ta, tb = (np.array([float.fromhex(v) for v in r[k]["theta_hat"]]) for r in (a, b))
+        ta, tb = _theta(a[k]), _theta(b[k])
         gaps[k] = float(np.max(np.abs(tb - ta)[1:] / width))
 
     def objectives(k):
@@ -189,7 +217,12 @@ def compare(parent, change):
                                        sum(b[k][name] for k in fits)))
     differ = [k for k in a if k not in gaps and a[k] != b[k]]
     lines.append("other outputs that differ: %d of %d" % (len(differ), len(a) - len(fits)))
-    return lines + ["  " + k for k in differ]
+    lines += ["  " + k for k in differ]
+    lines.append("outputs only in the first record: %d; only in the second: %d"
+                 % (len(full_a) - len(a), len(full_b) - len(b)))
+    lines.append("scaled fits, largest relative gap of theta-hat / (c^2, 1, 1) from the "
+                 "unscaled fit: %d, %.3g -> %d, %.3g" % (scale_gap(full_a) + scale_gap(full_b)))
+    return lines
 
 
 if __name__ == "__main__":

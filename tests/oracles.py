@@ -13,7 +13,9 @@ replicate's U* and V*, every replicate's gradient and Hessian from Sigma's
 own factor (the reference of the derivative pass), one vector's
 variogram, and every replicate's variogram binned one at a time.  This
 module assembles them from the package's own pieces, so the oracles check
-the code the fit and the sandwich run.
+the code the fit and the sandwich run.  Two closed forms of the MLqE under
+the model need no piece at all: the weights' effective sample size and
+their fourth-moment ratio.
 """
 
 import numpy as np
@@ -123,6 +125,26 @@ def total_lq(reps, locs, theta, q):
     """The exact Lq sum over the replicates at one parameter point."""
     chol = chol_factor(build_cov(locs, theta))
     return float(np.sum(lq_of_loglik(loglik_columns(reps.data, chol), q)))
+
+
+def ess_fraction(n, q):
+    """(q(2-q))^(n/2): the limit of ESS/m = 1 / (m sum w_i^2) at theta_q under the model.
+
+    Under the model, with Sigma_q = q Sigma0, a weight f_theta_q(z)^(1-q)
+    times the N(0, Sigma0) density of z is proportional to the N(0,
+    Sigma_q) density, and its square times that density to the N(0, Sigma_q
+    / (2-q)) density, so the weights' moments are Gaussian integrals.
+    """
+    return (q * (2.0 - q)) ** (n / 2)
+
+
+def weight_moment_ratio(n, q):
+    """F = E[w^4] / E[w^2]^2 = ((2-q)^2 / (q(4-3q)))^(n/2) under the model at theta_q.
+
+    sum w_i^2 over m replicates has a relative spread of about
+    sqrt((F - 1) / m), so a plug-in from the weights needs m >> F.
+    """
+    return ((2.0 - q) ** 2 / (q * (4.0 - 3.0 * q))) ** (n / 2)
 
 
 def ustar(z, locs, theta, q):

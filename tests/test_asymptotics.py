@@ -15,8 +15,9 @@ from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.estimate import fit
 from lqmatern.simulate import (SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
-from oracles import (cov_derivs, log_likelihood, lq_of_loglik, per_replicate_derivs,
-                     sigma_route_pass, ustar, vstar)
+from oracles import (cov_derivs, ess_fraction, log_likelihood, lq_of_loglik,
+                     per_replicate_derivs, sigma_route_pass, ustar, vstar, weight_moment_ratio)
+from seed_ledger import held_out
 
 # well separated points keep the covariance comfortably conditioned, so
 # finite-difference oracles are trustworthy at tight tolerances
@@ -604,8 +605,7 @@ class TestWeightedDerivativePass:
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(sigma2, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, q)
-        _profile_factor(reps, _corr_factor(locs, at.beta, at.nu, gauss_lik._Workspace()), q,
-                        1e-3, 1e3)
+        _profile_factor(reps, _corr_factor(locs, at.beta, at.nu, gauss_lik._Workspace()), q)
         p = gauss_lik._weighted_derivs(reps, locs, at, q)
         for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -682,6 +682,16 @@ def population_data():
     return locs, reps, theta0
 
 
+@pytest.fixture(scope="module")
+def clean_samples():
+    """n -> m = 5000 clean replicates on an n-site grid (smooth theta0), on held-out seeds."""
+    seeds = held_out("SimConfig.seed", "tests/test_asymptotics.py::TestPopulationClosedForms::"
+                                       "test_ess_within_its_spread_of_the_closed_form")
+    theta0 = MaternParams(1.0, 0.3, 1.5)
+    return {n: simulate_dataset(SimConfig(theta0, n=n, m=5000, seed=seeds[n]))[:2] + (theta0,)
+            for n in (9, 25)}
+
+
 def theta_q(theta0, q):
     """The MLqE's target under the model, (q sigma2, beta, nu) (see ``estimate``)."""
     return MaternParams(q * theta0.sigma2, theta0.beta, theta0.nu)
@@ -707,9 +717,22 @@ class TestPopulationClosedForms:
         a, b = v.mean(), (v * v).mean()
         grad = np.array([2.0 * a / b, -a * a / (b * b)])
         sd = np.sqrt(grad @ np.cov(np.vstack([v, v * v])) @ grad / reps.m)
-        closed = (q * (2.0 - q)) ** (reps.n / 2)
+        closed = ess_fraction(reps.n, q)
         assert abs(a * a / b - closed) <= 4.0 * sd
         assert sd <= 0.05 * closed
+
+    @pytest.mark.parametrize("n", [9, 25])
+    @pytest.mark.parametrize("q", [0.95, 0.9, 0.8, 0.7])
+    def test_ess_within_its_spread_of_the_closed_form(self, clean_samples, q, n):
+        # clean replicates, m = 5000: 1 / sum w_i^2 of the pass's weights at
+        # theta_q lies within 3 sqrt((F - 1) / m), the relative spread of
+        # sum w_i^2, of m (q(2-q))^(n/2).  On 20 calibration seeds per n the
+        # ratio's deviation was 0.08-0.41 of that spread (sd over seeds,
+        # largest at n = 25, q = 0.7, where F = 20), and at most 0.93
+        locs, reps, theta0 = clean_samples[n]
+        w = gauss_lik._weighted_derivs(reps, locs, theta_q(theta0, q), q).w
+        ratio = 1.0 / float(w @ w) / (reps.m * ess_fraction(n, q))
+        assert abs(ratio - 1.0) <= 3.0 * np.sqrt((weight_moment_ratio(n, q) - 1.0) / reps.m)
 
     @pytest.mark.parametrize("q", [0.9, 0.8])
     def test_fit_recovers_theta_q(self, population_data, q):

@@ -195,16 +195,21 @@ class TestBuildConfig:
         # an empty list is no value
         for key, text in (("sim.theta", "1,0.1,abc"), ("sim.theta", "1,,0.1,0.5"),
                           ("grid.q", "1,,0.9"), ("grid.q", ""),
-                          ("fit.lower", "0.1,0.01,")):
+                          ("fit.lower", "0.01,")):
             with pytest.raises(DataError, match=re.escape("%s = %r: " % (key, text))):
                 build_config({key: text})
 
     def test_bounds_and_init(self):
-        cfg = build_config({"fit.lower": "0.1,0.01,0.1",
+        # the bounds are (beta, nu) pairs: sigma2 has none
+        cfg = build_config({"fit.lower": "0.01,0.1",
                             "fit.init": "1,0.2,0.5"})
-        assert cfg.bounds.lower == MaternParams(0.1, 0.01, 0.1)
-        assert cfg.bounds.upper == MaternParams(1e3, 10.0, 5.0)
+        assert cfg.bounds.lower == (0.01, 0.1)
+        assert cfg.bounds.upper == (10.0, 5.0)
         assert cfg.init == MaternParams(1.0, 0.2, 0.5)
+        for key in ("fit.lower", "fit.upper"):
+            for text in ("0.1,0.01,0.1", "0.5"):
+                with pytest.raises(DataError, match=re.escape("needs 2 comma-separated values (beta,nu)")):
+                    build_config({key: text})
 
     def test_contamination_keys(self):
         cfg = build_config({"sim.contam.r": "0.1", "sim.contam.sd": "2"})
@@ -263,7 +268,7 @@ SIM_FLAGS = ["--seed", "--n", "--m", "--layout", "--theta", "--contam-r",
 SUBCOMMAND_FLAGS = {
     "simulate": ["--config", "--out"] + SIM_FLAGS,
     "fit": ["--config", "--out", "--q", "--data-dir"],
-    "se": ["--config", "--out", "--q", "--data-dir", "--fit"],
+    "se": ["--config", "--out", "--data-dir", "--fit"],
     "select-q": ["--config", "--out", "--q-grid", "--selector", "--data-dir"],
     "variogram": ["--config", "--out", "--data-dir", "--bins", "--max-dist",
                   "--center"],
@@ -280,7 +285,7 @@ class TestFlags:
                             if opt not in ("-h", "--help"))
                for name, sp in subs.choices.items()}
         assert got == {name: sorted(flags) for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(len(flags) for flags in got.values()) == 41
+        assert sum(len(flags) for flags in got.values()) == 40
 
     def test_flag_a_subcommand_does_not_read_is_a_usage_error(self, tmp_path, capsys):
         assert run(["fit", "--n", "7", "--data-dir", str(tmp_path)]) == 1
@@ -445,18 +450,34 @@ class TestMain:
         capsys.readouterr()
 
     def test_se_q_precedence(self, tmp_path, capsys):
-        # se takes q from --q, then the config's fit.q, then the fit record
+        # se takes q from the fit record only: the sandwich at theta-hat(q)
+        # under another q is the standard error of no estimator.  A config's
+        # fit.q is not read, and --q is no se flag, a usage error
         out = tmp_path / "w"
         cfgp = write_tiny_config(tmp_path / "cfg.txt")
         qcfg = write_tiny_config(tmp_path / "q.cfg", [("fit.q", "0.5")])
         assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
         assert run(["fit", "--config", cfgp, "--data-dir", str(out),
                     "--out", str(out), "--q", "0.95"]) == 0
-        for argv, want in (([], 0.95), (["--config", qcfg], 0.5),
-                           (["--config", qcfg, "--q", "0.9"], 0.9)):
+        for argv in ([], ["--config", qcfg]):
             assert run(["se", "--data-dir", str(out), "--out", str(out)] + argv) == 0
-            assert float(read_record(out / "se.txt")["q"]) == want
+            assert float(read_record(out / "se.txt")["q"]) == 0.95
         capsys.readouterr()
+        assert run(["se", "--data-dir", str(out), "--out", str(out), "--q", "0.9"]) == 1
+        assert "unrecognized arguments: --q 0.9" in capsys.readouterr().err
+
+    def test_a_bound_of_three_values_exits_2(self, tmp_path, capsys):
+        # fit.lower and fit.upper are (beta, nu) pairs; a sigma2,beta,nu
+        # triple is a data error that names the key, not a traceback
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(tmp_path / "cfg.txt")
+        assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        for key in ("fit.lower", "fit.upper"):
+            bad = write_tiny_config(tmp_path / "b.cfg", [(key, "0.001,0.001,0.05")])
+            assert run(["fit", "--config", bad, "--data-dir", str(out), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "data error: %s = '0.001,0.001,0.05'" % key in err
+            assert "needs 2 comma-separated values (beta,nu)" in err
 
     def test_corrupt_data_exit_2(self, tmp_path, capsys):
         out = tmp_path / "w"

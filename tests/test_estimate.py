@@ -20,6 +20,7 @@ from lqmatern.qselect import DEFAULT_GRID
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
 from oracles import loglik_columns, total_lq
+from seed_ledger import held_out
 
 THETA0 = MaternParams(1.0, 0.2, 0.5)
 
@@ -41,21 +42,21 @@ def recovery_data():
 class TestBounds:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Bounds(MaternParams(1.0, 0.1, 0.5), MaternParams(1.0, 1.0, 1.0))
+            Bounds((0.1, 0.5), (1.0, 0.5))
         with pytest.raises(ValueError):
-            Bounds(MaternParams(2.0, 0.1, 0.5), MaternParams(1.0, 1.0, 1.0))
+            Bounds((0.1, 1.5), (1.0, 1.0))
 
     def test_contains(self):
         b = default_bounds()
         assert b.contains(MaternParams(1.0, 0.5, 1.0))
         assert not b.contains(MaternParams(1.0, 20.0, 1.0))
-        # boundary points count as inside
-        assert b.contains(b.lower) and b.contains(b.upper)
+        # boundary points count as inside, at any sigma2
+        for s2 in (1e-300, 1e300):
+            assert b.contains(MaternParams(s2, *b.lower)) and b.contains(MaternParams(s2, *b.upper))
 
     def test_default_values(self):
         b = default_bounds()
-        assert b.lower.as_array() == pytest.approx([1e-3, 1e-3, 0.05])
-        assert b.upper.as_array() == pytest.approx([1e3, 10.0, 5.0])
+        assert b.lower == (1e-3, 0.05) and b.upper == (10.0, 5.0)
 
 
 class TestDefaultInit:
@@ -63,17 +64,9 @@ class TestDefaultInit:
         rng = np.random.default_rng(0)
         reps = ReplicateSet(2.0 * rng.standard_normal((10, 50)))
         th = default_init(reps, default_bounds())
-        assert th.sigma2 == pytest.approx(np.var(reps.data), rel=1e-12)
+        assert th.sigma2 == pytest.approx(np.mean(reps.data ** 2), rel=1e-12)
         assert th.beta == pytest.approx(0.1)
         assert th.nu == pytest.approx(0.5)
-
-    def test_clipped_into_interior(self):
-        reps = ReplicateSet(np.full((4, 3), 1e-9) +
-                            1e-9 * np.arange(12).reshape(4, 3))
-        b = default_bounds()
-        th = default_init(reps, b)
-        assert b.contains(th)
-        assert th.sigma2 > b.lower.sigma2
 
     def test_start_inside_the_box_is_kept_exactly(self):
         # fits in the default box keep their start bit for bit
@@ -85,12 +78,9 @@ class TestDefaultInit:
         reps = ReplicateSet(np.ones((4, 3)))
         lo, hi = default_bounds().as_arrays()
         for box, want in (
-                (Bounds(MaternParams(*lo), MaternParams(hi[0], hi[1], 0.38)),
-                 (0.1, 0.38 - 0.1 * (0.38 - 0.05))),
-                (Bounds(MaternParams(lo[0], 0.2, 0.6), MaternParams(*hi)),
-                 (0.2 + 0.1 * (10.0 - 0.2), 0.6 + 0.1 * (5.0 - 0.6))),
-                (Bounds(MaternParams(lo[0], 0.1, lo[2]), MaternParams(*hi)),
-                 (0.1 + 0.1 * (10.0 - 0.1), 0.5))):
+                (Bounds(lo, (hi[0], 0.38)), (0.1, 0.38 - 0.1 * (0.38 - 0.05))),
+                (Bounds((0.2, 0.6), hi), (0.2 + 0.1 * (10.0 - 0.2), 0.6 + 0.1 * (5.0 - 0.6))),
+                (Bounds((0.1, lo[1]), hi), (0.1 + 0.1 * (10.0 - 0.1), 0.5))):
             th = default_init(reps, box)
             assert (th.beta, th.nu) == pytest.approx(want, rel=1e-15)
 
@@ -101,12 +91,12 @@ class TestDefaultInit:
         # to tol = 1e-10: at the default tol each fit is only tol-accurate
         locs, reps, _base = interior_data
         lo, hi = default_bounds().as_arrays()
-        box = Bounds(MaternParams(*lo), MaternParams(hi[0], hi[1], 0.38))
+        box = Bounds(lo, (hi[0], 0.38))
         res = fit(reps, locs, 1.0, box)
         ref = fit(reps, locs, 1.0, tol=1e-10)
         assert res.converged and res.restarts == 0 and res.evaluations <= 60
         assert ref.converged
-        assert abs(res.theta_hat.nu - ref.theta_hat.nu) <= 1e-6 * (0.38 - lo[2])
+        assert abs(res.theta_hat.nu - ref.theta_hat.nu) <= 1e-6 * (0.38 - lo[1])
 
 
 class TestFit:
@@ -189,16 +179,16 @@ class TestFit:
         assert res.evaluations <= 3 * 10 + 6  # scipy may finish a step
 
     def test_trial_points_respect_bounds(self, small_data, monkeypatch):
-        # every (beta, nu) the search scores, and the sigma2 solved there
+        # every (beta, nu) the search scores lies in the box; sigma2 has none
         locs, reps = small_data
-        b = Bounds(MaternParams(0.5, 0.05, 0.2), MaternParams(2.0, 1.0, 1.5))
+        b = Bounds((0.05, 0.2), (1.0, 1.5))
         lo, hi = b.as_arrays()
         seen = []
         real = est._Search.score
 
         def spy(search, u, terms=False):
             real(search, u, terms)
-            seen.append((search.scored[u.tobytes()][0], *(search.corner + u * search.width)))
+            seen.append(search.corner + u * search.width)
 
         monkeypatch.setattr(est._Search, "score", spy)
         for q in (1.0, 0.8):
@@ -207,7 +197,7 @@ class TestFit:
             pts = np.array(seen)
             assert len(pts) > 10
             assert np.all(pts >= lo) and np.all(pts <= hi)
-            assert tuple(res.theta_hat.as_array()) in set(map(tuple, pts))
+            assert tuple(res.theta_hat.as_array()[1:]) in set(map(tuple, pts))
 
     def test_failure_at_init_is_an_error(self, small_data, monkeypatch):
         # init's (beta, nu) is scored first, so a factorization that fails
@@ -268,11 +258,16 @@ class TestFit:
     @pytest.mark.parametrize("q", [1.0, 0.9])
     def test_flat_corner_is_not_converged(self, interior_data, q):
         # at the lower corner (beta = 1e-3, nu = 0.05) every correlation is
-        # zero to double precision, so every point the search scores ties:
-        # the restarts cannot move, which must not pass for a confirmation
+        # zero to double precision, so every point the search scores near it
+        # ties: the restarts cannot move, which must not pass for a
+        # confirmation.  In the default box the default start scores higher,
+        # and the climb from there is the fit from it; in a box as flat as
+        # the corner the default start ties too, and the fit stays
         locs, reps, base = interior_data
-        corner = default_bounds().lower
+        corner = MaternParams(1.0, *default_bounds().lower)
         res = fit(reps, locs, q, init=corner)
+        assert res.converged and res.theta_hat == base[q].theta_hat
+        res = fit(reps, locs, q, Bounds(default_bounds().lower, (2e-3, 0.1)), init=corner)
         assert (res.theta_hat.beta, res.theta_hat.nu) == (corner.beta, corner.nu)
         assert not res.converged
         assert base[q].converged and base[q].objective > res.objective
@@ -283,18 +278,23 @@ SYM_RTOL = 1e-9
 
 
 @pytest.fixture(scope="module")
+def scale_data():
+    """n = 100 grid, m = 100, rough theta0, one replicate in ten contaminated; fits per q."""
+    seed = held_out("SimConfig.seed", "tests/test_estimate.py::TestFitSymmetries::"
+                                      "test_default_fit_at_any_data_scale")[0]
+    cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid", seed=seed,
+                    contamination=ContaminationSpec(0.1, 1.0))
+    locs, reps, _flags = simulate_dataset(cfg)
+    return locs, reps, {q: fit(reps, locs, q) for q in SYM_QS}
+
+
+@pytest.fixture(scope="module")
 def sym_data():
     """n = 36 grid, m = 30, one replicate in ten contaminated; fits per q."""
     cfg = SimConfig(MaternParams(1.0, 0.2, 0.5), n=36, m=30, layout="grid",
                     seed=7, contamination=ContaminationSpec(0.1, 1.0))
     locs, reps, _flags = simulate_dataset(cfg)
     return locs, reps, {q: fit(reps, locs, q) for q in SYM_QS}
-
-
-def scaled_bounds(c2):
-    lo, hi = default_bounds().as_arrays()
-    return Bounds(MaternParams(c2 * lo[0], lo[1], lo[2]),
-                  MaternParams(c2 * hi[0], hi[1], hi[2]))
 
 
 def assert_same_theta(got, want):
@@ -308,10 +308,11 @@ class TestFitSymmetries:
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(log10_c=st.floats(-3.0, 3.0))
     def test_scale_equivariance(self, sym_data, q, log10_c):
-        # data * c maps (sigma2, beta, nu) to (c^2 sigma2, beta, nu)
+        # data * c maps (sigma2, beta, nu) to (c^2 sigma2, beta, nu), in
+        # the default box: sigma2 has none
         locs, reps, base = sym_data
         c = 10.0 ** log10_c
-        res = fit(ReplicateSet(c * reps.data), locs, q, scaled_bounds(c * c))
+        res = fit(ReplicateSet(c * reps.data), locs, q)
         assert_same_theta(res.theta_hat.as_array() / [c * c, 1.0, 1.0],
                           base[q].theta_hat.as_array())
 
@@ -342,18 +343,47 @@ class TestFitSymmetries:
                         seed=seed, contamination=ContaminationSpec(0.1, 1.0))
         locs, reps, _flags = simulate_dataset(cfg)
         base = fit(reps, locs, q)
-        lo, hi = default_bounds().as_arrays()
         th = base.theta_hat
-        value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
+        value = profile_lq(reps, locs, th.beta, th.nu, q)[1]
         # every l_i shifts by -n log c, so V by -n log c (times m at q = 1)
         c = np.exp(value / (reps.n * (reps.m if q == 1.0 else 1)))
         scaled = ReplicateSet(c * reps.data)
-        res = fit(scaled, locs, q, scaled_bounds(c * c))
+        res = fit(scaled, locs, q)
         t = res.theta_hat
-        assert abs(profile_lq(scaled, locs, t.beta, t.nu, q, c * c * lo[0],
-                              c * c * hi[0])[1]) < 1e-11
+        assert abs(profile_lq(scaled, locs, t.beta, t.nu, q)[1]) < 1e-11
         assert res.restarts == 0 and res.evaluations == base.evaluations
         assert_same_theta(t.as_array() / [c * c, 1.0, 1.0], th.as_array())
+
+    @pytest.mark.parametrize("q", SYM_QS)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(k=st.floats(-6.0, 6.0))
+    def test_default_fit_at_any_data_scale(self, scale_data, q, k):
+        # sigma2 is solved on (0, inf), so a default fit of the data times
+        # c = 10^k converges to the c = 1 fit with sigma2 times c^2
+        locs, reps, base = scale_data
+        c = 10.0 ** k
+        res = fit(ReplicateSet(c * reps.data), locs, q)
+        assert res.converged and base[q].converged
+        assert_same_theta(res.theta_hat.as_array() / [c * c, 1.0, 1.0],
+                          base[q].theta_hat.as_array())
+
+    @pytest.mark.parametrize("q", [0.9, 0.5])
+    def test_a_replicate_of_zeros_has_no_maximum_below_q_one(self, q):
+        # a replicate that is 0 at every site has l_i = -n log(sigma2) / 2 +
+        # const, so below q = 1 V grows without bound as sigma2 -> 0: the
+        # sigma2 solve raises at every (beta, nu).  At q = 1 the replicate
+        # only pulls sigma2 down, and the fit converges
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid", seed=3)
+        locs, reps, _flags = simulate_dataset(cfg)
+        data = reps.data.copy()
+        data[:, 7] = 0.0
+        zeros = ReplicateSet(data)
+        for call in (lambda: fit(zeros, locs, q), lambda: profile_lq(zeros, locs, 0.1, 0.5, q)):
+            with pytest.raises(ValueError, match="a replicate is 0 at every site"):
+                call()
+        res = fit(zeros, locs, 1.0)
+        assert res.converged
+        assert res.theta_hat.as_array() == pytest.approx([1.0514, 0.09935, 0.5326], rel=1e-4)
 
     def test_overflowing_surrogate_still_converges(self, sym_data):
         # at data scale 1e-20 the log densities are about +1650, so the
@@ -363,7 +393,7 @@ class TestFitSymmetries:
         c = 1e-20
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fit(ReplicateSet(c * reps.data), locs, 0.5, scaled_bounds(c * c))
+            res = fit(ReplicateSet(c * reps.data), locs, 0.5)
         assert_same_theta(res.theta_hat.as_array() / [c * c, 1.0, 1.0],
                           base[0.5].theta_hat.as_array())
         assert res.objective == np.inf
@@ -379,7 +409,7 @@ class TestFitSymmetries:
         base = fit(reps, locs, 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fit(ReplicateSet(c * reps.data), locs, 0.1, scaled_bounds(c * c))
+            res = fit(ReplicateSet(c * reps.data), locs, 0.1)
         assert base.converged and np.isfinite(base.objective)
         assert res.objective == np.inf
         assert res.converged
@@ -392,13 +422,13 @@ class TestFitSymmetries:
 # order 1e-6 of each entry, which dominates: the kernel's own nu derivatives
 # are exact to rounding, and rounding in the oracle's second differences is
 # below 1e-7 of the Hessian here.  Measured worst, in the coordinates each
-# case checks: 4.2e-6 (gradient) and 3.0e-6 (Hessian) of the largest entry,
+# case checks: 4.2e-6 (gradient) and 4.0e-7 (Hessian) of the largest entry,
 # so 1e-4 leaves a margin of 20
 PROFILE_FD_STEP = 1e-3
 PROFILE_RTOL = 1e-4
 
 
-def fd_profile(reps, locs, p, q, s2_lo, s2_hi, log=False):
+def fd_profile(reps, locs, p, q, log=False):
     """Central-difference gradient and Hessian of profile_lq's value.
 
     In (beta, nu), or with ``log`` in y = log(beta, nu), at (beta, nu) = p.
@@ -406,8 +436,7 @@ def fd_profile(reps, locs, p, q, s2_lo, s2_hi, log=False):
     h = np.full(2, PROFILE_FD_STEP) if log else PROFILE_FD_STEP * p
 
     def f(dp):
-        return profile_lq(reps, locs, *(p * np.exp(dp) if log else p + dp), q, s2_lo,
-                          s2_hi)[1]
+        return profile_lq(reps, locs, *(p * np.exp(dp) if log else p + dp), q)[1]
 
     e = np.diag(h)
     f0 = f(np.zeros(2))
@@ -426,7 +455,7 @@ def bound_data():
     cfg = SimConfig(MaternParams(1.0, 0.2, 1.5), n=36, m=30, layout="grid", seed=3)
     locs, reps, _flags = simulate_dataset(cfg)
     lo, hi = default_bounds().as_arrays()
-    return locs, reps, Bounds(MaternParams(*lo), MaternParams(hi[0], hi[1], 0.8))
+    return locs, reps, Bounds(lo, (hi[0], 0.8))
 
 
 @pytest.fixture(scope="module")
@@ -542,36 +571,30 @@ class TestConfirmation:
     """The Newton step that confirms a fit, and the restarts behind it."""
 
     @pytest.mark.parametrize("q", SYM_QS)
-    @pytest.mark.parametrize("s2_hi", [1e3, 0.3], ids=["interior", "clipped"])
-    def test_profile_derivs_match_central_differences(self, q, s2_hi):
+    @pytest.mark.parametrize("p, log_y", [((0.15, 0.8), True), ((0.15, 0.2), False)],
+                             ids=["interior", "in-u"])
+    def test_profile_derivs_match_central_differences(self, q, p, log_y):
+        # away from the maximum: gradient nonzero.  At (0.15, 0.8) V is
+        # concave in y = log(beta, nu) at each q, at (0.15, 0.2) it is not
         locs = make_locations(25, "uniform", seed=4)
         reps = gen_replicates(locs, THETA0, 40, seed=5)
-        p = np.array([0.15, 0.8])   # away from the maximum: gradient nonzero
-        s2_lo = 1e-3
-        sigma2, _ = profile_lq(reps, locs, *p, q, s2_lo, s2_hi)
-        clipped = sigma2 == s2_hi
-        assert clipped == (s2_hi < 1.0)
+        p = np.array(p)
+        sigma2, _ = profile_lq(reps, locs, *p, q)
         # the pass's full derivatives, and sigma2's response through their
-        # Schur complement where sigma2 is interior
+        # Schur complement
         gbar, hess = _weighted_derivs(reps, locs, MaternParams(sigma2, *p), q).hessian(q)
-        g, H = gbar[1:], hess[1:, 1:]
-        if not clipped:
-            H = H - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
-        box = default_bounds()
-        box = Bounds(replace(box.lower, sigma2=s2_lo), replace(box.upper, sigma2=s2_hi))
-        search = est._Search(reps, locs, q, box, 1e-6)
+        g = gbar[1:]
+        H = hess[1:, 1:] - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
+        search = est._Search(reps, locs, q, default_bounds(), 1e-6)
         u = (p - search.corner) / search.width
         search.score(u)
         assert search.scored[u.tobytes()][0] == sigma2
-        # the fit's Newton step at p is the step of these derivatives in
-        # y = log(beta, nu) where V is concave in y, else in u; they match
-        # central differences in the coordinates of the step.  Both kinds
-        # occur here: the clipped profile at q in {1, 0.9} is not concave in
-        # y at p
+        # the fit's Newton step at p is the step of these derivatives in y
+        # where V is concave in y, else in u; they match central
+        # differences in the coordinates of the step
         g_y, H_y = p * g, H * np.outer(p, p) + np.diag(p * g)
-        log_y = bool(np.all(np.linalg.eigvalsh(H_y) < 0.0))
-        assert log_y == (not clipped or q == 0.5)
-        g_fd, H_fd = fd_profile(reps, locs, p, q, s2_lo, s2_hi, log=log_y)
+        assert bool(np.all(np.linalg.eigvalsh(H_y) < 0.0)) == log_y
+        g_fd, H_fd = fd_profile(reps, locs, p, q, log=log_y)
         if log_y:
             g, H = g_y, H_y
         else:
@@ -580,13 +603,11 @@ class TestConfirmation:
         assert np.abs(g - g_fd).max() <= PROFILE_RTOL * np.abs(g_fd).max()
         assert np.abs(H - H_fd).max() <= PROFILE_RTOL * np.abs(H_fd).max()
         step = search.newton_step(u)
-        if np.all(np.linalg.eigvalsh(H) < 0.0):
-            d = np.linalg.solve(H, -g)
-            delta = p * np.expm1(d) / search.width if log_y else d
-            assert np.abs(step[0] - delta).max() <= 1e-12 * np.abs(delta).max()
-            assert step[1] == pytest.approx(-0.5 * d @ H @ d, rel=1e-12)
-        else:
-            assert step is None
+        assert np.all(np.linalg.eigvalsh(H) < 0.0)
+        d = np.linalg.solve(H, -g)
+        delta = p * np.expm1(d) / search.width if log_y else d
+        assert np.abs(step[0] - delta).max() <= 1e-12 * np.abs(delta).max()
+        assert step[1] == pytest.approx(-0.5 * d @ H @ d, rel=1e-12)
 
     def test_newton_confirms_interior_fits(self, interior_data):
         locs, reps, base = interior_data
@@ -616,7 +637,7 @@ class TestConfirmation:
             ref = fit_without_newton(monkeypatch, reps, locs, q, box)
             assert res.restarts >= 1 and ref.restarts == res.restarts
             assert res.theta_hat == ref.theta_hat
-            assert res.theta_hat.nu == box.upper.nu
+            assert res.theta_hat.nu == box.upper[1]
             assert ref.evaluations <= res.evaluations <= ref.evaluations + 1
             assert res.converged == ref.converged
 
@@ -642,7 +663,7 @@ class TestConfirmation:
         locs, reps, base = interior_data
         c = 1e-20
         with np.errstate(over="ignore"):
-            res = fit(ReplicateSet(c * reps.data), locs, 0.5, scaled_bounds(c * c))
+            res = fit(ReplicateSet(c * reps.data), locs, 0.5)
         assert res.restarts == 0
         assert_same_theta(res.theta_hat.as_array() / [c * c, 1.0, 1.0],
                           base[0.5].theta_hat.as_array())
@@ -656,10 +677,8 @@ class TestConfirmation:
         locs, reps, _flags = simulate_dataset(cfg)
         nm = fit(reps, locs, 0.95)
         assert nm.converged
-        s2_box = (default_bounds().lower.sigma2, default_bounds().upper.sigma2)
-
         def value(th):
-            return profile_lq(reps, locs, th.beta, th.nu, 0.95, *s2_box)[1]
+            return profile_lq(reps, locs, th.beta, th.nu, 0.95)[1]
 
         assert value(nm.theta_hat) > value(MaternParams(1.222, 0.421, 0.230))
 
@@ -746,7 +765,7 @@ def test_evaluations_no_higher_than_recorded():
 def scaled_gap(a, b):
     """Largest (beta, nu) difference of two estimates in bound-scaled units."""
     lo, hi = default_bounds().as_arrays()
-    return np.abs((a.as_array() - b.as_array())[1:] / (hi - lo)[1:]).max()
+    return np.abs((a.as_array() - b.as_array())[1:] / (hi - lo)).max()
 
 
 class TestNewtonFinish:
@@ -844,9 +863,13 @@ class TestNewtonFinish:
 
     def test_warm_start_at_a_corner_matches_the_cold_fit(self, interior_data):
         locs, reps, base = interior_data
-        corner = default_bounds().upper
-        # Newton at the upper corner does not confirm, so the fit falls back
-        # to the simplex and lands where the fit from the default start does
+        corner = MaternParams(1.0, *default_bounds().upper)
+        # Newton at the upper corner does not confirm.  With sigma2 solved on
+        # (0, inf), the corner is a local maximum of V over the box on these
+        # data (sigma2 = 5.0e9, V = -2404 at q = 1, against the cold fit's
+        # -1367), so the simplex and its restart stay there; the default
+        # start scores higher, and the climb from it lands where the fit
+        # from the default start does
         for q in SYM_QS:
             res = fit(reps, locs, q, init=corner)
             assert res.converged and res.evaluations > 6
@@ -1046,7 +1069,7 @@ class TestFusedNewtonPoint:
         def score(search, u, terms=False):
             real(search, u, terms)
             beta, nu = search.corner + u * search.width
-            want = profile_lq(search.reps, search.locs, beta, nu, search.q, *search.s2_box)
+            want = profile_lq(search.reps, search.locs, beta, nu, search.q)
             assert search.scored[u.tobytes()] == want
             scored.append(u.tobytes())
 
@@ -1160,7 +1183,7 @@ class TestFusedNewtonPoint:
         first, count_at_pass = seen["potri"][0]
         assert count_at_pass == count and np.array_equal(first, L)
         armed[0] = True
-        want = profile_lq(reps, locs, *seen["point"], 0.9, 1e-3, 1e3)
+        want = profile_lq(reps, locs, *seen["point"], 0.9)
         assert seen["scored"] == want
 
     def test_short_step_confirms_its_start(self, fused_sets, monkeypatch):
@@ -1572,8 +1595,7 @@ class TestChainStart:
         for q in SYM_QS:
             th = base[q].theta_hat
             p = _weighted_derivs(reps, locs, th, q)
-            lo, hi = default_bounds().as_arrays()
-            value = profile_lq(reps, locs, th.beta, th.nu, q, lo[0], hi[0])[1]
+            value = profile_lq(reps, locs, th.beta, th.nu, q)[1]
             corr = chol_factor(build_cov(locs, MaternParams(1.0, th.beta, th.nu)))
             quad = _quad_forms(reps.data, corr) / th.sigma2      # z' Sigma^-1 z
             size = 0.5 * (reps.n * (_LOG_2PI + abs(np.log(th.sigma2)))
@@ -1619,7 +1641,7 @@ class TestChainStart:
         nu_comb, nu_step = free.fit(0.7).init.nu, stepped(near.theta_hat, near._pass, 0.7).nu
         assert nu_comb < nu_step
         lo, hi = default_bounds().as_arrays()
-        box = Bounds(MaternParams(lo[0], lo[1], 0.5 * (nu_comb + nu_step)), MaternParams(*hi))
+        box = Bounds((lo[0], 0.5 * (nu_comb + nu_step)), hi)
         chain = FitChain(reps, locs, box)
         far, near = chain.fit(0.9), chain.fit(0.8)
         assert not box.contains(extrapolated(near, far, 0.7))
@@ -1635,15 +1657,6 @@ class TestChainStart:
             with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
                 chain.fit(q)
         assert list(chain._fits) == [1.0]
-
-    def test_sigma2_on_a_bound_starts_at_the_estimate(self, interior_data):
-        locs, reps, _base = interior_data
-        lo, hi = default_bounds().as_arrays()
-        box = Bounds(MaternParams(*lo), MaternParams(0.5, hi[1], hi[2]))
-        chain = FitChain(reps, locs, box)
-        near = chain.fit(1.0)
-        assert near.theta_hat.sigma2 == 0.5 and near._pass is None
-        assert chain.fit(0.9).init == near.theta_hat
 
     def test_hessian_not_negative_definite_starts_at_the_estimate(
             self, interior_data, monkeypatch):
@@ -1664,8 +1677,7 @@ class TestChainStart:
         beta_step = free.fit(0.9).init.beta
         assert beta_step < beta_near - 0.01
         lo, hi = default_bounds().as_arrays()
-        box = Bounds(MaternParams(lo[0], 0.5 * (beta_near + beta_step), lo[2]),
-                     MaternParams(*hi))
+        box = Bounds((0.5 * (beta_near + beta_step), lo[1]), hi)
         chain = FitChain(reps, locs, box)
         near = chain.fit(1.0)
         assert not box.contains(stepped(near.theta_hat, near._pass, 0.9))

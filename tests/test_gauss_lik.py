@@ -114,7 +114,7 @@ class TestCholFactor:
         monkeypatch.setattr(gauss_lik, "dpotrf", fail_first)
         reps = ReplicateSet(np.ones((n, 2)))
         if path == "profile_lq":
-            profile_lq(reps, locs, theta.beta, theta.nu, 0.9, 1e-3, 1e3)
+            profile_lq(reps, locs, theta.beta, theta.nu, 0.9)
             scale = 1.0
         elif path == "weighted_derivs":
             _weighted_derivs(reps, locs, theta, 0.9)
@@ -309,8 +309,7 @@ class TestTotalLq:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_monotone_transform_sign_agreement(self):
-        # the exact sum and the log-domain value rank parameter points
-        # alike; profile_lq with sigma2's bounds pinned scores one theta
+        # the exact sum and the log-domain value rank parameter points alike
         rng = np.random.default_rng(7)
         locs = LocationSet(rng.uniform(0, 1, (9, 2)))
         reps = ReplicateSet(rng.standard_normal((9, 5)))
@@ -322,13 +321,19 @@ class TestTotalLq:
                               rng.uniform(0.3, 1.5))
             exact = (total_lq(reps, locs, ta, q)
                      - total_lq(reps, locs, tb, q))
-            log_vals = [profile_lq(reps, locs, t.beta, t.nu, q, t.sigma2,
-                                   t.sigma2)[1] for t in (ta, tb)]
+            log_vals = [_lq_weights(loglik_columns(reps.data, chol_factor(build_cov(locs, t))),
+                                    q)[0] for t in (ta, tb)]
             assert np.sign(exact) == np.sign(log_vals[0] - log_vals[1])
 
 
-def dense_profile(quad, n, q, lower, upper, points=20001):
-    """Grid over log sigma2 of the log-domain Lq objective; (s grid, values)."""
+def dense_profile(quad, n, q, lower=None, upper=None, points=20001):
+    """Grid over log sigma2 in [lower, upper] of the log-domain Lq objective; (s grid, values).
+
+    The bounds default to min(quad) / n and max(quad) / n: V's maximum is a
+    fixed point sigma2 = sum w_i quad_i / n, a weighted mean of the quad_i / n.
+    """
+    lower = quad.min() / n if lower is None else lower
+    upper = quad.max() / n if upper is None else upper
     s = np.linspace(np.log(lower), np.log(upper), points)
     s2 = np.exp(s)[:, None]
     ll = -0.5 * (n * np.log(s2) + quad / s2)
@@ -347,43 +352,32 @@ class TestProfileSigma2:
 
     @pytest.mark.parametrize("q", [1.0, 0.95, 0.8, 0.5])
     def test_matches_dense_search(self, q):
-        lo, hi = 1e-3, 1e3
-        got = profile_sigma2(self.QUAD, self.N, q, lo, hi)
-        s, vals = dense_profile(self.QUAD, self.N, q, lo, hi)
+        got = profile_sigma2(self.QUAD, self.N, q)
+        s, vals = dense_profile(self.QUAD, self.N, q)
         best = int(np.argmax(vals))
         assert 0 < best < len(s) - 1
         assert abs(np.log(got) - s[best]) <= 2.0 * (s[1] - s[0])
         at_got = dense_profile(self.QUAD, self.N, q, got, got, points=1)[1][0]
         assert at_got >= vals[best] - 1e-12 * abs(vals[best])
 
-    @pytest.mark.parametrize("q", [1.0, 0.95, 0.8, 0.5])
-    def test_clips_at_each_bound(self, q):
-        free = profile_sigma2(self.QUAD, self.N, q, 1e-3, 1e3)
-        for lo, hi, want in ((2.0 * free, 4.0 * free, "lower"),
-                             (0.25 * free, 0.5 * free, "upper")):
-            got = profile_sigma2(self.QUAD, self.N, q, lo, hi)
-            assert got == (lo if want == "lower" else hi)
-            s, vals = dense_profile(self.QUAD, self.N, q, lo, hi)
-            assert np.argmax(vals) == (0 if want == "lower" else len(s) - 1)
-
     def test_q_one_closed_form(self):
-        got = profile_sigma2(self.QUAD, self.N, 1.0, 1e-3, 1e3)
+        got = profile_sigma2(self.QUAD, self.N, 1.0)
         assert got == pytest.approx(np.mean(self.QUAD) / self.N, rel=1e-15)
 
     @pytest.mark.parametrize("q", [0.95, 0.8])
     def test_downweights_the_contaminated_cluster(self, q):
         # the clean replicates alone give about q sigma2 (the fixed-q target)
         clean = np.mean(self.QUAD[:40]) / self.N
-        assert profile_sigma2(self.QUAD, self.N, q, 1e-3, 1e3) == \
+        assert profile_sigma2(self.QUAD, self.N, q) == \
             pytest.approx(q * clean, rel=0.05)
 
 
-def fixed_point_sigma2(quad, n, q, lower, upper):
+def fixed_point_sigma2(quad, n, q):
     """The sigma2 fixed point sigma2 <- sum w_i quad_i / n, run to 1e-15."""
-    sigma2 = min(max(float(np.median(quad)) / n, lower), upper)
+    sigma2 = float(np.median(quad)) / n
     for _ in range(10000):
         _, w = _lq_weights(quad * (-0.5 / sigma2), q)
-        step = min(max(float(w @ quad) / n, lower), upper)
+        step = float(w @ quad) / n
         if abs(step - sigma2) <= 1e-15 * step:
             break
         sigma2 = step
@@ -408,9 +402,9 @@ class TestProfileSigma2Newton:
         # with 4x the variance; capped at five steps, the Newton solve
         # already gives the fixed point's answer
         quad = chisquare_forms(n, contaminated)
-        want = fixed_point_sigma2(quad, n, q, 1e-3, 1e3)
+        want = fixed_point_sigma2(quad, n, q)
         monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 5)
-        got = profile_sigma2(quad, n, q, 1e-3, 1e3)
+        got = profile_sigma2(quad, n, q)
         assert abs(got / want - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [36, 100, 400])
@@ -422,7 +416,23 @@ class TestProfileSigma2Newton:
         # sigma2
         monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 1)
         with pytest.raises(RuntimeError, match=r"in 1 steps at q = %r" % q):
-            profile_sigma2(chisquare_forms(n, contaminated), n, q, 1e-3, 1e3)
+            profile_sigma2(chisquare_forms(n, contaminated), n, q)
+
+    def test_newton_step_past_exps_range_is_refused_quietly(self):
+        # two clusters of forms at n = 1, found by a search over such
+        # clusters: at the start V's curvature in log sigma2 nearly cancels,
+        # and the Newton step, about 1070, overflows exp; the solve refuses
+        # it with no RuntimeWarning (an error here) and goes on to V's
+        # maximum, within two points of a dense log grid
+        quad = np.array([1.0080500119952265, 1.005490676317937, 1.0058970916870924,
+                         1.0087659899367698, 1.0011091237486285, 16.238310436280393,
+                         16.239289740387324, 16.34176291240357, 16.22340577779688])
+        q = 0.7679002699047928
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = profile_sigma2(quad, 1, q)
+        s, vals = dense_profile(quad, 1, q)
+        assert abs(np.log(got) - s[int(np.argmax(vals))]) <= 2.0 * (s[1] - s[0])
 
     @pytest.mark.parametrize("seed", range(16))
     def test_safeguard_step_keeps_the_solve_monotone(self, monkeypatch, seed):
@@ -433,32 +443,31 @@ class TestProfileSigma2Newton:
         # is the dense search's
         rng = np.random.default_rng(seed)
         quad = rng.chisquare(42, 19) * np.exp(rng.normal(0.0, 3.0, 19))
-        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 42, 0.5, 1e-3, 1e3)
+        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 42, 0.5)
         assert safeguarded
         assert all(b >= a - gauss_lik.V_ROUNDING * abs(a)
                    for a, b in zip(values, values[1:]))
-        s, vals = dense_profile(quad, 42, 0.5, 1e-3, 1e3)
+        s, vals = dense_profile(quad, 42, 0.5)
         assert abs(np.log(got) - s[int(np.argmax(vals))]) <= 2.0 * (s[1] - s[0])
 
     def test_fixed_point_step_that_goes_on(self, monkeypatch):
         # two clusters of forms three decades apart (n = 10, q = 0.5): the
         # solve takes fixed-point steps that do not end it, V does not fall
         # along the steps, and the answer is V's maximum, no lower than the
-        # best of a log grid of the bounds
+        # best of a log grid over the forms' range
         quad = np.r_[np.full(4, 10.0), np.full(6, 1e4)] * (1 + 0.01 * np.arange(10) / 10)
-        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 10, 0.5, 1e-3, 1e3)
+        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 10, 0.5)
         assert safeguarded and got == pytest.approx(1.0015, rel=1e-4)
         assert all(b >= a for a, b in zip(values, values[1:]))
-        s, vals = dense_profile(quad, 10, 0.5, 1e-3, 1e3)
+        s, vals = dense_profile(quad, 10, 0.5)
         assert dense_profile(quad, 10, 0.5, got, got, points=1)[1][0] >= vals.max()
 
 
 class TestProfileSigma2Start:
     @pytest.mark.parametrize("m", [1, 2, 3, 100, 101])
-    @pytest.mark.parametrize("lower, upper", [(1e-3, 1e3), (1.2, 1e3), (1e-3, 0.8)])
-    def test_start_is_the_clipped_median(self, monkeypatch, m, lower, upper):
+    def test_start_is_the_median(self, monkeypatch, m):
         # the solve's first weights are taken at the start, which is
-        # np.median's, clipped, bit for bit
+        # np.median's, bit for bit
         n = 36
         quad = np.random.default_rng(m).chisquare(n, m)
         seen, real = [], gauss_lik._lq_weights
@@ -468,12 +477,12 @@ class TestProfileSigma2Start:
             return real(lvec, q)
 
         monkeypatch.setattr(gauss_lik, "_lq_weights", spy)
-        profile_sigma2(quad, n, 0.9, lower, upper)
-        start = min(max(float(np.median(quad)) / n, lower), upper)
+        profile_sigma2(quad, n, 0.9)
+        start = float(np.median(quad)) / n
         assert np.array_equal(seen[0], -0.5 * (n * np.log(start) + quad / start))
 
 
-def traced_sigma2_solve(monkeypatch, quad, n, q, lower, upper):
+def traced_sigma2_solve(monkeypatch, quad, n, q):
     """profile_sigma2's answer, the V of each iterate, and whether a fixed-point step continued it.
 
     A wrapper around ``gauss_lik._lq_weights`` reads the solve's frame at
@@ -503,7 +512,7 @@ def traced_sigma2_solve(monkeypatch, quad, n, q, lower, upper):
         return real(*args)
 
     monkeypatch.setattr(gauss_lik, "_lq_weights", counted)
-    got = profile_sigma2(quad, n, q, lower, upper)
+    got = profile_sigma2(quad, n, q)
     note(solve[0])
     return got, values, any(safeguarded)
 
@@ -515,20 +524,26 @@ class TestProfileLq:
         self.reps = ReplicateSet(rng.standard_normal((5, 6)))
 
     def test_newton_step_past_the_upper_bound_does_not_overflow(self):
-        # on this design the solve's Newton step in log sigma2 is far past
-        # log(upper / sigma2): exp of it once overflowed with a warning (an
-        # error here) on the way to the right answer, the upper bound
+        # on this design the solve's Newton step in log sigma2 from a sigma2
+        # clipped to an upper bound of 1e3 was far past that bound, and exp
+        # of it once overflowed with a warning (an error here); solved on
+        # (0, inf), sigma2 lies past the old bound, where V is higher
         locs, reps, _ = simulate_dataset(SimConfig(
             MaternParams(1.0, 0.2936, 1.2316), n=16, m=30, layout="grid", seed=1140464))
         beta, nu = np.logspace(-3, 1, 70)[66], np.linspace(0.05, 5, 50)[14]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            sigma2, _value = profile_lq(reps, locs, beta, nu, 0.9, 1e-3, 1e3)
-        assert sigma2 == 1e3
+            sigma2, value = profile_lq(reps, locs, beta, nu, 0.9)
+        assert sigma2 == pytest.approx(7101.778, rel=1e-6)
+        assert value == pytest.approx(13.268, rel=1e-4)
+        for f in (0.99, 1.01):
+            off = MaternParams(f * sigma2, beta, nu)
+            ls = loglik_columns(reps.data, chol_factor(build_cov(locs, off)))
+            assert _lq_weights(ls, 0.9)[0] < value
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
     def test_value_is_log_domain_total_lq(self, q):
-        sigma2, val = profile_lq(self.reps, self.locs, 0.3, 0.8, q, 1e-3, 1e3)
+        sigma2, val = profile_lq(self.reps, self.locs, 0.3, 0.8, q)
         theta = MaternParams(sigma2, 0.3, 0.8)
         exact = total_lq(self.reps, self.locs, theta, q)
         if q == 1.0:
@@ -540,7 +555,7 @@ class TestProfileLq:
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
     def test_sigma2_maximizes_total_lq(self, q):
-        sigma2, _ = profile_lq(self.reps, self.locs, 0.3, 0.8, q, 1e-3, 1e3)
+        sigma2, _ = profile_lq(self.reps, self.locs, 0.3, 0.8, q)
         at = total_lq(self.reps, self.locs, MaternParams(sigma2, 0.3, 0.8), q)
         for f in (0.99, 1.01):
             off = MaternParams(f * sigma2, 0.3, 0.8)
@@ -548,18 +563,7 @@ class TestProfileLq:
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
-            profile_lq(self.reps, self.locs, 0.3, 0.8, 1.5, 1e-3, 1e3)
-
-    @pytest.mark.parametrize("lower, upper", [
-        (5.0, 1e-3), (0.0, 1.0), (-1.0, 1.0), (1e-3, np.inf), (np.nan, 1.0), (1e-3, np.nan)])
-    def test_sigma2_bounds_validation(self, monkeypatch, lower, upper):
-        # checked at entry, before R is built: bounds the wrong way round
-        # returned the lower bound as sigma2, and a NaN one was ignored
-        factors = []
-        monkeypatch.setattr(gauss_lik, "_factor_in_place", lambda *a: factors.append(1))
-        with pytest.raises(ValueError, match="sigma2 bounds"):
-            profile_lq(self.reps, self.locs, 0.3, 0.8, 0.9, lower, upper)
-        assert factors == []
+            profile_lq(self.reps, self.locs, 0.3, 0.8, 1.5)
 
     @pytest.mark.parametrize("rows", [15, 17])
     def test_rows_that_do_not_match_the_sites(self, monkeypatch, rows):
@@ -572,7 +576,7 @@ class TestProfileLq:
         reps = ReplicateSet(np.ones((rows, 3)))
         with pytest.raises(ValueError, match="data dimension %d does not match 16 locations"
                            % rows):
-            profile_lq(reps, make_locations(16, "grid"), 0.3, 0.8, 0.9, 1e-3, 1e3)
+            profile_lq(reps, make_locations(16, "grid"), 0.3, 0.8, 0.9)
         assert solves == [] and factors == []
 
     def test_not_spd_error_carries_correlation_params(self, monkeypatch):
@@ -580,7 +584,7 @@ class TestProfileLq:
         monkeypatch.setattr(gauss_lik, "_cov_into",
                             lambda locs, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
         with pytest.raises(NotSPDError) as exc_info:
-            profile_lq(self.reps, self.locs, 0.3, 0.8, 1.0, 1e-3, 1e3)
+            profile_lq(self.reps, self.locs, 0.3, 0.8, 1.0)
         assert exc_info.value.theta == MaternParams(1.0, 0.3, 0.8)
 
 
@@ -962,7 +966,7 @@ class TestWorkspaceBuffers:
         FitChain(reps, locs, tol=1e-4).profile(spec.grid)
         select_q_kappa(FitChain(reps, locs, tol=1e-4), replace(spec, L=4.0))
         select_q_sqv(FitChain(reps, locs, tol=1e-4), make_se_fn(reps, locs), spec, m=m)
-        profile_lq(reps, locs, 0.2, 0.5, 0.9, 1e-3, 1e3)
+        profile_lq(reps, locs, 0.2, 0.5, 0.9)
         names = {name for name, _ in shared}
         assert {"R", "pass"} <= names and ("wide" in names) == (m >= n)
         assert [s for s in shared if s[1] != 0] == []

@@ -312,7 +312,7 @@ def test_module_state_passes_locals_and_constants():
 
 # The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
 # that raises it says why in CHANGES.md.
-CODE_LINES = 1672
+CODE_LINES = 1676
 
 
 def test_src_code_lines_stay_under_the_ceiling():
