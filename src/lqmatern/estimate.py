@@ -24,19 +24,13 @@ A fit has three stages, and one check of their answer.
   where V is not concave in u, is within reach too.  A step is taken when
   its Hessian is negative definite, u + delta lies in the box and scores no
   lower than u; any other step ends this stage, with no line search.  A
-  short step, |delta| <= ``tol`` componentwise, is not taken: it confirms
-  its start u, where the fit's last pass lies, as the estimate, and the
-  last step allowed must be short.  Newton converges quadratically, so the
-  step after a 1e-5 step is about 1e-11, and its rise is below the
-  rounding of V: where the predicted rise d' (-H) d / 2, d and H in the
-  coordinates of the step, is at most ``_Pass.rounding_floor``, no score of
-  the trial point u + delta could refuse u, and the short step confirms
-  without scoring it (the tie rule; u's own V was checked finite).  A short
-  step whose rise is above that is tested: its trial point is scored,
-  without the pass's kernel terms since no pass follows it, and can still
-  score lower by rounding; where it falls by less than its predicted rise,
-  it confirms (the short-step rule).  A step in the wrong direction falls
-  by about three times its predicted rise, and ends the stage.
+  short step, |delta| <= ``tol`` componentwise, with u + delta in the box,
+  is not taken: it confirms its start u, where the fit's last pass lies, as
+  the estimate, and its trial point is not scored.  Its Hessian H is
+  negative definite in the coordinates of the step, so delta = -H^-1 g is
+  an ascent direction (g' delta = -g' H^-1 g > 0), and a trial point within
+  ``tol`` could score below u only by rounding or a wrong derivative.  The
+  last step allowed must be short.
 - Where the steps do not confirm (a start beyond Newton's reach, an optimum
   on a bound, non-finite derivatives, a Hessian negative definite in
   neither coordinates, a refused step), Nelder-Mead runs from the best
@@ -180,7 +174,8 @@ class FitResult:
     ``_pass`` is the ``gauss_lik._Pass`` of the fit's last derivative
     pass where that pass was taken at the estimate, else None; a fit that
     Newton confirmed reports its estimate at that point, since a short step
-    confirms its start.  It is left out of equality and repr.
+    confirms its start without scoring its trial point, so the estimate's
+    own score is the fit's last.  It is left out of equality and repr.
     """
 
     theta_hat: MaternParams
@@ -397,14 +392,14 @@ class _Search:
         return x
 
     def newton_step(self, u):
-        """(delta, predicted rise) of one Newton step from a scored u; delta is in u.
+        """The move delta in u of one Newton step from a scored u.
 
         With x = (beta, nu) at u and the profile's gradient g and Hessian H
         in x, the step is dy = -H_y^-1 g_y in y = log x, where g_y = x g and
         H_y = diag(x) H diag(x) + diag(g_y) is negative definite: x moves to
-        x exp(dy), and the rise is -dy' H_y dy / 2.  Elsewhere it is the
-        step in u, from g and H scaled by the box's widths.  None where the
-        derivatives are not finite or neither Hessian is negative definite.
+        x exp(dy).  Elsewhere it is the step in u, from g and H scaled by the
+        box's widths.  None where the derivatives are not finite or neither
+        Hessian is negative definite.
         """
         sigma2 = self.scored[u.tobytes()][0]
         x = self.corner + u * self.width
@@ -433,45 +428,35 @@ class _Search:
                     and Hs[0, 0] * Hs[1, 1] - Hs[0, 1] * Hs[1, 0] > 0.0):
                 d = np.linalg.solve(Hs, -gs)
                 with np.errstate(over="ignore"):    # a step past exp's range leaves the box
-                    delta = x * np.expm1(d) / self.width if log_y else d
-                return delta, -0.5 * float(d @ Hs @ d)
+                    return x * np.expm1(d) / self.width if log_y else d
         return None
 
     def newton(self, u, steps):
         """(best u, confirmed) of up to ``steps`` Newton steps from a scored u.
 
-        The module docstring gives the rules: which step is taken, and which
-        confirms.
+        A step is taken where it is not short and its point scores no lower;
+        a short step confirms u unscored.  The module docstring gives the
+        reasons.
         """
         val = self.value(u)
         if not np.isfinite(val):
             return u, False
-        confirmed = False
         for k in range(steps):
-            step = self.newton_step(u)
-            if step is None:
+            delta = self.newton_step(u)
+            if delta is None:
                 break
-            delta, rise = step
             u_new = u + delta
             if not np.all((u_new >= 0.0) & (u_new <= 1.0)):
                 break
-            short = float(np.max(np.abs(delta))) <= self.tol
-            if not short and k == steps - 1:
+            if float(np.max(np.abs(delta))) <= self.tol:
+                return u, True
+            if k == steps - 1:
                 break
-            if short and rise <= self.last_pass.rounding_floor(val):
-                # the tie rule: no score of u + delta could refuse u
-                confirmed = True
-                break
-            # a pass follows the trial point only where the step is not short
-            val_new = self.value(u_new, terms=not short)
-            if short:
-                # the short-step rule; u, where the pass lies, is the answer
-                confirmed = val - val_new < rise
-                break
+            val_new = self.value(u_new, terms=True)
             if val_new < val:
                 break
             u, val = u_new, val_new
-        return u, confirmed
+        return u, False
 
 
 def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):

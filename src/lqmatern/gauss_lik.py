@@ -41,8 +41,8 @@ constant at every (beta, nu).
 The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
 steps and ``FitChain``'s starts: ``_weighted_derivs`` returns it as a
 ``_Pass`` of O(m) numbers, every replicate's gradient g_i (g and H as the
-``asymptotics`` docstring writes them), the weights, the log scale s,
-log|R| and S = sum w_i H_i, and forms no replicate's Hessian.  The Hessian
+``asymptotics`` docstring writes them), the weights, the log scale s
+and S = sum w_i H_i, and forms no replicate's Hessian.  The Hessian
 of V (``_Pass.hessian``) is S plus the centred (1-q) sum w_i (g_i -
 gbar)(g_i - gbar)', gbar = sum w_i g_i.  The pass completes R's factor at
 any sigma2, where Sigma = sigma2 R:
@@ -132,9 +132,9 @@ JITTER_REL = 1e-10
 SIGMA2_RTOL = 1e-13
 SIGMA2_MAX_STEPS = 1000
 
-# Relative rounding of a log-domain value V: a step whose predicted rise is at
-# most V_ROUNDING times the size of V's terms cannot be told from its start by
-# scoring, and is taken on the prediction alone.
+# Relative rounding of a log-domain value V: in profile_sigma2's solve, a step
+# whose predicted rise is at most V_ROUNDING |V| cannot be told from its start
+# by scoring, and is taken on the prediction alone.
 V_ROUNDING = 8.0 * np.finfo(float).eps
 
 
@@ -463,17 +463,14 @@ class _Pass:
     """One derivative pass at theta = (sigma2, beta, nu) and q, in O(m).
 
     ``g`` holds every replicate's gradient g_i (3, m), ``w`` the weights
-    (m,), ``S`` = sum w_i H_i (3, 3), ``log_det_r`` log|R| of the pass's
-    factor and ``log_scale`` the log scale s; n is the number of sites.
+    (m,), ``S`` = sum w_i H_i (3, 3) and ``log_scale`` the log scale s.
     """
 
     theta: MaternParams
     q: float
-    n: int
     g: np.ndarray
     w: np.ndarray
     S: np.ndarray
-    log_det_r: float
     log_scale: float
 
     def _total(self, q):
@@ -502,20 +499,6 @@ class _Pass:
         if np.isfinite(H).all() and np.isfinite(gbar).all() and np.linalg.eigvalsh(H).max() < 0:
             return -np.linalg.solve(H, gbar)
         return None
-
-    def rounding_floor(self, value):
-        """V_ROUNDING times the size of the terms that V, the value at theta, sums.
-
-        Each l_i is -(1/2)(n log 2 pi + n log sigma2 + log|R| + a_i), with
-        a_i = z_i' Sigma^-1 z_i = n + 2 sigma2 g_i[0].  V can sit near 0 by
-        cancellation while its rounding follows the size of those terms,
-        (1/2)(n (log 2 pi + |log sigma2|) + |log|R|| + max a), times m at
-        q = 1, where V sums the l_i; the floor is at least V_ROUNDING |V|.
-        """
-        n, s2 = self.n, self.theta.sigma2
-        a = n + 2.0 * s2 * self.g[0]
-        size = 0.5 * (n * (_LOG_2PI + abs(np.log(s2))) + abs(self.log_det_r) + a.max())
-        return V_ROUNDING * max(abs(value), self._total(self.q) * size)
 
 
 def _weighted_derivs(reps, locs, theta, q, ws=None):
@@ -622,6 +605,6 @@ def _weighted_derivs(reps, locs, theta, q, ws=None):
     if q < 1.0:
         log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
         log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
-    p = _Pass(theta, q, n, g, w, H, chol.log_det, log_scale)
+    p = _Pass(theta, q, g, w, H, log_scale)
     object.__setattr__(reps, "_last_pass", (locs, p))
     return p

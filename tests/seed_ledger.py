@@ -75,7 +75,11 @@ LEDGER = (
         ("held-out", "tests/test_estimate.py::TestFitSymmetries::"
                      "test_default_fit_at_any_data_scale"),
         ("held-out", "tests/test_asymptotics.py::TestPopulationClosedForms::"
-                     "test_ess_within_its_spread_of_the_closed_form"))),
+                     "test_ess_within_its_spread_of_the_closed_form"),
+        ("held-out", "tests/test_asymptotics.py::TestPopulationClosedForms::"
+                     "test_default_fit_recovers_theta_q_at_population_scale"),
+        ("reviewed", "seeds 9140001-9140002, looked at while planning the population-scale "
+                     "fit of theta_q"))),
     Seeds("SimConfig.seed", 9140100, 9140119, (
         ("calibration", "the band of tests/test_asymptotics.py::TestPopulationClosedForms::"
                         "test_ess_within_its_spread_of_the_closed_form"),)),
@@ -87,6 +91,9 @@ LEDGER = (
     Seeds("bench/run.py --seed", 2711, 2715, (("benchmark", "benchmark pairs"),)),
     Seeds("bench/run.py --seed", 2801, 2810, (
         ("benchmark", "benchmark pairs of the change that solves sigma2 on (0, inf)"),)),
+    Seeds("bench/run.py --seed", 2811, 2830, (
+        ("benchmark", "benchmark pairs of the change where a short Newton step confirms "
+                      "its start unscored"),)),
     Seeds("generators", 5, 6, (
         ("reviewed", "the 2d536fd review, item 19: sites seed 5, replicate seed 6"),)),
     Seeds("generators", 11, 12, (

@@ -692,6 +692,15 @@ def clean_samples():
             for n in (9, 25)}
 
 
+@pytest.fixture(scope="module")
+def population_sample():
+    """m = 20000 clean replicates on an n = 25 grid (smooth theta0), on a held-out seed."""
+    seeds = held_out("SimConfig.seed", "tests/test_asymptotics.py::TestPopulationClosedForms::"
+                                       "test_default_fit_recovers_theta_q_at_population_scale")
+    theta0 = MaternParams(1.0, 0.3, 1.5)
+    return simulate_dataset(SimConfig(theta0, n=25, m=20000, seed=seeds[3]))[:2] + (theta0,)
+
+
 def theta_q(theta0, q):
     """The MLqE's target under the model, (q sigma2, beta, nu) (see ``estimate``)."""
     return MaternParams(q * theta0.sigma2, theta0.beta, theta0.nu)
@@ -745,3 +754,17 @@ class TestPopulationClosedForms:
         gap = res.theta_hat.as_array() - theta_q(theta0, q).as_array()
         assert np.all(np.abs(gap) <= 4.0 * se)
         assert np.all(se <= 0.02 * theta_q(theta0, q).as_array())
+
+    @pytest.mark.parametrize("q", [0.9, 0.8, 0.7])
+    def test_default_fit_recovers_theta_q_at_population_scale(self, population_sample, q):
+        # m = 20000 lies far above F (20 at q = 0.7), so the plug-in
+        # sandwich's se is the estimate's own spread: each component of a
+        # default fit lies within 4 se / sqrt(m) of theta_q = (q sigma2,
+        # beta, nu).  Here |z| <= 1.8; a fit that ignored q (sigma2 near 1)
+        # reads |z| of 6.9, 10.9 and 16.5 in sigma2
+        locs, reps, theta0 = population_sample
+        res = fit(reps, locs, q)
+        assert res.converged
+        se = std_errs(sandwich(reps, locs, res.theta_hat, q)).se / np.sqrt(reps.m)
+        z = (res.theta_hat.as_array() - theta_q(theta0, q).as_array()) / se
+        assert np.all(np.abs(z) <= 4.0), z

@@ -678,7 +678,7 @@ class TestLastFactor:
         assert copy is not p and len(factored) == 2
         assert twin._last_pass[0] is locs and twin._last_pass[1] is copy
         assert reps._last_pass[0] is locs and reps._last_pass[1] is p
-        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+        for name in ("g", "w", "S", "log_scale"):
             assert np.array_equal(getattr(copy, name), getattr(p, name))
 
     @pytest.mark.parametrize("writeable", [True, False])
@@ -900,7 +900,7 @@ class TestLastFactor:
         search.score(u, terms=True)
         search.newton_step(u)
         assert len(factored) == 3
-        for name in ("g", "w", "S", "log_det_r", "log_scale"):
+        for name in ("g", "w", "S", "log_scale"):
             assert np.array_equal(getattr(again, name), getattr(search.last_pass, name))
 
     def test_a_score_with_the_terms_serves_a_pass_over_any_m(self, factored):
@@ -921,7 +921,7 @@ class TestLastFactor:
             assert factored == [] and ws._bufs["pass"] is terms
             fresh = _weighted_derivs(ReplicateSet(reps.data), locs, theta, 0.9)
             assert len(factored) == 1
-            for name in ("g", "w", "S", "log_det_r", "log_scale"):
+            for name in ("g", "w", "S", "log_scale"):
                 assert np.array_equal(getattr(handed, name), getattr(fresh, name))
 
 
