@@ -13,9 +13,8 @@ sum, so both have the same argmax.
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from lqmatern import (MaternParams, SimConfig, build_cov, chol_factor,
+from lqmatern import (MaternParams, SimConfig, build_cov, chol_factor, fit,
                       simulate_dataset)
-from lqmatern.gauss_lik import profile_lq
 
 cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=100, m=100, layout="grid",
                 seed=0)
@@ -89,8 +88,9 @@ print("\nat q = 0.5 every f^(1-q) is lost against the -1 of its term, so the "
       "exact sum reads -m/(1-q) = %g at both points; the log-domain value "
       "still tells them apart" % (-reps.m / 0.5))
 
-# the library's profile_lq solves sigma2 at (beta, nu), and its V there is
-# log_value's
-s2, v = profile_lq(reps, locs, th_try.beta, th_try.nu, 0.5)
-print("profile_lq at q = 0.5: sigma2 = %.6g, V = %.12g; log_value there: %.12g"
-      % (s2, v, log_value(MaternParams(s2, th_try.beta, th_try.nu), 0.5)))
+# the library's fit maximizes this V, with sigma2 solved at each (beta, nu),
+# and reports exp((1-q) (V + n)) as its objective below q = 1
+q = 0.95
+res = fit(reps, locs, q)
+print("fit at q = %.2f: V from its objective %.12g; log_value at its estimate: %.12g"
+      % (q, np.log(res.objective) / (1.0 - q) - reps.n, log_value(res.theta_hat, q)))

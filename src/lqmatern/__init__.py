@@ -9,8 +9,7 @@ lot.
 
 from .asymptotics import (SandwichParts, SingularJError, StdErrs, sandwich,
                           std_errs, ustar_all)
-from .estimate import (Bounds, FitChain, FitResult, QProfile, default_bounds,
-                       fit, fit_profile)
+from .estimate import Bounds, FitChain, FitResult, default_bounds, fit
 from .gauss_lik import CholFactor, NotSPDError, ReplicateSet, chol_factor
 from .matern import LocationSet, MaternParams, build_cov, matern_cov
 from .qselect import (QGridSpec, SelectionResult, default_kappa_spec, kappa,
@@ -23,11 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bounds", "CholFactor", "ContaminationSpec", "FitChain", "FitResult",
-    "LocationSet", "MaternParams", "NotSPDError", "QGridSpec", "QProfile",
+    "LocationSet", "MaternParams", "NotSPDError", "QGridSpec",
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
     "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
     "center_replicates", "chol_factor", "default_bounds",
-    "default_kappa_spec", "fit", "fit_profile", "kappa", "make_se_fn",
+    "default_kappa_spec", "fit", "kappa", "make_se_fn",
     "matern_cov", "sandwich", "select_q_kappa", "select_q_sqv",
     "simulate_dataset", "sqv", "standardized", "std_errs", "ustar_all",
     "variogram_by_replicate",

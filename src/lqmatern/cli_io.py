@@ -622,7 +622,7 @@ def _sweep_repetition(cfg, rep_id, rows):
     # fitted once, and every fit after the first starts from the
     # re-weighted Newton steps of the fitted q nearest to it
     chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
-    rows.extend(_row_from_fit(rep_id, fr) for fr in chain.profile(cfg.q_grid.grid).fits)
+    rows.extend(_row_from_fit(rep_id, fr) for fr in chain.profile(cfg.q_grid.grid))
     if cfg.selector == "none":
         return None
     sel = _select(cfg, reps, locs, chain)

@@ -120,7 +120,7 @@ _NEWTON_STEPS = 6
 # Evaluation and iteration budget of each Nelder-Mead run.
 _MAX_EVALS = 5000
 
-# ``tol`` of fit, FitChain and fit_profile when none is given.
+# ``tol`` of fit and FitChain when none is given.
 DEFAULT_TOL = 1e-6
 
 # Share of a bound interval's width by which ``default_init`` moves a
@@ -188,29 +188,6 @@ class FitResult:
     restarts: int = 0
     newton_steps: int = 0
     _pass: object = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class QProfile:
-    """Fits along a descending q grid starting at 1, one per grid q; ValueError otherwise.
-
-    A fit's q matches its grid point as ``FitChain`` keys them, to 12
-    decimals.
-    """
-
-    grid: tuple
-    fits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", _checked_q_grid(self.grid))
-        object.__setattr__(self, "fits", tuple(self.fits))
-        if [round(f.q, 12) for f in self.fits] != [round(q, 12) for q in self.grid]:
-            raise ValueError("fits must hold one fit per grid q, in grid order")
-
-    def kappa_curve(self):
-        from .qselect import kappa
-
-        return np.array([kappa(f.theta_hat) for f in self.fits])
 
 
 def _checked_q_grid(grid):
@@ -358,7 +335,7 @@ class _Search:
         self.ws = _Workspace()
 
     def score(self, u, terms=False):
-        """Score u into ``scored`` as profile_lq does; with ``terms``, a pass at u comes next.
+        """Score u into ``scored`` as (sigma2, V); with ``terms``, a pass at u comes next.
 
         ``terms`` has the score make the pass's kernel terms in the same
         walk, and the workspace keep R's factor for that pass
@@ -603,12 +580,13 @@ class FitChain:
         return self.fit(q).theta_hat
 
     def profile(self, grid):
-        """QProfile of the fits along a descending grid starting at 1.
+        """The fits along a descending grid starting at 1, a tuple in grid order.
 
         A q value whose fit fails outright (``fit``'s NotSPDError or
         RuntimeError) is recorded as a non-converged placeholder (objective
         NaN) at the nearest fitted estimate (init if there is none), and the
-        chain continues without it.
+        chain continues without it.  A grid that does not start at 1 or fall
+        strictly within (0, 1] raises ValueError before any fit.
         """
         grid = _checked_q_grid(grid)
         fits = []
@@ -620,9 +598,4 @@ class FitChain:
                 fits.append(FitResult(theta_hat=theta, objective=float("nan"),
                                       q=q, iterations=0, evaluations=0,
                                       converged=False, init=theta))
-        return QProfile(grid=grid, fits=tuple(fits))
-
-
-def fit_profile(reps, locs, grid, bounds=None, init=None, tol=DEFAULT_TOL):
-    """``FitChain.profile`` of a fresh chain: fits along a descending q grid."""
-    return FitChain(reps, locs, bounds, init, tol).profile(grid)
+        return tuple(fits)

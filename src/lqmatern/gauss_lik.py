@@ -33,10 +33,9 @@ every log density at any sigma2:
 Every (beta, nu) is scored one way: ``_corr_factor`` builds R as
 ``build_cov`` does, into a buffer it reuses, and factors it there; then
 ``_profile_factor`` solves for sigma2 on that factor in O(m)
-(``profile_sigma2``) and returns V there.  ``profile_lq`` runs the two in
-turn; the fit runs them itself.  sigma2 is solved on (0, inf), with no
-bounds, so the data times c give sigma2 times c^2 and V shifted by a
-constant at every (beta, nu).
+(``profile_sigma2``) and returns V there; the fit runs the two in turn.
+sigma2 is solved on (0, inf), with no bounds, so the data times c give
+sigma2 times c^2 and V shifted by a constant at every (beta, nu).
 
 The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
 steps and ``FitChain``'s starts: ``_weighted_derivs`` returns it as a
@@ -426,19 +425,6 @@ def _corr_factor(locs, beta, nu, ws, terms=False):
     if terms:
         ws.held = (corr.beta, corr.nu, chol)
     return chol
-
-
-def profile_lq(reps, locs, beta, nu, q):
-    """(sigma2, V) at (beta, nu), with sigma2 solved on (0, inf) (``profile_sigma2``).
-
-    Raises ValueError for a q outside (0, 1] or data whose rows do not
-    match ``locs``, before R is built, NotSPDError carrying MaternParams(1,
-    beta, nu) if R cannot be factored, and ValueError where V has no
-    maximum in sigma2 (a replicate that is 0 at every site, at q < 1).
-    """
-    _checked_q(q)
-    _checked_rows(reps.n, locs.n)
-    return _profile_factor(reps, _corr_factor(locs, beta, nu, _Workspace()), q)
 
 
 # The strict upper triangle of a diagonal block of ``_mirror_lower``.

@@ -131,13 +131,6 @@ class MaternParams:
     def as_array(self):
         return np.array([self.sigma2, self.beta, self.nu])
 
-    @classmethod
-    def from_array(cls, arr):
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (3,):
-            raise ValueError("expected a length-3 array (sigma2, beta, nu)")
-        return cls(a[0], a[1], a[2])
-
 
 @dataclass(frozen=True, eq=False)
 class LocationSet:

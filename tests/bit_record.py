@@ -124,8 +124,7 @@ def design_record(theta0, n, m, layout, seed, scaled=False):
             out["sandwich_miss"] = sandwich_record(reps, LocationSet(locs.coords), res.theta_hat,
                                                    q)
     if n <= 150:
-        profile = FitChain(reps, locs).profile(PROFILE_GRID)
-        out["profile"] = [fit_record(f) for f in profile.fits]
+        out["profile"] = [fit_record(f) for f in FitChain(reps, locs).profile(PROFILE_GRID)]
     return out
 
 

@@ -8,7 +8,8 @@ terms on their own, made by the package's term makers with a Bessel call
 of their own at each order (``kernel_terms``), and everything in its
 textbook form: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
-log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), one
+log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), the
+profiled score (sigma2, V) of one (beta, nu), one
 replicate's U* and V*, every replicate's gradient and Hessian from Sigma's
 own factor (the reference of the derivative pass), one vector's
 variogram, and every replicate's variogram binned one at a time.  This
@@ -22,8 +23,9 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from lqmatern.asymptotics import ustar_all
-from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _quad_forms,
-                                _weighted_derivs, chol_factor)
+from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _corr_factor, _lq_weights,
+                                _profile_factor, _quad_forms, _weighted_derivs, _Workspace,
+                                chol_factor)
 from lqmatern.matern import (MaternParams, _cheb_g, _cheb_terms, _direct_g, _direct_terms,
                              _term_rows, build_cov, matern_cov)
 from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
@@ -125,6 +127,19 @@ def total_lq(reps, locs, theta, q):
     """The exact Lq sum over the replicates at one parameter point."""
     chol = chol_factor(build_cov(locs, theta))
     return float(np.sum(lq_of_loglik(loglik_columns(reps.data, chol), q)))
+
+
+def profile_lq(reps, locs, beta, nu, q, ws=None):
+    """(sigma2, V) at (beta, nu), with sigma2 solved on (0, inf), as the fit scores a point.
+
+    R is built and factored in the workspace ``ws``, a fresh one if None:
+    points scored through one workspace reuse its buffers, as a fit's do.
+    Checks no input; raises NotSPDError carrying MaternParams(1, beta, nu)
+    if R cannot be factored, and ValueError where V has no maximum in
+    sigma2 (a replicate that is 0 at every site, at q < 1).
+    """
+    chol = _corr_factor(locs, beta, nu, _Workspace() if ws is None else ws)
+    return _profile_factor(reps, chol, q)
 
 
 def ess_fraction(n, q):

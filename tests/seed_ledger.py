@@ -44,7 +44,8 @@ LEDGER = (
         ("reviewed", "seed 5, in the 6e005cb review (items 1, 2, 15 and 16)"),
         ("reviewed", "seed 3, CHANGES.md's table of the wrong answers a fixed sigma2 box "
                      "gave, and tests/test_estimate.py::TestFitSymmetries::"
-                     "test_a_replicate_of_zeros_has_no_maximum_below_q_one"))),
+                     "test_a_replicate_of_zeros_has_no_maximum_below_q_one"),
+        ("reviewed", "seeds 1-3, item 3's restart census at tol 1e-6 to 1e-10"))),
     Seeds("SimConfig.seed", 50, 69, (("reviewed", "items 9 and 10"),)),
     Seeds("SimConfig.seed", 100, 199, (("calibration", "proposed for item 4"),)),
     Seeds("SimConfig.seed", 300, 339, (
@@ -94,6 +95,12 @@ LEDGER = (
     Seeds("bench/run.py --seed", 2811, 2830, (
         ("benchmark", "benchmark pairs of the change where a short Newton step confirms "
                       "its start unscored"),)),
+    Seeds("bench/run.py --seed", 2901, 2910, (
+        ("benchmark", "benchmark pairs of the change where FitChain.profile returns its "
+                      "fits"),)),
+    Seeds("bench/run.py --seed", 2999, 2999, (
+        ("benchmark", "traced runs of the change where FitChain.profile returns its "
+                      "fits"),)),
     Seeds("generators", 5, 6, (
         ("reviewed", "the 2d536fd review, item 19: sites seed 5, replicate seed 6"),)),
     Seeds("generators", 11, 12, (

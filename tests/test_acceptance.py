@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from lqmatern.asymptotics import sandwich, std_errs, ustar_all
-from lqmatern.estimate import FitChain, fit, fit_profile
+from lqmatern.estimate import FitChain, fit
 from lqmatern.gauss_lik import ReplicateSet, chol_factor
 from lqmatern.matern import LocationSet, MaternParams, build_cov, matern_cov
 from lqmatern.qselect import (QGridSpec, default_kappa_spec, kappa,
@@ -61,8 +61,8 @@ def test_criterion_01_kernel_derivatives():
             tp, tm = t.copy(), t.copy()
             tp[j] += s
             tm[j] -= s
-            fd = (matern_cov(h, MaternParams.from_array(tp))
-                  - matern_cov(h, MaternParams.from_array(tm))) / (2 * s)
+            fd = (matern_cov(h, MaternParams(*tp))
+                  - matern_cov(h, MaternParams(*tm))) / (2 * s)
             rel = abs(g[j] - fd) / max(abs(fd), 1e-8 * th.sigma2)
             if j < 2:
                 worst_sb = max(worst_sb, rel)
@@ -74,8 +74,8 @@ def test_criterion_01_kernel_derivatives():
             tp, tm = t.copy(), t.copy()
             tp[k] += s
             tm[k] -= s
-            fd = (matern_grad(h, MaternParams.from_array(tp))
-                  - matern_grad(h, MaternParams.from_array(tm))) / (2 * s)
+            fd = (matern_grad(h, MaternParams(*tp))
+                  - matern_grad(h, MaternParams(*tm))) / (2 * s)
             rel = np.abs(hh[:, k] - fd) / np.maximum(np.abs(fd),
                                                      1e-6 * th.sigma2)
             for j in range(3):
@@ -127,9 +127,9 @@ def test_criterion_03_lq_limit():
     q_near = 1.0 - 1e-8
     worst = max(abs(lq_of_loglik(l, q_near) - l)
                 / (1.0 + abs(l)) for l in ls)
-    prof = fit_profile(reps, locs, (1.0, 0.9999))
-    a = prof.fits[0].theta_hat.as_array()
-    b = prof.fits[1].theta_hat.as_array()
+    prof = FitChain(reps, locs).profile((1.0, 0.9999))
+    a = prof[0].theta_hat.as_array()
+    b = prof[1].theta_hat.as_array()
     rel = np.abs(b - a) / np.abs(a)
     ok = worst < 1e-6 and rel.max() < 0.01
     report(3, ok, "L_q at q = 1 - 1e-8 within %.2e of l (allow 1e-6); "
@@ -156,7 +156,7 @@ def test_criterion_04_scaling_invariance():
     x0 = np.log(res.theta_hat.as_array())
 
     def exact(x):
-        return total_lq(reps, locs, MaternParams.from_array(np.exp(x)), q)
+        return total_lq(reps, locs, MaternParams(*np.exp(x)), q)
 
     e_g, e_h = 1e-5 * np.eye(3), 1e-3 * np.eye(3)
     grad = np.array([(exact(x0 + e_g[j]) - exact(x0 - e_g[j])) / 2e-5
@@ -196,9 +196,8 @@ def test_criterion_05_clean_data_recovery():
     for seed in range(N_SEEDS):
         cfg = SimConfig(THETA0, n=100, m=100, layout="grid", seed=seed)
         locs, reps, _ = simulate_dataset(cfg)
-        prof = fit_profile(reps, locs, grid)
-        for q, f in zip(prof.grid, prof.fits):
-            thetas[q].append(f.theta_hat)
+        for f in FitChain(reps, locs).profile(grid):
+            thetas[f.q].append(f.theta_hat)
     kap = {q: np.array([kappa(th) for th in thetas[q]]) for q in grid}
     est = {q: np.array([th.as_array() for th in thetas[q]]) for q in grid}
     mse = {q: float(np.mean((kap[q] - KAPPA0) ** 2)) for q in grid}
@@ -241,9 +240,9 @@ def test_criterion_06_contamination_robustness():
         cfg = SimConfig(THETA0, n=100, m=100, layout="grid", seed=seed,
                         contamination=ContaminationSpec(r=0.1, noise_sd=1.0))
         locs, reps, _ = simulate_dataset(cfg)
-        prof = fit_profile(reps, locs, (1.0, 0.99))
-        err1.append(abs(kappa(prof.fits[0].theta_hat) - KAPPA0))
-        err99.append(abs(kappa(prof.fits[1].theta_hat) - KAPPA0))
+        prof = FitChain(reps, locs).profile((1.0, 0.99))
+        err1.append(abs(kappa(prof[0].theta_hat) - KAPPA0))
+        err99.append(abs(kappa(prof[1].theta_hat) - KAPPA0))
     med1, med99 = float(np.median(err1)), float(np.median(err99))
     wins = int(np.sum(np.asarray(err99) < np.asarray(err1)))
     ok = med1 > med99 and wins >= int(0.7 * N_SEEDS)
@@ -351,8 +350,8 @@ def test_criterion_08_sandwich_machinery():
                 tp, tm = t.copy(), t.copy()
                 tp[r] += steps[r]
                 tm[r] -= steps[r]
-                want[r] = (lq_contrib(z, MaternParams.from_array(tp), q)
-                           - lq_contrib(z, MaternParams.from_array(tm), q)) \
+                want[r] = (lq_contrib(z, MaternParams(*tp), q)
+                           - lq_contrib(z, MaternParams(*tm), q)) \
                     / (2 * steps[r])
             worst_u = max(worst_u, np.abs(got - want).max()
                           / max(np.abs(want).max(), 1.0))
@@ -371,9 +370,9 @@ def test_criterion_08_sandwich_machinery():
                 tp, tm = t.copy(), t.copy()
                 tp[r] += steps[r]
                 tm[r] -= steps[r]
-                want[:, r] = (ustar(z, locs_fd, MaternParams.from_array(tp), q)
+                want[:, r] = (ustar(z, locs_fd, MaternParams(*tp), q)
                               - ustar(z, locs_fd,
-                                      MaternParams.from_array(tm), q)) \
+                                      MaternParams(*tm), q)) \
                     / (2 * steps[r])
             worst_v = max(worst_v, np.abs(got - want).max()
                           / max(np.abs(want).max(), 1.0))

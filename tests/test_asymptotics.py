@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -51,8 +52,8 @@ def fd_ustar(z, locs, theta, q):
         tp, tm = t.copy(), t.copy()
         tp[r] += steps[r]
         tm[r] -= steps[r]
-        out[r] = (lq_contrib(z, locs, MaternParams.from_array(tp), q)
-                  - lq_contrib(z, locs, MaternParams.from_array(tm), q)) \
+        out[r] = (lq_contrib(z, locs, MaternParams(*tp), q)
+                  - lq_contrib(z, locs, MaternParams(*tm), q)) \
             / (2 * steps[r])
     return out
 
@@ -165,8 +166,8 @@ class TestVstar:
                     tp, tm = t.copy(), t.copy()
                     tp[r] += steps[r]
                     tm[r] -= steps[r]
-                    up = ustar(z, LOCS7, MaternParams.from_array(tp), q)
-                    um = ustar(z, LOCS7, MaternParams.from_array(tm), q)
+                    up = ustar(z, LOCS7, MaternParams(*tp), q)
+                    um = ustar(z, LOCS7, MaternParams(*tm), q)
                     jac[:, r] = (up - um) / (2 * steps[r])
                 jac = 0.5 * (jac + jac.T)
                 scale = max(np.abs(jac).max(), 1.0)
@@ -492,7 +493,7 @@ def test_se_reproducible_at_rounding_level(layout):
             for k in (1, 2, 3):
                 t = theta.as_array()
                 t[j] *= 1.0 + k * 1e-14
-                se = std_errs(sandwich(reps, locs, MaternParams.from_array(t), q)).se
+                se = std_errs(sandwich(reps, locs, MaternParams(*t), q)).se
                 np.testing.assert_allclose(se, base, rtol=1e-10, atol=0.0)
 
 
@@ -701,6 +702,33 @@ def population_sample():
     return simulate_dataset(SimConfig(theta0, n=25, m=20000, seed=seeds[3]))[:2] + (theta0,)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+SUPERSCRIPT = str.maketrans("⁻⁰¹²³⁴⁵⁶⁷⁸⁹", "-0123456789")
+
+
+def printed(cell):
+    """(value, significant digits) of a number as the README prints it: 0.0090, 361 or 1.6·10⁵."""
+    mantissa, _, power = cell.partition("·10")
+    return (float(mantissa) * 10.0 ** int(power.translate(SUPERSCRIPT) or 0),
+            len(mantissa.replace(".", "").lstrip("0")))
+
+
+def readme_tables():
+    """The tables in the README's range section, as [(q's, {n: row of cells})] in order."""
+    section = README.read_text().split("## Where the claimed range can be reached")[1]
+    tables = []
+    for line in section.split("\n## ")[0].splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or cells[0].startswith("-"):
+            continue
+        if cells[0] == "n":
+            tables.append(([float(c.removeprefix("q = ")) for c in cells[1:]], {}))
+        else:
+            tables[-1][1][int(cells[0])] = cells[1:]
+    return tables
+
+
 def theta_q(theta0, q):
     """The MLqE's target under the model, (q sigma2, beta, nu) (see ``estimate``)."""
     return MaternParams(q * theta0.sigma2, theta0.beta, theta0.nu)
@@ -715,6 +743,22 @@ class TestPopulationClosedForms:
     own standard deviations, at m far above F = ((2-q)^2 / (q(4-3q)))^(n/2)
     (at most 20 here), where the sampled weights' moments are well sampled.
     """
+
+    def test_readme_map_is_the_closed_forms(self):
+        # every cell of the README's map, ESS/m / F and the efficiency of
+        # (beta, nu), is its closed form rounded to the digits printed
+        (qs, pairs), (qs_eff, eff) = readme_tables()
+        assert qs == qs_eff == [0.95, 0.9, 0.8, 0.7, 0.5]
+        assert list(pairs) == list(eff) == [100, 400, 900]
+        for n in pairs:
+            for q, pair, cell_eff in zip(qs, pairs[n], eff[n], strict=True):
+                ess = ess_fraction(n, q)
+                cell_ess, cell_f = pair.split(" / ")
+                for cell, want in ((cell_ess, ess), (cell_f, weight_moment_ratio(n, q)),
+                                   (cell_eff, q * q * (2.0 - q) ** 2 * ess)):
+                    value, digits = printed(cell)
+                    rounded = float("%.*e" % (digits - 1, want))
+                    assert rounded == pytest.approx(value, rel=1e-12, abs=0.0), (n, q, cell)
 
     @pytest.mark.parametrize("q", [0.95, 0.9, 0.8, 0.7])
     def test_ess_fraction_is_the_closed_form(self, population_data, q):

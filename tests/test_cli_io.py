@@ -14,7 +14,7 @@ from lqmatern.cli_io import (DataError, SweepRow, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, summarize_sweep,
                              write_locations, write_record, write_replicates)
-from lqmatern.estimate import FitChain, default_bounds, fit, fit_profile
+from lqmatern.estimate import FitChain, default_bounds, fit
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.qselect import (QGridSpec, default_kappa_spec, kappa, make_se_fn,
@@ -172,7 +172,7 @@ class TestBuildConfig:
         assert cfg.q_grid == default_kappa_spec()
         assert build_config({"selector": "sqv"}).q_grid == QGridSpec()
         assert cfg.bounds == default_bounds() and cfg.init is None
-        for owner in (fit, FitChain, fit_profile):
+        for owner in (fit, FitChain):
             assert inspect.signature(owner).parameters["tol"].default == cfg.tol
 
     def test_sqv_selector_flips_default_threshold(self):

@@ -11,15 +11,14 @@ from scipy.optimize import minimize
 import lqmatern.estimate as est
 from lqmatern import gauss_lik, matern
 from lqmatern.asymptotics import sandwich
-from lqmatern.estimate import (Bounds, FitChain, QProfile, default_bounds,
-                               default_init, fit, fit_profile)
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _weighted_derivs, chol_factor,
-                                profile_lq)
+from lqmatern.estimate import Bounds, FitChain, default_bounds, default_init, fit
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _weighted_derivs, _Workspace,
+                                chol_factor)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import DEFAULT_GRID
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
-from oracles import loglik_columns, total_lq
+from oracles import loglik_columns, profile_lq, total_lq
 from seed_ledger import held_out
 
 THETA0 = MaternParams(1.0, 0.2, 0.5)
@@ -162,14 +161,12 @@ class TestFit:
     def test_tol_validation(self, small_data, tol):
         # a NaN or negative tol ran the simplex to its budget, and an
         # infinite one confirmed the start; each is refused before any
-        # point is scored, by fit, FitChain and fit_profile alike
+        # point is scored, by fit and FitChain alike
         locs, reps = small_data
         with pytest.raises(ValueError, match="tol"):
             fit(reps, locs, 0.9, tol=tol)
         with pytest.raises(ValueError, match="tol"):
             FitChain(reps, locs, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            fit_profile(reps, locs, (1.0, 0.9), tol=tol)
 
     def test_budget_exhaustion_not_converged(self, small_data, monkeypatch):
         locs, reps = small_data
@@ -431,12 +428,14 @@ PROFILE_RTOL = 1e-4
 def fd_profile(reps, locs, p, q, log=False):
     """Central-difference gradient and Hessian of profile_lq's value.
 
-    In (beta, nu), or with ``log`` in y = log(beta, nu), at (beta, nu) = p.
+    In (beta, nu), or with ``log`` in y = log(beta, nu), at (beta, nu) = p;
+    the nine points are scored in one workspace.
     """
     h = np.full(2, PROFILE_FD_STEP) if log else PROFILE_FD_STEP * p
+    ws = _Workspace()
 
     def f(dp):
-        return profile_lq(reps, locs, *(p * np.exp(dp) if log else p + dp), q)[1]
+        return profile_lq(reps, locs, *(p * np.exp(dp) if log else p + dp), q, ws)[1]
 
     e = np.diag(h)
     f0 = f(np.zeros(2))
@@ -833,11 +832,11 @@ class TestNewtonFinish:
         # every fit after the first starts with Newton at the previous one
         # and confirms there; the grid holds SYM_QS in steps of 0.1
         locs, reps, base = interior_data
-        prof = fit_profile(reps, locs, (1.0, 0.9, 0.8, 0.7, 0.6, 0.5))
-        for res in prof.fits[1:]:
+        prof = FitChain(reps, locs).profile((1.0, 0.9, 0.8, 0.7, 0.6, 0.5))
+        for res in prof[1:]:
             assert res.converged and res.restarts == 0
             assert res.evaluations <= 6
-        for res in prof.fits:
+        for res in prof:
             if res.q in base:
                 assert scaled_gap(res.theta_hat, base[res.q].theta_hat) <= 1e-6
 
@@ -1651,57 +1650,43 @@ class TestChainStart:
                                 layout=layout, seed=seed,
                                 contamination=ContaminationSpec(0.1, 1.0))
                 locs, reps, _flags = simulate_dataset(cfg)
-                for res in fit_profile(reps, locs, DEFAULT_GRID).fits:
+                for res in FitChain(reps, locs).profile(DEFAULT_GRID):
                     assert res.converged and res.restarts == 0
                     total += res.newton_steps
         assert total <= GUARD_CHAIN_PASSES
 
 
 class TestQProfile:
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            QProfile(grid=(0.99, 0.98), fits=())
-        with pytest.raises(ValueError):
-            QProfile(grid=(1.0, 0.98, 0.98), fits=())
-        with pytest.raises(ValueError):
-            QProfile(grid=(), fits=())
+    """``FitChain.profile``: the fits along a q grid, a tuple in grid order."""
+
+    def test_grid_validation(self, small_data):
+        locs, reps = small_data
+        chain = FitChain(reps, locs)
+        for grid in ((0.99, 0.98), (1.0, 0.98, 0.98), ()):
+            with pytest.raises(ValueError):
+                chain.profile(grid)
         # NaN fails every comparison, so a grid ending in NaN once passed
         for grid in ((1.0, float("nan")), (1.0, 0.9, float("nan")), (1.0, -np.inf)):
             with pytest.raises(ValueError, match="strictly decreasing"):
-                QProfile(grid=grid, fits=())
-
-    def test_fits_must_match_the_grid(self, small_data):
-        # a fit per grid q, each at its grid point: two fits on a grid of
-        # three once gave a kappa curve of two values
-        locs, reps = small_data
-        fits = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3).fits
-        for grid in ((1.0, 0.95, 0.9), (1.0, 0.9), (1.0,)):
-            with pytest.raises(ValueError, match="one fit per grid q"):
-                QProfile(grid=grid, fits=fits)
-        assert QProfile(grid=(1.0, 0.95), fits=fits).kappa_curve().shape == (2,)
-
-    def test_grid_is_kept_as_a_tuple(self, small_data):
-        # an ndarray grid made the profile unhashable and its == ambiguous
-        locs, reps = small_data
-        prof = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3)
-        for grid in (np.array([1.0, 0.95]), [1.0, 0.95]):
-            same = QProfile(grid=grid, fits=prof.fits)
-            assert same.grid == (1.0, 0.95)
-            assert same == prof and hash(same) == hash(prof)
+                chain.profile(grid)
 
     def test_fits_are_kept_as_a_tuple(self, small_data):
-        # a list of fits made the profile unhashable and unequal to its twin
+        # one fit per grid q, in grid order, and a tuple, hashable and equal
+        # to its twin, whatever sequence the grid came in
         locs, reps = small_data
-        prof = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3)
-        same = QProfile(grid=prof.grid, fits=list(prof.fits))
-        assert same.fits == prof.fits and same == prof and hash(same) == hash(prof)
+        chain = FitChain(reps, locs, tol=1e-3)
+        prof = chain.profile((1.0, 0.95))
+        assert isinstance(prof, tuple) and [f.q for f in prof] == [1.0, 0.95]
+        for grid in (np.array([1.0, 0.95]), [1.0, 0.95]):
+            same = chain.profile(grid)
+            assert same == prof and hash(same) == hash(prof)
 
     def test_fit_profile_rejects_a_non_finite_grid(self, small_data, monkeypatch):
         # refused before any fit runs
         locs, reps = small_data
         monkeypatch.setattr(est, "fit", None)
         with pytest.raises(ValueError, match="strictly decreasing"):
-            fit_profile(reps, locs, (1.0, 0.95, float("nan")))
+            FitChain(reps, locs).profile((1.0, 0.95, float("nan")))
 
     def test_fit_profile_warm_start_chain(self, small_data):
         # the second fit starts one re-weighted Newton step from the first:
@@ -1710,22 +1695,12 @@ class TestQProfile:
         # their two steps.  Each start lands nearer its estimate than the
         # neighbour's own estimate does
         locs, reps = small_data
-        grid = (1.0, 0.97, 0.94)
-        chain = FitChain(reps, locs, tol=1e-4)
-        prof = chain.profile(grid)
-        assert prof.grid == grid
-        first, second, third = prof.fits
+        first, second, third = FitChain(reps, locs, tol=1e-4).profile((1.0, 0.97, 0.94))
         assert second.init == stepped(first.theta_hat, first._pass, 0.97)
         assert third.init == extrapolated(second, first, 0.94)
         for near, res in ((first, second), (second, third)):
             assert scaled_gap(res.init, res.theta_hat) < scaled_gap(
                 near.theta_hat, res.theta_hat)
-
-    def test_kappa_curve_shape(self, small_data):
-        locs, reps = small_data
-        prof = fit_profile(reps, locs, (1.0, 0.95), tol=1e-3)
-        kc = prof.kappa_curve()
-        assert kc.shape == (2,) and np.all(kc > 0)
 
     def test_unconverged_sigma2_solve_becomes_placeholder(self, small_data, monkeypatch):
         # the sigma2 solve at q = 0.97 gets no step that ends it, so that
@@ -1742,10 +1717,10 @@ class TestQProfile:
         with pytest.raises(RuntimeError):
             fit(reps, locs, 0.97, tol=1e-4)
         prof = FitChain(reps, locs, tol=1e-4).profile((1.0, 0.97, 0.94))
-        mid = prof.fits[1]
+        mid = prof[1]
         assert not mid.converged and np.isnan(mid.objective)
-        assert mid.theta_hat == prof.fits[0].theta_hat
-        assert prof.fits[0].converged and prof.fits[2].converged
+        assert mid.theta_hat == prof[0].theta_hat
+        assert prof[0].converged and prof[2].converged
 
     def test_failed_point_becomes_placeholder(self, small_data, monkeypatch):
         locs, reps = small_data
@@ -1759,14 +1734,14 @@ class TestQProfile:
         monkeypatch.setattr(est, "fit", flaky)
         chain = FitChain(reps, locs, tol=1e-4)
         prof = chain.profile((1.0, 0.97, 0.94))
-        mid = prof.fits[1]
+        mid = prof[1]
         assert not mid.converged and np.isnan(mid.objective)
         assert mid.newton_steps == 0
-        assert mid.theta_hat == prof.fits[0].theta_hat
+        assert mid.theta_hat == prof[0].theta_hat
         # the placeholder carries no pass and is not cached: the chain
         # resumes from the q = 1 fit's, re-weighted to 0.94
         assert mid._pass is None and set(chain._fits) == {1.0, 0.94}
-        first = prof.fits[0].theta_hat
-        assert prof.fits[2].init == stepped(first, prof.fits[0]._pass, 0.94)
-        assert prof.fits[2].init != first
-        assert prof.fits[2].converged
+        first = prof[0].theta_hat
+        assert prof[2].init == stepped(first, prof[0]._pass, 0.94)
+        assert prof[2].init != first
+        assert prof[2].converged

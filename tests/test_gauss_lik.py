@@ -13,12 +13,12 @@ from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich, ustar_all
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _weighted_derivs,
-                                chol_factor, profile_lq, profile_sigma2)
+                                chol_factor, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import QGridSpec, make_se_fn, select_q_kappa, select_q_sqv
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
-from oracles import log_likelihood, loglik_columns, lq_of_loglik, total_lq
+from oracles import log_likelihood, loglik_columns, lq_of_loglik, profile_lq, total_lq
 
 
 def dense_loglik(z, cov):
@@ -561,24 +561,6 @@ class TestProfileLq:
             off = MaternParams(f * sigma2, 0.3, 0.8)
             assert total_lq(self.reps, self.locs, off, q) < at
 
-    def test_q_validation(self):
-        with pytest.raises(ValueError):
-            profile_lq(self.reps, self.locs, 0.3, 0.8, 1.5)
-
-    @pytest.mark.parametrize("rows", [15, 17])
-    def test_rows_that_do_not_match_the_sites(self, monkeypatch, rows):
-        # checked at entry, before R is built and factored, and so before
-        # the triangular solve, which would read 16 of 17 rows, or solve
-        # nothing on 15
-        solves, factors = [], []
-        monkeypatch.setattr(gauss_lik, "dtrtrs", lambda *a, **k: solves.append(1))
-        monkeypatch.setattr(gauss_lik, "_factor_in_place", lambda *a: factors.append(1))
-        reps = ReplicateSet(np.ones((rows, 3)))
-        with pytest.raises(ValueError, match="data dimension %d does not match 16 locations"
-                           % rows):
-            profile_lq(reps, make_locations(16, "grid"), 0.3, 0.8, 0.9)
-        assert solves == [] and factors == []
-
     def test_not_spd_error_carries_correlation_params(self, monkeypatch):
         # R with unit diagonal and 2 off it, which no jitter makes SPD
         monkeypatch.setattr(gauss_lik, "_cov_into",
@@ -966,7 +948,6 @@ class TestWorkspaceBuffers:
         FitChain(reps, locs, tol=1e-4).profile(spec.grid)
         select_q_kappa(FitChain(reps, locs, tol=1e-4), replace(spec, L=4.0))
         select_q_sqv(FitChain(reps, locs, tol=1e-4), make_se_fn(reps, locs), spec, m=m)
-        profile_lq(reps, locs, 0.2, 0.5, 0.9)
         names = {name for name, _ in shared}
         assert {"R", "pass"} <= names and ("wide" in names) == (m >= n)
         assert [s for s in shared if s[1] != 0] == []

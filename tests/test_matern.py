@@ -88,7 +88,7 @@ class TestMaternParams:
 
     def test_array_round_trip(self):
         th = MaternParams(2.0, 0.3, 1.2)
-        assert MaternParams.from_array(th.as_array()) == th
+        assert MaternParams(*th.as_array()) == th
 
 
 class TestLocationSet:
@@ -203,8 +203,8 @@ class TestMaternGrad:
                 tp, tm = t.copy(), t.copy()
                 tp[j] += s
                 tm[j] -= s
-                fd = (matern_cov(h, MaternParams.from_array(tp))
-                      - matern_cov(h, MaternParams.from_array(tm))) / (2 * s)
+                fd = (matern_cov(h, MaternParams(*tp))
+                      - matern_cov(h, MaternParams(*tm))) / (2 * s)
                 scale = max(abs(fd), 1e-8 * th.sigma2)
                 assert abs(g[j] - fd) / scale < rel_tol
 
@@ -250,8 +250,8 @@ class TestMaternHess:
                 tp, tm = t.copy(), t.copy()
                 tp[k] += s
                 tm[k] -= s
-                fd = (matern_grad(h, MaternParams.from_array(tp))
-                      - matern_grad(h, MaternParams.from_array(tm))) / (2 * s)
+                fd = (matern_grad(h, MaternParams(*tp))
+                      - matern_grad(h, MaternParams(*tm))) / (2 * s)
                 scale = np.maximum(np.abs(fd), 1e-6 * th.sigma2)
                 assert np.all(np.abs(hh[:, k] - fd) / scale < 1e-5)
 
@@ -325,8 +325,8 @@ class TestBuilders:
             tp, tm = t.copy(), t.copy()
             tp[j] += s
             tm[j] -= s
-            fd = (build_cov(locs, MaternParams.from_array(tp))
-                  - build_cov(locs, MaternParams.from_array(tm))) / (2 * s)
+            fd = (build_cov(locs, MaternParams(*tp))
+                  - build_cov(locs, MaternParams(*tm))) / (2 * s)
             scale = max(np.abs(fd).max(), 1e-8)
             assert np.abs(dS[j] - fd).max() / scale < rel_tol
 
