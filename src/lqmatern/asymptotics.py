@@ -75,9 +75,17 @@ class StdErrs:
 
 
 def ustar_all(reps, locs, theta, q):
-    """The raw U* of every replicate, shape (3, m), from one factor of R."""
+    """The raw U* = w g e^s of every replicate, shape (3, m), from one factor of R.
+
+    Where e^s leaves the range of normal floats, or U* overflows, U* has no
+    float value, and FloatingPointError is raised instead of zeros or
+    infinities; ``sandwich`` keeps s apart and serves any scale.
+    """
     p = _weighted_derivs(reps, locs, theta, q)
-    return p.w * p.g * np.exp(p.log_scale)
+    with np.errstate(over="raise", under="raise"):
+        scale = np.exp(p.log_scale)
+    with np.errstate(over="raise"):
+        return p.w * p.g * scale
 
 
 def sandwich(reps, locs, theta_hat, q):

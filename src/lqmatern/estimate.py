@@ -338,11 +338,11 @@ class _Search:
         """Score u into ``scored`` as (sigma2, V); with ``terms``, a pass at u comes next.
 
         ``terms`` has the score make the pass's kernel terms in the same
-        walk, and the workspace keep R's factor for that pass
-        (``gauss_lik._corr_factor``).
+        walk, and the workspace keep R's factor and the whitened data for
+        that pass (``gauss_lik._corr_factor``, ``_profile_factor``).
         """
         chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws, terms)
-        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q)
+        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, self.ws)
 
     def value(self, u, terms=False):
         key = u.tobytes()

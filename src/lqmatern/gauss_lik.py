@@ -43,37 +43,44 @@ steps and ``FitChain``'s starts: ``_weighted_derivs`` returns it as a
 ``asymptotics`` docstring writes them), the weights, the log scale s
 and S = sum w_i H_i, and forms no replicate's Hessian.  The Hessian
 of V (``_Pass.hessian``) is S plus the centred (1-q) sum w_i (g_i -
-gbar)(g_i - gbar)', gbar = sum w_i g_i.  The pass completes R's factor at
-any sigma2, where Sigma = sigma2 R:
+gbar)(g_i - gbar)', gbar = sum w_i g_i.  The pass works in the frame of
+R's factor L, R = L L', where Sigma = sigma2 R (Rasmussen & Williams
+2006, GPML 5.4.1):
 
-- Sigma^-1 is LAPACK's potri on R's factor, in its place, with the lower
-  triangle mirrored, divided by sigma2; W = Sigma^-1 Z is one product with
-  it, and log|Sigma| = log|R| + n log sigma2.
+- L is inverted in place by halves (``_invert_lower``): with L = [[A, 0],
+  [C, D]], L^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], the off-diagonal
+  block by a product and a triangular solve, so it runs at the speed of
+  a matrix product (Elmroth, Gustavson, Jonsson & Kagstrom 2004).
+- The replicates are whitened, Y = L^-1 Z, by the score's own forward
+  solve, which the workspace hands over with the factor.
 - The kernel's five derivative terms at (beta, nu), per unit variance, at
-  the unique distances are made by the score of the point (below); dS_j
-  and d2S_jk are those terms times sigma2, the one place sigma2 enters
-  them.  Only the two dS_j are gathered over the sites.
-- With M = W diag(w) W' the data terms are inner products over sites:
-  sum w_i w_i' d2S w_i = <d2S, M>, and sum w_i (dS_j w_i)' Sigma^-1
-  (dS_k w_i) = <dS_j, B_k M> with B_k = Sigma^-1 dS_k, from the n x m
-  products B_k W when m < n, else from B_k M, one k at a time.  The other
-  trace terms are tr(B_j B_k).
-- The second derivatives enter only through <d2S_jk, M - w_sum Sigma^-1>
-  (w_sum = sum w_i), so that matrix is summed onto the unique distances
-  once, and each (beta, nu) entry is then a dot product over them.
-- The sigma2 row is analytic, since dS_0 = Sigma / sigma2, B_0 = I / sigma2
-  and d2S_0k = dS_k / sigma2; its <dS_j, M> is the weighted sum of the
-  gradient's products w_i' dS_j w_i.
+  the unique distances are made by the score of the point (below).  Only
+  the two dR_j are gathered over the sites, and each is overwritten with
+  C_j = L^-1 dR_j L^-T by two triangular products in place.
+- With dS_j = sigma2 dR_j and w = Sigma^-1 z, every first-derivative and
+  cross term is then an inner product: z' Sigma^-1 z = ||y||^2 / sigma2,
+  w' dS_j w = y' C_j y / sigma2, tr(Sigma^-1 dS_j) = tr C_j,
+  tr(Sigma^-1 dS_j Sigma^-1 dS_k) = <C_j, C_k>, and (dS_j w)' Sigma^-1
+  (dS_k w) = (C_j y)'(C_k y) / sigma2.  The same holds at every m.
+- The second derivatives enter only through <d2R_jk, P - w_sum R^-1> with
+  P = X diag(w / sigma2) X', X = R^-1 Z = L^-T Y and w_sum = sum w_i, so
+  that matrix is summed onto the unique distances once, and each (beta,
+  nu) entry is then a dot product over them.  R^-1 = L^-T L^-1 is
+  LAPACK's lauum on L^-1, in its place; it fills the lower triangle only,
+  which is taken twice, so each pair of sites off the diagonal counts once.
+- The sigma2 row is analytic, since dS_0 = R and d2S_0k = dR_k, so sigma2
+  enters only O(m) numbers and scalars.
 
 The hand-off.  A pass follows a score at the same (beta, nu) at the fit's
 start and Newton points, and such a score makes the pass's kernel
 terms (``terms``): from the Bessel values that make R's, in the same walk
 over the Chebyshev panels, into their place in the workspace.  The
 workspace records that score's factor of R (``_Workspace.held``) until R
-is written again, and a pass at the same (beta, nu) takes it from there;
-any other pass scores its point again with the terms, so a score is the
-only place the kernel is evaluated.  Taken or made afresh, the factor and
-the terms are the same bits.
+is written again, with the data it whitened and their Y, and a pass at
+the same (beta, nu) takes them from there; any other pass scores its
+point again with the terms, so a score is the only place the kernel is
+evaluated.  Taken or made afresh, the factor, Y and the terms are the same
+bits.
 
 The memo.  A fit that Newton confirmed reports its estimate at the point of
 its last pass, so a sandwich right after it asks for that pass again.
@@ -98,26 +105,25 @@ With u unique distances (so max(n^2, 2u) = n^2 for n > 1):
 
 - "R" (n^2): R is built and factored there (the interpolation works there
   while a score walks the Chebyshev panels, before R is gathered), and the
-  pass overwrites the factor with Sigma^-1.
+  pass overwrites the factor with L^-1, then R^-1.
 - "pass" (``_pass_buffer``): three slots of max(n^2, 2u) doubles that hold
   one array after another, then the three Hessian terms (3, u).  A score
   puts the kernel's values at the unique distances at the buffer's start,
   or, where it makes the terms, in slot 2, with the gradient terms (2, u)
-  opening slot 0.  In the pass slot 0 then holds B_0, then the sums of M -
-  w_sum Sigma^-1 onto the unique distances (u); slot 1 dS_0, which B_1
-  takes where m < n; and slot 2 dS_1, then, where m < n, B_k W, then M.
-- "wide" (3 n^2), only for a pass with m >= n, where dS_j is read to the
-  end: B_1, M and B_k M.
+  opening slot 0.  In the pass slot 2 is the work of L's inverse, then
+  C_1; slot 1 holds C_0, then P - w_sum R^-1; and slot 0, once the two dR_j
+  are gathered, the sums of that matrix onto the unique distances (u).
 
-So with m < n a fit's workspace and factor hold 4 n^2 + 3u doubles, 5.5
-n^2 on irregular sites, no more than a pass that allocated its own arrays
-held at once; only the n x m products are allocated per pass.
+So a fit's workspace and factor hold 4 n^2 + 3u doubles, 5.5 n^2 on
+irregular sites, at every m; only Y and the two C_j Y, n x m each, are
+allocated per pass.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dlauum, dpotrf, dtrtri, dtrtrs
 
 from .matern import MaternParams, _cov_into
 
@@ -239,10 +245,11 @@ def _checked_rows(rows, n):
         raise ValueError("data dimension %d does not match %d locations" % (rows, n))
 
 
-def _quad_forms(data, chol):
-    """z' Sigma^-1 z for every column z of data (n x m), from Sigma's factor ``chol``.
+def _whiten(data, chol):
+    """Y = L^-1 Z, Fortran-ordered, for the data Z (n x m) on the factor ``chol`` = L.
 
-    One forward substitution L y = z, by LAPACK's trtrs, which checks no
+    With A = L L', the quadratic forms z' A^-1 z are the columns'
+    ||y||^2.  One forward substitution, by LAPACK's trtrs, which checks no
     shape (it reads the first n rows of longer data, and prints an error
     and solves nothing on shorter): data with other than n rows, the
     factor's size, raise ValueError here.
@@ -251,7 +258,7 @@ def _quad_forms(data, chol):
     Y, info = dtrtrs(chol.L, data, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("triangular solve failed (LAPACK trtrs info %d)" % info)
-    return np.einsum("ij,ij->j", Y, Y)
+    return Y
 
 
 def _lq_weights(lvec, q):
@@ -352,10 +359,17 @@ def profile_sigma2(quad, n, q):
                        % (SIGMA2_MAX_STEPS, q))
 
 
-def _profile_factor(reps, chol, q):
-    """(sigma2, V) on the Cholesky factor ``chol`` of R; ``chol`` is left unchanged."""
+def _profile_factor(reps, chol, q, ws=None):
+    """(sigma2, V) on the Cholesky factor ``chol`` of R; ``chol`` is left unchanged.
+
+    Where the workspace ``ws`` records ``chol`` for a pass, the record takes
+    the data and their whitened Y with it.
+    """
     n = reps.n
-    quad = _quad_forms(reps.data, chol)
+    Y = _whiten(reps.data, chol)
+    if ws is not None and ws.held is not None and ws.held[2] is chol:
+        ws.held = ws.held[:3] + (reps.data, Y)
+    quad = np.einsum("ij,ij->j", Y, Y)
     sigma2 = profile_sigma2(quad, n, q)
     lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
     return sigma2, _lq_weights(lvec, q)[0]
@@ -364,8 +378,9 @@ def _profile_factor(reps, chol, q):
 class _Workspace:
     """Flat float buffers, kept by name and handed out again (see the module docstring).
 
-    ``held`` is (beta, nu, CholFactor) where the factor in the buffer "R"
-    came from a score that also made a pass's kernel terms, else None.
+    ``held`` is (beta, nu, CholFactor, data, Y) where the factor in the
+    buffer "R" came from a score that also made a pass's kernel terms, else
+    None; data and Y are the data that score whitened and their Y, or None.
     """
 
     def __init__(self):
@@ -423,25 +438,41 @@ def _corr_factor(locs, beta, nu, ws, terms=False):
         err.theta = corr
         raise
     if terms:
-        ws.held = (corr.beta, corr.nu, chol)
+        ws.held = (corr.beta, corr.nu, chol, None, None)
     return chol
 
 
-# The strict upper triangle of a diagonal block of ``_mirror_lower``.
-_UPPER = np.triu(np.ones((64, 64), dtype=bool), 1)
+def _invert_lower(a, work):
+    """(a, info): the lower triangular a (n x n) replaced by its inverse, in place, by halves.
 
-
-def _mirror_lower(a):
-    """Copy the lower triangle of the square array a onto its upper, in place.
-
-    Block by block, so no n x n temporary is allocated.
+    With a = [[A, 0], [C, D]], a^-1 = [[A^-1, 0], [X, D^-1]] where X A =
+    -D^-1 C: D is inverted in place the same way, X is solved for by BLAS's
+    trsm against A, with D^-1 C and a copy of A in ``work`` (a flat buffer
+    of at least n^2 / 2 doubles), and then A is inverted; LAPACK's trtri
+    inverts a block of n <= 64.  Solving against A, instead of multiplying
+    by its computed inverse, keeps R^-1 = a^-T a^-1 as accurate as potri's
+    (with both inverses multiplied, the residual R R^-1 - I grew to 55
+    times potri's on a 20 x 20 grid and 114 times on a 30 x 30 one).
+    a's strict upper triangle must be 0, as potrf's factor leaves it, and
+    stays 0.  info is trtri's: k > 0 where a's k-th diagonal entry is 0, a
+    then being partly overwritten.
     """
     n = a.shape[0]
-    for lo in range(0, n, 64):
-        hi = min(lo + 64, n)
-        d = a[lo:hi, lo:hi]
-        np.copyto(d, d.T, where=_UPPER[:hi - lo, :hi - lo])
-        a[lo:hi, hi:] = a[hi:, lo:hi].T
+    if n <= 64:
+        inv, info = dtrtri(a, lower=1, overwrite_c=1)
+        if inv is not a:
+            a[...] = inv                    # a block view, which trtri copied
+        return a, info
+    h = n // 2
+    info = _invert_lower(a[h:, h:], work)[1]
+    if info:
+        return a, info + h
+    C = a[h:, :h]
+    X = np.matmul(a[h:, h:], C, out=work[:C.size].reshape(C.shape, order="F"))
+    A = work[C.size:C.size + h * h].reshape((h, h), order="F")
+    A[...] = a[:h, :h]
+    C[...] = dtrsm(-1.0, A, X, side=1, lower=1, overwrite_b=1)
+    return a, _invert_lower(a[:h, :h], work)[1]
 
 
 @dataclass(frozen=True)
@@ -490,9 +521,10 @@ class _Pass:
 def _weighted_derivs(reps, locs, theta, q, ws=None):
     """The ``_Pass`` of the replicates ``reps`` at theta and q (see the module docstring).
 
-    The pass takes R's factor at (beta, nu) from the workspace ``ws`` where
-    ``ws.held`` records it, and overwrites it with Sigma^-1; otherwise it
-    scores the point again, with the terms, in ``ws`` where one is given.
+    The pass takes R's factor at (beta, nu), and Y where the record's data
+    are these, from the workspace ``ws`` where ``ws.held`` records it, and
+    overwrites the factor with L^-1, then R^-1; otherwise it scores the
+    point again, with the terms, in ``ws`` where one is given.
     The pass is stored on reps, with locs, replacing the one before, and
     returned again where locs is the same object and theta and q are equal,
     in any thread.
@@ -501,7 +533,7 @@ def _weighted_derivs(reps, locs, theta, q, ws=None):
     the set, whose data are read-only), ValueError where the data's rows do
     not match ``locs`` or q lies outside (0, 1], NotSPDError carrying
     MaternParams(1, beta, nu) where R cannot be factored, and NotSPDError
-    carrying theta where potri fails.
+    carrying theta where L cannot be inverted.
     """
     if not isinstance(reps, ReplicateSet):
         raise TypeError("the pass reads a ReplicateSet, not %s" % type(reps).__name__)
@@ -515,82 +547,65 @@ def _weighted_derivs(reps, locs, theta, q, ws=None):
     ws = _Workspace() if ws is None else ws
     if ws.held is None or ws.held[:2] != (theta.beta, theta.nu):
         _corr_factor(locs, theta.beta, theta.nu, ws, True)
-    chol, ws.held = ws.held[2], None        # the pass overwrites R with Sigma^-1
+    # the pass overwrites R's factor with L^-1
+    (_, _, chol, data, Y), ws.held = ws.held, None
+    if data is not Z:
+        Y = _whiten(Z, chol)
     s2 = theta.sigma2
-    uniq, inv = locs._dist_unique
-    Sinv, info = dpotri(chol.L, lower=1, overwrite_c=1)
+    inv = locs._dist_unique[1]
+    flat, grad, d2 = _pass_buffer(ws, n, len(locs._dist_unique[0]))
+    flat = [f[:n * n] for f in flat]
+    Linv, info = _invert_lower(chol.L, flat[2])
     if info != 0:
-        raise NotSPDError("Sigma^-1 from the Cholesky factor failed (potri info %d)"
+        raise NotSPDError("L^-1 from the Cholesky factor failed (trtri info %d)"
                           % info, theta=theta)
-    _mirror_lower(Sinv)
-    Sinv /= s2
-    W = Sinv @ Z                               # Sigma^-1 z for all replicates
-    quad = np.einsum("ij,ij->j", Z, W)         # z' Sigma^-1 z
+    quad = np.einsum("ij,ij->j", Y, Y) / s2         # z' Sigma^-1 z
     value, w = _lq_weights(-0.5 * quad, q)
     w_sum = float(w.sum())
 
-    # the buffers of the module docstring, each slot at least 2u long
-    u = uniq.size
-    flat, grad, d2 = _pass_buffer(ws, n, u)
-    slot = [s[:n * n].reshape(n, n) for s in flat]
-    if m >= n:
-        slot += list(ws.take("wide", 3 * n * n)[:3 * n * n].reshape(3, n, n))
-    dS = [np.take(grad[k], inv, mode="clip", out=slot[1 + k]) for k in range(2)]
-    B = [slot[0], slot[3 if m >= n else 1]]
-    M = slot[4 if m >= n else 2]
-    quad_d = np.empty((2, m))                                  # w_i' dS_j w_i
-    dSW = []
-    for k in range(2):
-        dS[k] *= s2
-        dSW.append(dS[k] @ W)
-        quad_d[k] = np.einsum("im,im->m", dSW[k], W)
-        np.matmul(Sinv, dS[k], out=B[k])
-        # <dS_j, B_k M> below reads dS_j W where m < n, else dS_j
-        if m >= n:
-            dSW[k] = None
-    tr_B = np.array([np.trace(b) for b in B])
+    # C_k = L^-1 dR_k L^-T over dR_k, gathered into slots 1 and 2 through
+    # the transpose (dR_k is symmetric), and C_k Y
+    C, CY = [flat[1 + k].reshape((n, n), order="F") for k in range(2)], []
+    for k, c in enumerate(C):
+        np.take(grad[k], inv, mode="clip", out=c.T)
+        dtrmm(1.0, Linv, c, lower=1, overwrite_b=1)
+        dtrmm(1.0, Linv, c, side=1, lower=1, trans_a=1, overwrite_b=1)
+        CY.append(np.matmul(c, Y, out=np.empty_like(Y)))
+    yCy = np.array([np.einsum("ij,ij->j", Y, cy) for cy in CY])   # s2 w' dS_k w
 
     g = np.empty((3, m))
     g[0] = 0.5 * (quad - n) / s2
-    g[1:] = 0.5 * quad_d - 0.5 * tr_B[:, None]
+    g[1:] = (0.5 / s2) * yCy - 0.5 * np.array([np.trace(c) for c in C])[:, None]
 
     H = np.empty((3, 3))
     H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
-    H[0, 1:] = H[1:, 0] = -0.5 * (quad_d @ w) / s2        # <dS_j, M> / s2
+    H[0, 1:] = H[1:, 0] = -0.5 * (yCy @ w) / s2 ** 2
     pairs = ((0, 0), (0, 1), (1, 1))
-    tr_BB = [np.einsum("ab,ba->", B[j], B[k]) for j, k in pairs]
-    # <dS_j, B_k M> = sum_i w_i (dS_j w_i)' B_k w_i, by the smaller product,
-    # one k at a time
-    dS_BM = []
-    if m < n:
-        BW = flat[2][:n * m].reshape(n, m)                      # in M's slot
-        for k in range(2):
-            np.matmul(B[k], W, out=BW)
-            dS_BM += [np.einsum("im,im->m", dSW[j], BW) @ w for j in range(k + 1)]
-        del dSW
-        np.matmul(W * w, W.T, out=M)
-    else:
-        np.matmul(W * w, W.T, out=M)
-        for k in range(2):
-            BM = np.matmul(B[k], M, out=slot[5])
-            dS_BM += [np.vdot(dS[j], BM) for j in range(k + 1)]
-    # the Hessian slices enter only through <d2S_jk, M - w_sum Sigma^-1>,
-    # so that matrix is summed onto the unique distances once; R's Hessian
-    # terms times s2 are M's
-    Sinv *= w_sum
-    M -= Sinv
-    # into B_0's slot, read no more: add.at sums in bincount's order, to the
+    tr_CC = [float(flat[1 + j] @ flat[1 + k]) for j, k in pairs]
+    # sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i)
+    cross = [float(np.einsum("ij,ij->j", CY[j], CY[k]) @ w) / s2 for j, k in pairs]
+    del CY          # before X is scaled, whose buffered broadcast would add to the peak
+    # the Hessian slices enter only through <d2R_jk, P - w_sum R^-1>, so
+    # that matrix is summed onto the unique distances once
+    X = dtrmm(1.0, Linv, Y, lower=1, trans_a=1, overwrite_b=1)     # R^-1 Z, in Y's place
+    X *= np.sqrt(w / s2)
+    P = np.matmul(X, X.T, out=flat[1].reshape(n, n))
+    # R^-1's lower triangle (its upper is 0) is taken from P at twice its
+    # weight, so each pair off the diagonal counts once in the sums; the
+    # diagonal, all at distance 0 (index 0), gets its excess back below
+    Rinv = dlauum(Linv, lower=1, overwrite_c=1)[0]
+    Rinv *= 2.0 * w_sum
+    P -= Rinv.T
+    # into slot 0, read no more: add.at sums in bincount's order, to the
     # same bits, but into a given array
-    R = flat[0][:u]
-    R.fill(0.0)
-    np.add.at(R, inv.ravel(), M.ravel())
-    for (j, k), tr, d2_jk, dv in zip(pairs, tr_BB, d2, dS_BM):
-        H[j + 1, k + 1] = H[k + 1, j + 1] = (0.5 * w_sum * tr
-                                             + 0.5 * s2 * float(d2_jk @ R) - dv)
-    log_scale = 0.0
-    if q < 1.0:
-        log_det = chol.log_det + n * np.log(s2)            # log|Sigma|
-        log_scale = (1.0 - q) * (value - 0.5 * (n * _LOG_2PI + log_det))
+    sums = flat[0][:d2.shape[1]]
+    sums.fill(0.0)
+    np.add.at(sums, inv.ravel(), P.ravel())
+    sums[0] += 0.5 * np.trace(Rinv)
+    for (j, k), tr, d2_jk, cr in zip(pairs, tr_CC, d2, cross):
+        H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2_jk @ sums) - cr
+    log_scale = 0.0 if q == 1.0 else (1.0 - q) * (
+        value - 0.5 * (n * (_LOG_2PI + np.log(s2)) + chol.log_det))
     p = _Pass(theta, q, g, w, H, log_scale)
     object.__setattr__(reps, "_last_pass", (locs, p))
     return p

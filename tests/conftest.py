@@ -5,14 +5,42 @@ Unpinned, two-thread OpenBLAS on a 2-core host made the small dense solves
 of one fit intermittently take 16 ms instead of 0.1-0.2 ms, so timing-bound
 tests (acceptance criterion 7) varied fourfold.  ``bench/run.py`` pins the
 same three variables.
+
+The session stops before collecting where a ``PYTHONPATH`` entry holds an
+``lqmatern`` other than the one the tests import: pyproject's ``pythonpath
+= ["src"]`` puts this checkout's ``src`` first, so ``PYTHONPATH=<copy>/src``
+would otherwise test this checkout's package and report it as the copy's.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+def foreign_packages(pythonpath, imported):
+    """The entries of ``pythonpath`` that hold an lqmatern package other than ``imported``.
+
+    ``imported`` is the directory of the package the tests import.
+    """
+    here = Path(imported).resolve()
+    return [entry for entry in pythonpath.split(os.pathsep)
+            if entry and (Path(entry) / "lqmatern" / "__init__.py").is_file()
+            and (Path(entry) / "lqmatern").resolve() != here]
+
+
+def pytest_configure(config):
+    import lqmatern
+
+    imported = Path(lqmatern.__file__).parent
+    foreign = foreign_packages(os.environ.get("PYTHONPATH", ""), imported)
+    if foreign:
+        raise pytest.UsageError(
+            "PYTHONPATH holds an lqmatern (%s) other than the one the tests import (%s); "
+            "run pytest from that tree's own root" % (", ".join(foreign), imported))
 
 
 @pytest.fixture(params=["rows", "init", "sites"])

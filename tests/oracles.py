@@ -24,7 +24,7 @@ from scipy.linalg import cho_solve
 
 from lqmatern.asymptotics import ustar_all
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _corr_factor, _lq_weights,
-                                _profile_factor, _quad_forms, _weighted_derivs, _Workspace,
+                                _profile_factor, _weighted_derivs, _whiten, _Workspace,
                                 chol_factor)
 from lqmatern.matern import (MaternParams, _cheb_g, _cheb_terms, _direct_g, _direct_terms,
                              _term_rows, build_cov, matern_cov)
@@ -109,7 +109,8 @@ def build_cov_grad(locs, theta):
 def loglik_columns(data, chol):
     """Gaussian log-likelihood of each column of data (n, m) from one factor."""
     n = chol.L.shape[0]
-    return -0.5 * n * _LOG_2PI - 0.5 * _quad_forms(data, chol) - 0.5 * chol.log_det
+    Y = _whiten(data, chol)
+    return -0.5 * n * _LOG_2PI - 0.5 * np.einsum("ij,ij->j", Y, Y) - 0.5 * chol.log_det
 
 
 def log_likelihood(z, chol):

@@ -80,7 +80,12 @@ LEDGER = (
         ("held-out", "tests/test_asymptotics.py::TestPopulationClosedForms::"
                      "test_default_fit_recovers_theta_q_at_population_scale"),
         ("reviewed", "seeds 9140001-9140002, looked at while planning the population-scale "
-                     "fit of theta_q"))),
+                     "fit of theta_q"),
+        ("reviewed", "seed 9140050, the c7be3e7 review's check of ustar_all at n = 400 "
+                     "uniform, m = 50, q = 0.5, data times 1e3 and 1e-3, which the "
+                     "ustar_all test repeats on a lattice"),
+        ("held-out", "tests/test_asymptotics.py::TestUstar::"
+                     "test_a_scale_past_the_float_range_raises"))),
     Seeds("SimConfig.seed", 9140100, 9140119, (
         ("calibration", "the band of tests/test_asymptotics.py::TestPopulationClosedForms::"
                         "test_ess_within_its_spread_of_the_closed_form"),)),
@@ -98,6 +103,9 @@ LEDGER = (
     Seeds("bench/run.py --seed", 2901, 2910, (
         ("benchmark", "benchmark pairs of the change where FitChain.profile returns its "
                       "fits"),)),
+    Seeds("bench/run.py --seed", 3001, 3010, (
+        ("benchmark", "benchmark pairs of the change that moved the derivative pass into "
+                      "R's whitened frame"),)),
     Seeds("bench/run.py --seed", 2999, 2999, (
         ("benchmark", "traced runs of the change where FitChain.profile returns its "
                       "fits"),)),

@@ -133,6 +133,24 @@ class TestUstar:
             one = ustar(reps.data[:, i], LOCS9, theta, 0.9)
             assert np.abs(U[:, i] - one).max() < 1e-12
 
+    @pytest.mark.parametrize("c", [1e3, 1e-4])
+    def test_a_scale_past_the_float_range_raises(self, c):
+        # on an n = 225 lattice at q = 0.5, the data times c at (c^2, 0.1,
+        # 0.5) shift the log scale s by about -(1-q) n log c: times 1e3 e^s
+        # underflowed and U* read all zeros, times 1e-4 it overflowed and
+        # U* read inf.  Both raise; at unit scale and at q = 1 U* is w g e^s
+        # to the bit
+        seed = held_out("SimConfig.seed", "tests/test_asymptotics.py::TestUstar::"
+                                          "test_a_scale_past_the_float_range_raises")[50]
+        theta = MaternParams(1.0, 0.1, 0.5)
+        locs, reps, _ = simulate_dataset(SimConfig(theta, n=225, m=50, layout="grid", seed=seed))
+        for q in (0.5, 1.0):
+            p = gauss_lik._weighted_derivs(reps, locs, theta, q)
+            U = ustar_all(reps, locs, theta, q)
+            assert np.array_equal(U, p.w * p.g * np.exp(p.log_scale)) and np.all(U != 0.0)
+        with pytest.raises(FloatingPointError):
+            ustar_all(ReplicateSet(reps.data * c), locs, MaternParams(c * c, 0.1, 0.5), 0.5)
+
     def test_input_validation(self):
         theta = MaternParams(1.0, 0.3, 0.5)
         with pytest.raises(ValueError):
@@ -563,8 +581,7 @@ class TestWeightedDerivativePass:
         # the pass's g_i and sum w_i H_i; the fit's gradient gbar = sum w_i g_i
         # and Hessian sum w_i H_i + (1-q) sum w_i (g_i - gbar)(g_i - gbar)';
         # the sandwich's K = mean U_i U_i' and J = mean V_i, with U_i = w_i g_i
-        # and V_i = (1-q) w_i g_i g_i' + w_i H_i.  With m < n the pass takes
-        # <dS_j, B_k M> from per-replicate products, with m >= n from B_k M
+        # and V_i = (1-q) w_i g_i g_i' + w_i H_i, at m < n and m >= n alike
         theta = MaternParams(1.0, 0.15, 0.6)
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=n, m=m, layout=layout, seed=2))
@@ -593,6 +610,20 @@ class TestWeightedDerivativePass:
         parts = sandwich(reps, locs, at, q)
         assert_close(parts.K, U @ U.T / reps.m)
         assert_close(parts.J, V.mean(axis=2))
+
+    @pytest.mark.parametrize("m", [20, 49, 300])
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    def test_matches_the_dense_oracles_at_any_m(self, layout, m):
+        # one route for every m: at n = 49, with fewer, as many and more
+        # replicates than sites, the pass is the dense oracle's, whose
+        # products with Sigma^-1 are solves on Sigma's own factor
+        locs, reps, _ = simulate_dataset(
+            SimConfig(MaternParams(1.0, 0.15, 0.6), n=49, m=m, layout=layout, seed=2))
+        at = MaternParams(0.9, 0.17, 0.55)
+        want = sigma_route_pass(reps.data, locs, at, 0.9)
+        p = gauss_lik._weighted_derivs(reps, locs, at, 0.9)
+        for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     @pytest.mark.parametrize("layout, n", [("grid", 36), ("uniform", 49)])
     @pytest.mark.parametrize("q", [1.0, 0.9])
@@ -648,31 +679,19 @@ class TestWeightedDerivativePass:
         assert peak <= 12 * n * n * 8, peak / (8 * n * n)
 
     def test_inverse_failure_raises(self, monkeypatch):
-        # a nonzero LAPACK info from potri raises NotSPDError carrying theta
-        # through every caller of the pass, never a number
+        # a nonzero info from the inverse of L raises NotSPDError carrying
+        # theta through every caller of the pass, never a number
         theta = MaternParams(1.0, 0.15, 0.6)
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=25, m=10, layout="grid", seed=2))
-        monkeypatch.setattr(gauss_lik, "dpotri", lambda c, **kw: (c, 3))
+        monkeypatch.setattr(gauss_lik, "_invert_lower", lambda a, work: (a, 3))
         calls = (lambda: gauss_lik._weighted_derivs(reps, locs, theta, 0.95),
                  lambda: sandwich(reps, locs, theta, 0.95),
                  lambda: ustar_all(reps, locs, theta, 0.95))
         for call in calls:
-            with pytest.raises(NotSPDError, match="potri info 3") as exc_info:
+            with pytest.raises(NotSPDError, match="trtri info 3") as exc_info:
                 call()
             assert exc_info.value.theta == theta
-
-
-@pytest.mark.parametrize("n", [1, 64, 150])
-def test_mirror_lower_copies_the_lower_triangle(n):
-    # several blocks and a short last one; the upper triangle's old
-    # content is overwritten, in place, in either memory order
-    rng = np.random.default_rng(n)
-    for order in "CF":
-        a = np.asarray(rng.standard_normal((n, n)), order=order)
-        want = np.tril(a) + np.tril(a, -1).T
-        gauss_lik._mirror_lower(a)
-        assert np.array_equal(a, want)
 
 
 @pytest.fixture(scope="module")

@@ -798,28 +798,28 @@ class TestNewtonFinish:
         assert res.newton_steps == made.count(True) == len(made) - 1
 
     def test_failed_inverse_in_a_pass_falls_back(self, interior_data, monkeypatch):
-        # potri fails once, at the fit's first pass, at its start, whose
+        # L's inverse fails once, at the fit's first pass, at its start, whose
         # score made the terms: the Newton stage ends, the workspace's
         # record of R's factor went with the write of R, and the simplex
         # and the Newton steps after it still confirm the estimate (on a
         # fresh set, which carries no pass from an earlier fit)
         locs, reps, base = interior_data
         reps = ReplicateSet(reps.data)
-        real_potri, real_step = gauss_lik.dpotri, est._Search.newton_step
+        real_inverse, real_step = gauss_lik._invert_lower, est._Search.newton_step
         armed, steps = [True], []
 
-        def dpotri(c, **kwargs):
+        def invert_lower(a, work):
             if armed[0]:
                 armed[0] = False
-                return c, 1                 # a forced failure
-            return real_potri(c, **kwargs)
+                return a, 1                 # a forced failure
+            return real_inverse(a, work)
 
         def newton_step(search, u):
             step = real_step(search, u)
             steps.append((step is None, search.last_pass is None, search.ws.held is None))
             return step
 
-        monkeypatch.setattr(gauss_lik, "dpotri", dpotri)
+        monkeypatch.setattr(gauss_lik, "_invert_lower", invert_lower)
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         res = fit(reps, locs, 0.9)
         assert not armed[0] and steps[0] == (True, True, True)
@@ -1121,7 +1121,7 @@ class TestFusedNewtonPoint:
         # that factor: a jitter rescue there is taken once, and the pass
         # inverts that jittered factor
         locs, reps, near = fused_sets[1]
-        real_chol, real_potri = gauss_lik.dpotrf, gauss_lik.dpotri
+        real_chol, real_inverse = gauss_lik.dpotrf, gauss_lik._invert_lower
         real_score = est._Search.score
         armed, seen = [False], {}
 
@@ -1143,18 +1143,18 @@ class TestFusedNewtonPoint:
                 seen["scored"] = search.scored[u.tobytes()]
                 seen["point"] = tuple(search.corner + u * search.width)
 
-        def dpotri(c, **kwargs):
-            seen.setdefault("potri", []).append((c.copy(), seen["cholesky"]))
-            return real_potri(c, **kwargs)
+        def invert_lower(a, work):
+            seen.setdefault("inverse", []).append((a.copy(), seen["cholesky"]))
+            return real_inverse(a, work)
 
         monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
-        monkeypatch.setattr(gauss_lik, "dpotri", dpotri)
+        monkeypatch.setattr(gauss_lik, "_invert_lower", invert_lower)
         monkeypatch.setattr(est._Search, "score", score)
         fit(reps, locs, 0.9, init=near)
         jittered, L, count = seen["factor"]
         assert jittered
         # the first pass is at init, with no factorization of its own
-        first, count_at_pass = seen["potri"][0]
+        first, count_at_pass = seen["inverse"][0]
         assert count_at_pass == count and np.array_equal(first, L)
         armed[0] = True
         want = profile_lq(reps, locs, *seen["point"], 0.9)

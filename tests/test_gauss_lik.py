@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dlauum, dpotri, dtrtri
 
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich, ustar_all
@@ -105,7 +106,7 @@ class TestCholFactor:
                 seen.append((a.copy(), None))
                 return a, 1                 # "the leading minor of order 1 is not PD"
             # copies: the factor overwrites the matrix in its memory, and the
-            # derivative pass overwrites the factor with Sigma^-1
+            # derivative pass overwrites the factor with L^-1
             bumped = a.copy()
             L, info = real(a, **kwargs)
             seen.append((bumped, L.copy()))
@@ -170,7 +171,47 @@ class TestLapackCalls:
         chol = chol_factor(build_cov(locs, MaternParams(1.0, beta, nu)))
         data = np.random.default_rng(5).standard_normal((n, 30))
         Y = solve_triangular(chol.L, data, lower=True, check_finite=False)
-        assert np.array_equal(gauss_lik._quad_forms(data, chol), np.einsum("ij,ij->j", Y, Y))
+        assert np.array_equal(gauss_lik._whiten(data, chol), Y)
+
+
+class TestInvertLower:
+    """L^-1 by halves, against LAPACK's trtri and potri on the same factor."""
+
+    @pytest.mark.parametrize("layout, n", [("uniform", 1), ("uniform", 2), ("uniform", 63),
+                                           ("grid", 64), ("uniform", 65), ("uniform", 129),
+                                           ("uniform", 400), ("grid", 400)])
+    @pytest.mark.parametrize("beta, nu", [(0.3, 1.5), (3.0, 5.0)], ids=["smooth", "jittered"])
+    def test_r_inverse_is_as_accurate_as_potri(self, layout, n, beta, nu):
+        # at smooth theta, and at very smooth theta, where R needs the
+        # jitter rescue from n = 63 on (cond up to 4e12): L^-T L^-1 leaves
+        # a residual R R^-1 - I within 4 times potri's; a block of n <= 64
+        # is trtri's, bit for bit, and the upper triangle stays 0
+        R = build_cov(make_locations(n, layout, seed=1), MaternParams(1.0, beta, nu))
+        a = np.array(R, order="F")
+        chol = gauss_lik._factor_in_place(a, lambda: np.copyto(a, R))
+        assert chol.jittered == (beta == 3.0 and n >= 63)
+        if chol.jittered:
+            R = R + gauss_lik.JITTER_REL * np.eye(n)
+
+        def residual(lower):
+            inv = np.tril(lower) + np.tril(lower, -1).T
+            return np.linalg.norm(R @ inv - np.eye(n))
+
+        want = dpotri(chol.L, lower=1)[0]
+        trtri = dtrtri(chol.L, lower=1)[0]
+        got, info = gauss_lik._invert_lower(chol.L, np.empty(n * n))
+        assert info == 0 and got is chol.L and not np.triu(got, 1).any()
+        if n <= 64:
+            assert np.array_equal(got, trtri)
+        assert residual(dlauum(got, lower=1)[0]) <= 4.0 * residual(want)
+
+    @pytest.mark.parametrize("zero", [0, 40, 64, 99])
+    def test_a_zero_on_the_diagonal_is_trtris_info(self, zero):
+        # the block that meets it reports it at its place in the whole
+        a = np.array(np.tril(np.random.default_rng(zero).uniform(0.5, 1.0, (100, 100))),
+                     order="F")
+        a[zero, zero] = 0.0
+        assert gauss_lik._invert_lower(a, np.empty(100 * 100))[1] == zero + 1
 
 
 class TestLogLikelihood:
@@ -592,15 +633,15 @@ class TestLastFactor:
 
     @pytest.fixture
     def inverted(self, monkeypatch):
-        # the array each potri inverts, and a copy of it
+        # the array each inversion of L is handed, and a copy of it
         seen = []
-        real = gauss_lik.dpotri
+        real = gauss_lik._invert_lower
 
-        def spy(c, **kwargs):
-            seen.append((c, c.copy()))
-            return real(c, **kwargs)
+        def spy(a, work):
+            seen.append((a, a.copy()))
+            return real(a, work)
 
-        monkeypatch.setattr(gauss_lik, "dpotri", spy)
+        monkeypatch.setattr(gauss_lik, "_invert_lower", spy)
         return seen
 
     @staticmethod
@@ -817,8 +858,8 @@ class TestLastFactor:
         assert ws.held is None
         recorded()
         with monkeypatch.context() as patched:
-            patched.setattr(gauss_lik, "dpotri", lambda c, **kw: (c, 1))
-            with pytest.raises(NotSPDError, match="potri"):
+            patched.setattr(gauss_lik, "_invert_lower", lambda a, work: (a, 1))
+            with pytest.raises(NotSPDError, match="trtri"):
                 _weighted_derivs(reps, locs, MaternParams(1.0, 0.2, 0.5), 0.9, ws)
         assert ws.held is None
 
@@ -949,5 +990,5 @@ class TestWorkspaceBuffers:
         select_q_kappa(FitChain(reps, locs, tol=1e-4), replace(spec, L=4.0))
         select_q_sqv(FitChain(reps, locs, tol=1e-4), make_se_fn(reps, locs), spec, m=m)
         names = {name for name, _ in shared}
-        assert {"R", "pass"} <= names and ("wide" in names) == (m >= n)
+        assert names == {"R", "pass"}
         assert [s for s in shared if s[1] != 0] == []

@@ -237,9 +237,11 @@ def test_private_imports_passes_public_and_foreign_names():
 
 # The third-party modules src imports, each reviewed: every lqmatern process
 # loads them, and a module like scipy.optimize costs about 11 MB of resident
-# memory and 0.1-0.2 s of start-up for one routine.
-REVIEWED_EXTERNAL_IMPORTS = {"numpy", "numpy.random", "scipy.linalg.lapack", "scipy.special",
-                             "scipy.spatial.distance"}
+# memory and 0.1-0.2 s of start-up for one routine.  scipy.linalg.blas
+# costs nothing more: importing scipy.linalg.lapack loads it (measured: no
+# module added, 0 kB of resident memory, 6 us for the import statement).
+REVIEWED_EXTERNAL_IMPORTS = {"numpy", "numpy.random", "scipy.linalg.blas", "scipy.linalg.lapack",
+                             "scipy.special", "scipy.spatial.distance"}
 
 
 def external_imports(tree):
@@ -387,7 +389,7 @@ def test_module_state_passes_locals_and_constants():
 # The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
 # that raises it says why in CHANGES.md, and a change that lowers the count
 # lowers the ceiling to it.
-CODE_LINES = 1636
+CODE_LINES = 1633
 
 
 def test_src_code_lines_stay_under_the_ceiling():
