@@ -14,14 +14,16 @@ A fit has three stages, and one check of their answer.
 - The start is scored, with the kernel terms of a derivative pass, and up
   to ``_NEWTON_STEPS`` Newton steps delta in u follow from there, from V's
   exact gradient and Hessian: one derivative pass (``gauss_lik._Pass``)
-  gives them in (sigma2, beta, nu), and sigma2's response enters through
-  their Schur complement, since sigma2 maximizes V at every (beta, nu).
-  Range and smoothness are positive scales, and Newton's method is not
-  invariant under a change of coordinates that is not linear: where V is
-  concave in y = log(beta, nu), the step is taken there (x = (beta, nu)
-  moves to x exp(dy), and delta is that move in u), and only where it is
-  not, in u.  So a rough fit's default start at q = 1,
-  where V is not concave in u, is within reach too.  A step is taken when
+  gives them in theta = (sigma2, beta, nu), and its Newton step
+  (``_Pass.newton_step``, the one solve of the package) takes sigma2's
+  gradient entry as 0, since sigma2 maximizes V at every (beta, nu), so
+  the step's (beta, nu) part is the profile's.  The three are positive
+  scales, and Newton's method is not invariant under a change of
+  coordinates that is not linear: where V is concave in y = log theta, the
+  step is taken there (theta moves to theta exp(dy), and delta is the move
+  of (beta, nu) in u), and only where it is not, in theta.  So a rough
+  fit's default start at q = 1, where V is not concave in theta, is within
+  reach too.  A step is taken when
   its Hessian is negative definite, u + delta lies in the box and scores no
   lower than u; any other step ends this stage, with no line search.  A
   short step, |delta| <= ``tol`` componentwise, with u + delta in the box,
@@ -68,8 +70,9 @@ pass (``FitResult._pass``) where the pass was taken at its estimate, as it
 is where Newton confirmed it.  The pass holds every replicate's gradient
 and log density and the weighted Hessian sum, and q enters them only
 through the replicate weights.  Re-weighted to the new q
-(``_Pass.newton_step``, a full solve in (sigma2, beta, nu)), it gives one
-Newton step for the new fit without a new pass: the corrector of
+(``_Pass.newton_step``, in theta itself: steps in log theta cost the
+chains more passes), it gives one Newton step for the new fit without a
+new pass: the corrector of
 predictor-corrector continuation (Allgower & Georg, Numerical Continuation
 Methods, 1990).  The step's (beta, nu), from the estimate, lands O(dq^2)
 from the new estimate, dq the distance between the two q.  Where the
@@ -85,9 +88,9 @@ not negative definite, or the step leaves the box.
 The Newton step is invariant under the model's symmetries: the replicate
 weights are normalized, so rescaling the data by c shifts every log density
 by the same constant and leaves them unchanged, sigma2's derivatives scale
-as powers of c that cancel in the Schur complement, and the weighted sums
-over replicates and the traces and quadratic forms over locations do not
-depend on their order.  Restart decisions compare iterates and the Newton
+as powers of c that cancel in the step's (beta, nu) part, and the
+weighted sums over replicates and the traces and quadratic forms over
+locations do not depend on their order.  Restart decisions compare iterates and the Newton
 checks compare two profile values, so both are order-only as well.
 
 At fixed q < 1 the estimator is not consistent for the model's theta0 =
@@ -369,14 +372,12 @@ class _Search:
         return x
 
     def newton_step(self, u):
-        """The move delta in u of one Newton step from a scored u.
+        """The move delta in u of one Newton step from a scored u; None where there is none.
 
-        With x = (beta, nu) at u and the profile's gradient g and Hessian H
-        in x, the step is dy = -H_y^-1 g_y in y = log x, where g_y = x g and
-        H_y = diag(x) H diag(x) + diag(g_y) is negative definite: x moves to
-        x exp(dy).  Elsewhere it is the step in u, from g and H scaled by the
-        box's widths.  None where the derivatives are not finite or neither
-        Hessian is negative definite.
+        The step is the pass's (``gauss_lik._Pass.newton_step``) at the
+        search's q, in log(sigma2, beta, nu) where V is concave there and
+        otherwise in (sigma2, beta, nu), its (beta, nu) move scaled by the
+        box's widths.
         """
         sigma2 = self.scored[u.tobytes()][0]
         x = self.corner + u * self.width
@@ -389,24 +390,8 @@ class _Search:
         # a failed pass counts; the pass the ReplicateSet held (at a point a
         # simplex returned unmoved, or where an earlier fit ended) made nothing
         self.passes += p is None or self.reps._last_pass is not memo
-        if p is None:
-            return None
-        gbar, hess = p.hessian(self.q)
-        # sigma2, solved on (0, inf), maximizes V, which needs hess[0, 0] < 0
-        if not hess[0, 0] < 0.0:
-            return None
-        H = hess[1:, 1:] - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
-        g = gbar[1:]
-        # the step in y = log x where V is concave in y, else the step in u
-        for log_y, s in ((True, x), (False, self.width)):
-            gs = g * s
-            Hs = H * np.outer(s, s) + (np.diag(gs) if log_y else 0.0)
-            if (np.all(np.isfinite(gs)) and Hs[0, 0] < 0.0
-                    and Hs[0, 0] * Hs[1, 1] - Hs[0, 1] * Hs[1, 0] > 0.0):
-                d = np.linalg.solve(Hs, -gs)
-                with np.errstate(over="ignore"):    # a step past exp's range leaves the box
-                    return x * np.expm1(d) / self.width if log_y else d
-        return None
+        step = None if p is None else p.newton_step(self.q, log=True)
+        return None if step is None else step[1:] / self.width
 
     def newton(self, u, steps):
         """(best u, confirmed) of up to ``steps`` Newton steps from a scored u.

@@ -510,11 +510,27 @@ class _Pass:
             H += (1.0 - q) * ((G * w) @ G.T)
         return gbar, 0.5 * (H + H.T)
 
-    def newton_step(self, q):
-        """-H^-1 gbar in (sigma2, beta, nu) from ``hessian(q)``; None unless H < 0."""
+    def newton_step(self, q, log=False):
+        """The move of theta = (sigma2, beta, nu) by one Newton step from ``hessian(q)``.
+
+        At the pass's own q, sigma2 was solved at theta, so gbar's sigma2
+        entry is taken as 0.  The step is -H^-1 gbar in theta; with
+        ``log``, it is dy = -H_y^-1 g_y in y = log theta, where g_y = theta
+        gbar and H_y = diag(theta) H diag(theta) + diag(g_y) is negative
+        definite, and theta moves to theta exp(dy).  None where the
+        derivatives are not finite or neither Hessian is negative definite.
+        """
         gbar, H = self.hessian(q)
-        if np.isfinite(H).all() and np.isfinite(gbar).all() and np.linalg.eigvalsh(H).max() < 0:
-            return -np.linalg.solve(H, gbar)
+        if q == self.q:
+            gbar[0] = 0.0
+        theta = self.theta.as_array()
+        for in_logs in ((True, False) if log else (False,)):
+            g, Hs = ((theta * gbar, H * np.outer(theta, theta) + np.diag(theta * gbar))
+                     if in_logs else (gbar, H))
+            if np.isfinite(Hs).all() and np.isfinite(g).all() and np.linalg.eigvalsh(Hs).max() < 0:
+                d = -np.linalg.solve(Hs, g)
+                with np.errstate(over="ignore"):    # a step past exp's range leaves any box
+                    return theta * np.expm1(d) if in_logs else d
         return None
 
 

@@ -29,20 +29,26 @@ identities, the recurrence and the modified Bessel ODE:
 where the beta-derivatives carry K_{nu-1} directly, without the
 cancellation of nu K_nu + t K'_nu at small t.  The derivatives in the order
 come from a trapezoid rule on K's integral representation
-(``_order_derivs``).  Every term is 0 at h = 0.  Where K_nu overflows at
-tiny t, t^nu K_nu takes its exact limit Gamma(nu) 2^(nu-1), so M takes its
-limit sigma2 and the terms theirs, 0; where t^nu overflows at huge t
-against a K_nu that underflowed to 0, M and the terms are 0.
+(``_order_derivs``).  Every term is 0 at h = 0.  One overflow rule holds on
+both routes below: where K_nu overflows at tiny t, t^nu K_nu takes its
+exact limit Gamma(nu) 2^(nu-1), so M takes its limit sigma2; where t^(nu+1)
+K_{nu-1} or the order derivatives are not finite there, every term they
+enter takes its limit, 0; and at huge t, where e^-t is 0, M and the
+terms are 0.
 
 Evaluation.  A ``LocationSet`` caches its sorted unique distances and each
 site pair's index into them.  The kernel is evaluated once per unique
-distance and scattered back, by one of two routes:
+distance and scattered back.  Both routes below evaluate it one way, at
+points t > 0: t^nu K_nu(t) e^t (``_tnu_k``) and the five terms times e^t
+(``_terms``), from kve, scipy's K_nu(t) e^t, which stays finite where K_nu
+underflows; the values are then multiplied by e^-t.  The routes differ
+only in the points:
 
 - Direct, where a set has no more unique distances than its Chebyshev
   panels would have nodes (the 127 distances of a 10 x 10 lattice, not the
-  369 of a 20 x 20 one): kv at every distance.  ``matern_cov`` always
-  takes this route, and the tests use it, with the terms made the same
-  way, as the reference.
+  369 of a 20 x 20 one): every distance.  ``matern_cov`` always takes this
+  route, and the tests use it, with the terms made the same way, as the
+  reference.
 - Chebyshev, otherwise (irregular sites).  Panels of width 0.1 in s = log d
   (``_Panels``) carry a degree-8 interpolant in s of t^nu K_nu(t) e^t and of
   the five terms times e^t, which are analytic in s, so it converges
@@ -56,12 +62,12 @@ distance and scattered back, by one of two routes:
 
 A derivative pass reads its five terms from the score of its point, as
 at the fit's start and Newton points, or scores the point again to
-make them.  Such a score has ``_cov_into`` make
-the terms too (its ``terms``), from the order-nu values it makes R's from:
-kv's at the distances, or kve's at the nodes, where one walk of
-``_Panels.at`` builds the basis and e^-t once for R's values and the
-terms.  So in a fit and a sandwich the score is the only place the kernel
-is evaluated, and a point makes one Bessel call at each order.
+make them.  Such a score has ``_cov_into`` make the terms too (its
+``terms``), from the order-nu values it makes R's from, at the distances
+or at the nodes, where one walk of ``_Panels.at`` builds the basis and
+e^-t once for R's values and the terms.  So in a fit and a sandwich the
+score is the only place the kernel is evaluated, and a point makes one
+Bessel call at each order.
 """
 
 from dataclasses import dataclass
@@ -70,8 +76,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 from scipy.special import gammaln, psi, zeta
-# every Bessel evaluation of the package goes through these two bindings
-from scipy.special import kv as special_kv
+# every Bessel evaluation of the package goes through this binding
 from scipy.special import kve as special_kve
 
 # The model's range of smoothness: MaternParams rejects a larger nu, the
@@ -264,16 +269,16 @@ def _coef(nu):
     return np.exp((1.0 - nu) * _LN2 - gammaln(nu))
 
 
-def _tnu_k(nu, t, bessel):
-    """t^nu bessel(nu, t) at t > 0, for ``bessel`` kv or its scaled kve.
+def _tnu_k(nu, t):
+    """t^nu K_nu(t) e^t at t > 0, from kve.
 
     Where the product is not finite, it takes its limit: Gamma(nu)
     2^(nu-1), exact to double precision there, at t < 1, where K_nu
-    overflows (t -> 0, where t^nu underflows), and 0 at larger t, where
-    t^nu overflows against a K_nu that underflowed to 0.
+    overflows (t -> 0, where t^nu underflows and e^t is 1), and 0 at larger
+    t, where t^nu overflows.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        g = t ** nu * bessel(nu, t)
+        g = t ** nu * special_kve(nu, t)
     bad = ~np.isfinite(g)
     if np.any(bad):
         g = np.where(bad, np.where(t < 1.0, np.exp(gammaln(nu) + (nu - 1.0) * _LN2), 0.0), g)
@@ -286,7 +291,9 @@ def matern_cov(h, theta):
     if np.any(~(ha >= 0.0)):
         raise ValueError("distance h must be nonnegative")
     out = np.ones_like(ha)
-    out[ha / theta.beta > 0.0] = _coef(theta.nu) * _direct_g(ha, theta.beta, theta.nu)
+    t = ha / theta.beta
+    pos = t > 0.0
+    out[pos] = _coef(theta.nu) * (_tnu_k(theta.nu, t[pos]) * np.exp(-t[pos]))
     out *= theta.sigma2
     if np.ndim(h) == 0:
         return float(out[0])
@@ -326,13 +333,17 @@ def _order_derivs(nu, t):
     return out.reshape((3,) + t.shape)
 
 
-def _terms(t, beta, nu, gk, qk, dk):
-    """The five per-distance terms, shape (5,) + t.shape, in the module docstring's order.
+def _terms(t, beta, nu, gk):
+    """The five per-distance terms times e^t at the points t > 0, shape (5,) + t.shape.
 
-    From g = t^nu K_nu, q = t^(nu+1) K_{nu-1} and ``_order_derivs``' dk, all
-    carrying the same factor (1 or e^t), which the terms then carry too.
-    Terms that are not finite take their limit, 0.
+    In the module docstring's order, from g = t^nu K_nu e^t (``_tnu_k``),
+    q = t^(nu+1) K_{nu-1} e^t and ``_order_derivs``' dk.  Terms that are not
+    finite take their limit, 0: so where q overflows (K_{nu-1} at tiny t),
+    every term it enters is 0.
     """
+    with np.errstate(invalid="ignore", over="ignore"):
+        qk = t ** (nu + 1.0) * special_kve(nu - 1.0, t)
+    dk = _order_derivs(nu, t)
     c = _coef(nu)
     tnu = t ** nu
     # d/dnu log(c(nu) t^nu), with c'(nu)/c(nu) = -(ln 2 + Psi(nu))
@@ -349,48 +360,6 @@ def _terms(t, beta, nu, gk, qk, dk):
         c * ((a * a - zeta(2.0, nu)) * gk + 2.0 * a * dg + tnu * dk[1])])
     terms[~np.isfinite(terms)] = 0.0
     return terms
-
-
-def _direct_g(h, beta, nu):
-    """t^nu K_nu(t) at the positive t = h / beta, from kv."""
-    t = h / beta
-    return _tnu_k(nu, t[t > 0.0], special_kv)
-
-
-def _direct_terms(h, beta, nu, g, out):
-    """``_terms`` at the distances h from kv, written into ``out``, a (grad, hess) pair.
-
-    g is ``_direct_g(h, beta, nu)``; the entries at h = 0 are set to 0.
-    """
-    t = h / beta
-    pos = t > 0.0
-    tp = t[pos]
-    qk = tp ** nu * tp * special_kv(nu - 1.0, tp)     # t^(nu+1) K_{nu-1}
-    terms = _terms(tp, beta, nu, g, qk, _order_derivs(nu, tp) * np.exp(-tp))
-    grad, hess = out
-    grad.fill(0.0)
-    hess.fill(0.0)
-    grad[:, pos] = terms[:2]
-    hess[:, pos] = terms[2:]
-
-
-def _node_q(mu, t):
-    """t^(mu+1) K_{mu-1}(t) e^t from kve; where kve overflows, the limit 0."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        q = t ** (mu + 1.0) * special_kve(mu - 1.0, t)
-    return np.where(np.isfinite(q), q, 0.0)
-
-
-def _cheb_g(panels, beta, nu):
-    """t^nu K_nu(t) e^t at the nodes of the panels that hold a t <= _T_ZERO, (k, deg + 1)."""
-    k = panels.span(beta)[1]
-    return _tnu_k(nu, panels.nodes[:k] / beta, special_kve)
-
-
-def _cheb_terms(panels, beta, nu, g):
-    """``_terms`` times e^t at the nodes where ``_cheb_g`` gave g, (5, k, deg + 1)."""
-    tn = panels.nodes[:len(g)] / beta
-    return _terms(tn, beta, nu, g, _node_q(nu, tn), _order_derivs(nu, tn))
 
 
 def _term_rows(u, panels, out):
@@ -430,7 +399,10 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     and the (beta, beta), (beta, nu) and (nu, nu) second derivatives (3, u)
     of M / sigma2, is filled with the terms at (beta, nu) from the order-nu
     values that make the kernel's (in the same walk over the panels, where
-    the sites have them).
+    the sites have them).  Both routes evaluate at their points t > 0 with
+    ``_tnu_k`` and ``_terms``, so one overflow rule holds on both (the
+    module docstring): the direct route at the positive distances, times
+    e^-t there, and the Chebyshev route at its nodes, interpolated.
     """
     uniq, inv = locs._dist_unique
     panels = locs._dist_cheb
@@ -443,18 +415,26 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     # a beta below about 1e-154 makes beta^2 0 in _terms' 1 / beta^2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if panels is None:
-            g = _direct_g(uniq, beta, nu)
-            vals[uniq / beta > 0.0] = _coef(nu) * g
+            t = uniq / beta
+            pos = t > 0.0
+            t = t[pos]
+            decay = np.exp(-t)
+            g = _tnu_k(nu, t)
+            vals[pos] = _coef(nu) * (g * decay)
             if terms is not None:
-                _direct_terms(uniq, beta, nu, g, terms)
+                made = _terms(t, beta, nu, g) * decay
+                for o, rows in zip(terms, (made[:2], made[2:])):
+                    o.fill(0.0)
+                    o[:, pos] = rows
         else:
-            g = _cheb_g(panels, beta, nu)
+            live, k = panels.span(beta)
+            t = panels.nodes[:k] / beta
+            g = _tnu_k(nu, t)
             pos = slice(uniq.size - panels.d.size, None)
             rows = [(g, [vals[pos]])]
             if terms is not None:
-                rows.append((_cheb_terms(panels, beta, nu, g),
-                             _term_rows(uniq.size, panels, terms)))
-            panels.at(beta, panels.span(beta)[0], rows, out.ravel(order="F"))
+                rows.append((_terms(t, beta, nu, g), _term_rows(uniq.size, panels, terms)))
+            panels.at(beta, live, rows, out.ravel(order="F"))
             vals[pos] *= _coef(nu)
     vals *= theta.sigma2
     np.take(vals, inv, mode="clip", out=out.T)

@@ -4,7 +4,7 @@ The package evaluates the kernel's derivatives as per-distance terms, made
 only by a score, in the walk that makes R's values
 (``matern._cov_into``'s ``terms``), and scores the Lq objective in the log
 domain (``gauss_lik._lq_weights``).  The oracles of the tests want the
-terms on their own, made by the package's term makers with a Bessel call
+terms on their own, made by the package's term maker with a Bessel call
 of their own at each order (``kernel_terms``), and everything in its
 textbook form: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
@@ -26,8 +26,8 @@ from lqmatern.asymptotics import ustar_all
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _corr_factor, _lq_weights,
                                 _profile_factor, _weighted_derivs, _whiten, _Workspace,
                                 chol_factor)
-from lqmatern.matern import (MaternParams, _cheb_g, _cheb_terms, _direct_g, _direct_terms,
-                             _term_rows, build_cov, matern_cov)
+from lqmatern.matern import (MaternParams, _term_rows, _terms, _tnu_k, build_cov,
+                             matern_cov)
 from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
                                 variogram_by_replicate)
 
@@ -39,18 +39,26 @@ def kernel_terms(h, beta, nu, panels=None):
     and nu derivatives (2, u), and the (beta, beta), (beta, nu) and
     (nu, nu) second derivatives (3, u), per unit variance.  With ``panels``
     built over the positive entries of the sorted h
-    (``LocationSet._dist_cheb``) they are Chebyshev interpolants, else
-    kv's at every distance; either way from the package's term makers,
-    with no value of R made alongside.
+    (``LocationSet._dist_cheb``) they are Chebyshev interpolants of the
+    terms at the panels' nodes, else the terms at every positive distance,
+    times e^-t; either way from the package's term maker, ``_terms``, with
+    no value of R made alongside.
     """
     out = np.empty((2,) + h.shape), np.empty((3,) + h.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if panels is not None:
-            panels.at(beta, panels.span(beta)[0],
-                      [(_cheb_terms(panels, beta, nu, _cheb_g(panels, beta, nu)),
-                        _term_rows(h.size, panels, out))], None)
+            live, k = panels.span(beta)
+            t = panels.nodes[:k] / beta
+            panels.at(beta, live, [(_terms(t, beta, nu, _tnu_k(nu, t)),
+                                    _term_rows(h.size, panels, out))], None)
         else:
-            _direct_terms(h, beta, nu, _direct_g(h, beta, nu), out)
+            t = h / beta
+            pos = t > 0.0
+            t = t[pos]
+            made = _terms(t, beta, nu, _tnu_k(nu, t)) * np.exp(-t)
+            for o, rows in zip(out, (made[:2], made[2:])):
+                o.fill(0.0)
+                o[:, pos] = rows
     return out
 
 
@@ -59,15 +67,14 @@ def kernel_derivs(h, theta, locs=None):
 
     Scalar or array h >= 0; the results have shapes h.shape, (3,) + h.shape
     and (3, 3) + h.shape.  Without ``locs`` the value is ``matern_cov``'s
-    and the derivative terms are ``kernel_terms``' from kv at every
-    distance.  With ``locs``, h is its sorted unique distances, and both
-    are evaluated as the fit and the pass take them: the value is
-    ``build_cov``'s, and the terms come from the set's panels, if any.  At
-    h = 0 the gradient is (1, 0, 0) and the Hessian 0.  The terms are made
-    per unit variance, and M is linear in sigma2: the beta and nu
-    derivatives of M / sigma2 are also the mixed (sigma2, .) Hessian
-    entries, the other entries are sigma2 times their terms, and the
-    (sigma2, sigma2) entry is 0.
+    and the derivative terms are ``kernel_terms``' at every distance.
+    With ``locs``, h is its sorted unique distances, and both are evaluated
+    as the fit and the pass take them: the value is ``build_cov``'s, and
+    the terms come from the set's panels, if any.  At h = 0 the gradient is
+    (1, 0, 0) and the Hessian 0.  The terms are made per unit variance, and
+    M is linear in sigma2: the beta and nu derivatives of M / sigma2 are
+    also the mixed (sigma2, .) Hessian entries, the other entries are
+    sigma2 times their terms, and the (sigma2, sigma2) entry is 0.
     """
     shape = np.shape(h)
     h = np.atleast_1d(np.asarray(h, dtype=float)).ravel()

@@ -106,6 +106,9 @@ LEDGER = (
     Seeds("bench/run.py --seed", 3001, 3010, (
         ("benchmark", "benchmark pairs of the change that moved the derivative pass into "
                       "R's whitened frame"),)),
+    Seeds("bench/run.py --seed", 3101, 3110, (
+        ("benchmark", "benchmark pairs of the change that evaluates the Matern kernel "
+                      "from kve alone"),)),
     Seeds("bench/run.py --seed", 2999, 2999, (
         ("benchmark", "traced runs of the change where FitChain.profile returns its "
                       "fits"),)),

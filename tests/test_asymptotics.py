@@ -303,7 +303,7 @@ class TestSandwich:
     def bessel_calls(self, monkeypatch, locs):
         reps = gen_replicates(locs, self.theta, 8, seed=13)
         calls = []
-        for name in ("special_kv", "special_kve"):
+        for name in ("special_kve",):
             def counting(order, x, real=getattr(matern, name)):
                 calls.append(order)
                 return real(order, x)
@@ -312,7 +312,7 @@ class TestSandwich:
         return calls
 
     def test_at_most_two_bessel_calls(self, monkeypatch):
-        # value, gradient and Hessian come from one pass: kv at the orders
+        # value, gradient and Hessian come from one pass: kve at the orders
         # nu and nu - 1, the order derivatives by quadrature, and build_cov's
         # order-nu values shared with the pass
         assert 0 < len(self.bessel_calls(monkeypatch, LOCS9)) <= 2

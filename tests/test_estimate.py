@@ -1232,7 +1232,7 @@ class TestSharedWalk:
         # (one call at the order nu), which scores the point again (two more)
         locs, reps = shared_sets[route]
         walks = count_calls(monkeypatch, matern._Panels, "at")
-        bessel = [count_calls(monkeypatch, matern, name) for name in ("special_kv", "special_kve")]
+        bessel = [count_calls(monkeypatch, matern, name) for name in ("special_kve",)]
         per_walk = int(locs._dist_cheb is not None)
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
@@ -1299,15 +1299,15 @@ class TestSharedWalk:
             assert np.array_equal(getattr(own, name), getattr(handed, name))
 
     def test_lattice_score_makes_the_pass_terms(self, shared_sets, monkeypatch):
-        # kv's route has no walk to share, but its score makes the pass's
-        # terms from the order-nu values that make R's: the pass factors
-        # nothing and calls no kv
+        # the direct route has no walk to share, but its score makes the
+        # pass's terms from the order-nu values that make R's: the pass
+        # factors nothing and calls no kve
         locs, reps = shared_sets[1]
         search, u = self.point(locs, reps)
         search.score(u, terms=True)
         assert search.ws.held[:2] == tuple(search.corner + u * search.width)
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
-        kv = count_calls(monkeypatch, matern, "special_kv")
+        kv = count_calls(monkeypatch, matern, "special_kve")
         search.newton_step(u)
         assert search.last_pass is not None and factors == [] and kv == []
 
@@ -1364,7 +1364,7 @@ class TestSharedWalk:
             return call
 
         monkeypatch.setattr(gauss_lik, "_corr_factor", score)
-        for name in ("special_kv", "special_kve"):
+        for name in ("special_kve",):
             monkeypatch.setattr(matern, name, spy(getattr(matern, name)))
         # a search over a fresh set, which carries no pass
         search = self.point(locs, ReplicateSet(reps.data))[0]

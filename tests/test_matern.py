@@ -343,7 +343,7 @@ class TestBuilders:
     def test_kernel_pass_value_is_build_cov(self, monkeypatch):
         # the derivative pass takes no value of its own: it starts from the
         # factor of build_cov's R, the fit's, bit for bit, on lattice sites
-        # (direct kv) and on irregular sites (Chebyshev interpolant)
+        # (direct) and on irregular sites (Chebyshev interpolant)
         factored = []
         real = gauss_lik._factor_in_place
 
@@ -446,9 +446,8 @@ class TestChebyshevKernel:
 
     @pytest.mark.parametrize("n", [16, 49, 100])
     def test_lattice_is_direct_bit_for_bit(self, n):
-        # below the node count build_cov and the derivative pass are the
-        # direct kv path exactly, so fits, standard errors and the CLI sweep
-        # on lattices are unchanged
+        # below the node count build_cov and the derivative pass take the
+        # direct route, kve at every distance, exactly as matern_cov does
         locs = make_locations(n, "grid", seed=0)
         uniq, _ = locs._dist_unique
         rng = np.random.default_rng(n)
@@ -506,6 +505,22 @@ class TestChebyshevKernel:
             assert np.all(np.abs(val - want) <= 1e-12 * want)
             _, grad_d, _ = kernel_derivs(uniq, th)
             assert np.abs(grad[1] - grad_d[1]).max() <= 1e-12 * np.abs(grad_d[1]).max()
+
+    @pytest.mark.parametrize("nu", [4.5, NU_CAP])
+    def test_routes_agree_where_k_below_overflows(self, nu):
+        # at t near 1e-100, K_{nu-1} overflows and t^(nu+1) underflows, so
+        # t^(nu+1) K_{nu-1} is not finite and every term it enters takes its
+        # limit 0 on both routes (keeping t^2 g in the (beta, beta) term
+        # there gives 1.44e-200 on one route against 0 on the other)
+        h = np.concatenate(([0.0], np.linspace(1e-100, 1.2e-100, 40)))
+        panels = _Panels.over(h[1:])
+        assert panels.nodes.size < panels.d.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cheb = kernel_terms(h, 1.0, nu, panels)
+            direct = kernel_terms(h, 1.0, nu)
+        for a, b in zip(cheb, direct):
+            assert np.array_equal(a, b) and np.all(a == 0.0)
 
     @pytest.mark.parametrize("locs", [LOCS_CHEB, LOCS_TINY], ids=["uniform", "tiny"])
     def test_basis_product_matches_clenshaw(self, monkeypatch, locs):

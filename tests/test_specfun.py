@@ -20,6 +20,7 @@ from scipy.special import kv
 
 from lqmatern.matern import (NU_CAP, MaternParams, _coef, _order_derivs,
                              matern_cov)
+from lqmatern.simulate import make_locations
 from oracles import kernel_derivs, matern_grad, matern_hess
 
 # frozen half-integer closed-form values at x = 1:
@@ -140,6 +141,27 @@ class TestBesselK:
             if nu == NU_CAP:
                 assert val[1] == want
                 assert np.all(grad[1:, 1:] == 0.0) and np.all(hess[:, :, 1:] == 0.0)
+
+
+    def test_lattice_values_match_mpmath(self):
+        # the direct route's values, kve times e^-t, at the unique distances
+        # of the 10 x 10 and 30 x 30 lattices (every 8th of the latter's
+        # 976) over beta in [1e-3, 1] and nu in [0.05, 5], against mpmath
+        # wherever M > 1e-290 (measured worst 5.4e-14, at t = 656, where the
+        # rounding of t alone moves e^-t by 7e-14).  mpmath's K at an
+        # integer order is about seven times slower, so the top order is 4.95
+        for n, stride in ((100, 1), (900, 8)):
+            h = make_locations(n, "grid")._dist_unique[0][1::stride]
+            for beta in (1e-3, 0.03, 1.0):
+                for nu in (0.05, 2.6, 4.95):
+                    got = matern_cov(h, MaternParams(1.0, beta, nu))
+                    live = got > 1e-290
+                    assert np.any(live)
+                    with mp.workdps(20):
+                        c = 2 ** (1 - mp.mpf(nu)) / mp.gamma(nu)
+                        want = np.array([float(c * t ** nu * mp.besselk(nu, t))
+                                         for t in (mp.mpf(x) / beta for x in h[live])])
+                    assert np.all(np.abs(got[live] - want) <= 1e-13 * want), (n, beta, nu)
 
 
 class TestBesselKDx:
