@@ -40,9 +40,8 @@ fit.tol = 1e-4
 """)
 
     run("simulate", "--config", cfg_path)
+    # fit writes fit.txt and se.txt, the sandwich at its own theta-hat and q
     run("fit", "--config", cfg_path, "--q", "0.95", "--data-dir", workdir)
-    # se reads q, with theta-hat, from the fit record
-    run("se", "--config", cfg_path, "--data-dir", workdir)
     run("variogram", "--config", cfg_path, "--data-dir", workdir)
     run("select-q", "--config", cfg_path, "--selector", "kappa",
         "--data-dir", workdir)

@@ -7,10 +7,10 @@ Results and metadata are line-oriented ``key = value`` records; the
 same syntax (with dotted section prefixes) serves as the config format,
 so a simulation's metadata record can be fed back in as a config.
 
-Subcommands: simulate, fit, select-q, se, variogram, sweep.  Each
-registers only the flags it reads, so a flag it would ignore is a usage
-error.  Exit codes: 0 success, 1 usage, 2 data error, 3 numerical
-failure.
+Subcommands: simulate, fit (which writes the fit's standard errors too),
+select-q, variogram, sweep.  Each registers only the flags it reads, so a
+flag it would ignore is a usage error.  Exit codes: 0 success, 1 usage,
+2 data error, 3 numerical failure.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import numpy as np
 from .asymptotics import sandwich, std_errs
 from .estimate import DEFAULT_TOL, Bounds, FitChain, default_bounds, fit
 from .gauss_lik import ReplicateSet
-from .matern import NU_CAP, LocationSet, MaternParams
+from .matern import LocationSet, MaternParams
 from .qselect import (QGridSpec, default_kappa_spec, kappa, make_se_fn,
                       select_q_kappa, select_q_sqv)
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
@@ -420,7 +420,6 @@ _FLAGS = {
     "selector": dict(choices=("kappa", "sqv", "none")),
     "data-dir": dict(default=".", help="directory with %s and %s"
                      % (LOCATIONS_FILE, REPLICATES_FILE)),
-    "fit": dict(help="fit record to read (default OUT/fit.txt)"),
     "bins": dict(type=int, default=DEFAULT_N_BINS),
     "max-dist": dict(type=float),
     "center": dict(action="store_true",
@@ -439,12 +438,10 @@ def build_parser():
     for name, help_text, func, sections, flags in (
             ("simulate", "generate a dataset on disk", cmd_simulate, ("sim",),
              ("config", "out") + sim),
-            ("fit", "fit one q to a dataset", cmd_fit, ("fit",),
+            ("fit", "fit one q to a dataset, with its standard errors", cmd_fit, ("fit",),
              ("config", "out", "q", "data-dir")),
             ("select-q", "run a q selector on a dataset", cmd_select_q,
              ("grid", "fit"), ("config", "out", "q-grid", "selector", "data-dir")),
-            ("se", "standard errors for a stored fit", cmd_se, (),
-             ("config", "out", "data-dir", "fit")),
             ("variogram", "per-replicate empirical variograms", cmd_variogram, (),
              ("config", "out", "data-dir", "bins", "max-dist", "center")),
             ("sweep", "repetitions x (simulate, fit grid, select)", cmd_sweep,
@@ -513,7 +510,25 @@ def _fit_record(res, tol):
             ("init.nu", _fmt(res.init.nu))]
 
 
+def _se_record(q, parts, errs):
+    names = ("sigma2", "beta", "nu")
+    pairs = [("q", _fmt(q)), ("m", parts.m)]
+    pairs += [("se." + a, _fmt(float(v))) for a, v in zip(names, errs.se)]
+    pairs += [("convention", errs.convention), ("cond", _fmt(errs.cond)),
+              ("log_scale", _fmt(parts.log_scale))]
+    for mat, M in (("K", parts.K), ("J", parts.J)):
+        pairs += [("%s.%s.%s" % (mat, names[a], names[b]), _fmt(float(M[a, b])))
+                  for a in range(3) for b in range(3)]
+    return pairs
+
+
 def cmd_fit(args):
+    """fit.txt, then se.txt: the sandwich at the fit's own theta-hat and q.
+
+    A Newton-confirmed fit's sandwich reads the fit's derivative pass.
+    Where the sandwich cannot be formed (m < 2, or std_errs raises),
+    fit.txt stays, no se.txt is written, and the error is the exit code.
+    """
     cfg = config_from_args(args)
     out = _outdir(cfg)
     locs, reps = read_dataset(args.data_dir)
@@ -522,6 +537,11 @@ def cmd_fit(args):
     th = res.theta_hat
     print("q=%g theta_hat=(%.6g, %.6g, %.6g) kappa=%.6g converged=%s"
           % (res.q, th.sigma2, th.beta, th.nu, kappa(th), res.converged))
+    parts = sandwich(reps, locs, th, res.q)
+    errs = std_errs(parts)
+    write_record(os.path.join(out, "se.txt"), _se_record(res.q, parts, errs))
+    print("se=(%.6g, %.6g, %.6g) convention=%s cond=%.3g"
+          % (errs.se[0], errs.se[1], errs.se[2], errs.convention, errs.cond))
 
 
 def _select(cfg, reps, locs, chain):
@@ -549,45 +569,6 @@ def cmd_select_q(args):
                 for rec in sel.trace for i, qv in enumerate(rec.grid)))
     print("selected q*=%g (%s) after %d pass(es)"
           % (sel.q_star, sel.reason, len(sel.trace)))
-
-
-def cmd_se(args):
-    out = _outdir(config_from_args(args))
-    locs, reps = read_dataset(args.data_dir)
-    fit_path = args.fit or os.path.join(out, "fit.txt")
-    rec = read_record(fit_path)
-
-    def number(key, top=np.inf):
-        # a finite value in (0, top], as the library requires of each key
-        if key not in rec:
-            raise DataError("%s: missing key '%s'" % (fit_path, key))
-        try:
-            value = float(rec[key])
-        except ValueError as exc:
-            raise DataError("%s: %s = %r: %s" % (fit_path, key, rec[key], exc)) from None
-        if not (0.0 < value <= top and np.isfinite(value)):
-            raise DataError("%s: %s = %r: must be positive and finite%s"
-                            % (fit_path, key, rec[key],
-                               "" if top == np.inf else ", at most %g" % top))
-        return value
-
-    theta = MaternParams(number("sigma2"), number("beta"), number("nu", NU_CAP))
-    # the fit's own q: the sandwich at theta-hat(q) under another q is the
-    # standard error of no estimator
-    q = number("q", 1.0)
-    parts = sandwich(reps, locs, theta, q)
-    errs = std_errs(parts)
-    names = ("sigma2", "beta", "nu")
-    pairs = [("q", _fmt(q)), ("m", parts.m)]
-    pairs += [("se." + a, _fmt(float(v))) for a, v in zip(names, errs.se)]
-    pairs += [("convention", errs.convention), ("cond", _fmt(errs.cond)),
-              ("log_scale", _fmt(parts.log_scale))]
-    for mat, M in (("K", parts.K), ("J", parts.J)):
-        pairs += [("%s.%s.%s" % (mat, names[a], names[b]), _fmt(float(M[a, b])))
-                  for a in range(3) for b in range(3)]
-    write_record(os.path.join(out, "se.txt"), pairs)
-    print("se=(%.6g, %.6g, %.6g) convention=%s cond=%.3g"
-          % (errs.se[0], errs.se[1], errs.se[2], errs.convention, errs.cond))
 
 
 def cmd_variogram(args):

@@ -324,7 +324,10 @@ def _order_derivs(nu, t):
         tb = ts[a:a + _QUAD_BLOCK, None]
         h = _QUAD_STEP * np.minimum(1.0, tb ** -0.5)
         cut = np.arccosh(1.0 + (_QUAD_CUT + 2.0 * nu * np.log1p(1.0 / tb)) / tb)
-        u = h * np.arange(1, int(np.ceil(np.max(cut / h))) + 1)
+        # t = inf (h / beta past the float range) gives 0 / 0 here; it takes
+        # no part in the point count, and the terms it enters are 0
+        count = np.max(cut / h, where=np.isfinite(tb), initial=0.0)
+        u = h * np.arange(1, int(np.ceil(count)) + 1)
         half = np.sinh(0.5 * u)
         w = h * u * np.exp(-2.0 * tb * half * half)
         out[0, a:a + _QUAD_BLOCK] = np.sum(w * np.sinh(nu * u), axis=1)

@@ -85,7 +85,10 @@ LEDGER = (
                      "uniform, m = 50, q = 0.5, data times 1e3 and 1e-3, which the "
                      "ustar_all test repeats on a lattice"),
         ("held-out", "tests/test_asymptotics.py::TestUstar::"
-                     "test_a_scale_past_the_float_range_raises"))),
+                     "test_a_scale_past_the_float_range_raises"),
+        ("reviewed", "seed 9140060, n = 400 uniform, m = 100: sizing the cost of the "
+                     "removed se subcommand, and the check that fit's se.txt is "
+                     "byte-identical to fit then se at q in {1, 0.95}"))),
     Seeds("SimConfig.seed", 9140100, 9140119, (
         ("calibration", "the band of tests/test_asymptotics.py::TestPopulationClosedForms::"
                         "test_ess_within_its_spread_of_the_closed_form"),)),
@@ -109,6 +112,8 @@ LEDGER = (
     Seeds("bench/run.py --seed", 3101, 3110, (
         ("benchmark", "benchmark pairs of the change that evaluates the Matern kernel "
                       "from kve alone"),)),
+    Seeds("bench/run.py --seed", 3201, 3206, (
+        ("benchmark", "benchmark pairs of the change where fit writes se.txt"),)),
     Seeds("bench/run.py --seed", 2999, 2999, (
         ("benchmark", "traced runs of the change where FitChain.profile returns its "
                       "fits"),)),

@@ -268,7 +268,6 @@ SIM_FLAGS = ["--seed", "--n", "--m", "--layout", "--theta", "--contam-r",
 SUBCOMMAND_FLAGS = {
     "simulate": ["--config", "--out"] + SIM_FLAGS,
     "fit": ["--config", "--out", "--q", "--data-dir"],
-    "se": ["--config", "--out", "--data-dir", "--fit"],
     "select-q": ["--config", "--out", "--q-grid", "--selector", "--data-dir"],
     "variogram": ["--config", "--out", "--data-dir", "--bins", "--max-dist",
                   "--center"],
@@ -277,15 +276,31 @@ SUBCOMMAND_FLAGS = {
 }
 
 
+def parser_flags():
+    """{subcommand: its sorted flags} as build_parser() registers them."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(opt for act in sp._actions for opt in act.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, sp in subs.choices.items()}
+
+
 class TestFlags:
     def test_each_subcommand_registers_the_flags_it_reads(self):
-        subs = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-        got = {name: sorted(opt for act in sp._actions for opt in act.option_strings
-                            if opt not in ("-h", "--help"))
-               for name, sp in subs.choices.items()}
+        got = parser_flags()
         assert got == {name: sorted(flags) for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(len(flags) for flags in got.values()) == 40
+        assert sum(len(flags) for flags in got.values()) == 36
+
+    def test_readme_flag_table_is_the_parser(self):
+        # the table under "Command line" and its "N in all" count
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+        count, text = re.search(r"The flags of each subcommand, (\d+) in all.*?\n\n(\|.*?)\n\n",
+                                section, re.S).groups()
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.M))
+        table = {name: sorted(re.findall(r"--[a-z-]+", cell)) for name, cell in rows.items()}
+        assert table == parser_flags()
+        assert int(count) == sum(map(len, table.values()))
 
     def test_flag_a_subcommand_does_not_read_is_a_usage_error(self, tmp_path, capsys):
         assert run(["fit", "--n", "7", "--data-dir", str(tmp_path)]) == 1
@@ -318,9 +333,9 @@ class TestConfigSections:
         key, value, _msg = self.BAD[bad]
         cfgp = tmp_path / "c.cfg"
         write_record(cfgp, [(key, value), ("fit.tol", "1e-3")])
-        for cmd in ("fit", "se"):
-            assert run([cmd, "--config", str(cfgp), "--data-dir", str(dataset),
-                        "--out", str(dataset)]) == 0
+        assert run(["fit", "--config", str(cfgp), "--data-dir", str(dataset),
+                    "--out", str(dataset)]) == 0
+        assert (dataset / "fit.txt").exists() and (dataset / "se.txt").exists()
         capsys.readouterr()
 
     @pytest.mark.parametrize("bad", sorted(BAD))
@@ -340,7 +355,6 @@ class TestConfigSections:
         cfgp = tmp_path / "c.cfg"
         write_record(cfgp, [("sim.nn", "4")])
         for argv in (["simulate"], ["sweep"], ["fit", "--data-dir", str(dataset)],
-                     ["se", "--data-dir", str(dataset)],
                      ["select-q", "--data-dir", str(dataset)],
                      ["variogram", "--data-dir", str(dataset)]):
             assert run(argv + ["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
@@ -403,7 +417,7 @@ class TestMain:
         assert (envdir / "locations.csv").exists()
         capsys.readouterr()
 
-    def test_fit_then_se_chain(self, tmp_path, capsys):
+    def test_fit_writes_se(self, tmp_path, capsys):
         out = tmp_path / "w"
         cfgp = write_tiny_config(tmp_path / "cfg.txt")
         assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
@@ -418,8 +432,6 @@ class TestMain:
                           float(rec["nu"]))
         assert float(rec["kappa"]) == pytest.approx(
             th.sigma2 * th.beta ** (-2 * th.nu))
-        assert run(["se", "--config", cfgp, "--data-dir", str(out),
-                    "--out", str(out)]) == 0
         se = read_record(out / "se.txt")
         assert float(se["q"]) == 0.95 and int(se["m"]) == 3
         assert float(se["se.sigma2"]) > 0
@@ -448,23 +460,6 @@ class TestMain:
                     "--out", str(out)]) == 0
         assert (out / "fit.txt").read_bytes() == first
         capsys.readouterr()
-
-    def test_se_q_precedence(self, tmp_path, capsys):
-        # se takes q from the fit record only: the sandwich at theta-hat(q)
-        # under another q is the standard error of no estimator.  A config's
-        # fit.q is not read, and --q is no se flag, a usage error
-        out = tmp_path / "w"
-        cfgp = write_tiny_config(tmp_path / "cfg.txt")
-        qcfg = write_tiny_config(tmp_path / "q.cfg", [("fit.q", "0.5")])
-        assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
-        assert run(["fit", "--config", cfgp, "--data-dir", str(out),
-                    "--out", str(out), "--q", "0.95"]) == 0
-        for argv in ([], ["--config", qcfg]):
-            assert run(["se", "--data-dir", str(out), "--out", str(out)] + argv) == 0
-            assert float(read_record(out / "se.txt")["q"]) == 0.95
-        capsys.readouterr()
-        assert run(["se", "--data-dir", str(out), "--out", str(out), "--q", "0.9"]) == 1
-        assert "unrecognized arguments: --q 0.9" in capsys.readouterr().err
 
     def test_a_bound_of_three_values_exits_2(self, tmp_path, capsys):
         # fit.lower and fit.upper are (beta, nu) pairs; a sigma2,beta,nu
@@ -526,29 +521,30 @@ class TestMain:
                         "--out", str(out)]) == 2
             assert "tol must be finite and non-negative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["sigma2", "beta", "nu", "q"])
-    def test_se_names_the_file_and_key_of_a_bad_record(self, tmp_path, capsys, key):
+    def test_fit_of_one_replicate_keeps_fit_txt_and_exits_2(self, tmp_path, capsys):
+        # the sandwich needs two replicates: the fit is written, its se is not
+        out = tmp_path / "w"
+        assert run(["simulate", "--n", "4", "--m", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--data-dir", str(out), "--out", str(out)]) == 2
+        assert "sandwich needs at least 2 replicates" in capsys.readouterr().err
+        assert read_record(out / "fit.txt")["converged"] in ("true", "false")
+        assert not (out / "se.txt").exists()
+
+    def test_fit_whose_j_is_singular_keeps_fit_txt_and_exits_3(self, tmp_path,
+                                                               monkeypatch, capsys):
         out = tmp_path / "w"
         assert run(["simulate", "--n", "4", "--m", "3", "--out", str(out)]) == 0
-        assert run(["fit", "--data-dir", str(out), "--out", str(out)]) == 0
-        path = out / "fit.txt"
-        rec = read_record(path)
-        rec[key] = "abc"
-        write_record(path, list(rec.items()))
+        real = cli.sandwich
+
+        def zero_j(*args):
+            return replace(real(*args), J=np.zeros((3, 3)))
+
+        monkeypatch.setattr(cli, "sandwich", zero_j)
         capsys.readouterr()
-        assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "data error: %s: %s = 'abc': " % (path, key) in err
-        # a value that parses but lies outside the key's range
-        rec[key] = {"sigma2": "nan", "beta": "0", "nu": "inf", "q": "1.5"}[key]
-        write_record(path, list(rec.items()))
-        assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
-        assert ("data error: %s: %s = %r: must be positive and finite"
-                % (path, key, rec[key])) in capsys.readouterr().err
-        del rec[key]
-        write_record(path, list(rec.items()))
-        assert run(["se", "--data-dir", str(out), "--out", str(out)]) == 2
-        assert "data error: %s: missing key '%s'" % (path, key) in capsys.readouterr().err
+        assert run(["fit", "--data-dir", str(out), "--out", str(out)]) == 3
+        assert "numerical failure: J is singular" in capsys.readouterr().err
+        assert (out / "fit.txt").exists() and not (out / "se.txt").exists()
 
     def test_missing_files_exit_2(self, tmp_path, capsys):
         assert run(["fit", "--data-dir", str(tmp_path),

@@ -9,6 +9,7 @@ from scipy import special
 from scipy.special import kv
 
 from lqmatern import gauss_lik, matern
+from lqmatern.asymptotics import sandwich
 from lqmatern.gauss_lik import ReplicateSet, _weighted_derivs
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _Panels,
@@ -99,6 +100,11 @@ class TestLocationSet:
             LocationSet(np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError):
             LocationSet(np.array([[-0.1, 0.5]]))
+        with pytest.raises(ValueError, match="need at least one location"):
+            LocationSet(np.empty((0, 2)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="coords must be finite"):
+                LocationSet(np.array([[0.5, 0.5], [bad, 0.5]]))
 
     def test_duplicate_locations_error(self):
         locs = LocationSet(np.array([[0.2, 0.2], [0.2, 0.2], [0.5, 0.5]]))
@@ -521,6 +527,26 @@ class TestChebyshevKernel:
             direct = kernel_terms(h, 1.0, nu)
         for a, b in zip(cheb, direct):
             assert np.array_equal(a, b) and np.all(a == 0.0)
+
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    def test_terms_are_zero_where_t_overflows(self, layout):
+        # at beta = 1e-310 every h / beta is inf on the lattice's direct
+        # route, which once raised in the order derivatives' point count;
+        # the value and the five terms are 0 there, as past _T_ZERO on the
+        # Chebyshev route, and the sandwich is the white-noise one that a
+        # finite t past the decay gives
+        locs = make_locations(16 if layout == "grid" else 25, layout, seed=1)
+        assert (locs._dist_cheb is None) == (layout == "grid")
+        u = locs._dist_unique[0].size
+        terms = (np.full((2, u), 7.0), np.full((3, u), 7.0))
+        cov = matern._cov_into(locs, MaternParams(1.0, 1e-310, 0.5), terms=terms)
+        assert np.array_equal(cov, np.eye(locs.n))
+        assert all(np.all(t == 0.0) for t in terms)
+        reps = ReplicateSet(np.sin(np.arange(6.0 * locs.n)).reshape(locs.n, 6))
+        got, want = (sandwich(reps, locs, MaternParams(1.0, beta, 0.5), 0.9)
+                     for beta in (1e-310, 1e-300))
+        assert np.array_equal(got.K, want.K) and np.array_equal(got.J, want.J)
+        assert np.count_nonzero(got.K) == np.count_nonzero(got.J) == 1
 
     @pytest.mark.parametrize("locs", [LOCS_CHEB, LOCS_TINY], ids=["uniform", "tiny"])
     def test_basis_product_matches_clenshaw(self, monkeypatch, locs):

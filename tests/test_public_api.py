@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lqmatern
+import lqmatern.cli_io  # a REMOVED path names it; the package does not import it
 from code_lines import SRC, code_lines, count
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -28,10 +29,11 @@ PUBLIC = [
 # Public names removed because no caller needed them, as dotted paths from
 # ``lqmatern`` (CHANGES.md says what replaced each): ``FitChain.profile``
 # returns the fits that ``QProfile`` wrapped and ``fit_profile`` built, the
-# tests score a point through ``oracles.profile_lq``, and
-# ``MaternParams(*a)`` reads an array.
+# tests score a point through ``oracles.profile_lq``,
+# ``MaternParams(*a)`` reads an array, and the CLI's ``fit`` writes the
+# se.txt that ``cmd_se`` made from a fit record.
 REMOVED = ["QProfile", "fit_profile", "estimate.QProfile", "estimate.fit_profile",
-           "gauss_lik.profile_lq", "MaternParams.from_array"]
+           "gauss_lik.profile_lq", "MaternParams.from_array", "cli_io.cmd_se"]
 
 
 def test_all_is_the_public_list():
@@ -389,7 +391,7 @@ def test_module_state_passes_locals_and_constants():
 # The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
 # that raises it says why in CHANGES.md, and a change that lowers the count
 # lowers the ceiling to it.
-CODE_LINES = 1615
+CODE_LINES = 1596
 
 
 def test_src_code_lines_stay_under_the_ceiling():

@@ -124,6 +124,19 @@ class TestSelectSqv:
             select_q_sqv(fit_fn, lambda th, q: ONES_SE, m=m)
         assert fitted == []
 
+    def test_default_spec_is_the_sqv_grid(self):
+        # no spec: QGridSpec()'s DEFAULT_GRID and L = 0.05.  One jump of
+        # SQV 0.1 after q = 1 is a pivot under that L (the kappa spec's
+        # L = 4 would accept q = 1), and the flat refined pass accepts 0.999
+        def fit_fn(q):
+            return MaternParams(1.0 if q == 1.0 else 1.3, 1.0, 1.0)
+
+        res = select_q_sqv(fit_fn, lambda th, q: ONES_SE, m=1)
+        assert res.trace[0].grid == DEFAULT_GRID
+        assert np.allclose(res.trace[0].series[0], 0.1) and res.trace[0].k_star == 1
+        assert res.q_star == 0.999 and res.reason == "stabilized"
+        assert np.allclose(res.trace[1].grid, np.linspace(0.999, 0.9, 8))
+
     def test_worked_destabilized_walk(self):
         # grid (1, .97, .94, .91) with jumps sized to give SQV
         # (0.045, 0.045, 0.1): never below L = 0.05 at the tail, pivot

@@ -75,6 +75,10 @@ class TestMakeLocations:
         with pytest.raises(ValueError):
             make_locations(12, "grid")
 
+    def test_rejects_no_sites(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            make_locations(0)
+
     def test_uniform_in_unit_square(self):
         locs = make_locations(50, "uniform", seed=0)
         assert locs.coords.shape == (50, 2)

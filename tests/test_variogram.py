@@ -29,6 +29,9 @@ class TestVariogramCurve:
                            np.array([1, 0]))
         VariogramCurve(np.array([1.0, 2.0]), np.array([1.0, np.nan]),
                        np.array([1, 0]))
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            VariogramCurve(np.array([1.0, 2.0]), np.array([1.0, np.nan]),
+                           np.array([1, -1]))
 
 
 class TestCenterReplicates:
