@@ -13,7 +13,7 @@ datasets, and the q = 1 score against its zero-mean property at the truth.
 import numpy as np
 
 from lqmatern import (MaternParams, SimConfig, fit, sandwich, simulate_dataset,
-                      standardized, std_errs, ustar_all)
+                      standardized, std_errs)
 
 theta0 = MaternParams(1.0, 0.2, 0.5)
 n, m, q = 36, 200, 0.95
@@ -51,7 +51,10 @@ print("  ratio se / sd:", np.round(se_est / mc_sd, 2))
 
 # --- the q = 1 score is mean zero at the truth ------------------------------
 
-U = ustar_all(reps, locs, theta0, 1.0)
+# sandwich(...).U holds each replicate's weighted gradient; the raw U* is U
+# times e^log_scale, and at q = 1 the weights are 1 and log_scale is 0, so
+# U is the score itself
+U = sandwich(reps, locs, theta0, 1.0).U
 zscore = U.mean(axis=1) / (U.std(axis=1, ddof=1) / np.sqrt(m))
 print("\nmean of the q = 1 score at theta0, in units of its se:",
       np.round(zscore, 2), "(should sit within a few units of zero)")

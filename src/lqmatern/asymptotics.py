@@ -21,7 +21,9 @@ The factors f^(1-q) underflow for large n, so they are never formed: with
 the weights w_i of ``gauss_lik._lq_weights``, f_i^(1-q) = w_i e^s, where
 the log scale s is logsumexp((1-q) l) (0 at q = 1).  ``sandwich`` averages
 the weighted terms U_i = w_i g_i and V_i = (1-q) w_i g_i g_i' + w_i H_i
-into K = (1/m) sum U U' and J = (1/m) sum V (``SandwichParts``).
+into K = (1/m) sum U U' and J = (1/m) sum V, and keeps every U_i beside
+them (``SandwichParts``): the raw U*_i is U_i e^s, which at q = 1 is U_i
+itself, the score.  s stays apart, since e^s can leave the float range.
 
 The derivative pass (``gauss_lik._weighted_derivs``) gives every g_i and
 S = sum w_i H_i, O(m) numbers, and forms no replicate's Hessian; J needs
@@ -50,16 +52,19 @@ class SingularJError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SandwichParts:
-    """Plug-in K and J of the weighted terms over m replicates.
+    """Plug-in K and J of the weighted terms over m replicates, and the terms U.
 
-    The raw K = mean(U* U*') and J = mean(V*) are K e^(2 log_scale) and
-    J e^log_scale; ``log_scale`` is 0 at q = 1.
+    ``U`` holds the (3, m) weighted gradients w_i g_i that K and J are
+    formed from.  The raw U*, K = mean(U* U*') and J = mean(V*) are
+    U e^log_scale, K e^(2 log_scale) and J e^log_scale; ``log_scale`` is 0
+    at q = 1.  ``U`` is None on parts built from K, J and m alone.
     """
 
     K: np.ndarray
     J: np.ndarray
     m: int
     log_scale: float = 0.0
+    U: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -72,20 +77,6 @@ class StdErrs:
     se: np.ndarray
     convention: str = "absolute"
     cond: float = float("nan")
-
-
-def ustar_all(reps, locs, theta, q):
-    """The raw U* = w g e^s of every replicate, shape (3, m), from one factor of R.
-
-    Where e^s leaves the range of normal floats, or U* overflows, U* has no
-    float value, and FloatingPointError is raised instead of zeros or
-    infinities; ``sandwich`` keeps s apart and serves any scale.
-    """
-    p = _weighted_derivs(reps, locs, theta, q)
-    with np.errstate(over="raise", under="raise"):
-        scale = np.exp(p.log_scale)
-    with np.errstate(over="raise"):
-        return p.w * p.g * scale
 
 
 def sandwich(reps, locs, theta_hat, q):
@@ -102,7 +93,7 @@ def sandwich(reps, locs, theta_hat, q):
     J = (p.S + (1.0 - q) * (U @ p.g.T)) / m
     K = 0.5 * (K + K.T)
     J = 0.5 * (J + J.T)
-    return SandwichParts(K=K, J=J, m=m, log_scale=p.log_scale)
+    return SandwichParts(K=K, J=J, m=m, log_scale=p.log_scale, U=U)
 
 
 def std_errs(parts):

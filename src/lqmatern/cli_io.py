@@ -25,8 +25,7 @@ from .asymptotics import sandwich, std_errs
 from .estimate import DEFAULT_TOL, Bounds, FitChain, default_bounds, fit
 from .gauss_lik import ReplicateSet
 from .matern import LocationSet, MaternParams
-from .qselect import (QGridSpec, default_kappa_spec, kappa, make_se_fn,
-                      select_q_kappa, select_q_sqv)
+from .qselect import QGridSpec, default_kappa_spec, kappa, select_q_kappa, select_q_sqv
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
 from .variogram import DEFAULT_N_BINS, center_replicates, variogram_by_replicate
 
@@ -548,7 +547,8 @@ def _select(cfg, reps, locs, chain):
     """The configured selector (kappa or sqv) run on one dataset's fit chain."""
     if cfg.selector == "kappa":
         return select_q_kappa(chain, cfg.q_grid)
-    return select_q_sqv(chain, make_se_fn(reps, locs), cfg.q_grid, m=reps.m)
+    return select_q_sqv(chain, lambda th, q: std_errs(sandwich(reps, locs, th, q)),
+                        cfg.q_grid, m=reps.m)
 
 
 def cmd_select_q(args):
@@ -657,16 +657,13 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         args.func(args)
-    except DataError as exc:
-        print("data error: %s" % exc, file=sys.stderr)
-        return 2
     except OSError as exc:
         print("file error: %s" % exc, file=sys.stderr)
         return 2
     except _NUMERICAL as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:   # a DataError among them
         print("data error: %s" % exc, file=sys.stderr)
         return 2
     return 0

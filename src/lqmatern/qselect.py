@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import sandwich, std_errs
 from .estimate import _checked_q_grid
 
 log = logging.getLogger(__name__)
@@ -185,8 +184,9 @@ def select_q_sqv(fit_fn, se_fn, spec=None, *, m):
     """SelectionResult accepting the leading q once every consecutive SQV is below L.
 
     On a destabilized pass the pivot is the largest subscript k with
-    SQV_k >= L.  ``se_fn(theta_hat, q)`` gives the standard errors
-    (``make_se_fn``), and ``m``, keyword-only, the replicate count behind
+    SQV_k >= L.  ``se_fn(theta_hat, q)`` gives the standard errors (the
+    ``StdErrs`` of ``std_errs(sandwich(reps, locs, theta_hat, q))``), and
+    ``m``, keyword-only, the replicate count behind
     fit_fn; they standardize the estimates.  An m that is not a positive
     integer raises ValueError before any fit.
     """
@@ -229,11 +229,3 @@ def select_q_kappa(fit_fn, spec=None):
 
     return _walk(spec, fit_fn, point, lambda a, b: abs(a / b - 1.0), pivot)
 
-
-def make_se_fn(reps, locs):
-    """se_fn(theta_hat, q) -> StdErrs via the plug-in sandwich matrices."""
-
-    def se_fn(theta_hat, q):
-        return std_errs(sandwich(reps, locs, theta_hat, float(q)))
-
-    return se_fn

@@ -72,8 +72,9 @@ def make_locations(n, layout="grid", seed=None):
 
     The grid layout needs a perfect-square n and places a sqrt(n) x sqrt(n)
     lattice at coordinates (i+1)/(sqrt(n)+1), offset from the boundary.
-    Uniform layout draws i.i.d. points, redrawing in the (measure-zero)
-    event of an exact duplicate.
+    Uniform layout draws i.i.d. points from ``seed``, redrawing in the
+    (measure-zero) event of an exact duplicate; a seed of None raises
+    ValueError, since its points would come from OS entropy.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -85,6 +86,8 @@ def make_locations(n, layout="grid", seed=None):
         xx, yy = np.meshgrid(ticks, ticks, indexing="ij")
         return LocationSet(np.column_stack([xx.ravel(), yy.ravel()]))
     if layout == "uniform":
+        if seed is None:
+            raise ValueError("uniform layout needs a seed; None would draw from OS entropy")
         g = _stream(seed, _DOMAIN_FIELD, 0)
         while True:
             coords = g.uniform(size=(n, 2))

@@ -22,7 +22,6 @@ their fourth-moment ratio.
 import numpy as np
 from scipy.linalg import cho_solve
 
-from lqmatern.asymptotics import ustar_all
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _corr_factor, _lq_weights,
                                 _profile_factor, _weighted_derivs, _whiten, _Workspace,
                                 chol_factor)
@@ -172,7 +171,8 @@ def weight_moment_ratio(n, q):
 
 def ustar(z, locs, theta, q):
     """One replicate's U* = f^(1-q) grad log f, a 3-vector."""
-    return ustar_all(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, theta, q)[:, 0]
+    p = _weighted_derivs(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, theta, q)
+    return (p.w * p.g)[:, 0] * np.exp(p.log_scale)
 
 
 def vstar(z, locs, theta, q):

@@ -82,10 +82,10 @@ LEDGER = (
         ("reviewed", "seeds 9140001-9140002, looked at while planning the population-scale "
                      "fit of theta_q"),
         ("reviewed", "seed 9140050, the c7be3e7 review's check of ustar_all at n = 400 "
-                     "uniform, m = 50, q = 0.5, data times 1e3 and 1e-3, which the "
-                     "ustar_all test repeats on a lattice"),
+                     "uniform, m = 50, q = 0.5, data times 1e3 and 1e-3, which a "
+                     "TestUstar test repeats on a lattice"),
         ("held-out", "tests/test_asymptotics.py::TestUstar::"
-                     "test_a_scale_past_the_float_range_raises"),
+                     "test_u_and_its_scale_are_finite_past_the_float_range"),
         ("reviewed", "seed 9140060, n = 400 uniform, m = 100: sizing the cost of the "
                      "removed se subcommand, and the check that fit's se.txt is "
                      "byte-identical to fit then se at q in {1, 0.95}"))),
@@ -114,6 +114,8 @@ LEDGER = (
                       "from kve alone"),)),
     Seeds("bench/run.py --seed", 3201, 3206, (
         ("benchmark", "benchmark pairs of the change where fit writes se.txt"),)),
+    Seeds("bench/run.py --seed", 3301, 3310, (
+        ("benchmark", "benchmark pairs of the change where SandwichParts carries U"),)),
     Seeds("bench/run.py --seed", 2999, 2999, (
         ("benchmark", "traced runs of the change where FitChain.profile returns its "
                       "fits"),)),

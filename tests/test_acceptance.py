@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from lqmatern.asymptotics import sandwich, std_errs, ustar_all
+from lqmatern.asymptotics import sandwich, std_errs
 from lqmatern.estimate import FitChain, fit
 from lqmatern.gauss_lik import ReplicateSet, chol_factor
 from lqmatern.matern import LocationSet, MaternParams, build_cov, matern_cov
@@ -380,7 +380,7 @@ def test_criterion_08_sandwich_machinery():
     locs9 = make_locations(9, "uniform", seed=3)
     theta0 = MaternParams(1.0, 0.25, 0.3)
     z = gen_replicates(locs9, theta0, 20000, seed=0)
-    U = ustar_all(z, locs9, theta0, 1.0)
+    U = sandwich(z, locs9, theta0, 1.0).U      # the score: e^s = 1 at q = 1
     mean = U.mean(axis=1)
     se = U.std(axis=1, ddof=1) / np.sqrt(U.shape[1])
     mc_sigmas = float(np.max(np.abs(mean) / se))

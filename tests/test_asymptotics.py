@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lqmatern.asymptotics import (SandwichParts, SingularJError, sandwich,
-                                  std_errs, ustar_all)
+from lqmatern.asymptotics import SandwichParts, SingularJError, sandwich, std_errs
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _corr_factor, _lq_weights,
                                 _profile_factor, chol_factor)
 from lqmatern import gauss_lik, matern
@@ -124,32 +123,47 @@ class TestUstar:
         assert worst <= 1e-10
 
     def test_batch_matches_single(self):
+        # the sandwich's U times e^s is each replicate's own U*
         rng = np.random.default_rng(3)
         theta = rand_theta(rng)
         reps = gen_replicates(LOCS9, theta, 6, seed=11)
-        U = ustar_all(reps, LOCS9, theta, 0.9)
-        assert U.shape == (3, 6)
+        parts = sandwich(reps, LOCS9, theta, 0.9)
+        assert parts.U.shape == (3, 6)
         for i in range(6):
             one = ustar(reps.data[:, i], LOCS9, theta, 0.9)
-            assert np.abs(U[:, i] - one).max() < 1e-12
+            assert np.abs(parts.U[:, i] * np.exp(parts.log_scale) - one).max() < 1e-12
 
     @pytest.mark.parametrize("c", [1e3, 1e-4])
-    def test_a_scale_past_the_float_range_raises(self, c):
+    def test_u_and_its_scale_are_finite_past_the_float_range(self, c):
         # on an n = 225 lattice at q = 0.5, the data times c at (c^2, 0.1,
-        # 0.5) shift the log scale s by about -(1-q) n log c: times 1e3 e^s
-        # underflowed and U* read all zeros, times 1e-4 it overflowed and
-        # U* read inf.  Both raise; at unit scale and at q = 1 U* is w g e^s
-        # to the bit
+        # 0.5) shift the log scale s by -(1-q) n log c: times 1e3 e^s
+        # underflows and times 1e-4 it overflows, so the raw U* = U e^s has
+        # no float value there.  U and s keep it: the weights do not move,
+        # g_sigma2 scales by 1/c^2 and g_beta, g_nu not at all
         seed = held_out("SimConfig.seed", "tests/test_asymptotics.py::TestUstar::"
-                                          "test_a_scale_past_the_float_range_raises")[50]
+                                          "test_u_and_its_scale_are_finite_past_the_float_range")[50]
         theta = MaternParams(1.0, 0.1, 0.5)
         locs, reps, _ = simulate_dataset(SimConfig(theta, n=225, m=50, layout="grid", seed=seed))
-        for q in (0.5, 1.0):
-            p = gauss_lik._weighted_derivs(reps, locs, theta, q)
-            U = ustar_all(reps, locs, theta, q)
-            assert np.array_equal(U, p.w * p.g * np.exp(p.log_scale)) and np.all(U != 0.0)
-        with pytest.raises(FloatingPointError):
-            ustar_all(ReplicateSet(reps.data * c), locs, MaternParams(c * c, 0.1, 0.5), 0.5)
+        for q in (1.0, 0.5):
+            p = gauss_lik._weighted_derivs(ReplicateSet(reps.data), locs, theta, q)
+            parts = sandwich(reps, locs, theta, q)
+            assert np.array_equal(parts.U, p.w * p.g) and parts.log_scale == p.log_scale
+        # at unit scale U e^s is the raw U*, every entry a normal float, and
+        # a replicate's column is its own U*
+        ustar_raw = parts.U * np.exp(parts.log_scale)
+        assert np.all(np.abs(ustar_raw) >= np.finfo(float).tiny) and np.all(np.isfinite(ustar_raw))
+        for i in (0, reps.m - 1):
+            one = ustar(reps.data[:, i], locs, theta, 0.5)
+            assert np.abs(ustar_raw[:, i] - one).max() <= 1e-12 * np.abs(one).max()
+        scaled = sandwich(ReplicateSet(reps.data * c), locs, MaternParams(c * c, 0.1, 0.5), 0.5)
+        assert np.all(np.isfinite(scaled.U)) and np.isfinite(scaled.log_scale)
+        with np.errstate(over="ignore", under="ignore"):
+            assert not np.finfo(float).tiny <= np.exp(scaled.log_scale) < np.inf
+        rel = lambda a, b: np.abs(a - b).max() / np.abs(b).max()
+        assert rel(scaled.U[1:], parts.U[1:]) <= 1e-12
+        assert rel(scaled.U[0] * c * c, parts.U[0]) <= 1e-12
+        shift = -0.5 * locs.n * np.log(c)
+        assert abs(scaled.log_scale - parts.log_scale - shift) <= 1e-12 * abs(shift)
 
     def test_input_validation(self):
         theta = MaternParams(1.0, 0.3, 0.5)
@@ -290,7 +304,8 @@ class TestSandwich:
 
     def test_moment_formulas(self):
         parts = sandwich(self.reps, LOCS9, self.theta, 0.9)
-        U = ustar_all(self.reps, LOCS9, self.theta, 0.9)
+        U = np.stack([ustar(self.reps.data[:, i], LOCS9, self.theta, 0.9)
+                      for i in range(self.reps.m)], axis=1)
         K_want = U @ U.T / self.reps.m
         J_want = np.mean([vstar(self.reps.data[:, i], LOCS9, self.theta, 0.9)
                           for i in range(self.reps.m)], axis=0)
@@ -357,7 +372,7 @@ class TestSandwich:
     def test_mean_score_zero_at_truth(self):
         # q = 1 score has mean zero under the truth; Monte Carlo check
         reps = gen_replicates(LOCS9, self.theta, 4000, seed=17)
-        U = ustar_all(reps, LOCS9, self.theta, 1.0)
+        U = sandwich(reps, LOCS9, self.theta, 1.0).U
         mean = U.mean(axis=1)
         se = U.std(axis=1, ddof=1) / np.sqrt(reps.m)
         assert np.all(np.abs(mean) < 3.0 * se + 1e-12)
@@ -438,6 +453,18 @@ class TestStdErrs:
         J = np.full((3, 3), np.nan)
         with pytest.raises(SingularJError):
             std_errs(SandwichParts(K=np.eye(3), J=J, m=3))
+
+    def test_standard_errors_past_the_float_range_raise(self):
+        # finite K and J, J merely ill-conditioned (cond 2e9, above the
+        # floor): J^-1 K J^-1 overflows, and std_errs raises with the
+        # condition number instead of returning an infinite or NaN se
+        # (numpy's overflow warnings, errors in this suite, are silenced)
+        r = 1.0 - 1e-9
+        J = -np.array([[1.0, r, 0.0], [r, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularJError, match="standard errors are not finite") as exc:
+            std_errs(SandwichParts(K=1e300 * np.eye(3), J=J, m=3))
+        assert exc.value.cond == pytest.approx(2e9, rel=1e-6)
 
     def test_data_driven_end_to_end(self):
         theta = MaternParams(1.0, 0.25, 0.5)
@@ -686,8 +713,7 @@ class TestWeightedDerivativePass:
             SimConfig(theta, n=25, m=10, layout="grid", seed=2))
         monkeypatch.setattr(gauss_lik, "_invert_lower", lambda a, work: (a, 3))
         calls = (lambda: gauss_lik._weighted_derivs(reps, locs, theta, 0.95),
-                 lambda: sandwich(reps, locs, theta, 0.95),
-                 lambda: ustar_all(reps, locs, theta, 0.95))
+                 lambda: sandwich(reps, locs, theta, 0.95))
         for call in calls:
             with pytest.raises(NotSPDError, match="trtri info 3") as exc_info:
                 call()

@@ -10,6 +10,7 @@ import pytest
 
 import lqmatern.cli_io as cli
 import lqmatern.estimate as est
+from lqmatern.asymptotics import sandwich, std_errs
 from lqmatern.cli_io import (DataError, SweepRow, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, summarize_sweep,
@@ -17,8 +18,7 @@ from lqmatern.cli_io import (DataError, SweepRow, _fmt, build_config, main,
 from lqmatern.estimate import FitChain, default_bounds, fit
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
-from lqmatern.qselect import (QGridSpec, default_kappa_spec, kappa, make_se_fn,
-                              select_q_sqv)
+from lqmatern.qselect import QGridSpec, default_kappa_spec, kappa, select_q_sqv
 from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
 from lqmatern.variogram import center_replicates, variogram_by_replicate
 
@@ -56,6 +56,16 @@ class TestDatasetFiles:
         rp = tmp_path / "rep.csv"
         write_replicates(rp, ReplicateSet(data))
         assert np.array_equal(read_replicates(rp).data, data)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # a blank or whitespace-only data line is skipped, and the line
+        # numbers of later errors still count it
+        p = tmp_path / "loc.csv"
+        p.write_text("x,y\n0.1,0.2\n\n  \n0.3,0.4\n")
+        assert np.array_equal(read_locations(p).coords, [[0.1, 0.2], [0.3, 0.4]])
+        p.write_text("x,y\n0.1,0.2\n\n0.3,oops\n")
+        with pytest.raises(DataError, match="line 4, column 5"):
+            read_locations(p)
 
     def test_replicates_rep_major_order(self, tmp_path):
         data = np.arange(6.0).reshape(3, 2)
@@ -835,7 +845,8 @@ class TestMain:
         assert trace[0] == ["pass", "idx", "q", "series", "k_star"]
         # the first pass scored every grid q, with the library's SQV series
         locs, reps = read_dataset(str(out))
-        want = select_q_sqv(FitChain(reps, locs, tol=1e-3), make_se_fn(reps, locs),
+        want = select_q_sqv(FitChain(reps, locs, tol=1e-3),
+                            lambda th, q: std_errs(sandwich(reps, locs, th, q)),
                             QGridSpec(grid=(1.0, 0.99, 0.98)), m=reps.m)
         first = [r for r in trace[1:] if r[0] == "0"]
         assert [float(r[2]) for r in first] == [1.0, 0.99, 0.98]

@@ -213,6 +213,24 @@ class TestFit:
         assert len(calls) == 1
         assert calls[0] == pytest.approx((init.beta, init.nu), rel=1e-15)
 
+    def test_newton_from_a_point_that_cannot_be_scored_stays(self, small_data, monkeypatch):
+        # a fit starts Newton only at a scored point, but the search's
+        # Newton refuses one whose score failed (V = -inf): it returns the
+        # point unconfirmed, with no pass and no further score
+        locs, reps = small_data
+        calls = []
+
+        def boom(locs_, beta, nu, ws=None, terms=False):
+            calls.append((beta, nu))
+            raise NotSPDError("forced", theta=None)
+
+        monkeypatch.setattr(est, "_corr_factor", boom)
+        search = est._Search(reps, locs, 0.9, default_bounds(), 1e-6)
+        u = np.array([0.3, 0.4])
+        got, confirmed = search.newton(u, est._NEWTON_STEPS)
+        assert got is u and not confirmed
+        assert len(calls) == 1 and search.passes == 0 and search.last_pass is None
+
     @pytest.mark.parametrize("rows", [15, 17])
     @pytest.mark.parametrize("entry", ["fit", "FitChain.fit", "sandwich"])
     def test_rows_that_do_not_match_the_sites(self, monkeypatch, entry, rows):

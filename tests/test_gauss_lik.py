@@ -11,12 +11,12 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dlauum, dpotri, dtrtri
 
 from lqmatern import gauss_lik
-from lqmatern.asymptotics import sandwich, ustar_all
+from lqmatern.asymptotics import sandwich, std_errs
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
 from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _weighted_derivs,
                                 chol_factor, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
-from lqmatern.qselect import QGridSpec, make_se_fn, select_q_kappa, select_q_sqv
+from lqmatern.qselect import QGridSpec, select_q_kappa, select_q_sqv
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates, make_locations,
                                simulate_dataset)
 from oracles import log_likelihood, loglik_columns, lq_of_loglik, profile_lq, total_lq
@@ -172,6 +172,28 @@ class TestLapackCalls:
         data = np.random.default_rng(5).standard_normal((n, 30))
         Y = solve_triangular(chol.L, data, lower=True, check_finite=False)
         assert np.array_equal(gauss_lik._whiten(data, chol), Y)
+
+    def test_illegal_potrf_argument_raises(self, monkeypatch):
+        # potrf's info < 0 names an argument it rejected; no jitter rescue
+        # follows, and no factor is returned
+        monkeypatch.setattr(gauss_lik, "dpotrf", lambda a, **kw: (a, -4))
+        a = np.array(np.eye(3), order="F")
+        with pytest.raises(ValueError, match="illegal value in argument 4 of LAPACK potrf"):
+            gauss_lik._factor_in_place(a, lambda: pytest.fail("no rescue"))
+
+    def test_trtrs_info_raises(self, monkeypatch):
+        # a zero on the factor's diagonal is trtrs's info, at its place;
+        # an illegal argument (info < 0, which no factor of the package's
+        # can give) raises the same way
+        L = np.tril(np.random.default_rng(1).uniform(0.5, 1.0, (5, 5)))
+        L[2, 2] = 0.0
+        chol = gauss_lik.CholFactor(L=L, log_det=0.0)
+        data = np.ones((5, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="LAPACK trtrs info 3"):
+            gauss_lik._whiten(data, chol)
+        monkeypatch.setattr(gauss_lik, "dtrtrs", lambda a, b, **kw: (b, -2))
+        with pytest.raises(np.linalg.LinAlgError, match="LAPACK trtrs info -2"):
+            gauss_lik._whiten(data, gauss_lik.CholFactor(L=np.eye(5), log_det=0.0))
 
 
 class TestInvertLower:
@@ -502,6 +524,24 @@ class TestProfileSigma2Newton:
         assert all(b >= a for a, b in zip(values, values[1:]))
         s, vals = dense_profile(quad, 10, 0.5)
         assert dense_profile(quad, 10, 0.5, got, got, points=1)[1][0] >= vals.max()
+
+
+    def test_fixed_point_step_that_ends_the_solve(self, monkeypatch):
+        # n = 1, q = 0.5: two forms at 0.1, the median 1 and two at 1 + d,
+        # with d chosen so the start, sigma2 = 1, is a stationary point of V
+        # in log sigma2 where V is not concave; the solve takes the
+        # fixed-point step, which moves by less than SIGMA2_RTOL and ends
+        # it, after the start's weights and no others
+        d = 7.6714806018156585
+        quad = np.array([0.1, 0.1, 1.0, 1.0 + d, 1.0 + d])
+        _, w = _lq_weights(-0.5 * quad, 0.5)
+        wa = w @ quad
+        assert abs(wa - 1.0) <= 1e-15 and -0.5 * wa + 0.125 * (w @ quad ** 2 - wa * wa) > 0.0
+        calls = []
+        monkeypatch.setattr(gauss_lik, "_lq_weights",
+                            lambda *args: calls.append(1) or _lq_weights(*args))
+        got = profile_sigma2(quad, 1, 0.5)
+        assert len(calls) == 1 and abs(got - 1.0) <= gauss_lik.SIGMA2_RTOL
 
 
 class TestProfileSigma2Start:
@@ -982,13 +1022,13 @@ class TestWorkspaceBuffers:
         assert (locs._dist_cheb is None) == (layout == "grid")
         res = fit(reps, locs, 0.9)
         fit(reps, locs, 0.95, init=res.theta_hat)
-        for call in (sandwich, ustar_all):
-            call(reps, locs, res.theta_hat, 0.9)
-            call(reps, LocationSet(locs.coords), res.theta_hat, 0.9)
+        sandwich(reps, locs, res.theta_hat, 0.9)
+        sandwich(reps, LocationSet(locs.coords), res.theta_hat, 0.9)
         spec = QGridSpec(grid=(1.0, 0.95, 0.9), eps=0.05, K=2)
         FitChain(reps, locs, tol=1e-4).profile(spec.grid)
         select_q_kappa(FitChain(reps, locs, tol=1e-4), replace(spec, L=4.0))
-        select_q_sqv(FitChain(reps, locs, tol=1e-4), make_se_fn(reps, locs), spec, m=m)
+        select_q_sqv(FitChain(reps, locs, tol=1e-4),
+                     lambda th, q: std_errs(sandwich(reps, locs, th, q)), spec, m=m)
         names = {name for name, _ in shared}
         assert names == {"R", "pass"}
         assert [s for s in shared if s[1] != 0] == []

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import lqmatern
 import lqmatern.cli_io  # a REMOVED path names it; the package does not import it
 from code_lines import SRC, code_lines, count
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 PUBLIC = [
     "Bounds", "CholFactor", "ContaminationSpec", "FitChain", "FitResult",
@@ -20,24 +22,27 @@ PUBLIC = [
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
     "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
     "center_replicates", "chol_factor", "default_bounds",
-    "default_kappa_spec", "fit", "kappa", "make_se_fn",
-    "matern_cov", "sandwich", "select_q_kappa", "select_q_sqv",
-    "simulate_dataset", "sqv", "standardized", "std_errs", "ustar_all",
-    "variogram_by_replicate",
+    "default_kappa_spec", "fit", "kappa", "matern_cov", "sandwich",
+    "select_q_kappa", "select_q_sqv", "simulate_dataset", "sqv",
+    "standardized", "std_errs", "variogram_by_replicate",
 ]
 
 # Public names removed because no caller needed them, as dotted paths from
 # ``lqmatern`` (CHANGES.md says what replaced each): ``FitChain.profile``
 # returns the fits that ``QProfile`` wrapped and ``fit_profile`` built, the
 # tests score a point through ``oracles.profile_lq``,
-# ``MaternParams(*a)`` reads an array, and the CLI's ``fit`` writes the
-# se.txt that ``cmd_se`` made from a fit record.
+# ``MaternParams(*a)`` reads an array, the CLI's ``fit`` writes the
+# se.txt that ``cmd_se`` made from a fit record, ``sandwich(...).U`` holds
+# the weighted gradients that ``ustar_all`` scaled by e^s, and a caller
+# passes ``lambda th, q: std_errs(sandwich(reps, locs, th, q))`` where
+# ``make_se_fn`` built it.
 REMOVED = ["QProfile", "fit_profile", "estimate.QProfile", "estimate.fit_profile",
-           "gauss_lik.profile_lq", "MaternParams.from_array", "cli_io.cmd_se"]
+           "gauss_lik.profile_lq", "MaternParams.from_array", "cli_io.cmd_se",
+           "ustar_all", "make_se_fn", "asymptotics.ustar_all", "qselect.make_se_fn"]
 
 
 def test_all_is_the_public_list():
-    assert len(set(PUBLIC)) == 34
+    assert len(set(PUBLIC)) == 32
     assert sorted(lqmatern.__all__) == sorted(PUBLIC)
 
 
@@ -48,6 +53,26 @@ def test_removed_name_is_gone(path):
     for part in owner:
         obj = getattr(obj, part)
     assert not hasattr(obj, name)
+
+
+def removed_mentions(text):
+    """The paths of REMOVED that ``text`` names: a dotted path as written, a bare name as a word."""
+    return [path for path in REMOVED
+            if re.search(re.escape(path) if "." in path else r"\b%s\b" % re.escape(path), text)]
+
+
+def test_removed_mentions_matches_paths_and_words():
+    assert removed_mentions("call `ustar_all(reps)` or estimate.QProfile") == [
+        "QProfile", "estimate.QProfile", "ustar_all"]
+    assert removed_mentions("my_ustar_all and QProfiles and estimate.fit") == []
+
+
+@pytest.mark.parametrize("doc", [ROOT / "README.md"] + DEMOS,
+                         ids=["README"] + [d.stem for d in DEMOS])
+def test_no_removed_name_in_readme_or_demos(doc):
+    # a user reads the README and the demos, and a name they show that the
+    # package no longer has fails at the first call
+    assert removed_mentions(doc.read_text()) == []
 
 
 def test_every_public_name_resolves():
@@ -67,7 +92,6 @@ def test_demo_imports_no_private_name(demo):
     assert not private, private
 
 
-ROOT = Path(__file__).resolve().parents[1]
 MODULES = (sorted(p for p in (ROOT / "src" / "lqmatern").glob("*.py") if p.stem != "__init__")
            + sorted((ROOT / "tests").glob("*.py")) + DEMOS)
 
@@ -167,6 +191,13 @@ def test_estimate_imports_nothing_from_qselect():
     # FitChain as their fit_fn, and a fit knows no selector
     tree = ast.parse((ROOT / "src" / "lqmatern" / "estimate.py").read_text())
     assert "qselect" not in set(package_imports(tree))
+
+
+def test_qselect_imports_nothing_from_asymptotics():
+    # the selectors take their standard errors as se_fn, so the caller that
+    # holds the data builds them, and a selector knows no sandwich
+    tree = ast.parse((ROOT / "src" / "lqmatern" / "qselect.py").read_text())
+    assert "asymptotics" not in set(package_imports(tree))
 
 
 # The private names one src module imports from another, each reviewed, as
@@ -391,7 +422,7 @@ def test_module_state_passes_locals_and_constants():
 # The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
 # that raises it says why in CHANGES.md, and a change that lowers the count
 # lowers the ceiling to it.
-CODE_LINES = 1596
+CODE_LINES = 1582
 
 
 def test_src_code_lines_stay_under_the_ceiling():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import lqmatern.estimate as est
-from lqmatern.asymptotics import StdErrs
+from lqmatern.asymptotics import StdErrs, sandwich, std_errs
 from lqmatern.estimate import FitChain, FitResult, default_bounds, default_init
 from lqmatern.matern import MaternParams
 from lqmatern.qselect import (DEFAULT_GRID, PassRecord, QGridSpec,
                               SelectionResult, default_kappa_spec, kappa,
-                              make_se_fn, select_q_kappa, select_q_sqv, sqv,
-                              standardized)
+                              select_q_kappa, select_q_sqv, sqv, standardized)
 from lqmatern.simulate import gen_replicates, make_locations
 
 ONES_SE = np.ones(3)
@@ -309,7 +308,8 @@ def test_a_selector_on_inputs_fit_refuses_raises(refused_inputs, selector):
         if selector == "kappa":
             select_q_kappa(chain, spec)
         else:
-            select_q_sqv(chain, make_se_fn(reps, locs), spec, m=reps.m)
+            select_q_sqv(chain, lambda th, q: std_errs(sandwich(reps, locs, th, q)), spec,
+                         m=reps.m)
 
 
 class TestFactories:
@@ -365,7 +365,8 @@ class TestFactories:
         locs = make_locations(9, "grid")
         theta = MaternParams(1.0, 0.2, 0.5)
         reps = gen_replicates(locs, theta, 12, seed=1)
-        se = make_se_fn(reps, locs)(theta, 0.95)
+        se_fn = lambda th, q: std_errs(sandwich(reps, locs, th, q))
+        se = se_fn(theta, 0.95)
         assert isinstance(se, StdErrs)
         assert np.all(se.se > 0)
 

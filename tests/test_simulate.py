@@ -91,6 +91,16 @@ class TestMakeLocations:
         c = make_locations(20, "uniform", seed=4).coords
         assert not np.array_equal(a, c)
 
+    def test_uniform_needs_a_seed(self):
+        # a seed of None would draw the sites from OS entropy, so that two
+        # calls give different sites; the grid needs no seed
+        with pytest.raises(ValueError, match="uniform layout needs a seed"):
+            make_locations(20, "uniform")
+        with pytest.raises(ValueError, match="uniform layout needs a seed"):
+            make_locations(20, "uniform", seed=None)
+        assert np.array_equal(make_locations(9, "grid", seed=None).coords,
+                              make_locations(9, "grid").coords)
+
     def test_uniform_redraws_coincident_sites(self, monkeypatch):
         # a draw with two coincident sites is discarded for the next one
         real = simulate._stream(5, simulate._DOMAIN_FIELD, 0).uniform(size=(6, 2))
