@@ -25,7 +25,7 @@ into K = (1/m) sum U U' and J = (1/m) sum V, and keeps every U_i beside
 them (``SandwichParts``): the raw U*_i is U_i e^s, which at q = 1 is U_i
 itself, the score.  s stays apart, since e^s can leave the float range.
 
-The derivative pass (``gauss_lik._weighted_derivs``) gives every g_i and
+The derivative pass (``gauss_lik._Workspace.derivs``) gives every g_i and
 S = sum w_i H_i, O(m) numbers, and forms no replicate's Hessian; J needs
 no more:
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss_lik import _weighted_derivs
+from .gauss_lik import _Workspace
 
 # Eigenvalue floor of std_errs' PD surrogate of J, relative to the largest.
 J_EIG_FLOOR = 1e-10
@@ -86,7 +86,7 @@ def sandwich(reps, locs, theta_hat, q):
     """
     if reps.m < 2:
         raise ValueError("sandwich needs at least 2 replicates")
-    p = _weighted_derivs(reps, locs, theta_hat, q)
+    p = _Workspace(reps, locs, q).derivs(theta_hat)
     m = reps.m
     U = p.w * p.g
     K = (U @ U.T) / m
@@ -135,7 +135,9 @@ def std_errs(parts):
                              cond=float("inf"))
     cond = float(s.max() / s.min())
     S_inv = (Q * (1.0 / s)) @ Q.T
-    se = np.sqrt(np.clip(np.diag(S_inv @ (K / dd) @ S_inv), 0.0, None)) / d
+    # past the float range se is inf or NaN, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = np.sqrt(np.clip(np.diag(S_inv @ (K / dd) @ S_inv), 0.0, None)) / d
     if not np.all(np.isfinite(se)):
         raise SingularJError("standard errors are not finite", cond=cond)
     return StdErrs(se=se, convention=convention, cond=cond)

@@ -108,8 +108,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauss_lik import (NotSPDError, _Workspace, _checked_q, _checked_rows, _corr_factor,
-                        _profile_factor, _weighted_derivs)
+from .gauss_lik import NotSPDError, _Workspace, _checked_q, _checked_rows
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -168,9 +167,10 @@ class FitResult:
     transform of the exact Lq objective that overflows to inf when the
     data's scale is small, even at a correct fit.  ``evaluations`` counts
     the distinct (beta, nu) points scored, the start and Newton points
-    included; ``newton_steps`` the derivative passes made, each costing
-    about two to five evaluations (a pass the ``ReplicateSet`` already held
-    costs nothing and is not counted); and ``restarts`` the fallback simplex
+    included; ``newton_steps`` the derivative passes the fit's workspace
+    made (``gauss_lik._Workspace.passes``), each costing about two to five
+    evaluations (a pass the ``ReplicateSet`` already held costs nothing and
+    is not counted); and ``restarts`` the fallback simplex
     runs, 0 when Newton steps confirmed the estimate.  ``converged``
     requires a confirmation, a normal end of the last simplex run, if any,
     and a finite V at the estimate.
@@ -320,32 +320,34 @@ def _nelder_mead(fun, x0, xatol, maxfev):
 
 
 class _Search:
-    """One fit's scored points and counters, in bound-scaled u = (beta, nu)."""
+    """One fit's scored points and counters, in bound-scaled u = (beta, nu).
+
+    The search keeps one workspace (``gauss_lik._Workspace``) over the
+    fit's data, sites and q for its whole run; it scores every point and
+    takes every pass there, and counts the passes made, which the fit
+    reports as ``newton_steps``.  The workspace dies when the fit returns.
+    """
 
     def __init__(self, reps, locs, q, bounds, tol):
         lo, hi = bounds.as_arrays()
-        self.reps, self.locs, self.q = reps, locs, q
-        self.corner, self.width = lo, hi - lo
-        self.tol = tol
+        self.corner, self.width, self.tol = lo, hi - lo, tol
         # u.tobytes() -> (sigma2, profile value); the answer's sigma2 and
         # value are read back from here
         self.scored = {}
-        self.iterations = self.passes = 0
+        self.iterations = 0
         self.simplex_ok = True      # the last simplex run ended normally
         # the gauss_lik._Pass of the last derivative pass
         self.last_pass = None
-        # the buffers of the fit's scores and passes, freed when the fit returns
-        self.ws = _Workspace()
+        self.ws = _Workspace(reps, locs, q)
 
     def score(self, u, terms=False):
         """Score u into ``scored`` as (sigma2, V); with ``terms``, a pass at u comes next.
 
         ``terms`` has the score make the pass's kernel terms in the same
         walk, and the workspace keep R's factor and the whitened data for
-        that pass (``gauss_lik._corr_factor``, ``_profile_factor``).
+        that pass (``gauss_lik._Workspace.score``).
         """
-        chol = _corr_factor(self.locs, *(self.corner + u * self.width), self.ws, terms)
-        self.scored[u.tobytes()] = _profile_factor(self.reps, chol, self.q, self.ws)
+        self.scored[u.tobytes()] = self.ws.score(*(self.corner + u * self.width), terms)
 
     def value(self, u, terms=False):
         key = u.tobytes()
@@ -363,8 +365,8 @@ class _Search:
         Nelder-Mead step for step, on a budget of ``_MAX_EVALS`` evaluations;
         ``simplex_ok`` records whether it ended normally at a
         finite V.  The run keeps no factor of R and makes no kernel terms, so
-        a pass at its answer scores it again, with the terms
-        (``gauss_lik._weighted_derivs``).
+        a pass at its answer factors R again, with the terms
+        (``gauss_lik._Workspace.derivs``).
         """
         x, fun, nit, _nfev, status = _nelder_mead(self.value, u, xatol, _MAX_EVALS)
         self.iterations += nit
@@ -380,17 +382,12 @@ class _Search:
         box's widths.
         """
         sigma2 = self.scored[u.tobytes()][0]
-        x = self.corner + u * self.width
-        memo = self.reps._last_pass
         try:
-            p = _weighted_derivs(self.reps, self.locs, MaternParams(sigma2, *x), self.q, self.ws)
+            p = self.ws.derivs(MaternParams(sigma2, *(self.corner + u * self.width)))
         except NotSPDError:
             p = None
         self.last_pass = p
-        # a failed pass counts; the pass the ReplicateSet held (at a point a
-        # simplex returned unmoved, or where an earlier fit ended) made nothing
-        self.passes += p is None or self.reps._last_pass is not memo
-        step = None if p is None else p.newton_step(self.q, log=True)
+        step = None if p is None else p.newton_step(self.ws.q, log=True)
         return None if step is None else step[1:] / self.width
 
     def newton(self, u, steps):
@@ -500,7 +497,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=search.iterations, evaluations=len(search.scored),
                      converged=converged, init=init, restarts=restarts,
-                     newton_steps=search.passes, _pass=kept)
+                     newton_steps=search.ws.passes, _pass=kept)
 
 
 class FitChain:

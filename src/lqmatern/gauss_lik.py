@@ -30,15 +30,14 @@ every log density at any sigma2:
 
     l_i(sigma2) = -(1/2) [n log(2 pi) + log|R| + n log sigma2 + quad_i / sigma2].
 
-Every (beta, nu) is scored one way: ``_corr_factor`` builds R as
-``build_cov`` does, into a buffer it reuses, and factors it there; then
-``_profile_factor`` solves for sigma2 on that factor in O(m)
-(``profile_sigma2``) and returns V there; the fit runs the two in turn.
-sigma2 is solved on (0, inf), with no bounds, so the data times c give
+Every (beta, nu) is scored one way, by ``_Workspace.score``: it builds R
+as ``build_cov`` does, into a buffer it reuses, factors it there, solves
+for sigma2 on that factor in O(m) (``profile_sigma2``) and returns V
+there.  sigma2 is solved on (0, inf), with no bounds, so the data times c give
 sigma2 times c^2 and V shifted by a constant at every (beta, nu).
 
 The derivative pass.  One pass serves the sandwich, U*, the fit's Newton
-steps and ``FitChain``'s starts: ``_weighted_derivs`` returns it as a
+steps and ``FitChain``'s starts: ``_Workspace.derivs`` returns it as a
 ``_Pass`` of O(m) numbers, every replicate's gradient g_i (g and H as the
 ``asymptotics`` docstring writes them), the weights, the log scale s
 and S = sum w_i H_i, and forms no replicate's Hessian.  The Hessian
@@ -71,48 +70,54 @@ R's factor L, R = L L', where Sigma = sigma2 R (Rasmussen & Williams
 - The sigma2 row is analytic, since dS_0 = R and d2S_0k = dR_k, so sigma2
   enters only O(m) numbers and scalars.
 
+The workspace.  A ``_Workspace`` is bound to one (data, sites, q), which
+it checks once when it is made, and scores and takes passes over them
+with its two methods, ``score`` and ``derivs``.  A fit's search owns one
+for its whole run, so its scores and passes reuse the same memory instead
+of allocating it and faulting it in again each time; it dies when the
+fit returns.  The sandwich makes one of its own for its one pass.
+
 The hand-off.  A pass follows a score at the same (beta, nu) at the fit's
 start and Newton points, and such a score makes the pass's kernel
 terms (``terms``): from the Bessel values that make R's, in the same walk
 over the Chebyshev panels, into their place in the workspace.  The
-workspace records that score's factor of R (``_Workspace.held``) until R
-is written again, with the data it whitened and their Y, and a pass at
-the same (beta, nu) takes them from there; any other pass scores its
-point again with the terms, so a score is the only place the kernel is
-evaluated.  Taken or made afresh, the factor, Y and the terms are the same
-bits.
+workspace records that score's factor of R and the whitened Y
+(``_Workspace.held``) until R is written again, and a pass at the same
+(beta, nu) takes them from there; any other pass factors R itself, with
+the terms, and whitens the data, with no sigma2 solve, so the
+factorization of R (``_Workspace._factor``) is the only place the kernel
+is evaluated.  Taken or made afresh, the factor, Y and the terms are the
+same bits.
 
 The memo.  A fit that Newton confirmed reports its estimate at the point of
 its last pass, so a sandwich right after it asks for that pass again.
-``_weighted_derivs`` keeps the last pass over a ``ReplicateSet`` on the
+``_Workspace.derivs`` keeps the last pass over a ``ReplicateSet`` on the
 set itself, as (sites, ``_Pass``), O(m) numbers, and returns it where the
 sites are the same object and theta and q are equal.  A ``ReplicateSet``
 keeps a read-only copy of its data, so the same set holds the same data.
 The entry holds no array with an axis of length n, and nothing in it
-refers back to the set, so it dies with the set.  An entry is an immutable
-tuple, replaced in one store, and a hit needs the same sites and data, so
+refers back to the set or to a workspace, so it dies with the set, and a
+workspace dies with its caller.  An entry is an immutable tuple, replaced
+in one store, and a hit needs the same sites and data, so
 a hit returns the pass of those inputs whichever thread made it; two
 threads on one set can cost each other a pass, never a wrong number.
 
-The workspace (``_Workspace``) keeps flat buffers by name, and hands one out
-again at each request, so the factor a score returns lives only until the
-next score or pass in the same workspace.  A fit's search owns one
-workspace for its whole run, so its scores and passes reuse the same
-memory instead of allocating it and faulting it in again each time; it
-dies when the fit returns.  A score or a pass outside a fit makes a
-workspace of its own.
-With u unique distances (so max(n^2, 2u) = n^2 for n > 1):
+The workspace's buffers.  It keeps flat buffers by name, and hands one
+out again at each request, so a factor of R lives only until the next
+score or pass in the same workspace.  With u unique distances (so
+max(n^2, 2u) = n^2 for n > 1):
 
 - "R" (n^2): R is built and factored there (the interpolation works there
   while a score walks the Chebyshev panels, before R is gathered), and the
   pass overwrites the factor with L^-1, then R^-1.
-- "pass" (``_pass_buffer``): three slots of max(n^2, 2u) doubles that hold
-  one array after another, then the three Hessian terms (3, u).  A score
-  puts the kernel's values at the unique distances at the buffer's start,
-  or, where it makes the terms, in slot 2, with the gradient terms (2, u)
-  opening slot 0.  In the pass slot 2 is the work of L's inverse, then
-  C_1; slot 1 holds C_0, then P - w_sum R^-1; and slot 0, once the two dR_j
-  are gathered, the sums of that matrix onto the unique distances (u).
+- "pass" (``_Workspace._pass_buffer``): three slots of max(n^2, 2u)
+  doubles that hold one array after another, then the three Hessian
+  terms (3, u).  A score puts the kernel's values at the unique distances
+  at the buffer's start, or, where it makes the terms, in slot 2, with the
+  gradient terms (2, u) opening slot 0.  In the pass slot 2 is the work
+  of L's inverse, then C_1; slot 1 holds C_0, then P - w_sum R^-1; and
+  slot 0, once the two dR_j are gathered, the sums of that matrix onto the
+  unique distances (u).
 
 So a fit's workspace and factor hold 4 n^2 + 3u doubles, 5.5 n^2 on
 irregular sites, at every m; only Y and the two C_j Y, n x m each, are
@@ -136,6 +141,9 @@ JITTER_REL = 1e-10
 # a step cap far above the 3 to 5 steps it takes on chi-square forms.
 SIGMA2_RTOL = 1e-13
 SIGMA2_MAX_STEPS = 1000
+# The move in log sigma2 by which the solve leaves a stationary point where
+# V is not concave (a minimum or a saddle), to the higher side.
+SIGMA2_STEP_OFF = 1e-3
 
 # Relative rounding of a log-domain value V: in profile_sigma2's solve, a step
 # whose predicted rise is at most V_ROUNDING |V| cannot be told from its start
@@ -303,7 +311,10 @@ def profile_sigma2(quad, n, q):
     decrease along the steps, up to rounding.  The solve stops at the first
     step that moves sigma2 by at most SIGMA2_RTOL relative; where
     SIGMA2_MAX_STEPS larger steps do not lead to one, it raises
-    RuntimeError.
+    RuntimeError.  A fixed-point step that would stop it where V is not
+    concave, at a minimum or a saddle of V, does not: the solve goes on
+    from the higher of the two points SIGMA2_STEP_OFF away in log sigma2,
+    and stops only where V is no higher at either.
 
     Forms times c^2 give sigma2 times c^2, up to rounding, at any c that
     keeps them finite and positive.  A replicate that is 0 at every site
@@ -352,94 +363,20 @@ def profile_sigma2(quad, n, q):
         if step is None:
             step = sigma2 * wa / n
             if abs(step - sigma2) <= SIGMA2_RTOL * step:
-                return step
-            trial = weights(step)
+                # a stationary point: where V is not concave there, the
+                # solve goes on from the higher of its two neighbours
+                # SIGMA2_STEP_OFF away in log sigma2, if V is higher there
+                sides = sigma2 * np.exp([-SIGMA2_STEP_OFF, SIGMA2_STEP_OFF])
+                tried = weights(sides[0]), weights(sides[1])
+                k = int(tried[1][0] >= tried[0][0])
+                if curv < 0.0 or not tried[k][0] > value:
+                    return step
+                step, trial = sides[k], tried[k]
+            else:
+                trial = weights(step)
         sigma2, (value, w) = step, trial
     raise RuntimeError("the sigma2 solve did not converge in %d steps at q = %r"
                        % (SIGMA2_MAX_STEPS, q))
-
-
-def _profile_factor(reps, chol, q, ws=None):
-    """(sigma2, V) on the Cholesky factor ``chol`` of R; ``chol`` is left unchanged.
-
-    Where the workspace ``ws`` records ``chol`` for a pass, the record takes
-    the data and their whitened Y with it.
-    """
-    n = reps.n
-    Y = _whiten(reps.data, chol)
-    if ws is not None and ws.held is not None and ws.held[2] is chol:
-        ws.held = ws.held[:3] + (reps.data, Y)
-    quad = np.einsum("ij,ij->j", Y, Y)
-    sigma2 = profile_sigma2(quad, n, q)
-    lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
-    return sigma2, _lq_weights(lvec, q)[0]
-
-
-class _Workspace:
-    """Flat float buffers, kept by name and handed out again (see the module docstring).
-
-    ``held`` is (beta, nu, CholFactor, data, Y) where the factor in the
-    buffer "R" came from a score that also made a pass's kernel terms, else
-    None; data and Y are the data that score whitened and their Y, or None.
-    """
-
-    def __init__(self):
-        self._bufs = {}
-        self.held = None
-
-    def take(self, name, size):
-        """The flat buffer kept under ``name``, at least ``size`` doubles long, uninitialised."""
-        bufs = self._bufs
-        if name not in bufs or bufs[name].size < size:
-            bufs[name] = None               # the old buffer goes before a new one comes
-            bufs[name] = np.empty(size)
-        return bufs[name]
-
-
-def _pass_buffer(ws, n, u):
-    """(slots, grad, hess): the workspace's "pass" buffer, laid out as the module docstring says.
-
-    ``slots`` are three flat views of max(n^2, 2u) doubles; the Hessian
-    terms ``hess`` (3, u) lie past them, and the gradient terms ``grad``
-    (2, u) open slot 0.
-    """
-    size = max(n * n, 2 * u)
-    buf = ws.take("pass", 3 * size + 3 * u)
-    return ([buf[i * size:(i + 1) * size] for i in range(3)], buf[:2 * u].reshape(2, u),
-            buf[3 * size:3 * size + 3 * u].reshape(3, u))
-
-
-def _corr_factor(locs, beta, nu, ws, terms=False):
-    """CholFactor of the correlation matrix R(beta, nu), built and factored in the workspace ``ws``.
-
-    R goes into the buffer "R" of ``ws``, and the factor returned lives
-    there until the next score in ``ws``.  With ``terms``, the Bessel
-    values that make R's also make a derivative pass's five kernel terms
-    at (beta, nu), into their place in the "pass" buffer, and ``ws.held``
-    records the factor for that pass.  Raises NotSPDError carrying
-    MaternParams(1, beta, nu) if R cannot be factored.
-    """
-    ws.held = None                          # R is written below
-    corr = MaternParams(1.0, beta, nu)
-    n = locs.n
-    u = locs._dist_unique[0].size
-    a = ws.take("R", n * n)[:n * n].reshape((n, n), order="F")
-    # the kernel's values go into the pass's buffer, which no pass uses
-    # while a score runs, in slot 2 where the terms are made
-    if terms:
-        slots, *made = _pass_buffer(ws, n, u)
-        vals = slots[2][:u]
-    else:
-        vals, made = ws.take("pass", u)[:u], None
-    _cov_into(locs, corr, a, vals, made)
-    try:
-        chol = _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
-    except NotSPDError as err:
-        err.theta = corr
-        raise
-    if terms:
-        ws.held = (corr.beta, corr.nu, chol, None, None)
-    return chol
 
 
 def _invert_lower(a, work):
@@ -534,94 +471,173 @@ class _Pass:
         return None
 
 
-def _weighted_derivs(reps, locs, theta, q, ws=None):
-    """The ``_Pass`` of the replicates ``reps`` at theta and q (see the module docstring).
+class _Workspace:
+    """The scores and derivative passes of one (data, sites, q), in buffers it hands out again.
 
-    The pass takes R's factor at (beta, nu), and Y where the record's data
-    are these, from the workspace ``ws`` where ``ws.held`` records it, and
-    overwrites the factor with L^-1, then R^-1; otherwise it scores the
-    point again, with the terms, in ``ws`` where one is given.
-    The pass is stored on reps, with locs, replacing the one before, and
-    returned again where locs is the same object and theta and q are equal,
-    in any thread.
-
-    Raises TypeError where reps is not a ``ReplicateSet`` (the memo lives on
-    the set, whose data are read-only), ValueError where the data's rows do
-    not match ``locs`` or q lies outside (0, 1], NotSPDError carrying
-    MaternParams(1, beta, nu) where R cannot be factored, and NotSPDError
-    carrying theta where L cannot be inverted.
+    Built over a ``ReplicateSet`` ``reps``, a ``LocationSet`` ``locs`` and
+    q, it checks them once: TypeError where reps is not a ``ReplicateSet``
+    (the memo lives on the set, whose data are read-only), ValueError where
+    the data's rows do not match ``locs`` or q lies outside (0, 1].
+    ``score`` and ``derivs`` are the module docstring's score and pass, and
+    ``passes`` counts the passes ``derivs`` made, failed ones included.
+    ``held`` is (beta, nu, CholFactor, Y) where the factor in the buffer
+    "R" came from a score that also made a pass's kernel terms, with the
+    data that score whitened, else None.
     """
-    if not isinstance(reps, ReplicateSet):
-        raise TypeError("the pass reads a ReplicateSet, not %s" % type(reps).__name__)
-    Z = reps.data
-    n, m = Z.shape
-    _checked_rows(n, locs.n)
-    _checked_q(q)
-    entry = reps._last_pass
-    if entry is not None and entry[0] is locs and (entry[1].theta, entry[1].q) == (theta, q):
-        return entry[1]
-    ws = _Workspace() if ws is None else ws
-    if ws.held is None or ws.held[:2] != (theta.beta, theta.nu):
-        _corr_factor(locs, theta.beta, theta.nu, ws, True)
-    # the pass overwrites R's factor with L^-1
-    (_, _, chol, data, Y), ws.held = ws.held, None
-    if data is not Z:
-        Y = _whiten(Z, chol)
-    s2 = theta.sigma2
-    inv = locs._dist_unique[1]
-    flat, grad, d2 = _pass_buffer(ws, n, len(locs._dist_unique[0]))
-    flat = [f[:n * n] for f in flat]
-    Linv, info = _invert_lower(chol.L, flat[2])
-    if info != 0:
-        raise NotSPDError("L^-1 from the Cholesky factor failed (trtri info %d)"
-                          % info, theta=theta)
-    quad = np.einsum("ij,ij->j", Y, Y) / s2         # z' Sigma^-1 z
-    value, w = _lq_weights(-0.5 * quad, q)
-    w_sum = float(w.sum())
 
-    # C_k = L^-1 dR_k L^-T over dR_k, gathered into slots 1 and 2 through
-    # the transpose (dR_k is symmetric), and C_k Y
-    C, CY = [flat[1 + k].reshape((n, n), order="F") for k in range(2)], []
-    for k, c in enumerate(C):
-        np.take(grad[k], inv, mode="clip", out=c.T)
-        dtrmm(1.0, Linv, c, lower=1, overwrite_b=1)
-        dtrmm(1.0, Linv, c, side=1, lower=1, trans_a=1, overwrite_b=1)
-        CY.append(np.matmul(c, Y, out=np.empty_like(Y)))
-    yCy = np.array([np.einsum("ij,ij->j", Y, cy) for cy in CY])   # s2 w' dS_k w
+    def __init__(self, reps, locs, q):
+        if not isinstance(reps, ReplicateSet):
+            raise TypeError("the pass reads a ReplicateSet, not %s" % type(reps).__name__)
+        _checked_rows(reps.n, locs.n)
+        _checked_q(q)
+        self.reps, self.locs, self.q = reps, locs, q
+        self._bufs, self.held, self.passes = {}, None, 0
 
-    g = np.empty((3, m))
-    g[0] = 0.5 * (quad - n) / s2
-    g[1:] = (0.5 / s2) * yCy - 0.5 * np.array([np.trace(c) for c in C])[:, None]
+    def take(self, name, size):
+        """The flat buffer kept under ``name``, at least ``size`` doubles long, uninitialised."""
+        bufs = self._bufs
+        if name not in bufs or bufs[name].size < size:
+            bufs[name] = None               # the old buffer goes before a new one comes
+            bufs[name] = np.empty(size)
+        return bufs[name]
 
-    H = np.empty((3, 3))
-    H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
-    H[0, 1:] = H[1:, 0] = -0.5 * (yCy @ w) / s2 ** 2
-    pairs = ((0, 0), (0, 1), (1, 1))
-    tr_CC = [float(flat[1 + j] @ flat[1 + k]) for j, k in pairs]
-    # sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i)
-    cross = [float(np.einsum("ij,ij->j", CY[j], CY[k]) @ w) / s2 for j, k in pairs]
-    del CY          # before X is scaled, whose buffered broadcast would add to the peak
-    # the Hessian slices enter only through <d2R_jk, P - w_sum R^-1>, so
-    # that matrix is summed onto the unique distances once
-    X = dtrmm(1.0, Linv, Y, lower=1, trans_a=1, overwrite_b=1)     # R^-1 Z, in Y's place
-    X *= np.sqrt(w / s2)
-    P = np.matmul(X, X.T, out=flat[1].reshape(n, n))
-    # R^-1's lower triangle (its upper is 0) is taken from P at twice its
-    # weight, so each pair off the diagonal counts once in the sums; the
-    # diagonal, all at distance 0 (index 0), gets its excess back below
-    Rinv = dlauum(Linv, lower=1, overwrite_c=1)[0]
-    Rinv *= 2.0 * w_sum
-    P -= Rinv.T
-    # into slot 0, read no more: add.at sums in bincount's order, to the
-    # same bits, but into a given array
-    sums = flat[0][:d2.shape[1]]
-    sums.fill(0.0)
-    np.add.at(sums, inv.ravel(), P.ravel())
-    sums[0] += 0.5 * np.trace(Rinv)
-    for (j, k), tr, d2_jk, cr in zip(pairs, tr_CC, d2, cross):
-        H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2_jk @ sums) - cr
-    log_scale = 0.0 if q == 1.0 else (1.0 - q) * (
-        value - 0.5 * (n * (_LOG_2PI + np.log(s2)) + chol.log_det))
-    p = _Pass(theta, q, g, w, H, log_scale)
-    object.__setattr__(reps, "_last_pass", (locs, p))
-    return p
+    def _pass_buffer(self):
+        """(slots, grad, hess): the "pass" buffer, laid out as the module docstring says.
+
+        ``slots`` are three flat views of max(n^2, 2u) doubles; the Hessian
+        terms ``hess`` (3, u) lie past them, and the gradient terms ``grad``
+        (2, u) open slot 0.
+        """
+        n, u = self.locs.n, self.locs._dist_unique[0].size
+        size = max(n * n, 2 * u)
+        buf = self.take("pass", 3 * size + 3 * u)
+        return ([buf[i * size:(i + 1) * size] for i in range(3)], buf[:2 * u].reshape(2, u),
+                buf[3 * size:3 * size + 3 * u].reshape(3, u))
+
+    def _factor(self, beta, nu, terms):
+        """CholFactor of the correlation matrix R(beta, nu), built and factored in the buffer "R".
+
+        The factor lives there until the next score or pass.  With
+        ``terms``, the Bessel values that make R's also make a derivative
+        pass's five kernel terms at (beta, nu), into their place in the
+        "pass" buffer.  Raises NotSPDError carrying MaternParams(1, beta,
+        nu) if R cannot be factored.
+        """
+        self.held = None                        # R is written below
+        corr = MaternParams(1.0, beta, nu)
+        locs, n, u = self.locs, self.locs.n, self.locs._dist_unique[0].size
+        a = self.take("R", n * n)[:n * n].reshape((n, n), order="F")
+        # the kernel's values go into the pass's buffer, which no pass uses
+        # while a score runs, in slot 2 where the terms are made
+        if terms:
+            slots, *made = self._pass_buffer()
+            vals = slots[2][:u]
+        else:
+            vals, made = self.take("pass", u)[:u], None
+        _cov_into(locs, corr, a, vals, made)
+        try:
+            return _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
+        except NotSPDError as err:
+            err.theta = corr
+            raise
+
+    def score(self, beta, nu, terms=False):
+        """(sigma2, V) at (beta, nu), sigma2 solved on (0, inf) on one factor of R.
+
+        With ``terms``, the score makes a pass's kernel terms too, and
+        ``held`` records its factor and whitened data for that pass.
+        Raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot
+        be factored, and ``profile_sigma2``'s ValueError and RuntimeError.
+        """
+        n = self.reps.n
+        chol = self._factor(beta, nu, terms)
+        Y = _whiten(self.reps.data, chol)
+        if terms:
+            self.held = (beta, nu, chol, Y)
+        quad = np.einsum("ij,ij->j", Y, Y)
+        sigma2 = profile_sigma2(quad, n, self.q)
+        lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
+        return sigma2, _lq_weights(lvec, self.q)[0]
+
+    def derivs(self, theta):
+        """The ``_Pass`` of the data at theta and q (see the module docstring).
+
+        The memo's pass where it holds one at these sites, theta and q.
+        Otherwise the pass takes R's factor at (beta, nu) and Y from
+        ``held`` where it records them, else factors R with the terms and
+        whitens the data, with no sigma2 solve; it overwrites the factor
+        with L^-1, then R^-1, and is stored on the data's set, with the
+        sites, replacing the one before.  Raises NotSPDError carrying
+        MaternParams(1, beta, nu) where R cannot be factored, and carrying
+        theta where L cannot be inverted.
+        """
+        reps, locs, q = self.reps, self.locs, self.q
+        entry = reps._last_pass
+        if entry is not None and entry[0] is locs and (entry[1].theta, entry[1].q) == (theta, q):
+            return entry[1]
+        self.passes += 1
+        n, m = reps.data.shape
+        # the pass overwrites R's factor with L^-1
+        held, self.held = self.held, None
+        if held is None or held[:2] != (theta.beta, theta.nu):
+            chol = self._factor(theta.beta, theta.nu, True)
+            held = (theta.beta, theta.nu, chol, _whiten(reps.data, chol))
+        chol, Y = held[2:]
+        s2 = theta.sigma2
+        inv = locs._dist_unique[1]
+        flat, grad, d2 = self._pass_buffer()
+        flat = [f[:n * n] for f in flat]
+        Linv, info = _invert_lower(chol.L, flat[2])
+        if info != 0:
+            raise NotSPDError("L^-1 from the Cholesky factor failed (trtri info %d)"
+                              % info, theta=theta)
+        quad = np.einsum("ij,ij->j", Y, Y) / s2         # z' Sigma^-1 z
+        value, w = _lq_weights(-0.5 * quad, q)
+        w_sum = float(w.sum())
+
+        # C_k = L^-1 dR_k L^-T over dR_k, gathered into slots 1 and 2 through
+        # the transpose (dR_k is symmetric), and C_k Y
+        C, CY = [flat[1 + k].reshape((n, n), order="F") for k in range(2)], []
+        for k, c in enumerate(C):
+            np.take(grad[k], inv, mode="clip", out=c.T)
+            dtrmm(1.0, Linv, c, lower=1, overwrite_b=1)
+            dtrmm(1.0, Linv, c, side=1, lower=1, trans_a=1, overwrite_b=1)
+            CY.append(np.matmul(c, Y, out=np.empty_like(Y)))
+        yCy = np.array([np.einsum("ij,ij->j", Y, cy) for cy in CY])   # s2 w' dS_k w
+
+        g = np.empty((3, m))
+        g[0] = 0.5 * (quad - n) / s2
+        g[1:] = (0.5 / s2) * yCy - 0.5 * np.array([np.trace(c) for c in C])[:, None]
+
+        H = np.empty((3, 3))
+        H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
+        H[0, 1:] = H[1:, 0] = -0.5 * (yCy @ w) / s2 ** 2
+        pairs = ((0, 0), (0, 1), (1, 1))
+        tr_CC = [float(flat[1 + j] @ flat[1 + k]) for j, k in pairs]
+        # sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i)
+        cross = [float(np.einsum("ij,ij->j", CY[j], CY[k]) @ w) / s2 for j, k in pairs]
+        del CY          # before X is scaled, whose buffered broadcast would add to the peak
+        # the Hessian slices enter only through <d2R_jk, P - w_sum R^-1>, so
+        # that matrix is summed onto the unique distances once
+        X = dtrmm(1.0, Linv, Y, lower=1, trans_a=1, overwrite_b=1)     # R^-1 Z, in Y's place
+        X *= np.sqrt(w / s2)
+        P = np.matmul(X, X.T, out=flat[1].reshape(n, n))
+        # R^-1's lower triangle (its upper is 0) is taken from P at twice its
+        # weight, so each pair off the diagonal counts once in the sums; the
+        # diagonal, all at distance 0 (index 0), gets its excess back below
+        Rinv = dlauum(Linv, lower=1, overwrite_c=1)[0]
+        Rinv *= 2.0 * w_sum
+        P -= Rinv.T
+        # into slot 0, read no more: add.at sums in bincount's order, to the
+        # same bits, but into a given array
+        sums = flat[0][:d2.shape[1]]
+        sums.fill(0.0)
+        np.add.at(sums, inv.ravel(), P.ravel())
+        sums[0] += 0.5 * np.trace(Rinv)
+        for (j, k), tr, d2_jk, cr in zip(pairs, tr_CC, d2, cross):
+            H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2_jk @ sums) - cr
+        log_scale = 0.0 if q == 1.0 else (1.0 - q) * (
+            value - 0.5 * (n * (_LOG_2PI + np.log(s2)) + chol.log_det))
+        p = _Pass(theta, q, g, w, H, log_scale)
+        object.__setattr__(reps, "_last_pass", (locs, p))
+        return p

@@ -18,7 +18,7 @@ sigma2, M / sigma2 or one of five per-distance terms: the beta and nu
 derivatives of M / sigma2 and its (beta, beta), (beta, nu) and (nu, nu)
 second derivatives.  The terms are made per unit variance, from (beta, nu)
 alone; sigma2 enters the values in ``matern_cov`` and ``_cov_into`` and the
-derivatives in the pass (``gauss_lik._weighted_derivs``).  Two Bessel
+derivatives in the pass (``gauss_lik._Workspace.derivs``).  Two Bessel
 calls, at the orders nu and nu - 1, give all five through exact
 identities, the recurrence and the modified Bessel ODE:
 

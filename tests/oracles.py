@@ -22,8 +22,7 @@ their fourth-moment ratio.
 import numpy as np
 from scipy.linalg import cho_solve
 
-from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _corr_factor, _lq_weights,
-                                _profile_factor, _weighted_derivs, _whiten, _Workspace,
+from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _whiten, _Workspace,
                                 chol_factor)
 from lqmatern.matern import (MaternParams, _term_rows, _terms, _tnu_k, build_cov,
                              matern_cov)
@@ -136,17 +135,16 @@ def total_lq(reps, locs, theta, q):
     return float(np.sum(lq_of_loglik(loglik_columns(reps.data, chol), q)))
 
 
-def profile_lq(reps, locs, beta, nu, q, ws=None):
+def profile_lq(reps, locs, beta, nu, q):
     """(sigma2, V) at (beta, nu), with sigma2 solved on (0, inf), as the fit scores a point.
 
-    R is built and factored in the workspace ``ws``, a fresh one if None:
-    points scored through one workspace reuse its buffers, as a fit's do.
-    Checks no input; raises NotSPDError carrying MaternParams(1, beta, nu)
-    if R cannot be factored, and ValueError where V has no maximum in
-    sigma2 (a replicate that is 0 at every site, at q < 1).
+    The point is scored through a workspace of its own over (reps, locs,
+    q) (``gauss_lik._Workspace.score``), which checks them as a fit's
+    does; raises NotSPDError carrying MaternParams(1, beta, nu) if R cannot
+    be factored, and ValueError where V has no maximum in sigma2 (a
+    replicate that is 0 at every site, at q < 1).
     """
-    chol = _corr_factor(locs, beta, nu, _Workspace() if ws is None else ws)
-    return _profile_factor(reps, chol, q)
+    return _Workspace(reps, locs, q).score(beta, nu)
 
 
 def ess_fraction(n, q):
@@ -171,13 +169,13 @@ def weight_moment_ratio(n, q):
 
 def ustar(z, locs, theta, q):
     """One replicate's U* = f^(1-q) grad log f, a 3-vector."""
-    p = _weighted_derivs(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, theta, q)
+    p = _Workspace(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, q).derivs(theta)
     return (p.w * p.g)[:, 0] * np.exp(p.log_scale)
 
 
 def vstar(z, locs, theta, q):
     """One replicate's V*, the exact theta-Jacobian of U*; symmetric 3 x 3."""
-    p = _weighted_derivs(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, theta, q)
+    p = _Workspace(ReplicateSet(np.asarray(z, dtype=float)[:, None]), locs, q).derivs(theta)
     out = (p.S + (1.0 - q) * (p.g @ p.g.T)) * np.exp(p.log_scale)
     return 0.5 * (out + out.T)
 

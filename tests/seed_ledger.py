@@ -116,6 +116,9 @@ LEDGER = (
         ("benchmark", "benchmark pairs of the change where fit writes se.txt"),)),
     Seeds("bench/run.py --seed", 3301, 3310, (
         ("benchmark", "benchmark pairs of the change where SandwichParts carries U"),)),
+    Seeds("bench/run.py --seed", 3401, 3410, (
+        ("benchmark", "benchmark pairs of the change that binds the workspace to one "
+                      "(data, sites, q)"),)),
     Seeds("bench/run.py --seed", 2999, 2999, (
         ("benchmark", "traced runs of the change where FitChain.profile returns its "
                       "fits"),)),
@@ -125,6 +128,11 @@ LEDGER = (
         ("reviewed", "the 2d536fd review, item 19: replicate seeds 11 and 12"),)),
     Seeds("generators", 23, 24, (("reviewed", "the 2d536fd review, item 19"),)),
     Seeds("default_rng", 1, 2, (("reviewed", "item 20's draws of data seeds"),)),
+    Seeds("default_rng", 526, 526, (
+        ("reviewed", "tests/test_gauss_lik.py::TestProfileSigma2Newton::"
+                     "test_fixed_point_step_that_ends_the_solve: the first seed whose "
+                     "chisquare(10, 5) forms at q = 0.9 end the sigma2 solve on the "
+                     "fixed-point step without the tie rule (seeds 0-1979 scanned, 6 found)"),)),
     Seeds("default_rng", 10740, 10769, (
         ("reviewed", "the 8067a57 review: t scales, default_rng(10000 + seed) for "
                      "seeds 740-769 (item 22)"),)),

@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqmatern.asymptotics import SandwichParts, SingularJError, sandwich, std_errs
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _corr_factor, _lq_weights,
-                                _profile_factor, chol_factor)
+from lqmatern.gauss_lik import NotSPDError, ReplicateSet, _lq_weights, chol_factor
 from lqmatern import gauss_lik, matern
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.estimate import fit
@@ -145,7 +144,7 @@ class TestUstar:
         theta = MaternParams(1.0, 0.1, 0.5)
         locs, reps, _ = simulate_dataset(SimConfig(theta, n=225, m=50, layout="grid", seed=seed))
         for q in (1.0, 0.5):
-            p = gauss_lik._weighted_derivs(ReplicateSet(reps.data), locs, theta, q)
+            p = gauss_lik._Workspace(ReplicateSet(reps.data), locs, q).derivs(theta)
             parts = sandwich(reps, locs, theta, q)
             assert np.array_equal(parts.U, p.w * p.g) and parts.log_scale == p.log_scale
         # at unit scale U e^s is the raw U*, every entry a normal float, and
@@ -466,6 +465,16 @@ class TestStdErrs:
             std_errs(SandwichParts(K=1e300 * np.eye(3), J=J, m=3))
         assert exc.value.cond == pytest.approx(2e9, rel=1e-6)
 
+    def test_standard_errors_past_the_float_range_raise_unwarned(self):
+        # the same K and J with numpy's warnings left as the suite has them,
+        # errors: the overflow of J^-1 K J^-1 is std_errs' own business, and
+        # the caller sees its SingularJError, not a RuntimeWarning
+        r = 1.0 - 1e-9
+        J = -np.array([[1.0, r, 0.0], [r, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SingularJError, match="standard errors are not finite") as exc:
+            std_errs(SandwichParts(K=1e300 * np.eye(3), J=J, m=3))
+        assert exc.value.cond == pytest.approx(2e9, rel=1e-6)
+
     def test_data_driven_end_to_end(self):
         theta = MaternParams(1.0, 0.25, 0.5)
         reps = gen_replicates(LOCS9, theta, 50, seed=19)
@@ -619,7 +628,7 @@ class TestWeightedDerivativePass:
         def assert_close(got, want):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-        p = gauss_lik._weighted_derivs(reps, locs, at, q)
+        p = gauss_lik._Workspace(reps, locs, q).derivs(at)
         assert_close(p.g, g_want)
         assert_close(p.w, w)
         assert_close(p.S, (H * w).sum(axis=2))
@@ -648,7 +657,7 @@ class TestWeightedDerivativePass:
             SimConfig(MaternParams(1.0, 0.15, 0.6), n=49, m=m, layout=layout, seed=2))
         at = MaternParams(0.9, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, 0.9)
-        p = gauss_lik._weighted_derivs(reps, locs, at, 0.9)
+        p = gauss_lik._Workspace(reps, locs, 0.9).derivs(at)
         for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -664,8 +673,9 @@ class TestWeightedDerivativePass:
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(sigma2, 0.17, 0.55)
         want = sigma_route_pass(reps.data, locs, at, q)
-        _profile_factor(reps, _corr_factor(locs, at.beta, at.nu, gauss_lik._Workspace()), q)
-        p = gauss_lik._weighted_derivs(reps, locs, at, q)
+        ws = gauss_lik._Workspace(reps, locs, q)
+        ws.score(at.beta, at.nu, terms=True)
+        p = ws.derivs(at)
         for a, b in zip((p.g, p.w, p.S, p.log_scale), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -679,7 +689,7 @@ class TestWeightedDerivativePass:
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=n, m=30, layout=layout, seed=2))
         at = MaternParams(0.9, 0.17, 0.55)
-        gbar, H = gauss_lik._weighted_derivs(reps, locs, at, q).hessian(q)
+        gbar, H = gauss_lik._Workspace(reps, locs, q).derivs(at).hessian(q)
         J = sandwich(reps, locs, at, q).J
         want = reps.m * J
         if q < 1.0:
@@ -699,7 +709,7 @@ class TestWeightedDerivativePass:
         assert locs._dist_cheb is not None
         tracemalloc.start()
         try:
-            gauss_lik._weighted_derivs(reps, locs, theta, 0.95)
+            gauss_lik._Workspace(reps, locs, 0.95).derivs(theta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -712,7 +722,7 @@ class TestWeightedDerivativePass:
         locs, reps, _ = simulate_dataset(
             SimConfig(theta, n=25, m=10, layout="grid", seed=2))
         monkeypatch.setattr(gauss_lik, "_invert_lower", lambda a, work: (a, 3))
-        calls = (lambda: gauss_lik._weighted_derivs(reps, locs, theta, 0.95),
+        calls = (lambda: gauss_lik._Workspace(reps, locs, 0.95).derivs(theta),
                  lambda: sandwich(reps, locs, theta, 0.95))
         for call in calls:
             with pytest.raises(NotSPDError, match="trtri info 3") as exc_info:
@@ -811,7 +821,7 @@ class TestPopulationClosedForms:
         # tends to (q(2-q))^(n/2); its sd is the delta method's, from the
         # sample covariance of (v, v^2)
         locs, reps, theta0 = population_data
-        v = gauss_lik._weighted_derivs(reps, locs, theta_q(theta0, q), q).w
+        v = gauss_lik._Workspace(reps, locs, q).derivs(theta_q(theta0, q)).w
         a, b = v.mean(), (v * v).mean()
         grad = np.array([2.0 * a / b, -a * a / (b * b)])
         sd = np.sqrt(grad @ np.cov(np.vstack([v, v * v])) @ grad / reps.m)
@@ -828,7 +838,7 @@ class TestPopulationClosedForms:
         # ratio's deviation was 0.08-0.41 of that spread (sd over seeds,
         # largest at n = 25, q = 0.7, where F = 20), and at most 0.93
         locs, reps, theta0 = clean_samples[n]
-        w = gauss_lik._weighted_derivs(reps, locs, theta_q(theta0, q), q).w
+        w = gauss_lik._Workspace(reps, locs, q).derivs(theta_q(theta0, q)).w
         ratio = 1.0 / float(w @ w) / (reps.m * ess_fraction(n, q))
         assert abs(ratio - 1.0) <= 3.0 * np.sqrt((weight_moment_ratio(n, q) - 1.0) / reps.m)
 

@@ -15,6 +15,7 @@ from lqmatern.cli_io import (DataError, SweepRow, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, summarize_sweep,
                              write_locations, write_record, write_replicates)
+from lqmatern import gauss_lik
 from lqmatern.estimate import FitChain, default_bounds, fit
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
@@ -882,7 +883,7 @@ class TestMain:
         def boom(*args, **kwargs):
             raise NotSPDError("not positive definite")
 
-        monkeypatch.setattr(est, "_corr_factor", boom)
+        monkeypatch.setattr(gauss_lik._Workspace, "_factor", boom)
         out = tmp_path / "w"
         assert run(["sweep", "--n", "9", "--m", "6", "--q-grid", "1,0.99",
                     "--repetitions", "2", "--selector", selector, "--out", str(out)]) == 0

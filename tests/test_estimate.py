@@ -12,8 +12,7 @@ import lqmatern.estimate as est
 from lqmatern import gauss_lik, matern
 from lqmatern.asymptotics import sandwich
 from lqmatern.estimate import Bounds, FitChain, default_bounds, default_init, fit
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _weighted_derivs, _Workspace,
-                                chol_factor)
+from lqmatern.gauss_lik import NotSPDError, ReplicateSet, _Workspace, chol_factor
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import DEFAULT_GRID
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
@@ -202,11 +201,11 @@ class TestFit:
         locs, reps = small_data
         calls = []
 
-        def boom(locs_, beta, nu, ws=None, terms=False):
+        def boom(ws, beta, nu, terms):
             calls.append((beta, nu))
             raise NotSPDError("forced", theta=None)
 
-        monkeypatch.setattr(est, "_corr_factor", boom)
+        monkeypatch.setattr(gauss_lik._Workspace, "_factor", boom)
         with pytest.raises(NotSPDError):
             fit(reps, locs, 1.0)
         init = default_init(reps, default_bounds())
@@ -220,16 +219,16 @@ class TestFit:
         locs, reps = small_data
         calls = []
 
-        def boom(locs_, beta, nu, ws=None, terms=False):
+        def boom(ws, beta, nu, terms):
             calls.append((beta, nu))
             raise NotSPDError("forced", theta=None)
 
-        monkeypatch.setattr(est, "_corr_factor", boom)
+        monkeypatch.setattr(gauss_lik._Workspace, "_factor", boom)
         search = est._Search(reps, locs, 0.9, default_bounds(), 1e-6)
         u = np.array([0.3, 0.4])
         got, confirmed = search.newton(u, est._NEWTON_STEPS)
         assert got is u and not confirmed
-        assert len(calls) == 1 and search.passes == 0 and search.last_pass is None
+        assert len(calls) == 1 and search.ws.passes == 0 and search.last_pass is None
 
     @pytest.mark.parametrize("rows", [15, 17])
     @pytest.mark.parametrize("entry", ["fit", "FitChain.fit", "sandwich"])
@@ -450,10 +449,10 @@ def fd_profile(reps, locs, p, q, log=False):
     the nine points are scored in one workspace.
     """
     h = np.full(2, PROFILE_FD_STEP) if log else PROFILE_FD_STEP * p
-    ws = _Workspace()
+    ws = _Workspace(reps, locs, q)
 
     def f(dp):
-        return profile_lq(reps, locs, *(p * np.exp(dp) if log else p + dp), q, ws)[1]
+        return ws.score(*(p * np.exp(dp) if log else p + dp))[1]
 
     e = np.diag(h)
     f0 = f(np.zeros(2))
@@ -599,7 +598,7 @@ class TestConfirmation:
         sigma2, _ = profile_lq(reps, locs, *p, q)
         # the pass's full derivatives, and sigma2's response through their
         # Schur complement
-        gbar, hess = _weighted_derivs(reps, locs, MaternParams(sigma2, *p), q).hessian(q)
+        gbar, hess = _Workspace(reps, locs, q).derivs(MaternParams(sigma2, *p)).hessian(q)
         g = gbar[1:]
         H = hess[1:, 1:] - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
         search = est._Search(reps, locs, q, default_bounds(), 1e-6)
@@ -780,13 +779,13 @@ class TestNewtonFinish:
     def test_newton_steps_count_the_passes(self, interior_data, monkeypatch):
         locs, reps, base = interior_data
         calls = []
-        real = est._weighted_derivs
+        real = gauss_lik._Workspace.derivs
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(est, "_weighted_derivs", counted)
+        monkeypatch.setattr(gauss_lik._Workspace, "derivs", counted)
         default = fit(reps, locs, 0.9)
         assert default.newton_steps == len(calls) >= 2
         calls.clear()
@@ -801,15 +800,15 @@ class TestNewtonFinish:
         cfg = SimConfig(MaternParams(1.0, 0.2, 0.5), n=49, m=100, layout="uniform", seed=1,
                         contamination=ContaminationSpec(0.1, 1.0))
         locs, reps, _flags = simulate_dataset(cfg)
-        real, made = est._weighted_derivs, []
+        real, made = gauss_lik._Workspace.derivs, []
 
-        def spy(reps, locs, theta, q, *args):
-            memo = reps._last_pass
-            p = real(reps, locs, theta, q, *args)
-            made.append(reps._last_pass is not memo)
+        def spy(ws, theta):
+            memo = ws.reps._last_pass
+            p = real(ws, theta)
+            made.append(ws.reps._last_pass is not memo)
             return p
 
-        monkeypatch.setattr(est, "_weighted_derivs", spy)
+        monkeypatch.setattr(gauss_lik._Workspace, "derivs", spy)
         res = fit(reps, locs, 1.0)
         assert res.converged and res.iterations > 0
         assert made.count(False) == 1
@@ -978,7 +977,7 @@ class TestNewtonFirst:
         def newton_step(search, u):
             step = real(search, u)
             x, w = search.corner + u * search.width, search.width
-            gbar, hess = search.last_pass.hessian(search.q)
+            gbar, hess = search.last_pass.hessian(search.ws.q)
             g = gbar[1:]
             H = hess[1:, 1:] - np.outer(hess[1:, 0], hess[0, 1:]) / hess[0, 0]
             H_y, H_u = H * np.outer(x, x) + np.diag(g * x), H * np.outer(w, w)
@@ -1061,7 +1060,7 @@ class TestFusedNewtonPoint:
         def score(search, u, terms=False):
             real(search, u, terms)
             beta, nu = search.corner + u * search.width
-            want = profile_lq(search.reps, search.locs, beta, nu, search.q)
+            want = profile_lq(search.ws.reps, search.ws.locs, beta, nu, search.ws.q)
             assert search.scored[u.tobytes()] == want
             scored.append(u.tobytes())
 
@@ -1104,7 +1103,7 @@ class TestFusedNewtonPoint:
         def newton_step(search, u):
             before = len(calls)
             last = held[0] == u.tobytes()
-            memo = search.reps._last_pass
+            memo = search.ws.reps._last_pass
             out = real_step(search, u)
             hit = memo is not None and search.last_pass is memo[1]
             assert len(calls) == before + (not (last or hit))
@@ -1307,9 +1306,9 @@ class TestSharedWalk:
         again = sandwich(reps, locs, theta, 0.95)
         assert len(walks) == 1 and len(factors) == 1
         own = reps._last_pass[1]
-        ws = gauss_lik._Workspace()
-        gauss_lik._corr_factor(locs, theta.beta, theta.nu, ws, True)
-        handed = _weighted_derivs(ReplicateSet(reps.data), locs, theta, 0.95, ws)
+        ws = gauss_lik._Workspace(ReplicateSet(reps.data), locs, 0.95)
+        ws.score(theta.beta, theta.nu, terms=True)
+        handed = ws.derivs(theta)
         assert len(walks) == 2 and len(factors) == 2
         for name in ("K", "J", "log_scale"):
             assert np.array_equal(getattr(miss, name), getattr(again, name))
@@ -1366,7 +1365,7 @@ class TestSharedWalk:
         hit = search.last_pass
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
         inside, bessel = [False], []
-        real_score = gauss_lik._corr_factor
+        real_score = gauss_lik._Workspace._factor
 
         def score(*args):
             inside[0] = True
@@ -1381,7 +1380,7 @@ class TestSharedWalk:
                 return real(*args)
             return call
 
-        monkeypatch.setattr(gauss_lik, "_corr_factor", score)
+        monkeypatch.setattr(gauss_lik._Workspace, "_factor", score)
         for name in ("special_kve",):
             monkeypatch.setattr(matern, name, spy(getattr(matern, name)))
         # a search over a fresh set, which carries no pass
@@ -1423,7 +1422,7 @@ class TestSharedWalk:
         # + those passes.  A simplex that returns the point of the last pass
         # unmoved is followed by the memo's pass, which is not made
         factors = count_calls(monkeypatch, gauss_lik, "_factor_in_place")
-        scores = count_calls(monkeypatch, est, "_profile_factor")
+        scores = count_calls(monkeypatch, gauss_lik._Workspace, "score")
         real_score, real_step = est._Search.score, est._Search.newton_step
         held, last = [None], []
 
@@ -1433,9 +1432,9 @@ class TestSharedWalk:
             held[0] = u.tobytes() if terms else None
 
         def newton_step(search, u):
-            made, at_held = search.passes, held[0] == u.tobytes()
+            made, at_held = search.ws.passes, held[0] == u.tobytes()
             step = real_step(search, u)
-            if search.passes > made:
+            if search.ws.passes > made:
                 last.append(at_held)
                 held[0] = None
             return step
@@ -1466,7 +1465,7 @@ def reweighted_step(reps, locs, at, q_old, q):
     q = 1), and H = sum w_i(q_old) H_i scaled to the new weights' total,
     plus (1-q) sum w_i (g_i - gbar)(g_i - gbar)'.
     """
-    p = _weighted_derivs(reps, locs, at, q_old)
+    p = _Workspace(reps, locs, q_old).derivs(at)
     g, w_old, S = p.g, p.w, p.S
     ll = loglik_columns(reps.data, chol_factor(build_cov(locs, at)))
     w = np.ones(reps.m)
@@ -1499,13 +1498,13 @@ def extrapolated(near, far, q):
 def record_passes(monkeypatch):
     """The (sigma2, beta, nu) of every derivative pass, in order."""
     points = []
-    real = est._weighted_derivs
+    real = gauss_lik._Workspace.derivs
 
-    def spy(reps, locs, theta, q, *args):
+    def spy(ws, theta):
         points.append(theta)
-        return real(reps, locs, theta, q, *args)
+        return real(ws, theta)
 
-    monkeypatch.setattr(est, "_weighted_derivs", spy)
+    monkeypatch.setattr(gauss_lik._Workspace, "derivs", spy)
     return points
 
 
@@ -1725,13 +1724,13 @@ class TestQProfile:
         # q's fit raises RuntimeError; the profile records a placeholder
         # there and goes on, as for a factorization that fails
         locs, reps = small_data
-        real, cap = est._profile_factor, gauss_lik.SIGMA2_MAX_STEPS
+        real, cap = gauss_lik._Workspace.score, gauss_lik.SIGMA2_MAX_STEPS
 
-        def capped(reps_, chol, q, *box):
-            monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 0 if q == 0.97 else cap)
-            return real(reps_, chol, q, *box)
+        def capped(ws, *args):
+            monkeypatch.setattr(gauss_lik, "SIGMA2_MAX_STEPS", 0 if ws.q == 0.97 else cap)
+            return real(ws, *args)
 
-        monkeypatch.setattr(est, "_profile_factor", capped)
+        monkeypatch.setattr(gauss_lik._Workspace, "score", capped)
         with pytest.raises(RuntimeError):
             fit(reps, locs, 0.97, tol=1e-4)
         prof = FitChain(reps, locs, tol=1e-4).profile((1.0, 0.97, 0.94))

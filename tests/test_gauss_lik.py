@@ -13,7 +13,7 @@ from scipy.linalg.lapack import dlauum, dpotri, dtrtri
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich, std_errs
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _weighted_derivs,
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _Workspace,
                                 chol_factor, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import QGridSpec, select_q_kappa, select_q_sqv
@@ -118,7 +118,7 @@ class TestCholFactor:
             profile_lq(reps, locs, theta.beta, theta.nu, 0.9)
             scale = 1.0
         elif path == "weighted_derivs":
-            _weighted_derivs(reps, locs, theta, 0.9)
+            _Workspace(reps, locs, 0.9).derivs(theta)
             scale = 1.0
         else:
             gen_replicates(locs, theta, 2, seed=0)
@@ -506,7 +506,7 @@ class TestProfileSigma2Newton:
         # is the dense search's
         rng = np.random.default_rng(seed)
         quad = rng.chisquare(42, 19) * np.exp(rng.normal(0.0, 3.0, 19))
-        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 42, 0.5)
+        got, values, safeguarded, _ = traced_sigma2_solve(monkeypatch, quad, 42, 0.5)
         assert safeguarded
         assert all(b >= a - gauss_lik.V_ROUNDING * abs(a)
                    for a, b in zip(values, values[1:]))
@@ -519,7 +519,7 @@ class TestProfileSigma2Newton:
         # along the steps, and the answer is V's maximum, no lower than the
         # best of a log grid over the forms' range
         quad = np.r_[np.full(4, 10.0), np.full(6, 1e4)] * (1 + 0.01 * np.arange(10) / 10)
-        got, values, safeguarded = traced_sigma2_solve(monkeypatch, quad, 10, 0.5)
+        got, values, safeguarded, _ = traced_sigma2_solve(monkeypatch, quad, 10, 0.5)
         assert safeguarded and got == pytest.approx(1.0015, rel=1e-4)
         assert all(b >= a for a, b in zip(values, values[1:]))
         s, vals = dense_profile(quad, 10, 0.5)
@@ -527,21 +527,45 @@ class TestProfileSigma2Newton:
 
 
     def test_fixed_point_step_that_ends_the_solve(self, monkeypatch):
+        # without the tie rule (V_ROUNDING below 0), a Newton point near the
+        # maximum that scores lower by rounding is refused; on these forms
+        # (n = 10, m = 5, q = 0.9) the fixed-point step after it moves by
+        # less than SIGMA2_RTOL and ends the solve, at V's maximum: the
+        # default solve's answer, higher than both neighbours 1e-3 away in
+        # log sigma2
+        quad = np.random.default_rng(526).chisquare(10, 5)
+        want = profile_sigma2(quad, 10, 0.9)
+        monkeypatch.setattr(gauss_lik, "V_ROUNDING", -1.0)
+        got, _values, _, ended = traced_sigma2_solve(monkeypatch, quad, 10, 0.9)
+        assert ended == "return step" and abs(got / want - 1.0) <= 2.0 * gauss_lik.SIGMA2_RTOL
+        assert_local_maximum(quad, 10, 0.9, got)
+
+    def test_stationary_point_where_v_is_not_concave_is_left(self):
         # n = 1, q = 0.5: two forms at 0.1, the median 1 and two at 1 + d,
         # with d chosen so the start, sigma2 = 1, is a stationary point of V
-        # in log sigma2 where V is not concave; the solve takes the
-        # fixed-point step, which moves by less than SIGMA2_RTOL and ends
-        # it, after the start's weights and no others
+        # in log sigma2 where V is not concave, a local minimum with V =
+        # 2.16920.  The fixed-point step there moves by less than
+        # SIGMA2_RTOL; the solve steps off to the higher side and ends at
+        # a maximum, the global one of a dense log grid (at 0.256, V =
+        # 2.24996; the other lies at 1.88, V = 2.17864)
         d = 7.6714806018156585
         quad = np.array([0.1, 0.1, 1.0, 1.0 + d, 1.0 + d])
         _, w = _lq_weights(-0.5 * quad, 0.5)
         wa = w @ quad
         assert abs(wa - 1.0) <= 1e-15 and -0.5 * wa + 0.125 * (w @ quad ** 2 - wa * wa) > 0.0
-        calls = []
-        monkeypatch.setattr(gauss_lik, "_lq_weights",
-                            lambda *args: calls.append(1) or _lq_weights(*args))
         got = profile_sigma2(quad, 1, 0.5)
-        assert len(calls) == 1 and abs(got - 1.0) <= gauss_lik.SIGMA2_RTOL
+        value = assert_local_maximum(quad, 1, 0.5, got)
+        assert value > 2.16920 + 0.08
+        s, vals = dense_profile(quad, 1, 0.5, 0.01, 100.0, points=4001)
+        assert abs(np.log(got) - s[int(np.argmax(vals))]) <= 2.0 * (s[1] - s[0])
+
+
+def assert_local_maximum(quad, n, q, sigma2):
+    """V at sigma2, asserting it is no lower than V at sigma2 e^(+-1e-3)."""
+    values = [dense_profile(quad, n, q, x, x, points=1)[1][0]
+              for x in sigma2 * np.exp([0.0, -1e-3, 1e-3])]
+    assert values[0] >= max(values[1:])
+    return values[0]
 
 
 class TestProfileSigma2Start:
@@ -564,14 +588,15 @@ class TestProfileSigma2Start:
 
 
 def traced_sigma2_solve(monkeypatch, quad, n, q):
-    """profile_sigma2's answer, the V of each iterate, and whether a fixed-point step continued it.
+    """profile_sigma2's answer, each iterate's V, whether a fixed-point step went on, and its return.
 
     A wrapper around ``gauss_lik._lq_weights`` reads the solve's frame at
     each weight evaluation: its local ``value``, the current iterate's V,
     and the line that asks for the weights, which is the fixed-point
     step's where the solve goes on from one.  The frame, kept, gives the
-    last iterate's V after the solve returns.  No tracer is installed, so
-    a coverage tool's own tracer sees the solve's lines.
+    last iterate's V after the solve returns, and the line it returned
+    from, as the source's text.  No tracer is installed, so a coverage
+    tool's own tracer sees the solve's lines.
     """
     code = profile_sigma2.__code__
     lines, first = inspect.getsourcelines(profile_sigma2)
@@ -595,7 +620,7 @@ def traced_sigma2_solve(monkeypatch, quad, n, q):
     monkeypatch.setattr(gauss_lik, "_lq_weights", counted)
     got = profile_sigma2(quad, n, q)
     note(solve[0])
-    return got, values, any(safeguarded)
+    return got, values, any(safeguarded), lines[solve[0].f_lineno - first].strip()
 
 
 class TestProfileLq:
@@ -713,19 +738,19 @@ class TestLastFactor:
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
         theta = MaternParams(0.8, 0.2, 0.5)
-        p = _weighted_derivs(reps, locs, theta, 0.9)
-        assert _weighted_derivs(reps, locs, theta, 0.9) is p and len(factored) == 1
-        other = _weighted_derivs(self.data(16, 5, seed=1), locs, theta, 0.9)
+        p = _Workspace(reps, locs, 0.9).derivs(theta)
+        assert _Workspace(reps, locs, 0.9).derivs(theta) is p and len(factored) == 1
+        other = _Workspace(self.data(16, 5, seed=1), locs, 0.9).derivs(theta)
         assert len(factored) == 2 and not np.array_equal(other.g, p.g)
 
     def test_another_point_or_q_misses(self, factored):
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
         theta = MaternParams(0.8, 0.2, 0.5)
-        p = _weighted_derivs(reps, locs, theta, 0.9)
+        p = _Workspace(reps, locs, 0.9).derivs(theta)
         for th, q in ((theta, 0.95), (MaternParams(0.8, 0.2, 0.6), 0.95),
                       (MaternParams(0.9, 0.2, 0.6), 0.95)):
-            assert _weighted_derivs(reps, locs, th, q) is not p
+            assert _Workspace(reps, locs, q).derivs(th) is not p
         assert len(factored) == 4
 
     def test_equal_data_in_another_set_miss(self, factored):
@@ -736,8 +761,8 @@ class TestLastFactor:
         twin = ReplicateSet(reps.data)
         assert np.array_equal(twin.data, reps.data) and twin is not reps
         theta = MaternParams(0.8, 0.2, 0.5)
-        p = _weighted_derivs(reps, locs, theta, 0.9)
-        copy = _weighted_derivs(twin, locs, theta, 0.9)
+        p = _Workspace(reps, locs, 0.9).derivs(theta)
+        copy = _Workspace(twin, locs, 0.9).derivs(theta)
         assert copy is not p and len(factored) == 2
         assert twin._last_pass[0] is locs and twin._last_pass[1] is copy
         assert reps._last_pass[0] is locs and reps._last_pass[1] is p
@@ -753,7 +778,7 @@ class TestLastFactor:
         Z = self.data(16, 5).data.copy()
         Z.flags.writeable = writeable
         with pytest.raises(TypeError, match="ReplicateSet"):
-            _weighted_derivs(Z, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
+            _Workspace(Z, locs, 0.9).derivs(MaternParams(0.8, 0.2, 0.5))
         assert factored == []
 
     def test_memo_holds_nothing_of_its_sites(self):
@@ -761,7 +786,7 @@ class TestLastFactor:
         # dies with its sites and its replicate set
         locs = make_locations(16, "grid")
         reps = self.data(16, 5)
-        p = _weighted_derivs(reps, locs, MaternParams(0.8, 0.2, 0.5), 0.9)
+        p = _Workspace(reps, locs, 0.9).derivs(MaternParams(0.8, 0.2, 0.5))
         assert reps._last_pass[0] is locs and reps._last_pass[1] is p
         arrays = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
         assert arrays and not [a.shape for a in arrays if 16 in a.shape]
@@ -805,9 +830,9 @@ class TestLastFactor:
                 for i in range(20):
                     locs = make_locations(9, "uniform", seed + i)
                     reps = self.data(9, 3, seed + i)
-                    made = _weighted_derivs(reps, locs, theta, 0.9)
+                    made = _Workspace(reps, locs, 0.9).derivs(theta)
                     made_all.wait()
-                    if _weighted_derivs(reps, locs, theta, 0.9) is not made:
+                    if _Workspace(reps, locs, 0.9).derivs(theta) is not made:
                         wrong.append((seed, i))
             except threading.BrokenBarrierError as exc:
                 wrong.append(exc)
@@ -870,10 +895,10 @@ class TestLastFactor:
     def test_workspace_reuses_its_buffer(self, factored):
         # scores in one workspace build R in one buffer
         locs = make_locations(16, "grid")
-        ws = gauss_lik._Workspace()
-        gauss_lik._corr_factor(locs, 0.2, 0.5, ws)
+        ws = _Workspace(self.data(16, 3), locs, 0.9)
+        ws.score(0.2, 0.5)
         buf = ws._bufs["R"]
-        gauss_lik._corr_factor(locs, 0.3, 0.5, ws)
+        ws.score(0.3, 0.5)
         assert ws._bufs["R"] is buf and len(factored) == 2
 
     def test_a_record_never_survives_a_write_of_r(self, monkeypatch):
@@ -881,26 +906,26 @@ class TestLastFactor:
         # score, a failed factorization and a pass that raises each drop it
         locs = make_locations(16, "grid")
         reps = self.data(16, 3)
-        ws = gauss_lik._Workspace()
+        ws = _Workspace(reps, locs, 0.9)
 
         def recorded():
-            chol = gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
-            assert ws.held[:2] == (0.2, 0.5) and ws.held[2] is chol
+            ws.score(0.2, 0.5, terms=True)
+            assert ws.held[:2] == (0.2, 0.5) and np.shares_memory(ws.held[2].L, ws._bufs["R"])
 
         recorded()
-        gauss_lik._corr_factor(locs, 0.3, 0.5, ws)
+        ws.score(0.3, 0.5)
         assert ws.held is None
         recorded()
         with monkeypatch.context() as patched:
             patched.setattr(gauss_lik, "dpotrf", lambda a, **kw: (a, 1))
             with pytest.raises(NotSPDError):
-                gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
+                ws.score(0.2, 0.5, terms=True)
         assert ws.held is None
         recorded()
         with monkeypatch.context() as patched:
             patched.setattr(gauss_lik, "_invert_lower", lambda a, work: (a, 1))
             with pytest.raises(NotSPDError, match="trtri"):
-                _weighted_derivs(reps, locs, MaternParams(1.0, 0.2, 0.5), 0.9, ws)
+                ws.derivs(MaternParams(1.0, 0.2, 0.5))
         assert ws.held is None
 
     def test_not_spd_leaves_no_entry(self, monkeypatch):
@@ -909,7 +934,7 @@ class TestLastFactor:
                             lambda locs_, theta, out, work, terms=None: np.copyto(out, 2.0 - np.eye(len(out))))
         reps = self.data(16, 1)
         with pytest.raises(NotSPDError):
-            _weighted_derivs(reps, locs, MaternParams(1.0, 0.3, 0.5), 1.0)
+            _Workspace(reps, locs, 1.0).derivs(MaternParams(1.0, 0.3, 0.5))
         assert reps._last_pass is None
 
     def test_equal_sites_in_another_set_miss(self, factored):
@@ -918,8 +943,8 @@ class TestLastFactor:
         assert np.array_equal(twin.coords, locs.coords) and twin is not locs
         reps = self.data(16, 5)
         theta = MaternParams(0.8, 0.2, 0.5)
-        p = _weighted_derivs(reps, locs, theta, 0.9)
-        assert _weighted_derivs(reps, twin, theta, 0.9) is not p
+        p = _Workspace(reps, locs, 0.9).derivs(theta)
+        assert _Workspace(reps, twin, 0.9).derivs(theta) is not p
         assert len(factored) == 2 and reps._last_pass[0] is twin
 
     def test_jittered_factor_is_handed_over(self, factored, inverted, monkeypatch):
@@ -936,11 +961,12 @@ class TestLastFactor:
 
         monkeypatch.setattr(gauss_lik, "dpotrf", dpotrf)
         locs = make_locations(16, "grid")
-        ws = gauss_lik._Workspace()
-        chol = gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
-        assert chol.jittered and ws.held[2] is chol
+        ws = _Workspace(self.data(16, 1), locs, 1.0)
+        ws.score(0.2, 0.5, terms=True)
+        chol = ws.held[2]
+        assert chol.jittered
         want = chol.L.copy()
-        _weighted_derivs(self.data(16, 1), locs, MaternParams(1.0, 0.2, 0.5), 1.0, ws)
+        ws.derivs(MaternParams(1.0, 0.2, 0.5))
         assert inverted[0][0] is chol.L and np.array_equal(inverted[0][1], want)
         assert len(factored) == 1 and ws.held is None
 
@@ -976,13 +1002,13 @@ class TestLastFactor:
         theta = MaternParams(0.7, 0.2, 0.5)
         for m in (3, 20):
             reps = ReplicateSet(np.linspace(-1.0, 1.0, 16 * m).reshape(16, m))
-            ws = gauss_lik._Workspace()
-            gauss_lik._corr_factor(locs, 0.2, 0.5, ws, True)
+            ws = _Workspace(reps, locs, 0.9)
+            ws.score(0.2, 0.5, terms=True)
             terms = ws._bufs["pass"]
             factored.clear()
-            handed = _weighted_derivs(reps, locs, theta, 0.9, ws)
+            handed = ws.derivs(theta)
             assert factored == [] and ws._bufs["pass"] is terms
-            fresh = _weighted_derivs(ReplicateSet(reps.data), locs, theta, 0.9)
+            fresh = _Workspace(ReplicateSet(reps.data), locs, 0.9).derivs(theta)
             assert len(factored) == 1
             for name in ("g", "w", "S", "log_scale"):
                 assert np.array_equal(getattr(handed, name), getattr(fresh, name))

@@ -10,7 +10,7 @@ from scipy.special import kv
 
 from lqmatern import gauss_lik, matern
 from lqmatern.asymptotics import sandwich
-from lqmatern.gauss_lik import ReplicateSet, _weighted_derivs
+from lqmatern.gauss_lik import ReplicateSet, _Workspace
 from lqmatern.matern import (_CHEB_DEG, _CHEB_MAP, NU_CAP, LocationSet,
                              MaternParams, _coef, _Panels,
                              build_cov, matern_cov)
@@ -366,7 +366,7 @@ class TestBuilders:
             for _ in range(5):
                 th = rand_theta(rng, nu_hi=NU_CAP)
                 factored.clear()
-                _weighted_derivs(reps, locs, th, 0.9)
+                _Workspace(reps, locs, 0.9).derivs(th)
                 assert len(factored) == 1
                 assert np.array_equal(factored[0],
                                       build_cov(locs, MaternParams(1.0, th.beta, th.nu)))

@@ -16,7 +16,7 @@ import pytest
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
-from lqmatern.gauss_lik import ReplicateSet, _weighted_derivs
+from lqmatern.gauss_lik import ReplicateSet, _Workspace
 from lqmatern.matern import MaternParams, build_cov
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
@@ -33,7 +33,7 @@ def dataset():
         contamination=ContaminationSpec(0.1, 1.0)))
     assert locs._dist_cheb is not None
     # a first call outside the measurement loads what scipy loads lazily
-    _weighted_derivs(reps, locs, THETA, 0.9)
+    _Workspace(reps, locs, 0.9).derivs(THETA)
     return locs, reps
 
 
@@ -66,7 +66,7 @@ def test_build_cov_peak(data):
 def test_derivative_pass_peak(data):
     # R's factor and the pass; each n x n array is dropped after its last use
     locs, reps = data
-    assert peak_doubles(lambda: _weighted_derivs(reps, locs, THETA, 0.9)) <= 7.0
+    assert peak_doubles(lambda: _Workspace(reps, locs, 0.9).derivs(THETA)) <= 7.0
 
 
 def test_fused_newton_point_peak(data):
@@ -82,7 +82,7 @@ def test_fused_newton_point_peak(data):
         search.newton_step(u)
 
     assert peak_doubles(point) <= 7.0
-    assert search.passes == 1 and search.last_pass is not None
+    assert search.ws.passes == 1 and search.last_pass is not None
     assert search.ws.held is None
 
 
@@ -145,6 +145,31 @@ def test_fit_and_sandwich_peak(data, monkeypatch):
     FitChain(reps, locs).profile((1.0, 0.95))
     assert kept and all(bufs <= {"R", "pass"} for bufs in kept)
     assert spaces and not [ws for ws in spaces if ws() is not None]
+
+
+def test_no_workspace_outlives_its_call(data, monkeypatch):
+    # a workspace holds R's buffer and the pass's, 5.5 n^2 doubles here,
+    # and refers to its data and sites; neither the memo entry on the
+    # replicate set nor the fit's kept pass refers to a workspace, so the
+    # workspace of a fit and those of the sandwiches after it, one the
+    # memo serves and one that makes its pass, are gone on return
+    locs, reps = data
+    spaces = []
+    real = gauss_lik._Workspace.__init__
+
+    def init(ws, *args):
+        real(ws, *args)
+        spaces.append(weakref.ref(ws))
+
+    monkeypatch.setattr(gauss_lik._Workspace, "__init__", init)
+    res = fit(reps, locs, 0.9)
+    assert res._pass is not None and reps._last_pass[1] is res._pass
+    assert len(spaces) == 1 and spaces[0]() is None
+    sandwich(reps, locs, res.theta_hat, 0.9)
+    assert reps._last_pass[1] is res._pass
+    sandwich(reps, locs, replace(res.theta_hat, sigma2=2.0 * res.theta_hat.sigma2), 0.9)
+    assert reps._last_pass[1] is not res._pass
+    assert len(spaces) == 3 and not [ws for ws in spaces if ws() is not None]
 
 
 def test_fit_allocates_two_factor_buffers(data, monkeypatch):
