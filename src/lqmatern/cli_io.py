@@ -10,7 +10,13 @@ so a simulation's metadata record can be fed back in as a config.
 Subcommands: simulate, fit (which writes the fit's standard errors too),
 select-q, variogram, sweep.  Each registers only the flags it reads, so a
 flag it would ignore is a usage error.  Exit codes: 0 success, 1 usage,
-2 data error, 3 numerical failure.
+2 data error, 3 numerical failure.  A usage error prints argparse's own
+usage line and ``prog: error: message``; ``main`` maps argparse's exit
+code 2 to 1.
+
+A sweep's rows are (repetition, FitResult, selected), holding the fit
+chain's own fits; sweep.csv, summary.csv and selected_hist.csv are all
+written from them.
 """
 
 import argparse
@@ -341,45 +347,30 @@ def sim_mapping(sim):
 # === sweep rows =============================================================
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (repetition, q) estimate, or the selected-q row of a repetition."""
-
-    repetition: int
-    q: float
-    sigma2: float
-    beta: float
-    nu: float
-    kappa: float
-    objective: float
-    converged: bool
-    selected: bool
-
-
-def _row_from_fit(rep_id, fr, selected=False):
-    th = fr.theta_hat
-    return SweepRow(repetition=rep_id, q=fr.q,
-                    sigma2=th.sigma2, beta=th.beta, nu=th.nu,
-                    kappa=kappa(th), objective=fr.objective,
-                    converged=fr.converged, selected=selected)
-
-
 def write_sweep_rows(path, rows):
+    """sweep.csv: one line per sweep row, (repetition, FitResult, selected).
+
+    A row is a grid q's fit (selected false) or the fit at a repetition's
+    selected q; q, theta-hat, kappa-hat, the objective and ``converged``
+    are the fit's own.
+    """
     _write_csv(path, "repetition,q,sigma2,beta,nu,kappa,objective,converged,selected",
                "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s",
-               ((r.repetition, r.q, r.sigma2, r.beta, r.nu, r.kappa, r.objective,
-                 _fmt(r.converged), _fmt(r.selected)) for r in rows))
+               ((rep, fr.q, *fr.theta_hat.as_array(), kappa(fr.theta_hat), fr.objective,
+                 _fmt(fr.converged), _fmt(selected)) for rep, fr, selected in rows))
 
 
 def summarize_sweep(rows, grid, kappa0):
-    """Per-q (q, rows used, bias, variance, MSE) of kappa-hat over converged grid rows.
+    """Per-q (q, rows used, bias, variance, MSE) of kappa-hat over the converged grid fits.
 
-    A row whose kappa-hat is not finite is left out, as a non-converged one is.
+    ``rows`` are sweep rows.  A fit whose kappa-hat is not finite is left
+    out, as a non-converged one is.
     """
     out = []
     for q in grid:
-        vals = np.array([r.kappa for r in rows if not r.selected and r.converged
-                         and r.q == q and np.isfinite(r.kappa)])
+        vals = np.array([kappa(fr.theta_hat) for _rep, fr, selected in rows
+                         if not selected and fr.converged and fr.q == q])
+        vals = vals[np.isfinite(vals)]
         if vals.size == 0:
             out.append((q, 0, np.nan, np.nan, np.nan))
             continue
@@ -390,15 +381,6 @@ def summarize_sweep(rows, grid, kappa0):
 
 
 # === argument parsing =======================================================
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (argparse's default is 2, which we reserve
-    # for data errors)
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
-        raise SystemExit(1)
 
 
 # every flag a subcommand registers; each overrides the config key that
@@ -427,9 +409,9 @@ _FLAGS = {
 
 
 def build_parser():
-    parser = _Parser(prog="lqmatern",
-                     description="Matern random-field estimation with the "
-                                 "maximum Lq-likelihood estimator")
+    parser = argparse.ArgumentParser(prog="lqmatern",
+                                     description="Matern random-field estimation with the "
+                                                 "maximum Lq-likelihood estimator")
     subs = parser.add_subparsers(dest="command", required=True)
     sim = ("seed", "n", "m", "layout", "theta", "contam-r", "contam-sd")
     # each subcommand registers the flags it reads, and no others, and
@@ -454,21 +436,17 @@ def build_parser():
     return parser
 
 
-def _config_mapping(args):
-    """The flat config of the file and flags; a flag overrides its key."""
-    mapping = {}
-    if args.config:
-        mapping.update(read_record(args.config))
+def config_from_args(args):
+    """The config of the file and flags, with only the subcommand's sections built.
+
+    A flag overrides the config key that names it.
+    """
+    mapping = read_record(args.config) if args.config else {}
     for key, (_section, attr, _parser) in _KEYS.items():
         v = getattr(args, attr, None) if attr else None
         if v is not None:
             mapping[key] = str(v)
-    return mapping
-
-
-def config_from_args(args):
-    """The config of the file and flags, with only the subcommand's sections built."""
-    return build_config(_config_mapping(args), args.sections)
+    return build_config(mapping, args.sections)
 
 
 def _outdir(cfg):
@@ -587,51 +565,53 @@ def cmd_variogram(args):
 
 
 def _sweep_repetition(cfg, rep_id, rows):
-    """Append one simulated dataset's sweep rows to rows; its q*, or None.
+    """Append one simulated dataset's sweep rows to rows.
 
     Every grid q gets a row: a grid fit that fails is the chain's
     non-converged placeholder (``FitChain.profile``), and the selector
-    drops its q.  Only a failed fit at q* leaves the repetition without a
-    selected row, and then None is returned.
+    drops its q.  The fit at the selected q is one more row; only where
+    that fit fails is there none.
 
-    The dataset, its fits and the last derivative pass over its replicate
-    set (kept on the set) die on return, so the next repetition simulates
-    with none of them alive.
+    The dataset, its fits' derivative passes and the pass kept on its
+    replicate set die on return, so the next repetition simulates with
+    none of them alive.
     """
     locs, reps, _flags = simulate_dataset(replace(cfg.sim, seed=cfg.sim.seed + rep_id))
     # one chain serves the profile and the selector: grid q values are
     # fitted once, and every fit after the first starts from the
     # re-weighted Newton steps of the fitted q nearest to it
     chain = FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol)
-    rows.extend(_row_from_fit(rep_id, fr) for fr in chain.profile(cfg.q_grid.grid))
+    # a row keeps its fit without the fit's last derivative pass, O(m)
+    # numbers, so the rows stay small at any m and number of repetitions
+    rows.extend((rep_id, replace(fr, _pass=None), False)
+                for fr in chain.profile(cfg.q_grid.grid))
     if cfg.selector == "none":
-        return None
+        return
     sel = _select(cfg, reps, locs, chain)
     try:
         # q* = 1 can be a fallback whose own fit the profile dropped
-        selected = chain.fit(sel.q_star)
+        rows.append((rep_id, replace(chain.fit(sel.q_star), _pass=None), True))
     except _NUMERICAL as exc:
         log.warning("the fit at q* = %.6g failed on repetition %d: %s",
                     sel.q_star, rep_id, exc)
-        return None
-    rows.append(_row_from_fit(rep_id, selected, selected=True))
-    return sel.q_star
 
 
 def cmd_sweep(args):
+    """sweep.csv, summary.csv, selected_hist.csv and sweep_meta.txt of the configured repetitions.
+
+    The histogram counts the q of the selected rows, rounded to 6 digits.
+    """
     cfg = config_from_args(args)
     out = _outdir(cfg)
     kappa0 = kappa(cfg.sim.theta)
     grid = cfg.q_grid.grid
     rows = []
-    selected = []
     for rep_id in range(cfg.repetitions):
-        q_star = _sweep_repetition(cfg, rep_id, rows)
-        if q_star is not None:
-            selected.append(q_star)
+        _sweep_repetition(cfg, rep_id, rows)
     write_sweep_rows(os.path.join(out, "sweep.csv"), rows)
     _write_csv(os.path.join(out, "summary.csv"), "q,n_used,bias,variance,mse",
                "%.17g,%d,%.17g,%.17g,%.17g", summarize_sweep(rows, grid, kappa0))
+    selected = [fr.q for _rep, fr, sel in rows if sel]
     _write_csv(os.path.join(out, "selected_hist.csv"), "q_star,count", "%.6g,%d",
                zip(*np.unique(np.round(selected, 6), return_counts=True)))
     meta = sim_mapping(cfg.sim)
@@ -654,7 +634,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 0 after --help and 2 on a usage error, which is the
+        # CLI's 1 (its 2 is a data error)
+        return 1 if exc.code else 0
     try:
         args.func(args)
     except OSError as exc:

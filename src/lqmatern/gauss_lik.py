@@ -112,9 +112,10 @@ max(n^2, 2u) = n^2 for n > 1):
   pass overwrites the factor with L^-1, then R^-1.
 - "pass" (``_Workspace._pass_buffer``): three slots of max(n^2, 2u)
   doubles that hold one array after another, then the three Hessian
-  terms (3, u).  A score puts the kernel's values at the unique distances
-  at the buffer's start, or, where it makes the terms, in slot 2, with the
-  gradient terms (2, u) opening slot 0.  In the pass slot 2 is the work
+  terms (3, u).  Every score and pass lays the whole buffer out.  A score
+  puts the kernel's values at the unique distances in slot 2, and, where
+  it makes the terms, the gradient terms (2, u) at the start of slot 0
+  and the Hessian terms past the slots.  In the pass slot 2 is the work
   of L's inverse, then C_1; slot 1 holds C_0, then P - w_sum R^-1; and
   slot 0, once the two dR_j are gathered, the sums of that matrix onto the
   unique distances (u).
@@ -306,7 +307,8 @@ def profile_sigma2(quad, n, q):
 
     The fixed point sigma2 <- sum w_i quad_i / n maximizes a concave Jensen
     minorant of V in x, so it never lowers V.  It replaces the Newton step
-    wherever V is not concave, the Newton point overflows, or it scores
+    wherever V is not concave, the Newton point leaves the normal floats
+    (it overflows, or underflows below ``np.finfo(float).tiny``), or it scores
     lower by more than V's rounding (V_ROUNDING of |V|).  So V does not
     decrease along the steps, up to rounding.  The solve stops at the first
     step that moves sigma2 by at most SIGMA2_RTOL relative; where
@@ -352,7 +354,8 @@ def profile_sigma2(quad, n, q):
             slope = 0.5 * (wa - n)
             with np.errstate(over="ignore"):    # a step past exp's range is refused
                 newton = sigma2 * np.exp(-slope / curv)
-            if 0.0 < newton < np.inf:
+            # as is one to a subnormal sigma2, where quad / sigma2 overflows
+            if np.finfo(float).tiny <= newton < np.inf:
                 if abs(newton - sigma2) <= SIGMA2_RTOL * newton:
                     return newton
                 trial = weights(newton)
@@ -527,14 +530,11 @@ class _Workspace:
         corr = MaternParams(1.0, beta, nu)
         locs, n, u = self.locs, self.locs.n, self.locs._dist_unique[0].size
         a = self.take("R", n * n)[:n * n].reshape((n, n), order="F")
-        # the kernel's values go into the pass's buffer, which no pass uses
-        # while a score runs, in slot 2 where the terms are made
-        if terms:
-            slots, *made = self._pass_buffer()
-            vals = slots[2][:u]
-        else:
-            vals, made = self.take("pass", u)[:u], None
-        _cov_into(locs, corr, a, vals, made)
+        # the kernel's values go into slot 2 of the pass's buffer, which no
+        # pass uses while a score runs
+        slots, *made = self._pass_buffer()
+        vals = slots[2][:u]
+        _cov_into(locs, corr, a, vals, made if terms else None)
         try:
             return _factor_in_place(a, lambda: _cov_into(locs, corr, a, vals))
         except NotSPDError as err:

@@ -42,7 +42,13 @@ it records:
 - ``FitChain`` profiles on (1, 0.99, 0.97, 0.95, 0.9) for n <= 150;
 - CLI sweeps of 2 repetitions, kappa and SQV on a 64-site grid and kappa
   on 64 uniform sites: the hashes of sweep.csv, summary.csv and
-  selected_hist.csv.
+  selected_hist.csv;
+- every other CLI writer on a dataset that ``simulate`` writes on the
+  same 64-site grid: simulate's locations.csv, replicates.csv and
+  meta.txt, fit's fit.txt and se.txt, select-q's selectq.txt and
+  trace.csv with each selector, and variogram's variogram.csv, hashed.
+
+Each CLI run records its exit code.
 """
 
 import os
@@ -85,6 +91,9 @@ SCALES = (1e-3, 1e3)
 PROFILE_GRID = (1.0, 0.99, 0.97, 0.95, 0.9)
 # (selector, layout) of each CLI sweep, on 64 sites
 SWEEPS = (("kappa", "grid"), ("sqv", "grid"), ("kappa", "uniform"))
+# the CLI runs' sites and data, less the layout and the seed
+CLI_SITES = ("--n", "64", "--m", "60", "--theta", "1,0.1,0.5", "--contam-r", "0.1",
+             "--contam-sd", "1")
 CONTAMINATION = ContaminationSpec(0.1, 1.0)
 
 
@@ -128,19 +137,37 @@ def design_record(theta0, n, m, layout, seed, scaled=False):
     return out
 
 
+def run_cli(argv, out, names):
+    """{"rc": exit code, name: sha256 or None}: one ``cli_io.main`` run writing ``names`` to out."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_io.main(argv + ["--out", out])
+    paths = {name: Path(out) / name for name in names}
+    return {"rc": rc, **{name: hashlib.sha256(path.read_bytes()).hexdigest()
+                         if path.exists() else None for name, path in paths.items()}}
+
+
 def sweep_record(selector, layout, seed):
     with tempfile.TemporaryDirectory(prefix="bit_record_") as out:
-        argv = ["sweep", "--n", "64", "--m", "60", "--layout", layout,
-                "--theta", "1,0.1,0.5", "--contam-r", "0.1", "--contam-sd", "1",
-                "--selector", selector, "--repetitions", "2", "--seed", str(seed),
-                "--out", out]
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli_io.main(argv)
-        files = {}
-        for name in ("sweep.csv", "summary.csv", "selected_hist.csv"):
-            path = Path(out) / name
-            files[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
-    return {"rc": rc, **files}
+        return run_cli(["sweep", *CLI_SITES, "--layout", layout, "--selector", selector,
+                        "--repetitions", "2", "--seed", str(seed)],
+                       out, ("sweep.csv", "summary.csv", "selected_hist.csv"))
+
+
+def cli_record(seed):
+    """simulate on the 64-site grid, then fit, select-q (each selector) and variogram."""
+    with tempfile.TemporaryDirectory(prefix="bit_record_") as tmp:
+        data = os.path.join(tmp, "data")
+        out = {"simulate": run_cli(["simulate", *CLI_SITES, "--layout", "grid",
+                                    "--seed", str(seed)],
+                                   data, ("locations.csv", "replicates.csv", "meta.txt"))}
+        for name, argv, files in (
+                ("fit", ["fit"], ("fit.txt", "se.txt")),
+                ("select-q-kappa", ["select-q", "--selector", "kappa"],
+                 ("selectq.txt", "trace.csv")),
+                ("select-q-sqv", ["select-q", "--selector", "sqv"], ("selectq.txt", "trace.csv")),
+                ("variogram", ["variogram"], ("variogram.csv",))):
+            out[name] = run_cli(argv + ["--data-dir", data], os.path.join(tmp, name), files)
+    return out
 
 
 def record(quick):
@@ -153,6 +180,7 @@ def record(quick):
                                           scaled=base == SEED_SETS[0] and i == 0)
         for selector, layout in SWEEPS:
             rec["sweep-%s-%s" % (selector, layout)] = sweep_record(selector, layout, base)
+        rec["cli-grid"] = cli_record(base)
     return out
 
 

@@ -119,6 +119,10 @@ LEDGER = (
     Seeds("bench/run.py --seed", 3401, 3410, (
         ("benchmark", "benchmark pairs of the change that binds the workspace to one "
                       "(data, sites, q)"),)),
+    Seeds("bench/run.py --seed", 3501, 3520, (
+        ("benchmark", "benchmark pairs of the change whose sweep rows hold the fit chain's "
+                      "own FitResults (3501-3510 both workloads before the rows dropped "
+                      "the fits' passes, 3511-3520 the sweep after)"),)),
     Seeds("bench/run.py --seed", 2999, 2999, (
         ("benchmark", "traced runs of the change where FitChain.profile returns its "
                       "fits"),)),
@@ -127,6 +131,13 @@ LEDGER = (
     Seeds("generators", 11, 12, (
         ("reviewed", "the 2d536fd review, item 19: replicate seeds 11 and 12"),)),
     Seeds("generators", 23, 24, (("reviewed", "the 2d536fd review, item 19"),)),
+    Seeds("default_rng", 0, 0, (
+        ("reviewed", "a scan of profile_sigma2 over chi-square forms times e^N(0, s^2), "
+                     "n <= 50, m <= 30, s <= 4, q in 0.3-0.9, 6,000 draws: draws 4275, "
+                     "4979 and 5251 warned where a Newton point underflowed to a "
+                     "subnormal sigma2; tests/test_gauss_lik.py::TestProfileSigma2Newton::"
+                     "test_newton_point_below_the_normal_floats_is_refused_quietly "
+                     "replays them"),)),
     Seeds("default_rng", 1, 2, (("reviewed", "item 20's draws of data seeds"),)),
     Seeds("default_rng", 526, 526, (
         ("reviewed", "tests/test_gauss_lik.py::TestProfileSigma2Newton::"

@@ -10,6 +10,11 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent / "bit_record.py"
+CLI_FILES = {"simulate": ["locations.csv", "meta.txt", "rc", "replicates.csv"],
+             "fit": ["fit.txt", "rc", "se.txt"],
+             "select-q-kappa": ["rc", "selectq.txt", "trace.csv"],
+             "select-q-sqv": ["rc", "selectq.txt", "trace.csv"],
+             "variogram": ["rc", "variogram.csv"]}
 
 
 def test_quick_record_is_deterministic(tmp_path):
@@ -32,6 +37,12 @@ def test_quick_record_is_deterministic(tmp_path):
         assert len(designs["uniform150"]["profile"]) == 5
         for name in ("sweep-kappa-grid", "sweep-sqv-grid", "sweep-kappa-uniform"):
             assert designs[name]["rc"] == 0 and designs[name]["sweep.csv"]
+        # every other CLI writer, on a dataset simulate wrote: each exits 0
+        # and writes each file it is hashed by
+        runs = designs["cli-grid"]
+        assert {name: sorted(run) for name, run in runs.items()} == CLI_FILES
+        assert all(v == 0 if key == "rc" else v for run in runs.values()
+                   for key, v in run.items())
         # one dataset's fits of its data times 1e-3 and 1e3
         scaled = designs["grid100-rough"].get("scaled")
         assert (scaled is not None) == (base == "7700")

@@ -11,12 +11,12 @@ import pytest
 import lqmatern.cli_io as cli
 import lqmatern.estimate as est
 from lqmatern.asymptotics import sandwich, std_errs
-from lqmatern.cli_io import (DataError, SweepRow, _fmt, build_config, main,
+from lqmatern.cli_io import (DataError, _fmt, build_config, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, summarize_sweep,
                              write_locations, write_record, write_replicates)
 from lqmatern import gauss_lik
-from lqmatern.estimate import FitChain, default_bounds, fit
+from lqmatern.estimate import FitChain, FitResult, default_bounds, fit
 from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.qselect import QGridSpec, default_kappa_spec, kappa, select_q_sqv
@@ -378,11 +378,24 @@ class TestConfigSections:
 
 
 class TestMain:
-    def test_usage_errors_exit_1(self, capsys):
+    def test_usage_errors_exit_1(self, capsys, monkeypatch):
         assert run(["no-such-command"]) == 1
         assert run([]) == 1
-        assert run(["simulate", "--m", "notanint"]) == 1
         capsys.readouterr()
+        # argparse wraps the usage line to the terminal's width
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(["simulate", "--m", "notanint"]) == 1
+        assert capsys.readouterr().err == (
+            "usage: lqmatern simulate [-h] [--config CONFIG] [--out OUT] [--seed SEED]\n"
+            "                         [--n N] [--m M] [--layout {grid,uniform}]\n"
+            "                         [--theta THETA] [--contam-r CONTAM_R]\n"
+            "                         [--contam-sd CONTAM_SD]\n"
+            "lqmatern simulate: error: argument --m: invalid int value: 'notanint'\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: lqmatern")
 
     def test_simulate_writes_dataset(self, tmp_path, capsys):
         out = tmp_path / "d1"
@@ -825,10 +838,13 @@ class TestMain:
 
     def test_summary_leaves_out_a_non_finite_kappa(self):
         # as a non-converged row is, and without a RuntimeWarning from inf - inf
-        rows = [SweepRow(0, 1.0, 1.0, 1e-40, 5.0, kappa(MaternParams(1.0, 1e-40, 5.0)),
-                         0.0, True, False),
-                SweepRow(1, 1.0, 4.0, 1.0, 1.0, 4.0, 0.0, True, False),
-                SweepRow(2, 1.0, 9.0, 1.0, 1.0, 9.0, 0.0, False, False)]
+        def row(rep, theta, converged):
+            return rep, FitResult(theta, 0.0, 1.0, 0, 0, converged, theta), False
+
+        rows = [row(0, MaternParams(1.0, 1e-40, 5.0), True),
+                row(1, MaternParams(4.0, 1.0, 1.0), True),
+                row(2, MaternParams(9.0, 1.0, 1.0), False)]
+        assert kappa(rows[0][1].theta_hat) == np.inf
         assert summarize_sweep(rows, (1.0,), 2.0) == [(1.0, 1, 2.0, 0.0, 4.0)]
 
     def test_select_q_sqv(self, tmp_path, capsys):

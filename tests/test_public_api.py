@@ -35,10 +35,12 @@ PUBLIC = [
 # se.txt that ``cmd_se`` made from a fit record, ``sandwich(...).U`` holds
 # the weighted gradients that ``ustar_all`` scaled by e^s, and a caller
 # passes ``lambda th, q: std_errs(sandwich(reps, locs, th, q))`` where
-# ``make_se_fn`` built it.
+# ``make_se_fn`` built it, and a sweep row holds the chain's own
+# ``FitResult``, of which ``SweepRow`` kept a copy.
 REMOVED = ["QProfile", "fit_profile", "estimate.QProfile", "estimate.fit_profile",
            "gauss_lik.profile_lq", "MaternParams.from_array", "cli_io.cmd_se",
-           "ustar_all", "make_se_fn", "asymptotics.ustar_all", "qselect.make_se_fn"]
+           "ustar_all", "make_se_fn", "asymptotics.ustar_all", "qselect.make_se_fn",
+           "cli_io.SweepRow"]
 
 
 def test_all_is_the_public_list():
@@ -454,7 +456,7 @@ def test_module_state_passes_locals_and_constants():
 # The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
 # that raises it says why in CHANGES.md, and a change that lowers the count
 # lowers the ceiling to it.
-CODE_LINES = 1581
+CODE_LINES = 1549
 
 
 def test_src_code_lines_stay_under_the_ceiling():
