@@ -103,6 +103,7 @@ beat the MLE in mean squared error (Ferrari & Yang 2010, Ann. Statist.
 38(2)).
 """
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -220,12 +221,16 @@ def default_init(reps, bounds):
     start on or near a face gives the simplex a first simplex flat in that
     face.
     """
+    return MaternParams(float(np.mean(np.square(reps.data))), *_default_x(bounds))
+
+
+def _default_x(bounds):
+    """``default_init``'s (beta, nu), an array."""
     lo, hi = bounds.as_arrays()
     x = np.array([0.1, 0.5])
     inset = _INIT_INSET * (hi - lo)
     x = np.where(x <= lo, lo + inset, x)
-    x = np.where(x >= hi, hi - inset, x)
-    return MaternParams(float(np.mean(np.square(reps.data))), *x)
+    return np.where(x >= hi, hi - inset, x)
 
 
 def _checked_inputs(reps, locs, bounds, init, tol):
@@ -398,16 +403,17 @@ class _Search:
         reasons.
         """
         val = self.value(u)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             return u, False
         for k in range(steps):
             delta = self.newton_step(u)
             if delta is None:
                 break
             u_new = u + delta
-            if not np.all((u_new >= 0.0) & (u_new <= 1.0)):
+            # written so that a NaN entry, which fails every comparison, fails too
+            if not (np.minimum.reduce(u_new) >= 0.0 and np.maximum.reduce(u_new) <= 1.0):
                 break
-            if float(np.max(np.abs(delta))) <= self.tol:
+            if np.maximum.reduce(np.abs(delta)) <= self.tol:
                 return u, True
             if k == steps - 1:
                 break
@@ -455,7 +461,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     u = (init.as_array()[1:] - search.corner) / search.width
     # a hard failure at the starting point is an error, not a rejection
     search.score(u, terms=True)
-    home = (default_init(reps, bounds).as_array()[1:] - search.corner) / search.width
+    home = (_default_x(bounds) - search.corner) / search.width
     restarts = 0
     for _climb in range(2):
         u, confirmed = search.newton(u, _NEWTON_STEPS)

@@ -54,8 +54,10 @@ R's factor L, R = L L', where Sigma = sigma2 R (Rasmussen & Williams
   solve, which the workspace hands over with the factor.
 - The kernel's five derivative terms at (beta, nu), per unit variance, at
   the unique distances are made by the score of the point (below).  Only
-  the two dR_j are gathered over the sites, and each is overwritten with
-  C_j = L^-1 dR_j L^-T by two triangular products in place.
+  the two dR_j are gathered over the sites, both in one gather, and each
+  is overwritten with C_j = L^-1 dR_j L^-T by two triangular products in
+  place; the C_j Y are one (2, n, m) array, so y' C_j y is one einsum over
+  both j, and so are the weighted cross sums below.
 - With dS_j = sigma2 dR_j and w = Sigma^-1 z, every first-derivative and
   cross term is then an inner product: z' Sigma^-1 z = ||y||^2 / sigma2,
   w' dS_j w = y' C_j y / sigma2, tr(Sigma^-1 dS_j) = tr C_j,
@@ -69,6 +71,12 @@ R's factor L, R = L L', where Sigma = sigma2 R (Rasmussen & Williams
   which is taken twice, so each pair of sites off the diagonal counts once.
 - The sigma2 row is analytic, since dS_0 = R and d2S_0k = dR_k, so sigma2
   enters only O(m) numbers and scalars.
+
+The Newton step.  ``_Pass.newton_step`` solves with the 3 x 3 Hessian on
+Python floats, not NumPy arrays, whose per-call cost would outweigh the
+few dozen flops.  A Cholesky factor of -H (``_solve_spd3``) exists where
+H is negative definite (up to rounding), so one factor decides whether
+the step is taken and solves for it.
 
 The workspace.  A ``_Workspace`` is bound to one (data, sites, q), which
 it checks once when it is made, and scores and takes passes over them
@@ -121,10 +129,11 @@ max(n^2, 2u) = n^2 for n > 1):
   unique distances (u).
 
 So a fit's workspace and factor hold 4 n^2 + 3u doubles, 5.5 n^2 on
-irregular sites, at every m; only Y and the two C_j Y, n x m each, are
+irregular sites, at every m; only Y (n x m) and the C_j Y (2, n, m) are
 allocated per pass.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +159,16 @@ SIGMA2_STEP_OFF = 1e-3
 # whose predicted rise is at most V_ROUNDING |V| cannot be told from its start
 # by scoring, and is taken on the prediction alone.
 V_ROUNDING = 8.0 * np.finfo(float).eps
+
+# The Hessian terms' rows, (beta, beta), (beta, nu) and (nu, nu), as the
+# (beta, nu) block of the pass's Hessian
+_PAIRS = np.array([[0, 1], [1, 2]])
+
+# profile_sigma2 refuses a Newton point below the smallest normal float, and
+# one past exp's range: e^x and e^x - 1 are finite at x <= _LOG_MAX and inf
+# above it.
+_TINY = float(np.finfo(float).tiny)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -242,8 +261,8 @@ def _factor_in_place(a, refill):
             raise NotSPDError("covariance is not positive definite (jitter rescue failed)")
     if info < 0:
         raise ValueError("illegal value in argument %d of LAPACK potrf" % -info)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-    if not np.isfinite(log_det):
+    log_det = 2.0 * float(np.add.reduce(np.log(L.diagonal())))
+    if not math.isfinite(log_det):
         raise NotSPDError("covariance has a non-finite log determinant (%r)" % log_det)
     return CholFactor(L=L, log_det=log_det, jittered=jittered)
 
@@ -278,14 +297,14 @@ def _lq_weights(lvec, q):
     unchanged.
     """
     if q == 1.0:
-        return float(np.sum(lvec)), np.ones(len(lvec))
+        return float(np.add.reduce(lvec)), np.ones(len(lvec))
     w = (1.0 - q) * lvec
-    top = float(w.max())
+    top = float(np.maximum.reduce(w))
     w -= top
     np.exp(w, out=w)
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     w /= total
-    return (top + float(np.log(total))) / (1.0 - q), w
+    return (top + math.log(total)) / (1.0 - q), w
 
 
 def _checked_q(q):
@@ -329,17 +348,17 @@ def profile_sigma2(quad, n, q):
     form, returns a local maximum or that one, without a flag.
     """
     quad = np.asarray(quad, dtype=float)
+    m, top = quad.size, np.maximum.reduce(quad)
     # a form of 0 is a replicate that is 0 at every site
-    if not (0.0 < (quad.min() if q < 1.0 else quad.max()) and quad.max() < np.inf):
+    if not (0.0 < (np.minimum.reduce(quad) if q < 1.0 else top) and top < np.inf):
         raise ValueError("V has no maximum in sigma2 at q = %r: a replicate is 0 at every "
                          "site, or a form is not finite" % (q,))
     if q == 1.0:
-        return float(np.mean(quad)) / n
+        return float(np.add.reduce(quad)) / m / n
 
     def weights(s2):
-        return _lq_weights(-0.5 * (n * np.log(s2) + quad / s2), q)
+        return _lq_weights(-0.5 * (n * math.log(s2) + quad / s2), q)
 
-    m = quad.size
     mid = np.partition(quad, ((m - 1) // 2, m // 2))
     median = mid[m // 2] if m % 2 else (mid[m // 2 - 1] + mid[m // 2]) / 2
     sigma2 = float(median) / n
@@ -352,10 +371,11 @@ def profile_sigma2(quad, n, q):
         step = None
         if curv < 0.0:
             slope = 0.5 * (wa - n)
-            with np.errstate(over="ignore"):    # a step past exp's range is refused
-                newton = sigma2 * np.exp(-slope / curv)
-            # as is one to a subnormal sigma2, where quad / sigma2 overflows
-            if np.finfo(float).tiny <= newton < np.inf:
+            x = -slope / curv
+            # a step past exp's range is refused, as is one to a subnormal
+            # sigma2, where quad / sigma2 overflows
+            newton = sigma2 * float(np.exp(x)) if x <= _LOG_MAX else math.inf
+            if _TINY <= newton < math.inf:
                 if abs(newton - sigma2) <= SIGMA2_RTOL * newton:
                     return newton
                 trial = weights(newton)
@@ -430,21 +450,18 @@ class _Pass:
     S: np.ndarray
     log_scale: float
 
-    def _total(self, q):
-        # the weights' total: m at q = 1, 1 below
-        return float(self.g.shape[1]) if q == 1.0 else 1.0
-
     def hessian(self, q):
         """(gbar, H): gradient and Hessian of the log-domain value V at q, in theta.
 
         The weights are the pass's own at its q, and at any other q they are
         re-weighted from l_i = -sigma2 g_i[0], which is -z_i' Sigma^-1 z_i / 2
         up to a constant shared by all replicates; S is rescaled to their
-        total, with the H_i weighted as at the pass.
+        total (m at q = 1, 1 below), with the H_i weighted as at the pass.
         """
         w = self.w if q == self.q else _lq_weights(-self.theta.sigma2 * self.g[0], q)[1]
         gbar = self.g @ w
-        H = self.S * (self._total(q) / self._total(self.q))
+        m = self.g.shape[1]
+        H = self.S * ((m if q == 1.0 else 1.0) / (m if self.q == 1.0 else 1.0))
         if q < 1.0:
             G = self.g - gbar[:, None]
             H += (1.0 - q) * ((G * w) @ G.T)
@@ -459,19 +476,55 @@ class _Pass:
         gbar and H_y = diag(theta) H diag(theta) + diag(g_y) is negative
         definite, and theta moves to theta exp(dy).  None where the
         derivatives are not finite or neither Hessian is negative definite.
+        Both are decided, and the step solved, by one Cholesky factor of
+        -H_y or -H on Python floats (``_solve_spd3``).
         """
         gbar, H = self.hessian(q)
         if q == self.q:
             gbar[0] = 0.0
-        theta = self.theta.as_array()
-        for in_logs in ((True, False) if log else (False,)):
-            g, Hs = ((theta * gbar, H * np.outer(theta, theta) + np.diag(theta * gbar))
-                     if in_logs else (gbar, H))
-            if np.isfinite(Hs).all() and np.isfinite(g).all() and np.linalg.eigvalsh(Hs).max() < 0:
-                d = -np.linalg.solve(Hs, g)
-                with np.errstate(over="ignore"):    # a step past exp's range leaves any box
-                    return theta * np.expm1(d) if in_logs else d
+        theta = (self.theta.sigma2, self.theta.beta, self.theta.nu)
+        g, h = gbar.tolist(), H.tolist()
+        if log:
+            gy = [t * x for t, x in zip(theta, g)]
+            d = _solve_spd3([[-(h[i][j] * (theta[i] * theta[j])) - (gy[i] if i == j else 0.0)
+                              for j in range(i + 1)] for i in range(3)], gy)
+            if d is not None:       # a step past exp's range leaves any box
+                return np.array([t * (math.expm1(x) if x <= _LOG_MAX else math.inf)
+                                 for t, x in zip(theta, d)])
+        d = _solve_spd3([[-h[i][j] for j in range(i + 1)] for i in range(3)], g)
+        return None if d is None else np.array(d)
+
+
+def _solve_spd3(a, b):
+    """x with a x = b, a symmetric 3 x 3 by its lower triangle (rows of 1, 2, 3 floats).
+
+    One Cholesky factor a = L L' on Python floats, then the two triangular
+    solves.  None unless each pivot lies in (0, inf), so that a is positive
+    definite with every entry finite (an infinite or NaN entry makes a
+    pivot infinite or NaN), and x is finite (so is b).
+    """
+    (a00,), (a10, a11), (a20, a21, a22) = a
+    if not 0.0 < a00 < math.inf:
         return None
+    l00 = math.sqrt(a00)
+    l10, l20 = a10 / l00, a20 / l00
+    p1 = a11 - l10 * l10
+    if not 0.0 < p1 < math.inf:
+        return None
+    l11 = math.sqrt(p1)
+    l21 = (a21 - l20 * l10) / l11
+    p2 = a22 - l20 * l20 - l21 * l21
+    if not 0.0 < p2 < math.inf:
+        return None
+    l22 = math.sqrt(p2)
+    y0 = b[0] / l00
+    y1 = (b[1] - l10 * y0) / l11
+    x2 = (b[2] - l20 * y0 - l21 * y1) / l22 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    if abs(x0) < math.inf and abs(x1) < math.inf and abs(x2) < math.inf:
+        return [x0, x1, x2]
+    return None
 
 
 class _Workspace:
@@ -507,14 +560,14 @@ class _Workspace:
     def _pass_buffer(self):
         """(slots, grad, hess): the "pass" buffer, laid out as the module docstring says.
 
-        ``slots`` are three flat views of max(n^2, 2u) doubles; the Hessian
-        terms ``hess`` (3, u) lie past them, and the gradient terms ``grad``
-        (2, u) open slot 0.
+        ``slots`` holds the three slots of max(n^2, 2u) doubles as its rows;
+        the Hessian terms ``hess`` (3, u) lie past them, and the gradient
+        terms ``grad`` (2, u) open slot 0.
         """
         n, u = self.locs.n, self.locs._dist_unique[0].size
         size = max(n * n, 2 * u)
         buf = self.take("pass", 3 * size + 3 * u)
-        return ([buf[i * size:(i + 1) * size] for i in range(3)], buf[:2 * u].reshape(2, u),
+        return (buf[:3 * size].reshape(3, size), buf[:2 * u].reshape(2, u),
                 buf[3 * size:3 * size + 3 * u].reshape(3, u))
 
     def _factor(self, beta, nu, terms):
@@ -556,7 +609,7 @@ class _Workspace:
             self.held = (beta, nu, chol, Y)
         quad = np.einsum("ij,ij->j", Y, Y)
         sigma2 = profile_sigma2(quad, n, self.q)
-        lvec = -0.5 * (n * (_LOG_2PI + np.log(sigma2)) + chol.log_det + quad / sigma2)
+        lvec = -0.5 * (n * (_LOG_2PI + math.log(sigma2)) + chol.log_det + quad / sigma2)
         return sigma2, _lq_weights(lvec, self.q)[0]
 
     def derivs(self, theta):
@@ -585,43 +638,47 @@ class _Workspace:
         chol, Y = held[2:]
         s2 = theta.sigma2
         inv = locs._dist_unique[1]
-        flat, grad, d2 = self._pass_buffer()
-        flat = [f[:n * n] for f in flat]
-        Linv, info = _invert_lower(chol.L, flat[2])
+        slots, grad, d2 = self._pass_buffer()
+        nn = n * n
+        Linv, info = _invert_lower(chol.L, slots[2])
         if info != 0:
             raise NotSPDError("L^-1 from the Cholesky factor failed (trtri info %d)"
                               % info, theta=theta)
         quad = np.einsum("ij,ij->j", Y, Y) / s2         # z' Sigma^-1 z
         value, w = _lq_weights(-0.5 * quad, q)
-        w_sum = float(w.sum())
+        w_sum = float(np.add.reduce(w))
 
-        # C_k = L^-1 dR_k L^-T over dR_k, gathered into slots 1 and 2 through
-        # the transpose (dR_k is symmetric), and C_k Y
-        C, CY = [flat[1 + k].reshape((n, n), order="F") for k in range(2)], []
-        for k, c in enumerate(C):
-            np.take(grad[k], inv, mode="clip", out=c.T)
+        # C_k = L^-1 dR_k L^-T over dR_k in slots 1 and 2: both dR_k are
+        # gathered at once into the slots' C-ordered views (dR_k is
+        # symmetric), whose transposes are the F-ordered C_k; then C_k Y,
+        # one (2, n, m) array
+        Ct = slots[1:, :nn].reshape(2, n, n)
+        np.take(grad, inv, axis=1, mode="clip", out=Ct)
+        CY = np.empty((2, m, n)).transpose(0, 2, 1)
+        for k, c in enumerate(Ct.transpose(0, 2, 1)):
             dtrmm(1.0, Linv, c, lower=1, overwrite_b=1)
             dtrmm(1.0, Linv, c, side=1, lower=1, trans_a=1, overwrite_b=1)
-            CY.append(np.matmul(c, Y, out=np.empty_like(Y)))
-        yCy = np.array([np.einsum("ij,ij->j", Y, cy) for cy in CY])   # s2 w' dS_k w
+            np.matmul(c, Y, out=CY[k])
+        yCy = np.einsum("ij,kij->kj", Y, CY)           # s2 w' dS_k w
 
         g = np.empty((3, m))
         g[0] = 0.5 * (quad - n) / s2
-        g[1:] = (0.5 / s2) * yCy - 0.5 * np.array([np.trace(c) for c in C])[:, None]
+        g[1:] = (0.5 / s2) * yCy - 0.5 * np.add.reduce(Ct.diagonal(0, 1, 2), axis=1)[:, None]
 
         H = np.empty((3, 3))
         H[0, 0] = 0.5 * w_sum * n / s2 ** 2 - float(w @ quad) / s2 ** 2
         H[0, 1:] = H[1:, 0] = -0.5 * (yCy @ w) / s2 ** 2
-        pairs = ((0, 0), (0, 1), (1, 1))
-        tr_CC = [float(flat[1 + j] @ flat[1 + k]) for j, k in pairs]
+        f0, f1 = slots[1:, :nn]
+        c01 = f0 @ f1
+        tr_CC = np.array([[f0 @ f0, c01], [c01, f1 @ f1]])
         # sum w_i (dS_j w_i)' Sigma^-1 (dS_k w_i)
-        cross = [float(np.einsum("ij,ij->j", CY[j], CY[k]) @ w) / s2 for j, k in pairs]
+        cross = np.einsum("kij,lij->klj", CY, CY) @ w / s2
         del CY          # before X is scaled, whose buffered broadcast would add to the peak
         # the Hessian slices enter only through <d2R_jk, P - w_sum R^-1>, so
         # that matrix is summed onto the unique distances once
         X = dtrmm(1.0, Linv, Y, lower=1, trans_a=1, overwrite_b=1)     # R^-1 Z, in Y's place
         X *= np.sqrt(w / s2)
-        P = np.matmul(X, X.T, out=flat[1].reshape(n, n))
+        P = np.matmul(X, X.T, out=slots[1, :nn].reshape(n, n))
         # R^-1's lower triangle (its upper is 0) is taken from P at twice its
         # weight, so each pair off the diagonal counts once in the sums; the
         # diagonal, all at distance 0 (index 0), gets its excess back below
@@ -630,14 +687,13 @@ class _Workspace:
         P -= Rinv.T
         # into slot 0, read no more: add.at sums in bincount's order, to the
         # same bits, but into a given array
-        sums = flat[0][:d2.shape[1]]
+        sums = slots[0, :d2.shape[1]]
         sums.fill(0.0)
-        np.add.at(sums, inv.ravel(), P.ravel())
-        sums[0] += 0.5 * np.trace(Rinv)
-        for (j, k), tr, d2_jk, cr in zip(pairs, tr_CC, d2, cross):
-            H[j + 1, k + 1] = H[k + 1, j + 1] = 0.5 * w_sum * tr + 0.5 * float(d2_jk @ sums) - cr
+        np.add.at(sums, inv.ravel(), slots[1, :nn])
+        sums[0] += 0.5 * Rinv.trace()
+        H[1:, 1:] = 0.5 * w_sum * tr_CC + 0.5 * (d2 @ sums)[_PAIRS] - cross
         log_scale = 0.0 if q == 1.0 else (1.0 - q) * (
-            value - 0.5 * (n * (_LOG_2PI + np.log(s2)) + chol.log_det))
+            value - 0.5 * (n * (_LOG_2PI + math.log(s2)) + chol.log_det))
         p = _Pass(theta, q, g, w, H, log_scale)
         object.__setattr__(reps, "_last_pass", (locs, p))
         return p

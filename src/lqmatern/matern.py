@@ -29,9 +29,12 @@ identities, the recurrence and the modified Bessel ODE:
 where the beta-derivatives carry K_{nu-1} directly, without the
 cancellation of nu K_nu + t K'_nu at small t.  The derivatives in the order
 come from a trapezoid rule on K's integral representation
-(``_order_derivs``).  Every term is 0 at h = 0.  One overflow rule holds on
-both routes below: where K_nu overflows at tiny t, t^nu K_nu takes its
-exact limit Gamma(nu) 2^(nu-1), so M takes its limit sigma2; where t^(nu+1)
+(``_order_derivs``), which takes one step per block of points, the finest
+any point of the block needs, so its integrands' factors in the order are
+one vector and a block's three sums one matrix product.  Every term is 0
+at h = 0.  One overflow rule holds on both routes below: where K_nu
+overflows at tiny t, t^nu K_nu takes its exact limit Gamma(nu)
+2^(nu-1), so M takes its limit sigma2; where t^(nu+1)
 K_{nu-1} or the order derivatives are not finite there, every term they
 enter takes its limit, 0; and at huge t, where e^-t is 0, M and the
 terms are 0.
@@ -70,6 +73,7 @@ score is the only place the kernel is evaluated, and a point makes one
 Bessel call at each order.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,7 +89,8 @@ NU_CAP = 5.0
 
 # Trapezoid rule of ``_order_derivs``: its step and the cutoff of the
 # integrand's exponent hold the three derivatives within 2e-15 relative of
-# mpmath's, and t goes in blocks, so the (block, points) arrays stay small.
+# mpmath's, and t goes in blocks, each with one step, so the (block, points)
+# arrays stay small.
 _QUAD_STEP = 0.2
 _QUAD_CUT = 40.0
 _QUAD_BLOCK = 256
@@ -128,7 +133,7 @@ class MaternParams:
         for name in ("sigma2", "beta", "nu"):
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
-            if not np.isfinite(v) or v <= 0.0:
+            if not 0.0 < v < math.inf:
                 raise ValueError("MaternParams.%s must be positive and finite, got %r" % (name, v))
         if self.nu > NU_CAP:
             raise ValueError("MaternParams.nu = %g exceeds NU_CAP = %g" % (self.nu, NU_CAP))
@@ -275,12 +280,12 @@ def _tnu_k(nu, t):
     Where the product is not finite, it takes its limit: Gamma(nu)
     2^(nu-1), exact to double precision there, at t < 1, where K_nu
     overflows (t -> 0, where t^nu underflows and e^t is 1), and 0 at larger
-    t, where t^nu overflows.
+    t, where t^nu overflows.  The caller holds the errstate that lets the
+    product overflow quietly.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        g = t ** nu * special_kve(nu, t)
+    g = t ** nu * special_kve(nu, t)
     bad = ~np.isfinite(g)
-    if np.any(bad):
+    if bad.any():
         g = np.where(bad, np.where(t < 1.0, np.exp(gammaln(nu) + (nu - 1.0) * _LN2), 0.0), g)
     return g
 
@@ -293,7 +298,8 @@ def matern_cov(h, theta):
     out = np.ones_like(ha)
     t = ha / theta.beta
     pos = t > 0.0
-    out[pos] = _coef(theta.nu) * (_tnu_k(theta.nu, t[pos]) * np.exp(-t[pos]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        out[pos] = _coef(theta.nu) * (_tnu_k(theta.nu, t[pos]) * np.exp(-t[pos]))
     out *= theta.sigma2
     if np.ndim(h) == 0:
         return float(out[0])
@@ -310,30 +316,39 @@ def _order_derivs(nu, t):
     cosh(nu u) du (DLMF 10.32.9), whose nu-derivatives put u sinh(nu u) and
     u^2 cosh(nu u) in place of cosh(nu u).  The integrands are even and
     analytic in u, so the rule converges geometrically (Trefethen and
-    Weideman 2014).  The step at t is _QUAD_STEP min(1, t^-1/2), and the
-    points run out to where t (cosh u - 1) reaches
-    _QUAD_CUT + 2 nu ln(1 + 1/t); a block of t shares its largest point
-    count.  cosh u - 1 is taken as 2 sinh^2(u/2), and sinh((nu - 1) u) is
-    its own sinh, so neither cancels at small u.  Where the integrands
+    Weideman 2014).  The step that t needs is _QUAD_STEP min(1, t^-1/2),
+    and the points run out to where t (cosh u - 1) reaches
+    _QUAD_CUT + 2 nu ln(1 + 1/t).  t goes in blocks, and a block takes one
+    step, its smallest (that of its largest t), out to its largest cutoff
+    (that of its smallest t): a finer step and more points only add
+    accuracy.  So the nodes u and the three factors of the integrands in
+    nu are one vector each, and the block's three sums are one product of
+    its (block, points) matrix of e^(-t (cosh u - 1)) with the (points, 3)
+    factors.  cosh u - 1 is taken as 2 sinh^2(u/2), and sinh((nu - 1) u)
+    is its own sinh, so neither cancels at small u.  Where the integrands
     overflow (t -> 0 at large nu, where K_nu itself overflows) the result
     is not finite.
     """
     ts = t.ravel()
-    out = np.empty((3, ts.size))
+    out = np.empty((ts.size, 3))
     for a in range(0, ts.size, _QUAD_BLOCK):
-        tb = ts[a:a + _QUAD_BLOCK, None]
-        h = _QUAD_STEP * np.minimum(1.0, tb ** -0.5)
-        cut = np.arccosh(1.0 + (_QUAD_CUT + 2.0 * nu * np.log1p(1.0 / tb)) / tb)
-        # t = inf (h / beta past the float range) gives 0 / 0 here; it takes
-        # no part in the point count, and the terms it enters are 0
-        count = np.max(cut / h, where=np.isfinite(tb), initial=0.0)
-        u = h * np.arange(1, int(np.ceil(count)) + 1)
+        tb = ts[a:a + _QUAD_BLOCK]
+        # t = inf (h / beta past the float range) sets neither the step nor
+        # the cutoff, and the terms it enters are 0
+        finite = tb[tb < np.inf]
+        lo = float(np.minimum.reduce(finite, initial=np.inf))
+        h = _QUAD_STEP * float(np.maximum.reduce(finite, initial=1.0)) ** -0.5
+        cut = math.acosh(1.0 + (_QUAD_CUT + 2.0 * nu * math.log1p(1.0 / lo)) / lo)
+        u = h * np.arange(1, math.ceil(cut / h) + 1)
         half = np.sinh(0.5 * u)
-        w = h * u * np.exp(-2.0 * tb * half * half)
-        out[0, a:a + _QUAD_BLOCK] = np.sum(w * np.sinh(nu * u), axis=1)
-        out[1, a:a + _QUAD_BLOCK] = np.sum(w * u * np.cosh(nu * u), axis=1)
-        out[2, a:a + _QUAD_BLOCK] = np.sum(w * np.sinh((nu - 1.0) * u), axis=1)
-    return out.reshape((3,) + t.shape)
+        weight = np.exp(np.multiply.outer(tb, -2.0 * half * half))
+        factors = np.empty((3, u.size))
+        np.sinh(nu * u, out=factors[0])
+        np.multiply(u, np.cosh(nu * u), out=factors[1])
+        np.sinh((nu - 1.0) * u, out=factors[2])
+        factors *= h * u
+        np.matmul(weight, factors.T, out=out[a:a + _QUAD_BLOCK])
+    return out.T.reshape((3,) + t.shape)
 
 
 def _terms(t, beta, nu, gk):
@@ -342,17 +357,17 @@ def _terms(t, beta, nu, gk):
     In the module docstring's order, from g = t^nu K_nu e^t (``_tnu_k``),
     q = t^(nu+1) K_{nu-1} e^t and ``_order_derivs``' dk.  Terms that are not
     finite take their limit, 0: so where q overflows (K_{nu-1} at tiny t),
-    every term it enters is 0.
+    every term it enters is 0.  The caller holds the errstate that lets
+    them overflow quietly.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        qk = t ** (nu + 1.0) * special_kve(nu - 1.0, t)
+    qk = t ** (nu + 1.0) * special_kve(nu - 1.0, t)
     dk = _order_derivs(nu, t)
     c = _coef(nu)
     tnu = t ** nu
     # d/dnu log(c(nu) t^nu), with c'(nu)/c(nu) = -(ln 2 + Psi(nu))
     a = np.log(t) - _LN2 - psi(nu)
     dg = tnu * dk[0]       # t^nu dK_nu/dnu
-    terms = np.stack([
+    terms = np.array([
         c / beta * qk,
         c * (a * gk + dg),
         # t^nu [nu(nu+1) K + 2(nu+1) t K' + t^2 K''] = t^2 g - (2 nu + 1) q
@@ -419,15 +434,17 @@ def _cov_into(locs, theta, out=None, vals=None, terms=None):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if panels is None:
             t = uniq / beta
-            pos = t > 0.0
+            # the positive t follow the 0s: uniq is sorted
+            pos = slice(int(np.searchsorted(t, 0.0, side="right")), None)
             t = t[pos]
             decay = np.exp(-t)
             g = _tnu_k(nu, t)
             vals[pos] = _coef(nu) * (g * decay)
             if terms is not None:
-                made = _terms(t, beta, nu, g) * decay
+                made = _terms(t, beta, nu, g)
+                made *= decay
                 for o, rows in zip(terms, (made[:2], made[2:])):
-                    o.fill(0.0)
+                    o[:, :pos.start] = 0.0
                     o[:, pos] = rows
         else:
             live, k = panels.span(beta)

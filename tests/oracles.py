@@ -9,7 +9,8 @@ of their own at each order (``kernel_terms``), and everything in its
 textbook form: the gradient (3,) and Hessian (3, 3) of M(h; theta) in
 theta = (sigma2, beta, nu), the same over a distance matrix, per-replicate
 log-likelihoods, the exact Lq sum sum_i expm1((1-q) l_i) / (1-q), the
-profiled score (sigma2, V) of one (beta, nu), one
+profiled score (sigma2, V) of one (beta, nu), the order derivatives'
+trapezoid rule with a step per point, one
 replicate's U* and V*, every replicate's gradient and Hessian from Sigma's
 own factor (the reference of the derivative pass), one vector's
 variogram, and every replicate's variogram binned one at a time.  This
@@ -24,8 +25,8 @@ from scipy.linalg import cho_solve
 
 from lqmatern.gauss_lik import (_LOG_2PI, ReplicateSet, _lq_weights, _whiten, _Workspace,
                                 chol_factor)
-from lqmatern.matern import (MaternParams, _term_rows, _terms, _tnu_k, build_cov,
-                             matern_cov)
+from lqmatern.matern import (_QUAD_BLOCK, _QUAD_CUT, _QUAD_STEP, MaternParams, _term_rows,
+                             _terms, _tnu_k, build_cov, matern_cov)
 from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
                                 variogram_by_replicate)
 
@@ -58,6 +59,30 @@ def kernel_terms(h, beta, nu, panels=None):
                 o.fill(0.0)
                 o[:, pos] = rows
     return out
+
+
+def order_derivs_per_point(nu, t):
+    """``matern._order_derivs`` with each t's own trapezoid step, the rule it refines.
+
+    The step at t is _QUAD_STEP min(1, t^-1/2), and a block of
+    _QUAD_BLOCK points shares its largest point count, cut / step; every
+    integrand is formed in full per point, (block, points) arrays each.
+    """
+    ts = t.ravel()
+    out = np.empty((3, ts.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a in range(0, ts.size, _QUAD_BLOCK):
+            tb = ts[a:a + _QUAD_BLOCK, None]
+            h = _QUAD_STEP * np.minimum(1.0, tb ** -0.5)
+            cut = np.arccosh(1.0 + (_QUAD_CUT + 2.0 * nu * np.log1p(1.0 / tb)) / tb)
+            count = np.max(cut / h, where=np.isfinite(tb), initial=0.0)
+            u = h * np.arange(1, int(np.ceil(count)) + 1)
+            half = np.sinh(0.5 * u)
+            w = h * u * np.exp(-2.0 * tb * half * half)
+            out[0, a:a + _QUAD_BLOCK] = np.sum(w * np.sinh(nu * u), axis=1)
+            out[1, a:a + _QUAD_BLOCK] = np.sum(w * u * np.cosh(nu * u), axis=1)
+            out[2, a:a + _QUAD_BLOCK] = np.sum(w * np.sinh((nu - 1.0) * u), axis=1)
+    return out.reshape((3,) + t.shape)
 
 
 def kernel_derivs(h, theta, locs=None):

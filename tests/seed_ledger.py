@@ -57,6 +57,9 @@ LEDGER = (
         ("reviewed", "the 8067a57 review, rough and smooth theta0 (items 22, 23, 24)"),)),
     Seeds("SimConfig.seed", 3301, 3306, (("benchmark", "tests/bit_record.py, base 3301"),)),
     Seeds("SimConfig.seed", 7700, 7705, (("benchmark", "tests/bit_record.py, base 7700"),)),
+    Seeds("SimConfig.seed", 70001, 70001, (
+        ("benchmark", "the n = 100 grid dataset (m = 100, rough theta0, contaminated) on "
+                      "which the calls and the time of one Newton round are counted"),)),
     Seeds("SimConfig.seed", 110000, 130015, (
         ("benchmark", "the identity set (bench/run.py seeds 11-13)"),)),
     Seeds("SimConfig.seed", 1000000, 1999999, (
@@ -123,6 +126,20 @@ LEDGER = (
         ("benchmark", "benchmark pairs of the change whose sweep rows hold the fit chain's "
                       "own FitResults (3501-3510 both workloads before the rows dropped "
                       "the fits' passes, 3511-3520 the sweep after)"),)),
+    Seeds("bench/run.py --seed", 5101, 5106, (
+        ("benchmark", "sizing pairs of a scratch prototype of the Newton round without its "
+                      "NumPy glue (sweep-grid-n100)"),)),
+    Seeds("bench/run.py --seed", 5201, 5208, (
+        ("benchmark", "sizing pairs of the same prototype with the pass's C_k Y in one "
+                      "array (sweep-grid-n100)"),)),
+    Seeds("bench/run.py --seed", 5301, 5310, (
+        ("benchmark", "benchmark pairs of the change with one 3 x 3 Cholesky for the "
+                      "Newton step and one product for the order derivatives, both "
+                      "workloads"),)),
+    Seeds("bench/run.py --seed", 9001, 9004, (
+        ("benchmark", "trial pairs while writing the change with one 3 x 3 Cholesky for "
+                      "the Newton step (9001-9002 sweep-grid-n100, 9003-9004 "
+                      "analysis-uniform-n400)"),)),
     Seeds("bench/run.py --seed", 2999, 2999, (
         ("benchmark", "traced runs of the change where FitChain.profile returns its "
                       "fits"),)),
@@ -131,14 +148,23 @@ LEDGER = (
     Seeds("generators", 11, 12, (
         ("reviewed", "the 2d536fd review, item 19: replicate seeds 11 and 12"),)),
     Seeds("generators", 23, 24, (("reviewed", "the 2d536fd review, item 19"),)),
-    Seeds("default_rng", 0, 0, (
-        ("reviewed", "a scan of profile_sigma2 over chi-square forms times e^N(0, s^2), "
-                     "n <= 50, m <= 30, s <= 4, q in 0.3-0.9, 6,000 draws: draws 4275, "
-                     "4979 and 5251 warned where a Newton point underflowed to a "
-                     "subnormal sigma2; tests/test_gauss_lik.py::TestProfileSigma2Newton::"
+    Seeds("default_rng", 0, 15, (
+        ("reviewed", "tests/test_gauss_lik.py::TestProfileSigma2Newton::"
+                     "test_safeguard_step_keeps_the_solve_monotone: heavy-tailed forms "
+                     "from each seed 0-15"),
+        ("reviewed", "seed 0, a scan of profile_sigma2 over chi-square forms times "
+                     "e^N(0, s^2), n <= 50, m <= 30, s <= 4, q in 0.3-0.9, 6,000 draws: "
+                     "draws 4275, 4979 and 5251 warned where a Newton point underflowed to "
+                     "a subnormal sigma2; tests/test_gauss_lik.py::TestProfileSigma2Newton::"
                      "test_newton_point_below_the_normal_floats_is_refused_quietly "
-                     "replays them"),)),
-    Seeds("default_rng", 1, 2, (("reviewed", "item 20's draws of data seeds"),)),
+                     "replays them"),
+        ("reviewed", "seeds 1-2, item 20's draws of data seeds"))),
+    Seeds("default_rng", 52000, 52002, (
+        ("reviewed", "tests/test_specfun.py::TestNuDerivatives::"
+                     "test_block_step_matches_the_per_point_step (52000) and "
+                     "tests/test_gauss_lik.py::TestSolveSPD3 (52001, 52002), the tests of "
+                     "the order derivatives' block step and the Newton step's 3 x 3 "
+                     "Cholesky solve"),)),
     Seeds("default_rng", 526, 526, (
         ("reviewed", "tests/test_gauss_lik.py::TestProfileSigma2Newton::"
                      "test_fixed_point_step_that_ends_the_solve: the first seed whose "

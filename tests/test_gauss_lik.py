@@ -13,8 +13,8 @@ from scipy.linalg.lapack import dlauum, dpotri, dtrtri
 from lqmatern import gauss_lik
 from lqmatern.asymptotics import sandwich, std_errs
 from lqmatern.estimate import FitChain, _Search, default_bounds, fit
-from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _Workspace,
-                                chol_factor, profile_sigma2)
+from lqmatern.gauss_lik import (NotSPDError, ReplicateSet, _lq_weights, _solve_spd3,
+                                _Workspace, chol_factor, profile_sigma2)
 from lqmatern.matern import LocationSet, MaternParams, build_cov
 from lqmatern.qselect import QGridSpec, select_q_kappa, select_q_sqv
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates, make_locations,
@@ -603,6 +603,91 @@ class TestProfileSigma2Start:
         profile_sigma2(quad, n, 0.9)
         start = float(np.median(quad)) / n
         assert np.array_equal(seen[0], -0.5 * (n * np.log(start) + quad / start))
+
+
+def eig_route_step(H, g):
+    """-H^-1 g where eigvalsh finds H negative definite and H, g are finite, else None.
+
+    The route the Newton step took before its one Cholesky factor; an
+    LU solve that finds H singular, which then raised, counts as a refusal.
+    """
+    if not (np.isfinite(H).all() and np.isfinite(g).all() and np.linalg.eigvalsh(H).max() < 0):
+        return None
+    try:
+        return -np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def spd3_step(H, g):
+    """-H^-1 g by ``_solve_spd3`` on the lower triangle of -H, as ``_Pass.newton_step`` asks."""
+    h = H.tolist()
+    d = _solve_spd3([[-h[i][j] for j in range(i + 1)] for i in range(3)], g.tolist())
+    return None if d is None else np.array(d)
+
+
+class TestSolveSPD3:
+    """The Newton step's 3 x 3 Cholesky solve against the eigvalsh and LU solve it replaced.
+
+    Seeded symmetric matrices over six decades of scale: the two take the
+    same matrices and give steps within 1e-12 relative.
+    """
+
+    @staticmethod
+    def draws(kind, count=2000):
+        rng = np.random.default_rng(52001)
+        for _ in range(count):
+            Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            lam = -np.exp(rng.uniform(np.log(1e-2), np.log(10.0), 3))
+            if kind == "indefinite":
+                lam[rng.integers(3)] *= -1.0
+            H = (Q * lam) @ Q.T * 10.0 ** rng.uniform(-3.0, 3.0)
+            H = 0.5 * (H + H.T)
+            if kind == "singular":
+                # a zero row and column, at a random place: singular to
+                # rounding by either route
+                i = rng.integers(3)
+                H[i] = H[:, i] = 0.0
+            if kind == "non-finite":
+                i, j = rng.integers(3, size=2)
+                H[i, j] = H[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+            yield H, rng.normal(size=3)
+
+    @pytest.mark.parametrize("kind", ["negative definite", "indefinite", "singular",
+                                      "non-finite"])
+    def test_same_decision_and_step_as_eigvalsh_and_solve(self, kind):
+        taken = 0
+        for H, g in self.draws(kind):
+            want, got = eig_route_step(H, g), spd3_step(H, g)
+            assert (got is None) == (want is None), (H, g)
+            if want is not None:
+                taken += 1
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert taken == (2000 if kind == "negative definite" else 0)
+
+    def test_non_finite_gradient_is_refused(self):
+        H, g = next(self.draws("negative definite"))
+        for bad in (np.nan, np.inf):
+            g[1] = bad
+            assert spd3_step(H, g) is None and eig_route_step(H, g) is None
+
+    def test_rank_deficient_matrices_never_raise(self):
+        # -C C' with C of rank 2 or 1: the sign of the null eigenvalue is
+        # rounding, so either route may take such a matrix; the LU solve
+        # then raised on some, and the factor refuses or gives a finite step
+        rng = np.random.default_rng(52002)
+        raised = 0
+        for rank in (1, 2) * 500:
+            C = rng.normal(size=(3, rank))
+            H, g = -(C @ C.T) * 10.0 ** rng.uniform(-3.0, 3.0), rng.normal(size=3)
+            got = spd3_step(H, g)
+            assert got is None or np.isfinite(got).all()
+            if np.linalg.eigvalsh(H).max() < 0:
+                try:
+                    np.linalg.solve(H, g)
+                except np.linalg.LinAlgError:
+                    raised += 1
+        assert raised > 0
 
 
 def traced_sigma2_solve(monkeypatch, quad, n, q):

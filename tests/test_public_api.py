@@ -456,7 +456,7 @@ def test_module_state_passes_locals_and_constants():
 # The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
 # that raises it says why in CHANGES.md, and a change that lowers the count
 # lowers the ceiling to it.
-CODE_LINES = 1549
+CODE_LINES = 1585
 
 
 def test_src_code_lines_stay_under_the_ceiling():

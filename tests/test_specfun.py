@@ -21,7 +21,7 @@ from scipy.special import kv
 from lqmatern.matern import (NU_CAP, MaternParams, _coef, _order_derivs,
                              matern_cov)
 from lqmatern.simulate import make_locations
-from oracles import kernel_derivs, matern_grad, matern_hess
+from oracles import kernel_derivs, matern_grad, matern_hess, order_derivs_per_point
 
 # frozen half-integer closed-form values at x = 1:
 # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
@@ -262,6 +262,27 @@ class TestNuDerivatives:
         assert got.shape == (3, 20, 30)
         alone = np.stack([_order_derivs(2.3, t[None]) for t in ts.ravel()], axis=-1)
         assert np.all(np.abs(got.reshape(3, -1) - alone[:, 0]) <= 1e-15 * np.abs(alone[:, 0]))
+
+    def test_block_step_matches_the_per_point_step(self):
+        # a block takes the step of its largest t out to the cutoff of its
+        # smallest: on blocks that mix t near 1e-3 with t near 700 and hold
+        # t = inf, the three derivatives at finite t are those of the rule
+        # with each t's own step (tests/oracles.py) within 1e-14 relative
+        # (measured 2.9e-15), and at t = inf they are 0, where that rule's
+        # step of 0 gives NaN
+        rng = np.random.default_rng(52000)
+        ts = np.concatenate([rng.uniform(5e-4, 2e-3, 300), rng.uniform(600.0, 700.0, 300),
+                             np.full(5, np.inf)])
+        rng.shuffle(ts)
+        inf = np.isinf(ts)
+        for a in (0, 256):
+            block = ts[a:a + 256]
+            assert inf[a:a + 256].any() and block.min() < 2e-3
+            assert block[block < np.inf].max() > 600.0
+        for nu in (0.05, 0.6, 2.3, NU_CAP):
+            got, want = _order_derivs(nu, ts), order_derivs_per_point(nu, ts)
+            assert np.all(np.abs(got - want)[:, ~inf] <= 1e-14 * np.abs(want)[:, ~inf]), nu
+            assert np.all(got[:, inf] == 0.0)
 
     def test_pass_nu_terms_match_mpmath(self):
         # the nu entries of the pass's gradient and Hessian, assembled from
