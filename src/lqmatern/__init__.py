@@ -1,4 +1,4 @@
-"""Robust covariance estimation for replicated Gaussian random fields.
+"""Robust covariance estimation for replicated zero-mean Gaussian random fields.
 
 Matern kernels and their derivatives, Gaussian and Lq likelihoods,
 maximum Lq-likelihood fitting (a simplex search finished by Newton steps),
@@ -14,7 +14,7 @@ from .matern import LocationSet, MaternParams, build_cov, matern_cov
 from .qselect import (QGridSpec, SelectionResult, default_kappa_spec, kappa,
                       select_q_kappa, select_q_sqv, sqv, standardized)
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
-from .variogram import VariogramCurve, center_replicates, variogram_by_replicate
+from .variogram import VariogramCurve, variogram_by_replicate
 
 __version__ = "0.1.0"
 
@@ -22,9 +22,8 @@ __all__ = [
     "Bounds", "CholFactor", "ContaminationSpec", "FitChain", "FitResult",
     "LocationSet", "MaternParams", "NotSPDError", "QGridSpec",
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
-    "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
-    "center_replicates", "chol_factor", "default_bounds",
-    "default_kappa_spec", "fit", "kappa", "matern_cov", "sandwich",
-    "select_q_kappa", "select_q_sqv", "simulate_dataset", "sqv",
+    "SingularJError", "StdErrs", "VariogramCurve", "build_cov", "chol_factor",
+    "default_bounds", "default_kappa_spec", "fit", "kappa", "matern_cov",
+    "sandwich", "select_q_kappa", "select_q_sqv", "simulate_dataset", "sqv",
     "standardized", "std_errs", "variogram_by_replicate",
 ]

@@ -4,12 +4,22 @@ Datasets travel as two CSV files: a locations file with header ``x,y``
 and a long-format replicates file with header ``loc_id,rep_id,value``.
 Values are written with %.17g so a write/read round trip is bit exact.
 Results and metadata are line-oriented ``key = value`` records; the
-same syntax (with dotted section prefixes) serves as the config format,
-so a simulation's metadata record can be fed back in as a config.
+same syntax (with dotted section prefixes) serves as the config format.
+
+Each config key is one row of ``_KEYS``: the section that reads it, the
+flag that overrides it, its parser and the ExperimentConfig field it
+sets.  That one table drives the config path: ``build_config`` parses
+and builds the sections a subcommand reads, each subcommand registers
+the flags of those sections' keys, and ``config_echo`` writes them back.
+Every record a subcommand writes (meta.txt, fit.txt, selectq.txt,
+sweep_meta.txt) ends with that echo, so a run can be audited from its
+output directory, and simulate's and sweep's records rerun as configs.
 
 Subcommands: simulate, fit (which writes the fit's standard errors too),
 select-q, variogram, sweep.  Each registers only the flags it reads, so a
-flag it would ignore is a usage error.  Exit codes: 0 success, 1 usage,
+flag it would ignore is a usage error.  ``fit.q`` has a section of its
+own, read by fit alone.  The model is zero-mean, and no subcommand
+centres the data.  Exit codes: 0 success, 1 usage,
 2 data error, 3 numerical failure.  A usage error prints argparse's own
 usage line and ``prog: error: message``; ``main`` maps argparse's exit
 code 2 to 1.
@@ -23,7 +33,8 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,7 +44,7 @@ from .gauss_lik import ReplicateSet
 from .matern import LocationSet, MaternParams
 from .qselect import QGridSpec, default_kappa_spec, kappa, select_q_kappa, select_q_sqv
 from .simulate import ContaminationSpec, SimConfig, simulate_dataset
-from .variogram import DEFAULT_N_BINS, center_replicates, variogram_by_replicate
+from .variogram import DEFAULT_N_BINS, variogram_by_replicate
 
 log = logging.getLogger(__name__)
 
@@ -159,6 +170,11 @@ def read_replicates(path):
 
 
 def read_dataset(data_dir):
+    """(LocationSet, ReplicateSet) of the two dataset files in ``data_dir``.
+
+    The values are kept as written: nothing is centred, and a fit of them
+    takes each replicate to have mean zero (the model is zero-mean).
+    """
     locs = read_locations(os.path.join(data_dir, LOCATIONS_FILE))
     reps = read_replicates(os.path.join(data_dir, REPLICATES_FILE))
     if reps.n != locs.n:
@@ -205,6 +221,11 @@ def write_record(path, pairs):
 
 
 def _fmt(v):
+    """A value as a record writes it: %.17g floats, and a triple or pair comma-separated."""
+    if isinstance(v, MaternParams):
+        v = astuple(v)
+    if isinstance(v, tuple):
+        return ",".join(map(_fmt, v))
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -213,10 +234,6 @@ def _fmt(v):
 
 
 # === experiment configuration ===============================================
-
-# the config sections, by the keys they read (see _KEYS); output_dir is read
-# by every subcommand
-SECTIONS = ("sim", "grid", "fit", "sweep")
 
 
 @dataclass(frozen=True)
@@ -263,85 +280,89 @@ def _pair_from(text):
     return tuple(_named_floats(text, ("beta", "nu")))
 
 
-# config key -> (the section that reads it, the argparse attribute of the
-# flag that overrides it, its parser).  Section None is read by every
-# subcommand; "meta" marks the keys a simulate record carries, or once
-# carried, which are accepted and ignored as config.
+# config key -> (the section that reads it, the flag that overrides it, its
+# parser, the ExperimentConfig field it sets, as a dotted path).  Section
+# None is read by every subcommand; "meta" marks the keys that simulate and
+# sweep records carry, or once carried, which are accepted and ignored as
+# config.  A record echoes its keys in this order (config_echo).
 _KEYS = {
-    "sim.theta": ("sim", "theta", _theta_from), "sim.n": ("sim", "n", int),
-    "sim.m": ("sim", "m", int), "sim.layout": ("sim", "layout", str),
-    "sim.seed": ("sim", "seed", int), "sim.contam.r": ("sim", "contam_r", float),
-    "sim.contam.sd": ("sim", "contam_sd", float),
-    "grid.q": ("grid", "q_grid", _floats), "grid.eps": ("grid", None, float),
-    "grid.L": ("grid", None, float), "grid.K": ("grid", None, int),
+    "sim.theta": ("sim", "theta", _theta_from, "sim.theta"),
+    "sim.n": ("sim", "n", int, "sim.n"),
+    "sim.m": ("sim", "m", int, "sim.m"),
+    "sim.layout": ("sim", "layout", str, "sim.layout"),
+    "sim.seed": ("sim", "seed", int, "sim.seed"),
+    "sim.contam.r": ("sim", "contam-r", float, "sim.contamination.r"),
+    "sim.contam.sd": ("sim", "contam-sd", float, "sim.contamination.noise_sd"),
+    "grid.q": ("grid", "q-grid", _floats, "q_grid.grid"),
+    "grid.eps": ("grid", None, float, "q_grid.eps"),
+    "grid.L": ("grid", None, float, "q_grid.L"),
+    "grid.K": ("grid", None, int, "q_grid.K"),
+    "fit.q": ("q", "q", float, "fit_q"),
+    "fit.tol": ("fit", None, float, "tol"),
+    "fit.lower": ("fit", None, _pair_from, "bounds.lower"),
+    "fit.upper": ("fit", None, _pair_from, "bounds.upper"),
+    "fit.init": ("fit", None, _theta_from, "init"),
+    "repetitions": ("sweep", "repetitions", int, "repetitions"),
     # the selector sets grid.L's default
-    "selector": ("grid", "selector", str),
-    "fit.q": ("fit", "q", float), "fit.tol": ("fit", None, float),
-    "fit.lower": ("fit", None, _pair_from), "fit.upper": ("fit", None, _pair_from),
-    "fit.init": ("fit", None, _theta_from),
-    "repetitions": ("sweep", "repetitions", int),
-    "output_dir": (None, "out", str),
-    "generator": ("meta", None, str), "contam.flags": ("meta", None, str),
-    "sim.contam.kind": ("meta", None, str),
+    "selector": ("grid", "selector", str, "selector"),
+    "output_dir": (None, "out", str, "output_dir"),
+    "generator": ("meta", None, None, None),
+    "contam.flags": ("meta", None, None, None),
+    "sim.contam.kind": ("meta", None, None, None),
 }
 
 # the CLI's own defaults for what SimConfig requires
 _SIM_DEFAULTS = dict(theta=MaternParams(1.0, 0.1, 0.5), n=100, m=100)
 
 
-def _parse(key, text):
-    """The value of config key ``key``; a value that does not parse is a DataError."""
-    try:
-        return _KEYS[key][2](text)
-    except ValueError as exc:
-        raise DataError("%s = %r: %s" % (key, text, exc)) from None
-
-
-def build_config(mapping, sections=SECTIONS):
+def build_config(mapping, sections=("sim", "grid", "q", "fit", "sweep")):
     """Typed ExperimentConfig from a flat key -> string mapping.
 
-    Only the named ``sections`` are parsed and validated; the keys of the
-    others are accepted unread.  An unknown key is an error in any case.
-    An absent key takes the default of the object it configures.
+    Only the keys of the named ``sections`` (and output_dir) are parsed and
+    validated; the others are accepted unread.  An unknown key is an error
+    in any case, and so is a value that does not parse.  An absent key
+    takes the default of the object it configures.
     """
     unknown = set(mapping) - set(_KEYS)
     if unknown:
         raise DataError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
-    got = {key: _parse(key, text) for key, text in mapping.items()
-           if _KEYS[key][0] in (None,) + tuple(sections)}
+    got = {}
+    for key, text in mapping.items():
+        section, _flag, parse, field = _KEYS[key]
+        if section in (None,) + tuple(sections):
+            try:
+                got[field] = parse(text)
+            except ValueError as exc:
+                raise DataError("%s = %r: %s" % (key, text, exc)) from None
 
-    def given(**fields):
-        return {field: got[key] for field, key in fields.items() if key in got}
+    def under(owner):
+        """The given fields of ``owner``, a dotted path in the config, by their own names."""
+        return {f.rpartition(".")[2]: v for f, v in got.items() if f.rpartition(".")[0] == owner}
 
-    out = got.get("output_dir") or os.environ.get(OUT_ENV)
-    built = {"output_dir": out} if out else {}
+    built = under("")
+    out = built.pop("output_dir", None) or os.environ.get(OUT_ENV)
+    if out:
+        built["output_dir"] = out
     if "sim" in sections:
-        contam = ContaminationSpec(**given(r="sim.contam.r", noise_sd="sim.contam.sd"))
-        sim = dict(_SIM_DEFAULTS, **given(theta="sim.theta", n="sim.n", m="sim.m",
-                                          layout="sim.layout", seed="sim.seed"))
-        built["sim"] = SimConfig(contamination=contam, **sim)
+        built["sim"] = SimConfig(contamination=ContaminationSpec(**under("sim.contamination")),
+                                 **dict(_SIM_DEFAULTS, **under("sim")))
     if "grid" in sections:
-        built.update(given(selector="selector"))
-        sqv = built.get("selector", ExperimentConfig.selector) == "sqv"
-        built["q_grid"] = replace(QGridSpec() if sqv else default_kappa_spec(),
-                                  **given(grid="grid.q", eps="grid.eps", L="grid.L",
-                                          K="grid.K"))
+        sqv = built.get("selector") == "sqv"
+        built["q_grid"] = replace(QGridSpec() if sqv else default_kappa_spec(), **under("q_grid"))
     if "fit" in sections:
-        built["bounds"] = replace(default_bounds(),
-                                  **given(lower="fit.lower", upper="fit.upper"))
-        built.update(given(init="fit.init", tol="fit.tol", fit_q="fit.q"))
-    if "sweep" in sections:
-        built.update(given(repetitions="repetitions"))
+        built["bounds"] = replace(default_bounds(), **under("bounds"))
     return ExperimentConfig(**built)
 
 
-def sim_mapping(sim):
-    """The sim.* keys that reproduce a SimConfig; inverse of build_config."""
-    return [("sim.theta", "%s,%s,%s" % tuple(_fmt(v) for v in sim.theta.as_array())),
-            ("sim.n", sim.n), ("sim.m", sim.m),
-            ("sim.layout", sim.layout), ("sim.seed", sim.seed),
-            ("sim.contam.r", _fmt(float(sim.contamination.r))),
-            ("sim.contam.sd", _fmt(float(sim.contamination.noise_sd)))]
+def config_echo(cfg, sections):
+    """(key, value) of each config key of ``sections``, in _KEYS order: what cfg was built from.
+
+    ``build_config`` of the pairs, with the same sections, gives cfg back.  A
+    field that is None (a data-driven fit.init) is left out, and so is
+    output_dir, which says where a record lies, not how its run went.
+    """
+    return [(key, _fmt(value)) for key, (section, _flag, _parse, field) in _KEYS.items()
+            if section in sections and (value := attrgetter(field)(cfg)) is not None]
 
 
 # === sweep rows =============================================================
@@ -403,8 +424,6 @@ _FLAGS = {
                      % (LOCATIONS_FILE, REPLICATES_FILE)),
     "bins": dict(type=int, default=DEFAULT_N_BINS),
     "max-dist": dict(type=float),
-    "center": dict(action="store_true",
-                   help="subtract each replicate's mean first"),
 }
 
 
@@ -413,25 +432,27 @@ def build_parser():
                                      description="Matern random-field estimation with the "
                                                  "maximum Lq-likelihood estimator")
     subs = parser.add_subparsers(dest="command", required=True)
-    sim = ("seed", "n", "m", "layout", "theta", "contam-r", "contam-sd")
-    # each subcommand registers the flags it reads, and no others, and
-    # builds the config sections it reads
-    for name, help_text, func, sections, flags in (
-            ("simulate", "generate a dataset on disk", cmd_simulate, ("sim",),
-             ("config", "out") + sim),
-            ("fit", "fit one q to a dataset, with its standard errors", cmd_fit, ("fit",),
-             ("config", "out", "q", "data-dir")),
-            ("select-q", "run a q selector on a dataset", cmd_select_q,
-             ("grid", "fit"), ("config", "out", "q-grid", "selector", "data-dir")),
+    # each subcommand builds the config sections it reads, and registers
+    # --config, the flags of those sections' keys and its own, and no others
+    for name, help_text, func, sections, extra in (
+            ("simulate", "generate a dataset on disk", cmd_simulate, ("sim",), ()),
+            ("fit", "fit one q to a dataset, with its standard errors; the model is "
+                    "zero-mean, and the data are fitted as they are, not centred",
+             cmd_fit, ("q", "fit"), ("data-dir",)),
+            ("select-q", "run a q selector on a dataset", cmd_select_q, ("grid", "fit"),
+             ("data-dir",)),
             ("variogram", "per-replicate empirical variograms", cmd_variogram, (),
-             ("config", "out", "data-dir", "bins", "max-dist", "center")),
+             ("data-dir", "bins", "max-dist")),
             ("sweep", "repetitions x (simulate, fit grid, select)", cmd_sweep,
-             SECTIONS, sim + ("config", "out", "q-grid", "repetitions", "selector"))):
+             ("sim", "grid", "fit", "sweep"), ())):
         # no abbreviations: another subcommand's flag (variogram --m) must
         # not pass as a prefix of one of this one's (--max-dist)
-        sp = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        for flag in flags:
-            sp.add_argument("--" + flag, **_FLAGS[flag])
+        sp = subs.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
+        own = {"config", *extra} | {row[1] for row in _KEYS.values()
+                                    if row[0] in (None,) + sections}
+        for flag in _FLAGS:
+            if flag in own:
+                sp.add_argument("--" + flag, **_FLAGS[flag])
         sp.set_defaults(func=func, sections=sections)
     return parser
 
@@ -442,8 +463,8 @@ def config_from_args(args):
     A flag overrides the config key that names it.
     """
     mapping = read_record(args.config) if args.config else {}
-    for key, (_section, attr, _parser) in _KEYS.items():
-        v = getattr(args, attr, None) if attr else None
+    for key, (_section, flag, _parse, _field) in _KEYS.items():
+        v = getattr(args, flag.replace("-", "_"), None) if flag else None
         if v is not None:
             mapping[key] = str(v)
     return build_config(mapping, args.sections)
@@ -463,10 +484,10 @@ def cmd_simulate(args):
     locs, reps, flags = simulate_dataset(cfg.sim)
     write_locations(os.path.join(out, LOCATIONS_FILE), locs)
     write_replicates(os.path.join(out, REPLICATES_FILE), reps)
-    meta = sim_mapping(cfg.sim)
-    meta.append(("generator", "philox"))
-    meta.append(("contam.flags", ",".join("1" if f else "0" for f in flags)))
-    write_record(os.path.join(out, "meta.txt"), meta)
+    write_record(os.path.join(out, "meta.txt"),
+                 config_echo(cfg, args.sections)
+                 + [("generator", "philox"),
+                    ("contam.flags", ",".join("1" if f else "0" for f in flags))])
     print("wrote %s, %s, meta.txt to %s (n=%d, m=%d, %d contaminated)"
           % (LOCATIONS_FILE, REPLICATES_FILE, out, reps.n, reps.m,
              int(np.sum(flags))))
@@ -510,7 +531,8 @@ def cmd_fit(args):
     out = _outdir(cfg)
     locs, reps = read_dataset(args.data_dir)
     res = fit(reps, locs, cfg.fit_q, cfg.bounds, cfg.init, cfg.tol)
-    write_record(os.path.join(out, "fit.txt"), _fit_record(res, cfg.tol))
+    write_record(os.path.join(out, "fit.txt"),
+                 _fit_record(res, cfg.tol) + config_echo(cfg, args.sections))
     th = res.theta_hat
     print("q=%g theta_hat=(%.6g, %.6g, %.6g) kappa=%.6g converged=%s"
           % (res.q, th.sigma2, th.beta, th.nu, kappa(th), res.converged))
@@ -536,9 +558,11 @@ def cmd_select_q(args):
     if cfg.selector == "none":
         raise DataError("select-q needs selector = kappa or sqv")
     sel = _select(cfg, reps, locs, FitChain(reps, locs, cfg.bounds, cfg.init, cfg.tol))
+    # selector leads the record, so the echo's own is left out
     write_record(os.path.join(out, "selectq.txt"),
                  [("selector", cfg.selector), ("q_star", _fmt(sel.q_star)),
-                  ("reason", sel.reason), ("passes", len(sel.trace))])
+                  ("reason", sel.reason), ("passes", len(sel.trace))]
+                 + [kv for kv in config_echo(cfg, args.sections) if kv[0] != "selector"])
     _write_csv(os.path.join(out, "trace.csv"), "pass,idx,q,series,k_star",
                "%d,%d,%.17g,%s,%s",
                ((rec.pass_index, i, qv,
@@ -553,8 +577,6 @@ def cmd_variogram(args):
     cfg = config_from_args(args)
     out = _outdir(cfg)
     locs, reps = read_dataset(args.data_dir)
-    if args.center:
-        reps = center_replicates(reps)
     curves = variogram_by_replicate(reps, locs, args.bins, args.max_dist)
     path = os.path.join(out, "variogram.csv")
     _write_csv(path, "replicate_id,bin_center,gamma,count", "%d,%.17g,%.17g,%d",
@@ -604,23 +626,17 @@ def cmd_sweep(args):
     cfg = config_from_args(args)
     out = _outdir(cfg)
     kappa0 = kappa(cfg.sim.theta)
-    grid = cfg.q_grid.grid
     rows = []
     for rep_id in range(cfg.repetitions):
         _sweep_repetition(cfg, rep_id, rows)
     write_sweep_rows(os.path.join(out, "sweep.csv"), rows)
     _write_csv(os.path.join(out, "summary.csv"), "q,n_used,bias,variance,mse",
-               "%.17g,%d,%.17g,%.17g,%.17g", summarize_sweep(rows, grid, kappa0))
+               "%.17g,%d,%.17g,%.17g,%.17g", summarize_sweep(rows, cfg.q_grid.grid, kappa0))
     selected = [fr.q for _rep, fr, sel in rows if sel]
     _write_csv(os.path.join(out, "selected_hist.csv"), "q_star,count", "%.6g,%d",
                zip(*np.unique(np.round(selected, 6), return_counts=True)))
-    meta = sim_mapping(cfg.sim)
-    meta += [("grid.q", ",".join(_fmt(v) for v in grid)),
-             ("grid.eps", _fmt(cfg.q_grid.eps)), ("grid.L", _fmt(cfg.q_grid.L)),
-             ("grid.K", cfg.q_grid.K), ("fit.tol", _fmt(cfg.tol)),
-             ("repetitions", cfg.repetitions), ("selector", cfg.selector),
-             ("generator", "philox")]
-    write_record(os.path.join(out, "sweep_meta.txt"), meta)
+    write_record(os.path.join(out, "sweep_meta.txt"),
+                 config_echo(cfg, args.sections) + [("generator", "philox")])
     print("sweep done: %d repetitions, %d rows, kappa0=%.6g -> %s"
           % (cfg.repetitions, len(rows), kappa0, out))
 

@@ -427,10 +427,13 @@ class _Search:
 def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     """FitResult of the Lq-likelihood's maximum at q in a box (see the module docstring).
 
+    The model is zero-mean: each replicate is N(0, Sigma), and the data are
+    fitted as they are, with no mean removed or estimated.
+
     Parameters
     ----------
     reps, locs : ReplicateSet, LocationSet
-        Data.
+        Data, each replicate taken to have mean zero at every site.
     q : float
         Distortion parameter in (0, 1]; q = 1 is the MLE.  Below 1 the
         target under the model is theta_q = (q sigma2, beta, nu).
@@ -513,7 +516,8 @@ class FitChain:
     only (key round(q, 12)); ``chain(q)`` returns its theta_hat, as the q
     selectors' ``fit_fn``.  The first fit starts at ``init`` and every later
     one from the re-weighted Newton steps of the nearest fitted q (see the
-    module docstring).  The chain keeps O(m)
+    module docstring).  Each fit is ``fit``'s, of the zero-mean model:
+    nothing is centred.  The chain keeps O(m)
     numbers per q, and does not cache a fit that raises.  Building a chain
     raises ``fit``'s ValueErrors for tol, rows, sites and init.  Per q, a q
     outside (0, 1] raises ValueError before a kept pass is re-weighted at

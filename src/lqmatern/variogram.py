@@ -1,9 +1,10 @@
 """Empirical variograms for replicate screening.
 
-The classical Matheron estimator binned over pairwise distances, plus
-per-replicate centering.  One curve per replicate lets tooling (or an
-eyeball) flag replicates whose spatial structure departs from the rest; no
-outlier rule is imposed.
+The classical Matheron estimator binned over pairwise distances.  It sums
+differences within one replicate, so a constant offset of a replicate
+cancels and needs no centring.  One curve per replicate lets tooling (or
+an eyeball) flag replicates whose spatial structure departs from the
+rest; no outlier rule is imposed.
 
 The site pairs, each pair's bin and the bin counts are worked out once per
 call, and shared by every replicate; so is the check of the bins.  One walk
@@ -17,8 +18,6 @@ replicate is summed beside a copy of itself.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .gauss_lik import ReplicateSet
 
 DEFAULT_N_BINS = 15
 # doubles in each buffer of the pair walk, whatever the number of replicates
@@ -66,12 +65,6 @@ def _check_bins(bin_centers, counts):
         raise ValueError("bins must be strictly ascending")
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
-
-
-def center_replicates(reps):
-    """Subtract each replicate's own mean (column-wise centering)."""
-    data = reps.data
-    return ReplicateSet(data - data.mean(axis=0, keepdims=True))
 
 
 def variogram_by_replicate(reps, locs, n_bins=DEFAULT_N_BINS, max_dist=None):

@@ -50,13 +50,20 @@ LEDGER = (
     Seeds("SimConfig.seed", 100, 199, (("calibration", "proposed for item 4"),)),
     Seeds("SimConfig.seed", 300, 339, (
         ("reviewed", "the 686d2af review, item 12's table on 300-339"),
-        ("reviewed", "the 686d2af review, seeds 300-305"))),
+        ("reviewed", "the 686d2af review, seeds 300-305"),
+        ("reviewed", "the 9327969 review on the n = 100 grid: item 28's site-mean tables "
+                     "(seed 300's constant offsets, seeds 300-339 contaminated, seeds "
+                     "300-319 the test statistic T) and item 29's coverage table"),
+        ("reviewed", "the 9327969 review, seeds 300-309 on n = 400 uniform sites: item "
+                     "30's table of the default and the tau grids"))),
     Seeds("SimConfig.seed", 700, 729, (
         ("reviewed", "the 6e005cb review (items 1, 2, 15 and 16)"),)),
     Seeds("SimConfig.seed", 740, 769, (
         ("reviewed", "the 8067a57 review, rough and smooth theta0 (items 22, 23, 24)"),)),
     Seeds("SimConfig.seed", 3301, 3306, (("benchmark", "tests/bit_record.py, base 3301"),)),
     Seeds("SimConfig.seed", 7700, 7705, (("benchmark", "tests/bit_record.py, base 7700"),)),
+    Seeds("SimConfig.seed", 54001, 54002, (
+        ("held-out", "tests/test_cli_io.py::TestMain::test_sweep_reruns_from_its_record"),)),
     Seeds("SimConfig.seed", 70001, 70001, (
         ("benchmark", "the n = 100 grid dataset (m = 100, rough theta0, contaminated) on "
                       "which the calls and the time of one Newton round are counted"),)),
@@ -136,6 +143,10 @@ LEDGER = (
         ("benchmark", "benchmark pairs of the change with one 3 x 3 Cholesky for the "
                       "Newton step and one product for the order derivatives, both "
                       "workloads"),)),
+    Seeds("bench/run.py --seed", 5401, 5420, (
+        ("benchmark", "benchmark pairs of the change with one table row per CLI config key "
+                      "(5401-5410 both workloads; 5411-5420 sweep-grid-n100 against the "
+                      "parent and a second copy of the parent)"),)),
     Seeds("bench/run.py --seed", 9001, 9004, (
         ("benchmark", "trial pairs while writing the change with one 3 x 3 Cholesky for "
                       "the Newton step (9001-9002 sweep-grid-n100, 9003-9004 "
@@ -165,6 +176,14 @@ LEDGER = (
                      "tests/test_gauss_lik.py::TestSolveSPD3 (52001, 52002), the tests of "
                      "the order derivatives' block step and the Newton step's 3 x 3 "
                      "Cholesky solve"),)),
+    Seeds("default_rng", 54003, 54005, (
+        ("held-out", "tests/test_variogram.py::TestReplicateOffsets::"
+                     "test_a_replicate_constant_cancels"),
+        ("reviewed", "seeds 54003-54005, the offsets' rounding measured while writing "
+                     "that test (up to 8.1e-15 relative)"))),
+    Seeds("default_rng", 300, 339, (
+        ("reviewed", "the 9327969 review, item 29: each SimConfig seed s's bootstrap "
+                     "draws of the replicates from default_rng(s)"),)),
     Seeds("default_rng", 526, 526, (
         ("reviewed", "tests/test_gauss_lik.py::TestProfileSigma2Newton::"
                      "test_fixed_point_step_that_ends_the_solve: the first seed whose "

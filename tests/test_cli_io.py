@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqmatern.cli_io as cli
 import lqmatern.estimate as est
 from lqmatern.asymptotics import sandwich, std_errs
-from lqmatern.cli_io import (DataError, _fmt, build_config, main,
+from lqmatern.cli_io import (DataError, _fmt, build_config, config_echo, main,
                              parse_config_text, read_dataset, read_locations,
                              read_record, read_replicates, summarize_sweep,
                              write_locations, write_record, write_replicates)
@@ -21,7 +23,8 @@ from lqmatern.gauss_lik import NotSPDError, ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.qselect import QGridSpec, default_kappa_spec, kappa, select_q_sqv
 from lqmatern.simulate import ContaminationSpec, SimConfig, simulate_dataset
-from lqmatern.variogram import center_replicates, variogram_by_replicate
+from lqmatern.variogram import variogram_by_replicate
+from seed_ledger import held_out
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SIM = SimConfig(MaternParams(1.0, 0.2, 0.5), n=4, m=2,
@@ -164,6 +167,44 @@ class TestConfigText:
         assert float(_fmt(np.pi)) == np.pi
 
 
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def joined(*strategies):
+    """The text of a comma-separated tuple drawn from ``strategies``."""
+    return st.tuples(*strategies).map(lambda vals: ",".join(map(repr, vals)))
+
+
+@st.composite
+def every_key(draw):
+    """A config mapping that sets every key a subcommand reads, each to a valid value."""
+    layout = draw(st.sampled_from(["grid", "uniform"]))
+    side = draw(st.integers(1, 30))
+    steps = draw(st.lists(floats(1e-3, 0.1), max_size=6))
+    theta = joined(floats(1e-3, 1e3), floats(1e-3, 1e3), floats(0.05, 5.0))
+    return {
+        "sim.theta": draw(theta),
+        "sim.n": str(side * side if layout == "grid" else side),
+        "sim.m": str(draw(st.integers(1, 5000))),
+        "sim.layout": layout,
+        "sim.seed": str(draw(st.integers(0, 2 ** 63))),
+        "sim.contam.r": repr(draw(floats(0.0, 0.99))),
+        "sim.contam.sd": repr(draw(floats(1e-3, 10.0))),
+        "grid.q": ",".join(map(repr, (1.0 - np.cumsum([0.0] + steps)).tolist())),
+        "grid.eps": repr(draw(floats(1e-4, 0.1))),
+        "grid.L": repr(draw(floats(1e-3, 10.0))),
+        "grid.K": str(draw(st.integers(1, 20))),
+        "fit.q": repr(draw(floats(0.01, 1.0))),
+        "fit.tol": repr(draw(floats(0.0, 1e-2))),
+        "fit.lower": draw(joined(floats(1e-3, 1.0), floats(0.05, 1.0))),
+        "fit.upper": draw(joined(floats(2.0, 10.0), floats(2.0, 5.0))),
+        "fit.init": draw(theta),
+        "repetitions": str(draw(st.integers(1, 1000))),
+        "selector": draw(st.sampled_from(["kappa", "sqv", "none"])),
+    }
+
+
 class TestBuildConfig:
     def test_defaults(self):
         cfg = build_config({})
@@ -260,6 +301,36 @@ class TestBuildConfig:
         monkeypatch.delenv(cli.OUT_ENV)
         assert build_config({}).output_dir == "."
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mapping=every_key())
+    def test_echo_rebuilds_the_config(self, mapping):
+        # each subcommand's record echoes every key of the sections it read,
+        # and those pairs build the same config again
+        for name, sections in subcommand_sections().items():
+            cfg = build_config(mapping, sections)
+            echo = config_echo(cfg, sections)
+            assert [key for key, _value in echo] == [
+                key for key, row in cli._KEYS.items() if row[0] in sections], name
+            assert build_config(dict(echo), sections) == cfg, name
+
+    def test_echo_leaves_out_a_data_driven_init(self):
+        cfg = build_config({})
+        assert cfg.init is None
+        assert "fit.init" not in dict(config_echo(cfg, ("fit",)))
+
+    def test_readme_key_table_is_keys(self):
+        # the table of config keys under "Command line": a row per key of
+        # _KEYS, with its section ("all" for every subcommand) and its flag
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+        text = re.search(r"The config keys, one row each.*?\n\n(\|.*?)\n\n", section, re.S).group(1)
+        rows = re.findall(r"^\| `([\w.]+)` \| (`\w+`|all) \| (`--[a-z-]+`|none) \|", text, re.M)
+        assert len(rows) == len(text.splitlines()) - 2
+        table = {key: (None if sec == "all" else sec.strip("`"),
+                       None if flag == "none" else flag.strip("`-"))
+                 for key, sec, flag in rows}
+        assert list(table.items()) == [(key, row[:2]) for key, row in cli._KEYS.items()]
+
 
 def run(argv):
     return main(argv)
@@ -280,27 +351,35 @@ SUBCOMMAND_FLAGS = {
     "simulate": ["--config", "--out"] + SIM_FLAGS,
     "fit": ["--config", "--out", "--q", "--data-dir"],
     "select-q": ["--config", "--out", "--q-grid", "--selector", "--data-dir"],
-    "variogram": ["--config", "--out", "--data-dir", "--bins", "--max-dist",
-                  "--center"],
+    "variogram": ["--config", "--out", "--data-dir", "--bins", "--max-dist"],
     "sweep": SIM_FLAGS + ["--config", "--out", "--q-grid", "--repetitions",
                           "--selector"],
 }
 
 
+def subparsers():
+    """{subcommand: its parser} as build_parser() registers them."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def parser_flags():
     """{subcommand: its sorted flags} as build_parser() registers them."""
-    subs = next(a for a in cli.build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
     return {name: sorted(opt for act in sp._actions for opt in act.option_strings
                          if opt not in ("-h", "--help"))
-            for name, sp in subs.choices.items()}
+            for name, sp in subparsers().items()}
+
+
+def subcommand_sections():
+    """{subcommand: the config sections it builds}."""
+    return {name: sp.get_default("sections") for name, sp in subparsers().items()}
 
 
 class TestFlags:
     def test_each_subcommand_registers_the_flags_it_reads(self):
         got = parser_flags()
         assert got == {name: sorted(flags) for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(len(flags) for flags in got.values()) == 36
+        assert sum(len(flags) for flags in got.values()) == 35
 
     def test_readme_flag_table_is_the_parser(self):
         # the table under "Command line" and its "N in all" count
@@ -370,6 +449,19 @@ class TestConfigSections:
                      ["variogram", "--data-dir", str(dataset)]):
             assert run(argv + ["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
             assert "unknown config key(s): sim.nn" in capsys.readouterr().err
+
+    def test_only_fit_reads_fit_q(self, tmp_path, dataset, capsys):
+        # fit.q is a section of its own: select-q and sweep accept it unread
+        cfgp = tmp_path / "c.cfg"
+        write_record(cfgp, [("fit.q", "high"), ("fit.tol", "1e-3"), ("grid.q", "1,0.99"),
+                            ("sim.n", "4"), ("sim.m", "3")])
+        assert run(["select-q", "--config", str(cfgp), "--data-dir", str(dataset),
+                    "--out", str(tmp_path / "s")]) == 0
+        assert run(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "w")]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--config", str(cfgp), "--data-dir", str(dataset),
+                    "--out", str(tmp_path / "f")]) == 2
+        assert "data error: fit.q = 'high': " in capsys.readouterr().err
 
     def test_unbuilt_sections_are_none(self):
         cfg = build_config({"sim.n": "7", "grid.q": "0.9"}, sections=("fit",))
@@ -633,13 +725,13 @@ class TestMain:
         assert run(["simulate", "--n", "16", "--m", "3",
                     "--out", str(out)]) == 0
         assert run(["variogram", "--data-dir", str(out), "--out", str(out),
-                    "--bins", "4", "--center"]) == 0
+                    "--bins", "4"]) == 0
         lines = (out / "variogram.csv").read_text().splitlines()
         assert lines[0] == "replicate_id,bin_center,gamma,count"
         assert len(lines) == 1 + 3 * 4
         rows = [line.split(",") for line in lines[1:]]
         locs, reps = read_dataset(str(out))
-        curves = variogram_by_replicate(center_replicates(reps), locs, 4)
+        curves = variogram_by_replicate(reps, locs, 4)
         assert np.array_equal([float(r[2]) for r in rows],
                               np.concatenate([c.gamma for c in curves]),
                               equal_nan=True)
@@ -695,9 +787,55 @@ class TestMain:
             "grid.L = 4\n"
             "grid.K = 7\n"
             "fit.tol = 0.001\n"
+            "fit.lower = 0.001,0.050000000000000003\n"
+            "fit.upper = 10,5\n"
             "repetitions = 2\n"
             "selector = kappa\n"
             "generator = philox\n")
+        capsys.readouterr()
+
+    def test_sweep_reruns_from_its_record(self, tmp_path, capsys):
+        # sweep_meta.txt is a config: with a box and a start of its own, a
+        # sweep run from it writes the same sweep.csv
+        seed = held_out("SimConfig.seed", "tests/test_cli_io.py::TestMain::"
+                                          "test_sweep_reruns_from_its_record")[0]
+        cfgp = write_tiny_config(
+            tmp_path / "cfg.txt",
+            extra=[("sim.n", "9"), ("sim.m", "6"), ("sim.seed", str(seed)),
+                   ("grid.q", "1,0.99"), ("repetitions", "2"), ("fit.lower", "0.002,0.1"),
+                   ("fit.upper", "5,3"), ("fit.init", "1,0.3,0.7")])
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run(["sweep", "--config", cfgp, "--out", str(first)]) == 0
+        meta = read_record(first / "sweep_meta.txt")
+        assert (meta["fit.lower"], meta["fit.upper"]) == ("0.002,0.10000000000000001", "5,3")
+        assert meta["fit.init"] == "1,0.29999999999999999,0.69999999999999996"
+        assert run(["sweep", "--config", str(first / "sweep_meta.txt"),
+                    "--out", str(second)]) == 0
+        for name in ("sweep.csv", "sweep_meta.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        capsys.readouterr()
+
+    def test_fit_and_select_q_records_end_with_their_config(self, tmp_path, capsys):
+        # fit.txt and selectq.txt end with the keys of the sections their
+        # subcommand read; selectq.txt's selector stays its first line
+        out = tmp_path / "w"
+        cfgp = write_tiny_config(tmp_path / "cfg.txt",
+                                 extra=[("sim.n", "9"), ("grid.q", "1,0.99"),
+                                        ("fit.upper", "5,3")])
+        assert run(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+        assert run(["fit", "--config", cfgp, "--data-dir", str(out), "--out", str(out),
+                    "--q", "0.95"]) == 0
+        assert run(["select-q", "--config", cfgp, "--data-dir", str(out),
+                    "--out", str(out)]) == 0
+        box = ["fit.tol = 0.001", "fit.lower = 0.001,0.050000000000000003", "fit.upper = 5,3"]
+        fit_lines = (out / "fit.txt").read_text().splitlines()
+        assert fit_lines[0] == "q = 0.94999999999999996"
+        assert fit_lines[-4:] == ["fit.q = 0.94999999999999996"] + box
+        sel_lines = (out / "selectq.txt").read_text().splitlines()
+        assert sel_lines[0] == "selector = kappa"
+        assert sel_lines[4:] == ["grid.q = 1,0.98999999999999999",
+                                 "grid.eps = 0.0050000000000000001", "grid.L = 4",
+                                 "grid.K = 7"] + box
         capsys.readouterr()
 
     def test_sweep_selector_reuses_fits_whose_objective_overflowed(

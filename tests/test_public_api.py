@@ -20,9 +20,8 @@ PUBLIC = [
     "Bounds", "CholFactor", "ContaminationSpec", "FitChain", "FitResult",
     "LocationSet", "MaternParams", "NotSPDError", "QGridSpec",
     "ReplicateSet", "SandwichParts", "SelectionResult", "SimConfig",
-    "SingularJError", "StdErrs", "VariogramCurve", "build_cov",
-    "center_replicates", "chol_factor", "default_bounds",
-    "default_kappa_spec", "fit", "kappa", "matern_cov", "sandwich",
+    "SingularJError", "StdErrs", "VariogramCurve", "build_cov", "chol_factor",
+    "default_bounds", "default_kappa_spec", "fit", "kappa", "matern_cov", "sandwich",
     "select_q_kappa", "select_q_sqv", "simulate_dataset", "sqv",
     "standardized", "std_errs", "variogram_by_replicate",
 ]
@@ -35,16 +34,20 @@ PUBLIC = [
 # se.txt that ``cmd_se`` made from a fit record, ``sandwich(...).U`` holds
 # the weighted gradients that ``ustar_all`` scaled by e^s, and a caller
 # passes ``lambda th, q: std_errs(sandwich(reps, locs, th, q))`` where
-# ``make_se_fn`` built it, and a sweep row holds the chain's own
-# ``FitResult``, of which ``SweepRow`` kept a copy.
+# ``make_se_fn`` built it, a sweep row holds the chain's own
+# ``FitResult``, of which ``SweepRow`` kept a copy, the Matheron estimator
+# cancels the per-replicate constant ``center_replicates`` removed (and
+# the model is zero-mean, so a fit's data are never centred), and
+# ``cli_io.config_echo`` writes the sim.* keys ``sim_mapping`` wrote.
 REMOVED = ["QProfile", "fit_profile", "estimate.QProfile", "estimate.fit_profile",
            "gauss_lik.profile_lq", "MaternParams.from_array", "cli_io.cmd_se",
            "ustar_all", "make_se_fn", "asymptotics.ustar_all", "qselect.make_se_fn",
-           "cli_io.SweepRow"]
+           "cli_io.SweepRow", "center_replicates", "variogram.center_replicates",
+           "cli_io.sim_mapping"]
 
 
 def test_all_is_the_public_list():
-    assert len(set(PUBLIC)) == 32
+    assert len(set(PUBLIC)) == 31
     assert sorted(lqmatern.__all__) == sorted(PUBLIC)
 
 
@@ -456,7 +459,7 @@ def test_module_state_passes_locals_and_constants():
 # The package's code lines by ``tests/code_lines.py``, as a ceiling: a change
 # that raises it says why in CHANGES.md, and a change that lowers the count
 # lowers the ceiling to it.
-CODE_LINES = 1585
+CODE_LINES = 1577
 
 
 def test_src_code_lines_stay_under_the_ceiling():

@@ -7,9 +7,9 @@ from lqmatern.gauss_lik import ReplicateSet
 from lqmatern.matern import LocationSet, MaternParams
 from lqmatern.simulate import (ContaminationSpec, SimConfig, gen_replicates,
                                make_locations, simulate_dataset)
-from lqmatern.variogram import (DEFAULT_N_BINS, VariogramCurve,
-                                center_replicates, variogram_by_replicate)
+from lqmatern.variogram import DEFAULT_N_BINS, VariogramCurve, variogram_by_replicate
 from oracles import empirical_variogram, variogram_one_at_a_time
+from seed_ledger import held_out
 
 
 class TestVariogramCurve:
@@ -34,14 +34,22 @@ class TestVariogramCurve:
                            np.array([1, -1]))
 
 
-class TestCenterReplicates:
-    def test_column_means_removed(self):
-        rng = np.random.default_rng(0)
-        reps = ReplicateSet(rng.standard_normal((6, 4)) + 3.0)
-        out = center_replicates(reps)
-        assert np.abs(out.data.mean(axis=0)).max() < 1e-12
-        # differences within a column are untouched
-        assert np.allclose(np.diff(out.data, axis=0), np.diff(reps.data, axis=0))
+class TestReplicateOffsets:
+    def test_a_replicate_constant_cancels(self):
+        # the estimator sums differences within one replicate, so a constant
+        # added to each replicate moves gamma by rounding alone (measured
+        # 8.1e-15 relative at offsets up to 150): no centring is needed
+        seed = held_out("default_rng", "tests/test_variogram.py::TestReplicateOffsets::"
+                                       "test_a_replicate_constant_cancels")[0]
+        rng = np.random.default_rng(seed)
+        locs = LocationSet(rng.uniform(size=(40, 2)))
+        data = rng.standard_normal((40, 5))
+        offsets = rng.uniform(-150.0, 150.0, size=5)
+        plain = variogram_by_replicate(ReplicateSet(data), locs, 6)
+        shifted = variogram_by_replicate(ReplicateSet(data + offsets), locs, 6)
+        for a, b in zip(plain, shifted):
+            assert np.array_equal(a.counts, b.counts)
+            np.testing.assert_allclose(b.gamma, a.gamma, rtol=1e-13, atol=0.0)
 
 
 class TestEmpiricalVariogram:
