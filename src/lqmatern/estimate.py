@@ -9,7 +9,8 @@ times c^2 and the same (beta, nu), up to rounding, at every c.
 The fit reads its answer and ``objective`` from the scored (sigma2, V) it
 caches.
 
-A fit has three stages, and one check of their answer.
+A fit is Newton steps from its start, and from the answer of each of two
+simplex runs behind them, and one check of their answer.
 
 - The start is scored, with the kernel terms of a derivative pass, and up
   to ``_NEWTON_STEPS`` Newton steps delta in u follow from there, from V's
@@ -23,40 +24,47 @@ A fit has three stages, and one check of their answer.
   step is taken there (theta moves to theta exp(dy), and delta is the move
   of (beta, nu) in u), and only where it is not, in theta.  So a rough
   fit's default start at q = 1, where V is not concave in theta, is within
-  reach too.  A step is taken when
-  its Hessian is negative definite, u + delta lies in the box and scores no
-  lower than u; any other step ends this stage, with no line search.  A
-  short step, |delta| <= ``tol`` componentwise, with u + delta in the box,
-  is not taken: it confirms its start u, where the fit's last pass lies, as
-  the estimate, and its trial point is not scored.  Its Hessian H is
-  negative definite in the coordinates of the step, so delta = -H^-1 g is
-  an ascent direction (g' delta = -g' H^-1 g > 0), and a trial point within
-  ``tol`` could score below u only by rounding or a wrong derivative.  The
-  last step allowed must be short.
-- Where the steps do not confirm (a start beyond Newton's reach, an optimum
-  on a bound, non-finite derivatives, a Hessian negative definite in
-  neither coordinates, a refused step), Nelder-Mead runs from the best
-  point reached to the loose simplex diameter ``_LOOSE_XATOL`` (the
+  reach too.  Where u lies on a face of the box (a coordinate within
+  ``tol`` of 0 or 1: the simplex's clipping leaves a point on the face,
+  and its tight run within ``tol`` of it) and V's gradient points out of
+  the box there, the step holds that coordinate (projected Newton,
+  Bertsekas 1982, SIAM J. Control Optim. 20(2)); sigma2 stays free.  A
+  step is taken when its Hessian is negative definite, u + delta lies in
+  the box and scores no lower than u; any other step ends the steps, with
+  no line search.  Two steps confirm their start u, where the fit's last
+  pass lies, as the estimate:
+
+  - a short step, |delta| <= ``tol`` componentwise, with u + delta in the
+    box, whose trial point is not scored.  Its Hessian H is negative
+    definite in the coordinates of the step, so delta = -H^-1 g is an
+    ascent direction (g' delta = -g' H^-1 g > 0), and a trial point within
+    ``tol`` could score below u only by rounding or a wrong derivative;
+  - a step whose point scores below u, where its predicted rise g' delta /
+    2, in the coordinates of the step, is at most ``V_ROUNDING`` |V|:
+    scoring cannot tell such a point from u (the tie rule of
+    ``gauss_lik.profile_sigma2``'s solve).
+
+  The last step allowed must be short.  A maximum on a face confirms as
+  one inside does, by a held step.
+- Where the steps do not confirm (a start beyond Newton's reach,
+  non-finite derivatives, a Hessian negative definite in neither
+  coordinates, a refused step), Nelder-Mead runs from the best point
+  reached to the loose simplex diameter ``_LOOSE_XATOL`` (the
   objective-spread test is disabled, so its steps depend only on the order
-  of values), and the Newton steps follow again from its answer.  The
-  simplex is the package's own (``_nelder_mead``), scipy's bounded
-  Nelder-Mead step for step: no process loads scipy.optimize for it, and a
-  scipy release that revises its simplex moves no fit.
-- Where those do not confirm either, the simplex runs again from the best
-  point reached, to ``tol``, and one Newton step of at most ``tol`` may
-  confirm its answer.  Failing that, the search restarts from its own
-  answer with a fresh simplex, up to twice, and a restart that moves at
-  most ``tol`` confirms the point.  Such a restart confirms nothing where
-  no scored point has a finite value other than the estimate's: every
-  other point was rejected, or the profile is flat there (at the lower
-  corner of the box, where every correlation is zero to double precision).
-- An answer that Newton did not confirm may be a local maximum that the
-  box holds: with sigma2 free, a corner of the box can be one, far below
-  the optimum inside.  Where ``default_init``'s (beta, nu) scores higher
-  than that answer, the three stages run again from there, with the
-  restarts left of the fit's two, and their answer replaces it.  A fit from
-  the default start never does this, since every stage keeps the best point
-  it reached.
+  of values), and the Newton steps follow again from its answer.  Where
+  those do not confirm either, the simplex runs again from the best point
+  reached, to ``tol``, and the Newton steps follow once more.  The simplex
+  is the package's own (``_nelder_mead``), scipy's bounded Nelder-Mead
+  step for step: no process loads scipy.optimize for it, and a scipy
+  release that revises its simplex moves no fit.
+- An answer on a face of the box, or one that Newton did not confirm, may
+  be a local maximum that the box holds: with sigma2 free, a corner of the
+  box can be one, far below the optimum inside.  Where ``default_init``'s
+  (beta, nu) scores higher than that answer, the fit climbs once from
+  there, the Newton steps and the simplex run again, and their answer
+  replaces it (``FitResult.restarts`` counts the climb).  A fit from the
+  default start never climbs, since every stage keeps the best point it
+  reached.
 
 A fit that does not confirm is reported as not converged.  Trial points
 whose R is not positive definite score -inf and are rejected; only failure
@@ -90,8 +98,9 @@ weights are normalized, so rescaling the data by c shifts every log density
 by the same constant and leaves them unchanged, sigma2's derivatives scale
 as powers of c that cancel in the step's (beta, nu) part, and the
 weighted sums over replicates and the traces and quadratic forms over
-locations do not depend on their order.  Restart decisions compare iterates and the Newton
-checks compare two profile values, so both are order-only as well.
+locations do not depend on their order.  The Newton checks compare two
+profile values, so they are order-only as well, and the tie rule acts only
+where scoring cannot order two points.
 
 At fixed q < 1 the estimator is not consistent for the model's theta0 =
 (sigma2, beta, nu).  Under the model f_theta^(1-q) f_theta0 is again a
@@ -109,7 +118,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauss_lik import NotSPDError, _Workspace, _checked_q, _checked_rows
+from .gauss_lik import V_ROUNDING, NotSPDError, _Workspace, _checked_q, _checked_rows
 from .matern import NU_CAP, MaternParams
 
 # Simplex diameter, in bound-scaled coordinates, at which Newton steps take
@@ -171,15 +180,14 @@ class FitResult:
     included; ``newton_steps`` the derivative passes the fit's workspace
     made (``gauss_lik._Workspace.passes``), each costing about two to five
     evaluations (a pass the ``ReplicateSet`` already held costs nothing and
-    is not counted); and ``restarts`` the fallback simplex
-    runs, 0 when Newton steps confirmed the estimate.  ``converged``
-    requires a confirmation, a normal end of the last simplex run, if any,
-    and a finite V at the estimate.
+    is not counted); and ``restarts`` the fit's climbs from the default
+    start, 0 or 1 (see the module docstring).  ``converged`` requires a
+    Newton step's confirmation, a normal end of the last simplex run, if
+    any, and a finite V at the estimate.
     ``_pass`` is the ``gauss_lik._Pass`` of the fit's last derivative
     pass where that pass was taken at the estimate, else None; a fit that
-    Newton confirmed reports its estimate at that point, since a short step
-    confirms its start without scoring its trial point, so the estimate's
-    own score is the fit's last.  It is left out of equality and repr.
+    Newton confirmed reports its estimate at that point, the start of the
+    step that confirmed it.  It is left out of equality and repr.
     """
 
     theta_hat: MaternParams
@@ -378,13 +386,18 @@ class _Search:
         self.simplex_ok = status == 0 and fun < np.inf
         return x
 
+    def faces(self, u):
+        """Per coordinate of u: -1 within ``tol`` of its lower face, 1 of its upper, else 0."""
+        return [(x >= 1.0 - self.tol) - (x <= self.tol) for x in u.tolist()]
+
     def newton_step(self, u):
-        """The move delta in u of one Newton step from a scored u; None where there is none.
+        """(delta, rise) of one Newton step from a scored u; None where there is none.
 
         The step is the pass's (``gauss_lik._Pass.newton_step``) at the
         search's q, in log(sigma2, beta, nu) where V is concave there and
-        otherwise in (sigma2, beta, nu), its (beta, nu) move scaled by the
-        box's widths.
+        otherwise in (sigma2, beta, nu), holding the faces of the box that u
+        lies on (``faces``): delta is its (beta, nu) move scaled by the
+        box's widths, and rise the step's predicted rise of V.
         """
         sigma2 = self.scored[u.tobytes()][0]
         try:
@@ -392,34 +405,36 @@ class _Search:
         except NotSPDError:
             p = None
         self.last_pass = p
-        step = None if p is None else p.newton_step(self.ws.q, log=True)
-        return None if step is None else step[1:] / self.width
+        step = None if p is None else p.newton_step(self.ws.q, log=True, faces=self.faces(u))
+        return None if step is None else (step[0][1:] / self.width, step[1])
 
-    def newton(self, u, steps):
-        """(best u, confirmed) of up to ``steps`` Newton steps from a scored u.
+    def newton(self, u):
+        """(best u, confirmed) of up to ``_NEWTON_STEPS`` Newton steps from a scored u.
 
         A step is taken where it is not short and its point scores no lower;
-        a short step confirms u unscored.  The module docstring gives the
-        reasons.
+        a short step confirms u unscored, and a step whose point scores
+        lower confirms u where its predicted rise is within V's rounding.
+        The module docstring gives the reasons.
         """
         val = self.value(u)
         if not math.isfinite(val):
             return u, False
-        for k in range(steps):
-            delta = self.newton_step(u)
-            if delta is None:
+        for k in range(_NEWTON_STEPS):
+            step = self.newton_step(u)
+            if step is None:
                 break
+            delta, rise = step
             u_new = u + delta
             # written so that a NaN entry, which fails every comparison, fails too
             if not (np.minimum.reduce(u_new) >= 0.0 and np.maximum.reduce(u_new) <= 1.0):
                 break
             if np.maximum.reduce(np.abs(delta)) <= self.tol:
                 return u, True
-            if k == steps - 1:
+            if k == _NEWTON_STEPS - 1:
                 break
             val_new = self.value(u_new, terms=True)
             if val_new < val:
-                break
+                return u, rise <= V_ROUNDING * abs(val)
             u, val = u_new, val_new
         return u, False
 
@@ -444,11 +459,12 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
         Its (beta, nu) must lie within bounds; defaults to
         default_init(reps, bounds).  Its (beta, nu) is scored first and
         Newton steps start there; its sigma2 is recorded and not used.  An
-        answer from it that Newton did not confirm is checked against the
-        default start's (see the module docstring).
+        answer from it on a face of the box, or one that Newton did not
+        confirm, is checked against the default start's (see the module
+        docstring).
     tol : float
         Simplex-diameter threshold in bound-scaled coordinates, and the
-        largest Newton step or restart move that confirms a point.
+        largest Newton step that confirms its start unscored.
 
     Raises ValueError for a q outside (0, 1], a NaN, infinite or negative
     tol, data whose rows do not match ``locs``, sites with a duplicate, or
@@ -465,30 +481,21 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     # a hard failure at the starting point is an error, not a rejection
     search.score(u, terms=True)
     home = (_default_x(bounds) - search.corner) / search.width
-    restarts = 0
-    for _climb in range(2):
-        u, confirmed = search.newton(u, _NEWTON_STEPS)
-        # where Newton at the start does not confirm: the loose simplex and
-        # Newton to tol, then the tight simplex and one confirming step; a
-        # simplex run that ends abnormally goes to restarts
-        for xatol, steps in ((max(tol, _LOOSE_XATOL), _NEWTON_STEPS), (tol, 1)):
+    for restarts in range(2):
+        u, confirmed = search.newton(u)
+        # where Newton at the start does not confirm: the loose simplex, then
+        # the tight one, each with Newton steps from its answer
+        for xatol in (max(tol, _LOOSE_XATOL), tol):
             if confirmed:
                 break
             u = search.simplex(u, xatol)
             if not search.simplex_ok:
                 break
-            u, confirmed = search.newton(u, steps)
-        by_newton = confirmed
-
-        # the fallback: restarts from the search's own answer, two in a fit
-        while not confirmed and restarts < 2:
-            start = u
-            u = search.simplex(start, tol)
-            restarts += 1
-            confirmed = float(np.max(np.abs(u - start))) <= tol
-        # an answer Newton did not confirm may be a local maximum that the
-        # box holds: where the default start scores higher, climb from there
-        if by_newton or not search.value(home) > search.value(u):
+            u, confirmed = search.newton(u)
+        # an answer on a face of the box, or one not confirmed, may be a local
+        # maximum that the box holds: where the default start scores higher,
+        # climb from there
+        if confirmed and not any(search.faces(u)) or not search.value(home) > search.value(u):
             break
         u, search.simplex_ok = home, True
 
@@ -499,10 +506,7 @@ def fit(reps, locs, q, bounds=None, init=None, tol=DEFAULT_TOL):
     kept = p if p is not None and p.theta == theta_hat else None
     with np.errstate(over="ignore"):
         objective = value if q == 1.0 else np.exp((1.0 - q) * (value + reps.n))
-    # a restart that cannot move confirms nothing
-    moved = any(np.isfinite(v) and v != value for _s2, v in search.scored.values())
-    converged = bool(confirmed and (by_newton or moved)
-                     and search.simplex_ok and np.isfinite(value))
+    converged = bool(confirmed and search.simplex_ok and np.isfinite(value))
     return FitResult(theta_hat=theta_hat, objective=float(objective), q=float(q),
                      iterations=search.iterations, evaluations=len(search.scored),
                      converged=converged, init=init, restarts=restarts,
@@ -539,7 +543,7 @@ class FitChain:
         """(beta, nu) of the fit at key moved by its pass's Newton step re-weighted to q; or None."""
         p = self._fits[key]._pass
         step = None if p is None else p.newton_step(q)
-        return None if step is None else p.theta.as_array()[1:] + step[1:]
+        return None if step is None else p.theta.as_array()[1:] + step[0][1:]
 
     def _start(self, q):
         """The init of a new fit at q (see the module docstring)."""

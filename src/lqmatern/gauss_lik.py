@@ -76,7 +76,9 @@ The Newton step.  ``_Pass.newton_step`` solves with the 3 x 3 Hessian on
 Python floats, not NumPy arrays, whose per-call cost would outweigh the
 few dozen flops.  A Cholesky factor of -H (``_solve_spd3``) exists where
 H is negative definite (up to rounding), so one factor decides whether
-the step is taken and solves for it.
+the step is taken and solves for it.  The step holds a coordinate on a
+face of the caller's box whose gradient points out of it, and comes with
+its predicted rise of V, which the fit's tie rule reads.
 
 The workspace.  A ``_Workspace`` is bound to one (data, sites, q), which
 it checks once when it is made, and scores and takes passes over them
@@ -155,9 +157,10 @@ SIGMA2_MAX_STEPS = 1000
 # V is not concave (a minimum or a saddle), to the higher side.
 SIGMA2_STEP_OFF = 1e-3
 
-# Relative rounding of a log-domain value V: in profile_sigma2's solve, a step
-# whose predicted rise is at most V_ROUNDING |V| cannot be told from its start
-# by scoring, and is taken on the prediction alone.
+# Relative rounding of a log-domain value V: a step whose predicted rise is
+# at most V_ROUNDING |V| cannot be told from its start by scoring.  In
+# profile_sigma2's solve such a step is taken on the prediction alone, and a
+# fit's Newton step whose point scores lower confirms its start.
 V_ROUNDING = 8.0 * np.finfo(float).eps
 
 # The Hessian terms' rows, (beta, beta), (beta, nu) and (nu, nu), as the
@@ -467,32 +470,44 @@ class _Pass:
             H += (1.0 - q) * ((G * w) @ G.T)
         return gbar, 0.5 * (H + H.T)
 
-    def newton_step(self, q, log=False):
-        """The move of theta = (sigma2, beta, nu) by one Newton step from ``hessian(q)``.
+    def newton_step(self, q, log=False, faces=(0, 0)):
+        """(move, rise) of a Newton step from ``hessian(q)``: theta's move and V's predicted rise.
 
         At the pass's own q, sigma2 was solved at theta, so gbar's sigma2
-        entry is taken as 0.  The step is -H^-1 gbar in theta; with
+        entry is taken as 0.  ``faces`` marks where (beta, nu) lies on the
+        box, -1 on a lower bound and 1 on an upper one: a coordinate on a
+        face whose gradient entry points out of the box is held, its row
+        and column of -H made the identity's and its gradient entry 0, so
+        it does not move (projected Newton, Bertsekas 1982, SIAM J.
+        Control Optim. 20(2)).  The step is d = -H^-1 gbar in theta; with
         ``log``, it is dy = -H_y^-1 g_y in y = log theta, where g_y = theta
         gbar and H_y = diag(theta) H diag(theta) + diag(g_y) is negative
-        definite, and theta moves to theta exp(dy).  None where the
-        derivatives are not finite or neither Hessian is negative definite.
-        Both are decided, and the step solved, by one Cholesky factor of
-        -H_y or -H on Python floats (``_solve_spd3``).
+        definite, and theta moves to theta exp(dy).  The rise is g'd / 2
+        in the coordinates of the step.  None where the derivatives are
+        not finite or neither Hessian is negative definite.  Both are
+        decided, and the step solved, by one Cholesky factor of -H_y or -H
+        on Python floats (``_solve_spd3``).
         """
         gbar, H = self.hessian(q)
         if q == self.q:
             gbar[0] = 0.0
         theta = (self.theta.sigma2, self.theta.beta, self.theta.nu)
         g, h = gbar.tolist(), H.tolist()
+        for k, face in enumerate(faces, 1):
+            if face * g[k] > 0.0:
+                g[k] = 0.0
+                for j in range(3):
+                    h[k][j] = h[j][k] = -float(j == k)
         if log:
             gy = [t * x for t, x in zip(theta, g)]
             d = _solve_spd3([[-(h[i][j] * (theta[i] * theta[j])) - (gy[i] if i == j else 0.0)
                               for j in range(i + 1)] for i in range(3)], gy)
             if d is not None:       # a step past exp's range leaves any box
-                return np.array([t * (math.expm1(x) if x <= _LOG_MAX else math.inf)
-                                 for t, x in zip(theta, d)])
+                return (np.array([t * (math.expm1(x) if x <= _LOG_MAX else math.inf)
+                                  for t, x in zip(theta, d)]),
+                        0.5 * sum(x * y for x, y in zip(gy, d)))
         d = _solve_spd3([[-h[i][j] for j in range(i + 1)] for i in range(3)], g)
-        return None if d is None else np.array(d)
+        return None if d is None else (np.array(d), 0.5 * sum(x * y for x, y in zip(g, d)))
 
 
 def _solve_spd3(a, b):

@@ -16,9 +16,10 @@ theta-hat gap over the fits, in bound-scaled (beta, nu) units of the
 default bounds, with its key and the relative change of the objective
 there; how many fits lie farther apart than the default ``tol``, and the
 largest relative change of the objective among them; the totals of
-evaluations, Newton passes, simplex iterations, restarts and converged
-fits on each side; the key of every other output (a hash, a float's hex or
-an exit code) that differs; how many outputs only one side records; and,
+evaluations, Newton passes, simplex iterations, restarts (climbs from the
+default start) and converged fits on each side; the key of every other
+output (a hash, a float's hex or an exit code) that differs; how many
+outputs only one side records; and,
 on each side, the largest relative gap of a scaled fit's theta-hat / (c^2,
 1, 1) from the fit of the unscaled data.
 
@@ -29,10 +30,11 @@ On each of three seed sets, with contaminated data (r = 0.1, noise sd 1),
 it records:
 
 - fits at q in {1, 0.95, 0.7}: theta-hat, objective, evaluations,
-  iterations, Newton passes, restarts and ``converged``, floats as hex, on
-  an n = 100 grid at the rough and the smooth theta0, n = 150 uniform
-  sites, n = 49 grid and uniform sites with m = 80 (m >= n), and n = 400
-  uniform sites (left out with ``--quick``);
+  iterations, Newton passes, ``restarts`` (the fit's climbs from the
+  default start) and ``converged``, floats as hex, on an n = 100 grid at
+  the rough and the smooth theta0, n = 150 uniform sites, n = 49 grid and
+  uniform sites with m = 80 (m >= n), and n = 400 uniform sites (left out
+  with ``--quick``);
 - on the first seed set's rough n = 100 grid, the same fits of the data
   times 1e-3 and times 1e3, which scale equivariance maps onto the
   unscaled fits;

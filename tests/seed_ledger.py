@@ -45,7 +45,11 @@ LEDGER = (
         ("reviewed", "seed 3, CHANGES.md's table of the wrong answers a fixed sigma2 box "
                      "gave, and tests/test_estimate.py::TestFitSymmetries::"
                      "test_a_replicate_of_zeros_has_no_maximum_below_q_one"),
-        ("reviewed", "seeds 1-3, item 3's restart census at tol 1e-6 to 1e-10"))),
+        ("reviewed", "seeds 1-3, item 3's restart census at tol 1e-6 to 1e-10"),
+        ("reviewed", "seeds 1-3, item 3's census again, parent against the change that "
+                     "deleted the restart loop, and as tests/test_estimate.py::"
+                     "test_census_confirms_every_fit_by_newton; seed 2 in "
+                     "tests/test_estimate.py::TestTieRule"))),
     Seeds("SimConfig.seed", 50, 69, (("reviewed", "items 9 and 10"),)),
     Seeds("SimConfig.seed", 100, 199, (("calibration", "proposed for item 4"),)),
     Seeds("SimConfig.seed", 300, 339, (
@@ -62,6 +66,12 @@ LEDGER = (
         ("reviewed", "the 8067a57 review, rough and smooth theta0 (items 22, 23, 24)"),)),
     Seeds("SimConfig.seed", 3301, 3306, (("benchmark", "tests/bit_record.py, base 3301"),)),
     Seeds("SimConfig.seed", 7700, 7705, (("benchmark", "tests/bit_record.py, base 7700"),)),
+    Seeds("SimConfig.seed", 10001, 10040, (
+        ("reviewed", "scans for a Newton step in logs past exp's range (n = 9 to 36 "
+                     "grids, m = 5 to 30, default and scanned starts): seed 10001 was "
+                     "tests/test_estimate.py::TestNewtonFirst::"
+                     "test_step_in_logs_past_exps_range_is_refused_quietly's case until "
+                     "the step held nu on its face, and seed 10003 is its case now"),)),
     Seeds("SimConfig.seed", 54001, 54002, (
         ("held-out", "tests/test_cli_io.py::TestMain::test_sweep_reruns_from_its_record"),)),
     Seeds("SimConfig.seed", 70001, 70001, (
@@ -147,6 +157,12 @@ LEDGER = (
         ("benchmark", "benchmark pairs of the change with one table row per CLI config key "
                       "(5401-5410 both workloads; 5411-5420 sweep-grid-n100 against the "
                       "parent and a second copy of the parent)"),)),
+    Seeds("bench/run.py --seed", 5501, 5501, (
+        ("benchmark", "one 15 s run per side per workload of a scratch prototype of the "
+                      "fit without its restart loop"),)),
+    Seeds("bench/run.py --seed", 5511, 5520, (
+        ("benchmark", "benchmark pairs of the change that deleted the restart loop, both "
+                      "workloads"),)),
     Seeds("bench/run.py --seed", 9001, 9004, (
         ("benchmark", "trial pairs while writing the change with one 3 x 3 Cholesky for "
                       "the Newton step (9001-9002 sweep-grid-n100, 9003-9004 "

@@ -226,7 +226,7 @@ class TestFit:
         monkeypatch.setattr(gauss_lik._Workspace, "_factor", boom)
         search = est._Search(reps, locs, 0.9, default_bounds(), 1e-6)
         u = np.array([0.3, 0.4])
-        got, confirmed = search.newton(u, est._NEWTON_STEPS)
+        got, confirmed = search.newton(u)
         assert got is u and not confirmed
         assert len(calls) == 1 and search.ws.passes == 0 and search.last_pass is None
 
@@ -252,8 +252,9 @@ class TestFit:
     # scipy's simplex subtracts inf from inf when every trial scores -inf
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_every_point_rejected_is_not_converged(self, small_data, monkeypatch):
-        # init is scored and every other point is rejected: the restarts
-        # cannot move, which must not pass for a confirmation
+        # init is scored and every other point is rejected: the simplex
+        # cannot move, and the rejected Newton point's predicted rise is far
+        # above V's rounding, so nothing may pass for a confirmation
         locs, reps = small_data
         init = default_init(reps, default_bounds())
         real = est._Search.score
@@ -273,7 +274,7 @@ class TestFit:
     def test_flat_corner_is_not_converged(self, interior_data, q):
         # at the lower corner (beta = 1e-3, nu = 0.05) every correlation is
         # zero to double precision, so every point the search scores near it
-        # ties: the restarts cannot move, which must not pass for a
+        # ties, and Newton has no step there: the ties must not pass for a
         # confirmation.  In the default box the default start scores higher,
         # and the climb from there is the fit from it; in a box as flat as
         # the corner the default start ties too, and the fit stays
@@ -486,14 +487,6 @@ def interior_data():
     return locs, reps, {q: fit(reps, locs, q) for q in SYM_QS}
 
 
-def fit_without_newton(monkeypatch, *args, **kwargs):
-    """``fit`` with the Newton check always rejecting: restarts only."""
-    with monkeypatch.context() as mp:
-        mp.setattr(gauss_lik._Pass, "hessian",
-                   lambda p, q: (np.zeros(3), np.full((3, 3), np.nan)))
-        return fit(*args, **kwargs)
-
-
 def bowl(cx, cy):
     """A concave quadratic with its maximum at (cx, cy), inside the box or beyond it."""
     return lambda x: -((x[0] - cx) ** 2 + 2.0 * (x[1] - cy) ** 2
@@ -584,7 +577,7 @@ class TestNelderMead:
 
 
 class TestConfirmation:
-    """The Newton step that confirms a fit, and the restarts behind it."""
+    """The Newton step that confirms a fit, inside the box and on its faces."""
 
     @pytest.mark.parametrize("q", SYM_QS)
     @pytest.mark.parametrize("p, log_y", [((0.15, 0.8), True), ((0.15, 0.2), False)],
@@ -618,7 +611,7 @@ class TestConfirmation:
             g, H, g_fd, H_fd = g * w, H * np.outer(w, w), g_fd * w, H_fd * np.outer(w, w)
         assert np.abs(g - g_fd).max() <= PROFILE_RTOL * np.abs(g_fd).max()
         assert np.abs(H - H_fd).max() <= PROFILE_RTOL * np.abs(H_fd).max()
-        step = search.newton_step(u)
+        step = search.newton_step(u)[0]
         assert np.all(np.linalg.eigvalsh(H) < 0.0)
         d = np.linalg.solve(H, -g)
         delta = p * np.expm1(d) / search.width if log_y else d
@@ -642,19 +635,39 @@ class TestConfirmation:
         res = fit(reps, locs, 0.7)
         assert res.converged and res.restarts == 0
 
-    def test_bound_optimum_takes_the_restart_path(self, bound_data, monkeypatch):
-        # the Newton step cannot confirm a maximum on the nu bound; the
-        # restarts then give exactly the restart-only answer, at the cost of
-        # at most the one scored Newton point
+    def test_bound_optimum_is_confirmed_by_the_held_step(self, bound_data, monkeypatch):
+        # the maximum lies on the nu bound, where V's nu gradient points out
+        # of the box: the tight simplex lands on that face, and the Newton
+        # step there holds nu and moves beta alone.  A short one confirms
+        # the face point, with its pass, within tol of a fit to tol = 1e-10
         locs, reps, box = bound_data
+        lo, hi = box.as_arrays()
+        steps = record_steps(monkeypatch)
         for q in (1.0, 0.9):
+            ref = fit(reps, locs, q, box, tol=1e-10)
+            steps.clear()
             res = fit(reps, locs, q, box)
-            ref = fit_without_newton(monkeypatch, reps, locs, q, box)
-            assert res.restarts >= 1 and ref.restarts == res.restarts
-            assert res.theta_hat == ref.theta_hat
-            assert res.theta_hat.nu == box.upper[1]
-            assert ref.evaluations <= res.evaluations <= ref.evaluations + 1
-            assert res.converged == ref.converged
+            assert res.converged and res.restarts == 0 and ref.converged
+            assert res.theta_hat.nu == ref.theta_hat.nu == box.upper[1]
+            assert res._pass.theta == res.theta_hat
+            _search, u, (delta, _rise) = steps[-1]
+            assert u[1] == 1.0 and delta[1] == 0.0 and 0.0 < abs(delta[0]) <= 1e-6
+            gap = (res.theta_hat.as_array() - ref.theta_hat.as_array())[1:] / (hi - lo)
+            assert np.abs(gap).max() <= 1e-6
+
+    def test_face_maximum_short_of_the_face_is_confirmed(self, interior_data):
+        # in the box nu <= 0.38 the q = 0.9 maximum lies on the face, and
+        # the tight simplex ends 7e-9 in u short of it.  u lies within tol
+        # of the face, where nu's gradient points out of the box, so the
+        # step holds nu there and confirms, with no climb, where a step that
+        # held only a u of exactly 1 left the fit unconfirmed
+        locs, reps, _base = interior_data
+        lo, hi = default_bounds().as_arrays()
+        box = Bounds(lo, (hi[0], 0.38))
+        res = fit(reps, locs, 0.9, box)
+        assert 0.0 < 1.0 - (res.theta_hat.nu - lo[1]) / (0.38 - lo[1]) <= 1e-6
+        assert res.converged and res.restarts == 0
+        assert res._pass.theta == res.theta_hat
 
     def test_step_that_scores_lower_is_rejected(self, interior_data, monkeypatch):
         # a negated gradient turns every Newton step into its reverse, a
@@ -720,10 +733,10 @@ class TestShortStepRule:
         trials, scored = [], []
 
         def newton_step(search, u):
-            delta = real_step(search, u)
-            if delta is not None and np.max(np.abs(delta)) <= search.tol:
-                trials.append((tuple(search.corner + u * search.width), (u + delta).tobytes()))
-            return delta
+            step = real_step(search, u)
+            if step is not None and np.max(np.abs(step[0])) <= search.tol:
+                trials.append((tuple(search.corner + u * search.width), (u + step[0]).tobytes()))
+            return step
 
         def score(search, u, terms=False):
             scored.append(u.tobytes())
@@ -737,6 +750,64 @@ class TestShortStepRule:
         assert trials[-1][0] == (res.theta_hat.beta, res.theta_hat.nu) == (
             res._pass.theta.beta, res._pass.theta.nu)
         assert scaled_gap(res.theta_hat, ref.theta_hat) <= tol
+
+
+def record_steps(monkeypatch):
+    """(search, u, step) of every Newton step the fit's search takes, in order."""
+    steps, real = [], est._Search.newton_step
+
+    def newton_step(search, u):
+        steps.append((search, u, real(search, u)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(est._Search, "newton_step", newton_step)
+    return steps
+
+
+class TestTieRule:
+    """A Newton point that scores lower confirms its start where its rise is V's rounding."""
+
+    def test_point_lower_by_rounding_confirms_its_start(self, monkeypatch):
+        # the sweep design's seed 2 at q = 1 and tol = 1e-10: from the
+        # default start, Newton reaches a point whose next step, 1.2e-10 in
+        # u, is not short, predicts a rise of 2.2e-16 against V's rounding
+        # of 2.4e-11, and scores 3.6e-12 lower.  Scoring cannot tell the two
+        # points apart, so the start confirms with its pass.  Without the
+        # rule both simplex runs follow, and the fit ends unconfirmed
+        locs, reps = sweep_data(2)
+        steps = record_steps(monkeypatch)
+        res = fit(reps, locs, 1.0, tol=1e-10)
+        search, u, (delta, rise) = steps[-1]
+        value = search.scored[u.tobytes()][1]
+        assert search.scored[(u + delta).tobytes()][1] < value
+        assert np.abs(delta).max() > 1e-10 and rise <= gauss_lik.V_ROUNDING * abs(value)
+        assert res.converged and res.iterations == 0 and res.restarts == 0
+        assert res.theta_hat == res._pass.theta
+        assert (res.theta_hat.beta, res.theta_hat.nu) == tuple(search.corner + u * search.width)
+        monkeypatch.setattr(est, "V_ROUNDING", -1.0)
+        res = fit(reps, locs, 1.0, tol=1e-10)
+        assert not res.converged and res.iterations > 0
+
+    def test_point_lower_by_more_than_rounding_does_not_confirm(self, monkeypatch):
+        # smooth contaminated data, seed 2, q = 1: the first step from the
+        # default start, 0.68 in u, predicts a rise of 2.2e3 and its point
+        # scores 7.8e3 lower.  Newton returns its start unconfirmed, and the
+        # fit goes on to the simplex; with V's rounding taken as that
+        # rise, the same step would confirm the start
+        locs, reps = sweep_data(2, MaternParams(1.0, 0.3, 1.5))
+        steps = record_steps(monkeypatch)
+        res = fit(reps, locs, 1.0)
+        search, u, (delta, rise) = steps[0]
+        value = search.scored[u.tobytes()][1]
+        assert search.scored[(u + delta).tobytes()][1] < value
+        assert rise > gauss_lik.V_ROUNDING * abs(value)
+        assert (search.corner + u * search.width == (res.init.beta, res.init.nu)).all()
+        assert res.converged and res.iterations > 0 and res.restarts == 0
+        got, confirmed = search.newton(u)
+        assert got is u and not confirmed
+        monkeypatch.setattr(est, "V_ROUNDING", 2.0 * rise / abs(value))
+        got, confirmed = search.newton(u)
+        assert got is u and confirmed
 
 
 # Fits from the default start of 8 n = 100 grid and 4 n = 49 uniform datasets
@@ -765,6 +836,35 @@ def test_evaluations_no_higher_than_recorded():
                 assert res.restarts == 0
                 total += res.evaluations
     assert total <= GUARD_EVALS
+
+
+# Item 3's census: cold fits of five theta0, rough to smooth, the last with its
+# maximum on the face nu = NU_CAP in 4 of its 6 fits, n = 100 grid, m = 100,
+# contaminated, seeds 1-3, q in {1, 0.9}, at tol 1e-6 and 1e-10.  The guard
+# is the points they scored, 1,787 and 2,123, every fit confirmed by Newton,
+# the face maxima by the step that holds nu there (1,977 and 4,202, with 4
+# and 13 fits confirmed by restarts of the simplex, before the held step and
+# the tie rule).
+CENSUS_THETAS = ((1.0, 0.1, 0.5), (1.0, 0.3, 1.5), (1.0, 0.5, 0.3), (2.0, 0.05, 2.5),
+                 (1.0, 0.02, 1.0))
+GUARD_CENSUS_EVALS = 3910
+
+
+def test_census_confirms_every_fit_by_newton():
+    total, faces = 0, 0
+    for theta0 in CENSUS_THETAS:
+        for seed in (1, 2, 3):
+            locs, reps = sweep_data(seed, MaternParams(*theta0))
+            for q in (1.0, 0.9):
+                for tol in (1e-6, 1e-10):
+                    res = fit(reps, locs, q, tol=tol)
+                    assert res.converged and res.restarts == 0
+                    if res.theta_hat.nu == default_bounds().upper[1]:
+                        assert res._pass.theta == res.theta_hat
+                        faces += 1
+                    total += res.evaluations
+    assert faces == 8
+    assert total <= GUARD_CENSUS_EVALS
 
 
 def scaled_gap(a, b):
@@ -869,12 +969,13 @@ class TestNewtonFinish:
     def test_warm_start_at_a_corner_matches_the_cold_fit(self, interior_data):
         locs, reps, base = interior_data
         corner = MaternParams(1.0, *default_bounds().upper)
-        # Newton at the upper corner does not confirm.  With sigma2 solved on
-        # (0, inf), the corner is a local maximum of V over the box on these
-        # data (sigma2 = 5.0e9, V = -2404 at q = 1, against the cold fit's
-        # -1367), so the simplex and its restart stay there; the default
-        # start scores higher, and the climb from it lands where the fit
-        # from the default start does
+        # with sigma2 solved on (0, inf), the upper corner is a local maximum
+        # of V over the box on these data (sigma2 = 5.0e9, V = -2404 at q =
+        # 1, against the cold fit's -1367): both gradient entries point out
+        # of the box, and Newton there holds both and confirms the corner.
+        # An answer on a face is checked against the default start, which
+        # scores higher, and the climb from it lands where the fit from the
+        # default start does
         for q in SYM_QS:
             res = fit(reps, locs, q, init=corner)
             assert res.converged and res.evaluations > 6
@@ -947,13 +1048,15 @@ class TestNewtonFirst:
 
     def test_step_in_logs_past_exps_range_is_refused_quietly(self, monkeypatch):
         # on 16 grid sites with 8 replicates at q = 1, V is concave in logs
-        # at the loose simplex's answer, on the face nu = 0.05, but the step
-        # there is so long that exp(dy) overflows: the step leaves the box
-        # and is refused, with no RuntimeWarning (the suite turns one into
-        # an error), and the tight simplex takes over
-        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=16, m=8, layout="grid", seed=10001,
+        # at this start, a point of a (beta, nu) scan where H_y is all but
+        # singular, and the step there is so long in nu that exp(dy)
+        # overflows: the step leaves the box and is refused, with no
+        # RuntimeWarning or OverflowError (the suite turns a warning into an
+        # error), and the simplex takes over
+        cfg = SimConfig(MaternParams(1.0, 0.1, 0.5), n=16, m=8, layout="grid", seed=10003,
                         contamination=ContaminationSpec(0.1, 1.0))
         locs, reps, _flags = simulate_dataset(cfg)
+        init = MaternParams(1.0, np.geomspace(1.1e-3, 9.9, 25)[11], np.linspace(0.06, 4.99, 25)[6])
         real, steps = est._Search.newton_step, []
 
         def newton_step(search, u):
@@ -961,8 +1064,8 @@ class TestNewtonFirst:
             return steps[-1]
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
-        res = fit(reps, locs, 1.0)
-        assert any(step is not None and np.isinf(step).any() for step in steps)
+        res = fit(reps, locs, 1.0, init=init)
+        assert np.isinf(steps[0][0]).any()
         assert res.converged and res.iterations > 0
 
     def test_step_in_u_where_v_is_not_concave_in_logs(self, monkeypatch):
@@ -975,7 +1078,8 @@ class TestNewtonFirst:
         real, kinds = est._Search.newton_step, []
 
         def newton_step(search, u):
-            step = real(search, u)
+            out = real(search, u)
+            step = None if out is None else out[0]
             x, w = search.corner + u * search.width, search.width
             gbar, hess = search.last_pass.hessian(search.ws.q)
             g = gbar[1:]
@@ -990,11 +1094,11 @@ class TestNewtonFirst:
             else:
                 kinds.append(None)
                 assert step is None
-                return step
+                return out
             assert np.abs(step - want).max() <= 1e-12 * np.abs(want).max()
             if len(kinds) == 1:
                 assert x + step * w == pytest.approx([0.273, 2.29], rel=2e-3)
-            return step
+            return out
 
         monkeypatch.setattr(est._Search, "newton_step", newton_step)
         res = fit(reps, locs, 1.0)
@@ -1004,8 +1108,8 @@ class TestNewtonFirst:
     def test_each_scored_point_counts_once(self, bound_data, monkeypatch):
         # evaluations are the distinct points scored: a simplex once counted
         # again each point it read from the cache, such as its own starting
-        # point, at every restart too.  The optimum on the nu bound takes
-        # the simplex and the restarts
+        # point.  The optimum on the nu bound takes both simplex runs, the
+        # tight one from the point where Newton after the loose one stopped
         locs, reps, box = bound_data
         scored = []
         real = est._Search.score
@@ -1018,7 +1122,7 @@ class TestNewtonFirst:
         for q in (1.0, 0.9):
             scored.clear()
             res = fit(reps, locs, q, box)
-            assert res.iterations > 0 and res.restarts >= 1
+            assert res.iterations > 0 and res.restarts == 0
             assert res.evaluations == len(scored) == len(set(scored))
 
 
@@ -1480,7 +1584,7 @@ def reweighted_step(reps, locs, at, q_old, q):
 
 def stepped(theta, p, q):
     """theta with (beta, nu) moved by the pass's re-weighted step to q."""
-    step = p.newton_step(q)
+    step = p.newton_step(q)[0]
     return MaternParams(theta.sigma2, theta.beta + step[1], theta.nu + step[2])
 
 
